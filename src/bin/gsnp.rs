@@ -49,7 +49,7 @@
 //! workload; `validate-trace` schema-checks an exported file.
 
 use std::fs;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,6 +136,10 @@ fn auto_flag(args: &[String]) -> Result<AutoPolicy, Box<dyn std::error::Error>> 
     Ok(policy)
 }
 
+fn quiet_flag(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--quiet" || a == "-q")
+}
+
 fn positional(args: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
     let mut skip = false;
@@ -177,7 +181,7 @@ struct Introspection {
 
 impl Introspection {
     fn from_args(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
+        let quiet = quiet_flag(args);
         let tracker = Arc::new(ProgressTracker::new());
         let journal = match flag_value(args, "--journal") {
             Some(p) => Some(Arc::new(
@@ -407,6 +411,36 @@ fn cmd_synth(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// The recorder behind `call --trace`, if asked for. Kernel trace spans
+/// carry simulator counters, so `native` is refused and `auto` sends every
+/// launch to the simulator — at simulator speed, which the note says
+/// rather than leaving a 5× slower run unexplained.
+fn trace_recorder(
+    args: &[String],
+    backend: BackendChoice,
+) -> Result<Option<Arc<TraceRecorder>>, Box<dyn std::error::Error>> {
+    if flag_value(args, "--trace").is_none() {
+        return Ok(None);
+    }
+    match backend {
+        BackendChoice::Native => {
+            return Err(
+                "--backend native cannot trace (kernel counters are sim-only); \
+                 use --backend sim or auto"
+                    .into(),
+            )
+        }
+        BackendChoice::Auto if !quiet_flag(args) => eprintln!(
+            "gsnp: --trace with --backend auto routes every launch to the simulator \
+             (kernel trace spans carry sim-only counters); expect --backend sim wall time"
+        ),
+        _ => {}
+    }
+    Ok(Some(Arc::new(TraceRecorder::new(
+        gsnp::gpu_sim::trace::DEFAULT_CAPACITY,
+    ))))
+}
+
 fn cmd_call(args: &[String]) -> CliResult {
     if flag_value(args, "--cohort").is_some() {
         return cmd_call_cohort(args);
@@ -422,20 +456,10 @@ fn cmd_call(args: &[String]) -> CliResult {
 
     let cpu = args.iter().any(|a| a == "--cpu");
     let backend = backend_flag(args)?;
-    let recorder = match flag_value(args, "--trace") {
-        Some(_) if cpu => return Err("--trace requires the device pipeline (drop --cpu)".into()),
-        Some(_) if backend == BackendChoice::Native => {
-            return Err(
-                "--backend native cannot trace (kernel counters are sim-only); \
-                 use --backend sim or auto"
-                    .into(),
-            )
-        }
-        Some(_) => Some(Arc::new(TraceRecorder::new(
-            gsnp::gpu_sim::trace::DEFAULT_CAPACITY,
-        ))),
-        None => None,
-    };
+    if cpu && flag_value(args, "--trace").is_some() {
+        return Err("--trace requires the device pipeline (drop --cpu)".into());
+    }
+    let recorder = trace_recorder(args, backend)?;
     let contracts = args.iter().any(|a| a == "--contracts");
     let intro = Introspection::from_args(args)?;
     let cfg = GsnpConfig {
@@ -458,10 +482,15 @@ fn cmd_call(args: &[String]) -> CliResult {
     };
     fs::write(out, &result.compressed).map_err(|e| format!("{out}: {e}"))?;
     if let Some(text_path) = flag_value(args, "--text") {
-        let mut f = fs::File::create(text_path).map_err(|e| format!("{text_path}: {e}"))?;
+        let f = fs::File::create(text_path).map_err(|e| format!("{text_path}: {e}"))?;
+        let mut f = BufWriter::new(f);
         for t in &result.tables {
-            t.write_text(&mut f)?;
+            t.write_text(&mut f)
+                .map_err(|e| format!("{text_path}: {e}"))?;
         }
+        // Dropping a `BufWriter` discards write errors; a full disk must
+        // stay an error naming the path.
+        f.flush().map_err(|e| format!("{text_path}: {e}"))?;
     }
     if let (Some(rec), Some(path)) = (&recorder, flag_value(args, "--trace")) {
         write_trace(rec, path, intro.quiet)?;
@@ -548,19 +577,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         .collect();
 
     let backend = backend_flag(args)?;
-    let recorder = match flag_value(args, "--trace") {
-        Some(_) if backend == BackendChoice::Native => {
-            return Err(
-                "--backend native cannot trace (kernel counters are sim-only); \
-                 use --backend sim or auto"
-                    .into(),
-            )
-        }
-        Some(_) => Some(Arc::new(TraceRecorder::new(
-            gsnp::gpu_sim::trace::DEFAULT_CAPACITY,
-        ))),
-        None => None,
-    };
+    let recorder = trace_recorder(args, backend)?;
     let contracts = args.iter().any(|a| a == "--contracts");
     let intro = Introspection::from_args(args)?;
     let base = GsnpConfig {
@@ -1030,13 +1047,22 @@ fn cmd_decode(args: &[String]) -> CliResult {
     let pos = positional(args);
     let input = pos.first().ok_or("decode requires an input file")?;
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
-    let mut sink: Box<dyn Write> = match pos.get(1) {
-        Some(p) => Box::new(fs::File::create(p)?),
+    let name = pos.get(1).map_or("<stdout>", |p| p.as_str());
+    let sink: Box<dyn Write> = match pos.get(1) {
+        Some(p) => Box::new(fs::File::create(p).map_err(|e| format!("{name}: {e}"))?),
         None => Box::new(std::io::stdout().lock()),
     };
+    // One `write` per row otherwise: a `File` is unbuffered and stdout
+    // flushes at every newline.
+    let mut sink = BufWriter::new(sink);
     for window in WindowStream::new(&bytes) {
-        window?.write_text(&mut sink)?;
+        window?
+            .write_text(&mut sink)
+            .map_err(|e| format!("{name}: {e}"))?;
     }
+    // Dropping a `BufWriter` discards write errors; a full disk must stay
+    // an error naming the path.
+    sink.flush().map_err(|e| format!("{name}: {e}"))?;
     Ok(())
 }
 

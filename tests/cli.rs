@@ -1,0 +1,124 @@
+//! The `gsnp` binary driven as a child process, for behaviour that only
+//! exists at that surface.
+//!
+//! Text sinks: `decode <in> <out.txt>`, `decode <in>` (stdout) and
+//! `call --text` all go through a buffered writer, must write the same
+//! bytes, and must still turn a full disk into an error naming the path —
+//! a dropped `BufWriter` would swallow it. Diagnostics: `--backend auto
+//! --trace` says on stderr that it runs all-sim, unless `-q`.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn gsnp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gsnp"))
+        .args(args)
+        .output()
+        .expect("the gsnp binary runs")
+}
+
+fn ok(args: &[&str]) -> Output {
+    let out = gsnp(args);
+    assert!(
+        out.status.success(),
+        "gsnp {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// A synthetic data set called into `out.gsnp` + `out.txt`, several
+/// windows long so every sink sees more than one table.
+fn called(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_{tag}_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&["synth", &d(""), "--sites", "6000", "--depth", "6"]);
+    ok(&[
+        "call",
+        &d("reads.soap"),
+        &d("reference.fa"),
+        &d("priors.txt"),
+        &d("out.gsnp"),
+        "--text",
+        &d("out.txt"),
+        "--window",
+        "1500",
+        "--backend",
+        "native",
+        "-q",
+    ]);
+    dir
+}
+
+#[test]
+fn decode_to_file_equals_decode_to_stdout_equals_call_text() {
+    let dir = called("eq");
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&["decode", &d("out.gsnp"), &d("decoded.txt")]);
+    let to_file = std::fs::read(dir.join("decoded.txt")).unwrap();
+    let to_stdout = ok(&["decode", &d("out.gsnp")]).stdout;
+    let call_text = std::fs::read(dir.join("out.txt")).unwrap();
+    assert_eq!(to_file.iter().filter(|&&b| b == b'\n').count(), 6000);
+    assert!(to_file == to_stdout, "decode to a file differs from stdout");
+    assert!(to_file == call_text, "decode differs from call --text");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_full_disk_is_an_error_naming_the_path() {
+    // Linux's always-full device: every write fails with ENOSPC.
+    if !Path::new("/dev/full").exists() {
+        eprintln!("skipping: no /dev/full on this platform");
+        return;
+    }
+    let dir = called("full");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let runs: [&[&str]; 2] = [
+        &["decode", &d("out.gsnp"), "/dev/full"],
+        &[
+            "call",
+            &d("reads.soap"),
+            &d("reference.fa"),
+            &d("priors.txt"),
+            &d("again.gsnp"),
+            "--text",
+            "/dev/full",
+            "--backend",
+            "native",
+            "-q",
+        ],
+    ];
+    for args in runs {
+        let out = gsnp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "gsnp {args:?} ignored a full disk");
+        assert!(
+            stderr.contains("/dev/full"),
+            "error does not name the path: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn auto_with_trace_says_it_runs_all_sim_unless_quiet() {
+    let dir = called("auto");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let traced = |extra: &[&str]| {
+        let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
+        let (out, trace) = (d("auto.gsnp"), d("auto.json"));
+        let mut args = vec!["call", &reads, &fa, &priors, &out, "--window", "1500"];
+        args.extend(["--backend", "auto", "--trace", &trace]);
+        args.extend(extra);
+        String::from_utf8(ok(&args).stderr).unwrap()
+    };
+    let note = "routes every launch to the simulator";
+    assert!(traced(&[]).contains(note));
+    assert!(!traced(&["-q"]).contains(note));
+    // Same bytes as the untraced native run `called` made.
+    assert!(
+        std::fs::read(dir.join("auto.gsnp")).unwrap()
+            == std::fs::read(dir.join("out.gsnp")).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
