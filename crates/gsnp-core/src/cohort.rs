@@ -5,26 +5,30 @@
 //! *reference-shaped*: the `cal_p_matrix` calibration blend, the
 //! `new_p_matrix` precompute, the per-device score-table upload, and the
 //! per-run thread/channel setup. None of that depends on which sample a
-//! window came from. [`CohortPipeline`] pays each exactly once:
+//! window came from. [`CohortPipeline`] pays each exactly once. It is not
+//! a second pipeline: it runs the one window loop
+//! (`pipeline::run_window_loop`, which a single-sample call runs
+//! with N = 1) and contributes only what is cohort-specific:
 //!
 //! * **One pooled calibration** ([`SharedTables::calibrate_pooled`])
-//!   over every sample's reads, and **one `DeviceTables` upload per
-//!   device** — ledger-counted table H2D bytes scale O(devices), not
-//!   O(N·devices) (`tests/cohort_parity.rs`).
-//! * **Sample-major mega-batching**: every sample reads the *same*
-//!   window grid (windows tile the reference — a structural property of
-//!   [`seqio::window::WindowReader`] — so site alignment across samples
-//!   is deterministic, no coordination needed). The producer concatenates
-//!   the same `k` windows of all N samples into ONE device batch, and the
-//!   existing batched device path ([`crate::pipeline`]'s fused
-//!   counting+likelihood launch) scores all of them in one launch group —
-//!   PR 6's `launch_batch` axis extended across samples, exactly the
-//!   inter-task batching genome-scale CUDA callers use.
+//!   over every sample's reads. The loop then makes **one `DeviceTables`
+//!   upload per device** — ledger-counted table H2D bytes scale
+//!   O(devices), not O(N·devices) (`tests/cohort_parity.rs`).
+//! * **Sample-major mega-batching** is the loop's native batch shape:
+//!   every sample reads the *same* window grid (windows tile the
+//!   reference — a structural property of
+//!   [`seqio::window::WindowReader`]), so the producer concatenates the
+//!   same `k` windows of all N samples into ONE device batch and one fused
+//!   counting+likelihood launch group scores all of them — PR 6's
+//!   `launch_batch` axis extended across samples, exactly the inter-task
+//!   batching genome-scale CUDA callers use.
 //! * **Per-sample outputs stay byte-identical** to single-sample runs
 //!   given the same tables: compressed bytes are grouping-invariant
 //!   (`tests/batch_parity.rs`), so demuxing a batch back into per-sample
 //!   compression groups reproduces each sample's single-run stream
-//!   bit-for-bit at any (samples, devices, batch) shape.
+//!   bit-for-bit at any (samples, devices, batch, depth) shape.
+//! * **The site policy and the per-sample view**: gates, bad-site list,
+//!   noisy-site feedback, `sample`/`gates` journal events.
 //!
 //! On top of the shared scan, the cohort path adds two call-quality
 //! mechanisms single runs don't have: per-site [`QualityGates`] that
@@ -33,25 +37,13 @@
 //! sites across runs and force-NoCalls them once they cross a threshold.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use compress::{column, input_codec};
-use crossbeam::channel::bounded;
-use gpu_sim::{BackendDispatcher, DeviceGroup, LaunchStats};
 use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
 use seqio::soap::AlignedRead;
-use seqio::window::WindowReader;
 
-use crate::arena::ArenaPool;
-use crate::likelihood::DeviceTables;
-use crate::pipeline::{
-    add_times, join_stage, journal_run_stats, merge_stats, posterior_rows, run_device_batch,
-    BatchScratch, ComponentTimes, GsnpConfig, PipelineStats, StageReport,
-};
-use crate::progress::{ProgressTracker, STAGE_OUTPUT, STAGE_POSTERIOR, STAGE_READ};
-use crate::stream::{DeviceLaneStats, OrderedReassembler, OverlapStats, StageStats};
+use crate::pipeline::{run_window_loop, ComponentTimes, GsnpConfig, PipelineStats};
 use crate::tables::SharedTables;
 
 /// Per-site quality gates: calls failing either bound are replaced with
@@ -246,11 +238,10 @@ impl CohortOutput {
     }
 }
 
-/// Per-sample tallies the posterior stage accumulates alongside its
-/// [`StageReport`].
+/// Per-sample tallies the window loop's posterior stage accumulates.
 #[derive(Default)]
-struct PostTallies {
-    snp: Vec<u64>,
+pub(crate) struct PostTallies {
+    pub(crate) snp: Vec<u64>,
     gated: Vec<u64>,
     forced: Vec<u64>,
     /// Covered-but-gated sample count per site (noisy-site detection).
@@ -258,7 +249,7 @@ struct PostTallies {
 }
 
 impl PostTallies {
-    fn new(num_samples: usize) -> Self {
+    pub(crate) fn new(num_samples: usize) -> Self {
         PostTallies {
             snp: vec![0; num_samples],
             gated: vec![0; num_samples],
@@ -266,29 +257,6 @@ impl PostTallies {
             gated_by_site: BTreeMap::new(),
         }
     }
-}
-
-/// One sample-major launch batch: the same `wins` windows of every
-/// sample, arenas ordered `[s0:w0..][s1:w0..]…`.
-struct CProduced {
-    idx: usize,
-    wins: usize,
-    arenas: Vec<crate::arena::WindowArena>,
-}
-
-struct CScored {
-    idx: usize,
-    wins: usize,
-    arenas: Vec<crate::arena::WindowArena>,
-    tl_bytes: u64,
-    dev: usize,
-}
-
-struct CCalled {
-    idx: usize,
-    /// `per_sample[s]` = this batch's `(window_start, rows)` for sample s.
-    per_sample: Vec<Vec<(u64, Vec<SnpRow>)>>,
-    dev: usize,
 }
 
 /// The cohort pipeline driver.
@@ -307,12 +275,10 @@ impl CohortPipeline {
         &self.config
     }
 
-    /// Call every sample over the shared reference in one run.
-    ///
-    /// Always streams (the sample-major batches need the channel
-    /// topology even at depth 1). Device tracing (`base.trace`) attaches
-    /// to the device group only; the cohort loop records no host-side
-    /// pipeline tracks.
+    /// Call every sample over the shared reference in one run: one pooled
+    /// calibration, then the same window loop a single-sample call runs
+    /// (`run_window_loop`) over all samples at once, with this
+    /// configuration's gates and bad-site list as the site policy.
     pub fn run(
         &self,
         samples: &[SampleReads<'_>],
@@ -323,449 +289,17 @@ impl CohortPipeline {
         let num_samples = samples.len();
         assert!(num_samples >= 1, "cohort needs at least one sample");
 
-        let tracker = cfg
-            .progress
-            .clone()
-            .unwrap_or_else(|| std::sync::Arc::new(ProgressTracker::new()));
-        let journal = cfg.journal.clone();
-        let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
-            .with_launch_hist(&tracker.kernel_hist());
-        if cfg.sanitize {
-            group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
-        }
-        if cfg.contracts {
-            group = group.with_contracts();
-        }
-        if let Some(rec) = &cfg.trace {
-            group = group.with_trace(rec);
-        }
-        group.set_pool_enabled(cfg.pooled);
-        let group = &group;
-        let dispatchers: Vec<BackendDispatcher<'_>> = group
-            .devices()
-            .iter()
-            .map(|d| {
-                BackendDispatcher::with_policy(d, cfg.backend, cfg.auto)
-                    .unwrap_or_else(|e| panic!("gsnp cohort: {e}"))
-            })
-            .collect();
-
-        let mut times = ComponentTimes::default();
-        let mut wall = ComponentTimes::default();
-        let mut stats = PipelineStats {
-            samples: num_samples as u64,
-            ..PipelineStats::default()
-        };
-
-        // ---- cal_p_matrix + load_table: ONCE for the whole cohort ----
-        let t0 = Instant::now();
-        let shared = match &cfg.shared_tables {
-            Some(st) => std::sync::Arc::clone(st),
-            None => std::sync::Arc::new(SharedTables::calibrate_pooled(
-                samples.iter().map(|s| s.reads),
-                reference,
-                &cfg.params,
-            )),
-        };
-        // One host image, one upload (one ledger charge) per DEVICE —
-        // not per sample. This is the O(devices) upload invariant.
-        let tables =
-            DeviceTables::upload_group(group, &shared.p_matrix, &shared.new_p, &shared.log_table);
-        // Per-sample temporary compressed inputs (§V-A) — the input codec
-        // is per sample, unchanged from single runs.
-        let temp_inputs: Option<Vec<Vec<u8>>> = if cfg.compress_input {
-            Some(
-                samples
-                    .iter()
-                    .map(|s| input_codec::compress_reads(&reference.name, s.reads))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let cal_wall = t0.elapsed().as_secs_f64();
-        wall.cal_p = cal_wall;
-        stats.table_bytes = tables[0].upload_bytes();
-        times.cal_p = cal_wall + stats.table_bytes as f64 / cfg.device.pcie_bw;
-        stats.peak_host_bytes += temp_inputs
-            .as_ref()
-            .map_or(0, |t| t.iter().map(|b| b.len() as u64).sum());
-
-        let depth = cfg.pipeline_depth.max(1);
-        let num_devices = group.len();
-        let params = &cfg.params;
-        let variant = cfg.variant;
-        let gpu_output = cfg.gpu_output;
-        let window_size = cfg.window_size;
-        let coalesced_bw = cfg.device.coalesced_bw;
-        let batch_size = cfg.launch_batch_size();
-        let ref_len = reference.len() as u64;
-        let device_table_bytes = tables[0].upload_bytes();
-        let gates = self.config.gates;
-        let bad_sites = &self.config.bad_sites;
-        tracker.set_samples(num_samples as u64);
-        tracker.set_total_windows(ref_len.div_ceil(window_size.max(1) as u64) * num_samples as u64);
-        tracker.begin_lanes(num_devices);
-        let tracker = &*tracker;
-        let journal_ref = journal.as_deref();
-
-        let (win_tx, win_rx) = bounded::<CProduced>(depth);
-        let (score_tx, score_rx) = bounded::<CScored>(depth);
-        let (call_tx, call_rx) = bounded::<CCalled>(depth);
-
-        let mut out_tables: Vec<Vec<SnpTable>> = (0..num_samples).map(|_| Vec::new()).collect();
-        let mut compressed: Vec<Vec<u8>> = (0..num_samples).map(|_| Vec::new()).collect();
-        let mut out_rep = StageReport::default();
-        let arena_pool = ArenaPool::new(cfg.pooled);
-        let loop_start = Instant::now();
-
-        let (read_rep, device_reps, (post_rep, tallies)) = std::thread::scope(|s| {
-            // ---- producer: N lockstep readers over the shared grid ----
-            let prod_pool = std::sync::Arc::clone(&arena_pool);
-            let producer = s.spawn(move || {
-                let mut rep = StageReport::default();
-                let t0 = Instant::now();
-                let mut readers: Vec<_> = match temp_inputs {
-                    Some(blobs) => blobs
-                        .into_iter()
-                        .map(|bytes| {
-                            let owned = input_codec::decompress_reads(&bytes)
-                                .expect("pipeline-internal temporary input must decode");
-                            WindowReader::from_reads(owned, ref_len, window_size)
-                        })
-                        .collect(),
-                    None => samples
-                        .iter()
-                        .map(|s| WindowReader::from_reads(s.reads.to_vec(), ref_len, window_size))
-                        .collect(),
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                rep.wall.read_site += dt;
-                rep.times.read_site += dt;
-                rep.stage.busy += dt;
-                tracker.stage_busy(STAGE_READ, dt);
-
-                let mut idx = 0usize;
-                loop {
-                    // Sample 0 decides how many windows this batch holds;
-                    // every other sample's reader must produce exactly the
-                    // same count (they tile the same reference).
-                    let t0 = Instant::now();
-                    let mut arenas = Vec::with_capacity(batch_size * num_samples);
-                    let mut wins = 0usize;
-                    while wins < batch_size {
-                        let mut arena = prod_pool.checkout();
-                        let got = readers[0]
-                            .next_window_into(&mut arena.window)
-                            .expect("in-memory reads are valid");
-                        if !got {
-                            prod_pool.checkin(arena);
-                            break;
-                        }
-                        arenas.push(arena);
-                        wins += 1;
-                    }
-                    for reader in readers.iter_mut().skip(1) {
-                        for w in 0..wins {
-                            let mut arena = prod_pool.checkout();
-                            let got = reader
-                                .next_window_into(&mut arena.window)
-                                .expect("in-memory reads are valid");
-                            assert!(
-                                got,
-                                "cohort window grids diverged at batch {idx} window {w}"
-                            );
-                            assert_eq!(
-                                arena.window.start, arenas[w].window.start,
-                                "cohort site alignment broke at batch {idx}"
-                            );
-                            arenas.push(arena);
-                        }
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.wall.read_site += dt;
-                    rep.times.read_site += dt;
-                    rep.stage.busy += dt;
-                    tracker.stage_busy(STAGE_READ, dt);
-                    if wins == 0 {
-                        break;
-                    }
-
-                    let t0 = Instant::now();
-                    if win_tx.send(CProduced { idx, wins, arenas }).is_err() {
-                        break; // downstream died; its panic surfaces at join
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_out += dt;
-                    tracker.stage_stall(STAGE_READ, dt);
-                    idx += 1;
-                }
-                rep
-            });
-
-            // ---- device stage: N workers, one launch per cohort batch ----
-            let mut workers = Vec::with_capacity(num_devices);
-            for (worker_id, dev_tables) in tables.iter().enumerate().take(num_devices) {
-                let win_rx = win_rx.clone();
-                let score_tx = score_tx.clone();
-                let disp = &dispatchers[worker_id];
-                workers.push(s.spawn(move || {
-                    let mut rep = StageReport::default();
-                    let mut lane = DeviceLaneStats::default();
-                    let mut scratch = BatchScratch::default();
-                    loop {
-                        let t0 = Instant::now();
-                        let CProduced {
-                            idx,
-                            wins,
-                            mut arenas,
-                        } = match win_rx.recv() {
-                            Ok(p) => p,
-                            Err(_) => break,
-                        };
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.stage.stall_in += dt;
-                        lane.stage.stall_in += dt;
-                        tracker.lane_wait(worker_id, dt);
-                        let busy_start = Instant::now();
-
-                        // ONE fused launch group covers the same windows
-                        // of every sample — the sample-major batch.
-                        let k = arenas.len();
-                        let sites_before = rep.stats.num_sites;
-                        let tl_bytes = run_device_batch(
-                            disp,
-                            dev_tables,
-                            variant,
-                            device_table_bytes,
-                            coalesced_bw,
-                            &mut arenas,
-                            &mut scratch,
-                            &mut rep.times,
-                            &mut rep.wall,
-                            &mut rep.stats,
-                        );
-                        lane.windows += k as u64;
-                        if idx % num_devices != worker_id {
-                            lane.steals += k as u64;
-                            tracker.lane_steal(worker_id, k as u64);
-                        }
-                        let dt = busy_start.elapsed().as_secs_f64();
-                        rep.stage.busy += dt;
-                        lane.stage.busy += dt;
-                        tracker.lane_batch(
-                            worker_id,
-                            k as u64,
-                            rep.stats.num_sites - sites_before,
-                            dt,
-                        );
-                        if let Some(j) = journal_ref {
-                            j.event(
-                                "batch",
-                                &format!(
-                                    "\"lane\":{worker_id},\"idx\":{idx},\"windows\":{k},\
-                                     \"busy_seconds\":{dt:.6}"
-                                ),
-                            );
-                        }
-
-                        let t0 = Instant::now();
-                        let scored = CScored {
-                            idx,
-                            wins,
-                            arenas,
-                            tl_bytes,
-                            dev: worker_id,
-                        };
-                        if score_tx.send(scored).is_err() {
-                            break;
-                        }
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.stage.stall_out += dt;
-                        lane.stage.stall_out += dt;
-                    }
-                    (rep, lane)
-                }));
-            }
-            drop(win_rx);
-            drop(score_tx);
-
-            // ---- posterior stage: demux per sample, gate, feedback ----
-            let post_pool = std::sync::Arc::clone(&arena_pool);
-            let posterior_stage = s.spawn(move || {
-                let mut rep = StageReport::default();
-                let mut tallies = PostTallies::new(num_samples);
-                loop {
-                    let t0 = Instant::now();
-                    let CScored {
-                        idx,
-                        wins,
-                        arenas,
-                        tl_bytes,
-                        dev,
-                    } = match score_rx.recv() {
-                        Ok(sc) => sc,
-                        Err(_) => break,
-                    };
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_in += dt;
-                    tracker.stage_stall(STAGE_POSTERIOR, dt);
-                    let busy_start = Instant::now();
-
-                    debug_assert_eq!(arenas.len(), wins * num_samples);
-                    let t0 = Instant::now();
-                    let mut per_sample: Vec<Vec<(u64, Vec<SnpRow>)>> =
-                        (0..num_samples).map(|_| Vec::with_capacity(wins)).collect();
-                    let mut row_count = 0u64;
-                    for (i, arena) in arenas.into_iter().enumerate() {
-                        let sample = i / wins;
-                        let mut rows = posterior_rows(
-                            arena.window.start,
-                            &arena.type_likely,
-                            &arena.sw.summaries,
-                            reference,
-                            priors,
-                            params,
-                        );
-                        apply_site_policies(
-                            &mut rows,
-                            arena.window.start,
-                            sample,
-                            &gates,
-                            bad_sites,
-                            &mut tallies,
-                        );
-                        tallies.snp[sample] +=
-                            rows.iter().filter(|r| r.is_variant()).count() as u64;
-                        rep.stats.snp_count +=
-                            rows.iter().filter(|r| r.is_variant()).count() as u64;
-                        row_count += rows.len() as u64;
-                        per_sample[sample].push((arena.window.start, rows));
-                        post_pool.checkin(arena);
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.wall.posterior += dt;
-                    let mut post_stats = LaunchStats::default();
-                    group
-                        .device(dev)
-                        .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
-                    rep.times.posterior += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
-                    let dt = busy_start.elapsed().as_secs_f64();
-                    rep.stage.busy += dt;
-                    tracker.stage_busy(STAGE_POSTERIOR, dt);
-
-                    let t0 = Instant::now();
-                    let called = CCalled {
-                        idx,
-                        per_sample,
-                        dev,
-                    };
-                    if call_tx.send(called).is_err() {
-                        break;
-                    }
-                    rep.stage.stall_out += t0.elapsed().as_secs_f64();
-                }
-                (rep, tallies)
-            });
-
-            // ---- output stage (this thread): per-sample reassembly ----
-            let mut reasm = OrderedReassembler::new();
-            loop {
-                let t0 = Instant::now();
-                let called = match call_rx.recv() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                out_rep.stage.stall_in += dt;
-                tracker.stage_stall(STAGE_OUTPUT, dt);
-                let busy_start = Instant::now();
-                let mut next = reasm.offer(called.idx, (called.per_sample, called.dev));
-                while let Some((per_sample, dev)) = next {
-                    let t0 = Instant::now();
-                    for (sample, windows) in per_sample.into_iter().enumerate() {
-                        // One compression group per (sample, batch): the
-                        // RLE-DICT chain runs on the device that scored
-                        // the batch, into the sample's own stream.
-                        // Grouping invariance (batch_parity) keeps each
-                        // stream byte-identical to a single-sample run.
-                        let batch_tables: Vec<SnpTable> = windows
-                            .into_iter()
-                            .map(|(start, rows)| SnpTable::new(reference.name.clone(), start, rows))
-                            .collect();
-                        let out_stats = if gpu_output {
-                            column::write_windows_gpu_batch(
-                                &dispatchers[dev],
-                                &mut compressed[sample],
-                                &batch_tables,
-                            )
-                        } else {
-                            for table in &batch_tables {
-                                column::write_window(&mut compressed[sample], table);
-                            }
-                            LaunchStats::default()
-                        };
-                        out_rep.times.output += out_stats.sim_time;
-                        out_tables[sample].extend(batch_tables);
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    out_rep.wall.output += dt;
-                    out_rep.times.output += if gpu_output { dt * 0.25 } else { dt };
-                    next = reasm.pop_ready();
-                }
-                let dt = busy_start.elapsed().as_secs_f64();
-                out_rep.stage.busy += dt;
-                tracker.stage_busy(STAGE_OUTPUT, dt);
-            }
-            assert!(reasm.is_drained(), "cohort pipeline lost a batch");
-
-            let device_reps: Vec<(StageReport, DeviceLaneStats)> =
-                workers.into_iter().map(join_stage).collect();
-            (
-                join_stage(producer),
-                device_reps,
-                join_stage(posterior_stage),
-            )
-        });
-        let loop_wall = loop_start.elapsed().as_secs_f64();
-
-        let mut device_stage = StageStats::default();
-        let mut lanes = Vec::with_capacity(num_devices);
-        for (rep, lane) in &device_reps {
-            add_times(&mut times, &rep.times);
-            add_times(&mut wall, &rep.wall);
-            merge_stats(&mut stats, &rep.stats);
-            device_stage.busy += lane.stage.busy;
-            device_stage.stall_in += lane.stage.stall_in;
-            device_stage.stall_out += lane.stage.stall_out;
-            lanes.push(*lane);
-        }
-        for rep in [&read_rep, &post_rep, &out_rep] {
-            add_times(&mut times, &rep.times);
-            add_times(&mut wall, &rep.wall);
-            merge_stats(&mut stats, &rep.stats);
-        }
-        stats.overlap = OverlapStats {
-            depth,
-            read: read_rep.stage,
-            device: device_stage,
-            devices: lanes,
-            posterior: post_rep.stage,
-            output: out_rep.stage,
-            wall: loop_wall,
-        };
-        stats.arena = arena_pool.stats();
-        let ledger = group.ledger();
-        let total = ledger.total();
-        stats.pool = total.pool;
-        stats.sanitizer = total.sanitizer;
-        stats.ledgers = ledger.per_device;
-        stats.kernel_launches = group.kernel_launches();
-        stats.contracts = group.contract_report();
-        stats.hists = tracker.latency();
-        if let Some(j) = journal_ref {
-            journal_run_stats(j, &stats);
-        }
+        let reads: Vec<&[AlignedRead]> = samples.iter().map(|s| s.reads).collect();
+        let out = run_window_loop(
+            cfg,
+            &reads,
+            reference,
+            priors,
+            self.config.gates,
+            &self.config.bad_sites,
+            || SharedTables::calibrate_pooled(reads.iter().copied(), reference, &cfg.params),
+        );
+        let tallies = out.tallies;
 
         // Sites where at least half the covered samples were gated are
         // this run's noisy-site feedback.
@@ -779,7 +313,7 @@ impl CohortPipeline {
         let sample_outputs: Vec<SampleOutput> = samples
             .iter()
             .enumerate()
-            .zip(out_tables.into_iter().zip(compressed))
+            .zip(out.samples)
             .map(|((i, s), (tables, compressed))| SampleOutput {
                 name: s.name.to_string(),
                 tables,
@@ -789,7 +323,7 @@ impl CohortPipeline {
                 forced_nocalls: tallies.forced[i],
             })
             .collect();
-        if let Some(j) = journal_ref {
+        if let Some(j) = &cfg.journal {
             for s in &sample_outputs {
                 j.event(
                     "sample",
@@ -809,9 +343,9 @@ impl CohortPipeline {
 
         CohortOutput {
             samples: sample_outputs,
-            stats,
-            times,
-            wall,
+            stats: out.stats,
+            times: out.times,
+            wall: out.wall,
             noisy_sites,
         }
     }
@@ -829,7 +363,7 @@ fn nocall(row: &SnpRow) -> SnpRow {
 
 /// Apply the bad-site force-list and quality gates to one window's rows,
 /// updating the per-sample tallies and the per-site gating census.
-fn apply_site_policies(
+pub(crate) fn apply_site_policies(
     rows: &mut [SnpRow],
     start: u64,
     sample: usize,

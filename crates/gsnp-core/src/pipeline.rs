@@ -6,14 +6,17 @@
 //!        └── compressed temporary input ──────────┘
 //! ```
 //!
-//! The window loop runs either serially (`pipeline_depth = 1`) or as a
-//! bounded four-stage streaming pipeline (`pipeline_depth ≥ 2`, the
-//! default): producer (`read_site`), device (`counting` + likelihood),
-//! `posterior`, and output each on a dedicated host thread, connected by
-//! bounded channels so successive windows overlap. The output stage
-//! reassembles windows in index order, keeping results and the compressed
-//! file byte-identical to a serial run (§IV-G); per-stage busy/stall time
-//! is reported in [`PipelineStats::overlap`].
+//! There is one window loop, `run_window_loop`: the four stage bodies —
+//! producer (`read_site`), device (`counting` + likelihood + `recycle`),
+//! `posterior`, output — written once over a sample-major batch of
+//! `windows × samples` arenas and handed to the staged executor in
+//! [`crate::stream`], which owns the threads, bounded channels
+//! (`pipeline_depth`), `num_devices` device workers, ordered reassembly
+//! and all busy/stall accounting ([`PipelineStats::overlap`]).
+//! [`GsnpPipeline`] is that loop over one sample with its own calibration;
+//! [`crate::cohort::CohortPipeline`] is the same loop over N samples with a
+//! pooled one. Results and the compressed file are byte-identical at every
+//! `(depth, devices, batch, samples)` shape (§IV-G).
 //!
 //! Every device component reports both the **host wall-clock** of the
 //! simulation and the **modelled device time** from the cost model; the
@@ -23,7 +26,6 @@
 use std::time::Instant;
 
 use compress::{column, input_codec};
-use crossbeam::channel::bounded;
 use gpu_sim::{
     AutoPolicy, BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup,
     LaunchStats,
@@ -33,17 +35,18 @@ use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
 use seqio::soap::AlignedRead;
-use seqio::window::WindowReader;
+use seqio::window::{OwnedReads, WindowReader};
 
 use crate::arena::{ArenaPool, ArenaPoolStats, WindowArena};
+use crate::cohort::{apply_site_policies, BadSiteList, PostTallies, QualityGates};
 use crate::counting::SparseWindow;
 use crate::journal::Journal;
 use crate::likelihood::{
     likelihood_comp_fused_gpu_into, likelihood_sort_gpu_into, DeviceTables, KernelVariant,
 };
 use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
-use crate::progress::{LatencyHists, ProgressTracker, STAGE_OUTPUT, STAGE_POSTERIOR, STAGE_READ};
-use crate::stream::{DeviceLaneStats, OrderedReassembler, OverlapStats, PipelineTrace, StageStats};
+use crate::progress::{LatencyHists, ProgressTracker};
+use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats, PipelineTrace};
 use crate::tables::SharedTables;
 
 /// Per-component elapsed time in seconds, matching the columns of the
@@ -163,8 +166,8 @@ pub struct GsnpConfig {
     pub compress_input: bool,
     /// Run output RLE-DICT columns on the device (§V-B).
     pub gpu_output: bool,
-    /// Bounded-channel depth of the streaming window loop. `1` runs the
-    /// stages serially on one thread; `2` (the default) double-buffers —
+    /// Bounded-channel depth of the window loop. `1` (on one device) runs
+    /// the stages in order on one thread; `2` (the default) double-buffers —
     /// window *k*'s host stages overlap window *k+1*'s device stage.
     /// Results are byte-identical at every depth (§IV-G).
     pub pipeline_depth: usize,
@@ -330,7 +333,8 @@ impl GsnpPipeline {
         &self.config
     }
 
-    /// Run over in-memory inputs.
+    /// Run over in-memory inputs: calibrate this sample's own tables, then
+    /// the window loop over one unnamed sample with no site policy.
     pub fn run(
         &self,
         reads: &[AlignedRead],
@@ -338,792 +342,34 @@ impl GsnpPipeline {
         priors: &PriorMap,
     ) -> GsnpOutput {
         let cfg = &self.config;
-        // One tracker per run, external or private — every latency
-        // observation flows through it either way (see
-        // [`PipelineStats::hists`]).
-        let tracker = cfg
-            .progress
-            .clone()
-            .unwrap_or_else(|| std::sync::Arc::new(ProgressTracker::new()));
-        let journal = cfg.journal.clone();
-        let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
-            .with_launch_hist(&tracker.kernel_hist());
-        if cfg.sanitize {
-            group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
-        }
-        if cfg.contracts {
-            group = group.with_contracts();
-        }
-        if let Some(rec) = &cfg.trace {
-            group = group.with_trace(rec);
-        }
-        tracker.set_total_windows((reference.len() as u64).div_ceil(cfg.window_size.max(1) as u64));
-        tracker.begin_lanes(group.len());
-        // Host-side pipeline tracks (one per stage + device lane); all
-        // registration and interning happens here, before the first window.
-        let ptrace = cfg
-            .trace
-            .as_ref()
-            .map(|rec| PipelineTrace::new(rec, group.len()));
-        group.set_pool_enabled(cfg.pooled);
-        // One per-device dispatcher routes every kernel launch to the
-        // configured backend. Construction refuses `Native` when sim-only
-        // features (sanitizer, trace) are attached; `Auto` falls back to
-        // the simulator for those launches instead.
-        let dispatchers: Vec<BackendDispatcher<'_>> = group
-            .devices()
-            .iter()
-            .map(|d| {
-                BackendDispatcher::with_policy(d, cfg.backend, cfg.auto)
-                    .unwrap_or_else(|e| panic!("gsnp: {e}"))
-            })
-            .collect();
-        let mut times = ComponentTimes::default();
-        let mut wall = ComponentTimes::default();
-        let mut stats = PipelineStats {
-            samples: 1,
-            ..PipelineStats::default()
-        };
-
-        // ---- cal_p_matrix + load_table (Fig. 2 left column) ----
-        let t0 = Instant::now();
-        // Cohort runs inject pre-pooled tables (paying calibration once for
-        // all samples); a plain run calibrates from its own reads.
-        let shared = match &cfg.shared_tables {
-            Some(st) => std::sync::Arc::clone(st),
-            None => std::sync::Arc::new(SharedTables::calibrate(reads, reference, &cfg.params)),
-        };
-        // One host image, one upload (and one ledger charge) per device.
-        let tables =
-            DeviceTables::upload_group(&group, &shared.p_matrix, &shared.new_p, &shared.log_table);
-        // Temporary compressed input written during the first pass (§V-A).
-        let temp_input = if cfg.compress_input {
-            Some(input_codec::compress_reads(&reference.name, reads))
-        } else {
-            None
-        };
-        let cal_wall = t0.elapsed().as_secs_f64();
-        wall.cal_p = cal_wall;
-        // Device time: table upload over PCIe on top of the host compute.
-        // Each device's copy travels its own PCIe link, so the group pays
-        // one upload of modelled latency regardless of its size.
-        stats.table_bytes = tables[0].upload_bytes();
-        times.cal_p = cal_wall + stats.table_bytes as f64 / cfg.device.pcie_bw;
-        stats.peak_host_bytes += temp_input.as_ref().map_or(0, |t| t.len() as u64);
-
-        let mut out = if cfg.pipeline_depth <= 1 && group.len() == 1 {
-            self.window_loop_serial(
-                &group,
-                &dispatchers,
-                &tables,
-                temp_input,
-                reads,
-                reference,
-                priors,
-                ptrace.as_ref(),
-                &tracker,
-                journal.as_deref(),
-                times,
-                wall,
-                stats,
-            )
-        } else {
-            // A multi-device run always streams: even at depth 1 the
-            // device workers need the channel topology to shard windows.
-            self.window_loop_streamed(
-                &group,
-                &dispatchers,
-                &tables,
-                temp_input,
-                reads,
-                reference,
-                priors,
-                ptrace.as_ref(),
-                &tracker,
-                journal.as_deref(),
-                times,
-                wall,
-                stats,
-            )
-        };
-        out.stats.hists = tracker.latency();
-        if let Some(j) = &journal {
-            journal_run_stats(j, &out.stats);
-        }
-        out
-    }
-
-    /// The window loop at `pipeline_depth = 1`, `num_devices = 1`: every
-    /// stage on the caller's thread, one window at a time.
-    #[allow(clippy::too_many_arguments)]
-    fn window_loop_serial(
-        &self,
-        group: &DeviceGroup,
-        dispatchers: &[BackendDispatcher<'_>],
-        tables: &[DeviceTables],
-        temp_input: Option<Vec<u8>>,
-        reads: &[AlignedRead],
-        reference: &Reference,
-        priors: &PriorMap,
-        ptrace: Option<&PipelineTrace>,
-        tracker: &ProgressTracker,
-        journal: Option<&Journal>,
-        mut times: ComponentTimes,
-        mut wall: ComponentTimes,
-        mut stats: PipelineStats,
-    ) -> GsnpOutput {
-        let cfg = &self.config;
-        let dev = group.device(0);
-        let disp = &dispatchers[0];
-        let tables = &tables[0];
-        let loop_start = Instant::now();
-
-        // ---- read_site source: decompress the temporary input ----
-        let t0 = Instant::now();
-        let ts = trace_now(ptrace);
-        let owned_reads;
-        let read_source: &[AlignedRead] = match &temp_input {
-            Some(bytes) => {
-                owned_reads = input_codec::decompress_reads(bytes)
-                    .expect("pipeline-internal temporary input must decode");
-                &owned_reads
-            }
-            None => reads,
-        };
-        let decompress_wall = t0.elapsed().as_secs_f64();
-        tracker.stage_busy(STAGE_READ, decompress_wall);
-        if let Some(pt) = ptrace {
-            pt.read_span(ts, decompress_wall);
-        }
-
-        let mut reader = WindowReader::new(
-            read_source.iter().cloned().map(Ok),
-            reference.len() as u64,
-            cfg.window_size,
+        let mut out = run_window_loop(
+            cfg,
+            &[reads],
+            reference,
+            priors,
+            QualityGates::default(),
+            &BadSiteList::default(),
+            || SharedTables::calibrate(reads, reference, &cfg.params),
         );
-        wall.read_site += decompress_wall;
-        times.read_site += decompress_wall;
-
-        let mut out_tables = Vec::new();
-        let mut compressed = Vec::new();
-        let device_table_bytes = tables.upload_bytes();
-        let arena_pool = ArenaPool::new(cfg.pooled);
-
-        let batch_size = cfg.launch_batch_size();
-        let mut scratch = BatchScratch::default();
-        let mut batch: Vec<WindowArena> = Vec::with_capacity(batch_size);
-        let mut batch_tables: Vec<SnpTable> = Vec::with_capacity(batch_size);
-        let mut eof = false;
-        let mut batch_idx = 0usize;
-
-        while !eof {
-            // ---- read_site: fill one launch batch ----
-            while batch.len() < batch_size {
-                let mut arena = arena_pool.checkout();
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let got = reader
-                    .next_window_into(&mut arena.window)
-                    .expect("in-memory reads are valid");
-                let dt = t0.elapsed().as_secs_f64();
-                wall.read_site += dt;
-                times.read_site += dt;
-                tracker.stage_busy(STAGE_READ, dt);
-                if let Some(pt) = ptrace {
-                    pt.read_span(ts, dt);
-                }
-                if !got {
-                    eof = true;
-                    arena_pool.checkin(arena);
-                    break;
-                }
-                batch.push(arena);
-            }
-            if batch.is_empty() {
-                break;
-            }
-
-            // ---- counting + likelihood + recycle: ONE launch group ----
-            // The serial loop's device-lane busy time is the growth of the
-            // four device-component wall clocks across this batch.
-            let first_window = stats.windows;
-            let sites_before = stats.num_sites;
-            let dev_wall_before =
-                wall.counting + wall.likelihood_sort + wall.likelihood_comp + wall.recycle;
-            let ts = trace_now(ptrace);
-            let tl_bytes = run_device_batch(
-                disp,
-                tables,
-                cfg.variant,
-                device_table_bytes,
-                cfg.device.coalesced_bw,
-                &mut batch,
-                &mut scratch,
-                &mut times,
-                &mut wall,
-                &mut stats,
-            );
-            let dev_dt = wall.counting + wall.likelihood_sort + wall.likelihood_comp + wall.recycle
-                - dev_wall_before;
-            tracker.lane_batch(
-                0,
-                batch.len() as u64,
-                stats.num_sites - sites_before,
-                dev_dt,
-            );
-            if let Some(j) = journal {
-                j.event(
-                    "batch",
-                    &format!(
-                        "\"lane\":0,\"idx\":{batch_idx},\"windows\":{},\"busy_seconds\":{dev_dt:.6}",
-                        batch.len()
-                    ),
-                );
-            }
-            batch_idx += 1;
-            if let Some(pt) = ptrace {
-                emit_lane_batch(pt, 0, ts, dev_dt, first_window, batch.len());
-            }
-
-            // ---- posterior (per window; one readback charge per batch) ----
-            let mut row_count = 0u64;
-            let mut post_dt = 0.0;
-            batch_tables.clear();
-            for arena in batch.drain(..) {
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let rows = posterior_rows(
-                    arena.window.start,
-                    &arena.type_likely,
-                    &arena.sw.summaries,
-                    reference,
-                    priors,
-                    &cfg.params,
-                );
-                stats.snp_count += rows.iter().filter(|r| r.is_variant()).count() as u64;
-                row_count += rows.len() as u64;
-                let dt = t0.elapsed().as_secs_f64();
-                wall.posterior += dt;
-                post_dt += dt;
-                if let Some(pt) = ptrace {
-                    pt.posterior_span(ts, dt);
-                }
-                batch_tables.push(SnpTable::new(
-                    reference.name.clone(),
-                    arena.window.start,
-                    rows,
-                ));
-                arena_pool.checkin(arena);
-            }
-            // Device model for posterior: the per-site arithmetic is cheap;
-            // the cost is dominated by moving type_likely down and result
-            // columns back (the paper attributes its modest posterior
-            // speedup to exactly this transfer overhead). Batching merges
-            // the batch's readbacks into one transfer.
-            let mut post_stats = LaunchStats::default();
-            dev.charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
-            times.posterior += post_dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
-            tracker.stage_busy(STAGE_POSTERIOR, post_dt);
-
-            // ---- output: ONE batched compress chain per batch ----
-            let t0 = Instant::now();
-            let ts = trace_now(ptrace);
-            let out_stats = if cfg.gpu_output {
-                column::write_windows_gpu_batch(disp, &mut compressed, &batch_tables)
-            } else {
-                for table in &batch_tables {
-                    column::write_window(&mut compressed, table);
-                }
-                LaunchStats::default()
-            };
-            let dt = t0.elapsed().as_secs_f64();
-            wall.output += dt;
-            tracker.stage_busy(STAGE_OUTPUT, dt);
-            if let Some(pt) = ptrace {
-                pt.output_span(ts, dt);
-            }
-            times.output += if cfg.gpu_output {
-                // Device columns overlap host columns; charge the slower
-                // plus the (dominant) host write of the compressed bytes.
-                out_stats.sim_time + dt * 0.25
-            } else {
-                dt
-            };
-
-            out_tables.append(&mut batch_tables);
-        }
-        stats.arena = arena_pool.stats();
-        let ledger = group.ledger();
-        let total = ledger.total();
-        stats.pool = total.pool;
-        stats.sanitizer = total.sanitizer;
-        stats.ledgers = ledger.per_device;
-        stats.kernel_launches = group.kernel_launches();
-        stats.contracts = group.contract_report();
-
-        // A serial run is, by definition, one stage busy at a time.
-        let device_busy =
-            wall.counting + wall.likelihood_sort + wall.likelihood_comp + wall.recycle;
-        stats.overlap = OverlapStats {
-            depth: 1,
-            read: StageStats {
-                busy: wall.read_site,
-                ..Default::default()
-            },
-            device: StageStats {
-                busy: device_busy,
-                ..Default::default()
-            },
-            devices: vec![DeviceLaneStats {
-                stage: StageStats {
-                    busy: device_busy,
-                    ..Default::default()
-                },
-                windows: stats.windows,
-                steals: 0,
-            }],
-            posterior: StageStats {
-                busy: wall.posterior,
-                ..Default::default()
-            },
-            output: StageStats {
-                busy: wall.output,
-                ..Default::default()
-            },
-            wall: loop_start.elapsed().as_secs_f64(),
-        };
-        debug_verify_trace(ptrace, &stats.overlap);
-
+        let (tables, compressed) = out.samples.pop().expect("one sample in, one sample out");
         GsnpOutput {
-            tables: out_tables,
+            tables,
             compressed,
-            times,
-            wall,
-            stats,
-        }
-    }
-
-    /// The streaming window loop (`pipeline_depth ≥ 2` or
-    /// `num_devices ≥ 2`): producer, `N` device workers, posterior, and
-    /// output on dedicated threads connected by bounded channels.
-    ///
-    /// The device stage is a **sharded dispatcher**: all workers pull from
-    /// one shared bounded work-queue, so windows go to whichever device
-    /// frees up first — equivalent to work-stealing from a single global
-    /// deque, without the idle devices a static `idx % N` round-robin
-    /// produces on skewed (deep-coverage) windows. Windows a worker
-    /// processes off its round-robin home are counted as steals in
-    /// [`DeviceLaneStats`]. The output stage reassembles windows in index
-    /// order — results and the compressed stream are byte-identical to
-    /// [`Self::window_loop_serial`] at any `(depth, devices)` (§IV-G,
-    /// tested in `tests/shard_parity.rs`).
-    #[allow(clippy::too_many_arguments)]
-    fn window_loop_streamed(
-        &self,
-        group: &DeviceGroup,
-        dispatchers: &[BackendDispatcher<'_>],
-        tables: &[DeviceTables],
-        temp_input: Option<Vec<u8>>,
-        reads: &[AlignedRead],
-        reference: &Reference,
-        priors: &PriorMap,
-        ptrace: Option<&PipelineTrace>,
-        tracker: &ProgressTracker,
-        journal: Option<&Journal>,
-        mut times: ComponentTimes,
-        mut wall: ComponentTimes,
-        mut stats: PipelineStats,
-    ) -> GsnpOutput {
-        let cfg = &self.config;
-        let depth = cfg.pipeline_depth.max(1);
-        let num_devices = group.len();
-        let params = &cfg.params;
-        let variant = cfg.variant;
-        let gpu_output = cfg.gpu_output;
-        let window_size = cfg.window_size;
-        let coalesced_bw = cfg.device.coalesced_bw;
-        let batch_size = cfg.launch_batch_size();
-        let ref_len = reference.len() as u64;
-        let device_table_bytes = tables[0].upload_bytes();
-
-        let (win_tx, win_rx) = bounded::<Produced>(depth);
-        let (score_tx, score_rx) = bounded::<Scored>(depth);
-        let (call_tx, call_rx) = bounded::<Called>(depth);
-
-        let mut out_tables = Vec::new();
-        let mut compressed = Vec::new();
-        let mut out_rep = StageReport::default();
-        let arena_pool = ArenaPool::new(cfg.pooled);
-        let loop_start = Instant::now();
-
-        let (read_rep, device_reps, post_rep) = std::thread::scope(|s| {
-            // ---- producer stage: read_site ----
-            let prod_pool = std::sync::Arc::clone(&arena_pool);
-            let producer = s.spawn(move || {
-                let mut rep = StageReport::default();
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let owned: Vec<AlignedRead> = match temp_input {
-                    Some(bytes) => input_codec::decompress_reads(&bytes)
-                        .expect("pipeline-internal temporary input must decode"),
-                    None => reads.to_vec(),
-                };
-                let mut reader = WindowReader::from_reads(owned, ref_len, window_size);
-                let dt = t0.elapsed().as_secs_f64();
-                rep.wall.read_site += dt;
-                rep.times.read_site += dt;
-                rep.stage.busy += dt;
-                tracker.stage_busy(STAGE_READ, dt);
-                if let Some(pt) = ptrace {
-                    pt.read_span(ts, dt);
-                }
-                let mut idx = 0usize;
-                let mut eof = false;
-                while !eof {
-                    let mut arenas = Vec::with_capacity(batch_size);
-                    while arenas.len() < batch_size {
-                        let mut arena = prod_pool.checkout();
-                        let t0 = Instant::now();
-                        let ts = trace_now(ptrace);
-                        let got = reader
-                            .next_window_into(&mut arena.window)
-                            .expect("in-memory reads are valid");
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.wall.read_site += dt;
-                        rep.times.read_site += dt;
-                        rep.stage.busy += dt;
-                        tracker.stage_busy(STAGE_READ, dt);
-                        if let Some(pt) = ptrace {
-                            pt.read_span(ts, dt);
-                        }
-                        if !got {
-                            eof = true;
-                            prod_pool.checkin(arena);
-                            break;
-                        }
-                        arenas.push(arena);
-                    }
-                    if arenas.is_empty() {
-                        break;
-                    }
-
-                    let t0 = Instant::now();
-                    let ts = trace_now(ptrace);
-                    if win_tx.send(Produced { idx, arenas }).is_err() {
-                        break; // downstream died; its panic surfaces at join
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_out += dt;
-                    tracker.stage_stall(STAGE_READ, dt);
-                    if let Some(pt) = ptrace {
-                        pt.read_stall_out(ts, dt);
-                    }
-                    idx += 1;
-                }
-                rep
-            });
-
-            // ---- device stage: N workers over one shared work-queue ----
-            let mut workers = Vec::with_capacity(num_devices);
-            for (worker_id, dev_tables) in tables.iter().enumerate().take(num_devices) {
-                let win_rx = win_rx.clone();
-                let score_tx = score_tx.clone();
-                let disp = &dispatchers[worker_id];
-                workers.push(s.spawn(move || {
-                    let mut rep = StageReport::default();
-                    let mut lane = DeviceLaneStats::default();
-                    let mut scratch = BatchScratch::default();
-                    loop {
-                        let t0 = Instant::now();
-                        let ts = trace_now(ptrace);
-                        let Produced { idx, mut arenas } = match win_rx.recv() {
-                            Ok(p) => p,
-                            Err(_) => break,
-                        };
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.stage.stall_in += dt;
-                        lane.stage.stall_in += dt;
-                        tracker.lane_wait(worker_id, dt);
-                        if let Some(pt) = ptrace {
-                            pt.lane_stall_in(worker_id, ts, dt);
-                        }
-                        let busy_start = Instant::now();
-                        let ts = trace_now(ptrace);
-
-                        let k = arenas.len();
-                        let sites_before = rep.stats.num_sites;
-                        let tl_bytes = run_device_batch(
-                            disp,
-                            dev_tables,
-                            variant,
-                            device_table_bytes,
-                            coalesced_bw,
-                            &mut arenas,
-                            &mut scratch,
-                            &mut rep.times,
-                            &mut rep.wall,
-                            &mut rep.stats,
-                        );
-                        lane.windows += k as u64;
-                        if idx % num_devices != worker_id {
-                            lane.steals += k as u64;
-                            tracker.lane_steal(worker_id, k as u64);
-                            if let Some(pt) = ptrace {
-                                for _ in 0..k {
-                                    pt.lane_steal(worker_id, ts);
-                                }
-                            }
-                        }
-                        let dt = busy_start.elapsed().as_secs_f64();
-                        rep.stage.busy += dt;
-                        lane.stage.busy += dt;
-                        tracker.lane_batch(
-                            worker_id,
-                            k as u64,
-                            rep.stats.num_sites - sites_before,
-                            dt,
-                        );
-                        if let Some(j) = journal {
-                            j.event(
-                                "batch",
-                                &format!(
-                                    "\"lane\":{worker_id},\"idx\":{idx},\"windows\":{k},\
-                                     \"busy_seconds\":{dt:.6}"
-                                ),
-                            );
-                        }
-                        if let Some(pt) = ptrace {
-                            // Every batch but the last is full, so the
-                            // batch's first global window index is exact.
-                            emit_lane_batch(pt, worker_id, ts, dt, (idx * batch_size) as u64, k);
-                        }
-
-                        let t0 = Instant::now();
-                        let ts = trace_now(ptrace);
-                        let scored = Scored {
-                            idx,
-                            arenas,
-                            tl_bytes,
-                            dev: worker_id,
-                        };
-                        if score_tx.send(scored).is_err() {
-                            break;
-                        }
-                        let dt = t0.elapsed().as_secs_f64();
-                        rep.stage.stall_out += dt;
-                        lane.stage.stall_out += dt;
-                        if let Some(pt) = ptrace {
-                            pt.lane_stall_out(worker_id, ts, dt);
-                        }
-                    }
-                    (rep, lane)
-                }));
-            }
-            // The workers hold clones; dropping the originals lets the
-            // posterior stage's `recv` disconnect once every worker exits.
-            drop(win_rx);
-            drop(score_tx);
-
-            // ---- posterior stage ----
-            let post_pool = std::sync::Arc::clone(&arena_pool);
-            let posterior_stage = s.spawn(move || {
-                let mut rep = StageReport::default();
-                loop {
-                    let t0 = Instant::now();
-                    let ts = trace_now(ptrace);
-                    let Scored {
-                        idx,
-                        arenas,
-                        tl_bytes,
-                        dev,
-                    } = match score_rx.recv() {
-                        Ok(sc) => sc,
-                        Err(_) => break,
-                    };
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_in += dt;
-                    tracker.stage_stall(STAGE_POSTERIOR, dt);
-                    if let Some(pt) = ptrace {
-                        pt.posterior_stall_in(ts, dt);
-                    }
-                    let busy_start = Instant::now();
-                    let busy_ts = trace_now(ptrace);
-
-                    let t0 = Instant::now();
-                    let mut windows = Vec::with_capacity(arenas.len());
-                    let mut row_count = 0u64;
-                    for arena in arenas {
-                        let rows = posterior_rows(
-                            arena.window.start,
-                            &arena.type_likely,
-                            &arena.sw.summaries,
-                            reference,
-                            priors,
-                            params,
-                        );
-                        rep.stats.snp_count +=
-                            rows.iter().filter(|r| r.is_variant()).count() as u64;
-                        row_count += rows.len() as u64;
-                        windows.push((arena.window.start, rows));
-                        post_pool.checkin(arena);
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.wall.posterior += dt;
-                    let mut post_stats = LaunchStats::default();
-                    // The readback crosses the PCIe link of the device
-                    // that scored this batch — one transfer per batch.
-                    group
-                        .device(dev)
-                        .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
-                    rep.times.posterior += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
-                    let dt = busy_start.elapsed().as_secs_f64();
-                    rep.stage.busy += dt;
-                    tracker.stage_busy(STAGE_POSTERIOR, dt);
-                    if let Some(pt) = ptrace {
-                        pt.posterior_span(busy_ts, dt);
-                    }
-
-                    let t0 = Instant::now();
-                    let ts = trace_now(ptrace);
-                    let called = Called { idx, windows, dev };
-                    if call_tx.send(called).is_err() {
-                        break;
-                    }
-                    let dt = t0.elapsed().as_secs_f64();
-                    rep.stage.stall_out += dt;
-                    if let Some(pt) = ptrace {
-                        pt.posterior_stall_out(ts, dt);
-                    }
-                }
-                rep
-            });
-
-            // ---- output stage (this thread): reassemble + compress ----
-            let mut reasm = OrderedReassembler::new();
-            loop {
-                let t0 = Instant::now();
-                let ts = trace_now(ptrace);
-                let called = match call_rx.recv() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                out_rep.stage.stall_in += dt;
-                tracker.stage_stall(STAGE_OUTPUT, dt);
-                if let Some(pt) = ptrace {
-                    pt.output_stall_in(ts, dt);
-                }
-                let busy_start = Instant::now();
-                let busy_ts = trace_now(ptrace);
-                // In-order arrivals (the common case at one device: every
-                // stage is one thread over FIFO channels) take the
-                // allocation-free `offer` fast path; batches that overtook
-                // a sibling on another device drain via `pop_ready`. The
-                // reassembler is keyed by batch index, so the compressed
-                // stream is byte-identical at any (batch, depth, devices).
-                let mut next = reasm.offer(called.idx, (called.windows, called.dev));
-                while let Some((windows, dev)) = next {
-                    let t0 = Instant::now();
-                    let batch_tables: Vec<SnpTable> = windows
-                        .into_iter()
-                        .map(|(start, rows)| SnpTable::new(reference.name.clone(), start, rows))
-                        .collect();
-                    let out_stats = if gpu_output {
-                        // Column kernels run on the device that already
-                        // holds this batch's data: one chain per batch.
-                        column::write_windows_gpu_batch(
-                            &dispatchers[dev],
-                            &mut compressed,
-                            &batch_tables,
-                        )
-                    } else {
-                        for table in &batch_tables {
-                            column::write_window(&mut compressed, table);
-                        }
-                        LaunchStats::default()
-                    };
-                    let dt = t0.elapsed().as_secs_f64();
-                    out_rep.wall.output += dt;
-                    out_rep.times.output += if gpu_output {
-                        out_stats.sim_time + dt * 0.25
-                    } else {
-                        dt
-                    };
-                    out_tables.extend(batch_tables);
-                    next = reasm.pop_ready();
-                }
-                let dt = busy_start.elapsed().as_secs_f64();
-                out_rep.stage.busy += dt;
-                tracker.stage_busy(STAGE_OUTPUT, dt);
-                if let Some(pt) = ptrace {
-                    pt.output_span(busy_ts, dt);
-                }
-            }
-            assert!(reasm.is_drained(), "streamed pipeline lost a window");
-
-            let device_reps: Vec<(StageReport, DeviceLaneStats)> =
-                workers.into_iter().map(join_stage).collect();
-            (
-                join_stage(producer),
-                device_reps,
-                join_stage(posterior_stage),
-            )
-        });
-        let loop_wall = loop_start.elapsed().as_secs_f64();
-
-        let mut device_stage = StageStats::default();
-        let mut lanes = Vec::with_capacity(num_devices);
-        for (rep, lane) in &device_reps {
-            add_times(&mut times, &rep.times);
-            add_times(&mut wall, &rep.wall);
-            merge_stats(&mut stats, &rep.stats);
-            device_stage.busy += lane.stage.busy;
-            device_stage.stall_in += lane.stage.stall_in;
-            device_stage.stall_out += lane.stage.stall_out;
-            lanes.push(*lane);
-        }
-        for rep in [&read_rep, &post_rep, &out_rep] {
-            add_times(&mut times, &rep.times);
-            add_times(&mut wall, &rep.wall);
-            merge_stats(&mut stats, &rep.stats);
-        }
-        stats.overlap = OverlapStats {
-            depth,
-            read: read_rep.stage,
-            device: device_stage,
-            devices: lanes,
-            posterior: post_rep.stage,
-            output: out_rep.stage,
-            wall: loop_wall,
-        };
-        debug_verify_trace(ptrace, &stats.overlap);
-        stats.arena = arena_pool.stats();
-        let ledger = group.ledger();
-        let total = ledger.total();
-        stats.pool = total.pool;
-        stats.sanitizer = total.sanitizer;
-        stats.ledgers = ledger.per_device;
-        stats.kernel_launches = group.kernel_launches();
-        stats.contracts = group.contract_report();
-
-        GsnpOutput {
-            tables: out_tables,
-            compressed,
-            times,
-            wall,
-            stats,
+            times: out.times,
+            wall: out.wall,
+            stats: out.stats,
         }
     }
 }
 
-/// One launch batch of windows handed from the producer to the device
-/// stage (each arena owns its loaded observation lists). `idx` is the
-/// batch index; every batch but the last holds exactly the configured
-/// batch size, so window `j` of batch `idx` is global window
-/// `idx * batch_size + j`.
-struct Produced {
-    idx: usize,
-    arenas: Vec<WindowArena>,
+/// What [`run_window_loop`] hands back to the two pipeline front ends.
+pub(crate) struct WindowLoopOutput {
+    /// Per sample, in input order: result tables and compressed stream.
+    pub(crate) samples: Vec<(Vec<SnpTable>, Vec<u8>)>,
+    pub(crate) times: ComponentTimes,
+    pub(crate) wall: ComponentTimes,
+    pub(crate) stats: PipelineStats,
+    pub(crate) tallies: PostTallies,
 }
 
 /// Likelihood-scored batch handed from a device worker to `posterior`
@@ -1133,32 +379,352 @@ struct Produced {
 /// output-column charges go to that device's ledger. `tl_bytes` is the
 /// batch's total `type_likely` readback size.
 struct Scored {
-    idx: usize,
     arenas: Vec<WindowArena>,
     tl_bytes: u64,
     dev: usize,
 }
 
-/// Called batch handed from `posterior` to the output stage: per window,
-/// its reference start and rows.
+/// Called batch handed from `posterior` to the output stage:
+/// `per_sample[s]` holds this batch's windows for sample `s`.
 struct Called {
-    idx: usize,
-    windows: Vec<(u64, Vec<SnpRow>)>,
+    per_sample: Vec<Vec<SnpTable>>,
     dev: usize,
 }
 
-/// Join a scoped stage thread, propagating its panic.
-pub(crate) fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+/// The GSNP run (Fig. 2) for `samples.len()` samples over one reference:
+/// set up the device group and observers, `cal_p_matrix` + `load_table`
+/// once (`calibrate`, unless [`GsnpConfig::shared_tables`] injects
+/// tables), then the window loop on [`run_stages`].
+///
+/// This function holds the four stage bodies, each written once over a
+/// **sample-major batch**: the same `wins ≤ launch_batch` windows of every
+/// sample, arenas ordered `[s0:w0..][s1:w0..]…`. Every sample reads the
+/// same window grid (windows tile the reference — a structural property
+/// of [`WindowReader`]), so one device launch group scores all samples'
+/// copies of those windows and the posterior stage demuxes them back per
+/// sample. A plain single-sample call is the `samples.len() == 1` case.
+/// Everything between the bodies — threads, channels, reassembly, clocks,
+/// observer reports — belongs to [`run_stages`].
+pub(crate) fn run_window_loop(
+    cfg: &GsnpConfig,
+    samples: &[&[AlignedRead]],
+    reference: &Reference,
+    priors: &PriorMap,
+    gates: QualityGates,
+    bad_sites: &BadSiteList,
+    calibrate: impl FnOnce() -> SharedTables,
+) -> WindowLoopOutput {
+    let num_samples = samples.len();
+    // One tracker per run, external or private — every latency
+    // observation flows through it either way (see
+    // [`PipelineStats::hists`]).
+    let tracker = cfg
+        .progress
+        .clone()
+        .unwrap_or_else(|| std::sync::Arc::new(ProgressTracker::new()));
+    let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
+        .with_launch_hist(&tracker.kernel_hist());
+    if cfg.sanitize {
+        group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
+    }
+    if cfg.contracts {
+        group = group.with_contracts();
+    }
+    if let Some(rec) = &cfg.trace {
+        group = group.with_trace(rec);
+    }
+    group.set_pool_enabled(cfg.pooled);
+    let group = &group;
+    let ref_len = reference.len() as u64;
+    tracker.set_samples(num_samples as u64);
+    tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
+    tracker.begin_lanes(group.len());
+    // Host-side pipeline tracks (one per stage + device lane); all
+    // registration and interning happens here, before the first window.
+    let ptrace = cfg
+        .trace
+        .as_ref()
+        .map(|rec| PipelineTrace::new(rec, group.len()));
+    // One per-device dispatcher routes every kernel launch to the
+    // configured backend. Construction refuses `Native` when sim-only
+    // features (sanitizer, trace) are attached; `Auto` falls back to
+    // the simulator for those launches instead.
+    let dispatchers: Vec<BackendDispatcher<'_>> = group
+        .devices()
+        .iter()
+        .map(|d| {
+            BackendDispatcher::with_policy(d, cfg.backend, cfg.auto)
+                .unwrap_or_else(|e| panic!("gsnp: {e}"))
+        })
+        .collect();
+    let mut times = ComponentTimes::default();
+    let mut wall = ComponentTimes::default();
+    let mut stats = PipelineStats {
+        samples: num_samples as u64,
+        ..PipelineStats::default()
+    };
+
+    // ---- cal_p_matrix + load_table (Fig. 2 left column): once per run ----
+    let t0 = Instant::now();
+    let shared = match &cfg.shared_tables {
+        Some(st) => std::sync::Arc::clone(st),
+        None => std::sync::Arc::new(calibrate()),
+    };
+    // One host image, one upload (and one ledger charge) per DEVICE — not
+    // per sample: table H2D bytes are O(devices).
+    let tables =
+        DeviceTables::upload_group(group, &shared.p_matrix, &shared.new_p, &shared.log_table);
+    // Per-sample temporary compressed input written during the first pass
+    // (§V-A).
+    let mut temp_inputs: Option<Vec<Vec<u8>>> = cfg.compress_input.then(|| {
+        samples
+            .iter()
+            .map(|reads| input_codec::compress_reads(&reference.name, reads))
+            .collect()
+    });
+    wall.cal_p = t0.elapsed().as_secs_f64();
+    // Device time: table upload over PCIe on top of the host compute.
+    // Each device's copy travels its own PCIe link, so the group pays
+    // one upload of modelled latency regardless of its size.
+    stats.table_bytes = tables[0].upload_bytes();
+    times.cal_p = wall.cal_p + stats.table_bytes as f64 / cfg.device.pcie_bw;
+    stats.peak_host_bytes += temp_inputs
+        .iter()
+        .flatten()
+        .map(|blob| blob.len() as u64)
+        .sum::<u64>();
+
+    let batch_size = cfg.launch_batch_size();
+    let arena_pool = ArenaPool::new(cfg.pooled);
+    let arena_pool: &ArenaPool = &arena_pool;
+
+    // ---- read_site: N lockstep readers over the shared window grid ----
+    // The body owns its readers (`move`), so the decoded reads are freed
+    // when the producer stage ends — at end of input, while the last
+    // batches are still being called and written — not at end of run.
+    let mut readers: Vec<WindowReader<OwnedReads>> = Vec::new();
+    let produce = move || {
+        if readers.is_empty() {
+            // First call: decode the temporary inputs (producer busy time),
+            // dropping each blob as soon as its reads exist.
+            let over = |reads| WindowReader::from_reads(reads, ref_len, cfg.window_size);
+            match temp_inputs.take() {
+                Some(blobs) => readers.extend(blobs.into_iter().map(|bytes| {
+                    over(
+                        input_codec::decompress_reads(&bytes)
+                            .expect("pipeline-internal temporary input must decode"),
+                    )
+                })),
+                None => readers.extend(samples.iter().map(|reads| over(reads.to_vec()))),
+            }
+        }
+        // Sample 0 decides how many windows this batch holds; every other
+        // sample's reader must produce exactly the same ones.
+        let mut wins = batch_size;
+        let mut arenas: Vec<WindowArena> = Vec::with_capacity(batch_size * num_samples);
+        for (sample, reader) in readers.iter_mut().enumerate() {
+            for w in 0..wins {
+                let mut arena = arena_pool.checkout();
+                let got = reader
+                    .next_window_into(&mut arena.window)
+                    .expect("in-memory reads are valid");
+                if !got {
+                    assert_eq!(sample, 0, "window grids diverged at window {w}");
+                    arena_pool.checkin(arena);
+                    break;
+                }
+                if sample > 0 {
+                    assert_eq!(
+                        arena.window.start, arenas[w].window.start,
+                        "site alignment broke at sample {sample}"
+                    );
+                }
+                arenas.push(arena);
+            }
+            if sample == 0 {
+                wins = arenas.len();
+            }
+        }
+        (!arenas.is_empty()).then_some(arenas)
+    };
+
+    // ---- counting + likelihood + recycle: ONE launch group per batch ----
+    let device_table_bytes = stats.table_bytes;
+    let mut lane_reports: Vec<LaneReport> = Vec::new();
+    lane_reports.resize_with(group.len(), LaneReport::default);
+    let device: Vec<_> = lane_reports
+        .iter_mut()
+        .enumerate()
+        .map(|(dev, rep)| {
+            let (disp, dev_tables) = (&dispatchers[dev], &tables[dev]);
+            let mut scratch = BatchScratch::default();
+            move |mut arenas: Vec<WindowArena>| {
+                let sites_before = rep.stats.num_sites;
+                let tl_bytes = run_device_batch(
+                    disp,
+                    dev_tables,
+                    cfg.variant,
+                    device_table_bytes,
+                    cfg.device.coalesced_bw,
+                    &mut arenas,
+                    &mut scratch,
+                    &mut rep.times,
+                    &mut rep.wall,
+                    &mut rep.stats,
+                );
+                let scored = Scored {
+                    arenas,
+                    tl_bytes,
+                    dev,
+                };
+                (scored, rep.stats.num_sites - sites_before)
+            }
+        })
+        .collect();
+
+    // ---- posterior: demux per sample, call, apply the site policies ----
+    let mut tallies = PostTallies::new(num_samples);
+    let (mut post_wall, mut post_model) = (0.0f64, 0.0f64);
+    let posterior = |scored: Scored| {
+        let Scored {
+            arenas,
+            tl_bytes,
+            dev,
+        } = scored;
+        let t0 = Instant::now();
+        let mut row_count = 0u64;
+        let per_sample: Vec<Vec<SnpTable>> = demux_sample_major(arenas, num_samples)
+            .into_iter()
+            .enumerate()
+            .map(|(sample, arenas)| {
+                arenas
+                    .into_iter()
+                    .map(|arena| {
+                        let start = arena.window.start;
+                        let mut rows = posterior_rows(
+                            start,
+                            &arena.type_likely,
+                            &arena.sw.summaries,
+                            reference,
+                            priors,
+                            &cfg.params,
+                        );
+                        arena_pool.checkin(arena);
+                        apply_site_policies(
+                            &mut rows,
+                            start,
+                            sample,
+                            &gates,
+                            bad_sites,
+                            &mut tallies,
+                        );
+                        tallies.snp[sample] +=
+                            rows.iter().filter(|r| r.is_variant()).count() as u64;
+                        row_count += rows.len() as u64;
+                        SnpTable::new(reference.name.clone(), start, rows)
+                    })
+                    .collect()
+            })
+            .collect();
+        let dt = t0.elapsed().as_secs_f64();
+        post_wall += dt;
+        // Device model for posterior: the per-site arithmetic is cheap;
+        // the cost is dominated by moving type_likely down and result
+        // columns back (the paper attributes its modest posterior speedup
+        // to exactly this transfer overhead). The readback crosses the
+        // PCIe link of the device that scored this batch — one transfer
+        // per batch.
+        let mut post_stats = LaunchStats::default();
+        group
+            .device(dev)
+            .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
+        post_model += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
+        Called { per_sample, dev }
+    };
+
+    // ---- output: one compression group per (sample, batch) ----
+    let mut sample_out: Vec<(Vec<SnpTable>, Vec<u8>)> = Vec::new();
+    sample_out.resize_with(num_samples, Default::default);
+    let (mut out_wall, mut out_model) = (0.0f64, 0.0f64);
+    let output = |Called { per_sample, dev }| {
+        let t0 = Instant::now();
+        for ((out_tables, compressed), batch_tables) in sample_out.iter_mut().zip(per_sample) {
+            // The RLE-DICT chain runs on the device that scored the batch,
+            // into the sample's own stream. Compressed bytes are
+            // grouping-invariant (`tests/batch_parity.rs`), so each stream
+            // is byte-identical at any (samples, batch, depth, devices).
+            let out_stats = if cfg.gpu_output {
+                column::write_windows_gpu_batch(&dispatchers[dev], compressed, &batch_tables)
+            } else {
+                for table in &batch_tables {
+                    column::write_window(compressed, table);
+                }
+                LaunchStats::default()
+            };
+            out_model += out_stats.sim_time;
+            out_tables.extend(batch_tables);
+        }
+        let dt = t0.elapsed().as_secs_f64();
+        out_wall += dt;
+        // Device columns overlap host columns; charge the slower plus the
+        // (dominant) host write of the compressed bytes.
+        out_model += if cfg.gpu_output { dt * 0.25 } else { dt };
+    };
+
+    let observers = Observers {
+        tracker: &tracker,
+        trace: ptrace.as_ref(),
+        journal: cfg.journal.as_deref(),
+    };
+    stats.overlap = run_stages(
+        cfg.pipeline_depth,
+        observers,
+        produce,
+        device,
+        posterior,
+        output,
+    );
+
+    for rep in &lane_reports {
+        add_times(&mut times, &rep.times);
+        add_times(&mut wall, &rep.wall);
+        merge_stats(&mut stats, &rep.stats);
+    }
+    wall.read_site = stats.overlap.read.busy;
+    times.read_site = stats.overlap.read.busy;
+    wall.posterior = post_wall;
+    times.posterior = post_model;
+    wall.output = out_wall;
+    times.output = out_model;
+    stats.snp_count = tallies.snp.iter().sum();
+    stats.arena = arena_pool.stats();
+    let ledger = group.ledger();
+    let total = ledger.total();
+    stats.pool = total.pool;
+    stats.sanitizer = total.sanitizer;
+    stats.ledgers = ledger.per_device;
+    stats.kernel_launches = group.kernel_launches();
+    stats.contracts = group.contract_report();
+    stats.hists = tracker.latency();
+    if let Some(j) = &cfg.journal {
+        journal_run_stats(j, &stats);
+    }
+
+    WindowLoopOutput {
+        samples: sample_out,
+        times,
+        wall,
+        stats,
+        tallies,
+    }
 }
 
 /// Append the end-of-run lifecycle events the pipeline owns — per-stage
 /// busy/stall totals, per-lane window/steal counts, per-device ledger
 /// and sanitizer summaries, and the merged contract proof tally — to the
-/// run journal. Shared by [`GsnpPipeline`] and
-/// [`crate::cohort::CohortPipeline`]; the CLI brackets these with the
-/// `run_start` manifest and `run_end` summary.
-pub(crate) fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
+/// run journal. The CLI brackets these with the `run_start` manifest and
+/// `run_end` summary.
+fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
     let ov = &stats.overlap;
     for (name, st) in [
         ("read", &ov.read),
@@ -1217,7 +783,7 @@ pub(crate) fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
 /// kernel's output columns. One per device lane, recycled across batches
 /// so the steady state allocates nothing (`tests/alloc_steady_state.rs`).
 #[derive(Default)]
-pub(crate) struct BatchScratch {
+struct BatchScratch {
     words: Vec<u32>,
     spans: Vec<(usize, usize)>,
     site_off: Vec<usize>,
@@ -1228,13 +794,12 @@ pub(crate) struct BatchScratch {
 
 /// One batch's device-stage work — counting (with a single coalesced
 /// upload), ONE multipass sort launch group, ONE fused counting+
-/// likelihood launch spanning every batched site, recycle — shared
-/// verbatim by the serial loop and every sharded device worker, so the
-/// two paths cannot drift. Scatters `type_likely` and `summaries` back
+/// likelihood launch spanning every batched site, recycle — run by every
+/// device worker of the window loop. Scatters `type_likely` and `summaries` back
 /// into each window's arena. Returns the batch's total `type_likely`
 /// byte count the posterior stage charges for reading back.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_device_batch<B: ComputeBackend>(
+fn run_device_batch<B: ComputeBackend>(
     dev: &B,
     tables: &DeviceTables,
     variant: KernelVariant,
@@ -1332,27 +897,16 @@ pub(crate) fn run_device_batch<B: ComputeBackend>(
     tl_bytes
 }
 
-/// Emit `k` per-window lane spans that partition one batch's device-busy
-/// interval `[ts, ts + dt)` evenly. The trace verifier requires one span
-/// per window (`lane.windows` spans per lane) whose durations sum to the
-/// lane's busy time; slicing the measured interval keeps both exact.
-fn emit_lane_batch(pt: &PipelineTrace, lane: usize, ts: f64, dt: f64, first_window: u64, k: usize) {
-    let slice = dt / k as f64;
-    for j in 0..k {
-        pt.lane_window(lane, ts + slice * j as f64, slice, first_window + j as u64);
-    }
-}
-
-/// Per-stage partial accumulators, merged into the run totals at join.
+/// One device lane's partial accumulators, merged into the run totals
+/// once the loop has finished.
 #[derive(Default)]
-pub(crate) struct StageReport {
-    pub(crate) times: ComponentTimes,
-    pub(crate) wall: ComponentTimes,
-    pub(crate) stats: PipelineStats,
-    pub(crate) stage: StageStats,
+struct LaneReport {
+    times: ComponentTimes,
+    wall: ComponentTimes,
+    stats: PipelineStats,
 }
 
-pub(crate) fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
+fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
     a.cal_p += b.cal_p;
     a.read_site += b.read_site;
     a.counting += b.counting;
@@ -1363,7 +917,7 @@ pub(crate) fn add_times(a: &mut ComponentTimes, b: &ComponentTimes) {
     a.recycle += b.recycle;
 }
 
-pub(crate) fn merge_stats(a: &mut PipelineStats, b: &PipelineStats) {
+fn merge_stats(a: &mut PipelineStats, b: &PipelineStats) {
     a.num_sites += b.num_sites;
     a.num_obs += b.num_obs;
     a.windows += b.windows;
@@ -1391,32 +945,9 @@ fn merge_sort_classes(acc: &mut Vec<sortnet::ClassTally>, add: &[sortnet::ClassT
     }
 }
 
-/// Host wall-clock timestamp on the shared trace epoch, or 0 when
-/// tracing is off (the value is never read in that case).
-fn trace_now(pt: Option<&PipelineTrace>) -> f64 {
-    pt.map_or(0.0, PipelineTrace::now)
-}
-
-/// Satellite 2: in debug builds a traced run re-derives every
-/// [`OverlapStats`] busy/stall total from the recorded spans and panics
-/// on divergence; release builds compile this away entirely.
-#[cfg(debug_assertions)]
-fn debug_verify_trace(pt: Option<&PipelineTrace>, overlap: &OverlapStats) {
-    if let Some(pt) = pt {
-        if let Err(e) = pt.verify(overlap) {
-            panic!("trace/OverlapStats divergence: {e}");
-        }
-    }
-}
-
-#[cfg(not(debug_assertions))]
-fn debug_verify_trace(pt: Option<&PipelineTrace>, overlap: &OverlapStats) {
-    let _ = (pt, overlap);
-}
-
 /// The per-site posterior loop, parallelized over sites (rayon). The map
 /// is order-preserving, so results are identical to the sequential loop.
-pub(crate) fn posterior_rows(
+fn posterior_rows(
     start: u64,
     type_likely: &[[f64; NUM_GENOTYPES]],
     summaries: &[crate::model::SiteSummary],
@@ -1937,7 +1468,7 @@ mod tests {
 
     #[test]
     fn depth_one_multi_device_still_shards() {
-        // depth 1 + several devices must take the streamed path (and stay
+        // depth 1 + several devices must take the threaded driver (and stay
         // byte-identical); the scaling experiment sweeps exactly this.
         let d = Dataset::generate(SynthConfig::tiny(76));
         let serial = GsnpPipeline::new(GsnpConfig {

@@ -1,4 +1,4 @@
-//! Streaming pipeline executor support (§IV overlap, DESIGN.md §4).
+//! The window loop's one staged executor (§IV overlap, DESIGN.md §4).
 //!
 //! The GSNP window loop decomposes into four stages with no data
 //! dependencies *across* windows:
@@ -7,14 +7,21 @@
 //! producer (read_site) ─► device (counting+likelihood) ─► posterior ─► output
 //! ```
 //!
-//! [`crate::pipeline::GsnpPipeline`] runs these stages on dedicated host
-//! threads connected by bounded channels of configurable depth
-//! (`GsnpConfig::pipeline_depth`), so window *k*'s host-side work overlaps
-//! window *k+1*'s device work — the double-buffering a CUDA implementation
-//! gets from streams. This module holds the pieces shared by that executor
-//! and by the parallel SOAPsnp serializer:
+//! `run_stages` is the only place that topology is spelled out. It takes
+//! the four stage bodies as closures over opaque batch payloads and owns
+//! everything *between* them: the bounded channels
+//! (`GsnpConfig::pipeline_depth`), the `num_devices` device workers pulling
+//! from one shared queue, ordered reassembly in front of the output body,
+//! every busy/stall clock, and the single point (`StageClock::record`,
+//! `Lane::score`) where a stage boundary is reported to [`StageStats`],
+//! the [`ProgressTracker`], the [`PipelineTrace`] tracks and the journal.
+//! Single-sample, sharded and cohort calling all run through it
+//! (`crate::pipeline::run_window_loop` supplies the bodies); depth 1 on one
+//! device runs the same bodies in order on the calling thread.
 //!
-//! * [`OrderedReassembler`] — restores window-index order on the output
+//! Also here, shared with the parallel SOAPsnp serializer:
+//!
+//! * [`OrderedReassembler`] — restores batch-index order on the output
 //!   side, which is what keeps the compressed result file byte-identical
 //!   to a serial run (§IV-G).
 //! * [`StageStats`] / [`OverlapStats`] — per-stage busy and stall time,
@@ -28,8 +35,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
+use crossbeam::channel::{bounded, Receiver};
 use gpu_sim::trace::{NameId, SpanArgs, TraceRecorder, TraceSnapshot, TrackId, TrackKind};
+
+use crate::journal::Journal;
+use crate::progress::{ProgressTracker, STAGE_OUTPUT, STAGE_POSTERIOR, STAGE_READ};
 
 /// Restores stream order at a pipeline's ordered sink.
 ///
@@ -118,12 +130,12 @@ impl<T> OrderedReassembler<T> {
     }
 }
 
-/// Split a sample-major cohort batch into per-sample runs.
+/// Split a sample-major batch into per-sample runs.
 ///
-/// The cohort producer concatenates the same `k` windows of every sample
-/// into one device batch, ordered `[s0:w0..wk-1][s1:w0..wk-1]…` — one
-/// launch scores all samples, and this inverse recovers each sample's
-/// contiguous slice for per-sample posterior/output handling. `items.len()`
+/// The window loop's producer concatenates the same `k` windows of every
+/// sample into one device batch, ordered `[s0:w0..wk-1][s1:w0..wk-1]…` —
+/// one launch scores all samples, and the posterior stage uses this
+/// inverse to recover each sample's contiguous slice. `items.len()`
 /// must be an exact multiple of `num_samples` (every sample reads the same
 /// window grid, a structural property of [`seqio::window::WindowReader`]'s
 /// reference-tiling).
@@ -360,9 +372,9 @@ impl PipelineTrace {
 
 /// Absolute tolerance for busy/stall reconciliation. Spans carry the
 /// identical `f64` values the stage accumulators add, so per-track sums in
-/// record order reproduce the accumulator bit-for-bit; the serial loop's
-/// device lane regroups four component sums per window, which this bound
-/// covers with orders of magnitude to spare.
+/// record order reproduce the accumulator bit-for-bit; a device lane's
+/// busy interval is sliced into one span per window, and re-summing the
+/// slices is what this bound covers, with orders of magnitude to spare.
 const CONSISTENCY_TOL: f64 = 1e-9;
 
 /// Verify that `OverlapStats` busy/stall totals equal the summed durations
@@ -468,6 +480,372 @@ pub fn verify_overlap_consistency(
         snap.sum_span_durations(out, "stall_in"),
     )?;
     Ok(())
+}
+
+/// Who is watching a run of the window loop. [`run_stages`] reports every
+/// stage boundary to all of them; the stage bodies report to none.
+#[derive(Clone, Copy)]
+pub(crate) struct Observers<'a> {
+    /// Heartbeat counters and latency histograms.
+    pub(crate) tracker: &'a ProgressTracker,
+    /// Host-side pipeline tracks, when the run is traced.
+    pub(crate) trace: Option<&'a PipelineTrace>,
+    /// Run journal (`batch` events), when one is attached.
+    pub(crate) journal: Option<&'a Journal>,
+}
+
+#[derive(Clone, Copy)]
+enum Stage {
+    Read,
+    Lane(usize),
+    Posterior,
+    Output,
+}
+
+#[derive(Clone, Copy)]
+enum Phase {
+    StallIn,
+    Busy,
+    StallOut,
+}
+
+/// One stage's clock: times an interval and reports it everywhere at once.
+struct StageClock<'a> {
+    obs: Observers<'a>,
+    stage: Stage,
+    stats: StageStats,
+}
+
+impl<'a> StageClock<'a> {
+    fn new(obs: Observers<'a>, stage: Stage) -> Self {
+        StageClock {
+            obs,
+            stage,
+            stats: StageStats::default(),
+        }
+    }
+
+    /// Run `f`; returns its result, the interval's start on the trace
+    /// epoch (0 when untraced — never read then), and its seconds.
+    fn time<R>(&self, f: impl FnOnce() -> R) -> (R, f64, f64) {
+        let ts = self.obs.trace.map_or(0.0, PipelineTrace::now);
+        let t0 = Instant::now();
+        let r = f();
+        (r, ts, t0.elapsed().as_secs_f64())
+    }
+
+    /// Time `f` as one `phase` interval of this stage and report it.
+    fn run<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let (r, ts, dt) = self.time(f);
+        self.record(phase, ts, dt);
+        r
+    }
+
+    /// Block on the upstream channel, reporting the wait as a stall — or
+    /// `None`, unreported, once upstream has disconnected and drained.
+    fn recv<M>(&mut self, rx: &Receiver<M>) -> Option<M> {
+        let (msg, ts, dt) = self.time(|| rx.recv());
+        let msg = msg.ok()?;
+        self.record(Phase::StallIn, ts, dt);
+        Some(msg)
+    }
+
+    /// The one place a stage boundary reaches [`StageStats`], the tracker
+    /// and the trace. The span carries the identical `f64` the stats add,
+    /// which is what [`verify_overlap_consistency`] relies on. (A lane's
+    /// busy interval also needs the batch it covered: [`Lane::score`].)
+    fn record(&mut self, phase: Phase, ts: f64, dt: f64) {
+        match phase {
+            Phase::StallIn => self.stats.stall_in += dt,
+            Phase::Busy => self.stats.busy += dt,
+            Phase::StallOut => self.stats.stall_out += dt,
+        }
+        let tracker = self.obs.tracker;
+        match (self.stage, phase) {
+            (Stage::Read, Phase::Busy) => tracker.stage_busy(STAGE_READ, dt),
+            (Stage::Read, Phase::StallOut) => tracker.stage_stall(STAGE_READ, dt),
+            (Stage::Lane(i), Phase::StallIn) => tracker.lane_wait(i, dt),
+            (Stage::Posterior, Phase::StallIn) => tracker.stage_stall(STAGE_POSTERIOR, dt),
+            (Stage::Posterior, Phase::Busy) => tracker.stage_busy(STAGE_POSTERIOR, dt),
+            (Stage::Output, Phase::StallIn) => tracker.stage_stall(STAGE_OUTPUT, dt),
+            (Stage::Output, Phase::Busy) => tracker.stage_busy(STAGE_OUTPUT, dt),
+            // Hand-off waits downstream of the device are traced, not
+            // histogrammed.
+            (Stage::Lane(_) | Stage::Posterior, Phase::StallOut) => {}
+            (Stage::Read, Phase::StallIn)
+            | (Stage::Lane(_), Phase::Busy)
+            | (Stage::Output, Phase::StallOut) => {
+                unreachable!("the window loop has no such stage boundary")
+            }
+        }
+        let Some(pt) = self.obs.trace else { return };
+        match (self.stage, phase) {
+            (Stage::Read, Phase::Busy) => pt.read_span(ts, dt),
+            (Stage::Read, Phase::StallOut) => pt.read_stall_out(ts, dt),
+            (Stage::Lane(i), Phase::StallIn) => pt.lane_stall_in(i, ts, dt),
+            (Stage::Lane(i), Phase::StallOut) => pt.lane_stall_out(i, ts, dt),
+            (Stage::Posterior, Phase::StallIn) => pt.posterior_stall_in(ts, dt),
+            (Stage::Posterior, Phase::Busy) => pt.posterior_span(ts, dt),
+            (Stage::Posterior, Phase::StallOut) => pt.posterior_stall_out(ts, dt),
+            (Stage::Output, Phase::StallIn) => pt.output_stall_in(ts, dt),
+            (Stage::Output, Phase::Busy) => pt.output_span(ts, dt),
+            _ => {} // refused above
+        }
+    }
+}
+
+/// A produced batch on its way to a device lane: `idx` is its production
+/// order (what the output side reassembles by, and what travels on with the
+/// scored and called payloads), `first` the number of windows produced
+/// before it.
+struct Ticket<T> {
+    idx: usize,
+    first: u64,
+    batch: Vec<T>,
+}
+
+/// One device worker's clock and counters.
+struct Lane<'a> {
+    clk: StageClock<'a>,
+    id: usize,
+    num_lanes: usize,
+    windows: u64,
+    steals: u64,
+}
+
+impl Lane<'_> {
+    /// Run the device body on one batch and report the busy interval:
+    /// lane counters, heartbeat, `batch` journal event, steal instants,
+    /// and one lane span per window. The spans slice the measured interval
+    /// evenly — the trace verifier wants `windows` spans per lane whose
+    /// durations sum to the lane's busy time, and this keeps both exact.
+    fn score<T, S>(
+        &mut self,
+        ticket: Ticket<T>,
+        body: &mut impl FnMut(Vec<T>) -> (S, u64),
+    ) -> (usize, S) {
+        let Ticket { idx, first, batch } = ticket;
+        let k = batch.len();
+        let ((scored, sites), ts, dt) = self.clk.time(|| body(batch));
+        self.clk.stats.busy += dt;
+        self.windows += k as u64;
+        let Observers {
+            tracker,
+            trace,
+            journal,
+        } = self.clk.obs;
+        // Batch `idx` is homed on lane `idx % N`; the shared queue hands it
+        // to whichever worker frees up first.
+        let stolen = idx % self.num_lanes != self.id;
+        if stolen {
+            self.steals += k as u64;
+            tracker.lane_steal(self.id, k as u64);
+        }
+        tracker.lane_batch(self.id, k as u64, sites, dt);
+        if let Some(j) = journal {
+            j.event(
+                "batch",
+                &format!(
+                    "\"lane\":{},\"idx\":{idx},\"windows\":{k},\"busy_seconds\":{dt:.6}",
+                    self.id
+                ),
+            );
+        }
+        if let Some(pt) = trace {
+            let slice = dt / k as f64;
+            for j in 0..k {
+                if stolen {
+                    pt.lane_steal(self.id, ts);
+                }
+                pt.lane_window(self.id, ts + slice * j as f64, slice, first + j as u64);
+            }
+        }
+        (idx, scored)
+    }
+
+    fn finish(self) -> DeviceLaneStats {
+        DeviceLaneStats {
+            stage: self.clk.stats,
+            windows: self.windows,
+            steals: self.steals,
+        }
+    }
+}
+
+/// Join a scoped stage thread, propagating its panic.
+fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+}
+
+/// Run the window loop: `produce` → `device.len()` workers over one shared
+/// queue → `posterior` → `output` in production order.
+///
+/// * `produce` returns the next batch — a non-empty `Vec` with one slot per
+///   window — or `None` at end of input.
+/// * Each `device` body scores a batch on its own device and returns the
+///   scored payload plus the number of sites it covered (heartbeat only).
+///   All bodies pull from one bounded queue, so batches go to whichever
+///   device frees up first — work stealing from a single global deque,
+///   without the idle devices a static `idx % N` round-robin produces on
+///   skewed windows. A batch scored off its round-robin home counts as
+///   stolen ([`DeviceLaneStats::steals`]).
+/// * `posterior` turns a scored batch into a called one; `output` consumes
+///   called batches strictly in production order (an
+///   [`OrderedReassembler`] sits in front of it), so what it writes is
+///   byte-identical at every `(depth, device.len())`.
+///
+/// With `depth ≥ 2` or several devices each stage runs on its own thread
+/// (`output` on the caller's), connected by bounded channels of capacity
+/// `depth`. At `depth ≤ 1` with one device the same four bodies run in
+/// order on the calling thread: the non-overlapped baseline, every stall
+/// exactly 0. A panic in any body surfaces as a panic from this call —
+/// never a hang.
+pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
+    depth: usize,
+    obs: Observers<'_>,
+    mut produce: impl FnMut() -> Option<Vec<T>> + Send,
+    device: Vec<impl FnMut(Vec<T>) -> (S, u64) + Send>,
+    mut posterior: impl FnMut(S) -> C + Send,
+    mut output: impl FnMut(C),
+) -> OverlapStats {
+    let depth = depth.max(1);
+    let num_lanes = device.len();
+    assert!(num_lanes >= 1, "window loop needs at least one device");
+    let loop_start = Instant::now();
+
+    let mut read = StageClock::new(obs, Stage::Read);
+    let mut post = StageClock::new(obs, Stage::Posterior);
+    let mut out = StageClock::new(obs, Stage::Output);
+    let mut lanes: Vec<_> = device
+        .into_iter()
+        .enumerate()
+        .map(|(id, body)| {
+            let lane = Lane {
+                clk: StageClock::new(obs, Stage::Lane(id)),
+                id,
+                num_lanes,
+                windows: 0,
+                steals: 0,
+            };
+            (lane, body)
+        })
+        .collect();
+    let (mut idx, mut first) = (0usize, 0u64);
+    let mut next_ticket = move |read: &mut StageClock<'_>| {
+        let batch = read.run(Phase::Busy, &mut produce)?;
+        debug_assert!(!batch.is_empty(), "producer sent an empty batch");
+        let ticket = Ticket { idx, first, batch };
+        idx += 1;
+        first += ticket.batch.len() as u64;
+        Some(ticket)
+    };
+
+    let (read, lanes, post, out) = if depth == 1 && num_lanes == 1 {
+        let (lane, body) = &mut lanes[0];
+        while let Some(ticket) = next_ticket(&mut read) {
+            let (_, scored) = lane.score(ticket, body);
+            let called = post.run(Phase::Busy, || posterior(scored));
+            out.run(Phase::Busy, || output(called));
+        }
+        let lanes: Vec<Lane<'_>> = lanes.into_iter().map(|(lane, _)| lane).collect();
+        (read, lanes, post, out)
+    } else {
+        std::thread::scope(|s| {
+            // The channels are locals of this closure and every receiver
+            // moves into the stage that drains it, so a panicking stage —
+            // the output stage on this thread included — drops its channel
+            // ends while unwinding. That disconnects its neighbours, who
+            // then exit instead of blocking forever on a full queue.
+            let (win_tx, win_rx) = bounded::<Ticket<T>>(depth);
+            let (score_tx, score_rx) = bounded::<(usize, S)>(depth);
+            let (call_tx, call_rx) = bounded::<(usize, C)>(depth);
+
+            let producer = s.spawn(move || {
+                while let Some(ticket) = next_ticket(&mut read) {
+                    if read.run(Phase::StallOut, || win_tx.send(ticket)).is_err() {
+                        break; // downstream died; its panic surfaces at join
+                    }
+                }
+                read
+            });
+            let workers: Vec<_> = lanes
+                .into_iter()
+                .map(|(mut lane, mut body)| {
+                    let (win_rx, score_tx) = (win_rx.clone(), score_tx.clone());
+                    s.spawn(move || {
+                        while let Some(ticket) = lane.clk.recv(&win_rx) {
+                            let scored = lane.score(ticket, &mut body);
+                            let sent = lane.clk.run(Phase::StallOut, || score_tx.send(scored));
+                            if sent.is_err() {
+                                break;
+                            }
+                        }
+                        lane
+                    })
+                })
+                .collect();
+            // The workers hold clones; dropping the originals lets the
+            // posterior stage's `recv` disconnect once every worker exits.
+            drop((win_rx, score_tx));
+            let posterior_stage = s.spawn(move || {
+                while let Some((idx, scored)) = post.recv(&score_rx) {
+                    let called = (idx, post.run(Phase::Busy, || posterior(scored)));
+                    if post.run(Phase::StallOut, || call_tx.send(called)).is_err() {
+                        break;
+                    }
+                }
+                post
+            });
+
+            // Output stage, on this thread. In-order arrivals (the common
+            // case at one device: every stage is one thread over FIFO
+            // channels) take the reassembler's allocation-free `offer`
+            // fast path; batches that overtook a sibling on another device
+            // drain via `pop_ready`.
+            let mut reasm = OrderedReassembler::new();
+            while let Some((idx, called)) = out.recv(&call_rx) {
+                out.run(Phase::Busy, || {
+                    let mut next = reasm.offer(idx, called);
+                    while let Some(ready) = next {
+                        output(ready);
+                        next = reasm.pop_ready();
+                    }
+                });
+            }
+            // Join before checking for gaps: a stage that panicked left one,
+            // and its own panic is the one to surface.
+            let lanes: Vec<Lane<'_>> = workers.into_iter().map(join_stage).collect();
+            let (read, post) = (join_stage(producer), join_stage(posterior_stage));
+            assert!(reasm.is_drained(), "window loop lost a batch");
+            (read, lanes, post, out)
+        })
+    };
+
+    let lanes: Vec<DeviceLaneStats> = lanes.into_iter().map(Lane::finish).collect();
+    let mut device_stage = StageStats::default();
+    for lane in &lanes {
+        device_stage.busy += lane.stage.busy;
+        device_stage.stall_in += lane.stage.stall_in;
+        device_stage.stall_out += lane.stage.stall_out;
+    }
+    let overlap = OverlapStats {
+        depth,
+        read: read.stats,
+        device: device_stage,
+        devices: lanes,
+        posterior: post.stats,
+        output: out.stats,
+        wall: loop_start.elapsed().as_secs_f64(),
+    };
+    // Debug builds of a traced run re-derive every busy/stall total from
+    // the recorded spans and panic on divergence.
+    #[cfg(debug_assertions)]
+    if let Some(pt) = obs.trace {
+        if let Err(e) = pt.verify(&overlap) {
+            panic!("trace/OverlapStats divergence: {e}");
+        }
+    }
+    overlap
 }
 
 #[cfg(test)]
@@ -704,5 +1082,136 @@ mod tests {
         assert!((s.achieved_depth() - 1.6).abs() < 1e-12);
         assert!((s.device.total() - 2.75).abs() < 1e-12);
         assert_eq!(OverlapStats::default().achieved_depth(), 0.0);
+    }
+
+    /// Drive [`run_stages`] with toy bodies over `batches` two-window
+    /// batches; `panic_at` names a stage (0 producer, 1 device, 2
+    /// posterior, 3 output) whose body panics on batch 2. Returns the
+    /// indices the output body saw, or `Err(())` if the executor panicked;
+    /// fails the test if neither happens within the watchdog's timeout.
+    fn drive(
+        depth: usize,
+        lanes: usize,
+        batches: u32,
+        panic_at: Option<u8>,
+    ) -> Result<Vec<u32>, ()> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let boom = |stage: u8, i: u32| {
+                if panic_at == Some(stage) && i == 2 {
+                    panic!("injected panic in stage {stage}");
+                }
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let tracker = ProgressTracker::new();
+                let obs = Observers {
+                    tracker: &tracker,
+                    trace: None,
+                    journal: None,
+                };
+                let mut next = 0u32;
+                let mut seen = Vec::new();
+                let overlap = run_stages(
+                    depth,
+                    obs,
+                    || {
+                        let i = next;
+                        next += 1;
+                        boom(0, i);
+                        (i < batches).then(|| vec![i; 2])
+                    },
+                    (0..lanes)
+                        .map(|_| {
+                            |batch: Vec<u32>| {
+                                boom(1, batch[0]);
+                                (batch[0], 2)
+                            }
+                        })
+                        .collect(),
+                    |i| {
+                        boom(2, i);
+                        i
+                    },
+                    |i| {
+                        boom(3, i);
+                        seen.push(i);
+                    },
+                );
+                assert_eq!(overlap.devices.len(), lanes);
+                let windows: u64 = overlap.devices.iter().map(|l| l.windows).sum();
+                assert_eq!(windows, u64::from(batches) * 2);
+                seen
+            }));
+            done_tx.send(result.map_err(drop)).ok();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .unwrap_or_else(|_| {
+                panic!("executor hung: depth {depth}, {lanes} lanes, panic at {panic_at:?}")
+            })
+    }
+
+    #[test]
+    fn executor_emits_every_batch_in_production_order() {
+        for (depth, lanes) in [(1, 1), (2, 1), (1, 3), (2, 2), (4, 4)] {
+            let seen = drive(depth, lanes, 40, None).expect("no panic injected");
+            assert_eq!(
+                seen,
+                (0..40).collect::<Vec<u32>>(),
+                "depth {depth} × {lanes}"
+            );
+        }
+    }
+
+    #[test]
+    fn inline_driver_never_stalls() {
+        let tracker = ProgressTracker::new();
+        let obs = Observers {
+            tracker: &tracker,
+            trace: None,
+            journal: None,
+        };
+        let mut left = 5;
+        let overlap = run_stages(
+            1,
+            obs,
+            || {
+                left -= 1;
+                (left >= 0).then(|| vec![(); 3])
+            },
+            vec![|batch: Vec<()>| (batch.len(), 0)],
+            |k| k,
+            |_| {},
+        );
+        assert_eq!(overlap.depth, 1);
+        assert_eq!(overlap.devices[0].windows, 15);
+        for stage in [
+            overlap.read,
+            overlap.device,
+            overlap.posterior,
+            overlap.output,
+        ] {
+            assert_eq!((stage.stall_in, stage.stall_out), (0.0, 0.0));
+        }
+        assert!(overlap.achieved_depth() <= 1.0 + 1e-9);
+    }
+
+    /// A panic in any stage body must come out of the executor as a panic
+    /// — never leave a sibling stage blocked on a full channel. 40 batches
+    /// against channel capacities of 1–2 guarantee that whichever stage
+    /// feeds the dead one fills its queue and would block forever if the
+    /// dead stage's receiver stayed alive (as it did when the output
+    /// stage's receiver was borrowed from outside `thread::scope`).
+    #[test]
+    fn a_panicking_stage_surfaces_as_a_panic_never_a_hang() {
+        for (depth, lanes) in [(1, 1), (2, 2)] {
+            for stage in 0..4u8 {
+                assert_eq!(
+                    drive(depth, lanes, 40, Some(stage)),
+                    Err(()),
+                    "depth {depth} × {lanes} lanes, stage {stage}"
+                );
+            }
+        }
     }
 }

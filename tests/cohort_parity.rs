@@ -68,10 +68,31 @@ fn h2d_of(ledgers: &[gsnp::gpu_sim::DeviceLedger]) -> u64 {
     ledgers.iter().map(|l| l.counters.h2d_bytes).sum()
 }
 
+/// Merged per-kernel launch counts, without the measured wall columns.
+fn launch_counts(stats: &gsnp::core::pipeline::PipelineStats) -> Vec<(&str, u64, u64)> {
+    stats
+        .kernel_launches
+        .iter()
+        .map(|k| (k.name.as_str(), k.launches, k.native_launches))
+        .collect()
+}
+
+/// Both axes of the window loop's driver: depth 1 on one device runs the
+/// stages inline on the calling thread, everything else runs them threaded.
 fn check_parity(c: &Cohort, launch_batch: usize, num_devices: usize) {
-    let out = run_cohort(c, base_cfg(launch_batch, num_devices));
+    for pipeline_depth in [1, 2] {
+        check_parity_at(c, launch_batch, num_devices, pipeline_depth);
+    }
+}
+
+fn check_parity_at(c: &Cohort, launch_batch: usize, num_devices: usize, pipeline_depth: usize) {
+    let cfg_at = |launch_batch, num_devices| GsnpConfig {
+        pipeline_depth,
+        ..base_cfg(launch_batch, num_devices)
+    };
+    let out = run_cohort(c, cfg_at(launch_batch, num_devices));
     let shape = format!(
-        "samples {} batch {launch_batch} x{num_devices}",
+        "samples {} batch {launch_batch} x{num_devices} depth {pipeline_depth}",
         c.samples.len()
     );
     assert_eq!(out.stats.samples, c.samples.len() as u64, "{shape}");
@@ -84,7 +105,7 @@ fn check_parity(c: &Cohort, launch_batch: usize, num_devices: usize) {
     for (sample, smp) in c.samples.iter().enumerate() {
         let single = GsnpPipeline::new(GsnpConfig {
             shared_tables: Some(Arc::clone(&shared)),
-            ..base_cfg(launch_batch, 1)
+            ..cfg_at(launch_batch, 1)
         })
         .run(&smp.reads, &c.reference, &c.priors);
         let lane = &out.samples[sample];
@@ -110,9 +131,39 @@ fn check_parity(c: &Cohort, launch_batch: usize, num_devices: usize) {
         singles_h2d - n * table + num_devices as u64 * table,
         "{shape}: table upload bytes must amortize across samples"
     );
+
+    // A single run IS a cohort of one: same loop, same shape, own
+    // calibration (pooling one sample is calibrating it) — so every
+    // deterministic axis agrees, not just the bytes.
+    if let [smp] = c.samples.as_slice() {
+        let cfg = cfg_at(launch_batch, num_devices);
+        let own = SharedTables::calibrate(&smp.reads, &c.reference, &cfg.params);
+        let single = GsnpPipeline::new(GsnpConfig {
+            shared_tables: Some(Arc::new(own)),
+            ..cfg
+        })
+        .run(&smp.reads, &c.reference, &c.priors);
+        assert_eq!(out.samples[0].compressed, single.compressed, "{shape}");
+        assert_eq!(out.samples[0].tables, single.tables, "{shape}");
+        let counts = |s: &gsnp::core::pipeline::PipelineStats| {
+            (s.num_sites, s.num_obs, s.windows, s.snp_count)
+        };
+        assert_eq!(counts(&out.stats), counts(&single.stats), "{shape}");
+        assert_eq!(
+            h2d_of(&out.stats.ledgers),
+            h2d_of(&single.stats.ledgers),
+            "{shape}: ledger H2D bytes"
+        );
+        assert_eq!(
+            launch_counts(&out.stats),
+            launch_counts(&single.stats),
+            "{shape}: merged kernel launches"
+        );
+    }
 }
 
-/// The acceptance grid: samples {1,4,8} × devices {1,4} × batch {1,8}.
+/// The acceptance grid: samples {1,4,8} × devices {1,4} × batch {1,8}
+/// (× depth {1,2} inside `check_parity`).
 /// 8-sample shapes run on a smaller genome to keep the grid fast.
 #[test]
 fn cohort_grid_is_byte_identical_to_single_runs() {

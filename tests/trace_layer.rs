@@ -193,6 +193,71 @@ fn four_device_trace_reconciles_with_overlap_stats() {
     assert_eq!(total_windows, 4, "6000 sites / 1500 = 4 windows");
 }
 
+/// Cohort calling runs the same window loop, so a traced cohort run gets
+/// the same host pipeline tracks: they reconcile with the run's
+/// `OverlapStats` (one lane span per arena of every sample-major batch),
+/// and tracing changes no sample's bytes.
+#[test]
+fn traced_cohort_run_reconciles_and_changes_no_sample() {
+    use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
+    use gsnp::seqio::synth::{Cohort, CohortConfig};
+
+    let mut base = SynthConfig::tiny(20_260_813);
+    base.num_sites = 6_000;
+    base.depth = 3.0;
+    let c = Cohort::generate(CohortConfig {
+        base,
+        num_samples: 3,
+        shared_rate: 0.6,
+    });
+    let inputs: Vec<SampleReads<'_>> = c
+        .samples
+        .iter()
+        .map(|s| SampleReads {
+            name: &s.name,
+            reads: &s.reads,
+        })
+        .collect();
+    let call = |trace: Option<Arc<TraceRecorder>>| {
+        CohortPipeline::new(CohortCallConfig {
+            base: GsnpConfig {
+                window_size: 1_500,
+                num_devices: 2,
+                pipeline_depth: 2,
+                trace,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .run(&inputs, &c.reference, &c.priors)
+    };
+
+    let plain = call(None);
+    let rec = Arc::new(TraceRecorder::new(1 << 16));
+    let traced = call(Some(Arc::clone(&rec)));
+    let snap = rec.snapshot();
+    assert_eq!(snap.dropped, 0, "ring sized for the whole run");
+    verify_overlap_consistency(&snap, &traced.stats.overlap)
+        .expect("cohort trace must reconcile with stats");
+
+    let lane_windows: u64 = traced.stats.overlap.devices.iter().map(|l| l.windows).sum();
+    assert_eq!(lane_windows, 3 * 4, "3 samples × (6000 sites / 1500)");
+    for thread in ["read_site", "posterior", "output"] {
+        let track = snap
+            .tracks
+            .iter()
+            .position(|t| t.process == "pipeline" && t.thread == thread)
+            .unwrap_or_else(|| panic!("missing pipeline track {thread:?}"));
+        assert!(
+            !track_spans(&snap, track as u32).is_empty(),
+            "no spans on the {thread:?} track"
+        );
+    }
+    for (a, b) in plain.samples.iter().zip(&traced.samples) {
+        assert_eq!(a.compressed, b.compressed, "sample {} bytes differ", a.name);
+    }
+}
+
 /// Golden-file schema pin for the Chrome exporter: a hand-built recorder
 /// with fixed timestamps must serialize to exactly this JSON. Any change
 /// to the event schema (field order included) is a deliberate,
