@@ -9,6 +9,11 @@
 //!
 //! Read identifiers are deliberately not preserved — the SNP caller never
 //! consumes them — so decoding synthesizes placeholder ids (`t0`, `t1`, …).
+//!
+//! The first pass writes the temporary input in chunks — [`TempInput`], one
+//! ordinary [`compress_reads`] blob per chunk of reads — so chunks can be
+//! encoded on every core, and [`TempReads`] decodes them one at a time as
+//! `read_site` pulls reads, freeing each blob once it is decoded.
 
 use seqio::base::Strand;
 use seqio::soap::AlignedRead;
@@ -85,6 +90,11 @@ pub fn compress_reads(chr: &str, reads: &[AlignedRead]) -> Vec<u8> {
 
 /// Decompress a batch produced by [`compress_reads`].
 pub fn decompress_reads(bytes: &[u8]) -> Result<Vec<AlignedRead>, CodecError> {
+    decode_reads(bytes, 0)
+}
+
+/// [`decompress_reads`] with placeholder ids numbered from `first_id`.
+fn decode_reads(bytes: &[u8], first_id: usize) -> Result<Vec<AlignedRead>, CodecError> {
     let mut r = BitReader::new(bytes);
     if r.read_bytes(4)? != MAGIC {
         return Err(CodecError::corrupt("bad input-codec magic"));
@@ -150,7 +160,7 @@ pub fn decompress_reads(bytes: &[u8]) -> Result<Vec<AlignedRead>, CodecError> {
             .collect();
         base_off += len;
         reads.push(AlignedRead {
-            id: format!("t{i}"),
+            id: format!("t{}", first_id + i),
             seq,
             qual,
             nhits: nhits_minus_1[i] + 1,
@@ -160,6 +170,80 @@ pub fn decompress_reads(bytes: &[u8]) -> Result<Vec<AlignedRead>, CodecError> {
         });
     }
     Ok(reads)
+}
+
+/// One chunk of a [`TempInput`].
+#[derive(Debug)]
+pub enum TempChunk {
+    /// A [`compress_reads`] blob.
+    Packed(Vec<u8>),
+    /// The reads themselves, for runs that skip the codec.
+    Plain(Vec<AlignedRead>),
+}
+
+/// One sample's temporary input: its position-sorted reads as consecutive
+/// chunks, in order.
+#[derive(Debug, Default)]
+pub struct TempInput {
+    chunks: Vec<TempChunk>,
+}
+
+impl TempInput {
+    /// The temporary input made of `chunks`, which must be in read order.
+    pub fn new(chunks: Vec<TempChunk>) -> Self {
+        TempInput { chunks }
+    }
+
+    /// Bytes held in compressed blobs.
+    pub fn packed_bytes(&self) -> u64 {
+        self.chunks
+            .iter()
+            .map(|c| match c {
+                TempChunk::Packed(blob) => blob.len() as u64,
+                TempChunk::Plain(_) => 0,
+            })
+            .sum()
+    }
+
+    /// Stream the reads back, decoding one chunk at a time.
+    pub fn into_reads(self) -> TempReads {
+        TempReads {
+            chunks: self.chunks.into_iter(),
+            current: Vec::new().into_iter(),
+            yielded: 0,
+        }
+    }
+}
+
+/// The reads of a [`TempInput`], in order. A chunk is decoded when the
+/// chunk before it runs out and dropped as soon as its reads exist, so at
+/// most one chunk is ever held decoded. Decoded placeholder ids number the
+/// reads across the whole input, as one [`decompress_reads`] would.
+pub struct TempReads {
+    chunks: std::vec::IntoIter<TempChunk>,
+    current: std::vec::IntoIter<AlignedRead>,
+    yielded: usize,
+}
+
+impl Iterator for TempReads {
+    type Item = Result<AlignedRead, CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(read) = self.current.next() {
+                self.yielded += 1;
+                return Some(Ok(read));
+            }
+            let reads = match self.chunks.next()? {
+                TempChunk::Packed(blob) => match decode_reads(&blob, self.yielded) {
+                    Ok(reads) => reads,
+                    Err(e) => return Some(Err(e)),
+                },
+                TempChunk::Plain(reads) => reads,
+            };
+            self.current = reads.into_iter();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -212,5 +296,59 @@ mod tests {
         let mut reads = d.reads;
         reads.reverse();
         let _ = compress_reads("x", &reads);
+    }
+
+    fn chunked(reads: &[AlignedRead], n: usize) -> TempInput {
+        TempInput::new(
+            reads
+                .chunks(n)
+                .map(|c| TempChunk::Packed(compress_reads("tiny", c)))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn chunked_input_streams_back_what_one_blob_would() {
+        let d = Dataset::generate(SynthConfig::tiny(25));
+        let whole = decompress_reads(&compress_reads("tiny", &d.reads)).unwrap();
+        for n in [1, 7, 100, d.reads.len()] {
+            let input = chunked(&d.reads, n);
+            assert!(input.packed_bytes() > 0);
+            let back: Vec<_> = input.into_reads().collect::<Result<_, _>>().unwrap();
+            assert_eq!(back, whole, "{n} reads per chunk");
+        }
+        assert_eq!(TempInput::default().into_reads().count(), 0);
+    }
+
+    #[test]
+    fn plain_chunks_pass_through_untouched() {
+        let d = Dataset::generate(SynthConfig::tiny(26));
+        let (a, b) = d.reads.split_at(d.reads.len() / 2);
+        let input = TempInput::new(vec![
+            TempChunk::Plain(a.to_vec()),
+            TempChunk::Plain(Vec::new()),
+            TempChunk::Plain(b.to_vec()),
+        ]);
+        assert_eq!(input.packed_bytes(), 0);
+        let back: Vec<_> = input.into_reads().collect::<Result<_, _>>().unwrap();
+        assert_eq!(back, d.reads);
+    }
+
+    #[test]
+    fn a_corrupt_chunk_errors_where_it_sits() {
+        let d = Dataset::generate(SynthConfig::tiny(27));
+        let (a, b) = d.reads.split_at(40);
+        let mut bad = compress_reads("tiny", b);
+        bad.truncate(bad.len() / 2);
+        let input = TempInput::new(vec![
+            TempChunk::Packed(compress_reads("tiny", a)),
+            TempChunk::Packed(bad),
+        ]);
+        let mut reads = input.into_reads();
+        assert_eq!(reads.by_ref().take(40).filter(Result::is_ok).count(), 40);
+        assert!(reads
+            .next()
+            .expect("the corrupt chunk is reported")
+            .is_err());
     }
 }

@@ -10,8 +10,10 @@
 //! (`pipeline::run_window_loop`, which a single-sample call runs
 //! with N = 1) and contributes only what is cohort-specific:
 //!
-//! * **One pooled calibration** ([`SharedTables::calibrate_pooled`])
-//!   over every sample's reads. The loop then makes **one `DeviceTables`
+//! * **One pooled calibration**: the first pass sums its co-occurrence
+//!   counts over every sample's chunks, which is what
+//!   [`crate::tables::SharedTables::calibrate_pooled`] computes over the
+//!   chained reads. The loop then makes **one `DeviceTables`
 //!   upload per device** — ledger-counted table H2D bytes scale
 //!   O(devices), not O(N·devices) (`tests/cohort_parity.rs`).
 //! * **Sample-major mega-batching** is the loop's native batch shape:
@@ -43,8 +45,10 @@ use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
 use seqio::soap::AlignedRead;
 
-use crate::pipeline::{run_window_loop, ComponentTimes, GsnpConfig, PipelineStats};
-use crate::tables::SharedTables;
+use crate::pipeline::{
+    first_pass, run_window_loop, AlignmentError, Alignments, ComponentTimes, FirstPass, GsnpConfig,
+    PipelineStats,
+};
 
 /// Per-site quality gates: calls failing either bound are replaced with
 /// an explicit NoCall row (genotype `N`, quality 0) that preserves the
@@ -186,6 +190,15 @@ pub struct SampleReads<'a> {
     pub reads: &'a [AlignedRead],
 }
 
+/// One sample's input to a cohort run, as the text of its alignment file.
+#[derive(Debug, Clone)]
+pub struct SampleText {
+    /// Sample name (labels the per-sample output).
+    pub name: String,
+    /// The SOAP alignment file's bytes.
+    pub text: Vec<u8>,
+}
+
 /// One sample's slice of a cohort run's output.
 #[derive(Debug)]
 pub struct SampleOutput {
@@ -279,25 +292,58 @@ impl CohortPipeline {
     /// calibration, then the same window loop a single-sample call runs
     /// (`run_window_loop`) over all samples at once, with this
     /// configuration's gates and bad-site list as the site policy.
+    ///
+    /// # Panics
+    /// Panics if a sample's reads are not sorted by position.
     pub fn run(
         &self,
         samples: &[SampleReads<'_>],
         reference: &Reference,
         priors: &PriorMap,
     ) -> CohortOutput {
-        let cfg = &self.config.base;
-        let num_samples = samples.len();
-        assert!(num_samples >= 1, "cohort needs at least one sample");
+        let names = samples.iter().map(|s| s.name.to_string()).collect();
+        let reads: Vec<_> = samples.iter().map(|s| Alignments::Reads(s.reads)).collect();
+        let first = first_pass(&self.config.base, &reads, reference)
+            .unwrap_or_else(|e| panic!("gsnp: {e}"));
+        self.run_loop(names, first, reference, priors)
+    }
 
-        let reads: Vec<&[AlignedRead]> = samples.iter().map(|s| s.reads).collect();
+    /// [`CohortPipeline::run`] over the samples' alignment files as text
+    /// (see [`crate::pipeline::GsnpPipeline::run_text`]); the error says
+    /// which sample's file was at fault.
+    pub fn run_text(
+        &self,
+        samples: Vec<SampleText>,
+        reference: &Reference,
+        priors: &PriorMap,
+    ) -> Result<CohortOutput, AlignmentError> {
+        let (names, texts): (Vec<String>, Vec<Vec<u8>>) =
+            samples.into_iter().map(|s| (s.name, s.text)).unzip();
+        let first = {
+            let texts: Vec<_> = texts.iter().map(|t| Alignments::Text(t)).collect();
+            first_pass(&self.config.base, &texts, reference)?
+        };
+        drop(texts);
+        Ok(self.run_loop(names, first, reference, priors))
+    }
+
+    fn run_loop(
+        &self,
+        names: Vec<String>,
+        first: FirstPass,
+        reference: &Reference,
+        priors: &PriorMap,
+    ) -> CohortOutput {
+        let cfg = &self.config.base;
+        let num_samples = names.len();
+        assert!(num_samples >= 1, "cohort needs at least one sample");
         let out = run_window_loop(
             cfg,
-            &reads,
+            first,
             reference,
             priors,
             self.config.gates,
             &self.config.bad_sites,
-            || SharedTables::calibrate_pooled(reads.iter().copied(), reference, &cfg.params),
         );
         let tallies = out.tallies;
 
@@ -310,12 +356,12 @@ impl CohortPipeline {
             .map(|(&pos, _)| pos)
             .collect();
 
-        let sample_outputs: Vec<SampleOutput> = samples
-            .iter()
+        let sample_outputs: Vec<SampleOutput> = names
+            .into_iter()
             .enumerate()
             .zip(out.samples)
-            .map(|((i, s), (tables, compressed))| SampleOutput {
-                name: s.name.to_string(),
+            .map(|((i, name), (tables, compressed))| SampleOutput {
+                name,
                 tables,
                 compressed,
                 snp_count: tallies.snp[i],
@@ -500,5 +546,101 @@ mod tests {
         apply_site_policies(&mut rows, 0, 0, &gates, &bad, &mut tallies);
         assert_eq!(rows, before);
         assert_eq!(tallies.gated[0], 0);
+    }
+
+    #[test]
+    fn cohort_text_reads_and_cpu_entry_points_write_the_same_bytes() {
+        use crate::pipeline::{GsnpCpuPipeline, CHUNK_READS};
+        use crate::tables::SharedTables;
+        use seqio::soap::write_alignments;
+        use seqio::synth::{Cohort, CohortConfig, SynthConfig};
+
+        let c = Cohort::generate(CohortConfig {
+            base: SynthConfig {
+                num_sites: 20_000,
+                read_len: 20,
+                depth: 8.0,
+                ..SynthConfig::tiny(81)
+            },
+            ..CohortConfig::tiny(3, 81)
+        });
+        let reads: Vec<SampleReads<'_>> = c
+            .samples
+            .iter()
+            .map(|s| SampleReads {
+                name: &s.name,
+                reads: &s.reads,
+            })
+            .collect();
+        let texts = || -> Vec<SampleText> {
+            c.samples
+                .iter()
+                .map(|s| {
+                    let mut text = Vec::new();
+                    write_alignments(&s.reads, &mut text).unwrap();
+                    SampleText {
+                        name: s.name.clone(),
+                        text,
+                    }
+                })
+                .collect()
+        };
+        assert!(reads.iter().all(|s| s.reads.len() > CHUNK_READS));
+        let base = GsnpConfig {
+            backend: gpu_sim::BackendChoice::Native,
+            ..Default::default()
+        };
+        let pooled = std::sync::Arc::new(SharedTables::calibrate_pooled(
+            reads.iter().map(|s| s.reads),
+            &c.reference,
+            &base.params,
+        ));
+        let chunk_span = reads[0].reads[CHUNK_READS].pos as usize;
+        for window_size in [chunk_span / 3, chunk_span, 20_000] {
+            let config = CohortCallConfig {
+                base: GsnpConfig {
+                    window_size,
+                    ..base.clone()
+                },
+                ..Default::default()
+            };
+            let from_reads =
+                CohortPipeline::new(config.clone()).run(&reads, &c.reference, &c.priors);
+            let from_text = CohortPipeline::new(config.clone())
+                .run_text(texts(), &c.reference, &c.priors)
+                .unwrap();
+            for ((a, b), s) in from_reads
+                .samples
+                .iter()
+                .zip(&from_text.samples)
+                .zip(&reads)
+            {
+                assert_eq!(a.name, b.name);
+                assert!(a.compressed == b.compressed, "{} at {window_size}", a.name);
+                let cpu = GsnpCpuPipeline::new(GsnpConfig {
+                    shared_tables: Some(pooled.clone()),
+                    ..config.base.clone()
+                })
+                .run(s.reads, &c.reference, &c.priors);
+                assert!(
+                    cpu.compressed == a.compressed,
+                    "{} at {window_size}",
+                    a.name
+                );
+            }
+        }
+
+        // A fault names the sample whose text holds it.
+        let mut broken = texts();
+        broken[1].text.extend_from_slice(b"not a record\n");
+        let err = CohortPipeline::new(CohortCallConfig::default())
+            .run_text(broken, &c.reference, &c.priors)
+            .unwrap_err();
+        assert_eq!(err.sample, 1);
+        let lines = c.samples[1].reads.len() + 1;
+        assert_eq!(
+            err.to_string(),
+            format!("sample 1: parse error at line {lines}: missing field: seq")
+        );
     }
 }

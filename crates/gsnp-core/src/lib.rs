@@ -39,12 +39,14 @@ pub mod tables;
 pub use arena::{ArenaPool, ArenaPoolStats, WindowArena};
 pub use cohort::{
     BadSiteList, CohortCallConfig, CohortOutput, CohortPipeline, QualityGates, SampleOutput,
-    SampleReads,
+    SampleReads, SampleText,
 };
 pub use journal::Journal;
 pub use metrics::call_metrics;
 pub use model::{ModelParams, SiteSummary};
-pub use pipeline::{ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline};
+pub use pipeline::{
+    AlignmentError, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline,
+};
 pub use progress::{LaneProgress, LatencyHists, ProgressSnapshot, ProgressTracker};
 pub use serve::StatsServer;
 pub use stream::{

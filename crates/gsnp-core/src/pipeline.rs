@@ -6,6 +6,11 @@
 //!        └── compressed temporary input ──────────┘
 //! ```
 //!
+//! The left column is `first_pass`: one parallel pass over the input in
+//! fixed-size chunks of reads that (parses, on the text entry points,)
+//! counts for `cal_p_matrix` and writes the chunked temporary input which
+//! `read_site` decodes lazily, one chunk at a time.
+//!
 //! There is one window loop, `run_window_loop`: the four stage bodies —
 //! producer (`read_site`), device (`counting` + likelihood + `recycle`),
 //! `posterior`, output — written once over a sample-major batch of
@@ -23,9 +28,12 @@
 //! reproduction harness reports the latter for "GPU" series and wall time
 //! for CPU series (see `EXPERIMENTS.md`).
 
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use compress::{column, input_codec};
+use compress::input_codec::{self, TempChunk, TempInput, TempReads};
+use compress::{column, CodecError};
 use gpu_sim::{
     AutoPolicy, BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup,
     LaunchStats,
@@ -34,8 +42,9 @@ use rayon::prelude::*;
 use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
-use seqio::soap::AlignedRead;
-use seqio::window::{OwnedReads, WindowReader};
+use seqio::soap::{line_chunks, unsorted_error, AlignedRead, AlignmentReader};
+use seqio::window::WindowReader;
+use seqio::SeqIoError;
 
 use crate::arena::{ArenaPool, ArenaPoolStats, WindowArena};
 use crate::cohort::{apply_site_policies, BadSiteList, PostTallies, QualityGates};
@@ -47,13 +56,14 @@ use crate::likelihood::{
 use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
 use crate::progress::{LatencyHists, ProgressTracker};
 use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats, PipelineTrace};
-use crate::tables::SharedTables;
+use crate::tables::{CalCounts, SharedTables};
 
 /// Per-component elapsed time in seconds, matching the columns of the
 /// paper's Tables I and IV.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ComponentTimes {
-    /// `cal_p_matrix` (+ table generation and upload in GSNP).
+    /// `cal_p_matrix`: the first pass over the input — parsing it, on the
+    /// text entry points — plus table generation and upload in GSNP.
     pub cal_p: f64,
     /// `read_site` (window loading; includes temporary-input decompression).
     pub read_site: f64,
@@ -335,21 +345,45 @@ impl GsnpPipeline {
 
     /// Run over in-memory inputs: calibrate this sample's own tables, then
     /// the window loop over one unnamed sample with no site policy.
+    ///
+    /// # Panics
+    /// Panics if `reads` are not sorted by position.
     pub fn run(
         &self,
         reads: &[AlignedRead],
         reference: &Reference,
         priors: &PriorMap,
     ) -> GsnpOutput {
-        let cfg = &self.config;
+        let first = first_pass(&self.config, &[Alignments::Reads(reads)], reference)
+            .unwrap_or_else(|e| panic!("gsnp: {e}"));
+        self.run_loop(first, reference, priors)
+    }
+
+    /// [`GsnpPipeline::run`] over the text of a SOAP alignment file, which
+    /// the first pass parses chunk by chunk on every core (and which is
+    /// freed when that pass ends); the whole file never exists as parsed
+    /// records. Errors are the ones [`AlignmentReader`] reports for the
+    /// same text, line numbers included.
+    pub fn run_text(
+        &self,
+        text: Vec<u8>,
+        reference: &Reference,
+        priors: &PriorMap,
+    ) -> Result<GsnpOutput, SeqIoError> {
+        let first =
+            first_pass(&self.config, &[Alignments::Text(&text)], reference).map_err(|e| e.error)?;
+        drop(text);
+        Ok(self.run_loop(first, reference, priors))
+    }
+
+    fn run_loop(&self, first: FirstPass, reference: &Reference, priors: &PriorMap) -> GsnpOutput {
         let mut out = run_window_loop(
-            cfg,
-            &[reads],
+            &self.config,
+            first,
             reference,
             priors,
             QualityGates::default(),
             &BadSiteList::default(),
-            || SharedTables::calibrate(reads, reference, &cfg.params),
         );
         let (tables, compressed) = out.samples.pop().expect("one sample in, one sample out");
         GsnpOutput {
@@ -360,6 +394,229 @@ impl GsnpPipeline {
             stats: out.stats,
         }
     }
+}
+
+/// Reads per first-pass chunk: the unit of parallel work in `first_pass`
+/// and of lazy decoding in `read_site`. Large enough that a chunk's blob
+/// compresses as well as the whole input does and the per-chunk count
+/// merge is noise, small enough that two cores stay balanced on a
+/// cohort-sized sample and the first window waits for one small decode
+/// (EXPERIMENTS.md "Front-end first pass", chunk-size sweep).
+pub(crate) const CHUNK_READS: usize = 4096;
+
+/// One sample's alignments as a run receives them.
+#[derive(Clone, Copy)]
+pub(crate) enum Alignments<'a> {
+    /// Parsed records, sorted by position.
+    Reads(&'a [AlignedRead]),
+    /// The text of a SOAP alignment file.
+    Text(&'a [u8]),
+}
+
+/// A sample's alignments were malformed or out of order.
+#[derive(Debug)]
+pub struct AlignmentError {
+    /// Index of the sample, in input order.
+    pub sample: usize,
+    /// What was wrong, naming the line.
+    pub error: SeqIoError,
+}
+
+impl std::fmt::Display for AlignmentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "sample {}: {}", self.sample, self.error)
+    }
+}
+
+impl std::error::Error for AlignmentError {}
+
+/// What the first pass leaves for the window loop.
+pub(crate) struct FirstPass {
+    /// The run's score tables: [`GsnpConfig::shared_tables`] if injected,
+    /// else calibrated from the counts pooled over every sample.
+    pub(crate) tables: Arc<SharedTables>,
+    /// Per sample, in input order.
+    pub(crate) inputs: Vec<TempInput>,
+    /// Host wall-clock of the pass.
+    pub(crate) seconds: f64,
+}
+
+/// The first pass (`cal_p_matrix`, Fig. 2 left column, §V-A) in production
+/// chunks; see [`first_pass_chunked`].
+pub(crate) fn first_pass(
+    cfg: &GsnpConfig,
+    samples: &[Alignments<'_>],
+    reference: &Reference,
+) -> Result<FirstPass, AlignmentError> {
+    first_pass_chunked(cfg, samples, reference, CHUNK_READS)
+}
+
+/// One chunk of one sample: `data` starts at line (record) `first_line`.
+struct ChunkJob<'a> {
+    sample: usize,
+    first_line: u64,
+    data: Alignments<'a>,
+}
+
+struct ChunkDone {
+    /// `(line, pos)` of the first record and `pos` of the last.
+    ends: Option<(u64, u64, u64)>,
+    /// The chunk's share of the temporary input, or the first malformed
+    /// or out-of-order line, at which the chunk was abandoned.
+    temp: Result<TempChunk, SeqIoError>,
+}
+
+/// Read every sample's input once, `chunk_reads` records (lines) at a
+/// time and every chunk on the rayon pool: parse it (text only), add its
+/// co-occurrence counts to a [`CalCounts`] borrowed from the run's spare
+/// list (one per chunk in flight, so at most one per thread: no chunk
+/// zeroes a 2 MiB array or merges one while holding a lock its neighbours
+/// wait on) and encode it into its own temporary-input blob. The counts
+/// are integers, so the tables do not depend on the chunking, on which
+/// counter a chunk got or on which thread finished first.
+pub(crate) fn first_pass_chunked(
+    cfg: &GsnpConfig,
+    samples: &[Alignments<'_>],
+    reference: &Reference,
+    chunk_reads: usize,
+) -> Result<FirstPass, AlignmentError> {
+    let t0 = Instant::now();
+    let mut jobs: Vec<ChunkJob<'_>> = Vec::new();
+    for (sample, &alignments) in samples.iter().enumerate() {
+        let chunks: Vec<Alignments<'_>> = match alignments {
+            Alignments::Reads(reads) => reads.chunks(chunk_reads).map(Alignments::Reads).collect(),
+            Alignments::Text(text) => line_chunks(text, chunk_reads)
+                .into_iter()
+                .map(Alignments::Text)
+                .collect(),
+        };
+        jobs.extend(chunks.into_iter().enumerate().map(|(k, data)| ChunkJob {
+            sample,
+            first_line: (k * chunk_reads) as u64 + 1,
+            data,
+        }));
+    }
+    let counters = cfg
+        .shared_tables
+        .is_none()
+        .then(|| Mutex::new(Vec::<CalCounts>::new()));
+    let done: Vec<ChunkDone> = jobs
+        .par_iter()
+        .map(|job| run_chunk(job, reference, cfg.compress_input, counters.as_ref()))
+        .collect();
+
+    // File order again: the first fault of the first faulty sample is the
+    // one a serial reader would have stopped at.
+    let mut inputs: Vec<Vec<TempChunk>> = Vec::new();
+    inputs.resize_with(samples.len(), Vec::new);
+    let mut last_pos: Vec<Option<u64>> = vec![None; samples.len()];
+    for (job, chunk) in jobs.iter().zip(done) {
+        let sample = job.sample;
+        let fail = |error| Err(AlignmentError { sample, error });
+        if let Some((line, first, last)) = chunk.ends {
+            if let Some(prev) = last_pos[sample].filter(|&prev| first < prev) {
+                return fail(unsorted_error(line, first, prev));
+            }
+            last_pos[sample] = Some(last);
+        }
+        match chunk.temp {
+            Ok(temp) => inputs[sample].push(temp),
+            Err(e) => return fail(e),
+        }
+    }
+    let tables = match counters {
+        Some(counters) => {
+            let mut counters = counters.into_inner().expect(NO_CHUNK_PANICKED);
+            let mut pooled = counters.pop().unwrap_or_default();
+            for counts in &counters {
+                pooled.merge(counts);
+            }
+            Arc::new(SharedTables::from_counts(&pooled, &cfg.params))
+        }
+        None => Arc::clone(cfg.shared_tables.as_ref().expect("else counted")),
+    };
+    Ok(FirstPass {
+        tables,
+        inputs: inputs.into_iter().map(TempInput::new).collect(),
+        seconds: t0.elapsed().as_secs_f64(),
+    })
+}
+
+const NO_CHUNK_PANICKED: &str = "the counter list is never locked across a chunk's work";
+
+fn run_chunk(
+    job: &ChunkJob<'_>,
+    reference: &Reference,
+    compress: bool,
+    counters: Option<&Mutex<Vec<CalCounts>>>,
+) -> ChunkDone {
+    let (mut first_line, mut fault) = (job.first_line, None);
+    let reads: Cow<'_, [AlignedRead]> = match job.data {
+        Alignments::Reads(reads) => Cow::Borrowed(reads),
+        Alignments::Text(text) => {
+            let mut reader = AlignmentReader::at_line(text, job.first_line);
+            let mut reads = Vec::new();
+            loop {
+                match reader.next_read() {
+                    Ok(Some(read)) => {
+                        if reads.is_empty() {
+                            first_line = reader.line();
+                        }
+                        reads.push(read);
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        fault = Some(e);
+                        break;
+                    }
+                }
+            }
+            Cow::Owned(reads)
+        }
+    };
+    let ends = reads
+        .first()
+        .zip(reads.last())
+        .map(|(a, b)| (first_line, a.pos, b.pos));
+    if let Some(e) = fault {
+        return ChunkDone { ends, temp: Err(e) };
+    }
+    if let Some(counters) = counters {
+        let spare = counters.lock().expect(NO_CHUNK_PANICKED).pop();
+        let mut counts = spare.unwrap_or_default();
+        counts.add_reads(reads.iter(), reference);
+        counters.lock().expect(NO_CHUNK_PANICKED).push(counts);
+    }
+    let temp = if compress {
+        TempChunk::Packed(input_codec::compress_reads(&reference.name, &reads))
+    } else {
+        TempChunk::Plain(reads.into_owned())
+    };
+    ChunkDone {
+        ends,
+        temp: Ok(temp),
+    }
+}
+
+/// `read_site` over a sample's temporary input.
+pub(crate) type TempWindows = WindowReader<
+    std::iter::Map<
+        TempReads,
+        fn(Result<AlignedRead, CodecError>) -> Result<AlignedRead, SeqIoError>,
+    >,
+>;
+
+/// Failing [`WindowReader::next_window_into`] on these readers means this.
+const TEMP_INPUT_DECODES: &str = "pipeline-internal temporary input must decode";
+
+pub(crate) fn temp_windows(input: TempInput, ref_len: u64, window_size: usize) -> TempWindows {
+    WindowReader::new(
+        input
+            .into_reads()
+            .map(|r| r.map_err(|e| SeqIoError::Invariant(e.to_string()))),
+        ref_len,
+        window_size,
+    )
 }
 
 /// What [`run_window_loop`] hands back to the two pipeline front ends.
@@ -391,10 +648,9 @@ struct Called {
     dev: usize,
 }
 
-/// The GSNP run (Fig. 2) for `samples.len()` samples over one reference:
-/// set up the device group and observers, `cal_p_matrix` + `load_table`
-/// once (`calibrate`, unless [`GsnpConfig::shared_tables`] injects
-/// tables), then the window loop on [`run_stages`].
+/// The GSNP run (Fig. 2) after its first pass, for `first.inputs.len()`
+/// samples over one reference: set up the device group and observers,
+/// `load_table` once, then the window loop on [`run_stages`].
 ///
 /// This function holds the four stage bodies, each written once over a
 /// **sample-major batch**: the same `wins ≤ launch_batch` windows of every
@@ -407,14 +663,13 @@ struct Called {
 /// observer reports — belongs to [`run_stages`].
 pub(crate) fn run_window_loop(
     cfg: &GsnpConfig,
-    samples: &[&[AlignedRead]],
+    first: FirstPass,
     reference: &Reference,
     priors: &PriorMap,
     gates: QualityGates,
     bad_sites: &BadSiteList,
-    calibrate: impl FnOnce() -> SharedTables,
 ) -> WindowLoopOutput {
-    let num_samples = samples.len();
+    let num_samples = first.inputs.len();
     // One tracker per run, external or private — every latency
     // observation flows through it either way (see
     // [`PipelineStats::hists`]).
@@ -464,34 +719,23 @@ pub(crate) fn run_window_loop(
         ..PipelineStats::default()
     };
 
-    // ---- cal_p_matrix + load_table (Fig. 2 left column): once per run ----
+    // ---- load_table (Fig. 2 left column): once per run ----
     let t0 = Instant::now();
-    let shared = match &cfg.shared_tables {
-        Some(st) => std::sync::Arc::clone(st),
-        None => std::sync::Arc::new(calibrate()),
-    };
+    let shared = first.tables;
     // One host image, one upload (and one ledger charge) per DEVICE — not
     // per sample: table H2D bytes are O(devices).
     let tables =
         DeviceTables::upload_group(group, &shared.p_matrix, &shared.new_p, &shared.log_table);
-    // Per-sample temporary compressed input written during the first pass
-    // (§V-A).
-    let mut temp_inputs: Option<Vec<Vec<u8>>> = cfg.compress_input.then(|| {
-        samples
-            .iter()
-            .map(|reads| input_codec::compress_reads(&reference.name, reads))
-            .collect()
-    });
-    wall.cal_p = t0.elapsed().as_secs_f64();
+    wall.cal_p = first.seconds + t0.elapsed().as_secs_f64();
     // Device time: table upload over PCIe on top of the host compute.
     // Each device's copy travels its own PCIe link, so the group pays
     // one upload of modelled latency regardless of its size.
     stats.table_bytes = tables[0].upload_bytes();
     times.cal_p = wall.cal_p + stats.table_bytes as f64 / cfg.device.pcie_bw;
-    stats.peak_host_bytes += temp_inputs
+    stats.peak_host_bytes += first
+        .inputs
         .iter()
-        .flatten()
-        .map(|blob| blob.len() as u64)
+        .map(TempInput::packed_bytes)
         .sum::<u64>();
 
     let batch_size = cfg.launch_batch_size();
@@ -499,25 +743,15 @@ pub(crate) fn run_window_loop(
     let arena_pool: &ArenaPool = &arena_pool;
 
     // ---- read_site: N lockstep readers over the shared window grid ----
-    // The body owns its readers (`move`), so the decoded reads are freed
-    // when the producer stage ends — at end of input, while the last
-    // batches are still being called and written — not at end of run.
-    let mut readers: Vec<WindowReader<OwnedReads>> = Vec::new();
+    // The body owns its readers (`move`), each of which decodes its
+    // temporary input a chunk at a time and drops the chunk's blob with it,
+    // so what is left of the input shrinks as the run advances.
+    let mut readers: Vec<TempWindows> = first
+        .inputs
+        .into_iter()
+        .map(|input| temp_windows(input, ref_len, cfg.window_size))
+        .collect();
     let produce = move || {
-        if readers.is_empty() {
-            // First call: decode the temporary inputs (producer busy time),
-            // dropping each blob as soon as its reads exist.
-            let over = |reads| WindowReader::from_reads(reads, ref_len, cfg.window_size);
-            match temp_inputs.take() {
-                Some(blobs) => readers.extend(blobs.into_iter().map(|bytes| {
-                    over(
-                        input_codec::decompress_reads(&bytes)
-                            .expect("pipeline-internal temporary input must decode"),
-                    )
-                })),
-                None => readers.extend(samples.iter().map(|reads| over(reads.to_vec()))),
-            }
-        }
         // Sample 0 decides how many windows this batch holds; every other
         // sample's reader must produce exactly the same ones.
         let mut wins = batch_size;
@@ -527,7 +761,7 @@ pub(crate) fn run_window_loop(
                 let mut arena = arena_pool.checkout();
                 let got = reader
                     .next_window_into(&mut arena.window)
-                    .expect("in-memory reads are valid");
+                    .expect(TEMP_INPUT_DECODES);
                 if !got {
                     assert_eq!(sample, 0, "window grids diverged at window {w}");
                     arena_pool.checkin(arena);
@@ -976,7 +1210,8 @@ fn posterior_rows(
 
 /// GSNP_CPU (§VI-A): the same sparse algorithm — `base_word`, per-site
 /// sort, `new_p_matrix` — executed sequentially on the host with no
-/// simulated device. The paper reports it 4–5× faster than SOAPsnp on
+/// simulated device, behind the same `first_pass` as the device
+/// pipeline. The paper reports it 4–5× faster than SOAPsnp on
 /// likelihood; it is the middle series of Figs. 5 and 12.
 pub struct GsnpCpuPipeline {
     config: GsnpConfig,
@@ -1004,46 +1239,24 @@ impl GsnpCpuPipeline {
             ..PipelineStats::default()
         };
 
-        let t0 = Instant::now();
-        let shared = match &cfg.shared_tables {
-            Some(st) => std::sync::Arc::clone(st),
-            None => std::sync::Arc::new(SharedTables::calibrate(reads, reference, &cfg.params)),
-        };
+        let first = first_pass(cfg, &[Alignments::Reads(reads)], reference)
+            .unwrap_or_else(|e| panic!("gsnp: {e}"));
         let SharedTables {
             p_matrix,
             new_p,
             log_table,
-        } = &*shared;
-        let temp_input = if cfg.compress_input {
-            Some(input_codec::compress_reads(&reference.name, reads))
-        } else {
-            None
-        };
-        times.cal_p = t0.elapsed().as_secs_f64();
+        } = &*first.tables;
+        times.cal_p = first.seconds;
         stats.peak_host_bytes = p_matrix.size_bytes() as u64 + new_p.size_bytes() as u64;
 
-        let t0 = Instant::now();
-        let owned_reads;
-        let read_source: &[AlignedRead] = match &temp_input {
-            Some(bytes) => {
-                owned_reads = input_codec::decompress_reads(bytes)
-                    .expect("pipeline-internal temporary input must decode");
-                &owned_reads
-            }
-            None => reads,
-        };
-        let mut reader = WindowReader::new(
-            read_source.iter().cloned().map(Ok),
-            reference.len() as u64,
-            cfg.window_size,
-        );
-        times.read_site += t0.elapsed().as_secs_f64();
+        let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample in");
+        let mut reader = temp_windows(input, reference.len() as u64, cfg.window_size);
 
         let mut out_tables = Vec::new();
         let mut compressed = Vec::new();
         loop {
             let t0 = Instant::now();
-            let window = match reader.next_window().expect("in-memory reads are valid") {
+            let window = match reader.next_window().expect(TEMP_INPUT_DECODES) {
                 Some(w) => w,
                 None => break,
             };
@@ -1484,5 +1697,239 @@ mod tests {
         .run(&d.reads, &d.reference, &d.priors);
         assert_eq!(sharded.compressed, serial.compressed);
         assert_eq!(sharded.stats.overlap.devices.len(), 4);
+    }
+
+    // ---- the first pass ----
+
+    use crate::tables::PMatrix;
+    use proptest::prelude::*;
+    use seqio::soap::write_alignments;
+
+    fn soap_text(reads: &[AlignedRead]) -> Vec<u8> {
+        let mut text = Vec::new();
+        write_alignments(reads, &mut text).unwrap();
+        text
+    }
+
+    /// What the temporary input preserves of `reads`: everything but ids.
+    fn strip_ids(mut reads: Vec<AlignedRead>) -> Vec<AlignedRead> {
+        for (i, r) in reads.iter_mut().enumerate() {
+            r.id = format!("t{i}");
+        }
+        reads
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn any_chunking_calibrates_bit_identically_and_streams_every_read(
+            seed in 0u64..1_000_000,
+            num_sites in 500u64..3_000,
+            depth_deci in 20u32..120,
+            compress_input in any::<bool>(),
+            from_text in any::<bool>(),
+        ) {
+            let mut sc = SynthConfig::tiny(seed);
+            sc.num_sites = num_sites;
+            sc.depth = f64::from(depth_deci) / 10.0;
+            let d = Dataset::generate(sc);
+            let cfg = GsnpConfig { compress_input, ..Default::default() };
+            let serial = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
+            let bits = |p: &PMatrix| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let text = soap_text(&d.reads);
+            let sample = if from_text {
+                Alignments::Text(&text)
+            } else {
+                Alignments::Reads(&d.reads)
+            };
+            let kept = if compress_input { strip_ids(d.reads.clone()) } else { d.reads.clone() };
+            for chunk_reads in [1, 7, d.reads.len().max(1), CHUNK_READS] {
+                let first = first_pass_chunked(&cfg, &[sample], &d.reference, chunk_reads).unwrap();
+                prop_assert_eq!(bits(&first.tables.p_matrix), bits(&serial), "chunks of {}", chunk_reads);
+                let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
+                let back: Vec<_> = input.into_reads().collect::<Result<_, _>>().unwrap();
+                prop_assert_eq!(&back, &kept, "chunks of {}", chunk_reads);
+            }
+        }
+    }
+
+    /// A data set of more reads than one production chunk holds.
+    fn two_chunk_config(seed: u64) -> SynthConfig {
+        SynthConfig {
+            num_sites: 20_000,
+            read_len: 20,
+            depth: 8.0,
+            ..SynthConfig::tiny(seed)
+        }
+    }
+
+    #[test]
+    fn text_reads_and_cpu_entry_points_write_the_same_bytes() {
+        let d = Dataset::generate(two_chunk_config(77));
+        assert!(d.reads.len() > CHUNK_READS, "{} reads", d.reads.len());
+        let text = soap_text(&d.reads);
+        // A window ending exactly where chunk 2 begins, windows well inside
+        // one chunk's span, and one window over both chunks.
+        let chunk_span = d.reads[CHUNK_READS].pos as usize;
+        for window_size in [chunk_span / 3, chunk_span, 20_000] {
+            let cfg = GsnpConfig {
+                window_size,
+                backend: BackendChoice::Native,
+                ..Default::default()
+            };
+            let reads = GsnpPipeline::new(cfg.clone()).run(&d.reads, &d.reference, &d.priors);
+            let parsed = GsnpPipeline::new(cfg.clone())
+                .run_text(text.clone(), &d.reference, &d.priors)
+                .unwrap();
+            let cpu = GsnpCpuPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+            assert_eq!(reads.stats.num_sites, 20_000);
+            assert!(
+                parsed.compressed == reads.compressed,
+                "window {window_size}"
+            );
+            assert!(cpu.compressed == reads.compressed, "window {window_size}");
+            assert_eq!(parsed.tables, reads.tables);
+        }
+    }
+
+    #[test]
+    fn chunked_parse_stops_where_the_serial_reader_stops() {
+        let d = Dataset::generate(SynthConfig::tiny(78));
+        let records: Vec<String> = d.reads[100..123]
+            .iter()
+            .map(|r| {
+                let mut line = Vec::new();
+                r.write_line(&mut line).unwrap();
+                String::from_utf8(line).unwrap().trim_end().to_string()
+            })
+            .collect();
+        // Injected tables: no counting, so the 2 000 passes below stay cheap.
+        let cfg = GsnpConfig {
+            shared_tables: Some(Arc::new(SharedTables::calibrate(
+                &[],
+                &d.reference,
+                &ModelParams::default(),
+            ))),
+            ..Default::default()
+        };
+        let serial = |text: &str| {
+            AlignmentReader::new(text.as_bytes())
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| e.to_string())
+        };
+        let chunked = |text: &str, chunk_reads| {
+            first_pass_chunked(
+                &cfg,
+                &[Alignments::Text(text.as_bytes())],
+                &d.reference,
+                chunk_reads,
+            )
+            .map(|first| {
+                let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
+                input
+                    .into_reads()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("decodes")
+            })
+            .map_err(|e| {
+                assert_eq!(e.sample, 0);
+                e.error.to_string()
+            })
+        };
+        // Unix text, and CRLF text with a blank line after every third
+        // record and no final newline (its line numbers differ).
+        fn unix(lines: &[String]) -> String {
+            lines.iter().map(|l| format!("{l}\n")).collect()
+        }
+        fn dos(lines: &[String]) -> String {
+            let mut text = String::new();
+            for (i, l) in lines.iter().enumerate() {
+                text.push_str(l);
+                text.push_str(if i % 3 == 2 { "\r\n  \r\n" } else { "\r\n" });
+            }
+            text.trim_end().to_string()
+        }
+        // 23 records: chunks of 5 end in a short one, of 4 and 23 do not.
+        let chunkings = [1, 4, 5, 23, CHUNK_READS];
+
+        for style in [unix as fn(&[String]) -> String, dos] {
+            let clean = style(&records);
+            let expect = serial(&clean).unwrap();
+            assert_eq!(expect.len(), records.len());
+            for n in chunkings {
+                assert_eq!(chunked(&clean, n).unwrap(), strip_ids(expect.clone()));
+            }
+            // One malformed and one out-of-order record at every pair of
+            // places: last chunk, first line of a chunk, same line, either
+            // order. The earlier one must win, by its global line number.
+            for bad in 0..records.len() {
+                for unsorted in 1..records.len() {
+                    let mut lines = records.clone();
+                    let (fields, _pos) = lines[unsorted].rsplit_once('\t').unwrap();
+                    lines[unsorted] = format!("{fields}\t1");
+                    lines[bad] = lines[bad].replacen('\t', " ", 1);
+                    let text = style(&lines);
+                    let want = serial(&text).unwrap_err();
+                    for n in [4, 5] {
+                        assert_eq!(chunked(&text, n).unwrap_err(), want, "chunks of {n}");
+                    }
+                }
+            }
+            for unsorted in 1..records.len() {
+                let mut lines = records.clone();
+                let (fields, _pos) = lines[unsorted].rsplit_once('\t').unwrap();
+                lines[unsorted] = format!("{fields}\t1");
+                let text = style(&lines);
+                let want = serial(&text).unwrap_err();
+                assert!(want.contains("not sorted at line"), "{want}");
+                for n in chunkings {
+                    assert_eq!(chunked(&text, n).unwrap_err(), want, "chunks of {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_temporary_chunk_is_the_decode_panic_not_a_hang() {
+        let d = Dataset::generate(SynthConfig::tiny(79));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(|| {
+                let cfg = tiny_cfg();
+                let (a, b) = d.reads.split_at(d.reads.len() / 2);
+                let mut bad = input_codec::compress_reads("tiny", b);
+                bad.truncate(bad.len() / 2);
+                let first = FirstPass {
+                    tables: Arc::new(SharedTables::calibrate(&d.reads, &d.reference, &cfg.params)),
+                    inputs: vec![TempInput::new(vec![
+                        TempChunk::Packed(input_codec::compress_reads("tiny", a)),
+                        TempChunk::Packed(bad),
+                    ])],
+                    seconds: 0.0,
+                };
+                let gates = QualityGates::default();
+                run_window_loop(
+                    &cfg,
+                    first,
+                    &d.reference,
+                    &d.priors,
+                    gates,
+                    &BadSiteList::default(),
+                );
+            });
+            let message = result.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_else(|| "a panic that is not a String".into())
+            });
+            done_tx.send(message).ok();
+        });
+        let message = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the window loop hung on a corrupt chunk")
+            .expect("a corrupt chunk must not go unnoticed");
+        assert!(message.contains(TEMP_INPUT_DECODES), "{message}");
     }
 }

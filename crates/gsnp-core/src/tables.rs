@@ -77,6 +77,59 @@ pub fn p_index(q: u8, coord: u8, allele: u8, base: u8) -> usize {
         | usize::from(base)
 }
 
+/// What `cal_p_matrix` counts over the input: how many aligned bases fell
+/// in each `(quality, coord, reference allele, observed base)` cell, laid
+/// out by [`p_index`]. The counts are integers, so counting the input in
+/// pieces and adding the pieces up in any order gives the same counts —
+/// and therefore the same [`PMatrix`], bit for bit — as one pass over it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CalCounts {
+    counts: Vec<u64>,
+}
+
+impl CalCounts {
+    /// All-zero counts.
+    pub fn new() -> CalCounts {
+        CalCounts {
+            counts: vec![0; PMatrix::LEN],
+        }
+    }
+
+    /// Count every aligned base of `reads` that lies over a known
+    /// reference base.
+    pub fn add_reads<'a>(
+        &mut self,
+        reads: impl IntoIterator<Item = &'a AlignedRead>,
+        reference: &Reference,
+    ) {
+        for read in reads {
+            let end = ((read.pos as usize) + read.len()).min(reference.len());
+            for site in read.pos as usize..end {
+                let r = reference.seq[site];
+                if r >= 4 {
+                    continue; // unknown reference: no truth label
+                }
+                let offset = site - read.pos as usize;
+                let (base, qual, coord) = read.obs_at(offset);
+                self.counts[p_index(qual, coord, r, base.code())] += 1;
+            }
+        }
+    }
+
+    /// Add `other`'s counts to these.
+    pub fn merge(&mut self, other: &CalCounts) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+    }
+}
+
+impl Default for CalCounts {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PMatrix {
     /// Total number of entries (`64 × 256 × 4 × 4`).
     pub const LEN: usize = Q_DIM * COORD_DIM * 4 * 4;
@@ -97,36 +150,33 @@ impl PMatrix {
 
     /// Calibrate from the full input (the `cal_p_matrix` component): count
     /// `(quality, coord, reference allele, observed base)` co-occurrences
-    /// over every aligned base, then blend with the quality-model prior
-    /// using `params.pseudocount` pseudo-observations.
+    /// over every aligned base ([`CalCounts`]), then blend
+    /// ([`PMatrix::from_counts`]).
     pub fn calibrate<'a>(
         reads: impl IntoIterator<Item = &'a AlignedRead>,
         reference: &Reference,
         params: &ModelParams,
     ) -> PMatrix {
-        let mut counts = vec![0f64; Self::LEN];
-        for read in reads {
-            let end = ((read.pos as usize) + read.len()).min(reference.len());
-            for site in read.pos as usize..end {
-                let r = reference.seq[site];
-                if r >= 4 {
-                    continue; // unknown reference: no truth label
-                }
-                let offset = site - read.pos as usize;
-                let (base, qual, coord) = read.obs_at(offset);
-                counts[p_index(qual, coord, r, base.code())] += 1.0;
-            }
-        }
+        let mut counts = CalCounts::new();
+        counts.add_reads(reads, reference);
+        Self::from_counts(&counts, params)
+    }
+
+    /// Blend the observed co-occurrence counts with the quality-model
+    /// prior using `params.pseudocount` pseudo-observations.
+    pub fn from_counts(counts: &CalCounts, params: &ModelParams) -> PMatrix {
+        let counts = &counts.counts;
         let mut values = vec![0f64; Self::LEN];
         for q in 0..Q_DIM {
             for coord in 0..COORD_DIM {
                 let (q, coord) = (q as u8, coord as u8);
                 for allele in 0..4u8 {
                     let idx0 = p_index(q, coord, allele, 0);
-                    let total: f64 = (0..4).map(|b| counts[idx0 + b]).sum();
+                    let seen: [f64; 4] = std::array::from_fn(|b| counts[idx0 + b] as f64);
+                    let total: f64 = seen.iter().sum();
                     for base in 0..4u8 {
                         let prior = Self::prior_prob(q, allele, base);
-                        let v = (counts[idx0 + base as usize] + params.pseudocount * prior)
+                        let v = (seen[base as usize] + params.pseudocount * prior)
                             / (total + params.pseudocount);
                         values[idx0 + base as usize] = v.clamp(1e-12, 1.0);
                     }
@@ -288,7 +338,14 @@ impl SharedTables {
         reference: &Reference,
         params: &ModelParams,
     ) -> SharedTables {
-        let p_matrix = PMatrix::calibrate(sample_reads.into_iter().flatten(), reference, params);
+        let mut counts = CalCounts::new();
+        counts.add_reads(sample_reads.into_iter().flatten(), reference);
+        Self::from_counts(&counts, params)
+    }
+
+    /// The table set for the given calibration counts.
+    pub fn from_counts(counts: &CalCounts, params: &ModelParams) -> SharedTables {
+        let p_matrix = PMatrix::from_counts(counts, params);
         let new_p = NewPMatrix::precompute(&p_matrix);
         SharedTables {
             p_matrix,

@@ -27,6 +27,35 @@ use crate::error::SeqIoError;
 /// Maximum representable quality score (6 bits in the `base_word` packing).
 pub const MAX_QUAL: u8 = 63;
 
+/// Longest read the 8-bit cycle coordinate can address.
+pub const MAX_READ_LEN: usize = 256;
+
+/// Marks a byte that is no base / no quality in the tables below.
+const INVALID: u8 = 0xFF;
+
+/// ASCII → 2-bit base code ([`Base::from_ascii`], tabulated).
+static BASE_CODE: [u8; 256] = {
+    let mut t = [INVALID; 256];
+    let mut code = 0;
+    while code < 4 {
+        t[b"ACGT"[code] as usize] = code as u8;
+        t[b"acgt"[code] as usize] = code as u8;
+        code += 1;
+    }
+    t
+};
+
+/// ASCII → Phred quality (`c − 33`, at most [`MAX_QUAL`]).
+static QUAL_CODE: [u8; 256] = {
+    let mut t = [INVALID; 256];
+    let mut q = 0;
+    while q <= MAX_QUAL {
+        t[33 + q as usize] = q;
+        q += 1;
+    }
+    t
+};
+
 /// One aligned short read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignedRead {
@@ -103,53 +132,69 @@ impl AlignedRead {
 
     /// Parse one tab-separated line (`lineno` is used in error messages).
     pub fn parse_line(line: &str, lineno: u64) -> Result<AlignedRead, SeqIoError> {
-        let mut f = line.trim_end().split('\t');
+        Self::parse_bytes(line.as_bytes(), lineno)
+    }
+
+    /// [`AlignedRead::parse_line`] on raw bytes — the one parser under
+    /// `parse_line` and [`AlignmentReader`]. Only `id` and `chr` are
+    /// checked as UTF-8; the 100-byte `seq`/`qual` fields go through the
+    /// two 256-entry tables instead.
+    pub fn parse_bytes(line: &[u8], lineno: u64) -> Result<AlignedRead, SeqIoError> {
+        let err = |msg: &str| SeqIoError::parse(lineno, msg);
+        let mut f = line.trim_ascii_end().split(|&c| c == b'\t');
         let mut next = |what: &str| {
             f.next()
                 .ok_or_else(|| SeqIoError::parse(lineno, format!("missing field: {what}")))
         };
-        let id = next("id")?.to_string();
+        let id = text(next("id")?, "id", lineno)?.to_string();
         let seq_s = next("seq")?;
         let qual_s = next("qual")?;
-        let nhits: u32 = next("nhits")?
+        let nhits: u32 = text(next("nhits")?, "nhits", lineno)?
             .parse()
-            .map_err(|_| SeqIoError::parse(lineno, "nhits not an integer"))?;
-        let len: usize = next("len")?
+            .map_err(|_| err("nhits not an integer"))?;
+        let len: usize = text(next("len")?, "len", lineno)?
             .parse()
-            .map_err(|_| SeqIoError::parse(lineno, "len not an integer"))?;
+            .map_err(|_| err("len not an integer"))?;
         let strand_s = next("strand")?;
-        let chr = next("chr")?.to_string();
-        let pos1: u64 = next("pos")?
+        let chr = text(next("chr")?, "chr", lineno)?.to_string();
+        let pos1: u64 = text(next("pos")?, "pos", lineno)?
             .parse()
-            .map_err(|_| SeqIoError::parse(lineno, "pos not an integer"))?;
+            .map_err(|_| err("pos not an integer"))?;
         if pos1 == 0 {
-            return Err(SeqIoError::parse(lineno, "pos must be 1-based"));
+            return Err(err("pos must be 1-based"));
+        }
+        // The temporary-input codec stores `nhits − 1`.
+        if nhits == 0 {
+            return Err(err("nhits must be at least 1"));
+        }
+        // The sequencing cycle is an 8-bit coordinate everywhere downstream
+        // (`obs_at`, `base_word`, the `p_matrix` index).
+        if seq_s.len() > MAX_READ_LEN {
+            return Err(SeqIoError::parse(
+                lineno,
+                format!("read longer than {MAX_READ_LEN} bases"),
+            ));
         }
 
-        let seq: Vec<u8> = seq_s
-            .bytes()
-            .map(|c| {
-                Base::from_ascii(c).map(Base::code).ok_or_else(|| {
-                    SeqIoError::parse(lineno, format!("invalid base {:?}", c as char))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let qual: Vec<u8> = qual_s
-            .bytes()
-            .map(|c| {
-                c.checked_sub(33)
-                    .filter(|&q| q <= MAX_QUAL)
-                    .ok_or_else(|| SeqIoError::parse(lineno, "quality out of range"))
-            })
-            .collect::<Result<_, _>>()?;
+        let seq: Vec<u8> = seq_s.iter().map(|&c| BASE_CODE[usize::from(c)]).collect();
+        if let Some(bad) = seq.iter().position(|&code| code == INVALID) {
+            return Err(SeqIoError::parse(
+                lineno,
+                format!("invalid base {:?}", seq_s[bad] as char),
+            ));
+        }
+        let qual: Vec<u8> = qual_s.iter().map(|&c| QUAL_CODE[usize::from(c)]).collect();
+        if qual.contains(&INVALID) {
+            return Err(err("quality out of range"));
+        }
         if seq.len() != len || qual.len() != len {
-            return Err(SeqIoError::parse(lineno, "seq/qual length mismatch"));
+            return Err(err("seq/qual length mismatch"));
         }
         let strand = strand_s
-            .bytes()
-            .next()
+            .first()
+            .copied()
             .and_then(Strand::from_ascii)
-            .ok_or_else(|| SeqIoError::parse(lineno, "invalid strand"))?;
+            .ok_or_else(|| err("invalid strand"))?;
         Ok(AlignedRead {
             id,
             seq,
@@ -160,6 +205,11 @@ impl AlignedRead {
             pos: pos1 - 1,
         })
     }
+}
+
+/// One of a record's short fields as text (`what` names it in the error).
+fn text<'a>(field: &'a [u8], what: &str, lineno: u64) -> Result<&'a str, SeqIoError> {
+    std::str::from_utf8(field).map_err(|_| SeqIoError::parse(lineno, format!("{what} not UTF-8")))
 }
 
 /// Write a position-sorted batch of alignments.
@@ -179,10 +229,47 @@ pub fn write_alignments<W: Write>(reads: &[AlignedRead], mut w: W) -> Result<(),
     Ok(())
 }
 
+/// Cut `text` into consecutive pieces of `lines` lines each (the last one
+/// shorter, and a final line need not end in a newline). Piece `k` starts
+/// at line `k · lines + 1` of the file, which is what lets pieces be parsed
+/// independently — [`AlignmentReader::at_line`] — and still report global
+/// line numbers.
+///
+/// # Panics
+/// Panics if `lines` is zero.
+pub fn line_chunks(text: &[u8], lines: usize) -> Vec<&[u8]> {
+    assert!(lines > 0, "a chunk holds at least one line");
+    let mut chunks = Vec::new();
+    let (mut start, mut seen) = (0, 0);
+    for (i, &c) in text.iter().enumerate() {
+        if c == b'\n' {
+            seen += 1;
+            if seen == lines {
+                chunks.push(&text[start..=i]);
+                (start, seen) = (i + 1, 0);
+            }
+        }
+    }
+    if start < text.len() {
+        chunks.push(&text[start..]);
+    }
+    chunks
+}
+
+/// The error for a record at `line` whose 0-based `pos` is below `prev`,
+/// the position of the record before it.
+pub fn unsorted_error(line: u64, pos: u64, prev: u64) -> SeqIoError {
+    SeqIoError::Invariant(format!(
+        "alignment file not sorted at line {line}: pos {} after {}",
+        pos + 1,
+        prev + 1
+    ))
+}
+
 /// Streaming reader over an alignment file that enforces position order.
 pub struct AlignmentReader<R: BufRead> {
     reader: R,
-    line: String,
+    line: Vec<u8>,
     lineno: u64,
     last_pos: u64,
 }
@@ -190,34 +277,40 @@ pub struct AlignmentReader<R: BufRead> {
 impl<R: BufRead> AlignmentReader<R> {
     /// Wrap a buffered reader.
     pub fn new(reader: R) -> Self {
+        Self::at_line(reader, 1)
+    }
+
+    /// Reader over a piece of a file that begins at line `first_line`
+    /// (1-based) of the whole, so errors name the global line.
+    pub fn at_line(reader: R, first_line: u64) -> Self {
         AlignmentReader {
             reader,
-            line: String::new(),
-            lineno: 0,
+            line: Vec::new(),
+            lineno: first_line - 1,
             last_pos: 0,
         }
+    }
+
+    /// Line number of the line read last (of the record returned last).
+    pub fn line(&self) -> u64 {
+        self.lineno
     }
 
     /// Read the next record, or `None` at end of stream.
     pub fn next_read(&mut self) -> Result<Option<AlignedRead>, SeqIoError> {
         loop {
             self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
+            let n = self.reader.read_until(b'\n', &mut self.line)?;
             if n == 0 {
                 return Ok(None);
             }
             self.lineno += 1;
-            if self.line.trim().is_empty() {
+            if self.line.trim_ascii().is_empty() {
                 continue;
             }
-            let read = AlignedRead::parse_line(&self.line, self.lineno)?;
+            let read = AlignedRead::parse_bytes(&self.line, self.lineno)?;
             if read.pos < self.last_pos {
-                return Err(SeqIoError::Invariant(format!(
-                    "alignment file not sorted at line {}: pos {} after {}",
-                    self.lineno,
-                    read.pos + 1,
-                    self.last_pos + 1
-                )));
+                return Err(unsorted_error(self.lineno, read.pos, self.last_pos));
             }
             self.last_pos = read.pos;
             return Ok(Some(read));
@@ -337,5 +430,107 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(reads.len(), 1);
+    }
+
+    #[test]
+    fn parse_rejects_zero_hits_and_overlong_reads() {
+        // The temporary-input codec stores `nhits − 1`.
+        let err = AlignedRead::parse_line("r\tA\t5\t0\t1\t+\tc\t1", 9).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 9: nhits must be at least 1"
+        );
+        // The cycle coordinate is 8 bits: 256 bases fit, 257 do not.
+        let line = |n: usize| format!("r\t{}\t{}\t1\t{n}\t-\tc\t1", "A".repeat(n), "5".repeat(n));
+        let longest = AlignedRead::parse_line(&line(MAX_READ_LEN), 1).unwrap();
+        assert_eq!(longest.obs_at(0).2, 255);
+        let err = AlignedRead::parse_line(&line(MAX_READ_LEN + 1), 4).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 4: read longer than 256 bases"
+        );
+    }
+
+    #[test]
+    fn lookup_tables_agree_with_the_scalar_definitions() {
+        for c in 0..=255u8 {
+            let base = Base::from_ascii(c).map_or(INVALID, Base::code);
+            assert_eq!(BASE_CODE[usize::from(c)], base, "base {c}");
+            let qual = c
+                .checked_sub(33)
+                .filter(|&q| q <= MAX_QUAL)
+                .unwrap_or(INVALID);
+            assert_eq!(QUAL_CODE[usize::from(c)], qual, "qual {c}");
+        }
+    }
+
+    #[test]
+    fn only_the_name_fields_must_be_utf8() {
+        let mut line = b"r\xFF\tA\t5\t1\t1\t+\tc\t1".to_vec();
+        let err = AlignedRead::parse_bytes(&line, 2).unwrap_err();
+        assert_eq!(err.to_string(), "parse error at line 2: id not UTF-8");
+        line[1] = b'1';
+        assert_eq!(AlignedRead::parse_bytes(&line, 2).unwrap().id, "r1");
+        // A stray byte in `seq` is an invalid base, not an I/O error.
+        let err = AlignedRead::parse_bytes(b"r\t\xC3\t5\t1\t1\t+\tc\t1", 3).unwrap_err();
+        assert!(err.to_string().contains("line 3: invalid base"), "{err}");
+    }
+
+    #[test]
+    fn crlf_and_a_missing_final_newline_parse_as_before() {
+        let mut buf = Vec::new();
+        sample().write_line(&mut buf).unwrap();
+        let unix = String::from_utf8(buf).unwrap();
+        let dos = format!("{}\r\n\r\n{}", unix.trim_end(), unix.trim_end());
+        let reads: Vec<_> = AlignmentReader::new(Cursor::new(dos))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(reads, vec![sample(), sample()]);
+    }
+
+    #[test]
+    fn line_chunks_tile_the_text_in_pieces_of_n_lines() {
+        let text = b"a\nbb\n\nccc\ndddd\ne";
+        for lines in 1..8 {
+            let chunks = line_chunks(text, lines);
+            assert_eq!(chunks.concat(), text, "{lines} lines per chunk");
+            for (k, chunk) in chunks.iter().enumerate() {
+                let newlines = chunk.iter().filter(|&&c| c == b'\n').count();
+                if k + 1 < chunks.len() {
+                    assert_eq!(newlines, lines);
+                    assert_eq!(chunk.last(), Some(&b'\n'));
+                } else {
+                    assert!(newlines <= lines);
+                }
+            }
+        }
+        assert_eq!(line_chunks(text, 2)[2], b"dddd\ne");
+        assert!(line_chunks(b"", 3).is_empty());
+        assert_eq!(line_chunks(b"x\n", 1), vec![b"x\n"]);
+    }
+
+    #[test]
+    fn a_reader_over_a_piece_reports_global_line_numbers() {
+        let good = "r\tA\t5\t1\t1\t+\tc\t7\n";
+        let text = format!("{good}{good}\n{good}bad line\n");
+        let whole = AlignmentReader::new(text.as_bytes())
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err();
+        let chunks = line_chunks(text.as_bytes(), 2);
+        assert_eq!(chunks.len(), 3);
+        let mut third = AlignmentReader::at_line(chunks[2], 5);
+        assert!(third.next().expect("line 5 is there").is_err());
+        assert_eq!(third.line(), 5);
+        let mut second = AlignmentReader::at_line(chunks[1], 3);
+        assert!(second.next_read().unwrap().is_some());
+        assert_eq!(second.line(), 4, "line 3 is blank");
+        let piece = AlignmentReader::at_line(chunks[2], 5)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err();
+        assert_eq!(piece.to_string(), whole.to_string());
+        assert_eq!(
+            whole.to_string(),
+            "parse error at line 5: missing field: seq"
+        );
     }
 }

@@ -62,7 +62,7 @@ use gsnp::core::metrics::cohort_metrics;
 use gsnp::core::pipeline::{ComponentTimes, PipelineStats};
 use gsnp::core::{
     call_metrics, BadSiteList, CohortCallConfig, CohortPipeline, GsnpConfig, GsnpCpuPipeline,
-    GsnpPipeline, Journal, ProgressTracker, QualityGates, SampleReads, StatsServer,
+    GsnpPipeline, Journal, ProgressTracker, QualityGates, SampleReads, SampleText, StatsServer,
 };
 use gsnp::gpu_sim::{
     AutoPolicy, BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot,
@@ -451,8 +451,6 @@ fn cmd_call(args: &[String]) -> CliResult {
     };
     let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
     let priors = PriorMap::read(BufReader::new(open(prior)?))?;
-    let reads: Vec<_> =
-        AlignmentReader::new(BufReader::new(open(aln)?)).collect::<Result<_, _>>()?;
 
     let cpu = args.iter().any(|a| a == "--cpu");
     let backend = backend_flag(args)?;
@@ -475,10 +473,18 @@ fn cmd_call(args: &[String]) -> CliResult {
         ..Default::default()
     };
     intro.journal_run_start("call", &cfg, &[aln, fa, prior])?;
+    // The device pipeline parses the file's bytes chunk by chunk inside its
+    // first pass; only the sequential oracle wants every record at once.
     let result = if cpu {
+        let reads: Vec<_> = AlignmentReader::new(BufReader::new(open(aln)?))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("{aln}: {e}"))?;
         GsnpCpuPipeline::new(cfg).run(&reads, &reference, &priors)
     } else {
-        GsnpPipeline::new(cfg).run(&reads, &reference, &priors)
+        let text = fs::read(aln).map_err(|e| format!("{aln}: {e}"))?;
+        GsnpPipeline::new(cfg)
+            .run_text(text, &reference, &priors)
+            .map_err(|e| format!("{aln}: {e}"))?
     };
     fs::write(out, &result.compressed).map_err(|e| format!("{out}: {e}"))?;
     if let Some(text_path) = flag_value(args, "--text") {
@@ -546,8 +552,8 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
     let manifest_dir = Path::new(manifest_path)
         .parent()
         .unwrap_or_else(|| Path::new("."));
-    let mut names = Vec::new();
-    let mut sample_reads = Vec::new();
+    let mut paths = Vec::new();
+    let mut samples = Vec::new();
     for line in fs::read_to_string(manifest_path)
         .map_err(|e| format!("{manifest_path}: {e}"))?
         .lines()
@@ -560,21 +566,16 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
             .split_once('\t')
             .ok_or_else(|| format!("manifest line {line:?}: expected sample<TAB>reads-file"))?;
         let reads_path = manifest_dir.join(reads_file);
-        let reads: Vec<_> = AlignmentReader::new(BufReader::new(
-            fs::File::open(&reads_path).map_err(|e| format!("{}: {e}", reads_path.display()))?,
-        ))
-        .collect::<Result<_, _>>()?;
-        names.push(name.to_string());
-        sample_reads.push(reads);
+        let text = fs::read(&reads_path).map_err(|e| format!("{}: {e}", reads_path.display()))?;
+        paths.push(reads_path);
+        samples.push(SampleText {
+            name: name.to_string(),
+            text,
+        });
     }
-    if names.is_empty() {
+    if samples.is_empty() {
         return Err("cohort manifest lists no samples".into());
     }
-    let samples: Vec<SampleReads<'_>> = names
-        .iter()
-        .zip(&sample_reads)
-        .map(|(name, reads)| SampleReads { name, reads })
-        .collect();
 
     let backend = backend_flag(args)?;
     let recorder = trace_recorder(args, backend)?;
@@ -597,10 +598,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         min_quality: flag_value(args, "--min-quality").map_or(Ok(0), str::parse)?,
         min_depth: flag_value(args, "--min-depth").map_or(Ok(0), str::parse)?,
     };
-    let mut bad_sites = match flag_value(args, "--bad-sites") {
-        Some(p) if Path::new(p).exists() => BadSiteList::parse(&fs::read_to_string(p)?)?,
-        _ => BadSiteList::new(),
-    };
+    let mut bad_sites = read_bad_sites(flag_value(args, "--bad-sites"))?;
     if let Some(t) = flag_value(args, "--bad-site-threshold") {
         bad_sites.threshold = t.parse()?;
     }
@@ -610,12 +608,13 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         gates,
         bad_sites,
     })
-    .run(&samples, &reference, &priors);
+    .run_text(samples, &reference, &priors)
+    .map_err(|e| format!("{}: {}", paths[e.sample].display(), e.error))?;
 
-    fs::create_dir_all(out_dir)?;
-    let dir = Path::new(out_dir.as_str());
+    fs::create_dir_all(out_dir).map_err(|e| format!("{out_dir}: {e}"))?;
     for lane in &result.samples {
-        fs::write(dir.join(format!("{}.gsnp", lane.name)), &lane.compressed)?;
+        let path = Path::new(out_dir.as_str()).join(format!("{}.gsnp", lane.name));
+        fs::write(&path, &lane.compressed).map_err(|e| format!("{}: {e}", path.display()))?;
         if !intro.quiet {
             eprintln!(
                 "  {}: {} variants, {} gated, {} forced → {} bytes",
@@ -640,10 +639,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
     // Persistent feedback: sites gated in at least half the covered
     // samples earn a strike; the rewritten file downweights them next run.
     if let Some(path) = flag_value(args, "--bad-sites") {
-        let mut list = match Path::new(path).exists() {
-            true => BadSiteList::parse(&fs::read_to_string(path)?)?,
-            false => BadSiteList::new(),
-        };
+        let mut list = read_bad_sites(Some(path))?;
         list.absorb(&result.noisy_sites);
         fs::write(path, list.serialize()).map_err(|e| format!("{path}: {e}"))?;
         if !intro.quiet {
@@ -669,6 +665,18 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         );
     }
     Ok(())
+}
+
+/// The `--bad-sites` list as it stands on disk: empty when the flag is
+/// absent or the file does not exist yet (the first run creates it).
+fn read_bad_sites(path: Option<&str>) -> Result<BadSiteList, String> {
+    match path {
+        Some(p) if Path::new(p).exists() => {
+            let text = fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+            BadSiteList::parse(&text).map_err(|e| format!("{p}: {e}"))
+        }
+        _ => Ok(BadSiteList::new()),
+    }
 }
 
 /// Open a file for reading with the path baked into any error (bare

@@ -5,7 +5,9 @@
 //! `call --text` all go through a buffered writer, must write the same
 //! bytes, and must still turn a full disk into an error naming the path —
 //! a dropped `BufWriter` would swallow it. Diagnostics: `--backend auto
-//! --trace` says on stderr that it runs all-sim, unless `-q`.
+//! --trace` says on stderr that it runs all-sim, unless `-q`. Cohort
+//! calls name the path in every I/O error, and a call pinned to one CPU
+//! (the worker pool's serial path) writes the bytes an unpinned one does.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -118,6 +120,90 @@ fn auto_with_trace_says_it_runs_all_sim_unless_quiet() {
     // Same bytes as the untraced native run `called` made.
     assert!(
         std::fs::read(dir.join("auto.gsnp")).unwrap()
+            == std::fs::read(dir.join("out.gsnp")).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cohort_io_errors_name_the_path() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_cohort_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&[
+        "synth",
+        &d(""),
+        "--sites",
+        "3000",
+        "--depth",
+        "4",
+        "--samples",
+        "2",
+    ]);
+    let call = |out: &str, extra: &[&str]| {
+        let (tsv, fa, priors) = (d("cohort.tsv"), d("reference.fa"), d("priors.txt"));
+        let mut args = vec!["call", "--cohort", &tsv, &fa, &priors, out, "-q"];
+        args.extend(extra);
+        let run = gsnp(&args);
+        assert!(!run.status.success(), "gsnp {args:?} succeeded");
+        String::from_utf8(run.stderr).unwrap()
+    };
+    // An output directory that cannot be created (its parent is a file;
+    // permission bits would not stop a test running as root) ...
+    let under_a_file = d("reference.fa/out");
+    let stderr = call(&under_a_file, &[]);
+    assert!(stderr.contains(&under_a_file), "no path in: {stderr}");
+    // ... one that exists but cannot take the sample's file ...
+    std::fs::create_dir_all(dir.join("out/s0.gsnp")).unwrap();
+    let stderr = call(&d("out"), &[]);
+    assert!(stderr.contains(&d("out/s0.gsnp")), "no path in: {stderr}");
+    // ... and a bad-site list that exists but cannot be read.
+    let stderr = call(&d("out2"), &["--bad-sites", &d("out")]);
+    assert!(
+        stderr.contains(&format!("{}: ", d("out"))),
+        "no path in: {stderr}"
+    );
+    assert!(
+        !dir.join("out2").exists(),
+        "ran despite the unreadable list"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_cpu_and_all_cpus_write_the_same_bytes() {
+    let on_one_cpu = |args: &[&str]| {
+        let mut pinned = vec!["-c", "0", env!("CARGO_BIN_EXE_gsnp")];
+        pinned.extend(args);
+        Command::new("taskset").args(pinned).output()
+    };
+    if !on_one_cpu(&["stats"]).is_ok_and(|o| o.status.code() == Some(1)) {
+        eprintln!("skipping: no working taskset on this platform");
+        return;
+    }
+    // 5 000 reads: two first-pass chunks, so the unpinned run counts and
+    // encodes them on different threads and sums the counts in either order.
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_pin_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&["synth", &d(""), "--sites", "50000", "--depth", "10"]);
+    let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
+    let (out, pinned_out) = (d("out.gsnp"), d("pinned.gsnp"));
+    let call = |out| {
+        [
+            "call",
+            &reads,
+            &fa,
+            &priors,
+            out,
+            "--backend",
+            "native",
+            "-q",
+        ]
+    };
+    ok(&call(&out));
+    let pinned = on_one_cpu(&call(&pinned_out)).unwrap();
+    assert!(pinned.status.success(), "{pinned:?}");
+    assert!(
+        std::fs::read(dir.join("pinned.gsnp")).unwrap()
             == std::fs::read(dir.join("out.gsnp")).unwrap()
     );
     std::fs::remove_dir_all(&dir).ok();

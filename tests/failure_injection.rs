@@ -1,5 +1,7 @@
 //! Failure injection: malformed files, corrupted streams, and boundary
 //! abuse must produce errors, never panics or silent corruption.
+//! Hostile alignment files are also fed to the `gsnp` binary itself: the
+//! error must name the file and the line, and no output may be written.
 
 use std::io::Cursor;
 
@@ -158,4 +160,114 @@ fn quality_above_six_bits_rejected_at_parse() {
     // Packing would silently wrap a 7-bit quality; the parser must refuse.
     let line = format!("r\tA\t{}\t1\t1\t+\tc\t5", char::from(33 + 64));
     assert!(AlignedRead::parse_line(&line, 1).is_err());
+}
+
+/// `gsnp call` (device pipeline and `--cpu`) and `gsnp call --cohort` on a
+/// small valid data set whose alignment text `damage` has rewritten: each
+/// must fail, saying `expect` about the damaged file, without panicking and
+/// without leaving an output file.
+fn cli_rejects(tag: &str, damage: impl Fn(&str) -> String, expect: &str) {
+    use std::process::Command;
+    let gsnp = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_gsnp"))
+            .args(args)
+            .output()
+            .expect("the gsnp binary runs")
+    };
+    let dir = std::env::temp_dir().join(format!("gsnp_fi_{tag}_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    let synth = gsnp(&["synth", &d(""), "--sites", "3000", "--depth", "4"]);
+    assert!(synth.status.success());
+    let reads = std::fs::read_to_string(dir.join("reads.soap")).unwrap();
+    std::fs::write(dir.join("reads.soap"), damage(&reads)).unwrap();
+    std::fs::write(dir.join("cohort.tsv"), "only\treads.soap\n").unwrap();
+
+    let (fa, priors) = (d("reference.fa"), d("priors.txt"));
+    let runs: [(&[&str], String); 3] = [
+        (&[&d("reads.soap")], d("out.gsnp")),
+        (&["--cpu", &d("reads.soap")], d("out.gsnp")),
+        (&["--cohort", &d("cohort.tsv")], d("outdir")),
+    ];
+    for (input, out) in &runs {
+        let mut args = vec!["call"];
+        args.extend(*input);
+        args.extend([fa.as_str(), &priors, out, "-q"]);
+        let run = gsnp(&args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let said = format!("{}: {expect}", d("reads.soap"));
+        assert!(
+            stderr.contains(&said),
+            "{args:?} said {stderr:?}, not {said:?}"
+        );
+        assert!(!std::path::Path::new(out).exists(), "{args:?} left {out}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `text` with the record on 1-based `line` replaced by `edit(record)`.
+fn edit_line(text: &str, line: usize, edit: impl Fn(Vec<&str>) -> String) -> String {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| {
+            if i + 1 == line {
+                edit(l.split('\t').collect()) + "\n"
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn cli_names_file_and_line_of_a_zero_hit_count() {
+    cli_rejects(
+        "nhits",
+        |text| {
+            edit_line(text, 57, |mut f| {
+                f[3] = "0";
+                f.join("\t")
+            })
+        },
+        "parse error at line 57: nhits must be at least 1",
+    );
+}
+
+#[test]
+fn cli_names_file_and_line_of_an_overlong_read() {
+    cli_rejects(
+        "long",
+        |text| {
+            edit_line(text, 101, |f| {
+                let (seq, qual) = ("ACGT".repeat(65), "5".repeat(260));
+                [f[0], &seq, &qual, f[3], "260", f[5], f[6], f[7]].join("\t")
+            })
+        },
+        "parse error at line 101: read longer than 256 bases",
+    );
+}
+
+#[test]
+fn cli_names_file_and_line_of_a_truncated_or_unsorted_file() {
+    // Cut in the middle of the last record: its quality string is short.
+    cli_rejects(
+        "cut",
+        |text| {
+            let keep: Vec<&str> = text.lines().take(80).collect();
+            let last = keep[79];
+            format!("{}\n{}", keep[..79].join("\n"), &last[..last.len() / 2])
+        },
+        "parse error at line 80: missing field",
+    );
+    cli_rejects(
+        "unsorted",
+        |text| {
+            edit_line(text, 90, |mut f| {
+                f[7] = "1";
+                f.join("\t")
+            })
+        },
+        "invariant violation: alignment file not sorted at line 90: pos 1 after",
+    );
 }
