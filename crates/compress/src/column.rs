@@ -396,10 +396,33 @@ pub fn write_window_gpu<B: gpu_sim::ComputeBackend>(
     stats
 }
 
-/// Append many compressed windows in ONE batched device-launch chain: the
-/// quality columns of every table are projected into one segment list and
-/// run through [`crate::gpu::rledict_gpu_batch`], so the whole batch costs
-/// 18 device launches instead of ~18 per column per window. The emitted
+/// One window's column jobs in stream order: the base group, the seven
+/// RLE-DICT columns, the except group, the sparse group.
+const JOBS_PER_WINDOW: usize = EXCEPT_JOB + 2;
+const EXCEPT_JOB: usize = 1 + RLEDICT_COLS.len();
+
+/// Job `job < JOBS_PER_WINDOW` of a window, on the host: project the
+/// column(s) from the rows and encode them into fresh bytes.
+fn encode_column_job(rows: &[SnpRow], job: usize) -> Vec<u8> {
+    match job {
+        0 => encode_base_group(rows),
+        EXCEPT_JOB => encode_except_group(rows),
+        j if j < EXCEPT_JOB => {
+            let column: Vec<u32> = rows.iter().map(RLEDICT_COLS[j - 1]).collect();
+            rledict::encode_to_vec(&column)
+        }
+        _ => encode_sparse_group(rows),
+    }
+}
+
+/// Append many compressed windows from ONE batched encode: the quality
+/// columns of every table are projected into one segment list and run
+/// through the [`crate::gpu::rledict_gpu_batch`] chain, so the whole batch
+/// costs 18 device launches instead of ~18 per column per window. Where
+/// that chain would execute natively ([`gpu_sim::ComputeBackend::native_arm`],
+/// asked once per batch) the batch is instead ONE launch whose blocks are
+/// every (window, column job) pair on the host codecs — the three host
+/// groups included, which the chain path encodes serially. The emitted
 /// bytes are identical, frame for frame, to calling [`write_window_gpu`]
 /// on each table in order.
 pub fn write_windows_gpu_batch<B: gpu_sim::ComputeBackend>(
@@ -407,27 +430,42 @@ pub fn write_windows_gpu_batch<B: gpu_sim::ComputeBackend>(
     out: &mut Vec<u8>,
     tables: &[SnpTable],
 ) -> gpu_sim::LaunchStats {
-    // Project every (window, column) pair into a segment.
-    let mut columns: Vec<Vec<u32>> = Vec::with_capacity(tables.len() * RLEDICT_COLS.len());
-    for t in tables {
-        for f in RLEDICT_COLS {
-            columns.push(t.rows.iter().map(f).collect());
+    let n = tables.iter().map(|t| t.rows.len()).sum::<usize>() * RLEDICT_COLS.len();
+    // `JOBS_PER_WINDOW` byte strings per window, in stream order.
+    let (parts, stats) = if let Some(native) = dev.native_arm(crate::gpu::chain_grid(n)) {
+        crate::gpu::encode_host_jobs(&native, tables.len() * JOBS_PER_WINDOW, |b| {
+            encode_column_job(&tables[b / JOBS_PER_WINDOW].rows, b % JOBS_PER_WINDOW)
+        })
+    } else {
+        // Project every (window, column) pair into a segment.
+        let mut columns: Vec<Vec<u32>> = Vec::with_capacity(tables.len() * RLEDICT_COLS.len());
+        for t in tables {
+            for f in RLEDICT_COLS {
+                columns.push(t.rows.iter().map(f).collect());
+            }
         }
-    }
-    let seg_refs: Vec<&[u32]> = columns.iter().map(Vec::as_slice).collect();
-    let (seg_bytes, stats) = crate::gpu::rledict_gpu_batch(dev, &seg_refs);
+        let seg_refs: Vec<&[u32]> = columns.iter().map(Vec::as_slice).collect();
+        let (seg_bytes, stats) = crate::gpu::rledict_chain_batch(dev, &seg_refs);
 
-    // Host-side groups and frame assembly, window by window, preserving the
-    // exact layout of the per-window writer.
-    for (w, t) in tables.iter().enumerate() {
+        // Host-side groups, window by window.
+        let mut seg_bytes = seg_bytes.into_iter();
+        let mut parts = Vec::with_capacity(tables.len() * JOBS_PER_WINDOW);
+        for t in tables {
+            parts.push(encode_base_group(&t.rows));
+            parts.extend(seg_bytes.by_ref().take(RLEDICT_COLS.len()));
+            parts.push(encode_except_group(&t.rows));
+            parts.push(encode_sparse_group(&t.rows));
+        }
+        (parts, stats)
+    };
+
+    // Frame assembly, preserving the exact layout of the per-window writer.
+    for (t, window_parts) in tables.iter().zip(parts.chunks(JOBS_PER_WINDOW)) {
         let slot = reserve_len_slot(out);
         write_header(t, out);
-        out.extend_from_slice(&encode_base_group(&t.rows));
-        for b in &seg_bytes[w * RLEDICT_COLS.len()..(w + 1) * RLEDICT_COLS.len()] {
-            out.extend_from_slice(b);
+        for part in window_parts {
+            out.extend_from_slice(part);
         }
-        out.extend_from_slice(&encode_except_group(&t.rows));
-        out.extend_from_slice(&encode_sparse_group(&t.rows));
         backfill_len_slot(out, slot);
     }
     stats
@@ -619,6 +657,95 @@ mod tests {
         assert_eq!(windows, tables);
     }
 
+    /// `write_windows_gpu_batch` on the simulator (18-launch chain), on the
+    /// native executor and under auto dispatch (the native arm: ONE launch
+    /// of every window's ten column jobs) against `write_window`, i.e.
+    /// `compress_table` frame by frame.
+    fn assert_output_arms_agree(tables: &[SnpTable]) {
+        use gpu_sim::{BackendChoice, BackendDispatcher, Device, NativeBackend};
+        let mut host = Vec::new();
+        for t in tables {
+            write_window(&mut host, t);
+        }
+        let rows: usize = tables.iter().map(|t| t.rows.len()).sum();
+
+        let dev = Device::m2050();
+        let mut sim = Vec::new();
+        write_windows_gpu_batch(&dev, &mut sim, tables);
+        assert_eq!(sim, host, "simulator chain");
+        let led = dev.ledger();
+        assert_eq!(led.launches, if rows == 0 { 0 } else { 18 });
+        assert_eq!(led.backend.native, 0);
+
+        let dev = Device::m2050();
+        let native = NativeBackend::new(&dev).unwrap();
+        let mut out = Vec::new();
+        let stats = write_windows_gpu_batch(&native, &mut out, tables);
+        assert_eq!(out, host, "native arm");
+        assert_eq!(stats.counters, gpu_sim::HwCounters::default());
+        let led = dev.ledger();
+        assert_eq!((led.launches, led.backend.native), (1, 1));
+        let tallies = dev.kernel_launches();
+        assert_eq!(tallies.len(), 1, "{tallies:?}");
+        assert_eq!(tallies[0].name, crate::gpu::HOST_JOBS_KERNEL);
+
+        let dev = Device::m2050();
+        let auto = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
+        let mut out = Vec::new();
+        write_windows_gpu_batch(&auto, &mut out, tables);
+        assert_eq!(out, host, "auto");
+        let led = dev.ledger();
+        assert_eq!(led.backend.auto_sim + led.backend.auto_native, led.launches);
+        if crate::gpu::chain_grid(rows * RLEDICT_COLS.len()) >= 8 {
+            assert_eq!((led.launches, led.backend.auto_native), (1, 1));
+        } else {
+            assert_eq!(led.backend.native, 0, "sub-threshold batch stays simulated");
+        }
+    }
+
+    /// Tables built to break an output arm: no rows, one row, every column
+    /// one run, no column with a run, runs past `u16::MAX` rows.
+    fn hostile_tables() -> Vec<SnpTable> {
+        let distinct = |i: usize| SnpRow {
+            quality: (i % 100) as u8,
+            avg_qual_best: (i % 64) as u8,
+            count_uniq_best: i as u16,
+            count_all_best: (i * 3) as u16,
+            depth: (i * 7) as u16,
+            rank_sum_milli: (i % 1001) as u16,
+            copy_milli: (i * 13) as u16,
+            count_all_second: i as u16,
+            ..realistic_row(i)
+        };
+        vec![
+            SnpTable::new("chrE", 9_000, vec![]),
+            SnpTable::new("c", 1, vec![realistic_row(211)]),
+            SnpTable::new("chr1", 0, vec![realistic_row(7); 2_000]),
+            SnpTable::new("chr1", 40, (0..2_000).map(distinct).collect()),
+            SnpTable::new("chrL", 5, vec![realistic_row(3); 70_000]),
+            realistic_table(3_000),
+        ]
+    }
+
+    #[test]
+    fn native_output_arm_matches_chain_on_hostile_tables() {
+        let hostile = hostile_tables();
+        for batch in [1usize, 2, 8] {
+            for first in 0..hostile.len() {
+                let tables: Vec<SnpTable> = (0..batch)
+                    .map(|k| hostile[(first + k) % hostile.len()].clone())
+                    .collect();
+                assert_output_arms_agree(&tables);
+            }
+        }
+        // A zero-row table between two full ones.
+        assert_output_arms_agree(&[
+            realistic_table(3_000),
+            SnpTable::new("chrE", 3_000, vec![]),
+            realistic_table(1_777),
+        ]);
+    }
+
     #[test]
     fn bad_magic_rejected() {
         let mut bytes = compress_table(&realistic_table(10));
@@ -657,6 +784,22 @@ mod tests {
             let t = SnpTable::new("chrP", start, rows);
             let bytes = compress_table(&t);
             prop_assert_eq!(decompress_table(&bytes).unwrap(), t);
+        }
+
+        #[test]
+        fn output_arms_agree_on_arbitrary_batches(
+            batch_sel in 0usize..3,          // index into {1, 2, 8}
+            shapes in proptest::collection::vec((0usize..1_200, 0usize..400), 8),
+        ) {
+            // Each table is a slice of the realistic row stream, some empty.
+            let tables: Vec<SnpTable> = shapes[..[1usize, 2, 8][batch_sel]]
+                .iter()
+                .map(|&(n, skip)| {
+                    let n = if n % 5 == 0 { 0 } else { n };
+                    SnpTable::new("chrP", skip as u64, (skip..skip + n).map(realistic_row).collect())
+                })
+                .collect();
+            assert_output_arms_agree(&tables);
         }
     }
 }

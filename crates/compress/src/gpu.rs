@@ -7,13 +7,56 @@
 //! simulated device and produces **byte-identical** output to the CPU
 //! [`crate::rledict`] codec, so either path can decode the other's stream.
 
+use std::sync::OnceLock;
+
 use gpu_sim::primitives::{
     binary_search_indices, exclusive_scan, scatter_footprint, unique_sorted, BLOCK,
 };
-use gpu_sim::{AccessContract, ComputeBackend, Footprint, GlobalBuffer, LaunchStats};
+use gpu_sim::{
+    AccessContract, ComputeBackend, Footprint, GlobalBuffer, LaunchStats, NativeBackend,
+};
 
 use crate::bitio::BitWriter;
-use crate::dict;
+use crate::{dict, rledict};
+
+/// Kernel name of the batched chain's native arm (see [`encode_host_jobs`]).
+pub const HOST_JOBS_KERNEL: &str = "rledict_host_jobs";
+
+/// The launch grid of the batched chain's element-wise kernels over `n`
+/// concatenated column elements — what [`ComputeBackend::native_arm`] is
+/// asked about.
+pub(crate) fn chain_grid(n: usize) -> usize {
+    n.div_ceil(BLOCK)
+}
+
+/// The batched chain's native arm: `jobs` independent host encoders as the
+/// blocks of ONE contracted launch, block `b` filling slot `b`.
+///
+/// The chain exists because scan/scatter/search are nearly free on the
+/// device; on the host the sequential codec writes the same bytes in one
+/// pass per column, so each processor gets the algorithm it is good at.
+/// Jobs read host rows and write host byte vectors — no device buffer — so
+/// the contract is empty and trivially proved, which is what admits the
+/// launch on a sanitized device.
+pub(crate) fn encode_host_jobs<F>(
+    native: &NativeBackend<'_>,
+    jobs: usize,
+    job: F,
+) -> (Vec<Vec<u8>>, LaunchStats)
+where
+    F: Fn(usize) -> Vec<u8> + Sync,
+{
+    let slots: Vec<OnceLock<Vec<u8>>> = (0..jobs).map(|_| OnceLock::new()).collect();
+    let stats = native.launch_contracted(HOST_JOBS_KERNEL, jobs, AccessContract::default, |ctx| {
+        let b = ctx.block_idx();
+        slots[b].set(job(b)).expect("one block per slot");
+    });
+    let bytes = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every block ran"))
+        .collect();
+    (bytes, stats)
+}
 
 /// Run-length encode on the device: returns `(values, lengths)` plus the
 /// accumulated launch statistics.
@@ -158,7 +201,24 @@ pub fn rledict_gpu<B: ComputeBackend>(dev: &B, data: &[u32]) -> (Vec<u8>, Launch
 /// ~18 *per column* for repeated [`rledict_gpu`] calls. Each returned byte
 /// vector is identical to [`rledict_gpu`] (and therefore to
 /// [`crate::rledict::encode_to_vec`]) on that segment alone.
+///
+/// Where the chain would execute natively ([`ComputeBackend::native_arm`])
+/// it is replaced by ONE launch of one host-codec job per segment.
 pub fn rledict_gpu_batch<B: ComputeBackend>(
+    dev: &B,
+    segments: &[&[u32]],
+) -> (Vec<Vec<u8>>, LaunchStats) {
+    let num_segs = segments.len();
+    let n: usize = segments.iter().map(|s| s.len()).sum();
+    if let Some(native) = dev.native_arm(chain_grid(n)) {
+        return encode_host_jobs(&native, num_segs, |j| rledict::encode_to_vec(segments[j]));
+    }
+    rledict_chain_batch(dev, segments)
+}
+
+/// The simulator arm of [`rledict_gpu_batch`]: the 18-launch chain itself,
+/// every launch going through `dev`'s own dispatch.
+pub(crate) fn rledict_chain_batch<B: ComputeBackend>(
     dev: &B,
     segments: &[&[u32]],
 ) -> (Vec<Vec<u8>>, LaunchStats) {
@@ -178,7 +238,7 @@ pub fn rledict_gpu_batch<B: ComputeBackend>(
 
     let input = dev.upload_pooled(&concat);
     let head_buf = dev.upload_pooled(&heads);
-    let grid = n.div_ceil(BLOCK);
+    let grid = chain_grid(n);
 
     // Flag run heads; a segment's first element is always a head so runs
     // never merge across a boundary. `heads[0] == 1` whenever n > 0, so
@@ -452,7 +512,7 @@ fn dict_gpu_segmented<B: ComputeBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{rle, rledict};
+    use crate::rle;
     use gpu_sim::Device;
     use proptest::prelude::*;
 
@@ -567,8 +627,113 @@ mod tests {
         assert_eq!(counts.overwide_declarations, 0);
     }
 
+    /// Columns built to break a codec arm: empty, one element, one long
+    /// run, no run at all, a run past `u16::MAX`, values past `u16::MAX`.
+    fn hostile_segments() -> Vec<Vec<u32>> {
+        let mut long_run = vec![3u32; 70_000];
+        long_run.extend([4, 4, 3]);
+        vec![
+            Vec::new(),
+            vec![9],
+            vec![5; 3_000],
+            (0..3_000).collect(),
+            long_run,
+            (0..2_000u32).map(|i| 65_536 + (i / 7) * 100_003).collect(),
+        ]
+    }
+
+    /// `rledict_gpu_batch` on the simulator (the chain), on the native
+    /// executor and under an auto dispatcher (the native arm, one launch),
+    /// against the host codec.
+    fn assert_arms_agree(segs: &[Vec<u32>]) {
+        use gpu_sim::{BackendChoice, BackendDispatcher};
+        let refs: Vec<&[u32]> = segs.iter().map(Vec::as_slice).collect();
+        let host: Vec<Vec<u8>> = segs.iter().map(|s| rledict::encode_to_vec(s)).collect();
+        let n: usize = segs.iter().map(Vec::len).sum();
+
+        let dev = Device::m2050();
+        assert_eq!(rledict_gpu_batch(&dev, &refs).0, host, "simulator chain");
+        assert_eq!(dev.ledger().backend.native, 0);
+
+        let dev = Device::m2050();
+        let native = NativeBackend::new(&dev).unwrap();
+        assert_eq!(rledict_gpu_batch(&native, &refs).0, host, "native arm");
+        let led = dev.ledger();
+        assert_eq!(led.launches, u64::from(!segs.is_empty()));
+        assert_eq!(led.backend.native, led.launches);
+
+        let dev = Device::m2050();
+        let auto = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
+        assert_eq!(rledict_gpu_batch(&auto, &refs).0, host, "auto");
+        let led = dev.ledger();
+        assert_eq!(
+            led.backend.auto_sim + led.backend.auto_native,
+            led.launches,
+            "one decision per launch"
+        );
+        if chain_grid(n) >= 8 {
+            assert_eq!(
+                (led.launches, led.backend.native),
+                (1, 1),
+                "auto takes the arm"
+            );
+        } else {
+            assert_eq!(
+                led.backend.native, 0,
+                "a sub-threshold chain stays simulated"
+            );
+        }
+    }
+
+    #[test]
+    fn native_arm_matches_chain_on_hostile_segments() {
+        let hostile = hostile_segments();
+        for batch in [1usize, 2, 8] {
+            for first in 0..hostile.len() {
+                let segs: Vec<Vec<u32>> = (0..batch)
+                    .map(|k| hostile[(first + k) % hostile.len()].clone())
+                    .collect();
+                assert_arms_agree(&segs);
+            }
+        }
+    }
+
+    #[test]
+    fn native_arm_is_one_contracted_launch_named_in_the_tally() {
+        use gpu_sim::{DeviceConfig, SanitizerConfig};
+        let dev = gpu_sim::Device::new(DeviceConfig::tesla_m2050())
+            .with_sanitizer(SanitizerConfig::all())
+            .with_contracts();
+        let native = NativeBackend::new(&dev).unwrap();
+        let segs = hostile_segments();
+        let refs: Vec<&[u32]> = segs.iter().map(Vec::as_slice).collect();
+        rledict_gpu_batch(&native, &refs);
+        let tallies = dev.kernel_launches();
+        assert_eq!(tallies.len(), 1, "{tallies:?}");
+        assert_eq!(tallies[0].name, HOST_JOBS_KERNEL);
+        assert_eq!((tallies[0].launches, tallies[0].native_launches), (1, 1));
+        let totals = dev.contract_report().totals();
+        assert_eq!((totals.verified, totals.refuted, totals.assumed), (1, 0, 0));
+        assert!(dev.sanitizer_report().unwrap().counts.is_clean());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn native_arm_parity_arbitrary_segments(
+            batch_sel in 0usize..3,          // index into {1, 2, 8}
+            pool in proptest::collection::vec(
+                prop_oneof![
+                    proptest::collection::vec(0u32..50, 0..400),
+                    proptest::collection::vec(any::<u32>(), 0..200),
+                    (any::<u32>(), 0usize..2_500).prop_map(|(v, n)| vec![v; n]),
+                ],
+                8,
+            ),
+        ) {
+            assert_arms_agree(&pool[..[1usize, 2, 8][batch_sel]]);
+        }
+
         #[test]
         fn gpu_cpu_parity(data in proptest::collection::vec(0u32..50, 0..1500)) {
             let dev = Device::m2050();

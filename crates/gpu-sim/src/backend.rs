@@ -640,6 +640,24 @@ pub trait ComputeBackend: Sync {
         sim_launch_contracted_seq(self.device(), name, grid_dim, contract, kernel)
     }
 
+    /// The native executor over this backend's device, if a *chain* of
+    /// contracted launches over `grid_dim` blocks would execute there;
+    /// `None` when the chain belongs to the simulator (the default).
+    ///
+    /// A multi-launch algorithm with a host form — RLE-DICT's
+    /// flags/scan/scatter/search chain versus the sequential codec — asks
+    /// once per batch and, given an executor, runs its host form as ONE
+    /// contracted launch on it instead of the chain. An
+    /// [`BackendChoice::Auto`] dispatcher tallies a `Some` answer as that
+    /// launch's dispatch decision (the launch itself bypasses the
+    /// dispatcher, so decisions still sum to launches); after `None` the
+    /// chain's own launches are dispatched and tallied one by one as
+    /// before.
+    fn native_arm(&self, grid_dim: usize) -> Option<NativeBackend<'_>> {
+        let _ = grid_dim;
+        None
+    }
+
     /// Device configuration (forwarded).
     fn config(&self) -> &DeviceConfig {
         self.device().config()
@@ -1007,6 +1025,10 @@ impl ComputeBackend for NativeBackend<'_> {
     {
         native_launch_contracted_seq(self.dev, name, grid_dim, contract, kernel)
     }
+
+    fn native_arm(&self, _grid_dim: usize) -> Option<NativeBackend<'_>> {
+        Some(NativeBackend { dev: self.dev })
+    }
 }
 
 /// Workload-size policy for [`BackendChoice::Auto`].
@@ -1224,6 +1246,20 @@ impl ComputeBackend for BackendDispatcher<'_> {
                 }
             }
         }
+    }
+
+    fn native_arm(&self, grid_dim: usize) -> Option<NativeBackend<'_>> {
+        match self.choice {
+            BackendChoice::Sim => return None,
+            BackendChoice::Native => {}
+            BackendChoice::Auto => {
+                if self.pick_sim_contracted(grid_dim) {
+                    return None;
+                }
+                self.dev.record_auto_decision(false);
+            }
+        }
+        Some(NativeBackend { dev: self.dev })
     }
 }
 
@@ -1544,6 +1580,39 @@ mod tests {
                 .unwrap() as u32,
         );
         assert_eq!(snap.count_events(kernels, "dispatch_sim"), 1);
+    }
+
+    #[test]
+    fn native_arm_follows_the_backend_and_tallies_auto_once() {
+        let dev = Device::m2050();
+        assert!(dev.native_arm(1 << 20).is_none());
+        assert!(SimBackend::new(&dev).native_arm(1 << 20).is_none());
+        assert!(NativeBackend::new(&dev).unwrap().native_arm(0).is_some());
+        let pinned = |c| BackendDispatcher::new(&dev, c).unwrap();
+        assert!(pinned(BackendChoice::Sim).native_arm(1 << 20).is_none());
+        assert!(pinned(BackendChoice::Native).native_arm(0).is_some());
+        assert_eq!(dev.ledger().backend, BackendTallies::default());
+
+        // Auto: the contracted-launch rule on the chain's grid. Only a
+        // native answer is a decision; the arm's one launch goes straight
+        // to the executor, so decisions and launches stay equal.
+        let auto = pinned(BackendChoice::Auto);
+        assert!(auto.native_arm(7).is_none());
+        assert_eq!(dev.ledger().backend, BackendTallies::default());
+        let arm = auto.native_arm(8).expect("grid at the threshold");
+        arm.launch_contracted("host_form", 3, AccessContract::default, |_ctx| {});
+        let t = dev.ledger().backend;
+        assert_eq!((t.auto_native, t.auto_sim, t.native, t.sim), (1, 0, 1, 0));
+        assert_eq!(dev.ledger().launches, 1);
+
+        // Sim-only observables keep the chain on the simulator.
+        let rec = Arc::new(TraceRecorder::new(64));
+        let traced = Device::m2050().with_trace(&rec, 0);
+        let auto = BackendDispatcher::new(&traced, BackendChoice::Auto).unwrap();
+        assert!(auto.native_arm(1 << 20).is_none());
+        let conf = Device::m2050().with_sanitizer(SanitizerConfig::all().with_conformance());
+        let auto = BackendDispatcher::new(&conf, BackendChoice::Auto).unwrap();
+        assert!(auto.native_arm(1 << 20).is_none());
     }
 
     #[test]

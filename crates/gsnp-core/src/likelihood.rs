@@ -23,6 +23,7 @@ use gpu_sim::{
     AccessContract, BlockInterval, ComputeBackend, ConstBuffer, Device, DeviceGroup, Footprint,
     GlobalBuffer, LaunchStats,
 };
+use seqio::soap::MAX_READ_LEN;
 use sortnet::multipass::{multipass_sort_into, MultipassReport, MultipassScratch};
 
 use crate::baseword;
@@ -94,6 +95,11 @@ pub fn likelihood_dense_site(occ: &[u8], p: &PMatrix, lt: &LogTable) -> [f64; NU
     type_likely
 }
 
+/// Dependency counters of one site, one per `(strand, coord)`: a read is
+/// at most [`MAX_READ_LEN`] bases, so the sparse host scans keep them on
+/// the stack instead of allocating per site.
+const DEP_SLOTS: usize = 2 * MAX_READ_LEN;
+
 /// Algorithm 4 with Algorithm-2 math: scan a canonically-sorted
 /// `base_word` array, computing each genotype term from two `p_matrix`
 /// reads and a `log10` (the *baseline* kernel's arithmetic).
@@ -104,7 +110,8 @@ pub fn likelihood_sparse_site_pmatrix(
     lt: &LogTable,
 ) -> [f64; NUM_GENOTYPES] {
     let mut type_likely = [0f64; NUM_GENOTYPES];
-    let mut dep_count = vec![0u16; 2 * read_len];
+    let mut dep_slots = [0u16; DEP_SLOTS];
+    let dep_count = &mut dep_slots[..2 * read_len];
     let mut last_base = 0u8;
     for &w in words_sorted {
         let (base, score, coord, strand, _uniq) = baseword::unpack(w);
@@ -135,7 +142,8 @@ pub fn likelihood_sparse_site(
     lt: &LogTable,
 ) -> [f64; NUM_GENOTYPES] {
     let mut type_likely = [0f64; NUM_GENOTYPES];
-    let mut dep_count = vec![0u16; 2 * read_len];
+    let mut dep_slots = [0u16; DEP_SLOTS];
+    let dep_count = &mut dep_slots[..2 * read_len];
     let mut last_base = 0u8;
     for &w in words_sorted {
         let (base, score, coord, strand, _uniq) = baseword::unpack(w);

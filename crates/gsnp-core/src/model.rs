@@ -95,8 +95,7 @@ impl Default for ModelParams {
 #[inline(always)]
 pub fn adjust(score: u8, dep_count: u16, log_table: &LogTable) -> u8 {
     let k = dep_count.clamp(1, 64);
-    let penalty = (10.0 * log_table.log10_int(k as usize)).round() as i32;
-    (i32::from(score) - penalty).max(0) as u8
+    score.saturating_sub(log_table.penalty(k as usize))
 }
 
 /// Per-site observation summary feeding the non-likelihood result columns.

@@ -28,6 +28,9 @@ pub const COORD_DIM: usize = 256;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogTable {
     values: [f64; 65],
+    /// `round(10·log10 k)` per entry: [`crate::model::adjust`]'s penalty,
+    /// rounded here once instead of once per observation.
+    penalties: [u8; 65],
 }
 
 impl LogTable {
@@ -38,13 +41,21 @@ impl LogTable {
         for (i, v) in values.iter_mut().enumerate().skip(1) {
             *v = (i as f64).log10();
         }
-        LogTable { values }
+        // At most round(10·log10 64) = 18.
+        let penalties = values.map(|v| (10.0 * v).round() as u8);
+        LogTable { values, penalties }
     }
 
     /// `log10(k)` for integer `k ≤ 64`.
     #[inline(always)]
     pub fn log10_int(&self, k: usize) -> f64 {
         self.values[k]
+    }
+
+    /// `round(10·log10 k)` for integer `k ≤ 64`, in Phred units.
+    #[inline(always)]
+    pub fn penalty(&self, k: usize) -> u8 {
+        self.penalties[k]
     }
 
     /// Raw table contents (uploaded to constant memory by the kernels).
@@ -367,6 +378,12 @@ mod tests {
         assert!((lt.log10_int(10) - 1.0).abs() < 1e-12);
         assert!((lt.log10_int(2) - 2f64.log10()).abs() < 1e-15);
         assert_eq!(lt.as_slice().len(), 65);
+        // The kernels' simulator arm still rounds per observation from
+        // constant memory; the precomputed penalties must agree with it.
+        for k in 0..=64 {
+            let rounded = (10.0 * lt.log10_int(k)).round();
+            assert_eq!(f64::from(lt.penalty(k)), rounded, "k={k}");
+        }
     }
 
     #[test]

@@ -431,8 +431,9 @@ fn trace_recorder(
             )
         }
         BackendChoice::Auto if !quiet_flag(args) => eprintln!(
-            "gsnp: --trace with --backend auto routes every launch to the simulator \
-             (kernel trace spans carry sim-only counters); expect --backend sim wall time"
+            "gsnp: --trace with --backend auto routes every launch to the simulator, \
+             the output stage's RLE-DICT chain included (kernel trace spans carry \
+             sim-only counters); expect --backend sim wall time"
         ),
         _ => {}
     }

@@ -122,6 +122,69 @@ fn auto_mixed_stream_is_byte_identical() {
     );
 }
 
+/// Launches of `kernel` over a run's devices: `(all, native)`.
+fn kernel_launches(out: &GsnpOutput, kernel: &str) -> (u64, u64) {
+    let of = |f: fn(&gsnp::gpu_sim::KernelTally) -> u64| {
+        let tallies = &out.stats.kernel_launches;
+        tallies.iter().filter(|t| t.name == kernel).map(f).sum()
+    };
+    (of(|t| t.launches), of(|t| t.native_launches))
+}
+
+/// The output stage's native arm is asked for once per batch. `Native`
+/// always takes it, and every launch of the run is still tallied native;
+/// `Auto` takes it when the chain's grid clears the threshold — tallying
+/// ONE decision for its one launch, so decisions still sum to launches —
+/// and leaves a sub-threshold chain to the simulator, launch by launch.
+#[test]
+fn output_arm_keeps_the_backend_tallies_whole() {
+    let d = dataset(0x0A7B, 6_000);
+    let sim = run(&d, &d.reads, cfg(BackendChoice::Sim, 2, 2, 1));
+    let batches = sim.stats.windows.div_ceil(2);
+    assert_eq!(kernel_launches(&sim, "rledict_host_jobs"), (0, 0));
+
+    let native = run(&d, &d.reads, cfg(BackendChoice::Native, 2, 2, 1));
+    assert_eq!(native.compressed, sim.compressed);
+    assert_eq!(
+        kernel_launches(&native, "rledict_host_jobs"),
+        (batches, batches)
+    );
+    let t = backend_tallies(&native);
+    assert_eq!((t.sim, t.auto_sim + t.auto_native), (0, 0));
+    let launched: u64 = native.stats.ledgers.iter().map(|l| l.launches).sum();
+    assert_eq!(
+        t.native, launched,
+        "every native-run launch is tallied native"
+    );
+
+    // 700-site windows: 2 × 700 × 7 column elements = 39 blocks ≥ 8.
+    let auto = run(&d, &d.reads, cfg(BackendChoice::Auto, 2, 2, 1));
+    assert_eq!(auto.compressed, sim.compressed);
+    assert_eq!(
+        kernel_launches(&auto, "rledict_host_jobs"),
+        (batches, batches)
+    );
+    assert_eq!(kernel_launches(&auto, "rle_flags"), (0, 0));
+    let t = backend_tallies(&auto);
+    assert_eq!(t.auto_sim + t.auto_native, t.sim + t.native);
+
+    // Raise the threshold past the chain's grid: auto keeps the chain,
+    // which then runs (and is tallied) on the simulator launch by launch.
+    let c = GsnpConfig {
+        auto: gsnp::gpu_sim::AutoPolicy {
+            native_min_blocks: 1 << 20,
+        },
+        ..cfg(BackendChoice::Auto, 2, 2, 1)
+    };
+    let held = run(&d, &d.reads, c);
+    assert_eq!(held.compressed, sim.compressed);
+    assert_eq!(kernel_launches(&held, "rledict_host_jobs"), (0, 0));
+    assert_eq!(kernel_launches(&held, "rle_flags"), (batches, 0));
+    let t = backend_tallies(&held);
+    assert_eq!((t.native, t.auto_native), (0, 0));
+    assert_eq!(t.auto_sim, t.sim);
+}
+
 /// A sanitized config no longer refuses the native backend: every
 /// pipeline kernel carries an `AccessContract`, so the static analyzer
 /// proves each launch before the uninstrumented blocks run and replays

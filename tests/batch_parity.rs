@@ -150,6 +150,70 @@ fn launches_strictly_fall_with_batch_width() {
     );
 }
 
+/// Launches of `kernel` summed over a run's devices.
+fn kernel_launches(out: &GsnpOutput, kernel: &str) -> u64 {
+    let tallies = &out.stats.kernel_launches;
+    tallies
+        .iter()
+        .filter(|t| t.name == kernel)
+        .map(|t| t.launches)
+        .sum()
+}
+
+/// The output stage's launches per batch are pinned on both arms: the
+/// simulator runs the 18-launch RLE-DICT chain (one `rle_flags`, three
+/// scans of three launches, two `binary_search` levels …) and no host
+/// jobs; the native backend runs ONE `rledict_host_jobs` launch and none
+/// of the chain. Same bytes either way.
+#[test]
+fn output_stage_launches_per_batch_are_pinned_on_both_arms() {
+    use gsnp::gpu_sim::BackendChoice;
+    let d = dataset(0x0A7B, 8_000);
+    for launch_batch in [1usize, 4] {
+        let sim = run(&d, &d.reads, cfg(launch_batch, 1, 1));
+        let batches = sim.stats.windows.div_ceil(launch_batch as u64);
+        for (kernel, per_batch) in [
+            ("rle_flags", 1),
+            ("rle_scatter", 1),
+            ("rle_lengths", 1),
+            ("unique_flags", 2),
+            ("unique_scatter", 2),
+            ("binary_search", 2),
+            ("scan_blocks", 3),
+            ("scan_totals", 3),
+            ("scan_fixup", 3),
+            ("rledict_host_jobs", 0),
+        ] {
+            assert_eq!(
+                kernel_launches(&sim, kernel),
+                per_batch * batches,
+                "sim batch {launch_batch}: {kernel}"
+            );
+        }
+
+        let native = run(
+            &d,
+            &d.reads,
+            GsnpConfig {
+                backend: BackendChoice::Native,
+                ..cfg(launch_batch, 1, 1)
+            },
+        );
+        assert_eq!(native.compressed, sim.compressed, "batch {launch_batch}");
+        assert_eq!(kernel_launches(&native, "rledict_host_jobs"), batches);
+        for chain in ["rle_flags", "scan_blocks", "rle_scatter", "binary_search"] {
+            assert_eq!(kernel_launches(&native, chain), 0, "native: {chain}");
+        }
+        let (sim_total, _) = sum_ledgers(&sim);
+        let (native_total, _) = sum_ledgers(&native);
+        assert_eq!(
+            sim_total - native_total,
+            17 * batches,
+            "the arm replaces exactly the chain's 18 launches with 1"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -108,20 +108,67 @@ fn auto_with_trace_says_it_runs_all_sim_unless_quiet() {
     let d = |name: &str| dir.join(name).display().to_string();
     let traced = |extra: &[&str]| {
         let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
-        let (out, trace) = (d("auto.gsnp"), d("auto.json"));
+        let (out, trace, prom) = (d("auto.gsnp"), d("auto.json"), d("auto.prom"));
         let mut args = vec!["call", &reads, &fa, &priors, &out, "--window", "1500"];
-        args.extend(["--backend", "auto", "--trace", &trace]);
+        args.extend(["--backend", "auto", "--trace", &trace, "--metrics", &prom]);
         args.extend(extra);
         String::from_utf8(ok(&args).stderr).unwrap()
     };
     let note = "routes every launch to the simulator";
     assert!(traced(&[]).contains(note));
     assert!(!traced(&["-q"]).contains(note));
+    // The output stage's chain is among them: no native arm under a trace.
+    let prom = std::fs::read_to_string(dir.join("auto.prom")).unwrap();
+    assert!(prom.contains("gsnp_launches_total{kernel=\"rle_flags\"}"));
+    assert!(!prom.contains("rledict_host_jobs"));
+    assert!(prom.contains("gsnp_backend_launches_total{backend=\"native\"} 0"));
     // Same bytes as the untraced native run `called` made.
     assert!(
         std::fs::read(dir.join("auto.gsnp")).unwrap()
             == std::fs::read(dir.join("out.gsnp")).unwrap()
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A native (or untraced auto) run's output stage is one `rledict_host_jobs`
+/// launch per batch: that name is in `--metrics`, the chain's kernels have
+/// no series at all, and `gsnp report` renders the run's journal.
+#[test]
+fn native_runs_name_the_host_jobs_kernel_and_report_without_the_chain() {
+    let dir = called("arm");
+    let d = |name: &str| dir.join(name).display().to_string();
+    for backend in ["native", "auto"] {
+        let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
+        let (out, prom, journal) = (d("arm.gsnp"), d("arm.prom"), d("arm.jsonl"));
+        let mut args = vec!["call", &reads, &fa, &priors, &out, "--window", "1500", "-q"];
+        args.extend([
+            "--backend",
+            backend,
+            "--metrics",
+            &prom,
+            "--journal",
+            &journal,
+        ]);
+        ok(&args);
+        assert!(
+            std::fs::read(dir.join("arm.gsnp")).unwrap()
+                == std::fs::read(dir.join("out.gsnp")).unwrap()
+        );
+        let prom = std::fs::read_to_string(dir.join("arm.prom")).unwrap();
+        // 6 000 sites in 1 500-site windows, two per batch.
+        assert!(
+            prom.contains("gsnp_launches_total{kernel=\"rledict_host_jobs\"} 2"),
+            "{backend}"
+        );
+        assert!(
+            prom.contains("gsnp_kernel_launch_wall_seconds_count{kernel=\"rledict_host_jobs\"} 2")
+        );
+        for chain in ["rle_flags", "scan_blocks", "rle_scatter", "binary_search"] {
+            assert!(!prom.contains(chain), "{backend}: {chain} has a series");
+        }
+        let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
+        assert!(report.contains("journal invariants: ok"), "{report}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
