@@ -1109,9 +1109,9 @@ pub fn pipeline_overlap(scale: f64) -> String {
         // Every run is traced (uniform overhead keeps the sweep fair);
         // the depth-2 trace feeds the per-stage breakdown below.
         let rec = Arc::new(TraceRecorder::new(1 << 16));
-        let mut c = cfg(depth, pacing);
-        c.trace = Some(Arc::clone(&rec));
-        let out = GsnpPipeline::new(c).run(&d.reads, &d.reference, &d.priors);
+        let out = GsnpPipeline::new(cfg(depth, pacing))
+            .observed(traced(&rec))
+            .run(&d.reads, &d.reference, &d.priors);
         let o = out.stats.overlap;
         if depth == 1 {
             serial_wall = o.wall;
@@ -1158,6 +1158,14 @@ because one stage — the device — dominates.
             &rows
         )
     )
+}
+
+/// Observers that only trace, into `rec`.
+fn traced(rec: &Arc<TraceRecorder>) -> gsnp_core::Observers {
+    gsnp_core::Observers {
+        trace: Some(Arc::clone(rec)),
+        ..Default::default()
+    }
 }
 
 /// Per-stage busy/stall table recomputed purely from a run's trace spans
@@ -1337,9 +1345,9 @@ pub fn scaling(scale: f64) -> String {
         let mut wall_1dev = f64::NAN;
         for devices in [1usize, 2, 3, 4] {
             let rec = Arc::new(TraceRecorder::new(1 << 16));
-            let mut c = cfg(depth, devices, pacing);
-            c.trace = Some(Arc::clone(&rec));
-            let out = GsnpPipeline::new(c).run(&d.reads, &d.reference, &d.priors);
+            let out = GsnpPipeline::new(cfg(depth, devices, pacing))
+                .observed(traced(&rec))
+                .run(&d.reads, &d.reference, &d.priors);
             // Traced sharded runs stay byte-identical to the untraced
             // serial probe: tracing observes, never perturbs.
             assert_eq!(

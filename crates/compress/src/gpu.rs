@@ -19,7 +19,7 @@ use gpu_sim::{
 use crate::bitio::BitWriter;
 use crate::{dict, rledict};
 
-/// Kernel name of the batched chain's native arm (see [`encode_host_jobs`]).
+/// Kernel name of the batched chain's native arm (see `encode_host_jobs`).
 pub const HOST_JOBS_KERNEL: &str = "rledict_host_jobs";
 
 /// The launch grid of the batched chain's element-wise kernels over `n`

@@ -14,7 +14,7 @@
 //!   exception list).
 //! * [`sparse`] — non-zero lists for the second-allele columns.
 //! * [`except`] — difference/exception lists for SNP-related columns.
-//! * [`column`] — the whole-table codec combining all of the above, plus
+//! * [`mod@column`] — the whole-table codec combining all of the above, plus
 //!   the streaming decompression API (§V-B's "decompression tools").
 //! * [`input_codec`] — the compressed temporary input file written by
 //!   `cal_p_matrix` and re-read by `read_site`.

@@ -3,42 +3,28 @@
 //! Every GSNP kernel is written against [`KernelCtx`], a thin dispatch
 //! layer over two execution engines:
 //!
-//! * [`SimBackend`] — the instrumented simulator. Kernels run through
-//!   [`BlockCtx`] exactly as before: every access is tallied into the
-//!   Table III hardware counters, the analytic cost model prices the
-//!   launch, and the sanitizer/trace layers see everything. A bare
-//!   [`Device`] *is* a sim backend (the trait is implemented on it
-//!   directly), so existing call sites keep working unchanged.
-//! * [`NativeBackend`] — the same kernels executed for real wall-clock
-//!   speed: rayon-parallel outer loops over blocks, typed contiguous
-//!   shared tiles the compiler can auto-vectorize, and none of the
-//!   simulator's per-access bookkeeping. Results are bit-identical —
-//!   both arms run the same kernel bodies over the same buffers with the
-//!   same log tables — but the returned [`LaunchStats`] carry **zero**
-//!   hardware counters and zero modelled time: those are sim-only
-//!   observables, and the backend refuses traced devices outright (see
-//!   [`BackendError`]) rather than silently reporting zeros. Sanitized
-//!   devices are admitted per launch: a statically verified
-//!   [`AccessContract`] stands in for the dynamic checks the native path
-//!   bypasses (see [`ComputeBackend::launch_contracted`]), while
-//!   uncontracted launches on such devices panic.
-//! * [`BackendDispatcher`] — picks one of the two per launch. With
-//!   [`BackendChoice::Auto`] the decision comes from the launch's grid
-//!   size against a calibrated native-worthwhile threshold
-//!   ([`AutoPolicy::native_min_blocks`]): grids wide enough to occupy the
-//!   native executor's rayon block fan-out run native for real wall-clock
-//!   speed, while sub-occupancy grids stay on the simulator, whose fixed
-//!   per-launch setup is negligible at that size and which keeps the cost
-//!   model fed. Sim-only features (trace always; sanitizer/conformance
-//!   per the contract rules) override the size rule. Every decision is
-//!   tallied on the [`crate::DeviceLedger`] ([`BackendTallies`]) and,
-//!   when a trace is attached, recorded as a
-//!   `dispatch_sim`/`dispatch_native` instant on the device's kernel
-//!   track.
+//! * the **simulator** — kernels run through [`BlockCtx`]: every access is
+//!   tallied into the Table III hardware counters, the analytic cost model
+//!   prices the launch, and the sanitizer/trace layers see everything;
+//! * the **host executor** — the same kernel bodies over the same buffers
+//!   with the same log tables, so results are bit-identical, but
+//!   rayon-parallel over blocks, with typed contiguous shared tiles the
+//!   compiler can auto-vectorize and none of the per-access bookkeeping.
+//!   The returned [`LaunchStats`] carry **zero** hardware counters and zero
+//!   modelled time: those are sim-only observables.
 //!
-//! The CUDA analogy: `SimBackend` is the driver-API path that launches
+//! A [`ComputeBackend`] says which engine runs a launch
+//! ([`ComputeBackend::route`]); the launch entry points are written once
+//! over that answer. [`Device`] and [`SimBackend`] always answer `Sim`,
+//! [`NativeBackend`] always `Native`, and [`BackendDispatcher`] answers per
+//! launch: pinned by [`BackendChoice::Sim`] / [`BackendChoice::Native`], or
+//! — [`BackendChoice::Auto`] — from the grid size against a calibrated
+//! native-worthwhile threshold ([`AutoPolicy`]), overridden by the sim-only
+//! features the device carries.
+//!
+//! The CUDA analogy: the simulator is the driver-API path that launches
 //! real kernels on the GPU (with profiler instrumentation enabled), while
-//! `NativeBackend` is the host fallback a production caller dispatches to
+//! the host executor is the fallback a production caller dispatches to
 //! when the workload is too small to be worth a PCIe round-trip.
 
 use std::time::Instant;
@@ -50,7 +36,7 @@ use crate::config::DeviceConfig;
 use crate::contract::AccessContract;
 use crate::counters::LaunchStats;
 use crate::ctx::{scratch_put, scratch_take, BlockCtx, SharedMem};
-use crate::launch::Device;
+use crate::launch::{Device, NO_CONTRACT};
 use crate::pool::PooledBuffer;
 
 /// Which compute backend executes kernel launches.
@@ -114,32 +100,13 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// Refuse sim-only device features for native execution.
-///
-/// A *sanitized* device is no longer refused outright: contracted
-/// launches on the native backend statically verify their
-/// [`AccessContract`] before running and reconcile the sanitizer's
-/// shadow state afterwards (see [`ComputeBackend::launch_contracted`]),
-/// so only *uncontracted* native launches are rejected — at launch time,
-/// per kernel — on such devices.
+/// Refuse sim-only device features for native execution. (A *sanitized*
+/// device is admitted: see [`NativeBackend`].)
 fn validate_native(dev: &Device) -> Result<(), BackendError> {
     if dev.trace_enabled() {
         return Err(BackendError::TraceRequiresSim);
     }
     Ok(())
-}
-
-/// Uncontracted native launches on a sanitized device would perform raw
-/// buffer operations the shadow-state checkers never see, silently
-/// disabling checking; a verified contract is the admission ticket.
-fn require_contract_free(dev: &Device, name: &str) {
-    assert!(
-        !dev.sanitizer_enabled(),
-        "native launch `{name}` on a sanitized device requires a verified \
-         AccessContract: use launch_contracted so the static analyzer can \
-         prove the kernel's footprints before the sanitizer is bypassed \
-         (or run --backend sim)"
-    );
 }
 
 /// Per-backend launch and dispatch-decision tallies, kept on the
@@ -577,34 +544,65 @@ impl SharedTile<f64> {
     }
 }
 
+/// Which engine executes one launch: the answer of
+/// [`ComputeBackend::route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The instrumented simulator ([`Device`]'s own launch bodies).
+    Sim,
+    /// The uninstrumented host executor.
+    Native,
+}
+
 /// A kernel execution engine over one [`Device`]'s memory.
 ///
-/// Buffers, transfers, and pools stay on the device — both backends read
+/// Buffers, transfers, and pools stay on the device — both engines read
 /// and write the same [`GlobalBuffer`] cells, which is what makes their
-/// outputs bit-identical — so the trait only abstracts *kernel
-/// execution*, and forwards the allocation/transfer surface to
-/// [`ComputeBackend::device`].
+/// outputs bit-identical — so an implementor supplies the device and one
+/// decision, [`ComputeBackend::route`]. The four launch entry points are
+/// written once over that decision; the allocation/transfer surface
+/// forwards to [`ComputeBackend::device`].
 pub trait ComputeBackend: Sync {
     /// The device whose memory this backend executes against.
     fn device(&self) -> &Device;
 
+    /// Which engine runs a launch of `grid_dim ≥ 1` blocks, `contracted`
+    /// or not. Called once per non-empty launch, so a backend that keeps
+    /// per-decision tallies records them here.
+    fn route(&self, grid_dim: usize, contracted: bool) -> Route;
+
     /// Launch `grid_dim` blocks of the kernel; blocks may run in parallel.
+    ///
+    /// # Panics
+    /// Panics when routed to the host executor on a sanitized device: only
+    /// a verified contract admits a launch the checkers cannot observe.
     fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
     where
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync;
+        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
+    {
+        dispatch(self, name, grid_dim, NO_CONTRACT, kernel)
+    }
 
     /// Launch a kernel sequentially (block `0..grid_dim` in order, one
     /// host thread); the closure may mutate captured host state.
+    ///
+    /// # Panics
+    /// As [`ComputeBackend::launch`].
     fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
     where
-        F: FnMut(&mut KernelCtx<'_, '_>);
+        F: FnMut(&mut KernelCtx<'_, '_>),
+    {
+        dispatch_seq(self, name, grid_dim, NO_CONTRACT, kernel)
+    }
 
     /// Launch with a declared [`AccessContract`]. The builder closure runs
     /// only when the device wants the declaration (static checking,
-    /// conformance, or a sanitized native launch); the static analyzer
-    /// proves or refutes it before any block executes. The default
-    /// implementation routes through the simulator; the native backend
-    /// overrides it to execute uninstrumented *after* the proof.
+    /// conformance, or a sanitized host launch); the static analyzer
+    /// proves or refutes it before any block executes. On the host
+    /// executor the blocks then run uninstrumented on the strength of the
+    /// proof, and on sanitized devices the declared write spans are
+    /// replayed into the shadow state so later simulator-side checking
+    /// stays sound.
     ///
     /// # Panics
     /// Panics before executing any block when the contract is refuted.
@@ -619,7 +617,7 @@ pub trait ComputeBackend: Sync {
         C: FnOnce() -> AccessContract,
         F: Fn(&mut KernelCtx<'_, '_>) + Sync,
     {
-        sim_launch_contracted(self.device(), name, grid_dim, contract, kernel)
+        dispatch(self, name, grid_dim, Some(contract), kernel)
     }
 
     /// Sequential counterpart of [`ComputeBackend::launch_contracted`].
@@ -637,12 +635,12 @@ pub trait ComputeBackend: Sync {
         C: FnOnce() -> AccessContract,
         F: FnMut(&mut KernelCtx<'_, '_>),
     {
-        sim_launch_contracted_seq(self.device(), name, grid_dim, contract, kernel)
+        dispatch_seq(self, name, grid_dim, Some(contract), kernel)
     }
 
     /// The native executor over this backend's device, if a *chain* of
     /// contracted launches over `grid_dim` blocks would execute there;
-    /// `None` when the chain belongs to the simulator (the default).
+    /// `None` when the chain belongs to the simulator.
     ///
     /// A multi-launch algorithm with a host form — RLE-DICT's
     /// flags/scan/scatter/search chain versus the sequential codec — asks
@@ -654,8 +652,7 @@ pub trait ComputeBackend: Sync {
     /// chain's own launches are dispatched and tallied one by one as
     /// before.
     fn native_arm(&self, grid_dim: usize) -> Option<NativeBackend<'_>> {
-        let _ = grid_dim;
-        None
+        (self.route(grid_dim, true) == Route::Native).then(|| NativeBackend { dev: self.device() })
     }
 
     /// Device configuration (forwarded).
@@ -710,33 +707,132 @@ pub trait ComputeBackend: Sync {
     }
 }
 
-/// Run a launch on the instrumented simulator.
-fn sim_launch<F>(dev: &Device, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
+/// The one parallel launch route: empty grids are no-ops on every backend
+/// (and ask for no routing decision), everything else runs on the engine
+/// `backend` routes it to.
+fn dispatch<B, C, F>(
+    backend: &B,
+    name: &str,
+    grid_dim: usize,
+    contract: Option<C>,
+    kernel: F,
+) -> LaunchStats
 where
+    B: ComputeBackend + ?Sized,
+    C: FnOnce() -> AccessContract,
     F: Fn(&mut KernelCtx<'_, '_>) + Sync,
 {
-    dev.launch(name, grid_dim, |bctx| kernel(&mut KernelCtx::Sim(bctx)))
+    if grid_dim == 0 {
+        return LaunchStats::default();
+    }
+    let dev = backend.device();
+    match backend.route(grid_dim, contract.is_some()) {
+        Route::Sim => dev.run_launch(name, grid_dim, contract, |bctx| {
+            kernel(&mut KernelCtx::Sim(bctx));
+        }),
+        Route::Native => native_run(dev, name, grid_dim, contract, kernel),
+    }
 }
 
-/// Run a sequential launch on the instrumented simulator.
-fn sim_launch_seq<F>(dev: &Device, name: &str, grid_dim: usize, mut kernel: F) -> LaunchStats
+/// Sequential counterpart of [`dispatch`].
+fn dispatch_seq<B, C, F>(
+    backend: &B,
+    name: &str,
+    grid_dim: usize,
+    contract: Option<C>,
+    mut kernel: F,
+) -> LaunchStats
 where
+    B: ComputeBackend + ?Sized,
+    C: FnOnce() -> AccessContract,
     F: FnMut(&mut KernelCtx<'_, '_>),
 {
-    dev.launch_seq(name, grid_dim, |bctx| kernel(&mut KernelCtx::Sim(bctx)))
+    if grid_dim == 0 {
+        return LaunchStats::default();
+    }
+    let dev = backend.device();
+    match backend.route(grid_dim, contract.is_some()) {
+        Route::Sim => dev.run_launch_seq(name, grid_dim, contract, |bctx| {
+            kernel(&mut KernelCtx::Sim(bctx));
+        }),
+        Route::Native => native_run_seq(dev, name, grid_dim, contract, kernel),
+    }
 }
 
 /// Below this grid size a native launch runs its blocks inline: rayon's
 /// task overhead would dwarf a couple of blocks' work.
 const NATIVE_PAR_MIN_GRID: usize = 4;
 
-/// Execute the blocks of a native launch (no admission checks). Returns
-/// wall-clock only — counters and modelled time are sim-only observables
-/// and stay zero.
-fn native_run<F>(dev: &Device, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
+/// Before any block of a host launch runs. Uncontracted: refused on a
+/// sanitized device — raw buffer operations the shadow-state checkers never
+/// see would silently disable checking — and tallied as assumed. Contracted:
+/// where a sanitizer or static checking is attached the declaration is
+/// built and proved, and returned for [`native_retire`] to replay.
+///
+/// # Panics
+/// Panics on an uncontracted launch on a sanitized device, and when the
+/// contract is refuted.
+fn native_admit<C>(
+    dev: &Device,
+    name: &str,
+    grid_dim: usize,
+    contract: Option<C>,
+) -> Option<AccessContract>
 where
+    C: FnOnce() -> AccessContract,
+{
+    let Some(contract) = contract else {
+        assert!(
+            !dev.sanitizer_enabled(),
+            "native launch `{name}` on a sanitized device requires a verified \
+             AccessContract: use launch_contracted so the static analyzer can \
+             prove the kernel's footprints before the sanitizer is bypassed \
+             (or run --backend sim)"
+        );
+        dev.tally_assumed(name);
+        return None;
+    };
+    let built = (dev.sanitizer_enabled() || dev.contracts_enabled()).then(contract)?;
+    dev.enforce_contract(name, grid_dim, &built);
+    Some(built)
+}
+
+/// After the last block of a host launch: wall-clock only on the ledger —
+/// counters and modelled time are sim-only observables and stay zero — and
+/// the proved contract's write spans into the sanitizer's shadow state.
+fn native_retire(
+    dev: &Device,
+    name: &str,
+    grid_dim: usize,
+    start: Instant,
+    proved: Option<AccessContract>,
+) -> LaunchStats {
+    let stats = LaunchStats {
+        wall_time: start.elapsed().as_secs_f64(),
+        grid_dim,
+        ..Default::default()
+    };
+    dev.record_native_launch(name, &stats);
+    if let Some(contract) = proved {
+        contract.define_writes(grid_dim);
+    }
+    stats
+}
+
+/// The host executor's parallel launch, contracted or not: rayon over
+/// blocks, no instrumentation.
+fn native_run<C, F>(
+    dev: &Device,
+    name: &str,
+    grid_dim: usize,
+    contract: Option<C>,
+    kernel: F,
+) -> LaunchStats
+where
+    C: FnOnce() -> AccessContract,
     F: Fn(&mut KernelCtx<'_, '_>) + Sync,
 {
+    let proved = native_admit(dev, name, grid_dim, contract);
     let cfg = dev.config();
     let start = Instant::now();
     let run_block = |b: usize| {
@@ -748,157 +844,29 @@ where
     } else {
         (0..grid_dim).into_par_iter().for_each(run_block);
     }
-    let stats = LaunchStats {
-        wall_time: start.elapsed().as_secs_f64(),
-        grid_dim,
-        ..Default::default()
-    };
-    dev.record_native_launch(name, &stats);
-    stats
+    native_retire(dev, name, grid_dim, start, proved)
 }
 
 /// Sequential counterpart of [`native_run`].
-fn native_run_seq<F>(dev: &Device, name: &str, grid_dim: usize, mut kernel: F) -> LaunchStats
-where
-    F: FnMut(&mut KernelCtx<'_, '_>),
-{
-    let cfg = dev.config();
-    let start = Instant::now();
-    for b in 0..grid_dim {
-        let mut nctx = NativeCtx::new(b, grid_dim, cfg);
-        kernel(&mut KernelCtx::Native(&mut nctx));
-    }
-    let stats = LaunchStats {
-        wall_time: start.elapsed().as_secs_f64(),
-        grid_dim,
-        ..Default::default()
-    };
-    dev.record_native_launch(name, &stats);
-    stats
-}
-
-/// Run an uncontracted launch on the native executor: rayon over blocks,
-/// no instrumentation.
-///
-/// # Panics
-/// Panics when the device is sanitized (see [`require_contract_free`]).
-fn native_launch<F>(dev: &Device, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-where
-    F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-{
-    // Zero-grid launches are device-wide no-ops on every backend.
-    if grid_dim == 0 {
-        return LaunchStats::default();
-    }
-    require_contract_free(dev, name);
-    dev.tally_assumed(name);
-    native_run(dev, name, grid_dim, kernel)
-}
-
-/// Run an uncontracted sequential launch on the native executor.
-///
-/// # Panics
-/// Panics when the device is sanitized (see [`require_contract_free`]).
-fn native_launch_seq<F>(dev: &Device, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-where
-    F: FnMut(&mut KernelCtx<'_, '_>),
-{
-    if grid_dim == 0 {
-        return LaunchStats::default();
-    }
-    require_contract_free(dev, name);
-    dev.tally_assumed(name);
-    native_run_seq(dev, name, grid_dim, kernel)
-}
-
-/// Run a contracted launch on the native executor: the static analyzer
-/// verifies the declared footprints *before* any block runs (refutations
-/// panic with structured diagnostics), the uninstrumented blocks then
-/// execute on the strength of the proof, and on sanitized devices the
-/// contract's declared write spans are replayed into the shadow state so
-/// later sim-side checking stays sound.
-fn native_launch_contracted<C, F>(
+fn native_run_seq<C, F>(
     dev: &Device,
     name: &str,
     grid_dim: usize,
-    contract: C,
-    kernel: F,
-) -> LaunchStats
-where
-    C: FnOnce() -> AccessContract,
-    F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-{
-    if grid_dim == 0 {
-        return LaunchStats::default();
-    }
-    if dev.sanitizer_enabled() || dev.contracts_enabled() {
-        let built = contract();
-        dev.enforce_contract(name, grid_dim, &built);
-        let stats = native_run(dev, name, grid_dim, kernel);
-        built.define_writes(grid_dim);
-        return stats;
-    }
-    native_run(dev, name, grid_dim, kernel)
-}
-
-/// Sequential counterpart of [`native_launch_contracted`].
-fn native_launch_contracted_seq<C, F>(
-    dev: &Device,
-    name: &str,
-    grid_dim: usize,
-    contract: C,
-    kernel: F,
-) -> LaunchStats
-where
-    C: FnOnce() -> AccessContract,
-    F: FnMut(&mut KernelCtx<'_, '_>),
-{
-    if grid_dim == 0 {
-        return LaunchStats::default();
-    }
-    if dev.sanitizer_enabled() || dev.contracts_enabled() {
-        let built = contract();
-        dev.enforce_contract(name, grid_dim, &built);
-        let stats = native_run_seq(dev, name, grid_dim, kernel);
-        built.define_writes(grid_dim);
-        return stats;
-    }
-    native_run_seq(dev, name, grid_dim, kernel)
-}
-
-/// Run a contracted launch on the instrumented simulator (delegates to
-/// [`Device::launch_contracted`]).
-fn sim_launch_contracted<C, F>(
-    dev: &Device,
-    name: &str,
-    grid_dim: usize,
-    contract: C,
-    kernel: F,
-) -> LaunchStats
-where
-    C: FnOnce() -> AccessContract,
-    F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-{
-    dev.launch_contracted(name, grid_dim, contract, |bctx| {
-        kernel(&mut KernelCtx::Sim(bctx));
-    })
-}
-
-/// Run a contracted sequential launch on the instrumented simulator.
-fn sim_launch_contracted_seq<C, F>(
-    dev: &Device,
-    name: &str,
-    grid_dim: usize,
-    contract: C,
+    contract: Option<C>,
     mut kernel: F,
 ) -> LaunchStats
 where
     C: FnOnce() -> AccessContract,
     F: FnMut(&mut KernelCtx<'_, '_>),
 {
-    dev.launch_contracted_seq(name, grid_dim, contract, |bctx| {
-        kernel(&mut KernelCtx::Sim(bctx));
-    })
+    let proved = native_admit(dev, name, grid_dim, contract);
+    let cfg = dev.config();
+    let start = Instant::now();
+    for b in 0..grid_dim {
+        let mut nctx = NativeCtx::new(b, grid_dim, cfg);
+        kernel(&mut KernelCtx::Native(&mut nctx));
+    }
+    native_retire(dev, name, grid_dim, start, proved)
 }
 
 /// A bare [`Device`] is the sim backend: existing call sites that pass
@@ -909,18 +877,8 @@ impl ComputeBackend for Device {
         self
     }
 
-    fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-    {
-        sim_launch(self, name, grid_dim, kernel)
-    }
-
-    fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: FnMut(&mut KernelCtx<'_, '_>),
-    {
-        sim_launch_seq(self, name, grid_dim, kernel)
+    fn route(&self, _grid_dim: usize, _contracted: bool) -> Route {
+        Route::Sim
     }
 }
 
@@ -942,18 +900,8 @@ impl ComputeBackend for SimBackend<'_> {
         self.dev
     }
 
-    fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-    {
-        sim_launch(self.dev, name, grid_dim, kernel)
-    }
-
-    fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: FnMut(&mut KernelCtx<'_, '_>),
-    {
-        sim_launch_seq(self.dev, name, grid_dim, kernel)
+    fn route(&self, _grid_dim: usize, _contracted: bool) -> Route {
+        Route::Sim
     }
 }
 
@@ -984,50 +932,8 @@ impl ComputeBackend for NativeBackend<'_> {
         self.dev
     }
 
-    fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-    {
-        native_launch(self.dev, name, grid_dim, kernel)
-    }
-
-    fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: FnMut(&mut KernelCtx<'_, '_>),
-    {
-        native_launch_seq(self.dev, name, grid_dim, kernel)
-    }
-
-    fn launch_contracted<C, F>(
-        &self,
-        name: &str,
-        grid_dim: usize,
-        contract: C,
-        kernel: F,
-    ) -> LaunchStats
-    where
-        C: FnOnce() -> AccessContract,
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-    {
-        native_launch_contracted(self.dev, name, grid_dim, contract, kernel)
-    }
-
-    fn launch_contracted_seq<C, F>(
-        &self,
-        name: &str,
-        grid_dim: usize,
-        contract: C,
-        kernel: F,
-    ) -> LaunchStats
-    where
-        C: FnOnce() -> AccessContract,
-        F: FnMut(&mut KernelCtx<'_, '_>),
-    {
-        native_launch_contracted_seq(self.dev, name, grid_dim, contract, kernel)
-    }
-
-    fn native_arm(&self, _grid_dim: usize) -> Option<NativeBackend<'_>> {
-        Some(NativeBackend { dev: self.dev })
+    fn route(&self, _grid_dim: usize, _contracted: bool) -> Route {
+        Route::Native
     }
 }
 
@@ -1041,10 +947,7 @@ impl ComputeBackend for NativeBackend<'_> {
 /// measured on the launch-batching workload shows native cheaper than sim
 /// for every paper kernel once a grid spans a handful of blocks, and the
 /// sim's fixed setup negligible below that — so wide grids run native and
-/// sub-occupancy grids stay on the simulator. (An earlier revision had
-/// this backwards — routing big grids to sim — which pinned `Auto` at
-/// 1.09x vs native's 2.36x with 394 of 455 launches on the slow arm; see
-/// `BENCH_native_backend.json`.)
+/// sub-occupancy grids stay on the simulator.
 #[derive(Debug, Clone, Copy)]
 pub struct AutoPolicy {
     /// Minimum grid size (in blocks) routed to the native executor;
@@ -1065,14 +968,10 @@ impl Default for AutoPolicy {
 /// Per-launch backend dispatch over one device.
 ///
 /// [`BackendChoice::Sim`] and [`BackendChoice::Native`] route every
-/// launch to the corresponding backend; [`BackendChoice::Auto`] decides
-/// per launch from the grid size (see [`AutoPolicy`]), falling back to
-/// the simulator when the device carries features the native path cannot
-/// honor: tracing always, the sanitizer for uncontracted launches (no
-/// proof to stand in for the checks), and conformance mode even for
-/// contracted ones (observed-⊆-declared needs instrumented accesses).
-/// Decisions are tallied on the
-/// ledger and, under a trace, recorded as instants on the kernel track.
+/// launch to the corresponding engine; [`BackendChoice::Auto`] decides
+/// per launch (the rule is on `pick`). `Auto` decisions are tallied on the
+/// ledger ([`BackendTallies`]) and, under a trace, recorded as
+/// `dispatch_sim` / `dispatch_native` instants on the kernel track.
 pub struct BackendDispatcher<'d> {
     dev: &'d Device,
     choice: BackendChoice,
@@ -1113,25 +1012,34 @@ impl<'d> BackendDispatcher<'d> {
         self.choice
     }
 
-    /// Auto decision for one *uncontracted* launch: `true` ⇒ simulator.
-    /// Sanitized devices force sim here because without a contract the
-    /// native path has no proof to run on; sub-occupancy grids stay on
-    /// the simulator too (see [`AutoPolicy`]).
-    fn pick_sim(&self, grid_dim: usize) -> bool {
-        self.dev.sanitizer_enabled()
-            || self.dev.trace_enabled()
-            || grid_dim < self.policy.native_min_blocks
+    /// The engine for one launch, tallying nothing. Under `Auto`:
+    /// sub-occupancy grids stay on the simulator (see [`AutoPolicy`]), as
+    /// does every launch on a traced device (sim-only observables). A
+    /// sanitized device keeps *uncontracted* launches, which carry no
+    /// proof to run unobserved on; a verified contract substitutes for the
+    /// instrumented checking, so contracted ones may go native — except
+    /// under conformance, which must observe real accesses.
+    fn pick(&self, grid_dim: usize, contracted: bool) -> Route {
+        let dev = self.dev;
+        let unproved = if contracted {
+            dev.conformance_enabled()
+        } else {
+            dev.sanitizer_enabled()
+        };
+        let keep = dev.trace_enabled() || unproved || grid_dim < self.policy.native_min_blocks;
+        match self.choice {
+            BackendChoice::Native => Route::Native,
+            BackendChoice::Auto if !keep => Route::Native,
+            BackendChoice::Sim | BackendChoice::Auto => Route::Sim,
+        }
     }
 
-    /// Auto decision for one *contracted* launch: `true` ⇒ simulator.
-    /// A verified contract substitutes for the sanitizer's instrumented
-    /// checking, so plain sanitized devices may go native; conformance
-    /// mode must observe real accesses and stays on the simulator, as do
-    /// traced devices (sim-only observables) and sub-occupancy grids.
-    fn pick_sim_contracted(&self, grid_dim: usize) -> bool {
-        self.dev.trace_enabled()
-            || self.dev.conformance_enabled()
-            || grid_dim < self.policy.native_min_blocks
+    /// Tally `route` as one `Auto` decision (pinned choices decide nothing).
+    fn decided(&self, route: Route) -> Route {
+        if self.choice == BackendChoice::Auto {
+            self.dev.record_auto_decision(route == Route::Sim);
+        }
+        route
     }
 }
 
@@ -1140,126 +1048,17 @@ impl ComputeBackend for BackendDispatcher<'_> {
         self.dev
     }
 
-    fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-    {
-        match self.choice {
-            BackendChoice::Sim => sim_launch(self.dev, name, grid_dim, kernel),
-            BackendChoice::Native => native_launch(self.dev, name, grid_dim, kernel),
-            BackendChoice::Auto => {
-                if grid_dim == 0 {
-                    return LaunchStats::default();
-                }
-                let to_sim = self.pick_sim(grid_dim);
-                self.dev.record_auto_decision(to_sim);
-                if to_sim {
-                    sim_launch(self.dev, name, grid_dim, kernel)
-                } else {
-                    native_launch(self.dev, name, grid_dim, kernel)
-                }
-            }
-        }
+    fn route(&self, grid_dim: usize, contracted: bool) -> Route {
+        self.decided(self.pick(grid_dim, contracted))
     }
 
-    fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: FnMut(&mut KernelCtx<'_, '_>),
-    {
-        match self.choice {
-            BackendChoice::Sim => sim_launch_seq(self.dev, name, grid_dim, kernel),
-            BackendChoice::Native => native_launch_seq(self.dev, name, grid_dim, kernel),
-            BackendChoice::Auto => {
-                if grid_dim == 0 {
-                    return LaunchStats::default();
-                }
-                let to_sim = self.pick_sim(grid_dim);
-                self.dev.record_auto_decision(to_sim);
-                if to_sim {
-                    sim_launch_seq(self.dev, name, grid_dim, kernel)
-                } else {
-                    native_launch_seq(self.dev, name, grid_dim, kernel)
-                }
-            }
-        }
-    }
-
-    fn launch_contracted<C, F>(
-        &self,
-        name: &str,
-        grid_dim: usize,
-        contract: C,
-        kernel: F,
-    ) -> LaunchStats
-    where
-        C: FnOnce() -> AccessContract,
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
-    {
-        match self.choice {
-            BackendChoice::Sim => sim_launch_contracted(self.dev, name, grid_dim, contract, kernel),
-            BackendChoice::Native => {
-                native_launch_contracted(self.dev, name, grid_dim, contract, kernel)
-            }
-            BackendChoice::Auto => {
-                if grid_dim == 0 {
-                    return LaunchStats::default();
-                }
-                let to_sim = self.pick_sim_contracted(grid_dim);
-                self.dev.record_auto_decision(to_sim);
-                if to_sim {
-                    sim_launch_contracted(self.dev, name, grid_dim, contract, kernel)
-                } else {
-                    native_launch_contracted(self.dev, name, grid_dim, contract, kernel)
-                }
-            }
-        }
-    }
-
-    fn launch_contracted_seq<C, F>(
-        &self,
-        name: &str,
-        grid_dim: usize,
-        contract: C,
-        kernel: F,
-    ) -> LaunchStats
-    where
-        C: FnOnce() -> AccessContract,
-        F: FnMut(&mut KernelCtx<'_, '_>),
-    {
-        match self.choice {
-            BackendChoice::Sim => {
-                sim_launch_contracted_seq(self.dev, name, grid_dim, contract, kernel)
-            }
-            BackendChoice::Native => {
-                native_launch_contracted_seq(self.dev, name, grid_dim, contract, kernel)
-            }
-            BackendChoice::Auto => {
-                if grid_dim == 0 {
-                    return LaunchStats::default();
-                }
-                let to_sim = self.pick_sim_contracted(grid_dim);
-                self.dev.record_auto_decision(to_sim);
-                if to_sim {
-                    sim_launch_contracted_seq(self.dev, name, grid_dim, contract, kernel)
-                } else {
-                    native_launch_contracted_seq(self.dev, name, grid_dim, contract, kernel)
-                }
-            }
-        }
-    }
-
+    /// Only a native answer is a decision: after `None` the chain's own
+    /// launches are routed, and tallied, one by one.
     fn native_arm(&self, grid_dim: usize) -> Option<NativeBackend<'_>> {
-        match self.choice {
-            BackendChoice::Sim => return None,
-            BackendChoice::Native => {}
-            BackendChoice::Auto => {
-                if self.pick_sim_contracted(grid_dim) {
-                    return None;
-                }
-                self.dev.record_auto_decision(false);
-            }
-        }
-        Some(NativeBackend { dev: self.dev })
+        (self.pick(grid_dim, true) == Route::Native).then(|| {
+            self.decided(Route::Native);
+            NativeBackend { dev: self.dev }
+        })
     }
 }
 

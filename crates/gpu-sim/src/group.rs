@@ -33,7 +33,7 @@ impl DeviceGroup {
     }
 
     /// Attach the dynamic-checker suite to every member device (each gets
-    /// its own independent [`crate::sanitizer::Sanitizer`] state).
+    /// its own independent `Sanitizer` state).
     pub fn with_sanitizer(self, cfg: SanitizerConfig) -> Self {
         DeviceGroup {
             devices: self

@@ -31,6 +31,9 @@ use crate::sanitizer::{
 };
 use crate::trace::{NameId, SpanArgs, TraceRecorder, TrackId, TrackKind};
 
+/// The contract argument of an uncontracted launch.
+pub(crate) const NO_CONTRACT: Option<fn() -> AccessContract> = None;
+
 /// How [`Device::launch`] schedules blocks. [`Device::launch_seq`] always
 /// runs in ascending order regardless — kernels use it precisely when block
 /// order is semantically load-bearing.
@@ -455,24 +458,20 @@ impl Device {
     /// backend rather than the simulator.
     fn tally_launch(&self, name: &str, overhead: f64, wall: f64, native: bool) {
         let mut tallies = self.kernel_tallies.lock();
-        if let Some(t) = tallies.iter_mut().find(|t| t.name == name) {
-            t.launches += 1;
-            t.overhead_seconds += overhead;
-            t.native_launches += u64::from(native);
-            t.wall_seconds += wall;
-            t.wall_hist.record(wall);
-        } else {
-            let mut wall_hist = Histogram::new();
-            wall_hist.record(wall);
+        let known = tallies.iter().position(|t| t.name == name);
+        let at = known.unwrap_or_else(|| {
             tallies.push(KernelTally {
                 name: name.to_string(),
-                launches: 1,
-                overhead_seconds: overhead,
-                native_launches: u64::from(native),
-                wall_seconds: wall,
-                wall_hist,
+                ..Default::default()
             });
-        }
+            tallies.len() - 1
+        });
+        let t = &mut tallies[at];
+        t.launches += 1;
+        t.overhead_seconds += overhead;
+        t.native_launches += u64::from(native);
+        t.wall_seconds += wall;
+        t.wall_hist.record(wall);
         drop(tallies);
         if let Some(h) = &self.launch_hist {
             h.record(wall);
@@ -570,9 +569,8 @@ impl Device {
         buf
     }
 
-    /// Upload host data into a new global buffer (H2D bytes are charged to
-    /// the *next* launch via [`Device::launch_with_transfers`], or can be
-    /// accounted manually; plain `upload` is uncounted for setup data).
+    /// Upload host data into a new global buffer (uncounted, for setup
+    /// data; account the H2D bytes with [`Device::charge_h2d`]).
     pub fn upload<T: DeviceScalar>(&self, data: &[T]) -> GlobalBuffer<T> {
         let mut buf = GlobalBuffer::from_slice(data);
         self.attach_shadow(&mut buf, false);
@@ -681,13 +679,7 @@ impl Device {
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
-        // An empty grid is a device-wide no-op: no launch overhead, no
-        // ledger entry, no trace span. Callers need no empty-input guards.
-        if grid_dim == 0 {
-            return LaunchStats::default();
-        }
-        self.tally_assumed(name);
-        self.run_launch(name, grid_dim, None, kernel)
+        self.run_launch(name, grid_dim, NO_CONTRACT, kernel)
     }
 
     /// Launch with a declared [`AccessContract`]: the builder runs only
@@ -709,29 +701,59 @@ impl Device {
         C: FnOnce() -> AccessContract,
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
-        if grid_dim == 0 {
-            return LaunchStats::default();
-        }
-        let built = self.wants_contract().then(contract);
-        if self.contracts_enabled() {
-            if let Some(c) = &built {
-                self.enforce_contract(name, grid_dim, c);
-            }
-        }
-        self.run_launch(name, grid_dim, built.as_ref(), kernel)
+        self.run_launch(name, grid_dim, Some(contract), kernel)
     }
 
-    fn run_launch<F>(
+    /// Before any block of a simulator launch runs: an uncontracted launch
+    /// is tallied as assumed; a contracted one builds its declaration if
+    /// anything wants it and, under static checking, proves it.
+    ///
+    /// # Panics
+    /// Panics when the contract is refuted.
+    fn admit<C>(&self, name: &str, grid_dim: usize, contract: Option<C>) -> Option<AccessContract>
+    where
+        C: FnOnce() -> AccessContract,
+    {
+        let Some(contract) = contract else {
+            self.tally_assumed(name);
+            return None;
+        };
+        let built = self.wants_contract().then(contract)?;
+        if self.contracts_enabled() {
+            self.enforce_contract(name, grid_dim, &built);
+        }
+        Some(built)
+    }
+
+    /// After the last block of a simulator launch retires: ledger,
+    /// per-kernel tally (`overhead` is the fixed launch cost it paid),
+    /// trace span, pacing.
+    fn retire(&self, name: &str, stats: &LaunchStats, overhead: f64) {
+        self.ledger.lock().record(stats, true);
+        self.tally_launch(name, overhead, stats.wall_time, false);
+        self.trace_launch(name, stats);
+        self.pace(stats.sim_time);
+    }
+
+    /// The simulator's parallel launch, contracted or not.
+    pub(crate) fn run_launch<C, F>(
         &self,
         name: &str,
         grid_dim: usize,
-        contract: Option<&AccessContract>,
+        contract: Option<C>,
         kernel: F,
     ) -> LaunchStats
     where
+        C: FnOnce() -> AccessContract,
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
-        let session = self.launch_session(name, contract);
+        // An empty grid is a device-wide no-op: no launch overhead, no
+        // ledger entry, no trace span. Callers need no empty-input guards.
+        if grid_dim == 0 {
+            return LaunchStats::default();
+        }
+        let contract = self.admit(name, grid_dim, contract);
+        let session = self.launch_session(name, contract.as_ref());
         let totals = AtomicCounters::default();
         // Critical path: a block runs on one SM, so the launch can never
         // finish before its heaviest block does. Tracked as f64 bits.
@@ -783,10 +805,7 @@ impl Device {
             wall_time: wall,
             grid_dim,
         };
-        self.ledger.lock().record(&stats, true);
-        self.tally_launch(name, self.cfg.launch_overhead, wall, false);
-        self.trace_launch(name, &stats);
-        self.pace(stats.sim_time);
+        self.retire(name, &stats, self.cfg.launch_overhead);
         stats
     }
 
@@ -797,11 +816,7 @@ impl Device {
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
-        if grid_dim == 0 {
-            return LaunchStats::default();
-        }
-        self.tally_assumed(name);
-        self.run_launch_seq(name, grid_dim, None, kernel)
+        self.run_launch_seq(name, grid_dim, NO_CONTRACT, kernel)
     }
 
     /// Sequential counterpart of [`Device::launch_contracted`]. Sequential
@@ -823,29 +838,27 @@ impl Device {
         C: FnOnce() -> AccessContract,
         F: FnMut(&mut BlockCtx<'_>),
     {
-        if grid_dim == 0 {
-            return LaunchStats::default();
-        }
-        let built = self.wants_contract().then(contract);
-        if self.contracts_enabled() {
-            if let Some(c) = &built {
-                self.enforce_contract(name, grid_dim, c);
-            }
-        }
-        self.run_launch_seq(name, grid_dim, built.as_ref(), kernel)
+        self.run_launch_seq(name, grid_dim, Some(contract), kernel)
     }
 
-    fn run_launch_seq<F>(
+    /// The simulator's sequential launch, contracted or not. Its cost rule
+    /// has no launch-overhead term: `sim_time` is the kernel time alone.
+    pub(crate) fn run_launch_seq<C, F>(
         &self,
         name: &str,
         grid_dim: usize,
-        contract: Option<&AccessContract>,
+        contract: Option<C>,
         mut kernel: F,
     ) -> LaunchStats
     where
+        C: FnOnce() -> AccessContract,
         F: FnMut(&mut BlockCtx<'_>),
     {
-        let session = self.launch_session(name, contract);
+        if grid_dim == 0 {
+            return LaunchStats::default();
+        }
+        let contract = self.admit(name, grid_dim, contract);
+        let session = self.launch_session(name, contract.as_ref());
         let totals = AtomicCounters::default();
         let start = Instant::now();
         for b in 0..grid_dim {
@@ -867,10 +880,7 @@ impl Device {
             wall_time: wall,
             grid_dim,
         };
-        self.ledger.lock().record(&stats, true);
-        self.tally_launch(name, 0.0, wall, false);
-        self.trace_launch(name, &stats);
-        self.pace(stats.sim_time);
+        self.retire(name, &stats, 0.0);
         stats
     }
 
@@ -887,40 +897,30 @@ impl Device {
 
     /// Account an explicit host→device transfer into a stats record.
     pub fn charge_h2d(&self, stats: &mut LaunchStats, bytes: u64) {
-        let dt = bytes as f64 / self.cfg.pcie_bw;
-        stats.counters.h2d_bytes += bytes;
-        stats.sim_time += dt;
-        let charge = LaunchStats {
-            sim_time: dt,
-            counters: HwCounters {
-                h2d_bytes: bytes,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        self.ledger.lock().record(&charge, false);
-        if let Some(trace) = &self.trace {
-            trace.record_xfer(true, bytes, dt);
-        }
-        self.pace(dt);
+        self.charge(stats, bytes, true);
     }
 
     /// Account an explicit device→host transfer into a stats record.
     pub fn charge_d2h(&self, stats: &mut LaunchStats, bytes: u64) {
+        self.charge(stats, bytes, false);
+    }
+
+    fn charge(&self, stats: &mut LaunchStats, bytes: u64, h2d: bool) {
         let dt = bytes as f64 / self.cfg.pcie_bw;
-        stats.counters.d2h_bytes += bytes;
-        stats.sim_time += dt;
-        let charge = LaunchStats {
+        let mut charge = LaunchStats {
             sim_time: dt,
-            counters: HwCounters {
-                d2h_bytes: bytes,
-                ..Default::default()
-            },
             ..Default::default()
         };
+        if h2d {
+            charge.counters.h2d_bytes = bytes;
+        } else {
+            charge.counters.d2h_bytes = bytes;
+        }
+        stats.counters += charge.counters;
+        stats.sim_time += dt;
         self.ledger.lock().record(&charge, false);
         if let Some(trace) = &self.trace {
-            trace.record_xfer(false, bytes, dt);
+            trace.record_xfer(h2d, bytes, dt);
         }
         self.pace(dt);
     }

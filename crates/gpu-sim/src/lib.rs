@@ -61,7 +61,7 @@ pub mod trace;
 
 pub use backend::{
     AutoPolicy, BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend,
-    KernelCtx, NativeBackend, NativeCtx, SharedTile, SimBackend,
+    KernelCtx, NativeBackend, NativeCtx, Route, SharedTile, SimBackend,
 };
 pub use buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
 pub use config::DeviceConfig;

@@ -91,7 +91,7 @@ impl ArenaPool {
     }
 
     /// Return an arena for reuse (dropped when the pool is disabled or
-    /// already holds [`MAX_PARKED`]).
+    /// already holds `MAX_PARKED`).
     pub fn checkin(&self, arena: WindowArena) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;

@@ -49,6 +49,7 @@ use crate::pipeline::{
     first_pass, run_window_loop, AlignmentError, Alignments, ComponentTimes, FirstPass, GsnpConfig,
     PipelineStats,
 };
+use crate::stream::Observers;
 
 /// Per-site quality gates: calls failing either bound are replaced with
 /// an explicit NoCall row (genotype `N`, quality 0) that preserves the
@@ -275,12 +276,23 @@ impl PostTallies {
 /// The cohort pipeline driver.
 pub struct CohortPipeline {
     config: CohortCallConfig,
+    observers: Observers,
 }
 
 impl CohortPipeline {
-    /// Create a cohort pipeline with the given configuration.
+    /// Create a cohort pipeline with the given configuration and nobody
+    /// watching.
     pub fn new(config: CohortCallConfig) -> Self {
-        CohortPipeline { config }
+        CohortPipeline {
+            config,
+            observers: Observers::default(),
+        }
+    }
+
+    /// Attach the observers of this pipeline's runs.
+    pub fn observed(mut self, observers: Observers) -> Self {
+        self.observers = observers;
+        self
     }
 
     /// The active configuration.
@@ -339,6 +351,7 @@ impl CohortPipeline {
         assert!(num_samples >= 1, "cohort needs at least one sample");
         let out = run_window_loop(
             cfg,
+            &self.observers,
             first,
             reference,
             priors,
@@ -369,7 +382,7 @@ impl CohortPipeline {
                 forced_nocalls: tallies.forced[i],
             })
             .collect();
-        if let Some(j) = &cfg.journal {
+        if let Some(j) = &self.observers.journal {
             for s in &sample_outputs {
                 j.event(
                     "sample",

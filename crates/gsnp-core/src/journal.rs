@@ -28,7 +28,7 @@ use parking_lot::Mutex;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// An append-only JSONL run journal. Cloneable handles are shared via
-/// `Arc` in [`crate::GsnpConfig::journal`].
+/// `Arc` in [`crate::Observers::journal`].
 #[derive(Debug)]
 pub struct Journal {
     start: Instant,

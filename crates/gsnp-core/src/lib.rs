@@ -50,6 +50,7 @@ pub use pipeline::{
 pub use progress::{LaneProgress, LatencyHists, ProgressSnapshot, ProgressTracker};
 pub use serve::StatsServer;
 pub use stream::{
-    verify_overlap_consistency, OrderedReassembler, OverlapStats, PipelineTrace, StageStats,
+    verify_overlap_consistency, Observers, OrderedReassembler, OverlapStats, PipelineTrace,
+    StageStats,
 };
 pub use tables::{LogTable, NewPMatrix, PMatrix, SharedTables};

@@ -12,6 +12,7 @@ use gpu_sim::{MetricKind, MetricsSnapshot};
 
 use crate::cohort::CohortOutput;
 use crate::pipeline::{ComponentTimes, GsnpOutput, PipelineStats};
+use crate::progress::{HELP_LANE_STEALS, HELP_LANE_WINDOWS};
 use crate::stream::StageStats;
 
 /// Build the canonical metrics snapshot for one finished run.
@@ -196,14 +197,14 @@ fn run_metrics(
         push_stage(&mut m, &[("stage", "lane"), ("device", &dev)], &lane.stage);
         m.push(
             "gsnp_lane_windows_total",
-            "Windows scored by each device lane",
+            HELP_LANE_WINDOWS,
             Counter,
             &[("device", &dev)],
             lane.windows as f64,
         );
         m.push(
             "gsnp_lane_steals_total",
-            "Windows a lane pulled off its home-device residue class",
+            HELP_LANE_STEALS,
             Counter,
             &[("device", &dev)],
             lane.steals as f64,
@@ -638,6 +639,25 @@ mod tests {
             names.sort_unstable();
             names.dedup();
             assert_eq!(total, names.len(), "duplicate {marker} header");
+        }
+        // A family the live endpoint also emits says the same thing there.
+        let helps = |text: &str| -> std::collections::BTreeMap<String, String> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix("# HELP "))
+                .filter_map(|l| l.split_once(' '))
+                .map(|(name, help)| (name.to_string(), help.to_string()))
+                .collect()
+        };
+        let tracker = crate::ProgressTracker::new();
+        tracker.on(&crate::stream::RunEvent::batch(1, 2, 2000, 0.01, true));
+        let live = helps(&tracker.metrics().render_text());
+        let end = helps(&text);
+        let shared: Vec<&String> = live.keys().filter(|k| end.contains_key(*k)).collect();
+        for family in ["gsnp_lane_steals_total", "gsnp_lane_windows_total"] {
+            assert!(shared.iter().any(|k| *k == family), "{family} not shared");
+        }
+        for family in shared {
+            assert_eq!(live[family], end[family], "HELP of {family} differs");
         }
     }
 

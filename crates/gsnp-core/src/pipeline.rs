@@ -54,8 +54,8 @@ use crate::likelihood::{
     likelihood_comp_fused_gpu_into, likelihood_sort_gpu_into, DeviceTables, KernelVariant,
 };
 use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
-use crate::progress::{LatencyHists, ProgressTracker};
-use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats, PipelineTrace};
+use crate::progress::LatencyHists;
+use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats};
 use crate::tables::{CalCounts, SharedTables};
 
 /// Per-component elapsed time in seconds, matching the columns of the
@@ -155,12 +155,13 @@ pub struct PipelineStats {
     /// [`crate::progress::ProgressTracker`]: per-window wall time,
     /// per-stage busy/stall, per-kernel launch wall, and device queue
     /// wait. Always populated (the pipeline creates a private tracker
-    /// when [`GsnpConfig::progress`] is `None`); rendered by
+    /// when [`Observers::progress`] is `None`); rendered by
     /// `gsnp profile` and the Prometheus expositions.
     pub hists: LatencyHists,
 }
 
-/// GSNP configuration.
+/// GSNP configuration: what to compute. Who is watching the run is a
+/// separate [`Observers`] bundle.
 #[derive(Debug, Clone)]
 pub struct GsnpConfig {
     /// Sites per window (the paper's default: 256,000).
@@ -219,24 +220,13 @@ pub struct GsnpConfig {
     /// (symbolic, per launch); results and hardware counters are
     /// unchanged. Off by default.
     pub contracts: bool,
-    /// Attach a shared [`gpu_sim::TraceRecorder`]: every device in the
-    /// group records kernel/transfer/pool events under its own
-    /// `device{i}` process (simulated device clock), and the window loop
-    /// records one host-clock track per pipeline stage and device lane,
-    /// with steal and stall intervals marked. `None` (the default) records
-    /// nothing, costs zero allocations, and leaves all outputs
-    /// byte-identical (`tests/trace_layer.rs`). Export the recorder with
-    /// [`gpu_sim::TraceRecorder::snapshot`] after the run. Ignored by
-    /// [`GsnpCpuPipeline`], which has no device or stage structure to
-    /// trace.
-    pub trace: Option<std::sync::Arc<gpu_sim::TraceRecorder>>,
     /// Which compute backend executes the kernels: the instrumented
     /// simulator (`Sim`, the default — source of truth for Table III
     /// counters, sanitizer, and trace), the uninstrumented rayon host
     /// executor (`Native`, bit-identical results at real wall-clock
     /// speed), or per-launch adaptive dispatch (`Auto`). `Native` refuses
-    /// configs that need sim-only features (`sanitize`, `trace`); `Auto`
-    /// falls back to the simulator for those launches.
+    /// a traced run ([`Observers::trace`]); `Auto` falls back to the
+    /// simulator for the launches that need it.
     pub backend: BackendChoice,
     /// Routing policy for the `Auto` backend (ignored by `Sim`/`Native`).
     /// [`AutoPolicy::native_min_blocks`] is the occupancy threshold below
@@ -249,19 +239,6 @@ pub struct GsnpConfig {
     /// pooled calibration serves every sample; it is also how the parity
     /// suite makes a single-sample run comparable to a cohort lane.
     pub shared_tables: Option<std::sync::Arc<SharedTables>>,
-    /// Live heartbeat/latency tracker, shared with the CLI's `--progress`
-    /// stderr thread and the `--stats-addr` HTTP endpoint so the run can
-    /// be observed while the window loop executes. `None` (the default)
-    /// makes the pipeline create a private tracker — there is exactly
-    /// one recording path either way — whose histograms still land in
-    /// [`PipelineStats::hists`]. Recording never touches results: output
-    /// is byte-identical with or without an external tracker.
-    pub progress: Option<std::sync::Arc<ProgressTracker>>,
-    /// Structured JSONL run journal (`--journal`). The pipeline appends
-    /// per-batch, per-stage, per-lane, and per-device lifecycle events;
-    /// the CLI brackets them with the `run_start` manifest and `run_end`
-    /// summary. `None` (the default) journals nothing.
-    pub journal: Option<std::sync::Arc<Journal>>,
 }
 
 impl Default for GsnpConfig {
@@ -279,12 +256,9 @@ impl Default for GsnpConfig {
             pooled: true,
             sanitize: false,
             contracts: false,
-            trace: None,
             backend: BackendChoice::Sim,
             auto: AutoPolicy::default(),
             shared_tables: None,
-            progress: None,
-            journal: None,
         }
     }
 }
@@ -298,6 +272,52 @@ impl GsnpConfig {
         } else {
             self.launch_batch
         }
+    }
+
+    /// The `config` object of a journal's `run_start` event: every field
+    /// of this struct (a device and a model by name, pre-calibrated tables
+    /// by presence) plus the effective launch batch — what a reader needs
+    /// to run the same computation again. Destructures `self`, so a new
+    /// field does not compile until it is listed.
+    pub fn manifest_json(&self) -> String {
+        let GsnpConfig {
+            window_size,
+            device,
+            params,
+            variant,
+            compress_input,
+            gpu_output,
+            pipeline_depth,
+            launch_batch,
+            num_devices,
+            pooled,
+            sanitize,
+            contracts,
+            backend,
+            auto,
+            shared_tables,
+        } = self;
+        format!(
+            "{{\"window_size\":{window_size},\"num_devices\":{num_devices},\
+             \"launch_batch\":{launch_batch},\"launch_batch_effective\":{},\
+             \"pipeline_depth\":{pipeline_depth},\"backend\":\"{}\",\
+             \"auto_threshold\":{},\"contracts\":{contracts},\"sanitize\":{sanitize},\
+             \"variant\":\"{}\",\"compress_input\":{compress_input},\
+             \"gpu_output\":{gpu_output},\"pooled\":{pooled},\"device\":\"{}\",\
+             \"het_rate\":{},\"hom_rate\":{},\"titv_ratio\":{},\"pseudocount\":{},\
+             \"expected_depth\":{},\"shared_tables\":{}}}",
+            self.launch_batch_size(),
+            backend.name(),
+            auto.native_min_blocks,
+            variant.label(),
+            crate::journal::json_escape(device.name),
+            params.het_rate,
+            params.hom_rate,
+            params.titv_ratio,
+            params.pseudocount,
+            params.expected_depth,
+            shared_tables.is_some(),
+        )
     }
 }
 
@@ -330,12 +350,22 @@ impl GsnpOutput {
 /// The GSNP pipeline driver.
 pub struct GsnpPipeline {
     config: GsnpConfig,
+    observers: Observers,
 }
 
 impl GsnpPipeline {
-    /// Create a pipeline with the given configuration.
+    /// Create a pipeline with the given configuration and nobody watching.
     pub fn new(config: GsnpConfig) -> Self {
-        GsnpPipeline { config }
+        GsnpPipeline {
+            config,
+            observers: Observers::default(),
+        }
+    }
+
+    /// Attach the observers of this pipeline's runs.
+    pub fn observed(mut self, observers: Observers) -> Self {
+        self.observers = observers;
+        self
     }
 
     /// The active configuration.
@@ -379,6 +409,7 @@ impl GsnpPipeline {
     fn run_loop(&self, first: FirstPass, reference: &Reference, priors: &PriorMap) -> GsnpOutput {
         let mut out = run_window_loop(
             &self.config,
+            &self.observers,
             first,
             reference,
             priors,
@@ -663,6 +694,7 @@ struct Called {
 /// observer reports — belongs to [`run_stages`].
 pub(crate) fn run_window_loop(
     cfg: &GsnpConfig,
+    observers: &Observers,
     first: FirstPass,
     reference: &Reference,
     priors: &PriorMap,
@@ -673,10 +705,11 @@ pub(crate) fn run_window_loop(
     // One tracker per run, external or private — every latency
     // observation flows through it either way (see
     // [`PipelineStats::hists`]).
-    let tracker = cfg
-        .progress
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(ProgressTracker::new()));
+    let tracker = observers.tracker();
+    let observers = &Observers {
+        progress: Some(Arc::clone(&tracker)),
+        ..observers.clone()
+    };
     let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
         .with_launch_hist(&tracker.kernel_hist());
     if cfg.sanitize {
@@ -685,7 +718,7 @@ pub(crate) fn run_window_loop(
     if cfg.contracts {
         group = group.with_contracts();
     }
-    if let Some(rec) = &cfg.trace {
+    if let Some(rec) = &observers.trace {
         group = group.with_trace(rec);
     }
     group.set_pool_enabled(cfg.pooled);
@@ -694,12 +727,6 @@ pub(crate) fn run_window_loop(
     tracker.set_samples(num_samples as u64);
     tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
     tracker.begin_lanes(group.len());
-    // Host-side pipeline tracks (one per stage + device lane); all
-    // registration and interning happens here, before the first window.
-    let ptrace = cfg
-        .trace
-        .as_ref()
-        .map(|rec| PipelineTrace::new(rec, group.len()));
     // One per-device dispatcher routes every kernel launch to the
     // configured backend. Construction refuses `Native` when sim-only
     // features (sanitizer, trace) are attached; `Auto` falls back to
@@ -905,11 +932,6 @@ pub(crate) fn run_window_loop(
         out_model += if cfg.gpu_output { dt * 0.25 } else { dt };
     };
 
-    let observers = Observers {
-        tracker: &tracker,
-        trace: ptrace.as_ref(),
-        journal: cfg.journal.as_deref(),
-    };
     stats.overlap = run_stages(
         cfg.pipeline_depth,
         observers,
@@ -940,7 +962,7 @@ pub(crate) fn run_window_loop(
     stats.kernel_launches = group.kernel_launches();
     stats.contracts = group.contract_report();
     stats.hists = tracker.latency();
-    if let Some(j) = &cfg.journal {
+    if let Some(j) = &observers.journal {
         journal_run_stats(j, &stats);
     }
 
@@ -985,13 +1007,7 @@ fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
         );
     }
     for (i, led) in stats.ledgers.iter().enumerate() {
-        let s = &led.sanitizer;
-        let findings = s.races
-            + s.uninit_reads
-            + s.oob_accesses
-            + s.shared_leaks
-            + s.conformance_escapes
-            + s.overwide_declarations;
+        let findings = led.sanitizer.total();
         j.event(
             "device",
             &format!(
@@ -1911,6 +1927,7 @@ mod tests {
                 let gates = QualityGates::default();
                 run_window_loop(
                     &cfg,
+                    &Observers::default(),
                     first,
                     &d.reference,
                     &d.priors,

@@ -11,7 +11,7 @@
 //!
 //! One [`ProgressTracker`] exists per run — the pipeline creates its own
 //! when the caller did not hand one in via
-//! [`crate::GsnpConfig::progress`] — so there is a single recording path
+//! [`crate::Observers::progress`] — so there is a single recording path
 //! whether or not anything is watching. Recording is a few atomic adds
 //! plus one short mutex-protected fold per *batch* (never per site), and
 //! the histograms themselves are fixed arrays, so the steady state stays
@@ -25,6 +25,8 @@ use gpu_sim::trace::MetricsSnapshot;
 use gpu_sim::{Histogram, HistogramDigest, SharedHistogram};
 use parking_lot::Mutex;
 
+use crate::stream::{Phase, RunEvent, Stage};
+
 /// Window-loop stage names, in pipeline order. Indexes into the
 /// `stage_busy` / `stage_stall` arrays of [`LatencyHists`].
 pub const STAGE_NAMES: [&str; 4] = ["read", "device", "posterior", "output"];
@@ -37,6 +39,11 @@ pub const STAGE_DEVICE: usize = 1;
 pub const STAGE_POSTERIOR: usize = 2;
 /// Stage index: reassembly + compressed output.
 pub const STAGE_OUTPUT: usize = 3;
+
+/// HELP text of `gsnp_lane_windows_total`, emitted live and at end of run.
+pub(crate) const HELP_LANE_WINDOWS: &str = "Windows scored by each device lane";
+/// HELP text of `gsnp_lane_steals_total`, emitted live and at end of run.
+pub(crate) const HELP_LANE_STEALS: &str = "Windows a lane pulled off its home-device residue class";
 
 /// The full set of latency histograms one run accumulates.
 #[derive(Debug, Clone, Default)]
@@ -57,19 +64,6 @@ pub struct LatencyHists {
 }
 
 impl LatencyHists {
-    /// Fold `other` in (bucket-wise; associative and commutative).
-    pub fn merge(&mut self, other: &LatencyHists) {
-        self.window.merge(&other.window);
-        for (a, b) in self.stage_busy.iter_mut().zip(&other.stage_busy) {
-            a.merge(b);
-        }
-        for (a, b) in self.stage_stall.iter_mut().zip(&other.stage_stall) {
-            a.merge(b);
-        }
-        self.queue_wait.merge(&other.queue_wait);
-        self.kernel_wall.merge(&other.kernel_wall);
-    }
-
     /// `(name, digest)` rows for every non-empty histogram, in display
     /// order — shared by `gsnp profile`, the run journal, and
     /// `gsnp report`.
@@ -213,53 +207,63 @@ impl ProgressTracker {
         }
     }
 
-    /// Record one device batch: `k` windows covering `sites` sites,
-    /// processed in `busy_seconds` of lane busy time. The per-window
-    /// histogram gets `k` observations of the evenly-sliced duration,
-    /// matching how the trace layer emits per-window spans.
-    pub fn lane_batch(&self, lane: usize, k: u64, sites: u64, busy_seconds: f64) {
-        self.windows_done.fetch_add(k, Ordering::Relaxed);
-        self.sites_done.fetch_add(sites, Ordering::Relaxed);
-        let mut live = self.live.lock();
-        if lane >= live.lanes.len() {
-            live.lanes.resize(lane + 1, LaneCounters::default());
+    /// Record one stage boundary. A batch advances the heartbeat and its
+    /// lane's counters; the per-window histogram gets one observation per
+    /// window of the evenly-sliced busy time, matching how the trace layer
+    /// emits per-window spans. An interval lands in its stage's busy or
+    /// stall histogram; a lane's wait on the device input queue is also the
+    /// queue-wait series.
+    pub(crate) fn on(&self, ev: &RunEvent) {
+        match *ev {
+            RunEvent::Batch {
+                lane,
+                windows,
+                sites,
+                stolen,
+                dt,
+                ..
+            } => {
+                self.windows_done.fetch_add(windows, Ordering::Relaxed);
+                self.sites_done.fetch_add(sites, Ordering::Relaxed);
+                let mut live = self.live.lock();
+                if lane >= live.lanes.len() {
+                    live.lanes.resize(lane + 1, LaneCounters::default());
+                }
+                let counters = &mut live.lanes[lane];
+                counters.windows += windows;
+                counters.busy_seconds += dt;
+                if stolen {
+                    counters.steals += windows;
+                }
+                if windows > 0 {
+                    live.hists.window.record_n(dt / windows as f64, windows);
+                }
+                live.hists.stage_busy[STAGE_DEVICE].record(dt);
+            }
+            RunEvent::Interval {
+                stage, phase, dt, ..
+            } => {
+                let at = match stage {
+                    Stage::Read => STAGE_READ,
+                    Stage::Lane(_) => STAGE_DEVICE,
+                    Stage::Posterior => STAGE_POSTERIOR,
+                    Stage::Output => STAGE_OUTPUT,
+                };
+                let hists = &mut self.live.lock().hists;
+                match phase {
+                    Phase::Busy => hists.stage_busy[at].record(dt),
+                    // Hand-off waits downstream of the device are traced,
+                    // not histogrammed.
+                    Phase::StallOut if at != STAGE_READ => {}
+                    Phase::StallIn | Phase::StallOut => {
+                        hists.stage_stall[at].record(dt);
+                        if at == STAGE_DEVICE {
+                            hists.queue_wait.record(dt);
+                        }
+                    }
+                }
+            }
         }
-        live.lanes[lane].windows += k;
-        live.lanes[lane].busy_seconds += busy_seconds;
-        if k > 0 {
-            live.hists.window.record_n(busy_seconds / k as f64, k);
-        }
-        live.hists.stage_busy[STAGE_DEVICE].record(busy_seconds);
-    }
-
-    /// Record a lane's wait on the device input queue.
-    pub fn lane_wait(&self, lane: usize, wait_seconds: f64) {
-        let mut live = self.live.lock();
-        if lane >= live.lanes.len() {
-            live.lanes.resize(lane + 1, LaneCounters::default());
-        }
-        live.hists.queue_wait.record(wait_seconds);
-        live.hists.stage_stall[STAGE_DEVICE].record(wait_seconds);
-    }
-
-    /// Record that a lane stole `n` windows owned by another lane.
-    pub fn lane_steal(&self, lane: usize, n: u64) {
-        let mut live = self.live.lock();
-        if lane >= live.lanes.len() {
-            live.lanes.resize(lane + 1, LaneCounters::default());
-        }
-        live.lanes[lane].steals += n;
-    }
-
-    /// Record a busy interval for a non-device stage (`STAGE_READ`,
-    /// `STAGE_POSTERIOR`, `STAGE_OUTPUT`).
-    pub fn stage_busy(&self, stage: usize, seconds: f64) {
-        self.live.lock().hists.stage_busy[stage].record(seconds);
-    }
-
-    /// Record a stall interval for a non-device stage.
-    pub fn stage_stall(&self, stage: usize, seconds: f64) {
-        self.live.lock().hists.stage_stall[stage].record(seconds);
     }
 
     /// Mark the run finished (flips `/health` and the heartbeat line to
@@ -389,14 +393,14 @@ impl ProgressTracker {
             let dev = i.to_string();
             m.push(
                 "gsnp_lane_windows_total",
-                "Windows completed per device lane",
+                HELP_LANE_WINDOWS,
                 gpu_sim::MetricKind::Counter,
                 &[("device", dev.as_str())],
                 lane.windows as f64,
             );
             m.push(
                 "gsnp_lane_steals_total",
-                "Batches stolen from other lanes, per device lane",
+                HELP_LANE_STEALS,
                 gpu_sim::MetricKind::Counter,
                 &[("device", dev.as_str())],
                 lane.steals as f64,
@@ -437,7 +441,7 @@ pub fn push_build_info(m: &mut MetricsSnapshot) {
 pub struct LaneProgress {
     /// Windows this lane completed.
     pub windows: u64,
-    /// Batches this lane stole from other lanes.
+    /// Windows this lane scored off their round-robin home lane.
     pub steals: u64,
     /// Fraction of run wall time the lane spent busy, clamped to 1.
     pub utilization: f64,
@@ -545,10 +549,16 @@ mod tests {
         let t = ProgressTracker::new();
         t.set_total_windows(10);
         t.begin_lanes(2);
-        t.lane_batch(0, 4, 4000, 0.08);
-        t.lane_batch(1, 2, 2000, 0.04);
-        t.lane_steal(1, 1);
-        t.lane_wait(0, 0.01);
+        t.on(&RunEvent::batch(0, 4, 4000, 0.08, false));
+        // Lane 1: two windows, the second scored off its home lane.
+        t.on(&RunEvent::batch(1, 1, 1000, 0.02, false));
+        t.on(&RunEvent::batch(1, 1, 1000, 0.02, true));
+        t.on(&RunEvent::Interval {
+            stage: Stage::Lane(0),
+            phase: Phase::StallIn,
+            ts: 0.0,
+            dt: 0.01,
+        });
         let p = t.progress();
         assert_eq!(p.windows_done, 6);
         assert_eq!(p.windows_total, 10);
@@ -565,7 +575,7 @@ mod tests {
     #[test]
     fn lane_batch_slices_windows_evenly() {
         let t = ProgressTracker::new();
-        t.lane_batch(0, 4, 400, 0.4);
+        t.on(&RunEvent::batch(0, 4, 400, 0.4, false));
         let h = t.latency();
         assert_eq!(h.window.count(), 4, "k windows, k observations");
         assert!((h.window.sum() - 0.4).abs() < 1e-12);
@@ -587,7 +597,7 @@ mod tests {
     fn metrics_exposes_histogram_families_and_build_info() {
         let t = ProgressTracker::new();
         t.set_total_windows(8);
-        t.lane_batch(0, 8, 8000, 0.1);
+        t.on(&RunEvent::batch(0, 8, 8000, 0.1, false));
         t.finish();
         let text = t.metrics().render_text();
         assert!(text.contains("# TYPE gsnp_window_seconds histogram"));
@@ -612,7 +622,7 @@ mod tests {
     fn snapshot_renders_line_and_json() {
         let t = ProgressTracker::new();
         t.set_total_windows(4);
-        t.lane_batch(0, 2, 2000, 0.05);
+        t.on(&RunEvent::batch(0, 2, 2000, 0.05, false));
         let p = t.progress();
         let line = p.render_line();
         assert!(line.starts_with("progress: 2/4 windows (50.0%)"), "{line}");

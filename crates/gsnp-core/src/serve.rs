@@ -172,7 +172,7 @@ mod tests {
     fn serves_health_progress_metrics_and_404() {
         let tracker = Arc::new(ProgressTracker::new());
         tracker.set_total_windows(4);
-        tracker.lane_batch(0, 2, 2000, 0.01);
+        tracker.on(&crate::stream::RunEvent::batch(0, 2, 2000, 0.01, false));
         let server = StatsServer::start("127.0.0.1:0", Arc::clone(&tracker)).unwrap();
         let addr = server.addr();
 

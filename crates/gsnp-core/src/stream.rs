@@ -12,9 +12,9 @@
 //! everything *between* them: the bounded channels
 //! (`GsnpConfig::pipeline_depth`), the `num_devices` device workers pulling
 //! from one shared queue, ordered reassembly in front of the output body,
-//! every busy/stall clock, and the single point (`StageClock::record`,
-//! `Lane::score`) where a stage boundary is reported to [`StageStats`],
-//! the [`ProgressTracker`], the [`PipelineTrace`] tracks and the journal.
+//! every busy/stall clock, and the two sites (`StageClock::record`,
+//! `Lane::score`) where a stage boundary becomes one `RunEvent`, handed to
+//! one `emit` that feeds every attached [`Observers`] sink.
 //! Single-sample, sharded and cohort calling all run through it
 //! (`crate::pipeline::run_window_loop` supplies the bodies); depth 1 on one
 //! device runs the same bodies in order on the calling thread.
@@ -26,8 +26,10 @@
 //!   to a serial run (§IV-G).
 //! * [`StageStats`] / [`OverlapStats`] — per-stage busy and stall time,
 //!   from which the achieved pipeline depth is derived.
+//! * [`Observers`] — who is watching a run: trace recorder, progress
+//!   tracker, journal. Attached with `GsnpPipeline::observed`.
 //! * [`PipelineTrace`] — the host-side tracks of the tracing subsystem
-//!   (`GsnpConfig::trace`): one span track per pipeline stage and per
+//!   ([`Observers::trace`]): one span track per pipeline stage and per
 //!   device lane under a `"pipeline"` process, recording the *same*
 //!   busy/stall durations that land in [`StageStats`], plus steal
 //!   instants. [`verify_overlap_consistency`] cross-checks the two
@@ -41,7 +43,7 @@ use crossbeam::channel::{bounded, Receiver};
 use gpu_sim::trace::{NameId, SpanArgs, TraceRecorder, TraceSnapshot, TrackId, TrackKind};
 
 use crate::journal::Journal;
-use crate::progress::{ProgressTracker, STAGE_OUTPUT, STAGE_POSTERIOR, STAGE_READ};
+use crate::progress::ProgressTracker;
 
 /// Restores stream order at a pipeline's ordered sink.
 ///
@@ -243,7 +245,7 @@ impl OverlapStats {
 /// [`verify_overlap_consistency`] reconcile the two systems to
 /// floating-point regrouping error.
 ///
-/// Tracks and names are registered at construction; recording methods are
+/// Tracks and names are registered at construction; recording is
 /// allocation-free.
 pub struct PipelineTrace {
     rec: Arc<TraceRecorder>,
@@ -293,74 +295,53 @@ impl PipelineTrace {
         self.rec.now()
     }
 
-    /// Producer busy span (decompression or one window's `read_site`).
-    pub fn read_span(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.read, self.n_read, ts, dur, SpanArgs::None);
-    }
-
-    /// Producer blocked on downstream channel capacity.
-    pub fn read_stall_out(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.read, self.n_stall_out, ts, dur, SpanArgs::None);
-    }
-
-    /// Device lane `lane` busy on window `window`.
-    pub fn lane_window(&self, lane: usize, ts: f64, dur: f64, window: u64) {
-        self.rec.span(
-            self.lanes[lane],
-            self.n_window,
-            ts,
-            dur,
-            SpanArgs::Window { index: window },
-        );
-    }
-
-    /// Device lane blocked waiting for a window.
-    pub fn lane_stall_in(&self, lane: usize, ts: f64, dur: f64) {
-        self.rec
-            .span(self.lanes[lane], self.n_stall_in, ts, dur, SpanArgs::None);
-    }
-
-    /// Device lane blocked handing a scored window downstream.
-    pub fn lane_stall_out(&self, lane: usize, ts: f64, dur: f64) {
-        self.rec
-            .span(self.lanes[lane], self.n_stall_out, ts, dur, SpanArgs::None);
-    }
-
-    /// Lane processed a window off its round-robin home device.
-    pub fn lane_steal(&self, lane: usize, ts: f64) {
-        self.rec.instant(self.lanes[lane], self.n_steal, ts);
-    }
-
-    /// Posterior busy span.
-    pub fn posterior_span(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.posterior, self.n_posterior, ts, dur, SpanArgs::None);
-    }
-
-    /// Posterior blocked on its input channel.
-    pub fn posterior_stall_in(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.posterior, self.n_stall_in, ts, dur, SpanArgs::None);
-    }
-
-    /// Posterior blocked on the output channel.
-    pub fn posterior_stall_out(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.posterior, self.n_stall_out, ts, dur, SpanArgs::None);
-    }
-
-    /// Output busy span (reassembly + compression + serialization).
-    pub fn output_span(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.output, self.n_output, ts, dur, SpanArgs::None);
-    }
-
-    /// Output blocked waiting for called windows.
-    pub fn output_stall_in(&self, ts: f64, dur: f64) {
-        self.rec
-            .span(self.output, self.n_stall_in, ts, dur, SpanArgs::None);
+    /// Record one stage boundary: an interval is one span on its stage's
+    /// track; a batch is one `window` span per window — the measured
+    /// interval sliced evenly, so a lane's spans number its windows and sum
+    /// to its busy time, which is what the verifier wants — each preceded
+    /// by a `steal` instant when the lane scored it off its home device.
+    pub(crate) fn on(&self, ev: &RunEvent) {
+        match *ev {
+            RunEvent::Interval {
+                stage,
+                phase,
+                ts,
+                dt,
+            } => {
+                let (track, busy) = match stage {
+                    Stage::Read => (self.read, self.n_read),
+                    Stage::Lane(i) => (self.lanes[i], self.n_window),
+                    Stage::Posterior => (self.posterior, self.n_posterior),
+                    Stage::Output => (self.output, self.n_output),
+                };
+                let name = match phase {
+                    Phase::StallIn => self.n_stall_in,
+                    Phase::Busy => busy,
+                    Phase::StallOut => self.n_stall_out,
+                };
+                self.rec.span(track, name, ts, dt, SpanArgs::None);
+            }
+            RunEvent::Batch {
+                lane,
+                first,
+                windows,
+                stolen,
+                ts,
+                dt,
+                ..
+            } => {
+                let track = self.lanes[lane];
+                let slice = dt / windows as f64;
+                for j in 0..windows {
+                    if stolen {
+                        self.rec.instant(track, self.n_steal, ts);
+                    }
+                    let args = SpanArgs::Window { index: first + j };
+                    let at = ts + slice * j as f64;
+                    self.rec.span(track, self.n_window, at, slice, args);
+                }
+            }
+        }
     }
 
     /// Cross-check this trace against the run's [`OverlapStats`] (see
@@ -397,127 +378,162 @@ pub fn verify_overlap_consistency(
             .map(|i| TrackId(i as u32))
             .ok_or_else(|| format!("pipeline trace has no {thread:?} track"))
     };
-    let check = |what: &str, stats: f64, spans: f64| -> Result<(), String> {
-        if (stats - spans).abs() > CONSISTENCY_TOL {
-            return Err(format!(
-                "{what}: OverlapStats has {stats} s but trace spans sum to {spans} s"
-            ));
+    // One stage's three totals against the spans of its track, whose busy
+    // spans are named `busy`.
+    let check = |what: &str, thread: &str, busy: &str, stats: &StageStats| {
+        let t = track(thread)?;
+        for (phase, name, total) in [
+            ("busy", busy, stats.busy),
+            ("stall_in", "stall_in", stats.stall_in),
+            ("stall_out", "stall_out", stats.stall_out),
+        ] {
+            let spans = snap.sum_span_durations(t, name);
+            if (total - spans).abs() > CONSISTENCY_TOL {
+                return Err(format!(
+                    "{what} {phase}: OverlapStats has {total} s but trace spans sum to {spans} s"
+                ));
+            }
         }
-        Ok(())
+        Ok(t)
     };
-
-    let read = track("read_site")?;
-    check(
-        "read.busy",
-        overlap.read.busy,
-        snap.sum_span_durations(read, "read_site"),
-    )?;
-    check(
-        "read.stall_out",
-        overlap.read.stall_out,
-        snap.sum_span_durations(read, "stall_out"),
-    )?;
-
+    check("read", "read_site", "read_site", &overlap.read)?;
+    check("posterior", "posterior", "posterior", &overlap.posterior)?;
+    check("output", "output", "output", &overlap.output)?;
     for (i, lane) in overlap.devices.iter().enumerate() {
-        let t = track(&lane_thread(i))?;
-        check(
-            &format!("lane {i} busy"),
-            lane.stage.busy,
-            snap.sum_span_durations(t, "window"),
-        )?;
-        check(
-            &format!("lane {i} stall_in"),
-            lane.stage.stall_in,
-            snap.sum_span_durations(t, "stall_in"),
-        )?;
-        check(
-            &format!("lane {i} stall_out"),
-            lane.stage.stall_out,
-            snap.sum_span_durations(t, "stall_out"),
-        )?;
-        let windows = snap.count_events(t, "window") as u64;
-        if windows != lane.windows {
-            return Err(format!(
-                "lane {i}: {} window spans vs {} windows in OverlapStats",
-                windows, lane.windows
-            ));
-        }
-        let steals = snap.count_events(t, "steal") as u64;
-        if steals != lane.steals {
-            return Err(format!(
-                "lane {i}: {} steal events vs {} steals in OverlapStats",
-                steals, lane.steals
-            ));
+        let t = check(&format!("lane {i}"), &lane_thread(i), "window", &lane.stage)?;
+        for (what, name, total) in [
+            ("window spans", "window", lane.windows),
+            ("steal events", "steal", lane.steals),
+        ] {
+            let events = snap.count_events(t, name) as u64;
+            if events != total {
+                return Err(format!(
+                    "lane {i}: {events} {what} vs {total} in OverlapStats"
+                ));
+            }
         }
     }
-
-    let post = track("posterior")?;
-    check(
-        "posterior.busy",
-        overlap.posterior.busy,
-        snap.sum_span_durations(post, "posterior"),
-    )?;
-    check(
-        "posterior.stall_in",
-        overlap.posterior.stall_in,
-        snap.sum_span_durations(post, "stall_in"),
-    )?;
-    check(
-        "posterior.stall_out",
-        overlap.posterior.stall_out,
-        snap.sum_span_durations(post, "stall_out"),
-    )?;
-
-    let out = track("output")?;
-    check(
-        "output.busy",
-        overlap.output.busy,
-        snap.sum_span_durations(out, "output"),
-    )?;
-    check(
-        "output.stall_in",
-        overlap.output.stall_in,
-        snap.sum_span_durations(out, "stall_in"),
-    )?;
     Ok(())
 }
 
-/// Who is watching a run of the window loop. [`run_stages`] reports every
-/// stage boundary to all of them; the stage bodies report to none.
-#[derive(Clone, Copy)]
-pub(crate) struct Observers<'a> {
-    /// Heartbeat counters and latency histograms.
-    pub(crate) tracker: &'a ProgressTracker,
-    /// Host-side pipeline tracks, when the run is traced.
-    pub(crate) trace: Option<&'a PipelineTrace>,
-    /// Run journal (`batch` events), when one is attached.
-    pub(crate) journal: Option<&'a Journal>,
+/// Who is watching a run. Attach with `GsnpPipeline::observed` /
+/// `CohortPipeline::observed`; the default watches nothing. Observers
+/// never touch results: output is byte-identical whatever is attached
+/// (`tests/trace_layer.rs`).
+#[derive(Debug, Clone, Default)]
+pub struct Observers {
+    /// Every device records kernel/transfer/pool events under its own
+    /// `device{i}` process (simulated device clock) and the window loop one
+    /// host-clock track per stage and device lane ([`PipelineTrace`]).
+    /// Export with [`TraceRecorder::snapshot`] after the run. Ignored by
+    /// `GsnpCpuPipeline`, which has no device or stage structure to trace.
+    pub trace: Option<Arc<TraceRecorder>>,
+    /// Heartbeat and latency histograms, readable while the run executes
+    /// (`--progress`, `--stats-addr`). `None` makes the run create a
+    /// private tracker — there is one recording path either way — whose
+    /// histograms still land in `PipelineStats::hists`.
+    pub progress: Option<Arc<ProgressTracker>>,
+    /// The run appends `batch`, `stage`, `lane`, `device` (and, for a
+    /// cohort, `sample` and `gates`) events; the CLI brackets them with the
+    /// `run_start` manifest and the `run_end` summary.
+    pub journal: Option<Arc<Journal>>,
 }
 
-#[derive(Clone, Copy)]
-enum Stage {
+impl Observers {
+    /// The run's one tracker: the attached one, or a private one.
+    pub(crate) fn tracker(&self) -> Arc<ProgressTracker> {
+        self.progress.clone().unwrap_or_default()
+    }
+}
+
+/// A stage of the window loop; device workers are told apart.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
     Read,
     Lane(usize),
     Posterior,
     Output,
 }
 
-#[derive(Clone, Copy)]
-enum Phase {
+/// What a stage spent an interval on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
     StallIn,
     Busy,
     StallOut,
 }
 
+/// One stage boundary of the window loop, as every observer receives it.
+/// `ts` is the interval's start on the trace epoch (0 when untraced — only
+/// the trace reads it), `dt` its seconds: the identical `f64` the stage
+/// adds to its [`StageStats`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RunEvent {
+    /// A stall, or a busy interval of a stage other than a device lane.
+    Interval {
+        stage: Stage,
+        phase: Phase,
+        ts: f64,
+        dt: f64,
+    },
+    /// A device lane's busy interval: batch `idx` (production order), whose
+    /// `windows` windows start at window `first` and cover `sites` sites.
+    /// `stolen`: scored off its round-robin home lane.
+    Batch {
+        lane: usize,
+        idx: usize,
+        first: u64,
+        windows: u64,
+        sites: u64,
+        stolen: bool,
+        ts: f64,
+        dt: f64,
+    },
+}
+
+/// [`Observers`] attached to one run of the loop: the tracker resolved
+/// (external or private), the host tracks registered.
+struct Attached<'a> {
+    tracker: &'a ProgressTracker,
+    trace: Option<PipelineTrace>,
+    journal: Option<&'a Journal>,
+}
+
+impl Attached<'_> {
+    /// The one entry every observer is fed through.
+    fn emit(&self, ev: &RunEvent) {
+        self.tracker.on(ev);
+        if let Some(pt) = &self.trace {
+            pt.on(ev);
+        }
+        if let (
+            Some(j),
+            RunEvent::Batch {
+                lane,
+                idx,
+                windows,
+                dt,
+                ..
+            },
+        ) = (self.journal, ev)
+        {
+            let body = format!(
+                "\"lane\":{lane},\"idx\":{idx},\"windows\":{windows},\"busy_seconds\":{dt:.6}"
+            );
+            j.event("batch", &body);
+        }
+    }
+}
+
 /// One stage's clock: times an interval and reports it everywhere at once.
 struct StageClock<'a> {
-    obs: Observers<'a>,
+    obs: &'a Attached<'a>,
     stage: Stage,
     stats: StageStats,
 }
 
 impl<'a> StageClock<'a> {
-    fn new(obs: Observers<'a>, stage: Stage) -> Self {
+    fn new(obs: &'a Attached<'a>, stage: Stage) -> Self {
         StageClock {
             obs,
             stage,
@@ -528,7 +544,7 @@ impl<'a> StageClock<'a> {
     /// Run `f`; returns its result, the interval's start on the trace
     /// epoch (0 when untraced — never read then), and its seconds.
     fn time<R>(&self, f: impl FnOnce() -> R) -> (R, f64, f64) {
-        let ts = self.obs.trace.map_or(0.0, PipelineTrace::now);
+        let ts = self.obs.trace.as_ref().map_or(0.0, PipelineTrace::now);
         let t0 = Instant::now();
         let r = f();
         (r, ts, t0.elapsed().as_secs_f64())
@@ -550,47 +566,21 @@ impl<'a> StageClock<'a> {
         Some(msg)
     }
 
-    /// The one place a stage boundary reaches [`StageStats`], the tracker
-    /// and the trace. The span carries the identical `f64` the stats add,
-    /// which is what [`verify_overlap_consistency`] relies on. (A lane's
-    /// busy interval also needs the batch it covered: [`Lane::score`].)
+    /// Where an interval reaches this stage's [`StageStats`] and, as one
+    /// event, the observers. (A lane's busy interval also needs the batch
+    /// it covered: [`Lane::score`].)
     fn record(&mut self, phase: Phase, ts: f64, dt: f64) {
         match phase {
             Phase::StallIn => self.stats.stall_in += dt,
             Phase::Busy => self.stats.busy += dt,
             Phase::StallOut => self.stats.stall_out += dt,
         }
-        let tracker = self.obs.tracker;
-        match (self.stage, phase) {
-            (Stage::Read, Phase::Busy) => tracker.stage_busy(STAGE_READ, dt),
-            (Stage::Read, Phase::StallOut) => tracker.stage_stall(STAGE_READ, dt),
-            (Stage::Lane(i), Phase::StallIn) => tracker.lane_wait(i, dt),
-            (Stage::Posterior, Phase::StallIn) => tracker.stage_stall(STAGE_POSTERIOR, dt),
-            (Stage::Posterior, Phase::Busy) => tracker.stage_busy(STAGE_POSTERIOR, dt),
-            (Stage::Output, Phase::StallIn) => tracker.stage_stall(STAGE_OUTPUT, dt),
-            (Stage::Output, Phase::Busy) => tracker.stage_busy(STAGE_OUTPUT, dt),
-            // Hand-off waits downstream of the device are traced, not
-            // histogrammed.
-            (Stage::Lane(_) | Stage::Posterior, Phase::StallOut) => {}
-            (Stage::Read, Phase::StallIn)
-            | (Stage::Lane(_), Phase::Busy)
-            | (Stage::Output, Phase::StallOut) => {
-                unreachable!("the window loop has no such stage boundary")
-            }
-        }
-        let Some(pt) = self.obs.trace else { return };
-        match (self.stage, phase) {
-            (Stage::Read, Phase::Busy) => pt.read_span(ts, dt),
-            (Stage::Read, Phase::StallOut) => pt.read_stall_out(ts, dt),
-            (Stage::Lane(i), Phase::StallIn) => pt.lane_stall_in(i, ts, dt),
-            (Stage::Lane(i), Phase::StallOut) => pt.lane_stall_out(i, ts, dt),
-            (Stage::Posterior, Phase::StallIn) => pt.posterior_stall_in(ts, dt),
-            (Stage::Posterior, Phase::Busy) => pt.posterior_span(ts, dt),
-            (Stage::Posterior, Phase::StallOut) => pt.posterior_stall_out(ts, dt),
-            (Stage::Output, Phase::StallIn) => pt.output_stall_in(ts, dt),
-            (Stage::Output, Phase::Busy) => pt.output_span(ts, dt),
-            _ => {} // refused above
-        }
+        self.obs.emit(&RunEvent::Interval {
+            stage: self.stage,
+            phase,
+            ts,
+            dt,
+        });
     }
 }
 
@@ -614,52 +604,34 @@ struct Lane<'a> {
 }
 
 impl Lane<'_> {
-    /// Run the device body on one batch and report the busy interval:
-    /// lane counters, heartbeat, `batch` journal event, steal instants,
-    /// and one lane span per window. The spans slice the measured interval
-    /// evenly — the trace verifier wants `windows` spans per lane whose
-    /// durations sum to the lane's busy time, and this keeps both exact.
+    /// Run the device body on one batch and report the busy interval, to
+    /// the lane's own counters and as one event.
     fn score<T, S>(
         &mut self,
         ticket: Ticket<T>,
         body: &mut impl FnMut(Vec<T>) -> (S, u64),
     ) -> (usize, S) {
         let Ticket { idx, first, batch } = ticket;
-        let k = batch.len();
+        let windows = batch.len() as u64;
         let ((scored, sites), ts, dt) = self.clk.time(|| body(batch));
         self.clk.stats.busy += dt;
-        self.windows += k as u64;
-        let Observers {
-            tracker,
-            trace,
-            journal,
-        } = self.clk.obs;
+        self.windows += windows;
         // Batch `idx` is homed on lane `idx % N`; the shared queue hands it
         // to whichever worker frees up first.
         let stolen = idx % self.num_lanes != self.id;
         if stolen {
-            self.steals += k as u64;
-            tracker.lane_steal(self.id, k as u64);
+            self.steals += windows;
         }
-        tracker.lane_batch(self.id, k as u64, sites, dt);
-        if let Some(j) = journal {
-            j.event(
-                "batch",
-                &format!(
-                    "\"lane\":{},\"idx\":{idx},\"windows\":{k},\"busy_seconds\":{dt:.6}",
-                    self.id
-                ),
-            );
-        }
-        if let Some(pt) = trace {
-            let slice = dt / k as f64;
-            for j in 0..k {
-                if stolen {
-                    pt.lane_steal(self.id, ts);
-                }
-                pt.lane_window(self.id, ts + slice * j as f64, slice, first + j as u64);
-            }
-        }
+        self.clk.obs.emit(&RunEvent::Batch {
+            lane: self.id,
+            idx,
+            first,
+            windows,
+            sites,
+            stolen,
+            ts,
+            dt,
+        });
         (idx, scored)
     }
 
@@ -702,7 +674,7 @@ fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
 /// never a hang.
 pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     depth: usize,
-    obs: Observers<'_>,
+    observers: &Observers,
     mut produce: impl FnMut() -> Option<Vec<T>> + Send,
     device: Vec<impl FnMut(Vec<T>) -> (S, u64) + Send>,
     mut posterior: impl FnMut(S) -> C + Send,
@@ -711,6 +683,17 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     let depth = depth.max(1);
     let num_lanes = device.len();
     assert!(num_lanes >= 1, "window loop needs at least one device");
+    let tracker = observers.tracker();
+    // Track registration and name interning happen here, before the first
+    // window.
+    let obs = &Attached {
+        tracker: &tracker,
+        trace: observers
+            .trace
+            .as_ref()
+            .map(|rec| PipelineTrace::new(rec, num_lanes)),
+        journal: observers.journal.as_deref(),
+    };
     let loop_start = Instant::now();
 
     let mut read = StageClock::new(obs, Stage::Read);
@@ -840,12 +823,30 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     // Debug builds of a traced run re-derive every busy/stall total from
     // the recorded spans and panic on divergence.
     #[cfg(debug_assertions)]
-    if let Some(pt) = obs.trace {
+    if let Some(pt) = &obs.trace {
         if let Err(e) = pt.verify(&overlap) {
             panic!("trace/OverlapStats divergence: {e}");
         }
     }
     overlap
+}
+
+#[cfg(test)]
+impl RunEvent {
+    /// Batch 0 of `windows` windows over `sites` sites, `dt` seconds busy
+    /// on `lane`, for tests that feed an observer by hand.
+    pub(crate) fn batch(lane: usize, windows: u64, sites: u64, dt: f64, stolen: bool) -> Self {
+        RunEvent::Batch {
+            lane,
+            idx: 0,
+            first: 0,
+            windows,
+            sites,
+            stolen,
+            ts: 0.0,
+            dt,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -963,21 +964,46 @@ mod tests {
         assert_eq!(emitted, (0u32..120).collect::<Vec<_>>());
     }
 
+    fn interval(stage: Stage, phase: Phase, ts: f64, dt: f64) -> RunEvent {
+        RunEvent::Interval {
+            stage,
+            phase,
+            ts,
+            dt,
+        }
+    }
+
     #[test]
     fn consistency_verifier_accepts_matching_accounting() {
         let rec = Arc::new(TraceRecorder::new(256));
         let pt = PipelineTrace::new(&rec, 2);
-        pt.read_span(0.0, 1.5);
-        pt.read_stall_out(1.5, 0.25);
-        pt.lane_stall_in(0, 0.0, 0.1);
-        pt.lane_window(0, 0.1, 2.0, 0);
-        pt.lane_window(1, 0.0, 1.0, 1);
-        pt.lane_steal(1, 0.0);
-        pt.lane_stall_out(1, 1.0, 0.5);
-        pt.posterior_span(2.0, 0.75);
-        pt.posterior_stall_in(0.0, 2.0);
-        pt.output_span(3.0, 0.5);
-        pt.output_stall_in(0.0, 3.0);
+        use Phase::{Busy, StallIn, StallOut};
+        use Stage::{Output, Posterior, Read};
+        for (stage, phase, ts, dt) in [
+            (Read, Busy, 0.0, 1.5),
+            (Read, StallOut, 1.5, 0.25),
+            (Stage::Lane(0), StallIn, 0.0, 0.1),
+            (Stage::Lane(1), StallOut, 1.0, 0.5),
+            (Posterior, Busy, 2.0, 0.75),
+            (Posterior, StallIn, 0.0, 2.0),
+            (Output, Busy, 3.0, 0.5),
+            (Output, StallIn, 0.0, 3.0),
+        ] {
+            pt.on(&interval(stage, phase, ts, dt));
+        }
+        // One window each; lane 1 scored window 1 off its home lane.
+        for (lane, stolen, ts, dt) in [(0, false, 0.1, 2.0), (1, true, 0.0, 1.0)] {
+            pt.on(&RunEvent::Batch {
+                lane,
+                idx: lane,
+                first: lane as u64,
+                windows: 1,
+                sites: 0,
+                stolen,
+                ts,
+                dt,
+            });
+        }
         let overlap = OverlapStats {
             depth: 2,
             read: StageStats {
@@ -1042,7 +1068,7 @@ mod tests {
         let rec = Arc::new(TraceRecorder::new(2));
         let pt = PipelineTrace::new(&rec, 1);
         for _ in 0..8 {
-            pt.read_span(0.0, 1.0);
+            pt.on(&interval(Stage::Read, Phase::Busy, 0.0, 1.0));
         }
         assert!(rec.dropped() > 0);
         // Totals that cannot possibly match the surviving spans still pass.
@@ -1103,12 +1129,7 @@ mod tests {
                 }
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let tracker = ProgressTracker::new();
-                let obs = Observers {
-                    tracker: &tracker,
-                    trace: None,
-                    journal: None,
-                };
+                let obs = &Observers::default();
                 let mut next = 0u32;
                 let mut seen = Vec::new();
                 let overlap = run_stages(
@@ -1165,12 +1186,7 @@ mod tests {
 
     #[test]
     fn inline_driver_never_stalls() {
-        let tracker = ProgressTracker::new();
-        let obs = Observers {
-            tracker: &tracker,
-            trace: None,
-            journal: None,
-        };
+        let obs = &Observers::default();
         let mut left = 5;
         let overlap = run_stages(
             1,

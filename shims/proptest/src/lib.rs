@@ -260,7 +260,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length distributions accepted by [`vec`].
+    /// Length distributions accepted by [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn pick(&self, rng: &mut TestRng) -> usize;

@@ -50,7 +50,7 @@
 
 use std::fs;
 use std::io::{BufReader, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -62,11 +62,10 @@ use gsnp::core::metrics::cohort_metrics;
 use gsnp::core::pipeline::{ComponentTimes, PipelineStats};
 use gsnp::core::{
     call_metrics, BadSiteList, CohortCallConfig, CohortPipeline, GsnpConfig, GsnpCpuPipeline,
-    GsnpPipeline, Journal, ProgressTracker, QualityGates, SampleReads, SampleText, StatsServer,
+    GsnpPipeline, Journal, Observers, ProgressTracker, QualityGates, SampleReads, SampleText,
+    StatsServer,
 };
-use gsnp::gpu_sim::{
-    AutoPolicy, BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot,
-};
+use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::soap::{write_alignments, AlignmentReader};
@@ -125,15 +124,40 @@ fn backend_flag(args: &[String]) -> Result<BackendChoice, Box<dyn std::error::Er
     }
 }
 
-/// Auto-dispatch policy from `--auto-threshold` (minimum grid blocks for
-/// the native backend; smaller launches stay on the simulator where the
-/// per-launch fixed cost is lower).
-fn auto_flag(args: &[String]) -> Result<AutoPolicy, Box<dyn std::error::Error>> {
-    let mut policy = AutoPolicy::default();
+fn has_flag(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
+/// The computation `call`, `call --cohort` and `profile` are asked for,
+/// from the flags they share. `--auto-threshold` is the minimum grid (in
+/// blocks) `--backend auto` sends to the native executor; smaller launches
+/// stay on the simulator, where the per-launch fixed cost is lower.
+/// `profile` runs small synthetic inputs (16 000-site windows by default),
+/// alone takes `--pipeline-depth`, and has no `--contracts`.
+fn compute_config(
+    args: &[String],
+    profile: bool,
+) -> Result<GsnpConfig, Box<dyn std::error::Error>> {
+    let defaults = GsnpConfig::default();
+    let depth_flag = flag_value(args, "--pipeline-depth").filter(|_| profile);
+    let mut auto = defaults.auto;
     if let Some(v) = flag_value(args, "--auto-threshold") {
-        policy.native_min_blocks = v.parse()?;
+        auto.native_min_blocks = v.parse()?;
     }
-    Ok(policy)
+    Ok(GsnpConfig {
+        window_size: match flag_value(args, "--window") {
+            Some(v) => v.parse()?,
+            None if profile => 16_000,
+            None => defaults.window_size,
+        },
+        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
+        pipeline_depth: depth_flag.map_or(Ok(defaults.pipeline_depth), str::parse)?,
+        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
+        contracts: !profile && has_flag(args, "--contracts"),
+        backend: backend_flag(args)?,
+        auto,
+        ..defaults
+    })
 }
 
 fn quiet_flag(args: &[String]) -> bool {
@@ -165,12 +189,13 @@ fn positional(args: &[String]) -> Vec<&String> {
 }
 
 /// Live-introspection plumbing shared by `call` and `call --cohort`:
-/// the progress tracker is always created (it feeds `PipelineStats::
-/// hists` and the end-of-run journal digest); the heartbeat thread,
-/// HTTP endpoint and journal are each opt-in flags.
+/// the run's [`Observers`] — the progress tracker is always created (it
+/// feeds `PipelineStats::hists` and the end-of-run journal digest); the
+/// trace, the journal, the heartbeat thread and the HTTP endpoint are each
+/// opt-in flags.
 struct Introspection {
+    obs: Observers,
     tracker: Arc<ProgressTracker>,
-    journal: Option<Arc<Journal>>,
     server: Option<StatsServer>,
     heartbeat: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
     /// `--stats-hold`: keep the endpoint answering this long after the
@@ -180,7 +205,10 @@ struct Introspection {
 }
 
 impl Introspection {
-    fn from_args(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
+    fn from_args(
+        args: &[String],
+        trace: Option<Arc<TraceRecorder>>,
+    ) -> Result<Self, Box<dyn std::error::Error>> {
         let quiet = quiet_flag(args);
         let tracker = Arc::new(ProgressTracker::new());
         let journal = match flag_value(args, "--journal") {
@@ -205,7 +233,7 @@ impl Introspection {
         };
         let hold =
             Duration::from_millis(flag_value(args, "--stats-hold").map_or(Ok(0), str::parse)?);
-        let heartbeat = match args.iter().any(|a| a == "--progress") {
+        let heartbeat = match has_flag(args, "--progress") {
             false => None,
             true => {
                 let stop = Arc::new(AtomicBool::new(false));
@@ -222,8 +250,12 @@ impl Introspection {
             }
         };
         Ok(Introspection {
+            obs: Observers {
+                trace,
+                progress: Some(Arc::clone(&tracker)),
+                journal,
+            },
             tracker,
-            journal,
             server,
             heartbeat,
             hold,
@@ -231,11 +263,11 @@ impl Introspection {
         })
     }
 
-    /// Journal `run_start`: schema, crate version, subcommand, the
-    /// reproducibility-relevant config fields, and the input manifest
+    /// Journal `run_start`: schema, crate version, subcommand, the compute
+    /// config ([`GsnpConfig::manifest_json`]), and the input manifest
     /// (path, size, FNV-1a 64 checksum per file).
     fn journal_run_start(&self, cmd: &str, cfg: &GsnpConfig, inputs: &[&str]) -> CliResult {
-        let Some(j) = &self.journal else {
+        let Some(j) = &self.obs.journal else {
             return Ok(());
         };
         let mut manifest = String::new();
@@ -254,22 +286,32 @@ impl Introspection {
         j.event(
             "run_start",
             &format!(
-                "\"schema\":{},\"version\":\"{}\",\"cmd\":\"{}\",\
-                 \"config\":{{\"window_size\":{},\"num_devices\":{},\"launch_batch\":{},\
-                 \"pipeline_depth\":{},\"backend\":\"{}\",\"contracts\":{}}},\
-                 \"inputs\":[{}]",
+                "\"schema\":{},\"version\":\"{}\",\"cmd\":\"{}\",\"config\":{},\"inputs\":[{}]",
                 journal::SCHEMA_VERSION,
                 env!("CARGO_PKG_VERSION"),
                 cmd,
-                cfg.window_size,
-                cfg.num_devices,
-                cfg.launch_batch,
-                cfg.pipeline_depth,
-                cfg.backend.name(),
-                cfg.contracts,
+                cfg.manifest_json(),
                 manifest,
             ),
         );
+        Ok(())
+    }
+
+    /// `--trace` and `--metrics`, once the run is over.
+    fn write_artifacts(
+        &self,
+        args: &[String],
+        metrics: impl FnOnce() -> MetricsSnapshot,
+    ) -> CliResult {
+        if let (Some(rec), Some(path)) = (&self.obs.trace, flag_value(args, "--trace")) {
+            write_trace(rec, path, self.quiet)?;
+        }
+        if let Some(path) = flag_value(args, "--metrics") {
+            fs::write(path, metrics().render_text()).map_err(|e| format!("{path}: {e}"))?;
+            if !self.quiet {
+                eprintln!("wrote metrics to {path}");
+            }
+        }
         Ok(())
     }
 
@@ -287,7 +329,7 @@ impl Introspection {
             eprintln!("{}", self.tracker.progress().render_line());
         }
         let wall = self.tracker.elapsed_seconds();
-        if let Some(j) = &self.journal {
+        if let Some(j) = &self.obs.journal {
             let hists: Vec<String> = stats
                 .hists
                 .digest_rows()
@@ -453,26 +495,13 @@ fn cmd_call(args: &[String]) -> CliResult {
     let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
     let priors = PriorMap::read(BufReader::new(open(prior)?))?;
 
-    let cpu = args.iter().any(|a| a == "--cpu");
-    let backend = backend_flag(args)?;
+    let cpu = has_flag(args, "--cpu");
     if cpu && flag_value(args, "--trace").is_some() {
         return Err("--trace requires the device pipeline (drop --cpu)".into());
     }
-    let recorder = trace_recorder(args, backend)?;
-    let contracts = args.iter().any(|a| a == "--contracts");
-    let intro = Introspection::from_args(args)?;
-    let cfg = GsnpConfig {
-        window_size: flag_value(args, "--window").map_or(Ok(256_000), str::parse)?,
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
-        contracts,
-        trace: recorder.clone(),
-        backend,
-        auto: auto_flag(args)?,
-        progress: Some(Arc::clone(&intro.tracker)),
-        journal: intro.journal.clone(),
-        ..Default::default()
-    };
+    let cfg = compute_config(args, false)?;
+    let contracts = cfg.contracts;
+    let intro = Introspection::from_args(args, trace_recorder(args, cfg.backend)?)?;
     intro.journal_run_start("call", &cfg, &[aln, fa, prior])?;
     // The device pipeline parses the file's bytes chunk by chunk inside its
     // first pass; only the sequential oracle wants every record at once.
@@ -484,6 +513,7 @@ fn cmd_call(args: &[String]) -> CliResult {
     } else {
         let text = fs::read(aln).map_err(|e| format!("{aln}: {e}"))?;
         GsnpPipeline::new(cfg)
+            .observed(intro.obs.clone())
             .run_text(text, &reference, &priors)
             .map_err(|e| format!("{aln}: {e}"))?
     };
@@ -499,15 +529,7 @@ fn cmd_call(args: &[String]) -> CliResult {
         // stay an error naming the path.
         f.flush().map_err(|e| format!("{text_path}: {e}"))?;
     }
-    if let (Some(rec), Some(path)) = (&recorder, flag_value(args, "--trace")) {
-        write_trace(rec, path, intro.quiet)?;
-    }
-    if let Some(path) = flag_value(args, "--metrics") {
-        fs::write(path, call_metrics(&result).render_text()).map_err(|e| format!("{path}: {e}"))?;
-        if !intro.quiet {
-            eprintln!("wrote metrics to {path}");
-        }
-    }
+    intro.write_artifacts(args, || call_metrics(&result))?;
     if contracts && !intro.quiet {
         let t = result.stats.contracts.totals();
         eprintln!(
@@ -540,60 +562,57 @@ fn cmd_call(args: &[String]) -> CliResult {
 /// calibration would write.
 fn cmd_call_cohort(args: &[String]) -> CliResult {
     let manifest_path = flag_value(args, "--cohort").expect("checked by caller");
-    if args.iter().any(|a| a == "--cpu") {
+    if has_flag(args, "--cpu") {
         return Err("--cohort uses the device pipeline (drop --cpu)".into());
     }
     let pos = positional(args);
     let [fa, prior, out_dir] = pos.as_slice() else {
         return Err("call --cohort requires <cohort.tsv> <reference> <priors> <out_dir>".into());
     };
-    let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
-    let priors = PriorMap::read(BufReader::new(open(prior)?))?;
-
     let manifest_dir = Path::new(manifest_path)
         .parent()
         .unwrap_or_else(|| Path::new("."));
-    let mut paths = Vec::new();
-    let mut samples = Vec::new();
-    for line in fs::read_to_string(manifest_path)
-        .map_err(|e| format!("{manifest_path}: {e}"))?
-        .lines()
-    {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+    let manifest =
+        fs::read_to_string(manifest_path).map_err(|e| format!("{manifest_path}: {e}"))?;
+    // A sample's name becomes the file `<out_dir>/<name>.gsnp`: every name
+    // must be one plain path component, and no two the same, before any
+    // input is read.
+    let mut entries: Vec<(&str, PathBuf)> = Vec::new();
+    for (n, line) in manifest.lines().enumerate() {
+        if line.trim().is_empty() || line.trim_start().starts_with('#') {
             continue;
         }
+        let at = |what: String| format!("{manifest_path}: line {}: {what}", n + 1);
         let (name, reads_file) = line
             .split_once('\t')
-            .ok_or_else(|| format!("manifest line {line:?}: expected sample<TAB>reads-file"))?;
-        let reads_path = manifest_dir.join(reads_file);
-        let text = fs::read(&reads_path).map_err(|e| format!("{}: {e}", reads_path.display()))?;
-        paths.push(reads_path);
-        samples.push(SampleText {
-            name: name.to_string(),
-            text,
-        });
+            .ok_or_else(|| at("expected sample<TAB>reads-file".into()))?;
+        let name = name.trim();
+        if name.is_empty() {
+            return Err(at("empty sample name".into()).into());
+        }
+        if name.contains(['/', '\\']) || name.contains("..") {
+            return Err(at(format!("sample name {name:?} is not a plain file name")).into());
+        }
+        if entries.iter().any(|(seen, _)| *seen == name) {
+            return Err(at(format!("sample name {name:?} appears twice")).into());
+        }
+        entries.push((name, manifest_dir.join(reads_file.trim())));
     }
-    if samples.is_empty() {
+    if entries.is_empty() {
         return Err("cohort manifest lists no samples".into());
     }
+    let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
+    let priors = PriorMap::read(BufReader::new(open(prior)?))?;
+    let mut samples = Vec::new();
+    for (name, path) in &entries {
+        samples.push(SampleText {
+            name: name.to_string(),
+            text: fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?,
+        });
+    }
 
-    let backend = backend_flag(args)?;
-    let recorder = trace_recorder(args, backend)?;
-    let contracts = args.iter().any(|a| a == "--contracts");
-    let intro = Introspection::from_args(args)?;
-    let base = GsnpConfig {
-        window_size: flag_value(args, "--window").map_or(Ok(256_000), str::parse)?,
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
-        contracts,
-        trace: recorder.clone(),
-        backend,
-        auto: auto_flag(args)?,
-        progress: Some(Arc::clone(&intro.tracker)),
-        journal: intro.journal.clone(),
-        ..Default::default()
-    };
+    let base = compute_config(args, false)?;
+    let intro = Introspection::from_args(args, trace_recorder(args, base.backend)?)?;
     intro.journal_run_start("call --cohort", &base, &[manifest_path, fa, prior])?;
     let gates = QualityGates {
         min_quality: flag_value(args, "--min-quality").map_or(Ok(0), str::parse)?,
@@ -609,8 +628,9 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         gates,
         bad_sites,
     })
+    .observed(intro.obs.clone())
     .run_text(samples, &reference, &priors)
-    .map_err(|e| format!("{}: {}", paths[e.sample].display(), e.error))?;
+    .map_err(|e| format!("{}: {}", entries[e.sample].1.display(), e.error))?;
 
     fs::create_dir_all(out_dir).map_err(|e| format!("{out_dir}: {e}"))?;
     for lane in &result.samples {
@@ -627,16 +647,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
             );
         }
     }
-    if let (Some(rec), Some(path)) = (&recorder, flag_value(args, "--trace")) {
-        write_trace(rec, path, intro.quiet)?;
-    }
-    if let Some(path) = flag_value(args, "--metrics") {
-        fs::write(path, cohort_metrics(&result).render_text())
-            .map_err(|e| format!("{path}: {e}"))?;
-        if !intro.quiet {
-            eprintln!("wrote metrics to {path}");
-        }
-    }
+    intro.write_artifacts(args, || cohort_metrics(&result))?;
     // Persistent feedback: sites gated in at least half the covered
     // samples earn a strike; the rewritten file downweights them next run.
     if let Some(path) = flag_value(args, "--bad-sites") {
@@ -732,25 +743,20 @@ fn cmd_profile(args: &[String]) -> CliResult {
     synth.depth = flag_value(args, "--depth").map_or(Ok(10.0), str::parse)?;
     synth.read_len = 100;
 
-    let backend = backend_flag(args)?;
-    if backend == BackendChoice::Native {
+    let cfg = compute_config(args, true)?;
+    if cfg.backend == BackendChoice::Native {
         return Err("profile always traces, and kernel counters are sim-only; \
              use --backend sim or auto (auto dispatches all-sim under trace)"
             .into());
     }
+    println!("config: {}", cfg.manifest_json());
     let recorder = Arc::new(TraceRecorder::new(gsnp::gpu_sim::trace::DEFAULT_CAPACITY));
-    let cfg = GsnpConfig {
-        window_size: flag_value(args, "--window").map_or(Ok(16_000), str::parse)?,
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        pipeline_depth: flag_value(args, "--pipeline-depth").map_or(Ok(2), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
+    let traced = Observers {
         trace: Some(Arc::clone(&recorder)),
-        backend,
-        auto: auto_flag(args)?,
         ..Default::default()
     };
     let num_samples: usize = flag_value(args, "--samples").map_or(Ok(0), str::parse)?;
-    if num_samples > 0 {
+    let (stats, times, wall) = if num_samples > 0 {
         // Cohort profile: one run over N synthetic samples sharing the
         // reference; the per-stage tables then show the amortized shape.
         let c = Cohort::generate(CohortConfig {
@@ -770,18 +776,17 @@ fn cmd_profile(args: &[String]) -> CliResult {
             base: cfg,
             ..Default::default()
         })
+        .observed(traced)
         .run(&samples, &c.reference, &c.priors);
-        let snap = recorder.snapshot();
-        print_profile(&result.stats, &result.times, &result.wall, &snap);
-        if let Some(path) = flag_value(args, "--trace") {
-            write_trace(&recorder, path, false)?;
-        }
-        return Ok(());
-    }
-    let d = Dataset::generate(synth);
-    let result = GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
-    let snap = recorder.snapshot();
-    print_profile(&result.stats, &result.times, &result.wall, &snap);
+        (result.stats, result.times, result.wall)
+    } else {
+        let d = Dataset::generate(synth);
+        let result = GsnpPipeline::new(cfg)
+            .observed(traced)
+            .run(&d.reads, &d.reference, &d.priors);
+        (result.stats, result.times, result.wall)
+    };
+    print_profile(&stats, &times, &wall, &recorder.snapshot());
     if let Some(path) = flag_value(args, "--trace") {
         write_trace(&recorder, path, false)?;
     }

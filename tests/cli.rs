@@ -6,8 +6,11 @@
 //! bytes, and must still turn a full disk into an error naming the path —
 //! a dropped `BufWriter` would swallow it. Diagnostics: `--backend auto
 //! --trace` says on stderr that it runs all-sim, unless `-q`. Cohort
-//! calls name the path in every I/O error, and a call pinned to one CPU
-//! (the worker pool's serial path) writes the bytes an unpinned one does.
+//! calls name the path in every I/O error and refuse a manifest whose
+//! sample names would collide or leave the output directory, the three
+//! subcommands that run the pipeline read the compute flags alike, and a
+//! call pinned to one CPU (the worker pool's serial path) writes the bytes
+//! an unpinned one does.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -213,6 +216,174 @@ fn cohort_io_errors_name_the_path() {
         !dir.join("out2").exists(),
         "ran despite the unreadable list"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sample's name becomes `<out_dir>/<name>.gsnp`. Two samples with one
+/// name would overwrite each other, an empty name writes `.gsnp`, and a
+/// name with a separator or `..` writes outside `out_dir`: each is refused
+/// by manifest path and line, before anything is read or written.
+#[test]
+fn cohort_manifest_names_are_checked_before_anything_is_written() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_names_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&[
+        "synth",
+        &d("in"),
+        "--sites",
+        "3000",
+        "--depth",
+        "4",
+        "--samples",
+        "2",
+    ]);
+    let (fa, priors) = (d("in/reference.fa"), d("in/priors.txt"));
+    let good = std::fs::read_to_string(dir.join("in/cohort.tsv")).unwrap();
+    let reads: Vec<&str> = good
+        .lines()
+        .map(|l| l.split_once('\t').unwrap().1)
+        .collect();
+    let cases = [
+        (
+            "twice",
+            format!("# cohort\ns0\t{}\ns0\t{}\n", reads[0], reads[1]),
+            3,
+        ),
+        ("empty", format!("s0\t{}\n\t{}\n", reads[0], reads[1]), 2),
+        ("slash", format!("sub/s0\t{}\n", reads[0]), 1),
+        ("backslash", format!("sub\\s0\t{}\n", reads[0]), 1),
+        (
+            "dotdot",
+            format!("s0\t{}\n\n../escaped\t{}\n", reads[0], reads[1]),
+            3,
+        ),
+    ];
+    for (tag, manifest, line) in cases {
+        let tsv = d(&format!("in/{tag}.tsv"));
+        std::fs::write(&tsv, manifest).unwrap();
+        let out_dir = d(&format!("out_{tag}/calls"));
+        // The reference does not exist: a run that got as far as reading
+        // inputs would say so instead.
+        for fa in [d("in/missing.fa"), fa.clone()] {
+            let run = gsnp(&["call", "--cohort", &tsv, &fa, &priors, &out_dir, "-q"]);
+            let stderr = String::from_utf8(run.stderr).unwrap();
+            assert!(!run.status.success(), "{tag}: accepted");
+            assert!(
+                stderr.contains(&format!("{tsv}: line {line}: ")),
+                "{tag}: no manifest path and line in: {stderr}"
+            );
+        }
+        assert!(
+            !dir.join(format!("out_{tag}")).exists(),
+            "{tag}: wrote under or beside the output directory"
+        );
+    }
+    assert!(!dir.join("escaped.gsnp").exists());
+    // The manifest `synth` wrote is still a good one.
+    ok(&[
+        "call",
+        "--cohort",
+        &d("in/cohort.tsv"),
+        &fa,
+        &priors,
+        &d("out"),
+        "-q",
+    ]);
+    assert!(dir.join("out/s0.gsnp").exists() && dir.join("out/s1.gsnp").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `call`, `call --cohort` and `profile` read the compute flags through one
+/// function: the same flags give the same config, journalled by the first
+/// two and printed by the third.
+#[test]
+fn the_three_running_subcommands_build_the_same_compute_config() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_cfg_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&["synth", &d("one"), "--sites", "3000", "--depth", "4"]);
+    let samples = ["--sites", "3000", "--depth", "4", "--samples", "2"];
+    ok(&[&["synth", &d("two")], &samples[..]].concat());
+    let flags = [
+        "--window",
+        "1000",
+        "--devices",
+        "2",
+        "--batch",
+        "3",
+        "--backend",
+        "auto",
+        "--auto-threshold",
+        "5",
+    ];
+    let journalled = |journal: &str| {
+        let text = std::fs::read_to_string(journal).unwrap();
+        let start = text.lines().next().unwrap();
+        let config = start.split_once("\"config\":").unwrap().1;
+        config[..=config.find('}').unwrap()].to_string()
+    };
+
+    let (reads, fa, priors) = (
+        d("one/reads.soap"),
+        d("one/reference.fa"),
+        d("one/priors.txt"),
+    );
+    let (out, journal) = (d("one.gsnp"), d("one.jsonl"));
+    let call = [
+        "call",
+        &reads,
+        &fa,
+        &priors,
+        &out,
+        "-q",
+        "--journal",
+        &journal,
+    ];
+    ok(&[&call[..], &flags[..]].concat());
+    let single = journalled(&journal);
+
+    let (tsv, fa, priors) = (
+        d("two/cohort.tsv"),
+        d("two/reference.fa"),
+        d("two/priors.txt"),
+    );
+    let (out, journal) = (d("two_out"), d("two.jsonl"));
+    let call = [
+        "call",
+        "--cohort",
+        &tsv,
+        &fa,
+        &priors,
+        &out,
+        "-q",
+        "--journal",
+        &journal,
+    ];
+    ok(&[&call[..], &flags[..]].concat());
+    let cohort = journalled(&journal);
+
+    let profile = ok(&[&["profile", "--sites", "3000", "--depth", "4"], &flags[..]].concat());
+    let stdout = String::from_utf8(profile.stdout).unwrap();
+    let printed = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("config: "))
+        .expect("profile prints its config");
+
+    assert_eq!(single, cohort);
+    assert_eq!(single, printed);
+    for key in [
+        "\"window_size\":1000,",
+        "\"num_devices\":2,",
+        "\"launch_batch\":3,",
+        "\"launch_batch_effective\":3,",
+        "\"backend\":\"auto\",",
+        "\"auto_threshold\":5,",
+    ] {
+        assert!(single.contains(key), "{key} not in {single}");
+    }
+    // `gsnp report` shows the manifest it was given.
+    let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
+    assert!(report.contains("auto_threshold=5"), "{report}");
+    assert!(report.contains("launch_batch_effective=3"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

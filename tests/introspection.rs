@@ -23,8 +23,8 @@ use proptest::prelude::*;
 
 use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
 use gsnp::core::journal::{self, Journal};
-use gsnp::core::{GsnpConfig, GsnpPipeline, ProgressTracker, StatsServer};
-use gsnp::gpu_sim::{parse_json, Histogram, Json};
+use gsnp::core::{GsnpConfig, GsnpPipeline, Observers, ProgressTracker, StatsServer};
+use gsnp::gpu_sim::{parse_json, AutoPolicy, Histogram, Json};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
 /// Everything merge order may legitimately NOT change: the populated
@@ -130,14 +130,26 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     let journal = Arc::new(Journal::create(&path).expect("create journal"));
     let tracker = Arc::new(ProgressTracker::new());
 
+    // What the CLI would build from `--window 1500 --devices 4
+    // --auto-threshold 5`, with `--batch` left to follow the pipeline depth.
+    let base = GsnpConfig {
+        window_size: 1_500,
+        num_devices: 4,
+        pipeline_depth: 2,
+        auto: AutoPolicy {
+            native_min_blocks: 5,
+        },
+        ..Default::default()
+    };
     journal.event(
         "run_start",
         &format!(
             "\"schema\":{},\"version\":\"{}\",\"cmd\":\"call --cohort\",\
-             \"config\":{{\"window_size\":1500,\"num_devices\":4}},\
+             \"config\":{},\
              \"inputs\":[{{\"path\":\"synthetic\",\"bytes\":5,\"fnv64\":\"{:016x}\"}}]",
             journal::SCHEMA_VERSION,
             env!("CARGO_PKG_VERSION"),
+            base.manifest_json(),
             journal::fnv64(b"smoke"),
         ),
     );
@@ -150,16 +162,13 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
             reads: &s.reads,
         })
         .collect();
-    let base = GsnpConfig {
-        window_size: 1_500,
-        num_devices: 4,
-        pipeline_depth: 2,
+    let out = CohortPipeline::new(CohortCallConfig {
+        base: base.clone(),
+        ..Default::default()
+    })
+    .observed(Observers {
         progress: Some(Arc::clone(&tracker)),
         journal: Some(Arc::clone(&journal)),
-        ..Default::default()
-    };
-    let out = CohortPipeline::new(CohortCallConfig {
-        base,
         ..Default::default()
     })
     .run(&inputs, &c.reference, &c.priors);
@@ -202,8 +211,57 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     assert_eq!(kinds("sample"), 3, "one sample event per cohort sample");
     assert_eq!(kinds("gates"), 1);
 
+    // The manifest says what was computed: every key of `run_start.config`
+    // is a field of the config the run was built from (or derived from
+    // one), the `Auto` threshold and the batch the run really used among
+    // them.
+    let Some(Json::Obj(manifest)) = s.run_start.get("config") else {
+        panic!("run_start carries no config object");
+    };
+    let p = &base.params;
+    let want = [
+        ("window_size", Json::Num(1_500.0)),
+        ("num_devices", Json::Num(4.0)),
+        ("launch_batch", Json::Num(0.0)),
+        (
+            "launch_batch_effective",
+            Json::Num(base.launch_batch_size() as f64),
+        ),
+        ("pipeline_depth", Json::Num(2.0)),
+        ("backend", Json::Str(base.backend.name().into())),
+        ("auto_threshold", Json::Num(5.0)),
+        ("contracts", Json::Bool(base.contracts)),
+        ("sanitize", Json::Bool(base.sanitize)),
+        ("variant", Json::Str(base.variant.label().into())),
+        ("compress_input", Json::Bool(base.compress_input)),
+        ("gpu_output", Json::Bool(base.gpu_output)),
+        ("pooled", Json::Bool(base.pooled)),
+        ("device", Json::Str(base.device.name.into())),
+        ("het_rate", Json::Num(p.het_rate)),
+        ("hom_rate", Json::Num(p.hom_rate)),
+        ("titv_ratio", Json::Num(p.titv_ratio)),
+        ("pseudocount", Json::Num(p.pseudocount)),
+        ("expected_depth", Json::Num(p.expected_depth)),
+        ("shared_tables", Json::Bool(base.shared_tables.is_some())),
+    ];
+    assert_eq!(base.launch_batch_size(), 2, "batch follows the depth");
+    let keys: Vec<&str> = manifest.iter().map(|(k, _)| k.as_str()).collect();
+    let wanted: Vec<&str> = want.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys, wanted, "manifest keys");
+    for ((key, got), (_, due)) in manifest.iter().zip(&want) {
+        assert_eq!(got, due, "run_start.config.{key}");
+    }
+
     // The report reconstructs the run from the journal alone.
     let report = journal::render_report(&text).expect("report renders");
+    for shown in [
+        "window_size=1500",
+        "launch_batch_effective=2",
+        "backend=sim",
+        "auto_threshold=5",
+    ] {
+        assert!(report.contains(shown), "{shown} missing:\n{report}");
+    }
     for smp in &c.samples {
         assert!(
             report.contains(&smp.name),
@@ -259,11 +317,17 @@ fn live_endpoints_answer_while_a_run_executes() {
         window_size: 300,
         num_devices: 2,
         pipeline_depth: 2,
+        ..Default::default()
+    };
+    let watched = Observers {
         progress: Some(Arc::clone(&tracker)),
         ..Default::default()
     };
-    let run =
-        std::thread::spawn(move || GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors));
+    let run = std::thread::spawn(move || {
+        GsnpPipeline::new(cfg)
+            .observed(watched)
+            .run(&d.reads, &d.reference, &d.priors)
+    });
 
     // Poll /progress until the run completes; every response — mid-run
     // or terminal — must be a 200 carrying parseable JSON.

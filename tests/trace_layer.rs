@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use gsnp::core::{verify_overlap_consistency, GsnpConfig, GsnpPipeline};
+use gsnp::core::{verify_overlap_consistency, GsnpConfig, GsnpPipeline, Observers};
 use gsnp::gpu_sim::{
     validate_chrome_json, EventKind, SpanArgs, TraceRecorder, TraceSnapshot, TrackKind,
 };
@@ -34,15 +34,23 @@ fn dataset() -> Dataset {
     Dataset::generate(sc)
 }
 
+fn traced(trace: Option<Arc<TraceRecorder>>) -> Observers {
+    Observers {
+        trace,
+        ..Default::default()
+    }
+}
+
 fn run(d: &Dataset, devices: usize, depth: usize, trace: Option<Arc<TraceRecorder>>) -> RunOut {
     let cfg = GsnpConfig {
         window_size: 1_500,
         num_devices: devices,
         pipeline_depth: depth,
-        trace,
         ..Default::default()
     };
-    let out = GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+    let out = GsnpPipeline::new(cfg)
+        .observed(traced(trace))
+        .run(&d.reads, &d.reference, &d.priors);
     RunOut {
         compressed: out.compressed,
         rows: out
@@ -92,10 +100,11 @@ fn device_track_spans_are_monotonic_and_non_overlapping() {
         window_size: 300,
         num_devices: 2,
         pipeline_depth: 2,
-        trace: Some(Arc::clone(&rec)),
         ..Default::default()
     };
-    GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+    GsnpPipeline::new(cfg)
+        .observed(traced(Some(Arc::clone(&rec))))
+        .run(&d.reads, &d.reference, &d.priors);
     let snap = rec.snapshot();
     assert_eq!(snap.dropped, 0, "ring sized for the whole run");
 
@@ -224,11 +233,11 @@ fn traced_cohort_run_reconciles_and_changes_no_sample() {
                 window_size: 1_500,
                 num_devices: 2,
                 pipeline_depth: 2,
-                trace,
                 ..Default::default()
             },
             ..Default::default()
         })
+        .observed(traced(trace))
         .run(&inputs, &c.reference, &c.priors)
     };
 
@@ -332,12 +341,15 @@ fn introspection_on_outputs_are_byte_identical() {
         window_size: 1_500,
         num_devices: 4,
         pipeline_depth: 2,
-        trace: Some(Arc::clone(&rec)),
-        progress: Some(Arc::clone(&tracker)),
-        journal: Some(journal),
         ..Default::default()
     };
-    let out = GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+    let out = GsnpPipeline::new(cfg)
+        .observed(Observers {
+            trace: Some(Arc::clone(&rec)),
+            progress: Some(Arc::clone(&tracker)),
+            journal: Some(journal),
+        })
+        .run(&d.reads, &d.reference, &d.priors);
     std::fs::remove_file(&path).ok();
 
     assert_eq!(plain.compressed, out.compressed, "compressed bytes differ");
