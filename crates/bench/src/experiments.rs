@@ -687,7 +687,11 @@ pub fn fig9(scale: f64) -> String {
         let mut t_col_gpu = 0.0;
         for t in &out.tables {
             let t0 = Instant::now();
-            let stats = compress::column::write_window_gpu(&dev, &mut col_gpu, t);
+            let stats = compress::column::write_windows_gpu_batch(
+                &dev,
+                &mut col_gpu,
+                std::slice::from_ref(t),
+            );
             t_col_gpu += stats.sim_time + t0.elapsed().as_secs_f64() * 0.25;
         }
         assert_eq!(col, col_gpu, "GPU output must be byte-identical");

@@ -326,53 +326,17 @@ pub fn decompress_table(bytes: &[u8]) -> Result<SnpTable, CodecError> {
 /// simulated device (§V-B: "We only implement RLE-DICT compression on the
 /// GPU for six quality related columns, which is more expensive than our
 /// other compression algorithms"). Byte-identical to [`compress_table`].
+///
+/// A window is the batch of one: this is [`write_windows_gpu_batch`] over
+/// a single table, minus the frame's length prefix.
 pub fn compress_table_gpu<B: gpu_sim::ComputeBackend>(
     dev: &B,
     table: &SnpTable,
 ) -> (Vec<u8>, gpu_sim::LaunchStats) {
     let mut out = Vec::new();
-    let stats = compress_table_gpu_into(dev, table, &mut out);
+    let stats = write_windows_gpu_batch(dev, &mut out, std::slice::from_ref(table));
+    out.drain(..4);
     (out, stats)
-}
-
-/// [`compress_table_gpu`], appending to an existing buffer.
-pub fn compress_table_gpu_into<B: gpu_sim::ComputeBackend>(
-    dev: &B,
-    table: &SnpTable,
-    out: &mut Vec<u8>,
-) -> gpu_sim::LaunchStats {
-    let rows = &table.rows;
-    write_header(table, out);
-
-    // RLE-DICT columns on the device; the three host-side groups run
-    // concurrently with it. A standalone RLE-DICT stream starts
-    // byte-aligned (its first field is a u32), so splicing the device-
-    // produced bytes preserves the CPU codec's exact layout.
-    let ((base, exc, sparse), (rle, stats)) = rayon::join(
-        || {
-            let (base, (exc, sparse)) = rayon::join(
-                || encode_base_group(rows),
-                || rayon::join(|| encode_except_group(rows), || encode_sparse_group(rows)),
-            );
-            (base, exc, sparse)
-        },
-        || {
-            let mut stats = gpu_sim::LaunchStats::default();
-            let mut bytes = Vec::new();
-            let mut scratch = Vec::new();
-            for f in RLEDICT_COLS {
-                let (b, s) = crate::gpu::rledict_gpu(dev, fill_u32(rows, f, &mut scratch));
-                stats += s;
-                bytes.extend_from_slice(&b);
-            }
-            (bytes, stats)
-        },
-    );
-    out.extend_from_slice(&base);
-    out.extend_from_slice(&rle);
-    out.extend_from_slice(&exc);
-    out.extend_from_slice(&sparse);
-    stats
 }
 
 /// Append one compressed window to an output file (length-prefixed). The
@@ -382,18 +346,6 @@ pub fn write_window(out: &mut Vec<u8>, table: &SnpTable) {
     let slot = reserve_len_slot(out);
     compress_table_into(table, out);
     backfill_len_slot(out, slot);
-}
-
-/// Append one compressed window, running RLE-DICT columns on the device.
-pub fn write_window_gpu<B: gpu_sim::ComputeBackend>(
-    dev: &B,
-    out: &mut Vec<u8>,
-    table: &SnpTable,
-) -> gpu_sim::LaunchStats {
-    let slot = reserve_len_slot(out);
-    let stats = compress_table_gpu_into(dev, table, out);
-    backfill_len_slot(out, slot);
-    stats
 }
 
 /// One window's column jobs in stream order: the base group, the seven
@@ -423,8 +375,8 @@ fn encode_column_job(rows: &[SnpRow], job: usize) -> Vec<u8> {
 /// asked once per batch) the batch is instead ONE launch whose blocks are
 /// every (window, column job) pair on the host codecs — the three host
 /// groups included, which the chain path encodes serially. The emitted
-/// bytes are identical, frame for frame, to calling [`write_window_gpu`]
-/// on each table in order.
+/// bytes are identical, frame for frame, to calling [`write_window`] on
+/// each table in order.
 pub fn write_windows_gpu_batch<B: gpu_sim::ComputeBackend>(
     dev: &B,
     out: &mut Vec<u8>,
@@ -499,19 +451,29 @@ impl Iterator for WindowStream<'_> {
     type Item = Result<SnpTable, CodecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.bytes.len() {
+        let rest = &self.bytes[self.pos..];
+        if rest.is_empty() {
             return None;
         }
-        let hdr = self.bytes.get(self.pos..self.pos + 4)?;
-        let len = u32::from_le_bytes(hdr.try_into().expect("4 bytes")) as usize;
-        let start = self.pos + 4;
-        let end = start.checked_add(len)?;
-        let Some(payload) = self.bytes.get(start..end) else {
-            self.pos = self.bytes.len();
-            return Some(Err(CodecError::Truncated("window payload")));
-        };
-        self.pos = end;
-        Some(decompress_table(payload))
+        // A file cut anywhere inside a frame — its length prefix included —
+        // is an error, and the last item: it must never read as complete.
+        let payload = rest
+            .split_first_chunk::<4>()
+            .ok_or("window length")
+            .and_then(|(len, rest)| {
+                rest.get(..u32::from_le_bytes(*len) as usize)
+                    .ok_or("window payload")
+            });
+        match payload {
+            Ok(payload) => {
+                self.pos += 4 + payload.len();
+                Some(decompress_table(payload))
+            }
+            Err(what) => {
+                self.pos = self.bytes.len();
+                Some(Err(CodecError::Truncated(what)))
+            }
+        }
     }
 }
 
@@ -634,22 +596,18 @@ mod tests {
         let t3 = SnpTable::new("chrE", 9_000, vec![]);
         let tables = vec![t1, t2, t3];
 
+        // One batch per window: a chain for each table that has rows.
         let mut seq = Vec::new();
         for t in &tables {
-            write_window_gpu(&dev, &mut seq, t);
+            write_windows_gpu_batch(&dev, &mut seq, std::slice::from_ref(t));
         }
-        let seq_launches = dev.ledger().launches;
+        assert_eq!(dev.ledger().launches, 2 * 18);
 
         dev.reset_ledger();
         let mut batched = Vec::new();
         write_windows_gpu_batch(&dev, &mut batched, &tables);
         assert_eq!(batched, seq, "batched frames must be byte-identical");
-        assert!(
-            dev.ledger().launches * 5 <= seq_launches,
-            "batching must cut compress launches ≥5× ({} vs {})",
-            dev.ledger().launches,
-            seq_launches
-        );
+        assert_eq!(dev.ledger().launches, 18, "one chain for the whole batch");
 
         let windows: Vec<SnpTable> = WindowStream::new(&batched)
             .collect::<Result<_, _>>()
@@ -744,6 +702,49 @@ mod tests {
             SnpTable::new("chrE", 3_000, vec![]),
             realistic_table(1_777),
         ]);
+    }
+
+    /// `compress_table_gpu` is the batch of one, so it takes the same arm
+    /// the pipeline would: the chain on the simulator, one host-jobs launch
+    /// natively, and under auto whichever the window's chain grid selects.
+    #[test]
+    fn compress_table_gpu_matches_host_on_every_backend() {
+        use gpu_sim::{BackendChoice, BackendDispatcher, ComputeBackend, Device, NativeBackend};
+        /// `backend` (over `dev`) writes `t` as the host does, and
+        /// `counts` are its (launches, native launches).
+        fn check<B: ComputeBackend>(dev: &Device, backend: &B, t: &SnpTable, counts: (u64, u64)) {
+            let rows = t.rows.len();
+            assert_eq!(
+                compress_table_gpu(backend, t).0,
+                compress_table(t),
+                "{rows} rows"
+            );
+            let led = dev.ledger();
+            assert_eq!((led.launches, led.backend.native), counts, "{rows} rows");
+        }
+        // 256 rows are 7 chain blocks and 257 are 8: just below and at the
+        // auto threshold.
+        let tables = hostile_tables()
+            .into_iter()
+            .chain([realistic_table(256), realistic_table(257)]);
+        for t in tables {
+            let rows = t.rows.len();
+            let chain = (if rows == 0 { 0 } else { 18 }, 0);
+
+            let dev = Device::m2050();
+            check(&dev, &dev, &t, chain);
+
+            let dev = Device::m2050();
+            check(&dev, &NativeBackend::new(&dev).unwrap(), &t, (1, 1));
+            assert_eq!(dev.kernel_launches()[0].name, crate::gpu::HOST_JOBS_KERNEL);
+
+            let dev = Device::m2050();
+            let auto = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
+            let arm = crate::gpu::chain_grid(rows * RLEDICT_COLS.len()) >= 8;
+            check(&dev, &auto, &t, if arm { (1, 1) } else { chain });
+            let led = dev.ledger();
+            assert_eq!(led.backend.auto_sim + led.backend.auto_native, led.launches);
+        }
     }
 
     #[test]

@@ -9,12 +9,8 @@
 
 use std::sync::OnceLock;
 
-use gpu_sim::primitives::{
-    binary_search_indices, exclusive_scan, scatter_footprint, unique_sorted, BLOCK,
-};
-use gpu_sim::{
-    AccessContract, ComputeBackend, Footprint, GlobalBuffer, LaunchStats, NativeBackend,
-};
+use gpu_sim::primitives::{exclusive_scan, scatter_footprint, BLOCK};
+use gpu_sim::{AccessContract, ComputeBackend, Footprint, LaunchStats, NativeBackend};
 
 use crate::bitio::BitWriter;
 use crate::{dict, rledict};
@@ -58,149 +54,14 @@ where
     (bytes, stats)
 }
 
-/// Run-length encode on the device: returns `(values, lengths)` plus the
-/// accumulated launch statistics.
-pub fn rle_gpu<B: ComputeBackend>(
-    dev: &B,
-    input: &GlobalBuffer<u32>,
-) -> (Vec<u32>, Vec<u32>, LaunchStats) {
-    let n = input.len();
-    // No n == 0 guard: an empty column yields zero-dim grids throughout,
-    // which the device treats as launch-free no-ops.
-    let grid = n.div_ceil(BLOCK);
-
-    // Flag run heads. All three scratch buffers below are fully written
-    // before they are read, so dirty pooled acquisitions are safe.
-    let flags = dev.alloc_pooled_dirty::<u32>(n);
-    let mut stats = dev.launch_contracted(
-        "rle_flags",
-        grid,
-        || {
-            AccessContract::default()
-                .read(input, Footprint::tiled_with_prev(BLOCK, n))
-                .write(&flags, Footprint::tiled(BLOCK, n))
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            for i in base..end {
-                let v = ctx.ld_co(input, i);
-                let head = if i == 0 {
-                    1
-                } else {
-                    let prev = ctx.ld_co(input, i - 1);
-                    ctx.add_inst(1);
-                    u32::from(prev != v)
-                };
-                ctx.st_co(&flags, i, head);
-            }
-        },
-    );
-
-    // Positions of runs via scan; scatter values and start offsets.
-    let (positions, num_runs, scan_stats) = exclusive_scan(dev, &flags);
-    stats += scan_stats;
-    let num_runs = num_runs as usize;
-    let values = dev.alloc_pooled_dirty::<u32>(num_runs);
-    let starts = dev.alloc_pooled_dirty::<u32>(num_runs);
-    stats += dev.launch_contracted(
-        "rle_scatter",
-        grid,
-        || {
-            AccessContract::default()
-                .read(&flags, Footprint::tiled(BLOCK, n))
-                .read(&positions, Footprint::tiled(BLOCK, n))
-                .read(input, Footprint::tiled(BLOCK, n))
-                .write(&values, scatter_footprint(&positions, n, num_runs))
-                .write(&starts, scatter_footprint(&positions, n, num_runs))
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            for i in base..end {
-                if ctx.ld_co(&flags, i) == 1 {
-                    let p = ctx.ld_co(&positions, i) as usize;
-                    let v = ctx.ld_co(input, i);
-                    ctx.st_rand(&values, p, v);
-                    ctx.st_rand(&starts, p, i as u32);
-                }
-            }
-        },
-    );
-
-    // Lengths from consecutive starts.
-    let lengths = dev.alloc_pooled_dirty::<u32>(num_runs);
-    let run_grid = num_runs.div_ceil(BLOCK);
-    stats += dev.launch_contracted(
-        "rle_lengths",
-        run_grid,
-        || {
-            AccessContract::default()
-                .read(&starts, Footprint::tiled_with_next(BLOCK, num_runs))
-                .write(&lengths, Footprint::tiled(BLOCK, num_runs))
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(num_runs);
-            for i in base..end {
-                let s = ctx.ld_co(&starts, i);
-                let e = if i + 1 < num_runs {
-                    ctx.ld_co(&starts, i + 1)
-                } else {
-                    n as u32
-                };
-                ctx.st_co(&lengths, i, e - s);
-            }
-        },
-    );
-
-    (values.to_vec(), lengths.to_vec(), stats)
-}
-
-/// Dictionary-encode a column on the device (sort+unique dictionary,
-/// parallel binary-search indices, host-side bit packing), byte-identical
-/// to [`crate::dict::encode`].
-pub fn dict_gpu<B: ComputeBackend>(dev: &B, data: &[u32], w: &mut BitWriter) -> LaunchStats {
-    if data.is_empty() {
-        dict::encode(data, w);
-        return LaunchStats::default();
-    }
-    // Sort a copy (the classic GPU sort primitive; counted as one
-    // coalesced pass each way, dominated by downstream stages here).
-    let mut sorted = data.to_vec();
-    sorted.sort_unstable();
-    let sorted_buf = dev.upload_pooled(&sorted);
-    let (dict_values, mut stats) = unique_sorted(dev, &sorted_buf);
-
-    let dict_buf = dev.upload_pooled(&dict_values);
-    let queries = dev.upload_pooled(data);
-    let (indices, bs_stats) = binary_search_indices(dev, &dict_buf, &queries);
-    stats += bs_stats;
-
-    dict::encode_indices(&indices.to_vec(), &dict_values, w);
-    stats
-}
-
-/// Full RLE-DICT on the device; output is byte-identical to
-/// [`crate::rledict::encode_to_vec`].
-pub fn rledict_gpu<B: ComputeBackend>(dev: &B, data: &[u32]) -> (Vec<u8>, LaunchStats) {
-    let input = dev.upload_pooled(data);
-    let (values, lengths, mut stats) = rle_gpu(dev, &input);
-    let mut w = BitWriter::new();
-    stats += dict_gpu(dev, &values, &mut w);
-    stats += dict_gpu(dev, &lengths, &mut w);
-    (w.finish(), stats)
-}
-
 /// RLE-DICT many columns ("segments") through ONE launch chain.
 ///
 /// The inputs are concatenated into a single device payload with a forced
 /// run head at every segment start, so one flags/scan/scatter/lengths RLE
 /// pass and one segmented DICT chain per level serve the whole batch:
-/// 18 launches total, independent of how many columns are batched, versus
-/// ~18 *per column* for repeated [`rledict_gpu`] calls. Each returned byte
-/// vector is identical to [`rledict_gpu`] (and therefore to
-/// [`crate::rledict::encode_to_vec`]) on that segment alone.
+/// 18 launches total, independent of how many columns are batched — a
+/// single column is the batch of one. Each returned byte vector is
+/// identical to [`crate::rledict::encode_to_vec`] on that segment alone.
 ///
 /// Where the chain would execute natively ([`ComputeBackend::native_arm`])
 /// it is replaced by ONE launch of one host-codec job per segment.
@@ -353,7 +214,7 @@ pub(crate) fn rledict_chain_batch<B: ComputeBackend>(
 /// dictionary and index stream with shared launches (one unique-flags /
 /// scan / scatter / binary-search sequence for the whole batch), then
 /// bit-packs each segment into its writer — byte-identical to running
-/// [`dict_gpu`] on each segment individually.
+/// [`crate::dict::encode`] on each segment individually.
 ///
 /// `data` holds the segments concatenated; segment `j` occupies
 /// `run_off[j]..run_off[j + 1]`.
@@ -365,8 +226,8 @@ fn dict_gpu_segmented<B: ComputeBackend>(
 ) -> LaunchStats {
     let n = data.len();
 
-    // Per-segment host sort of a concatenated copy (mirroring the classic
-    // GPU sort primitive in `dict_gpu`); forced heads stop the unique pass
+    // Per-segment host sort of a concatenated copy (standing in for the
+    // classic GPU sort primitive); forced heads stop the unique pass
     // from merging equal values across a segment boundary, and a segment
     // id per element steers the binary search to its own dictionary.
     let mut sorted = data.to_vec();
@@ -512,37 +373,41 @@ fn dict_gpu_segmented<B: ComputeBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rle;
     use gpu_sim::Device;
     use proptest::prelude::*;
 
-    #[test]
-    fn gpu_rle_matches_cpu() {
-        let dev = Device::m2050();
-        let data: Vec<u32> = (0..5000).map(|i| (i / 37) % 11).collect();
-        let input = dev.upload(&data);
-        let (v, l, stats) = rle_gpu(&dev, &input);
-        let (ev, el) = rle::encode(&data);
-        assert_eq!(v, ev);
-        assert_eq!(l, el);
-        assert!(stats.counters.g_load() > 0);
+    /// A column is the batch of one.
+    fn one_column<B: ComputeBackend>(dev: &B, data: &[u32]) -> Vec<u8> {
+        let (mut bytes, _) = rledict_gpu_batch(dev, &[data]);
+        assert_eq!(bytes.len(), 1);
+        bytes.pop().unwrap()
     }
 
     #[test]
     fn gpu_rledict_bytes_identical_to_cpu() {
-        let dev = Device::m2050();
         let data: Vec<u32> = (0..4000).map(|i| 30 + ((i / 23) % 9)).collect();
-        let (gpu_bytes, _) = rledict_gpu(&dev, &data);
         let cpu_bytes = rledict::encode_to_vec(&data);
-        assert_eq!(gpu_bytes, cpu_bytes);
-        assert_eq!(rledict::decode_from_slice(&gpu_bytes).unwrap(), data);
+        assert_eq!(rledict::decode_from_slice(&cpu_bytes).unwrap(), data);
+
+        // On the simulator a single column is the whole 18-launch chain...
+        let dev = Device::m2050();
+        assert_eq!(one_column(&dev, &data), cpu_bytes);
+        assert_eq!(dev.ledger().launches, 18);
+
+        // ...and on the native executor exactly one host-jobs launch.
+        let dev = Device::m2050();
+        let native = NativeBackend::new(&dev).unwrap();
+        assert_eq!(one_column(&native, &data), cpu_bytes);
+        let tallies = dev.kernel_launches();
+        assert_eq!(tallies.len(), 1, "{tallies:?}");
+        assert_eq!(tallies[0].name, HOST_JOBS_KERNEL);
+        assert_eq!((tallies[0].launches, tallies[0].native_launches), (1, 1));
     }
 
     #[test]
     fn empty_column() {
         let dev = Device::m2050();
-        let (bytes, _) = rledict_gpu(&dev, &[]);
-        assert_eq!(bytes, rledict::encode_to_vec(&[]));
+        assert_eq!(one_column(&dev, &[]), rledict::encode_to_vec(&[]));
     }
 
     #[test]
@@ -614,8 +479,7 @@ mod tests {
         for (b, s) in bytes.iter().zip(&segs) {
             assert_eq!(b, &rledict::encode_to_vec(s));
         }
-        let (solo_bytes, _) = rledict_gpu(&dev, &segs[0]);
-        assert_eq!(solo_bytes, rledict::encode_to_vec(&segs[0]));
+        assert_eq!(one_column(&dev, &segs[0]), rledict::encode_to_vec(&segs[0]));
 
         let report = dev.contract_report();
         let totals = report.totals();
@@ -737,8 +601,7 @@ mod tests {
         #[test]
         fn gpu_cpu_parity(data in proptest::collection::vec(0u32..50, 0..1500)) {
             let dev = Device::m2050();
-            let (gpu_bytes, _) = rledict_gpu(&dev, &data);
-            prop_assert_eq!(gpu_bytes, rledict::encode_to_vec(&data));
+            prop_assert_eq!(one_column(&dev, &data), rledict::encode_to_vec(&data));
         }
 
         #[test]

@@ -172,37 +172,22 @@ fn decode_reads(bytes: &[u8], first_id: usize) -> Result<Vec<AlignedRead>, Codec
     Ok(reads)
 }
 
-/// One chunk of a [`TempInput`].
-#[derive(Debug)]
-pub enum TempChunk {
-    /// A [`compress_reads`] blob.
-    Packed(Vec<u8>),
-    /// The reads themselves, for runs that skip the codec.
-    Plain(Vec<AlignedRead>),
-}
-
 /// One sample's temporary input: its position-sorted reads as consecutive
-/// chunks, in order.
+/// chunks, in order, each a [`compress_reads`] blob.
 #[derive(Debug, Default)]
 pub struct TempInput {
-    chunks: Vec<TempChunk>,
+    chunks: Vec<Vec<u8>>,
 }
 
 impl TempInput {
     /// The temporary input made of `chunks`, which must be in read order.
-    pub fn new(chunks: Vec<TempChunk>) -> Self {
+    pub fn new(chunks: Vec<Vec<u8>>) -> Self {
         TempInput { chunks }
     }
 
     /// Bytes held in compressed blobs.
     pub fn packed_bytes(&self) -> u64 {
-        self.chunks
-            .iter()
-            .map(|c| match c {
-                TempChunk::Packed(blob) => blob.len() as u64,
-                TempChunk::Plain(_) => 0,
-            })
-            .sum()
+        self.chunks.iter().map(|blob| blob.len() as u64).sum()
     }
 
     /// Stream the reads back, decoding one chunk at a time.
@@ -220,7 +205,7 @@ impl TempInput {
 /// most one chunk is ever held decoded. Decoded placeholder ids number the
 /// reads across the whole input, as one [`decompress_reads`] would.
 pub struct TempReads {
-    chunks: std::vec::IntoIter<TempChunk>,
+    chunks: std::vec::IntoIter<Vec<u8>>,
     current: std::vec::IntoIter<AlignedRead>,
     yielded: usize,
 }
@@ -234,14 +219,10 @@ impl Iterator for TempReads {
                 self.yielded += 1;
                 return Some(Ok(read));
             }
-            let reads = match self.chunks.next()? {
-                TempChunk::Packed(blob) => match decode_reads(&blob, self.yielded) {
-                    Ok(reads) => reads,
-                    Err(e) => return Some(Err(e)),
-                },
-                TempChunk::Plain(reads) => reads,
-            };
-            self.current = reads.into_iter();
+            match decode_reads(&self.chunks.next()?, self.yielded) {
+                Ok(reads) => self.current = reads.into_iter(),
+                Err(e) => return Some(Err(e)),
+            }
         }
     }
 }
@@ -299,12 +280,7 @@ mod tests {
     }
 
     fn chunked(reads: &[AlignedRead], n: usize) -> TempInput {
-        TempInput::new(
-            reads
-                .chunks(n)
-                .map(|c| TempChunk::Packed(compress_reads("tiny", c)))
-                .collect(),
-        )
+        TempInput::new(reads.chunks(n).map(|c| compress_reads("tiny", c)).collect())
     }
 
     #[test]
@@ -321,29 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn plain_chunks_pass_through_untouched() {
-        let d = Dataset::generate(SynthConfig::tiny(26));
-        let (a, b) = d.reads.split_at(d.reads.len() / 2);
-        let input = TempInput::new(vec![
-            TempChunk::Plain(a.to_vec()),
-            TempChunk::Plain(Vec::new()),
-            TempChunk::Plain(b.to_vec()),
-        ]);
-        assert_eq!(input.packed_bytes(), 0);
-        let back: Vec<_> = input.into_reads().collect::<Result<_, _>>().unwrap();
-        assert_eq!(back, d.reads);
-    }
-
-    #[test]
     fn a_corrupt_chunk_errors_where_it_sits() {
         let d = Dataset::generate(SynthConfig::tiny(27));
         let (a, b) = d.reads.split_at(40);
         let mut bad = compress_reads("tiny", b);
         bad.truncate(bad.len() / 2);
-        let input = TempInput::new(vec![
-            TempChunk::Packed(compress_reads("tiny", a)),
-            TempChunk::Packed(bad),
-        ]);
+        let input = TempInput::new(vec![compress_reads("tiny", a), bad]);
         let mut reads = input.into_reads();
         assert_eq!(reads.by_ref().take(40).filter(Result::is_ok).count(), 40);
         assert!(reads

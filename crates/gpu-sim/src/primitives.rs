@@ -1,15 +1,17 @@
-//! Data-parallel primitives on the simulated device.
+//! The data-parallel primitive the compression chain shares.
 //!
 //! The GSNP output compressor builds on the classic GPU primitive set the
-//! paper cites (reduction, scan, sort+unique, parallel binary search). They
-//! are implemented here as ordinary kernels so that the compression path
-//! runs on the same executor — and is charged by the same cost model — as
-//! the likelihood kernels.
+//! paper cites (scan, sort+unique, parallel binary search). The exclusive
+//! scan — used three times per chain, by RLE and by both DICT levels — is
+//! implemented here as ordinary kernels so that the compression path runs
+//! on the same executor, and is charged by the same cost model, as the
+//! likelihood kernels; the segmented unique and binary-search kernels live
+//! with their only caller in `compress::gpu`.
 //!
-//! Every primitive declares an [`AccessContract`] at its launch site: the
-//! static analyzer proves the per-block footprints in-bounds and
-//! non-overlapping before a single lane executes, which is what lets the
-//! native backend run these kernels uninstrumented on sanitized devices.
+//! Every launch declares an [`AccessContract`] at its site: the static
+//! analyzer proves the per-block footprints in-bounds and non-overlapping
+//! before a single lane executes, which is what lets the native backend
+//! run these kernels uninstrumented on sanitized devices.
 
 use crate::backend::ComputeBackend;
 use crate::buffer::GlobalBuffer;
@@ -21,66 +23,6 @@ pub const BLOCK: usize = 256;
 
 fn grid_for(n: usize) -> usize {
     n.div_ceil(BLOCK)
-}
-
-/// Tree-reduce a `u64` buffer to its sum. Per-block partial sums are staged
-/// through shared memory; a final sequential pass combines the partials so
-/// the result is deterministic.
-pub fn reduce_sum<B: ComputeBackend>(dev: &B, input: &GlobalBuffer<u64>) -> (u64, LaunchStats) {
-    let n = input.len();
-    if n == 0 {
-        return (0, LaunchStats::default());
-    }
-    let grid = grid_for(n);
-    let partials: GlobalBuffer<u64> = dev.alloc(grid);
-    let mut stats = dev.launch_contracted(
-        "reduce_sum",
-        grid,
-        || {
-            AccessContract::default()
-                .read(input, Footprint::tiled(BLOCK, n))
-                .write(&partials, Footprint::elem_per_block())
-                .shared::<u64>(BLOCK)
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            let mut tile = ctx.shared_alloc::<u64>(BLOCK);
-            for (t, i) in (base..end).enumerate() {
-                let v = ctx.ld_co(input, i);
-                tile.write(ctx, t, v);
-            }
-            // In-block tree reduction.
-            let mut width = end - base;
-            while width > 1 {
-                let half = width.div_ceil(2);
-                for t in 0..width / 2 {
-                    let a = tile.read(ctx, t);
-                    let b = tile.read(ctx, t + half);
-                    tile.write(ctx, t, a.wrapping_add(b));
-                    ctx.add_inst(1);
-                }
-                width = half;
-            }
-            let sum = tile.read(ctx, 0);
-            ctx.st_co(&partials, ctx.block_idx(), sum);
-            ctx.shared_free(tile);
-        },
-    );
-    let mut total = 0u64;
-    let combine = dev.launch_contracted_seq(
-        "reduce_combine",
-        1,
-        || AccessContract::default().read(&partials, Footprint::span(0, grid)),
-        |ctx| {
-            for b in 0..grid {
-                total = total.wrapping_add(ctx.ld_co(&partials, b));
-                ctx.add_inst(1);
-            }
-        },
-    );
-    stats += combine;
-    (total, stats)
 }
 
 /// Exclusive prefix sum of a `u32` buffer. Returns the scanned buffer and
@@ -158,71 +100,6 @@ pub fn exclusive_scan<B: ComputeBackend>(
     (output, total, stats)
 }
 
-/// Compact the distinct values of a *sorted* buffer ("unique" primitive).
-/// Returns the dictionary values in order.
-pub fn unique_sorted<B: ComputeBackend>(
-    dev: &B,
-    sorted: &GlobalBuffer<u32>,
-) -> (Vec<u32>, LaunchStats) {
-    let n = sorted.len();
-    if n == 0 {
-        return (Vec::new(), LaunchStats::default());
-    }
-    // Flags: 1 where a new run starts.
-    let flags: GlobalBuffer<u32> = dev.alloc(n);
-    let grid = grid_for(n);
-    let mut stats = dev.launch_contracted(
-        "unique_flags",
-        grid,
-        || {
-            AccessContract::default()
-                .read(sorted, Footprint::tiled_with_prev(BLOCK, n))
-                .write(&flags, Footprint::tiled(BLOCK, n))
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            for i in base..end {
-                let v = ctx.ld_co(sorted, i);
-                let is_new = if i == 0 {
-                    1
-                } else {
-                    let prev = ctx.ld_co(sorted, i - 1);
-                    ctx.add_inst(1);
-                    u32::from(prev != v)
-                };
-                ctx.st_co(&flags, i, is_new);
-            }
-        },
-    );
-    let (positions, count, scan_stats) = exclusive_scan(dev, &flags);
-    stats += scan_stats;
-    let dict: GlobalBuffer<u32> = dev.alloc(count as usize);
-    stats += dev.launch_contracted(
-        "unique_scatter",
-        grid,
-        || {
-            AccessContract::default()
-                .read(&flags, Footprint::tiled(BLOCK, n))
-                .read(&positions, Footprint::tiled(BLOCK, n))
-                .read(sorted, Footprint::tiled(BLOCK, n))
-                .write(&dict, scatter_footprint(&positions, n, count as usize))
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            for i in base..end {
-                if ctx.ld_co(&flags, i) == 1 {
-                    let pos = ctx.ld_co(&positions, i);
-                    let v = ctx.ld_co(sorted, i);
-                    ctx.st_rand(&dict, pos as usize, v);
-                }
-            }
-        },
-    );
-    (dict.to_vec(), stats)
-}
-
 /// The per-block write footprint of a scatter driven by an exclusive scan:
 /// block `b` writes exactly the destination slots `positions[b·BLOCK] ..
 /// positions[(b+1)·BLOCK]` (the scan is monotone, so the block intervals
@@ -245,82 +122,11 @@ pub fn scatter_footprint(positions: &GlobalBuffer<u32>, n: usize, out_len: usize
     Footprint::per_block(intervals)
 }
 
-/// Parallel binary search: for each element of `queries`, find its index in
-/// the sorted `dict` (which is loaded to constant memory by the caller when
-/// it fits; here it is searched in global memory with random accesses,
-/// matching the paper's fallback path). Every query must be present.
-pub fn binary_search_indices<B: ComputeBackend>(
-    dev: &B,
-    dict: &GlobalBuffer<u32>,
-    queries: &GlobalBuffer<u32>,
-) -> (GlobalBuffer<u32>, LaunchStats) {
-    let n = queries.len();
-    let m = dict.len();
-    let out: GlobalBuffer<u32> = dev.alloc(n);
-    if n == 0 {
-        return (out, LaunchStats::default());
-    }
-    assert!(m > 0, "binary search over an empty dictionary");
-    let stats = dev.launch_contracted(
-        "binary_search",
-        grid_for(n),
-        || {
-            AccessContract::default()
-                .read(queries, Footprint::tiled(BLOCK, n))
-                .read(dict, Footprint::All)
-                .write(&out, Footprint::tiled(BLOCK, n))
-        },
-        |ctx| {
-            let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            for i in base..end {
-                let q = ctx.ld_co(queries, i);
-                let (mut lo, mut hi) = (0usize, m);
-                while lo + 1 < hi {
-                    let mid = (lo + hi) / 2;
-                    let v = ctx.ld_rand(dict, mid);
-                    if v <= q {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                    ctx.add_inst(2);
-                }
-                debug_assert_eq!(ctx.ld_rand(dict, lo), q, "query missing from dictionary");
-                ctx.st_co(&out, i, lo as u32);
-            }
-        },
-    );
-    (out, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::launch::Device;
     use crate::sanitizer::SanitizerConfig;
-
-    #[test]
-    fn reduce_sum_matches_host() {
-        let dev = Device::m2050();
-        let data: Vec<u64> = (0..10_000).map(|i| i * i).collect();
-        let buf = dev.upload(&data);
-        let (sum, stats) = reduce_sum(&dev, &buf);
-        assert_eq!(sum, data.iter().sum::<u64>());
-        assert!(
-            stats.counters.s_load > 0,
-            "reduction must use shared memory"
-        );
-    }
-
-    #[test]
-    fn reduce_sum_empty_and_single() {
-        let dev = Device::m2050();
-        let empty: GlobalBuffer<u64> = dev.alloc(0);
-        assert_eq!(reduce_sum(&dev, &empty).0, 0);
-        let one = dev.upload(&[42u64]);
-        assert_eq!(reduce_sum(&dev, &one).0, 42);
-    }
 
     #[test]
     fn exclusive_scan_matches_host() {
@@ -348,24 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_compacts_runs() {
-        let dev = Device::m2050();
-        let data = vec![1u32, 1, 1, 3, 3, 7, 9, 9, 9, 9];
-        let buf = dev.upload(&data);
-        let (dict, _) = unique_sorted(&dev, &buf);
-        assert_eq!(dict, vec![1, 3, 7, 9]);
-    }
-
-    #[test]
-    fn binary_search_finds_all() {
-        let dev = Device::m2050();
-        let dict = dev.upload(&[2u32, 5, 8, 13, 21]);
-        let queries = dev.upload(&[21u32, 2, 8, 8, 5, 13]);
-        let (idx, _) = binary_search_indices(&dev, &dict, &queries);
-        assert_eq!(idx.to_vec(), vec![4, 0, 2, 2, 1, 3]);
-    }
-
-    #[test]
     fn primitives_verify_their_contracts() {
         // Contracts + conformance on: every primitive must come out of the
         // proof table verified, with zero dynamic escapes.
@@ -373,16 +161,8 @@ mod tests {
             .with_sanitizer(SanitizerConfig::all().with_conformance())
             .with_contracts();
         let data: Vec<u32> = (0..2000).map(|i| (i * 37 % 256) as u32).collect();
-        let mut sorted_host = data.clone();
-        sorted_host.sort_unstable();
-        let sorted = dev.upload(&sorted_host);
-        let (dict, _) = unique_sorted(&dev, &sorted);
-        let dict_buf = dev.upload(&dict);
-        let queries = dev.upload(&sorted_host);
-        binary_search_indices(&dev, &dict_buf, &queries);
-        let words: Vec<u64> = (0..700u64).collect();
-        let wbuf = dev.upload(&words);
-        reduce_sum(&dev, &wbuf);
+        let (_, total, _) = exclusive_scan(&dev, &dev.upload(&data));
+        assert_eq!(total, data.iter().sum::<u32>());
 
         let report = dev.contract_report();
         let totals = report.totals();

@@ -2,20 +2,19 @@
 //!
 //! Each window flowing through the pipeline needs the same set of host
 //! buffers: the loaded observation lists, the sparse `base_word`
-//! representation, the `type_likely` readback target, and the multipass
-//! sort's span scratch. Allocating them fresh every window puts the
-//! allocator on the hot path; §IV-B's point is that the sparse design
-//! makes recycling these buffers trivial (clear and refill). A
-//! [`WindowArena`] owns one window's worth of buffers, and an
-//! [`ArenaPool`] circulates arenas between the pipeline stages so the
-//! steady-state window loop performs no heap allocation at all (pinned
-//! by `tests/alloc_steady_state.rs`).
+//! representation and the `type_likely` readback target (the multipass
+//! sort's scratch is per device lane, in the loop's `BatchScratch`).
+//! Allocating them fresh every window puts the allocator on the hot path;
+//! §IV-B's point is that the sparse design makes recycling these buffers
+//! trivial (clear and refill). A [`WindowArena`] owns one window's worth
+//! of buffers, and an [`ArenaPool`] circulates arenas between the pipeline
+//! stages so the steady-state window loop performs no heap allocation at
+//! all (pinned by `tests/alloc_steady_state.rs`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use seqio::window::Window;
-use sortnet::MultipassScratch;
 
 use crate::counting::SparseWindow;
 use crate::model::NUM_GENOTYPES;
@@ -31,9 +30,9 @@ use crate::model::NUM_GENOTYPES;
 const MAX_PARKED: usize = 32;
 
 /// One window's worth of reusable host buffers. Every field is fully
-/// overwritten by its producing stage (`next_window_into`, `count_into`,
-/// `likelihood_comp_gpu_into`, `likelihood_sort_gpu_into`), so a recycled
-/// arena never needs clearing before reuse.
+/// overwritten by its producing stage (`next_window_into` in `read_site`;
+/// `count_words_into` and the scatter of the fused kernel's outputs in the
+/// device stage), so a recycled arena never needs clearing before reuse.
 #[derive(Debug, Default)]
 pub struct WindowArena {
     /// The loaded window (`read_site` output).
@@ -42,8 +41,6 @@ pub struct WindowArena {
     pub sw: SparseWindow,
     /// Per-site genotype likelihoods (`likelihood_comp` readback).
     pub type_likely: Vec<[f64; NUM_GENOTYPES]>,
-    /// Multipass sort span scratch and report.
-    pub sort_scratch: MultipassScratch,
 }
 
 /// Hit/miss counters for one pool (mirrors `gpu_sim::PoolStats`).

@@ -12,10 +12,11 @@
 //! All three produce **bit-identical** `type_likely` vectors for the same
 //! site (property-tested), which is the §IV-G consistency requirement.
 //!
-//! Device-side: [`likelihood_sort_gpu`] (the multipass sorting network)
-//! and [`likelihood_comp_gpu`] with the four [`KernelVariant`]s of
-//! Fig. 8 / Table III, plus the dense strawman [`likelihood_dense_gpu`]
-//! of Fig. 5.
+//! Device-side: [`likelihood_comp_gpu`] with the four [`KernelVariant`]s
+//! of Fig. 8 / Table III, the fused counting + likelihood kernel the
+//! window loop launches ([`likelihood_comp_fused_gpu_into`]), and the
+//! dense strawman [`likelihood_dense_gpu`] of Fig. 5. `likelihood_sort`
+//! on the device is [`sortnet::multipass`], called directly.
 
 use std::sync::Arc;
 
@@ -24,7 +25,6 @@ use gpu_sim::{
     GlobalBuffer, LaunchStats,
 };
 use seqio::soap::MAX_READ_LEN;
-use sortnet::multipass::{multipass_sort_into, MultipassReport, MultipassScratch};
 
 use crate::baseword;
 use crate::counting::{base_occ_index, SparseWindow, SITE_CELLS};
@@ -288,29 +288,6 @@ impl KernelVariant {
     fn uses_new_table(self) -> bool {
         matches!(self, KernelVariant::WithNewTable | KernelVariant::Optimized)
     }
-}
-
-/// `likelihood_sort` on the device: the multipass bitonic sorting network
-/// over every site's `base_word` array.
-pub fn likelihood_sort_gpu<B: ComputeBackend>(
-    dev: &B,
-    words: &GlobalBuffer<u32>,
-    spans: &[(usize, usize)],
-) -> MultipassReport {
-    let mut scratch = MultipassScratch::default();
-    likelihood_sort_gpu_into(dev, words, spans, &mut scratch);
-    scratch.report().clone()
-}
-
-/// [`likelihood_sort_gpu`] with caller-owned scratch (the window loop's
-/// allocation-free path); the report lands in `scratch.report()`.
-pub fn likelihood_sort_gpu_into<B: ComputeBackend>(
-    dev: &B,
-    words: &GlobalBuffer<u32>,
-    spans: &[(usize, usize)],
-    scratch: &mut MultipassScratch,
-) {
-    multipass_sort_into(dev, words, spans, scratch);
 }
 
 /// `likelihood_comp` on the device: one logical thread per site, blocks of
@@ -1030,7 +1007,7 @@ mod tests {
         let sw = SparseWindow::count(&w); // NOT host-sorted
         let dev = Device::m2050();
         let words = dev.upload(&sw.words);
-        likelihood_sort_gpu(&dev, &words, &sw.spans);
+        sortnet::multipass_sort(&dev, &words, &sw.spans);
         let tables = DeviceTables::upload(&dev, &p, &np, &lt);
         let (got, _) = likelihood_comp_gpu(
             &dev,

@@ -32,7 +32,7 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use compress::input_codec::{self, TempChunk, TempInput, TempReads};
+use compress::input_codec::{self, TempInput, TempReads};
 use compress::{column, CodecError};
 use gpu_sim::{
     AutoPolicy, BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup,
@@ -50,9 +50,7 @@ use crate::arena::{ArenaPool, ArenaPoolStats, WindowArena};
 use crate::cohort::{apply_site_policies, BadSiteList, PostTallies, QualityGates};
 use crate::counting::SparseWindow;
 use crate::journal::Journal;
-use crate::likelihood::{
-    likelihood_comp_fused_gpu_into, likelihood_sort_gpu_into, DeviceTables, KernelVariant,
-};
+use crate::likelihood::{likelihood_comp_fused_gpu_into, DeviceTables, KernelVariant};
 use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
 use crate::progress::LatencyHists;
 use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats};
@@ -172,9 +170,6 @@ pub struct GsnpConfig {
     pub params: ModelParams,
     /// Which `likelihood_comp` kernel to run (GSNP uses `Optimized`).
     pub variant: KernelVariant,
-    /// Write + re-read the compressed temporary input (§V-A). Disabling
-    /// reads the in-memory alignments directly (used by ablations).
-    pub compress_input: bool,
     /// Run output RLE-DICT columns on the device (§V-B).
     pub gpu_output: bool,
     /// Bounded-channel depth of the window loop. `1` (on one device) runs
@@ -248,7 +243,6 @@ impl Default for GsnpConfig {
             device: DeviceConfig::tesla_m2050(),
             params: ModelParams::default(),
             variant: KernelVariant::Optimized,
-            compress_input: true,
             gpu_output: true,
             pipeline_depth: 2,
             launch_batch: 0,
@@ -285,7 +279,6 @@ impl GsnpConfig {
             device,
             params,
             variant,
-            compress_input,
             gpu_output,
             pipeline_depth,
             launch_batch,
@@ -302,10 +295,9 @@ impl GsnpConfig {
              \"launch_batch\":{launch_batch},\"launch_batch_effective\":{},\
              \"pipeline_depth\":{pipeline_depth},\"backend\":\"{}\",\
              \"auto_threshold\":{},\"contracts\":{contracts},\"sanitize\":{sanitize},\
-             \"variant\":\"{}\",\"compress_input\":{compress_input},\
-             \"gpu_output\":{gpu_output},\"pooled\":{pooled},\"device\":\"{}\",\
-             \"het_rate\":{},\"hom_rate\":{},\"titv_ratio\":{},\"pseudocount\":{},\
-             \"expected_depth\":{},\"shared_tables\":{}}}",
+             \"variant\":\"{}\",\"gpu_output\":{gpu_output},\"pooled\":{pooled},\
+             \"device\":\"{}\",\"het_rate\":{},\"hom_rate\":{},\"titv_ratio\":{},\
+             \"pseudocount\":{},\"expected_depth\":{},\"shared_tables\":{}}}",
             self.launch_batch_size(),
             backend.name(),
             auto.native_min_blocks,
@@ -494,7 +486,7 @@ struct ChunkDone {
     ends: Option<(u64, u64, u64)>,
     /// The chunk's share of the temporary input, or the first malformed
     /// or out-of-order line, at which the chunk was abandoned.
-    temp: Result<TempChunk, SeqIoError>,
+    temp: Result<Vec<u8>, SeqIoError>,
 }
 
 /// Read every sample's input once, `chunk_reads` records (lines) at a
@@ -533,12 +525,12 @@ pub(crate) fn first_pass_chunked(
         .then(|| Mutex::new(Vec::<CalCounts>::new()));
     let done: Vec<ChunkDone> = jobs
         .par_iter()
-        .map(|job| run_chunk(job, reference, cfg.compress_input, counters.as_ref()))
+        .map(|job| run_chunk(job, reference, counters.as_ref()))
         .collect();
 
     // File order again: the first fault of the first faulty sample is the
     // one a serial reader would have stopped at.
-    let mut inputs: Vec<Vec<TempChunk>> = Vec::new();
+    let mut inputs: Vec<Vec<Vec<u8>>> = Vec::new();
     inputs.resize_with(samples.len(), Vec::new);
     let mut last_pos: Vec<Option<u64>> = vec![None; samples.len()];
     for (job, chunk) in jobs.iter().zip(done) {
@@ -578,7 +570,6 @@ const NO_CHUNK_PANICKED: &str = "the counter list is never locked across a chunk
 fn run_chunk(
     job: &ChunkJob<'_>,
     reference: &Reference,
-    compress: bool,
     counters: Option<&Mutex<Vec<CalCounts>>>,
 ) -> ChunkDone {
     let (mut first_line, mut fault) = (job.first_line, None);
@@ -618,14 +609,9 @@ fn run_chunk(
         counts.add_reads(reads.iter(), reference);
         counters.lock().expect(NO_CHUNK_PANICKED).push(counts);
     }
-    let temp = if compress {
-        TempChunk::Packed(input_codec::compress_reads(&reference.name, &reads))
-    } else {
-        TempChunk::Plain(reads.into_owned())
-    };
     ChunkDone {
         ends,
-        temp: Ok(temp),
+        temp: Ok(input_codec::compress_reads(&reference.name, &reads)),
     }
 }
 
@@ -1096,7 +1082,7 @@ fn run_device_batch<B: ComputeBackend>(
 
     // likelihood: one sort launch group + one fused counting+comp launch
     let t0 = Instant::now();
-    likelihood_sort_gpu_into(dev, &words, &scratch.spans, &mut scratch.sort_scratch);
+    sortnet::multipass_sort_into(dev, &words, &scratch.spans, &mut scratch.sort_scratch);
     wall.likelihood_sort += t0.elapsed().as_secs_f64();
     let sort_report = scratch.sort_scratch.report();
     times.likelihood_sort += sort_report.total().sim_time;
@@ -1530,18 +1516,6 @@ mod tests {
     }
 
     #[test]
-    fn input_compression_does_not_change_results() {
-        let d = Dataset::generate(SynthConfig::tiny(68));
-        let with = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
-        let without = GsnpPipeline::new(GsnpConfig {
-            compress_input: false,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        assert_eq!(with.all_rows(), without.all_rows());
-    }
-
-    #[test]
     fn gpu_output_is_byte_identical_to_cpu_output() {
         let d = Dataset::generate(SynthConfig::tiny(69));
         let gpu = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
@@ -1743,14 +1717,13 @@ mod tests {
             seed in 0u64..1_000_000,
             num_sites in 500u64..3_000,
             depth_deci in 20u32..120,
-            compress_input in any::<bool>(),
             from_text in any::<bool>(),
         ) {
             let mut sc = SynthConfig::tiny(seed);
             sc.num_sites = num_sites;
             sc.depth = f64::from(depth_deci) / 10.0;
             let d = Dataset::generate(sc);
-            let cfg = GsnpConfig { compress_input, ..Default::default() };
+            let cfg = GsnpConfig::default();
             let serial = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
             let bits = |p: &PMatrix| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let text = soap_text(&d.reads);
@@ -1759,7 +1732,7 @@ mod tests {
             } else {
                 Alignments::Reads(&d.reads)
             };
-            let kept = if compress_input { strip_ids(d.reads.clone()) } else { d.reads.clone() };
+            let kept = strip_ids(d.reads.clone());
             for chunk_reads in [1, 7, d.reads.len().max(1), CHUNK_READS] {
                 let first = first_pass_chunked(&cfg, &[sample], &d.reference, chunk_reads).unwrap();
                 prop_assert_eq!(bits(&first.tables.p_matrix), bits(&serial), "chunks of {}", chunk_reads);
@@ -1919,8 +1892,8 @@ mod tests {
                 let first = FirstPass {
                     tables: Arc::new(SharedTables::calibrate(&d.reads, &d.reference, &cfg.params)),
                     inputs: vec![TempInput::new(vec![
-                        TempChunk::Packed(input_codec::compress_reads("tiny", a)),
-                        TempChunk::Packed(bad),
+                        input_codec::compress_reads("tiny", a),
+                        bad,
                     ])],
                     seconds: 0.0,
                 };

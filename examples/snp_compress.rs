@@ -58,6 +58,8 @@ fn main() {
     );
 
     // --- GPU path produces byte-identical output ---
+    // A window on its own is a batch of one: its seven quality columns
+    // ride one 18-launch RLE-DICT chain on the simulated device.
     let dev = Device::m2050();
     let (cpu_bytes, _) = (compress_table(&out.tables[0]), ());
     let (gpu_bytes, stats) = compress_table_gpu(&dev, &out.tables[0]);

@@ -68,6 +68,7 @@ use gsnp::core::{
 use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
+use gsnp::seqio::result::SnpTable;
 use gsnp::seqio::soap::{write_alignments, AlignmentReader};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
@@ -1057,6 +1058,17 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// The windows of result file `input`, a decode error naming the file and
+/// the window (from 1) it stopped at.
+fn decode_windows<'a>(
+    input: &'a str,
+    bytes: &'a [u8],
+) -> impl Iterator<Item = Result<SnpTable, String>> + 'a {
+    WindowStream::new(bytes)
+        .enumerate()
+        .map(move |(i, w)| w.map_err(|e| format!("{input}: window {}: {e}", i + 1)))
+}
+
 fn cmd_decode(args: &[String]) -> CliResult {
     let pos = positional(args);
     let input = pos.first().ok_or("decode requires an input file")?;
@@ -1069,7 +1081,7 @@ fn cmd_decode(args: &[String]) -> CliResult {
     // One `write` per row otherwise: a `File` is unbuffered and stdout
     // flushes at every newline.
     let mut sink = BufWriter::new(sink);
-    for window in WindowStream::new(&bytes) {
+    for window in decode_windows(input, &bytes) {
         window?
             .write_text(&mut sink)
             .map_err(|e| format!("{name}: {e}"))?;
@@ -1089,7 +1101,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
     let mut windows = 0u64;
     let mut depth_sum = 0u64;
     let mut chr = String::new();
-    for window in WindowStream::new(&bytes) {
+    for window in decode_windows(input, &bytes) {
         let w = window?;
         chr = w.chr.clone();
         windows += 1;

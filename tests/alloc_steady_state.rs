@@ -11,10 +11,10 @@
 //! compressed file) are retained by design, so "allocation-free" cannot
 //! apply to them.
 
+use std::process::Command;
+
 use gsnp::core::arena::WindowArena;
-use gsnp::core::likelihood::{
-    likelihood_comp_gpu_into, likelihood_sort_gpu_into, DeviceTables, KernelVariant,
-};
+use gsnp::core::likelihood::{likelihood_comp_gpu_into, DeviceTables, KernelVariant};
 use gsnp::core::model::posterior;
 use gsnp::core::pipeline::GsnpConfig;
 use gsnp::core::tables::{LogTable, NewPMatrix, PMatrix};
@@ -22,6 +22,7 @@ use gsnp::gpu_sim::Device;
 use gsnp::seqio::result::SnpRow;
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 use gsnp::seqio::window::{OwnedReads, WindowReader};
+use gsnp::sortnet::{multipass_sort_into, MultipassScratch};
 
 // The counting allocator lives in `testalloc`: its `GlobalAlloc` impl is
 // the workspace's one sanctioned use of `unsafe`, quarantined there so this
@@ -31,7 +32,40 @@ static ALLOCATOR: testalloc::CountingAlloc = testalloc::CountingAlloc;
 
 use testalloc::allocs;
 
-/// One full pass of the hot path over the dataset, reusing `arena` and
+/// These tests need the worker pool's serial path and a process to
+/// themselves: the allocation counter is process-global, so pool helpers
+/// or a test running beside this one would be counted too. With one CPU
+/// visible that is what they get, and the caller runs the body (`true`).
+/// With more, `test` is re-run alone in a child pinned to CPU 0 and its
+/// verdict adopted.
+fn runs_here(test: &str) -> bool {
+    if std::thread::available_parallelism().map_or(1, usize::from) == 1 {
+        return true;
+    }
+    let child = Command::new("taskset")
+        .args(["-c", "0"])
+        .arg(std::env::current_exe().expect("the test binary's path"))
+        .args(["--exact", test, "--test-threads=1"])
+        .output();
+    let Ok(child) = child else {
+        eprintln!("skipping: several CPUs visible and no taskset to pin to one");
+        return false;
+    };
+    print!("{}", String::from_utf8_lossy(&child.stdout));
+    eprint!("{}", String::from_utf8_lossy(&child.stderr));
+    assert!(child.status.success(), "{test} failed pinned to one CPU");
+    false
+}
+
+/// What [`run_pass`] reuses besides the rows: the window's arena and the
+/// multipass sort's scratch (per device lane in the real loop).
+#[derive(Default)]
+struct PassScratch {
+    arena: WindowArena,
+    sort: MultipassScratch,
+}
+
+/// One full pass of the hot path over the dataset, reusing `scratch` and
 /// `rows`. Returns the per-window allocation deltas observed.
 fn run_pass(
     d: &Dataset,
@@ -39,9 +73,10 @@ fn run_pass(
     tables: &DeviceTables,
     cfg: &GsnpConfig,
     reader: &mut WindowReader<OwnedReads>,
-    arena: &mut WindowArena,
+    scratch: &mut PassScratch,
     rows: &mut Vec<SnpRow>,
 ) -> Vec<u64> {
+    let PassScratch { arena, sort } = scratch;
     reader.restart(d.reads.clone());
     // Preallocated so the bookkeeping `push` below never reallocates inside
     // a measured region (the harness must not count its own heap use).
@@ -56,7 +91,7 @@ fn run_pass(
         }
         arena.sw.count_into(&arena.window);
         let words = dev.upload_pooled(&arena.sw.words);
-        likelihood_sort_gpu_into(dev, &words, &arena.sw.spans, &mut arena.sort_scratch);
+        multipass_sort_into(dev, &words, &arena.sw.spans, sort);
         let read_len = max_read_len(&arena.sw.words);
         likelihood_comp_gpu_into(
             dev,
@@ -100,11 +135,7 @@ fn max_read_len(words: &[u32]) -> usize {
 
 #[test]
 fn steady_state_window_loop_is_allocation_free() {
-    // The rayon shim runs serially on a single-CPU host; with worker
-    // threads it would allocate per spawn, which is not what this test
-    // pins. Skip on multi-core machines.
-    if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
-        eprintln!("skipping: requires a serial (single-thread) rayon backend");
+    if !runs_here("steady_state_window_loop_is_allocation_free") {
         return;
     }
 
@@ -125,12 +156,12 @@ fn steady_state_window_loop_is_allocation_free() {
 
     let mut reader =
         WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
-    let mut arena = WindowArena::default();
+    let mut pass = PassScratch::default();
     let mut rows = Vec::new();
 
     // Warmup: grows every buffer to its high-water mark and parks the
     // device buffers in the pool.
-    let warm = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut arena, &mut rows);
+    let warm = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
     assert_eq!(warm.len(), 8, "expected 8 windows");
     assert!(
         warm.iter().sum::<u64>() > 0,
@@ -139,7 +170,7 @@ fn steady_state_window_loop_is_allocation_free() {
 
     // Steady state: identical window sequence, warmed buffers — zero
     // allocations in every window.
-    let steady = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut arena, &mut rows);
+    let steady = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
     assert_eq!(steady.len(), 8);
     assert_eq!(
         steady,
@@ -207,7 +238,7 @@ fn run_batched_pass(
         scratch.site_off.push(scratch.spans.len());
 
         let words = dev.upload_pooled(&scratch.words);
-        likelihood_sort_gpu_into(dev, &words, &scratch.spans, &mut scratch.sort_scratch);
+        multipass_sort_into(dev, &words, &scratch.spans, &mut scratch.sort_scratch);
         let read_len = max_read_len(&scratch.words);
         likelihood_comp_fused_gpu_into(
             dev,
@@ -263,7 +294,7 @@ struct BatchScratch {
     site_off: Vec<usize>,
     type_likely: Vec<[f64; gsnp::core::model::NUM_GENOTYPES]>,
     summaries: Vec<gsnp::core::model::SiteSummary>,
-    sort_scratch: gsnp::sortnet::MultipassScratch,
+    sort_scratch: MultipassScratch,
 }
 
 /// Satellite: mega-batching must not buy its launch reduction with heap
@@ -272,8 +303,7 @@ struct BatchScratch {
 /// with ZERO allocations, same bar as the per-window loop above.
 #[test]
 fn steady_state_batched_loop_is_allocation_free() {
-    if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
-        eprintln!("skipping: requires a serial (single-thread) rayon backend");
+    if !runs_here("steady_state_batched_loop_is_allocation_free") {
         return;
     }
 
@@ -341,8 +371,7 @@ fn steady_state_batched_loop_is_allocation_free() {
 /// This is the measurable content of "tracing is always-on-safe".
 #[test]
 fn steady_state_recording_is_allocation_free() {
-    if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
-        eprintln!("skipping: requires a serial (single-thread) rayon backend");
+    if !runs_here("steady_state_recording_is_allocation_free") {
         return;
     }
 
@@ -366,13 +395,13 @@ fn steady_state_recording_is_allocation_free() {
 
     let mut reader =
         WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
-    let mut arena = WindowArena::default();
+    let mut pass = PassScratch::default();
     let mut rows = Vec::new();
 
-    run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut arena, &mut rows);
+    run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
     let events_after_warmup = rec.snapshot().events.len();
 
-    let steady = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut arena, &mut rows);
+    let steady = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
     assert_eq!(
         steady,
         vec![0u64; 8],

@@ -4,7 +4,9 @@
 //! Text sinks: `decode <in> <out.txt>`, `decode <in>` (stdout) and
 //! `call --text` all go through a buffered writer, must write the same
 //! bytes, and must still turn a full disk into an error naming the path —
-//! a dropped `BufWriter` would swallow it. Diagnostics: `--backend auto
+//! a dropped `BufWriter` would swallow it. A result file cut inside a
+//! window's length prefix is an error naming the file and the window, not
+//! a shorter result. Diagnostics: `--backend auto
 //! --trace` says on stderr that it runs all-sim, unless `-q`. Cohort
 //! calls name the path in every I/O error and refuse a manifest whose
 //! sample names would collide or leave the output directory, the three
@@ -100,6 +102,30 @@ fn a_full_disk_is_an_error_naming_the_path() {
         assert!(
             stderr.contains("/dev/full"),
             "error does not name the path: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_result_file_cut_inside_a_length_prefix_is_an_error_naming_file_and_window() {
+    let dir = called("cut");
+    let bytes = std::fs::read(dir.join("out.gsnp")).unwrap();
+    // Two whole frames, then two bytes of the third's length prefix.
+    let mut keep = 0;
+    for _ in 0..2 {
+        let len = u32::from_le_bytes(bytes[keep..keep + 4].try_into().unwrap());
+        keep += 4 + len as usize;
+    }
+    let cut = dir.join("cut.gsnp").display().to_string();
+    std::fs::write(&cut, &bytes[..keep + 2]).unwrap();
+    for sub in ["stats", "decode"] {
+        let out = gsnp(&[sub, &cut]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "gsnp {sub}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{cut}: window 3: truncated")),
+            "gsnp {sub} does not name the file and the window: {stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

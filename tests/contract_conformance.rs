@@ -15,27 +15,30 @@
 //!   leak) are rejected by the static analyzer at launch time; an
 //!   `AtomicBool` in the body proves no block ever ran.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
-use gsnp::compress::gpu::{rledict_gpu, rledict_gpu_batch};
+use gsnp::compress::gpu::rledict_gpu_batch;
 use gsnp::compress::rledict;
 use gsnp::core::counting::SparseWindow;
 use gsnp::core::likelihood::{
-    likelihood_comp_fused_gpu_into, likelihood_comp_gpu, likelihood_sort_gpu, DeviceTables,
-    KernelVariant,
+    likelihood_comp_fused_gpu_into, likelihood_comp_gpu, DeviceTables, KernelVariant,
 };
 use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::core::tables::{LogTable, NewPMatrix, PMatrix};
 use gsnp::core::ModelParams;
-use gsnp::gpu_sim::primitives::{binary_search_indices, exclusive_scan, unique_sorted};
+use gsnp::gpu_sim::primitives::exclusive_scan;
 use gsnp::gpu_sim::{
-    AccessContract, BlockInterval, Device, Footprint, SanitizerConfig, ViolationKind,
+    AccessContract, BlockInterval, Device, Footprint, SanitizerConfig, SanitizerReport,
+    ViolationKind,
 };
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 use gsnp::seqio::window::WindowReader;
+use gsnp::sortnet::multipass_sort;
 
 fn conformance_device() -> Device {
     Device::m2050()
@@ -45,20 +48,28 @@ fn conformance_device() -> Device {
 
 /// Assert the device saw only proved launches and that every observed
 /// access stayed inside its declared footprint.
-fn assert_clean(dev: &Device) {
+fn assert_contained(dev: &Device) -> SanitizerReport {
     let report = dev.contract_report();
     let t = report.totals();
     assert!(t.verified > 0, "no contracted launch recorded");
     assert_eq!(t.refuted, 0, "{:?}", report.diagnostics);
     assert_eq!(t.assumed, 0, "uncontracted launch: {:?}", report.per_kernel);
-    let counts = dev.sanitizer_report().unwrap().counts;
+    let sanitizer = dev.sanitizer_report().unwrap();
     assert_eq!(
-        counts.conformance_escapes, 0,
-        "kernel escaped its declared footprint"
+        sanitizer.counts.conformance_escapes, 0,
+        "kernel escaped its declared footprint: {:?}",
+        sanitizer.diagnostics
     );
+    sanitizer
+}
+
+/// [`assert_contained`], and no declaration grossly wider than what ran.
+fn assert_clean(dev: &Device) {
+    let sanitizer = assert_contained(dev);
     assert_eq!(
-        counts.overwide_declarations, 0,
-        "declaration grossly wider than observed"
+        sanitizer.counts.overwide_declarations, 0,
+        "declaration grossly wider than observed: {:?}",
+        sanitizer.diagnostics
     );
 }
 
@@ -121,7 +132,7 @@ proptest! {
         let dev = conformance_device();
         let tables = DeviceTables::upload(&dev, &p, &np, &lt);
         let words = dev.upload(&sw.words);
-        likelihood_sort_gpu(&dev, &words, &sw.spans);
+        multipass_sort(&dev, &words, &sw.spans);
         for variant in KernelVariant::ALL {
             likelihood_comp_gpu(&dev, variant, &words, &sw.spans, d.config.read_len, &tables);
         }
@@ -140,23 +151,36 @@ proptest! {
 
         // Compression chain over a window-derived column (solo + batch).
         let column: Vec<u32> = sw.spans.iter().map(|&(_, len)| len as u32).collect();
-        let (bytes, _) = rledict_gpu(&dev, &column);
-        prop_assert_eq!(bytes, rledict::encode_to_vec(&column));
+        let (bytes, _) = rledict_gpu_batch(&dev, &[&column]);
+        prop_assert_eq!(bytes, [rledict::encode_to_vec(&column)]);
         let halves = [&column[..column.len() / 2], &column[column.len() / 2..]];
         rledict_gpu_batch(&dev, &halves);
-        // And the raw primitives the chain is built from.
+        // And the raw primitive the chain is built on.
         exclusive_scan(&dev, &dev.upload(&column));
-        let sorted = {
-            let mut s = column.clone();
-            s.sort_unstable();
-            s
-        };
-        let sorted_buf = dev.upload(&sorted);
-        let (dict, _) = unique_sorted(&dev, &sorted_buf);
-        let dict_buf = dev.upload(&dict);
-        binary_search_indices(&dev, &dict_buf, &dev.upload(&column));
 
         assert_clean(&dev);
+    }
+}
+
+/// The compression chain over the shapes built to break it: every launch
+/// proved, every access inside its declaration.
+#[test]
+fn compression_chain_conforms_on_hostile_segments() {
+    let dev = conformance_device();
+    common::sweep_rledict_chain(&dev);
+    let sanitizer = assert_contained(&dev);
+    // The over-wide check compares hulls, so it also fires where data
+    // guards a load: a column that is one run makes the scatter kernels
+    // read `positions` and the values at that run's head only, under a
+    // declaration that has to cover the tile. No other declaration may be
+    // wider than what ran.
+    for (kernel, counts) in &sanitizer.per_kernel {
+        assert!(
+            counts.overwide_declarations == 0
+                || matches!(kernel.as_str(), "rle_scatter" | "unique_scatter"),
+            "{kernel} declares more than it touches: {:?}",
+            sanitizer.diagnostics
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::io::Cursor;
 
-use gsnp::compress::column::{compress_table, decompress_table, WindowStream};
+use gsnp::compress::column::{compress_table, decompress_table, write_window, WindowStream};
 use gsnp::compress::{input_codec, lz, CodecError};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
@@ -65,6 +65,34 @@ fn window_stream_with_garbage_length_prefix() {
     let results: Vec<_> = WindowStream::new(&file).collect();
     assert!(!results.is_empty());
     assert!(results.iter().any(Result::is_err));
+}
+
+#[test]
+fn a_window_stream_cut_inside_a_frame_ends_in_an_error() {
+    let t1 = sample_table();
+    let mut t2 = sample_table();
+    t2.start_pos = 600;
+    let mut file = Vec::new();
+    write_window(&mut file, &t1);
+    let boundary = file.len();
+    write_window(&mut file, &t2);
+    // Every strict prefix but the empty one and the one ending where the
+    // second frame begins stops inside a length prefix or a payload.
+    for cut in (1..file.len()).filter(|&cut| cut != boundary) {
+        let items: Vec<_> = WindowStream::new(&file[..cut]).collect();
+        assert_eq!(items.len(), 1 + usize::from(cut > boundary), "cut at {cut}");
+        assert!(
+            matches!(items.last(), Some(Err(CodecError::Truncated(_)))),
+            "cut at {cut} reads as complete: {:?}",
+            items.last()
+        );
+        if cut > boundary {
+            assert_eq!(items[0].as_ref(), Ok(&t1), "cut at {cut}");
+        }
+    }
+    for whole in [0, boundary, file.len()] {
+        assert!(WindowStream::new(&file[..whole]).all(|w| w.is_ok()));
+    }
 }
 
 #[test]

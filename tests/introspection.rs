@@ -233,7 +233,6 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
         ("contracts", Json::Bool(base.contracts)),
         ("sanitize", Json::Bool(base.sanitize)),
         ("variant", Json::Str(base.variant.label().into())),
-        ("compress_input", Json::Bool(base.compress_input)),
         ("gpu_output", Json::Bool(base.gpu_output)),
         ("pooled", Json::Bool(base.pooled)),
         ("device", Json::Str(base.device.name.into())),

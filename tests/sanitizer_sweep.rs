@@ -4,17 +4,20 @@
 //! permutation proves the kernels are schedule-invariant, and the hardware
 //! counters are byte-identical with the sanitizer on and off.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use gsnp::compress::gpu::{dict_gpu, rle_gpu, rledict_gpu};
+use gsnp::compress::gpu::rledict_gpu_batch;
+use gsnp::compress::rledict;
 use gsnp::core::counting::{DenseWindow, SparseWindow};
 use gsnp::core::likelihood::{
-    likelihood_comp_gpu, likelihood_dense_gpu, likelihood_sort_gpu, likelihood_sparse_site,
-    sort_sparse_cpu, upload_dense_transposed, DeviceTables, KernelVariant,
+    likelihood_comp_gpu, likelihood_dense_gpu, likelihood_sparse_site, sort_sparse_cpu,
+    upload_dense_transposed, DeviceTables, KernelVariant,
 };
 use gsnp::core::model::ModelParams;
 use gsnp::core::tables::{LogTable, NewPMatrix, PMatrix};
-use gsnp::gpu_sim::primitives::{binary_search_indices, exclusive_scan, reduce_sum, unique_sorted};
+use gsnp::gpu_sim::primitives::exclusive_scan;
 use gsnp::gpu_sim::{
     check_block_order_invariance, BlockSchedule, Device, GlobalBuffer, SanitizerConfig,
 };
@@ -126,7 +129,7 @@ fn likelihood_sort_clean_under_all_checkers() {
     let f = fixture(103);
     let dev = sanitized();
     let words = dev.upload(&f.sw.words);
-    let _ = likelihood_sort_gpu(&dev, &words, &f.sw.spans);
+    let _ = multipass_sort(&dev, &words, &f.sw.spans);
     dev.sanitizer_report()
         .unwrap()
         .assert_clean("likelihood multipass sort");
@@ -163,11 +166,9 @@ fn compress_kernels_clean_under_all_checkers() {
     // Run-heavy data (genotype-stream-like) exercising RLE and dict stages.
     let host: Vec<u32> = (0..4096u32).map(|i| (i / 37) % 11).collect();
     let dev = sanitized();
-    let input = dev.upload(&host);
-    let _ = rle_gpu(&dev, &input);
-    let mut w = gsnp::compress::bitio::BitWriter::default();
-    let _ = dict_gpu(&dev, &host, &mut w);
-    let _ = rledict_gpu(&dev, &host);
+    let (bytes, _) = rledict_gpu_batch(&dev, &[&host]);
+    assert_eq!(bytes, [rledict::encode_to_vec(&host)]);
+    common::sweep_rledict_chain(&dev);
     dev.sanitizer_report()
         .unwrap()
         .assert_clean("compress GPU stages");
@@ -176,21 +177,9 @@ fn compress_kernels_clean_under_all_checkers() {
 #[test]
 fn primitives_clean_under_all_checkers() {
     let dev = sanitized();
-    let nums: Vec<u64> = (0..3000u64).collect();
-    let input = dev.upload(&nums);
-    let (total, _) = reduce_sum(&dev, &input);
-    assert_eq!(total, nums.iter().sum::<u64>());
-
     let flags: Vec<u32> = (0..3000u32).map(|i| u32::from(i % 7 == 0)).collect();
     let fbuf = dev.upload(&flags);
     let _ = exclusive_scan(&dev, &fbuf);
-
-    let sorted: Vec<u32> = (0..3000u32).map(|i| i / 5).collect();
-    let sbuf = dev.upload(&sorted);
-    let (dict, _) = unique_sorted(&dev, &sbuf);
-    let dict_buf = dev.upload(&dict);
-    let queries = dev.upload(&sorted);
-    let _ = binary_search_indices(&dev, &dict_buf, &queries);
 
     dev.sanitizer_report()
         .unwrap()
@@ -511,7 +500,7 @@ fn hw_counters_identical_with_sanitizer_on_and_off() {
                 likelihood_comp_gpu(dev, variant, &words, &f.sw.spans, f.read_len, &tables);
             all.push(stats.counters);
         }
-        let sorted = likelihood_sort_gpu(dev, &words, &f.sw.spans);
+        let sorted = multipass_sort(dev, &words, &f.sw.spans);
         all.push(sorted.total().counters);
         all
     };

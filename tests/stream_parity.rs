@@ -19,7 +19,6 @@ proptest! {
         snp_per_mille in 0u32..5,
         window_size in 137usize..1_500,
         pipeline_depth in 2usize..=4,
-        compress_input in any::<bool>(),
         gpu_output in any::<bool>(),
     ) {
         let mut sc = SynthConfig::tiny(seed);
@@ -31,7 +30,6 @@ proptest! {
 
         let cfg = |pipeline_depth| GsnpConfig {
             window_size,
-            compress_input,
             gpu_output,
             pipeline_depth,
             ..Default::default()
