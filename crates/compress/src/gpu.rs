@@ -10,7 +10,10 @@
 use std::sync::OnceLock;
 
 use gpu_sim::primitives::{exclusive_scan, scatter_footprint, BLOCK};
-use gpu_sim::{AccessContract, ComputeBackend, Footprint, LaunchStats, NativeBackend};
+use gpu_sim::{
+    AccessContract, BlockInterval, ComputeBackend, Footprint, GlobalBuffer, LaunchStats,
+    NativeBackend,
+};
 
 use crate::bitio::BitWriter;
 use crate::{dict, rledict};
@@ -52,6 +55,28 @@ where
         .map(|s| s.into_inner().expect("every block ran"))
         .collect();
     (bytes, stats)
+}
+
+/// The per-block read footprint of loads guarded by `flags[i] == 1` (the
+/// scatter kernels fetch a position and a value at run heads only): block
+/// `b` reads the hull of its flagged indices, and nothing if it has none.
+/// The flags are read back host-side at contract-build time, as
+/// [`scatter_footprint`] reads the scan's block boundaries.
+fn flagged_footprint(flags: &GlobalBuffer<u32>) -> Footprint {
+    let flagged = |f: &u32| *f == 1;
+    let mut intervals = Vec::new();
+    for (block, tile) in flags.to_vec().chunks(BLOCK).enumerate() {
+        if let Some(first) = tile.iter().position(flagged) {
+            let last = tile.iter().rposition(flagged).unwrap_or(first);
+            let base = block * BLOCK;
+            intervals.push(BlockInterval {
+                block,
+                lo: base + first,
+                hi: base + last + 1,
+            });
+        }
+    }
+    Footprint::per_block(intervals)
 }
 
 /// RLE-DICT many columns ("segments") through ONE launch chain.
@@ -140,10 +165,11 @@ pub(crate) fn rledict_chain_batch<B: ComputeBackend>(
         "rle_scatter",
         grid,
         || {
+            let heads = flagged_footprint(&flags);
             AccessContract::default()
                 .read(&flags, Footprint::tiled(BLOCK, n))
-                .read(&positions, Footprint::tiled(BLOCK, n))
-                .read(&input, Footprint::tiled(BLOCK, n))
+                .read(&positions, heads.clone())
+                .read(&input, heads)
                 .write(&values, scatter_footprint(&positions, n, num_runs))
                 .write(&starts, scatter_footprint(&positions, n, num_runs))
         },
@@ -281,10 +307,11 @@ fn dict_gpu_segmented<B: ComputeBackend>(
         "unique_scatter",
         grid,
         || {
+            let firsts = flagged_footprint(&flags);
             AccessContract::default()
                 .read(&flags, Footprint::tiled(BLOCK, n))
-                .read(&positions, Footprint::tiled(BLOCK, n))
-                .read(&sorted_buf, Footprint::tiled(BLOCK, n))
+                .read(&positions, firsts.clone())
+                .read(&sorted_buf, firsts)
                 .write(&dict_buf, scatter_footprint(&positions, n, dict_total))
         },
         |ctx| {

@@ -1,15 +1,16 @@
 //! Pluggable compute backends.
 //!
-//! Every GSNP kernel is written against [`KernelCtx`], a thin dispatch
-//! layer over two execution engines:
+//! Every GSNP kernel is written once against [`KernelCtx`] and runs on
+//! either of two execution engines:
 //!
-//! * the **simulator** — kernels run through [`BlockCtx`]: every access is
-//!   tallied into the Table III hardware counters, the analytic cost model
-//!   prices the launch, and the sanitizer/trace layers see everything;
+//! * the **simulator** — the block's context carries its simulator part:
+//!   every access is tallied into the Table III hardware counters, the
+//!   analytic cost model prices the launch, and the sanitizer/trace layers
+//!   see everything;
 //! * the **host executor** — the same kernel bodies over the same buffers
 //!   with the same log tables, so results are bit-identical, but
-//!   rayon-parallel over blocks, with typed contiguous shared tiles the
-//!   compiler can auto-vectorize and none of the per-access bookkeeping.
+//!   rayon-parallel over blocks, with contiguous shared tiles the compiler
+//!   can auto-vectorize and none of the per-access bookkeeping.
 //!   The returned [`LaunchStats`] carry **zero** hardware counters and zero
 //!   modelled time: those are sim-only observables.
 //!
@@ -31,12 +32,12 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
+use crate::buffer::{ConstBuffer, DeviceScalar, GlobalBuffer};
 use crate::config::DeviceConfig;
 use crate::contract::AccessContract;
 use crate::counters::LaunchStats;
-use crate::ctx::{scratch_put, scratch_take, BlockCtx, SharedMem};
-use crate::launch::{Device, NO_CONTRACT};
+use crate::ctx::KernelCtx;
+use crate::launch::Device;
 use crate::pool::PooledBuffer;
 
 /// Which compute backend executes kernel launches.
@@ -136,414 +137,6 @@ impl BackendTallies {
     }
 }
 
-/// Native per-block execution state: the uninstrumented counterpart of
-/// [`BlockCtx`]. Holds just the grid coordinates and the shared-memory
-/// budget (still enforced, so a kernel that over-allocates fails the same
-/// way on both backends).
-pub struct NativeCtx<'a> {
-    block_idx: usize,
-    grid_dim: usize,
-    cfg: &'a DeviceConfig,
-    shared_used: usize,
-}
-
-impl<'a> NativeCtx<'a> {
-    fn new(block_idx: usize, grid_dim: usize, cfg: &'a DeviceConfig) -> Self {
-        NativeCtx {
-            block_idx,
-            grid_dim,
-            cfg,
-            shared_used: 0,
-        }
-    }
-
-    fn shared_alloc<T: DeviceScalar>(&mut self, len: usize) -> NativeTile<T> {
-        let bytes = len * T::BYTES as usize;
-        let new_used = self.shared_used + bytes;
-        assert!(
-            new_used <= self.cfg.shared_mem_per_block,
-            "shared memory overflow: {} + {} bytes > {} available on {}",
-            self.shared_used,
-            bytes,
-            self.cfg.shared_mem_per_block,
-            self.cfg.name
-        );
-        self.shared_used = new_used;
-        // Same thread-local scratch pool the simulator tiles use: shared
-        // memory is hardware, so per-block tile allocation must not turn
-        // into per-block heap churn (at large grids the churn costs more
-        // than the simulator's bookkeeping does).
-        let mut data = scratch_take();
-        data.clear();
-        data.resize(len, 0);
-        NativeTile {
-            data,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    fn shared_free_bytes(&mut self, bytes: usize) {
-        self.shared_used = self.shared_used.saturating_sub(bytes);
-    }
-}
-
-/// Execution context handed to a kernel body, one per block: either the
-/// instrumented simulator's [`BlockCtx`] or a bare-metal [`NativeCtx`].
-///
-/// The method set mirrors [`BlockCtx`] exactly (same names, same
-/// semantics), so kernels written against `KernelCtx` read identically to
-/// their simulator-only ancestors; the sim arm delegates access-for-access
-/// — counter sequences are byte-identical by construction — while the
-/// native arm performs the raw buffer operation and nothing else.
-pub enum KernelCtx<'a, 'b> {
-    /// Instrumented simulator block.
-    Sim(&'a mut BlockCtx<'b>),
-    /// Native executor block.
-    Native(&'a mut NativeCtx<'b>),
-}
-
-impl KernelCtx<'_, '_> {
-    /// Index of this block within the launch grid.
-    #[inline(always)]
-    pub fn block_idx(&self) -> usize {
-        match self {
-            KernelCtx::Sim(c) => c.block_idx,
-            KernelCtx::Native(c) => c.block_idx,
-        }
-    }
-
-    /// Total number of blocks in the launch grid.
-    #[inline(always)]
-    pub fn grid_dim(&self) -> usize {
-        match self {
-            KernelCtx::Sim(c) => c.grid_dim,
-            KernelCtx::Native(c) => c.grid_dim,
-        }
-    }
-
-    /// Device configuration this block runs under.
-    pub fn config(&self) -> &DeviceConfig {
-        match self {
-            KernelCtx::Sim(c) => c.config(),
-            KernelCtx::Native(c) => c.cfg,
-        }
-    }
-
-    /// Whether this block executes on the native backend. Kernels with a
-    /// hand-tuned host implementation branch on this to run plain chunked
-    /// loops over [`GlobalBuffer`] spans instead of per-access `KernelCtx`
-    /// ops — the CPU analogue of a CUDA kernel with an optimized fallback
-    /// path. The instrumented arm must stay the semantic reference: the
-    /// native arm's output is required to be byte-identical.
-    #[inline(always)]
-    pub fn is_native(&self) -> bool {
-        matches!(self, KernelCtx::Native(_))
-    }
-
-    /// Record `n` scalar arithmetic/control instructions (sim-only tally;
-    /// a native block does no accounting).
-    #[inline(always)]
-    pub fn add_inst(&mut self, n: u64) {
-        if let KernelCtx::Sim(c) = self {
-            c.add_inst(n);
-        }
-    }
-
-    /// Coalesced global load.
-    #[inline(always)]
-    pub fn ld_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize) -> T {
-        match self {
-            KernelCtx::Sim(c) => c.ld_co(buf, i),
-            KernelCtx::Native(_) => buf.get(i),
-        }
-    }
-
-    /// Random (non-coalesced) global load.
-    #[inline(always)]
-    pub fn ld_rand<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize) -> T {
-        match self {
-            KernelCtx::Sim(c) => c.ld_rand(buf, i),
-            KernelCtx::Native(_) => buf.get(i),
-        }
-    }
-
-    /// Batched random global load of `out.len()` consecutive elements.
-    #[inline]
-    pub fn ld_rand_span<T: DeviceScalar>(
-        &mut self,
-        buf: &GlobalBuffer<T>,
-        start: usize,
-        out: &mut [T],
-    ) {
-        match self {
-            KernelCtx::Sim(c) => c.ld_rand_span(buf, start, out),
-            KernelCtx::Native(_) => buf.read_span_plain(start, out),
-        }
-    }
-
-    /// Batched random global read-modify-write:
-    /// `buf[start + n] += terms[n]` for each `n`.
-    #[inline]
-    pub fn add_rand_span(&mut self, buf: &GlobalBuffer<f64>, start: usize, terms: &[f64]) {
-        match self {
-            KernelCtx::Sim(c) => c.add_rand_span(buf, start, terms),
-            KernelCtx::Native(_) => buf.add_assign_span_plain(start, terms),
-        }
-    }
-
-    /// Coalesced global store.
-    #[inline(always)]
-    pub fn st_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) {
-        match self {
-            KernelCtx::Sim(c) => c.st_co(buf, i, v),
-            KernelCtx::Native(_) => buf.set(i, v),
-        }
-    }
-
-    /// Random (non-coalesced) global store.
-    #[inline(always)]
-    pub fn st_rand<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) {
-        match self {
-            KernelCtx::Sim(c) => c.st_rand(buf, i, v),
-            KernelCtx::Native(_) => buf.set(i, v),
-        }
-    }
-
-    /// Atomic add on global memory; returns the previous value.
-    #[inline(always)]
-    pub fn atomic_add<T: DeviceInt>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) -> T {
-        match self {
-            KernelCtx::Sim(c) => c.atomic_add(buf, i, v),
-            KernelCtx::Native(_) => T::fetch_add(buf.cell(i), v),
-        }
-    }
-
-    /// Constant-memory read.
-    #[inline(always)]
-    pub fn ld_const<T: Copy + Send + Sync + 'static>(
-        &mut self,
-        buf: &ConstBuffer<T>,
-        i: usize,
-    ) -> T {
-        match self {
-            KernelCtx::Sim(c) => c.ld_const(buf, i),
-            KernelCtx::Native(_) => buf.get(i),
-        }
-    }
-
-    /// Allocate `len` elements of per-block shared memory.
-    ///
-    /// # Panics
-    /// Panics (on both backends, with the same message) if the block's
-    /// cumulative shared allocation exceeds `shared_mem_per_block`.
-    pub fn shared_alloc<T: DeviceScalar>(&mut self, len: usize) -> SharedTile<T> {
-        match self {
-            KernelCtx::Sim(c) => SharedTile::Sim(c.shared_alloc(len)),
-            KernelCtx::Native(c) => SharedTile::Native(c.shared_alloc(len)),
-        }
-    }
-
-    /// Release a shared allocation, returning its bytes to the block
-    /// budget.
-    pub fn shared_free<T: DeviceScalar>(&mut self, tile: SharedTile<T>) {
-        match (self, tile) {
-            (KernelCtx::Sim(c), SharedTile::Sim(m)) => c.shared_free(m),
-            (KernelCtx::Native(c), SharedTile::Native(v)) => {
-                c.shared_free_bytes(v.data.len() * T::BYTES as usize);
-            }
-            _ => panic!("shared tile freed on a different backend than allocated it"),
-        }
-    }
-}
-
-/// Per-block on-chip shared memory, backend-polymorphic: the simulator's
-/// counted [`SharedMem`] or the uncounted [`NativeTile`]. Method set
-/// mirrors [`SharedMem`].
-pub enum SharedTile<T: DeviceScalar> {
-    /// Simulator tile (counted, sanitizer-shadowed, scratch-pooled).
-    Sim(SharedMem<T>),
-    /// Native tile: contiguous storage, no bookkeeping.
-    Native(NativeTile<T>),
-}
-
-/// The native executor's shared-memory tile: raw `u64` lanes from the
-/// same thread-local scratch pool [`SharedMem`] recycles through, with no
-/// per-access counting. Raw lanes share the [`GlobalBuffer`] cell
-/// encoding, so stage-in/flush are straight lane copies with no
-/// decode/encode on the way through.
-pub struct NativeTile<T: DeviceScalar> {
-    data: Vec<u64>,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: DeviceScalar> Drop for NativeTile<T> {
-    fn drop(&mut self) {
-        scratch_put(std::mem::take(&mut self.data));
-    }
-}
-
-/// Internal: unreachable unless a tile crosses backends mid-kernel.
-macro_rules! tile_mismatch {
-    () => {
-        panic!("shared tile used with a different backend than allocated it")
-    };
-}
-
-impl<T: DeviceScalar> SharedTile<T> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self {
-            SharedTile::Sim(m) => m.len(),
-            SharedTile::Native(v) => v.data.len(),
-        }
-    }
-
-    /// Whether the allocation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Shared-memory load.
-    #[inline(always)]
-    pub fn read(&self, ctx: &mut KernelCtx<'_, '_>, i: usize) -> T {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.read(b, i),
-            (SharedTile::Native(v), KernelCtx::Native(_)) => T::from_raw(v.data[i]),
-            _ => tile_mismatch!(),
-        }
-    }
-
-    /// Shared-memory store.
-    #[inline(always)]
-    pub fn write(&mut self, ctx: &mut KernelCtx<'_, '_>, i: usize, v: T) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.write(b, i, v),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => t.data[i] = v.to_raw(),
-            _ => tile_mismatch!(),
-        }
-    }
-
-    /// Zero the allocation.
-    pub fn fill_default(&mut self, ctx: &mut KernelCtx<'_, '_>) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.fill_default(b),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => t.data.fill(T::default().to_raw()),
-            _ => tile_mismatch!(),
-        }
-    }
-
-    /// Batched stage-in: copy `len` consecutive global elements starting
-    /// at `src` into the tile starting at `dst`.
-    #[inline]
-    pub fn stage_co(
-        &mut self,
-        ctx: &mut KernelCtx<'_, '_>,
-        buf: &GlobalBuffer<T>,
-        src: usize,
-        dst: usize,
-        len: usize,
-    ) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.stage_co(b, buf, src, dst, len),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => {
-                buf.copy_lanes_into(src, &mut t.data[dst..dst + len]);
-            }
-            _ => tile_mismatch!(),
-        }
-    }
-
-    /// Batched flush: write `len` tile elements starting at `src` back to
-    /// consecutive global addresses starting at `dst`.
-    #[inline]
-    pub fn flush_co(
-        &self,
-        ctx: &mut KernelCtx<'_, '_>,
-        buf: &GlobalBuffer<T>,
-        src: usize,
-        dst: usize,
-        len: usize,
-    ) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.flush_co(b, buf, src, dst, len),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => {
-                buf.copy_lanes_from(dst, &t.data[src..src + len]);
-            }
-            _ => tile_mismatch!(),
-        }
-    }
-
-    /// Batched fill of `start..end` with one value.
-    #[inline]
-    pub fn fill_span(&mut self, ctx: &mut KernelCtx<'_, '_>, start: usize, end: usize, v: T) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.fill_span(b, start, end, v),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => t.data[start..end].fill(v.to_raw()),
-            _ => tile_mismatch!(),
-        }
-    }
-}
-
-impl SharedTile<u32> {
-    /// Bitonic compare-exchange: load both lanes, swap if out of order.
-    #[inline]
-    pub fn compare_exchange(&mut self, ctx: &mut KernelCtx<'_, '_>, lo: usize, hi: usize) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.compare_exchange(b, lo, hi),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => {
-                // u32 lanes are zero-extended, so raw lane order is key
-                // order.
-                if t.data[lo] > t.data[hi] {
-                    t.data.swap(lo, hi);
-                }
-            }
-            _ => tile_mismatch!(),
-        }
-    }
-
-    /// Replay a caller-supplied compare-exchange *sorting network* over
-    /// `self[0..m]`.
-    ///
-    /// `network` must enumerate the pair sequence of a sorting network for
-    /// `m` elements (e.g. the bitonic network): applying compare-exchange
-    /// at every enumerated pair must leave `self[0..m]` sorted ascending.
-    /// The simulator replays the network pair by pair — one instruction
-    /// plus one fused compare-exchange per pair, exactly as if the kernel
-    /// body issued them itself — so Table III counters are unchanged. The
-    /// native executor instead sorts the raw lanes directly: for `u32`
-    /// keys every comparison sort yields the same bytes as the network,
-    /// and skipping the O(n·log²n) pair replay is most of the native
-    /// batch-sort win.
-    pub fn sort_network<F>(&mut self, ctx: &mut KernelCtx<'_, '_>, m: usize, network: F)
-    where
-        F: Fn(&mut dyn FnMut(usize, usize)),
-    {
-        match (self, ctx) {
-            (SharedTile::Sim(t), KernelCtx::Sim(b)) => network(&mut |lo, hi| {
-                b.add_inst(1);
-                t.compare_exchange(b, lo, hi);
-            }),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => t.data[..m].sort_unstable(),
-            _ => tile_mismatch!(),
-        }
-    }
-}
-
-impl SharedTile<f64> {
-    /// Batched accumulate: `self[start + n] += terms[n]` for each `n`.
-    #[inline]
-    pub fn add_span(&mut self, ctx: &mut KernelCtx<'_, '_>, start: usize, terms: &[f64]) {
-        match (self, ctx) {
-            (SharedTile::Sim(m), KernelCtx::Sim(b)) => m.add_span(b, start, terms),
-            (SharedTile::Native(t), KernelCtx::Native(_)) => {
-                for (lane, &v) in t.data[start..start + terms.len()].iter_mut().zip(terms) {
-                    *lane = (f64::from_bits(*lane) + v).to_bits();
-                }
-            }
-            _ => tile_mismatch!(),
-        }
-    }
-}
-
 /// Which engine executes one launch: the answer of
 /// [`ComputeBackend::route`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -578,7 +171,7 @@ pub trait ComputeBackend: Sync {
     /// a verified contract admits a launch the checkers cannot observe.
     fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
     where
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
+        F: Fn(&mut KernelCtx<'_>) + Sync,
     {
         dispatch(self, name, grid_dim, NO_CONTRACT, kernel)
     }
@@ -590,7 +183,7 @@ pub trait ComputeBackend: Sync {
     /// As [`ComputeBackend::launch`].
     fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
     where
-        F: FnMut(&mut KernelCtx<'_, '_>),
+        F: FnMut(&mut KernelCtx<'_>),
     {
         dispatch_seq(self, name, grid_dim, NO_CONTRACT, kernel)
     }
@@ -615,12 +208,16 @@ pub trait ComputeBackend: Sync {
     ) -> LaunchStats
     where
         C: FnOnce() -> AccessContract,
-        F: Fn(&mut KernelCtx<'_, '_>) + Sync,
+        F: Fn(&mut KernelCtx<'_>) + Sync,
     {
         dispatch(self, name, grid_dim, Some(contract), kernel)
     }
 
     /// Sequential counterpart of [`ComputeBackend::launch_contracted`].
+    /// Sequential launches are single-threaded, so inter-block overlap
+    /// findings mean "order-dependent result", not a data race — still a
+    /// refutation, because such kernels must declare honestly and stay off
+    /// the parallel path.
     ///
     /// # Panics
     /// Panics before executing any block when the contract is refuted.
@@ -633,7 +230,7 @@ pub trait ComputeBackend: Sync {
     ) -> LaunchStats
     where
         C: FnOnce() -> AccessContract,
-        F: FnMut(&mut KernelCtx<'_, '_>),
+        F: FnMut(&mut KernelCtx<'_>),
     {
         dispatch_seq(self, name, grid_dim, Some(contract), kernel)
     }
@@ -707,9 +304,13 @@ pub trait ComputeBackend: Sync {
     }
 }
 
+/// The contract argument of an uncontracted launch.
+const NO_CONTRACT: Option<fn() -> AccessContract> = None;
+
 /// The one parallel launch route: empty grids are no-ops on every backend
-/// (and ask for no routing decision), everything else runs on the engine
-/// `backend` routes it to.
+/// (no routing decision, no launch overhead, no ledger entry, no trace span
+/// — callers need no empty-input guards), everything else runs on the
+/// engine `backend` routes it to.
 fn dispatch<B, C, F>(
     backend: &B,
     name: &str,
@@ -720,16 +321,14 @@ fn dispatch<B, C, F>(
 where
     B: ComputeBackend + ?Sized,
     C: FnOnce() -> AccessContract,
-    F: Fn(&mut KernelCtx<'_, '_>) + Sync,
+    F: Fn(&mut KernelCtx<'_>) + Sync,
 {
     if grid_dim == 0 {
         return LaunchStats::default();
     }
     let dev = backend.device();
     match backend.route(grid_dim, contract.is_some()) {
-        Route::Sim => dev.run_launch(name, grid_dim, contract, |bctx| {
-            kernel(&mut KernelCtx::Sim(bctx));
-        }),
+        Route::Sim => dev.run_launch(name, grid_dim, contract, kernel),
         Route::Native => native_run(dev, name, grid_dim, contract, kernel),
     }
 }
@@ -740,21 +339,19 @@ fn dispatch_seq<B, C, F>(
     name: &str,
     grid_dim: usize,
     contract: Option<C>,
-    mut kernel: F,
+    kernel: F,
 ) -> LaunchStats
 where
     B: ComputeBackend + ?Sized,
     C: FnOnce() -> AccessContract,
-    F: FnMut(&mut KernelCtx<'_, '_>),
+    F: FnMut(&mut KernelCtx<'_>),
 {
     if grid_dim == 0 {
         return LaunchStats::default();
     }
     let dev = backend.device();
     match backend.route(grid_dim, contract.is_some()) {
-        Route::Sim => dev.run_launch_seq(name, grid_dim, contract, |bctx| {
-            kernel(&mut KernelCtx::Sim(bctx));
-        }),
+        Route::Sim => dev.run_launch_seq(name, grid_dim, contract, kernel),
         Route::Native => native_run_seq(dev, name, grid_dim, contract, kernel),
     }
 }
@@ -830,15 +427,12 @@ fn native_run<C, F>(
 ) -> LaunchStats
 where
     C: FnOnce() -> AccessContract,
-    F: Fn(&mut KernelCtx<'_, '_>) + Sync,
+    F: Fn(&mut KernelCtx<'_>) + Sync,
 {
     let proved = native_admit(dev, name, grid_dim, contract);
     let cfg = dev.config();
     let start = Instant::now();
-    let run_block = |b: usize| {
-        let mut nctx = NativeCtx::new(b, grid_dim, cfg);
-        kernel(&mut KernelCtx::Native(&mut nctx));
-    };
+    let run_block = |b: usize| kernel(&mut KernelCtx::on_host(b, grid_dim, cfg));
     if grid_dim < NATIVE_PAR_MIN_GRID {
         (0..grid_dim).for_each(run_block);
     } else {
@@ -857,21 +451,19 @@ fn native_run_seq<C, F>(
 ) -> LaunchStats
 where
     C: FnOnce() -> AccessContract,
-    F: FnMut(&mut KernelCtx<'_, '_>),
+    F: FnMut(&mut KernelCtx<'_>),
 {
     let proved = native_admit(dev, name, grid_dim, contract);
     let cfg = dev.config();
     let start = Instant::now();
     for b in 0..grid_dim {
-        let mut nctx = NativeCtx::new(b, grid_dim, cfg);
-        kernel(&mut KernelCtx::Native(&mut nctx));
+        kernel(&mut KernelCtx::on_host(b, grid_dim, cfg));
     }
     native_retire(dev, name, grid_dim, start, proved)
 }
 
-/// A bare [`Device`] is the sim backend: existing call sites that pass
-/// `&Device` into backend-generic code get simulator semantics (and
-/// byte-identical counters) with no changes.
+/// A bare [`Device`] is the sim backend: passed into backend-generic code,
+/// or launched on directly, it gives simulator semantics.
 impl ComputeBackend for Device {
     fn device(&self) -> &Device {
         self
@@ -1121,7 +713,7 @@ mod tests {
         (sorted.to_vec(), out_sums, hits.get(0))
     }
 
-    fn table_val(ctx: &mut KernelCtx<'_, '_>, table: &ConstBuffer<f64>, v: u32) -> f64 {
+    fn table_val(ctx: &mut KernelCtx<'_>, table: &ConstBuffer<f64>, v: u32) -> f64 {
         ctx.ld_const(table, (v % 256) as usize)
     }
 
@@ -1162,8 +754,8 @@ mod tests {
     fn sim_launches_tally_on_the_ledger() {
         let dev = Device::m2050();
         let buf: GlobalBuffer<u32> = dev.alloc(4);
-        dev.launch("a", 2, |ctx| ctx.st_co(&buf, ctx.block_idx, 1));
-        dev.launch_seq("b", 1, |ctx| ctx.st_co(&buf, 2, ctx.block_idx as u32));
+        dev.launch("a", 2, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
+        dev.launch_seq("b", 1, |ctx| ctx.st_co(&buf, 2, ctx.block_idx() as u32));
         let led = dev.ledger();
         assert_eq!(led.backend.sim, 2);
         assert_eq!(led.backend.native, 0);
@@ -1195,7 +787,7 @@ mod tests {
             },
         );
         dev.launch("readback", 2, |ctx| {
-            let base = ctx.block_idx * 32;
+            let base = ctx.block_idx() * 32;
             for t in 0..32 {
                 let v = ctx.ld_co(&buf, base + t);
                 assert_eq!(v, (base + t) as u32);

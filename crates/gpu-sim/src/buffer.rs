@@ -13,7 +13,7 @@
 //! likelihood buffer needs no re-allocation. Logical length is tracked
 //! separately from cell capacity for the same reason.
 //!
-//! Accesses from inside a kernel must go through [`crate::BlockCtx`] so they
+//! Accesses from inside a kernel must go through [`crate::KernelCtx`] so they
 //! are counted; the methods here are host-side (uncounted) conveniences.
 
 use std::marker::PhantomData;

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HwCounters {
     /// Scalar instructions executed (kernel bodies self-report arithmetic
-    /// via [`crate::BlockCtx::add_inst`]; every memory access also counts
+    /// via [`crate::KernelCtx::add_inst`]; every memory access also counts
     /// as one instruction automatically).
     pub instructions: u64,
     /// Global-memory loads that are part of a coalesced transaction.

@@ -210,7 +210,7 @@ fn sum_sanitizer(a: &SanitizerCounts, b: &SanitizerCounts) -> SanitizerCounts {
 mod tests {
     use super::*;
     use crate::counters::LaunchStats;
-    use crate::GlobalBuffer;
+    use crate::{ComputeBackend, GlobalBuffer};
 
     #[test]
     fn group_members_are_independent() {
@@ -219,7 +219,7 @@ mod tests {
         // Launch on device 1 only; the others' ledgers stay empty.
         let buf: GlobalBuffer<u32> = g.device(1).alloc(64);
         g.device(1).launch("mark", 2, |ctx| {
-            ctx.st_co(&buf, ctx.block_idx, 7);
+            ctx.st_co(&buf, ctx.block_idx(), 7);
         });
         let led = g.ledger();
         assert_eq!(led.per_device[0].launches, 0);

@@ -22,7 +22,7 @@ use crate::config::DeviceConfig;
 use crate::contract::{verify_contract, AccessContract, ContractLedger, ContractReport, Verdict};
 use crate::cost::CostModel;
 use crate::counters::{AtomicCounters, HwCounters, LaunchStats};
-use crate::ctx::BlockCtx;
+use crate::ctx::KernelCtx;
 use crate::hist::{Histogram, SharedHistogram};
 use crate::pool::{BufferPool, PoolStats, PooledBuffer};
 use crate::sanitizer::{
@@ -31,10 +31,8 @@ use crate::sanitizer::{
 };
 use crate::trace::{NameId, SpanArgs, TraceRecorder, TrackId, TrackKind};
 
-/// The contract argument of an uncontracted launch.
-pub(crate) const NO_CONTRACT: Option<fn() -> AccessContract> = None;
-
-/// How [`Device::launch`] schedules blocks. [`Device::launch_seq`] always
+/// How a parallel simulator launch ([`crate::ComputeBackend::launch`])
+/// schedules blocks. [`crate::ComputeBackend::launch_seq`] always
 /// runs in ascending order regardless — kernels use it precisely when block
 /// order is semantically load-bearing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +85,7 @@ pub struct DeviceLedger {
 /// observable state rather than something re-derived from traces.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct KernelTally {
-    /// Kernel name as passed to [`Device::launch`]/[`Device::launch_seq`].
+    /// Kernel name as passed to [`crate::ComputeBackend::launch`] and kin.
     pub name: String,
     /// Launches issued under this name (zero-grid launches excluded — they
     /// are device-wide no-ops).
@@ -394,7 +392,7 @@ impl Device {
         self.sanitizer.as_ref().map(|s| s.report())
     }
 
-    /// Set how [`Device::launch`] schedules blocks.
+    /// Set how parallel simulator launches schedule blocks.
     pub fn set_block_schedule(&self, schedule: BlockSchedule) {
         *self.schedule.lock() = schedule;
     }
@@ -416,11 +414,6 @@ impl Device {
     /// Device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.cfg
-    }
-
-    /// The analytic cost model bound to this device.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Snapshot of the running launch/transfer totals, including buffer
@@ -671,39 +664,6 @@ impl Device {
         }
     }
 
-    /// Launch `grid_dim` blocks of the kernel. The closure runs once per
-    /// block with a [`BlockCtx`]; blocks execute in parallel.
-    ///
-    /// `name` labels the launch for diagnostics only.
-    pub fn launch<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        self.run_launch(name, grid_dim, NO_CONTRACT, kernel)
-    }
-
-    /// Launch with a declared [`AccessContract`]: the builder runs only
-    /// when static checking or conformance wants the declaration, the
-    /// static analyzer proves (or refutes) it before any lane executes,
-    /// and under conformance the dynamic checker verifies observed ⊆
-    /// declared.
-    ///
-    /// # Panics
-    /// Panics before executing any block when the contract is refuted.
-    pub fn launch_contracted<C, F>(
-        &self,
-        name: &str,
-        grid_dim: usize,
-        contract: C,
-        kernel: F,
-    ) -> LaunchStats
-    where
-        C: FnOnce() -> AccessContract,
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        self.run_launch(name, grid_dim, Some(contract), kernel)
-    }
-
     /// Before any block of a simulator launch runs: an uncontracted launch
     /// is tallied as assumed; a contracted one builds its declaration if
     /// anything wants it and, under static checking, proves it.
@@ -735,7 +695,8 @@ impl Device {
         self.pace(stats.sim_time);
     }
 
-    /// The simulator's parallel launch, contracted or not.
+    /// The simulator's parallel launch of `grid_dim ≥ 1` blocks, contracted
+    /// or not.
     pub(crate) fn run_launch<C, F>(
         &self,
         name: &str,
@@ -745,13 +706,8 @@ impl Device {
     ) -> LaunchStats
     where
         C: FnOnce() -> AccessContract,
-        F: Fn(&mut BlockCtx<'_>) + Sync,
+        F: Fn(&mut KernelCtx<'_>) + Sync,
     {
-        // An empty grid is a device-wide no-op: no launch overhead, no
-        // ledger entry, no trace span. Callers need no empty-input guards.
-        if grid_dim == 0 {
-            return LaunchStats::default();
-        }
         let contract = self.admit(name, grid_dim, contract);
         let session = self.launch_session(name, contract.as_ref());
         let totals = AtomicCounters::default();
@@ -760,12 +716,9 @@ impl Device {
         let max_block = std::sync::atomic::AtomicU64::new(0f64.to_bits());
         let start = Instant::now();
         let run_block = |b: usize| {
-            let mut ctx = BlockCtx::new(b, grid_dim, &self.cfg, session.as_ref());
+            let mut ctx = KernelCtx::on_sim(b, grid_dim, &self.cfg, session.as_ref());
             kernel(&mut ctx);
-            if let Some(sess) = &session {
-                sess.block_retire(b, ctx.shared_used, ctx.shared_high);
-            }
-            let counters = ctx.take_counters();
+            let counters = ctx.retire();
             let block_time = self
                 .cost
                 .compute_time(&counters)
@@ -809,38 +762,6 @@ impl Device {
         stats
     }
 
-    /// Launch a kernel sequentially (block 0..grid in order, one host
-    /// thread). Used when a deterministic block order is required, e.g. for
-    /// bitwise-reproducible reductions.
-    pub fn launch_seq<F>(&self, name: &str, grid_dim: usize, kernel: F) -> LaunchStats
-    where
-        F: FnMut(&mut BlockCtx<'_>),
-    {
-        self.run_launch_seq(name, grid_dim, NO_CONTRACT, kernel)
-    }
-
-    /// Sequential counterpart of [`Device::launch_contracted`]. Sequential
-    /// launches are single-threaded, so inter-block overlap findings mean
-    /// "order-dependent result", not a data race — still a refutation,
-    /// because such kernels must declare honestly and stay off the
-    /// parallel path.
-    ///
-    /// # Panics
-    /// Panics before executing any block when the contract is refuted.
-    pub fn launch_contracted_seq<C, F>(
-        &self,
-        name: &str,
-        grid_dim: usize,
-        contract: C,
-        kernel: F,
-    ) -> LaunchStats
-    where
-        C: FnOnce() -> AccessContract,
-        F: FnMut(&mut BlockCtx<'_>),
-    {
-        self.run_launch_seq(name, grid_dim, Some(contract), kernel)
-    }
-
     /// The simulator's sequential launch, contracted or not. Its cost rule
     /// has no launch-overhead term: `sim_time` is the kernel time alone.
     pub(crate) fn run_launch_seq<C, F>(
@@ -852,22 +773,16 @@ impl Device {
     ) -> LaunchStats
     where
         C: FnOnce() -> AccessContract,
-        F: FnMut(&mut BlockCtx<'_>),
+        F: FnMut(&mut KernelCtx<'_>),
     {
-        if grid_dim == 0 {
-            return LaunchStats::default();
-        }
         let contract = self.admit(name, grid_dim, contract);
         let session = self.launch_session(name, contract.as_ref());
         let totals = AtomicCounters::default();
         let start = Instant::now();
         for b in 0..grid_dim {
-            let mut ctx = BlockCtx::new(b, grid_dim, &self.cfg, session.as_ref());
+            let mut ctx = KernelCtx::on_sim(b, grid_dim, &self.cfg, session.as_ref());
             kernel(&mut ctx);
-            if let Some(sess) = &session {
-                sess.block_retire(b, ctx.shared_used, ctx.shared_high);
-            }
-            totals.flush(&ctx.take_counters());
+            totals.flush(&ctx.retire());
         }
         if let Some(sess) = &session {
             sess.finish_conformance(grid_dim);
@@ -934,6 +849,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComputeBackend;
 
     #[test]
     fn parallel_launch_computes_and_counts() {
@@ -943,7 +859,7 @@ mod tests {
         let output: GlobalBuffer<u32> = dev.alloc(n);
         let block = 256usize;
         let stats = dev.launch("add_one", n / block, |ctx| {
-            let base = ctx.block_idx * block;
+            let base = ctx.block_idx() * block;
             for t in 0..block {
                 let v = ctx.ld_co(&input, base + t);
                 ctx.st_co(&output, base + t, v + 1);
@@ -963,7 +879,7 @@ mod tests {
         let acc: GlobalBuffer<u32> = dev.alloc(1);
         dev.launch_seq("sum", 10, |ctx| {
             let v = ctx.ld_co(&acc, 0);
-            ctx.st_co(&acc, 0, v + ctx.block_idx as u32);
+            ctx.st_co(&acc, 0, v + ctx.block_idx() as u32);
         });
         assert_eq!(acc.get(0), 45);
     }
@@ -988,7 +904,7 @@ mod tests {
         let buf: GlobalBuffer<u32> = dev.alloc(64);
         dev.launch("a", 1, |ctx| ctx.st_co(&buf, 0, 1));
         dev.launch("a", 1, |ctx| ctx.st_co(&buf, 1, 1));
-        dev.launch_seq("b", 2, |ctx| ctx.st_co(&buf, 2 + ctx.block_idx, 1));
+        dev.launch_seq("b", 2, |ctx| ctx.st_co(&buf, 2 + ctx.block_idx(), 1));
         let tallies = dev.kernel_launches();
         assert_eq!(tallies.len(), 2);
         assert_eq!(tallies[0].name, "a");
@@ -1026,7 +942,7 @@ mod tests {
         let dev = Device::m2050();
         let buf: GlobalBuffer<u32> = dev.alloc(64);
         dev.launch("a", 2, |ctx| {
-            ctx.st_co(&buf, ctx.block_idx, 1);
+            ctx.st_co(&buf, ctx.block_idx(), 1);
         });
         let mut stats = LaunchStats::default();
         dev.charge_h2d(&mut stats, 1000);
@@ -1132,7 +1048,7 @@ mod tests {
         assert!(dev.trace_enabled());
         let buf: crate::PooledBuffer<u32> = dev.alloc_pooled(64);
         let stats = dev.launch("mark", 2, |ctx| {
-            ctx.st_co(&buf, ctx.block_idx, 1);
+            ctx.st_co(&buf, ctx.block_idx(), 1);
         });
         let mut st = LaunchStats::default();
         dev.charge_h2d(&mut st, 4096);
@@ -1205,8 +1121,8 @@ mod tests {
             let buf: GlobalBuffer<u32> = dev.alloc(256);
             dev.launch("sum", 4, |ctx| {
                 for i in 0..64 {
-                    let v = ctx.ld_co(&buf, ctx.block_idx * 64 + i);
-                    ctx.st_co(&buf, ctx.block_idx * 64 + i, v + 1);
+                    let v = ctx.ld_co(&buf, ctx.block_idx() * 64 + i);
+                    ctx.st_co(&buf, ctx.block_idx() * 64 + i, v + 1);
                 }
             })
         };

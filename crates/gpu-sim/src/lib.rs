@@ -7,13 +7,15 @@
 //! GPU that the paper's claims depend on:
 //!
 //! * **Memory spaces.** [`GlobalBuffer`] (device global memory),
-//!   [`SharedMem`] (per-block on-chip scratch, capacity-checked against the
+//!   [`SharedTile`] (per-block on-chip scratch, capacity-checked against the
 //!   device configuration), and [`ConstBuffer`] (cached constant memory).
-//! * **Hardware counters.** Every access performed through a [`BlockCtx`]
-//!   is tallied: instructions, global loads/stores split into *coalesced*
-//!   and *random* transactions, shared-memory loads/stores, and host↔device
-//!   transfer bytes. These reproduce the CUDA Visual Profiler counters of
-//!   the paper's Table III from first principles.
+//! * **Hardware counters.** Every access a simulator block performs through
+//!   its [`KernelCtx`] is tallied: instructions, global loads/stores split
+//!   into *coalesced* and *random* transactions, shared-memory
+//!   loads/stores, and host↔device transfer bytes. These reproduce the CUDA
+//!   Visual Profiler counters of the paper's Table III from first
+//!   principles. A [`ComputeBackend`] may instead run the same kernel on
+//!   the host executor, whose blocks carry no counters.
 //! * **An analytic cost model.** [`CostModel`] converts a counter set into
 //!   an estimated kernel time for a configured device (the M2050 preset uses
 //!   the bandwidth figures measured in the paper: 82 GB/s coalesced,
@@ -25,7 +27,7 @@
 //! block per small array for the sorting network).
 //!
 //! ```
-//! use gpu_sim::{Device, DeviceConfig, GlobalBuffer};
+//! use gpu_sim::{ComputeBackend, Device, DeviceConfig, GlobalBuffer};
 //!
 //! let dev = Device::new(DeviceConfig::tesla_m2050());
 //! let input: GlobalBuffer<u32> = dev.upload(&(0..1024u32).collect::<Vec<_>>());
@@ -33,7 +35,7 @@
 //!
 //! // One block per 256-element tile, one logical thread per element.
 //! let stats = dev.launch("double", 4, |ctx| {
-//!     let base = ctx.block_idx * 256;
+//!     let base = ctx.block_idx() * 256;
 //!     for tid in 0..256 {
 //!         let v = ctx.ld_co(&input, base + tid);
 //!         ctx.st_co(&output, base + tid, v * 2);
@@ -61,7 +63,7 @@ pub mod trace;
 
 pub use backend::{
     AutoPolicy, BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend,
-    KernelCtx, NativeBackend, NativeCtx, Route, SharedTile, SimBackend,
+    NativeBackend, Route, SimBackend,
 };
 pub use buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
 pub use config::DeviceConfig;
@@ -71,7 +73,7 @@ pub use contract::{
 };
 pub use cost::CostModel;
 pub use counters::{HwCounters, LaunchStats};
-pub use ctx::{BlockCtx, SharedMem};
+pub use ctx::{KernelCtx, SharedTile};
 pub use group::{DeviceGroup, GroupLedger};
 pub use hist::{Histogram, HistogramDigest, SharedHistogram};
 pub use launch::{BlockSchedule, Device, DeviceLedger, KernelTally};

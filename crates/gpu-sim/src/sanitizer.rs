@@ -3,7 +3,7 @@
 //! Real GSNP validates its kernels the way most GPU bioinformatics systems
 //! do: diff the end-to-end output against the CPU reference. Because this
 //! simulator already funnels *every* device memory access through
-//! [`crate::BlockCtx`] / [`crate::SharedMem`], we can do strictly better and
+//! [`crate::KernelCtx`] / [`crate::SharedTile`], we can do strictly better and
 //! check the executions themselves, in the spirit of NVIDIA's
 //! `compute-sanitizer` tool suite:
 //!
@@ -20,7 +20,7 @@
 //!   happens to zero it).
 //! * **boundscheck** — out-of-range kernel accesses reported with kernel
 //!   name, block, index and logical length instead of a raw slice panic.
-//! * **leakcheck** — [`crate::SharedMem`] allocations still live when their
+//! * **leakcheck** — [`crate::SharedTile`] allocations still live when their
 //!   block retires, plus the per-launch shared-memory high-water mark.
 //!
 //! The checkers are attached with [`crate::Device::with_sanitizer`] and cost
@@ -511,7 +511,8 @@ impl BufferShadow {
     }
 }
 
-/// Per-launch sanitizer context threaded into every [`crate::BlockCtx`].
+/// Per-launch sanitizer context threaded into every simulator block's
+/// [`crate::KernelCtx`].
 pub(crate) struct LaunchSession<'k> {
     pub(crate) san: &'k Sanitizer,
     pub(crate) epoch: u64,
@@ -747,9 +748,9 @@ impl DeterminismReport {
 /// `run` performs arbitrary device work (uploads, launches, downloads) and
 /// returns raw-bit snapshots of whatever results it wants compared — e.g.
 /// `v.iter().map(|x| x.to_bits()).collect()` for an `f64` output. Only
-/// launches through [`Device::launch`] are permuted; [`Device::launch_seq`]
-/// keeps its documented in-order semantics (kernels use it precisely when
-/// order matters).
+/// parallel launches ([`crate::ComputeBackend::launch`]) are permuted;
+/// [`crate::ComputeBackend::launch_seq`] keeps its documented in-order
+/// semantics (kernels use it precisely when order matters).
 ///
 /// The device's previous schedule is restored before returning.
 pub fn check_block_order_invariance<R>(

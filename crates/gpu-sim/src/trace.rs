@@ -477,7 +477,7 @@ impl TraceSnapshot {
 /// [`TraceSnapshot::kernel_profiles`]).
 #[derive(Debug, Clone, Default)]
 pub struct KernelProfile {
-    /// Kernel name as passed to [`crate::Device::launch`].
+    /// Kernel name as passed to [`crate::ComputeBackend::launch`].
     pub name: String,
     /// Launches aggregated.
     pub launches: u64,
@@ -943,25 +943,6 @@ impl MetricsSnapshot {
             samples: Vec::new(),
             hists: vec![(labels, hist.clone())],
         });
-    }
-
-    /// The histogram series of `name` with exactly the given labels.
-    pub fn get_histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Option<&crate::hist::Histogram> {
-        let m = self.metrics.iter().find(|m| m.name == name)?;
-        m.hists
-            .iter()
-            .find(|(ls, _)| {
-                ls.len() == labels.len()
-                    && ls
-                        .iter()
-                        .zip(labels)
-                        .all(|((k, v), (lk, lv))| k == lk && v == lv)
-            })
-            .map(|(_, h)| h)
     }
 
     /// Fold another snapshot in: families with the same name merge their

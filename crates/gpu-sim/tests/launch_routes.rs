@@ -19,7 +19,7 @@ use gpu_sim::{
 const TILE: usize = 4;
 const NAMES: [&str; 4] = ["par", "seq", "cpar", "cseq"];
 
-fn body(ctx: &mut KernelCtx<'_, '_>, buf: &GlobalBuffer<u32>) {
+fn body(ctx: &mut KernelCtx<'_>, buf: &GlobalBuffer<u32>) {
     let base = ctx.block_idx() * TILE;
     for t in 0..TILE {
         ctx.st_co(buf, base + t, (base + t) as u32);

@@ -99,11 +99,6 @@ impl ArenaPool {
         }
     }
 
-    /// Whether check-ins park arenas for reuse.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Checkout hit/miss counts so far.
     pub fn stats(&self) -> ArenaPoolStats {
         ArenaPoolStats {

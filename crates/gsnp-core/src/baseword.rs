@@ -56,13 +56,6 @@ pub fn unpack(word: u32) -> (u8, u8, u8, u8, bool) {
     (base, QUAL_MAX - inv_score, coord, strand, uniq)
 }
 
-/// The canonical comparison key used by the dense scan, for checking that
-/// sorted `base_word` order equals canonical order.
-#[inline]
-pub fn canonical_key(base: u8, score: u8, coord: u8, strand: u8, uniq: bool) -> u32 {
-    pack(base, score, coord, strand, uniq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

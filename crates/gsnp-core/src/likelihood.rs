@@ -683,7 +683,7 @@ fn comp_gpu_impl<B: ComputeBackend>(
 
 #[inline(always)]
 fn accumulate(
-    ctx: &mut gpu_sim::KernelCtx<'_, '_>,
+    ctx: &mut gpu_sim::KernelCtx<'_>,
     type_likely: &GlobalBuffer<f64>,
     shared: Option<&mut gpu_sim::SharedTile<f64>>,
     tl0: usize,

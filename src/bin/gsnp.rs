@@ -13,9 +13,9 @@
 //! gsnp call    --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir>
 //!              [--min-quality Q] [--min-depth D] [--bad-sites <file>]
 //!              [--bad-site-threshold N] [...call flags]
-//! gsnp profile [--sites N] [--depth X] [--devices N] [--pipeline-depth N]
-//!              [--batch N] [--backend B] [--seed S] [--samples N]
-//!              [--auto-threshold N] [--trace <out.json>]
+//! gsnp profile [--sites N] [--depth X] [--window N] [--devices N]
+//!              [--pipeline-depth N] [--batch N] [--backend B] [--seed S]
+//!              [--samples N] [--auto-threshold N] [--trace <out.json>]
 //! gsnp analyze [--sites N] [--window N] [--seed S]
 //! gsnp decode  <in.gsnp> [<out.txt>]
 //! gsnp stats   <in.gsnp> [--format prom]
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
                  synth  <out_dir> [--sites N] [--depth X] [--seed S] [--samples N] [--shared-rate X]\n\
                  call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native|auto] [--auto-threshold N] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl] [--stats-addr HOST:PORT] [--stats-hold MS]\n\
                  call   --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir> [--min-quality Q] [--min-depth D] [--bad-sites file] [--bad-site-threshold N] [...call flags]\n\
-                 profile [--sites N] [--depth X] [--devices N] [--pipeline-depth N] [--batch N] [--backend sim|auto] [--auto-threshold N] [--seed S] [--samples N] [--trace out.json]\n\
+                 profile [--sites N] [--depth X] [--window N] [--devices N] [--pipeline-depth N] [--batch N] [--backend sim|auto] [--auto-threshold N] [--seed S] [--samples N] [--trace out.json]\n\
                  analyze [--sites N] [--window N] [--seed S]\n\
                  decode <in.gsnp> [<out.txt>]\n\
                  stats  <in.gsnp> [--format prom]\n\
@@ -129,6 +129,15 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// `--window N`: the sites per window, at least 1 (`WindowReader` panics
+/// on a window that cannot advance).
+fn window_flag(args: &[String]) -> Result<Option<usize>, Box<dyn std::error::Error>> {
+    match flag_value(args, "--window").map(str::parse).transpose()? {
+        Some(0) => Err("--window must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
 /// The computation `call`, `call --cohort` and `profile` are asked for,
 /// from the flags they share. `--auto-threshold` is the minimum grid (in
 /// blocks) `--backend auto` sends to the native executor; smaller launches
@@ -146,8 +155,8 @@ fn compute_config(
         auto.native_min_blocks = v.parse()?;
     }
     Ok(GsnpConfig {
-        window_size: match flag_value(args, "--window") {
-            Some(v) => v.parse()?,
+        window_size: match window_flag(args)? {
+            Some(n) => n,
             None if profile => 16_000,
             None => defaults.window_size,
         },
@@ -165,28 +174,86 @@ fn quiet_flag(args: &[String]) -> bool {
     args.iter().any(|a| a == "--quiet" || a == "-q")
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
+/// One subcommand's flags, exactly those of the usage text above:
+/// `(flag, takes a value)`.
+type Flags = [(&'static str, bool)];
+
+const SYNTH_FLAGS: &Flags = &[
+    ("--sites", true),
+    ("--depth", true),
+    ("--seed", true),
+    ("--samples", true),
+    ("--shared-rate", true),
+];
+const CALL_FLAGS: &Flags = &[
+    ("--window", true),
+    ("--devices", true),
+    ("--batch", true),
+    ("--backend", true),
+    ("--cpu", false),
+    ("--contracts", false),
+    ("--text", true),
+    ("--trace", true),
+    ("--metrics", true),
+    ("--auto-threshold", true),
+    ("--progress", false),
+    ("--quiet", false),
+    ("-q", false),
+    ("--journal", true),
+    ("--stats-addr", true),
+    ("--stats-hold", true),
+];
+/// `call --cohort` takes these on top of [`CALL_FLAGS`].
+const COHORT_FLAGS: &Flags = &[
+    ("--cohort", true),
+    ("--min-quality", true),
+    ("--min-depth", true),
+    ("--bad-sites", true),
+    ("--bad-site-threshold", true),
+];
+const PROFILE_FLAGS: &Flags = &[
+    ("--sites", true),
+    ("--depth", true),
+    ("--window", true),
+    ("--devices", true),
+    ("--pipeline-depth", true),
+    ("--batch", true),
+    ("--backend", true),
+    ("--seed", true),
+    ("--samples", true),
+    ("--auto-threshold", true),
+    ("--trace", true),
+];
+const ANALYZE_FLAGS: &Flags = &[("--sites", true), ("--window", true), ("--seed", true)];
+const STATS_FLAGS: &Flags = &[("--format", true)];
+/// `decode`, `report`, `validate-trace`.
+const NO_FLAGS: &Flags = &[];
+
+/// The positional arguments of `gsnp <cmd>`. Run first by every
+/// subcommand, because it is also the check that every `--word` is one of
+/// the subcommand's `flags` and that a value flag is followed by a value:
+/// a misspelt flag must not run the default computation under its name.
+fn positional<'a>(
+    cmd: &str,
+    flags: &Flags,
+    args: &'a [String],
+) -> Result<Vec<&'a String>, Box<dyn std::error::Error>> {
     let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") && a != "-q" {
+            out.push(a);
             continue;
         }
-        if a == "-q" {
-            continue;
+        let Some(&(_, takes_value)) = flags.iter().find(|(flag, _)| flag == a) else {
+            let known = flags.iter().map(|f| f.0).collect::<Vec<_>>().join(" ");
+            return Err(format!("unknown flag {a} for 'gsnp {cmd}' (flags: {known})").into());
+        };
+        if takes_value && args.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{a} needs a value").into());
         }
-        if a.starts_with("--") {
-            // value-less flags don't consume the next arg
-            skip = !matches!(
-                a.as_str(),
-                "--cpu" | "--contracts" | "--progress" | "--quiet"
-            );
-            continue;
-        }
-        out.push(a);
     }
-    out
+    Ok(out)
 }
 
 /// Live-introspection plumbing shared by `call` and `call --cohort`:
@@ -373,7 +440,7 @@ impl Introspection {
 }
 
 fn cmd_synth(args: &[String]) -> CliResult {
-    let pos = positional(args);
+    let pos = positional("synth", SYNTH_FLAGS, args)?;
     let dir = Path::new(pos.first().ok_or("synth requires an output directory")?);
     fs::create_dir_all(dir)?;
     let mut cfg = SynthConfig::tiny(flag_value(args, "--seed").map_or(Ok(1), str::parse)?);
@@ -486,10 +553,10 @@ fn trace_recorder(
 }
 
 fn cmd_call(args: &[String]) -> CliResult {
-    if flag_value(args, "--cohort").is_some() {
+    if has_flag(args, "--cohort") {
         return cmd_call_cohort(args);
     }
-    let pos = positional(args);
+    let pos = positional("call", CALL_FLAGS, args)?;
     let [aln, fa, prior, out] = pos.as_slice() else {
         return Err("call requires <alignments> <reference> <priors> <out.gsnp>".into());
     };
@@ -562,11 +629,11 @@ fn cmd_call(args: &[String]) -> CliResult {
 /// identical to what per-sample single runs sharing the cohort's pooled
 /// calibration would write.
 fn cmd_call_cohort(args: &[String]) -> CliResult {
-    let manifest_path = flag_value(args, "--cohort").expect("checked by caller");
+    let pos = positional("call --cohort", &[COHORT_FLAGS, CALL_FLAGS].concat(), args)?;
+    let manifest_path = flag_value(args, "--cohort").expect("checked with its value");
     if has_flag(args, "--cpu") {
         return Err("--cohort uses the device pipeline (drop --cpu)".into());
     }
-    let pos = positional(args);
     let [fa, prior, out_dir] = pos.as_slice() else {
         return Err("call --cohort requires <cohort.tsv> <reference> <priors> <out_dir>".into());
     };
@@ -724,7 +791,7 @@ fn write_trace(rec: &Arc<TraceRecorder>, path: &str, quiet: bool) -> CliResult {
 /// journal alone — no other run artifact needed. The report goes to
 /// stdout (it IS the data); an invalid journal exits nonzero.
 fn cmd_report(args: &[String]) -> CliResult {
-    let pos = positional(args);
+    let pos = positional("report", NO_FLAGS, args)?;
     let input = pos.first().ok_or("report requires a journal file")?;
     let text = fs::read_to_string(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let report =
@@ -738,6 +805,7 @@ fn cmd_report(args: &[String]) -> CliResult {
 /// paper's Tables III and IV, derived from the trace instead of ad-hoc
 /// timers).
 fn cmd_profile(args: &[String]) -> CliResult {
+    positional("profile", PROFILE_FLAGS, args)?;
     let mut synth = SynthConfig::tiny(flag_value(args, "--seed").map_or(Ok(1), str::parse)?);
     synth.chr_name = "chrS".into();
     synth.num_sites = flag_value(args, "--sites").map_or(Ok(50_000), str::parse)?;
@@ -984,12 +1052,13 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     use gsnp::gpu_sim::{ContractReport, Device};
     use gsnp::seqio::window::WindowReader;
 
+    positional("analyze", ANALYZE_FLAGS, args)?;
     let mut synth = SynthConfig::tiny(flag_value(args, "--seed").map_or(Ok(1), str::parse)?);
     synth.chr_name = "chrS".into();
     synth.num_sites = flag_value(args, "--sites").map_or(Ok(10_000), str::parse)?;
     synth.read_len = 100;
     let d = Dataset::generate(synth);
-    let window = flag_value(args, "--window").map_or(Ok(4_000), str::parse)?;
+    let window = window_flag(args)?.unwrap_or(4_000);
 
     let mut report = ContractReport::default();
     for variant in KernelVariant::ALL {
@@ -1070,7 +1139,7 @@ fn decode_windows<'a>(
 }
 
 fn cmd_decode(args: &[String]) -> CliResult {
-    let pos = positional(args);
+    let pos = positional("decode", NO_FLAGS, args)?;
     let input = pos.first().ok_or("decode requires an input file")?;
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let name = pos.get(1).map_or("<stdout>", |p| p.as_str());
@@ -1093,7 +1162,7 @@ fn cmd_decode(args: &[String]) -> CliResult {
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {
-    let pos = positional(args);
+    let pos = positional("stats", STATS_FLAGS, args)?;
     let input = pos.first().ok_or("stats requires an input file")?;
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let mut sites = 0u64;
@@ -1170,7 +1239,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
 }
 
 fn cmd_validate_trace(args: &[String]) -> CliResult {
-    let pos = positional(args);
+    let pos = positional("validate-trace", NO_FLAGS, args)?;
     let input = pos.first().ok_or("validate-trace requires a trace file")?;
     let text = fs::read_to_string(input)?;
     match gsnp::gpu_sim::validate_chrome_json(&text) {

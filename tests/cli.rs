@@ -12,7 +12,9 @@
 //! sample names would collide or leave the output directory, the three
 //! subcommands that run the pipeline read the compute flags alike, and a
 //! call pinned to one CPU (the worker pool's serial path) writes the bytes
-//! an unpinned one does.
+//! an unpinned one does. A flag outside the subcommand's usage text, a
+//! value flag without a value and a zero-site window are errors naming the
+//! flag.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -410,6 +412,68 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
     let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
     assert!(report.contains("auto_threshold=5"), "{report}");
     assert!(report.contains("launch_batch_effective=3"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A misspelt flag and a value flag with no value used to be swallowed and
+/// the default computation run under their name, and `--window 0` used to
+/// panic in the window reader: each is an error naming the flag, before
+/// anything is written. Every flag of the usage text is still taken.
+#[test]
+fn flags_are_checked_against_the_subcommands_usage() {
+    let dir = called("flags");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let run = |line: &str| gsnp(&line.split(' ').collect::<Vec<_>>());
+    let (out, two) = (d("bad.gsnp"), d("two"));
+    let call = format!(
+        "call {} {} {} {out}",
+        d("reads.soap"),
+        d("reference.fa"),
+        d("priors.txt")
+    );
+    for (flags, message) in [
+        (
+            "--bakend native --windw 500 -q",
+            "unknown flag --bakend for 'gsnp call' (flags: --window --devices ",
+        ),
+        ("-q --window", "--window needs a value"),
+        ("--window --cpu", "--window needs a value"),
+        ("--window 0", "--window must be at least 1"),
+        ("--min-depth 2", "unknown flag --min-depth for 'gsnp call' "),
+    ] {
+        let refused = run(&format!("{call} {flags}"));
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert_eq!(refused.status.code(), Some(1), "{flags}: {stderr}");
+        assert!(stderr.contains(message), "{flags}: {stderr}");
+        assert!(!Path::new(&out).exists(), "{flags}: left an output file");
+    }
+    let stray = run(&format!("stats {} --fromat prom", d("out.gsnp")));
+    assert_eq!(stray.status.code(), Some(1));
+
+    let [txt, json, prom, jsonl] = ["a.txt", "a.json", "a.prom", "a.jsonl"].map(d);
+    for line in [
+        format!("synth {two} --sites 2000 --depth 3 --seed 2 --samples 2 --shared-rate 0.5"),
+        format!(
+            "{call} --window 1500 --devices 2 --batch 2 --backend auto --auto-threshold 4 \
+             --contracts --text {txt} --trace {json} --metrics {prom} --journal {jsonl} \
+             --progress --quiet -q --stats-addr 127.0.0.1:0 --stats-hold 0"
+        ),
+        format!("{call} --cpu"),
+        format!(
+            "call --cohort {two}/cohort.tsv {two}/reference.fa {two}/priors.txt {two}/out -q \
+             --min-quality 1 --min-depth 1 --bad-sites {two}/bad.txt --bad-site-threshold 2"
+        ),
+        format!(
+            "profile --sites 2000 --depth 3 --window 1000 --devices 2 --pipeline-depth 2 \
+             --batch 2 --backend auto --seed 2 --samples 2 --auto-threshold 4 --trace {json}"
+        ),
+        "analyze --sites 2000 --window 1000 --seed 2".to_string(),
+        format!("stats {out} --format prom"),
+    ] {
+        let taken = run(&line);
+        let stderr = String::from_utf8_lossy(&taken.stderr);
+        assert!(taken.status.success(), "gsnp {line}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

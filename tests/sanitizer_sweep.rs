@@ -19,7 +19,8 @@ use gsnp::core::model::ModelParams;
 use gsnp::core::tables::{LogTable, NewPMatrix, PMatrix};
 use gsnp::gpu_sim::primitives::exclusive_scan;
 use gsnp::gpu_sim::{
-    check_block_order_invariance, BlockSchedule, Device, GlobalBuffer, SanitizerConfig,
+    check_block_order_invariance, BlockSchedule, ComputeBackend, Device, GlobalBuffer,
+    SanitizerConfig,
 };
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 use gsnp::seqio::window::WindowReader;
@@ -198,8 +199,8 @@ fn counting_histogram_clean_under_all_checkers() {
     let input = dev.upload(&items);
     let hist: GlobalBuffer<u32> = dev.alloc(64);
     dev.launch("count_hist", 8, |ctx| {
-        let chunk = n / ctx.grid_dim;
-        let base = ctx.block_idx * chunk;
+        let chunk = n / ctx.grid_dim();
+        let base = ctx.block_idx() * chunk;
         for i in base..base + chunk {
             let v = ctx.ld_co(&input, i) as usize;
             ctx.atomic_add(&hist, v, 1u32);
@@ -221,7 +222,7 @@ fn racecheck_catches_non_atomic_conflicting_writes() {
     let kernel = |dev: &Device, buf: &GlobalBuffer<u32>| {
         dev.launch("seeded_race", 4, |ctx| {
             // Defect: every block writes word 0 without an atomic.
-            ctx.st_co(buf, 0, ctx.block_idx as u32);
+            ctx.st_co(buf, 0, ctx.block_idx() as u32);
         });
     };
 
@@ -386,8 +387,8 @@ fn counting_histogram_is_block_order_invariant() {
         let input = dev.upload(&items);
         let hist: GlobalBuffer<u32> = dev.alloc(32);
         dev.launch("hist_perm", 8, |ctx| {
-            let chunk = n / ctx.grid_dim;
-            let base = ctx.block_idx * chunk;
+            let chunk = n / ctx.grid_dim();
+            let base = ctx.block_idx() * chunk;
             for i in base..base + chunk {
                 let v = ctx.ld_co(&input, i) as usize;
                 ctx.atomic_add(&hist, v, 1u32);
@@ -458,7 +459,7 @@ fn order_sensitive_kernel_is_caught_by_determinism_check() {
             ctx.st_co(
                 &buf,
                 0,
-                v.wrapping_mul(31).wrapping_add(ctx.block_idx as u32),
+                v.wrapping_mul(31).wrapping_add(ctx.block_idx() as u32),
             );
         });
         vec![buf.raw_snapshot()]
@@ -477,7 +478,7 @@ fn permuted_schedule_is_restored_after_check() {
     dev.set_block_schedule(BlockSchedule::Permuted { seed: 7 });
     let _ = check_block_order_invariance(&dev, 2, 1, |dev| {
         let buf: GlobalBuffer<u32> = dev.alloc(4);
-        dev.launch("noop", 2, |ctx| ctx.st_co(&buf, ctx.block_idx, 1));
+        dev.launch("noop", 2, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
         vec![buf.raw_snapshot()]
     });
     assert_eq!(dev.block_schedule(), BlockSchedule::Permuted { seed: 7 });
