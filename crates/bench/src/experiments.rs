@@ -1792,12 +1792,20 @@ pub fn cohort_amortization(scale: f64) -> String {
             out.samples[0].compressed, single.compressed,
             "cohort lane 0 diverged from the shared-tables single run at N={num_samples}"
         );
+        // A ledger's H2D bytes are its table upload plus 4 B per observation
+        // of each batch the simulator chain took; the device stage's native
+        // arm moves none. A cohort batch is the same windows N times over,
+        // so whenever a single run's batch clears the `Auto` threshold the
+        // cohort's does too: beyond its one table per device the cohort
+        // moves at most what the N runs moved beyond their N tables
+        // (`tests/cohort_parity.rs` pins the equality on the simulator).
         let cohort_h2d: u64 = out.stats.ledgers.iter().map(|l| l.counters.h2d_bytes).sum();
         let table = out.stats.table_bytes;
-        assert_eq!(
-            cohort_h2d,
-            singles_h2d - num_samples as u64 * table + num_devices * table,
-            "cohort table uploads must be O(devices), not O(samples) at N={num_samples}"
+        assert!(
+            cohort_h2d >= num_devices * table
+                && cohort_h2d - num_devices * table <= singles_h2d - num_samples as u64 * table,
+            "cohort table uploads must be O(devices), not O(samples) at N={num_samples}: \
+             {cohort_h2d} B against {singles_h2d} B for the independent runs"
         );
 
         let speedup = singles_wall / cohort_wall;

@@ -126,17 +126,6 @@ impl<'a> KernelCtx<'a> {
         self.cfg
     }
 
-    /// Whether this block executes on the host executor. Kernels with a
-    /// hand-tuned host implementation branch on this to run plain chunked
-    /// loops over [`GlobalBuffer`] spans instead of per-access `KernelCtx`
-    /// ops — the CPU analogue of a CUDA kernel with an optimized fallback
-    /// path. The instrumented arm must stay the semantic reference: the
-    /// native arm's output is required to be byte-identical.
-    #[inline(always)]
-    pub fn is_native(&self) -> bool {
-        self.sim.is_none()
-    }
-
     /// Record `n` scalar arithmetic/control instructions. Memory accesses
     /// are counted automatically and do not need to be reported here.
     #[inline(always)]
@@ -897,7 +886,7 @@ mod tests {
         let cfg = DeviceConfig::tesla_m2050();
         for (name, op, scalar, want) in table {
             let (host, sim) = (KernelCtx::on_host(0, 1, &cfg), ctx(&cfg));
-            assert!(host.is_native() && !sim.is_native());
+            assert!(host.sim.is_none() && sim.sim.is_some());
             let (tally, bits) = World::after(sim, op);
             assert_eq!(tally, want, "{name}: simulator tally");
             let silent = (HwCounters::default(), bits.clone());

@@ -1,9 +1,10 @@
 //! Per-window host arenas — the host half of the `recycle` component.
 //!
 //! Each window flowing through the pipeline needs the same set of host
-//! buffers: the loaded observation lists, the sparse `base_word`
-//! representation and the `type_likely` readback target (the multipass
-//! sort's scratch is per device lane, in the loop's `BatchScratch`).
+//! buffers: the loaded observations, the sparse `base_word`
+//! representation and the per-site `type_likely` (the simulator chain's
+//! staging and sort scratch are per device lane, in the loop's
+//! `BatchScratch`).
 //! Allocating them fresh every window puts the allocator on the hot path;
 //! §IV-B's point is that the sparse design makes recycling these buffers
 //! trivial (clear and refill). A [`WindowArena`] owns one window's worth
@@ -29,17 +30,23 @@ use crate::model::NUM_GENOTYPES;
 /// checks in and defeat recycling.
 const MAX_PARKED: usize = 32;
 
-/// One window's worth of reusable host buffers. Every field is fully
-/// overwritten by its producing stage (`next_window_into` in `read_site`;
-/// `count_words_into` and the scatter of the fused kernel's outputs in the
-/// device stage), so a recycled arena never needs clearing before reuse.
+/// One window's worth of reusable host buffers, every one flat and indexed
+/// by site: `window` and `sw.words` are the same site-major array, once as
+/// observations and once packed, and share their offsets. Every field is
+/// fully overwritten by its producing stage (`next_window_into` in
+/// `read_site`; in the device stage either the native arm's blocks, which
+/// pack, sort and score in place, or `count_words_into` and the scatter of
+/// the fused kernel's outputs), so a recycled arena never needs clearing
+/// before reuse.
 #[derive(Debug, Default)]
 pub struct WindowArena {
     /// The loaded window (`read_site` output).
     pub window: Window,
-    /// Sparse representation (`counting` output).
+    /// Sparse representation (`counting` output): sorted and summarized
+    /// after the native arm, unsorted words with read-back summaries after
+    /// the simulator chain.
     pub sw: SparseWindow,
-    /// Per-site genotype likelihoods (`likelihood_comp` readback).
+    /// Per-site genotype likelihoods (`likelihood_comp` output).
     pub type_likely: Vec<[f64; NUM_GENOTYPES]>,
 }
 

@@ -10,7 +10,7 @@
 //!   occurrence count per `(base, score, coord, strand)` cell —
 //!   `4 × 64 × 256 × 2 = 131,072` cells *per site*.
 
-use seqio::window::Window;
+use seqio::window::{SiteObs, Window};
 
 use crate::baseword;
 use crate::model::SiteSummary;
@@ -29,6 +29,12 @@ pub fn base_occ_index(base: u8, score: u8, coord: u8, strand: u8) -> usize {
         | (usize::from(score) << 9)
         | (usize::from(coord) << 1)
         | usize::from(strand)
+}
+
+/// One observation as its `base_word`.
+#[inline(always)]
+pub(crate) fn pack_obs(o: &SiteObs) -> u32 {
+    baseword::pack(o.base, o.qual, o.coord, o.strand, o.uniq)
 }
 
 /// Sparse representation of one window plus the per-site summaries that
@@ -56,22 +62,9 @@ impl SparseWindow {
     /// capacity — the sparse `recycle` path (§IV-B calls it "trivial":
     /// clearing the word list is all the reinitialization needed).
     pub fn count_into(&mut self, window: &Window) {
-        self.words.clear();
-        self.spans.clear();
-        self.summaries.clear();
-        let total: usize = window.obs.iter().map(Vec::len).sum();
-        self.words.reserve(total);
-        self.spans.reserve(window.len());
-        self.summaries.reserve(window.len());
-        for site_obs in &window.obs {
-            let start = self.words.len();
-            for o in site_obs {
-                self.words
-                    .push(baseword::pack(o.base, o.qual, o.coord, o.strand, o.uniq));
-            }
-            self.spans.push((start, site_obs.len()));
-            self.summaries.push(SiteSummary::from_obs(site_obs));
-        }
+        self.count_words_into(window);
+        self.summaries
+            .extend(window.sites().map(SiteSummary::from_obs));
     }
 
     /// Like [`SparseWindow::count_into`] but *without* the per-site
@@ -85,16 +78,11 @@ impl SparseWindow {
         self.words.clear();
         self.spans.clear();
         self.summaries.clear();
-        let total: usize = window.obs.iter().map(Vec::len).sum();
-        self.words.reserve(total);
+        self.words.reserve(window.total_obs());
         self.spans.reserve(window.len());
-        for site_obs in &window.obs {
-            let start = self.words.len();
-            for o in site_obs {
-                self.words
-                    .push(baseword::pack(o.base, o.qual, o.coord, o.strand, o.uniq));
-            }
-            self.spans.push((start, site_obs.len()));
+        for site_obs in window.sites() {
+            self.spans.push((self.words.len(), site_obs.len()));
+            self.words.extend(site_obs.iter().map(pack_obs));
         }
     }
 
@@ -155,7 +143,7 @@ impl DenseWindow {
             "window exceeds dense allocation"
         );
         let mut summaries = Vec::with_capacity(window.len());
-        for (site, site_obs) in window.obs.iter().enumerate() {
+        for (site, site_obs) in window.sites().enumerate() {
             let cell0 = site * SITE_CELLS;
             for o in site_obs {
                 let idx = cell0 + base_occ_index(o.base, o.qual, o.coord, o.strand);
@@ -195,8 +183,7 @@ impl DenseWindow {
 /// tuples), the quantity Fig. 4(b) histograms.
 pub fn nonzero_cells_per_site(window: &Window) -> Vec<usize> {
     window
-        .obs
-        .iter()
+        .sites()
         .map(|site_obs| {
             // Dense cells have no uniqueness dimension, so dedup ignoring
             // the word's uniq bit.
@@ -247,14 +234,14 @@ mod tests {
     }
 
     fn window() -> Window {
-        Window {
-            start: 100,
-            obs: vec![
+        Window::from_sites(
+            100,
+            vec![
                 vec![obs(0, 40, 3, 0), obs(0, 40, 3, 0), obs(2, 35, 7, 1)],
                 vec![],
                 vec![obs(3, 20, 0, 0)],
             ],
-        }
+        )
     }
 
     #[test]
@@ -285,10 +272,8 @@ mod tests {
     fn count_into_reuse_matches_fresh() {
         let w = window();
         let fresh = SparseWindow::count(&w);
-        let mut reused = SparseWindow::count(&Window {
-            start: 0,
-            obs: vec![vec![obs(1, 10, 1, 1); 5]; 8],
-        });
+        let mut reused =
+            SparseWindow::count(&Window::from_sites(0, vec![vec![obs(1, 10, 1, 1); 5]; 8]));
         reused.count_into(&w);
         assert_eq!(reused, fresh);
     }

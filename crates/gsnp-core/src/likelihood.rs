@@ -16,18 +16,23 @@
 //! of Fig. 8 / Table III, the fused counting + likelihood kernel the
 //! window loop launches ([`likelihood_comp_fused_gpu_into`]), and the
 //! dense strawman [`likelihood_dense_gpu`] of Fig. 5. `likelihood_sort`
-//! on the device is [`sortnet::multipass`], called directly.
+//! on the device is [`sortnet::multipass`], called directly. Each kernel
+//! is one instrumented body on either executor; where the window loop's
+//! device stage would execute on the host it is instead ONE launch of
+//! [`likelihood_host_sites`], the stage's native arm.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gpu_sim::{
     AccessContract, BlockInterval, ComputeBackend, ConstBuffer, Device, DeviceGroup, Footprint,
-    GlobalBuffer, LaunchStats,
+    GlobalBuffer, LaunchStats, NativeBackend,
 };
 use seqio::soap::MAX_READ_LEN;
+use seqio::window::Window;
 
+use crate::arena::WindowArena;
 use crate::baseword;
-use crate::counting::{base_occ_index, SparseWindow, SITE_CELLS};
+use crate::counting::{base_occ_index, pack_obs, SparseWindow, SITE_CELLS};
 use crate::model::{adjust, SiteSummary, NUM_GENOTYPES};
 use crate::tables::{likely_update, new_p_cell, p_index, LogTable, NewPMatrix, PMatrix};
 
@@ -183,10 +188,10 @@ pub struct DeviceTables {
     /// `log_table` in constant memory (65 doubles, trivially fits).
     pub log_table: ConstBuffer<f64>,
     host_log: Arc<LogTable>,
-    /// Host mirror of `new_p` (same values, same bits): the native
-    /// backend's fast path reads genotype rows from it as plain `f64`
-    /// slices, which the auto-vectorizer can chew through — the device
-    /// buffer's atomic cells cannot.
+    /// Host mirror of `new_p` (same values, same bits): the native arm
+    /// ([`likelihood_host_sites`]) reads genotype rows from it as plain
+    /// `f64` slices, which the auto-vectorizer can chew through — the
+    /// device buffer's atomic cells cannot.
     host_new_p: Arc<[f64]>,
 }
 
@@ -285,7 +290,7 @@ impl KernelVariant {
         matches!(self, KernelVariant::WithShared | KernelVariant::Optimized)
     }
 
-    fn uses_new_table(self) -> bool {
+    pub(crate) fn uses_new_table(self) -> bool {
         matches!(self, KernelVariant::WithNewTable | KernelVariant::Optimized)
     }
 }
@@ -406,72 +411,6 @@ fn comp_gpu_impl<B: ComputeBackend>(
         "likelihood_comp"
     };
 
-    // Native fast path: the same per-site math as the instrumented body
-    // below — identical unpack/segment-reset/adjust/accumulate sequence,
-    // same `LogTable`, same f64 addition order, so the output bytes are
-    // identical — but written as plain chunked loops over buffer spans.
-    // The per-site dependency counters live in a block-local scratch array
-    // (self-cleaning, like the pooled device buffer): purely per-site
-    // state, so the native body never touches `dep_count` at all. Staging
-    // the span's packed words once replaces the per-observation `ld_co`
-    // dispatches, which is most of the native win here.
-    let native_block = |first: usize, last: usize| {
-        let mut wbuf: Vec<u32> = Vec::new();
-        let mut dep = vec![0u16; 2 * read_len];
-        for (site, &(off, len)) in spans.iter().enumerate().take(last).skip(first) {
-            wbuf.resize(len, 0);
-            words.read_span(off, &mut wbuf);
-            let tl0 = site * NUM_GENOTYPES;
-            let mut s_all = [0u32; 4];
-            let mut s_uniq = [0u32; 4];
-            let mut s_qual = [0u32; 4];
-            let mut s_depth = 0u32;
-            let mut acc = [0f64; NUM_GENOTYPES];
-            let mut last_base = 0u8;
-            let mut touched_from = 0usize;
-            for i in 0..len {
-                let (base, score, coord, strand, uniq) = baseword::unpack(wbuf[i]);
-                if summary_buf.is_some() {
-                    let b = usize::from(base);
-                    s_all[b] += 1;
-                    s_uniq[b] += u32::from(uniq);
-                    s_qual[b] += u32::from(score);
-                    s_depth += 1;
-                }
-                if base > last_base {
-                    for &w in &wbuf[touched_from..i] {
-                        let (_, _, tc, ts, _) = baseword::unpack(w);
-                        dep[usize::from(ts) * read_len + usize::from(tc)] = 0;
-                    }
-                    touched_from = i;
-                    last_base = base;
-                }
-                let slot = usize::from(strand) * read_len + usize::from(coord);
-                let dc = dep[slot] + 1;
-                dep[slot] = dc;
-                let q_adj = adjust(score, dc, lt);
-                let cell = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
-                let row = &tables.host_new_p[cell..cell + NUM_GENOTYPES];
-                for (a, &t) in acc.iter_mut().zip(row) {
-                    *a += t;
-                }
-            }
-            for &w in &wbuf[touched_from..len] {
-                let (_, _, tc, ts, _) = baseword::unpack(w);
-                dep[usize::from(ts) * read_len + usize::from(tc)] = 0;
-            }
-            type_likely.write_span(tl0, &acc);
-            if let Some(sbuf) = summary_buf {
-                let mut sw = [0u32; SUMMARY_WORDS];
-                sw[..4].copy_from_slice(&s_all);
-                sw[4..8].copy_from_slice(&s_uniq);
-                sw[8..12].copy_from_slice(&s_qual);
-                sw[12] = s_depth;
-                sbuf.write_span(site * SUMMARY_WORDS, &sw);
-            }
-        }
-    };
-
     // Declared access pattern, built lazily (only when a checker is
     // attached): each block's `words` footprint is the hull of its sites'
     // spans — data-dependent, so it is materialized from the launch
@@ -523,10 +462,6 @@ fn comp_gpu_impl<B: ComputeBackend>(
     let stats = dev.launch_contracted(name, grid, contract, |ctx| {
         let first = ctx.block_idx() * SITES_PER_BLOCK;
         let last = (first + SITES_PER_BLOCK).min(num_sites);
-        if ctx.is_native() && variant.uses_new_table() {
-            native_block(first, last);
-            return;
-        }
         for site in first..last {
             let (off, len) = spans[site];
             let dep0 = site * 2 * read_len;
@@ -700,6 +635,156 @@ fn accumulate(
             ctx.st_rand(type_likely, tl0 + n, cur + term);
         }
     }
+}
+
+/// Kernel name of the device stage's native arm ([`likelihood_host_sites`]).
+pub const HOST_SITES_KERNEL: &str = "likelihood_host_sites";
+
+/// One block of the native arm: a range of at most [`SITES_PER_BLOCK`]
+/// sites of one arena, with that range of each of the arena's outputs.
+struct HostSites<'a> {
+    window: &'a Window,
+    /// First site of the range.
+    first: usize,
+    words: &'a mut [u32],
+    spans: &'a mut [(usize, usize)],
+    summaries: &'a mut [SiteSummary],
+    type_likely: &'a mut [[f64; NUM_GENOTYPES]],
+}
+
+impl HostSites<'_> {
+    fn run(&mut self, tables: &DeviceTables) {
+        let mut dep = [0u16; DEP_SLOTS];
+        let base = self.window.offset(self.first);
+        let mut lo = 0;
+        for k in 0..self.spans.len() {
+            let obs = self.window.site(self.first + k);
+            let words = &mut self.words[lo..lo + obs.len()];
+            self.spans[k] = (base + lo, obs.len());
+            lo += obs.len();
+            for (w, o) in words.iter_mut().zip(obs) {
+                *w = pack_obs(o);
+            }
+            self.summaries[k] = SiteSummary::from_obs(obs);
+            // `likelihood_sort`, by the multipass schedule's own argument
+            // (§IV-C: each size class gets the cheapest network that sorts
+            // it) as the library already makes it: nothing below two
+            // elements, an insertion sort to 20, pattern-defeating
+            // quicksort for the long tail.
+            words.sort_unstable();
+            self.type_likely[k] = score_sorted_site(words, &mut dep, tables);
+        }
+    }
+}
+
+/// [`likelihood_sparse_site`] for the native arm: the same unpack /
+/// segment reset / `adjust` / accumulate sequence and `f64` addition order,
+/// so the same bits, with the genotype row read as one slice of the host
+/// `new_p_matrix` image and the dependency counters in a caller-owned
+/// array that is all zero on entry and on return — a base segment resets
+/// only the slots its own words dirtied (sparse `recycle`, §IV-B).
+fn score_sorted_site(
+    words: &[u32],
+    dep: &mut [u16; DEP_SLOTS],
+    tables: &DeviceTables,
+) -> [f64; NUM_GENOTYPES] {
+    let slot = |w: u32| {
+        let (_, _, coord, strand, _) = baseword::unpack(w);
+        usize::from(strand) * MAX_READ_LEN + usize::from(coord)
+    };
+    let mut acc = [0f64; NUM_GENOTYPES];
+    let mut last_base = 0u8;
+    let mut touched_from = 0usize;
+    for (i, &w) in words.iter().enumerate() {
+        let (base, score, coord, _, _) = baseword::unpack(w);
+        if base > last_base {
+            for &t in &words[touched_from..i] {
+                dep[slot(t)] = 0;
+            }
+            touched_from = i;
+            last_base = base;
+        }
+        let counter = &mut dep[slot(w)];
+        *counter += 1;
+        let q_adj = adjust(score, *counter, &tables.host_log);
+        let cell = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
+        let row = &tables.host_new_p[cell..cell + NUM_GENOTYPES];
+        for (a, &t) in acc.iter_mut().zip(row) {
+            *a += t;
+        }
+    }
+    for &t in &words[touched_from..] {
+        dep[slot(t)] = 0;
+    }
+    acc
+}
+
+/// The device stage's **native arm**: counting, `likelihood_sort` and the
+/// fused `likelihood_comp` of one launch batch as ONE contracted launch on
+/// the host executor, scored in place in the batch's arenas.
+///
+/// The chain — concatenate, upload, one sort launch per size class, the
+/// fused kernel over pooled device buffers, read back, scatter — is what a
+/// device needs; on the host every step but the arithmetic is a copy. Here
+/// a block takes a range of at most [`SITES_PER_BLOCK`] sites of one arena
+/// and, site by site, packs the window's observations into that arena's
+/// `base_word` array, sorts the span where it lies, scores it
+/// (`score_sorted_site`) and stores `type_likely` and the
+/// [`SiteSummary`]. Afterwards each arena's `sw` is what
+/// [`SparseWindow::count_into`] and [`sort_sparse_cpu`] make of its window.
+///
+/// Blocks touch host memory only, so the contract is empty and trivially
+/// proved, which is what admits the launch on a sanitized device.
+pub fn likelihood_host_sites(
+    native: &NativeBackend<'_>,
+    tables: &DeviceTables,
+    batch: &mut [WindowArena],
+) -> LaunchStats {
+    // Disjoint `&mut` ranges for blocks that run in any order on any
+    // thread: each behind its own lock, which only its block takes.
+    let grid = batch
+        .iter()
+        .map(|arena| arena.window.len().div_ceil(SITES_PER_BLOCK))
+        .sum();
+    let mut jobs: Vec<Mutex<HostSites<'_>>> = Vec::with_capacity(grid);
+    for arena in batch.iter_mut() {
+        let WindowArena {
+            window,
+            sw,
+            type_likely,
+        } = arena;
+        // No clearing: every element below is stored by exactly one block.
+        sw.words.resize(window.total_obs(), 0);
+        sw.spans.resize(window.len(), (0, 0));
+        sw.summaries.resize(window.len(), SiteSummary::default());
+        type_likely.resize(window.len(), [0.0; NUM_GENOTYPES]);
+        let mut words = sw.words.as_mut_slice();
+        let ranges = sw
+            .spans
+            .chunks_mut(SITES_PER_BLOCK)
+            .zip(sw.summaries.chunks_mut(SITES_PER_BLOCK))
+            .zip(type_likely.chunks_mut(SITES_PER_BLOCK));
+        for (b, ((spans, summaries), type_likely)) in ranges.enumerate() {
+            let first = b * SITES_PER_BLOCK;
+            let len = window.offset(first + spans.len()) - window.offset(first);
+            let (mine, rest) = words.split_at_mut(len);
+            words = rest;
+            jobs.push(Mutex::new(HostSites {
+                window,
+                first,
+                words: mine,
+                spans,
+                summaries,
+                type_likely,
+            }));
+        }
+    }
+    native.launch_contracted(HOST_SITES_KERNEL, grid, AccessContract::default, |ctx| {
+        jobs[ctx.block_idx()]
+            .lock()
+            .expect("a block's lock is taken once, by that block")
+            .run(tables);
+    })
 }
 
 /// The Fig. 5 "GPU dense" strawman: one thread per site scanning the full
@@ -1147,5 +1232,256 @@ mod tests {
             sparse_stats.counters.g_load()
         );
         assert!(dense_stats.sim_time > sparse_stats.sim_time);
+    }
+
+    // ---- the device stage's native arm ≡ the chain ≡ the host reference ----
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use seqio::window::SiteObs;
+
+    fn bits(tl: &[[f64; NUM_GENOTYPES]]) -> Vec<[u64; NUM_GENOTYPES]> {
+        tl.iter().map(|row| row.map(f64::to_bits)).collect()
+    }
+
+    /// Score `windows` as one launch batch three ways and demand the same
+    /// `type_likely` bits, summaries, sorted words and sort-class
+    /// histogram from each: the native arm; `count_into` +
+    /// `sort_sparse_cpu` + `likelihood_sparse_site`; and the simulator
+    /// chain the window loop runs (concatenate, upload, multipass sort,
+    /// fused kernel). Returns the arm's launch count.
+    fn assert_arm_matches_chain_and_host(f: &Fixture, windows: Vec<Window>) -> u64 {
+        let dev = Device::m2050();
+        let tables = DeviceTables::upload(&dev, &f.p, &f.np, &f.lt);
+
+        let host: Vec<SparseWindow> = windows
+            .iter()
+            .map(|w| {
+                let mut sw = SparseWindow::count(w);
+                sort_sparse_cpu(&mut sw);
+                sw
+            })
+            .collect();
+
+        let (mut words, mut spans) = (Vec::new(), Vec::new());
+        for w in &windows {
+            let sw = SparseWindow::count(w);
+            let base = words.len();
+            spans.extend(sw.spans.iter().map(|&(off, len)| (base + off, len)));
+            words.extend(sw.words);
+        }
+        let device_words = dev.upload(&words);
+        let sort = sortnet::multipass_sort(&dev, &device_words, &spans);
+        let (mut chain_tl, mut chain_summaries) = (Vec::new(), Vec::new());
+        likelihood_comp_fused_gpu_into(
+            &dev,
+            KernelVariant::Optimized,
+            &device_words,
+            &spans,
+            MAX_READ_LEN,
+            &tables,
+            &mut chain_tl,
+            &mut chain_summaries,
+        );
+
+        let mut batch: Vec<WindowArena> = windows
+            .into_iter()
+            .map(|window| WindowArena {
+                window,
+                ..Default::default()
+            })
+            .collect();
+        let arm_dev = Device::m2050();
+        let arm_tables = DeviceTables::upload(&arm_dev, &f.p, &f.np, &f.lt);
+        let native = NativeBackend::new(&arm_dev).unwrap();
+        likelihood_host_sites(&native, &arm_tables, &mut batch);
+
+        let mut site0 = 0;
+        for (arena, sw) in batch.iter().zip(&host) {
+            assert_eq!(&arena.sw, sw, "window at {}", arena.window.start);
+            let host_tl: Vec<_> = (0..sw.num_sites())
+                .map(|s| likelihood_sparse_site(sw.site_words(s), MAX_READ_LEN, &f.np, &f.lt))
+                .collect();
+            assert_eq!(bits(&arena.type_likely), bits(&host_tl));
+            let sites = site0..site0 + sw.num_sites();
+            assert_eq!(bits(&arena.type_likely), bits(&chain_tl[sites.clone()]));
+            assert_eq!(arena.sw.summaries, chain_summaries[sites.clone()]);
+            site0 = sites.end;
+        }
+        let lens = batch
+            .iter()
+            .flat_map(|a| a.sw.spans.iter().map(|&(_, l)| l));
+        assert_eq!(sortnet::class_tallies(lens).as_slice(), sort.classes);
+        arm_dev.ledger().launches
+    }
+
+    fn obs(base: u8, qual: u8, coord: u8, strand: u8, uniq: bool) -> SiteObs {
+        SiteObs {
+            base,
+            qual,
+            coord,
+            strand,
+            uniq,
+        }
+    }
+
+    /// A site of `n` varied observations (duplicates included, so the
+    /// dependency counters climb).
+    fn site_of(n: usize, rng: &mut StdRng) -> Vec<SiteObs> {
+        (0..n)
+            .map(|_| {
+                obs(
+                    rng.gen_range(0..4u8),
+                    rng.gen_range(0..=baseword::QUAL_MAX),
+                    rng.gen_range(0..6u8) * 51,
+                    rng.gen_range(0..2u8),
+                    rng.gen_bool(0.8),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arm_matches_on_an_all_empty_window() {
+        let f = fixture(51);
+        let launches = assert_arm_matches_chain_and_host(
+            &f,
+            vec![Window::from_sites(40, vec![Vec::new(); 300])],
+        );
+        assert_eq!(launches, 1);
+    }
+
+    #[test]
+    fn arm_matches_on_windows_of_one_site() {
+        let f = fixture(52);
+        let mut rng = StdRng::seed_from_u64(52);
+        let windows = (0..5u64)
+            .map(|i| Window::from_sites(i, vec![site_of(i as usize * 4, &mut rng)]))
+            .collect();
+        assert_eq!(assert_arm_matches_chain_and_host(&f, windows), 1);
+    }
+
+    #[test]
+    fn arm_matches_on_spans_at_every_sort_class_edge() {
+        let f = fixture(53);
+        let mut rng = StdRng::seed_from_u64(53);
+        let sites = [0, 1, 2, 8, 9, 16, 17, 32, 33, 64, 65, 200, 1, 17]
+            .into_iter()
+            .map(|n| site_of(n, &mut rng))
+            .collect();
+        assert_arm_matches_chain_and_host(&f, vec![Window::from_sites(0, sites)]);
+    }
+
+    #[test]
+    fn arm_matches_on_quality_and_coordinate_extremes() {
+        let f = fixture(54);
+        // Quality 0 and 63 and coordinate 0 and 255 on both strands, each
+        // stacked so `adjust` runs its whole penalty range down to zero.
+        let mut site = Vec::new();
+        for (qual, coord) in [(0, 0), (0, 255), (63, 0), (63, 255)] {
+            for strand in 0..2 {
+                for k in 0..70 {
+                    site.push(obs(k % 4, qual, coord, strand, k % 3 == 0));
+                }
+            }
+        }
+        let windows = vec![Window::from_sites(9, vec![site.clone(), Vec::new(), site])];
+        assert_arm_matches_chain_and_host(&f, windows);
+    }
+
+    #[test]
+    fn arm_matches_on_reads_of_the_maximum_length() {
+        let f = fixture(55);
+        use seqio::base::Strand;
+        use seqio::soap::AlignedRead;
+        let mut rng = StdRng::seed_from_u64(55);
+        let mut reads: Vec<AlignedRead> = (0..12u64)
+            .map(|i| AlignedRead {
+                id: format!("r{i}"),
+                seq: (0..MAX_READ_LEN).map(|_| rng.gen_range(0..4u8)).collect(),
+                qual: (0..MAX_READ_LEN).map(|_| rng.gen_range(0..64u8)).collect(),
+                nhits: 1 + (i % 2) as u32,
+                strand: [Strand::Forward, Strand::Reverse][(i % 2) as usize],
+                chr: "c".into(),
+                pos: i * 20,
+            })
+            .collect();
+        reads.sort_by_key(|r| r.pos);
+        // Three windows, the last of 88 sites: shorter than a block.
+        let mut reader = WindowReader::new(reads.into_iter().map(Ok), 600, 256);
+        let windows: Vec<Window> = std::iter::from_fn(|| reader.next_window().unwrap()).collect();
+        assert_eq!(
+            windows.iter().map(Window::len).collect::<Vec<_>>(),
+            [256, 256, 88]
+        );
+        assert!(windows[0].sites().flatten().any(|o| o.coord == 255));
+        assert_arm_matches_chain_and_host(&f, windows);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Any batch: window count and lengths (blocks of 256 sites, a
+        /// ragged last one), depths through every sort class, duplicates.
+        #[test]
+        fn arm_matches_chain_and_host_on_arbitrary_batches(
+            seed in 0u64..1_000_000,
+            lens in proptest::collection::vec(1usize..700, 1..4),
+            max_depth in 1usize..90,
+        ) {
+            let f = fixture(56);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let windows = lens
+                .iter()
+                .map(|&len| {
+                    let sites = (0..len)
+                        .map(|_| {
+                            let n = rng.gen_range(0..=max_depth);
+                            site_of(n, &mut rng)
+                        })
+                        .collect();
+                    Window::from_sites(rng.gen_range(0..1_000u64), sites)
+                })
+                .collect();
+            assert_arm_matches_chain_and_host(&f, windows);
+        }
+    }
+
+    #[test]
+    fn native_arm_is_one_contracted_launch_named_in_the_tally() {
+        let f = fixture(57);
+        let mut rng = StdRng::seed_from_u64(57);
+        let mut batch: Vec<WindowArena> = [700usize, 700, 30]
+            .iter()
+            .map(|&len| WindowArena {
+                window: Window::from_sites(0, (0..len).map(|_| site_of(9, &mut rng)).collect()),
+                ..Default::default()
+            })
+            .collect();
+        // Admitted on a sanitized device, proved under contract checking.
+        let dev = Device::m2050()
+            .with_sanitizer(gpu_sim::SanitizerConfig::all())
+            .with_contracts();
+        let tables = DeviceTables::upload(&dev, &f.p, &f.np, &f.lt);
+        let native = NativeBackend::new(&dev).unwrap();
+        for _ in 0..2 {
+            let stats = likelihood_host_sites(&native, &tables, &mut batch);
+            // Blocks are per arena: ⌈700/256⌉ + ⌈700/256⌉ + 1.
+            assert_eq!(stats.grid_dim, 7);
+        }
+        let tallies = dev.kernel_launches();
+        assert_eq!(tallies.len(), 1, "{tallies:?}");
+        assert_eq!(tallies[0].name, HOST_SITES_KERNEL);
+        assert_eq!((tallies[0].launches, tallies[0].native_launches), (2, 2));
+        let ledger = dev.ledger();
+        assert_eq!((ledger.backend.native, ledger.backend.sim), (2, 0));
+        // The tables' upload and nothing since: no per-site traffic.
+        assert_eq!(ledger.counters.h2d_bytes, 0);
+        assert_eq!(ledger.counters.d2h_bytes, 0);
+        let proofs = dev.contract_report();
+        assert_eq!(proofs.totals().verified, 2);
+        assert!(proofs.all_verified());
+        assert!(dev.sanitizer_report().unwrap().counts.is_clean());
     }
 }

@@ -50,7 +50,10 @@ use crate::arena::{ArenaPool, ArenaPoolStats, WindowArena};
 use crate::cohort::{apply_site_policies, BadSiteList, PostTallies, QualityGates};
 use crate::counting::SparseWindow;
 use crate::journal::Journal;
-use crate::likelihood::{likelihood_comp_fused_gpu_into, DeviceTables, KernelVariant};
+use crate::likelihood::{
+    likelihood_comp_fused_gpu_into, likelihood_host_sites, DeviceTables, KernelVariant,
+    SITES_PER_BLOCK,
+};
 use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
 use crate::progress::LatencyHists;
 use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats};
@@ -1034,6 +1037,13 @@ struct BatchScratch {
 /// device worker of the window loop. Scatters `type_likely` and `summaries` back
 /// into each window's arena. Returns the batch's total `type_likely`
 /// byte count the posterior stage charges for reading back.
+///
+/// Where that chain would execute on the host (asked once per batch,
+/// [`ComputeBackend::native_arm`] over the fused launch's grid) the stage
+/// is its native arm instead: ONE launch that scores the batch in place in
+/// its arenas ([`likelihood_host_sites`]). Nothing is staged, uploaded,
+/// pooled, read back or scattered, so the device holds its tables and
+/// nothing else and the posterior stage has no `type_likely` to fetch.
 #[allow(clippy::too_many_arguments)]
 fn run_device_batch<B: ComputeBackend>(
     dev: &B,
@@ -1047,6 +1057,32 @@ fn run_device_batch<B: ComputeBackend>(
     wall: &mut ComponentTimes,
     stats: &mut PipelineStats,
 ) -> u64 {
+    let total_sites: usize = batch.iter().map(|arena| arena.window.len()).sum();
+    let arm = variant
+        .uses_new_table()
+        .then(|| dev.native_arm(total_sites.div_ceil(SITES_PER_BLOCK)))
+        .flatten();
+    if let Some(native) = arm {
+        let t0 = Instant::now();
+        let comp_stats = likelihood_host_sites(&native, tables, batch);
+        wall.likelihood_comp += t0.elapsed().as_secs_f64();
+        times.likelihood_comp += comp_stats.sim_time;
+        let spans = batch.iter().flat_map(|arena| &arena.sw.spans);
+        let classes = sortnet::class_tallies(spans.map(|&(_, len)| len));
+        merge_sort_classes(&mut stats.sort_classes, &classes);
+        for arena in batch.iter() {
+            let obs = arena.window.total_obs() as u64;
+            stats.peak_host_bytes = stats
+                .peak_host_bytes
+                .max(arena.sw.size_bytes() as u64 + obs * 8);
+            stats.num_obs += obs;
+        }
+        stats.peak_device_bytes = stats.peak_device_bytes.max(device_table_bytes);
+        stats.num_sites += total_sites as u64;
+        stats.windows += batch.len() as u64;
+        return 0;
+    }
+
     // counting: per-window sparse arrays, concatenated into one payload
     let t0 = Instant::now();
     scratch.words.clear();

@@ -25,7 +25,7 @@ pub mod multipass;
 
 pub use batch::batch_sort;
 pub use multipass::{
-    multipass_sort, multipass_sort_into, multipass_sort_with_bounds,
+    class_tallies, multipass_sort, multipass_sort_into, multipass_sort_with_bounds,
     multipass_sort_with_bounds_into, noneq_sort, single_pass_sort, ClassTally, MultipassReport,
     MultipassScratch, PASS_BOUNDS,
 };

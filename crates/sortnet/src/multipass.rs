@@ -253,6 +253,41 @@ fn class_tally(upper: usize, spans: &[Span], capacity: usize) -> ClassTally {
     }
 }
 
+/// The [`MultipassReport::classes`] histogram [`multipass_sort`] reports
+/// for arrays of these lengths, from the lengths alone — for a caller that
+/// sorts the arrays some other way (the host) and still owes Fig. 7b's
+/// series.
+pub fn class_tallies(lens: impl Iterator<Item = usize>) -> [ClassTally; 1 + PASS_BOUNDS.len()] {
+    let mut classes = [ClassTally::default(); 1 + PASS_BOUNDS.len()];
+    classes[0].upper = 1;
+    for (class, &bound) in classes[1..].iter_mut().zip(&PASS_BOUNDS) {
+        class.upper = bound;
+    }
+    let mut longest = 0usize;
+    for len in lens {
+        let class = classes
+            .iter_mut()
+            .find(|c| len <= c.upper)
+            .expect("the last class is open");
+        class.arrays += 1;
+        class.elements += len as u64;
+        longest = longest.max(len);
+    }
+    classes[0].padded = classes[0].arrays;
+    for class in classes[1..].iter_mut().filter(|c| c.arrays > 0) {
+        // The open class runs at the capacity of its longest array, which
+        // is then the longest of all.
+        let capacity = if class.upper == usize::MAX {
+            longest
+        } else {
+            class.upper
+        };
+        class.capacity = pad_to_pow2(capacity);
+        class.padded = class.capacity as u64 * class.arrays;
+    }
+    classes
+}
+
 /// Strawman 1 ("bitonic SP"): a single pass with every array padded to the
 /// batch-wide maximum size.
 pub fn single_pass_sort<B: ComputeBackend>(
@@ -450,6 +485,23 @@ mod tests {
             assert_eq!(r.elements_real, fresh.elements_real);
             assert_eq!(r.passes.len(), fresh.passes.len());
             assert_eq!(r.classes, fresh.classes);
+        }
+    }
+
+    #[test]
+    fn class_tallies_from_lengths_equal_the_sorted_report() {
+        let dev = Device::m2050();
+        // With and without arrays past the last fixed bound, and none at all.
+        let short = |seed| {
+            let (host, mut spans) = workload(seed, 300);
+            spans.retain(|&(_, l)| l <= 64);
+            (host, spans)
+        };
+        for (host, spans) in [workload(31, 700), short(32), (Vec::new(), Vec::new())] {
+            let buf = dev.upload(&host);
+            let report = multipass_sort(&dev, &buf, &spans);
+            let from_lens = class_tallies(spans.iter().map(|&(_, l)| l));
+            assert_eq!(from_lens.as_slice(), report.classes.as_slice());
         }
     }
 

@@ -49,7 +49,7 @@
 //! workload; `validate-trace` schema-checks an exported file.
 
 use std::fs;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{stdout, BufReader, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,6 +71,36 @@ use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::result::SnpTable;
 use gsnp::seqio::soap::{write_alignments, AlignmentReader};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
+use gsnp::seqio::SeqIoError;
+
+/// A result could not be written to stdout.
+#[derive(Debug)]
+struct StdoutError(std::io::Error);
+
+impl std::fmt::Display for StdoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "stdout: {}", self.0)
+    }
+}
+
+impl std::error::Error for StdoutError {}
+
+/// Where a command's results go: stdout, locked once, written with
+/// `writeln!(out, …)?` and never with `println!`, which panics when the
+/// reader has gone away (`gsnp stats f.gsnp | head -1`); `main` decides
+/// what a failed write means.
+struct Results(std::io::StdoutLock<'static>);
+
+impl Results {
+    fn stdout() -> Results {
+        Results(stdout().lock())
+    }
+
+    /// What `write!` and `writeln!` call.
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), StdoutError> {
+        self.0.write_fmt(args).map_err(StdoutError)
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,6 +131,13 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed the pipe has what it wanted.
+        Err(e)
+            if e.downcast_ref::<StdoutError>()
+                .is_some_and(|e| e.0.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("gsnp: error: {e}");
             ExitCode::FAILURE
@@ -115,6 +152,21 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The number after `--flag`, if the flag is there. `str::parse`'s own
+/// error ("invalid digit found in string") names neither the flag nor the
+/// text it choked on.
+fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, Box<dyn std::error::Error>> {
+    flag_value(args, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name}: {v:?} is not a valid number").into())
+        })
+        .transpose()
 }
 
 fn backend_flag(args: &[String]) -> Result<BackendChoice, Box<dyn std::error::Error>> {
@@ -132,7 +184,7 @@ fn has_flag(args: &[String], name: &str) -> bool {
 /// `--window N`: the sites per window, at least 1 (`WindowReader` panics
 /// on a window that cannot advance).
 fn window_flag(args: &[String]) -> Result<Option<usize>, Box<dyn std::error::Error>> {
-    match flag_value(args, "--window").map(str::parse).transpose()? {
+    match parse_flag(args, "--window")? {
         Some(0) => Err("--window must be at least 1".into()),
         n => Ok(n),
     }
@@ -149,10 +201,13 @@ fn compute_config(
     profile: bool,
 ) -> Result<GsnpConfig, Box<dyn std::error::Error>> {
     let defaults = GsnpConfig::default();
-    let depth_flag = flag_value(args, "--pipeline-depth").filter(|_| profile);
     let mut auto = defaults.auto;
-    if let Some(v) = flag_value(args, "--auto-threshold") {
-        auto.native_min_blocks = v.parse()?;
+    if let Some(n) = parse_flag(args, "--auto-threshold")? {
+        auto.native_min_blocks = n;
+    }
+    let num_devices = parse_flag(args, "--devices")?.unwrap_or(1);
+    if num_devices == 0 {
+        return Err("--devices must be at least 1".into());
     }
     Ok(GsnpConfig {
         window_size: match window_flag(args)? {
@@ -160,9 +215,12 @@ fn compute_config(
             None if profile => 16_000,
             None => defaults.window_size,
         },
-        num_devices: flag_value(args, "--devices").map_or(Ok(1), str::parse)?,
-        pipeline_depth: depth_flag.map_or(Ok(defaults.pipeline_depth), str::parse)?,
-        launch_batch: flag_value(args, "--batch").map_or(Ok(0), str::parse)?,
+        num_devices,
+        pipeline_depth: match profile {
+            true => parse_flag(args, "--pipeline-depth")?.unwrap_or(defaults.pipeline_depth),
+            false => defaults.pipeline_depth,
+        },
+        launch_batch: parse_flag(args, "--batch")?.unwrap_or(0),
         contracts: !profile && has_flag(args, "--contracts"),
         backend: backend_flag(args)?,
         auto,
@@ -299,8 +357,7 @@ impl Introspection {
             }
             None => None,
         };
-        let hold =
-            Duration::from_millis(flag_value(args, "--stats-hold").map_or(Ok(0), str::parse)?);
+        let hold = Duration::from_millis(parse_flag(args, "--stats-hold")?.unwrap_or(0));
         let heartbeat = match has_flag(args, "--progress") {
             false => None,
             true => {
@@ -440,18 +497,19 @@ impl Introspection {
 }
 
 fn cmd_synth(args: &[String]) -> CliResult {
+    let mut out = Results::stdout();
     let pos = positional("synth", SYNTH_FLAGS, args)?;
     let dir = Path::new(pos.first().ok_or("synth requires an output directory")?);
     fs::create_dir_all(dir)?;
-    let mut cfg = SynthConfig::tiny(flag_value(args, "--seed").map_or(Ok(1), str::parse)?);
+    let mut cfg = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     cfg.chr_name = "chrS".into();
-    cfg.num_sites = flag_value(args, "--sites").map_or(Ok(50_000), str::parse)?;
-    cfg.depth = flag_value(args, "--depth").map_or(Ok(10.0), str::parse)?;
+    cfg.num_sites = parse_flag(args, "--sites")?.unwrap_or(50_000);
+    cfg.depth = parse_flag(args, "--depth")?.unwrap_or(10.0);
     cfg.read_len = 100;
 
-    let num_samples: usize = flag_value(args, "--samples").map_or(Ok(0), str::parse)?;
+    let num_samples: usize = parse_flag(args, "--samples")?.unwrap_or(0);
     if num_samples > 0 {
-        let shared_rate = flag_value(args, "--shared-rate").map_or(Ok(0.6), str::parse)?;
+        let shared_rate = parse_flag(args, "--shared-rate")?.unwrap_or(0.6);
         let c = Cohort::generate(CohortConfig {
             base: cfg,
             num_samples,
@@ -482,14 +540,15 @@ fn cmd_synth(args: &[String]) -> CliResult {
             total_reads += s.reads.len();
         }
         fs::write(dir.join("cohort.tsv"), manifest)?;
-        println!(
+        writeln!(
+            out,
             "wrote cohort of {} samples ({} reads, {} shared sites of {}) to {}",
             num_samples,
             total_reads,
             c.sites.iter().filter(|s| s.owner.is_none()).count(),
             c.sites.len(),
             dir.display()
-        );
+        )?;
         return Ok(());
     }
     let d = Dataset::generate(cfg);
@@ -511,13 +570,14 @@ fn cmd_synth(args: &[String]) -> CliResult {
             t.alleles.1.to_ascii() as char
         )?;
     }
-    println!(
+    writeln!(
+        out,
         "wrote {} reads over {} sites ({} planted SNPs) to {}",
         d.reads.len(),
         d.config.num_sites,
         d.truth.len(),
         dir.display()
-    );
+    )?;
     Ok(())
 }
 
@@ -683,12 +743,12 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
     let intro = Introspection::from_args(args, trace_recorder(args, base.backend)?)?;
     intro.journal_run_start("call --cohort", &base, &[manifest_path, fa, prior])?;
     let gates = QualityGates {
-        min_quality: flag_value(args, "--min-quality").map_or(Ok(0), str::parse)?,
-        min_depth: flag_value(args, "--min-depth").map_or(Ok(0), str::parse)?,
+        min_quality: parse_flag(args, "--min-quality")?.unwrap_or(0),
+        min_depth: parse_flag(args, "--min-depth")?.unwrap_or(0),
     };
     let mut bad_sites = read_bad_sites(flag_value(args, "--bad-sites"))?;
-    if let Some(t) = flag_value(args, "--bad-site-threshold") {
-        bad_sites.threshold = t.parse()?;
+    if let Some(t) = parse_flag(args, "--bad-site-threshold")? {
+        bad_sites.threshold = t;
     }
 
     let result = CohortPipeline::new(CohortCallConfig {
@@ -791,12 +851,13 @@ fn write_trace(rec: &Arc<TraceRecorder>, path: &str, quiet: bool) -> CliResult {
 /// journal alone — no other run artifact needed. The report goes to
 /// stdout (it IS the data); an invalid journal exits nonzero.
 fn cmd_report(args: &[String]) -> CliResult {
+    let mut out = Results::stdout();
     let pos = positional("report", NO_FLAGS, args)?;
     let input = pos.first().ok_or("report requires a journal file")?;
     let text = fs::read_to_string(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let report =
         journal::render_report(&text).map_err(|e| format!("{input}: invalid journal: {e}"))?;
-    print!("{report}");
+    write!(out, "{report}")?;
     Ok(())
 }
 
@@ -805,11 +866,12 @@ fn cmd_report(args: &[String]) -> CliResult {
 /// paper's Tables III and IV, derived from the trace instead of ad-hoc
 /// timers).
 fn cmd_profile(args: &[String]) -> CliResult {
+    let mut out = Results::stdout();
     positional("profile", PROFILE_FLAGS, args)?;
-    let mut synth = SynthConfig::tiny(flag_value(args, "--seed").map_or(Ok(1), str::parse)?);
+    let mut synth = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     synth.chr_name = "chrS".into();
-    synth.num_sites = flag_value(args, "--sites").map_or(Ok(50_000), str::parse)?;
-    synth.depth = flag_value(args, "--depth").map_or(Ok(10.0), str::parse)?;
+    synth.num_sites = parse_flag(args, "--sites")?.unwrap_or(50_000);
+    synth.depth = parse_flag(args, "--depth")?.unwrap_or(10.0);
     synth.read_len = 100;
 
     let cfg = compute_config(args, true)?;
@@ -818,13 +880,13 @@ fn cmd_profile(args: &[String]) -> CliResult {
              use --backend sim or auto (auto dispatches all-sim under trace)"
             .into());
     }
-    println!("config: {}", cfg.manifest_json());
+    writeln!(out, "config: {}", cfg.manifest_json())?;
     let recorder = Arc::new(TraceRecorder::new(gsnp::gpu_sim::trace::DEFAULT_CAPACITY));
     let traced = Observers {
         trace: Some(Arc::clone(&recorder)),
         ..Default::default()
     };
-    let num_samples: usize = flag_value(args, "--samples").map_or(Ok(0), str::parse)?;
+    let num_samples: usize = parse_flag(args, "--samples")?.unwrap_or(0);
     let (stats, times, wall) = if num_samples > 0 {
         // Cohort profile: one run over N synthetic samples sharing the
         // reference; the per-stage tables then show the amortized shape.
@@ -855,7 +917,7 @@ fn cmd_profile(args: &[String]) -> CliResult {
             .run(&d.reads, &d.reference, &d.priors);
         (result.stats, result.times, result.wall)
     };
-    print_profile(&stats, &times, &wall, &recorder.snapshot());
+    print_profile(&mut out, &stats, &times, &wall, &recorder.snapshot())?;
     if let Some(path) = flag_value(args, "--trace") {
         write_trace(&recorder, path, false)?;
     }
@@ -863,12 +925,14 @@ fn cmd_profile(args: &[String]) -> CliResult {
 }
 
 fn print_profile(
+    out: &mut Results,
     stats: &PipelineStats,
     times: &ComponentTimes,
     wall: &ComponentTimes,
     snap: &TraceSnapshot,
-) {
-    println!(
+) -> CliResult {
+    writeln!(
+        out,
         "profile: {} samples, {} sites, {} obs, {} windows, {} devices, depth {}",
         stats.samples,
         stats.num_sites,
@@ -876,14 +940,15 @@ fn print_profile(
         stats.windows,
         stats.ledgers.len(),
         stats.overlap.depth
-    );
+    )?;
 
     // Table III analogue: per-component time in both clock domains.
-    println!("\nper-stage attribution (seconds)");
-    println!(
+    writeln!(out, "\nper-stage attribution (seconds)")?;
+    writeln!(
+        out,
         "  {:<16} {:>12} {:>12}",
         "component", "device-model", "host-wall"
-    );
+    )?;
     let t = times;
     let w = wall;
     for (name, tv, wv) in [
@@ -896,30 +961,39 @@ fn print_profile(
         ("output", t.output, w.output),
         ("recycle", t.recycle, w.recycle),
     ] {
-        println!("  {name:<16} {tv:>12.6} {wv:>12.6}");
+        writeln!(out, "  {name:<16} {tv:>12.6} {wv:>12.6}")?;
     }
-    println!("  {:<16} {:>12.6} {:>12.6}", "total", t.total(), w.total());
+    writeln!(
+        out,
+        "  {:<16} {:>12.6} {:>12.6}",
+        "total",
+        t.total(),
+        w.total()
+    )?;
 
     // Window-loop overlap: busy vs stall per stage and device lane.
     let ov = &stats.overlap;
-    println!("\nwindow-loop stages (seconds; wall {:.6})", ov.wall);
-    println!(
+    writeln!(out, "\nwindow-loop stages (seconds; wall {:.6})", ov.wall)?;
+    writeln!(
+        out,
         "  {:<12} {:>10} {:>10} {:>10}",
         "stage", "busy", "stall_in", "stall_out"
-    );
+    )?;
     for (name, st) in [
         ("read", &ov.read),
         ("device", &ov.device),
         ("posterior", &ov.posterior),
         ("output", &ov.output),
     ] {
-        println!(
+        writeln!(
+            out,
             "  {:<12} {:>10.6} {:>10.6} {:>10.6}",
             name, st.busy, st.stall_in, st.stall_out
-        );
+        )?;
     }
     for (i, lane) in ov.devices.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  {:<12} {:>10.6} {:>10.6} {:>10.6}  ({} windows, {} steals)",
             format!("lane{i}"),
             lane.stage.busy,
@@ -927,18 +1001,19 @@ fn print_profile(
             lane.stage.stall_out,
             lane.windows,
             lane.steals
-        );
+        )?;
     }
 
     // Launch-batching figure of merit: launches per site and the fixed
     // overhead the mega-batch amortizes, straight from the group ledger.
     if !stats.kernel_launches.is_empty() {
         let sites = stats.num_sites.max(1) as f64;
-        println!("\nper-kernel launch tallies (group sum)");
-        println!(
+        writeln!(out, "\nper-kernel launch tallies (group sum)")?;
+        writeln!(
+            out,
             "  {:<24} {:>8} {:>8} {:>14} {:>14} {:>10}",
             "kernel", "launches", "backend", "launches/site", "overhead-sec", "wall-sec"
-        );
+        )?;
         let mut launches = 0u64;
         let mut overhead = 0.0;
         let mut wall = 0.0;
@@ -953,7 +1028,8 @@ fn print_profile(
             } else {
                 "mixed"
             };
-            println!(
+            writeln!(
+                out,
                 "  {:<24} {:>8} {:>8} {:>14.6} {:>14.6} {:>10.4}",
                 tally.name,
                 tally.launches,
@@ -961,9 +1037,10 @@ fn print_profile(
                 tally.launches as f64 / sites,
                 tally.overhead_seconds,
                 tally.wall_seconds
-            );
+            )?;
         }
-        println!(
+        writeln!(
+            out,
             "  {:<24} {:>8} {:>8} {:>14.6} {:>14.6} {:>10.4}",
             "total",
             launches,
@@ -971,16 +1048,17 @@ fn print_profile(
             launches as f64 / sites,
             overhead,
             wall
-        );
+        )?;
         // Backend dispatch totals (Auto decisions included).
         let mut backend = gsnp::gpu_sim::BackendTallies::default();
         for led in &stats.ledgers {
             backend.sum(&led.backend);
         }
-        println!(
+        writeln!(
+            out,
             "  backend launches: {} sim, {} native (auto decisions: {} sim, {} native)",
             backend.sim, backend.native, backend.auto_sim, backend.auto_native
-        );
+        )?;
     }
 
     // Latency quantile digests from the log-bucketed histograms the
@@ -988,32 +1066,42 @@ fn print_profile(
     // bounds — within 2x of the true quantile, exact for max).
     let rows = stats.hists.digest_rows();
     if rows.iter().any(|(_, d)| d.count > 0) {
-        println!("\nlatency quantiles (host-wall seconds; log-bucketed upper bounds)");
-        println!(
+        writeln!(
+            out,
+            "\nlatency quantiles (host-wall seconds; log-bucketed upper bounds)"
+        )?;
+        writeln!(
+            out,
             "  {:<22} {:>8} {:>12} {:>12} {:>12} {:>12}",
             "series", "count", "p50", "p95", "p99", "max"
-        );
+        )?;
         for (name, d) in &rows {
             if d.count == 0 {
                 continue;
             }
-            println!(
+            writeln!(
+                out,
                 "  {:<22} {:>8} {:>12.6} {:>12.6} {:>12.6} {:>12.6}",
                 name, d.count, d.p50, d.p95, d.p99, d.max
-            );
+            )?;
         }
     }
 
     // Table IV analogue: per-kernel breakdown from the trace.
     let profiles = snap.kernel_profiles();
     if !profiles.is_empty() {
-        println!("\nper-kernel attribution (from trace; modelled seconds)");
-        println!(
+        writeln!(
+            out,
+            "\nper-kernel attribution (from trace; modelled seconds)"
+        )?;
+        writeln!(
+            out,
             "  {:<24} {:>8} {:>10} {:>10} {:>10} {:>10} {:>12}",
             "kernel", "launches", "sim", "compute", "memory", "transfer", "g_accesses"
-        );
+        )?;
         for p in &profiles {
-            println!(
+            writeln!(
+                out,
                 "  {:<24} {:>8} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>12}",
                 p.name,
                 p.launches,
@@ -1022,15 +1110,17 @@ fn print_profile(
                 p.memory,
                 p.transfer,
                 p.counters.g_load() + p.counters.g_store()
-            );
+            )?;
         }
     }
     if snap.dropped > 0 {
-        println!(
+        writeln!(
+            out,
             "\n(note: ring overflowed — {} oldest events not in the tables above)",
             snap.dropped
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// `gsnp analyze`: statically prove every paper kernel's access contract.
@@ -1053,9 +1143,10 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     use gsnp::seqio::window::WindowReader;
 
     positional("analyze", ANALYZE_FLAGS, args)?;
-    let mut synth = SynthConfig::tiny(flag_value(args, "--seed").map_or(Ok(1), str::parse)?);
+    let mut out = Results::stdout();
+    let mut synth = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     synth.chr_name = "chrS".into();
-    synth.num_sites = flag_value(args, "--sites").map_or(Ok(10_000), str::parse)?;
+    synth.num_sites = parse_flag(args, "--sites")?.unwrap_or(10_000);
     synth.read_len = 100;
     let d = Dataset::generate(synth);
     let window = window_flag(args)?.unwrap_or(4_000);
@@ -1096,22 +1187,25 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         report.merge(&dev.contract_report());
     }
 
-    println!("static contract proof table");
-    println!(
+    writeln!(out, "static contract proof table")?;
+    writeln!(
+        out,
         "  {:<28} {:>9} {:>8} {:>8}",
         "kernel", "verified", "refuted", "assumed"
-    );
+    )?;
     for (kernel, t) in &report.per_kernel {
-        println!(
+        writeln!(
+            out,
             "  {:<28} {:>9} {:>8} {:>8}",
             kernel, t.verified, t.refuted, t.assumed
-        );
+        )?;
     }
     let t = report.totals();
-    println!(
+    writeln!(
+        out,
         "  {:<28} {:>9} {:>8} {:>8}",
         "total", t.verified, t.refuted, t.assumed
-    );
+    )?;
     for diag in &report.diagnostics {
         eprintln!("gsnp: refutation: {diag}");
     }
@@ -1123,7 +1217,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         )
         .into());
     }
-    println!("all {} launches statically verified", t.verified);
+    writeln!(out, "all {} launches statically verified", t.verified)?;
     Ok(())
 }
 
@@ -1142,26 +1236,33 @@ fn cmd_decode(args: &[String]) -> CliResult {
     let pos = positional("decode", NO_FLAGS, args)?;
     let input = pos.first().ok_or("decode requires an input file")?;
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
-    let name = pos.get(1).map_or("<stdout>", |p| p.as_str());
     let sink: Box<dyn Write> = match pos.get(1) {
-        Some(p) => Box::new(fs::File::create(p).map_err(|e| format!("{name}: {e}"))?),
-        None => Box::new(std::io::stdout().lock()),
+        Some(p) => Box::new(fs::File::create(p).map_err(|e| format!("{p}: {e}"))?),
+        None => Box::new(stdout().lock()),
+    };
+    let failed = |e: std::io::Error| -> Box<dyn std::error::Error> {
+        match pos.get(1) {
+            Some(p) => format!("{p}: {e}").into(),
+            None => StdoutError(e).into(),
+        }
     };
     // One `write` per row otherwise: a `File` is unbuffered and stdout
     // flushes at every newline.
     let mut sink = BufWriter::new(sink);
     for window in decode_windows(input, &bytes) {
-        window?
-            .write_text(&mut sink)
-            .map_err(|e| format!("{name}: {e}"))?;
+        window?.write_text(&mut sink).map_err(|e| match e {
+            SeqIoError::Io(e) => failed(e),
+            e => e.into(),
+        })?;
     }
     // Dropping a `BufWriter` discards write errors; a full disk must stay
     // an error naming the path.
-    sink.flush().map_err(|e| format!("{name}: {e}"))?;
+    sink.flush().map_err(failed)?;
     Ok(())
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {
+    let mut out = Results::stdout();
     let pos = positional("stats", STATS_FLAGS, args)?;
     let input = pos.first().ok_or("stats requires an input file")?;
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
@@ -1221,30 +1322,33 @@ fn cmd_stats(args: &[String]) -> CliResult {
             l,
             bytes.len() as f64,
         );
-        print!("{}", m.render_text());
+        write!(out, "{}", m.render_text())?;
         return Ok(());
     }
-    println!("{chr}: {sites} sites in {windows} windows");
-    println!(
+    writeln!(out, "{chr}: {sites} sites in {windows} windows")?;
+    writeln!(
+        out,
         "  mean depth : {:.2}",
         depth_sum as f64 / sites.max(1) as f64
-    );
-    println!("  variants   : {variants}");
-    println!(
+    )?;
+    writeln!(out, "  variants   : {variants}")?;
+    writeln!(
+        out,
         "  compressed : {} bytes ({:.2} bytes/site)",
         bytes.len(),
         bytes.len() as f64 / sites.max(1) as f64
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_validate_trace(args: &[String]) -> CliResult {
+    let mut out = Results::stdout();
     let pos = positional("validate-trace", NO_FLAGS, args)?;
     let input = pos.first().ok_or("validate-trace requires a trace file")?;
     let text = fs::read_to_string(input)?;
     match gsnp::gpu_sim::validate_chrome_json(&text) {
         Ok(n) => {
-            println!("{input}: valid Chrome trace, {n} events");
+            writeln!(out, "{input}: valid Chrome trace, {n} events")?;
             Ok(())
         }
         Err(e) => Err(format!("{input}: invalid trace: {e}").into()),

@@ -364,6 +364,112 @@ fn steady_state_batched_loop_is_allocation_free() {
     assert!(ledger.pool.hits > 0, "pool stats: {:?}", ledger.pool);
 }
 
+/// One pass of the native arm's hot path in batches of two windows:
+/// `read_site` into the arenas, ONE `likelihood_host_sites` launch that
+/// packs, sorts and scores them in place, posterior. Returns the
+/// allocations of each batch.
+fn run_arm_pass(
+    d: &Dataset,
+    native: &gsnp::gpu_sim::NativeBackend<'_>,
+    tables: &DeviceTables,
+    cfg: &GsnpConfig,
+    reader: &mut WindowReader<OwnedReads>,
+    arenas: &mut [WindowArena],
+    rows: &mut Vec<SnpRow>,
+) -> Vec<u64> {
+    reader.restart(d.reads.clone());
+    let mut deltas = Vec::with_capacity(64);
+    loop {
+        let before = allocs();
+        let mut k = 0;
+        while k < arenas.len()
+            && reader
+                .next_window_into(&mut arenas[k].window)
+                .expect("synthetic reads are valid")
+        {
+            k += 1;
+        }
+        if k == 0 {
+            break;
+        }
+        gsnp::core::likelihood::likelihood_host_sites(native, tables, &mut arenas[..k]);
+        rows.clear();
+        for arena in &arenas[..k] {
+            for (site, (tl, summary)) in arena
+                .type_likely
+                .iter()
+                .zip(&arena.sw.summaries)
+                .enumerate()
+            {
+                let pos = arena.window.start + site as u64;
+                rows.push(posterior(
+                    tl,
+                    summary,
+                    d.reference.seq[pos as usize],
+                    d.priors.get(pos),
+                    &cfg.params,
+                ));
+            }
+        }
+        deltas.push(allocs() - before);
+    }
+    deltas
+}
+
+/// The device stage's native arm scores a batch in place in its arenas:
+/// no staging vectors, no pooled device buffers. What it allocates per
+/// batch is its table of blocks — once, however many blocks — so two
+/// consecutive warmed batches cost the same handful of allocations at 250
+/// sites a window as at 2 000 (one block each, then eight).
+#[test]
+fn steady_state_arm_batches_do_not_allocate_more_for_larger_windows() {
+    if !runs_here("steady_state_arm_batches_do_not_allocate_more_for_larger_windows") {
+        return;
+    }
+
+    let mut sc = SynthConfig::tiny(20_260_807);
+    sc.num_sites = 8_000;
+    let d = Dataset::generate(sc);
+    let per_batch = |window_size: usize| {
+        let cfg = GsnpConfig {
+            window_size,
+            ..Default::default()
+        };
+        let dev = Device::new(cfg.device.clone());
+        let native = gsnp::gpu_sim::NativeBackend::new(&dev).expect("no trace attached");
+        let p_matrix = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
+        let new_p = NewPMatrix::precompute(&p_matrix);
+        let tables = DeviceTables::upload(&dev, &p_matrix, &new_p, &LogTable::new());
+        let mut reader =
+            WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
+        let mut arenas: Vec<WindowArena> = (0..2).map(|_| WindowArena::default()).collect();
+        let mut rows = Vec::new();
+        let mut pass = || {
+            run_arm_pass(
+                &d,
+                &native,
+                &tables,
+                &cfg,
+                &mut reader,
+                &mut arenas,
+                &mut rows,
+            )
+        };
+        let warm = pass();
+        assert!(warm.iter().sum::<u64>() > 0, "warmup must allocate");
+        let steady = pass();
+        assert_eq!(steady.len(), 8_000 / window_size / 2);
+        assert_eq!(dev.ledger().pool.hits + dev.ledger().pool.misses, 0);
+        steady
+    };
+    let (small, large) = (per_batch(250), per_batch(2_000));
+    assert!(small[0] <= 2, "allocations of one small batch: {small:?}");
+    assert!(
+        small.iter().chain(&large).all(|&n| n == small[0]),
+        "allocations grew with the window: {small:?} against {large:?}"
+    );
+}
+
 /// The same zero-allocation bar with a [`TraceRecorder`] attached: the
 /// recorder's ring is preallocated and kernel names are interned during
 /// warmup, so steady-state *recording* — every kernel span, transfer

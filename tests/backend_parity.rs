@@ -185,6 +185,81 @@ fn output_arm_keeps_the_backend_tallies_whole() {
     assert_eq!(t.auto_sim, t.sim);
 }
 
+/// The device stage's native arm is asked for once per batch, over the
+/// fused launch's grid. `Native` always takes it: ONE
+/// `likelihood_host_sites` launch per batch and no sort or fused launch.
+/// `Auto` takes it for a batch that clears the threshold — one decision
+/// for its one launch — and leaves a smaller batch's chain to the
+/// simulator, launch by launch. Bytes, site / observation totals and the
+/// sort-class histogram are the chain's either way.
+#[test]
+fn device_stage_arm_keeps_the_backend_tallies_whole() {
+    let d = dataset(0xDE57, 6_000);
+    // Host output: the device stage's launches are the run's only ones.
+    let c = |backend, native_min_blocks| GsnpConfig {
+        gpu_output: false,
+        auto: gsnp::gpu_sim::AutoPolicy { native_min_blocks },
+        ..cfg(backend, 4, 2, 1)
+    };
+    let launched = |out: &GsnpOutput| out.stats.ledgers.iter().map(|l| l.launches).sum::<u64>();
+    let same_results = |out: &GsnpOutput, reference: &GsnpOutput, what: &str| {
+        assert_eq!(out.compressed, reference.compressed, "{what}");
+        assert_eq!(out.stats.num_sites, reference.stats.num_sites, "{what}");
+        assert_eq!(out.stats.num_obs, reference.stats.num_obs, "{what}");
+        assert_eq!(out.stats.windows, reference.stats.windows, "{what}");
+        assert_eq!(
+            out.stats.sort_classes, reference.stats.sort_classes,
+            "{what}"
+        );
+    };
+
+    let sim = run(&d, &d.reads, c(BackendChoice::Sim, 8));
+    // 8 windows of 700 sites and one of 400: batches of 4, 4 and 1.
+    assert_eq!(sim.stats.windows, 9);
+    let batches = 3;
+    assert_eq!(kernel_launches(&sim, "likelihood_host_sites"), (0, 0));
+    assert_eq!(kernel_launches(&sim, "likelihood_comp_fused"), (batches, 0));
+    assert!(sim.stats.peak_device_bytes > sim.stats.table_bytes);
+
+    let native = run(&d, &d.reads, c(BackendChoice::Native, 8));
+    same_results(&native, &sim, "native");
+    assert_eq!(
+        kernel_launches(&native, "likelihood_host_sites"),
+        (batches, batches)
+    );
+    assert_eq!(launched(&native), batches, "one launch per batch");
+    // Nothing but the tables is resident, and nothing per site crossed.
+    assert_eq!(native.stats.peak_device_bytes, native.stats.table_bytes);
+    let h2d: u64 = native
+        .stats
+        .ledgers
+        .iter()
+        .map(|l| l.counters.h2d_bytes)
+        .sum();
+    assert_eq!(h2d, native.stats.table_bytes);
+
+    // 4 x 700 sites = 11 blocks take the arm; the last batch's 2 do not.
+    let auto = run(&d, &d.reads, c(BackendChoice::Auto, 8));
+    same_results(&auto, &sim, "auto");
+    assert_eq!(kernel_launches(&auto, "likelihood_host_sites"), (2, 2));
+    assert_eq!(kernel_launches(&auto, "likelihood_comp_fused"), (1, 0));
+    let t = backend_tallies(&auto);
+    assert_eq!(t.auto_sim + t.auto_native, t.sim + t.native);
+    assert_eq!(t.sim + t.native, launched(&auto));
+
+    let held = run(&d, &d.reads, c(BackendChoice::Auto, 1 << 20));
+    same_results(&held, &sim, "auto, held");
+    assert_eq!(kernel_launches(&held, "likelihood_host_sites"), (0, 0));
+    assert_eq!(
+        kernel_launches(&held, "likelihood_comp_fused"),
+        (batches, 0)
+    );
+    let t = backend_tallies(&held);
+    assert_eq!((t.native, t.auto_native), (0, 0));
+    assert_eq!(t.auto_sim, t.sim);
+    assert_eq!(launched(&held), launched(&sim));
+}
+
 /// A sanitized config no longer refuses the native backend: every
 /// pipeline kernel carries an `AccessContract`, so the static analyzer
 /// proves each launch before the uninstrumented blocks run and replays

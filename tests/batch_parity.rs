@@ -164,7 +164,8 @@ fn kernel_launches(out: &GsnpOutput, kernel: &str) -> u64 {
 /// simulator runs the 18-launch RLE-DICT chain (one `rle_flags`, three
 /// scans of three launches, two `binary_search` levels …) and no host
 /// jobs; the native backend runs ONE `rledict_host_jobs` launch and none
-/// of the chain. Same bytes either way.
+/// of the chain (and ONE `likelihood_host_sites` launch for the device
+/// stage before it). Same bytes either way.
 #[test]
 fn output_stage_launches_per_batch_are_pinned_on_both_arms() {
     use gsnp::gpu_sim::BackendChoice;
@@ -204,13 +205,15 @@ fn output_stage_launches_per_batch_are_pinned_on_both_arms() {
         for chain in ["rle_flags", "scan_blocks", "rle_scatter", "binary_search"] {
             assert_eq!(kernel_launches(&native, chain), 0, "native: {chain}");
         }
+        // Each stage's arm replaces its chain with ONE launch: the 18
+        // pinned above, and the device stage's sort passes + fused kernel.
+        assert_eq!(kernel_launches(&native, "likelihood_host_sites"), batches);
         let (sim_total, _) = sum_ledgers(&sim);
         let (native_total, _) = sum_ledgers(&native);
-        assert_eq!(
-            sim_total - native_total,
-            17 * batches,
-            "the arm replaces exactly the chain's 18 launches with 1"
-        );
+        assert_eq!(native_total, 2 * batches, "two launches per native batch");
+        let sim_device_stage = kernel_launches(&sim, "batch_sort_shared")
+            + kernel_launches(&sim, "likelihood_comp_fused");
+        assert_eq!(sim_total, sim_device_stage + 18 * batches);
     }
 }
 

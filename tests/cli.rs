@@ -13,8 +13,10 @@
 //! subcommands that run the pipeline read the compute flags alike, and a
 //! call pinned to one CPU (the worker pool's serial path) writes the bytes
 //! an unpinned one does. A flag outside the subcommand's usage text, a
-//! value flag without a value and a zero-site window are errors naming the
-//! flag.
+//! value flag without a value, a number that does not parse, a zero-site
+//! window and zero devices are errors naming the flag. A closed stdout
+//! ends a command quietly; any other stdout error is an error, not a
+//! panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -439,6 +441,14 @@ fn flags_are_checked_against_the_subcommands_usage() {
         ("-q --window", "--window needs a value"),
         ("--window --cpu", "--window needs a value"),
         ("--window 0", "--window must be at least 1"),
+        // These two used to say only "invalid digit found in string", and
+        // `--devices 0` used to run as `--devices 1`.
+        ("--window -5", "--window: \"-5\" is not a valid number"),
+        (
+            "--backend auto --auto-threshold x",
+            "--auto-threshold: \"x\" is not a valid number",
+        ),
+        ("--devices 0", "--devices must be at least 1"),
         ("--min-depth 2", "unknown flag --min-depth for 'gsnp call' "),
     ] {
         let refused = run(&format!("{call} {flags}"));
@@ -473,6 +483,80 @@ fn flags_are_checked_against_the_subcommands_usage() {
         let taken = run(&line);
         let stderr = String::from_utf8_lossy(&taken.stderr);
         assert!(taken.status.success(), "gsnp {line}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that goes away (`gsnp stats f.gsnp | head -1`) used to panic
+/// the writer inside `println!`, exit 101 with a backtrace. Results go
+/// through one checked stdout writer: a closed pipe ends the command
+/// quietly with success, any other write error is an error naming stdout.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = called("pipe");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let out_gsnp = d("out.gsnp");
+    let finished = |child: std::process::Child, what: &str| {
+        let out = child.wait_with_output().expect("the child is waited for");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{what}: {stderr}");
+        assert!(stderr.is_empty(), "{what}: {stderr}");
+    };
+    let spawn = |args: &[&str], stdout: Stdio| {
+        Command::new(env!("CARGO_BIN_EXE_gsnp"))
+            .args(args)
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the gsnp binary runs")
+    };
+
+    // The reader is gone before the first line: every write fails.
+    let lines: [&[&str]; 4] = [
+        &["stats", &out_gsnp],
+        &["stats", &out_gsnp, "--format", "prom"],
+        &["decode", &out_gsnp],
+        &["analyze", "--sites", "600", "--window", "300"],
+    ];
+    for args in lines {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        finished(spawn(args, writer.into()), &format!("{args:?}"));
+    }
+
+    // The reader takes one line and leaves. 6 000 rows are more than a
+    // pipe holds, so the writer is still writing when it does.
+    let mut child = spawn(&["decode", &out_gsnp], Stdio::piped());
+    let mut reader = BufReader::new(child.stdout.take().expect("piped"));
+    let mut first = String::new();
+    reader.read_line(&mut first).expect("one line");
+    assert!(first.starts_with("chrS\t1\t"), "{first}");
+    drop(reader);
+    finished(child, "decode | head -1");
+
+    // The same four lines with somewhere to go.
+    let stats = String::from_utf8(ok(&["stats", &out_gsnp]).stdout).unwrap();
+    assert!(
+        stats.starts_with("chrS: 6000 sites in 4 windows\n"),
+        "{stats}"
+    );
+    assert_eq!(stats.lines().count(), 4, "{stats}");
+
+    // Any other write error is an error, not a panic.
+    if Path::new("/dev/full").exists() {
+        let full = std::fs::File::options()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let out = spawn(&["stats", &out_gsnp], full.into())
+            .wait_with_output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.starts_with("gsnp: error: stdout: "), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -36,7 +36,7 @@ proptest! {
     /// observation multisets (the paper's §IV-G consistency claim).
     #[test]
     fn sparse_likelihood_equals_dense(sites in proptest::collection::vec(site_obs_strategy(40), 1..8)) {
-        let window = Window { start: 0, obs: sites };
+        let window = Window::from_sites(0, sites);
         let p = PMatrix::from_prior();
         let np = NewPMatrix::precompute(&p);
         let lt = LogTable::new();
