@@ -7,94 +7,116 @@
 //! codec: 2-bit packed read bases, RLE-DICT quality streams, delta-encoded
 //! positions, packed strand bits, and sparse hit counts.
 //!
-//! Read identifiers are deliberately not preserved — the SNP caller never
-//! consumes them — so decoding synthesizes placeholder ids (`t0`, `t1`, …).
+//! There is one encoder and one decoder, both over the packed read table
+//! ([`ReadChunk`]): [`compress_chunk`] and [`decompress_chunk`]. Read
+//! identifiers are deliberately not preserved — the SNP caller never
+//! consumes them — so the record-level wrappers ([`compress_reads`],
+//! [`decompress_reads`]) synthesize placeholder ids (`t0`, `t1`, …).
 //!
 //! The first pass writes the temporary input in chunks — [`TempInput`], one
-//! ordinary [`compress_reads`] blob per chunk of reads — so chunks can be
-//! encoded on every core, and [`TempReads`] decodes them one at a time as
-//! `read_site` pulls reads, freeing each blob once it is decoded.
+//! ordinary blob per chunk of reads — so chunks can be encoded on every
+//! core, and [`TempChunks`] decodes them one at a time, straight into
+//! `read_site`'s read table, freeing each blob once it is decoded.
 
 use seqio::base::Strand;
-use seqio::soap::AlignedRead;
+use seqio::soap::{AlignedRead, ReadChunk};
+use seqio::window::ReadSource;
+use seqio::SeqIoError;
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::dict;
 use crate::error::CodecError;
+use crate::rle;
 use crate::rledict;
 use crate::sparse;
 
 const MAGIC: &[u8; 4] = b"GSPI";
 
-/// Compress a position-sorted batch of alignments.
+/// Compress a position-sorted batch of alignment records: they are packed
+/// into a [`ReadChunk`] and go through [`compress_chunk`].
 ///
 /// # Panics
-/// Panics if the batch is not sorted by position (the workflow invariant).
+/// Panics if the batch is not sorted by position (the workflow invariant)
+/// or a record breaks a record invariant ([`ReadChunk::push_read`]).
 pub fn compress_reads(chr: &str, reads: &[AlignedRead]) -> Vec<u8> {
+    let mut chunk = ReadChunk::default();
+    for r in reads {
+        chunk
+            .push_read(r.pos, &r.seq, &r.qual, r.strand, r.nhits)
+            .unwrap_or_else(|what| panic!("read {}: {what}", r.id));
+    }
+    compress_chunk(chr, &chunk)
+}
+
+/// Compress a position-sorted table of reads.
+///
+/// # Panics
+/// Panics if the table is not sorted by position (the workflow invariant).
+pub fn compress_chunk(chr: &str, chunk: &ReadChunk) -> Vec<u8> {
+    let n = chunk.len();
     assert!(
-        reads.windows(2).all(|p| p[0].pos <= p[1].pos),
+        (1..n).all(|i| chunk.pos(i - 1) <= chunk.pos(i)),
         "reads must be sorted by position"
     );
     let mut w = BitWriter::new();
     w.write_bytes(MAGIC);
     w.write_u32(chr.len() as u32);
     w.write_bytes(chr.as_bytes());
-    w.write_u32(reads.len() as u32);
+    w.write_u32(n as u32);
 
     // Lengths (usually all equal → one RLE run).
-    let lens: Vec<u32> = reads.iter().map(|r| r.len() as u32).collect();
+    let lens: Vec<u32> = (0..n).map(|i| chunk.read_len(i) as u32).collect();
     rledict::encode(&lens, &mut w);
 
     // Position deltas (small, repetitive at high depth).
     let mut last = 0u64;
-    let deltas: Vec<u32> = reads
-        .iter()
-        .map(|r| {
-            let d = (r.pos - last) as u32;
-            last = r.pos;
+    let deltas: Vec<u32> = (0..n)
+        .map(|i| {
+            let d = (chunk.pos(i) - last) as u32;
+            last = chunk.pos(i);
             d
         })
         .collect();
     rledict::encode(&deltas, &mut w);
 
-    // Strand bits, packed.
-    w.write_u32(reads.len() as u32);
-    for r in reads {
-        w.write_bits(u64::from(r.strand.code()), 1);
+    // Strand bits, eight to a byte from the low bit up.
+    w.write_u32(n as u32);
+    let strands: Vec<u8> = (0..n).map(|i| chunk.strand(i).code()).collect();
+    for eight in strands.chunks(8) {
+        w.write_u8(eight.iter().rev().fold(0, |byte, &s| byte << 1 | s));
     }
 
     // Hit counts: store nhits − 1, sparse (unique reads dominate).
-    sparse::encode(
-        &reads.iter().map(|r| r.nhits - 1).collect::<Vec<_>>(),
-        &mut w,
-    );
+    let extra_hits: Vec<u32> = (0..n).map(|i| chunk.nhits(i) - 1).collect();
+    sparse::encode(&extra_hits, &mut w);
 
-    // Sequences: 2-bit codes, concatenated.
+    // Sequences: 2-bit codes, concatenated, four to a byte.
     w.align();
-    for r in reads {
-        for &b in &r.seq {
-            debug_assert!(b < 4);
-            w.write_bits(u64::from(b), 2);
-        }
+    for four in chunk.bases().chunks(4) {
+        w.write_u8(four.iter().rev().fold(0, |byte, &b| byte << 2 | b));
     }
 
-    // Qualities: concatenated stream through RLE-DICT (long runs within a
-    // read by construction of the quality model).
-    let quals: Vec<u32> = reads
-        .iter()
-        .flat_map(|r| r.qual.iter().map(|&q| u32::from(q)))
-        .collect();
-    rledict::encode(&quals, &mut w);
+    // Qualities: the concatenated stream through RLE-DICT (long runs
+    // within a read by construction of the quality model).
+    let (values, lengths) = rle::encode(chunk.quals().iter().map(|&q| u32::from(q)));
+    dict::encode(&values, &mut w);
+    dict::encode(&lengths, &mut w);
 
     w.finish()
 }
 
-/// Decompress a batch produced by [`compress_reads`].
+/// Decompress a batch produced by [`compress_reads`] into records.
 pub fn decompress_reads(bytes: &[u8]) -> Result<Vec<AlignedRead>, CodecError> {
-    decode_reads(bytes, 0)
+    let mut chunk = ReadChunk::default();
+    let chr = decompress_chunk(bytes, &mut chunk)?;
+    Ok((0..chunk.len())
+        .map(|i| chunk.to_read(i, format!("t{i}"), chr))
+        .collect())
 }
 
-/// [`decompress_reads`] with placeholder ids numbered from `first_id`.
-fn decode_reads(bytes: &[u8], first_id: usize) -> Result<Vec<AlignedRead>, CodecError> {
+/// Decompress a blob produced by [`compress_chunk`], appending its reads to
+/// `chunk`; returns the chromosome name. On error `chunk` is as it was.
+pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'a str, CodecError> {
     let mut r = BitReader::new(bytes);
     if r.read_bytes(4)? != MAGIC {
         return Err(CodecError::corrupt("bad input-codec magic"));
@@ -103,7 +125,7 @@ fn decode_reads(bytes: &[u8], first_id: usize) -> Result<Vec<AlignedRead>, Codec
     if name_len > 4096 {
         return Err(CodecError::corrupt("unreasonable chromosome-name length"));
     }
-    let chr = String::from_utf8(r.read_bytes(name_len)?.to_vec())
+    let chr = std::str::from_utf8(r.read_bytes(name_len)?)
         .map_err(|_| CodecError::corrupt("chromosome name not UTF-8"))?;
     let n = r.read_u32()? as usize;
 
@@ -117,13 +139,10 @@ fn decode_reads(bytes: &[u8], first_id: usize) -> Result<Vec<AlignedRead>, Codec
     if strand_count != n {
         return Err(CodecError::corrupt("strand array disagrees"));
     }
-    let mut strands = Vec::with_capacity(n);
-    for _ in 0..n {
-        strands.push(Strand::from_code(r.read_bits(1)? as u8));
-    }
+    let strands = r.read_bytes(n.div_ceil(8))?;
 
-    let nhits_minus_1 = sparse::decode(&mut r)?;
-    if nhits_minus_1.len() != n {
+    let extra_hits = sparse::decode(&mut r)?;
+    if extra_hits.len() != n {
         return Err(CodecError::corrupt("nhits array disagrees"));
     }
 
@@ -133,47 +152,46 @@ fn decode_reads(bytes: &[u8], first_id: usize) -> Result<Vec<AlignedRead>, Codec
             "sequence payload larger than remaining stream",
         ));
     }
-    let mut seq_codes = Vec::with_capacity(total_bases);
-    r.align();
-    for _ in 0..total_bases {
-        seq_codes.push(r.read_bits(2)? as u8);
-    }
+    let packed_bases = r.read_bytes(total_bases.div_ceil(4))?;
 
-    let quals = rledict::decode(&mut r)?;
-    if quals.len() != total_bases {
+    let (values, run_lengths) = rledict::decode_runs(&mut r)?;
+    if run_lengths.iter().map(|&l| l as usize).sum::<usize>() != total_bases {
         return Err(CodecError::corrupt("quality stream length disagrees"));
     }
-    if quals.iter().any(|&q| q > 63) {
+    if values.iter().any(|&q| q > 63) {
         return Err(CodecError::corrupt("quality out of range"));
     }
 
-    let mut reads = Vec::with_capacity(n);
+    // The streams agree with each other: what is left is unpacking both
+    // payloads in bulk into the table's tail, which validates what it is
+    // handed — a read length above the 8-bit cycle range included.
     let mut pos = 0u64;
-    let mut base_off = 0usize;
-    for i in 0..n {
+    let fields = (0..n).map(|i| {
         pos += u64::from(deltas[i]);
-        let len = lens[i] as usize;
-        let seq = seq_codes[base_off..base_off + len].to_vec();
-        let qual: Vec<u8> = quals[base_off..base_off + len]
-            .iter()
-            .map(|&q| q as u8)
-            .collect();
-        base_off += len;
-        reads.push(AlignedRead {
-            id: format!("t{}", first_id + i),
-            seq,
-            qual,
-            nhits: nhits_minus_1[i] + 1,
-            strand: strands[i],
-            chr: chr.clone(),
-            pos,
-        });
-    }
-    Ok(reads)
+        let strand = Strand::from_code(strands[i / 8] >> (i % 8) & 1);
+        // A count that overflows wraps to the 0 the table refuses.
+        (pos, strand, extra_hits[i].wrapping_add(1))
+    });
+    let unpack = |seq: &mut [u8], qual: &mut [u8]| {
+        for (four, &byte) in seq.chunks_mut(4).zip(packed_bases) {
+            for (k, code) in four.iter_mut().enumerate() {
+                *code = byte >> (2 * k) & 3;
+            }
+        }
+        let mut at = 0;
+        for (&q, &len) in values.iter().zip(&run_lengths) {
+            qual[at..at + len as usize].fill(q as u8);
+            at += len as usize;
+        }
+    };
+    chunk
+        .push_reads(&lens, fields, unpack)
+        .map_err(CodecError::corrupt)?;
+    Ok(chr)
 }
 
 /// One sample's temporary input: its position-sorted reads as consecutive
-/// chunks, in order, each a [`compress_reads`] blob.
+/// chunks, in order, each a [`compress_chunk`] blob.
 #[derive(Debug, Default)]
 pub struct TempInput {
     chunks: Vec<Vec<u8>>,
@@ -190,40 +208,29 @@ impl TempInput {
         self.chunks.iter().map(|blob| blob.len() as u64).sum()
     }
 
-    /// Stream the reads back, decoding one chunk at a time.
-    pub fn into_reads(self) -> TempReads {
-        TempReads {
+    /// Hand the chunks out one at a time, in order, as a read source.
+    pub fn into_chunks(self) -> TempChunks {
+        TempChunks {
             chunks: self.chunks.into_iter(),
-            current: Vec::new().into_iter(),
-            yielded: 0,
         }
     }
 }
 
-/// The reads of a [`TempInput`], in order. A chunk is decoded when the
-/// chunk before it runs out and dropped as soon as its reads exist, so at
-/// most one chunk is ever held decoded. Decoded placeholder ids number the
-/// reads across the whole input, as one [`decompress_reads`] would.
-pub struct TempReads {
+/// The chunks of a [`TempInput`], in order, as `read_site`'s
+/// [`ReadSource`]: each refill decodes the next blob straight into the
+/// reader's table and drops the blob, so what is left of the input shrinks
+/// as the run advances and no chunk is ever held decoded on its own.
+pub struct TempChunks {
     chunks: std::vec::IntoIter<Vec<u8>>,
-    current: std::vec::IntoIter<AlignedRead>,
-    yielded: usize,
 }
 
-impl Iterator for TempReads {
-    type Item = Result<AlignedRead, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(read) = self.current.next() {
-                self.yielded += 1;
-                return Some(Ok(read));
-            }
-            match decode_reads(&self.chunks.next()?, self.yielded) {
-                Ok(reads) => self.current = reads.into_iter(),
-                Err(e) => return Some(Err(e)),
-            }
-        }
+impl ReadSource for TempChunks {
+    fn fill(&mut self, table: &mut ReadChunk) -> Result<bool, SeqIoError> {
+        let Some(blob) = self.chunks.next() else {
+            return Ok(false);
+        };
+        decompress_chunk(&blob, table).map_err(|e| SeqIoError::Invariant(e.to_string()))?;
+        Ok(true)
     }
 }
 
@@ -283,6 +290,22 @@ mod tests {
         TempInput::new(reads.chunks(n).map(|c| compress_reads("tiny", c)).collect())
     }
 
+    /// Everything `source` appends until it runs dry or fails, as records.
+    fn drain(mut source: TempChunks) -> (Vec<AlignedRead>, Result<(), SeqIoError>) {
+        let mut table = ReadChunk::default();
+        let end = loop {
+            match source.fill(&mut table) {
+                Ok(true) => {}
+                Ok(false) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        let reads = (0..table.len())
+            .map(|i| table.to_read(i, format!("t{i}"), "tiny"))
+            .collect();
+        (reads, end)
+    }
+
     #[test]
     fn chunked_input_streams_back_what_one_blob_would() {
         let d = Dataset::generate(SynthConfig::tiny(25));
@@ -290,10 +313,11 @@ mod tests {
         for n in [1, 7, 100, d.reads.len()] {
             let input = chunked(&d.reads, n);
             assert!(input.packed_bytes() > 0);
-            let back: Vec<_> = input.into_reads().collect::<Result<_, _>>().unwrap();
+            let (back, end) = drain(input.into_chunks());
+            end.unwrap();
             assert_eq!(back, whole, "{n} reads per chunk");
         }
-        assert_eq!(TempInput::default().into_reads().count(), 0);
+        assert!(drain(TempInput::default().into_chunks()).0.is_empty());
     }
 
     #[test]
@@ -303,11 +327,100 @@ mod tests {
         let mut bad = compress_reads("tiny", b);
         bad.truncate(bad.len() / 2);
         let input = TempInput::new(vec![compress_reads("tiny", a), bad]);
-        let mut reads = input.into_reads();
-        assert_eq!(reads.by_ref().take(40).filter(Result::is_ok).count(), 40);
-        assert!(reads
-            .next()
-            .expect("the corrupt chunk is reported")
-            .is_err());
+        // The good chunk's reads are all there; the bad one added none.
+        let (reads, end) = drain(input.into_chunks());
+        assert_eq!(reads, strip_ids(a.to_vec()));
+        assert!(end.is_err(), "the corrupt chunk is reported");
+    }
+
+    /// The encoder this module had before reads were packed, bit by bit
+    /// over records: the byte oracle for [`compress_chunk`].
+    fn reference_compress_reads(chr: &str, reads: &[AlignedRead]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.write_bytes(MAGIC);
+        w.write_u32(chr.len() as u32);
+        w.write_bytes(chr.as_bytes());
+        w.write_u32(reads.len() as u32);
+        let lens: Vec<u32> = reads.iter().map(|r| r.len() as u32).collect();
+        rledict::encode(&lens, &mut w);
+        let mut last = 0u64;
+        let deltas: Vec<u32> = reads
+            .iter()
+            .map(|r| {
+                let d = (r.pos - last) as u32;
+                last = r.pos;
+                d
+            })
+            .collect();
+        rledict::encode(&deltas, &mut w);
+        w.write_u32(reads.len() as u32);
+        for r in reads {
+            w.write_bits(u64::from(r.strand.code()), 1);
+        }
+        sparse::encode(
+            &reads.iter().map(|r| r.nhits - 1).collect::<Vec<_>>(),
+            &mut w,
+        );
+        w.align();
+        for r in reads {
+            for &b in &r.seq {
+                w.write_bits(u64::from(b), 2);
+            }
+        }
+        let quals: Vec<u32> = reads
+            .iter()
+            .flat_map(|r| r.qual.iter().map(|&q| u32::from(q)))
+            .collect();
+        rledict::encode(&quals, &mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn packed_encoder_writes_the_record_encoder_s_bytes() {
+        let d = Dataset::generate(SynthConfig::tiny(28));
+        // Mixed lengths, none a multiple of four, both strands, multi-hits.
+        let mut mixed: Vec<AlignedRead> = d.reads[..60].to_vec();
+        for (i, r) in mixed.iter_mut().enumerate() {
+            let len = [1, 2, 3, 5, 7, 30][i % 6];
+            r.seq.truncate(len);
+            r.qual.truncate(len);
+            r.nhits = 1 + (i % 3) as u32;
+        }
+        for reads in [&d.reads[..], &d.reads[..1], &d.reads[..9], &[], &mixed] {
+            let blob = compress_reads("tiny", reads);
+            assert!(
+                blob == reference_compress_reads("tiny", reads),
+                "{} reads",
+                reads.len()
+            );
+            assert_eq!(
+                decompress_reads(&blob).unwrap(),
+                strip_ids(reads.to_vec()),
+                "{} reads",
+                reads.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_read_length_above_the_cycle_range_is_corrupt() {
+        // A hand-built blob of one 300-base read, as the record encoder
+        // would have written it.
+        let long = AlignedRead {
+            id: "r".into(),
+            seq: vec![1; 300],
+            qual: vec![30; 300],
+            nhits: 1,
+            strand: Strand::Forward,
+            chr: "c".into(),
+            pos: 5,
+        };
+        let blob = reference_compress_reads("c", &[long]);
+        let mut chunk = ReadChunk::default();
+        assert_eq!(
+            decompress_chunk(&blob, &mut chunk).unwrap_err(),
+            CodecError::corrupt("read longer than 256 bases")
+        );
+        assert!(chunk.is_empty());
     }
 }

@@ -5,15 +5,19 @@
 //! the same quality, so a column compresses to parallel `(value, length)`
 //! arrays.
 
-/// Run-length encode: returns parallel `(values, lengths)` arrays.
-pub fn encode(data: &[u32]) -> (Vec<u32>, Vec<u32>) {
+use std::borrow::Borrow;
+
+/// Run-length encode a column — a `u32` slice, or any iterator of values,
+/// so narrower data needs no widened copy first: returns parallel
+/// `(values, lengths)` arrays.
+pub fn encode<V: Borrow<u32>>(data: impl IntoIterator<Item = V>) -> (Vec<u32>, Vec<u32>) {
     let mut values = Vec::new();
     let mut lengths = Vec::new();
-    let mut it = data.iter();
-    if let Some(&first) = it.next() {
+    let mut it = data.into_iter().map(|v| *v.borrow());
+    if let Some(first) = it.next() {
         let mut cur = first;
         let mut run = 1u32;
-        for &v in it {
+        for v in it {
             if v == cur {
                 run += 1;
             } else {
@@ -47,14 +51,14 @@ mod tests {
 
     #[test]
     fn encodes_runs() {
-        let (v, l) = encode(&[5, 5, 5, 2, 2, 9]);
+        let (v, l) = encode([5, 5, 5, 2, 2, 9]);
         assert_eq!(v, vec![5, 2, 9]);
         assert_eq!(l, vec![3, 2, 1]);
     }
 
     #[test]
     fn empty_input() {
-        let (v, l) = encode(&[]);
+        let (v, l) = encode([0u32; 0]);
         assert!(v.is_empty() && l.is_empty());
         assert!(decode(&v, &l).is_empty());
     }

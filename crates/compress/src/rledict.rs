@@ -26,6 +26,13 @@ pub fn encode_to_vec(data: &[u32]) -> Vec<u8> {
 
 /// Decompress one column.
 pub fn decode(r: &mut BitReader<'_>) -> Result<Vec<u32>, CodecError> {
+    let (values, lengths) = decode_runs(r)?;
+    Ok(rle::decode(&values, &lengths))
+}
+
+/// Decode one column as far as its runs — `(values, lengths)`, equally
+/// long — for a caller that expands them itself.
+pub fn decode_runs(r: &mut BitReader<'_>) -> Result<(Vec<u32>, Vec<u32>), CodecError> {
     let values = dict::decode(r)?;
     let lengths = dict::decode(r)?;
     if values.len() != lengths.len() {
@@ -38,7 +45,7 @@ pub fn decode(r: &mut BitReader<'_>) -> Result<Vec<u32>, CodecError> {
     if total > crate::error::MAX_ELEMENTS as u64 {
         return Err(CodecError::corrupt("implausible run-length expansion"));
     }
-    Ok(rle::decode(&values, &lengths))
+    Ok((values, lengths))
 }
 
 /// Decompress from a byte slice.

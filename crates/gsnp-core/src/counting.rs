@@ -10,7 +10,7 @@
 //!   occurrence count per `(base, score, coord, strand)` cell —
 //!   `4 × 64 × 256 × 2 = 131,072` cells *per site*.
 
-use seqio::window::{SiteObs, Window};
+use seqio::window::Window;
 
 use crate::baseword;
 use crate::model::SiteSummary;
@@ -29,12 +29,6 @@ pub fn base_occ_index(base: u8, score: u8, coord: u8, strand: u8) -> usize {
         | (usize::from(score) << 9)
         | (usize::from(coord) << 1)
         | usize::from(strand)
-}
-
-/// One observation as its `base_word`.
-#[inline(always)]
-pub(crate) fn pack_obs(o: &SiteObs) -> u32 {
-    baseword::pack(o.base, o.qual, o.coord, o.strand, o.uniq)
 }
 
 /// Sparse representation of one window plus the per-site summaries that
@@ -64,13 +58,15 @@ impl SparseWindow {
     pub fn count_into(&mut self, window: &Window) {
         self.count_words_into(window);
         self.summaries
-            .extend(window.sites().map(SiteSummary::from_obs));
+            .extend(window.sites().map(SiteSummary::from_words));
     }
 
     /// Like [`SparseWindow::count_into`] but *without* the per-site
     /// summary traversal: fills only `words` and `spans`, clearing
-    /// `summaries`. The fused counting+likelihood device kernel derives
-    /// the summaries from the packed words during its sorted scan
+    /// `summaries`. A window already is its word array, so this is one
+    /// copy of it plus the spans its site ends imply. The fused
+    /// counting+likelihood device kernel derives the summaries from the
+    /// packed words during its sorted scan
     /// ([`crate::likelihood::likelihood_comp_fused_gpu_into`]), so
     /// building them host-side here would traverse every observation a
     /// second time for nothing.
@@ -78,12 +74,13 @@ impl SparseWindow {
         self.words.clear();
         self.spans.clear();
         self.summaries.clear();
-        self.words.reserve(window.total_obs());
-        self.spans.reserve(window.len());
-        for site_obs in window.sites() {
-            self.spans.push((self.words.len(), site_obs.len()));
-            self.words.extend(site_obs.iter().map(pack_obs));
-        }
+        self.words.extend_from_slice(window.words());
+        let mut lo = 0;
+        self.spans.extend(window.ends().iter().map(|&hi| {
+            let span = (lo, hi - lo);
+            lo = hi;
+            span
+        }));
     }
 
     /// Number of sites.
@@ -143,13 +140,14 @@ impl DenseWindow {
             "window exceeds dense allocation"
         );
         let mut summaries = Vec::with_capacity(window.len());
-        for (site, site_obs) in window.sites().enumerate() {
+        for (site, words) in window.sites().enumerate() {
             let cell0 = site * SITE_CELLS;
-            for o in site_obs {
-                let idx = cell0 + base_occ_index(o.base, o.qual, o.coord, o.strand);
+            for &w in words {
+                let (base, qual, coord, strand, _uniq) = baseword::unpack(w);
+                let idx = cell0 + base_occ_index(base, qual, coord, strand);
                 self.occ[idx] = self.occ[idx].saturating_add(1);
             }
-            summaries.push(SiteSummary::from_obs(site_obs));
+            summaries.push(SiteSummary::from_words(words));
         }
         summaries
     }
@@ -184,13 +182,10 @@ impl DenseWindow {
 pub fn nonzero_cells_per_site(window: &Window) -> Vec<usize> {
     window
         .sites()
-        .map(|site_obs| {
+        .map(|site| {
             // Dense cells have no uniqueness dimension, so dedup ignoring
-            // the word's uniq bit.
-            let mut words: Vec<u32> = site_obs
-                .iter()
-                .map(|o| baseword::pack(o.base, o.qual, o.coord, o.strand, false))
-                .collect();
+            // the word's uniq bit (its lowest).
+            let mut words: Vec<u32> = site.iter().map(|&w| w & !1).collect();
             words.sort_unstable();
             words.dedup();
             words.len()

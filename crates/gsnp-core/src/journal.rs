@@ -348,6 +348,18 @@ pub fn render_report(text: &str) -> Result<String, String> {
             field_num(dev, "contract_violations").unwrap_or(0.0) as u64,
         ));
     }
+    if let Some(arena) = s
+        .events
+        .iter()
+        .find(|e| field_str(e, "event") == Some("arena"))
+    {
+        out.push_str(&format!(
+            "window arenas: {} built, {} recycled, high water {:.1} MiB\n",
+            field_num(arena, "built").unwrap_or(0.0) as u64,
+            field_num(arena, "recycled").unwrap_or(0.0) as u64,
+            field_num(arena, "high_water_bytes").unwrap_or(0.0) / (1 << 20) as f64,
+        ));
+    }
     if !samples.is_empty() {
         out.push_str(&format!("\ncohort: {} samples\n", samples.len()));
         for sm in &samples {

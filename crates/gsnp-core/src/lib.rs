@@ -23,7 +23,6 @@
 
 pub mod accuracy;
 pub mod arena;
-pub mod baseword;
 pub mod cohort;
 pub mod counting;
 pub mod journal;
@@ -35,6 +34,10 @@ pub mod progress;
 pub mod serve;
 pub mod stream;
 pub mod tables;
+
+/// The sparse aligned-base word (`base_word`, §IV-B); it lives with the
+/// window that is made of it.
+pub use seqio::baseword;
 
 pub use arena::{ArenaPool, ArenaPoolStats, WindowArena};
 pub use cohort::{

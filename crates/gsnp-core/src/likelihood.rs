@@ -27,13 +27,13 @@ use gpu_sim::{
     AccessContract, BlockInterval, ComputeBackend, ConstBuffer, Device, DeviceGroup, Footprint,
     GlobalBuffer, LaunchStats, NativeBackend,
 };
+use seqio::result::SnpRow;
 use seqio::soap::MAX_READ_LEN;
-use seqio::window::Window;
 
 use crate::arena::WindowArena;
 use crate::baseword;
-use crate::counting::{base_occ_index, pack_obs, SparseWindow, SITE_CELLS};
-use crate::model::{adjust, SiteSummary, NUM_GENOTYPES};
+use crate::counting::{base_occ_index, SparseWindow, SITE_CELLS};
+use crate::model::{adjust, SiteCaller, SiteSummary, NUM_GENOTYPES};
 use crate::tables::{likely_update, new_p_cell, p_index, LogTable, NewPMatrix, PMatrix};
 
 /// Sites processed per thread block by the likelihood kernels.
@@ -344,7 +344,7 @@ const SUMMARY_WORDS: usize = 13;
 /// back into `summaries`. Every summary reduction is order-independent
 /// (saturating counts, a plain sum, a saturating depth), so accumulating
 /// over the *sorted* words reproduces
-/// [`SiteSummary::from_obs`] over the unsorted observations exactly —
+/// [`SiteSummary::from_words`] over the unsorted words exactly —
 /// eliminating the separate host-side counting traversal of the window.
 #[allow(clippy::too_many_arguments)] // mirrors the unfused entry + one output
 pub fn likelihood_comp_fused_gpu_into<B: ComputeBackend>(
@@ -598,7 +598,7 @@ fn comp_gpu_impl<B: ComputeBackend>(
         row
     }));
     if let (Some(summaries), Some(sbuf)) = (summaries, summary_buf) {
-        // Saturate counts on readback: `from_obs` saturates at every +1,
+        // Saturate counts on readback: `from_words` saturates at every +1,
         // which for monotone increments equals one clamp of the total.
         let sat = |v: u32| v.min(u32::from(u16::MAX)) as u16;
         summaries.clear();
@@ -641,39 +641,43 @@ fn accumulate(
 pub const HOST_SITES_KERNEL: &str = "likelihood_host_sites";
 
 /// One block of the native arm: a range of at most [`SITES_PER_BLOCK`]
-/// sites of one arena, with that range of each of the arena's outputs.
+/// sites of one arena's window — their stretch of its word array, their
+/// ends within the whole array, their rows.
 struct HostSites<'a> {
-    window: &'a Window,
-    /// First site of the range.
-    first: usize,
+    /// Reference position of the range's first site.
+    first: u64,
+    /// Offset of `words` within the window's array, which `ends` count from.
+    base: usize,
     words: &'a mut [u32],
-    spans: &'a mut [(usize, usize)],
-    summaries: &'a mut [SiteSummary],
-    type_likely: &'a mut [[f64; NUM_GENOTYPES]],
+    ends: &'a [usize],
+    rows: &'a mut [SnpRow],
 }
 
 impl HostSites<'_> {
-    fn run(&mut self, tables: &DeviceTables) {
+    fn run(&mut self, tables: &DeviceTables, calls: &SiteCaller<'_>) {
+        let HostSites {
+            first,
+            base,
+            words,
+            ends,
+            rows,
+        } = self;
         let mut dep = [0u16; DEP_SLOTS];
-        let base = self.window.offset(self.first);
         let mut lo = 0;
-        for k in 0..self.spans.len() {
-            let obs = self.window.site(self.first + k);
-            let words = &mut self.words[lo..lo + obs.len()];
-            self.spans[k] = (base + lo, obs.len());
-            lo += obs.len();
-            for (w, o) in words.iter_mut().zip(obs) {
-                *w = pack_obs(o);
-            }
-            self.summaries[k] = SiteSummary::from_obs(obs);
+        calls.call_sites(*first, rows, |k| {
+            let site = &mut words[lo..ends[k] - *base];
+            lo = ends[k] - *base;
             // `likelihood_sort`, by the multipass schedule's own argument
             // (§IV-C: each size class gets the cheapest network that sorts
             // it) as the library already makes it: nothing below two
             // elements, an insertion sort to 20, pattern-defeating
             // quicksort for the long tail.
-            words.sort_unstable();
-            self.type_likely[k] = score_sorted_site(words, &mut dep, tables);
-        }
+            site.sort_unstable();
+            (
+                score_sorted_site(site, &mut dep, tables),
+                SiteSummary::from_words(site),
+            )
+        });
     }
 }
 
@@ -719,25 +723,29 @@ fn score_sorted_site(
     acc
 }
 
-/// The device stage's **native arm**: counting, `likelihood_sort` and the
-/// fused `likelihood_comp` of one launch batch as ONE contracted launch on
-/// the host executor, scored in place in the batch's arenas.
+/// The device stage's **native arm**: `likelihood_sort`, the fused
+/// `likelihood_comp` and the posterior of one launch batch as ONE
+/// contracted launch on the host executor, ending at the result row.
 ///
 /// The chain — concatenate, upload, one sort launch per size class, the
-/// fused kernel over pooled device buffers, read back, scatter — is what a
-/// device needs; on the host every step but the arithmetic is a copy. Here
-/// a block takes a range of at most [`SITES_PER_BLOCK`] sites of one arena
-/// and, site by site, packs the window's observations into that arena's
-/// `base_word` array, sorts the span where it lies, scores it
-/// (`score_sorted_site`) and stores `type_likely` and the
-/// [`SiteSummary`]. Afterwards each arena's `sw` is what
-/// [`SparseWindow::count_into`] and [`sort_sparse_cpu`] make of its window.
+/// fused kernel over pooled device buffers, read back, scatter, then the
+/// posterior over what was read back — is what a device needs; on the host
+/// every step but the arithmetic is a copy. Here a block takes a range of at
+/// most [`SITES_PER_BLOCK`] sites of one arena and, site by site, sorts the
+/// site's words where they lie in the window's own array (a window *is* its
+/// `base_word` array), scores them (`score_sorted_site`) and, with the
+/// likelihoods still on the stack, calls the site: the [`SnpRow`] goes into
+/// the arena's fresh `rows` and is all the launch leaves behind, as
+/// `type_likely` never leaves device memory before the posterior in the
+/// paper. A row equals `posterior_cached` of [`likelihood_sparse_site`]
+/// over [`SparseWindow::count`] + [`sort_sparse_cpu`] of the window.
 ///
 /// Blocks touch host memory only, so the contract is empty and trivially
 /// proved, which is what admits the launch on a sanitized device.
 pub fn likelihood_host_sites(
     native: &NativeBackend<'_>,
     tables: &DeviceTables,
+    calls: &SiteCaller<'_>,
     batch: &mut [WindowArena],
 ) -> LaunchStats {
     // Disjoint `&mut` ranges for blocks that run in any order on any
@@ -748,42 +756,36 @@ pub fn likelihood_host_sites(
         .sum();
     let mut jobs: Vec<Mutex<HostSites<'_>>> = Vec::with_capacity(grid);
     for arena in batch.iter_mut() {
-        let WindowArena {
-            window,
-            sw,
-            type_likely,
-        } = arena;
-        // No clearing: every element below is stored by exactly one block.
-        sw.words.resize(window.total_obs(), 0);
-        sw.spans.resize(window.len(), (0, 0));
-        sw.summaries.resize(window.len(), SiteSummary::default());
-        type_likely.resize(window.len(), [0.0; NUM_GENOTYPES]);
-        let mut words = sw.words.as_mut_slice();
-        let ranges = sw
-            .spans
-            .chunks_mut(SITES_PER_BLOCK)
-            .zip(sw.summaries.chunks_mut(SITES_PER_BLOCK))
-            .zip(type_likely.chunks_mut(SITES_PER_BLOCK));
-        for (b, ((spans, summaries), type_likely)) in ranges.enumerate() {
-            let first = b * SITES_PER_BLOCK;
-            let len = window.offset(first + spans.len()) - window.offset(first);
-            let (mine, rest) = words.split_at_mut(len);
+        let start = arena.window.start;
+        // Fresh per window: it becomes the window's table. Every row is
+        // stored by exactly one block.
+        let rows = arena
+            .rows
+            .insert(vec![SnpRow::default(); arena.window.len()]);
+        let (mut words, ends) = arena.window.words_mut();
+        let mut base = 0;
+        let ranges = ends
+            .chunks(SITES_PER_BLOCK)
+            .zip(rows.chunks_mut(SITES_PER_BLOCK));
+        for (b, (ends, rows)) in ranges.enumerate() {
+            let end = ends[ends.len() - 1];
+            let (mine, rest) = words.split_at_mut(end - base);
             words = rest;
             jobs.push(Mutex::new(HostSites {
-                window,
-                first,
+                first: start + (b * SITES_PER_BLOCK) as u64,
+                base,
                 words: mine,
-                spans,
-                summaries,
-                type_likely,
+                ends,
+                rows,
             }));
+            base = end;
         }
     }
     native.launch_contracted(HOST_SITES_KERNEL, grid, AccessContract::default, |ctx| {
         jobs[ctx.block_idx()]
             .lock()
             .expect("a block's lock is taken once, by that block")
-            .run(tables);
+            .run(tables, calls);
     })
 }
 
@@ -1006,7 +1008,7 @@ mod tests {
         let lt = LogTable::new();
         let mut wr = WindowReader::new(d.reads.iter().cloned().map(Ok), d.config.num_sites, 900);
         let w = wr.next_window().unwrap().unwrap();
-        let mut sw = SparseWindow::count(&w); // summaries via from_obs
+        let mut sw = SparseWindow::count(&w); // summaries via from_words
         sort_sparse_cpu(&mut sw);
         let dev = Device::m2050();
         let tables = DeviceTables::upload(&dev, &p, &np, &lt);
@@ -1047,7 +1049,7 @@ mod tests {
             assert_eq!(
                 summaries,
                 sw.summaries,
-                "{}: fused summaries must equal from_obs",
+                "{}: fused summaries must equal from_words",
                 variant.label()
             );
         }
@@ -1239,18 +1241,38 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use seqio::window::SiteObs;
+    use seqio::fasta::Reference;
+    use seqio::prior::{KnownSnp, PriorMap};
+    use seqio::window::{SiteObs, Window};
 
     fn bits(tl: &[[f64; NUM_GENOTYPES]]) -> Vec<[u64; NUM_GENOTYPES]> {
         tl.iter().map(|row| row.map(f64::to_bits)).collect()
     }
 
+    /// A reference and known-SNP priors under windows starting below
+    /// 1 000 and up to 700 sites long: every fifth base unknown (`N`),
+    /// every third site a known SNP — so sites of each depth meet each
+    /// kind of prior.
+    fn calling_inputs() -> (Reference, PriorMap) {
+        let seq = (0..1_700).map(|i| if i % 5 == 4 { 4 } else { (i % 4) as u8 });
+        let known = (0..1_700).step_by(3).map(|pos| KnownSnp {
+            pos,
+            ref_base: seqio::base::Base::A,
+            freqs: [0.6, 0.1, 0.3, 0.0],
+        });
+        (
+            Reference::new("c", seq.collect()),
+            PriorMap::from_sites(known.collect()),
+        )
+    }
+
     /// Score `windows` as one launch batch three ways and demand the same
-    /// `type_likely` bits, summaries, sorted words and sort-class
-    /// histogram from each: the native arm; `count_into` +
+    /// from each: the native arm, whose rows must equal `posterior_cached`
+    /// of the host reference at every site; `count_into` +
     /// `sort_sparse_cpu` + `likelihood_sparse_site`; and the simulator
     /// chain the window loop runs (concatenate, upload, multipass sort,
-    /// fused kernel). Returns the arm's launch count.
+    /// fused kernel) — `type_likely` bits, summaries, sorted words and
+    /// sort-class histogram. Returns the arm's launch count.
     fn assert_arm_matches_chain_and_host(f: &Fixture, windows: Vec<Window>) -> u64 {
         let dev = Device::m2050();
         let tables = DeviceTables::upload(&dev, &f.p, &f.np, &f.lt);
@@ -1295,24 +1317,46 @@ mod tests {
         let arm_dev = Device::m2050();
         let arm_tables = DeviceTables::upload(&arm_dev, &f.p, &f.np, &f.lt);
         let native = NativeBackend::new(&arm_dev).unwrap();
-        likelihood_host_sites(&native, &arm_tables, &mut batch);
+        let (reference, priors) = calling_inputs();
+        let params = ModelParams::default();
+        let calls = SiteCaller::new(&reference, &priors, &params);
+        likelihood_host_sites(&native, &arm_tables, &calls, &mut batch);
 
+        let prior_table = crate::model::PriorTable::new(&params);
         let mut site0 = 0;
         for (arena, sw) in batch.iter().zip(&host) {
-            assert_eq!(&arena.sw, sw, "window at {}", arena.window.start);
+            let start = arena.window.start;
+            // Sorted where they lay; nothing else in the arena was sized.
+            assert_eq!(arena.window.words(), sw.words, "window at {start}");
+            assert_eq!(arena.sw, SparseWindow::default());
+            assert_eq!(arena.type_likely.capacity(), 0);
             let host_tl: Vec<_> = (0..sw.num_sites())
                 .map(|s| likelihood_sparse_site(sw.site_words(s), MAX_READ_LEN, &f.np, &f.lt))
                 .collect();
-            assert_eq!(bits(&arena.type_likely), bits(&host_tl));
+            let host_rows: Vec<SnpRow> = (0..sw.num_sites())
+                .map(|s| {
+                    let pos = start + s as u64;
+                    crate::model::posterior_cached(
+                        &host_tl[s],
+                        &sw.summaries[s],
+                        reference.seq[pos as usize],
+                        priors.get(pos),
+                        &params,
+                        &prior_table,
+                    )
+                })
+                .collect();
+            assert_eq!(arena.rows.as_ref(), Some(&host_rows), "window at {start}");
             let sites = site0..site0 + sw.num_sites();
-            assert_eq!(bits(&arena.type_likely), bits(&chain_tl[sites.clone()]));
-            assert_eq!(arena.sw.summaries, chain_summaries[sites.clone()]);
+            assert_eq!(bits(&host_tl), bits(&chain_tl[sites.clone()]));
+            assert_eq!(sw.summaries, chain_summaries[sites.clone()]);
             site0 = sites.end;
         }
-        let lens = batch
-            .iter()
-            .flat_map(|a| a.sw.spans.iter().map(|&(_, l)| l));
-        assert_eq!(sortnet::class_tallies(lens).as_slice(), sort.classes);
+        let depths = batch.iter().flat_map(|a| a.window.sites());
+        assert_eq!(
+            sortnet::class_tallies(depths.map(<[u32]>::len)).as_slice(),
+            sort.classes
+        );
         arm_dev.ledger().launches
     }
 
@@ -1326,20 +1370,21 @@ mod tests {
         }
     }
 
-    /// A site of `n` varied observations (duplicates included, so the
-    /// dependency counters climb).
-    fn site_of(n: usize, rng: &mut StdRng) -> Vec<SiteObs> {
-        (0..n)
-            .map(|_| {
-                obs(
-                    rng.gen_range(0..4u8),
-                    rng.gen_range(0..=baseword::QUAL_MAX),
-                    rng.gen_range(0..6u8) * 51,
-                    rng.gen_range(0..2u8),
-                    rng.gen_bool(0.8),
-                )
-            })
-            .collect()
+    /// A window at `start` whose site `i` holds `depths[i]` varied
+    /// observations (duplicates included, so the dependency counters
+    /// climb).
+    fn window_of(start: u64, depths: &[usize], rng: &mut StdRng) -> Window {
+        let mut varied = || {
+            obs(
+                rng.gen_range(0..4u8),
+                rng.gen_range(0..=baseword::QUAL_MAX),
+                rng.gen_range(0..6u8) * 51,
+                rng.gen_range(0..2u8),
+                rng.gen_bool(0.8),
+            )
+        };
+        let sites = depths.iter().map(|&n| (0..n).map(|_| varied()).collect());
+        Window::from_sites(start, sites.collect())
     }
 
     #[test]
@@ -1357,7 +1402,7 @@ mod tests {
         let f = fixture(52);
         let mut rng = StdRng::seed_from_u64(52);
         let windows = (0..5u64)
-            .map(|i| Window::from_sites(i, vec![site_of(i as usize * 4, &mut rng)]))
+            .map(|i| window_of(i, &[i as usize * 4], &mut rng))
             .collect();
         assert_eq!(assert_arm_matches_chain_and_host(&f, windows), 1);
     }
@@ -1366,11 +1411,8 @@ mod tests {
     fn arm_matches_on_spans_at_every_sort_class_edge() {
         let f = fixture(53);
         let mut rng = StdRng::seed_from_u64(53);
-        let sites = [0, 1, 2, 8, 9, 16, 17, 32, 33, 64, 65, 200, 1, 17]
-            .into_iter()
-            .map(|n| site_of(n, &mut rng))
-            .collect();
-        assert_arm_matches_chain_and_host(&f, vec![Window::from_sites(0, sites)]);
+        let depths = [0, 1, 2, 8, 9, 16, 17, 32, 33, 64, 65, 200, 1, 17];
+        assert_arm_matches_chain_and_host(&f, vec![window_of(0, &depths, &mut rng)]);
     }
 
     #[test]
@@ -1415,7 +1457,10 @@ mod tests {
             windows.iter().map(Window::len).collect::<Vec<_>>(),
             [256, 256, 88]
         );
-        assert!(windows[0].sites().flatten().any(|o| o.coord == 255));
+        assert!(windows[0]
+            .words()
+            .iter()
+            .any(|&w| baseword::unpack(w).2 == 255));
         assert_arm_matches_chain_and_host(&f, windows);
     }
 
@@ -1435,13 +1480,9 @@ mod tests {
             let windows = lens
                 .iter()
                 .map(|&len| {
-                    let sites = (0..len)
-                        .map(|_| {
-                            let n = rng.gen_range(0..=max_depth);
-                            site_of(n, &mut rng)
-                        })
-                        .collect();
-                    Window::from_sites(rng.gen_range(0..1_000u64), sites)
+                    let depths: Vec<usize> =
+                        (0..len).map(|_| rng.gen_range(0..=max_depth)).collect();
+                    window_of(rng.gen_range(0..1_000u64), &depths, &mut rng)
                 })
                 .collect();
             assert_arm_matches_chain_and_host(&f, windows);
@@ -1455,7 +1496,7 @@ mod tests {
         let mut batch: Vec<WindowArena> = [700usize, 700, 30]
             .iter()
             .map(|&len| WindowArena {
-                window: Window::from_sites(0, (0..len).map(|_| site_of(9, &mut rng)).collect()),
+                window: window_of(0, &vec![9; len], &mut rng),
                 ..Default::default()
             })
             .collect();
@@ -1465,8 +1506,11 @@ mod tests {
             .with_contracts();
         let tables = DeviceTables::upload(&dev, &f.p, &f.np, &f.lt);
         let native = NativeBackend::new(&dev).unwrap();
+        let (reference, priors) = calling_inputs();
+        let params = ModelParams::default();
+        let calls = SiteCaller::new(&reference, &priors, &params);
         for _ in 0..2 {
-            let stats = likelihood_host_sites(&native, &tables, &mut batch);
+            let stats = likelihood_host_sites(&native, &tables, &calls, &mut batch);
             // Blocks are per arena: ⌈700/256⌉ + ⌈700/256⌉ + 1.
             assert_eq!(stats.grid_dim, 7);
         }

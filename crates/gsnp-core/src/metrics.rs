@@ -347,11 +347,18 @@ fn run_metrics(
         stats.arena.hits as f64,
     );
     m.push(
-        "gsnp_arena_misses_total",
+        "gsnp_arena_built_total",
         "Window-arena checkouts that built a fresh arena",
         Counter,
         &[],
         stats.arena.misses as f64,
+    );
+    m.push(
+        "gsnp_arena_high_water_bytes",
+        "Peak bytes held by the run's window arenas (vector capacities at check-in)",
+        Gauge,
+        &[],
+        stats.arena.high_water_bytes as f64,
     );
 
     // ---- sanitizer findings ----

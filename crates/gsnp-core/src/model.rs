@@ -16,10 +16,11 @@
 //! frequencies.
 
 use seqio::base::{iupac, Base, N_CODE};
-use seqio::prior::KnownSnp;
+use seqio::fasta::Reference;
+use seqio::prior::{KnownSnp, PriorMap};
 use seqio::result::SnpRow;
-use seqio::window::SiteObs;
 
+use crate::baseword;
 use crate::tables::LogTable;
 
 /// Number of unordered diploid genotypes over {A, C, G, T}.
@@ -112,16 +113,18 @@ pub struct SiteSummary {
 }
 
 impl SiteSummary {
-    /// Accumulate a summary from raw observations.
-    pub fn from_obs(obs: &[SiteObs]) -> SiteSummary {
+    /// Accumulate a summary from a site's `base_word`s, in any order:
+    /// every reduction is a saturating count or a plain sum.
+    pub fn from_words(words: &[u32]) -> SiteSummary {
         let mut s = SiteSummary::default();
-        for o in obs {
-            let b = o.base as usize;
+        for &w in words {
+            let (base, qual, _, _, uniq) = baseword::unpack(w);
+            let b = usize::from(base);
             s.count_all[b] = s.count_all[b].saturating_add(1);
-            if o.uniq {
+            if uniq {
                 s.count_uniq[b] = s.count_uniq[b].saturating_add(1);
             }
-            s.qual_sum[b] += u32::from(o.qual);
+            s.qual_sum[b] += u32::from(qual);
             s.depth = s.depth.saturating_add(1);
         }
         s
@@ -314,6 +317,57 @@ pub fn posterior_cached(
     }
 }
 
+/// What calling a site takes besides its likelihoods and summary — the
+/// reference, the known-SNP priors, the parameters — with the
+/// no-known-SNP prior rows tabled once ([`PriorTable`]).
+pub struct SiteCaller<'a> {
+    reference: &'a Reference,
+    priors: &'a PriorMap,
+    params: &'a ModelParams,
+    prior_table: PriorTable,
+}
+
+impl<'a> SiteCaller<'a> {
+    /// A caller over one reference; builds the prior table.
+    pub fn new(reference: &'a Reference, priors: &'a PriorMap, params: &'a ModelParams) -> Self {
+        SiteCaller {
+            reference,
+            priors,
+            params,
+            prior_table: PriorTable::new(params),
+        }
+    }
+
+    /// Call the consecutive sites from reference position `first` on, one
+    /// per row ([`posterior_cached`]): `site(k)`, asked for each `k` in
+    /// order, supplies the likelihoods and summary of site `first + k`.
+    /// The known SNPs of the range are walked once beside the sites
+    /// instead of being looked up at every one.
+    pub fn call_sites(
+        &self,
+        first: u64,
+        rows: &mut [SnpRow],
+        mut site: impl FnMut(usize) -> ([f64; NUM_GENOTYPES], SiteSummary),
+    ) {
+        let mut known = self
+            .priors
+            .range(first..first + rows.len() as u64)
+            .peekable();
+        for (k, row) in rows.iter_mut().enumerate() {
+            let pos = first + k as u64;
+            let (type_likely, summary) = site(k);
+            *row = posterior_cached(
+                &type_likely,
+                &summary,
+                self.reference.seq[pos as usize],
+                known.next_if(|snp| snp.pos == pos),
+                self.params,
+                &self.prior_table,
+            );
+        }
+    }
+}
+
 fn posterior_impl(
     type_likely: &[f64; NUM_GENOTYPES],
     summary: &SiteSummary,
@@ -390,6 +444,13 @@ fn posterior_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio::window::SiteObs;
+
+    /// The summary of a site holding `obs`.
+    fn summary(obs: &[SiteObs]) -> SiteSummary {
+        let words: Vec<u32> = obs.iter().map(SiteObs::word).collect();
+        SiteSummary::from_words(&words)
+    }
 
     fn obs(base: u8, qual: u8) -> SiteObs {
         SiteObs {
@@ -448,7 +509,7 @@ mod tests {
 
     #[test]
     fn summary_counts_and_bests() {
-        let s = SiteSummary::from_obs(&[
+        let s = summary(&[
             obs(0, 40),
             obs(0, 30),
             obs(2, 35),
@@ -473,7 +534,7 @@ mod tests {
 
     #[test]
     fn summary_empty_site() {
-        let s = SiteSummary::from_obs(&[]);
+        let s = summary(&[]);
         assert_eq!(s.best_base(), None);
         assert_eq!(s.second_base(), None);
     }
@@ -562,7 +623,7 @@ mod tests {
         let mut tl = [-60.0f64; NUM_GENOTYPES];
         tl[genotype_index(2, 2)] = -1.0;
         tl[genotype_index(0, 2)] = -20.0;
-        let s = SiteSummary::from_obs(&[obs(2, 40); 12]);
+        let s = summary(&[obs(2, 40); 12]);
         let row = posterior(&tl, &s, 0, None, &ModelParams::default());
         assert_eq!(row.genotype, b'G');
         assert!(row.quality > 50);
@@ -578,7 +639,7 @@ mod tests {
         tl[genotype_index(0, 2)] = -1.0;
         let mut v = vec![obs(0, 40); 6];
         v.extend(vec![obs(2, 40); 6]);
-        let s = SiteSummary::from_obs(&v);
+        let s = summary(&v);
         let row = posterior(&tl, &s, 0, None, &ModelParams::default());
         assert_eq!(row.genotype, b'R');
         assert_eq!(row.rank_sum_milli, 1000, "perfect balance → p = 1");
@@ -608,7 +669,7 @@ mod tests {
     fn copy_number_scales_with_depth() {
         let mut tl = [-10.0f64; NUM_GENOTYPES];
         tl[0] = -1.0;
-        let s = SiteSummary::from_obs(&[obs(0, 40); 20]);
+        let s = summary(&[obs(0, 40); 20]);
         let params = ModelParams {
             expected_depth: 10.0,
             ..Default::default()

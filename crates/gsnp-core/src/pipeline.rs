@@ -7,9 +7,10 @@
 //! ```
 //!
 //! The left column is `first_pass`: one parallel pass over the input in
-//! fixed-size chunks of reads that (parses, on the text entry points,)
-//! counts for `cal_p_matrix` and writes the chunked temporary input which
-//! `read_site` decodes lazily, one chunk at a time.
+//! fixed-size chunks of reads that packs each chunk into a read table
+//! (parsing it, on the text entry points), counts it for `cal_p_matrix`
+//! and writes it to the chunked temporary input, which `read_site` decodes
+//! lazily, one chunk at a time, straight into its own read table.
 //!
 //! There is one window loop, `run_window_loop`: the four stage bodies —
 //! producer (`read_site`), device (`counting` + likelihood + `recycle`),
@@ -28,12 +29,11 @@
 //! reproduction harness reports the latter for "GPU" series and wall time
 //! for CPU series (see `EXPERIMENTS.md`).
 
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use compress::input_codec::{self, TempInput, TempReads};
-use compress::{column, CodecError};
+use compress::column;
+use compress::input_codec::{self, TempChunks, TempInput};
 use gpu_sim::{
     AutoPolicy, BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup,
     LaunchStats,
@@ -42,7 +42,7 @@ use rayon::prelude::*;
 use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
-use seqio::soap::{line_chunks, unsorted_error, AlignedRead, AlignmentReader};
+use seqio::soap::{line_chunks, unsorted_error, AlignedRead, AlignmentReader, ReadChunk};
 use seqio::window::WindowReader;
 use seqio::SeqIoError;
 
@@ -54,7 +54,7 @@ use crate::likelihood::{
     likelihood_comp_fused_gpu_into, likelihood_host_sites, DeviceTables, KernelVariant,
     SITES_PER_BLOCK,
 };
-use crate::model::{posterior, ModelParams, SiteSummary, NUM_GENOTYPES};
+use crate::model::{posterior, ModelParams, SiteCaller, SiteSummary, NUM_GENOTYPES};
 use crate::progress::LatencyHists;
 use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats};
 use crate::tables::{CalCounts, SharedTables};
@@ -372,7 +372,8 @@ impl GsnpPipeline {
     /// the window loop over one unnamed sample with no site policy.
     ///
     /// # Panics
-    /// Panics if `reads` are not sorted by position.
+    /// Panics if `reads` are not sorted by position, or hold a record the
+    /// text parser would reject ([`AlignmentError`] names its index).
     pub fn run(
         &self,
         reads: &[AlignedRead],
@@ -433,7 +434,8 @@ pub(crate) const CHUNK_READS: usize = 4096;
 /// One sample's alignments as a run receives them.
 #[derive(Clone, Copy)]
 pub(crate) enum Alignments<'a> {
-    /// Parsed records, sorted by position.
+    /// Parsed records, sorted by position; unchecked until the first
+    /// pass packs them.
     Reads(&'a [AlignedRead]),
     /// The text of a SOAP alignment file.
     Text(&'a [u8]),
@@ -444,7 +446,7 @@ pub(crate) enum Alignments<'a> {
 pub struct AlignmentError {
     /// Index of the sample, in input order.
     pub sample: usize,
-    /// What was wrong, naming the line.
+    /// What was wrong, naming the line (of text) or the record's index.
     pub error: SeqIoError,
 }
 
@@ -493,9 +495,10 @@ struct ChunkDone {
 }
 
 /// Read every sample's input once, `chunk_reads` records (lines) at a
-/// time and every chunk on the rayon pool: parse it (text only), add its
-/// co-occurrence counts to a [`CalCounts`] borrowed from the run's spare
-/// list (one per chunk in flight, so at most one per thread: no chunk
+/// time and every chunk on the rayon pool: pack it into a [`ReadChunk`]
+/// (parsing text, checking records), add its co-occurrence counts to a
+/// [`CalCounts`] borrowed from the run's spare list (one per chunk in
+/// flight, so at most one per thread: no chunk
 /// zeroes a 2 MiB array or merges one while holding a lock its neighbours
 /// wait on) and encode it into its own temporary-input blob. The counts
 /// are integers, so the tables do not depend on the chunking, on which
@@ -575,68 +578,61 @@ fn run_chunk(
     reference: &Reference,
     counters: Option<&Mutex<Vec<CalCounts>>>,
 ) -> ChunkDone {
+    let mut chunk = ReadChunk::default();
     let (mut first_line, mut fault) = (job.first_line, None);
-    let reads: Cow<'_, [AlignedRead]> = match job.data {
-        Alignments::Reads(reads) => Cow::Borrowed(reads),
+    match job.data {
+        Alignments::Reads(reads) => {
+            for (i, r) in reads.iter().enumerate() {
+                let pushed = chunk.push_read(r.pos, &r.seq, &r.qual, r.strand, r.nhits);
+                if let Err(what) = pushed {
+                    let index = job.first_line - 1 + i as u64;
+                    fault = Some(SeqIoError::Invariant(format!("record {index}: {what}")));
+                    break;
+                }
+            }
+        }
         Alignments::Text(text) => {
             let mut reader = AlignmentReader::at_line(text, job.first_line);
-            let mut reads = Vec::new();
             loop {
-                match reader.next_read() {
-                    Ok(Some(read)) => {
-                        if reads.is_empty() {
-                            first_line = reader.line();
-                        }
-                        reads.push(read);
-                    }
-                    Ok(None) => break,
+                match reader.read_into(&mut chunk) {
+                    Ok(true) if chunk.len() == 1 => first_line = reader.line(),
+                    Ok(true) => {}
+                    Ok(false) => break,
                     Err(e) => {
                         fault = Some(e);
                         break;
                     }
                 }
             }
-            Cow::Owned(reads)
         }
-    };
-    let ends = reads
-        .first()
-        .zip(reads.last())
-        .map(|(a, b)| (first_line, a.pos, b.pos));
+    }
+    let ends = chunk
+        .len()
+        .checked_sub(1)
+        .map(|last| (first_line, chunk.pos(0), chunk.pos(last)));
     if let Some(e) = fault {
         return ChunkDone { ends, temp: Err(e) };
     }
     if let Some(counters) = counters {
         let spare = counters.lock().expect(NO_CHUNK_PANICKED).pop();
         let mut counts = spare.unwrap_or_default();
-        counts.add_reads(reads.iter(), reference);
+        counts.add_chunk(&chunk, reference);
         counters.lock().expect(NO_CHUNK_PANICKED).push(counts);
     }
     ChunkDone {
         ends,
-        temp: Ok(input_codec::compress_reads(&reference.name, &reads)),
+        temp: Ok(input_codec::compress_chunk(&reference.name, &chunk)),
     }
 }
 
 /// `read_site` over a sample's temporary input.
-pub(crate) type TempWindows = WindowReader<
-    std::iter::Map<
-        TempReads,
-        fn(Result<AlignedRead, CodecError>) -> Result<AlignedRead, SeqIoError>,
-    >,
->;
+pub(crate) type TempWindows = WindowReader<TempChunks>;
 
 /// Failing [`WindowReader::next_window_into`] on these readers means this.
 const TEMP_INPUT_DECODES: &str = "pipeline-internal temporary input must decode";
 
 pub(crate) fn temp_windows(input: TempInput, ref_len: u64, window_size: usize) -> TempWindows {
-    WindowReader::new(
-        input
-            .into_reads()
-            .map(|r| r.map_err(|e| SeqIoError::Invariant(e.to_string()))),
-        ref_len,
-        window_size,
-    )
+    WindowReader::new(input.into_chunks(), ref_len, window_size)
 }
 
 /// What [`run_window_loop`] hands back to the two pipeline front ends.
@@ -649,9 +645,10 @@ pub(crate) struct WindowLoopOutput {
     pub(crate) tallies: PostTallies,
 }
 
-/// Likelihood-scored batch handed from a device worker to `posterior`
-/// (each arena owns its `summaries` and `type_likely`; `posterior`
-/// returns them to the pool once rows are extracted). `dev` is the group
+/// Scored batch handed from a device worker to `posterior` (each arena
+/// owns its `rows` from the native arm, or its `summaries` and
+/// `type_likely` from the simulator chain; `posterior` returns it to the
+/// pool once the rows are out). `dev` is the group
 /// index of the device that scored the batch — downstream transfer and
 /// output-column charges go to that device's ledger. `tl_bytes` is the
 /// batch's total `type_likely` readback size.
@@ -799,6 +796,7 @@ pub(crate) fn run_window_loop(
     };
 
     // ---- counting + likelihood + recycle: ONE launch group per batch ----
+    let calls = &SiteCaller::new(reference, priors, &cfg.params);
     let device_table_bytes = stats.table_bytes;
     let mut lane_reports: Vec<LaneReport> = Vec::new();
     lane_reports.resize_with(group.len(), LaneReport::default);
@@ -813,6 +811,7 @@ pub(crate) fn run_window_loop(
                 let tl_bytes = run_device_batch(
                     disp,
                     dev_tables,
+                    calls,
                     cfg.variant,
                     device_table_bytes,
                     cfg.device.coalesced_bw,
@@ -849,16 +848,13 @@ pub(crate) fn run_window_loop(
             .map(|(sample, arenas)| {
                 arenas
                     .into_iter()
-                    .map(|arena| {
+                    .map(|mut arena| {
                         let start = arena.window.start;
-                        let mut rows = posterior_rows(
-                            start,
-                            &arena.type_likely,
-                            &arena.sw.summaries,
-                            reference,
-                            priors,
-                            &cfg.params,
-                        );
+                        // The native arm's launch ended at the row; the
+                        // simulator chain's at `type_likely`.
+                        let mut rows = arena.rows.take().unwrap_or_else(|| {
+                            posterior_rows(calls, start, &arena.type_likely, &arena.sw.summaries)
+                        });
                         arena_pool.checkin(arena);
                         apply_site_policies(
                             &mut rows,
@@ -966,7 +962,8 @@ pub(crate) fn run_window_loop(
 
 /// Append the end-of-run lifecycle events the pipeline owns — per-stage
 /// busy/stall totals, per-lane window/steal counts, per-device ledger
-/// and sanitizer summaries, and the merged contract proof tally — to the
+/// and sanitizer summaries, the arena pool's memory-ledger row, and the
+/// merged contract proof tally — to the
 /// run journal. The CLI brackets these with the `run_start` manifest and
 /// `run_end` summary.
 fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
@@ -1005,6 +1002,13 @@ fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
             ),
         );
     }
+    j.event(
+        "arena",
+        &format!(
+            "\"built\":{},\"recycled\":{},\"high_water_bytes\":{}",
+            stats.arena.misses, stats.arena.hits, stats.arena.high_water_bytes
+        ),
+    );
     let proofs = stats.contracts.totals();
     if proofs.verified + proofs.refuted + proofs.assumed > 0 {
         j.event(
@@ -1040,14 +1044,17 @@ struct BatchScratch {
 ///
 /// Where that chain would execute on the host (asked once per batch,
 /// [`ComputeBackend::native_arm`] over the fused launch's grid) the stage
-/// is its native arm instead: ONE launch that scores the batch in place in
-/// its arenas ([`likelihood_host_sites`]). Nothing is staged, uploaded,
-/// pooled, read back or scattered, so the device holds its tables and
-/// nothing else and the posterior stage has no `type_likely` to fetch.
+/// is its native arm instead: ONE launch that sorts, scores and calls the
+/// batch in place in its windows' own word arrays and leaves each arena its
+/// rows ([`likelihood_host_sites`]). Nothing is staged, copied, uploaded,
+/// pooled, read back or scattered — no `sw` or `type_likely` vector is
+/// sized — so the device holds its tables and nothing else and the
+/// posterior stage has nothing to fetch or call.
 #[allow(clippy::too_many_arguments)]
 fn run_device_batch<B: ComputeBackend>(
     dev: &B,
     tables: &DeviceTables,
+    calls: &SiteCaller<'_>,
     variant: KernelVariant,
     device_table_bytes: u64,
     coalesced_bw: f64,
@@ -1064,18 +1071,17 @@ fn run_device_batch<B: ComputeBackend>(
         .flatten();
     if let Some(native) = arm {
         let t0 = Instant::now();
-        let comp_stats = likelihood_host_sites(&native, tables, batch);
+        let comp_stats = likelihood_host_sites(&native, tables, calls, batch);
         wall.likelihood_comp += t0.elapsed().as_secs_f64();
         times.likelihood_comp += comp_stats.sim_time;
-        let spans = batch.iter().flat_map(|arena| &arena.sw.spans);
-        let classes = sortnet::class_tallies(spans.map(|&(_, len)| len));
+        let depths = batch.iter().flat_map(|arena| arena.window.sites());
+        let classes = sortnet::class_tallies(depths.map(<[u32]>::len));
         merge_sort_classes(&mut stats.sort_classes, &classes);
         for arena in batch.iter() {
-            let obs = arena.window.total_obs() as u64;
             stats.peak_host_bytes = stats
                 .peak_host_bytes
-                .max(arena.sw.size_bytes() as u64 + obs * 8);
-            stats.num_obs += obs;
+                .max(arena.window.capacity_bytes() as u64);
+            stats.num_obs += arena.window.total_obs() as u64;
         }
         stats.peak_device_bytes = stats.peak_device_bytes.max(device_table_bytes);
         stats.num_sites += total_sites as u64;
@@ -1217,33 +1223,24 @@ fn merge_sort_classes(acc: &mut Vec<sortnet::ClassTally>, add: &[sortnet::ClassT
     }
 }
 
-/// The per-site posterior loop, parallelized over sites (rayon). The map
-/// is order-preserving, so results are identical to the sequential loop.
+/// The posterior of a window the simulator chain scored, parallel over
+/// blocks of sites (rayon); each block stores its own rows, so the result
+/// is the sequential loop's.
 fn posterior_rows(
+    calls: &SiteCaller<'_>,
     start: u64,
     type_likely: &[[f64; NUM_GENOTYPES]],
-    summaries: &[crate::model::SiteSummary],
-    reference: &Reference,
-    priors: &PriorMap,
-    params: &ModelParams,
+    summaries: &[SiteSummary],
 ) -> Vec<SnpRow> {
-    // The no-known-SNP prior depends only on (ref_base, genotype); table
-    // it once per batch instead of ten log10 calls per site.
-    let prior_table = crate::model::PriorTable::new(params);
-    (0..summaries.len())
-        .into_par_iter()
-        .map(|site| {
-            let pos = start + site as u64;
-            crate::model::posterior_cached(
-                &type_likely[site],
-                &summaries[site],
-                reference.seq[pos as usize],
-                priors.get(pos),
-                params,
-                &prior_table,
-            )
-        })
-        .collect()
+    let mut rows = vec![SnpRow::default(); summaries.len()];
+    let blocks: Vec<_> = rows.chunks_mut(SITES_PER_BLOCK).enumerate().collect();
+    blocks.into_par_iter().for_each(|(b, rows)| {
+        let first = b * SITES_PER_BLOCK;
+        calls.call_sites(start + first as u64, rows, |k| {
+            (type_likely[first + k], summaries[first + k])
+        });
+    });
+    rows
 }
 
 /// GSNP_CPU (§VI-A): the same sparse algorithm — `base_word`, per-site
@@ -1737,6 +1734,16 @@ mod tests {
         text
     }
 
+    /// Every read of `input`, decoded chunk by chunk, as records of `chr`.
+    fn temp_reads(input: TempInput, chr: &str) -> Vec<AlignedRead> {
+        use seqio::window::ReadSource;
+        let (mut source, mut table) = (input.into_chunks(), ReadChunk::default());
+        while source.fill(&mut table).expect("decodes") {}
+        (0..table.len())
+            .map(|i| table.to_read(i, format!("t{i}"), chr))
+            .collect()
+    }
+
     /// What the temporary input preserves of `reads`: everything but ids.
     fn strip_ids(mut reads: Vec<AlignedRead>) -> Vec<AlignedRead> {
         for (i, r) in reads.iter_mut().enumerate() {
@@ -1773,7 +1780,7 @@ mod tests {
                 let first = first_pass_chunked(&cfg, &[sample], &d.reference, chunk_reads).unwrap();
                 prop_assert_eq!(bits(&first.tables.p_matrix), bits(&serial), "chunks of {}", chunk_reads);
                 let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
-                let back: Vec<_> = input.into_reads().collect::<Result<_, _>>().unwrap();
+                let back = temp_reads(input, &d.reference.name);
                 prop_assert_eq!(&back, &kept, "chunks of {}", chunk_reads);
             }
         }
@@ -1852,10 +1859,7 @@ mod tests {
             )
             .map(|first| {
                 let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
-                input
-                    .into_reads()
-                    .collect::<Result<Vec<_>, _>>()
-                    .expect("decodes")
+                temp_reads(input, &d.reference.name)
             })
             .map_err(|e| {
                 assert_eq!(e.sample, 0);
@@ -1911,6 +1915,45 @@ mod tests {
                 for n in chunkings {
                     assert_eq!(chunked(&text, n).unwrap_err(), want, "chunks of {n}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn in_memory_records_meet_the_text_parser_s_invariants() {
+        // Each of these went through silently (or, `nhits` 0, underflowed)
+        // before the first pass packed and checked its records.
+        let d = Dataset::generate(SynthConfig::tiny(80));
+        type Damage = fn(&mut AlignedRead);
+        let damages: [(&str, Damage); 5] = [
+            ("read longer than 256 bases", |r| {
+                r.seq = vec![0; 300];
+                r.qual = vec![30; 300];
+            }),
+            ("quality out of range", |r| r.qual[3] = 64),
+            ("base code out of range", |r| r.seq[0] = 4),
+            ("nhits must be at least 1", |r| r.nhits = 0),
+            ("seq/qual length mismatch", |r| r.qual.truncate(7)),
+        ];
+        for (what, damage) in damages {
+            // Records in the first chunk, and in the second of chunks of 50.
+            for index in [7, 60] {
+                let mut reads = d.reads.clone();
+                damage(&mut reads[index]);
+                let cfg = tiny_cfg();
+                let chunked =
+                    first_pass_chunked(&cfg, &[Alignments::Reads(&reads)], &d.reference, 50);
+                let Err(err) = chunked else {
+                    panic!("a malformed record went through: {what}");
+                };
+                let named = format!("sample 0: invariant violation: record {index}: {what}");
+                assert_eq!(err.to_string(), named);
+                let run = std::panic::catch_unwind(|| {
+                    GsnpPipeline::new(cfg).run(&reads, &d.reference, &d.priors)
+                });
+                let payload = run.expect_err("run refuses it too");
+                let message = payload.downcast_ref::<String>().expect("a formatted panic");
+                assert_eq!(message, &format!("gsnp: {named}"));
             }
         }
     }

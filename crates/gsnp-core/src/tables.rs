@@ -14,8 +14,9 @@
 
 use std::sync::Arc;
 
+use seqio::base::Strand;
 use seqio::fasta::Reference;
-use seqio::soap::AlignedRead;
+use seqio::soap::{AlignedRead, ReadChunk};
 
 use crate::model::{ModelParams, GENOTYPES, NUM_GENOTYPES};
 
@@ -108,21 +109,41 @@ impl CalCounts {
 
     /// Count every aligned base of `reads` that lies over a known
     /// reference base.
+    ///
+    /// # Panics
+    /// Panics on a record that breaks a record invariant
+    /// ([`ReadChunk::push_read`]): it would be counted in another cell.
     pub fn add_reads<'a>(
         &mut self,
         reads: impl IntoIterator<Item = &'a AlignedRead>,
         reference: &Reference,
     ) {
-        for read in reads {
-            let end = ((read.pos as usize) + read.len()).min(reference.len());
-            for site in read.pos as usize..end {
-                let r = reference.seq[site];
+        let mut one = ReadChunk::default();
+        for r in reads {
+            one.truncate(0);
+            one.push_read(r.pos, &r.seq, &r.qual, r.strand, r.nhits)
+                .unwrap_or_else(|what| panic!("read {}: {what}", r.id));
+            self.add_chunk(&one, reference);
+        }
+    }
+
+    /// [`CalCounts::add_reads`] over a packed read table.
+    pub fn add_chunk(&mut self, chunk: &ReadChunk, reference: &Reference) {
+        for i in 0..chunk.len() {
+            let (seq, qual) = (chunk.seq(i), chunk.qual(i));
+            let start = (chunk.pos(i) as usize).min(reference.len());
+            let end = (start + seq.len()).min(reference.len());
+            for (offset, (&r, &base)) in reference.seq[start..end].iter().zip(seq).enumerate() {
                 if r >= 4 {
                     continue; // unknown reference: no truth label
                 }
-                let offset = site - read.pos as usize;
-                let (base, qual, coord) = read.obs_at(offset);
-                self.counts[p_index(qual, coord, r, base.code())] += 1;
+                // The quality matrix is indexed by sequencing cycle
+                // ([`AlignedRead::obs_at`]).
+                let cycle = match chunk.strand(i) {
+                    Strand::Forward => offset,
+                    Strand::Reverse => seq.len() - 1 - offset,
+                };
+                self.counts[p_index(qual[cycle], cycle as u8, r, base)] += 1;
             }
         }
     }

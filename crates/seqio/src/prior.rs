@@ -9,7 +9,7 @@
 //!
 //! where `fX` are the population allele frequencies (summing to ~1).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 use crate::base::Base;
@@ -40,10 +40,10 @@ impl KnownSnp {
     }
 }
 
-/// All known-SNP priors for one chromosome, indexed by position.
+/// All known-SNP priors for one chromosome, ordered by position.
 #[derive(Debug, Clone, Default)]
 pub struct PriorMap {
-    by_pos: HashMap<u64, KnownSnp>,
+    by_pos: BTreeMap<u64, KnownSnp>,
 }
 
 impl PriorMap {
@@ -67,6 +67,13 @@ impl PriorMap {
     /// Prior at a site, if known.
     pub fn get(&self, pos: u64) -> Option<&KnownSnp> {
         self.by_pos.get(&pos)
+    }
+
+    /// The known sites within `positions`, in position order: a caller
+    /// visiting consecutive sites walks this once instead of asking
+    /// [`PriorMap::get`] at every one.
+    pub fn range(&self, positions: std::ops::Range<u64>) -> impl Iterator<Item = &KnownSnp> {
+        self.by_pos.range(positions).map(|(_, snp)| snp)
     }
 
     /// Parse from the text format.
@@ -116,9 +123,7 @@ impl PriorMap {
 
     /// Serialize to the text format (sorted by position).
     pub fn write<W: Write>(&self, chr: &str, mut w: W) -> Result<(), SeqIoError> {
-        let mut sites: Vec<&KnownSnp> = self.by_pos.values().collect();
-        sites.sort_by_key(|s| s.pos);
-        for s in sites {
+        for s in self.by_pos.values() {
             writeln!(
                 w,
                 "{}\t{}\t{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}",
@@ -157,6 +162,21 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(10).unwrap().freqs[0], 0.7);
         assert!(back.get(11).is_none());
+    }
+
+    #[test]
+    fn range_walks_the_known_sites_of_a_span_in_order() {
+        let m = PriorMap::from_sites(vec![snp(99), snp(10), snp(40), snp(41)]);
+        let at = |r: std::ops::Range<u64>| m.range(r).map(|s| s.pos).collect::<Vec<_>>();
+        assert_eq!(at(0..100), [10, 40, 41, 99]);
+        assert_eq!(at(10..41), [10, 40]);
+        assert_eq!(at(11..40), [0u64; 0]);
+        // The walk a caller does: one `next_if` per site.
+        let mut known = m.range(38..43).peekable();
+        let hits: Vec<bool> = (38..43)
+            .map(|pos| known.next_if(|k| k.pos == pos).is_some())
+            .collect();
+        assert_eq!(hits, [false, false, true, true, false]);
     }
 
     #[test]

@@ -33,6 +33,13 @@ pub const MAX_READ_LEN: usize = 256;
 /// Marks a byte that is no base / no quality in the tables below.
 const INVALID: u8 = 0xFF;
 
+// What a record may not be, as the parser and `ReadChunk::push_read` say it.
+const NO_HITS: &str = "nhits must be at least 1";
+const TOO_LONG: &str = "read longer than 256 bases";
+const _: () = assert!(MAX_READ_LEN == 256, "TOO_LONG names the limit");
+const BAD_QUALITY: &str = "quality out of range";
+const LENGTHS_DIFFER: &str = "seq/qual length mismatch";
+
 /// ASCII → 2-bit base code ([`Base::from_ascii`], tabulated).
 static BASE_CODE: [u8; 256] = {
     let mut t = [INVALID; 256];
@@ -135,75 +142,313 @@ impl AlignedRead {
         Self::parse_bytes(line.as_bytes(), lineno)
     }
 
-    /// [`AlignedRead::parse_line`] on raw bytes — the one parser under
-    /// `parse_line` and [`AlignmentReader`]. Only `id` and `chr` are
-    /// checked as UTF-8; the 100-byte `seq`/`qual` fields go through the
-    /// two 256-entry tables instead.
+    /// [`AlignedRead::parse_line`] on raw bytes: one record through the
+    /// parser [`AlignmentReader::read_into`] fills a [`ReadChunk`] with.
     pub fn parse_bytes(line: &[u8], lineno: u64) -> Result<AlignedRead, SeqIoError> {
-        let err = |msg: &str| SeqIoError::parse(lineno, msg);
-        let mut f = line.trim_ascii_end().split(|&c| c == b'\t');
-        let mut next = |what: &str| {
-            f.next()
-                .ok_or_else(|| SeqIoError::parse(lineno, format!("missing field: {what}")))
-        };
-        let id = text(next("id")?, "id", lineno)?.to_string();
-        let seq_s = next("seq")?;
-        let qual_s = next("qual")?;
-        let nhits: u32 = text(next("nhits")?, "nhits", lineno)?
-            .parse()
-            .map_err(|_| err("nhits not an integer"))?;
-        let len: usize = text(next("len")?, "len", lineno)?
-            .parse()
-            .map_err(|_| err("len not an integer"))?;
-        let strand_s = next("strand")?;
-        let chr = text(next("chr")?, "chr", lineno)?.to_string();
-        let pos1: u64 = text(next("pos")?, "pos", lineno)?
-            .parse()
-            .map_err(|_| err("pos not an integer"))?;
-        if pos1 == 0 {
-            return Err(err("pos must be 1-based"));
-        }
-        // The temporary-input codec stores `nhits − 1`.
-        if nhits == 0 {
-            return Err(err("nhits must be at least 1"));
-        }
-        // The sequencing cycle is an 8-bit coordinate everywhere downstream
-        // (`obs_at`, `base_word`, the `p_matrix` index).
-        if seq_s.len() > MAX_READ_LEN {
-            return Err(SeqIoError::parse(
-                lineno,
-                format!("read longer than {MAX_READ_LEN} bases"),
-            ));
-        }
+        let (mut seq, mut qual) = (Vec::new(), Vec::new());
+        let rec = parse_record(line, lineno, &mut seq, &mut qual)?;
+        Ok(AlignedRead {
+            id: rec.id.to_string(),
+            seq,
+            qual,
+            nhits: rec.nhits,
+            strand: rec.strand,
+            chr: rec.chr.to_string(),
+            pos: rec.pos,
+        })
+    }
+}
 
-        let seq: Vec<u8> = seq_s.iter().map(|&c| BASE_CODE[usize::from(c)]).collect();
-        if let Some(bad) = seq.iter().position(|&code| code == INVALID) {
+/// The scalar fields of one parsed record; its bases and qualities went to
+/// the caller's vectors.
+struct Record<'a> {
+    id: &'a str,
+    nhits: u32,
+    strand: Strand,
+    chr: &'a str,
+    /// 0-based leftmost match position.
+    pos: u64,
+}
+
+/// The one record parser: check the tab-separated `line` field by field
+/// and append its base codes to `seq` and its qualities to `qual`, which
+/// are left as they were on error. Only `id` and `chr` are checked as
+/// UTF-8; the 100-byte `seq`/`qual` fields go through the two 256-entry
+/// tables instead.
+fn parse_record<'a>(
+    line: &'a [u8],
+    lineno: u64,
+    seq: &mut Vec<u8>,
+    qual: &mut Vec<u8>,
+) -> Result<Record<'a>, SeqIoError> {
+    let err = |msg: &str| SeqIoError::parse(lineno, msg);
+    let mut f = line.trim_ascii_end().split(|&c| c == b'\t');
+    let mut next = |what: &str| {
+        f.next()
+            .ok_or_else(|| SeqIoError::parse(lineno, format!("missing field: {what}")))
+    };
+    let id = text(next("id")?, "id", lineno)?;
+    let seq_s = next("seq")?;
+    let qual_s = next("qual")?;
+    let nhits: u32 = text(next("nhits")?, "nhits", lineno)?
+        .parse()
+        .map_err(|_| err("nhits not an integer"))?;
+    let len: usize = text(next("len")?, "len", lineno)?
+        .parse()
+        .map_err(|_| err("len not an integer"))?;
+    let strand_s = next("strand")?;
+    let chr = text(next("chr")?, "chr", lineno)?;
+    let pos1: u64 = text(next("pos")?, "pos", lineno)?
+        .parse()
+        .map_err(|_| err("pos not an integer"))?;
+    if pos1 == 0 {
+        return Err(err("pos must be 1-based"));
+    }
+    // The temporary-input codec stores `nhits − 1`.
+    if nhits == 0 {
+        return Err(err(NO_HITS));
+    }
+    // The sequencing cycle is an 8-bit coordinate everywhere downstream
+    // (`obs_at`, `base_word`, the `p_matrix` index).
+    if seq_s.len() > MAX_READ_LEN {
+        return Err(err(TOO_LONG));
+    }
+    // One table pass per field, straight into the caller's vectors; the
+    // codes are checked where they land and taken back on any fault.
+    let (seq_at, qual_at) = (seq.len(), qual.len());
+    let mut coded = || {
+        seq.extend(seq_s.iter().map(|&c| BASE_CODE[usize::from(c)]));
+        if let Some(bad) = seq[seq_at..].iter().position(|&code| code == INVALID) {
             return Err(SeqIoError::parse(
                 lineno,
                 format!("invalid base {:?}", seq_s[bad] as char),
             ));
         }
-        let qual: Vec<u8> = qual_s.iter().map(|&c| QUAL_CODE[usize::from(c)]).collect();
-        if qual.contains(&INVALID) {
-            return Err(err("quality out of range"));
+        qual.extend(qual_s.iter().map(|&c| QUAL_CODE[usize::from(c)]));
+        if qual[qual_at..].contains(&INVALID) {
+            return Err(err(BAD_QUALITY));
         }
-        if seq.len() != len || qual.len() != len {
-            return Err(err("seq/qual length mismatch"));
+        if seq_s.len() != len || qual_s.len() != len {
+            return Err(err(LENGTHS_DIFFER));
         }
-        let strand = strand_s
+        strand_s
             .first()
             .copied()
             .and_then(Strand::from_ascii)
-            .ok_or_else(|| err("invalid strand"))?;
-        Ok(AlignedRead {
-            id,
-            seq,
-            qual,
-            nhits,
-            strand,
-            chr,
-            pos: pos1 - 1,
+            .ok_or_else(|| err("invalid strand"))
+    };
+    let strand = coded().inspect_err(|_| {
+        seq.truncate(seq_at);
+        qual.truncate(qual_at);
+    })?;
+    Ok(Record {
+        id,
+        nhits,
+        strand,
+        chr,
+        pos: pos1 - 1,
+    })
+}
+
+/// A packed table of aligned reads — the one representation of reads
+/// between the alignment text and a window: no per-read heap object, ids
+/// and chromosome names not kept. Read `i`'s base codes and qualities are
+/// `off[i]..off[i + 1]` of two byte vectors shared by all reads. Every read
+/// in a table satisfies the record invariants the text parser enforces
+/// (at most [`MAX_READ_LEN`] bases, codes below 4, qualities at most
+/// [`MAX_QUAL`], as many qualities as bases, at least one hit), so
+/// downstream code packs its fields without range checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadChunk {
+    pos: Vec<u64>,
+    /// `len() + 1` offsets into `seq` / `qual`, from 0.
+    off: Vec<usize>,
+    strand: Vec<Strand>,
+    nhits: Vec<u32>,
+    seq: Vec<u8>,
+    qual: Vec<u8>,
+}
+
+impl Default for ReadChunk {
+    fn default() -> Self {
+        ReadChunk {
+            pos: Vec::new(),
+            off: vec![0],
+            strand: Vec::new(),
+            nhits: Vec::new(),
+            seq: Vec::new(),
+            qual: Vec::new(),
+        }
+    }
+}
+
+impl ReadChunk {
+    /// Number of reads.
+    pub fn len(&self) -> usize {
+        self.pos.len()
+    }
+
+    /// Whether the table holds no read.
+    pub fn is_empty(&self) -> bool {
+        self.pos.is_empty()
+    }
+
+    /// 0-based leftmost match position of read `i`.
+    #[inline]
+    pub fn pos(&self, i: usize) -> u64 {
+        self.pos[i]
+    }
+
+    /// Length of read `i` in bases.
+    #[inline]
+    pub fn read_len(&self, i: usize) -> usize {
+        self.off[i + 1] - self.off[i]
+    }
+
+    /// Base codes of read `i` as aligned to the forward strand.
+    #[inline]
+    pub fn seq(&self, i: usize) -> &[u8] {
+        &self.seq[self.off[i]..self.off[i + 1]]
+    }
+
+    /// Qualities of read `i` in sequencing order.
+    #[inline]
+    pub fn qual(&self, i: usize) -> &[u8] {
+        &self.qual[self.off[i]..self.off[i + 1]]
+    }
+
+    /// Strand read `i` aligned to.
+    #[inline]
+    pub fn strand(&self, i: usize) -> Strand {
+        self.strand[i]
+    }
+
+    /// Number of equally good hits of read `i` (1 = unique).
+    #[inline]
+    pub fn nhits(&self, i: usize) -> u32 {
+        self.nhits[i]
+    }
+
+    /// Every read's base codes, concatenated in read order.
+    pub fn bases(&self) -> &[u8] {
+        &self.seq
+    }
+
+    /// Every read's qualities, concatenated in read order.
+    pub fn quals(&self) -> &[u8] {
+        &self.qual
+    }
+
+    /// Append one read — one that did not come through the text parser —
+    /// or say which of the parser's record invariants it breaks.
+    pub fn push_read(
+        &mut self,
+        pos: u64,
+        seq: &[u8],
+        qual: &[u8],
+        strand: Strand,
+        nhits: u32,
+    ) -> Result<(), &'static str> {
+        if seq.len() != qual.len() {
+            return Err(LENGTHS_DIFFER);
+        }
+        if seq.len() > MAX_READ_LEN {
+            return Err(TOO_LONG);
+        }
+        self.push_reads(&[seq.len() as u32], [(pos, strand, nhits)], |s, q| {
+            s.copy_from_slice(seq);
+            q.copy_from_slice(qual);
         })
+    }
+
+    /// Append `lens.len()` reads at once: read `i` has `lens[i]` bases and
+    /// the `i`-th `(pos, strand, nhits)` of `fields`, and `fill` is handed
+    /// the new reads' stretch of the base-code and the quality vector (the
+    /// lengths' sum, zeroed) to write in one go. The record invariants are
+    /// checked over the whole stretch afterwards; if one is broken nothing
+    /// is appended and `Err` says which.
+    pub fn push_reads(
+        &mut self,
+        lens: &[u32],
+        fields: impl IntoIterator<Item = (u64, Strand, u32)>,
+        fill: impl FnOnce(&mut [u8], &mut [u8]),
+    ) -> Result<(), &'static str> {
+        if lens.iter().any(|&l| l as usize > MAX_READ_LEN) {
+            return Err(TOO_LONG);
+        }
+        let (reads, bytes) = (self.len(), self.seq.len());
+        let total: usize = lens.iter().map(|&l| l as usize).sum();
+        self.seq.resize(bytes + total, 0);
+        self.qual.resize(bytes + total, 0);
+        fill(&mut self.seq[bytes..], &mut self.qual[bytes..]);
+        let mut broken = None;
+        if self.seq[bytes..].iter().any(|&b| b > 3) {
+            broken = Some("base code out of range");
+        } else if self.qual[bytes..].iter().any(|&q| q > MAX_QUAL) {
+            broken = Some(BAD_QUALITY);
+        }
+        for (&len, (pos, strand, nhits)) in lens.iter().zip(fields) {
+            if nhits == 0 {
+                broken = broken.or(Some(NO_HITS));
+            }
+            self.push_fields(len as usize, pos, strand, nhits);
+        }
+        assert_eq!(self.len(), reads + lens.len(), "one field set per read");
+        match broken {
+            None => Ok(()),
+            Some(what) => {
+                self.truncate(reads);
+                Err(what)
+            }
+        }
+    }
+
+    /// Enter the next read, whose `len` bases and qualities are in place.
+    fn push_fields(&mut self, len: usize, pos: u64, strand: Strand, nhits: u32) {
+        self.off.push(self.off[self.len()] + len);
+        self.pos.push(pos);
+        self.strand.push(strand);
+        self.nhits.push(nhits);
+    }
+
+    /// Keep the first `n` reads.
+    pub fn truncate(&mut self, n: usize) {
+        if n < self.len() {
+            self.pos.truncate(n);
+            self.off.truncate(n + 1);
+            self.strand.truncate(n);
+            self.nhits.truncate(n);
+            self.seq.truncate(self.off[n]);
+            self.qual.truncate(self.off[n]);
+        }
+    }
+
+    /// Drop the first `n` reads, keeping every vector's capacity.
+    pub fn drop_front(&mut self, n: usize) {
+        let bytes = self.off[n];
+        self.pos.drain(..n);
+        self.off.drain(..n);
+        self.strand.drain(..n);
+        self.nhits.drain(..n);
+        self.seq.drain(..bytes);
+        self.qual.drain(..bytes);
+        for off in &mut self.off {
+            *off -= bytes;
+        }
+    }
+
+    /// Read `i` as a record of chromosome `chr` with the placeholder id
+    /// `id` (a table keeps neither).
+    pub fn to_read(&self, i: usize, id: String, chr: &str) -> AlignedRead {
+        AlignedRead {
+            id,
+            seq: self.seq(i).to_vec(),
+            qual: self.qual(i).to_vec(),
+            nhits: self.nhits[i],
+            strand: self.strand[i],
+            chr: chr.to_string(),
+            pos: self.pos[i],
+        }
     }
 }
 
@@ -296,25 +541,58 @@ impl<R: BufRead> AlignmentReader<R> {
         self.lineno
     }
 
-    /// Read the next record, or `None` at end of stream.
-    pub fn next_read(&mut self) -> Result<Option<AlignedRead>, SeqIoError> {
+    /// Load the next line that is not blank; `false` at end of stream.
+    fn next_line(&mut self) -> Result<bool, SeqIoError> {
         loop {
             self.line.clear();
-            let n = self.reader.read_until(b'\n', &mut self.line)?;
-            if n == 0 {
-                return Ok(None);
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+                return Ok(false);
             }
             self.lineno += 1;
-            if self.line.trim_ascii().is_empty() {
-                continue;
+            if !self.line.trim_ascii().is_empty() {
+                return Ok(true);
             }
-            let read = AlignedRead::parse_bytes(&self.line, self.lineno)?;
-            if read.pos < self.last_pos {
-                return Err(unsorted_error(self.lineno, read.pos, self.last_pos));
-            }
-            self.last_pos = read.pos;
-            return Ok(Some(read));
         }
+    }
+
+    /// A record at `pos` was parsed from the current line: is it in order?
+    fn in_order(&mut self, pos: u64) -> Result<(), SeqIoError> {
+        if pos < self.last_pos {
+            return Err(unsorted_error(self.lineno, pos, self.last_pos));
+        }
+        self.last_pos = pos;
+        Ok(())
+    }
+
+    /// Read the next record, or `None` at end of stream.
+    pub fn next_read(&mut self) -> Result<Option<AlignedRead>, SeqIoError> {
+        if !self.next_line()? {
+            return Ok(None);
+        }
+        let read = AlignedRead::parse_bytes(&self.line, self.lineno)?;
+        self.in_order(read.pos)?;
+        Ok(Some(read))
+    }
+
+    /// [`AlignmentReader::next_read`] appending to a packed table instead:
+    /// the same checks in the same order with the same messages, `id` and
+    /// `chr` validated and not stored. `false` at end of stream; `chunk`
+    /// is as it was on error.
+    pub fn read_into(&mut self, chunk: &mut ReadChunk) -> Result<bool, SeqIoError> {
+        if !self.next_line()? {
+            return Ok(false);
+        }
+        let bytes = chunk.seq.len();
+        let Record {
+            pos, strand, nhits, ..
+        } = parse_record(&self.line, self.lineno, &mut chunk.seq, &mut chunk.qual)?;
+        if let Err(e) = self.in_order(pos) {
+            chunk.seq.truncate(bytes);
+            chunk.qual.truncate(bytes);
+            return Err(e);
+        }
+        chunk.push_fields(chunk.seq.len() - bytes, pos, strand, nhits);
+        Ok(true)
     }
 }
 
@@ -532,5 +810,172 @@ mod tests {
             whole.to_string(),
             "parse error at line 5: missing field: seq"
         );
+    }
+
+    // ---- the packed read table ----
+
+    use crate::synth::{Dataset, SynthConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `text` from line `first_line` through `read_into` and through
+    /// `next_read`: the same records in the same order, then the same
+    /// fault (message and line) or none, and the same line counter.
+    fn assert_chunk_parser_matches_record_parser(text: &[u8], first_line: u64) {
+        let mut records = AlignmentReader::at_line(text, first_line);
+        let mut packed = AlignmentReader::at_line(text, first_line);
+        let mut chunk = ReadChunk::default();
+        loop {
+            let record = records.next_read().map_err(|e| e.to_string());
+            let before = chunk.clone();
+            let more = packed.read_into(&mut chunk).map_err(|e| e.to_string());
+            assert_eq!(packed.line(), records.line());
+            match (record, more) {
+                (Ok(Some(r)), Ok(true)) => {
+                    let i = chunk.len() - 1;
+                    assert_eq!(chunk.to_read(i, r.id.clone(), &r.chr), r);
+                }
+                (Ok(None), Ok(false)) => break,
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b);
+                    assert_eq!(chunk, before, "a fault appends nothing");
+                    break;
+                }
+                (a, b) => panic!("record parser {a:?}, chunk parser {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_parser_matches_record_parser_on_clean_and_damaged_text() {
+        let d = Dataset::generate(SynthConfig::tiny(31));
+        let mut clean = Vec::new();
+        write_alignments(&d.reads[..300], &mut clean).unwrap();
+        assert_chunk_parser_matches_record_parser(&clean, 1);
+        // No final newline; every piece of the file on its own.
+        assert_chunk_parser_matches_record_parser(clean.trim_ascii_end(), 1);
+        for (k, piece) in line_chunks(&clean, 64).into_iter().enumerate() {
+            assert_chunk_parser_matches_record_parser(piece, k as u64 * 64 + 1);
+        }
+
+        let lines: Vec<&[u8]> = clean.split(|&c| c == b'\n').collect();
+        let join = |lines: &[Vec<u8>]| lines.join(&b'\n');
+        let mut rng = StdRng::seed_from_u64(31);
+        let junk: [&[u8]; 9] = [
+            b"",
+            b"x",
+            b"0",
+            b"-1",
+            b"1",
+            b"300",
+            b"99999999999999999999999",
+            b"\xFF",
+            b"+-",
+        ];
+        for _ in 0..400 {
+            let mut damaged: Vec<Vec<u8>> = lines[..40].iter().map(|l| l.to_vec()).collect();
+            let at = rng.gen_range(0..damaged.len() - 1);
+            let damage = rng.gen_range(0..7);
+            if damage == 6 {
+                // This record after the next one.
+                damaged.swap(at, at + 1);
+            } else {
+                let mut fields: Vec<Vec<u8>> = damaged[at]
+                    .split(|&c| c == b'\t')
+                    .map(<[u8]>::to_vec)
+                    .collect();
+                let column = rng.gen_range(0..fields.len());
+                match damage {
+                    // A field replaced, grown by a byte, or cut out; or a
+                    // blank line.
+                    0..=2 => fields[column] = junk[rng.gen_range(0..junk.len())].to_vec(),
+                    3 => fields[column].push(b"A5+\xC3 "[rng.gen_range(0..5usize)]),
+                    4 => drop(fields.remove(column)),
+                    _ => fields = vec![b"  ".to_vec()],
+                }
+                damaged[at] = fields.join(&b'\t');
+            }
+            let text = join(&damaged);
+            assert_chunk_parser_matches_record_parser(&text, 1);
+            assert_chunk_parser_matches_record_parser(&text, 4_097);
+        }
+    }
+
+    #[test]
+    fn push_read_enforces_the_record_invariants() {
+        let mut chunk = ReadChunk::default();
+        let ok = |c: &mut ReadChunk, seq: &[u8], qual: &[u8], nhits| {
+            c.push_read(9, seq, qual, Strand::Reverse, nhits)
+        };
+        assert_eq!(ok(&mut chunk, &[0; 257], &[0; 257], 1), Err(TOO_LONG));
+        assert_eq!(
+            ok(&mut chunk, &[0, 4], &[0, 0], 1),
+            Err("base code out of range")
+        );
+        assert_eq!(ok(&mut chunk, &[0, 3], &[0, 64], 1), Err(BAD_QUALITY));
+        assert_eq!(ok(&mut chunk, &[0, 3], &[0], 1), Err(LENGTHS_DIFFER));
+        assert_eq!(ok(&mut chunk, &[0, 3], &[0, 63], 0), Err(NO_HITS));
+        assert_eq!(
+            chunk,
+            ReadChunk::default(),
+            "a refused read appends nothing"
+        );
+        ok(&mut chunk, &[0; 256], &[63; 256], 1).unwrap();
+        ok(&mut chunk, &[], &[], 7).unwrap();
+        ok(&mut chunk, &[1, 2, 3], &[4, 5, 6], 2).unwrap();
+        assert_eq!(chunk.len(), 3);
+        assert_eq!(
+            (chunk.read_len(1), chunk.seq(2), chunk.qual(2)),
+            (0, &[1u8, 2, 3][..], &[4u8, 5, 6][..])
+        );
+        assert_eq!(
+            (chunk.nhits(1), chunk.strand(2), chunk.pos(0)),
+            (7, Strand::Reverse, 9)
+        );
+
+        // Several reads at once, filled in bulk: all or nothing.
+        let three = |c: &mut ReadChunk, quals: [u8; 6], hits: u32| {
+            let fields = [
+                (1, Strand::Forward, 1),
+                (2, Strand::Reverse, hits),
+                (2, Strand::Forward, 3),
+            ];
+            c.push_reads(&[2, 0, 4], fields, |seq, qual| {
+                seq.copy_from_slice(&[3, 2, 1, 0, 1, 2]);
+                qual.copy_from_slice(&quals);
+            })
+        };
+        let before = chunk.clone();
+        assert_eq!(three(&mut chunk, [1, 2, 3, 64, 5, 6], 1), Err(BAD_QUALITY));
+        assert_eq!(three(&mut chunk, [1, 2, 3, 4, 5, 6], 0), Err(NO_HITS));
+        assert_eq!(chunk.push_reads(&[257], [], |_, _| ()), Err(TOO_LONG));
+        assert_eq!(chunk, before);
+        three(&mut chunk, [1, 2, 3, 4, 5, 6], 2).unwrap();
+        assert_eq!(
+            (chunk.len(), chunk.read_len(4), chunk.seq(5)),
+            (6, 0, &[1u8, 0, 1, 2][..])
+        );
+        assert_eq!(
+            (chunk.qual(3), chunk.nhits(4), chunk.pos(5)),
+            (&[1u8, 2][..], 2, 2)
+        );
+        chunk.truncate(3);
+        assert_eq!(chunk, before);
+
+        // The two ways reads leave a table.
+        let mut front = chunk.clone();
+        front.drop_front(1);
+        assert_eq!(
+            (front.len(), front.read_len(0), front.seq(1)),
+            (2, 0, &[1u8, 2, 3][..])
+        );
+        assert_eq!(front.bases(), [1, 2, 3]);
+        chunk.truncate(1);
+        assert_eq!(
+            (chunk.len(), chunk.bases().len(), chunk.quals().len()),
+            (1, 256, 256)
+        );
+        chunk.truncate(5);
+        assert_eq!(chunk.len(), 1);
     }
 }

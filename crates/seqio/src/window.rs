@@ -4,14 +4,16 @@
 //! `read_site` loads a fixed number of sites per pass, collecting for each
 //! site the aligned-base observations from every read covering it. Reads
 //! spanning a window boundary contribute to both windows, so the reader
-//! keeps a carry-over buffer.
+//! keeps them in its read table until the last window they reach is built.
 
+use crate::baseword;
 use crate::error::SeqIoError;
-use crate::soap::AlignedRead;
+use crate::soap::{AlignedRead, ReadChunk};
 
-/// One aligned-base observation at a site: exactly the four attributes the
-/// `base_word`/`base_occ` representations encode, plus the uniqueness flag
-/// the result table's "unique read" counts need.
+/// One aligned-base observation at a site, unpacked: the four attributes
+/// the `base_word`/`base_occ` representations encode, plus the uniqueness
+/// flag the result table's "unique read" counts need. A [`Window`] holds
+/// observations packed ([`SiteObs::word`]); this is the readable form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SiteObs {
     /// Observed base code (0..=3).
@@ -26,18 +28,35 @@ pub struct SiteObs {
     pub uniq: bool,
 }
 
-/// A window of consecutive sites and their observations, held as ONE flat
-/// site-major array: site `i`'s observations are
-/// `obs[ends[i - 1]..ends[i]]` (from 0 for the first site), in the order
-/// the reads arrived. The layout is the sparse `base_word` array's own
-/// (§IV-B), so counting packs it word for word and a recycled window
-/// refills two vectors instead of one per site.
+impl SiteObs {
+    /// The observation a `base_word` packs.
+    pub fn from_word(word: u32) -> SiteObs {
+        let (base, qual, coord, strand, uniq) = baseword::unpack(word);
+        SiteObs {
+            base,
+            qual,
+            coord,
+            strand,
+            uniq,
+        }
+    }
+
+    /// This observation as its `base_word`.
+    pub fn word(&self) -> u32 {
+        baseword::pack(self.base, self.qual, self.coord, self.strand, self.uniq)
+    }
+}
+
+/// A window of consecutive sites: its start and the sparse `base_word`
+/// array itself (§IV-B), flat and site-major — site `i`'s words are
+/// `words[ends[i - 1]..ends[i]]` (from 0 for the first site), in the order
+/// the reads arrived. A recycled window refills two vectors.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Window {
     /// 0-based position of the first site.
     pub start: u64,
-    obs: Vec<SiteObs>,
-    /// Exclusive end of each site's run within `obs`; one entry per site.
+    words: Vec<u32>,
+    /// Exclusive end of each site's run within `words`; one entry per site.
     ends: Vec<usize>,
 }
 
@@ -46,12 +65,12 @@ impl Window {
     /// `start + i`.
     pub fn from_sites(start: u64, sites: Vec<Vec<SiteObs>>) -> Window {
         let mut ends = Vec::with_capacity(sites.len());
-        let mut obs = Vec::new();
+        let mut words = Vec::new();
         for site in &sites {
-            obs.extend_from_slice(site);
-            ends.push(obs.len());
+            words.extend(site.iter().map(SiteObs::word));
+            ends.push(words.len());
         }
-        Window { start, obs, ends }
+        Window { start, words, ends }
     }
 
     /// Number of sites in the window.
@@ -66,11 +85,10 @@ impl Window {
 
     /// Total observations (aligned bases) across all sites.
     pub fn total_obs(&self) -> usize {
-        self.obs.len()
+        self.words.len()
     }
 
-    /// Offset of site `i`'s first observation in the flat array, which is
-    /// also its offset in the window's `base_word` array; `i` may be
+    /// Offset of site `i`'s first word in the array; `i` may be
     /// [`Window::len`], the array's end.
     pub fn offset(&self, i: usize) -> usize {
         match i {
@@ -79,97 +97,97 @@ impl Window {
         }
     }
 
-    /// The observations at site `start + i`.
-    pub fn site(&self, i: usize) -> &[SiteObs] {
-        &self.obs[self.offset(i)..self.ends[i]]
+    /// The words at site `start + i`.
+    pub fn site(&self, i: usize) -> &[u32] {
+        &self.words[self.offset(i)..self.ends[i]]
     }
 
-    /// Every site's observations, in site order.
-    pub fn sites(&self) -> impl ExactSizeIterator<Item = &[SiteObs]> + '_ {
+    /// Every site's words, in site order.
+    pub fn sites(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
         let mut lo = 0;
         self.ends.iter().map(move |&hi| {
-            let site = &self.obs[lo..hi];
+            let site = &self.words[lo..hi];
             lo = hi;
             site
         })
     }
-}
 
-/// Infallible iterator over an owned read vector, for handing a decoded
-/// read set to a [`WindowReader`] without re-cloning every read (the
-/// pipeline producer stage owns the decompressed temporary input).
-pub struct OwnedReads {
-    inner: std::vec::IntoIter<AlignedRead>,
-}
+    /// The whole word array, site after site.
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
 
-impl Iterator for OwnedReads {
-    type Item = Result<AlignedRead, SeqIoError>;
+    /// Exclusive end of each site's run within the word array.
+    pub fn ends(&self) -> &[usize] {
+        &self.ends
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().map(Ok)
+    /// Heap bytes the window's two vectors hold, used or not.
+    pub fn capacity_bytes(&self) -> usize {
+        self.words.capacity() * 4 + self.ends.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// The word array, mutably, beside the site ends that index it: what
+    /// sorting every site where it lies needs.
+    pub fn words_mut(&mut self) -> (&mut [u32], &[usize]) {
+        (&mut self.words, &self.ends)
     }
 }
 
-impl WindowReader<OwnedReads> {
-    /// Reader over an owned, already-decoded read vector.
-    pub fn from_reads(reads: Vec<AlignedRead>, ref_len: u64, window_size: usize) -> Self {
-        WindowReader::new(
-            OwnedReads {
-                inner: reads.into_iter(),
-            },
-            ref_len,
-            window_size,
-        )
-    }
+/// Where a [`WindowReader`] gets its reads: anything that can append the
+/// next ones, in position order, to the reader's table.
+pub trait ReadSource {
+    /// Append the next reads to `table`. `Ok(false)` once there are no
+    /// more (nothing appended); nothing is appended on error either.
+    fn fill(&mut self, table: &mut ReadChunk) -> Result<bool, SeqIoError>;
+}
 
-    /// Rewind to site 0 over a new read vector, keeping the carry buffers'
-    /// capacity — a repeated scan (e.g. a steady-state benchmark pass)
-    /// performs no carry reallocation.
-    pub fn restart(&mut self, reads: Vec<AlignedRead>) {
-        self.reads = OwnedReads {
-            inner: reads.into_iter(),
+/// An iterator of records appends them one at a time.
+impl<I: Iterator<Item = Result<AlignedRead, SeqIoError>>> ReadSource for I {
+    fn fill(&mut self, table: &mut ReadChunk) -> Result<bool, SeqIoError> {
+        let Some(read) = self.next().transpose()? else {
+            return Ok(false);
         };
-        self.lookahead = None;
-        self.carry.clear();
-        self.next_start = 0;
+        table
+            .push_read(read.pos, &read.seq, &read.qual, read.strand, read.nhits)
+            .map_err(|what| {
+                SeqIoError::Invariant(format!("read at pos {}: {what}", read.pos + 1))
+            })?;
+        Ok(true)
     }
 }
 
 /// Streams sorted alignments into windows of `window_size` sites.
-pub struct WindowReader<I> {
-    reads: I,
-    /// Read pulled from the stream but belonging to a future window.
-    lookahead: Option<AlignedRead>,
-    /// Between windows: the reads that overlap the next window's sites.
-    /// While one is built: every read that overlaps it, in arrival order.
-    carry: Vec<AlignedRead>,
+pub struct WindowReader<S> {
+    source: S,
+    /// The one read table, recycled: reads `head..next` may overlap the
+    /// window about to be built, reads from `next` on start after it.
+    table: ReadChunk,
+    /// First read that may still overlap a window to come; everything
+    /// before it is dropped when the table is next refilled.
+    head: usize,
+    /// First read not yet admitted to a window.
+    next: usize,
+    /// Whether `source` has said it has no more reads.
+    exhausted: bool,
     window_size: usize,
     ref_len: u64,
     next_start: u64,
 }
 
-/// The part of `read` inside the window `[w_start, w_end)`, as site
-/// indices of that window; empty if they do not overlap.
-fn clip(read: &AlignedRead, w_start: u64, w_end: u64) -> std::ops::Range<usize> {
-    let from = read.pos.max(w_start);
-    let to = (read.pos + read.len() as u64).min(w_end).max(from);
-    (from - w_start) as usize..(to - w_start) as usize
-}
-
-impl<I> WindowReader<I>
-where
-    I: Iterator<Item = Result<AlignedRead, SeqIoError>>,
-{
+impl<S: ReadSource> WindowReader<S> {
     /// Create a reader over `ref_len` sites in windows of `window_size`.
     ///
     /// # Panics
     /// Panics if `window_size` is zero.
-    pub fn new(reads: I, ref_len: u64, window_size: usize) -> Self {
+    pub fn new(source: S, ref_len: u64, window_size: usize) -> Self {
         assert!(window_size > 0, "window size must be positive");
         WindowReader {
-            reads,
-            lookahead: None,
-            carry: Vec::new(),
+            source,
+            table: ReadChunk::default(),
+            head: 0,
+            next: 0,
+            exhausted: false,
             window_size,
             ref_len,
             next_start: 0,
@@ -182,17 +200,40 @@ where
         Ok(self.next_window_into(&mut window)?.then_some(window))
     }
 
+    /// Admit every read that starts before `w_end`, refilling the table
+    /// from the source whenever it runs out. The consumed prefix is dropped
+    /// only here, before a refill, and only once it is at least half the
+    /// table, so a read is moved a bounded number of times however many
+    /// windows a refill serves and however few reads a refill brings.
+    fn admit_reads_before(&mut self, w_end: u64) -> Result<(), SeqIoError> {
+        loop {
+            while self.next < self.table.len() && self.table.pos(self.next) < w_end {
+                self.next += 1;
+            }
+            if self.next < self.table.len() || self.exhausted {
+                return Ok(());
+            }
+            if self.head > 0 && self.head * 2 >= self.table.len() {
+                self.table.drop_front(self.head);
+                self.next -= self.head;
+                self.head = 0;
+            }
+            self.exhausted = !self.source.fill(&mut self.table)?;
+        }
+    }
+
     /// Load the next window into `window`, overwriting its contents but
     /// reusing its two vectors' capacity (the arena `recycle` path).
     /// Returns `Ok(false)` once the reference is exhausted, leaving
     /// `window` untouched.
     ///
-    /// Two passes over the window's reads, carried ones first: the first
-    /// counts each site's depth (a difference array, then a running sum
-    /// that turns it into the site offsets), the second places every
-    /// observation at its site's cursor. `window.ends` is all three in
-    /// turn: differences, cursors, and — a cursor stops where its site
-    /// ends — the finished offsets.
+    /// Two passes over the table's reads `head..next`, which is arrival
+    /// order, carried reads first: the first counts each site's depth (a
+    /// difference array, then a running sum that turns it into the site
+    /// offsets), the second packs every observation's `base_word` at its
+    /// site's cursor. `window.ends` is all three in turn: differences,
+    /// cursors, and — a cursor stops where its site ends — the finished
+    /// offsets.
     pub fn next_window_into(&mut self, window: &mut Window) -> Result<bool, SeqIoError> {
         if self.next_start >= self.ref_len {
             return Ok(false);
@@ -200,39 +241,29 @@ where
         let w_start = self.next_start;
         let len = self.window_size.min((self.ref_len - w_start) as usize);
         let w_end = w_start + len as u64;
+        self.admit_reads_before(w_end)?;
+        let table = &self.table;
+        // The part of read `i` inside the window, as site indices of the
+        // window; empty if they do not overlap.
+        let clip = |i: usize| {
+            let from = table.pos(i).max(w_start);
+            let to = (table.pos(i) + table.read_len(i) as u64)
+                .min(w_end)
+                .max(from);
+            (from - w_start) as usize..(to - w_start) as usize
+        };
         window.start = w_start;
-        let Window { obs, ends, .. } = window;
+        let Window { words, ends, .. } = window;
         ends.clear();
         ends.resize(len, 0);
         // Differences wrap below zero and back; the running sum is exact.
-        let mut cover = |read: &AlignedRead| {
-            let sites = clip(read, w_start, w_end);
+        for i in self.head..self.next {
+            let sites = clip(i);
             if !sites.is_empty() {
                 ends[sites.start] = ends[sites.start].wrapping_add(1);
                 if let Some(past) = ends.get_mut(sites.end) {
                     *past = past.wrapping_sub(1);
                 }
-            }
-        };
-        self.carry.iter().for_each(&mut cover);
-        // New reads starting before the window's end.
-        loop {
-            let read = match self.lookahead.take() {
-                Some(r) => r,
-                None => match self.reads.next() {
-                    Some(r) => r?,
-                    None => break,
-                },
-            };
-            if read.pos >= w_end {
-                self.lookahead = Some(read);
-                break;
-            }
-            // A read entirely before this window is possible only if the
-            // caller skipped windows; it covers nothing and is not kept.
-            if read.pos + (read.len() as u64) > w_start {
-                cover(&read);
-                self.carry.push(read);
             }
         }
         let (mut depth, mut total) = (0usize, 0usize);
@@ -243,24 +274,31 @@ where
         }
 
         // Every slot below `total` is written exactly once by the placement.
-        obs.resize(total, SiteObs::default());
-        for read in &self.carry {
-            let (strand, uniq) = (read.strand.code(), read.nhits == 1);
-            for site in clip(read, w_start, w_end) {
-                let offset = (w_start + site as u64 - read.pos) as usize;
-                let (base, qual, coord) = read.obs_at(offset);
-                obs[ends[site]] = SiteObs {
-                    base: base.code(),
-                    qual,
-                    coord,
-                    strand,
-                    uniq,
+        words.resize(total, 0);
+        for i in self.head..self.next {
+            let sites = clip(i);
+            let (seq, qual) = (table.seq(i), table.qual(i));
+            let (strand, uniq) = (table.strand(i).code(), table.nhits(i) == 1);
+            // The read's offset at its first site in the window.
+            let first = (w_start + sites.start as u64).saturating_sub(table.pos(i)) as usize;
+            for (k, cursor) in ends[sites].iter_mut().enumerate() {
+                // A forward read's cycle is its offset; a reverse read was
+                // sequenced from its rightmost reference position.
+                let offset = first + k;
+                let cycle = match strand {
+                    0 => offset,
+                    _ => seq.len() - 1 - offset,
                 };
-                ends[site] += 1;
+                words[*cursor] =
+                    baseword::pack(seq[offset], qual[cycle], cycle as u8, strand, uniq);
+                *cursor += 1;
             }
         }
-        self.carry
-            .retain(|read| read.pos + (read.len() as u64) > w_end);
+        while self.head < self.next
+            && table.pos(self.head) + table.read_len(self.head) as u64 <= w_end
+        {
+            self.head += 1;
+        }
         self.next_start = w_end;
         Ok(true)
     }
@@ -291,6 +329,11 @@ mod tests {
         WindowReader::new(reads.into_iter().map(Ok), ref_len, w)
     }
 
+    /// Observation `k` of site `site`, unpacked.
+    fn obs(w: &Window, site: usize, k: usize) -> SiteObs {
+        SiteObs::from_word(w.site(site)[k])
+    }
+
     #[test]
     fn single_window_collects_all_obs() {
         let mut r = reader(vec![read(2, 4, 1)], 10, 10);
@@ -299,8 +342,8 @@ mod tests {
         assert_eq!(w.total_obs(), 4);
         assert!(w.site(0).is_empty());
         assert_eq!(w.site(2).len(), 1);
-        assert_eq!(w.site(2)[0].coord, 0);
-        assert_eq!(w.site(5)[0].coord, 3);
+        assert_eq!(obs(&w, 2, 0).coord, 0);
+        assert_eq!(obs(&w, 5, 0).coord, 3);
         assert!(r.next_window().unwrap().is_none());
     }
 
@@ -311,7 +354,7 @@ mod tests {
         let w2 = r.next_window().unwrap().unwrap();
         assert_eq!(w1.total_obs(), 2); // sites 3,4
         assert_eq!(w2.total_obs(), 2); // sites 5,6
-        assert_eq!(w2.site(0)[0].coord, 2);
+        assert_eq!(obs(&w2, 0, 0).coord, 2);
     }
 
     #[test]
@@ -345,7 +388,7 @@ mod tests {
     fn uniqueness_flag_propagates() {
         let mut r = reader(vec![read(0, 2, 3)], 2, 2);
         let w = r.next_window().unwrap().unwrap();
-        assert!(!w.site(0)[0].uniq);
+        assert!(!obs(&w, 0, 0).uniq);
     }
 
     #[test]
@@ -355,9 +398,9 @@ mod tests {
         let mut r = reader(vec![rd], 4, 4);
         let w = r.next_window().unwrap().unwrap();
         // Site 0 = last cycle (3), site 3 = first cycle (0).
-        assert_eq!(w.site(0)[0].coord, 3);
-        assert_eq!(w.site(3)[0].coord, 0);
-        assert_eq!(w.site(0)[0].strand, 1);
+        assert_eq!(obs(&w, 0, 0).coord, 3);
+        assert_eq!(obs(&w, 3, 0).coord, 0);
+        assert_eq!(obs(&w, 0, 0).strand, 1);
     }
 
     #[test]
@@ -443,18 +486,45 @@ mod tests {
         out
     }
 
+    /// A source that appends up to `per_fill` reads at a time, as a
+    /// decoded temporary-input chunk does.
+    struct Refills {
+        reads: std::vec::IntoIter<AlignedRead>,
+        per_fill: usize,
+    }
+
+    impl ReadSource for Refills {
+        fn fill(&mut self, table: &mut ReadChunk) -> Result<bool, SeqIoError> {
+            let before = table.len();
+            for r in self.reads.by_ref().take(self.per_fill) {
+                table
+                    .push_read(r.pos, &r.seq, &r.qual, r.strand, r.nhits)
+                    .unwrap();
+            }
+            Ok(table.len() > before)
+        }
+    }
+
     fn assert_matches_reference(reads: Vec<AlignedRead>, ref_len: u64, w: usize) {
         let expect = reference_windows(&reads, ref_len, w);
-        let mut r = reader(reads, ref_len, w);
-        // One recycled window, as the arena path uses it.
-        let mut win = Window::default();
-        for e in &expect {
-            assert!(r.next_window_into(&mut win).unwrap());
-            assert_eq!(&win, e, "window at {} (size {w})", e.start);
-            assert_eq!(win.sites().len(), e.len());
-            assert!(win.sites().eq((0..e.len()).map(|i| e.site(i))));
+        // One read a refill (every window edge meets an empty table), a
+        // few, and the whole input at once.
+        for per_fill in [1, 3, usize::MAX] {
+            let source = Refills {
+                reads: reads.clone().into_iter(),
+                per_fill,
+            };
+            let mut r = WindowReader::new(source, ref_len, w);
+            // One recycled window, as the arena path uses it.
+            let mut win = Window::default();
+            for e in &expect {
+                assert!(r.next_window_into(&mut win).unwrap());
+                assert_eq!(&win, e, "window at {} (size {w}, {per_fill})", e.start);
+                assert_eq!(win.sites().len(), e.len());
+                assert!(win.sites().eq((0..e.len()).map(|i| e.site(i))));
+            }
+            assert!(!r.next_window_into(&mut win).unwrap());
         }
-        assert!(!r.next_window_into(&mut win).unwrap());
     }
 
     fn reversed(mut r: AlignedRead) -> AlignedRead {
@@ -494,7 +564,7 @@ mod tests {
     #[test]
     fn flat_builder_matches_reference_across_a_gap_of_empty_windows() {
         let reads = vec![read(0, 3, 1), read(2, 2, 1), read(31, 4, 1), read(33, 1, 1)];
-        for w in [2, 4, 5] {
+        for w in [1, 2, 4, 5] {
             assert_matches_reference(reads.clone(), 40, w);
         }
         assert_matches_reference(Vec::new(), 9, 4);
@@ -512,23 +582,44 @@ mod tests {
             read(6, 1, 1),
             read(9, 2, 1),
         ];
-        for w in [3, 4] {
+        for w in [1, 3, 4] {
             assert_matches_reference(reads.clone(), 16, w);
         }
     }
 
     #[test]
-    fn owned_reader_matches_borrowed() {
-        let reads = vec![read(1, 4, 1), read(3, 4, 2), read(8, 2, 1)];
-        let mut borrowed = reader(reads.clone(), 10, 4);
-        let mut owned = WindowReader::from_reads(reads, 10, 4);
-        loop {
-            let a = borrowed.next_window().unwrap();
-            let b = owned.next_window().unwrap();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+    fn the_read_table_is_compacted_on_refill_and_stays_small() {
+        // 400 short reads, two alive at any site: however the source
+        // refills, the table never holds more than a few refills' worth.
+        let reads: Vec<AlignedRead> = (0..400).map(|i| read(i, 2, 1)).collect();
+        for (per_fill, bound) in [(1, 8), (16, 40)] {
+            let source = Refills {
+                reads: reads.clone().into_iter(),
+                per_fill,
+            };
+            let mut r = WindowReader::new(source, 402, 1);
+            let mut win = Window::default();
+            let mut longest = 0;
+            while r.next_window_into(&mut win).unwrap() {
+                longest = longest.max(r.table.len());
             }
+            assert!(
+                longest <= bound,
+                "{longest} reads held at {per_fill} a refill"
+            );
         }
+    }
+
+    #[test]
+    fn an_iterator_source_rejects_a_record_the_parser_would() {
+        let mut long = read(3, 4, 1);
+        long.seq = vec![0; 300];
+        long.qual = vec![30; 300];
+        let mut r = reader(vec![read(0, 2, 1), long], 10, 5);
+        let err = r.next_window().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invariant violation: read at pos 4: read longer than 256 bases"
+        );
     }
 }

@@ -9,19 +9,27 @@
 //!
 //! The output stage is excluded: its products (result tables, the growing
 //! compressed file) are retained by design, so "allocation-free" cannot
-//! apply to them.
+//! apply to them. For the same reason the native arm's rows — each window's
+//! becomes its result table — are one allocation per window, and a decoded
+//! temporary-input chunk costs its decoder's handful of column vectors:
+//! constant per chunk, nothing per read.
 
+use std::cell::Cell;
 use std::process::Command;
 
+use gsnp::compress::input_codec::{compress_reads, TempChunks, TempInput};
 use gsnp::core::arena::WindowArena;
 use gsnp::core::likelihood::{likelihood_comp_gpu_into, DeviceTables, KernelVariant};
-use gsnp::core::model::posterior;
+use gsnp::core::model::{posterior, SiteCaller};
 use gsnp::core::pipeline::GsnpConfig;
 use gsnp::core::tables::{LogTable, NewPMatrix, PMatrix};
 use gsnp::gpu_sim::Device;
+use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::result::SnpRow;
+use gsnp::seqio::soap::{AlignedRead, ReadChunk};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
-use gsnp::seqio::window::{OwnedReads, WindowReader};
+use gsnp::seqio::window::{ReadSource, WindowReader};
+use gsnp::seqio::SeqIoError;
 use gsnp::sortnet::{multipass_sort_into, MultipassScratch};
 
 // The counting allocator lives in `testalloc`: its `GlobalAlloc` impl is
@@ -57,6 +65,43 @@ fn runs_here(test: &str) -> bool {
     false
 }
 
+/// The data set's reads over and over, pass `k` shifted `k` chromosome
+/// lengths along: ONE reader — one read table — builds a warm-up pass of
+/// windows and then the same windows again. Appends one read a refill,
+/// without touching the heap itself.
+struct Replay<'a> {
+    reads: &'a [AlignedRead],
+    chr_len: u64,
+    next: usize,
+}
+
+impl ReadSource for Replay<'_> {
+    fn fill(&mut self, table: &mut ReadChunk) -> Result<bool, SeqIoError> {
+        let r = &self.reads[self.next % self.reads.len()];
+        let shift = (self.next / self.reads.len()) as u64 * self.chr_len;
+        table
+            .push_read(r.pos + shift, &r.seq, &r.qual, r.strand, r.nhits)
+            .expect("synthetic reads are valid");
+        self.next += 1;
+        Ok(true)
+    }
+}
+
+/// A reader over two passes of `d`, and the reference both passes lie on.
+fn two_passes(d: &Dataset, window_size: usize) -> (WindowReader<Replay<'_>>, Reference) {
+    let chr_len = d.reference.len() as u64;
+    let source = Replay {
+        reads: &d.reads,
+        chr_len,
+        next: 0,
+    };
+    let twice = [&d.reference.seq[..], &d.reference.seq[..]].concat();
+    (
+        WindowReader::new(source, 2 * chr_len, window_size),
+        Reference::new("twice", twice),
+    )
+}
+
 /// What [`run_pass`] reuses besides the rows: the window's arena and the
 /// multipass sort's scratch (per device lane in the real loop).
 #[derive(Default)]
@@ -65,30 +110,29 @@ struct PassScratch {
     sort: MultipassScratch,
 }
 
-/// One full pass of the hot path over the dataset, reusing `scratch` and
-/// `rows`. Returns the per-window allocation deltas observed.
+/// One full pass of the hot path over the dataset's `windows` windows,
+/// reusing `scratch` and `rows`. Returns the per-window allocation deltas
+/// observed.
+#[allow(clippy::too_many_arguments)]
 fn run_pass(
     d: &Dataset,
+    reference: &Reference,
     dev: &Device,
     tables: &DeviceTables,
     cfg: &GsnpConfig,
-    reader: &mut WindowReader<OwnedReads>,
+    reader: &mut WindowReader<Replay<'_>>,
     scratch: &mut PassScratch,
     rows: &mut Vec<SnpRow>,
 ) -> Vec<u64> {
     let PassScratch { arena, sort } = scratch;
-    reader.restart(d.reads.clone());
     // Preallocated so the bookkeeping `push` below never reallocates inside
     // a measured region (the harness must not count its own heap use).
     let mut deltas = Vec::with_capacity(64);
-    loop {
+    for _ in 0..d.reference.len().div_ceil(cfg.window_size) {
         let before = allocs();
-        if !reader
+        assert!(reader
             .next_window_into(&mut arena.window)
-            .expect("synthetic reads are valid")
-        {
-            break;
-        }
+            .expect("synthetic reads are valid"));
         arena.sw.count_into(&arena.window);
         let words = dev.upload_pooled(&arena.sw.words);
         multipass_sort_into(dev, &words, &arena.sw.spans, sort);
@@ -114,7 +158,7 @@ fn run_pass(
             rows.push(posterior(
                 tl,
                 summary,
-                d.reference.seq[pos as usize],
+                reference.seq[pos as usize],
                 d.priors.get(pos),
                 &cfg.params,
             ));
@@ -154,14 +198,25 @@ fn steady_state_window_loop_is_allocation_free() {
     let log_table = LogTable::new();
     let tables = DeviceTables::upload(&dev, &p_matrix, &new_p, &log_table);
 
-    let mut reader =
-        WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
+    let (mut reader, reference) = two_passes(&d, cfg.window_size);
     let mut pass = PassScratch::default();
     let mut rows = Vec::new();
+    let mut run = || {
+        run_pass(
+            &d,
+            &reference,
+            &dev,
+            &tables,
+            &cfg,
+            &mut reader,
+            &mut pass,
+            &mut rows,
+        )
+    };
 
     // Warmup: grows every buffer to its high-water mark and parks the
     // device buffers in the pool.
-    let warm = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
+    let warm = run();
     assert_eq!(warm.len(), 8, "expected 8 windows");
     assert!(
         warm.iter().sum::<u64>() > 0,
@@ -170,7 +225,7 @@ fn steady_state_window_loop_is_allocation_free() {
 
     // Steady state: identical window sequence, warmed buffers — zero
     // allocations in every window.
-    let steady = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
+    let steady = run();
     assert_eq!(steady.len(), 8);
     assert_eq!(
         steady,
@@ -193,40 +248,30 @@ fn steady_state_window_loop_is_allocation_free() {
 #[allow(clippy::too_many_arguments)]
 fn run_batched_pass(
     d: &Dataset,
+    reference: &Reference,
     dev: &Device,
     tables: &DeviceTables,
     cfg: &GsnpConfig,
-    batch: usize,
-    reader: &mut WindowReader<OwnedReads>,
+    reader: &mut WindowReader<Replay<'_>>,
     arenas: &mut [WindowArena],
     scratch: &mut BatchScratch,
     rows: &mut Vec<SnpRow>,
 ) -> Vec<u64> {
     use gsnp::core::likelihood::likelihood_comp_fused_gpu_into;
 
-    reader.restart(d.reads.clone());
     let mut deltas = Vec::with_capacity(64);
-    let mut eof = false;
-    while !eof {
+    let windows = d.reference.len().div_ceil(cfg.window_size);
+    for _ in 0..windows / arenas.len() {
         let before = allocs();
-        let mut k = 0;
-        while k < batch {
-            if !reader
-                .next_window_into(&mut arenas[k].window)
-                .expect("synthetic reads are valid")
-            {
-                eof = true;
-                break;
-            }
-            k += 1;
-        }
-        if k == 0 {
-            break;
+        for arena in arenas.iter_mut() {
+            assert!(reader
+                .next_window_into(&mut arena.window)
+                .expect("synthetic reads are valid"));
         }
         scratch.words.clear();
         scratch.spans.clear();
         scratch.site_off.clear();
-        for arena in arenas.iter_mut().take(k) {
+        for arena in arenas.iter_mut() {
             arena.sw.count_words_into(&arena.window);
             let base = scratch.words.len();
             scratch.site_off.push(scratch.spans.len());
@@ -253,7 +298,7 @@ fn run_batched_pass(
         drop(words);
 
         rows.clear();
-        for (j, arena) in arenas.iter_mut().enumerate().take(k) {
+        for (j, arena) in arenas.iter_mut().enumerate() {
             let (s0, s1) = (scratch.site_off[j], scratch.site_off[j + 1]);
             arena.type_likely.clear();
             arena
@@ -274,7 +319,7 @@ fn run_batched_pass(
                 rows.push(posterior(
                     tl,
                     summary,
-                    d.reference.seq[pos as usize],
+                    reference.seq[pos as usize],
                     d.priors.get(pos),
                     &cfg.params,
                 ));
@@ -323,37 +368,29 @@ fn steady_state_batched_loop_is_allocation_free() {
     let log_table = LogTable::new();
     let tables = DeviceTables::upload(&dev, &p_matrix, &new_p, &log_table);
 
-    let mut reader =
-        WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
+    let (mut reader, reference) = two_passes(&d, cfg.window_size);
     let mut arenas: Vec<WindowArena> = (0..batch).map(|_| WindowArena::default()).collect();
     let mut scratch = BatchScratch::default();
     let mut rows = Vec::new();
+    let mut run = || {
+        run_batched_pass(
+            &d,
+            &reference,
+            &dev,
+            &tables,
+            &cfg,
+            &mut reader,
+            &mut arenas,
+            &mut scratch,
+            &mut rows,
+        )
+    };
 
-    let warm = run_batched_pass(
-        &d,
-        &dev,
-        &tables,
-        &cfg,
-        batch,
-        &mut reader,
-        &mut arenas,
-        &mut scratch,
-        &mut rows,
-    );
+    let warm = run();
     assert_eq!(warm.len(), 2, "8 windows at batch 4 = 2 batches");
     assert!(warm.iter().sum::<u64>() > 0, "warmup must allocate");
 
-    let steady = run_batched_pass(
-        &d,
-        &dev,
-        &tables,
-        &cfg,
-        batch,
-        &mut reader,
-        &mut arenas,
-        &mut scratch,
-        &mut rows,
-    );
+    let steady = run();
     assert_eq!(
         steady,
         vec![0u64; 2],
@@ -365,62 +402,45 @@ fn steady_state_batched_loop_is_allocation_free() {
 }
 
 /// One pass of the native arm's hot path in batches of two windows:
-/// `read_site` into the arenas, ONE `likelihood_host_sites` launch that
-/// packs, sorts and scores them in place, posterior. Returns the
+/// `read_site` into the arenas, then ONE `likelihood_host_sites` launch that
+/// sorts, scores and calls them where their words lie. Returns the
 /// allocations of each batch.
 fn run_arm_pass(
-    d: &Dataset,
+    windows: usize,
     native: &gsnp::gpu_sim::NativeBackend<'_>,
     tables: &DeviceTables,
-    cfg: &GsnpConfig,
-    reader: &mut WindowReader<OwnedReads>,
+    calls: &SiteCaller<'_>,
+    reader: &mut WindowReader<Replay<'_>>,
     arenas: &mut [WindowArena],
-    rows: &mut Vec<SnpRow>,
 ) -> Vec<u64> {
-    reader.restart(d.reads.clone());
     let mut deltas = Vec::with_capacity(64);
-    loop {
+    for _ in 0..windows / arenas.len() {
         let before = allocs();
-        let mut k = 0;
-        while k < arenas.len()
-            && reader
-                .next_window_into(&mut arenas[k].window)
-                .expect("synthetic reads are valid")
-        {
-            k += 1;
+        for arena in arenas.iter_mut() {
+            assert!(reader
+                .next_window_into(&mut arena.window)
+                .expect("synthetic reads are valid"));
         }
-        if k == 0 {
-            break;
+        gsnp::core::likelihood::likelihood_host_sites(native, tables, calls, arenas);
+        let allocated = allocs() - before;
+        // The rows leave with the window's table; nothing else was sized.
+        for arena in arenas.iter_mut() {
+            assert_eq!(arena.rows.take().map(|r| r.len()), Some(arena.window.len()));
+            let sw = &arena.sw;
+            let sized = sw.words.capacity() + sw.spans.capacity() + sw.summaries.capacity();
+            assert_eq!(sized + arena.type_likely.capacity(), 0);
         }
-        gsnp::core::likelihood::likelihood_host_sites(native, tables, &mut arenas[..k]);
-        rows.clear();
-        for arena in &arenas[..k] {
-            for (site, (tl, summary)) in arena
-                .type_likely
-                .iter()
-                .zip(&arena.sw.summaries)
-                .enumerate()
-            {
-                let pos = arena.window.start + site as u64;
-                rows.push(posterior(
-                    tl,
-                    summary,
-                    d.reference.seq[pos as usize],
-                    d.priors.get(pos),
-                    &cfg.params,
-                ));
-            }
-        }
-        deltas.push(allocs() - before);
+        deltas.push(allocated);
     }
     deltas
 }
 
-/// The device stage's native arm scores a batch in place in its arenas:
-/// no staging vectors, no pooled device buffers. What it allocates per
-/// batch is its table of blocks — once, however many blocks — so two
-/// consecutive warmed batches cost the same handful of allocations at 250
-/// sites a window as at 2 000 (one block each, then eight).
+/// The device stage's native arm scores a batch in place in its windows'
+/// own word arrays: no staging vectors, no `sw` / `type_likely`, no pooled
+/// device buffers. What it allocates per batch is its table of blocks —
+/// once, however many blocks — and each window's rows, so two consecutive
+/// warmed batches cost the same three allocations at 250 sites a window as
+/// at 2 000 (one block each, then eight).
 #[test]
 fn steady_state_arm_batches_do_not_allocate_more_for_larger_windows() {
     if !runs_here("steady_state_arm_batches_do_not_allocate_more_for_larger_windows") {
@@ -440,34 +460,101 @@ fn steady_state_arm_batches_do_not_allocate_more_for_larger_windows() {
         let p_matrix = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
         let new_p = NewPMatrix::precompute(&p_matrix);
         let tables = DeviceTables::upload(&dev, &p_matrix, &new_p, &LogTable::new());
-        let mut reader =
-            WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
+        let (mut reader, reference) = two_passes(&d, cfg.window_size);
+        let calls = SiteCaller::new(&reference, &d.priors, &cfg.params);
         let mut arenas: Vec<WindowArena> = (0..2).map(|_| WindowArena::default()).collect();
-        let mut rows = Vec::new();
-        let mut pass = || {
-            run_arm_pass(
-                &d,
-                &native,
-                &tables,
-                &cfg,
-                &mut reader,
-                &mut arenas,
-                &mut rows,
-            )
-        };
+        let windows = 8_000 / window_size;
+        let mut pass = || run_arm_pass(windows, &native, &tables, &calls, &mut reader, &mut arenas);
         let warm = pass();
         assert!(warm.iter().sum::<u64>() > 0, "warmup must allocate");
         let steady = pass();
-        assert_eq!(steady.len(), 8_000 / window_size / 2);
+        assert_eq!(steady.len(), windows / 2);
         assert_eq!(dev.ledger().pool.hits + dev.ledger().pool.misses, 0);
         steady
     };
     let (small, large) = (per_batch(250), per_batch(2_000));
-    assert!(small[0] <= 2, "allocations of one small batch: {small:?}");
+    assert!(small[0] <= 3, "allocations of one small batch: {small:?}");
     assert!(
         small.iter().chain(&large).all(|&n| n == small[0]),
         "allocations grew with the window: {small:?} against {large:?}"
     );
+}
+
+/// A refill that counts itself, for telling a window that decoded a chunk
+/// from one that did not.
+struct CountedChunks<'a> {
+    chunks: TempChunks,
+    decoded: &'a Cell<u64>,
+}
+
+impl ReadSource for CountedChunks<'_> {
+    fn fill(&mut self, table: &mut ReadChunk) -> Result<bool, SeqIoError> {
+        let more = self.chunks.fill(table)?;
+        self.decoded.set(self.decoded.get() + u64::from(more));
+        Ok(more)
+    }
+}
+
+/// `read_site` over the temporary input, as the pipeline's `temp_windows`
+/// builds it — two passes of the data set's chunks, so the second meets a
+/// read table and a window grown to their working size: a window then
+/// allocates exactly when it decodes a chunk, the same number of times for
+/// every chunk — the decoder's column vectors — and that number does not
+/// depend on how many reads a chunk holds. Nothing is allocated per read.
+#[test]
+fn steady_state_temp_input_windows_allocate_per_chunk_not_per_read() {
+    if !runs_here("steady_state_temp_input_windows_allocate_per_chunk_not_per_read") {
+        return;
+    }
+
+    let mut sc = SynthConfig::tiny(20_260_807);
+    sc.num_sites = 40_000;
+    let d = Dataset::generate(sc);
+    let chr_len = d.reference.len() as u64;
+    let again: Vec<AlignedRead> = (d.reads.iter().cloned())
+        .map(|r| AlignedRead {
+            pos: r.pos + chr_len,
+            ..r
+        })
+        .collect();
+    let per_chunk = |reads_per_chunk: usize| {
+        let blobs = [&d.reads, &again].map(|pass| pass.chunks(reads_per_chunk));
+        let input = TempInput::new(
+            blobs
+                .into_iter()
+                .flatten()
+                .map(|c| compress_reads("tiny", c))
+                .collect(),
+        );
+        let decoded = Cell::new(0);
+        let source = CountedChunks {
+            chunks: input.into_chunks(),
+            decoded: &decoded,
+        };
+        let mut reader = WindowReader::new(source, 2 * chr_len, 1_000);
+        let mut window = gsnp::seqio::window::Window::default();
+        let mut costs = Vec::with_capacity(64);
+        loop {
+            let (allocs_before, decoded_before) = (allocs(), decoded.get());
+            if !reader.next_window_into(&mut window).expect("decodes") {
+                break;
+            }
+            if window.start >= chr_len {
+                costs.push((decoded.get() - decoded_before, allocs() - allocs_before));
+            }
+        }
+        assert_eq!(costs.len(), 40);
+        let cost = costs.iter().find(|c| c.0 > 0).expect("a chunk decoded").1;
+        assert!(
+            costs
+                .iter()
+                .all(|&(chunks, allocs)| allocs == chunks * cost),
+            "{reads_per_chunk} reads a chunk: {costs:?}"
+        );
+        cost
+    };
+    let (small, large) = (per_chunk(250), per_chunk(1_000));
+    assert!(small > 0 && small == large, "{small} against {large}");
 }
 
 /// The same zero-allocation bar with a [`TraceRecorder`] attached: the
@@ -499,15 +586,26 @@ fn steady_state_recording_is_allocation_free() {
     let log_table = LogTable::new();
     let tables = DeviceTables::upload(&dev, &p_matrix, &new_p, &log_table);
 
-    let mut reader =
-        WindowReader::from_reads(Vec::new(), d.reference.len() as u64, cfg.window_size);
+    let (mut reader, reference) = two_passes(&d, cfg.window_size);
     let mut pass = PassScratch::default();
     let mut rows = Vec::new();
+    let mut run = || {
+        run_pass(
+            &d,
+            &reference,
+            &dev,
+            &tables,
+            &cfg,
+            &mut reader,
+            &mut pass,
+            &mut rows,
+        )
+    };
 
-    run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
+    run();
     let events_after_warmup = rec.snapshot().events.len();
 
-    let steady = run_pass(&d, &dev, &tables, &cfg, &mut reader, &mut pass, &mut rows);
+    let steady = run();
     assert_eq!(
         steady,
         vec![0u64; 8],

@@ -10,7 +10,7 @@ use gsnp::compress::{input_codec, lz, CodecError};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::result::{SnpRow, SnpTable};
-use gsnp::seqio::soap::{AlignedRead, AlignmentReader};
+use gsnp::seqio::soap::{AlignedRead, AlignmentReader, ReadChunk, MAX_QUAL, MAX_READ_LEN};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 use gsnp::seqio::SeqIoError;
 
@@ -120,6 +120,40 @@ fn input_codec_rejects_corruption() {
     let mut bad = bytes.clone();
     bad[0] = b'?';
     assert!(input_codec::decompress_reads(&bad).is_err());
+
+    // Every strict prefix and every single-byte flip of a blob, decoded
+    // into a table that already holds reads: an error that leaves the
+    // table as it was, or whole reads that meet the record invariants —
+    // never a panic, never part of a chunk.
+    let blob = input_codec::compress_reads("x", &d.reads[..60]);
+    let mut held = ReadChunk::default();
+    input_codec::decompress_chunk(&blob, &mut held).unwrap();
+    let check = |damaged: &[u8], what: String| {
+        let mut table = held.clone();
+        match input_codec::decompress_chunk(damaged, &mut table) {
+            Err(_) => assert!(table == held, "{what}: partial append"),
+            Ok(_) => {
+                for i in held.len()..table.len() {
+                    let (seq, qual) = (table.seq(i), table.qual(i));
+                    let fits = seq.len() <= MAX_READ_LEN && seq.len() == qual.len();
+                    let coded = seq.iter().all(|&b| b < 4) && qual.iter().all(|&q| q <= MAX_QUAL);
+                    assert!(fits && coded && table.nhits(i) >= 1, "{what}: read {i}");
+                }
+                table.truncate(held.len());
+                assert!(table == held, "{what}: the held reads moved");
+            }
+        }
+    };
+    for cut in 0..blob.len() {
+        check(&blob[..cut], format!("cut at {cut}"));
+    }
+    for at in 0..blob.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut flipped = blob.clone();
+            flipped[at] ^= mask;
+            check(&flipped, format!("byte {at} ^ {mask:#x}"));
+        }
+    }
 }
 
 #[test]
