@@ -5,8 +5,12 @@
 //! ```
 //!
 //! Experiments: table1 table2 table3 table4 fig4a fig4b fig5 fig6 fig7a
-//! fig7b fig8 fig9 fig10 fig11 fig12. Default scale: 0.02 (datasets are
-//! 1/100-scale "mini" models shrunk a further 50x; see DESIGN.md §2).
+//! fig7b fig8 fig9 fig10 fig11 fig12, the ablations `ablation_sort`
+//! `ablation_rledict` `accuracy`, and the deterministic `launch_batching`
+//! count (`--list` prints them). GPU series are on the modelled device
+//! clock; this repo's own host-wall speed is measured by `perf/`, never
+//! here. Default scale: 0.02 (datasets are 1/100-scale "mini" models
+//! shrunk a further 50x; see DESIGN.md §2).
 //!
 //! `--check` is the bench-regression gate: instead of regenerating, each
 //! selected experiment is rerun at its committed `BENCH_<name>.json`
@@ -114,7 +118,7 @@ fn run_checks(selected: &[String]) {
                     let delta = (c.fresh / c.baseline - 1.0) * 100.0;
                     println!(
                         "  {} {:<28} baseline {:.4}  fresh {:.4}  ({delta:+.1}%, \
-                         tolerance {:.0}% {})",
+                         tolerance {:.1}% {})",
                         if c.ok { "ok  " } else { "FAIL" },
                         c.name,
                         c.baseline,
@@ -145,7 +149,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: reproduce [all | <experiment>...] [--scale X] [--check] [--list]\n       \
          e.g.: reproduce table4 fig5 --scale 0.01\n       \
-         e.g.: reproduce launch_batching native_backend --check"
+         e.g.: reproduce launch_batching --check"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -1,7 +1,9 @@
 //! Bench-regression gating: `reproduce <exp> --check`.
 //!
-//! Recorded experiments emit a `BENCH_<name>.json` summary in the shared
-//! schema (see `EXPERIMENTS.md` §"Recorded baselines"):
+//! A recorded experiment emits a `BENCH_<name>.json` summary (see
+//! `EXPERIMENTS.md` §"Recorded baselines"). Only deterministic,
+//! modelled-clock quantities are recorded — today the one
+//! `launch_batching` count; host wall is `perf/`'s instrument:
 //!
 //! ```json
 //! {
@@ -10,7 +12,7 @@
 //!   "scale": 0.02,
 //!   "primary_metric": "reduction_at_batch_8",
 //!   "metrics": { "reduction_at_batch_8": 7.7117 },
-//!   "tolerances": { "reduction_at_batch_8": { "rel": 0.05, "dir": "min" } },
+//!   "tolerances": { "reduction_at_batch_8": { "rel": 0.001, "dir": "both" } },
 //!   "byte_identical": true,
 //!   "rows": [ ... ]
 //! }
@@ -21,9 +23,10 @@
 //! block against the fresh run, restores the committed baseline bytes
 //! (a check must never rewrite the recorded numbers), and reports
 //! pass/fail per metric. `dir` selects the failure direction: `"min"`
-//! fails when the fresh value drops more than `rel` below baseline
-//! (higher-is-better metrics — speedups, reductions), `"max"` the
-//! mirror image, `"both"` on any relative departure beyond `rel`.
+//! fails when the fresh value drops more than `rel` below baseline,
+//! `"max"` the mirror image, `"both"` on any relative departure beyond
+//! `rel` — what a deterministic count uses, so that a stale committed
+//! file fails in either direction.
 
 use gpu_sim::{parse_json, Json};
 
@@ -33,8 +36,9 @@ pub fn bench_path(name: &str) -> String {
     format!("BENCH_{name}.json")
 }
 
-/// Serialize a recorded-experiment summary in the shared schema. Every
-/// emitter goes through here so the three files cannot drift apart.
+/// Serialize a recorded-experiment summary in the schema
+/// [`check_experiment`] reads back, so writer and checker cannot drift
+/// apart.
 /// `metrics` are `(name, value)`; `tolerances` are `(name, rel, dir)`
 /// and must reference metric names; `rows` are pre-rendered JSON
 /// objects, one per line.

@@ -4,10 +4,9 @@
 //! paper's corresponding numbers where a direct comparison is meaningful,
 //! and the shape property the reproduction targets.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use gpu_sim::{Device, DeviceConfig, HwCounters, TraceRecorder, TraceSnapshot};
+use gpu_sim::{Device, DeviceConfig, HwCounters};
 use gsnp_core::counting::{nonzero_cells_per_site, sparsity_histogram, SparseWindow};
 use gsnp_core::likelihood::{
     likelihood_comp_gpu, likelihood_dense_gpu, sort_sparse_cpu, upload_dense_transposed,
@@ -1068,358 +1067,6 @@ pub fn accuracy(scale: f64) -> String {
     )
 }
 
-/// Extension — the streaming window-loop executor (DESIGN.md §4): loop
-/// wall-clock and per-stage busy/stall at pipeline depth 1..4, Ch.1.
-///
-/// The simulated device completes launches instantly, so to expose the
-/// overlap a real GPU provides, the device is *paced*: every launch and
-/// transfer occupies the device for `sim_time × pacing` of real time
-/// (releasing the host core, like a thread blocked on a stream sync).
-/// Pacing is calibrated from an unpaced serial probe so one window's
-/// device occupancy ≈ 1.5× the host work of the other three stages — the
-/// regime where double buffering pays, and conservative relative to the
-/// paper's hardware, where kernels are far slower than this host's
-/// per-window bookkeeping.
-pub fn pipeline_overlap(scale: f64) -> String {
-    let d = ch1(scale);
-    let cfg = |depth: usize, pacing: f64| GsnpConfig {
-        window_size: scaled_window(256_000, scale),
-        device: DeviceConfig::tesla_m2050().paced(pacing),
-        pipeline_depth: depth,
-        ..Default::default()
-    };
-
-    let probe = GsnpPipeline::new(cfg(1, 0.0)).run(&d.reads, &d.reference, &d.priors);
-    let po = probe.stats.overlap;
-    let host_other = po.read.busy + po.posterior.busy + po.output.busy;
-    // Modelled device seconds charged inside the device stage (h2d, sort,
-    // comp, recycle): the components whose `times` are pure sim time plus
-    // the h2d surcharge on counting.
-    let sim_device = (probe.times.counting - probe.wall.counting)
-        + probe.times.likelihood_sort
-        + probe.times.likelihood_comp
-        + probe.times.recycle;
-    let pacing = if sim_device > 0.0 {
-        1.5 * host_other / sim_device
-    } else {
-        0.0
-    };
-
-    let mut rows = Vec::new();
-    let mut serial_wall = f64::NAN;
-    let mut depth2_speedup = f64::NAN;
-    let mut stage_breakdown = String::new();
-    for depth in [1usize, 2, 3, 4] {
-        // Every run is traced (uniform overhead keeps the sweep fair);
-        // the depth-2 trace feeds the per-stage breakdown below.
-        let rec = Arc::new(TraceRecorder::new(1 << 16));
-        let out = GsnpPipeline::new(cfg(depth, pacing))
-            .observed(traced(&rec))
-            .run(&d.reads, &d.reference, &d.priors);
-        let o = out.stats.overlap;
-        if depth == 1 {
-            serial_wall = o.wall;
-        }
-        let speedup = serial_wall / o.wall;
-        if depth == 2 {
-            depth2_speedup = speedup;
-            let snap = rec.snapshot();
-            gsnp_core::verify_overlap_consistency(&snap, &o)
-                .expect("trace must reconcile with OverlapStats");
-            stage_breakdown = stage_trace_table(&snap);
-        }
-        rows.push(vec![
-            format!("{depth}"),
-            secs(o.wall),
-            ratio(speedup),
-            format!("{:.2}", o.achieved_depth()),
-            secs(o.device.busy),
-            secs(o.read.busy + o.posterior.busy + o.output.busy),
-            secs(o.device.stall_in + o.device.stall_out),
-        ]);
-    }
-    format!(
-        "Extension — streaming window-loop executor, Ch.1 (scale {scale}; paced device x{pacing:.1})
-{}
-Per-stage breakdown at depth 2, re-derived from the trace spans (the
-verifier asserts these equal OverlapStats before the table is printed):
-{stage_breakdown}
-Paper shape: the §IV pipeline overlaps host stages with device kernels;
-depth 2 (double buffering) should recover >=1.25x over the serial loop
-(measured {depth2_speedup:.2}x), with diminishing returns at deeper queues
-because one stage — the device — dominates.
-",
-        table(
-            &[
-                "depth",
-                "loop wall",
-                "speedup",
-                "achieved depth",
-                "device busy",
-                "other busy",
-                "device stall",
-            ],
-            &rows
-        )
-    )
-}
-
-/// Observers that only trace, into `rec`.
-fn traced(rec: &Arc<TraceRecorder>) -> gsnp_core::Observers {
-    gsnp_core::Observers {
-        trace: Some(Arc::clone(rec)),
-        ..Default::default()
-    }
-}
-
-/// Per-stage busy/stall table recomputed purely from a run's trace spans
-/// (one row per `pipeline`-process track: the read stage, each device
-/// lane, posterior, output). Shared by `pipeline_overlap` and `scaling`.
-fn stage_trace_table(snap: &TraceSnapshot) -> String {
-    let mut rows = Vec::new();
-    for (i, tr) in snap.tracks.iter().enumerate() {
-        if tr.process != "pipeline" {
-            continue;
-        }
-        let mut busy = 0.0;
-        let mut stall_in = 0.0;
-        let mut stall_out = 0.0;
-        let mut windows = 0u64;
-        let mut steals = 0u64;
-        for e in snap.events.iter().filter(|e| e.track.0 as usize == i) {
-            let name = snap.name(e.name);
-            match e.kind {
-                gpu_sim::EventKind::Span { dur, .. } => match name {
-                    "stall_in" => stall_in += dur,
-                    "stall_out" => stall_out += dur,
-                    _ => {
-                        busy += dur;
-                        if name == "window" {
-                            windows += 1;
-                        }
-                    }
-                },
-                gpu_sim::EventKind::Instant if name == "steal" => steals += 1,
-                _ => {}
-            }
-        }
-        rows.push(vec![
-            tr.thread.clone(),
-            secs(busy),
-            secs(stall_in),
-            secs(stall_out),
-            if tr.thread.starts_with("device lane") {
-                format!("{windows}/{steals}")
-            } else {
-                "-".into()
-            },
-        ]);
-    }
-    table(
-        &[
-            "stage (trace track)",
-            "busy",
-            "stall in",
-            "stall out",
-            "windows/steals",
-        ],
-        &rows,
-    )
-}
-
-/// Extension — the buffer-recycling window loop (DESIGN.md §5): wall-clock
-/// of the window loop with pooled device buffers + host arenas (`pooled`,
-/// the default since the allocation-free loop landed) against the
-/// fresh-allocation baseline those optimizations replaced, at serial and
-/// double-buffered depth. Unpaced: the device completes instantly, so the
-/// loop wall is exactly the host-side work the pools remove (allocation,
-/// zeroing sweeps, free-list churn). Best-of-N to suppress single-core
-/// scheduler noise.
-pub fn buffer_pool(scale: f64) -> String {
-    let d = ch1(scale);
-    let cfg = |pooled: bool, depth: usize| GsnpConfig {
-        window_size: scaled_window(256_000, scale),
-        pipeline_depth: depth,
-        pooled,
-        ..Default::default()
-    };
-    const REPS: usize = 5;
-    let mut rows = Vec::new();
-    let mut depth2_speedup = f64::NAN;
-    for depth in [1usize, 2] {
-        let mut wall = [f64::INFINITY; 2];
-        let mut last = [None, None];
-        for (i, pooled) in [false, true].into_iter().enumerate() {
-            for _ in 0..REPS {
-                let out =
-                    GsnpPipeline::new(cfg(pooled, depth)).run(&d.reads, &d.reference, &d.priors);
-                wall[i] = wall[i].min(out.stats.overlap.wall);
-                last[i] = Some(out);
-            }
-        }
-        let pooled_out = last[1].as_ref().expect("ran");
-        let speedup = wall[0] / wall[1];
-        if depth == 2 {
-            depth2_speedup = speedup;
-        }
-        rows.push(vec![
-            format!("{depth}"),
-            secs(wall[0]),
-            secs(wall[1]),
-            ratio(speedup),
-            format!("{:.0}%", 100.0 * pooled_out.stats.pool.hit_rate()),
-            format!(
-                "{}/{}",
-                pooled_out.stats.arena.hits, pooled_out.stats.arena.misses
-            ),
-            bytes(pooled_out.stats.pool.high_water_bytes),
-        ]);
-    }
-    format!(
-        "Extension — pooled vs fresh window-loop allocation, Ch.1 (scale {scale}; unpaced, best of {REPS})
-{}
-Paper shape: sparse `recycle` is \"trivial\" (SS-IV-B) because nothing is
-freed or re-allocated between windows; the pooled loop realizes that —
-steady-state windows perform zero heap allocations
-(tests/alloc_steady_state.rs) and the recycled path stays byte-identical
-to fresh allocation (tests/pool_parity.rs). Measured depth-2 window-loop
-speedup over the fresh-allocation baseline: {depth2_speedup:.2}x.
-",
-        table(
-            &[
-                "depth",
-                "fresh wall",
-                "pooled wall",
-                "speedup",
-                "pool hit rate",
-                "arena hit/miss",
-                "pool high-water",
-            ],
-            &rows
-        )
-    )
-}
-
-/// Extension — multi-device sharded window loop (DESIGN.md §8):
-/// window-loop throughput vs `num_devices` at pipeline depths 1/2/4, Ch.1.
-///
-/// Same pacing machinery as `pipeline_overlap`, but calibrated so one
-/// run's paced device occupancy ≈ 8× the *total* host work (all stages,
-/// including the device workers' own host-side wall) — the device-bound
-/// regime where adding GPUs pays. Each paced device sleeps on its own
-/// worker thread, so N workers genuinely overlap even on one core and
-/// the sweep measures the dispatcher, not the simulator. Every sharded
-/// run is asserted byte-identical to the serial single-device output.
-pub fn scaling(scale: f64) -> String {
-    let d = ch1(scale);
-    let cfg = |depth: usize, devices: usize, pacing: f64| GsnpConfig {
-        window_size: scaled_window(256_000, scale),
-        device: DeviceConfig::tesla_m2050().paced(pacing),
-        pipeline_depth: depth,
-        num_devices: devices,
-        // Host-side output compression (byte-identical to the GPU path —
-        // `compress::column` parity tests): the paced output-stage column
-        // kernels are serial per-window sleeps in the reassembly stage
-        // that no amount of device sharding can hide, and the window-loop
-        // device stage is what this sweep measures.
-        gpu_output: false,
-        ..Default::default()
-    };
-
-    let probe = GsnpPipeline::new(cfg(1, 1, 0.0)).run(&d.reads, &d.reference, &d.priors);
-    let po = &probe.stats.overlap;
-    // Unpaced, device-lane busy is pure host wall (kernel bodies +
-    // counting); fold it in so pacing dominates everything the host does.
-    let host_device: f64 = po.devices.iter().map(|l| l.stage.busy).sum();
-    let host_total = po.read.busy + po.posterior.busy + po.output.busy + host_device;
-    let sim_device = (probe.times.counting - probe.wall.counting)
-        + probe.times.likelihood_sort
-        + probe.times.likelihood_comp
-        + probe.times.recycle;
-    let pacing = if sim_device > 0.0 {
-        8.0 * host_total / sim_device
-    } else {
-        0.0
-    };
-
-    let mut rows = Vec::new();
-    let mut speedups_at_4 = Vec::new();
-    let mut lane_breakdown = String::new();
-    for depth in [1usize, 2, 4] {
-        let mut wall_1dev = f64::NAN;
-        for devices in [1usize, 2, 3, 4] {
-            let rec = Arc::new(TraceRecorder::new(1 << 16));
-            let out = GsnpPipeline::new(cfg(depth, devices, pacing))
-                .observed(traced(&rec))
-                .run(&d.reads, &d.reference, &d.priors);
-            // Traced sharded runs stay byte-identical to the untraced
-            // serial probe: tracing observes, never perturbs.
-            assert_eq!(
-                out.compressed, probe.compressed,
-                "sharded output diverged at depth {depth} x {devices} devices"
-            );
-            let o = &out.stats.overlap;
-            if depth == 2 && devices == 4 {
-                let snap = rec.snapshot();
-                gsnp_core::verify_overlap_consistency(&snap, o)
-                    .expect("trace must reconcile with OverlapStats");
-                lane_breakdown = stage_trace_table(&snap);
-            }
-            if devices == 1 {
-                wall_1dev = o.wall;
-            }
-            let speedup = wall_1dev / o.wall;
-            if devices == 4 {
-                speedups_at_4.push((depth, speedup));
-            }
-            let busy: Vec<String> = o
-                .devices
-                .iter()
-                .map(|l| format!("{:.2}", l.stage.busy))
-                .collect();
-            rows.push(vec![
-                format!("{depth}"),
-                format!("{devices}"),
-                secs(o.wall),
-                format!("{:.2}", out.stats.num_sites as f64 / o.wall / 1e6),
-                ratio(speedup),
-                format!("{}", o.steals_total()),
-                busy.join("/"),
-            ]);
-        }
-    }
-    let summary: Vec<String> = speedups_at_4
-        .iter()
-        .map(|(depth, s)| format!("depth {depth}: {s:.2}x"))
-        .collect();
-    format!(
-        "Extension — multi-device sharded window loop, Ch.1 (scale {scale}; paced device x{pacing:.1})
-{}
-Speedup at 4 devices vs 1 (same depth): {}.
-Per-stage/per-lane breakdown at depth 2 x 4 devices, re-derived from the
-trace spans (the verifier asserts these equal OverlapStats first):
-{lane_breakdown}
-Paper shape: with the device stage dominant, sharding windows across N
-devices through the work-stealing dispatcher approaches Nx on the window
-loop (reassembly keeps output byte-identical, asserted above); returns
-taper once the loop goes host-bound.
-",
-        table(
-            &[
-                "depth",
-                "devices",
-                "loop wall",
-                "Msites/s",
-                "speedup",
-                "steals",
-                "per-device busy (s)",
-            ],
-            &rows
-        ),
-        summary.join(", ")
-    )
-}
-
 // ---------------------------------------------------------------------
 // Extension — mega-batched launches (launches/site before/after)
 // ---------------------------------------------------------------------
@@ -1459,6 +1106,9 @@ pub fn launch_batching(scale: f64) -> String {
             .iter()
             .map(|t| t.overhead_seconds)
             .sum();
+        // The ledgers' modelled seconds, not `times.total()`: that adds the
+        // host wall of the four host components, which no two runs repeat.
+        let device_model: f64 = out.stats.ledgers.iter().map(|l| l.sim_time).sum();
         let sites = out.stats.num_sites.max(1) as f64;
         let per_site = launches as f64 / sites;
         last_per_site = per_site;
@@ -1476,12 +1126,10 @@ pub fn launch_batching(scale: f64) -> String {
             format!("{per_site:.4}"),
             format!("{overhead:.6}"),
             ratio(*base_launches as f64 / launches as f64),
-            secs(out.times.total()),
-            secs(out.stats.overlap.wall),
+            secs(device_model),
         ]);
         json_rows.push(format!(
-            "    {{\"batch\": {batch}, \"launches\": {launches}, \"launches_per_site\": {per_site:.6}, \"overhead_seconds\": {overhead:.9}, \"device_model_seconds\": {:.9}}}",
-            out.times.total()
+            "    {{\"batch\": {batch}, \"launches\": {launches}, \"launches_per_site\": {per_site:.6}, \"overhead_seconds\": {overhead:.9}, \"device_model_seconds\": {device_model:.9}}}"
         ));
     }
     let (_, _, base_per_site) = baseline.unwrap();
@@ -1491,14 +1139,14 @@ pub fn launch_batching(scale: f64) -> String {
         "launch batching must cut launches/site >=5x (got {reduction:.2}x)"
     );
 
-    // Launch counts are deterministic at a given scale, so the check
-    // tolerance is tight; `dir: min` — only losing reduction regresses.
+    // Launch counts are deterministic at a given scale, so a move in
+    // either direction means the committed file must be re-recorded.
     let json = crate::check::bench_json(
         "launch_batching",
         scale,
         "reduction_at_batch_8",
         &[("reduction_at_batch_8", reduction)],
-        &[("reduction_at_batch_8", 0.05, "min")],
+        &[("reduction_at_batch_8", 0.001, "both")],
         true,
         &json_rows,
     );
@@ -1527,352 +1175,6 @@ shape applied to GSNP's window loop.
                 "overhead (s)",
                 "vs batch 1",
                 "device model",
-                "loop wall",
-            ],
-            &rows
-        )
-    )
-}
-
-// ---------------------------------------------------------------------
-// Extension — pluggable compute backends (sim vs native vs auto)
-// ---------------------------------------------------------------------
-
-/// Extension: the compute-backend sweep. The launch_batching workload
-/// (many quarter-size windows, GPU output on the measured path) runs once
-/// per [`gpu_sim::BackendChoice`]; the report records end-to-end pipeline
-/// wall clock (best of N), the per-backend launch tallies, and the Auto
-/// dispatcher's decisions, asserts byte-identity across backends, asserts
-/// the ≥2x native-over-sim wall-clock win at recorded scales, and emits
-/// `BENCH_native_backend.json` so the perf trajectory is recorded.
-pub fn native_backend(scale: f64) -> String {
-    use gpu_sim::{BackendChoice, BackendTallies};
-    // Wall-clock comparison needs runs long enough to swamp fixed host
-    // costs (table setup, window bring-up), so this experiment runs the
-    // launch_batching workload at 10x the harness scale — same shape,
-    // more windows.
-    let d = ch1(scale * 10.0);
-    let cfg = |backend: BackendChoice| GsnpConfig {
-        // The launch_batching workload: quarter-size windows so the run
-        // spans many launches, with the scan/RLE/DICT output chain on the
-        // measured path. Serial loop — the backends differ only in how a
-        // launch executes, so the single-threaded loop isolates that.
-        window_size: scaled_window(64_000, scale * 10.0),
-        gpu_output: true,
-        backend,
-        ..Default::default()
-    };
-    const REPS: usize = 3;
-
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut sim_wall = f64::NAN;
-    let mut native_wall = f64::NAN;
-    let mut auto_wall = f64::NAN;
-    let mut baseline: Option<Vec<u8>> = None;
-    for choice in [
-        BackendChoice::Sim,
-        BackendChoice::Native,
-        BackendChoice::Auto,
-    ] {
-        let mut wall = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let out = GsnpPipeline::new(cfg(choice)).run(&d.reads, &d.reference, &d.priors);
-            wall = wall.min(t0.elapsed().as_secs_f64());
-            last = Some(out);
-        }
-        let out = last.expect("ran");
-        match &baseline {
-            None => baseline = Some(out.compressed.clone()),
-            Some(bytes) => assert_eq!(
-                &out.compressed,
-                bytes,
-                "{} output diverged from sim",
-                choice.name()
-            ),
-        }
-        let mut tallies = BackendTallies::default();
-        for led in &out.stats.ledgers {
-            tallies.sum(&led.backend);
-        }
-        match choice {
-            BackendChoice::Sim => sim_wall = wall,
-            BackendChoice::Native => native_wall = wall,
-            BackendChoice::Auto => auto_wall = wall,
-        }
-        rows.push(vec![
-            choice.name().into(),
-            secs(wall),
-            ratio(sim_wall / wall),
-            format!("{}", tallies.sim),
-            format!("{}", tallies.native),
-            format!("{}/{}", tallies.auto_sim, tallies.auto_native),
-        ]);
-        json_rows.push(format!(
-            "    {{\"backend\": \"{}\", \"wall_seconds\": {wall:.6}, \"speedup_vs_sim\": {:.4}, \"sim_launches\": {}, \"native_launches\": {}, \"auto_decisions_sim\": {}, \"auto_decisions_native\": {}}}",
-            choice.name(),
-            sim_wall / wall,
-            tallies.sim,
-            tallies.native,
-            tallies.auto_sim,
-            tallies.auto_native
-        ));
-    }
-    let speedup = sim_wall / native_wall;
-    let auto_speedup = sim_wall / auto_wall;
-    // Below recorded scale the windows are a few hundred sites and fixed
-    // host costs dominate both backends; the ≥2x bar is asserted where it
-    // is recorded. (Recorded margin on a single-core host is ~2.1x — the
-    // rayon block fan-out contributes nothing there; multi-core hosts
-    // only widen it.)
-    if scale >= 0.01 {
-        assert!(
-            speedup >= 2.0,
-            "native backend must be >=2x faster than sim end-to-end (got {speedup:.2}x)"
-        );
-        // The Auto dispatcher must capture most of the native win: its
-        // policy routes every large launch natively and only keeps
-        // sub-`native_min_blocks` grids (and sim-only observability) on
-        // the simulator, so it cannot regress to sim-like wall clock.
-        assert!(
-            auto_speedup >= 1.5,
-            "auto dispatch must recover >=1.5x over sim (got {auto_speedup:.2}x)"
-        );
-    }
-
-    // Wall-clock ratios on a shared CI host are noisy; 30% headroom with
-    // `dir: min` — only losing speedup regresses, faster is always fine.
-    let json = crate::check::bench_json(
-        "native_backend",
-        scale,
-        "native_speedup_vs_sim",
-        &[
-            ("native_speedup_vs_sim", speedup),
-            ("auto_speedup_vs_sim", auto_speedup),
-        ],
-        &[
-            ("native_speedup_vs_sim", 0.3, "min"),
-            ("auto_speedup_vs_sim", 0.3, "min"),
-        ],
-        true,
-        &json_rows,
-    );
-    let json_note = match std::fs::write("BENCH_native_backend.json", &json) {
-        Ok(()) => "Summary written to BENCH_native_backend.json.".to_string(),
-        Err(e) => format!("(BENCH_native_backend.json not written: {e})"),
-    };
-
-    format!(
-        "Extension — compute backends on the launch_batching workload, Ch.1 (scale {scale}; best of {REPS})
-{}
-Native backend end-to-end speedup over the instrumented simulator:
-{speedup:.2}x; Auto dispatch recovers {auto_speedup:.2}x of it (output
-byte-identical across all three backends, asserted above). {json_note}
-Paper shape: the simulator pays per-access bookkeeping (counters, cost
-model, shared-memory shadowing) on every word a kernel touches — the
-instrumentation that reproduces Table III. The native backend runs the
-same kernel bodies over the same buffers with none of it (rayon across
-blocks, plain loads/stores inside), so results stay bit-identical while
-wall clock drops; Auto picks per launch, falling back to sim whenever a
-launch needs sim-only observability.
-",
-        table(
-            &[
-                "backend",
-                "pipeline wall",
-                "vs sim",
-                "sim launches",
-                "native launches",
-                "auto sim/native",
-            ],
-            &rows
-        )
-    )
-}
-
-// ---------------------------------------------------------------------
-// Extension — cohort-scale multi-sample calling
-// ---------------------------------------------------------------------
-
-/// Extension: the cohort amortization sweep. An 8-sample synthetic cohort
-/// over one Ch.21-scale reference is called once through
-/// [`gsnp_core::CohortPipeline`] and compared against the honest
-/// baseline: 8 fully independent single-sample runs, each paying its own
-/// calibration, score-table upload and window bring-up. The report
-/// records both wall clocks at N ∈ {1, 2, 4, 8}, asserts the ≥1.5x
-/// cohort win at N=8 at recorded scales, asserts per-sample
-/// byte-identity (against a shared-tables single run — pooled
-/// calibration IS the shared work) and the O(devices) table-upload
-/// relation, and emits `BENCH_cohort_amortization.json`.
-pub fn cohort_amortization(scale: f64) -> String {
-    use gsnp_core::{CohortCallConfig, CohortPipeline, SampleReads, SharedTables};
-    use seqio::synth::{Cohort, CohortConfig};
-
-    // The classic cohort regime: many LOW-coverage samples over one
-    // reference (1000-Genomes-style population calling sequences samples
-    // at 2–6x and recovers power from the cohort, not from depth). Low
-    // depth is also where amortization matters most — the per-sample
-    // observation-proportional work shrinks while the reference-shaped
-    // work each independent run would repay stays fixed.
-    let mut base_synth = SynthConfig::ch21_mini(scale);
-    base_synth.depth = 3.0;
-    let cfg = || GsnpConfig {
-        window_size: scaled_window(256_000, scale),
-        launch_batch: 8,
-        // The production configuration: Auto routes every large launch to
-        // the native executor (byte-identical by construction) and both
-        // sides of the comparison get it, so the ratio isolates what the
-        // cohort amortizes rather than simulator bookkeeping.
-        backend: gpu_sim::BackendChoice::Auto,
-        ..Default::default()
-    };
-    let num_devices = 1u64;
-
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut speedup_at_8 = f64::NAN;
-    for num_samples in [1usize, 2, 4, 8] {
-        let c = Cohort::generate(CohortConfig {
-            base: base_synth.clone(),
-            num_samples,
-            shared_rate: 0.6,
-        });
-        let inputs: Vec<SampleReads<'_>> = c
-            .samples
-            .iter()
-            .map(|s| SampleReads {
-                name: &s.name,
-                reads: &s.reads,
-            })
-            .collect();
-
-        // The baseline: N fully independent runs, each calibrating and
-        // uploading for itself — what N users without a cohort pipeline
-        // would pay. (Their summed ledger H2D also anchors the upload
-        // relation below: score-table dimensions don't depend on the
-        // calibration values, so each run pays exactly one table upload.)
-        let t0 = Instant::now();
-        let mut singles_h2d = 0u64;
-        for s in &c.samples {
-            let single = GsnpPipeline::new(cfg()).run(&s.reads, &c.reference, &c.priors);
-            singles_h2d += single
-                .stats
-                .ledgers
-                .iter()
-                .map(|l| l.counters.h2d_bytes)
-                .sum::<u64>();
-        }
-        let singles_wall = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let out = CohortPipeline::new(CohortCallConfig {
-            base: cfg(),
-            ..Default::default()
-        })
-        .run(&inputs, &c.reference, &c.priors);
-        let cohort_wall = t0.elapsed().as_secs_f64();
-
-        // Correctness riding along with the measurement: lane 0 must be
-        // byte-identical to a single run injected with the cohort's
-        // pooled tables, and the ledger H2D bytes must show one table
-        // upload per device, not per sample.
-        let shared = std::sync::Arc::new(SharedTables::calibrate_pooled(
-            c.samples.iter().map(|s| s.reads.as_slice()),
-            &c.reference,
-            &cfg().params,
-        ));
-        let single = GsnpPipeline::new(GsnpConfig {
-            shared_tables: Some(std::sync::Arc::clone(&shared)),
-            ..cfg()
-        })
-        .run(&c.samples[0].reads, &c.reference, &c.priors);
-        assert_eq!(
-            out.samples[0].compressed, single.compressed,
-            "cohort lane 0 diverged from the shared-tables single run at N={num_samples}"
-        );
-        // A ledger's H2D bytes are its table upload plus 4 B per observation
-        // of each batch the simulator chain took; the device stage's native
-        // arm moves none. A cohort batch is the same windows N times over,
-        // so whenever a single run's batch clears the `Auto` threshold the
-        // cohort's does too: beyond its one table per device the cohort
-        // moves at most what the N runs moved beyond their N tables
-        // (`tests/cohort_parity.rs` pins the equality on the simulator).
-        let cohort_h2d: u64 = out.stats.ledgers.iter().map(|l| l.counters.h2d_bytes).sum();
-        let table = out.stats.table_bytes;
-        assert!(
-            cohort_h2d >= num_devices * table
-                && cohort_h2d - num_devices * table <= singles_h2d - num_samples as u64 * table,
-            "cohort table uploads must be O(devices), not O(samples) at N={num_samples}: \
-             {cohort_h2d} B against {singles_h2d} B for the independent runs"
-        );
-
-        let speedup = singles_wall / cohort_wall;
-        if num_samples == 8 {
-            speedup_at_8 = speedup;
-        }
-        rows.push(vec![
-            format!("{num_samples}"),
-            secs(singles_wall),
-            secs(cohort_wall),
-            ratio(speedup),
-            format!("{}", out.stats.table_bytes * num_devices),
-            format!("{}", out.stats.table_bytes * num_samples as u64),
-        ]);
-        json_rows.push(format!(
-            "    {{\"samples\": {num_samples}, \"independent_wall_seconds\": {singles_wall:.6}, \"cohort_wall_seconds\": {cohort_wall:.6}, \"speedup\": {speedup:.4}, \"table_upload_bytes\": {}, \"independent_upload_bytes\": {}}}",
-            out.stats.table_bytes * num_devices,
-            out.stats.table_bytes * num_samples as u64
-        ));
-    }
-    // Below recorded scale the genome is a few thousand sites and the
-    // fixed per-run bring-up is noise-dominated; the bar is asserted
-    // where it is recorded.
-    if scale >= 0.01 {
-        assert!(
-            speedup_at_8 >= 1.5,
-            "cohort at N=8 must beat 8 independent runs by >=1.5x (got {speedup_at_8:.2}x)"
-        );
-    }
-
-    // Wall-clock ratio of two timed loops — same 30% `dir: min` headroom
-    // as native_backend.
-    let json = crate::check::bench_json(
-        "cohort_amortization",
-        scale,
-        "speedup_at_8_samples",
-        &[("speedup_at_8_samples", speedup_at_8)],
-        &[("speedup_at_8_samples", 0.3, "min")],
-        true,
-        &json_rows,
-    );
-    let json_note = match std::fs::write("BENCH_cohort_amortization.json", &json) {
-        Ok(()) => "Summary written to BENCH_cohort_amortization.json.".to_string(),
-        Err(e) => format!("(BENCH_cohort_amortization.json not written: {e})"),
-    };
-
-    format!(
-        "Extension — cohort-scale multi-sample calling, Ch.21-shaped cohort (scale {scale})
-{}
-Cohort over 8 samples beat 8 independent runs {speedup_at_8:.2}x
-(per-sample output byte-identical to a shared-tables single run, and table
-uploads O(devices), both asserted above). {json_note}
-Paper shape: everything reference-shaped — quality calibration, the
-cal_p/new_p/log score tables, their one-per-device upload, and the window
-scan — is paid once for the whole cohort instead of once per sample; the
-per-sample work (counting, sort, likelihood, posterior, output) rides the
-same mega-batched launches, so the fixed per-launch cost is also divided
-across the N samples sharing each window batch.
-",
-        table(
-            &[
-                "samples",
-                "N independent",
-                "cohort",
-                "speedup",
-                "cohort upload B",
-                "independent upload B",
             ],
             &rows
         )
@@ -1916,30 +1218,9 @@ pub fn all_experiments() -> Vec<Experiment> {
             accuracy,
         ),
         (
-            "pipeline_overlap",
-            "EXT: streaming executor depth sweep",
-            pipeline_overlap,
-        ),
-        (
-            "buffer_pool",
-            "EXT: pooled vs fresh window-loop allocation",
-            buffer_pool,
-        ),
-        ("scaling", "EXT: multi-device scaling sweep", scaling),
-        (
             "launch_batching",
             "EXT: mega-batched launch sweep (launches/site)",
             launch_batching,
-        ),
-        (
-            "native_backend",
-            "EXT: sim vs native vs auto compute backends",
-            native_backend,
-        ),
-        (
-            "cohort_amortization",
-            "EXT: cohort vs N independent single-sample runs",
-            cohort_amortization,
         ),
     ]
 }
@@ -1953,7 +1234,7 @@ mod tests {
     #[test]
     fn small_experiments_produce_reports() {
         // Smoke-test the cheap experiments end to end at minimal scale.
-        for name in ["table2", "fig4b", "fig7b", "scaling"] {
+        for name in ["table2", "fig4b", "fig7b"] {
             let (_, _, f) = all_experiments()
                 .into_iter()
                 .find(|(n, _, _)| *n == name)
@@ -1980,58 +1261,33 @@ mod tests {
     }
 
     #[test]
-    fn native_backend_stays_byte_identical() {
-        // The runner asserts byte-identity across sim/native/auto on every
-        // run; the >=2x wall-clock bar is only enforced at recorded scales
-        // (fixed host costs dominate tiny windows). Drop the JSON
-        // side-product — recorded summaries come from `reproduce`.
-        let report = native_backend(TEST_SCALE);
-        let _ = std::fs::remove_file("BENCH_native_backend.json");
-        assert!(report.contains("byte-identical"));
-        assert!(report.contains("native"));
-        assert!(report.contains("auto"));
-    }
-
-    #[test]
     fn experiment_registry_is_complete() {
+        // The paper's 15 tables and figures, the three ablations and the
+        // deterministic launch count: exactly these, in this order.
         let names: Vec<_> = all_experiments().iter().map(|(n, _, _)| *n).collect();
-        // Every table and figure of the paper's evaluation is present.
-        for required in [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "fig4a",
-            "fig4b",
-            "fig5",
-            "fig6",
-            "fig7a",
-            "fig7b",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "pipeline_overlap",
-            "scaling",
-            "launch_batching",
-            "native_backend",
-            "cohort_amortization",
-        ] {
-            assert!(names.contains(&required), "{required} missing");
-        }
-    }
-
-    #[test]
-    fn cohort_amortization_holds_its_invariants() {
-        // The runner asserts per-sample byte-identity and the O(devices)
-        // upload relation at every N; the ≥1.5x throughput bar is only
-        // enforced at recorded scales (bring-up noise dominates tiny
-        // genomes). Drop the JSON side-product — recorded summaries come
-        // from `reproduce`.
-        let report = cohort_amortization(TEST_SCALE);
-        let _ = std::fs::remove_file("BENCH_cohort_amortization.json");
-        assert!(report.contains("byte-identical"));
-        assert!(report.contains("O(devices)"));
+        assert_eq!(
+            names,
+            [
+                "table1",
+                "table2",
+                "table3",
+                "table4",
+                "fig4a",
+                "fig4b",
+                "fig5",
+                "fig6",
+                "fig7a",
+                "fig7b",
+                "fig8",
+                "fig9",
+                "fig10",
+                "fig11",
+                "fig12",
+                "ablation_sort",
+                "ablation_rledict",
+                "accuracy",
+                "launch_batching",
+            ]
+        );
     }
 }

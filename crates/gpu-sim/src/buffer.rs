@@ -267,24 +267,6 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         }
     }
 
-    /// Uncounted host-side write of `vals.len()` consecutive elements
-    /// starting at `start` (bounds-checked once for the whole span).
-    #[inline]
-    pub fn write_span(&self, start: usize, vals: &[T]) {
-        let end = start + vals.len();
-        assert!(
-            end <= self.len,
-            "span {start}..{end} out of bounds (len {})",
-            self.len
-        );
-        if let Some(sh) = &self.shadow {
-            sh.host_write(start, vals.len());
-        }
-        for (c, v) in self.cells[start..end].iter().zip(vals) {
-            c.store(v.to_raw(), Ordering::Relaxed);
-        }
-    }
-
     /// Download the whole buffer to a host `Vec` (uncounted; use
     /// [`crate::Device::download`] for counted transfers).
     pub fn to_vec(&self) -> Vec<T> {

@@ -33,14 +33,6 @@ pub struct DeviceConfig {
     pub pcie_bw: f64,
     /// Fixed overhead charged per kernel launch, seconds.
     pub launch_overhead: f64,
-    /// Device pacing factor. When > 0, every launch *occupies* the
-    /// simulated device for `sim_time × pacing` of real host time (the
-    /// executing thread sleeps, releasing the CPU — exactly what a host
-    /// thread does while synchronizing on a CUDA stream). This turns the
-    /// modelled device time into observable wall time so pipeline overlap
-    /// between host stages and the device can be measured on any host,
-    /// including single-core ones. 0.0 (the default) disables pacing.
-    pub pacing: f64,
 }
 
 impl DeviceConfig {
@@ -63,7 +55,6 @@ impl DeviceConfig {
             inst_throughput: 448.0 * 1.15e9,
             pcie_bw: 6.0e9,
             launch_overhead: 5.0e-6,
-            pacing: 0.0,
         }
     }
 
@@ -85,20 +76,12 @@ impl DeviceConfig {
             inst_throughput: 2.53e9 * 2.0,
             pcie_bw: f64::INFINITY,
             launch_overhead: 0.0,
-            pacing: 0.0,
         }
     }
 
     /// Total scalar cores on the device.
     pub fn total_cores(&self) -> usize {
         self.num_sms * self.cores_per_sm
-    }
-
-    /// The same configuration with device pacing enabled (see
-    /// [`DeviceConfig::pacing`]).
-    pub fn paced(mut self, factor: f64) -> Self {
-        self.pacing = factor;
-        self
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`DeviceGroup`] is `N` independent [`Device`] instances behind one
 //! handle: each member owns its own [`crate::BufferPool`], ledger,
-//! optional sanitizer, and paced cost model, exactly as if it had been
+//! optional sanitizer, and modelled device clock, exactly as if it had been
 //! constructed standalone. The group adds nothing to the launch path —
 //! callers launch on `group.device(i)` directly — it only centralizes
 //! construction and accounting. [`GroupLedger`] snapshots every member's

@@ -521,17 +521,6 @@ impl Device {
         }
     }
 
-    /// Model the device as *occupying* real time: when pacing is enabled,
-    /// sleep for the modelled duration, releasing the CPU exactly like a
-    /// host thread blocked on a stream synchronization.
-    fn pace(&self, sim_time: f64) {
-        if self.cfg.pacing > 0.0 && sim_time > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                sim_time * self.cfg.pacing,
-            ));
-        }
-    }
-
     /// Allocate a zeroed global buffer.
     pub fn alloc<T: DeviceScalar>(&self, len: usize) -> GlobalBuffer<T> {
         let mut buf = GlobalBuffer::zeroed(len);
@@ -687,12 +676,11 @@ impl Device {
 
     /// After the last block of a simulator launch retires: ledger,
     /// per-kernel tally (`overhead` is the fixed launch cost it paid),
-    /// trace span, pacing.
+    /// trace span.
     fn retire(&self, name: &str, stats: &LaunchStats, overhead: f64) {
         self.ledger.lock().record(stats, true);
         self.tally_launch(name, overhead, stats.wall_time, false);
         self.trace_launch(name, stats);
-        self.pace(stats.sim_time);
     }
 
     /// The simulator's parallel launch of `grid_dim ≥ 1` blocks, contracted
@@ -837,7 +825,6 @@ impl Device {
         if let Some(trace) = &self.trace {
             trace.record_xfer(h2d, bytes, dt);
         }
-        self.pace(dt);
     }
 
     /// Estimate time for a counter snapshot without launching.
@@ -1020,24 +1007,6 @@ mod tests {
             }
         });
         assert_eq!(output.get(100), 200);
-    }
-
-    #[test]
-    fn pacing_occupies_real_time() {
-        let mut cfg = DeviceConfig::tesla_m2050();
-        cfg.pcie_bw = 1e6; // 1 MB/s so a small transfer is visible
-        let paced = Device::new(cfg.clone().paced(1.0));
-        let mut st = LaunchStats::default();
-        let t0 = Instant::now();
-        paced.charge_h2d(&mut st, 10_000); // 10 ms modelled
-        let elapsed = t0.elapsed().as_secs_f64();
-        assert!(elapsed >= 0.009, "paced transfer returned in {elapsed}s");
-
-        let unpaced = Device::new(cfg);
-        let mut st = LaunchStats::default();
-        let t0 = Instant::now();
-        unpaced.charge_h2d(&mut st, 10_000);
-        assert!(t0.elapsed().as_secs_f64() < 0.009);
     }
 
     #[test]

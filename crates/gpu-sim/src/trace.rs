@@ -22,10 +22,9 @@
 //! its modelled [`crate::CostModel`] time, so the device timeline shows
 //! what the *modelled hardware* did, one kernel at a time. Host tracks
 //! (pipeline stages) use **wall clock** relative to the recorder's epoch.
-//! Under device pacing the two domains align (pacing converts modelled
-//! seconds into real ones); unpaced, the device timeline runs ahead of the
-//! host one — both are still internally consistent, and the per-lane
-//! busy/stall reconciliation against `OverlapStats` holds regardless.
+//! Nothing converts one into the other: the device timeline runs ahead
+//! of the host one, each is internally consistent, and the per-lane
+//! busy/stall reconciliation against `OverlapStats` is host-clock only.
 //!
 //! ## Allocation discipline
 //!

@@ -229,11 +229,6 @@ impl OverlapStats {
             0.0
         }
     }
-
-    /// Windows stolen off their home device, summed over all workers.
-    pub fn steals_total(&self) -> u64 {
-        self.devices.iter().map(|d| d.steals).sum()
-    }
 }
 
 /// Host-side pipeline tracks of the tracing subsystem: one span track per

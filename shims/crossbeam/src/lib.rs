@@ -1,9 +1,9 @@
 //! Offline shim for the `crossbeam` crate.
 //!
-//! Provides [`channel::bounded`] / [`channel::unbounded`] MPMC channels
-//! with crossbeam's disconnect semantics (send fails once all receivers
-//! are gone; recv drains the buffer then fails once all senders are
-//! gone), built on `Mutex` + `Condvar`. This is the exact surface the
+//! Provides [`channel::bounded`] MPMC channels with crossbeam's
+//! disconnect semantics (send fails once all receivers are gone; recv
+//! drains the buffer then fails once all senders are gone), built on
+//! `Mutex` + `Condvar`. This is the exact surface the
 //! streaming pipeline executor uses; throughput is more than adequate for
 //! window-granularity hand-offs (a few messages per second).
 
@@ -14,7 +14,7 @@ pub mod channel {
 
     struct State<T> {
         buf: VecDeque<T>,
-        cap: Option<usize>,
+        cap: usize,
         senders: usize,
         receivers: usize,
     }
@@ -49,15 +49,6 @@ pub mod channel {
 
     impl std::error::Error for RecvError {}
 
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Channel currently empty but senders remain.
-        Empty,
-        /// Channel empty and all senders dropped.
-        Disconnected,
-    }
-
     /// Sending half of a channel. Clonable (MPMC).
     pub struct Sender<T> {
         shared: Arc<Shared<T>>,
@@ -72,19 +63,10 @@ pub mod channel {
     /// while full. `cap` of zero is bumped to one (this shim does not
     /// implement rendezvous channels).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        make(Some(cap.max(1)))
-    }
-
-    /// A channel with no capacity limit; `send` never blocks.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        make(None)
-    }
-
-    fn make<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 buf: VecDeque::new(),
-                cap,
+                cap: cap.max(1),
                 senders: 1,
                 receivers: 1,
             }),
@@ -108,8 +90,7 @@ pub mod channel {
                 if st.receivers == 0 {
                     return Err(SendError(msg));
                 }
-                let full = st.cap.is_some_and(|c| st.buf.len() >= c);
-                if !full {
+                if st.buf.len() < st.cap {
                     st.buf.push_back(msg);
                     self.shared.not_empty.notify_one();
                     return Ok(());
@@ -155,33 +136,9 @@ pub mod channel {
             }
         }
 
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.shared.state.lock().unwrap();
-            if let Some(msg) = st.buf.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
-            if st.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
         /// Blocking iterator that ends when the channel disconnects.
         pub fn iter(&self) -> Iter<'_, T> {
             Iter { rx: self }
-        }
-
-        /// Messages currently buffered.
-        pub fn len(&self) -> usize {
-            self.shared.state.lock().unwrap().buf.len()
-        }
-
-        /// Whether the buffer is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -215,26 +172,6 @@ pub mod channel {
             self.rx.recv().ok()
         }
     }
-
-    impl<T> IntoIterator for Receiver<T> {
-        type Item = T;
-        type IntoIter = IntoIter<T>;
-        fn into_iter(self) -> IntoIter<T> {
-            IntoIter { rx: self }
-        }
-    }
-
-    /// Owning blocking iterator over received messages.
-    pub struct IntoIter<T> {
-        rx: Receiver<T>,
-    }
-
-    impl<T> Iterator for IntoIter<T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +180,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel::bounded(10);
         for i in 0..10 {
             tx.send(i).unwrap();
         }

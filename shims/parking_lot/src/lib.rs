@@ -1,9 +1,9 @@
 //! Offline shim for the `parking_lot` crate.
 //!
-//! Wraps `std::sync` primitives behind parking_lot's non-poisoning API:
-//! `lock()` / `read()` / `write()` return guards directly instead of
-//! `Result`s. A poisoned std lock (a panic while held) is recovered by
-//! taking the inner guard, matching parking_lot's "no poisoning" model.
+//! Wraps `std::sync::Mutex` behind parking_lot's non-poisoning API:
+//! `lock()` returns the guard directly instead of a `Result`. A poisoned
+//! std lock (a panic while held) is recovered by taking the inner guard,
+//! matching parking_lot's "no poisoning" model.
 
 use std::sync;
 
@@ -23,13 +23,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consume the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -37,63 +30,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Reader-writer lock whose accessors never return errors.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-/// Shared-read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Exclusive-write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Wrap a value.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -107,19 +43,6 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-        assert_eq!(m.into_inner(), 6);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!
 //! `--trace` writes a Chrome trace-event file loadable in Perfetto
 //! (`ui.perfetto.dev`): one process per simulated device (kernel,
-//! transfer, pool and sanitizer tracks on the paced device clock) plus a
+//! transfer, pool and sanitizer tracks on the modelled device clock) plus a
 //! `pipeline` process with one host-clock track per stage and device
 //! lane. `profile` is the paper's Table III/IV analogue on a synthetic
 //! workload; `validate-trace` schema-checks an exported file.
@@ -260,6 +260,20 @@ const CALL_FLAGS: &Flags = &[
     ("--journal", true),
     ("--stats-addr", true),
     ("--stats-hold", true),
+];
+/// The [`CALL_FLAGS`] that configure or observe the device pipeline.
+/// `--cpu` runs the sequential oracle, which none of them reaches, so it
+/// refuses them rather than exit 0 having ignored one.
+const DEVICE_ONLY_FLAGS: &[&str] = &[
+    "--trace",
+    "--devices",
+    "--batch",
+    "--backend",
+    "--auto-threshold",
+    "--contracts",
+    "--progress",
+    "--stats-addr",
+    "--stats-hold",
 ];
 /// `call --cohort` takes these on top of [`CALL_FLAGS`].
 const COHORT_FLAGS: &Flags = &[
@@ -624,8 +638,10 @@ fn cmd_call(args: &[String]) -> CliResult {
     let priors = PriorMap::read(BufReader::new(open(prior)?))?;
 
     let cpu = has_flag(args, "--cpu");
-    if cpu && flag_value(args, "--trace").is_some() {
-        return Err("--trace requires the device pipeline (drop --cpu)".into());
+    if cpu {
+        if let Some(flag) = DEVICE_ONLY_FLAGS.iter().find(|f| has_flag(args, f)) {
+            return Err(format!("{flag} requires the device pipeline (drop --cpu)").into());
+        }
     }
     let cfg = compute_config(args, false)?;
     let contracts = cfg.contracts;

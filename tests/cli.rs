@@ -14,9 +14,10 @@
 //! call pinned to one CPU (the worker pool's serial path) writes the bytes
 //! an unpinned one does. A flag outside the subcommand's usage text, a
 //! value flag without a value, a number that does not parse, a zero-site
-//! window and zero devices are errors naming the flag. A closed stdout
-//! ends a command quietly; any other stdout error is an error, not a
-//! panic.
+//! window and zero devices are errors naming the flag, and so is every
+//! device-pipeline flag next to `--cpu`, which would not reach it. A closed
+//! stdout ends a command quietly; any other stdout error is an error, not
+//! a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -483,6 +484,58 @@ fn flags_are_checked_against_the_subcommands_usage() {
         let taken = run(&line);
         let stderr = String::from_utf8_lossy(&taken.stderr);
         assert!(taken.status.success(), "gsnp {line}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--cpu` runs the sequential oracle. It used to exit 0 under flags that
+/// never reached it: `--progress` printed `0/0 windows`, and `--journal`
+/// recorded `--devices 4 --backend native` for a run that used neither.
+#[test]
+fn cpu_refuses_the_device_pipeline_flags() {
+    let dir = called("cpu");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let run = |line: &str| gsnp(&line.split(' ').collect::<Vec<_>>());
+    let (out, trace) = (d("cpu.gsnp"), d("t.json"));
+    let call = format!(
+        "call {} {} {} {out} --cpu --window 1500",
+        d("reads.soap"),
+        d("reference.fa"),
+        d("priors.txt")
+    );
+    for flag in [
+        format!("--trace {trace}").as_str(),
+        "--devices 4",
+        "--batch 3",
+        "--backend native",
+        "--auto-threshold 4",
+        "--contracts",
+        "--progress",
+        "--stats-addr 127.0.0.1:0",
+        "--stats-hold 0",
+    ] {
+        let refused = run(&format!("{call} {flag}"));
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        let name = flag.split(' ').next().unwrap();
+        assert_eq!(refused.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{name} requires the device pipeline (drop --cpu)")),
+            "{flag}: {stderr}"
+        );
+        assert!(!Path::new(&out).exists(), "{flag}: left an output file");
+    }
+    // The flags the oracle does honour: the same bytes as the device run.
+    let (txt, prom, jsonl) = (d("cpu.txt"), d("cpu.prom"), d("cpu.jsonl"));
+    let taken = run(&format!(
+        "{call} --text {txt} --metrics {prom} --journal {jsonl} -q"
+    ));
+    let stderr = String::from_utf8_lossy(&taken.stderr);
+    assert!(taken.status.success(), "{stderr}");
+    for (cpu, device) in [(&out, "out.gsnp"), (&txt, "out.txt")] {
+        assert!(
+            std::fs::read(cpu).unwrap() == std::fs::read(dir.join(device)).unwrap(),
+            "--cpu wrote a different {device}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -194,6 +194,8 @@ fn four_device_trace_reconciles_with_overlap_stats() {
     let snap = rec.snapshot();
     assert_eq!(snap.dropped, 0);
     verify_overlap_consistency(&snap, &out.overlap).expect("trace must reconcile with stats");
+    // Traced and sharded, against neither: tracing observes, never perturbs.
+    assert_eq!(out.compressed, run(&d, 1, 1, None).compressed);
 
     // Steal markers only ever appear on lane tracks, and their count
     // matches the stats (zero steals is legitimate on a fast run, but
@@ -376,8 +378,8 @@ proptest! {
     /// byte and no hardware counter, at any pipeline shape.
     #[test]
     fn tracing_on_off_outputs_are_byte_identical(
-        devices in 1usize..4,
-        depth in 1usize..4,
+        devices in 1usize..5,
+        depth in 1usize..5,
     ) {
         let d = dataset();
         let plain = run(&d, devices, depth, None);
