@@ -15,6 +15,7 @@ use gsnp_core::likelihood::{
 use gsnp_core::model::ModelParams;
 use gsnp_core::pipeline::{GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline};
 use gsnp_core::tables::{LogTable, NewPMatrix, PMatrix};
+use gsnp_core::Collect;
 use seqio::synth::{Dataset, SynthConfig};
 use seqio::window::WindowReader;
 use soapsnp::{dense_access_time_estimate, SoapSnpConfig, SoapSnpOutput, SoapSnpPipeline};
@@ -51,11 +52,21 @@ fn gsnp_cfg(d: &Dataset, scale: f64) -> GsnpConfig {
 }
 
 fn run_gsnp(d: &Dataset, scale: f64) -> GsnpOutput {
-    GsnpPipeline::new(gsnp_cfg(d, scale)).run(&d.reads, &d.reference, &d.priors)
+    let sink = &mut Collect::default();
+    GsnpPipeline::new(gsnp_cfg(d, scale)).run(&d.reads, &d.reference, &d.priors, sink)
 }
 
 fn run_gsnp_cpu(d: &Dataset, scale: f64) -> GsnpOutput {
-    GsnpCpuPipeline::new(gsnp_cfg(d, scale)).run(&d.reads, &d.reference, &d.priors)
+    run_gsnp_cpu_collect(d, scale).0
+}
+
+/// The sparse CPU pipeline's report and what it called.
+fn run_gsnp_cpu_collect(d: &Dataset, scale: f64) -> (GsnpOutput, Collect) {
+    let mut sink = Collect::default();
+    let out = GsnpCpuPipeline::new(gsnp_cfg(d, scale))
+        .run(&d.reads, &d.reference, &d.priors, &mut sink)
+        .expect("a collecting sink takes every batch");
+    (out, sink)
 }
 
 /// All windows of a dataset as sorted sparse windows.
@@ -133,9 +144,9 @@ pub fn table2(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         // Output size measured from the (cheap) sparse CPU pipeline.
-        let out = run_gsnp_cpu(&d, scale);
+        let (_, called) = run_gsnp_cpu_collect(&d, scale);
         let mut text = Vec::new();
-        for t in &out.tables {
+        for t in &called.tables[0] {
             t.write_text(&mut text).expect("in-memory write");
         }
         rows.push(vec![
@@ -662,11 +673,11 @@ pub fn fig9(scale: f64) -> String {
     let mut size_rows = Vec::new();
     let mut speed_rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
-        let out = run_gsnp_cpu(&d, scale);
+        let (_, called) = run_gsnp_cpu_collect(&d, scale);
         // Plain text (SOAPsnp).
         let t0 = Instant::now();
         let mut text = Vec::new();
-        for t in &out.tables {
+        for t in &called.tables[0] {
             t.write_text(&mut text).expect("in-memory write");
         }
         let t_text = t0.elapsed().as_secs_f64();
@@ -677,14 +688,14 @@ pub fn fig9(scale: f64) -> String {
         // GSNP column compression: CPU wall and simulated-GPU time.
         let t0 = Instant::now();
         let mut col = Vec::new();
-        for t in &out.tables {
+        for t in &called.tables[0] {
             compress::column::write_window(&mut col, t);
         }
         let t_col_cpu = t0.elapsed().as_secs_f64();
         let dev = Device::m2050();
         let mut col_gpu = Vec::new();
         let mut t_col_gpu = 0.0;
-        for t in &out.tables {
+        for t in &called.tables[0] {
             let t0 = Instant::now();
             let stats = compress::column::write_windows_gpu_batch(
                 &dev,
@@ -747,14 +758,14 @@ pub fn fig10(scale: f64) -> String {
     let mut dec_rows = Vec::new();
     let mut in_rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
-        let out = run_gsnp_cpu(&d, scale);
+        let (_, called) = run_gsnp_cpu_collect(&d, scale);
         let mut text = Vec::new();
-        for t in &out.tables {
+        for t in &called.tables[0] {
             t.write_text(&mut text).expect("in-memory write");
         }
         let gz = compress::lz::compress(&text);
         let mut col = Vec::new();
-        for t in &out.tables {
+        for t in &called.tables[0] {
             compress::column::write_window(&mut col, t);
         }
         // Decompression = restoring all rows from each representation.
@@ -850,7 +861,7 @@ pub fn fig11(scale: f64) -> String {
             window_size: window,
             ..Default::default()
         })
-        .run(&d.reads, &d.reference, &d.priors);
+        .run(&d.reads, &d.reference, &d.priors, &mut Collect::default());
         rows.push(vec![
             format!("{paper_window}"),
             format!("{window}"),
@@ -971,8 +982,7 @@ pub fn ablation_sort_classes(scale: f64) -> String {
 pub fn ablation_rledict(scale: f64) -> String {
     use compress::bitio::BitWriter;
     let d = ch1(scale);
-    let out = run_gsnp_cpu(&d, scale);
-    let rows_all: Vec<seqio::result::SnpRow> = out.all_rows();
+    let rows_all: Vec<seqio::result::SnpRow> = run_gsnp_cpu_collect(&d, scale).1.rows(0);
     type ColumnGetter = (&'static str, fn(&seqio::result::SnpRow) -> u32);
     let columns: [ColumnGetter; 4] = [
         ("quality", |r| u32::from(r.quality)),
@@ -1026,8 +1036,7 @@ pub fn ablation_rledict(scale: f64) -> String {
 pub fn accuracy(scale: f64) -> String {
     use gsnp_core::accuracy::{quality_sweep, titv_ratio};
     let d = ch1(scale);
-    let out = run_gsnp_cpu(&d, scale);
-    let rows = out.all_rows();
+    let rows = run_gsnp_cpu_collect(&d, scale).1.rows(0);
     let sweep = quality_sweep(&rows, &d.truth, &[0, 10, 20, 30, 40, 60]);
     let table_rows: Vec<Vec<String>> = sweep
         .iter()
@@ -1098,7 +1107,9 @@ pub fn launch_batching(scale: f64) -> String {
     let mut baseline: Option<(Vec<u8>, u64, f64)> = None; // bytes, launches, launches/site
     let mut last_per_site = f64::NAN;
     for batch in [1usize, 2, 4, 8] {
-        let out = GsnpPipeline::new(cfg(batch)).run(&d.reads, &d.reference, &d.priors);
+        let mut sink = Collect::default();
+        let out = GsnpPipeline::new(cfg(batch)).run(&d.reads, &d.reference, &d.priors, &mut sink);
+        let compressed = sink.compressed.swap_remove(0);
         let launches: u64 = out.stats.ledgers.iter().map(|l| l.launches).sum();
         let overhead: f64 = out
             .stats
@@ -1113,9 +1124,9 @@ pub fn launch_batching(scale: f64) -> String {
         let per_site = launches as f64 / sites;
         last_per_site = per_site;
         match &baseline {
-            None => baseline = Some((out.compressed.clone(), launches, per_site)),
+            None => baseline = Some((compressed, launches, per_site)),
             Some((bytes, _, _)) => assert_eq!(
-                &out.compressed, bytes,
+                &compressed, bytes,
                 "batch {batch} output diverged from batch 1"
             ),
         }

@@ -192,7 +192,7 @@ pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'
 
 /// One sample's temporary input: its position-sorted reads as consecutive
 /// chunks, in order, each a [`compress_chunk`] blob.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TempInput {
     chunks: Vec<Vec<u8>>,
 }

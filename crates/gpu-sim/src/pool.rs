@@ -40,17 +40,6 @@ pub struct PoolStats {
     pub high_water_bytes: u64,
 }
 
-impl PoolStats {
-    /// Fraction of acquires served without allocating, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// Size-classed free lists of recycled device buffers.
 pub struct BufferPool {
     /// Parked buffers with arbitrary previous-tenant contents.
@@ -349,15 +338,6 @@ mod tests {
         let p = pool(true);
         let b = p.acquire::<u32>(8, false);
         assert_eq!(b.to_vec(), vec![0; 8], "fresh cells are zero regardless");
-    }
-
-    #[test]
-    fn hit_rate_reports_fraction() {
-        let p = pool(true);
-        drop(p.acquire::<u32>(16, true));
-        drop(p.acquire::<u32>(16, true));
-        assert!((p.stats().hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(PoolStats::default().hit_rate(), 0.0);
     }
 
     #[test]

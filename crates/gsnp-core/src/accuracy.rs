@@ -258,17 +258,27 @@ mod tests {
     use crate::pipeline::{GsnpConfig, GsnpCpuPipeline};
     use seqio::synth::{Dataset, SynthConfig};
 
+    fn call_cpu(
+        reads: &[seqio::AlignedRead],
+        reference: &seqio::fasta::Reference,
+        priors: &seqio::prior::PriorMap,
+    ) -> Vec<SnpRow> {
+        let mut sink = crate::Collect::default();
+        GsnpCpuPipeline::new(GsnpConfig {
+            window_size: 5_000,
+            ..Default::default()
+        })
+        .run(reads, reference, priors, &mut sink)
+        .unwrap();
+        sink.rows(0)
+    }
+
     fn called_dataset() -> (Dataset, Vec<SnpRow>) {
         let mut cfg = SynthConfig::tiny(0xACC);
         cfg.num_sites = 15_000;
         cfg.snp_rate = 4e-3;
         let d = Dataset::generate(cfg);
-        let out = GsnpCpuPipeline::new(GsnpConfig {
-            window_size: 5_000,
-            ..Default::default()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        let rows = out.all_rows();
+        let rows = call_cpu(&d.reads, &d.reference, &d.priors);
         (d, rows)
     }
 
@@ -344,14 +354,7 @@ mod tests {
             num_samples: 3,
             shared_rate: 0.6,
         });
-        let call = |reads: &[seqio::AlignedRead]| {
-            GsnpCpuPipeline::new(GsnpConfig {
-                window_size: 5_000,
-                ..Default::default()
-            })
-            .run(reads, &trio.reference, &trio.priors)
-            .all_rows()
-        };
+        let call = |reads: &[seqio::AlignedRead]| call_cpu(reads, &trio.reference, &trio.priors);
         let mother = call(&trio.sample("mother").unwrap().reads);
         let father = call(&trio.sample("father").unwrap().reads);
         let child = call(&trio.sample("child").unwrap().reads);

@@ -28,7 +28,8 @@
 //!   given the same tables: compressed bytes are grouping-invariant
 //!   (`tests/batch_parity.rs`), so demuxing a batch back into per-sample
 //!   compression groups reproduces each sample's single-run stream
-//!   bit-for-bit at any (samples, devices, batch, depth) shape.
+//!   bit-for-bit at any (samples, devices, batch, depth) shape. Sample
+//!   `i`'s stream is what the run's [`ResultSink`] receives as sample `i`.
 //! * **The site policy and the per-sample view**: gates, bad-site list,
 //!   noisy-site feedback, `sample`/`gates` journal events.
 //!
@@ -39,16 +40,17 @@
 //! sites across runs and force-NoCalls them once they cross a threshold.
 
 use std::collections::BTreeMap;
+use std::io::Read;
 
 use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
-use seqio::result::{SnpRow, SnpTable};
+use seqio::result::SnpRow;
 use seqio::soap::AlignedRead;
 
 use crate::pipeline::{
-    first_pass, run_window_loop, AlignmentError, Alignments, ComponentTimes, FirstPass, GsnpConfig,
-    PipelineStats,
+    first_pass, run_window_loop, Alignments, ComponentTimes, GsnpConfig, PipelineStats, RunError,
 };
+use crate::sink::ResultSink;
 use crate::stream::Observers;
 
 /// Per-site quality gates: calls failing either bound are replaced with
@@ -193,39 +195,30 @@ pub struct SampleReads<'a> {
 
 /// One sample's input to a cohort run, as the text of its alignment file.
 #[derive(Debug, Clone)]
-pub struct SampleText {
+pub struct SampleText<R> {
     /// Sample name (labels the per-sample output).
     pub name: String,
-    /// The SOAP alignment file's bytes.
-    pub text: Vec<u8>,
+    /// The SOAP alignment file, to be read once from its start (a `File`;
+    /// a `&[u8]` already in memory).
+    pub text: R,
 }
 
-/// One sample's slice of a cohort run's output.
+/// One sample's slice of what a cohort run reports. Its results — the
+/// compressed stream byte-identical to a single-sample run over the same
+/// reads and tables — went to the run's [`ResultSink`] under the sample's
+/// index.
 #[derive(Debug)]
 pub struct SampleOutput {
     /// Sample name.
     pub name: String,
-    /// Per-window result tables.
-    pub tables: Vec<SnpTable>,
-    /// The sample's compressed result file — byte-identical to a
-    /// single-sample run over the same reads and tables.
-    pub compressed: Vec<u8>,
     /// Variant calls emitted for this sample (after gating).
     pub snp_count: u64,
     /// Calls replaced with NoCall by [`QualityGates`].
     pub gated_nocalls: u64,
     /// Calls force-NoCalled by the [`BadSiteList`].
     pub forced_nocalls: u64,
-}
-
-impl SampleOutput {
-    /// Flatten all windows into rows (for comparisons).
-    pub fn all_rows(&self) -> Vec<SnpRow> {
-        self.tables
-            .iter()
-            .flat_map(|t| t.rows.iter().copied())
-            .collect()
-    }
+    /// Size of the sample's compressed result file.
+    pub output_bytes: u64,
 }
 
 /// Everything a cohort run produces.
@@ -303,52 +296,56 @@ impl CohortPipeline {
     /// Call every sample over the shared reference in one run: one pooled
     /// calibration, then the same window loop a single-sample call runs
     /// (`run_window_loop`) over all samples at once, with this
-    /// configuration's gates and bad-site list as the site policy.
+    /// configuration's gates and bad-site list as the site policy. Sample
+    /// `i`'s results go to `sink` as sample `i`.
     ///
     /// # Panics
-    /// Panics if a sample's reads are not sorted by position.
+    /// Panics if a sample's reads are not sorted by position, or if `sink`
+    /// refuses a batch.
     pub fn run(
         &self,
         samples: &[SampleReads<'_>],
         reference: &Reference,
         priors: &PriorMap,
+        sink: &mut dyn ResultSink,
     ) -> CohortOutput {
         let names = samples.iter().map(|s| s.name.to_string()).collect();
-        let reads: Vec<_> = samples.iter().map(|s| Alignments::Reads(s.reads)).collect();
-        let first = first_pass(&self.config.base, &reads, reference)
-            .unwrap_or_else(|e| panic!("gsnp: {e}"));
-        self.run_loop(names, first, reference, priors)
+        let reads = samples.iter().map(|s| Alignments::Reads(s.reads)).collect();
+        self.run_alignments(names, reads, reference, priors, sink)
+            .unwrap_or_else(|e| panic!("gsnp: {e}"))
     }
 
     /// [`CohortPipeline::run`] over the samples' alignment files as text
-    /// (see [`crate::pipeline::GsnpPipeline::run_text`]); the error says
-    /// which sample's file was at fault.
-    pub fn run_text(
+    /// (see [`crate::pipeline::GsnpPipeline::run_text`]); an alignment
+    /// error says which sample's file was at fault.
+    pub fn run_text<R: Read>(
         &self,
-        samples: Vec<SampleText>,
+        samples: Vec<SampleText<R>>,
         reference: &Reference,
         priors: &PriorMap,
-    ) -> Result<CohortOutput, AlignmentError> {
-        let (names, texts): (Vec<String>, Vec<Vec<u8>>) =
+        sink: &mut dyn ResultSink,
+    ) -> Result<CohortOutput, RunError> {
+        let (names, mut texts): (Vec<String>, Vec<R>) =
             samples.into_iter().map(|s| (s.name, s.text)).unzip();
-        let first = {
-            let texts: Vec<_> = texts.iter().map(|t| Alignments::Text(t)).collect();
-            first_pass(&self.config.base, &texts, reference)?
-        };
-        drop(texts);
-        Ok(self.run_loop(names, first, reference, priors))
+        let texts = texts
+            .iter_mut()
+            .map(|t| Alignments::Text(t as &mut dyn Read))
+            .collect();
+        self.run_alignments(names, texts, reference, priors, sink)
     }
 
-    fn run_loop(
+    fn run_alignments(
         &self,
         names: Vec<String>,
-        first: FirstPass,
+        samples: Vec<Alignments<'_>>,
         reference: &Reference,
         priors: &PriorMap,
-    ) -> CohortOutput {
+        sink: &mut dyn ResultSink,
+    ) -> Result<CohortOutput, RunError> {
         let cfg = &self.config.base;
         let num_samples = names.len();
         assert!(num_samples >= 1, "cohort needs at least one sample");
+        let first = first_pass(cfg, samples, reference).map_err(RunError::Alignments)?;
         let out = run_window_loop(
             cfg,
             &self.observers,
@@ -357,7 +354,9 @@ impl CohortPipeline {
             priors,
             self.config.gates,
             &self.config.bad_sites,
-        );
+            sink,
+        )
+        .map_err(RunError::Sink)?;
         let tallies = out.tallies;
 
         // Sites where at least half the covered samples were gated are
@@ -372,14 +371,12 @@ impl CohortPipeline {
         let sample_outputs: Vec<SampleOutput> = names
             .into_iter()
             .enumerate()
-            .zip(out.samples)
-            .map(|((i, name), (tables, compressed))| SampleOutput {
+            .map(|(i, name)| SampleOutput {
                 name,
-                tables,
-                compressed,
                 snp_count: tallies.snp[i],
                 gated_nocalls: tallies.gated[i],
                 forced_nocalls: tallies.forced[i],
+                output_bytes: out.stats.output_bytes[i],
             })
             .collect();
         if let Some(j) = &self.observers.journal {
@@ -393,20 +390,20 @@ impl CohortPipeline {
                         s.snp_count,
                         s.gated_nocalls,
                         s.forced_nocalls,
-                        s.compressed.len()
+                        s.output_bytes
                     ),
                 );
             }
             j.event("gates", &format!("\"noisy_sites\":{}", noisy_sites.len()));
         }
 
-        CohortOutput {
+        Ok(CohortOutput {
             samples: sample_outputs,
             stats: out.stats,
             times: out.times,
             wall: out.wall,
             noisy_sites,
-        }
+        })
     }
 }
 
@@ -564,6 +561,7 @@ mod tests {
     #[test]
     fn cohort_text_reads_and_cpu_entry_points_write_the_same_bytes() {
         use crate::pipeline::{GsnpCpuPipeline, CHUNK_READS};
+        use crate::sink::Collect;
         use crate::tables::SharedTables;
         use seqio::soap::write_alignments;
         use seqio::synth::{Cohort, CohortConfig, SynthConfig};
@@ -585,7 +583,7 @@ mod tests {
                 reads: &s.reads,
             })
             .collect();
-        let texts = || -> Vec<SampleText> {
+        let texts = || -> Vec<SampleText<std::io::Cursor<Vec<u8>>>> {
             c.samples
                 .iter()
                 .map(|s| {
@@ -593,7 +591,7 @@ mod tests {
                     write_alignments(&s.reads, &mut text).unwrap();
                     SampleText {
                         name: s.name.clone(),
-                        text,
+                        text: std::io::Cursor::new(text),
                     }
                 })
                 .collect()
@@ -617,38 +615,49 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let from_reads =
-                CohortPipeline::new(config.clone()).run(&reads, &c.reference, &c.priors);
+            let (mut a_sink, mut b_sink) = (Collect::default(), Collect::default());
+            let from_reads = CohortPipeline::new(config.clone()).run(
+                &reads,
+                &c.reference,
+                &c.priors,
+                &mut a_sink,
+            );
             let from_text = CohortPipeline::new(config.clone())
-                .run_text(texts(), &c.reference, &c.priors)
+                .run_text(texts(), &c.reference, &c.priors, &mut b_sink)
                 .unwrap();
-            for ((a, b), s) in from_reads
+            for (i, ((a, b), s)) in from_reads
                 .samples
                 .iter()
                 .zip(&from_text.samples)
                 .zip(&reads)
+                .enumerate()
             {
                 assert_eq!(a.name, b.name);
-                assert!(a.compressed == b.compressed, "{} at {window_size}", a.name);
-                let cpu = GsnpCpuPipeline::new(GsnpConfig {
+                let (a, b) = (&a_sink.compressed[i], &b_sink.compressed[i]);
+                assert!(a == b, "{} at {window_size}", s.name);
+                let mut cpu = Collect::default();
+                GsnpCpuPipeline::new(GsnpConfig {
                     shared_tables: Some(pooled.clone()),
                     ..config.base.clone()
                 })
-                .run(s.reads, &c.reference, &c.priors);
-                assert!(
-                    cpu.compressed == a.compressed,
-                    "{} at {window_size}",
-                    a.name
-                );
+                .run(s.reads, &c.reference, &c.priors, &mut cpu)
+                .unwrap();
+                assert!(&cpu.compressed[0] == a, "{} at {window_size}", s.name);
             }
         }
 
         // A fault names the sample whose text holds it.
         let mut broken = texts();
-        broken[1].text.extend_from_slice(b"not a record\n");
+        broken[1]
+            .text
+            .get_mut()
+            .extend_from_slice(b"not a record\n");
         let err = CohortPipeline::new(CohortCallConfig::default())
-            .run_text(broken, &c.reference, &c.priors)
+            .run_text(broken, &c.reference, &c.priors, &mut Collect::default())
             .unwrap_err();
+        let RunError::Alignments(err) = err else {
+            panic!("{err}");
+        };
         assert_eq!(err.sample, 1);
         let lines = c.samples[1].reads.len() + 1;
         assert_eq!(

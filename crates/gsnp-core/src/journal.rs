@@ -105,7 +105,14 @@ pub fn json_escape(s: &str) -> String {
 /// FNV-1a 64-bit checksum — the input-manifest fingerprint written into
 /// `run_start` (dependency-free, stable across platforms).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_more(FNV64_EMPTY, bytes)
+}
+
+/// [`fnv64`] of no bytes: where a checksum taken block by block starts.
+pub const FNV64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The checksum `h` of some bytes, carried on over the `bytes` after them.
+pub fn fnv64_more(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -358,6 +365,19 @@ pub fn render_report(text: &str) -> Result<String, String> {
             field_num(arena, "built").unwrap_or(0.0) as u64,
             field_num(arena, "recycled").unwrap_or(0.0) as u64,
             field_num(arena, "high_water_bytes").unwrap_or(0.0) / (1 << 20) as f64,
+        ));
+    }
+    if let Some(mem) = s
+        .events
+        .iter()
+        .find(|e| field_str(e, "event") == Some("memory"))
+    {
+        let mib = |key| field_num(mem, key).unwrap_or(0.0) / (1 << 20) as f64;
+        out.push_str(&format!(
+            "memory ledger: temporary input {:.1} MiB, score tables {:.1} MiB, first-pass slab {:.1} MiB\n",
+            mib("temp_input_bytes"),
+            mib("score_table_bytes"),
+            mib("first_pass_slab_bytes"),
         ));
     }
     if !samples.is_empty() {

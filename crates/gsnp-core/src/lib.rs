@@ -32,6 +32,7 @@ pub mod model;
 pub mod pipeline;
 pub mod progress;
 pub mod serve;
+pub mod sink;
 pub mod stream;
 pub mod tables;
 
@@ -48,10 +49,11 @@ pub use journal::Journal;
 pub use metrics::call_metrics;
 pub use model::{ModelParams, SiteSummary};
 pub use pipeline::{
-    AlignmentError, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline,
+    AlignmentError, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline, RunError,
 };
 pub use progress::{LaneProgress, LatencyHists, ProgressSnapshot, ProgressTracker};
 pub use serve::StatsServer;
+pub use sink::{Collect, FileSink, ResultSink};
 pub use stream::{
     verify_overlap_consistency, Observers, OrderedReassembler, OverlapStats, PipelineTrace,
     StageStats,

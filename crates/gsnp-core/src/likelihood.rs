@@ -226,6 +226,12 @@ impl DeviceTables {
         (self.p_matrix.len() + self.new_p.len()) as u64 * 8 + self.log_table.len() as u64 * 8
     }
 
+    /// Host bytes one device's copy keeps resident: the uploaded buffers
+    /// plus the native arm's plain-`f64` mirror of `new_p`.
+    pub fn resident_bytes(&self) -> u64 {
+        self.upload_bytes() + self.host_new_p.len() as u64 * 8
+    }
+
     /// Upload the tables to every device of a group from **one** host
     /// image (the matrices are borrowed, the log table is ref-counted — no
     /// per-device host-side rebuild), charging each device's ledger the

@@ -21,7 +21,8 @@ use crate::stream::StageStats;
 /// adds no new measurement, only stable names. Render it with
 /// [`MetricsSnapshot::render_text`].
 pub fn call_metrics(out: &GsnpOutput) -> MetricsSnapshot {
-    run_metrics(&out.stats, &out.times, &out.wall, out.compressed.len())
+    let compressed = out.stats.output_bytes.iter().sum();
+    run_metrics(&out.stats, &out.times, &out.wall, compressed)
 }
 
 /// Build the metrics snapshot for a cohort run: the same schema as
@@ -32,7 +33,7 @@ pub fn call_metrics(out: &GsnpOutput) -> MetricsSnapshot {
 /// `gsnp_samples` grows, which is the amortization in one ratio.
 pub fn cohort_metrics(out: &CohortOutput) -> MetricsSnapshot {
     use MetricKind::{Counter, Gauge};
-    let compressed: usize = out.samples.iter().map(|s| s.compressed.len()).sum();
+    let compressed = out.samples.iter().map(|s| s.output_bytes).sum();
     let mut m = run_metrics(&out.stats, &out.times, &out.wall, compressed);
     for s in &out.samples {
         let l = &[("sample", s.name.as_str())];
@@ -48,7 +49,7 @@ pub fn cohort_metrics(out: &CohortOutput) -> MetricsSnapshot {
             "Compressed result bytes per cohort sample",
             Gauge,
             l,
-            s.compressed.len() as f64,
+            s.output_bytes as f64,
         );
         for (reason, v) in [("gated", s.gated_nocalls), ("bad_site", s.forced_nocalls)] {
             m.push(
@@ -74,7 +75,7 @@ fn run_metrics(
     stats: &PipelineStats,
     times: &ComponentTimes,
     wall: &ComponentTimes,
-    compressed_len: usize,
+    compressed_len: u64,
 ) -> MetricsSnapshot {
     use MetricKind::{Counter, Gauge};
     let mut m = MetricsSnapshot::new();
@@ -353,13 +354,40 @@ fn run_metrics(
         &[],
         stats.arena.misses as f64,
     );
-    m.push(
-        "gsnp_arena_high_water_bytes",
-        "Peak bytes held by the run's window arenas (vector capacities at check-in)",
-        Gauge,
-        &[],
-        stats.arena.high_water_bytes as f64,
-    );
+    // ---- memory ledger: what is resident when, row by row ----
+    for (name, help, v) in [
+        (
+            "gsnp_arena_high_water_bytes",
+            "Peak bytes held by the run's window arenas (vector capacities at check-in)",
+            stats.arena.high_water_bytes,
+        ),
+        (
+            "gsnp_temp_input_bytes",
+            "Compressed temporary input held when the window loop starts (its high water)",
+            stats.temp_input_bytes,
+        ),
+        (
+            "gsnp_score_table_bytes",
+            "Score tables at load_table: the host image plus every device's copy",
+            stats.score_table_bytes,
+        ),
+        (
+            "gsnp_first_pass_slab_bytes",
+            "Capacity of the first pass's alignment-text slab",
+            stats.first_pass_slab_bytes,
+        ),
+    ] {
+        m.push(name, help, Gauge, &[], v as f64);
+    }
+    for (sample, &bytes) in stats.output_bytes.iter().enumerate() {
+        m.push(
+            "gsnp_output_bytes_total",
+            "Compressed result bytes handed to the sink per sample (input order)",
+            Counter,
+            &[("sample", &sample.to_string())],
+            bytes as f64,
+        );
+    }
 
     // ---- sanitizer findings ----
     let san = &stats.sanitizer;
@@ -456,8 +484,6 @@ mod tests {
 
     fn empty_output() -> GsnpOutput {
         GsnpOutput {
-            tables: Vec::new(),
-            compressed: Vec::new(),
             times: ComponentTimes::default(),
             wall: ComponentTimes::default(),
             stats: PipelineStats {
@@ -558,19 +584,17 @@ mod tests {
             samples: vec![
                 SampleOutput {
                     name: "s0".into(),
-                    tables: Vec::new(),
-                    compressed: vec![0u8; 64],
                     snp_count: 7,
                     gated_nocalls: 2,
                     forced_nocalls: 1,
+                    output_bytes: 64,
                 },
                 SampleOutput {
                     name: "s1".into(),
-                    tables: Vec::new(),
-                    compressed: vec![0u8; 32],
                     snp_count: 3,
                     gated_nocalls: 0,
                     forced_nocalls: 0,
+                    output_bytes: 32,
                 },
             ],
             stats: single.stats,
@@ -617,11 +641,10 @@ mod tests {
         let out = CohortOutput {
             samples: vec![SampleOutput {
                 name: "s0".into(),
-                tables: Vec::new(),
-                compressed: Vec::new(),
                 snp_count: 0,
                 gated_nocalls: 0,
                 forced_nocalls: 0,
+                output_bytes: 0,
             }],
             stats: single.stats,
             times: single.times,

@@ -10,7 +10,9 @@
 //! fixed-size chunks of reads that packs each chunk into a read table
 //! (parsing it, on the text entry points), counts it for `cal_p_matrix`
 //! and writes it to the chunked temporary input, which `read_site` decodes
-//! lazily, one chunk at a time, straight into its own read table.
+//! lazily, one chunk at a time, straight into its own read table. Text
+//! arrives through one recycled slab of whole lines (`SLAB_BYTES`), so
+//! the pass holds a slab of it, never the file.
 //!
 //! There is one window loop, `run_window_loop`: the four stage bodies —
 //! producer (`read_site`), device (`counting` + likelihood + `recycle`),
@@ -18,7 +20,9 @@
 //! `windows × samples` arenas and handed to the staged executor in
 //! [`crate::stream`], which owns the threads, bounded channels
 //! (`pipeline_depth`), `num_devices` device workers, ordered reassembly
-//! and all busy/stall accounting ([`PipelineStats::overlap`]).
+//! and all busy/stall accounting ([`PipelineStats::overlap`]). The output
+//! body hands every (sample, batch) to the run's [`ResultSink`] and keeps
+//! nothing: what a run holds is set by the batch, not by the chromosome.
 //! [`GsnpPipeline`] is that loop over one sample with its own calibration;
 //! [`crate::cohort::CohortPipeline`] is the same loop over N samples with a
 //! pooled one. Results and the compressed file are byte-identical at every
@@ -29,6 +33,8 @@
 //! reproduction harness reports the latter for "GPU" series and wall time
 //! for CPU series (see `EXPERIMENTS.md`).
 
+use std::io::Read;
+use std::ops::{ControlFlow, Range};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -56,6 +62,7 @@ use crate::likelihood::{
 };
 use crate::model::{posterior, ModelParams, SiteCaller, SiteSummary, NUM_GENOTYPES};
 use crate::progress::LatencyHists;
+use crate::sink::ResultSink;
 use crate::stream::{demux_sample_major, run_stages, Observers, OverlapStats};
 use crate::tables::{CalCounts, SharedTables};
 
@@ -123,8 +130,23 @@ pub struct PipelineStats {
     /// Per-stage busy/stall accounting for the window loop, including the
     /// per-device-worker breakdown ([`OverlapStats::devices`]).
     pub overlap: OverlapStats,
-    /// Host arena recycling counters for the window loop.
+    /// Host arena recycling counters for the window loop, with the arena
+    /// row of the memory ledger ([`ArenaPoolStats::high_water_bytes`]).
     pub arena: ArenaPoolStats,
+    /// Memory ledger: bytes of compressed temporary input the window loop
+    /// starts with — its high water, since `read_site` drops each chunk's
+    /// blob as it decodes it.
+    pub temp_input_bytes: u64,
+    /// Memory ledger: the score tables' high water, at `load_table` — the
+    /// calibrated host image plus every device's copy. The loop itself
+    /// holds the copies only.
+    pub score_table_bytes: u64,
+    /// Memory ledger: capacity of the first pass's text slab (0 for a run
+    /// over in-memory records).
+    pub first_pass_slab_bytes: u64,
+    /// Compressed result bytes handed to the sink, per sample in input
+    /// order: the size of each result file.
+    pub output_bytes: Vec<u64>,
     /// Device buffer-pool counters at end of run, summed across the group.
     pub pool: gpu_sim::PoolStats,
     /// Sanitizer finding totals (summed across the group); all-zero unless
@@ -316,13 +338,9 @@ impl GsnpConfig {
     }
 }
 
-/// Everything a GSNP run produces.
+/// What a GSNP run reports; its results went to the run's [`ResultSink`].
 #[derive(Debug)]
 pub struct GsnpOutput {
-    /// Per-window result tables (kept for verification against SOAPsnp).
-    pub tables: Vec<SnpTable>,
-    /// The compressed result file (sequence of length-prefixed windows).
-    pub compressed: Vec<u8>,
     /// Modelled component times: device components use the cost model's
     /// device time, host-side components use wall clock.
     pub times: ComponentTimes,
@@ -332,15 +350,27 @@ pub struct GsnpOutput {
     pub stats: PipelineStats,
 }
 
-impl GsnpOutput {
-    /// Flatten all windows into rows (for comparisons).
-    pub fn all_rows(&self) -> Vec<SnpRow> {
-        self.tables
-            .iter()
-            .flat_map(|t| t.rows.iter().copied())
-            .collect()
+/// Why a run over alignment text stopped.
+#[derive(Debug)]
+pub enum RunError {
+    /// A sample's alignments could not be read, or were malformed or out
+    /// of order.
+    Alignments(AlignmentError),
+    /// The [`ResultSink`] refused a batch; its error says what could not
+    /// be written.
+    Sink(std::io::Error),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Alignments(e) => e.fmt(f),
+            RunError::Sink(e) => e.fmt(f),
+        }
     }
 }
+
+impl std::error::Error for RunError {}
 
 /// The GSNP pipeline driver.
 pub struct GsnpPipeline {
@@ -369,41 +399,49 @@ impl GsnpPipeline {
     }
 
     /// Run over in-memory inputs: calibrate this sample's own tables, then
-    /// the window loop over one unnamed sample with no site policy.
+    /// the window loop over one unnamed sample (sample 0 of `sink`) with no
+    /// site policy.
     ///
     /// # Panics
     /// Panics if `reads` are not sorted by position, or hold a record the
-    /// text parser would reject ([`AlignmentError`] names its index).
+    /// text parser would reject ([`AlignmentError`] names its index), or if
+    /// `sink` refuses a batch.
     pub fn run(
         &self,
         reads: &[AlignedRead],
         reference: &Reference,
         priors: &PriorMap,
+        sink: &mut dyn ResultSink,
     ) -> GsnpOutput {
-        let first = first_pass(&self.config, &[Alignments::Reads(reads)], reference)
-            .unwrap_or_else(|e| panic!("gsnp: {e}"));
-        self.run_loop(first, reference, priors)
+        self.run_alignments(Alignments::Reads(reads), reference, priors, sink)
+            .unwrap_or_else(|e| panic!("gsnp: {e}"))
     }
 
-    /// [`GsnpPipeline::run`] over the text of a SOAP alignment file, which
-    /// the first pass parses chunk by chunk on every core (and which is
-    /// freed when that pass ends); the whole file never exists as parsed
-    /// records. Errors are the ones [`AlignmentReader`] reports for the
+    /// [`GsnpPipeline::run`] over the text of a SOAP alignment file, read
+    /// from `text` a slab at a time and parsed chunk by chunk on every
+    /// core: neither the file nor its parsed records ever exist whole.
+    /// Alignment errors are the ones [`AlignmentReader`] reports for the
     /// same text, line numbers included.
     pub fn run_text(
         &self,
-        text: Vec<u8>,
+        mut text: impl Read,
         reference: &Reference,
         priors: &PriorMap,
-    ) -> Result<GsnpOutput, SeqIoError> {
-        let first =
-            first_pass(&self.config, &[Alignments::Text(&text)], reference).map_err(|e| e.error)?;
-        drop(text);
-        Ok(self.run_loop(first, reference, priors))
+        sink: &mut dyn ResultSink,
+    ) -> Result<GsnpOutput, RunError> {
+        self.run_alignments(Alignments::Text(&mut text), reference, priors, sink)
     }
 
-    fn run_loop(&self, first: FirstPass, reference: &Reference, priors: &PriorMap) -> GsnpOutput {
-        let mut out = run_window_loop(
+    fn run_alignments(
+        &self,
+        sample: Alignments<'_>,
+        reference: &Reference,
+        priors: &PriorMap,
+        sink: &mut dyn ResultSink,
+    ) -> Result<GsnpOutput, RunError> {
+        let first =
+            first_pass(&self.config, vec![sample], reference).map_err(RunError::Alignments)?;
+        let out = run_window_loop(
             &self.config,
             &self.observers,
             first,
@@ -411,15 +449,14 @@ impl GsnpPipeline {
             priors,
             QualityGates::default(),
             &BadSiteList::default(),
-        );
-        let (tables, compressed) = out.samples.pop().expect("one sample in, one sample out");
-        GsnpOutput {
-            tables,
-            compressed,
+            sink,
+        )
+        .map_err(RunError::Sink)?;
+        Ok(GsnpOutput {
             times: out.times,
             wall: out.wall,
             stats: out.stats,
-        }
+        })
     }
 }
 
@@ -431,17 +468,27 @@ impl GsnpPipeline {
 /// (EXPERIMENTS.md "Front-end first pass", chunk-size sweep).
 pub(crate) const CHUNK_READS: usize = 4096;
 
+/// Bytes of alignment text the first pass holds at a time: the slab is
+/// filled with whole lines, cut into [`CHUNK_READS`]-line chunks, parsed on
+/// the pool and refilled. Large enough that a round is several chunks per
+/// core and the serial refill between rounds is noise, small enough that
+/// the pass's footprint stays below the window loop's (EXPERIMENTS.md "A
+/// run's memory stops growing with the chromosome", slab-size sweep). It
+/// grows only for a chunk that does not fit.
+const SLAB_BYTES: usize = 8 << 20;
+
 /// One sample's alignments as a run receives them.
-#[derive(Clone, Copy)]
 pub(crate) enum Alignments<'a> {
     /// Parsed records, sorted by position; unchecked until the first
     /// pass packs them.
     Reads(&'a [AlignedRead]),
-    /// The text of a SOAP alignment file.
-    Text(&'a [u8]),
+    /// The text of a SOAP alignment file, wherever it comes from (a
+    /// `File`; a `&[u8]` already in memory).
+    Text(&'a mut dyn Read),
 }
 
-/// A sample's alignments were malformed or out of order.
+/// A sample's alignments could not be read, or were malformed or out of
+/// order.
 #[derive(Debug)]
 pub struct AlignmentError {
     /// Index of the sample, in input order.
@@ -467,23 +514,31 @@ pub(crate) struct FirstPass {
     pub(crate) inputs: Vec<TempInput>,
     /// Host wall-clock of the pass.
     pub(crate) seconds: f64,
+    /// Capacity the text slab reached.
+    pub(crate) slab_bytes: u64,
 }
 
 /// The first pass (`cal_p_matrix`, Fig. 2 left column, §V-A) in production
-/// chunks; see [`first_pass_chunked`].
+/// chunks through the production slab; see [`first_pass_chunked`].
 pub(crate) fn first_pass(
     cfg: &GsnpConfig,
-    samples: &[Alignments<'_>],
+    samples: Vec<Alignments<'_>>,
     reference: &Reference,
 ) -> Result<FirstPass, AlignmentError> {
-    first_pass_chunked(cfg, samples, reference, CHUNK_READS)
+    first_pass_chunked(cfg, samples, reference, CHUNK_READS, SLAB_BYTES)
 }
 
-/// One chunk of one sample: `data` starts at line (record) `first_line`.
+/// One chunk of one sample, starting at line (record) `first_line`.
 struct ChunkJob<'a> {
     sample: usize,
     first_line: u64,
-    data: Alignments<'a>,
+    data: ChunkData<'a>,
+}
+
+enum ChunkData<'a> {
+    Reads(&'a [AlignedRead]),
+    /// Whole lines of text, as a range of the slab.
+    Text(Range<usize>),
 }
 
 struct ChunkDone {
@@ -503,55 +558,109 @@ struct ChunkDone {
 /// wait on) and encode it into its own temporary-input blob. The counts
 /// are integers, so the tables do not depend on the chunking, on which
 /// counter a chunk got or on which thread finished first.
+///
+/// One ingest loop, in rounds. A round takes chunks from consecutive
+/// samples until the slab holds `slab_bytes` of text — so a cohort's small
+/// files go through one `par_iter` together, and a long file through
+/// several — runs them, and keeps in the slab only the lines after the last
+/// whole chunk, which open the next round: a sample's chunks are cut at the
+/// same lines whatever the slab holds. Records already in memory take no
+/// slab.
 pub(crate) fn first_pass_chunked(
     cfg: &GsnpConfig,
-    samples: &[Alignments<'_>],
+    mut samples: Vec<Alignments<'_>>,
     reference: &Reference,
     chunk_reads: usize,
+    slab_bytes: usize,
 ) -> Result<FirstPass, AlignmentError> {
     let t0 = Instant::now();
-    let mut jobs: Vec<ChunkJob<'_>> = Vec::new();
-    for (sample, &alignments) in samples.iter().enumerate() {
-        let chunks: Vec<Alignments<'_>> = match alignments {
-            Alignments::Reads(reads) => reads.chunks(chunk_reads).map(Alignments::Reads).collect(),
-            Alignments::Text(text) => line_chunks(text, chunk_reads)
-                .into_iter()
-                .map(Alignments::Text)
-                .collect(),
-        };
-        jobs.extend(chunks.into_iter().enumerate().map(|(k, data)| ChunkJob {
-            sample,
-            first_line: (k * chunk_reads) as u64 + 1,
-            data,
-        }));
-    }
     let counters = cfg
         .shared_tables
         .is_none()
         .then(|| Mutex::new(Vec::<CalCounts>::new()));
-    let done: Vec<ChunkDone> = jobs
-        .par_iter()
-        .map(|job| run_chunk(job, reference, counters.as_ref()))
-        .collect();
-
-    // File order again: the first fault of the first faulty sample is the
-    // one a serial reader would have stopped at.
     let mut inputs: Vec<Vec<Vec<u8>>> = Vec::new();
     inputs.resize_with(samples.len(), Vec::new);
     let mut last_pos: Vec<Option<u64>> = vec![None; samples.len()];
-    for (job, chunk) in jobs.iter().zip(done) {
-        let sample = job.sample;
-        let fail = |error| Err(AlignmentError { sample, error });
-        if let Some((line, first, last)) = chunk.ends {
-            if let Some(prev) = last_pos[sample].filter(|&prev| first < prev) {
-                return fail(unsorted_error(line, first, prev));
+
+    let (mut slab, mut budget) = (Vec::<u8>::new(), slab_bytes.max(1));
+    // The sample being read and how many of its chunks are cut; its uncut
+    // text opens the slab.
+    let (mut sample, mut cut) = (0, 0);
+    while sample < samples.len() {
+        let mut jobs: Vec<ChunkJob<'_>> = Vec::new();
+        let mut from = 0;
+        while sample < samples.len() {
+            // Chunk `k` of a sample starts at its line `k · chunk_reads + 1`.
+            let first_line = |k: usize| (k * chunk_reads) as u64 + 1;
+            match &mut samples[sample] {
+                Alignments::Reads(reads) => {
+                    let reads = *reads;
+                    let chunks = reads.chunks(chunk_reads).enumerate();
+                    jobs.extend(chunks.map(|(k, chunk)| ChunkJob {
+                        sample,
+                        first_line: first_line(k),
+                        data: ChunkData::Reads(chunk),
+                    }));
+                }
+                Alignments::Text(reader) => {
+                    let room = budget - slab.len();
+                    slab.reserve_exact(room);
+                    let got = reader
+                        .by_ref()
+                        .take(room as u64)
+                        .read_to_end(&mut slab)
+                        .map_err(|e| AlignmentError {
+                            sample,
+                            error: e.into(),
+                        })?;
+                    let full = got == room;
+                    let mut pieces = line_chunks(&slab[from..], chunk_reads);
+                    if full {
+                        // The last piece may go on in the file.
+                        pieces.pop();
+                    }
+                    for piece in &pieces {
+                        jobs.push(ChunkJob {
+                            sample,
+                            first_line: first_line(cut),
+                            data: ChunkData::Text(from..from + piece.len()),
+                        });
+                        (from, cut) = (from + piece.len(), cut + 1);
+                    }
+                    if full {
+                        break;
+                    }
+                }
             }
-            last_pos[sample] = Some(last);
+            (sample, cut) = (sample + 1, 0);
         }
-        match chunk.temp {
-            Ok(temp) => inputs[sample].push(temp),
-            Err(e) => return fail(e),
+        if jobs.is_empty() && sample < samples.len() {
+            // A full slab without one whole chunk in it.
+            budget *= 2;
+            continue;
         }
+        let done: Vec<ChunkDone> = jobs
+            .par_iter()
+            .map(|job| run_chunk(job, &slab, reference, counters.as_ref()))
+            .collect();
+
+        // File order again: the first fault of the first faulty sample is
+        // the one a serial reader would have stopped at.
+        for (job, chunk) in jobs.iter().zip(done) {
+            let sample = job.sample;
+            let fail = |error| Err(AlignmentError { sample, error });
+            if let Some((line, first, last)) = chunk.ends {
+                if let Some(prev) = last_pos[sample].filter(|&prev| first < prev) {
+                    return fail(unsorted_error(line, first, prev));
+                }
+                last_pos[sample] = Some(last);
+            }
+            match chunk.temp {
+                Ok(temp) => inputs[sample].push(temp),
+                Err(e) => return fail(e),
+            }
+        }
+        slab.drain(..from);
     }
     let tables = match counters {
         Some(counters) => {
@@ -568,6 +677,7 @@ pub(crate) fn first_pass_chunked(
         tables,
         inputs: inputs.into_iter().map(TempInput::new).collect(),
         seconds: t0.elapsed().as_secs_f64(),
+        slab_bytes: slab.capacity() as u64,
     })
 }
 
@@ -575,13 +685,14 @@ const NO_CHUNK_PANICKED: &str = "the counter list is never locked across a chunk
 
 fn run_chunk(
     job: &ChunkJob<'_>,
+    slab: &[u8],
     reference: &Reference,
     counters: Option<&Mutex<Vec<CalCounts>>>,
 ) -> ChunkDone {
     let mut chunk = ReadChunk::default();
     let (mut first_line, mut fault) = (job.first_line, None);
-    match job.data {
-        Alignments::Reads(reads) => {
+    match &job.data {
+        ChunkData::Reads(reads) => {
             for (i, r) in reads.iter().enumerate() {
                 let pushed = chunk.push_read(r.pos, &r.seq, &r.qual, r.strand, r.nhits);
                 if let Err(what) = pushed {
@@ -591,8 +702,8 @@ fn run_chunk(
                 }
             }
         }
-        Alignments::Text(text) => {
-            let mut reader = AlignmentReader::at_line(text, job.first_line);
+        ChunkData::Text(lines) => {
+            let mut reader = AlignmentReader::at_line(&slab[lines.clone()], job.first_line);
             loop {
                 match reader.read_into(&mut chunk) {
                     Ok(true) if chunk.len() == 1 => first_line = reader.line(),
@@ -637,8 +748,6 @@ pub(crate) fn temp_windows(input: TempInput, ref_len: u64, window_size: usize) -
 
 /// What [`run_window_loop`] hands back to the two pipeline front ends.
 pub(crate) struct WindowLoopOutput {
-    /// Per sample, in input order: result tables and compressed stream.
-    pub(crate) samples: Vec<(Vec<SnpTable>, Vec<u8>)>,
     pub(crate) times: ComponentTimes,
     pub(crate) wall: ComponentTimes,
     pub(crate) stats: PipelineStats,
@@ -678,6 +787,11 @@ struct Called {
 /// sample. A plain single-sample call is the `samples.len() == 1` case.
 /// Everything between the bodies — threads, channels, reassembly, clocks,
 /// observer reports — belongs to [`run_stages`].
+///
+/// Results leave through `sink`, (sample, batch) by (sample, batch) in
+/// reference order; the first batch it refuses ends the loop with that
+/// error.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_window_loop(
     cfg: &GsnpConfig,
     observers: &Observers,
@@ -686,7 +800,8 @@ pub(crate) fn run_window_loop(
     priors: &PriorMap,
     gates: QualityGates,
     bad_sites: &BadSiteList,
-) -> WindowLoopOutput {
+    sink: &mut dyn ResultSink,
+) -> std::io::Result<WindowLoopOutput> {
     let num_samples = first.inputs.len();
     // One tracker per run, external or private — every latency
     // observation flows through it either way (see
@@ -745,11 +860,17 @@ pub(crate) fn run_window_loop(
     // one upload of modelled latency regardless of its size.
     stats.table_bytes = tables[0].upload_bytes();
     times.cal_p = wall.cal_p + stats.table_bytes as f64 / cfg.device.pcie_bw;
-    stats.peak_host_bytes += first
-        .inputs
-        .iter()
-        .map(TempInput::packed_bytes)
-        .sum::<u64>();
+    stats.temp_input_bytes = first.inputs.iter().map(TempInput::packed_bytes).sum();
+    stats.peak_host_bytes += stats.temp_input_bytes;
+    // The tables' high water is here: the calibrated image and every
+    // device's copy of it. The image has served once the copies exist;
+    // unless the caller injected it and still holds it, it goes now, not
+    // when the loop ends.
+    let image = (shared.p_matrix.size_bytes() + shared.new_p.size_bytes()) as u64;
+    let copies: u64 = tables.iter().map(DeviceTables::resident_bytes).sum();
+    stats.score_table_bytes = image + copies;
+    drop(shared);
+    stats.first_pass_slab_bytes = first.slab_bytes;
 
     let batch_size = cfg.launch_batch_size();
     let arena_pool = ArenaPool::new(cfg.pooled);
@@ -888,33 +1009,40 @@ pub(crate) fn run_window_loop(
         Called { per_sample, dev }
     };
 
-    // ---- output: one compression group per (sample, batch) ----
-    let mut sample_out: Vec<(Vec<SnpTable>, Vec<u8>)> = Vec::new();
-    sample_out.resize_with(num_samples, Default::default);
+    // ---- output: one compression group per (sample, batch), to the sink ----
+    let mut output_bytes = vec![0u64; num_samples];
+    let mut frames: Vec<u8> = Vec::new();
+    let mut sink_error = None;
     let (mut out_wall, mut out_model) = (0.0f64, 0.0f64);
     let output = |Called { per_sample, dev }| {
         let t0 = Instant::now();
-        for ((out_tables, compressed), batch_tables) in sample_out.iter_mut().zip(per_sample) {
-            // The RLE-DICT chain runs on the device that scored the batch,
-            // into the sample's own stream. Compressed bytes are
-            // grouping-invariant (`tests/batch_parity.rs`), so each stream
-            // is byte-identical at any (samples, batch, depth, devices).
+        for (sample, batch_tables) in per_sample.into_iter().enumerate() {
+            // The RLE-DICT chain runs on the device that scored the batch.
+            // Compressed bytes are grouping-invariant
+            // (`tests/batch_parity.rs`), so each sample's stream is
+            // byte-identical at any (samples, batch, depth, devices).
+            frames.clear();
             let out_stats = if cfg.gpu_output {
-                column::write_windows_gpu_batch(&dispatchers[dev], compressed, &batch_tables)
+                column::write_windows_gpu_batch(&dispatchers[dev], &mut frames, &batch_tables)
             } else {
                 for table in &batch_tables {
-                    column::write_window(compressed, table);
+                    column::write_window(&mut frames, table);
                 }
                 LaunchStats::default()
             };
             out_model += out_stats.sim_time;
-            out_tables.extend(batch_tables);
+            output_bytes[sample] += frames.len() as u64;
+            if let Err(e) = sink.write_batch(sample, batch_tables, &frames) {
+                sink_error = Some(e);
+                return ControlFlow::Break(());
+            }
         }
         let dt = t0.elapsed().as_secs_f64();
         out_wall += dt;
         // Device columns overlap host columns; charge the slower plus the
         // (dominant) host write of the compressed bytes.
         out_model += if cfg.gpu_output { dt * 0.25 } else { dt };
+        ControlFlow::Continue(())
     };
 
     stats.overlap = run_stages(
@@ -925,6 +1053,10 @@ pub(crate) fn run_window_loop(
         posterior,
         output,
     );
+    if let Some(e) = sink_error {
+        return Err(e);
+    }
+    stats.output_bytes = output_bytes;
 
     for rep in &lane_reports {
         add_times(&mut times, &rep.times);
@@ -951,19 +1083,19 @@ pub(crate) fn run_window_loop(
         journal_run_stats(j, &stats);
     }
 
-    WindowLoopOutput {
-        samples: sample_out,
+    Ok(WindowLoopOutput {
         times,
         wall,
         stats,
         tallies,
-    }
+    })
 }
 
 /// Append the end-of-run lifecycle events the pipeline owns — per-stage
 /// busy/stall totals, per-lane window/steal counts, per-device ledger
-/// and sanitizer summaries, the arena pool's memory-ledger row, and the
-/// merged contract proof tally — to the
+/// and sanitizer summaries, the memory ledger (the arena pool's row, then
+/// the temporary input, score tables, first-pass slab and per-sample output
+/// bytes), and the merged contract proof tally — to the
 /// run journal. The CLI brackets these with the `run_start` manifest and
 /// `run_end` summary.
 fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
@@ -1007,6 +1139,17 @@ fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
         &format!(
             "\"built\":{},\"recycled\":{},\"high_water_bytes\":{}",
             stats.arena.misses, stats.arena.hits, stats.arena.high_water_bytes
+        ),
+    );
+    j.event(
+        "memory",
+        &format!(
+            "\"temp_input_bytes\":{},\"score_table_bytes\":{},\
+             \"first_pass_slab_bytes\":{},\"output_bytes\":{:?}",
+            stats.temp_input_bytes,
+            stats.score_table_bytes,
+            stats.first_pass_slab_bytes,
+            stats.output_bytes
         ),
     );
     let proofs = stats.contracts.totals();
@@ -1259,14 +1402,19 @@ impl GsnpCpuPipeline {
         GsnpCpuPipeline { config }
     }
 
-    /// Run over in-memory inputs. Produces results identical to
-    /// [`GsnpPipeline::run`] and to SOAPsnp.
+    /// Run over in-memory inputs, one window per batch of sample 0 into
+    /// `sink`, whose refusal of a batch is the only error. Produces results
+    /// identical to [`GsnpPipeline::run`] and to SOAPsnp.
+    ///
+    /// # Panics
+    /// As [`GsnpPipeline::run`], on `reads`.
     pub fn run(
         &self,
         reads: &[AlignedRead],
         reference: &Reference,
         priors: &PriorMap,
-    ) -> GsnpOutput {
+        sink: &mut dyn ResultSink,
+    ) -> std::io::Result<GsnpOutput> {
         let cfg = &self.config;
         let mut times = ComponentTimes::default();
         let mut stats = PipelineStats {
@@ -1274,7 +1422,7 @@ impl GsnpCpuPipeline {
             ..PipelineStats::default()
         };
 
-        let first = first_pass(cfg, &[Alignments::Reads(reads)], reference)
+        let first = first_pass(cfg, vec![Alignments::Reads(reads)], reference)
             .unwrap_or_else(|e| panic!("gsnp: {e}"));
         let SharedTables {
             p_matrix,
@@ -1287,8 +1435,8 @@ impl GsnpCpuPipeline {
         let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample in");
         let mut reader = temp_windows(input, reference.len() as u64, cfg.window_size);
 
-        let mut out_tables = Vec::new();
-        let mut compressed = Vec::new();
+        let mut frame = Vec::new();
+        let mut output_bytes = 0;
         loop {
             let t0 = Instant::now();
             let window = match reader.next_window().expect(TEMP_INPUT_DECODES) {
@@ -1345,7 +1493,10 @@ impl GsnpCpuPipeline {
 
             let t0 = Instant::now();
             let table = SnpTable::new(reference.name.clone(), window.start, rows);
-            column::write_window(&mut compressed, &table);
+            frame.clear();
+            column::write_window(&mut frame, &table);
+            output_bytes += frame.len() as u64;
+            sink.write_batch(0, vec![table], &frame)?;
             times.output += t0.elapsed().as_secs_f64();
 
             let t0 = Instant::now();
@@ -1355,16 +1506,14 @@ impl GsnpCpuPipeline {
             stats.num_sites += window.len() as u64;
             stats.num_obs += window.total_obs() as u64;
             stats.windows += 1;
-            out_tables.push(table);
         }
+        stats.output_bytes = vec![output_bytes];
 
-        GsnpOutput {
-            tables: out_tables,
-            compressed,
+        Ok(GsnpOutput {
             times,
             wall: times,
             stats,
-        }
+        })
     }
 }
 
@@ -1383,11 +1532,52 @@ fn max_read_len(words: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::Collect;
     use seqio::synth::{Dataset, SynthConfig};
 
-    fn run_tiny(seed: u64, cfg: GsnpConfig) -> (Dataset, GsnpOutput) {
+    /// What one sample's run reports, with its results collected.
+    struct Ran {
+        stats: PipelineStats,
+        times: ComponentTimes,
+        wall: ComponentTimes,
+        tables: Vec<SnpTable>,
+        compressed: Vec<u8>,
+    }
+
+    impl Ran {
+        fn new(out: GsnpOutput, mut sink: Collect) -> Ran {
+            Ran {
+                stats: out.stats,
+                times: out.times,
+                wall: out.wall,
+                tables: sink.tables.swap_remove(0),
+                compressed: sink.compressed.swap_remove(0),
+            }
+        }
+
+        fn all_rows(&self) -> Vec<SnpRow> {
+            let tables = self.tables.iter();
+            tables.flat_map(|t| t.rows.iter().copied()).collect()
+        }
+    }
+
+    fn run(cfg: GsnpConfig, d: &Dataset) -> Ran {
+        let mut sink = Collect::default();
+        let out = GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors, &mut sink);
+        Ran::new(out, sink)
+    }
+
+    fn run_cpu(cfg: GsnpConfig, d: &Dataset) -> Ran {
+        let mut sink = Collect::default();
+        let out = GsnpCpuPipeline::new(cfg)
+            .run(&d.reads, &d.reference, &d.priors, &mut sink)
+            .unwrap();
+        Ran::new(out, sink)
+    }
+
+    fn run_tiny(seed: u64, cfg: GsnpConfig) -> (Dataset, Ran) {
         let d = Dataset::generate(SynthConfig::tiny(seed));
-        let out = GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+        let out = run(cfg, &d);
         (d, out)
     }
 
@@ -1416,12 +1606,14 @@ mod tests {
     #[test]
     fn contracted_run_proves_every_launch_and_changes_nothing() {
         let d = Dataset::generate(SynthConfig::tiny(63));
-        let plain = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
-        let proved = GsnpPipeline::new(GsnpConfig {
-            contracts: true,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        let plain = run(tiny_cfg(), &d);
+        let proved = run(
+            GsnpConfig {
+                contracts: true,
+                ..tiny_cfg()
+            },
+            &d,
+        );
         assert_eq!(
             plain.tables, proved.tables,
             "proofs must not perturb output"
@@ -1451,7 +1643,7 @@ mod tests {
         cfg.num_sites = 20_000;
         cfg.snp_rate = 5e-3;
         let d = Dataset::generate(cfg);
-        let out = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
+        let out = run(tiny_cfg(), &d);
         let rows = out.all_rows();
         let mut hits = 0usize;
         let mut covered = 0usize;
@@ -1506,8 +1698,8 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let d = Dataset::generate(SynthConfig::tiny(65));
-        let a = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
-        let b = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
+        let a = run(tiny_cfg(), &d);
+        let b = run(tiny_cfg(), &d);
         assert_eq!(a.tables, b.tables);
         assert_eq!(a.compressed, b.compressed);
     }
@@ -1515,16 +1707,14 @@ mod tests {
     #[test]
     fn window_size_does_not_change_results() {
         let d = Dataset::generate(SynthConfig::tiny(66));
-        let small = GsnpPipeline::new(GsnpConfig {
-            window_size: 333,
-            ..Default::default()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        let large = GsnpPipeline::new(GsnpConfig {
-            window_size: 10_000,
-            ..Default::default()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        let windowed = |window_size| {
+            let cfg = GsnpConfig {
+                window_size,
+                ..Default::default()
+            };
+            run(cfg, &d)
+        };
+        let (small, large) = (windowed(333), windowed(10_000));
         assert_eq!(small.all_rows(), large.all_rows());
     }
 
@@ -1534,13 +1724,12 @@ mod tests {
         let rows: Vec<Vec<SnpRow>> = KernelVariant::ALL
             .iter()
             .map(|&variant| {
-                GsnpPipeline::new(GsnpConfig {
+                let cfg = GsnpConfig {
                     window_size: 1_000,
                     variant,
                     ..Default::default()
-                })
-                .run(&d.reads, &d.reference, &d.priors)
-                .all_rows()
+                };
+                run(cfg, &d).all_rows()
             })
             .collect();
         for r in &rows[1..] {
@@ -1551,24 +1740,24 @@ mod tests {
     #[test]
     fn gpu_output_is_byte_identical_to_cpu_output() {
         let d = Dataset::generate(SynthConfig::tiny(69));
-        let gpu = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
-        let cpu = GsnpPipeline::new(GsnpConfig {
+        let gpu = run(tiny_cfg(), &d);
+        let cfg = GsnpConfig {
             gpu_output: false,
             ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        };
+        let cpu = run(cfg, &d);
         assert_eq!(gpu.compressed, cpu.compressed);
     }
 
     #[test]
     fn cpu_pipeline_matches_device_pipeline_bitwise() {
         let d = Dataset::generate(SynthConfig::tiny(71));
-        let dev_out = GsnpPipeline::new(tiny_cfg()).run(&d.reads, &d.reference, &d.priors);
-        let cpu_out = GsnpCpuPipeline::new(GsnpConfig {
+        let dev_out = run(tiny_cfg(), &d);
+        let cfg = GsnpConfig {
             window_size: 777, // different windowing must not matter
             ..Default::default()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        };
+        let cpu_out = run_cpu(cfg, &d);
         assert_eq!(dev_out.all_rows(), cpu_out.all_rows());
     }
 
@@ -1586,17 +1775,21 @@ mod tests {
     #[test]
     fn streamed_depths_are_byte_identical_to_serial() {
         let d = Dataset::generate(SynthConfig::tiny(72));
-        let serial = GsnpPipeline::new(GsnpConfig {
-            pipeline_depth: 1,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        for depth in [2usize, 3, 4] {
-            let streamed = GsnpPipeline::new(GsnpConfig {
-                pipeline_depth: depth,
+        let serial = run(
+            GsnpConfig {
+                pipeline_depth: 1,
                 ..tiny_cfg()
-            })
-            .run(&d.reads, &d.reference, &d.priors);
+            },
+            &d,
+        );
+        for depth in [2usize, 3, 4] {
+            let streamed = run(
+                GsnpConfig {
+                    pipeline_depth: depth,
+                    ..tiny_cfg()
+                },
+                &d,
+            );
             assert_eq!(
                 streamed.tables, serial.tables,
                 "tables differ at depth {depth}"
@@ -1626,11 +1819,13 @@ mod tests {
         assert_eq!(o.devices[0].windows, out.stats.windows);
         assert_eq!(o.devices[0].steals, 0, "one worker cannot steal");
 
-        let serial = GsnpPipeline::new(GsnpConfig {
-            pipeline_depth: 1,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        let serial = run(
+            GsnpConfig {
+                pipeline_depth: 1,
+                ..tiny_cfg()
+            },
+            &d,
+        );
         let o = &serial.stats.overlap;
         assert_eq!(o.depth, 1);
         assert!(o.wall > 0.0);
@@ -1649,17 +1844,21 @@ mod tests {
     #[test]
     fn sharded_devices_are_byte_identical_to_serial() {
         let d = Dataset::generate(SynthConfig::tiny(74));
-        let serial = GsnpPipeline::new(GsnpConfig {
-            pipeline_depth: 1,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        for devices in [2usize, 3, 4] {
-            let sharded = GsnpPipeline::new(GsnpConfig {
-                num_devices: devices,
+        let serial = run(
+            GsnpConfig {
+                pipeline_depth: 1,
                 ..tiny_cfg()
-            })
-            .run(&d.reads, &d.reference, &d.priors);
+            },
+            &d,
+        );
+        for devices in [2usize, 3, 4] {
+            let sharded = run(
+                GsnpConfig {
+                    num_devices: devices,
+                    ..tiny_cfg()
+                },
+                &d,
+            );
             assert_eq!(
                 sharded.tables, serial.tables,
                 "tables differ at {devices} devices"
@@ -1676,11 +1875,13 @@ mod tests {
     #[test]
     fn sharded_lane_stats_account_every_window() {
         let d = Dataset::generate(SynthConfig::tiny(75));
-        let out = GsnpPipeline::new(GsnpConfig {
-            num_devices: 3,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        let out = run(
+            GsnpConfig {
+                num_devices: 3,
+                ..tiny_cfg()
+            },
+            &d,
+        );
         let o = &out.stats.overlap;
         assert_eq!(o.devices.len(), 3);
         assert_eq!(
@@ -1707,17 +1908,21 @@ mod tests {
         // depth 1 + several devices must take the threaded driver (and stay
         // byte-identical); the scaling experiment sweeps exactly this.
         let d = Dataset::generate(SynthConfig::tiny(76));
-        let serial = GsnpPipeline::new(GsnpConfig {
-            pipeline_depth: 1,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        let sharded = GsnpPipeline::new(GsnpConfig {
-            pipeline_depth: 1,
-            num_devices: 4,
-            ..tiny_cfg()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
+        let serial = run(
+            GsnpConfig {
+                pipeline_depth: 1,
+                ..tiny_cfg()
+            },
+            &d,
+        );
+        let sharded = run(
+            GsnpConfig {
+                pipeline_depth: 1,
+                num_devices: 4,
+                ..tiny_cfg()
+            },
+            &d,
+        );
         assert_eq!(sharded.compressed, serial.compressed);
         assert_eq!(sharded.stats.overlap.devices.len(), 4);
     }
@@ -1770,14 +1975,17 @@ mod tests {
             let serial = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
             let bits = |p: &PMatrix| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let text = soap_text(&d.reads);
-            let sample = if from_text {
-                Alignments::Text(&text)
-            } else {
-                Alignments::Reads(&d.reads)
-            };
             let kept = strip_ids(d.reads.clone());
-            for chunk_reads in [1, 7, d.reads.len().max(1), CHUNK_READS] {
-                let first = first_pass_chunked(&cfg, &[sample], &d.reference, chunk_reads).unwrap();
+            // A slab of a few lines, of a few chunks, and the production one.
+            let slabs = [300, text.len() / 3 + 1, SLAB_BYTES];
+            for (chunk_reads, slab) in [1, 7, d.reads.len().max(1), CHUNK_READS].into_iter().zip(slabs.into_iter().cycle()) {
+                let mut text = &text[..];
+                let sample = if from_text {
+                    Alignments::Text(&mut text)
+                } else {
+                    Alignments::Reads(&d.reads)
+                };
+                let first = first_pass_chunked(&cfg, vec![sample], &d.reference, chunk_reads, slab).unwrap();
                 prop_assert_eq!(bits(&first.tables.p_matrix), bits(&serial), "chunks of {}", chunk_reads);
                 let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
                 let back = temp_reads(input, &d.reference.name);
@@ -1810,11 +2018,13 @@ mod tests {
                 backend: BackendChoice::Native,
                 ..Default::default()
             };
-            let reads = GsnpPipeline::new(cfg.clone()).run(&d.reads, &d.reference, &d.priors);
+            let reads = run(cfg.clone(), &d);
+            let mut sink = Collect::default();
             let parsed = GsnpPipeline::new(cfg.clone())
-                .run_text(text.clone(), &d.reference, &d.priors)
+                .run_text(&text[..], &d.reference, &d.priors, &mut sink)
                 .unwrap();
-            let cpu = GsnpCpuPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+            let parsed = Ran::new(parsed, sink);
+            let cpu = run_cpu(cfg, &d);
             assert_eq!(reads.stats.num_sites, 20_000);
             assert!(
                 parsed.compressed == reads.compressed,
@@ -1851,20 +2061,19 @@ mod tests {
                 .map_err(|e| e.to_string())
         };
         let chunked = |text: &str, chunk_reads| {
-            first_pass_chunked(
-                &cfg,
-                &[Alignments::Text(text.as_bytes())],
-                &d.reference,
-                chunk_reads,
-            )
-            .map(|first| {
-                let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
-                temp_reads(input, &d.reference.name)
-            })
-            .map_err(|e| {
-                assert_eq!(e.sample, 0);
-                e.error.to_string()
-            })
+            // A slab that ends inside most lines and holds few of them.
+            let slab = 150 + 37 * chunk_reads;
+            let mut text = text.as_bytes();
+            let sample = vec![Alignments::Text(&mut text)];
+            first_pass_chunked(&cfg, sample, &d.reference, chunk_reads, slab)
+                .map(|first| {
+                    let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
+                    temp_reads(input, &d.reference.name)
+                })
+                .map_err(|e| {
+                    assert_eq!(e.sample, 0);
+                    e.error.to_string()
+                })
         };
         // Unix text, and CRLF text with a blank line after every third
         // record and no final newline (its line numbers differ).
@@ -1920,6 +2129,146 @@ mod tests {
     }
 
     #[test]
+    fn any_slab_cuts_every_sample_s_chunks_at_the_same_lines() {
+        use seqio::synth::{Cohort, CohortConfig};
+        let c = Cohort::generate(CohortConfig::tiny(3, 82));
+        let mut texts: Vec<Vec<u8>> = c.samples.iter().map(|s| soap_text(&s.reads)).collect();
+        // One file without its final newline, one with blank lines in it.
+        texts[1].pop();
+        texts[2] = texts[2]
+            .split_inclusive(|&b| b == b'\n')
+            .fold(Vec::new(), |mut t, line| {
+                t.extend_from_slice(line);
+                if t.len() % 7 == 0 {
+                    t.extend_from_slice(b"\r\n");
+                }
+                t
+            });
+        let cfg = GsnpConfig::default();
+        let pass = |chunk_reads, slab| {
+            let mut readers: Vec<&[u8]> = texts.iter().map(Vec::as_slice).collect();
+            let samples = readers
+                .iter_mut()
+                .map(|r| Alignments::Text(r as &mut dyn Read))
+                .collect();
+            first_pass_chunked(&cfg, samples, &c.reference, chunk_reads, slab).unwrap()
+        };
+        let longest_line = texts
+            .iter()
+            .flat_map(|t| t.split(|&b| b == b'\n'))
+            .map(<[u8]>::len)
+            .max()
+            .unwrap();
+        for chunk_reads in [1, 5, 64] {
+            // The slab of every byte at once, which cuts where the whole
+            // text is cut, is the reference.
+            let whole = pass(chunk_reads, texts.iter().map(Vec::len).sum::<usize>() + 1);
+            assert_eq!(
+                whole.inputs.len(),
+                3,
+                "chunks of {chunk_reads}: one input per sample"
+            );
+            // Below one line (it must grow), a few lines, a few chunks, one
+            // file and a bit: the same blobs, sample by sample.
+            for slab in [1, longest_line + 1, 3_000, texts[0].len() + 100] {
+                let first = pass(chunk_reads, slab);
+                assert!(
+                    first.inputs == whole.inputs,
+                    "chunks of {chunk_reads} through a slab of {slab}"
+                );
+                assert!(first.slab_bytes >= slab as u64);
+                assert!(first.slab_bytes < 2 * (slab + chunk_reads * (longest_line + 1)) as u64);
+            }
+            // And they are the blobs of the same records already in memory
+            // (where no blank line shifts a chunk's lines off its records).
+            let reads = c.samples.iter().map(|s| Alignments::Reads(&s.reads));
+            let in_memory =
+                first_pass_chunked(&cfg, reads.collect(), &c.reference, chunk_reads, 1).unwrap();
+            assert!(
+                in_memory.inputs[..2] == whole.inputs[..2],
+                "chunks of {chunk_reads}"
+            );
+            assert_eq!(in_memory.slab_bytes, 0);
+        }
+    }
+
+    /// Takes `left` bytes into a real [`crate::sink::FileSink`], then fails.
+    struct FailsAfter {
+        files: crate::sink::FileSink,
+        left: usize,
+        out: std::path::PathBuf,
+    }
+
+    impl ResultSink for FailsAfter {
+        fn write_batch(
+            &mut self,
+            sample: usize,
+            tables: Vec<SnpTable>,
+            compressed: &[u8],
+        ) -> std::io::Result<()> {
+            match self.left.checked_sub(compressed.len()) {
+                Some(left) => self.left = left,
+                None => {
+                    let full = format!("{}: injected: no space left", self.out.display());
+                    return Err(std::io::Error::other(full));
+                }
+            }
+            self.files.write_batch(sample, tables, compressed)
+        }
+    }
+
+    #[test]
+    fn a_sink_error_mid_run_is_that_error_with_no_file_left_never_a_hang() {
+        let d = Dataset::generate(SynthConfig::tiny(83));
+        let text = soap_text(&d.reads);
+        let whole = run(tiny_cfg(), &d).compressed.len();
+        let dir = std::env::temp_dir().join(format!("gsnp_sinkfail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (pipeline_depth, num_devices) in [(1, 1), (2, 1), (1, 3), (2, 2), (4, 3)] {
+            // In the first batch, in the middle of the run, in the last batch.
+            for left in [0, whole / 2, whole - 1] {
+                let shape = format!("depth {pipeline_depth} × {num_devices}, after {left} bytes");
+                let out = dir.join(format!("o{pipeline_depth}{num_devices}{left}.gsnp"));
+                let (d, text, out_path) = (d.clone(), text.clone(), out.clone());
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let cfg = GsnpConfig {
+                        pipeline_depth,
+                        num_devices,
+                        ..tiny_cfg()
+                    };
+                    let files = crate::sink::FileSink::create(&[(out_path.clone(), None)]);
+                    let mut sink = FailsAfter {
+                        files: files.unwrap(),
+                        left,
+                        out: out_path,
+                    };
+                    let run = GsnpPipeline::new(cfg).run_text(
+                        &text[..],
+                        &d.reference,
+                        &d.priors,
+                        &mut sink,
+                    );
+                    // The CLI's error path: the sink is dropped, not committed.
+                    drop(sink);
+                    done_tx.send(run.map(|out| out.stats.windows)).ok();
+                });
+                let run = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("the window loop hung: {shape}"));
+                let Err(RunError::Sink(e)) = run else {
+                    panic!("{shape}: {run:?}");
+                };
+                let named = format!("{}: injected: no space left", out.display());
+                assert_eq!(e.to_string(), named, "{shape}");
+                assert!(!out.exists(), "{shape}: a short file");
+                assert!(!out.with_extension("gsnp.tmp").exists(), "{shape}: a .tmp");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn in_memory_records_meet_the_text_parser_s_invariants() {
         // Each of these went through silently (or, `nhits` 0, underflowed)
         // before the first pass packed and checked its records.
@@ -1941,15 +2290,16 @@ mod tests {
                 let mut reads = d.reads.clone();
                 damage(&mut reads[index]);
                 let cfg = tiny_cfg();
-                let chunked =
-                    first_pass_chunked(&cfg, &[Alignments::Reads(&reads)], &d.reference, 50);
+                let sample = vec![Alignments::Reads(&reads)];
+                let chunked = first_pass_chunked(&cfg, sample, &d.reference, 50, SLAB_BYTES);
                 let Err(err) = chunked else {
                     panic!("a malformed record went through: {what}");
                 };
                 let named = format!("sample 0: invariant violation: record {index}: {what}");
                 assert_eq!(err.to_string(), named);
                 let run = std::panic::catch_unwind(|| {
-                    GsnpPipeline::new(cfg).run(&reads, &d.reference, &d.priors)
+                    let sink = &mut Collect::default();
+                    GsnpPipeline::new(cfg).run(&reads, &d.reference, &d.priors, sink)
                 });
                 let payload = run.expect_err("run refuses it too");
                 let message = payload.downcast_ref::<String>().expect("a formatted panic");
@@ -1975,9 +2325,10 @@ mod tests {
                         bad,
                     ])],
                     seconds: 0.0,
+                    slab_bytes: 0,
                 };
                 let gates = QualityGates::default();
-                run_window_loop(
+                let _ = run_window_loop(
                     &cfg,
                     &Observers::default(),
                     first,
@@ -1985,6 +2336,7 @@ mod tests {
                     &d.priors,
                     gates,
                     &BadSiteList::default(),
+                    &mut Collect::default(),
                 );
             });
             let message = result.err().map(|payload| {

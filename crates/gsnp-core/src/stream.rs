@@ -36,6 +36,7 @@
 //!   accounting systems against each other.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -659,7 +660,9 @@ fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
 /// * `posterior` turns a scored batch into a called one; `output` consumes
 ///   called batches strictly in production order (an
 ///   [`OrderedReassembler`] sits in front of it), so what it writes is
-///   byte-identical at every `(depth, device.len())`.
+///   byte-identical at every `(depth, device.len())`. When it breaks — its
+///   sink is gone — the loop ends there: the stages upstream find their
+///   channels closed and stop, and the stats cover what ran.
 ///
 /// With `depth ≥ 2` or several devices each stage runs on its own thread
 /// (`output` on the caller's), connected by bounded channels of capacity
@@ -673,7 +676,7 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     mut produce: impl FnMut() -> Option<Vec<T>> + Send,
     device: Vec<impl FnMut(Vec<T>) -> (S, u64) + Send>,
     mut posterior: impl FnMut(S) -> C + Send,
-    mut output: impl FnMut(C),
+    mut output: impl FnMut(C) -> ControlFlow<()>,
 ) -> OverlapStats {
     let depth = depth.max(1);
     let num_lanes = device.len();
@@ -723,7 +726,9 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
         while let Some(ticket) = next_ticket(&mut read) {
             let (_, scored) = lane.score(ticket, body);
             let called = post.run(Phase::Busy, || posterior(scored));
-            out.run(Phase::Busy, || output(called));
+            if out.run(Phase::Busy, || output(called)).is_break() {
+                break;
+            }
         }
         let lanes: Vec<Lane<'_>> = lanes.into_iter().map(|(lane, _)| lane).collect();
         (read, lanes, post, out)
@@ -781,20 +786,31 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
             // fast path; batches that overtook a sibling on another device
             // drain via `pop_ready`.
             let mut reasm = OrderedReassembler::new();
+            let mut flow = ControlFlow::Continue(());
             while let Some((idx, called)) = out.recv(&call_rx) {
-                out.run(Phase::Busy, || {
+                flow = out.run(Phase::Busy, || {
                     let mut next = reasm.offer(idx, called);
                     while let Some(ready) = next {
-                        output(ready);
+                        output(ready)?;
                         next = reasm.pop_ready();
                     }
+                    ControlFlow::Continue(())
                 });
+                if flow.is_break() {
+                    break;
+                }
             }
+            // Closed before the joins, so a stage blocked on a full queue
+            // behind an output body that broke off wakes up and exits.
+            drop(call_rx);
             // Join before checking for gaps: a stage that panicked left one,
             // and its own panic is the one to surface.
             let lanes: Vec<Lane<'_>> = workers.into_iter().map(join_stage).collect();
             let (read, post) = (join_stage(producer), join_stage(posterior_stage));
-            assert!(reasm.is_drained(), "window loop lost a batch");
+            assert!(
+                flow.is_break() || reasm.is_drained(),
+                "window loop lost a batch"
+            );
             (read, lanes, post, out)
         })
     };
@@ -1151,6 +1167,7 @@ mod tests {
                     |i| {
                         boom(3, i);
                         seen.push(i);
+                        ControlFlow::Continue(())
                     },
                 );
                 assert_eq!(overlap.devices.len(), lanes);
@@ -1192,7 +1209,7 @@ mod tests {
             },
             vec![|batch: Vec<()>| (batch.len(), 0)],
             |k| k,
-            |_| {},
+            |_| ControlFlow::Continue(()),
         );
         assert_eq!(overlap.depth, 1);
         assert_eq!(overlap.devices[0].windows, 15);

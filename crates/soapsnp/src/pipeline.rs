@@ -397,13 +397,14 @@ mod tests {
     fn gsnp_matches_soapsnp_exactly() {
         let d = small_dataset(84);
         let soap = soapsnp(500, d.config.read_len).run(&d.reads, &d.reference, &d.priors);
-        let gsnp = GsnpPipeline::new(GsnpConfig {
+        let mut gsnp = gsnp_core::Collect::default();
+        GsnpPipeline::new(GsnpConfig {
             window_size: 700, // deliberately different windowing
             ..Default::default()
         })
-        .run(&d.reads, &d.reference, &d.priors);
+        .run(&d.reads, &d.reference, &d.priors, &mut gsnp);
         let a = soap.all_rows();
-        let b = gsnp.all_rows();
+        let b = gsnp.rows(0);
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(x, y, "row {i} diverged");
@@ -427,8 +428,9 @@ mod tests {
     fn gsnp_compressed_output_decodes_to_soapsnp_rows() {
         let d = small_dataset(85);
         let soap = soapsnp(500, d.config.read_len).run(&d.reads, &d.reference, &d.priors);
-        let gsnp = GsnpPipeline::new(GsnpConfig::default()).run(&d.reads, &d.reference, &d.priors);
-        let decoded: Vec<SnpRow> = compress::column::WindowStream::new(&gsnp.compressed)
+        let mut gsnp = gsnp_core::Collect::default();
+        GsnpPipeline::new(GsnpConfig::default()).run(&d.reads, &d.reference, &d.priors, &mut gsnp);
+        let decoded: Vec<SnpRow> = compress::column::WindowStream::new(&gsnp.compressed[0])
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
             .into_iter()

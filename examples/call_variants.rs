@@ -16,7 +16,7 @@ use std::io::BufReader;
 use std::path::PathBuf;
 
 use gsnp::compress::column::WindowStream;
-use gsnp::core::{GsnpConfig, GsnpPipeline};
+use gsnp::core::{Collect, GsnpConfig, GsnpPipeline};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::soap::{write_alignments, AlignmentReader};
@@ -63,7 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Call variants ---
-    let out = GsnpPipeline::new(GsnpConfig::default()).run(&reads, &reference, &priors);
+    let mut called = Collect::default();
+    let out =
+        GsnpPipeline::new(GsnpConfig::default()).run(&reads, &reference, &priors, &mut called);
+    let (tables, compressed) = (&called.tables[0], &called.compressed[0]);
     println!(
         "called {} variants over {} sites in {} windows",
         out.stats.snp_count, out.stats.num_sites, out.stats.windows
@@ -71,11 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Write outputs ---
     let gsnp_path = dir.join("ch21.gsnp");
-    fs::write(&gsnp_path, &out.compressed)?;
+    fs::write(&gsnp_path, compressed)?;
     let text_path = dir.join("ch21.consensus.txt");
     {
         let mut f = fs::File::create(&text_path)?;
-        for t in &out.tables {
+        for t in tables {
             t.write_text(&mut f)?;
         }
     }
@@ -91,10 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Verify the compressed file decodes to identical rows ---
     let bytes = fs::read(&gsnp_path)?;
     let decoded: Vec<_> = WindowStream::new(&bytes).collect::<Result<_, _>>()?;
-    assert_eq!(
-        decoded, out.tables,
-        "compressed file must decode losslessly"
-    );
+    assert_eq!(&decoded, tables, "compressed file must decode losslessly");
     println!(
         "verified: compressed result decodes to the identical {} windows",
         decoded.len()

@@ -9,7 +9,7 @@
 //! result rows), and prints the per-component breakdown side by side.
 
 use gsnp::baseline::{SoapSnpConfig, SoapSnpPipeline};
-use gsnp::core::{ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpPipeline};
+use gsnp::core::{Collect, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpPipeline};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
 fn main() {
@@ -34,18 +34,21 @@ fn main() {
         window_size: 2_000,
         ..Default::default()
     };
-    let cpu = GsnpCpuPipeline::new(gsnp_cfg.clone()).run(&d.reads, &d.reference, &d.priors);
-    let gsnp = GsnpPipeline::new(gsnp_cfg).run(&d.reads, &d.reference, &d.priors);
+    let (mut cpu_rows, mut gsnp_rows) = (Collect::default(), Collect::default());
+    let cpu = GsnpCpuPipeline::new(gsnp_cfg.clone())
+        .run(&d.reads, &d.reference, &d.priors, &mut cpu_rows)
+        .expect("a collecting sink takes every batch");
+    let gsnp = GsnpPipeline::new(gsnp_cfg).run(&d.reads, &d.reference, &d.priors, &mut gsnp_rows);
 
     // The paper's consistency requirement: identical output, bit for bit.
     assert_eq!(
         soap.all_rows(),
-        cpu.all_rows(),
+        cpu_rows.rows(0),
         "GSNP_CPU diverged from SOAPsnp"
     );
     assert_eq!(
         soap.all_rows(),
-        gsnp.all_rows(),
+        gsnp_rows.rows(0),
         "GSNP diverged from SOAPsnp"
     );
     println!("consistency: all three pipelines produced identical rows ✓\n");

@@ -8,7 +8,7 @@
 //! reads + known-SNP priors), runs the GSNP pipeline on the simulated
 //! GPU, and prints the variant calls next to the planted ground truth.
 
-use gsnp::core::{GsnpConfig, GsnpPipeline};
+use gsnp::core::{Collect, GsnpConfig, GsnpPipeline};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
 fn main() {
@@ -32,7 +32,13 @@ fn main() {
         window_size: 4_000,
         ..Default::default()
     });
-    let out = pipeline.run(&dataset.reads, &dataset.reference, &dataset.priors);
+    let mut results = Collect::default();
+    let out = pipeline.run(
+        &dataset.reads,
+        &dataset.reference,
+        &dataset.priors,
+        &mut results,
+    );
 
     // 3. Report the calls.
     let truth: std::collections::HashMap<u64, _> =
@@ -43,7 +49,7 @@ fn main() {
         "\n{:>9}  {:>4}  {:>8}  {:>5}  {:>5}  truth",
         "position", "ref", "genotype", "qual", "depth"
     );
-    for (i, row) in out.all_rows().iter().enumerate() {
+    for (i, row) in results.rows(0).iter().enumerate() {
         if !row.is_variant() || row.quality < 20 {
             continue;
         }
@@ -75,9 +81,9 @@ fn main() {
     );
     println!(
         "compressed output: {} bytes for {} sites ({:.2} bytes/site)",
-        out.compressed.len(),
+        out.stats.output_bytes[0],
         out.stats.num_sites,
-        out.compressed.len() as f64 / out.stats.num_sites as f64
+        out.stats.output_bytes[0] as f64 / out.stats.num_sites as f64
     );
     let t = out.times;
     println!(

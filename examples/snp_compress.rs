@@ -14,20 +14,23 @@ use std::time::Instant;
 
 use gsnp::compress::column::{compress_table, compress_table_gpu, write_window, WindowStream};
 use gsnp::compress::lz;
-use gsnp::core::{GsnpConfig, GsnpCpuPipeline};
+use gsnp::core::{Collect, GsnpConfig, GsnpCpuPipeline};
 use gsnp::gpu_sim::Device;
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
 fn main() {
     // Produce a realistic result table by actually calling variants.
     let d = Dataset::generate(SynthConfig::ch21_mini(0.03));
+    let mut called = Collect::default();
     let out = GsnpCpuPipeline::new(GsnpConfig {
         window_size: 4_000,
         ..Default::default()
     })
-    .run(&d.reads, &d.reference, &d.priors);
+    .run(&d.reads, &d.reference, &d.priors, &mut called)
+    .expect("a collecting sink takes every batch");
+    let tables = &called.tables[0];
     let mut text = Vec::new();
-    for t in &out.tables {
+    for t in tables {
         t.write_text(&mut text).expect("in-memory write");
     }
 
@@ -37,7 +40,7 @@ fn main() {
     let gz_time = t0.elapsed();
     let t0 = Instant::now();
     let mut columnar = Vec::new();
-    for t in &out.tables {
+    for t in tables {
         write_window(&mut columnar, t);
     }
     let col_time = t0.elapsed();
@@ -61,8 +64,8 @@ fn main() {
     // A window on its own is a batch of one: its seven quality columns
     // ride one 18-launch RLE-DICT chain on the simulated device.
     let dev = Device::m2050();
-    let (cpu_bytes, _) = (compress_table(&out.tables[0]), ());
-    let (gpu_bytes, stats) = compress_table_gpu(&dev, &out.tables[0]);
+    let (cpu_bytes, _) = (compress_table(&tables[0]), ());
+    let (gpu_bytes, stats) = compress_table_gpu(&dev, &tables[0]);
     assert_eq!(cpu_bytes, gpu_bytes);
     println!(
         "\nGPU RLE-DICT path: byte-identical to CPU ✓ \

@@ -49,7 +49,7 @@
 //! workload; `validate-trace` schema-checks an exported file.
 
 use std::fs;
-use std::io::{stdout, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{stdout, BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,9 +61,9 @@ use gsnp::core::journal;
 use gsnp::core::metrics::cohort_metrics;
 use gsnp::core::pipeline::{ComponentTimes, PipelineStats};
 use gsnp::core::{
-    call_metrics, BadSiteList, CohortCallConfig, CohortPipeline, GsnpConfig, GsnpCpuPipeline,
-    GsnpPipeline, Journal, Observers, ProgressTracker, QualityGates, SampleReads, SampleText,
-    StatsServer,
+    call_metrics, BadSiteList, CohortCallConfig, CohortPipeline, Collect, FileSink, GsnpConfig,
+    GsnpCpuPipeline, GsnpPipeline, Journal, Observers, ProgressTracker, QualityGates, RunError,
+    SampleReads, SampleText, StatsServer,
 };
 use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot};
 use gsnp::seqio::fasta::Reference;
@@ -411,15 +411,25 @@ impl Introspection {
         };
         let mut manifest = String::new();
         for (i, path) in inputs.iter().enumerate() {
-            let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+            // Block by block: an alignment file is never held whole.
+            let mut file = BufReader::with_capacity(1 << 16, open(path)?);
+            let (mut bytes, mut hash) = (0, journal::FNV64_EMPTY);
+            loop {
+                let block = file.fill_buf().map_err(|e| format!("{path}: {e}"))?;
+                if block.is_empty() {
+                    break;
+                }
+                hash = journal::fnv64_more(hash, block);
+                let n = block.len();
+                bytes += n;
+                file.consume(n);
+            }
             if i > 0 {
                 manifest.push(',');
             }
             manifest.push_str(&format!(
-                "{{\"path\":\"{}\",\"bytes\":{},\"fnv64\":\"{:016x}\"}}",
+                "{{\"path\":\"{}\",\"bytes\":{bytes},\"fnv64\":\"{hash:016x}\"}}",
                 journal::json_escape(path),
-                bytes.len(),
-                journal::fnv64(&bytes),
             ));
         }
         j.event(
@@ -647,32 +657,27 @@ fn cmd_call(args: &[String]) -> CliResult {
     let contracts = cfg.contracts;
     let intro = Introspection::from_args(args, trace_recorder(args, cfg.backend)?)?;
     intro.journal_run_start("call", &cfg, &[aln, fa, prior])?;
-    // The device pipeline parses the file's bytes chunk by chunk inside its
+    // Opened before anything is computed: a destination that cannot be
+    // written is an error now, and results leave window by window.
+    let text_path = flag_value(args, "--text").map(PathBuf::from);
+    let mut sink = FileSink::create(&[(PathBuf::from(out), text_path)])?;
+    // The device pipeline reads and parses the file slab by slab inside its
     // first pass; only the sequential oracle wants every record at once.
     let result = if cpu {
         let reads: Vec<_> = AlignmentReader::new(BufReader::new(open(aln)?))
             .collect::<Result<_, _>>()
             .map_err(|e| format!("{aln}: {e}"))?;
-        GsnpCpuPipeline::new(cfg).run(&reads, &reference, &priors)
+        GsnpCpuPipeline::new(cfg).run(&reads, &reference, &priors, &mut sink)?
     } else {
-        let text = fs::read(aln).map_err(|e| format!("{aln}: {e}"))?;
         GsnpPipeline::new(cfg)
             .observed(intro.obs.clone())
-            .run_text(text, &reference, &priors)
-            .map_err(|e| format!("{aln}: {e}"))?
+            .run_text(open(aln)?, &reference, &priors, &mut sink)
+            .map_err(|e| match e {
+                RunError::Alignments(e) => format!("{aln}: {}", e.error),
+                RunError::Sink(e) => e.to_string(),
+            })?
     };
-    fs::write(out, &result.compressed).map_err(|e| format!("{out}: {e}"))?;
-    if let Some(text_path) = flag_value(args, "--text") {
-        let f = fs::File::create(text_path).map_err(|e| format!("{text_path}: {e}"))?;
-        let mut f = BufWriter::new(f);
-        for t in &result.tables {
-            t.write_text(&mut f)
-                .map_err(|e| format!("{text_path}: {e}"))?;
-        }
-        // Dropping a `BufWriter` discards write errors; a full disk must
-        // stay an error naming the path.
-        f.flush().map_err(|e| format!("{text_path}: {e}"))?;
-    }
+    sink.commit()?;
     intro.write_artifacts(args, || call_metrics(&result))?;
     if contracts && !intro.quiet {
         let t = result.stats.contracts.totals();
@@ -693,7 +698,7 @@ fn cmd_call(args: &[String]) -> CliResult {
             result.stats.windows,
             result.stats.snp_count,
             out,
-            result.compressed.len()
+            result.stats.output_bytes[0]
         );
     }
     Ok(())
@@ -751,7 +756,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
     for (name, path) in &entries {
         samples.push(SampleText {
             name: name.to_string(),
-            text: fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?,
+            text: fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?,
         });
     }
 
@@ -767,27 +772,50 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
         bad_sites.threshold = t;
     }
 
-    let result = CohortPipeline::new(CohortCallConfig {
-        base,
-        gates,
-        bad_sites,
-    })
-    .observed(intro.obs.clone())
-    .run_text(samples, &reference, &priors)
-    .map_err(|e| format!("{}: {}", entries[e.sample].1.display(), e.error))?;
-
-    fs::create_dir_all(out_dir).map_err(|e| format!("{out_dir}: {e}"))?;
-    for lane in &result.samples {
-        let path = Path::new(out_dir.as_str()).join(format!("{}.gsnp", lane.name));
-        fs::write(&path, &lane.compressed).map_err(|e| format!("{}: {e}", path.display()))?;
-        if !intro.quiet {
+    // Every sample's file is opened before anything is computed; a run that
+    // fails leaves none of them, and none of the directories it made.
+    let out_dir = Path::new(out_dir.as_str());
+    let made: Vec<&Path> = out_dir
+        .ancestors()
+        .take_while(|dir| !dir.as_os_str().is_empty() && !dir.exists())
+        .collect();
+    fs::create_dir_all(out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
+    let paths: Vec<_> = entries
+        .iter()
+        .map(|(name, _)| (out_dir.join(format!("{name}.gsnp")), None))
+        .collect();
+    let run = || -> Result<_, Box<dyn std::error::Error>> {
+        let mut sink = FileSink::create(&paths)?;
+        let result = CohortPipeline::new(CohortCallConfig {
+            base,
+            gates,
+            bad_sites,
+        })
+        .observed(intro.obs.clone())
+        .run_text(samples, &reference, &priors, &mut sink)
+        .map_err(|e| match e {
+            RunError::Alignments(e) => {
+                format!("{}: {}", entries[e.sample].1.display(), e.error)
+            }
+            RunError::Sink(e) => e.to_string(),
+        })?;
+        sink.commit()?;
+        Ok(result)
+    };
+    let result = run().inspect_err(|_| {
+        for dir in &made {
+            fs::remove_dir(dir).ok();
+        }
+    })?;
+    if !intro.quiet {
+        for lane in &result.samples {
             eprintln!(
                 "  {}: {} variants, {} gated, {} forced → {} bytes",
                 lane.name,
                 lane.snp_count,
                 lane.gated_nocalls,
                 lane.forced_nocalls,
-                lane.compressed.len()
+                lane.output_bytes
             );
         }
     }
@@ -924,13 +952,16 @@ fn cmd_profile(args: &[String]) -> CliResult {
             ..Default::default()
         })
         .observed(traced)
-        .run(&samples, &c.reference, &c.priors);
+        .run(&samples, &c.reference, &c.priors, &mut Collect::default());
         (result.stats, result.times, result.wall)
     } else {
         let d = Dataset::generate(synth);
-        let result = GsnpPipeline::new(cfg)
-            .observed(traced)
-            .run(&d.reads, &d.reference, &d.priors);
+        let result = GsnpPipeline::new(cfg).observed(traced).run(
+            &d.reads,
+            &d.reference,
+            &d.priors,
+            &mut Collect::default(),
+        );
         (result.stats, result.times, result.wall)
     };
     print_profile(&mut out, &stats, &times, &wall, &recorder.snapshot())?;
@@ -1175,7 +1206,8 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             contracts: true,
             ..Default::default()
         };
-        let out = GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors);
+        let out =
+            GsnpPipeline::new(cfg).run(&d.reads, &d.reference, &d.priors, &mut Collect::default());
         report.merge(&out.stats.contracts);
     }
 

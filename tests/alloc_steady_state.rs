@@ -7,9 +7,10 @@
 //! (§IV-B): nothing is freed, nothing is re-allocated — buffers are
 //! cleared and refilled in place.
 //!
-//! The output stage is excluded: its products (result tables, the growing
-//! compressed file) are retained by design, so "allocation-free" cannot
-//! apply to them. For the same reason the native arm's rows — each window's
+//! The output stage is excluded: its products leave the process — each
+//! batch's tables go to the run's sink by value, its frames through one
+//! recycled scratch vector — so "allocation-free" cannot apply to the
+//! tables. For the same reason the native arm's rows — each window's
 //! becomes its result table — are one allocation per window, and a decoded
 //! temporary-input chunk costs its decoder's handful of column vectors:
 //! constant per chunk, nothing per read.

@@ -9,7 +9,10 @@
 //! must show the point of the exercise: a `Native` run executes every
 //! launch natively, an `Auto` run records a per-launch decision split.
 
-use gsnp::core::pipeline::{GsnpConfig, GsnpOutput, GsnpPipeline};
+mod common;
+
+use common::{Ran, RunCollected};
+use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::gpu_sim::{BackendChoice, BackendTallies};
 use gsnp::seqio::soap::AlignedRead;
 use gsnp::seqio::synth::{Dataset, SynthConfig};
@@ -30,8 +33,8 @@ fn cfg(
     }
 }
 
-fn run(d: &Dataset, reads: &[AlignedRead], c: GsnpConfig) -> GsnpOutput {
-    GsnpPipeline::new(c).run(reads, &d.reference, &d.priors)
+fn run(d: &Dataset, reads: &[AlignedRead], c: GsnpConfig) -> Ran {
+    GsnpPipeline::new(c).run_collected(reads, &d.reference, &d.priors)
 }
 
 fn dataset(seed: u64, num_sites: u64) -> Dataset {
@@ -41,7 +44,7 @@ fn dataset(seed: u64, num_sites: u64) -> Dataset {
 }
 
 /// Sum a run's per-device backend tallies.
-fn backend_tallies(out: &GsnpOutput) -> BackendTallies {
+fn backend_tallies(out: &Ran) -> BackendTallies {
     let mut t = BackendTallies::default();
     for led in &out.stats.ledgers {
         t.sum(&led.backend);
@@ -123,7 +126,7 @@ fn auto_mixed_stream_is_byte_identical() {
 }
 
 /// Launches of `kernel` over a run's devices: `(all, native)`.
-fn kernel_launches(out: &GsnpOutput, kernel: &str) -> (u64, u64) {
+fn kernel_launches(out: &Ran, kernel: &str) -> (u64, u64) {
     let of = |f: fn(&gsnp::gpu_sim::KernelTally) -> u64| {
         let tallies = &out.stats.kernel_launches;
         tallies.iter().filter(|t| t.name == kernel).map(f).sum()
@@ -201,8 +204,8 @@ fn device_stage_arm_keeps_the_backend_tallies_whole() {
         auto: gsnp::gpu_sim::AutoPolicy { native_min_blocks },
         ..cfg(backend, 4, 2, 1)
     };
-    let launched = |out: &GsnpOutput| out.stats.ledgers.iter().map(|l| l.launches).sum::<u64>();
-    let same_results = |out: &GsnpOutput, reference: &GsnpOutput, what: &str| {
+    let launched = |out: &Ran| out.stats.ledgers.iter().map(|l| l.launches).sum::<u64>();
+    let same_results = |out: &Ran, reference: &Ran, what: &str| {
         assert_eq!(out.compressed, reference.compressed, "{what}");
         assert_eq!(out.stats.num_sites, reference.stats.num_sites, "{what}");
         assert_eq!(out.stats.num_obs, reference.stats.num_obs, "{what}");

@@ -8,9 +8,12 @@
 //! exercise: total kernel launches strictly fall as the batch widens,
 //! while the per-site work counters stay exactly fixed.
 
+mod common;
+
 use proptest::prelude::*;
 
-use gsnp::core::pipeline::{GsnpConfig, GsnpOutput, GsnpPipeline};
+use common::{Ran, RunCollected};
+use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::gpu_sim::HwCounters;
 use gsnp::seqio::soap::AlignedRead;
 use gsnp::seqio::synth::{Dataset, SynthConfig};
@@ -25,8 +28,8 @@ fn cfg(launch_batch: usize, pipeline_depth: usize, num_devices: usize) -> GsnpCo
     }
 }
 
-fn run(d: &Dataset, reads: &[AlignedRead], c: GsnpConfig) -> GsnpOutput {
-    GsnpPipeline::new(c).run(reads, &d.reference, &d.priors)
+fn run(d: &Dataset, reads: &[AlignedRead], c: GsnpConfig) -> Ran {
+    GsnpPipeline::new(c).run_collected(reads, &d.reference, &d.priors)
 }
 
 fn dataset(seed: u64, num_sites: u64) -> Dataset {
@@ -36,7 +39,7 @@ fn dataset(seed: u64, num_sites: u64) -> Dataset {
 }
 
 /// Sum a run's ledgers into (launches, counters).
-fn sum_ledgers(out: &GsnpOutput) -> (u64, HwCounters) {
+fn sum_ledgers(out: &Ran) -> (u64, HwCounters) {
     let mut launches = 0u64;
     let mut counters = HwCounters::default();
     for led in &out.stats.ledgers {
@@ -151,7 +154,7 @@ fn launches_strictly_fall_with_batch_width() {
 }
 
 /// Launches of `kernel` summed over a run's devices.
-fn kernel_launches(out: &GsnpOutput, kernel: &str) -> u64 {
+fn kernel_launches(out: &Ran, kernel: &str) -> u64 {
     let tallies = &out.stats.kernel_launches;
     tallies
         .iter()

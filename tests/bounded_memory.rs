@@ -1,0 +1,155 @@
+//! A run's memory is set by the window, not by the chromosome (§V-A): read
+//! from a file through the first pass's slab and written to a sink that
+//! keeps nothing, a run over four times the sites peaks at no more than
+//! 1.3 × the live heap — where the same run into a [`Collect`] sink, which
+//! retains every table, does grow. That second half is what makes the test
+//! able to fail: a retained vector back in the loop would show the same way.
+//! The memory ledger's rows are checked against the same measurement.
+
+use std::fs::File;
+use std::io::{BufWriter, Write};
+
+use gsnp::core::pipeline::{GsnpConfig, PipelineStats};
+use gsnp::core::{call_metrics, Collect, GsnpPipeline, ResultSink};
+use gsnp::gpu_sim::BackendChoice;
+use gsnp::seqio::fasta::Reference;
+use gsnp::seqio::prior::PriorMap;
+use gsnp::seqio::result::SnpTable;
+use gsnp::seqio::soap::write_alignments;
+use gsnp::seqio::synth::{Dataset, SynthConfig};
+
+#[global_allocator]
+static ALLOCATOR: testalloc::CountingAlloc = testalloc::CountingAlloc;
+
+const N: u64 = 200_000;
+const WINDOW: usize = 2_000;
+
+/// Counts what it is handed and drops it.
+#[derive(Default)]
+struct Discard {
+    sites: u64,
+    bytes: u64,
+}
+
+impl ResultSink for Discard {
+    fn write_batch(
+        &mut self,
+        _: usize,
+        tables: Vec<SnpTable>,
+        bytes: &[u8],
+    ) -> std::io::Result<()> {
+        self.sites += tables.iter().map(|t| t.len() as u64).sum::<u64>();
+        self.bytes += bytes.len() as u64;
+        Ok(())
+    }
+}
+
+/// A data set of `sites` sites on disk; only the alignment file's path, the
+/// reference and the priors stay in memory.
+fn on_disk(sites: u64) -> (std::path::PathBuf, Reference, PriorMap) {
+    let d = Dataset::generate(SynthConfig {
+        num_sites: sites,
+        depth: 5.0,
+        ..SynthConfig::tiny(sites)
+    });
+    let path = std::env::temp_dir().join(format!("gsnp_mem_{sites}_{}.soap", std::process::id()));
+    let mut file = BufWriter::new(File::create(&path).unwrap());
+    write_alignments(&d.reads, &mut file).unwrap();
+    file.flush().unwrap();
+    (path, d.reference, d.priors)
+}
+
+/// The run's peak live heap above what was live when it started, and what
+/// it reported.
+fn peak_of_run(sites: u64, sink: &mut dyn ResultSink) -> (u64, PipelineStats) {
+    let (path, reference, priors) = on_disk(sites);
+    let cfg = GsnpConfig {
+        window_size: WINDOW,
+        backend: BackendChoice::Native,
+        ..Default::default()
+    };
+    let before = testalloc::live_bytes();
+    testalloc::reset_peak();
+    let out = GsnpPipeline::new(cfg)
+        .run_text(File::open(&path).unwrap(), &reference, &priors, sink)
+        .unwrap();
+    let peak = testalloc::peak_live_bytes() - before;
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.stats.num_sites, sites);
+    (peak, out.stats)
+}
+
+// One test: the counters are the process's.
+#[test]
+fn peak_live_heap_follows_the_window_not_the_chromosome() {
+    let mut small = Discard::default();
+    let (peak_1x, stats_1x) = peak_of_run(N, &mut small);
+    let mut large = Discard::default();
+    let (peak_4x, stats_4x) = peak_of_run(4 * N, &mut large);
+    assert_eq!((small.sites, large.sites), (N, 4 * N));
+    assert_eq!(large.bytes, stats_4x.output_bytes[0]);
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    println!(
+        "discarding sink: {:.1} MiB at {N} sites, {:.1} MiB at {} sites",
+        mib(peak_1x),
+        mib(peak_4x),
+        4 * N
+    );
+    assert!(
+        peak_4x as f64 <= 1.3 * peak_1x as f64,
+        "4 × the sites took {:.1} MiB against {:.1} MiB",
+        mib(peak_4x),
+        mib(peak_1x)
+    );
+
+    // The ledger: every row there and non-zero, the output row exact, and
+    // what is live together no more than was measured — the slab with the
+    // temporary input it fills, in the first pass; the score tables' image
+    // and copies with that input, at `load_table`; the arenas with it, in
+    // the loop. Together they are most of the peak: the ledger explains it.
+    for (stats, peak) in [(&stats_1x, peak_1x), (&stats_4x, peak_4x)] {
+        let (arenas, temp) = (stats.arena.high_water_bytes, stats.temp_input_bytes);
+        let (tables, slab) = (stats.score_table_bytes, stats.first_pass_slab_bytes);
+        let rows = [arenas, temp, tables, slab];
+        assert!(rows.iter().all(|&r| r > 0), "{rows:?}");
+        for live_together in [slab + temp, tables + temp, arenas + temp] {
+            assert!(live_together <= peak, "{rows:?} against {peak}");
+        }
+        assert!(
+            arenas + tables + temp >= peak / 2,
+            "{rows:?} against {peak}"
+        );
+    }
+    assert!(stats_4x.temp_input_bytes > 3 * stats_1x.temp_input_bytes);
+    assert_eq!(
+        stats_4x.first_pass_slab_bytes,
+        stats_1x.first_pass_slab_bytes
+    );
+    let metrics = call_metrics(&gsnp::core::GsnpOutput {
+        times: Default::default(),
+        wall: Default::default(),
+        stats: stats_4x,
+    });
+    assert_eq!(
+        metrics.get("gsnp_output_bytes_total", &[("sample", "0")]),
+        Some(large.bytes as f64)
+    );
+
+    // Kept, the results are the largest term and grow with the sites.
+    let (kept_1x, _) = peak_of_run(N, &mut Collect::default());
+    let mut kept = Collect::default();
+    let (kept_4x, _) = peak_of_run(4 * N, &mut kept);
+    assert_eq!(kept.compressed[0].len() as u64, large.bytes);
+    println!(
+        "collecting sink: {:.1} MiB at {N} sites, {:.1} MiB at {} sites",
+        mib(kept_1x),
+        mib(kept_4x),
+        4 * N
+    );
+    assert!(
+        kept_4x as f64 > 1.3 * kept_1x as f64 && kept_4x > peak_4x + 20 * 3 * N,
+        "retaining every table went unnoticed: {:.1} → {:.1} MiB",
+        mib(kept_1x),
+        mib(kept_4x)
+    );
+}

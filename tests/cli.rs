@@ -17,7 +17,8 @@
 //! window and zero devices are errors naming the flag, and so is every
 //! device-pipeline flag next to `--cpu`, which would not reach it. A closed
 //! stdout ends a command quietly; any other stdout error is an error, not
-//! a panic.
+//! a panic. A destination that cannot be written is found before the first
+//! window is computed, not after the last.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -202,6 +203,61 @@ fn native_runs_name_the_host_jobs_kernel_and_report_without_the_chain() {
         }
         let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
         assert!(report.contains("journal invariants: ok"), "{report}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `call` used to read, score and compress every window and only then find
+/// that `<out>`, the `--text` file or the cohort's `<out_dir>` could not be
+/// written. The sinks are opened first: the error names the path and the
+/// journal shows that no batch was processed.
+#[test]
+fn an_unwritable_destination_is_found_before_the_first_window() {
+    let dir = called("dest");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let two = d("two");
+    let samples = ["--sites", "3000", "--depth", "4", "--samples", "2"];
+    ok(&[&["synth", &two], &samples[..]].concat());
+    let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
+    let (tsv, journal) = (d("two/cohort.tsv"), d("run.jsonl"));
+    let (missing, good) = (d("no/such/dir/out.gsnp"), d("fine.gsnp"));
+    let single = ["call", &reads, &fa, &priors];
+    let cohort = ["call", "--cohort", &tsv, &fa, &priors];
+    let cases: [(Vec<&str>, &str); 3] = [
+        ([&single[..], &[&missing]].concat(), &missing),
+        (
+            [&single[..], &[&good, "--text", &missing]].concat(),
+            &missing,
+        ),
+        // An output directory that is a regular file.
+        ([&cohort[..], &[&reads]].concat(), &reads),
+    ];
+    for (args, path) in cases {
+        for cpu in [false, true] {
+            if cpu && args.contains(&"--cohort") {
+                continue;
+            }
+            let mut args = [&args[..], &["-q", "--journal", &journal]].concat();
+            if cpu {
+                args.push("--cpu");
+            }
+            let run = gsnp(&args);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "gsnp {args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("gsnp: error: {path}")),
+                "gsnp {args:?} does not name {path}: {stderr}"
+            );
+            let events = std::fs::read_to_string(&journal).unwrap();
+            assert!(events.contains("\"event\":\"run_start\""), "{events}");
+            assert!(
+                !events.contains("\"event\":\"batch\""),
+                "gsnp {args:?} ran the window loop first: {events}"
+            );
+            for left in [&good, &format!("{good}.tmp"), &format!("{missing}.tmp")] {
+                assert!(!Path::new(left).exists(), "gsnp {args:?} left {left}");
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

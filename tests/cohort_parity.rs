@@ -7,12 +7,15 @@
 //! single runs' minus the (N−1 per device-delta) redundant table uploads
 //! — O(devices), not O(N·devices).
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use common::{CohortRan, RunCohortCollected, RunCollected};
 use gsnp::core::cohort::{
-    BadSiteList, CohortCallConfig, CohortOutput, CohortPipeline, QualityGates, SampleReads,
+    BadSiteList, CohortCallConfig, CohortPipeline, QualityGates, SampleReads,
 };
 use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::core::tables::SharedTables;
@@ -38,7 +41,7 @@ fn cohort_data(num_samples: usize, seed: u64, num_sites: u64) -> Cohort {
     })
 }
 
-fn run_cohort(c: &Cohort, base: GsnpConfig) -> CohortOutput {
+fn run_cohort(c: &Cohort, base: GsnpConfig) -> CohortRan {
     let inputs: Vec<SampleReads<'_>> = c
         .samples
         .iter()
@@ -51,7 +54,7 @@ fn run_cohort(c: &Cohort, base: GsnpConfig) -> CohortOutput {
         base,
         ..Default::default()
     })
-    .run(&inputs, &c.reference, &c.priors)
+    .run_collected(&inputs, &c.reference, &c.priors)
 }
 
 /// The cohort's pooled calibration, as a single-sample run would inject it.
@@ -107,7 +110,7 @@ fn check_parity_at(c: &Cohort, launch_batch: usize, num_devices: usize, pipeline
             shared_tables: Some(Arc::clone(&shared)),
             ..cfg_at(launch_batch, 1)
         })
-        .run(&smp.reads, &c.reference, &c.priors);
+        .run_collected(&smp.reads, &c.reference, &c.priors);
         let lane = &out.samples[sample];
         assert_eq!(lane.name, smp.name);
         assert_eq!(
@@ -142,7 +145,7 @@ fn check_parity_at(c: &Cohort, launch_batch: usize, num_devices: usize, pipeline
             shared_tables: Some(Arc::new(own)),
             ..cfg
         })
-        .run(&smp.reads, &c.reference, &c.priors);
+        .run_collected(&smp.reads, &c.reference, &c.priors);
         assert_eq!(out.samples[0].compressed, single.compressed, "{shape}");
         assert_eq!(out.samples[0].tables, single.tables, "{shape}");
         let counts = |s: &gsnp::core::pipeline::PipelineStats| {
@@ -209,7 +212,7 @@ fn bad_site_forcing_nocalls_one_site_everywhere() {
         gates: QualityGates::default(),
         bad_sites,
     })
-    .run(&inputs, &c.reference, &c.priors);
+    .run_collected(&inputs, &c.reference, &c.priors);
 
     for (sample, lane) in forced.samples.iter().enumerate() {
         let rows = lane.all_rows();
@@ -245,7 +248,7 @@ fn quality_gates_emit_nocalls() {
         },
         bad_sites: BadSiteList::new(),
     })
-    .run(&inputs, &c.reference, &c.priors);
+    .run_collected(&inputs, &c.reference, &c.priors);
     let clean = run_cohort(&c, base_cfg(2, 1));
 
     let total_gated: u64 = gated.samples.iter().map(|s| s.gated_nocalls).sum();

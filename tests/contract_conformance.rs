@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
+use common::RunCollected;
 use gsnp::compress::gpu::rledict_gpu_batch;
 use gsnp::compress::rledict;
 use gsnp::core::counting::SparseWindow;
@@ -88,9 +89,9 @@ proptest! {
             num_devices: devices,
             ..Default::default()
         };
-        let plain = GsnpPipeline::new(cfg.clone()).run(&d.reads, &d.reference, &d.priors);
+        let plain = GsnpPipeline::new(cfg.clone()).run_collected(&d.reads, &d.reference, &d.priors);
         let proved = GsnpPipeline::new(GsnpConfig { contracts: true, ..cfg })
-            .run(&d.reads, &d.reference, &d.priors);
+            .run_collected(&d.reads, &d.reference, &d.priors);
         prop_assert_eq!(&plain.compressed, &proved.compressed);
         let report = &proved.stats.contracts;
         prop_assert!(report.totals().verified > 0);

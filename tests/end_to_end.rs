@@ -1,8 +1,11 @@
 //! End-to-end integration: synthetic files → parsers → both pipelines →
 //! compressed output → decompression, spanning every crate.
 
+mod common;
+
 use std::io::Cursor;
 
+use common::RunCollected;
 use gsnp::baseline::{SoapSnpConfig, SoapSnpPipeline};
 use gsnp::compress::column::WindowStream;
 use gsnp::core::{GsnpConfig, GsnpCpuPipeline, GsnpPipeline};
@@ -60,12 +63,12 @@ fn pipelines_agree_bitwise_through_file_formats() {
         window_size: 450,
         ..Default::default()
     })
-    .run(&reads, &reference, &priors);
+    .run_collected(&reads, &reference, &priors);
     let cpu = GsnpCpuPipeline::new(GsnpConfig {
         window_size: 999,
         ..Default::default()
     })
-    .run(&reads, &reference, &priors);
+    .run_collected(&reads, &reference, &priors);
 
     assert_eq!(soap.all_rows(), gsnp.all_rows());
     assert_eq!(soap.all_rows(), cpu.all_rows());
@@ -78,7 +81,7 @@ fn compressed_output_decodes_to_text_output() {
         window_size: 512,
         ..Default::default()
     })
-    .run(&d.reads, &d.reference, &d.priors);
+    .run_collected(&d.reads, &d.reference, &d.priors);
 
     // Decode the compressed stream, serialize as text, reparse, compare.
     let mut text = Vec::new();
@@ -102,7 +105,7 @@ fn truth_recovery_end_to_end() {
         window_size: 3_000,
         ..Default::default()
     })
-    .run(&d.reads, &d.reference, &d.priors);
+    .run_collected(&d.reads, &d.reference, &d.priors);
     let rows = out.all_rows();
 
     let mut hits = 0usize;
@@ -132,7 +135,7 @@ fn window_boundaries_tile_the_chromosome() {
             window_size: window,
             ..Default::default()
         })
-        .run(&d.reads, &d.reference, &d.priors);
+        .run_collected(&d.reads, &d.reference, &d.priors);
         assert_eq!(out.stats.num_sites, d.config.num_sites, "window {window}");
         let mut next = 0u64;
         for t in &out.tables {
@@ -146,7 +149,7 @@ fn window_boundaries_tile_the_chromosome() {
 #[test]
 fn empty_chromosome_with_no_reads() {
     let d = small(6);
-    let out = GsnpPipeline::new(GsnpConfig::default()).run(&[], &d.reference, &d.priors);
+    let out = GsnpPipeline::new(GsnpConfig::default()).run_collected(&[], &d.reference, &d.priors);
     assert_eq!(out.stats.num_sites, d.config.num_sites);
     assert_eq!(out.stats.snp_count, 0);
     assert!(out

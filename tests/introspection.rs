@@ -23,7 +23,7 @@ use proptest::prelude::*;
 
 use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
 use gsnp::core::journal::{self, Journal};
-use gsnp::core::{GsnpConfig, GsnpPipeline, Observers, ProgressTracker, StatsServer};
+use gsnp::core::{Collect, GsnpConfig, GsnpPipeline, Observers, ProgressTracker, StatsServer};
 use gsnp::gpu_sim::{parse_json, AutoPolicy, Histogram, Json};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
@@ -171,7 +171,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
         journal: Some(Arc::clone(&journal)),
         ..Default::default()
     })
-    .run(&inputs, &c.reference, &c.priors);
+    .run(&inputs, &c.reference, &c.priors, &mut Collect::default());
 
     tracker.finish();
     let wall = tracker.elapsed_seconds();
@@ -277,6 +277,93 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     assert!(report.contains("journal invariants: ok"), "{report}");
 }
 
+/// The memory ledger, wherever a run reports: every row present and
+/// non-zero in `--metrics` and in the journal's run-end events, and
+/// rendered by `gsnp report`. A run over text, so the slab has a size.
+#[test]
+fn the_memory_ledger_is_in_the_metrics_and_in_the_journal() {
+    let mut synth = SynthConfig::tiny(24);
+    synth.num_sites = 6_000;
+    let d = Dataset::generate(synth);
+    let mut text = Vec::new();
+    gsnp::seqio::soap::write_alignments(&d.reads, &mut text).unwrap();
+
+    let path = tmppath("ledger.jsonl");
+    let journal = Arc::new(Journal::create(&path).expect("create journal"));
+    journal.event(
+        "run_start",
+        &format!("\"schema\":{}", journal::SCHEMA_VERSION),
+    );
+    let cfg = GsnpConfig {
+        window_size: 1_500,
+        num_devices: 2,
+        ..Default::default()
+    };
+    let mut sink = Collect::default();
+    let out = GsnpPipeline::new(cfg)
+        .observed(Observers {
+            journal: Some(Arc::clone(&journal)),
+            ..Default::default()
+        })
+        .run_text(&text[..], &d.reference, &d.priors, &mut sink)
+        .expect("clean text, collecting sink");
+    journal.event("run_end", &format!("\"windows\":{}", out.stats.windows));
+    assert!(!journal.take_error(), "journal write failed");
+    drop(journal);
+
+    let metrics = gsnp::core::call_metrics(&out);
+    let written = sink.compressed[0].len() as f64;
+    for (series, labels) in [
+        ("gsnp_arena_high_water_bytes", &[][..]),
+        ("gsnp_temp_input_bytes", &[]),
+        ("gsnp_score_table_bytes", &[]),
+        ("gsnp_first_pass_slab_bytes", &[]),
+        ("gsnp_output_bytes_total", &[("sample", "0")]),
+    ] {
+        let value = metrics.get(series, labels);
+        assert!(value.is_some_and(|v| v > 0.0), "{series}: {value:?}");
+    }
+    assert_eq!(
+        metrics.get("gsnp_output_bytes_total", &[("sample", "0")]),
+        Some(written)
+    );
+    assert_eq!(
+        metrics.get("gsnp_compressed_output_bytes", &[]),
+        Some(written)
+    );
+    // The host image and two devices' copies, each more than an upload.
+    let tables = metrics.get("gsnp_score_table_bytes", &[]).unwrap();
+    assert!(tables > 3.0 * out.stats.table_bytes as f64, "{tables}");
+
+    let text = std::fs::read_to_string(&path).expect("read journal back");
+    std::fs::remove_file(&path).ok();
+    let s = journal::validate(&text).expect("journal invariants hold");
+    let memory: Vec<&Json> = s
+        .events
+        .iter()
+        .filter(|e| event_kind(e) == Some("memory"))
+        .collect();
+    let [memory] = memory[..] else {
+        panic!("{} memory events", memory.len());
+    };
+    for (key, due) in [
+        ("temp_input_bytes", out.stats.temp_input_bytes),
+        ("score_table_bytes", out.stats.score_table_bytes),
+        ("first_pass_slab_bytes", out.stats.first_pass_slab_bytes),
+    ] {
+        assert!(due > 0, "{key}");
+        assert_eq!(memory.get(key).and_then(Json::as_num), Some(due as f64));
+    }
+    let bytes = memory.get("output_bytes").and_then(Json::as_arr);
+    assert_eq!(bytes.map(|b| b[0].as_num()), Some(Some(written)));
+    let report = journal::render_report(&text).expect("report renders");
+    assert!(report.contains("window arenas: "), "{report}");
+    assert!(
+        report.contains("memory ledger: temporary input "),
+        "{report}"
+    );
+}
+
 fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect stats endpoint");
     write!(s, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send request");
@@ -323,9 +410,12 @@ fn live_endpoints_answer_while_a_run_executes() {
         ..Default::default()
     };
     let run = std::thread::spawn(move || {
-        GsnpPipeline::new(cfg)
-            .observed(watched)
-            .run(&d.reads, &d.reference, &d.priors)
+        GsnpPipeline::new(cfg).observed(watched).run(
+            &d.reads,
+            &d.reference,
+            &d.priors,
+            &mut Collect::default(),
+        )
     });
 
     // Poll /progress until the run completes; every response — mid-run

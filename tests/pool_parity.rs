@@ -4,8 +4,11 @@
 //! that allocates everything fresh (`pooled: false`), at every pipeline
 //! depth (1 = serial executor, 2..=4 = streamed).
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::RunCollected;
 use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
@@ -35,8 +38,8 @@ proptest! {
             pooled,
             ..Default::default()
         };
-        let fresh = GsnpPipeline::new(cfg(false)).run(&d.reads, &d.reference, &d.priors);
-        let pooled = GsnpPipeline::new(cfg(true)).run(&d.reads, &d.reference, &d.priors);
+        let fresh = GsnpPipeline::new(cfg(false)).run_collected(&d.reads, &d.reference, &d.priors);
+        let pooled = GsnpPipeline::new(cfg(true)).run_collected(&d.reads, &d.reference, &d.priors);
 
         prop_assert_eq!(&pooled.tables, &fresh.tables);
         prop_assert_eq!(&pooled.compressed, &fresh.compressed);
@@ -84,7 +87,7 @@ proptest! {
             sanitize: true,
             ..Default::default()
         })
-        .run(&d.reads, &d.reference, &d.priors);
+        .run_collected(&d.reads, &d.reference, &d.priors);
 
         let s = out.stats.sanitizer;
         prop_assert_eq!(s.uninit_reads, 0, "uninit reads at depth {}: {:?}", pipeline_depth, s);
@@ -104,7 +107,7 @@ fn steady_state_recycles_arenas_and_device_buffers() {
         window_size: 1_000,
         ..Default::default()
     })
-    .run(&d.reads, &d.reference, &d.priors);
+    .run_collected(&d.reads, &d.reference, &d.priors);
 
     assert_eq!(out.stats.windows, 20);
     // Misses only while the pipeline fills (the default depth-2 streaming

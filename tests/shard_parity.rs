@@ -5,9 +5,12 @@
 //! sum to the serial totals (modulo the per-device table upload), and the
 //! sharded path runs clean under the full sanitizer suite.
 
+mod common;
+
 use proptest::prelude::*;
 
-use gsnp::core::pipeline::{GsnpConfig, GsnpOutput, GsnpPipeline};
+use common::{Ran, RunCollected};
+use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::gpu_sim::HwCounters;
 use gsnp::seqio::soap::AlignedRead;
 use gsnp::seqio::synth::{Dataset, SynthConfig};
@@ -26,8 +29,8 @@ fn cfg(pipeline_depth: usize, num_devices: usize) -> GsnpConfig {
     }
 }
 
-fn run(d: &Dataset, reads: &[AlignedRead], c: GsnpConfig) -> GsnpOutput {
-    GsnpPipeline::new(c).run(reads, &d.reference, &d.priors)
+fn run(d: &Dataset, reads: &[AlignedRead], c: GsnpConfig) -> Ran {
+    GsnpPipeline::new(c).run_collected(reads, &d.reference, &d.priors)
 }
 
 /// A dataset whose first quarter carries 8x the coverage of the rest, so

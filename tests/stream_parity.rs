@@ -2,8 +2,11 @@
 //! depth, on any input, GSNP's results — the per-window tables AND the
 //! compressed result file — are byte-identical to a serial run (§IV-G).
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::RunCollected;
 use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
@@ -34,8 +37,8 @@ proptest! {
             pipeline_depth,
             ..Default::default()
         };
-        let serial = GsnpPipeline::new(cfg(1)).run(&d.reads, &d.reference, &d.priors);
-        let streamed = GsnpPipeline::new(cfg(pipeline_depth)).run(&d.reads, &d.reference, &d.priors);
+        let serial = GsnpPipeline::new(cfg(1)).run_collected(&d.reads, &d.reference, &d.priors);
+        let streamed = GsnpPipeline::new(cfg(pipeline_depth)).run_collected(&d.reads, &d.reference, &d.priors);
 
         prop_assert_eq!(&streamed.tables, &serial.tables);
         prop_assert_eq!(&streamed.compressed, &serial.compressed);

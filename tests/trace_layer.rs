@@ -17,10 +17,13 @@
 //!    `verify_overlap_consistency` assertion, here exercised through the
 //!    public API on a real 4-device run).
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use common::{RunCohortCollected, RunCollected};
 use gsnp::core::{verify_overlap_consistency, GsnpConfig, GsnpPipeline, Observers};
 use gsnp::gpu_sim::{
     validate_chrome_json, EventKind, SpanArgs, TraceRecorder, TraceSnapshot, TrackKind,
@@ -50,7 +53,7 @@ fn run(d: &Dataset, devices: usize, depth: usize, trace: Option<Arc<TraceRecorde
     };
     let out = GsnpPipeline::new(cfg)
         .observed(traced(trace))
-        .run(&d.reads, &d.reference, &d.priors);
+        .run_collected(&d.reads, &d.reference, &d.priors);
     RunOut {
         compressed: out.compressed,
         rows: out
@@ -104,7 +107,7 @@ fn device_track_spans_are_monotonic_and_non_overlapping() {
     };
     GsnpPipeline::new(cfg)
         .observed(traced(Some(Arc::clone(&rec))))
-        .run(&d.reads, &d.reference, &d.priors);
+        .run_collected(&d.reads, &d.reference, &d.priors);
     let snap = rec.snapshot();
     assert_eq!(snap.dropped, 0, "ring sized for the whole run");
 
@@ -240,7 +243,7 @@ fn traced_cohort_run_reconciles_and_changes_no_sample() {
             ..Default::default()
         })
         .observed(traced(trace))
-        .run(&inputs, &c.reference, &c.priors)
+        .run_collected(&inputs, &c.reference, &c.priors)
     };
 
     let plain = call(None);
@@ -351,7 +354,7 @@ fn introspection_on_outputs_are_byte_identical() {
             progress: Some(Arc::clone(&tracker)),
             journal: Some(journal),
         })
-        .run(&d.reads, &d.reference, &d.priors);
+        .run_collected(&d.reads, &d.reference, &d.priors);
     std::fs::remove_file(&path).ok();
 
     assert_eq!(plain.compressed, out.compressed, "compressed bytes differ");
