@@ -1095,10 +1095,9 @@ pub fn launch_batching(scale: f64) -> String {
         // windows can at best halve the launch bill).
         window_size: scaled_window(64_000, scale),
         launch_batch,
-        // Serial loop, GPU output: every launch the batch can coalesce —
-        // sort passes, the fused counting+likelihood kernel, and the
-        // scan/RLE/DICT output chain — is on the measured path.
-        gpu_output: true,
+        // Every launch the batch can coalesce — sort passes, the fused
+        // counting+likelihood kernel, and the scan/RLE/DICT output chain —
+        // is on the measured path.
         ..Default::default()
     };
 

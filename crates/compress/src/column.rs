@@ -371,10 +371,10 @@ fn encode_column_job(rows: &[SnpRow], job: usize) -> Vec<u8> {
 /// columns of every table are projected into one segment list and run
 /// through the [`crate::gpu::rledict_gpu_batch`] chain, so the whole batch
 /// costs 18 device launches instead of ~18 per column per window. Where
-/// that chain would execute natively ([`gpu_sim::ComputeBackend::native_arm`],
-/// asked once per batch) the batch is instead ONE launch whose blocks are
-/// every (window, column job) pair on the host codecs — the three host
-/// groups included, which the chain path encodes serially. The emitted
+/// that chain would execute natively ([`gpu_sim::ComputeBackend::native_arm`])
+/// the batch is instead ONE launch whose blocks are every (window, column
+/// job) pair on the host codecs — the three host groups included, which
+/// the chain path encodes serially. The emitted
 /// bytes are identical, frame for frame, to calling [`write_window`] on
 /// each table in order.
 pub fn write_windows_gpu_batch<B: gpu_sim::ComputeBackend>(
@@ -382,9 +382,8 @@ pub fn write_windows_gpu_batch<B: gpu_sim::ComputeBackend>(
     out: &mut Vec<u8>,
     tables: &[SnpTable],
 ) -> gpu_sim::LaunchStats {
-    let n = tables.iter().map(|t| t.rows.len()).sum::<usize>() * RLEDICT_COLS.len();
     // `JOBS_PER_WINDOW` byte strings per window, in stream order.
-    let (parts, stats) = if let Some(native) = dev.native_arm(crate::gpu::chain_grid(n)) {
+    let (parts, stats) = if let Some(native) = dev.native_arm() {
         crate::gpu::encode_host_jobs(&native, tables.len() * JOBS_PER_WINDOW, |b| {
             encode_column_job(&tables[b / JOBS_PER_WINDOW].rows, b % JOBS_PER_WINDOW)
         })
@@ -615,12 +614,12 @@ mod tests {
         assert_eq!(windows, tables);
     }
 
-    /// `write_windows_gpu_batch` on the simulator (18-launch chain), on the
-    /// native executor and under auto dispatch (the native arm: ONE launch
-    /// of every window's ten column jobs) against `write_window`, i.e.
-    /// `compress_table` frame by frame.
+    /// `write_windows_gpu_batch` on the simulator (18-launch chain), and on
+    /// the native executor and under auto dispatch (the native arm: ONE
+    /// launch of every window's ten column jobs) against `write_window`,
+    /// i.e. `compress_table` frame by frame.
     fn assert_output_arms_agree(tables: &[SnpTable]) {
-        use gpu_sim::{BackendChoice, BackendDispatcher, Device, NativeBackend};
+        use gpu_sim::{BackendChoice, BackendDispatcher, Device};
         let mut host = Vec::new();
         for t in tables {
             write_window(&mut host, t);
@@ -635,29 +634,18 @@ mod tests {
         assert_eq!(led.launches, if rows == 0 { 0 } else { 18 });
         assert_eq!(led.backend.native, 0);
 
-        let dev = Device::m2050();
-        let native = NativeBackend::new(&dev).unwrap();
-        let mut out = Vec::new();
-        let stats = write_windows_gpu_batch(&native, &mut out, tables);
-        assert_eq!(out, host, "native arm");
-        assert_eq!(stats.counters, gpu_sim::HwCounters::default());
-        let led = dev.ledger();
-        assert_eq!((led.launches, led.backend.native), (1, 1));
-        let tallies = dev.kernel_launches();
-        assert_eq!(tallies.len(), 1, "{tallies:?}");
-        assert_eq!(tallies[0].name, crate::gpu::HOST_JOBS_KERNEL);
-
-        let dev = Device::m2050();
-        let auto = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
-        let mut out = Vec::new();
-        write_windows_gpu_batch(&auto, &mut out, tables);
-        assert_eq!(out, host, "auto");
-        let led = dev.ledger();
-        assert_eq!(led.backend.auto_sim + led.backend.auto_native, led.launches);
-        if crate::gpu::chain_grid(rows * RLEDICT_COLS.len()) >= 8 {
-            assert_eq!((led.launches, led.backend.auto_native), (1, 1));
-        } else {
-            assert_eq!(led.backend.native, 0, "sub-threshold batch stays simulated");
+        for choice in [BackendChoice::Native, BackendChoice::Auto] {
+            let dev = Device::m2050();
+            let arm = BackendDispatcher::new(&dev, choice).unwrap();
+            let mut out = Vec::new();
+            let stats = write_windows_gpu_batch(&arm, &mut out, tables);
+            assert_eq!(out, host, "{choice:?} arm");
+            assert_eq!(stats.counters, gpu_sim::HwCounters::default());
+            let led = dev.ledger();
+            assert_eq!((led.launches, led.backend.native), (1, 1), "{choice:?}");
+            let tallies = dev.kernel_launches();
+            assert_eq!(tallies.len(), 1, "{tallies:?}");
+            assert_eq!(tallies[0].name, crate::gpu::HOST_JOBS_KERNEL);
         }
     }
 
@@ -706,7 +694,7 @@ mod tests {
 
     /// `compress_table_gpu` is the batch of one, so it takes the same arm
     /// the pipeline would: the chain on the simulator, one host-jobs launch
-    /// natively, and under auto whichever the window's chain grid selects.
+    /// natively and under auto.
     #[test]
     fn compress_table_gpu_matches_host_on_every_backend() {
         use gpu_sim::{BackendChoice, BackendDispatcher, ComputeBackend, Device, NativeBackend};
@@ -722,12 +710,7 @@ mod tests {
             let led = dev.ledger();
             assert_eq!((led.launches, led.backend.native), counts, "{rows} rows");
         }
-        // 256 rows are 7 chain blocks and 257 are 8: just below and at the
-        // auto threshold.
-        let tables = hostile_tables()
-            .into_iter()
-            .chain([realistic_table(256), realistic_table(257)]);
-        for t in tables {
+        for t in hostile_tables() {
             let rows = t.rows.len();
             let chain = (if rows == 0 { 0 } else { 18 }, 0);
 
@@ -740,10 +723,7 @@ mod tests {
 
             let dev = Device::m2050();
             let auto = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
-            let arm = crate::gpu::chain_grid(rows * RLEDICT_COLS.len()) >= 8;
-            check(&dev, &auto, &t, if arm { (1, 1) } else { chain });
-            let led = dev.ledger();
-            assert_eq!(led.backend.auto_sim + led.backend.auto_native, led.launches);
+            check(&dev, &auto, &t, (1, 1));
         }
     }
 

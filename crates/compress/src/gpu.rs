@@ -21,13 +21,6 @@ use crate::{dict, rledict};
 /// Kernel name of the batched chain's native arm (see `encode_host_jobs`).
 pub const HOST_JOBS_KERNEL: &str = "rledict_host_jobs";
 
-/// The launch grid of the batched chain's element-wise kernels over `n`
-/// concatenated column elements — what [`ComputeBackend::native_arm`] is
-/// asked about.
-pub(crate) fn chain_grid(n: usize) -> usize {
-    n.div_ceil(BLOCK)
-}
-
 /// The batched chain's native arm: `jobs` independent host encoders as the
 /// blocks of ONE contracted launch, block `b` filling slot `b`.
 ///
@@ -94,10 +87,10 @@ pub fn rledict_gpu_batch<B: ComputeBackend>(
     dev: &B,
     segments: &[&[u32]],
 ) -> (Vec<Vec<u8>>, LaunchStats) {
-    let num_segs = segments.len();
-    let n: usize = segments.iter().map(|s| s.len()).sum();
-    if let Some(native) = dev.native_arm(chain_grid(n)) {
-        return encode_host_jobs(&native, num_segs, |j| rledict::encode_to_vec(segments[j]));
+    if let Some(native) = dev.native_arm() {
+        return encode_host_jobs(&native, segments.len(), |j| {
+            rledict::encode_to_vec(segments[j])
+        });
     }
     rledict_chain_batch(dev, segments)
 }
@@ -124,7 +117,7 @@ pub(crate) fn rledict_chain_batch<B: ComputeBackend>(
 
     let input = dev.upload_pooled(&concat);
     let head_buf = dev.upload_pooled(&heads);
-    let grid = chain_grid(n);
+    let grid = n.div_ceil(BLOCK);
 
     // Flag run heads; a segment's first element is always a head so runs
     // never merge across a boundary. `heads[0] == 1` whenever n > 0, so
@@ -533,46 +526,25 @@ mod tests {
         ]
     }
 
-    /// `rledict_gpu_batch` on the simulator (the chain), on the native
+    /// `rledict_gpu_batch` on the simulator (the chain), and on the native
     /// executor and under an auto dispatcher (the native arm, one launch),
     /// against the host codec.
     fn assert_arms_agree(segs: &[Vec<u32>]) {
         use gpu_sim::{BackendChoice, BackendDispatcher};
         let refs: Vec<&[u32]> = segs.iter().map(Vec::as_slice).collect();
         let host: Vec<Vec<u8>> = segs.iter().map(|s| rledict::encode_to_vec(s)).collect();
-        let n: usize = segs.iter().map(Vec::len).sum();
 
         let dev = Device::m2050();
         assert_eq!(rledict_gpu_batch(&dev, &refs).0, host, "simulator chain");
         assert_eq!(dev.ledger().backend.native, 0);
 
-        let dev = Device::m2050();
-        let native = NativeBackend::new(&dev).unwrap();
-        assert_eq!(rledict_gpu_batch(&native, &refs).0, host, "native arm");
-        let led = dev.ledger();
-        assert_eq!(led.launches, u64::from(!segs.is_empty()));
-        assert_eq!(led.backend.native, led.launches);
-
-        let dev = Device::m2050();
-        let auto = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
-        assert_eq!(rledict_gpu_batch(&auto, &refs).0, host, "auto");
-        let led = dev.ledger();
-        assert_eq!(
-            led.backend.auto_sim + led.backend.auto_native,
-            led.launches,
-            "one decision per launch"
-        );
-        if chain_grid(n) >= 8 {
-            assert_eq!(
-                (led.launches, led.backend.native),
-                (1, 1),
-                "auto takes the arm"
-            );
-        } else {
-            assert_eq!(
-                led.backend.native, 0,
-                "a sub-threshold chain stays simulated"
-            );
+        for choice in [BackendChoice::Native, BackendChoice::Auto] {
+            let dev = Device::m2050();
+            let arm = BackendDispatcher::new(&dev, choice).unwrap();
+            assert_eq!(rledict_gpu_batch(&arm, &refs).0, host, "{choice:?} arm");
+            let led = dev.ledger();
+            assert_eq!(led.launches, u64::from(!segs.is_empty()), "{choice:?}");
+            assert_eq!(led.backend.native, led.launches, "{choice:?}");
         }
     }
 

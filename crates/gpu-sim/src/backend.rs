@@ -17,16 +17,14 @@
 //! A [`ComputeBackend`] says which engine runs a launch
 //! ([`ComputeBackend::route`]); the launch entry points are written once
 //! over that answer. [`Device`] and [`SimBackend`] always answer `Sim`,
-//! [`NativeBackend`] always `Native`, and [`BackendDispatcher`] answers per
-//! launch: pinned by [`BackendChoice::Sim`] / [`BackendChoice::Native`], or
-//! — [`BackendChoice::Auto`] — from the grid size against a calibrated
-//! native-worthwhile threshold ([`AutoPolicy`]), overridden by the sim-only
-//! features the device carries.
+//! [`NativeBackend`] always `Native`, and [`BackendDispatcher`] answers
+//! per launch: pinned by [`BackendChoice::Sim`] / [`BackendChoice::Native`],
+//! or — [`BackendChoice::Auto`] — native unless the device carries a
+//! sim-only observable the launch must feed (the rule is on `route`).
 //!
 //! The CUDA analogy: the simulator is the driver-API path that launches
-//! real kernels on the GPU (with profiler instrumentation enabled), while
-//! the host executor is the fallback a production caller dispatches to
-//! when the workload is too small to be worth a PCIe round-trip.
+//! real kernels on the GPU with profiler instrumentation enabled; the host
+//! executor is the same launch with the profiler detached.
 
 use std::time::Instant;
 
@@ -51,7 +49,8 @@ pub enum BackendChoice {
     /// The native rayon executor: bit-identical outputs, real wall-clock
     /// speed, no per-access instrumentation.
     Native,
-    /// Pick per launch from the workload size (see [`AutoPolicy`]).
+    /// Native, except where a trace, an unproved sanitized launch or
+    /// conformance needs the simulator's observables.
     Auto,
 }
 
@@ -110,21 +109,14 @@ fn validate_native(dev: &Device) -> Result<(), BackendError> {
     Ok(())
 }
 
-/// Per-backend launch and dispatch-decision tallies, kept on the
-/// [`crate::DeviceLedger`]. `sim + native` always equals the ledger's
-/// `launches`; the `auto_*` fields count only launches routed by an
-/// [`BackendChoice::Auto`] dispatcher (each such launch also lands in
-/// `sim` or `native`).
+/// Per-backend launch tallies, kept on the [`crate::DeviceLedger`].
+/// `sim + native` always equals the ledger's `launches`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BackendTallies {
     /// Launches executed by the instrumented simulator.
     pub sim: u64,
     /// Launches executed by the native rayon executor.
     pub native: u64,
-    /// Auto-dispatch decisions that picked the simulator.
-    pub auto_sim: u64,
-    /// Auto-dispatch decisions that picked the native executor.
-    pub auto_native: u64,
 }
 
 impl BackendTallies {
@@ -132,8 +124,6 @@ impl BackendTallies {
     pub fn sum(&mut self, other: &BackendTallies) {
         self.sim += other.sim;
         self.native += other.native;
-        self.auto_sim += other.auto_sim;
-        self.auto_native += other.auto_native;
     }
 }
 
@@ -159,10 +149,9 @@ pub trait ComputeBackend: Sync {
     /// The device whose memory this backend executes against.
     fn device(&self) -> &Device;
 
-    /// Which engine runs a launch of `grid_dim ≥ 1` blocks, `contracted`
-    /// or not. Called once per non-empty launch, so a backend that keeps
-    /// per-decision tallies records them here.
-    fn route(&self, grid_dim: usize, contracted: bool) -> Route;
+    /// Which engine runs a non-empty launch, `contracted` or not. A pure
+    /// function of the backend and its device's features.
+    fn route(&self, contracted: bool) -> Route;
 
     /// Launch `grid_dim` blocks of the kernel; blocks may run in parallel.
     ///
@@ -236,20 +225,15 @@ pub trait ComputeBackend: Sync {
     }
 
     /// The native executor over this backend's device, if a *chain* of
-    /// contracted launches over `grid_dim` blocks would execute there;
-    /// `None` when the chain belongs to the simulator.
+    /// contracted launches would execute there; `None` when the chain
+    /// belongs to the simulator.
     ///
     /// A multi-launch algorithm with a host form — RLE-DICT's
     /// flags/scan/scatter/search chain versus the sequential codec — asks
     /// once per batch and, given an executor, runs its host form as ONE
-    /// contracted launch on it instead of the chain. An
-    /// [`BackendChoice::Auto`] dispatcher tallies a `Some` answer as that
-    /// launch's dispatch decision (the launch itself bypasses the
-    /// dispatcher, so decisions still sum to launches); after `None` the
-    /// chain's own launches are dispatched and tallied one by one as
-    /// before.
-    fn native_arm(&self, grid_dim: usize) -> Option<NativeBackend<'_>> {
-        (self.route(grid_dim, true) == Route::Native).then(|| NativeBackend { dev: self.device() })
+    /// contracted launch on it instead of the chain.
+    fn native_arm(&self) -> Option<NativeBackend<'_>> {
+        (self.route(true) == Route::Native).then(|| NativeBackend { dev: self.device() })
     }
 
     /// Device configuration (forwarded).
@@ -308,9 +292,9 @@ pub trait ComputeBackend: Sync {
 const NO_CONTRACT: Option<fn() -> AccessContract> = None;
 
 /// The one parallel launch route: empty grids are no-ops on every backend
-/// (no routing decision, no launch overhead, no ledger entry, no trace span
-/// — callers need no empty-input guards), everything else runs on the
-/// engine `backend` routes it to.
+/// (no launch overhead, no ledger entry, no trace span — callers need no
+/// empty-input guards), everything else runs on the engine `backend`
+/// routes it to.
 fn dispatch<B, C, F>(
     backend: &B,
     name: &str,
@@ -327,7 +311,7 @@ where
         return LaunchStats::default();
     }
     let dev = backend.device();
-    match backend.route(grid_dim, contract.is_some()) {
+    match backend.route(contract.is_some()) {
         Route::Sim => dev.run_launch(name, grid_dim, contract, kernel),
         Route::Native => native_run(dev, name, grid_dim, contract, kernel),
     }
@@ -350,7 +334,7 @@ where
         return LaunchStats::default();
     }
     let dev = backend.device();
-    match backend.route(grid_dim, contract.is_some()) {
+    match backend.route(contract.is_some()) {
         Route::Sim => dev.run_launch_seq(name, grid_dim, contract, kernel),
         Route::Native => native_run_seq(dev, name, grid_dim, contract, kernel),
     }
@@ -469,7 +453,7 @@ impl ComputeBackend for Device {
         self
     }
 
-    fn route(&self, _grid_dim: usize, _contracted: bool) -> Route {
+    fn route(&self, _contracted: bool) -> Route {
         Route::Sim
     }
 }
@@ -492,7 +476,7 @@ impl ComputeBackend for SimBackend<'_> {
         self.dev
     }
 
-    fn route(&self, _grid_dim: usize, _contracted: bool) -> Route {
+    fn route(&self, _contracted: bool) -> Route {
         Route::Sim
     }
 }
@@ -524,114 +508,32 @@ impl ComputeBackend for NativeBackend<'_> {
         self.dev
     }
 
-    fn route(&self, _grid_dim: usize, _contracted: bool) -> Route {
+    fn route(&self, _contracted: bool) -> Route {
         Route::Native
-    }
-}
-
-/// Workload-size policy for [`BackendChoice::Auto`].
-///
-/// The grid size is the dispatcher's workload proxy: GSNP kernels put a
-/// fixed tile of work in each block, so blocks ∝ sites. The simulator
-/// prices and instruments every access, so its wall-clock cost grows with
-/// the work in the launch; the native path amortizes its rayon fan-out
-/// setup across blocks instead. Per-kernel `KernelTally.wall_seconds`
-/// measured on the launch-batching workload shows native cheaper than sim
-/// for every paper kernel once a grid spans a handful of blocks, and the
-/// sim's fixed setup negligible below that — so wide grids run native and
-/// sub-occupancy grids stay on the simulator.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoPolicy {
-    /// Minimum grid size (in blocks) routed to the native executor;
-    /// narrower grids run on the simulator. Calibrated from measured
-    /// per-kernel wall seconds; configurable as `--auto-threshold` on the
-    /// CLI.
-    pub native_min_blocks: usize,
-}
-
-impl Default for AutoPolicy {
-    fn default() -> Self {
-        AutoPolicy {
-            native_min_blocks: 8,
-        }
     }
 }
 
 /// Per-launch backend dispatch over one device.
 ///
 /// [`BackendChoice::Sim`] and [`BackendChoice::Native`] route every
-/// launch to the corresponding engine; [`BackendChoice::Auto`] decides
-/// per launch (the rule is on `pick`). `Auto` decisions are tallied on the
-/// ledger ([`BackendTallies`]) and, under a trace, recorded as
-/// `dispatch_sim` / `dispatch_native` instants on the kernel track.
+/// launch to the corresponding engine; [`BackendChoice::Auto`] routes by
+/// the device's features (the rule is on `route`).
 pub struct BackendDispatcher<'d> {
     dev: &'d Device,
     choice: BackendChoice,
-    policy: AutoPolicy,
 }
 
 impl<'d> BackendDispatcher<'d> {
-    /// Build a dispatcher with the default [`AutoPolicy`].
+    /// Build a dispatcher.
     ///
     /// # Errors
     /// Refuses [`BackendChoice::Native`] on a traced device (see
     /// [`NativeBackend::new`]); `Sim` and `Auto` accept any device.
     pub fn new(dev: &'d Device, choice: BackendChoice) -> Result<Self, BackendError> {
-        Self::with_policy(dev, choice, AutoPolicy::default())
-    }
-
-    /// Build a dispatcher with an explicit [`AutoPolicy`].
-    ///
-    /// # Errors
-    /// Same refusal rules as [`BackendDispatcher::new`].
-    pub fn with_policy(
-        dev: &'d Device,
-        choice: BackendChoice,
-        policy: AutoPolicy,
-    ) -> Result<Self, BackendError> {
         if choice == BackendChoice::Native {
             validate_native(dev)?;
         }
-        Ok(BackendDispatcher {
-            dev,
-            choice,
-            policy,
-        })
-    }
-
-    /// The configured backend choice.
-    pub fn choice(&self) -> BackendChoice {
-        self.choice
-    }
-
-    /// The engine for one launch, tallying nothing. Under `Auto`:
-    /// sub-occupancy grids stay on the simulator (see [`AutoPolicy`]), as
-    /// does every launch on a traced device (sim-only observables). A
-    /// sanitized device keeps *uncontracted* launches, which carry no
-    /// proof to run unobserved on; a verified contract substitutes for the
-    /// instrumented checking, so contracted ones may go native — except
-    /// under conformance, which must observe real accesses.
-    fn pick(&self, grid_dim: usize, contracted: bool) -> Route {
-        let dev = self.dev;
-        let unproved = if contracted {
-            dev.conformance_enabled()
-        } else {
-            dev.sanitizer_enabled()
-        };
-        let keep = dev.trace_enabled() || unproved || grid_dim < self.policy.native_min_blocks;
-        match self.choice {
-            BackendChoice::Native => Route::Native,
-            BackendChoice::Auto if !keep => Route::Native,
-            BackendChoice::Sim | BackendChoice::Auto => Route::Sim,
-        }
-    }
-
-    /// Tally `route` as one `Auto` decision (pinned choices decide nothing).
-    fn decided(&self, route: Route) -> Route {
-        if self.choice == BackendChoice::Auto {
-            self.dev.record_auto_decision(route == Route::Sim);
-        }
-        route
+        Ok(BackendDispatcher { dev, choice })
     }
 }
 
@@ -640,17 +542,24 @@ impl ComputeBackend for BackendDispatcher<'_> {
         self.dev
     }
 
-    fn route(&self, grid_dim: usize, contracted: bool) -> Route {
-        self.decided(self.pick(grid_dim, contracted))
-    }
-
-    /// Only a native answer is a decision: after `None` the chain's own
-    /// launches are routed, and tallied, one by one.
-    fn native_arm(&self, grid_dim: usize) -> Option<NativeBackend<'_>> {
-        (self.pick(grid_dim, true) == Route::Native).then(|| {
-            self.decided(Route::Native);
-            NativeBackend { dev: self.dev }
-        })
+    /// Under `Auto`, every launch on a traced device stays on the
+    /// simulator (sim-only observables). A sanitized device keeps
+    /// *uncontracted* launches, which carry no proof to run unobserved on;
+    /// a verified contract substitutes for the instrumented checking, so
+    /// contracted ones go native — except under conformance, which must
+    /// observe real accesses. Every other launch runs native.
+    fn route(&self, contracted: bool) -> Route {
+        let dev = self.dev;
+        let unproved = if contracted {
+            dev.conformance_enabled()
+        } else {
+            dev.sanitizer_enabled()
+        };
+        match self.choice {
+            BackendChoice::Native => Route::Native,
+            BackendChoice::Auto if !(dev.trace_enabled() || unproved) => Route::Native,
+            BackendChoice::Sim | BackendChoice::Auto => Route::Sim,
+        }
     }
 }
 
@@ -824,53 +733,34 @@ mod tests {
 
     #[test]
     fn auto_contracted_routes_native_under_plain_sanitizer() {
-        // Plain sanitizer (no conformance): a wide contracted launch may
-        // go native on the strength of the static proof.
+        // Plain sanitizer (no conformance): a contracted launch of any
+        // width goes native on the strength of the static proof.
+        let contracted = |disp: &BackendDispatcher<'_>, buf: &GlobalBuffer<u32>, grid: usize| {
+            disp.launch_contracted(
+                "fill",
+                grid,
+                || AccessContract::default().write(buf, crate::contract::Footprint::tiled(4, 32)),
+                |ctx| {
+                    let base = ctx.block_idx() * 4;
+                    for t in 0..4 {
+                        ctx.st_co(buf, base + t, 1);
+                    }
+                },
+            );
+        };
         let dev = Device::m2050().with_sanitizer(SanitizerConfig::all());
         let disp = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
         let buf: GlobalBuffer<u32> = dev.alloc(32);
-        disp.launch_contracted(
-            "wide",
-            8,
-            || AccessContract::default().write(&buf, crate::contract::Footprint::tiled(4, 32)),
-            |ctx| {
-                let base = ctx.block_idx() * 4;
-                for t in 0..4 {
-                    ctx.st_co(&buf, base + t, 1);
-                }
-            },
-        );
-        assert_eq!(dev.ledger().backend.auto_native, 1);
-        assert_eq!(dev.ledger().backend.native, 1);
+        contracted(&disp, &buf, 8);
+        contracted(&disp, &buf, 1);
+        assert_eq!(dev.ledger().backend, BackendTallies { sim: 0, native: 2 });
 
-        // A sub-occupancy contracted launch stays on the simulator even
-        // though the proof would admit it natively.
-        disp.launch_contracted(
-            "narrow",
-            1,
-            || AccessContract::default().write(&buf, crate::contract::Footprint::tiled(4, 32)),
-            |ctx| ctx.st_co(&buf, ctx.block_idx(), 1),
-        );
-        assert_eq!(dev.ledger().backend.auto_sim, 1);
-
-        // Conformance mode needs instrumented accesses: forced to sim
-        // regardless of grid width.
+        // Conformance mode needs instrumented accesses: forced to sim.
         let dev = Device::m2050().with_sanitizer(SanitizerConfig::all().with_conformance());
         let disp = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
         let buf: GlobalBuffer<u32> = dev.alloc(32);
-        disp.launch_contracted(
-            "wide",
-            8,
-            || AccessContract::default().write(&buf, crate::contract::Footprint::tiled(4, 32)),
-            |ctx| {
-                let base = ctx.block_idx() * 4;
-                for t in 0..4 {
-                    ctx.st_co(&buf, base + t, 1);
-                }
-            },
-        );
-        assert_eq!(dev.ledger().backend.auto_sim, 1);
-        assert_eq!(dev.ledger().backend.native, 0);
+        contracted(&disp, &buf, 8);
+        assert_eq!(dev.ledger().backend, BackendTallies { sim: 1, native: 0 });
     }
 
     #[test]
@@ -885,125 +775,51 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_by_grid_size_and_tallies_decisions() {
-        let dev = Device::m2050();
-        let disp = BackendDispatcher::with_policy(
-            &dev,
-            BackendChoice::Auto,
-            AutoPolicy {
-                native_min_blocks: 8,
-            },
-        )
-        .unwrap();
-        let buf: GlobalBuffer<u32> = dev.alloc(64);
-        disp.launch("small", 2, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
-        disp.launch("big", 32, |ctx| ctx.st_co(&buf, ctx.block_idx() % 64, 1));
-        disp.launch("empty", 0, |_ctx| panic!("must not run"));
-        let led = dev.ledger();
-        assert_eq!(led.backend.auto_native, 1);
-        assert_eq!(led.backend.auto_sim, 1);
-        assert_eq!(led.backend.native, 1);
-        assert_eq!(led.backend.sim, 1);
-        assert_eq!(led.launches, 2, "zero-grid launch records nothing");
-        // Per-kernel attribution distinguishes the backends: wide grids
-        // occupy the native fan-out, narrow grids stay on the simulator.
-        let tallies = dev.kernel_launches();
-        let find = |n: &str| tallies.iter().find(|t| t.name == n).unwrap();
-        assert_eq!(find("small").native_launches, 0);
-        assert_eq!(find("big").native_launches, 1);
-    }
-
-    #[test]
-    fn auto_threshold_is_configurable() {
-        // Raising the threshold pushes the same launch back to sim;
-        // dropping it to 1 sends everything native.
-        let dev = Device::m2050();
-        let disp = BackendDispatcher::with_policy(
-            &dev,
-            BackendChoice::Auto,
-            AutoPolicy {
-                native_min_blocks: 64,
-            },
-        )
-        .unwrap();
-        let buf: GlobalBuffer<u32> = dev.alloc(64);
-        disp.launch("mid", 32, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
-        assert_eq!(dev.ledger().backend.auto_sim, 1);
-
-        let dev = Device::m2050();
-        let disp = BackendDispatcher::with_policy(
-            &dev,
-            BackendChoice::Auto,
-            AutoPolicy {
-                native_min_blocks: 1,
-            },
-        )
-        .unwrap();
-        let buf: GlobalBuffer<u32> = dev.alloc(64);
-        disp.launch("one", 1, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
-        assert_eq!(dev.ledger().backend.auto_native, 1);
-    }
-
-    #[test]
     fn auto_forces_sim_under_sanitizer_and_trace() {
-        // Grids wide enough for the native path (≥ the default threshold)
-        // still go to the simulator when it owns required observables.
+        // An uncontracted launch on a sanitized device, and any launch on
+        // a traced one, stay on the simulator, which owns the observables.
         let dev = Device::m2050().with_sanitizer(SanitizerConfig::all());
         let disp = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
         let buf: GlobalBuffer<u32> = dev.alloc(8);
         disp.launch("tiny", 8, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
-        assert_eq!(dev.ledger().backend.auto_sim, 1);
-        assert_eq!(dev.ledger().backend.native, 0);
+        assert_eq!(dev.ledger().backend, BackendTallies { sim: 1, native: 0 });
 
         let rec = Arc::new(TraceRecorder::new(64));
         let dev = Device::m2050().with_trace(&rec, 0);
         let disp = BackendDispatcher::new(&dev, BackendChoice::Auto).unwrap();
         let buf: GlobalBuffer<u32> = dev.alloc(8);
         disp.launch("tiny", 8, |ctx| ctx.st_co(&buf, ctx.block_idx(), 1));
-        assert_eq!(dev.ledger().backend.auto_sim, 1);
-        assert_eq!(dev.ledger().backend.native, 0);
-        // The decision itself lands on the trace as an instant.
-        let snap = rec.snapshot();
-        let kernels = crate::TrackId(
-            snap.tracks
-                .iter()
-                .position(|t| t.thread == "kernels")
-                .unwrap() as u32,
-        );
-        assert_eq!(snap.count_events(kernels, "dispatch_sim"), 1);
+        assert_eq!(dev.ledger().backend, BackendTallies { sim: 1, native: 0 });
     }
 
     #[test]
-    fn native_arm_follows_the_backend_and_tallies_auto_once() {
+    fn native_arm_follows_the_backend() {
         let dev = Device::m2050();
-        assert!(dev.native_arm(1 << 20).is_none());
-        assert!(SimBackend::new(&dev).native_arm(1 << 20).is_none());
-        assert!(NativeBackend::new(&dev).unwrap().native_arm(0).is_some());
+        assert!(dev.native_arm().is_none());
+        assert!(SimBackend::new(&dev).native_arm().is_none());
+        assert!(NativeBackend::new(&dev).unwrap().native_arm().is_some());
         let pinned = |c| BackendDispatcher::new(&dev, c).unwrap();
-        assert!(pinned(BackendChoice::Sim).native_arm(1 << 20).is_none());
-        assert!(pinned(BackendChoice::Native).native_arm(0).is_some());
+        assert!(pinned(BackendChoice::Sim).native_arm().is_none());
+        assert!(pinned(BackendChoice::Native).native_arm().is_some());
         assert_eq!(dev.ledger().backend, BackendTallies::default());
 
-        // Auto: the contracted-launch rule on the chain's grid. Only a
-        // native answer is a decision; the arm's one launch goes straight
-        // to the executor, so decisions and launches stay equal.
+        // Auto: the contracted-launch rule. Asking records nothing; the
+        // arm's one launch goes straight to the executor.
         let auto = pinned(BackendChoice::Auto);
-        assert!(auto.native_arm(7).is_none());
+        let arm = auto.native_arm().expect("unobserved");
         assert_eq!(dev.ledger().backend, BackendTallies::default());
-        let arm = auto.native_arm(8).expect("grid at the threshold");
         arm.launch_contracted("host_form", 3, AccessContract::default, |_ctx| {});
-        let t = dev.ledger().backend;
-        assert_eq!((t.auto_native, t.auto_sim, t.native, t.sim), (1, 0, 1, 0));
+        assert_eq!(dev.ledger().backend, BackendTallies { sim: 0, native: 1 });
         assert_eq!(dev.ledger().launches, 1);
 
         // Sim-only observables keep the chain on the simulator.
         let rec = Arc::new(TraceRecorder::new(64));
         let traced = Device::m2050().with_trace(&rec, 0);
         let auto = BackendDispatcher::new(&traced, BackendChoice::Auto).unwrap();
-        assert!(auto.native_arm(1 << 20).is_none());
+        assert!(auto.native_arm().is_none());
         let conf = Device::m2050().with_sanitizer(SanitizerConfig::all().with_conformance());
         let auto = BackendDispatcher::new(&conf, BackendChoice::Auto).unwrap();
-        assert!(auto.native_arm(1 << 20).is_none());
+        assert!(auto.native_arm().is_none());
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub mod sanitizer;
 pub mod trace;
 
 pub use backend::{
-    AutoPolicy, BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend,
-    NativeBackend, Route, SimBackend,
+    BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend, NativeBackend,
+    Route, SimBackend,
 };
 pub use buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
 pub use config::DeviceConfig;

@@ -11,9 +11,8 @@
 use std::sync::Arc;
 
 use gpu_sim::{
-    AccessContract, AutoPolicy, BackendChoice, BackendDispatcher, BackendTallies, ComputeBackend,
-    Device, Footprint, GlobalBuffer, KernelCtx, NativeBackend, SanitizerConfig, SimBackend,
-    TraceRecorder, TrackId,
+    AccessContract, BackendChoice, BackendDispatcher, BackendTallies, ComputeBackend, Device,
+    Footprint, GlobalBuffer, KernelCtx, NativeBackend, SanitizerConfig, SimBackend, TraceRecorder,
 };
 
 const TILE: usize = 4;
@@ -44,18 +43,12 @@ fn four_launches<B: ComputeBackend>(b: &B, grid: usize) {
     }
 }
 
-/// What one non-empty round of [`four_launches`] must leave behind.
-struct Expect {
-    /// Launches per name that ran on the native executor, in [`NAMES`] order.
-    native: [bool; 4],
-    /// Whether an `Auto` dispatcher routed them.
-    auto: bool,
-}
-
 const ALL_SIM: [bool; 4] = [false; 4];
 const ALL_NATIVE: [bool; 4] = [true; 4];
 
-fn check<B: ComputeBackend>(what: &str, b: &B, grid: usize, want: Expect) {
+/// One empty and one non-empty round of [`four_launches`]; `native` says
+/// which of [`NAMES`] must have run on the native executor.
+fn check<B: ComputeBackend>(what: &str, b: &B, grid: usize, native: [bool; 4]) {
     let dev = b.device();
     four_launches(b, 0);
     assert_eq!(
@@ -69,14 +62,12 @@ fn check<B: ComputeBackend>(what: &str, b: &B, grid: usize, want: Expect) {
 
     four_launches(b, grid);
     let led = dev.ledger();
-    let natives = want.native.iter().filter(|&&n| n).count() as u64;
+    let natives = native.iter().filter(|&&n| n).count() as u64;
     assert_eq!(led.launches, 4, "{what}");
     assert_eq!(led.transfers, 0, "{what}");
     let tallies = BackendTallies {
         sim: 4 - natives,
         native: natives,
-        auto_sim: if want.auto { 4 - natives } else { 0 },
-        auto_native: if want.auto { natives } else { 0 },
     };
     assert_eq!(led.backend, tallies, "{what}");
     assert_eq!(led.backend.sim + led.backend.native, led.launches, "{what}");
@@ -84,7 +75,7 @@ fn check<B: ComputeBackend>(what: &str, b: &B, grid: usize, want: Expect) {
     let overhead = dev.config().launch_overhead;
     let kernels = dev.kernel_launches();
     assert_eq!(kernels.len(), 4, "{what}");
-    for (name, &native) in NAMES.iter().zip(&want.native) {
+    for (name, &native) in NAMES.iter().zip(&native) {
         let t = kernels.iter().find(|t| t.name == *name).unwrap();
         assert_eq!(t.launches, 1, "{what}/{name}");
         assert_eq!(t.native_launches, u64::from(native), "{what}/{name}");
@@ -120,55 +111,39 @@ fn auto(dev: &Device) -> BackendDispatcher<'_> {
 #[test]
 fn every_entry_point_lands_on_the_engine_its_backend_routes_to() {
     let plain = || Device::m2050().with_contracts();
-    let pinned = |sim| Expect {
-        native: if sim { ALL_SIM } else { ALL_NATIVE },
-        auto: false,
-    };
 
-    check("Device", &plain(), 8, pinned(true));
-    check("SimBackend", &SimBackend::new(&plain()), 8, pinned(true));
+    check("Device", &plain(), 8, ALL_SIM);
+    check("SimBackend", &SimBackend::new(&plain()), 8, ALL_SIM);
     let dev = plain();
     check(
         "NativeBackend",
         &NativeBackend::new(&dev).unwrap(),
         8,
-        pinned(false),
+        ALL_NATIVE,
     );
     let dev = plain();
     let disp = BackendDispatcher::new(&dev, BackendChoice::Sim).unwrap();
-    check("dispatcher sim", &disp, 8, pinned(true));
+    check("dispatcher sim", &disp, 8, ALL_SIM);
     let dev = plain();
     let disp = BackendDispatcher::new(&dev, BackendChoice::Native).unwrap();
-    check("dispatcher native", &disp, 8, pinned(false));
+    check("dispatcher native", &disp, 8, ALL_NATIVE);
 
-    // Auto: the grid against the threshold…
-    let routed = |native| Expect { native, auto: true };
-    check("auto at threshold", &auto(&plain()), 8, routed(ALL_NATIVE));
-    check("auto below threshold", &auto(&plain()), 7, routed(ALL_SIM));
-    let dev = plain();
-    let policy = AutoPolicy {
-        native_min_blocks: 2,
-    };
-    let disp = BackendDispatcher::with_policy(&dev, BackendChoice::Auto, policy).unwrap();
-    check("auto, lowered threshold", &disp, 2, routed(ALL_NATIVE));
+    // Auto: native at any grid…
+    check("auto, one block", &auto(&plain()), 1, ALL_NATIVE);
+    check("auto, eight blocks", &auto(&plain()), 8, ALL_NATIVE);
 
     // …unless the simulator owns an observable the run asked for. A trace
-    // keeps everything, and shows each decision on the kernel track.
+    // keeps everything.
     let rec = Arc::new(TraceRecorder::new(256));
     let dev = plain().with_trace(&rec, 0);
-    check("auto traced", &auto(&dev), 8, routed(ALL_SIM));
-    let snap = rec.snapshot();
-    let kernels = snap.tracks.iter().position(|t| t.thread == "kernels");
-    let kernels = TrackId(kernels.unwrap() as u32);
-    assert_eq!(snap.count_events(kernels, "dispatch_sim"), 4);
-    assert_eq!(snap.count_events(kernels, "dispatch_native"), 0);
+    check("auto traced", &auto(&dev), 8, ALL_SIM);
 
     // A sanitizer keeps what carries no proof; a contract is the ticket.
+    // One stream, both engines.
     let dev = plain().with_sanitizer(SanitizerConfig::all());
-    let split = [false, false, true, true];
-    check("auto sanitized", &auto(&dev), 8, routed(split));
+    check("auto sanitized", &auto(&dev), 8, [false, false, true, true]);
 
     // Conformance compares observed accesses with declared ones.
     let dev = plain().with_sanitizer(SanitizerConfig::all().with_conformance());
-    check("auto conformance", &auto(&dev), 8, routed(ALL_SIM));
+    check("auto conformance", &auto(&dev), 8, ALL_SIM);
 }

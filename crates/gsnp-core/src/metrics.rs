@@ -292,9 +292,8 @@ fn run_metrics(
     // mid-run, here with the run's final contents.
     stats.hists.push_metrics(&mut m);
 
-    // ---- backend dispatch (group sum) ----
-    // Which compute backend executed each launch, and — for Auto — which
-    // way every dispatch decision went. `sim + native == launches`.
+    // ---- backends (group sum) ----
+    // Which compute backend executed each launch. `sim + native == launches`.
     let mut backend = gpu_sim::BackendTallies::default();
     for led in &stats.ledgers {
         backend.sum(&led.backend);
@@ -305,15 +304,6 @@ fn run_metrics(
             "Kernel launches by compute backend (group sum)",
             Counter,
             &[("backend", name)],
-            v as f64,
-        );
-    }
-    for (decision, v) in [("sim", backend.auto_sim), ("native", backend.auto_native)] {
-        m.push(
-            "gsnp_backend_dispatch_total",
-            "Auto-dispatch decisions by chosen backend (group sum)",
-            Counter,
-            &[("decision", decision)],
             v as f64,
         );
     }

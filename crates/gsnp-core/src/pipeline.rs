@@ -41,8 +41,7 @@ use std::time::Instant;
 use compress::column;
 use compress::input_codec::{self, TempChunks, TempInput};
 use gpu_sim::{
-    AutoPolicy, BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup,
-    LaunchStats,
+    BackendChoice, BackendDispatcher, ComputeBackend, DeviceConfig, DeviceGroup, LaunchStats,
 };
 use rayon::prelude::*;
 use seqio::fasta::Reference;
@@ -195,8 +194,6 @@ pub struct GsnpConfig {
     pub params: ModelParams,
     /// Which `likelihood_comp` kernel to run (GSNP uses `Optimized`).
     pub variant: KernelVariant,
-    /// Run output RLE-DICT columns on the device (§V-B).
-    pub gpu_output: bool,
     /// Bounded-channel depth of the window loop. `1` (on one device) runs
     /// the stages in order on one thread; `2` (the default) double-buffers —
     /// window *k*'s host stages overlap window *k+1*'s device stage.
@@ -244,15 +241,10 @@ pub struct GsnpConfig {
     /// simulator (`Sim`, the default — source of truth for Table III
     /// counters, sanitizer, and trace), the uninstrumented rayon host
     /// executor (`Native`, bit-identical results at real wall-clock
-    /// speed), or per-launch adaptive dispatch (`Auto`). `Native` refuses
-    /// a traced run ([`Observers::trace`]); `Auto` falls back to the
-    /// simulator for the launches that need it.
+    /// speed), or `Auto`: native except for the launches a trace, the
+    /// sanitizer or conformance needs on the simulator. `Native` refuses a
+    /// traced run ([`Observers::trace`]).
     pub backend: BackendChoice,
-    /// Routing policy for the `Auto` backend (ignored by `Sim`/`Native`).
-    /// [`AutoPolicy::native_min_blocks`] is the occupancy threshold below
-    /// which a launch stays on the simulator; the CLI exposes it as
-    /// `--auto-threshold`.
-    pub auto: AutoPolicy,
     /// Pre-calibrated score tables to run against, skipping this run's own
     /// `cal_p_matrix`/`precompute` pass. `None` (the default) calibrates
     /// from the input reads as usual. The cohort pipeline sets this so one
@@ -268,7 +260,6 @@ impl Default for GsnpConfig {
             device: DeviceConfig::tesla_m2050(),
             params: ModelParams::default(),
             variant: KernelVariant::Optimized,
-            gpu_output: true,
             pipeline_depth: 2,
             launch_batch: 0,
             num_devices: 1,
@@ -276,7 +267,6 @@ impl Default for GsnpConfig {
             sanitize: false,
             contracts: false,
             backend: BackendChoice::Sim,
-            auto: AutoPolicy::default(),
             shared_tables: None,
         }
     }
@@ -304,7 +294,6 @@ impl GsnpConfig {
             device,
             params,
             variant,
-            gpu_output,
             pipeline_depth,
             launch_batch,
             num_devices,
@@ -312,20 +301,18 @@ impl GsnpConfig {
             sanitize,
             contracts,
             backend,
-            auto,
             shared_tables,
         } = self;
         format!(
             "{{\"window_size\":{window_size},\"num_devices\":{num_devices},\
              \"launch_batch\":{launch_batch},\"launch_batch_effective\":{},\
              \"pipeline_depth\":{pipeline_depth},\"backend\":\"{}\",\
-             \"auto_threshold\":{},\"contracts\":{contracts},\"sanitize\":{sanitize},\
-             \"variant\":\"{}\",\"gpu_output\":{gpu_output},\"pooled\":{pooled},\
+             \"contracts\":{contracts},\"sanitize\":{sanitize},\
+             \"variant\":\"{}\",\"pooled\":{pooled},\
              \"device\":\"{}\",\"het_rate\":{},\"hom_rate\":{},\"titv_ratio\":{},\
              \"pseudocount\":{},\"expected_depth\":{},\"shared_tables\":{}}}",
             self.launch_batch_size(),
             backend.name(),
-            auto.native_min_blocks,
             variant.label(),
             crate::journal::json_escape(device.name),
             params.het_rate,
@@ -829,16 +816,13 @@ pub(crate) fn run_window_loop(
     tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
     tracker.begin_lanes(group.len());
     // One per-device dispatcher routes every kernel launch to the
-    // configured backend. Construction refuses `Native` when sim-only
-    // features (sanitizer, trace) are attached; `Auto` falls back to
-    // the simulator for those launches instead.
+    // configured backend. Construction refuses `Native` on a traced run;
+    // `Auto` keeps the launches a trace or sanitizer needs on the
+    // simulator instead.
     let dispatchers: Vec<BackendDispatcher<'_>> = group
         .devices()
         .iter()
-        .map(|d| {
-            BackendDispatcher::with_policy(d, cfg.backend, cfg.auto)
-                .unwrap_or_else(|e| panic!("gsnp: {e}"))
-        })
+        .map(|d| BackendDispatcher::new(d, cfg.backend).unwrap_or_else(|e| panic!("gsnp: {e}")))
         .collect();
     let mut times = ComponentTimes::default();
     let mut wall = ComponentTimes::default();
@@ -1022,14 +1006,8 @@ pub(crate) fn run_window_loop(
             // (`tests/batch_parity.rs`), so each sample's stream is
             // byte-identical at any (samples, batch, depth, devices).
             frames.clear();
-            let out_stats = if cfg.gpu_output {
-                column::write_windows_gpu_batch(&dispatchers[dev], &mut frames, &batch_tables)
-            } else {
-                for table in &batch_tables {
-                    column::write_window(&mut frames, table);
-                }
-                LaunchStats::default()
-            };
+            let out_stats =
+                column::write_windows_gpu_batch(&dispatchers[dev], &mut frames, &batch_tables);
             out_model += out_stats.sim_time;
             output_bytes[sample] += frames.len() as u64;
             if let Err(e) = sink.write_batch(sample, batch_tables, &frames) {
@@ -1041,7 +1019,7 @@ pub(crate) fn run_window_loop(
         out_wall += dt;
         // Device columns overlap host columns; charge the slower plus the
         // (dominant) host write of the compressed bytes.
-        out_model += if cfg.gpu_output { dt * 0.25 } else { dt };
+        out_model += dt * 0.25;
         ControlFlow::Continue(())
     };
 
@@ -1186,10 +1164,10 @@ struct BatchScratch {
 /// byte count the posterior stage charges for reading back.
 ///
 /// Where that chain would execute on the host (asked once per batch,
-/// [`ComputeBackend::native_arm`] over the fused launch's grid) the stage
-/// is its native arm instead: ONE launch that sorts, scores and calls the
-/// batch in place in its windows' own word arrays and leaves each arena its
-/// rows ([`likelihood_host_sites`]). Nothing is staged, copied, uploaded,
+/// [`ComputeBackend::native_arm`]) the stage is its native arm instead:
+/// ONE launch that sorts, scores and calls the batch in place in its
+/// windows' own word arrays and leaves each arena its rows
+/// ([`likelihood_host_sites`]). Nothing is staged, copied, uploaded,
 /// pooled, read back or scattered — no `sw` or `type_likely` vector is
 /// sized — so the device holds its tables and nothing else and the
 /// posterior stage has nothing to fetch or call.
@@ -1208,10 +1186,7 @@ fn run_device_batch<B: ComputeBackend>(
     stats: &mut PipelineStats,
 ) -> u64 {
     let total_sites: usize = batch.iter().map(|arena| arena.window.len()).sum();
-    let arm = variant
-        .uses_new_table()
-        .then(|| dev.native_arm(total_sites.div_ceil(SITES_PER_BLOCK)))
-        .flatten();
+    let arm = variant.uses_new_table().then(|| dev.native_arm()).flatten();
     if let Some(native) = arm {
         let t0 = Instant::now();
         let comp_stats = likelihood_host_sites(&native, tables, calls, batch);
@@ -1396,8 +1371,8 @@ pub struct GsnpCpuPipeline {
 }
 
 impl GsnpCpuPipeline {
-    /// Create a CPU pipeline (the `device`, `variant`, and `gpu_output`
-    /// fields of the config are ignored).
+    /// Create a CPU pipeline (the `device` and `variant` fields of the
+    /// config are ignored).
     pub fn new(config: GsnpConfig) -> Self {
         GsnpCpuPipeline { config }
     }
@@ -1738,14 +1713,10 @@ mod tests {
     }
 
     #[test]
-    fn gpu_output_is_byte_identical_to_cpu_output() {
+    fn device_output_is_byte_identical_to_cpu_output() {
         let d = Dataset::generate(SynthConfig::tiny(69));
         let gpu = run(tiny_cfg(), &d);
-        let cfg = GsnpConfig {
-            gpu_output: false,
-            ..tiny_cfg()
-        };
-        let cpu = run(cfg, &d);
+        let cpu = run_cpu(tiny_cfg(), &d);
         assert_eq!(gpu.compressed, cpu.compressed);
     }
 

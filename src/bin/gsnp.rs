@@ -7,15 +7,15 @@
 //! gsnp call    <alignments.soap> <reference.fa> <priors.txt> <out.gsnp>
 //!              [--window N] [--devices N] [--batch N] [--backend B] [--cpu]
 //!              [--contracts] [--text <out.txt>] [--trace <out.json>]
-//!              [--metrics <out.prom>] [--auto-threshold N]
+//!              [--metrics <out.prom>]
 //!              [--progress] [--quiet|-q] [--journal <run.jsonl>]
 //!              [--stats-addr HOST:PORT] [--stats-hold MS]
 //! gsnp call    --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir>
 //!              [--min-quality Q] [--min-depth D] [--bad-sites <file>]
 //!              [--bad-site-threshold N] [...call flags]
 //! gsnp profile [--sites N] [--depth X] [--window N] [--devices N]
-//!              [--pipeline-depth N] [--batch N] [--backend B] [--seed S]
-//!              [--samples N] [--auto-threshold N] [--trace <out.json>]
+//!              [--pipeline-depth N] [--batch N] [--seed S]
+//!              [--samples N] [--trace <out.json>]
 //! gsnp analyze [--sites N] [--window N] [--seed S]
 //! gsnp decode  <in.gsnp> [<out.txt>]
 //! gsnp stats   <in.gsnp> [--format prom]
@@ -117,9 +117,9 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: gsnp <synth|call|profile|analyze|decode|stats|report|validate-trace> ...\n\
                  synth  <out_dir> [--sites N] [--depth X] [--seed S] [--samples N] [--shared-rate X]\n\
-                 call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native|auto] [--auto-threshold N] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl] [--stats-addr HOST:PORT] [--stats-hold MS]\n\
+                 call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native|auto] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl] [--stats-addr HOST:PORT] [--stats-hold MS]\n\
                  call   --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir> [--min-quality Q] [--min-depth D] [--bad-sites file] [--bad-site-threshold N] [...call flags]\n\
-                 profile [--sites N] [--depth X] [--window N] [--devices N] [--pipeline-depth N] [--batch N] [--backend sim|auto] [--auto-threshold N] [--seed S] [--samples N] [--trace out.json]\n\
+                 profile [--sites N] [--depth X] [--window N] [--devices N] [--pipeline-depth N] [--batch N] [--seed S] [--samples N] [--trace out.json]\n\
                  analyze [--sites N] [--window N] [--seed S]\n\
                  decode <in.gsnp> [<out.txt>]\n\
                  stats  <in.gsnp> [--format prom]\n\
@@ -191,20 +191,15 @@ fn window_flag(args: &[String]) -> Result<Option<usize>, Box<dyn std::error::Err
 }
 
 /// The computation `call`, `call --cohort` and `profile` are asked for,
-/// from the flags they share. `--auto-threshold` is the minimum grid (in
-/// blocks) `--backend auto` sends to the native executor; smaller launches
-/// stay on the simulator, where the per-launch fixed cost is lower.
-/// `profile` runs small synthetic inputs (16 000-site windows by default),
-/// alone takes `--pipeline-depth`, and has no `--contracts`.
+/// from the flags they share. `profile` runs small synthetic inputs
+/// (16 000-site windows by default), alone takes `--pipeline-depth`, and
+/// has no `--contracts` and no `--backend`: it always traces, so it always
+/// runs on the simulator.
 fn compute_config(
     args: &[String],
     profile: bool,
 ) -> Result<GsnpConfig, Box<dyn std::error::Error>> {
     let defaults = GsnpConfig::default();
-    let mut auto = defaults.auto;
-    if let Some(n) = parse_flag(args, "--auto-threshold")? {
-        auto.native_min_blocks = n;
-    }
     let num_devices = parse_flag(args, "--devices")?.unwrap_or(1);
     if num_devices == 0 {
         return Err("--devices must be at least 1".into());
@@ -223,7 +218,6 @@ fn compute_config(
         launch_batch: parse_flag(args, "--batch")?.unwrap_or(0),
         contracts: !profile && has_flag(args, "--contracts"),
         backend: backend_flag(args)?,
-        auto,
         ..defaults
     })
 }
@@ -253,7 +247,6 @@ const CALL_FLAGS: &Flags = &[
     ("--text", true),
     ("--trace", true),
     ("--metrics", true),
-    ("--auto-threshold", true),
     ("--progress", false),
     ("--quiet", false),
     ("-q", false),
@@ -269,7 +262,6 @@ const DEVICE_ONLY_FLAGS: &[&str] = &[
     "--devices",
     "--batch",
     "--backend",
-    "--auto-threshold",
     "--contracts",
     "--progress",
     "--stats-addr",
@@ -290,10 +282,8 @@ const PROFILE_FLAGS: &Flags = &[
     ("--devices", true),
     ("--pipeline-depth", true),
     ("--batch", true),
-    ("--backend", true),
     ("--seed", true),
     ("--samples", true),
-    ("--auto-threshold", true),
     ("--trace", true),
 ];
 const ANALYZE_FLAGS: &Flags = &[("--sites", true), ("--window", true), ("--seed", true)];
@@ -919,11 +909,6 @@ fn cmd_profile(args: &[String]) -> CliResult {
     synth.read_len = 100;
 
     let cfg = compute_config(args, true)?;
-    if cfg.backend == BackendChoice::Native {
-        return Err("profile always traces, and kernel counters are sim-only; \
-             use --backend sim or auto (auto dispatches all-sim under trace)"
-            .into());
-    }
     writeln!(out, "config: {}", cfg.manifest_json())?;
     let recorder = Arc::new(TraceRecorder::new(gsnp::gpu_sim::trace::DEFAULT_CAPACITY));
     let traced = Observers {
@@ -1058,8 +1043,8 @@ fn print_profile(
         writeln!(out, "\nper-kernel launch tallies (group sum)")?;
         writeln!(
             out,
-            "  {:<24} {:>8} {:>8} {:>14} {:>14} {:>10}",
-            "kernel", "launches", "backend", "launches/site", "overhead-sec", "wall-sec"
+            "  {:<24} {:>8} {:>14} {:>14} {:>10}",
+            "kernel", "launches", "launches/site", "overhead-sec", "wall-sec"
         )?;
         let mut launches = 0u64;
         let mut overhead = 0.0;
@@ -1068,19 +1053,11 @@ fn print_profile(
             launches += tally.launches;
             overhead += tally.overhead_seconds;
             wall += tally.wall_seconds;
-            let backend = if tally.native_launches == 0 {
-                "sim"
-            } else if tally.native_launches == tally.launches {
-                "native"
-            } else {
-                "mixed"
-            };
             writeln!(
                 out,
-                "  {:<24} {:>8} {:>8} {:>14.6} {:>14.6} {:>10.4}",
+                "  {:<24} {:>8} {:>14.6} {:>14.6} {:>10.4}",
                 tally.name,
                 tally.launches,
-                backend,
                 tally.launches as f64 / sites,
                 tally.overhead_seconds,
                 tally.wall_seconds
@@ -1088,23 +1065,21 @@ fn print_profile(
         }
         writeln!(
             out,
-            "  {:<24} {:>8} {:>8} {:>14.6} {:>14.6} {:>10.4}",
+            "  {:<24} {:>8} {:>14.6} {:>14.6} {:>10.4}",
             "total",
             launches,
-            "",
             launches as f64 / sites,
             overhead,
             wall
         )?;
-        // Backend dispatch totals (Auto decisions included).
         let mut backend = gsnp::gpu_sim::BackendTallies::default();
         for led in &stats.ledgers {
             backend.sum(&led.backend);
         }
         writeln!(
             out,
-            "  backend launches: {} sim, {} native (auto decisions: {} sim, {} native)",
-            backend.sim, backend.native, backend.auto_sim, backend.auto_native
+            "  backend launches: {} sim, {} native",
+            backend.sim, backend.native
         )?;
     }
 

@@ -1,19 +1,26 @@
 //! The tentpole guarantee of pluggable compute backends: whichever
 //! executor runs the kernels — the instrumented simulator, the native
-//! rayon host executor, or the per-launch adaptive dispatcher — GSNP's
-//! results are byte-identical: the per-window tables AND the compressed
-//! result file, at every `(launch_batch, pipeline_depth, num_devices)`
-//! combination the window loop supports. Backends only change *how* a
-//! launch executes, never what it computes (§IV-G discipline applied to
-//! the execution axis). Alongside identity, the ledger's backend tallies
-//! must show the point of the exercise: a `Native` run executes every
-//! launch natively, an `Auto` run records a per-launch decision split.
+//! rayon host executor, or the `Auto` rule between them — GSNP's results
+//! are byte-identical: the per-window tables AND the compressed result
+//! file, at every `(launch_batch, pipeline_depth, num_devices)` combination
+//! the window loop supports. Backends only change *how* a launch executes,
+//! never what it computes (§IV-G discipline applied to the execution axis).
+//! Alongside identity, the tallies must show the rule: a `Native` run
+//! executes every launch natively, an unobserved `Auto` run IS a `Native`
+//! run, and an `Auto` run under a trace or conformance is a `Sim` run.
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{Ran, RunCollected};
+use gsnp::compress::column::write_windows_gpu_batch;
 use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
-use gsnp::gpu_sim::{BackendChoice, BackendTallies};
+use gsnp::core::Observers;
+use gsnp::gpu_sim::{
+    BackendChoice, BackendDispatcher, BackendTallies, Device, KernelTally, SanitizerConfig,
+    TraceRecorder,
+};
 use gsnp::seqio::soap::AlignedRead;
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
@@ -52,9 +59,18 @@ fn backend_tallies(out: &Ran) -> BackendTallies {
     t
 }
 
-/// Native × batch {1, 8} × depth {1, 4} × devices {1, 4}: every
-/// combination is byte-identical to the serial simulator reference, and
-/// every launch of every native run executed on the native backend.
+/// Where each kernel ran: `(name, launches, native launches)`, by name.
+fn routes(tallies: &[KernelTally]) -> Vec<(String, u64, u64)> {
+    let routes = tallies
+        .iter()
+        .map(|t| (t.name.clone(), t.launches, t.native_launches));
+    routes.collect()
+}
+
+/// Native and Auto × batch {1, 8} × depth {1, 4} × devices {1, 4}: every
+/// combination is byte-identical to the serial simulator reference, every
+/// launch of every native run executed on the native backend, and every
+/// unobserved auto run launched exactly what the native run launched.
 #[test]
 fn native_grid_is_byte_identical_to_sim() {
     let d = dataset(0xBACE, 8_000);
@@ -70,64 +86,76 @@ fn native_grid_is_byte_identical_to_sim() {
     for launch_batch in [1usize, 8] {
         for pipeline_depth in [1usize, 4] {
             for num_devices in [1usize, 4] {
-                let out = run(
-                    &d,
-                    &d.reads,
-                    cfg(
-                        BackendChoice::Native,
-                        launch_batch,
-                        pipeline_depth,
-                        num_devices,
-                    ),
-                );
-                let shape =
-                    format!("native batch {launch_batch} depth {pipeline_depth} x{num_devices}");
-                assert_eq!(out.tables, reference.tables, "{shape}: tables diverged");
+                let shape = format!("batch {launch_batch} depth {pipeline_depth} x{num_devices}");
+                let at = |backend| cfg(backend, launch_batch, pipeline_depth, num_devices);
+                let native = run(&d, &d.reads, at(BackendChoice::Native));
+                let auto = run(&d, &d.reads, at(BackendChoice::Auto));
+                for (name, out) in [("native", &native), ("auto", &auto)] {
+                    assert_eq!(out.tables, reference.tables, "{name} {shape}: tables");
+                    assert_eq!(
+                        out.compressed, reference.compressed,
+                        "{name} {shape}: compressed stream diverged"
+                    );
+                    let t = backend_tallies(out);
+                    assert_eq!(t.sim, 0, "{name} {shape}: no launch may hit the simulator");
+                    assert!(
+                        t.native > 0,
+                        "{name} {shape}: native launches must be tallied"
+                    );
+                }
                 assert_eq!(
-                    out.compressed, reference.compressed,
-                    "{shape}: compressed stream diverged"
-                );
-                let t = backend_tallies(&out);
-                assert_eq!(t.sim, 0, "{shape}: no launch may hit the simulator");
-                assert!(t.native > 0, "{shape}: native launches must be tallied");
-                assert_eq!(
-                    t.auto_sim + t.auto_native,
-                    0,
-                    "{shape}: a pinned backend records no auto decisions"
+                    routes(&auto.stats.kernel_launches),
+                    routes(&native.stats.kernel_launches),
+                    "{shape}: unobserved auto launches what native launches"
                 );
             }
         }
     }
 }
 
-/// The adaptive dispatcher routes launch-by-launch — small grids to the
-/// native executor, device-sized grids to the modelled GPU — and the
-/// resulting mixed stream is still byte-identical to both pinned runs.
+/// A trace and conformance each need the simulator's observables, so an
+/// `Auto` run under either launches exactly what a `Sim` run launches —
+/// the device stage's and the output stage's chains included — and writes
+/// the same bytes.
 #[test]
-fn auto_mixed_stream_is_byte_identical() {
+fn observed_auto_runs_every_launch_on_the_simulator() {
     let d = dataset(0xD15C, 6_000);
-    let sim = run(&d, &d.reads, cfg(BackendChoice::Sim, 1, 2, 1));
-    let auto = run(&d, &d.reads, cfg(BackendChoice::Auto, 1, 2, 1));
-    assert_eq!(auto.tables, sim.tables, "auto tables diverged");
-    assert_eq!(auto.compressed, sim.compressed, "auto stream diverged");
-
-    let t = backend_tallies(&auto);
+    let sim = run(&d, &d.reads, cfg(BackendChoice::Sim, 2, 2, 1));
+    let traced = GsnpPipeline::new(cfg(BackendChoice::Auto, 2, 2, 1))
+        .observed(Observers {
+            trace: Some(Arc::new(TraceRecorder::new(1 << 16))),
+            ..Default::default()
+        })
+        .run_collected(&d.reads, &d.reference, &d.priors);
+    assert_eq!(traced.tables, sim.tables, "traced auto tables diverged");
+    assert_eq!(traced.compressed, sim.compressed, "traced auto stream");
+    assert_eq!(backend_tallies(&traced), backend_tallies(&sim));
     assert_eq!(
-        t.auto_sim + t.auto_native,
-        t.sim + t.native,
-        "every auto launch records exactly one decision"
+        routes(&traced.stats.kernel_launches),
+        routes(&sim.stats.kernel_launches)
     );
-    assert!(
-        t.auto_sim > 0 && t.auto_native > 0,
-        "workload must exercise both arms of the dispatcher (got {}/{})",
-        t.auto_sim,
-        t.auto_native
+
+    // The pipeline has no conformance switch; its output stage, driven
+    // directly on a conformance device, keeps the chain.
+    let plain = Device::m2050();
+    let mut want = Vec::new();
+    write_windows_gpu_batch(&plain, &mut want, &sim.tables);
+    let conf = Device::m2050().with_sanitizer(SanitizerConfig::all().with_conformance());
+    let auto = BackendDispatcher::new(&conf, BackendChoice::Auto).unwrap();
+    let mut got = Vec::new();
+    write_windows_gpu_batch(&auto, &mut got, &sim.tables);
+    assert_eq!(got, want);
+    assert_eq!(conf.ledger().backend, plain.ledger().backend);
+    assert_eq!(
+        routes(&conf.kernel_launches()),
+        routes(&plain.kernel_launches())
     );
+    assert_eq!(conf.ledger().backend.native, 0);
 }
 
 /// Launches of `kernel` over a run's devices: `(all, native)`.
 fn kernel_launches(out: &Ran, kernel: &str) -> (u64, u64) {
-    let of = |f: fn(&gsnp::gpu_sim::KernelTally) -> u64| {
+    let of = |f: fn(&KernelTally) -> u64| {
         let tallies = &out.stats.kernel_launches;
         tallies.iter().filter(|t| t.name == kernel).map(f).sum()
     };
@@ -135,10 +163,8 @@ fn kernel_launches(out: &Ran, kernel: &str) -> (u64, u64) {
 }
 
 /// The output stage's native arm is asked for once per batch. `Native`
-/// always takes it, and every launch of the run is still tallied native;
-/// `Auto` takes it when the chain's grid clears the threshold — tallying
-/// ONE decision for its one launch, so decisions still sum to launches —
-/// and leaves a sub-threshold chain to the simulator, launch by launch.
+/// and unobserved `Auto` always take it — ONE launch per batch, and every
+/// launch of the run still tallied native.
 #[test]
 fn output_arm_keeps_the_backend_tallies_whole() {
     let d = dataset(0x0A7B, 6_000);
@@ -146,65 +172,38 @@ fn output_arm_keeps_the_backend_tallies_whole() {
     let batches = sim.stats.windows.div_ceil(2);
     assert_eq!(kernel_launches(&sim, "rledict_host_jobs"), (0, 0));
 
-    let native = run(&d, &d.reads, cfg(BackendChoice::Native, 2, 2, 1));
-    assert_eq!(native.compressed, sim.compressed);
-    assert_eq!(
-        kernel_launches(&native, "rledict_host_jobs"),
-        (batches, batches)
-    );
-    let t = backend_tallies(&native);
-    assert_eq!((t.sim, t.auto_sim + t.auto_native), (0, 0));
-    let launched: u64 = native.stats.ledgers.iter().map(|l| l.launches).sum();
-    assert_eq!(
-        t.native, launched,
-        "every native-run launch is tallied native"
-    );
-
-    // 700-site windows: 2 × 700 × 7 column elements = 39 blocks ≥ 8.
-    let auto = run(&d, &d.reads, cfg(BackendChoice::Auto, 2, 2, 1));
-    assert_eq!(auto.compressed, sim.compressed);
-    assert_eq!(
-        kernel_launches(&auto, "rledict_host_jobs"),
-        (batches, batches)
-    );
-    assert_eq!(kernel_launches(&auto, "rle_flags"), (0, 0));
-    let t = backend_tallies(&auto);
-    assert_eq!(t.auto_sim + t.auto_native, t.sim + t.native);
-
-    // Raise the threshold past the chain's grid: auto keeps the chain,
-    // which then runs (and is tallied) on the simulator launch by launch.
-    let c = GsnpConfig {
-        auto: gsnp::gpu_sim::AutoPolicy {
-            native_min_blocks: 1 << 20,
-        },
-        ..cfg(BackendChoice::Auto, 2, 2, 1)
-    };
-    let held = run(&d, &d.reads, c);
-    assert_eq!(held.compressed, sim.compressed);
-    assert_eq!(kernel_launches(&held, "rledict_host_jobs"), (0, 0));
-    assert_eq!(kernel_launches(&held, "rle_flags"), (batches, 0));
-    let t = backend_tallies(&held);
-    assert_eq!((t.native, t.auto_native), (0, 0));
-    assert_eq!(t.auto_sim, t.sim);
+    for backend in [BackendChoice::Native, BackendChoice::Auto] {
+        let out = run(&d, &d.reads, cfg(backend, 2, 2, 1));
+        assert_eq!(out.compressed, sim.compressed, "{backend:?}");
+        assert_eq!(
+            kernel_launches(&out, "rledict_host_jobs"),
+            (batches, batches),
+            "{backend:?}"
+        );
+        assert_eq!(kernel_launches(&out, "rle_flags"), (0, 0), "{backend:?}");
+        let t = backend_tallies(&out);
+        let launched: u64 = out.stats.ledgers.iter().map(|l| l.launches).sum();
+        assert_eq!(
+            (t.sim, t.native),
+            (0, launched),
+            "{backend:?}: every launch is tallied native"
+        );
+    }
 }
 
-/// The device stage's native arm is asked for once per batch, over the
-/// fused launch's grid. `Native` always takes it: ONE
-/// `likelihood_host_sites` launch per batch and no sort or fused launch.
-/// `Auto` takes it for a batch that clears the threshold — one decision
-/// for its one launch — and leaves a smaller batch's chain to the
-/// simulator, launch by launch. Bytes, site / observation totals and the
-/// sort-class histogram are the chain's either way.
+/// The device stage's native arm is asked for once per batch. `Native`
+/// and unobserved `Auto` always take it: ONE `likelihood_host_sites`
+/// launch per batch and no sort or fused launch. Bytes, site /
+/// observation totals and the sort-class histogram are the chain's.
 #[test]
 fn device_stage_arm_keeps_the_backend_tallies_whole() {
     let d = dataset(0xDE57, 6_000);
-    // Host output: the device stage's launches are the run's only ones.
-    let c = |backend, native_min_blocks| GsnpConfig {
-        gpu_output: false,
-        auto: gsnp::gpu_sim::AutoPolicy { native_min_blocks },
-        ..cfg(backend, 4, 2, 1)
+    let c = |backend| cfg(backend, 4, 2, 1);
+    // The output stage's one launch per batch is the run's only other one.
+    let device_stage = |out: &Ran| {
+        let launched: u64 = out.stats.ledgers.iter().map(|l| l.launches).sum();
+        launched - kernel_launches(out, "rledict_host_jobs").0
     };
-    let launched = |out: &Ran| out.stats.ledgers.iter().map(|l| l.launches).sum::<u64>();
     let same_results = |out: &Ran, reference: &Ran, what: &str| {
         assert_eq!(out.compressed, reference.compressed, "{what}");
         assert_eq!(out.stats.num_sites, reference.stats.num_sites, "{what}");
@@ -216,7 +215,7 @@ fn device_stage_arm_keeps_the_backend_tallies_whole() {
         );
     };
 
-    let sim = run(&d, &d.reads, c(BackendChoice::Sim, 8));
+    let sim = run(&d, &d.reads, c(BackendChoice::Sim));
     // 8 windows of 700 sites and one of 400: batches of 4, 4 and 1.
     assert_eq!(sim.stats.windows, 9);
     let batches = 3;
@@ -224,43 +223,21 @@ fn device_stage_arm_keeps_the_backend_tallies_whole() {
     assert_eq!(kernel_launches(&sim, "likelihood_comp_fused"), (batches, 0));
     assert!(sim.stats.peak_device_bytes > sim.stats.table_bytes);
 
-    let native = run(&d, &d.reads, c(BackendChoice::Native, 8));
-    same_results(&native, &sim, "native");
-    assert_eq!(
-        kernel_launches(&native, "likelihood_host_sites"),
-        (batches, batches)
-    );
-    assert_eq!(launched(&native), batches, "one launch per batch");
-    // Nothing but the tables is resident, and nothing per site crossed.
-    assert_eq!(native.stats.peak_device_bytes, native.stats.table_bytes);
-    let h2d: u64 = native
-        .stats
-        .ledgers
-        .iter()
-        .map(|l| l.counters.h2d_bytes)
-        .sum();
-    assert_eq!(h2d, native.stats.table_bytes);
-
-    // 4 x 700 sites = 11 blocks take the arm; the last batch's 2 do not.
-    let auto = run(&d, &d.reads, c(BackendChoice::Auto, 8));
-    same_results(&auto, &sim, "auto");
-    assert_eq!(kernel_launches(&auto, "likelihood_host_sites"), (2, 2));
-    assert_eq!(kernel_launches(&auto, "likelihood_comp_fused"), (1, 0));
-    let t = backend_tallies(&auto);
-    assert_eq!(t.auto_sim + t.auto_native, t.sim + t.native);
-    assert_eq!(t.sim + t.native, launched(&auto));
-
-    let held = run(&d, &d.reads, c(BackendChoice::Auto, 1 << 20));
-    same_results(&held, &sim, "auto, held");
-    assert_eq!(kernel_launches(&held, "likelihood_host_sites"), (0, 0));
-    assert_eq!(
-        kernel_launches(&held, "likelihood_comp_fused"),
-        (batches, 0)
-    );
-    let t = backend_tallies(&held);
-    assert_eq!((t.native, t.auto_native), (0, 0));
-    assert_eq!(t.auto_sim, t.sim);
-    assert_eq!(launched(&held), launched(&sim));
+    for backend in [BackendChoice::Native, BackendChoice::Auto] {
+        let what = format!("{backend:?}");
+        let out = run(&d, &d.reads, c(backend));
+        same_results(&out, &sim, &what);
+        assert_eq!(
+            kernel_launches(&out, "likelihood_host_sites"),
+            (batches, batches),
+            "{what}"
+        );
+        assert_eq!(device_stage(&out), batches, "{what}: one launch per batch");
+        // Nothing but the tables is resident, and nothing per site crossed.
+        assert_eq!(out.stats.peak_device_bytes, out.stats.table_bytes, "{what}");
+        let h2d: u64 = out.stats.ledgers.iter().map(|l| l.counters.h2d_bytes).sum();
+        assert_eq!(h2d, out.stats.table_bytes, "{what}");
+    }
 }
 
 /// A sanitized config no longer refuses the native backend: every

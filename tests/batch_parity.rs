@@ -233,7 +233,6 @@ proptest! {
         launch_batch in 2usize..=8,
         depth_sel in 0usize..3,          // index into {1, 2, 4}
         num_devices in 1usize..=4,
-        gpu_output in any::<bool>(),
     ) {
         let mut sc = SynthConfig::tiny(seed);
         sc.num_sites = num_sites;
@@ -242,7 +241,6 @@ proptest! {
 
         let c = |launch_batch, pipeline_depth, num_devices| GsnpConfig {
             window_size,
-            gpu_output,
             launch_batch,
             pipeline_depth,
             num_devices,

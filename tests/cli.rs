@@ -390,18 +390,9 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
     ok(&["synth", &d("one"), "--sites", "3000", "--depth", "4"]);
     let samples = ["--sites", "3000", "--depth", "4", "--samples", "2"];
     ok(&[&["synth", &d("two")], &samples[..]].concat());
-    let flags = [
-        "--window",
-        "1000",
-        "--devices",
-        "2",
-        "--batch",
-        "3",
-        "--backend",
-        "auto",
-        "--auto-threshold",
-        "5",
-    ];
+    // `profile` always traces, so it has no `--backend`: it runs `sim`.
+    let flags = ["--window", "1000", "--devices", "2", "--batch", "3"];
+    let sim = ["--backend", "sim"];
     let journalled = |journal: &str| {
         let text = std::fs::read_to_string(journal).unwrap();
         let start = text.lines().next().unwrap();
@@ -425,7 +416,7 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
         "--journal",
         &journal,
     ];
-    ok(&[&call[..], &flags[..]].concat());
+    ok(&[&call[..], &flags[..], &sim[..]].concat());
     let single = journalled(&journal);
 
     let (tsv, fa, priors) = (
@@ -445,7 +436,7 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
         "--journal",
         &journal,
     ];
-    ok(&[&call[..], &flags[..]].concat());
+    ok(&[&call[..], &flags[..], &sim[..]].concat());
     let cohort = journalled(&journal);
 
     let profile = ok(&[&["profile", "--sites", "3000", "--depth", "4"], &flags[..]].concat());
@@ -462,14 +453,16 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
         "\"num_devices\":2,",
         "\"launch_batch\":3,",
         "\"launch_batch_effective\":3,",
-        "\"backend\":\"auto\",",
-        "\"auto_threshold\":5,",
+        "\"backend\":\"sim\",",
     ] {
         assert!(single.contains(key), "{key} not in {single}");
     }
+    for retired in ["auto_threshold", "gpu_output"] {
+        assert!(!single.contains(retired), "{retired} in {single}");
+    }
     // `gsnp report` shows the manifest it was given.
     let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
-    assert!(report.contains("auto_threshold=5"), "{report}");
+    assert!(report.contains("backend=sim"), "{report}");
     assert!(report.contains("launch_batch_effective=3"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -483,36 +476,61 @@ fn flags_are_checked_against_the_subcommands_usage() {
     let dir = called("flags");
     let d = |name: &str| dir.join(name).display().to_string();
     let run = |line: &str| gsnp(&line.split(' ').collect::<Vec<_>>());
-    let (out, two) = (d("bad.gsnp"), d("two"));
+    let (out, two, refused_trace) = (d("bad.gsnp"), d("two"), d("bad.json"));
     let call = format!(
         "call {} {} {} {out}",
         d("reads.soap"),
         d("reference.fa"),
         d("priors.txt")
     );
-    for (flags, message) in [
+    let profile = format!("profile --sites 2000 --trace {refused_trace}");
+    for (cmd, flags, message) in [
         (
+            &call,
             "--bakend native --windw 500 -q",
             "unknown flag --bakend for 'gsnp call' (flags: --window --devices ",
         ),
-        ("-q --window", "--window needs a value"),
-        ("--window --cpu", "--window needs a value"),
-        ("--window 0", "--window must be at least 1"),
-        // These two used to say only "invalid digit found in string", and
+        (&call, "-q --window", "--window needs a value"),
+        (&call, "--window --cpu", "--window needs a value"),
+        (&call, "--window 0", "--window must be at least 1"),
+        // This one used to say only "invalid digit found in string", and
         // `--devices 0` used to run as `--devices 1`.
-        ("--window -5", "--window: \"-5\" is not a valid number"),
         (
-            "--backend auto --auto-threshold x",
-            "--auto-threshold: \"x\" is not a valid number",
+            &call,
+            "--window -5",
+            "--window: \"-5\" is not a valid number",
         ),
-        ("--devices 0", "--devices must be at least 1"),
-        ("--min-depth 2", "unknown flag --min-depth for 'gsnp call' "),
+        (&call, "--devices 0", "--devices must be at least 1"),
+        (
+            &call,
+            "--min-depth 2",
+            "unknown flag --min-depth for 'gsnp call' ",
+        ),
+        // `--backend auto` has no threshold to tune, and `profile` always
+        // runs on the simulator.
+        (
+            &call,
+            "--backend sim --auto-threshold 4",
+            "unknown flag --auto-threshold for 'gsnp call' ",
+        ),
+        (
+            &profile,
+            "--auto-threshold 4",
+            "unknown flag --auto-threshold for 'gsnp profile' ",
+        ),
+        (
+            &profile,
+            "--backend sim",
+            "unknown flag --backend for 'gsnp profile' ",
+        ),
     ] {
-        let refused = run(&format!("{call} {flags}"));
+        let refused = run(&format!("{cmd} {flags}"));
         let stderr = String::from_utf8_lossy(&refused.stderr);
         assert_eq!(refused.status.code(), Some(1), "{flags}: {stderr}");
         assert!(stderr.contains(message), "{flags}: {stderr}");
-        assert!(!Path::new(&out).exists(), "{flags}: left an output file");
+        for left in [&out, &refused_trace] {
+            assert!(!Path::new(left).exists(), "{flags}: left {left}");
+        }
     }
     let stray = run(&format!("stats {} --fromat prom", d("out.gsnp")));
     assert_eq!(stray.status.code(), Some(1));
@@ -521,7 +539,7 @@ fn flags_are_checked_against_the_subcommands_usage() {
     for line in [
         format!("synth {two} --sites 2000 --depth 3 --seed 2 --samples 2 --shared-rate 0.5"),
         format!(
-            "{call} --window 1500 --devices 2 --batch 2 --backend auto --auto-threshold 4 \
+            "{call} --window 1500 --devices 2 --batch 2 --backend auto \
              --contracts --text {txt} --trace {json} --metrics {prom} --journal {jsonl} \
              --progress --quiet -q --stats-addr 127.0.0.1:0 --stats-hold 0"
         ),
@@ -532,7 +550,7 @@ fn flags_are_checked_against_the_subcommands_usage() {
         ),
         format!(
             "profile --sites 2000 --depth 3 --window 1000 --devices 2 --pipeline-depth 2 \
-             --batch 2 --backend auto --seed 2 --samples 2 --auto-threshold 4 --trace {json}"
+             --batch 2 --seed 2 --samples 2 --trace {json}"
         ),
         "analyze --sites 2000 --window 1000 --seed 2".to_string(),
         format!("stats {out} --format prom"),
@@ -564,7 +582,6 @@ fn cpu_refuses_the_device_pipeline_flags() {
         "--devices 4",
         "--batch 3",
         "--backend native",
-        "--auto-threshold 4",
         "--contracts",
         "--progress",
         "--stats-addr 127.0.0.1:0",

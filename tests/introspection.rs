@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
 use gsnp::core::journal::{self, Journal};
 use gsnp::core::{Collect, GsnpConfig, GsnpPipeline, Observers, ProgressTracker, StatsServer};
-use gsnp::gpu_sim::{parse_json, AutoPolicy, Histogram, Json};
+use gsnp::gpu_sim::{parse_json, Histogram, Json};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
 /// Everything merge order may legitimately NOT change: the populated
@@ -130,15 +130,12 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     let journal = Arc::new(Journal::create(&path).expect("create journal"));
     let tracker = Arc::new(ProgressTracker::new());
 
-    // What the CLI would build from `--window 1500 --devices 4
-    // --auto-threshold 5`, with `--batch` left to follow the pipeline depth.
+    // What the CLI would build from `--window 1500 --devices 4`, with
+    // `--batch` left to follow the pipeline depth.
     let base = GsnpConfig {
         window_size: 1_500,
         num_devices: 4,
         pipeline_depth: 2,
-        auto: AutoPolicy {
-            native_min_blocks: 5,
-        },
         ..Default::default()
     };
     journal.event(
@@ -213,8 +210,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
 
     // The manifest says what was computed: every key of `run_start.config`
     // is a field of the config the run was built from (or derived from
-    // one), the `Auto` threshold and the batch the run really used among
-    // them.
+    // one), the batch the run really used among them.
     let Some(Json::Obj(manifest)) = s.run_start.get("config") else {
         panic!("run_start carries no config object");
     };
@@ -229,11 +225,9 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
         ),
         ("pipeline_depth", Json::Num(2.0)),
         ("backend", Json::Str(base.backend.name().into())),
-        ("auto_threshold", Json::Num(5.0)),
         ("contracts", Json::Bool(base.contracts)),
         ("sanitize", Json::Bool(base.sanitize)),
         ("variant", Json::Str(base.variant.label().into())),
-        ("gpu_output", Json::Bool(base.gpu_output)),
         ("pooled", Json::Bool(base.pooled)),
         ("device", Json::Str(base.device.name.into())),
         ("het_rate", Json::Num(p.het_rate)),
@@ -257,7 +251,6 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
         "window_size=1500",
         "launch_batch_effective=2",
         "backend=sim",
-        "auto_threshold=5",
     ] {
         assert!(report.contains(shown), "{shown} missing:\n{report}");
     }

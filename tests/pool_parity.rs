@@ -23,7 +23,6 @@ proptest! {
         snp_per_mille in 0u32..5,
         window_size in 137usize..1_200,
         pipeline_depth in 1usize..=4,
-        gpu_output in any::<bool>(),
     ) {
         let mut sc = SynthConfig::tiny(seed);
         sc.num_sites = num_sites;
@@ -33,7 +32,6 @@ proptest! {
 
         let cfg = |pooled| GsnpConfig {
             window_size,
-            gpu_output,
             pipeline_depth,
             pooled,
             ..Default::default()
@@ -74,7 +72,6 @@ proptest! {
         num_sites in 800u64..2_400,
         window_size in 137usize..900,
         pipeline_depth in 1usize..=4,
-        gpu_output in any::<bool>(),
     ) {
         let mut sc = SynthConfig::tiny(seed);
         sc.num_sites = num_sites;
@@ -82,7 +79,6 @@ proptest! {
 
         let out = GsnpPipeline::new(GsnpConfig {
             window_size,
-            gpu_output,
             pipeline_depth,
             sanitize: true,
             ..Default::default()

@@ -65,7 +65,6 @@ proptest! {
         window_size in 137usize..1_500,
         depth_sel in 0usize..3,          // index into {1, 2, 4}
         num_devices in 2usize..=4,
-        gpu_output in any::<bool>(),
     ) {
         let mut sc = SynthConfig::tiny(seed);
         sc.num_sites = num_sites;
@@ -76,7 +75,6 @@ proptest! {
 
         let c = |pipeline_depth, num_devices| GsnpConfig {
             window_size,
-            gpu_output,
             pipeline_depth,
             num_devices,
             ..Default::default()

@@ -22,7 +22,6 @@ proptest! {
         snp_per_mille in 0u32..5,
         window_size in 137usize..1_500,
         pipeline_depth in 2usize..=4,
-        gpu_output in any::<bool>(),
     ) {
         let mut sc = SynthConfig::tiny(seed);
         sc.num_sites = num_sites;
@@ -33,7 +32,6 @@ proptest! {
 
         let cfg = |pipeline_depth| GsnpConfig {
             window_size,
-            gpu_output,
             pipeline_depth,
             ..Default::default()
         };
