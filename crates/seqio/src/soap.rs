@@ -116,24 +116,16 @@ impl AlignedRead {
 
     /// Serialize one record as a tab-separated line.
     pub fn write_line<W: Write>(&self, w: &mut W) -> Result<(), SeqIoError> {
-        let seq: Vec<u8> = self
-            .seq
-            .iter()
-            .map(|&c| Base::from_code(c).to_ascii())
-            .collect();
-        let qual: Vec<u8> = self.qual.iter().map(|&q| q + 33).collect();
-        writeln!(
-            w,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.id,
-            std::str::from_utf8(&seq).expect("ASCII"),
-            std::str::from_utf8(&qual).expect("ASCII"),
-            self.nhits,
-            self.seq.len(),
-            self.strand.to_ascii() as char,
-            self.chr,
-            self.pos + 1,
-        )?;
+        let mut line = Vec::new();
+        let record = Record {
+            id: &self.id,
+            nhits: self.nhits,
+            strand: self.strand,
+            chr: &self.chr,
+            pos: self.pos,
+        };
+        record.push_line(&self.seq, &self.qual, &mut line);
+        w.write_all(&line)?;
         Ok(())
     }
 
@@ -146,28 +138,54 @@ impl AlignedRead {
     /// parser [`AlignmentReader::read_into`] fills a [`ReadChunk`] with.
     pub fn parse_bytes(line: &[u8], lineno: u64) -> Result<AlignedRead, SeqIoError> {
         let (mut seq, mut qual) = (Vec::new(), Vec::new());
-        let rec = parse_record(line, lineno, &mut seq, &mut qual)?;
-        Ok(AlignedRead {
-            id: rec.id.to_string(),
-            seq,
-            qual,
-            nhits: rec.nhits,
-            strand: rec.strand,
-            chr: rec.chr.to_string(),
-            pos: rec.pos,
-        })
+        Ok(parse_record(line, lineno, &mut seq, &mut qual)?.into_read(seq, qual))
     }
 }
 
-/// The scalar fields of one parsed record; its bases and qualities went to
-/// the caller's vectors.
-struct Record<'a> {
-    id: &'a str,
-    nhits: u32,
-    strand: Strand,
-    chr: &'a str,
+/// The scalar fields of one record, whose bases and qualities are kept
+/// apart: what the parser returns and the formatter writes.
+pub(crate) struct Record<'a> {
+    pub(crate) id: &'a str,
+    pub(crate) nhits: u32,
+    pub(crate) strand: Strand,
+    pub(crate) chr: &'a str,
     /// 0-based leftmost match position.
-    pos: u64,
+    pub(crate) pos: u64,
+}
+
+impl Record<'_> {
+    /// The one SOAP text formatter: append this record's line, with base
+    /// codes `seq` and Phred qualities `qual` (sequencing order), to `line`.
+    pub(crate) fn push_line(&self, seq: &[u8], qual: &[u8], line: &mut Vec<u8>) {
+        line.extend_from_slice(self.id.as_bytes());
+        line.push(b'\t');
+        line.extend(seq.iter().map(|&c| Base::from_code(c).to_ascii()));
+        line.push(b'\t');
+        line.extend(qual.iter().map(|&q| q + 33));
+        writeln!(
+            line,
+            "\t{}\t{}\t{}\t{}\t{}",
+            self.nhits,
+            seq.len(),
+            self.strand.to_ascii() as char,
+            self.chr,
+            self.pos + 1,
+        )
+        .expect("in-memory write");
+    }
+
+    /// This record with bases `seq` and qualities `qual`, as one value.
+    pub(crate) fn into_read(self, seq: Vec<u8>, qual: Vec<u8>) -> AlignedRead {
+        AlignedRead {
+            id: self.id.to_string(),
+            seq,
+            qual,
+            nhits: self.nhits,
+            strand: self.strand,
+            chr: self.chr.to_string(),
+            pos: self.pos,
+        }
+    }
 }
 
 /// The one record parser: check the tab-separated `line` field by field

@@ -14,14 +14,25 @@
 //! quality-decay model; errors are drawn at the rate the quality scores
 //! promise (so the Bayesian caller's model is well-specified, as it is for
 //! real Illumina data after recalibration).
+//!
+//! Reads are generated in two phases. Planning makes every draw in
+//! generation order but keeps, per read, only its start, its index and the
+//! generator state its bases are drawn from ([`ReadPlan`], 48 bytes a
+//! read); the plan is then sorted by start, and each read is sequenced
+//! again from its saved state when it is written or collected. A data set
+//! is written in position order without its reads ever being held together.
+
+use std::fmt::Write as _;
+use std::io::{self, Write};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::base::{Base, Strand, N_CODE};
+use crate::error::SeqIoError;
 use crate::fasta::Reference;
 use crate::prior::{KnownSnp, PriorMap};
-use crate::soap::AlignedRead;
+use crate::soap::{AlignedRead, Record};
 
 /// Configuration for one synthetic chromosome dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,6 +162,16 @@ pub struct Dataset {
 impl Dataset {
     /// Generate a dataset from a configuration. Deterministic in the seed.
     pub fn generate(config: SynthConfig) -> Dataset {
+        let (mut dataset, reads) = Dataset::plan(config);
+        dataset.reads = reads.collect();
+        dataset
+    }
+
+    /// Make every draw of [`Dataset::generate`], in its order — reference,
+    /// covered intervals, SNPs, priors, reads — keeping the reads as a
+    /// plan: the dataset with `reads` still empty, and that plan (what
+    /// `gsnp synth` writes read by read).
+    pub fn plan(config: SynthConfig) -> (Dataset, ReadPlan) {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = config.num_sites as usize;
 
@@ -217,15 +238,15 @@ impl Dataset {
         }
 
         // --- Reads ---
-        let reads = generate_reads(&mut rng, &config, &hap, &intervals);
-
-        Dataset {
+        let reads = ReadPlan::new(&mut rng, &config, hap, &intervals);
+        let dataset = Dataset {
             config,
             reference,
-            reads,
+            reads: Vec::new(),
             priors: PriorMap::from_sites(prior_sites),
             truth,
-        }
+        };
+        (dataset, reads)
     }
 
     /// Total aligned bases across all reads.
@@ -251,11 +272,14 @@ impl Dataset {
 
     /// Serialized size of the alignment input in bytes (Table II's "Input").
     pub fn input_text_size(&self) -> u64 {
-        let mut buf = Vec::new();
+        let mut line = Vec::new();
+        let mut size = 0;
         for r in &self.reads {
-            r.write_line(&mut buf).expect("in-memory write");
+            line.clear();
+            r.write_line(&mut line).expect("in-memory write");
+            size += line.len() as u64;
         }
-        buf.len() as u64
+        size
     }
 }
 
@@ -277,72 +301,224 @@ fn generate_reference(rng: &mut StdRng, config: &SynthConfig) -> Reference {
     Reference::new(config.chr_name.clone(), seq)
 }
 
-/// Sequence a full read set over `hap` from the covered intervals:
-/// weighted-uniform read starts to the configured depth, plus pileup
-/// hotspots. Real resequencing data has repeat-driven coverage spikes
-/// reaching hundreds of reads; they are what push the largest
-/// `base_word` arrays into the 128/256 sorting classes the paper
-/// observes (§VI-C, Fig. 7b). Returns the reads position-sorted.
-fn generate_reads(
-    rng: &mut StdRng,
-    config: &SynthConfig,
-    hap: &[Vec<u8>; 2],
-    intervals: &[(u64, u64)],
-) -> Vec<AlignedRead> {
-    let covered_sites: u64 = intervals.iter().map(|&(s, e)| e - s).sum();
-    let num_reads = ((config.depth * covered_sites as f64) / config.read_len as f64) as usize;
-    let mut reads = Vec::with_capacity(num_reads);
-    let usable: Vec<&(u64, u64)> = intervals
-        .iter()
-        .filter(|&&(s, e)| (e - s) as usize >= config.read_len)
-        .collect();
-    if !usable.is_empty() {
-        let weights: Vec<u64> = usable
+/// One planned read: its start, its index in generation order (the number
+/// in its id, and what keeps reads with one start in that order), and the
+/// generator state its bases are drawn from.
+#[derive(Debug, Clone)]
+struct PlannedRead {
+    pos: u64,
+    ridx: u64,
+    rng: StdRng,
+}
+
+/// One sample's reads, planned: the donor haplotypes and a `PlannedRead`
+/// per read, in position order. A read's bases are drawn
+/// again from its saved generator state each time it is written
+/// ([`ReadPlan::write`]) or collected ([`ReadPlan::collect`]), so the
+/// plan, not the reads, sets the memory of writing them.
+#[derive(Debug)]
+pub struct ReadPlan {
+    /// The diploid donor haplotypes the reads are sequenced from.
+    pub haplotypes: [Vec<u8>; 2],
+    chr: String,
+    reads: Vec<PlannedRead>,
+    /// Per region (`(pos / 2048) % 6`): the quality string in cycle order
+    /// and each cycle's error probability.
+    quality: [(Vec<u8>, Vec<f64>); 6],
+}
+
+impl ReadPlan {
+    /// Plan a full read set over `haplotypes` from the covered intervals:
+    /// weighted-uniform read starts to the configured depth, plus pileup
+    /// hotspots. Real resequencing data has repeat-driven coverage spikes
+    /// reaching hundreds of reads; they are what push the largest
+    /// `base_word` arrays into the 128/256 sorting classes the paper
+    /// observes (§VI-C, Fig. 7b). Every read's draws are made here, so
+    /// `rng` ends where sequencing them all would leave it.
+    fn new(
+        rng: &mut StdRng,
+        config: &SynthConfig,
+        haplotypes: [Vec<u8>; 2],
+        intervals: &[(u64, u64)],
+    ) -> ReadPlan {
+        let len = config.read_len;
+        // Base quality is tied to the genomic region (sequencing batches
+        // and flowcell tiles give neighbouring reads near-identical
+        // quality), and decays in steps of 2 along the read. Together these
+        // reproduce the paper's §V-B observations: "bases on a short read
+        // usually have the same sequencing quality" and "usually around
+        // tens of repeats for consecutive sites" — the structure RLE-DICT
+        // exploits.
+        let quality = std::array::from_fn(|region| {
+            let q0 = 32 + region as i32 * 2;
+            let qual: Vec<u8> = (0..len)
+                .map(|cycle| (q0 - (cycle as i32 * 8 / len as i32) * 2).clamp(2, 63) as u8)
+                .collect();
+            let err = qual
+                .iter()
+                .map(|&q| 10f64.powf(-(q as f64) / 10.0).min(0.75))
+                .collect();
+            (qual, err)
+        });
+        let mut plan = ReadPlan {
+            haplotypes,
+            chr: config.chr_name.clone(),
+            reads: Vec::new(),
+            quality,
+        };
+        let covered_sites: u64 = intervals.iter().map(|&(s, e)| e - s).sum();
+        let num_reads = ((config.depth * covered_sites as f64) / len as f64) as usize;
+        let usable: Vec<&(u64, u64)> = intervals
             .iter()
-            .map(|&&(s, e)| e - s - config.read_len as u64 + 1)
+            .filter(|&&(s, e)| (e - s) as usize >= len)
             .collect();
-        let total_weight: u64 = weights.iter().sum();
-        for ridx in 0..num_reads {
+        if !usable.is_empty() {
+            let weights: Vec<u64> = usable
+                .iter()
+                .map(|&&(s, e)| e - s - len as u64 + 1)
+                .collect();
+            let total_weight: u64 = weights.iter().sum();
             // Weighted interval choice, then uniform start within it.
-            let mut pick = rng.gen_range(0..total_weight);
-            let mut iv = 0usize;
-            while pick >= weights[iv] {
-                pick -= weights[iv];
-                iv += 1;
+            let pick = |rng: &mut StdRng| {
+                let mut pick = rng.gen_range(0..total_weight);
+                let mut iv = 0usize;
+                while pick >= weights[iv] {
+                    pick -= weights[iv];
+                    iv += 1;
+                }
+                let (s, e) = *usable[iv];
+                (s, e, s + pick)
+            };
+            let num_hotspots = (covered_sites / 25_000).max(1) as usize;
+            let per_spot = (num_reads / 25 / num_hotspots).clamp(8, 48);
+            plan.reads
+                .reserve_exact(num_reads + num_hotspots * per_spot);
+            let mut seq = Vec::with_capacity(len);
+            for ridx in 0..num_reads {
+                let (_, _, pos) = pick(rng);
+                plan.push(rng, pos, ridx, &mut seq);
             }
-            let (s, _e) = *usable[iv];
-            let pos = s + pick;
-            reads.push(sequence_read(rng, config, hap, pos, ridx));
-        }
-        let num_hotspots = (covered_sites / 25_000).max(1) as usize;
-        let hotspot_reads = num_reads / 25;
-        for h in 0..num_hotspots {
-            let mut pick = rng.gen_range(0..total_weight);
-            let mut iv = 0usize;
-            while pick >= weights[iv] {
-                pick -= weights[iv];
-                iv += 1;
-            }
-            let (s, _e) = *usable[iv];
-            let center = s + pick;
-            let per_spot = (hotspot_reads / num_hotspots).clamp(8, 48);
-            for k in 0..per_spot {
-                // Starts cluster tightly so per-site depth spikes.
-                let span = (config.read_len as u64 / 2).max(1);
-                let lo = center.saturating_sub(span).max(s);
-                let pos = rng.gen_range(lo..=center).min(_e - config.read_len as u64);
-                reads.push(sequence_read(
-                    rng,
-                    config,
-                    hap,
-                    pos.max(s),
-                    num_reads + h * per_spot + k,
-                ));
+            for h in 0..num_hotspots {
+                let (s, e, center) = pick(rng);
+                for k in 0..per_spot {
+                    // Starts cluster tightly so per-site depth spikes.
+                    let span = (len as u64 / 2).max(1);
+                    let lo = center.saturating_sub(span).max(s);
+                    let pos = rng.gen_range(lo..=center).min(e - len as u64);
+                    plan.push(rng, pos.max(s), num_reads + h * per_spot + k, &mut seq);
+                }
             }
         }
+        // Indices rise in generation order: this is a stable sort by start.
+        plan.reads.sort_unstable_by_key(|r| (r.pos, r.ridx));
+        plan
     }
-    reads.sort_by_key(|r| r.pos);
-    reads
+
+    /// Enter read `ridx` at `pos`, then make its draws.
+    fn push(&mut self, rng: &mut StdRng, pos: u64, ridx: usize, seq: &mut Vec<u8>) {
+        self.reads.push(PlannedRead {
+            pos,
+            ridx: ridx as u64,
+            rng: rng.clone(),
+        });
+        self.sequence(rng, pos, seq);
+    }
+
+    /// Simulate sequencing the read at `pos` from a random haplotype with
+    /// `rng`'s draws: its base codes into `seq`, and its strand, hit count
+    /// and qualities (in sequencing order) returned.
+    fn sequence(&self, rng: &mut StdRng, pos: u64, seq: &mut Vec<u8>) -> (Strand, u32, &[u8]) {
+        let h = usize::from(rng.gen_bool(0.5));
+        let strand = if rng.gen_bool(0.5) {
+            Strand::Forward
+        } else {
+            Strand::Reverse
+        };
+        let (qual, err) = &self.quality[((pos / 2048) % 6) as usize];
+        let len = qual.len();
+        seq.clear();
+        for (offset, &donor) in self.haplotypes[h][pos as usize..][..len].iter().enumerate() {
+            // N in the donor (reference N) is sequenced as a random base.
+            let mut base = if donor >= 4 {
+                rng.gen_range(0..4u8)
+            } else {
+                donor
+            };
+            let cycle = match strand {
+                Strand::Forward => offset,
+                Strand::Reverse => len - 1 - offset,
+            };
+            if rng.gen_bool(err[cycle]) {
+                base = (base + rng.gen_range(1..4u8)) % 4;
+            }
+            seq.push(base);
+        }
+
+        // ~5% of reads align non-uniquely (repeat regions).
+        let nhits = if rng.gen_bool(0.05) {
+            rng.gen_range(2..=5u32)
+        } else {
+            1
+        };
+        (strand, nhits, qual)
+    }
+
+    /// Number of reads.
+    pub fn len(&self) -> usize {
+        self.reads.len()
+    }
+
+    /// Whether the plan holds no read.
+    pub fn is_empty(&self) -> bool {
+        self.reads.is_empty()
+    }
+
+    /// Sequence every read again from its saved state, in position order,
+    /// and hand it to `each` as a record with its bases and qualities.
+    fn replay(
+        &self,
+        mut each: impl FnMut(Record<'_>, &[u8], &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let (mut seq, mut id) = (Vec::new(), String::new());
+        for r in &self.reads {
+            let (strand, nhits, qual) = self.sequence(&mut r.rng.clone(), r.pos, &mut seq);
+            id.clear();
+            write!(id, "{}_{}", self.chr, r.ridx).expect("in-memory write");
+            let record = Record {
+                id: &id,
+                nhits,
+                strand,
+                chr: &self.chr,
+                pos: r.pos,
+            };
+            each(record, &seq, qual)?;
+        }
+        Ok(())
+    }
+
+    /// Every read, position-sorted.
+    pub fn collect(&self) -> Vec<AlignedRead> {
+        let mut reads = Vec::with_capacity(self.len());
+        self.replay(|record, seq, qual| {
+            reads.push(record.into_read(seq.to_vec(), qual.to_vec()));
+            Ok(())
+        })
+        .expect("collecting does no I/O");
+        reads
+    }
+
+    /// Write every read as alignment text, one at a time: the bytes
+    /// [`crate::soap::write_alignments`] writes for [`ReadPlan::collect`].
+    /// `w` is written once per read, so give it a buffer.
+    pub fn write<W: Write>(&self, mut w: W) -> Result<(), SeqIoError> {
+        let mut line = Vec::new();
+        self.replay(|record, seq, qual| {
+            line.clear();
+            record.push_line(seq, qual, &mut line);
+            w.write_all(&line)
+        })?;
+        Ok(())
+    }
 }
 
 /// Draw an alternate allele with a 2:1 transition:transversion bias.
@@ -395,74 +571,6 @@ fn covered_intervals(rng: &mut StdRng, n: u64, coverage: f64, read_len: usize) -
         pos += gap;
     }
     intervals
-}
-
-/// Simulate sequencing one read starting at `pos` from a random haplotype.
-fn sequence_read(
-    rng: &mut StdRng,
-    cfg: &SynthConfig,
-    hap: &[Vec<u8>; 2],
-    pos: u64,
-    ridx: usize,
-) -> AlignedRead {
-    let h = usize::from(rng.gen_bool(0.5));
-    let strand = if rng.gen_bool(0.5) {
-        Strand::Forward
-    } else {
-        Strand::Reverse
-    };
-    let len = cfg.read_len;
-
-    // Base quality is tied to the genomic region (sequencing batches and
-    // flowcell tiles give neighbouring reads near-identical quality), and
-    // decays in steps of 2 along the read. Together these reproduce the
-    // paper's §V-B observations: "bases on a short read usually have the
-    // same sequencing quality" and "usually around tens of repeats for
-    // consecutive sites" — the structure RLE-DICT exploits.
-    let q0: i32 = 32 + (((pos / 2048) % 6) as i32) * 2;
-    let qual: Vec<u8> = (0..len)
-        .map(|cycle| {
-            let q = q0 - (cycle as i32 * 8 / len as i32) * 2;
-            q.clamp(2, 63) as u8
-        })
-        .collect();
-
-    let mut seq = Vec::with_capacity(len);
-    for offset in 0..len {
-        let donor = hap[h][(pos + offset as u64) as usize];
-        // N in the donor (reference N) is sequenced as a random base.
-        let mut base = if donor >= 4 {
-            rng.gen_range(0..4u8)
-        } else {
-            donor
-        };
-        let cycle = match strand {
-            Strand::Forward => offset,
-            Strand::Reverse => len - 1 - offset,
-        };
-        let err_p = 10f64.powf(-(qual[cycle] as f64) / 10.0);
-        if rng.gen_bool(err_p.min(0.75)) {
-            base = (base + rng.gen_range(1..4u8)) % 4;
-        }
-        seq.push(base);
-    }
-
-    // ~5% of reads align non-uniquely (repeat regions).
-    let nhits = if rng.gen_bool(0.05) {
-        rng.gen_range(2..=5u32)
-    } else {
-        1
-    };
-
-    AlignedRead {
-        id: format!("{}_{}", cfg.chr_name, ridx),
-        seq,
-        qual,
-        nhits,
-        strand,
-        chr: cfg.chr_name.clone(),
-        pos,
-    }
 }
 
 /// Configuration for a synthetic multi-sample cohort over one reference.
@@ -538,6 +646,19 @@ pub struct Cohort {
     pub sites: Vec<CohortSite>,
     /// The samples.
     pub samples: Vec<CohortSample>,
+    /// The covered intervals every sample's reads start in.
+    intervals: Vec<(u64, u64)>,
+}
+
+/// One cohort sample with its reads planned ([`Cohort::plan_sample`]).
+#[derive(Debug)]
+pub struct SamplePlan {
+    /// Sample name (`s0`, `s1`, …).
+    pub name: String,
+    /// This sample's planted variants (ground truth).
+    pub truth: Vec<PlantedSnp>,
+    /// Its alignments, planned, with the haplotypes they are drawn from.
+    pub reads: ReadPlan,
 }
 
 /// Per-sample RNG stream separation constant (golden-ratio increment).
@@ -546,6 +667,26 @@ const SAMPLE_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 impl Cohort {
     /// Generate a cohort. Deterministic in `config.base.seed`.
     pub fn generate(config: CohortConfig) -> Cohort {
+        let mut cohort = Cohort::plan(config);
+        cohort.samples = (0..cohort.config.num_samples)
+            .map(|s| {
+                let SamplePlan { name, truth, reads } = cohort.plan_sample(s);
+                CohortSample {
+                    name,
+                    reads: reads.collect(),
+                    truth,
+                    haplotypes: reads.haplotypes,
+                }
+            })
+            .collect();
+        cohort
+    }
+
+    /// Make the cohort stream's draws of [`Cohort::generate`] — reference,
+    /// covered intervals, site map, priors — and no sample's: `samples` is
+    /// empty, and [`Cohort::plan_sample`] plans each (what `gsnp synth
+    /// --samples` writes one sample at a time).
+    pub fn plan(config: CohortConfig) -> Cohort {
         assert!(config.num_samples >= 1, "cohort needs at least one sample");
         let mut rng = StdRng::seed_from_u64(config.base.seed);
         let n = config.base.num_sites as usize;
@@ -595,27 +736,13 @@ impl Cohort {
             });
         }
 
-        let samples = (0..config.num_samples)
-            .map(|s| {
-                let mut srng = sample_rng(config.base.seed, s);
-                generate_sample(
-                    &mut srng,
-                    format!("s{s}"),
-                    &config.base,
-                    &reference,
-                    &intervals,
-                    &sites,
-                    s,
-                )
-            })
-            .collect();
-
         Cohort {
             config,
             reference,
             priors: PriorMap::from_sites(prior_sites),
             sites,
-            samples,
+            samples: Vec::new(),
+            intervals,
         }
     }
 
@@ -642,17 +769,12 @@ impl Cohort {
             cohort.samples[1].haplotypes[from_father].clone(),
         ];
         let truth = truth_from_haplotypes(&cohort.reference, &hap);
-        let reads = generate_reads(
-            &mut crng,
-            &cohort.config.base,
-            &hap,
-            &covered_intervals_of(&cohort),
-        );
+        let reads = ReadPlan::new(&mut crng, &cohort.config.base, hap, &cohort.intervals);
         cohort.samples.push(CohortSample {
             name: "child".into(),
-            reads,
+            reads: reads.collect(),
             truth,
-            haplotypes: hap,
+            haplotypes: reads.haplotypes,
         });
         cohort
     }
@@ -661,75 +783,55 @@ impl Cohort {
     pub fn sample(&self, name: &str) -> Option<&CohortSample> {
         self.samples.iter().find(|s| s.name == name)
     }
+
+    /// Plant sample `s`'s genotypes into fresh haplotypes and plan its
+    /// reads, all from the sample's own RNG stream.
+    pub fn plan_sample(&self, s: usize) -> SamplePlan {
+        let mut srng = sample_rng(self.config.base.seed, s);
+        let reference = &self.reference;
+        let mut hap = [reference.seq.clone(), reference.seq.clone()];
+        let mut truth = Vec::new();
+        for site in &self.sites {
+            let carried = match site.owner {
+                None => true,
+                Some(owner) => owner == s,
+            };
+            if !carried {
+                continue;
+            }
+            let ref_base = Base::from_code(reference.seq[site.pos as usize]);
+            // Same genotype mix as the single-sample generator: 2/3
+            // heterozygous, 1/3 homozygous alternate — drawn per sample, so
+            // a shared site segregates with different zygosity across
+            // carriers.
+            let (a1, a2) = if srng.gen_bool(2.0 / 3.0) {
+                (ref_base, site.alt)
+            } else {
+                (site.alt, site.alt)
+            };
+            if a1 != ref_base {
+                hap[0][site.pos as usize] = a1.code();
+            }
+            if a2 != ref_base {
+                hap[1][site.pos as usize] = a2.code();
+            }
+            truth.push(PlantedSnp {
+                pos: site.pos,
+                alleles: if a1 <= a2 { (a1, a2) } else { (a2, a1) },
+            });
+        }
+        SamplePlan {
+            name: format!("s{s}"),
+            truth,
+            reads: ReadPlan::new(&mut srng, &self.config.base, hap, &self.intervals),
+        }
+    }
 }
 
 /// The per-sample RNG stream: seed XOR a golden-ratio multiple, so sample
 /// streams never collide with each other or the cohort stream.
 fn sample_rng(seed: u64, sample: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ SAMPLE_STREAM.wrapping_mul(sample as u64 + 1))
-}
-
-/// Re-derive the cohort's covered intervals (they are a pure function of
-/// the cohort stream's first draws, so replaying the prefix is exact).
-fn covered_intervals_of(cohort: &Cohort) -> Vec<(u64, u64)> {
-    let mut rng = StdRng::seed_from_u64(cohort.config.base.seed);
-    let _ = generate_reference(&mut rng, &cohort.config.base);
-    covered_intervals(
-        &mut rng,
-        cohort.config.base.num_sites,
-        cohort.config.base.coverage,
-        cohort.config.base.read_len,
-    )
-}
-
-/// Plant one sample's genotypes into fresh haplotypes and sequence its
-/// reads, all from the sample's own RNG stream.
-fn generate_sample(
-    srng: &mut StdRng,
-    name: String,
-    base: &SynthConfig,
-    reference: &Reference,
-    intervals: &[(u64, u64)],
-    sites: &[CohortSite],
-    sample: usize,
-) -> CohortSample {
-    let mut hap = [reference.seq.clone(), reference.seq.clone()];
-    let mut truth = Vec::new();
-    for site in sites {
-        let carried = match site.owner {
-            None => true,
-            Some(owner) => owner == sample,
-        };
-        if !carried {
-            continue;
-        }
-        let ref_base = Base::from_code(reference.seq[site.pos as usize]);
-        // Same genotype mix as the single-sample generator: 2/3
-        // heterozygous, 1/3 homozygous alternate — drawn per sample, so a
-        // shared site segregates with different zygosity across carriers.
-        let (a1, a2) = if srng.gen_bool(2.0 / 3.0) {
-            (ref_base, site.alt)
-        } else {
-            (site.alt, site.alt)
-        };
-        if a1 != ref_base {
-            hap[0][site.pos as usize] = a1.code();
-        }
-        if a2 != ref_base {
-            hap[1][site.pos as usize] = a2.code();
-        }
-        truth.push(PlantedSnp {
-            pos: site.pos,
-            alleles: if a1 <= a2 { (a1, a2) } else { (a2, a1) },
-        });
-    }
-    let reads = generate_reads(srng, base, &hap, intervals);
-    CohortSample {
-        name,
-        reads,
-        truth,
-        haplotypes: hap,
-    }
 }
 
 /// Recover a truth set by diffing diploid haplotypes against the
@@ -755,6 +857,7 @@ fn truth_from_haplotypes(reference: &Reference, hap: &[Vec<u8>; 2]) -> Vec<Plant
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soap::write_alignments;
 
     #[test]
     fn generation_is_deterministic() {
@@ -783,6 +886,51 @@ mod tests {
             assert!(r.pos + r.len() as u64 <= d.config.num_sites);
             assert!(r.qual.iter().all(|&q| q <= 63));
             assert!(r.seq.iter().all(|&b| b < 4));
+        }
+    }
+
+    /// The text written read by read from a plan is the text of the reads
+    /// collected from it, at every shape the generator branches on: no
+    /// usable interval, one start, a few, many; shallow to past the > 64
+    /// sort class; gapped and whole coverage; and every cohort sample.
+    #[test]
+    fn streamed_text_is_the_collected_reads_text() {
+        let streamed = |plan: &ReadPlan| {
+            let mut text = Vec::new();
+            plan.write(&mut text).unwrap();
+            text
+        };
+        let collected = |reads: &[AlignedRead]| {
+            let mut text = Vec::new();
+            write_alignments(reads, &mut text).unwrap();
+            text
+        };
+        for sites in [1, 99, 100, 101, 5_000] {
+            for depth in [2.0, 10.0, 70.0] {
+                for coverage in [0.85, 1.0] {
+                    let config = SynthConfig {
+                        num_sites: sites,
+                        depth,
+                        coverage,
+                        read_len: 100,
+                        ..SynthConfig::tiny(sites)
+                    };
+                    let (_, plan) = Dataset::plan(config.clone());
+                    let d = Dataset::generate(config);
+                    assert_eq!(plan.len(), d.reads.len());
+                    assert!(
+                        streamed(&plan) == collected(&d.reads),
+                        "{sites} sites, depth {depth}, coverage {coverage}"
+                    );
+                }
+            }
+        }
+        let config = CohortConfig::tiny(3, 17);
+        let plan = Cohort::plan(config.clone());
+        assert!(plan.samples.is_empty());
+        for (s, sample) in Cohort::generate(config).samples.iter().enumerate() {
+            assert!(!sample.reads.is_empty());
+            assert!(streamed(&plan.plan_sample(s).reads) == collected(&sample.reads));
         }
     }
 

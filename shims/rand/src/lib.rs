@@ -78,6 +78,10 @@ pub trait SampleRange {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> Self::Output;
 }
 
+// Every element type is at most 64 bits wide, so a span fits in a `u64`
+// unless it is all 2⁶⁴ values, which wraps to 0 and takes the word as it
+// is. With sign-extending casts and wrapping arithmetic this gives what
+// the `u128` formula `(lo + x % span) as T` gives, without a 128-bit `%`.
 macro_rules! range_int {
     ($($t:ty),*) => {$(
         impl SampleRange for core::ops::Range<$t> {
@@ -85,9 +89,8 @@ macro_rules! range_int {
             #[inline]
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128);
-                let v = rng.next_u64() as u128 % span;
-                (self.start as u128).wrapping_add(v) as $t
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                (self.start as u64).wrapping_add(rng.next_u64() % span) as $t
             }
         }
         impl SampleRange for core::ops::RangeInclusive<$t> {
@@ -96,9 +99,9 @@ macro_rules! range_int {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample empty range");
-                let span = (hi as u128).wrapping_sub(lo as u128).wrapping_add(1);
-                let v = rng.next_u64() as u128 % span;
-                (lo as u128).wrapping_add(v) as $t
+                let span = (hi as u64).wrapping_sub(lo as u64).wrapping_add(1);
+                let x = rng.next_u64();
+                (lo as u64).wrapping_add(if span == 0 { x } else { x % span }) as $t
             }
         }
     )*};
@@ -243,6 +246,38 @@ mod tests {
             let f = r.gen_range(0.25f64..0.75);
             assert!((0.25..0.75).contains(&f));
         }
+    }
+
+    /// 10 000 draws of each range form of every element type the tree
+    /// draws, full-width spans included, equal the `u128` formula ranges
+    /// were drawn with before their `u64` form.
+    #[test]
+    fn integer_ranges_draw_what_the_u128_formula_drew() {
+        use super::RngCore;
+        macro_rules! pinned {
+            ($rng:ident, $t:ty, $lo:expr, $hi:expr) => {{
+                let (lo, hi): ($t, $t) = ($lo, $hi);
+                let span = (hi as u128).wrapping_sub(lo as u128);
+                for _ in 0..10_000 {
+                    let x = $rng.clone().next_u64() as u128;
+                    let want = (lo as u128).wrapping_add(x % span) as $t;
+                    assert_eq!($rng.gen_range(lo..hi), want, "{lo}..{hi}");
+                    let x = $rng.clone().next_u64() as u128;
+                    let want = (lo as u128).wrapping_add(x % (span + 1)) as $t;
+                    assert_eq!($rng.gen_range(lo..=hi), want, "{lo}..={hi}");
+                }
+            }};
+        }
+        let mut r = StdRng::seed_from_u64(11);
+        pinned!(r, u8, 0, 4);
+        pinned!(r, u8, 0, u8::MAX);
+        pinned!(r, u32, 2, 5);
+        pinned!(r, u32, 0, u32::MAX);
+        pinned!(r, u64, 3, 1 << 40);
+        pinned!(r, u64, 0, u64::MAX);
+        pinned!(r, usize, 1, 16);
+        pinned!(r, i32, -5, 5);
+        pinned!(r, i32, i32::MIN, i32::MAX);
     }
 
     #[test]

@@ -69,8 +69,8 @@ use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, T
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::result::SnpTable;
-use gsnp::seqio::soap::{write_alignments, AlignmentReader};
-use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
+use gsnp::seqio::soap::AlignmentReader;
+use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, PlantedSnp, SynthConfig};
 use gsnp::seqio::SeqIoError;
 
 /// A result could not be written to stdout.
@@ -514,44 +514,46 @@ fn cmd_synth(args: &[String]) -> CliResult {
     let mut out = Results::stdout();
     let pos = positional("synth", SYNTH_FLAGS, args)?;
     let dir = Path::new(pos.first().ok_or("synth requires an output directory")?);
-    fs::create_dir_all(dir)?;
     let mut cfg = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     cfg.chr_name = "chrS".into();
     cfg.num_sites = parse_flag(args, "--sites")?.unwrap_or(50_000);
     cfg.depth = parse_flag(args, "--depth")?.unwrap_or(10.0);
     cfg.read_len = 100;
-
     let num_samples: usize = parse_flag(args, "--samples")?.unwrap_or(0);
+    let shared_rate: f64 = parse_flag(args, "--shared-rate")?.unwrap_or(0.6);
+    // Refused before the directory is made: the generator panics on the
+    // last, and quietly writes an empty or hotspot-only set for the others.
+    if cfg.num_sites == 0 {
+        return Err("--sites must be at least 1".into());
+    }
+    if !(cfg.depth.is_finite() && cfg.depth > 0.0) {
+        return Err(format!("--depth must be a finite number above 0, not {}", cfg.depth).into());
+    }
+    if !(0.0..=1.0).contains(&shared_rate) {
+        return Err(format!("--shared-rate must be between 0 and 1, not {shared_rate}").into());
+    }
+    fs::create_dir_all(dir)?;
+    let chr = cfg.chr_name.clone();
+
     if num_samples > 0 {
-        let shared_rate = parse_flag(args, "--shared-rate")?.unwrap_or(0.6);
-        let c = Cohort::generate(CohortConfig {
+        let c = Cohort::plan(CohortConfig {
             base: cfg,
             num_samples,
             shared_rate,
         });
-        let mut f = fs::File::create(dir.join("reference.fa"))?;
-        c.reference.write_fasta(&mut f)?;
-        let mut f = fs::File::create(dir.join("priors.txt"))?;
-        c.priors.write(&c.config.base.chr_name, &mut f)?;
+        write_file(dir, "reference.fa", |w| Ok(c.reference.write_fasta(w)?))?;
+        write_file(dir, "priors.txt", |w| Ok(c.priors.write(&chr, w)?))?;
         let mut manifest = String::new();
         let mut total_reads = 0usize;
-        for s in &c.samples {
-            let reads_file = format!("{}.soap", s.name);
-            let mut f = fs::File::create(dir.join(&reads_file))?;
-            write_alignments(&s.reads, &mut f)?;
-            let mut f = fs::File::create(dir.join(format!("truth.{}.txt", s.name)))?;
-            for t in &s.truth {
-                writeln!(
-                    f,
-                    "{}\t{}\t{}{}",
-                    c.config.base.chr_name,
-                    t.pos + 1,
-                    t.alleles.0.to_ascii() as char,
-                    t.alleles.1.to_ascii() as char
-                )?;
-            }
-            manifest.push_str(&format!("{}\t{}\n", s.name, reads_file));
-            total_reads += s.reads.len();
+        for s in 0..num_samples {
+            // One sample's haplotypes and read plan at a time.
+            let sample = c.plan_sample(s);
+            let reads_file = format!("{}.soap", sample.name);
+            write_file(dir, &reads_file, |w| Ok(sample.reads.write(w)?))?;
+            let truth_file = format!("truth.{}.txt", sample.name);
+            write_file(dir, &truth_file, |w| write_truth(w, &chr, &sample.truth))?;
+            manifest.push_str(&format!("{}\t{}\n", sample.name, reads_file));
+            total_reads += sample.reads.len();
         }
         fs::write(dir.join("cohort.tsv"), manifest)?;
         writeln!(
@@ -565,33 +567,47 @@ fn cmd_synth(args: &[String]) -> CliResult {
         )?;
         return Ok(());
     }
-    let d = Dataset::generate(cfg);
-
-    let mut f = fs::File::create(dir.join("reads.soap"))?;
-    write_alignments(&d.reads, &mut f)?;
-    let mut f = fs::File::create(dir.join("reference.fa"))?;
-    d.reference.write_fasta(&mut f)?;
-    let mut f = fs::File::create(dir.join("priors.txt"))?;
-    d.priors.write(&d.config.chr_name, &mut f)?;
-    let mut f = fs::File::create(dir.join("truth.txt"))?;
-    for t in &d.truth {
-        writeln!(
-            f,
-            "{}\t{}\t{}{}",
-            d.config.chr_name,
-            t.pos + 1,
-            t.alleles.0.to_ascii() as char,
-            t.alleles.1.to_ascii() as char
-        )?;
-    }
+    let (d, reads) = Dataset::plan(cfg);
+    write_file(dir, "reads.soap", |w| Ok(reads.write(w)?))?;
+    write_file(dir, "reference.fa", |w| Ok(d.reference.write_fasta(w)?))?;
+    write_file(dir, "priors.txt", |w| Ok(d.priors.write(&chr, w)?))?;
+    write_file(dir, "truth.txt", |w| write_truth(w, &chr, &d.truth))?;
     writeln!(
         out,
         "wrote {} reads over {} sites ({} planted SNPs) to {}",
-        d.reads.len(),
+        reads.len(),
         d.config.num_sites,
         d.truth.len(),
         dir.display()
     )?;
+    Ok(())
+}
+
+/// Create `dir/name` and fill it through a buffer, whose last flush is
+/// checked too (dropping a `BufWriter` would swallow its error).
+fn write_file(
+    dir: &Path,
+    name: &str,
+    fill: impl FnOnce(&mut BufWriter<fs::File>) -> CliResult,
+) -> CliResult {
+    let mut w = BufWriter::with_capacity(1 << 16, fs::File::create(dir.join(name))?);
+    fill(&mut w)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Planted variants, one `chr  pos  alleles` line each.
+fn write_truth(w: &mut impl Write, chr: &str, truth: &[PlantedSnp]) -> CliResult {
+    for t in truth {
+        let (a, b) = t.alleles;
+        writeln!(
+            w,
+            "{chr}\t{}\t{}{}",
+            t.pos + 1,
+            a.to_ascii() as char,
+            b.to_ascii() as char
+        )?;
+    }
     Ok(())
 }
 

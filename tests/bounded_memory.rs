@@ -5,9 +5,15 @@
 //! retains every table, does grow. That second half is what makes the test
 //! able to fail: a retained vector back in the loop would show the same way.
 //! The memory ledger's rows are checked against the same measurement.
+//!
+//! `gsnp synth`'s memory is set by its read plan: planning a data set and
+//! writing its reads as text holds at most 64 B a read and 4 B a site, and
+//! grows in proportion — where building every read before writing any, as
+//! [`Dataset::generate`] does, holds several hundred bytes a read.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::sync::{Mutex, PoisonError};
 
 use gsnp::core::pipeline::{GsnpConfig, PipelineStats};
 use gsnp::core::{call_metrics, Collect, GsnpPipeline, ResultSink};
@@ -79,9 +85,12 @@ fn peak_of_run(sites: u64, sink: &mut dyn ResultSink) -> (u64, PipelineStats) {
     (peak, out.stats)
 }
 
-// One test: the counters are the process's.
+/// The counters are the process's: one measurement at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn peak_live_heap_follows_the_window_not_the_chromosome() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut small = Discard::default();
     let (peak_1x, stats_1x) = peak_of_run(N, &mut small);
     let mut large = Discard::default();
@@ -152,4 +161,55 @@ fn peak_live_heap_follows_the_window_not_the_chromosome() {
         mib(kept_1x),
         mib(kept_4x)
     );
+}
+
+/// A `gsnp synth`-shaped data set of `sites` sites, its reads written as
+/// text to a writer that keeps nothing: from the plan when `planned`, else
+/// built whole first. The peak live heap, and the read count.
+fn synth_peak(sites: u64, planned: bool) -> (u64, u64) {
+    let config = SynthConfig {
+        num_sites: sites,
+        depth: 10.0,
+        read_len: 100,
+        ..SynthConfig::tiny(sites)
+    };
+    let sink = BufWriter::new(std::io::sink());
+    let before = testalloc::live_bytes();
+    testalloc::reset_peak();
+    let reads = if planned {
+        let (_dataset, plan) = Dataset::plan(config);
+        plan.write(sink).unwrap();
+        plan.len()
+    } else {
+        let d = Dataset::generate(config);
+        write_alignments(&d.reads, sink).unwrap();
+        d.reads.len()
+    };
+    (testalloc::peak_live_bytes() - before, reads as u64)
+}
+
+#[test]
+fn synth_memory_is_set_by_the_read_plan() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let bound = |reads: u64, sites: u64| 64 * reads + 4 * sites;
+    let (peak_1x, reads_1x) = synth_peak(N, true);
+    let (peak_4x, reads_4x) = synth_peak(4 * N, true);
+    println!(
+        "synth: {peak_1x} B for {reads_1x} reads over {N} sites, {peak_4x} B for {reads_4x} reads over {} sites",
+        4 * N
+    );
+    assert!(
+        peak_4x as f64 <= 4.4 * peak_1x as f64,
+        "4 × the sites took {peak_4x} B against {peak_1x} B"
+    );
+    for (peak, reads, sites) in [(peak_1x, reads_1x, N), (peak_4x, reads_4x, 4 * N)] {
+        assert!(
+            peak <= bound(reads, sites),
+            "{peak} B for {reads} reads over {sites} sites"
+        );
+    }
+    // Every read built before the first is written: far past the bound.
+    let (whole, _) = synth_peak(4 * N, false);
+    println!("synth, every read built first: {whole} B");
+    assert!(whole > 2 * bound(reads_4x, 4 * N), "{whole} B");
 }

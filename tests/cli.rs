@@ -18,7 +18,10 @@
 //! device-pipeline flag next to `--cpu`, which would not reach it. A closed
 //! stdout ends a command quietly; any other stdout error is an error, not
 //! a panic. A destination that cannot be written is found before the first
-//! window is computed, not after the last.
+//! window is computed, not after the last. `gsnp synth` refuses zero sites,
+//! a depth that is not a positive number and a shared rate outside [0, 1]
+//! before it makes its directory, and writes the bytes digests recorded
+//! from its collect-then-write form pin.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -484,6 +487,8 @@ fn flags_are_checked_against_the_subcommands_usage() {
         d("priors.txt")
     );
     let profile = format!("profile --sites 2000 --trace {refused_trace}");
+    let never = d("never");
+    let synth = format!("synth {never}");
     for (cmd, flags, message) in [
         (
             &call,
@@ -523,12 +528,26 @@ fn flags_are_checked_against_the_subcommands_usage() {
             "--backend sim",
             "unknown flag --backend for 'gsnp profile' ",
         ),
+        // The first panicked in the generator, leaving an empty directory;
+        // the others wrote a set of eight hotspot reads, or of no site.
+        (
+            &synth,
+            "--sites 6000 --samples 2 --shared-rate 1.5",
+            "--shared-rate must be between 0 and 1, not 1.5",
+        ),
+        (
+            &synth,
+            "--depth -3",
+            "--depth must be a finite number above 0, not -3",
+        ),
+        (&synth, "--depth NaN", "--depth must be a finite number"),
+        (&synth, "--sites 0", "--sites must be at least 1"),
     ] {
         let refused = run(&format!("{cmd} {flags}"));
         let stderr = String::from_utf8_lossy(&refused.stderr);
         assert_eq!(refused.status.code(), Some(1), "{flags}: {stderr}");
         assert!(stderr.contains(message), "{flags}: {stderr}");
-        for left in [&out, &refused_trace] {
+        for left in [&out, &refused_trace, &never] {
             assert!(!Path::new(left).exists(), "{flags}: left {left}");
         }
     }
@@ -683,6 +702,66 @@ fn a_closed_stdout_ends_the_command_quietly() {
         assert_eq!(out.status.code(), Some(1), "{stderr}");
         assert!(stderr.starts_with("gsnp: error: stdout: "), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `gsnp synth` writes a read straight from its saved generator state, in
+/// position order; every file it writes is, byte for byte, what it wrote
+/// when it built every read before writing any: FNV-1a digests recorded
+/// from that build.
+#[test]
+fn synth_writes_the_recorded_bytes() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_synth_{}", std::process::id()));
+    let single: &[(&str, u64)] = &[
+        ("priors.txt", 0xb62f_69ef_fd15_908a),
+        ("reads.soap", 0x3b44_aac2_155b_2063),
+        ("reference.fa", 0x46ca_103b_4807_becf),
+        ("truth.txt", 0xf1a7_c322_f596_11ec),
+    ];
+    let cohort: &[(&str, u64)] = &[
+        ("cohort.tsv", 0xdf0c_fb6b_5933_f8e1),
+        ("priors.txt", 0x16a5_debe_042c_fea1),
+        ("reference.fa", 0x5b01_27aa_15b2_7ac5),
+        ("s0.soap", 0xb363_8246_12db_e62b),
+        ("s1.soap", 0x77a5_18de_9444_3341),
+        ("s2.soap", 0xe184_5881_30d4_366b),
+        ("truth.s0.txt", 0x4066_7076_46bf_c0b6),
+        ("truth.s1.txt", 0x99c4_f879_4642_3948),
+        ("truth.s2.txt", 0xdb24_8c8c_3a4b_a90d),
+    ];
+    for (flags, files, summary) in [
+        (
+            "--sites 20000 --depth 3",
+            single,
+            "wrote 542 reads over 20000 sites (30 planted SNPs) to ",
+        ),
+        (
+            "--sites 6000 --samples 3 --shared-rate 0.5",
+            cohort,
+            "wrote cohort of 3 samples (1617 reads, 9 shared sites of 18) to ",
+        ),
+    ] {
+        std::fs::remove_dir_all(&dir).ok();
+        let mut args = vec!["synth", dir.to_str().unwrap()];
+        args.extend(flags.split(' '));
+        let stdout = String::from_utf8(ok(&args).stdout).unwrap();
+        assert!(stdout.starts_with(summary), "{flags}: {stdout}");
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        written.sort_unstable();
+        let recorded: Vec<&str> = files.iter().map(|f| f.0).collect();
+        assert_eq!(written, recorded, "{flags}");
+        for &(name, digest) in files {
+            let bytes = std::fs::read(dir.join(name)).unwrap();
+            assert_eq!(
+                gsnp::core::journal::fnv64(&bytes),
+                digest,
+                "{flags}: {name}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
