@@ -7,25 +7,28 @@
 //! same well-defined "last writer wins" semantics racing global-memory
 //! writes have on a real GPU (no Rust-level undefined behaviour).
 //!
-//! Storage is type-erased: every scalar is held in an `AtomicU64` cell via
-//! its raw bit pattern. This keeps one untyped free-list per size class in
-//! the [`crate::BufferPool`], so recycling a `u32` word buffer as an `f64`
-//! likelihood buffer needs no re-allocation. Logical length is tracked
-//! separately from cell capacity for the same reason.
+//! Each element is held at its scalar's width: a `u16` in an `AtomicU16`,
+//! an `f64` in an `AtomicU64` (see [`DeviceScalar::Cell`]), so a buffer
+//! costs the host what it models on the device. The backing allocation
+//! itself is type-erased 8-byte words, which keeps one untyped free-list
+//! per byte class in the [`crate::BufferPool`]: recycling a `u32` word
+//! buffer as an `f64` likelihood buffer of the same byte size needs no
+//! re-allocation. Logical length is tracked separately from capacity for
+//! the same reason.
 //!
 //! Accesses from inside a kernel must go through [`crate::KernelCtx`] so they
 //! are counted; the methods here are host-side (uncounted) conveniences.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::sanitizer::BufferShadow;
 
-/// Raw type-erased device cells (shared with the buffer pool).
+/// Raw type-erased backing words (shared with the buffer pool).
 pub(crate) type RawCells = Box<[AtomicU64]>;
 
-/// Allocate `cells` zeroed raw cells (zero is the raw encoding of every
+/// Allocate `words` zeroed backing words (zero is the raw encoding of every
 /// scalar's default value).
 ///
 /// Goes through `vec![0u64; n]` so the allocator's zeroed path (calloc)
@@ -33,8 +36,8 @@ pub(crate) type RawCells = Box<[AtomicU64]>;
 /// windowed pipelines allocate them constantly, and an element-wise
 /// constructor loop would memset every byte up front.
 #[allow(unsafe_code)]
-pub(crate) fn raw_zeroed(cells: usize) -> RawCells {
-    let mut lanes = std::mem::ManuallyDrop::new(vec![0u64; cells]);
+pub(crate) fn raw_zeroed(words: usize) -> RawCells {
+    let mut lanes = std::mem::ManuallyDrop::new(vec![0u64; words]);
     // SAFETY: `AtomicU64` is documented to have the same size and bit
     // validity as `u64` (and the same alignment on every supported
     // target), and `vec![0u64; n]` allocates capacity == len, so the
@@ -49,25 +52,96 @@ pub(crate) fn raw_zeroed(cells: usize) -> RawCells {
     v.into_boxed_slice()
 }
 
+/// Backing words that hold `len` elements of `T`.
+pub(crate) fn words_for<T: DeviceScalar>(len: usize) -> usize {
+    (len * T::BYTES as usize).div_ceil(8)
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// An atomic backing cell of one width: `AtomicU8`, `AtomicU16`,
+/// `AtomicU32` or `AtomicU64`. Raw values cross it zero-extended to `u64`;
+/// a store keeps the low bits, and `fetch_add` wraps at the cell's width.
+/// Sealed: [`GlobalBuffer`] views its backing words as these cells.
+pub trait DeviceCell: sealed::Sealed + Send + Sync + 'static {
+    /// The plain integer of the same width, size and alignment (the host
+    /// executor's span view).
+    type Plain: Copy + Into<u64>;
+    /// Relaxed load, zero-extended.
+    fn load_raw(&self) -> u64;
+    /// Relaxed store of the low bits of `raw`.
+    fn store_raw(&self, raw: u64);
+    /// Relaxed wrapping fetch-add; returns the previous value.
+    fn fetch_add_raw(&self, v: u64) -> u64;
+    /// The low bits of `raw` as a plain value.
+    fn narrow(raw: u64) -> Self::Plain;
+}
+
+macro_rules! cell {
+    ($cell:ty, $plain:ty) => {
+        impl sealed::Sealed for $cell {}
+        impl DeviceCell for $cell {
+            type Plain = $plain;
+            #[inline(always)]
+            fn load_raw(&self) -> u64 {
+                self.load(Ordering::Relaxed).into()
+            }
+            #[inline(always)]
+            fn store_raw(&self, raw: u64) {
+                self.store(raw as $plain, Ordering::Relaxed)
+            }
+            #[inline(always)]
+            fn fetch_add_raw(&self, v: u64) -> u64 {
+                self.fetch_add(v as $plain, Ordering::Relaxed).into()
+            }
+            #[inline(always)]
+            fn narrow(raw: u64) -> $plain {
+                raw as $plain
+            }
+        }
+    };
+}
+
+cell!(AtomicU8, u8);
+cell!(AtomicU16, u16);
+cell!(AtomicU32, u32);
+cell!(AtomicU64, u64);
+
 /// Scalar types that can live in device memory.
 ///
-/// Each scalar is stored as a `u64` bit pattern in an atomic backing cell;
-/// loads/stores use `Relaxed` ordering. Floats are stored as their IEEE-754
-/// bit patterns, narrower integers zero-extended.
+/// Each scalar is stored as its raw bit pattern in an atomic cell of its own
+/// width; loads/stores use `Relaxed` ordering. Floats are stored as their
+/// IEEE-754 bit patterns; raw values are zero-extended to `u64` wherever
+/// they leave a cell.
 pub trait DeviceScalar: Copy + Default + Send + Sync + 'static {
-    /// Size in bytes of the *modelled* scalar (used for bandwidth
-    /// accounting; the simulator's backing cell is always 8 bytes).
+    /// Size in bytes of the modelled scalar: its bandwidth accounting and
+    /// the width of its backing cell alike.
     const BYTES: u64;
+    /// The atomic cell one element lives in (`BYTES` wide).
+    type Cell: DeviceCell;
     /// Encode into the raw cell representation.
     fn to_raw(self) -> u64;
     /// Decode from the raw cell representation.
     fn from_raw(raw: u64) -> Self;
+    /// Relaxed load of one cell.
+    #[inline(always)]
+    fn load(cell: &Self::Cell) -> Self {
+        Self::from_raw(cell.load_raw())
+    }
+    /// Relaxed store into one cell.
+    #[inline(always)]
+    fn store(cell: &Self::Cell, v: Self) {
+        cell.store_raw(v.to_raw());
+    }
 }
 
 macro_rules! int_scalar {
-    ($t:ty, $bytes:expr) => {
+    ($t:ty, $bytes:expr, $cell:ty) => {
         impl DeviceScalar for $t {
             const BYTES: u64 = $bytes;
+            type Cell = $cell;
             #[inline(always)]
             fn to_raw(self) -> u64 {
                 self as u64
@@ -80,13 +154,14 @@ macro_rules! int_scalar {
     };
 }
 
-int_scalar!(u8, 1);
-int_scalar!(u16, 2);
-int_scalar!(u32, 4);
-int_scalar!(u64, 8);
+int_scalar!(u8, 1, AtomicU8);
+int_scalar!(u16, 2, AtomicU16);
+int_scalar!(u32, 4, AtomicU32);
+int_scalar!(u64, 8, AtomicU64);
 
 impl DeviceScalar for i32 {
     const BYTES: u64 = 4;
+    type Cell = AtomicU32;
     #[inline(always)]
     fn to_raw(self) -> u64 {
         self as u32 as u64
@@ -99,6 +174,7 @@ impl DeviceScalar for i32 {
 
 impl DeviceScalar for f32 {
     const BYTES: u64 = 4;
+    type Cell = AtomicU32;
     #[inline(always)]
     fn to_raw(self) -> u64 {
         self.to_bits() as u64
@@ -111,6 +187,7 @@ impl DeviceScalar for f32 {
 
 impl DeviceScalar for f64 {
     const BYTES: u64 = 8;
+    type Cell = AtomicU64;
     #[inline(always)]
     fn to_raw(self) -> u64 {
         self.to_bits()
@@ -127,7 +204,8 @@ impl DeviceScalar for f64 {
 /// buffer came from a size-classed pool; all indexing is bounds-checked
 /// against the logical length.
 pub struct GlobalBuffer<T: DeviceScalar> {
-    cells: RawCells,
+    /// Backing words, viewed as `T::Cell`s by [`GlobalBuffer::cells`].
+    words: RawCells,
     len: usize,
     /// Process-unique tenancy id, used by access contracts to key declared
     /// footprints to observed accesses. A recycled pool buffer gets a fresh
@@ -150,35 +228,31 @@ fn next_uid() -> u64 {
 impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Allocate `len` zero-initialized elements.
     pub fn zeroed(len: usize) -> Self {
-        GlobalBuffer {
-            cells: raw_zeroed(len),
-            len,
-            uid: next_uid(),
-            shadow: None,
-            _marker: PhantomData,
-        }
+        Self::from_raw_cells(raw_zeroed(words_for::<T>(len)), len)
     }
 
     /// Allocate from host data (an "upload"; byte accounting happens on the
     /// [`crate::Device`] methods).
     pub fn from_slice(data: &[T]) -> Self {
-        GlobalBuffer {
-            cells: data.iter().map(|&v| AtomicU64::new(v.to_raw())).collect(),
-            len: data.len(),
-            uid: next_uid(),
-            shadow: None,
-            _marker: PhantomData,
+        let buf = Self::zeroed(data.len());
+        for (cell, &v) in buf.cells().iter().zip(data) {
+            T::store(cell, v);
         }
+        buf
     }
 
-    /// Rewrap recycled raw cells with a (possibly shorter) logical length.
+    /// Rewrap recycled backing words with a (possibly shorter) logical
+    /// length.
     ///
     /// # Panics
-    /// Panics if `len` exceeds the cell capacity.
-    pub(crate) fn from_raw_cells(cells: RawCells, len: usize) -> Self {
-        assert!(len <= cells.len(), "logical length exceeds cell capacity");
+    /// Panics if `len` elements do not fit in the words.
+    pub(crate) fn from_raw_cells(words: RawCells, len: usize) -> Self {
+        assert!(
+            len <= words.len() * 8 / std::mem::size_of::<T::Cell>(),
+            "logical length exceeds cell capacity"
+        );
         GlobalBuffer {
-            cells,
+            words,
             len,
             uid: next_uid(),
             shadow: None,
@@ -186,10 +260,30 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         }
     }
 
-    /// Unwrap into the raw backing cells (for return to a pool; any shadow
+    /// Unwrap into the backing words (for return to a pool; any shadow
     /// state dies with the tenancy — a recycled buffer gets a fresh shadow).
     pub(crate) fn into_raw_cells(self) -> RawCells {
-        self.cells
+        self.words
+    }
+
+    /// The backing words as cells of `T`'s width, over the whole capacity.
+    #[allow(unsafe_code)]
+    #[inline(always)]
+    fn cells(&self) -> &[T::Cell] {
+        let size = std::mem::size_of::<T::Cell>();
+        // SAFETY: `T::Cell` is one of `AtomicU8`/`U16`/`U32`/`U64` (the
+        // trait is sealed): its size divides 8, its alignment is at most
+        // `AtomicU64`'s, every bit pattern (zero included) is a valid value,
+        // and like `AtomicU64` it is interior-mutable through `&`. So the
+        // words' allocation holds exactly `8 · words / size` such cells,
+        // suitably aligned. A tenancy views the words at one width only;
+        // the pool hands them between tenancies by move.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.words.as_ptr().cast::<T::Cell>(),
+                self.words.len() * 8 / size,
+            )
+        }
     }
 
     /// Attach sanitizer shadow state (done by [`crate::Device`] allocation
@@ -215,7 +309,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
 
     /// Backing capacity in elements (≥ `len()` for pooled buffers).
     pub fn capacity(&self) -> usize {
-        self.cells.len()
+        self.cells().len()
     }
 
     /// Whether the buffer is empty.
@@ -232,38 +326,33 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Uncounted host-side read (bounds-checked).
     #[inline(always)]
     pub fn get(&self, i: usize) -> T {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        let cell = self.cell(i);
         if let Some(sh) = &self.shadow {
             sh.host_read(i, 1);
         }
-        T::from_raw(self.cells[i].load(Ordering::Relaxed))
+        T::load(cell)
     }
 
     /// Uncounted host-side write (bounds-checked).
     #[inline(always)]
     pub fn set(&self, i: usize, v: T) {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        let cell = self.cell(i);
         if let Some(sh) = &self.shadow {
             sh.host_write(i, 1);
         }
-        self.cells[i].store(v.to_raw(), Ordering::Relaxed);
+        T::store(cell, v);
     }
 
     /// Uncounted host-side read of `out.len()` consecutive elements
     /// starting at `start` (bounds-checked once for the whole span).
     #[inline]
     pub fn read_span(&self, start: usize, out: &mut [T]) {
-        let end = start + out.len();
-        assert!(
-            end <= self.len,
-            "span {start}..{end} out of bounds (len {})",
-            self.len
-        );
+        let cells = self.cells_span(start, out.len());
         if let Some(sh) = &self.shadow {
             sh.host_read(start, out.len());
         }
-        for (o, c) in out.iter_mut().zip(&self.cells[start..end]) {
-            *o = T::from_raw(c.load(Ordering::Relaxed));
+        for (o, c) in out.iter_mut().zip(cells) {
+            *o = T::load(c);
         }
     }
 
@@ -284,11 +373,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         if let Some(sh) = &self.shadow {
             sh.host_read(0, self.len);
         }
-        out.extend(
-            self.cells[..self.len]
-                .iter()
-                .map(|c| T::from_raw(c.load(Ordering::Relaxed))),
-        );
+        out.extend(self.cells_span(0, self.len).iter().map(T::load));
     }
 
     /// Overwrite the buffer contents from a host slice of the same length.
@@ -300,8 +385,8 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         if let Some(sh) = &self.shadow {
             sh.host_write(0, self.len);
         }
-        for (cell, &v) in self.cells[..self.len].iter().zip(data) {
-            cell.store(v.to_raw(), Ordering::Relaxed);
+        for (cell, &v) in self.cells_span(0, self.len).iter().zip(data) {
+            T::store(cell, v);
         }
     }
 
@@ -310,19 +395,18 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         if let Some(sh) = &self.shadow {
             sh.host_write(0, self.len);
         }
-        for cell in &self.cells[..self.len] {
-            cell.store(0, Ordering::Relaxed);
+        for cell in self.cells_span(0, self.len) {
+            cell.store_raw(0);
         }
     }
 
-    /// Raw bit pattern of every logical element (uncounted, shadow-exempt).
-    /// Observation hook for the block-order determinism check — comparing
-    /// raw lanes makes "byte-identical" literal, NaN payloads included.
+    /// Raw bit pattern of every logical element, zero-extended (uncounted,
+    /// shadow-exempt). Observation hook for the block-order determinism
+    /// check — comparing raw lanes makes "byte-identical" literal, NaN
+    /// payloads included.
     pub fn raw_snapshot(&self) -> Vec<u64> {
-        self.cells[..self.len]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        let cells = self.cells_span(0, self.len);
+        cells.iter().map(DeviceCell::load_raw).collect()
     }
 
     // ---- plain (non-atomic) span access: the native backend's fast
@@ -346,36 +430,29 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Plain bulk read of `out.len()` consecutive elements (native
     /// kernels only; see the span-access safety note above).
     #[inline]
-    pub(crate) fn read_span_plain<U: DeviceScalar>(&self, start: usize, out: &mut [U]) {
+    pub(crate) fn read_span_plain(&self, start: usize, out: &mut [T]) {
         let lanes = self.lanes_plain(start, out.len());
         for (o, &lane) in out.iter_mut().zip(lanes) {
-            *o = U::from_raw(lane);
+            *o = T::from_raw(lane.into());
         }
     }
 
-    /// Plain raw-lane copy into a tile (native stage-in).
+    /// Plain copy into a tile's zero-extended `u64` lanes (native
+    /// stage-in).
     #[inline]
     pub(crate) fn copy_lanes_into(&self, start: usize, out: &mut [u64]) {
-        out.copy_from_slice(self.lanes_plain(start, out.len()));
+        let lanes = self.lanes_plain(start, out.len());
+        for (o, &lane) in out.iter_mut().zip(lanes) {
+            *o = lane.into();
+        }
     }
 
-    /// Plain raw-lane copy out of a tile (native flush).
+    /// Plain copy out of a tile's `u64` lanes, each narrowed to the cell
+    /// width (native flush).
     #[inline]
     pub(crate) fn copy_lanes_from(&self, start: usize, src: &[u64]) {
-        self.lanes_plain_mut(start, src.len()).copy_from_slice(src);
-    }
-
-    /// Plain read-add-write of a consecutive `f64` span (native kernels
-    /// only). Element order matches [`GlobalBuffer::add_assign_span`], so
-    /// results are bit-exact with the counted path.
-    #[inline]
-    pub(crate) fn add_assign_span_plain(&self, start: usize, terms: &[f64]) {
-        for (lane, &t) in self
-            .lanes_plain_mut(start, terms.len())
-            .iter_mut()
-            .zip(terms)
-        {
-            *lane = (f64::from_bits(*lane) + t).to_bits();
+        for (lane, &s) in self.lanes_plain_mut(start, src.len()).iter_mut().zip(src) {
+            *lane = <T::Cell as DeviceCell>::narrow(s);
         }
     }
 
@@ -385,40 +462,41 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     // after the launch.
     #[allow(unsafe_code)]
     #[inline(always)]
-    fn lanes_plain(&self, start: usize, len: usize) -> &[u64] {
+    fn lanes_plain(&self, start: usize, len: usize) -> &[<T::Cell as DeviceCell>::Plain] {
         let cells = self.cells_span(start, len);
-        // SAFETY: `AtomicU64` has the same size, alignment, and bit
-        // validity as `u64`; the view covers exactly the bounds-checked
-        // span, which the caller guarantees no other thread touches.
-        unsafe { std::slice::from_raw_parts(cells.as_ptr() as *const u64, cells.len()) }
+        // SAFETY: each atomic cell has the same size, alignment, and bit
+        // validity as its plain integer; the view covers exactly the
+        // bounds-checked span, which the caller guarantees no other thread
+        // touches.
+        unsafe { std::slice::from_raw_parts(cells.as_ptr().cast(), cells.len()) }
     }
 
     #[allow(unsafe_code)]
     #[allow(clippy::mut_from_ref)] // interior mutability: cells are atomics
     #[inline(always)]
-    fn lanes_plain_mut(&self, start: usize, len: usize) -> &mut [u64] {
+    fn lanes_plain_mut(&self, start: usize, len: usize) -> &mut [<T::Cell as DeviceCell>::Plain] {
         let cells = self.cells_span(start, len);
         // SAFETY: as above, plus exclusivity over the span — the caller
         // (one kernel block) is its only accessor for the view's
         // lifetime.
-        unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut u64, cells.len()) }
+        unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut _, cells.len()) }
     }
 
     #[inline(always)]
-    pub(crate) fn cell(&self, i: usize) -> &AtomicU64 {
+    pub(crate) fn cell(&self, i: usize) -> &T::Cell {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        &self.cells[i]
+        &self.cells()[i]
     }
 
     #[inline(always)]
-    pub(crate) fn cells_span(&self, start: usize, len: usize) -> &[AtomicU64] {
+    pub(crate) fn cells_span(&self, start: usize, len: usize) -> &[T::Cell] {
         let end = start + len;
         assert!(
             end <= self.len,
             "span {start}..{end} out of bounds (len {})",
             self.len
         );
-        &self.cells[start..end]
+        &self.cells()[start..end]
     }
 }
 
@@ -429,19 +507,28 @@ impl GlobalBuffer<f64> {
     /// so results are bit-exact with the scalar path.
     #[inline]
     pub fn add_assign_span(&self, start: usize, terms: &[f64]) {
-        let end = start + terms.len();
-        assert!(
-            end <= self.len,
-            "span {start}..{end} out of bounds (len {})",
-            self.len
-        );
+        let cells = self.cells_span(start, terms.len());
         if let Some(sh) = &self.shadow {
             sh.host_read(start, terms.len());
             sh.host_write(start, terms.len());
         }
-        for (c, &t) in self.cells[start..end].iter().zip(terms) {
-            let cur = f64::from_bits(c.load(Ordering::Relaxed));
-            c.store((cur + t).to_bits(), Ordering::Relaxed);
+        for (c, &t) in cells.iter().zip(terms) {
+            f64::store(c, f64::load(c) + t);
+        }
+    }
+
+    /// Plain read-add-write of a consecutive span (native kernels only;
+    /// see the span-access safety note above). Element order matches
+    /// [`GlobalBuffer::add_assign_span`], so results are bit-exact with the
+    /// counted path.
+    #[inline]
+    pub(crate) fn add_assign_span_plain(&self, start: usize, terms: &[f64]) {
+        for (lane, &t) in self
+            .lanes_plain_mut(start, terms.len())
+            .iter_mut()
+            .zip(terms)
+        {
+            *lane = (f64::from_bits(*lane) + t).to_bits();
         }
     }
 }
@@ -449,14 +536,13 @@ impl GlobalBuffer<f64> {
 /// Atomic read-modify-write support for integer device scalars (used by
 /// counting kernels that histogram into shared structures).
 ///
-/// The raw cells are 64-bit; carries past the scalar's width land in raw
-/// bits that [`DeviceScalar::from_raw`] masks off, so a plain 64-bit
-/// `fetch_add` gives exact wrapping semantics at every width.
+/// The cell is the scalar's own width, so its `fetch_add` wraps exactly
+/// where the scalar does and never carries into a neighbouring element.
 pub trait DeviceInt: DeviceScalar {
     /// Atomic fetch-add with relaxed ordering; returns the previous value.
     #[inline(always)]
-    fn fetch_add(cell: &AtomicU64, v: Self) -> Self {
-        Self::from_raw(cell.fetch_add(v.to_raw(), Ordering::Relaxed))
+    fn fetch_add(cell: &Self::Cell, v: Self) -> Self {
+        Self::from_raw(cell.fetch_add_raw(v.to_raw()))
     }
 }
 
@@ -565,6 +651,39 @@ mod tests {
     }
 
     #[test]
+    fn u16_buffer_is_backed_by_its_own_width() {
+        for n in [0usize, 1, 3, 4, 5, 1000, 1001] {
+            let b: GlobalBuffer<u16> = GlobalBuffer::zeroed(n);
+            assert_eq!(b.capacity(), 4 * (2 * n).div_ceil(8), "n = {n}");
+            assert_eq!(b.into_raw_cells().len(), (2 * n).div_ceil(8), "n = {n}");
+        }
+        let b = GlobalBuffer::from_slice(&[1u16, 2, 3, 4, 5]);
+        assert_eq!(b.into_raw_cells().len(), 2);
+    }
+
+    #[test]
+    fn fetch_add_wraps_in_place_and_spares_neighbours() {
+        let b = GlobalBuffer::from_slice(&[0xAAu8, 0xFF, 0xAA, 0x01]);
+        assert_eq!(u8::fetch_add(b.cell(1), 2), 0xFF);
+        assert_eq!(b.to_vec(), vec![0xAA, 1, 0xAA, 0x01]);
+        let b = GlobalBuffer::from_slice(&[0x1234u16, 0xFFFF, 0x5678]);
+        assert_eq!(u16::fetch_add(b.cell(1), 3), 0xFFFF);
+        assert_eq!(b.to_vec(), vec![0x1234, 2, 0x5678]);
+        assert_eq!(u16::fetch_add(b.cell(0), 0xFFFF), 0x1234);
+        assert_eq!(b.to_vec(), vec![0x1233, 2, 0x5678]);
+    }
+
+    #[test]
+    fn raw_snapshot_zero_extends_each_element() {
+        let ints = GlobalBuffer::from_slice(&[-1i32, 7]);
+        assert_eq!(ints.raw_snapshot(), vec![0xFFFF_FFFF, 7]);
+        let floats = GlobalBuffer::from_slice(&[-0.0f32, 1.0]);
+        assert_eq!(floats.raw_snapshot(), vec![0x8000_0000, 0x3F80_0000]);
+        let bytes = GlobalBuffer::from_slice(&[0xFFu8, 0x80, 0]);
+        assert_eq!(bytes.raw_snapshot(), vec![0xFF, 0x80, 0]);
+    }
+
+    #[test]
     fn write_from_overwrites() {
         let b: GlobalBuffer<u16> = GlobalBuffer::zeroed(3);
         b.write_from(&[1, 2, 3]);
@@ -590,7 +709,8 @@ mod tests {
 
     #[test]
     fn logical_len_hides_pool_capacity() {
-        let b: GlobalBuffer<u32> = GlobalBuffer::from_raw_cells(raw_zeroed(8), 5);
+        // Four 8-byte words hold eight `u32`s.
+        let b: GlobalBuffer<u32> = GlobalBuffer::from_raw_cells(raw_zeroed(4), 5);
         assert_eq!(b.len(), 5);
         assert_eq!(b.capacity(), 8);
         assert_eq!(b.size_bytes(), 20);

@@ -13,9 +13,8 @@
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
 
-use crate::buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
+use crate::buffer::{ConstBuffer, DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
 use crate::config::DeviceConfig;
 use crate::counters::HwCounters;
 use crate::sanitizer::{AccessKind, LaunchSession};
@@ -441,7 +440,7 @@ impl<T: DeviceScalar> SharedTile<T> {
                 .iter_mut()
                 .zip(buf.cells_span(src, len))
             {
-                *lane = T::from_raw(cell.load(Ordering::Relaxed)).to_raw();
+                *lane = T::load(cell).to_raw();
             }
         } else {
             buf.copy_lanes_into(src, &mut self.data[dst..dst + len]);
@@ -475,7 +474,7 @@ impl<T: DeviceScalar> SharedTile<T> {
                 .iter()
                 .zip(buf.cells_span(dst, len))
             {
-                cell.store(*lane, Ordering::Relaxed);
+                cell.store_raw(*lane);
             }
         } else {
             buf.copy_lanes_from(dst, &self.data[src..src + len]);

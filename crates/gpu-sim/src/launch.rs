@@ -957,7 +957,8 @@ mod tests {
         let led = dev.ledger();
         assert_eq!(led.pool.hits, 1);
         assert_eq!(led.pool.misses, 1);
-        assert!(led.pool.high_water_bytes >= 1024 * 8);
+        // 1000 `u32`s at their own width, rounded up to a power of two.
+        assert_eq!(led.pool.high_water_bytes, 1024 * 4);
     }
 
     #[test]

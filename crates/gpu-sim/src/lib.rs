@@ -65,7 +65,7 @@ pub use backend::{
     BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend, NativeBackend,
     Route, SimBackend,
 };
-pub use buffer::{ConstBuffer, DeviceInt, DeviceScalar, GlobalBuffer};
+pub use buffer::{ConstBuffer, DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
 pub use config::DeviceConfig;
 pub use contract::{
     verify_contract, AccessContract, AccessMode, AffineExpr, BlockInterval, ContractReport,

@@ -5,10 +5,12 @@
 //! genotype likelihoods, depth counters), so instead of a `cudaMalloc`/
 //! `cudaFree` pair per window the production system keeps the allocations
 //! alive and re-binds them. [`BufferPool`] models that: freed
-//! [`GlobalBuffer`]s park on size-classed free lists (capacities rounded up
-//! to powers of two) and are handed back out on the next request of any
-//! scalar type — the backing cells are type-erased, so a `u32` word buffer
-//! from window *k* can serve as the `f64` likelihood buffer of window
+//! [`GlobalBuffer`]s park on free lists classed by backing bytes (whole
+//! 8-byte words, rounded up to a power of two) and are handed back out on
+//! the next request of any scalar type whose `len · BYTES` falls in the
+//! same class — the backing words are type-erased and each tenancy views
+//! them at its own scalar's width, so a `u32` word buffer from window *k*
+//! can serve as an `f64` likelihood buffer of half the elements in window
 //! *k*+1.
 //!
 //! The pool can be disabled, in which case every acquire allocates fresh
@@ -22,7 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::buffer::{raw_zeroed, DeviceScalar, GlobalBuffer, RawCells};
+use crate::buffer::{raw_zeroed, words_for, DeviceScalar, GlobalBuffer, RawCells};
 
 /// Max parked buffers per size class; beyond this, released buffers drop.
 const MAX_PARKED_PER_CLASS: usize = 32;
@@ -91,9 +93,9 @@ impl BufferPool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Size class (in cells) for a requested logical length.
-    fn class_of(len: usize) -> usize {
-        len.max(1).next_power_of_two()
+    /// Size class (in backing words) for `len` elements of `T`.
+    fn class_of<T: DeviceScalar>(len: usize) -> usize {
+        words_for::<T>(len).max(1).next_power_of_two()
     }
 
     /// Check a buffer out of the pool.
@@ -116,7 +118,7 @@ impl BufferPool {
         len: usize,
         zero: bool,
     ) -> (PooledBuffer<T>, bool) {
-        let class = Self::class_of(len);
+        let class = Self::class_of::<T>(len);
         // A zeroed request prefers the known-zero list (no sweep); a dirty
         // request prefers the dirty list, falling back to zeroed cells
         // (which are also fine to overwrite).
@@ -144,14 +146,15 @@ impl BufferPool {
         // its user self-cleans (see `park_zeroed_on_drop`).
         let mut fully_zero = true;
         let cells = match recycled {
-            Some((cells, from_zero_list)) => {
+            Some((mut cells, from_zero_list)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if !from_zero_list {
                     if zero {
                         // Sweep the whole capacity (not just `len`) so the
-                        // fully-zero invariant holds for later parking.
-                        for c in &cells {
-                            c.store(0, Ordering::Relaxed);
+                        // fully-zero invariant holds for later parking —
+                        // every word, whatever width it was last used at.
+                        for c in &mut cells {
+                            *c.get_mut() = 0;
                         }
                     } else {
                         fully_zero = false;
@@ -293,12 +296,42 @@ mod tests {
     #[test]
     fn recycle_hits_after_release() {
         let p = pool(true);
-        drop(p.acquire::<u32>(100, true));
-        drop(p.acquire::<f64>(100, true)); // same class, different scalar
+        drop(p.acquire::<u32>(200, true));
+        drop(p.acquire::<f64>(100, true)); // same bytes, different scalar
         let s = p.stats();
         assert_eq!(s.hits, 1, "second acquire must reuse the first's cells");
         assert_eq!(s.misses, 1);
         assert_eq!(s.outstanding_bytes, 0);
+    }
+
+    #[test]
+    fn classes_count_bytes_not_elements() {
+        let p = pool(true);
+        // 128 `f64`s and 200 `u32`s (100 words) share the 128-word class.
+        drop(p.acquire::<f64>(128, false));
+        let w = p.acquire::<u32>(200, false);
+        assert_eq!((p.stats().hits, w.capacity()), (1, 256));
+        drop(w);
+        // 256 `f64`s are 256 words: another class.
+        drop(p.acquire::<f64>(256, false));
+        assert_eq!((p.stats().hits, p.stats().misses), (1, 2));
+    }
+
+    #[test]
+    fn zeroed_acquire_of_a_dirty_buffer_of_another_width_reads_zero() {
+        let p = pool(true);
+        {
+            let b = p.acquire::<u8>(1024, false);
+            (0..1024).for_each(|i| b.set(i, 0xFF));
+        }
+        let wide = p.acquire::<f64>(128, true);
+        assert_eq!(p.stats().hits, 1);
+        assert!(wide.to_vec().iter().all(|v| v.to_bits() == 0));
+        (0..128).for_each(|i| wide.set(i, f64::NAN));
+        drop(wide);
+        let narrow = p.acquire::<u16>(512, true);
+        assert_eq!(p.stats().hits, 2);
+        assert_eq!(narrow.to_vec(), vec![0; 512]);
     }
 
     #[test]

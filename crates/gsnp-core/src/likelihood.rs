@@ -212,12 +212,22 @@ impl DeviceTables {
         np: &NewPMatrix,
         lt: &Arc<LogTable>,
     ) -> DeviceTables {
+        Self::upload_mirrored(dev, p, np, lt, np.as_slice().into())
+    }
+
+    fn upload_mirrored(
+        dev: &Device,
+        p: &PMatrix,
+        np: &NewPMatrix,
+        lt: &Arc<LogTable>,
+        host_new_p: Arc<[f64]>,
+    ) -> DeviceTables {
         DeviceTables {
             p_matrix: dev.upload(p.as_slice()),
             new_p: dev.upload(np.as_slice()),
             log_table: dev.upload_const(lt.as_slice()),
             host_log: Arc::clone(lt),
-            host_new_p: np.as_slice().into(),
+            host_new_p,
         }
     }
 
@@ -226,28 +236,29 @@ impl DeviceTables {
         (self.p_matrix.len() + self.new_p.len()) as u64 * 8 + self.log_table.len() as u64 * 8
     }
 
-    /// Host bytes one device's copy keeps resident: the uploaded buffers
-    /// plus the native arm's plain-`f64` mirror of `new_p`.
-    pub fn resident_bytes(&self) -> u64 {
-        self.upload_bytes() + self.host_new_p.len() as u64 * 8
+    /// Host bytes of the native arm's plain-`f64` mirror of `new_p`, which
+    /// every member of an [`DeviceTables::upload_group`] shares.
+    pub fn mirror_bytes(&self) -> u64 {
+        self.host_new_p.len() as u64 * 8
     }
 
     /// Upload the tables to every device of a group from **one** host
-    /// image (the matrices are borrowed, the log table is ref-counted — no
-    /// per-device host-side rebuild), charging each device's ledger the
-    /// PCIe cost of its own copy exactly once. Returns one `DeviceTables`
-    /// per member, in device order.
+    /// image (the matrices are borrowed, the log table and the native
+    /// arm's mirror are ref-counted — no per-device host-side copy),
+    /// charging each device's ledger the PCIe cost of its own copy exactly
+    /// once. Returns one `DeviceTables` per member, in device order.
     pub fn upload_group(
         group: &DeviceGroup,
         p: &PMatrix,
         np: &NewPMatrix,
         lt: &Arc<LogTable>,
     ) -> Vec<DeviceTables> {
+        let mirror: Arc<[f64]> = np.as_slice().into();
         group
             .devices()
             .iter()
             .map(|dev| {
-                let tables = Self::upload_shared(dev, p, np, lt);
+                let tables = Self::upload_mirrored(dev, p, np, lt, Arc::clone(&mirror));
                 let mut stats = LaunchStats::default();
                 dev.charge_h2d(&mut stats, tables.upload_bytes());
                 tables
@@ -979,6 +990,23 @@ mod tests {
         let f = fixture(43);
         let tl = likelihood_sparse_site(&[], f.read_len, &f.np, &f.lt);
         assert_eq!(tl, [0.0; NUM_GENOTYPES]);
+    }
+
+    #[test]
+    fn a_group_shares_one_host_mirror_and_uploads_per_device() {
+        let f = fixture(45);
+        let group = DeviceGroup::new(gpu_sim::DeviceConfig::tesla_m2050(), 3);
+        let lt = Arc::new(f.lt.clone());
+        let tables = DeviceTables::upload_group(&group, &f.p, &f.np, &lt);
+        assert_eq!(tables.len(), 3);
+        for t in &tables[1..] {
+            assert!(Arc::ptr_eq(&t.host_new_p, &tables[0].host_new_p));
+        }
+        assert_eq!(&tables[0].host_new_p[..], f.np.as_slice());
+        assert_eq!(tables[0].mirror_bytes(), f.np.as_slice().len() as u64 * 8);
+        for dev in group.devices() {
+            assert_eq!(dev.ledger().counters.h2d_bytes, tables[0].upload_bytes());
+        }
     }
 
     #[test]

@@ -846,13 +846,13 @@ pub(crate) fn run_window_loop(
     times.cal_p = wall.cal_p + stats.table_bytes as f64 / cfg.device.pcie_bw;
     stats.temp_input_bytes = first.inputs.iter().map(TempInput::packed_bytes).sum();
     stats.peak_host_bytes += stats.temp_input_bytes;
-    // The tables' high water is here: the calibrated image and every
-    // device's copy of it. The image has served once the copies exist;
-    // unless the caller injected it and still holds it, it goes now, not
-    // when the loop ends.
+    // The tables' high water is here: the calibrated image, every
+    // device's copy of it, and the one host mirror the group shares. The
+    // image has served once the copies exist; unless the caller injected
+    // it and still holds it, it goes now, not when the loop ends.
     let image = (shared.p_matrix.size_bytes() + shared.new_p.size_bytes()) as u64;
-    let copies: u64 = tables.iter().map(DeviceTables::resident_bytes).sum();
-    stats.score_table_bytes = image + copies;
+    let copies: u64 = tables.iter().map(DeviceTables::upload_bytes).sum();
+    stats.score_table_bytes = image + copies + tables[0].mirror_bytes();
     drop(shared);
     stats.first_pass_slab_bytes = first.slab_bytes;
 

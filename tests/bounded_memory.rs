@@ -6,6 +6,11 @@
 //! able to fail: a retained vector back in the loop would show the same way.
 //! The memory ledger's rows are checked against the same measurement.
 //!
+//! The simulator's device memory costs the host what it models: each
+//! element sits in a cell of its scalar's width, so the pool's high water
+//! stays below the modelled peak device bytes — where 8-byte cells for
+//! every scalar held more than was modelled.
+//!
 //! `gsnp synth`'s memory is set by its read plan: planning a data set and
 //! writing its reads as text holds at most 64 B a read and 4 B a site, and
 //! grows in proportion — where building every read before writing any, as
@@ -160,6 +165,40 @@ fn peak_live_heap_follows_the_window_not_the_chromosome() {
         "retaining every table went unnoticed: {:.1} → {:.1} MiB",
         mib(kept_1x),
         mib(kept_4x)
+    );
+}
+
+/// Pool high water over modelled peak device bytes. Width-true cells read
+/// 0.49 here (the modelled peak counts the tables, which are not pooled,
+/// and a power-of-two class can leave a buffer up to half empty); 8-byte
+/// cells read 1.27.
+const SIM_POOL_OVER_MODEL: f64 = 0.8;
+
+#[test]
+fn simulated_device_memory_costs_what_it_models() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let sites = N / 2;
+    let (path, reference, priors) = on_disk(sites);
+    let cfg = GsnpConfig {
+        window_size: 8 * WINDOW,
+        backend: BackendChoice::Sim,
+        ..Default::default()
+    };
+    let out = GsnpPipeline::new(cfg)
+        .run_text(
+            File::open(&path).unwrap(),
+            &reference,
+            &priors,
+            &mut Discard::default(),
+        )
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let (pool, model) = (out.stats.pool.high_water_bytes, out.stats.peak_device_bytes);
+    println!("simulator: pool high water {pool} B, modelled peak {model} B");
+    assert!(out.stats.num_sites == sites && model > out.stats.table_bytes);
+    assert!(
+        pool as f64 <= SIM_POOL_OVER_MODEL * model as f64,
+        "the pool held {pool} B for {model} B of modelled device memory"
     );
 }
 
