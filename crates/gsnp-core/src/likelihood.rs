@@ -24,8 +24,8 @@
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::{
-    AccessContract, BlockInterval, ComputeBackend, ConstBuffer, Device, DeviceGroup, Footprint,
-    GlobalBuffer, LaunchStats, NativeBackend,
+    AccessContract, BlockInterval, ComputeBackend, ConstBuffer, Device, Footprint, GlobalBuffer,
+    LaunchStats, NativeBackend,
 };
 use seqio::result::SnpRow;
 use seqio::soap::MAX_READ_LEN;
@@ -34,7 +34,9 @@ use crate::arena::WindowArena;
 use crate::baseword;
 use crate::counting::{base_occ_index, SparseWindow, SITE_CELLS};
 use crate::model::{adjust, SiteCaller, SiteSummary, NUM_GENOTYPES};
-use crate::tables::{likely_update, new_p_cell, p_index, LogTable, NewPMatrix, PMatrix};
+use crate::tables::{
+    likely_update, new_p_cell, p_index, LogTable, NewPMatrix, PMatrix, SharedTables,
+};
 
 /// Sites processed per thread block by the likelihood kernels.
 pub const SITES_PER_BLOCK: usize = 256;
@@ -178,21 +180,50 @@ pub fn sort_sparse_cpu(sw: &mut SparseWindow) {
 // Device tables
 // ---------------------------------------------------------------------
 
-/// Score tables resident in simulated device memory.
+/// Score tables in simulated device memory, plus what the native arm
+/// reads on the host.
+///
+/// Every device is charged the modelled upload (the paper's `load_table`),
+/// but holds `p_matrix` / `new_p_matrix` only where a launch can read them
+/// ([`DeviceTables::upload_group`]); the accessors panic, naming the
+/// table, if a launch ever reaches a device without them.
 pub struct DeviceTables {
     /// `p_matrix` in global memory (8 MB-class: too big for shared or
     /// constant memory — §IV-D).
-    pub p_matrix: GlobalBuffer<f64>,
+    p_matrix: Option<GlobalBuffer<f64>>,
     /// `new_p_matrix` in global memory.
-    pub new_p: GlobalBuffer<f64>,
+    new_p: Option<GlobalBuffer<f64>>,
     /// `log_table` in constant memory (65 doubles, trivially fits).
     pub log_table: ConstBuffer<f64>,
     host_log: Arc<LogTable>,
-    /// Host mirror of `new_p` (same values, same bits): the native arm
-    /// ([`likelihood_host_sites`]) reads genotype rows from it as plain
-    /// `f64` slices, which the auto-vectorizer can chew through — the
-    /// device buffer's atomic cells cannot.
-    host_new_p: Arc<[f64]>,
+    /// The `new_p_matrix` image's own rows ([`NewPMatrix::shared`]): the
+    /// native arm ([`likelihood_host_sites`]) reads them as plain `f64`
+    /// arrays, which the auto-vectorizer can chew through — the device
+    /// buffer's atomic cells cannot.
+    host_new_p: Arc<[[f64; NUM_GENOTYPES]]>,
+    /// H2D bytes of the modelled upload, from the image sizes.
+    upload_bytes: u64,
+}
+
+/// The device stage's native arm over `dev` ([`likelihood_host_sites`]):
+/// only the `new_p_matrix` variants have one, and only where the backend
+/// runs the chain natively. `None` means the simulator chain, which reads
+/// the device tables.
+pub(crate) fn native_scoring_arm<B: ComputeBackend>(
+    dev: &B,
+    variant: KernelVariant,
+) -> Option<NativeBackend<'_>> {
+    variant.uses_new_table().then(|| dev.native_arm()).flatten()
+}
+
+#[track_caller]
+fn held<'a>(copy: &'a Option<GlobalBuffer<f64>>, table: &str) -> &'a GlobalBuffer<f64> {
+    copy.as_ref().unwrap_or_else(|| {
+        panic!(
+            "score tables: a simulated launch read {table} on a device that holds no \
+             copy of it (upload_group found its scoring on the native arm)"
+        )
+    })
 }
 
 impl DeviceTables {
@@ -203,64 +234,83 @@ impl DeviceTables {
         Self::upload_shared(dev, p, np, &Arc::new(lt.clone()))
     }
 
-    /// Upload the three tables, sharing the host log table by reference
-    /// count — repeated uploads (benchmark repetitions, per-run pipelines)
-    /// duplicate nothing host-side.
+    /// Upload the three tables, sharing the host log table and the
+    /// `new_p_matrix` storage by reference count — repeated uploads
+    /// (benchmark repetitions, per-run pipelines) duplicate nothing
+    /// host-side.
     pub fn upload_shared(
         dev: &Device,
         p: &PMatrix,
         np: &NewPMatrix,
         lt: &Arc<LogTable>,
     ) -> DeviceTables {
-        Self::upload_mirrored(dev, p, np, lt, np.as_slice().into())
+        Self::build(dev, true, p, np, lt)
     }
 
-    fn upload_mirrored(
+    fn build(
         dev: &Device,
+        hold: bool,
         p: &PMatrix,
         np: &NewPMatrix,
         lt: &Arc<LogTable>,
-        host_new_p: Arc<[f64]>,
     ) -> DeviceTables {
+        let copy = |image: &[f64]| hold.then(|| dev.upload(image));
         DeviceTables {
-            p_matrix: dev.upload(p.as_slice()),
-            new_p: dev.upload(np.as_slice()),
+            p_matrix: copy(p.as_slice()),
+            new_p: copy(np.as_slice()),
             log_table: dev.upload_const(lt.as_slice()),
             host_log: Arc::clone(lt),
-            host_new_p,
+            host_new_p: np.shared(),
+            upload_bytes: (p.size_bytes() + np.size_bytes() + size_of_val(lt.as_slice())) as u64,
         }
     }
 
-    /// H2D bytes the upload represents (charged to `cal_p_matrix` time).
+    /// `p_matrix` in global memory; panics on a device without a copy.
+    #[track_caller]
+    pub fn p_matrix(&self) -> &GlobalBuffer<f64> {
+        held(&self.p_matrix, "p_matrix")
+    }
+
+    /// `new_p_matrix` in global memory; panics on a device without a copy.
+    #[track_caller]
+    pub fn new_p(&self) -> &GlobalBuffer<f64> {
+        held(&self.new_p, "new_p_matrix")
+    }
+
+    /// H2D bytes the upload represents (charged to `cal_p_matrix` time),
+    /// whether or not the matrices are held.
     pub fn upload_bytes(&self) -> u64 {
-        (self.p_matrix.len() + self.new_p.len()) as u64 * 8 + self.log_table.len() as u64 * 8
+        self.upload_bytes
     }
 
-    /// Host bytes of the native arm's plain-`f64` mirror of `new_p`, which
-    /// every member of an [`DeviceTables::upload_group`] shares.
-    pub fn mirror_bytes(&self) -> u64 {
-        self.host_new_p.len() as u64 * 8
+    /// Bytes of device copies actually allocated: the whole upload where
+    /// the matrices are held, the constant log table alone where not.
+    pub fn resident_bytes(&self) -> u64 {
+        let copies = self.p_matrix.iter().chain(&self.new_p);
+        (copies.map(GlobalBuffer::len).sum::<usize>() + self.log_table.len()) as u64 * 8
     }
 
-    /// Upload the tables to every device of a group from **one** host
-    /// image (the matrices are borrowed, the log table and the native
-    /// arm's mirror are ref-counted — no per-device host-side copy),
-    /// charging each device's ledger the PCIe cost of its own copy exactly
-    /// once. Returns one `DeviceTables` per member, in device order.
-    pub fn upload_group(
-        group: &DeviceGroup,
-        p: &PMatrix,
-        np: &NewPMatrix,
-        lt: &Arc<LogTable>,
+    /// Upload `image` to every backend's device from **one** host copy
+    /// (borrowed, and `new_p_matrix`'s storage and the log table shared by
+    /// reference count: no per-device host-side copy), charging each
+    /// device's ledger the PCIe cost of its own copy exactly once. A device
+    /// holds the matrices only where `variant` scores on the simulator
+    /// chain over it — the test the window loop's device stage picks its
+    /// arm by — as the native arm reads the shared host storage instead.
+    /// Returns one `DeviceTables` per backend, in order.
+    pub fn upload_group<B: ComputeBackend>(
+        backends: &[B],
+        variant: KernelVariant,
+        image: &SharedTables,
     ) -> Vec<DeviceTables> {
-        let mirror: Arc<[f64]> = np.as_slice().into();
-        group
-            .devices()
+        let (p, np, lt) = (&image.p_matrix, &image.new_p, &image.log_table);
+        backends
             .iter()
-            .map(|dev| {
-                let tables = Self::upload_mirrored(dev, p, np, lt, Arc::clone(&mirror));
+            .map(|b| {
+                let hold = native_scoring_arm(b, variant).is_none();
+                let tables = Self::build(b.device(), hold, p, np, lt);
                 let mut stats = LaunchStats::default();
-                dev.charge_h2d(&mut stats, tables.upload_bytes());
+                b.charge_h2d(&mut stats, tables.upload_bytes());
                 tables
             })
             .collect()
@@ -419,6 +469,12 @@ fn comp_gpu_impl<B: ComputeBackend>(
         .map(|_| dev.alloc_pooled_dirty::<u32>(num_sites * SUMMARY_WORDS));
     let grid = num_sites.div_ceil(SITES_PER_BLOCK);
     let lt = &tables.host_log;
+    // The one score table the variant reads.
+    let table = if variant.uses_new_table() {
+        tables.new_p()
+    } else {
+        tables.p_matrix()
+    };
     let type_likely = &*type_likely;
     let dep_count = &*dep_count_guard;
     let summary_buf = summary_dev.as_deref();
@@ -457,12 +513,8 @@ fn comp_gpu_impl<B: ComputeBackend>(
             .read_write(
                 dep_count,
                 Footprint::tiled(SITES_PER_BLOCK * 2 * read_len, num_sites * 2 * read_len),
-            );
-        c = if variant.uses_new_table() {
-            c.read(&tables.new_p, Footprint::All)
-        } else {
-            c.read(&tables.p_matrix, Footprint::All)
-        };
+            )
+            .read(table, Footprint::All);
         if let Some(sbuf) = summary_buf {
             c = c.write(
                 sbuf,
@@ -552,7 +604,7 @@ fn comp_gpu_impl<B: ComputeBackend>(
                     // span ops tally the same counters as ten scalar
                     // accesses but do the bookkeeping once per row.
                     let mut terms = [0f64; NUM_GENOTYPES];
-                    ctx.ld_rand_span(&tables.new_p, cell, &mut terms);
+                    ctx.ld_rand_span(table, cell, &mut terms);
                     // Fixed per-update cost: addressing + accumulate +
                     // loop control (calibrated against Table III).
                     ctx.add_inst(20 * NUM_GENOTYPES as u64);
@@ -564,8 +616,8 @@ fn comp_gpu_impl<B: ComputeBackend>(
                     let mut n = 0usize;
                     for a1 in 0..4u8 {
                         for a2 in a1..4u8 {
-                            let p1 = ctx.ld_rand(&tables.p_matrix, p_index(q_adj, coord, a1, base));
-                            let p2 = ctx.ld_rand(&tables.p_matrix, p_index(q_adj, coord, a2, base));
+                            let p1 = ctx.ld_rand(table, p_index(q_adj, coord, a1, base));
+                            let p2 = ctx.ld_rand(table, p_index(q_adj, coord, a2, base));
                             let term = (0.5 * p1 + 0.5 * p2).log10();
                             // Fixed per-update cost (20) + the mul/add +
                             // log10 sequence the new table eliminates (8).
@@ -728,8 +780,7 @@ fn score_sorted_site(
         let counter = &mut dep[slot(w)];
         *counter += 1;
         let q_adj = adjust(score, *counter, &tables.host_log);
-        let cell = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
-        let row = &tables.host_new_p[cell..cell + NUM_GENOTYPES];
+        let row = &tables.host_new_p[new_p_cell(q_adj, coord, base)];
         for (a, &t) in acc.iter_mut().zip(row) {
             *a += t;
         }
@@ -825,6 +876,7 @@ pub fn likelihood_dense_gpu<B: ComputeBackend>(
     const ROW: usize = 2 * crate::tables::COORD_DIM;
     let type_likely: GlobalBuffer<f64> = dev.alloc(num_sites * NUM_GENOTYPES);
     let grid = num_sites.div_ceil(SITES_PER_BLOCK);
+    let new_p = tables.new_p();
 
     // Dense scan: every block strides the whole transposed matrix (the
     // `[cell][site]` layout interleaves blocks at warp granularity), so
@@ -832,7 +884,7 @@ pub fn likelihood_dense_gpu<B: ComputeBackend>(
     let contract = || {
         AccessContract::new()
             .read(occ, Footprint::All)
-            .read(&tables.new_p, Footprint::All)
+            .read(new_p, Footprint::All)
             .write(
                 &type_likely,
                 Footprint::tiled(SITES_PER_BLOCK * NUM_GENOTYPES, num_sites * NUM_GENOTYPES),
@@ -869,7 +921,7 @@ pub fn likelihood_dense_gpu<B: ComputeBackend>(
                             let q_adj = (i32::from(score) - penalty).max(0) as u8;
                             let cell10 = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
                             for n in 0..NUM_GENOTYPES {
-                                let term = ctx.ld_rand(&tables.new_p, cell10 + n);
+                                let term = ctx.ld_rand(new_p, cell10 + n);
                                 let cur = tl.read(ctx, n);
                                 tl.write(ctx, n, cur + term);
                             }
@@ -992,21 +1044,90 @@ mod tests {
         assert_eq!(tl, [0.0; NUM_GENOTYPES]);
     }
 
+    /// Every member reads the image's own `new_p_matrix` storage and is
+    /// charged one upload; it holds the matrices exactly where its scoring
+    /// runs on the simulator chain — the native arm reads neither.
     #[test]
     fn a_group_shares_one_host_mirror_and_uploads_per_device() {
+        use gpu_sim::{
+            BackendChoice, BackendDispatcher, DeviceConfig, DeviceGroup, SanitizerConfig,
+            TraceRecorder,
+        };
         let f = fixture(45);
-        let group = DeviceGroup::new(gpu_sim::DeviceConfig::tesla_m2050(), 3);
-        let lt = Arc::new(f.lt.clone());
-        let tables = DeviceTables::upload_group(&group, &f.p, &f.np, &lt);
-        assert_eq!(tables.len(), 3);
-        for t in &tables[1..] {
-            assert!(Arc::ptr_eq(&t.host_new_p, &tables[0].host_new_p));
+        let image = SharedTables {
+            p_matrix: f.p.clone(),
+            new_p: f.np.clone(),
+            log_table: Arc::new(f.lt.clone()),
+        };
+        let upload = (f.p.size_bytes() + f.np.size_bytes() + 65 * 8) as u64;
+        let plain = || DeviceGroup::new(DeviceConfig::tesla_m2050(), 3);
+        let trace = Arc::new(TraceRecorder::new(1 << 10));
+        let sanitized = || plain().with_sanitizer(SanitizerConfig::all());
+        let conformance = || plain().with_sanitizer(SanitizerConfig::all().with_conformance());
+        let (native, auto, gsnp) = (
+            BackendChoice::Native,
+            BackendChoice::Auto,
+            KernelVariant::Optimized,
+        );
+        // (group, backend, variant, whether each member holds the matrices)
+        let cases = [
+            (plain(), native, gsnp, false),
+            (plain(), auto, gsnp, false),
+            // Static contracts and a sanitizer without conformance leave
+            // the arm native: its contract is empty.
+            (plain().with_contracts(), auto, gsnp, false),
+            (sanitized().with_contracts(), auto, gsnp, false),
+            (plain(), BackendChoice::Sim, gsnp, true),
+            (plain().with_trace(&trace), auto, gsnp, true),
+            (conformance(), auto, gsnp, true),
+            // The `p_matrix` variants have no native arm.
+            (plain(), native, KernelVariant::Baseline, true),
+        ];
+        for (i, (group, backend, variant, held)) in cases.into_iter().enumerate() {
+            let what = format!("case {i}: {backend:?}, {variant:?}");
+            let backends: Vec<_> = group
+                .devices()
+                .iter()
+                .map(|d| BackendDispatcher::new(d, backend).unwrap())
+                .collect();
+            let tables = DeviceTables::upload_group(&backends, variant, &image);
+            assert_eq!(tables.len(), 3, "{what}");
+            for (t, dev) in tables.iter().zip(group.devices()) {
+                assert!(Arc::ptr_eq(&t.host_new_p, &f.np.shared()), "{what}");
+                let copies = (t.p_matrix.is_some(), t.new_p.is_some());
+                assert_eq!(copies, (held, held), "{what}");
+                assert_eq!(t.upload_bytes(), upload, "{what}");
+                assert_eq!(dev.ledger().counters.h2d_bytes, upload, "{what}");
+                let resident = if held { upload } else { 65 * 8 };
+                assert_eq!(t.resident_bytes(), resident, "{what}");
+            }
         }
-        assert_eq!(&tables[0].host_new_p[..], f.np.as_slice());
-        assert_eq!(tables[0].mirror_bytes(), f.np.as_slice().len() as u64 * 8);
-        for dev in group.devices() {
-            assert_eq!(dev.ledger().counters.h2d_bytes, tables[0].upload_bytes());
-        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a simulated launch read new_p_matrix on a device that holds no copy"
+    )]
+    fn a_launch_on_a_device_without_its_tables_is_named() {
+        use gpu_sim::{BackendChoice, BackendDispatcher};
+        let f = fixture(46);
+        let dev = Device::m2050();
+        let native = [BackendDispatcher::new(&dev, BackendChoice::Native).unwrap()];
+        let image = SharedTables {
+            p_matrix: f.p,
+            new_p: f.np,
+            log_table: Arc::new(f.lt),
+        };
+        let tables = DeviceTables::upload_group(&native, KernelVariant::Optimized, &image);
+        let words = dev.upload(&f.sw.words);
+        likelihood_comp_gpu(
+            &dev,
+            KernelVariant::Optimized,
+            &words,
+            &f.sw.spans,
+            f.read_len,
+            &tables[0],
+        );
     }
 
     #[test]

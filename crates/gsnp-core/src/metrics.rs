@@ -358,7 +358,7 @@ fn run_metrics(
         ),
         (
             "gsnp_score_table_bytes",
-            "Score tables at load_table: the host image plus every device's copy",
+            "Score tables at load_table: the host image plus the device copies held (none where the native arm scores)",
             stats.score_table_bytes,
         ),
         (

@@ -56,8 +56,8 @@ use crate::cohort::{apply_site_policies, BadSiteList, PostTallies, QualityGates}
 use crate::counting::SparseWindow;
 use crate::journal::Journal;
 use crate::likelihood::{
-    likelihood_comp_fused_gpu_into, likelihood_host_sites, DeviceTables, KernelVariant,
-    SITES_PER_BLOCK,
+    likelihood_comp_fused_gpu_into, likelihood_host_sites, native_scoring_arm, DeviceTables,
+    KernelVariant, SITES_PER_BLOCK,
 };
 use crate::model::{posterior, ModelParams, SiteCaller, SiteSummary, NUM_GENOTYPES};
 use crate::progress::LatencyHists;
@@ -137,8 +137,10 @@ pub struct PipelineStats {
     /// blob as it decodes it.
     pub temp_input_bytes: u64,
     /// Memory ledger: the score tables' high water, at `load_table` — the
-    /// calibrated host image plus every device's copy. The loop itself
-    /// holds the copies only.
+    /// calibrated host image plus the device copies actually held
+    /// ([`DeviceTables::resident_bytes`]). The loop itself holds the
+    /// copies and, where the native arm scores, the image's
+    /// `new_p_matrix`.
     pub score_table_bytes: u64,
     /// Memory ledger: capacity of the first pass's text slab (0 for a run
     /// over in-memory records).
@@ -539,8 +541,8 @@ struct ChunkDone {
 /// Read every sample's input once, `chunk_reads` records (lines) at a
 /// time and every chunk on the rayon pool: pack it into a [`ReadChunk`]
 /// (parsing text, checking records), add its co-occurrence counts to a
-/// [`CalCounts`] borrowed from the run's spare list (one per chunk in
-/// flight, so at most one per thread: no chunk
+/// [`CalCounts`] borrowed from the run's spare list (one per worker, made
+/// before a round starts: no chunk
 /// zeroes a 2 MiB array or merges one while holding a lock its neighbours
 /// wait on) and encode it into its own temporary-input blob. The counts
 /// are integers, so the tables do not depend on the chunking, on which
@@ -626,6 +628,15 @@ pub(crate) fn first_pass_chunked(
             budget *= 2;
             continue;
         }
+        if let Some(counters) = &counters {
+            // One counter per worker the round can keep busy, there before
+            // it starts: the pass holds the same counters however the
+            // chunks land on the threads.
+            let mut spare = counters.lock().expect(NO_CHUNK_PANICKED);
+            let workers = rayon::current_num_threads().min(jobs.len());
+            let missing = workers.saturating_sub(spare.len());
+            spare.extend(std::iter::repeat_with(CalCounts::new).take(missing));
+        }
         let done: Vec<ChunkDone> = jobs
             .par_iter()
             .map(|job| run_chunk(job, &slab, reference, counters.as_ref()))
@@ -649,12 +660,16 @@ pub(crate) fn first_pass_chunked(
         }
         slab.drain(..from);
     }
+    // The text is read and the counts are in: neither the slab nor the
+    // spare counters are live while the tables are built.
+    let slab_bytes = slab.capacity() as u64;
+    drop(slab);
     let tables = match counters {
         Some(counters) => {
             let mut counters = counters.into_inner().expect(NO_CHUNK_PANICKED);
             let mut pooled = counters.pop().unwrap_or_default();
-            for counts in &counters {
-                pooled.merge(counts);
+            for counts in counters {
+                pooled.merge(&counts);
             }
             Arc::new(SharedTables::from_counts(&pooled, &cfg.params))
         }
@@ -664,7 +679,7 @@ pub(crate) fn first_pass_chunked(
         tables,
         inputs: inputs.into_iter().map(TempInput::new).collect(),
         seconds: t0.elapsed().as_secs_f64(),
-        slab_bytes: slab.capacity() as u64,
+        slab_bytes,
     })
 }
 
@@ -835,9 +850,9 @@ pub(crate) fn run_window_loop(
     let t0 = Instant::now();
     let shared = first.tables;
     // One host image, one upload (and one ledger charge) per DEVICE — not
-    // per sample: table H2D bytes are O(devices).
-    let tables =
-        DeviceTables::upload_group(group, &shared.p_matrix, &shared.new_p, &shared.log_table);
+    // per sample: table H2D bytes are O(devices). A device whose scoring
+    // runs on the native arm is charged its upload but holds no copy.
+    let tables = DeviceTables::upload_group(&dispatchers, cfg.variant, &shared);
     wall.cal_p = first.seconds + t0.elapsed().as_secs_f64();
     // Device time: table upload over PCIe on top of the host compute.
     // Each device's copy travels its own PCIe link, so the group pays
@@ -846,13 +861,14 @@ pub(crate) fn run_window_loop(
     times.cal_p = wall.cal_p + stats.table_bytes as f64 / cfg.device.pcie_bw;
     stats.temp_input_bytes = first.inputs.iter().map(TempInput::packed_bytes).sum();
     stats.peak_host_bytes += stats.temp_input_bytes;
-    // The tables' high water is here: the calibrated image, every
-    // device's copy of it, and the one host mirror the group shares. The
-    // image has served once the copies exist; unless the caller injected
-    // it and still holds it, it goes now, not when the loop ends.
+    // The tables' high water is here: the calibrated image and the device
+    // copies actually held. The native arm reads the image's own
+    // `new_p_matrix` storage, so that part stays for the loop; the rest
+    // has served once the copies exist and, unless the caller injected it
+    // and still holds it, goes now, not when the loop ends.
     let image = (shared.p_matrix.size_bytes() + shared.new_p.size_bytes()) as u64;
-    let copies: u64 = tables.iter().map(DeviceTables::upload_bytes).sum();
-    stats.score_table_bytes = image + copies + tables[0].mirror_bytes();
+    let copies: u64 = tables.iter().map(DeviceTables::resident_bytes).sum();
+    stats.score_table_bytes = image + copies;
     drop(shared);
     stats.first_pass_slab_bytes = first.slab_bytes;
 
@@ -1164,13 +1180,14 @@ struct BatchScratch {
 /// byte count the posterior stage charges for reading back.
 ///
 /// Where that chain would execute on the host (asked once per batch,
-/// [`ComputeBackend::native_arm`]) the stage is its native arm instead:
+/// [`native_scoring_arm`]) the stage is its native arm instead:
 /// ONE launch that sorts, scores and calls the batch in place in its
 /// windows' own word arrays and leaves each arena its rows
 /// ([`likelihood_host_sites`]). Nothing is staged, copied, uploaded,
 /// pooled, read back or scattered — no `sw` or `type_likely` vector is
-/// sized — so the device holds its tables and nothing else and the
-/// posterior stage has nothing to fetch or call.
+/// sized — so the modelled device holds its tables and nothing else (the
+/// simulated one not even those: [`DeviceTables::upload_group`] asked the
+/// same question) and the posterior stage has nothing to fetch or call.
 #[allow(clippy::too_many_arguments)]
 fn run_device_batch<B: ComputeBackend>(
     dev: &B,
@@ -1186,8 +1203,7 @@ fn run_device_batch<B: ComputeBackend>(
     stats: &mut PipelineStats,
 ) -> u64 {
     let total_sites: usize = batch.iter().map(|arena| arena.window.len()).sum();
-    let arm = variant.uses_new_table().then(|| dev.native_arm()).flatten();
-    if let Some(native) = arm {
+    if let Some(native) = native_scoring_arm(dev, variant) {
         let t0 = Instant::now();
         let comp_stats = likelihood_host_sites(&native, tables, calls, batch);
         wall.likelihood_comp += t0.elapsed().as_secs_f64();

@@ -274,9 +274,12 @@ pub fn likely_update(p: &PMatrix, q_adjusted: u8, coord: u8, base: u8, a1: u8, a
 ///
 /// Indexed as Algorithm 3: `idx = (q << 10 | coord << 2 | base) * 10 + n`
 /// where `n` is the genotype index.
+///
+/// The rows are ref-counted ([`NewPMatrix::shared`]): the native arm's
+/// host copy is this storage, not a second image of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NewPMatrix {
-    values: Vec<f64>,
+    rows: Arc<[[f64; NUM_GENOTYPES]]>,
 }
 
 /// Flat cell index (before the ×10 genotype expansion).
@@ -293,36 +296,46 @@ impl NewPMatrix {
     /// by the *same* floating-point expression [`likely_update`] evaluates,
     /// so replacing the on-the-fly computation with the table lookup is a
     /// bit-exact transformation.
+    ///
+    /// The rows are written in place into the one shared allocation: no
+    /// staging vector is built and copied.
     pub fn precompute(p: &PMatrix) -> NewPMatrix {
-        let mut values = vec![0f64; Self::CELLS * NUM_GENOTYPES];
+        let mut rows: Arc<[_]> = std::iter::repeat_n([0f64; NUM_GENOTYPES], Self::CELLS).collect();
+        let cells = Arc::get_mut(&mut rows).expect("a new allocation has one owner");
         for q in 0..Q_DIM {
             for coord in 0..COORD_DIM {
                 let (q, coord) = (q as u8, coord as u8);
                 for base in 0..4u8 {
-                    let cell = new_p_cell(q, coord, base);
-                    for (n, &(a1, a2)) in GENOTYPES.iter().enumerate() {
-                        values[cell * NUM_GENOTYPES + n] = likely_update(p, q, coord, base, a1, a2);
+                    let row = &mut cells[new_p_cell(q, coord, base)];
+                    for (v, &(a1, a2)) in row.iter_mut().zip(&GENOTYPES) {
+                        *v = likely_update(p, q, coord, base, a1, a2);
                     }
                 }
             }
         }
-        NewPMatrix { values }
+        NewPMatrix { rows }
     }
 
     /// Algorithm 3: one lookup replaces two reads and a `log10`.
     #[inline(always)]
     pub fn get(&self, q_adjusted: u8, coord: u8, base: u8, n: usize) -> f64 {
-        self.values[new_p_cell(q_adjusted, coord, base) * NUM_GENOTYPES + n]
+        self.rows[new_p_cell(q_adjusted, coord, base)][n]
     }
 
     /// Raw values (uploaded to device global memory).
     pub fn as_slice(&self) -> &[f64] {
-        &self.values
+        self.rows.as_flattened()
+    }
+
+    /// The rows' shared storage, one per [`new_p_cell`]: a new reference
+    /// to it, not a copy.
+    pub fn shared(&self) -> Arc<[[f64; NUM_GENOTYPES]]> {
+        Arc::clone(&self.rows)
     }
 
     /// Size in bytes (10× the `p_matrix`, as §IV-D notes).
     pub fn size_bytes(&self) -> usize {
-        self.values.len() * 8
+        size_of_val(&*self.rows)
     }
 }
 

@@ -23,6 +23,8 @@ use proptest::prelude::*;
 
 use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
 use gsnp::core::journal::{self, Journal};
+use gsnp::core::model::NUM_GENOTYPES;
+use gsnp::core::tables::{NewPMatrix, PMatrix};
 use gsnp::core::{Collect, GsnpConfig, GsnpPipeline, Observers, ProgressTracker, StatsServer};
 use gsnp::gpu_sim::{parse_json, Histogram, Json};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
@@ -324,9 +326,11 @@ fn the_memory_ledger_is_in_the_metrics_and_in_the_journal() {
         metrics.get("gsnp_compressed_output_bytes", &[]),
         Some(written)
     );
-    // The host image and two devices' copies, each more than an upload.
+    // The host image and the two devices' copies a simulator run holds,
+    // each a whole upload (the image has no constant log table).
+    let image = (PMatrix::LEN + NewPMatrix::CELLS * NUM_GENOTYPES) as u64 * 8;
     let tables = metrics.get("gsnp_score_table_bytes", &[]).unwrap();
-    assert!(tables > 3.0 * out.stats.table_bytes as f64, "{tables}");
+    assert_eq!(tables, (image + 2 * out.stats.table_bytes) as f64);
 
     let text = std::fs::read_to_string(&path).expect("read journal back");
     std::fs::remove_file(&path).ok();
