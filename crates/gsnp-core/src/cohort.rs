@@ -318,7 +318,7 @@ impl CohortPipeline {
     /// [`CohortPipeline::run`] over the samples' alignment files as text
     /// (see [`crate::pipeline::GsnpPipeline::run_text`]); an alignment
     /// error says which sample's file was at fault.
-    pub fn run_text<R: Read>(
+    pub fn run_text<R: Read + Send>(
         &self,
         samples: Vec<SampleText<R>>,
         reference: &Reference,
@@ -329,7 +329,7 @@ impl CohortPipeline {
             samples.into_iter().map(|s| (s.name, s.text)).unzip();
         let texts = texts
             .iter_mut()
-            .map(|t| Alignments::Text(t as &mut dyn Read))
+            .map(|t| Alignments::Text(t as &mut (dyn Read + Send)))
             .collect();
         self.run_alignments(names, texts, reference, priors, sink)
     }

@@ -374,7 +374,7 @@ pub fn render_report(text: &str) -> Result<String, String> {
     {
         let mib = |key| field_num(mem, key).unwrap_or(0.0) / (1 << 20) as f64;
         out.push_str(&format!(
-            "memory ledger: temporary input {:.1} MiB, score tables {:.1} MiB, first-pass slab {:.1} MiB\n",
+            "memory ledger: temporary input {:.1} MiB, score tables {:.1} MiB, first-pass text {:.1} MiB\n",
             mib("temp_input_bytes"),
             mib("score_table_bytes"),
             mib("first_pass_slab_bytes"),

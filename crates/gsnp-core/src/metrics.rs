@@ -363,7 +363,7 @@ fn run_metrics(
         ),
         (
             "gsnp_first_pass_slab_bytes",
-            "Capacity of the first pass's alignment-text slab",
+            "High water of alignment text the first pass held: its read carry plus its workers' chunk buffers",
             stats.first_pass_slab_bytes,
         ),
     ] {

@@ -10,9 +10,10 @@
 //! fixed-size chunks of reads that packs each chunk into a read table
 //! (parsing it, on the text entry points), counts it for `cal_p_matrix`
 //! and writes it to the chunked temporary input, which `read_site` decodes
-//! lazily, one chunk at a time, straight into its own read table. Text
-//! arrives through one recycled slab of whole lines (`SLAB_BYTES`), so
-//! the pass holds a slab of it, never the file.
+//! lazily, one chunk at a time, straight into its own read table. Every
+//! pool thread pulls chunks from one reader that reads the text a block at
+//! a time (`READ_BLOCK`), so the pass holds a chunk per worker and a carry
+//! of it, never the file.
 //!
 //! There is one window loop, `run_window_loop`: the four stage bodies —
 //! producer (`read_site`), device (`counting` + likelihood + `recycle`),
@@ -33,8 +34,8 @@
 //! reproduction harness reports the latter for "GPU" series and wall time
 //! for CPU series (see `EXPERIMENTS.md`).
 
-use std::io::Read;
-use std::ops::{ControlFlow, Range};
+use std::io::{self, Read};
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -47,7 +48,7 @@ use rayon::prelude::*;
 use seqio::fasta::Reference;
 use seqio::prior::PriorMap;
 use seqio::result::{SnpRow, SnpTable};
-use seqio::soap::{line_chunks, unsorted_error, AlignedRead, AlignmentReader, ReadChunk};
+use seqio::soap::{nth_line_end, unsorted_error, AlignedRead, AlignmentReader, ReadChunk};
 use seqio::window::WindowReader;
 use seqio::SeqIoError;
 
@@ -142,8 +143,9 @@ pub struct PipelineStats {
     /// copies and, where the native arm scores, the image's
     /// `new_p_matrix`.
     pub score_table_bytes: u64,
-    /// Memory ledger: capacity of the first pass's text slab (0 for a run
-    /// over in-memory records).
+    /// Memory ledger: high water of the alignment text the first pass held
+    /// — the carry it reads into plus every worker's chunk buffer, in whole
+    /// read blocks (0 for a run over in-memory records).
     pub first_pass_slab_bytes: u64,
     /// Compressed result bytes handed to the sink, per sample in input
     /// order: the size of each result file.
@@ -407,13 +409,13 @@ impl GsnpPipeline {
     }
 
     /// [`GsnpPipeline::run`] over the text of a SOAP alignment file, read
-    /// from `text` a slab at a time and parsed chunk by chunk on every
+    /// from `text` a block at a time and parsed chunk by chunk on every
     /// core: neither the file nor its parsed records ever exist whole.
     /// Alignment errors are the ones [`AlignmentReader`] reports for the
     /// same text, line numbers included.
     pub fn run_text(
         &self,
-        mut text: impl Read,
+        mut text: impl Read + Send,
         reference: &Reference,
         priors: &PriorMap,
         sink: &mut dyn ResultSink,
@@ -457,14 +459,20 @@ impl GsnpPipeline {
 /// (EXPERIMENTS.md "Front-end first pass", chunk-size sweep).
 pub(crate) const CHUNK_READS: usize = 4096;
 
-/// Bytes of alignment text the first pass holds at a time: the slab is
-/// filled with whole lines, cut into [`CHUNK_READS`]-line chunks, parsed on
-/// the pool and refilled. Large enough that a round is several chunks per
-/// core and the serial refill between rounds is noise, small enough that
-/// the pass's footprint stays below the window loop's (EXPERIMENTS.md "A
-/// run's memory stops growing with the chromosome", slab-size sweep). It
-/// grows only for a chunk that does not fit.
-const SLAB_BYTES: usize = 8 << 20;
+/// Bytes the first pass reads from a text at a time, whenever what it has
+/// read and not yet cut holds less than a whole chunk. The carry and every
+/// worker's chunk buffer grow in whole blocks, so what the pass holds does
+/// not depend on which worker cut which chunk. About one production chunk
+/// of 100-base reads (EXPERIMENTS.md, "The first pass streams").
+const READ_BLOCK: usize = 1 << 20;
+
+/// How the first pass cuts its input and how many workers pull from it.
+#[derive(Clone, Copy)]
+struct Streaming {
+    chunk_reads: usize,
+    read_block: usize,
+    workers: usize,
+}
 
 /// One sample's alignments as a run receives them.
 pub(crate) enum Alignments<'a> {
@@ -473,7 +481,7 @@ pub(crate) enum Alignments<'a> {
     Reads(&'a [AlignedRead]),
     /// The text of a SOAP alignment file, wherever it comes from (a
     /// `File`; a `&[u8]` already in memory).
-    Text(&'a mut dyn Read),
+    Text(&'a mut (dyn Read + Send)),
 }
 
 /// A sample's alignments could not be read, or were malformed or out of
@@ -503,34 +511,43 @@ pub(crate) struct FirstPass {
     pub(crate) inputs: Vec<TempInput>,
     /// Host wall-clock of the pass.
     pub(crate) seconds: f64,
-    /// Capacity the text slab reached.
+    /// High water of the alignment text the pass held: its carry and its
+    /// workers' chunk buffers (0 over in-memory records).
     pub(crate) slab_bytes: u64,
 }
 
 /// The first pass (`cal_p_matrix`, Fig. 2 left column, §V-A) in production
-/// chunks through the production slab; see [`first_pass_chunked`].
+/// chunks and blocks, one worker per pool thread; see [`first_pass_chunked`].
 pub(crate) fn first_pass(
     cfg: &GsnpConfig,
     samples: Vec<Alignments<'_>>,
     reference: &Reference,
 ) -> Result<FirstPass, AlignmentError> {
-    first_pass_chunked(cfg, samples, reference, CHUNK_READS, SLAB_BYTES)
+    let stream = Streaming {
+        chunk_reads: CHUNK_READS,
+        read_block: READ_BLOCK,
+        workers: rayon::current_num_threads(),
+    };
+    first_pass_chunked(cfg, samples, reference, stream)
 }
 
-/// One chunk of one sample, starting at line (record) `first_line`.
+/// The `index`-th chunk of a sample, `at = (sample, index)`, which starts
+/// at the sample's line (record) `index · chunk_reads + 1`.
 struct ChunkJob<'a> {
-    sample: usize,
-    first_line: u64,
+    at: (usize, usize),
     data: ChunkData<'a>,
 }
 
 enum ChunkData<'a> {
     Reads(&'a [AlignedRead]),
-    /// Whole lines of text, as a range of the slab.
-    Text(Range<usize>),
+    /// Whole lines of text, in the worker's buffer.
+    Text,
+    /// The sample's text could not be read past the chunks before this one.
+    Unread(SeqIoError),
 }
 
 struct ChunkDone {
+    at: (usize, usize),
     /// `(line, pos)` of the first record and `pos` of the last.
     ends: Option<(u64, u64, u64)>,
     /// The chunk's share of the temporary input, or the first malformed
@@ -538,138 +555,208 @@ struct ChunkDone {
     temp: Result<Vec<u8>, SeqIoError>,
 }
 
-/// Read every sample's input once, `chunk_reads` records (lines) at a
-/// time and every chunk on the rayon pool: pack it into a [`ReadChunk`]
-/// (parsing text, checking records), add its co-occurrence counts to a
-/// [`CalCounts`] borrowed from the run's spare list (one per worker, made
-/// before a round starts: no chunk
-/// zeroes a 2 MiB array or merges one while holding a lock its neighbours
-/// wait on) and encode it into its own temporary-input blob. The counts
-/// are integers, so the tables do not depend on the chunking, on which
-/// counter a chunk got or on which thread finished first.
-///
-/// One ingest loop, in rounds. A round takes chunks from consecutive
-/// samples until the slab holds `slab_bytes` of text — so a cohort's small
-/// files go through one `par_iter` together, and a long file through
-/// several — runs them, and keeps in the slab only the lines after the last
-/// whole chunk, which open the next round: a sample's chunks are cut at the
-/// same lines whatever the slab holds. Records already in memory take no
-/// slab.
-pub(crate) fn first_pass_chunked(
-    cfg: &GsnpConfig,
-    mut samples: Vec<Alignments<'_>>,
-    reference: &Reference,
-    chunk_reads: usize,
-    slab_bytes: usize,
-) -> Result<FirstPass, AlignmentError> {
-    let t0 = Instant::now();
-    let counters = cfg
-        .shared_tables
-        .is_none()
-        .then(|| Mutex::new(Vec::<CalCounts>::new()));
-    let mut inputs: Vec<Vec<Vec<u8>>> = Vec::new();
-    inputs.resize_with(samples.len(), Vec::new);
-    let mut last_pos: Vec<Option<u64>> = vec![None; samples.len()];
+/// What one worker owns, made before the pass starts so that what the pass
+/// holds does not depend on the scheduling: the text of its chunk, the read
+/// table it packs it into and, when the run calibrates, its counts.
+struct Worker {
+    text: Vec<u8>,
+    chunk: ReadChunk,
+    counts: Option<CalCounts>,
+}
 
-    let (mut slab, mut budget) = (Vec::<u8>::new(), slab_bytes.max(1));
-    // The sample being read and how many of its chunks are cut; its uncut
-    // text opens the slab.
-    let (mut sample, mut cut) = (0, 0);
-    while sample < samples.len() {
-        let mut jobs: Vec<ChunkJob<'_>> = Vec::new();
-        let mut from = 0;
-        while sample < samples.len() {
-            // Chunk `k` of a sample starts at its line `k · chunk_reads + 1`.
-            let first_line = |k: usize| (k * chunk_reads) as u64 + 1;
-            match &mut samples[sample] {
+/// Make room in `buf` for `more` bytes past its end, in whole blocks.
+fn reserve_blocks(buf: &mut Vec<u8>, more: usize, block: usize) {
+    let len = buf.len();
+    buf.reserve_exact((len + more).next_multiple_of(block) - len);
+}
+
+/// A sample's text read and not yet cut, whose first `scanned` bytes hold
+/// `seen` newlines; `eof` once the text is read to its end.
+#[derive(Default)]
+struct Carry {
+    text: Vec<u8>,
+    scanned: usize,
+    seen: usize,
+    eof: bool,
+}
+
+impl Carry {
+    /// The length of the next chunk of `lines` lines, reading `reader` a
+    /// block at a time while the carry holds fewer; 0 at the end of the text.
+    fn next_chunk(
+        &mut self,
+        reader: &mut dyn Read,
+        lines: usize,
+        block: usize,
+    ) -> io::Result<usize> {
+        loop {
+            match nth_line_end(&self.text[self.scanned..], lines - self.seen) {
+                Ok(end) => return Ok(self.scanned + end),
+                Err(seen) => (self.scanned, self.seen) = (self.text.len(), self.seen + seen),
+            }
+            if self.eof {
+                return Ok(self.text.len());
+            }
+            reserve_blocks(&mut self.text, block, block);
+            self.eof = reader.take(block as u64).read_to_end(&mut self.text)? < block;
+        }
+    }
+
+    /// Move the chunk of `len` bytes into `text`, grown in whole blocks.
+    fn cut_into(&mut self, len: usize, text: &mut Vec<u8>, block: usize) {
+        text.clear();
+        reserve_blocks(text, len, block);
+        text.extend_from_slice(&self.text[..len]);
+        self.text.drain(..len);
+        (self.scanned, self.seen) = (0, 0);
+    }
+}
+
+/// The one source every worker takes chunks from, in file order.
+struct ChunkSource<'a> {
+    samples: Vec<Alignments<'a>>,
+    stream: Streaming,
+    /// The sample being cut, how many of its chunks are cut, and its carry.
+    sample: usize,
+    cut: usize,
+    carry: Carry,
+}
+
+impl<'a> ChunkSource<'a> {
+    /// The next chunk in file order, its lines (if text) copied into `text`;
+    /// `None` once every sample is cut or the source has stopped.
+    fn next(&mut self, text: &mut Vec<u8>) -> Option<ChunkJob<'a>> {
+        let (chunk_reads, read_block) = (self.stream.chunk_reads, self.stream.read_block);
+        while let Some(alignments) = self.samples.get_mut(self.sample) {
+            let at = (self.sample, self.cut);
+            let data = match alignments {
                 Alignments::Reads(reads) => {
-                    let reads = *reads;
-                    let chunks = reads.chunks(chunk_reads).enumerate();
-                    jobs.extend(chunks.map(|(k, chunk)| ChunkJob {
-                        sample,
-                        first_line: first_line(k),
-                        data: ChunkData::Reads(chunk),
-                    }));
+                    let reads: &'a [AlignedRead] = reads;
+                    reads
+                        .chunks(chunk_reads)
+                        .nth(self.cut)
+                        .map(ChunkData::Reads)
                 }
                 Alignments::Text(reader) => {
-                    let room = budget - slab.len();
-                    slab.reserve_exact(room);
-                    let got = reader
-                        .by_ref()
-                        .take(room as u64)
-                        .read_to_end(&mut slab)
-                        .map_err(|e| AlignmentError {
-                            sample,
-                            error: e.into(),
-                        })?;
-                    let full = got == room;
-                    let mut pieces = line_chunks(&slab[from..], chunk_reads);
-                    if full {
-                        // The last piece may go on in the file.
-                        pieces.pop();
-                    }
-                    for piece in &pieces {
-                        jobs.push(ChunkJob {
-                            sample,
-                            first_line: first_line(cut),
-                            data: ChunkData::Text(from..from + piece.len()),
-                        });
-                        (from, cut) = (from + piece.len(), cut + 1);
-                    }
-                    if full {
-                        break;
+                    match self.carry.next_chunk(*reader, chunk_reads, read_block) {
+                        Ok(0) => {
+                            self.carry.eof = false;
+                            None
+                        }
+                        Ok(len) => {
+                            self.carry.cut_into(len, text, read_block);
+                            Some(ChunkData::Text)
+                        }
+                        Err(e) => {
+                            self.stop();
+                            Some(ChunkData::Unread(e.into()))
+                        }
                     }
                 }
-            }
-            (sample, cut) = (sample + 1, 0);
-        }
-        if jobs.is_empty() && sample < samples.len() {
-            // A full slab without one whole chunk in it.
-            budget *= 2;
-            continue;
-        }
-        if let Some(counters) = &counters {
-            // One counter per worker the round can keep busy, there before
-            // it starts: the pass holds the same counters however the
-            // chunks land on the threads.
-            let mut spare = counters.lock().expect(NO_CHUNK_PANICKED);
-            let workers = rayon::current_num_threads().min(jobs.len());
-            let missing = workers.saturating_sub(spare.len());
-            spare.extend(std::iter::repeat_with(CalCounts::new).take(missing));
-        }
-        let done: Vec<ChunkDone> = jobs
-            .par_iter()
-            .map(|job| run_chunk(job, &slab, reference, counters.as_ref()))
-            .collect();
-
-        // File order again: the first fault of the first faulty sample is
-        // the one a serial reader would have stopped at.
-        for (job, chunk) in jobs.iter().zip(done) {
-            let sample = job.sample;
-            let fail = |error| Err(AlignmentError { sample, error });
-            if let Some((line, first, last)) = chunk.ends {
-                if let Some(prev) = last_pos[sample].filter(|&prev| first < prev) {
-                    return fail(unsorted_error(line, first, prev));
+            };
+            match data {
+                Some(data) => {
+                    self.cut += 1;
+                    return Some(ChunkJob { at, data });
                 }
-                last_pos[sample] = Some(last);
-            }
-            match chunk.temp {
-                Ok(temp) => inputs[sample].push(temp),
-                Err(e) => return fail(e),
+                None => (self.sample, self.cut) = (at.0 + 1, 0),
             }
         }
-        slab.drain(..from);
+        None
     }
-    // The text is read and the counts are in: neither the slab nor the
-    // spare counters are live while the tables are built.
-    let slab_bytes = slab.capacity() as u64;
-    drop(slab);
-    let tables = match counters {
-        Some(counters) => {
-            let mut counters = counters.into_inner().expect(NO_CHUNK_PANICKED);
-            let mut pooled = counters.pop().unwrap_or_default();
-            for counts in counters {
-                pooled.merge(&counts);
+
+    /// Hand out no more chunks: every chunk before a fault is out already.
+    fn stop(&mut self) {
+        self.sample = self.samples.len();
+    }
+}
+
+const NO_CHUNK_PANICKED: &str = "the source is never locked across a chunk's work";
+
+/// Read every sample's input once, as one stream of chunks of
+/// `stream.chunk_reads` records (lines) in file order, pulled by
+/// `stream.workers` tasks on the rayon pool. Under one lock a worker takes
+/// the next chunk from the [`ChunkSource`], which cuts text at every
+/// `chunk_reads`-th newline, so a sample's chunks are cut at the same lines
+/// whatever the block; then, unlocked, it packs the chunk into its
+/// [`ReadChunk`] (parsing text, checking records), adds it to its own
+/// [`CalCounts`] and encodes its temporary-input blob. No worker waits for
+/// another between chunks. The counts are integers, so the tables do not
+/// depend on the chunking or on which worker counted what.
+///
+/// A fault stops the source, and with it the workers. The chunks are then
+/// put back in file order: the first fault of the first faulty sample is
+/// the one a serial reader would have stopped at.
+fn first_pass_chunked(
+    cfg: &GsnpConfig,
+    samples: Vec<Alignments<'_>>,
+    reference: &Reference,
+    stream: Streaming,
+) -> Result<FirstPass, AlignmentError> {
+    let t0 = Instant::now();
+    let num_samples = samples.len();
+    let text = samples.iter().any(|s| matches!(s, Alignments::Text(_)));
+    let workers: Vec<Worker> = std::iter::repeat_with(|| Worker {
+        text: Vec::with_capacity(if text { stream.read_block } else { 0 }),
+        chunk: ReadChunk::default(),
+        counts: cfg.shared_tables.is_none().then(CalCounts::new),
+    })
+    .take(stream.workers.max(1))
+    .collect();
+    let source = Mutex::new(ChunkSource {
+        samples,
+        stream,
+        sample: 0,
+        cut: 0,
+        carry: Carry::default(),
+    });
+    let ran: Vec<(Worker, Vec<ChunkDone>)> = workers
+        .into_par_iter()
+        .map(|mut w| {
+            let mut done = Vec::new();
+            loop {
+                let job = source.lock().expect(NO_CHUNK_PANICKED).next(&mut w.text);
+                let Some(job) = job else {
+                    break (w, done);
+                };
+                let chunk = run_chunk(job, &mut w, reference, stream.chunk_reads);
+                if chunk.temp.is_err() {
+                    source.lock().expect(NO_CHUNK_PANICKED).stop();
+                }
+                done.push(chunk);
+            }
+        })
+        .collect();
+    let carry = source.into_inner().expect(NO_CHUNK_PANICKED).carry.text;
+    let (workers, done): (Vec<Worker>, Vec<Vec<ChunkDone>>) = ran.into_iter().unzip();
+    let texts = workers.iter().map(|w| w.text.capacity());
+    let slab_bytes = texts.sum::<usize>() + carry.capacity();
+
+    let mut done: Vec<ChunkDone> = done.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|chunk| chunk.at);
+    let mut inputs: Vec<Vec<Vec<u8>>> = vec![Vec::new(); num_samples];
+    let mut last_pos: Vec<Option<u64>> = vec![None; num_samples];
+    for chunk in done {
+        let sample = chunk.at.0;
+        let fail = |error| Err(AlignmentError { sample, error });
+        if let Some((line, first, last)) = chunk.ends {
+            if let Some(prev) = last_pos[sample].filter(|&prev| first < prev) {
+                return fail(unsorted_error(line, first, prev));
+            }
+            last_pos[sample] = Some(last);
+        }
+        match chunk.temp {
+            Ok(temp) => inputs[sample].push(temp),
+            Err(e) => return fail(e),
+        }
+    }
+    // The counts are in: no text is live while the tables are built.
+    drop(carry);
+    let mut counts = workers.into_iter().filter_map(|w| w.counts);
+    let tables = match counts.next() {
+        Some(mut pooled) => {
+            for more in counts {
+                pooled.merge(&more);
             }
             Arc::new(SharedTables::from_counts(&pooled, &cfg.params))
         }
@@ -679,36 +766,35 @@ pub(crate) fn first_pass_chunked(
         tables,
         inputs: inputs.into_iter().map(TempInput::new).collect(),
         seconds: t0.elapsed().as_secs_f64(),
-        slab_bytes,
+        slab_bytes: slab_bytes as u64,
     })
 }
 
-const NO_CHUNK_PANICKED: &str = "the counter list is never locked across a chunk's work";
-
 fn run_chunk(
-    job: &ChunkJob<'_>,
-    slab: &[u8],
+    job: ChunkJob<'_>,
+    w: &mut Worker,
     reference: &Reference,
-    counters: Option<&Mutex<Vec<CalCounts>>>,
+    chunk_reads: usize,
 ) -> ChunkDone {
-    let mut chunk = ReadChunk::default();
-    let (mut first_line, mut fault) = (job.first_line, None);
-    match &job.data {
+    let (chunk, first_line) = (&mut w.chunk, (job.at.1 * chunk_reads) as u64 + 1);
+    chunk.truncate(0);
+    let (mut line, mut fault) = (first_line, None);
+    match job.data {
         ChunkData::Reads(reads) => {
             for (i, r) in reads.iter().enumerate() {
                 let pushed = chunk.push_read(r.pos, &r.seq, &r.qual, r.strand, r.nhits);
                 if let Err(what) = pushed {
-                    let index = job.first_line - 1 + i as u64;
+                    let index = first_line - 1 + i as u64;
                     fault = Some(SeqIoError::Invariant(format!("record {index}: {what}")));
                     break;
                 }
             }
         }
-        ChunkData::Text(lines) => {
-            let mut reader = AlignmentReader::at_line(&slab[lines.clone()], job.first_line);
+        ChunkData::Text => {
+            let mut reader = AlignmentReader::at_line(&w.text[..], first_line);
             loop {
-                match reader.read_into(&mut chunk) {
-                    Ok(true) if chunk.len() == 1 => first_line = reader.line(),
+                match reader.read_into(chunk) {
+                    Ok(true) if chunk.len() == 1 => line = reader.line(),
                     Ok(true) => {}
                     Ok(false) => break,
                     Err(e) => {
@@ -718,23 +804,25 @@ fn run_chunk(
                 }
             }
         }
+        ChunkData::Unread(e) => fault = Some(e),
     }
     let ends = chunk
         .len()
         .checked_sub(1)
-        .map(|last| (first_line, chunk.pos(0), chunk.pos(last)));
-    if let Some(e) = fault {
-        return ChunkDone { ends, temp: Err(e) };
-    }
-    if let Some(counters) = counters {
-        let spare = counters.lock().expect(NO_CHUNK_PANICKED).pop();
-        let mut counts = spare.unwrap_or_default();
-        counts.add_chunk(&chunk, reference);
-        counters.lock().expect(NO_CHUNK_PANICKED).push(counts);
-    }
+        .map(|last| (line, chunk.pos(0), chunk.pos(last)));
+    let temp = match fault {
+        Some(e) => Err(e),
+        None => {
+            if let Some(counts) = &mut w.counts {
+                counts.add_chunk(chunk, reference);
+            }
+            Ok(input_codec::compress_chunk(&reference.name, chunk))
+        }
+    };
     ChunkDone {
+        at: job.at,
         ends,
-        temp: Ok(input_codec::compress_chunk(&reference.name, &chunk)),
+        temp,
     }
 }
 
@@ -1088,7 +1176,7 @@ pub(crate) fn run_window_loop(
 /// Append the end-of-run lifecycle events the pipeline owns — per-stage
 /// busy/stall totals, per-lane window/steal counts, per-device ledger
 /// and sanitizer summaries, the memory ledger (the arena pool's row, then
-/// the temporary input, score tables, first-pass slab and per-sample output
+/// the temporary input, score tables, first-pass text and per-sample output
 /// bytes), and the merged contract proof tally — to the
 /// run journal. The CLI brackets these with the `run_start` manifest and
 /// `run_end` summary.
@@ -1926,6 +2014,16 @@ mod tests {
         text
     }
 
+    /// The first pass's cut: `chunk_reads` lines, read `read_block` bytes
+    /// at a time by `workers` workers.
+    fn streaming(chunk_reads: usize, read_block: usize, workers: usize) -> Streaming {
+        Streaming {
+            chunk_reads,
+            read_block,
+            workers,
+        }
+    }
+
     /// Every read of `input`, decoded chunk by chunk, as records of `chr`.
     fn temp_reads(input: TempInput, chr: &str) -> Vec<AlignedRead> {
         use seqio::window::ReadSource;
@@ -1963,16 +2061,19 @@ mod tests {
             let bits = |p: &PMatrix| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let text = soap_text(&d.reads);
             let kept = strip_ids(d.reads.clone());
-            // A slab of a few lines, of a few chunks, and the production one.
-            let slabs = [300, text.len() / 3 + 1, SLAB_BYTES];
-            for (chunk_reads, slab) in [1, 7, d.reads.len().max(1), CHUNK_READS].into_iter().zip(slabs.into_iter().cycle()) {
+            // A read block of a few lines, of a few chunks, and the
+            // production one, on one and on two workers.
+            let blocks = [300, text.len() / 3 + 1, READ_BLOCK];
+            let chunkings = [1, 7, d.reads.len().max(1), CHUNK_READS].into_iter();
+            for (k, (chunk_reads, read_block)) in chunkings.zip(blocks.into_iter().cycle()).enumerate() {
                 let mut text = &text[..];
                 let sample = if from_text {
                     Alignments::Text(&mut text)
                 } else {
                     Alignments::Reads(&d.reads)
                 };
-                let first = first_pass_chunked(&cfg, vec![sample], &d.reference, chunk_reads, slab).unwrap();
+                let stream = streaming(chunk_reads, read_block, 1 + k % 2);
+                let first = first_pass_chunked(&cfg, vec![sample], &d.reference, stream).unwrap();
                 prop_assert_eq!(bits(&first.tables.p_matrix), bits(&serial), "chunks of {}", chunk_reads);
                 let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
                 let back = temp_reads(input, &d.reference.name);
@@ -2048,11 +2149,12 @@ mod tests {
                 .map_err(|e| e.to_string())
         };
         let chunked = |text: &str, chunk_reads| {
-            // A slab that ends inside most lines and holds few of them.
-            let slab = 150 + 37 * chunk_reads;
+            // A read block that ends inside most lines and holds few of them.
+            let read_block = 150 + 37 * chunk_reads;
             let mut text = text.as_bytes();
             let sample = vec![Alignments::Text(&mut text)];
-            first_pass_chunked(&cfg, sample, &d.reference, chunk_reads, slab)
+            let stream = streaming(chunk_reads, read_block, 2);
+            first_pass_chunked(&cfg, sample, &d.reference, stream)
                 .map(|first| {
                     let [input] = <[TempInput; 1]>::try_from(first.inputs).expect("one sample");
                     temp_reads(input, &d.reference.name)
@@ -2115,12 +2217,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn any_slab_cuts_every_sample_s_chunks_at_the_same_lines() {
+    /// A three-sample cohort's alignment texts: one without its final
+    /// newline, one with blank lines in it.
+    fn cohort_texts(seed: u64) -> (seqio::synth::Cohort, Vec<Vec<u8>>) {
         use seqio::synth::{Cohort, CohortConfig};
-        let c = Cohort::generate(CohortConfig::tiny(3, 82));
+        let c = Cohort::generate(CohortConfig::tiny(3, seed));
         let mut texts: Vec<Vec<u8>> = c.samples.iter().map(|s| soap_text(&s.reads)).collect();
-        // One file without its final newline, one with blank lines in it.
         texts[1].pop();
         texts[2] = texts[2]
             .split_inclusive(|&b| b == b'\n')
@@ -2131,15 +2233,28 @@ mod tests {
                 }
                 t
             });
+        (c, texts)
+    }
+
+    /// The first pass over `texts` as one cohort.
+    fn pass_over(
+        cfg: &GsnpConfig,
+        texts: &[Vec<u8>],
+        reference: &Reference,
+        stream: Streaming,
+    ) -> Result<FirstPass, AlignmentError> {
+        let mut readers: Vec<&[u8]> = texts.iter().map(Vec::as_slice).collect();
+        let samples = readers
+            .iter_mut()
+            .map(|r| Alignments::Text(r as &mut (dyn Read + Send)))
+            .collect();
+        first_pass_chunked(cfg, samples, reference, stream)
+    }
+
+    #[test]
+    fn any_read_block_cuts_every_sample_s_chunks_at_the_same_lines() {
+        let (c, texts) = cohort_texts(82);
         let cfg = GsnpConfig::default();
-        let pass = |chunk_reads, slab| {
-            let mut readers: Vec<&[u8]> = texts.iter().map(Vec::as_slice).collect();
-            let samples = readers
-                .iter_mut()
-                .map(|r| Alignments::Text(r as &mut dyn Read))
-                .collect();
-            first_pass_chunked(&cfg, samples, &c.reference, chunk_reads, slab).unwrap()
-        };
         let longest_line = texts
             .iter()
             .flat_map(|t| t.split(|&b| b == b'\n'))
@@ -2147,36 +2262,189 @@ mod tests {
             .max()
             .unwrap();
         for chunk_reads in [1, 5, 64] {
-            // The slab of every byte at once, which cuts where the whole
+            let pass = |read_block, workers| {
+                let stream = streaming(chunk_reads, read_block, workers);
+                pass_over(&cfg, &texts, &c.reference, stream).unwrap()
+            };
+            // The block of every byte at once, which cuts where the whole
             // text is cut, is the reference.
-            let whole = pass(chunk_reads, texts.iter().map(Vec::len).sum::<usize>() + 1);
+            let whole = pass(texts.iter().map(Vec::len).sum::<usize>() + 1, 1);
             assert_eq!(
                 whole.inputs.len(),
                 3,
                 "chunks of {chunk_reads}: one input per sample"
             );
-            // Below one line (it must grow), a few lines, a few chunks, one
-            // file and a bit: the same blobs, sample by sample.
-            for slab in [1, longest_line + 1, 3_000, texts[0].len() + 100] {
-                let first = pass(chunk_reads, slab);
-                assert!(
-                    first.inputs == whole.inputs,
-                    "chunks of {chunk_reads} through a slab of {slab}"
-                );
-                assert!(first.slab_bytes >= slab as u64);
-                assert!(first.slab_bytes < 2 * (slab + chunk_reads * (longest_line + 1)) as u64);
+            // Below one line, a line, a few lines, a few chunks, one file
+            // and a bit: the same blobs, sample by sample.
+            for read_block in [1, longest_line + 1, 3_000, texts[0].len() + 100] {
+                for workers in [1, 2] {
+                    let first = pass(read_block, workers);
+                    let shape = format!(
+                        "chunks of {chunk_reads}, blocks of {read_block}, {workers} workers"
+                    );
+                    assert!(first.inputs == whole.inputs, "{shape}");
+                    // A block of carry at least; a chunk and a block at most,
+                    // in whole blocks, for the carry and for every worker.
+                    let held = (chunk_reads * (longest_line + 1) + read_block)
+                        .next_multiple_of(read_block);
+                    assert!(first.slab_bytes >= read_block as u64, "{shape}");
+                    assert!(first.slab_bytes <= ((workers + 1) * held) as u64, "{shape}");
+                }
             }
             // And they are the blobs of the same records already in memory
             // (where no blank line shifts a chunk's lines off its records).
             let reads = c.samples.iter().map(|s| Alignments::Reads(&s.reads));
+            let stream = streaming(chunk_reads, 1, 2);
             let in_memory =
-                first_pass_chunked(&cfg, reads.collect(), &c.reference, chunk_reads, 1).unwrap();
+                first_pass_chunked(&cfg, reads.collect(), &c.reference, stream).unwrap();
             assert!(
                 in_memory.inputs[..2] == whole.inputs[..2],
                 "chunks of {chunk_reads}"
             );
             assert_eq!(in_memory.slab_bytes, 0);
         }
+    }
+
+    #[test]
+    fn one_worker_and_two_find_the_same_blobs_counts_and_first_fault() {
+        let (c, clean) = cohort_texts(84);
+        let cfg = GsnpConfig::default();
+        // Clean; a malformed line in sample 1; one out of order in sample 2
+        // and a malformed one after it; a chunk of sample 0 before its
+        // predecessor (every line in order within each chunk).
+        let mut damaged = vec![clean.clone()];
+        let lines = |s: usize| -> Vec<Vec<u8>> {
+            clean[s]
+                .split_inclusive(|&b| b == b'\n')
+                .map(<[u8]>::to_vec)
+                .collect()
+        };
+        let mut bad = clean.clone();
+        let mut l = lines(1);
+        l[17] = b"not a record\n".to_vec();
+        bad[1] = l.concat();
+        damaged.push(bad);
+        let mut bad = clean.clone();
+        let mut l = lines(2);
+        l.swap(30, 31);
+        l[40] = b"r\tA\t5\n".to_vec();
+        bad[2] = l.concat();
+        damaged.push(bad);
+        let mut bad = clean.clone();
+        let mut l = lines(0);
+        l[..20].rotate_left(10);
+        bad[0] = l.concat();
+        damaged.push(bad);
+        let bits = |p: &PMatrix| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (k, texts) in damaged.iter().enumerate() {
+            let pass = |workers| {
+                pass_over(&cfg, texts, &c.reference, streaming(10, 700, workers))
+                    .map(|first| (first.inputs, bits(&first.tables.p_matrix)))
+                    .map_err(|e| e.to_string())
+            };
+            let one = pass(1);
+            assert_eq!(one.is_ok(), k == 0, "{:?}", one.as_ref().err());
+            for _ in 0..5 {
+                assert!(pass(2) == one, "{:?}", one.as_ref().err());
+            }
+        }
+    }
+
+    /// Reads `text` up to byte `at`, then fails every read.
+    struct FailsAt {
+        text: std::io::Cursor<Vec<u8>>,
+        at: u64,
+    }
+
+    impl Read for FailsAt {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let left = self.at - self.text.position();
+            if left == 0 {
+                return Err(std::io::Error::other("injected: read failed"));
+            }
+            let n = buf.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+            self.text.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn a_reader_that_fails_mid_file_stops_the_pass_and_names_its_sample() {
+        use crate::cohort::{CohortCallConfig, CohortPipeline, SampleText};
+        let (c, texts) = cohort_texts(85);
+        let read_block = 1_000;
+        // Inside a chunk of sample 0, on a block edge of sample 1, in the
+        // middle of sample 2 (of 3).
+        let failures = [
+            (0, texts[0].len() / 3 + 17),
+            (1, 2 * read_block),
+            (2, texts[2].len() / 2),
+        ];
+        let dir = std::env::temp_dir().join(format!("gsnp_readfail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (sample, at) in failures {
+            let readers = || -> Vec<FailsAt> {
+                let at = |s| if s == sample { at as u64 } else { u64::MAX };
+                let texts = texts.iter().cloned().map(std::io::Cursor::new);
+                texts
+                    .enumerate()
+                    .map(|(s, text)| FailsAt { text, at: at(s) })
+                    .collect()
+            };
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            for workers in [1, 2] {
+                let (done_tx, mut readers, reference) =
+                    (done_tx.clone(), readers(), c.reference.clone());
+                std::thread::spawn(move || {
+                    let samples = readers
+                        .iter_mut()
+                        .map(|r| Alignments::Text(r as &mut (dyn Read + Send)))
+                        .collect();
+                    let stream = streaming(16, read_block, workers);
+                    let pass =
+                        first_pass_chunked(&GsnpConfig::default(), samples, &reference, stream);
+                    done_tx.send(pass.err().map(|e| e.to_string())).ok();
+                });
+            }
+            // And a whole cohort run, into files.
+            let paths: Vec<_> = (0..3)
+                .map(|s| (dir.join(format!("{sample}_{s}.gsnp")), None))
+                .collect();
+            let samples: Vec<_> = readers()
+                .into_iter()
+                .enumerate()
+                .map(|(s, text)| SampleText {
+                    name: format!("s{s}"),
+                    text,
+                })
+                .collect();
+            let (c, files) = (c.clone(), paths.clone());
+            std::thread::spawn(move || {
+                let mut sink = crate::sink::FileSink::create(&files).unwrap();
+                let run = CohortPipeline::new(CohortCallConfig::default()).run_text(
+                    samples,
+                    &c.reference,
+                    &c.priors,
+                    &mut sink,
+                );
+                drop(sink);
+                let error = match run {
+                    Err(RunError::Alignments(e)) => e.to_string(),
+                    other => format!("{:?}", other.map(|_| ())),
+                };
+                done_tx.send(Some(error)).ok();
+            });
+            let want = format!("sample {sample}: I/O error: injected: read failed");
+            for _ in 0..3 {
+                let error = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("the first pass hung: sample {sample} at {at}"));
+                assert_eq!(error.as_deref(), Some(want.as_str()), "at byte {at}");
+            }
+            for (path, _) in &paths {
+                assert!(!path.exists(), "{} left behind", path.display());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Takes `left` bytes into a real [`crate::sink::FileSink`], then fails.
@@ -2278,7 +2546,8 @@ mod tests {
                 damage(&mut reads[index]);
                 let cfg = tiny_cfg();
                 let sample = vec![Alignments::Reads(&reads)];
-                let chunked = first_pass_chunked(&cfg, sample, &d.reference, 50, SLAB_BYTES);
+                let stream = streaming(50, READ_BLOCK, 2);
+                let chunked = first_pass_chunked(&cfg, sample, &d.reference, stream);
                 let Err(err) = chunked else {
                     panic!("a malformed record went through: {what}");
                 };

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use rayon::prelude::*;
 use seqio::base::Strand;
 use seqio::fasta::Reference;
 use seqio::soap::{AlignedRead, ReadChunk};
@@ -195,26 +196,32 @@ impl PMatrix {
     }
 
     /// Blend the observed co-occurrence counts with the quality-model
-    /// prior using `params.pseudocount` pseudo-observations.
+    /// prior using `params.pseudocount` pseudo-observations, one quality
+    /// row per pool task.
     pub fn from_counts(counts: &CalCounts, params: &ModelParams) -> PMatrix {
         let counts = &counts.counts;
         let mut values = vec![0f64; Self::LEN];
-        for q in 0..Q_DIM {
+        let rows: Vec<_> = values.chunks_mut(Self::LEN / Q_DIM).enumerate().collect();
+        rows.into_par_iter().for_each(|(q, row)| {
+            let q = q as u8;
+            // The prior does not depend on the coordinate.
+            let priors: [[f64; 4]; 4] = std::array::from_fn(|allele| {
+                std::array::from_fn(|base| Self::prior_prob(q, allele as u8, base as u8))
+            });
             for coord in 0..COORD_DIM {
-                let (q, coord) = (q as u8, coord as u8);
                 for allele in 0..4u8 {
-                    let idx0 = p_index(q, coord, allele, 0);
+                    let idx0 = p_index(q, coord as u8, allele, 0);
                     let seen: [f64; 4] = std::array::from_fn(|b| counts[idx0 + b] as f64);
                     let total: f64 = seen.iter().sum();
-                    for base in 0..4u8 {
-                        let prior = Self::prior_prob(q, allele, base);
-                        let v = (seen[base as usize] + params.pseudocount * prior)
-                            / (total + params.pseudocount);
-                        values[idx0 + base as usize] = v.clamp(1e-12, 1.0);
+                    for (b, &prior) in priors[usize::from(allele)].iter().enumerate() {
+                        let v =
+                            (seen[b] + params.pseudocount * prior) / (total + params.pseudocount);
+                        // `idx0` within this quality's row.
+                        row[idx0 % row.len() + b] = v.clamp(1e-12, 1.0);
                     }
                 }
             }
-        }
+        });
         PMatrix { values }
     }
 
@@ -297,22 +304,24 @@ impl NewPMatrix {
     /// so replacing the on-the-fly computation with the table lookup is a
     /// bit-exact transformation.
     ///
-    /// The rows are written in place into the one shared allocation: no
-    /// staging vector is built and copied.
+    /// The rows are written in place into the one shared allocation, one
+    /// quality's rows per pool task: no staging vector is built and copied.
     pub fn precompute(p: &PMatrix) -> NewPMatrix {
         let mut rows: Arc<[_]> = std::iter::repeat_n([0f64; NUM_GENOTYPES], Self::CELLS).collect();
         let cells = Arc::get_mut(&mut rows).expect("a new allocation has one owner");
-        for q in 0..Q_DIM {
+        let per_q: Vec<_> = cells.chunks_mut(Self::CELLS / Q_DIM).enumerate().collect();
+        per_q.into_par_iter().for_each(|(q, cells)| {
             for coord in 0..COORD_DIM {
                 let (q, coord) = (q as u8, coord as u8);
                 for base in 0..4u8 {
-                    let row = &mut cells[new_p_cell(q, coord, base)];
+                    // The cell's index within this quality's rows.
+                    let row = &mut cells[new_p_cell(q, coord, base) % cells.len()];
                     for (v, &(a1, a2)) in row.iter_mut().zip(&GENOTYPES) {
                         *v = likely_update(p, q, coord, base, a1, a2);
                     }
                 }
             }
-        }
+        });
         NewPMatrix { rows }
     }
 

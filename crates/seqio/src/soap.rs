@@ -492,31 +492,49 @@ pub fn write_alignments<W: Write>(reads: &[AlignedRead], mut w: W) -> Result<(),
     Ok(())
 }
 
-/// Cut `text` into consecutive pieces of `lines` lines each (the last one
-/// shorter, and a final line need not end in a newline). Piece `k` starts
-/// at line `k · lines + 1` of the file, which is what lets pieces be parsed
-/// independently — [`AlignmentReader::at_line`] — and still report global
-/// line numbers.
+/// Where the `n`-th line of `text` ends: `Ok(i)` when `text[..i]` holds
+/// exactly `n` lines, its last one ending in a newline, or `Err(m)` when
+/// all of `text` holds only `m < n` newlines. Cutting a file at every
+/// `n`-th line this way makes piece `k` start at line `k · n + 1`, which is
+/// what lets pieces be parsed independently ([`AlignmentReader::at_line`])
+/// and still report global line numbers.
+///
+/// Eight bytes at a time: a byte-exact zero test of `word ^ b'\n'…`, whose
+/// masks cannot carry from one byte into the next.
 ///
 /// # Panics
-/// Panics if `lines` is zero.
-pub fn line_chunks(text: &[u8], lines: usize) -> Vec<&[u8]> {
-    assert!(lines > 0, "a chunk holds at least one line");
-    let mut chunks = Vec::new();
-    let (mut start, mut seen) = (0, 0);
-    for (i, &c) in text.iter().enumerate() {
-        if c == b'\n' {
+/// Panics if `n` is zero.
+pub fn nth_line_end(text: &[u8], n: usize) -> Result<usize, usize> {
+    const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    assert!(n > 0, "a piece holds at least one line");
+    let mut seen = 0;
+    // The end of the `n`-th line, if `word` (bytes `8·w..`) holds it.
+    let mut find = |w: usize, word: [u8; 8]| {
+        let x = u64::from_le_bytes(word) ^ NEWLINES;
+        let mut hits = !(((x & LOW7) + LOW7) | x | LOW7);
+        while hits != 0 {
             seen += 1;
-            if seen == lines {
-                chunks.push(&text[start..=i]);
-                (start, seen) = (i + 1, 0);
+            if seen == n {
+                return Some(w * 8 + hits.trailing_zeros() as usize / 8 + 1);
             }
+            hits &= hits - 1;
+        }
+        None
+    };
+    let mut words = text.chunks_exact(8);
+    for (w, word) in words.by_ref().enumerate() {
+        if let Some(end) = find(w, word.try_into().expect("eight bytes")) {
+            return Ok(end);
         }
     }
-    if start < text.len() {
-        chunks.push(&text[start..]);
+    // The last few bytes, padded with NULs, which are no newlines.
+    let mut last = [0; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    match find(text.len() / 8, last) {
+        Some(end) => Ok(end),
+        None => Err(seen),
     }
-    chunks
 }
 
 /// The error for a record at `line` whose 0-based `pos` is below `prev`,
@@ -782,6 +800,80 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(reads, vec![sample(), sample()]);
+    }
+
+    /// `text` cut at every `lines`-th line with [`nth_line_end`] (the last
+    /// piece shorter, and a final line need not end in a newline).
+    fn line_chunks(text: &[u8], lines: usize) -> Vec<&[u8]> {
+        let (mut chunks, mut rest) = (Vec::new(), text);
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(nth_line_end(rest, lines).unwrap_or(rest.len()));
+            chunks.push(chunk);
+            rest = tail;
+        }
+        chunks
+    }
+
+    /// [`nth_line_end`] a byte at a time.
+    fn nth_line_end_bytewise(text: &[u8], n: usize) -> Result<usize, usize> {
+        let mut seen = 0;
+        for (i, &c) in text.iter().enumerate() {
+            if c == b'\n' {
+                seen += 1;
+                if seen == n {
+                    return Ok(i + 1);
+                }
+            }
+        }
+        Err(seen)
+    }
+
+    #[test]
+    fn the_word_scan_finds_the_lines_the_byte_loop_finds() {
+        let mut texts: Vec<Vec<u8>> = vec![
+            b"".to_vec(),
+            b"\n".to_vec(),
+            b"no final newline".to_vec(),
+            b"a\r\nbb\r\n\r\n\nccc\r\n".to_vec(),
+            b"\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n".to_vec(),
+        ];
+        // Lines of 7, 8 and 9 bytes: newlines on, before and after every
+        // word edge, at every offset from the start.
+        for len in [7, 8, 9] {
+            for lead in 0..8 {
+                let mut t = vec![b'x'; lead];
+                for k in 0..12 {
+                    t.extend(std::iter::repeat_n(b'a' + k, len - 1));
+                    t.push(b'\n');
+                }
+                texts.push(t);
+            }
+        }
+        // Bytes a sloppy zero test takes for a newline: NUL, 0x8A (the
+        // newline with its high bit set), 0x0B (one above it), 0x09, 0xFF.
+        let mut rng = StdRng::seed_from_u64(7);
+        let hostile = [0x00, 0x8A, 0x0B, 0x09, 0xFF, 0x0A, 0x80, 0x01];
+        for len in [15, 64, 333] {
+            texts.push(
+                (0..len)
+                    .map(|_| hostile[rng.gen_range(0..hostile.len())])
+                    .collect(),
+            );
+        }
+        texts.push([0x8A, 0x0A].repeat(20));
+        texts.push([0x00, 0x0A, 0x0B, 0x8A, 0x8A, 0x0A, 0x00, 0x00, 0x0A].repeat(9));
+        for text in &texts {
+            for from in 0..text.len().min(9) {
+                let text = &text[from..];
+                for n in 1..=text.len() + 2 {
+                    assert_eq!(
+                        nth_line_end(text, n),
+                        nth_line_end_bytewise(text, n),
+                        "{n} lines of {text:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

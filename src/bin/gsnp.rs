@@ -667,8 +667,9 @@ fn cmd_call(args: &[String]) -> CliResult {
     // written is an error now, and results leave window by window.
     let text_path = flag_value(args, "--text").map(PathBuf::from);
     let mut sink = FileSink::create(&[(PathBuf::from(out), text_path)])?;
-    // The device pipeline reads and parses the file slab by slab inside its
-    // first pass; only the sequential oracle wants every record at once.
+    // The device pipeline reads the file block by block and parses it chunk
+    // by chunk on every core inside its first pass; only the sequential
+    // oracle wants every record at once.
     let result = if cpu {
         let reads: Vec<_> = AlignmentReader::new(BufReader::new(open(aln)?))
             .collect::<Result<_, _>>()
