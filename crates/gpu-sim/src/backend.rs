@@ -589,11 +589,9 @@ mod tests {
             let mut tile = ctx.shared_alloc::<u32>(64);
             tile.stage_co(ctx, &input, base, 0, len);
             tile.fill_span(ctx, len, 64, u32::MAX);
-            for w in [1usize, 2, 4, 8, 16, 32] {
-                for lo in 0..64 - w {
-                    tile.compare_exchange(ctx, lo, lo + w);
-                }
-            }
+            // Odd-even transposition: a sorting network for 64 lanes.
+            let odd_even = (0..64).flat_map(|round| (round % 2..63).step_by(2).map(|i| (i, i + 1)));
+            tile.sort_network(ctx, 64, odd_even);
             tile.flush_co(ctx, &sorted, 0, base, len);
             let mut acc = ctx.shared_alloc::<f64>(1);
             acc.fill_default(ctx);

@@ -437,6 +437,14 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         }
     }
 
+    /// Plain bulk write of consecutive elements (native kernels only).
+    #[inline]
+    pub(crate) fn write_span_plain(&self, start: usize, vals: &[T]) {
+        for (lane, &v) in self.lanes_plain_mut(start, vals.len()).iter_mut().zip(vals) {
+            *lane = <T::Cell as DeviceCell>::narrow(v.to_raw());
+        }
+    }
+
     /// Plain copy into a tile's zero-extended `u64` lanes (native
     /// stage-in).
     #[inline]

@@ -16,6 +16,7 @@ use std::marker::PhantomData;
 
 use crate::buffer::{ConstBuffer, DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
 use crate::config::DeviceConfig;
+use crate::contract::AccessContract;
 use crate::counters::HwCounters;
 use crate::sanitizer::{AccessKind, LaunchSession};
 
@@ -43,6 +44,20 @@ struct SimPart<'a> {
 }
 
 impl SimPart<'_> {
+    /// Tally `n` coalesced accesses of `T` (loads or stores, by `kind`).
+    #[inline(always)]
+    fn tally_co<T: DeviceScalar>(&mut self, n: u64, kind: AccessKind) {
+        let c = &mut self.counters;
+        c.instructions += n;
+        if kind == AccessKind::Read {
+            c.g_load_coalesced += n;
+            c.g_load_bytes_co += n * T::BYTES;
+        } else {
+            c.g_store_coalesced += n;
+            c.g_store_bytes_co += n * T::BYTES;
+        }
+    }
+
     /// Sanitizer hook for one global-buffer access: precise bounds check
     /// first, then per-buffer shadow state. Never touches the hardware
     /// counters, so counter traces are identical with or without it.
@@ -139,12 +154,68 @@ impl<'a> KernelCtx<'a> {
     #[inline(always)]
     pub fn ld_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize) -> T {
         if let Some(sim) = &mut self.sim {
-            sim.counters.instructions += 1;
-            sim.counters.g_load_coalesced += 1;
-            sim.counters.g_load_bytes_co += T::BYTES;
+            sim.tally_co::<T>(1, AccessKind::Read);
             sim.san_global(self.block_idx, buf, i, 1, AccessKind::Read);
         }
         buf.get(i)
+    }
+
+    /// The simulator's part of a coalesced span access: `Some(true)` once
+    /// `n` accesses are tallied and checked as one, where the span is in
+    /// bounds and inside one declared interval (if a contract is checked);
+    /// else `Some(false)`, and the caller makes one counted access per
+    /// element; `None` on the host executor.
+    #[inline(always)]
+    fn co_span<T: DeviceScalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        start: usize,
+        n: usize,
+        kind: AccessKind,
+    ) -> Option<bool> {
+        let sim = self.sim.as_mut()?;
+        let contract = sim.session.and_then(|sess| sess.contract);
+        let covered = |c: &AccessContract| c.covers(buf.uid(), self.block_idx, start, n, kind);
+        let one = n > 0 && start + n <= buf.len() && contract.is_none_or(covered);
+        if one {
+            sim.tally_co::<T>(n as u64, kind);
+            sim.san_global(self.block_idx, buf, start, n, kind);
+        }
+        Some(one)
+    }
+
+    /// Coalesced load of `out.len()` consecutive elements from `start`: the
+    /// tallies, findings and verdicts of an [`KernelCtx::ld_co`] per element,
+    /// made once per span; the host executor reads plain lanes.
+    #[inline]
+    pub fn ld_co_span<T: DeviceScalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        start: usize,
+        out: &mut [T],
+    ) {
+        match self.co_span(buf, start, out.len(), AccessKind::Read) {
+            None => buf.read_span_plain(start, out),
+            Some(true) => buf.read_span(start, out),
+            Some(false) => {
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = self.ld_co(buf, start + k);
+                }
+            }
+        }
+    }
+
+    /// Count `n` coalesced loads of `buf[start..start + n]` that re-read
+    /// words the block holds from an earlier load, without making them.
+    /// Checked as [`KernelCtx::ld_co_span`] checks; a re-read cannot add
+    /// a finding to the first read's.
+    #[inline]
+    pub fn reread_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, start: usize, n: usize) {
+        if self.co_span(buf, start, n, AccessKind::Read) == Some(false) {
+            for i in start..start + n {
+                let _ = self.ld_co(buf, i);
+            }
+        }
     }
 
     /// Random (non-coalesced) global load: each lane touches an unrelated
@@ -212,12 +283,29 @@ impl<'a> KernelCtx<'a> {
     #[inline(always)]
     pub fn st_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) {
         if let Some(sim) = &mut self.sim {
-            sim.counters.instructions += 1;
-            sim.counters.g_store_coalesced += 1;
-            sim.counters.g_store_bytes_co += T::BYTES;
+            sim.tally_co::<T>(1, AccessKind::Write);
             sim.san_global(self.block_idx, buf, i, 1, AccessKind::Write);
         }
         buf.set(i, v);
+    }
+
+    /// Coalesced store of `vals` to consecutive elements from `start`: the
+    /// store form of [`KernelCtx::ld_co_span`].
+    #[inline]
+    pub fn st_co_span<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, start: usize, vals: &[T]) {
+        match self.co_span(buf, start, vals.len(), AccessKind::Write) {
+            None => buf.write_span_plain(start, vals),
+            Some(true) => {
+                for (cell, &v) in buf.cells_span(start, vals.len()).iter().zip(vals) {
+                    T::store(cell, v);
+                }
+            }
+            Some(false) => {
+                for (k, &v) in vals.iter().enumerate() {
+                    self.st_co(buf, start + k, v);
+                }
+            }
+        }
     }
 
     /// Random (non-coalesced) global store.
@@ -349,12 +437,12 @@ impl<T: DeviceScalar> Drop for SharedTile<T> {
 impl<T: DeviceScalar> SharedTile<T> {
     /// Initcheck: report (once per lane) any read of a never-written lane.
     #[inline(always)]
-    fn check_init(&self, sim: &SimPart<'_>, block_idx: usize, start: usize, n: usize) {
-        if let (Some(poison), Some(sess)) = (&self.poison, sim.session) {
+    fn check_init(&self, sess: Option<&LaunchSession<'_>>, block: usize, start: usize, n: usize) {
+        if let (Some(poison), Some(sess)) = (&self.poison, sess) {
             let mut bits = poison.borrow_mut();
             for i in start..start + n {
                 if bits[i >> 6] >> (i & 63) & 1 == 1 {
-                    sess.shared_uninit(block_idx, i, self.data.len());
+                    sess.shared_uninit(block, i, self.data.len());
                     bits[i >> 6] &= !(1 << (i & 63));
                 }
             }
@@ -389,7 +477,7 @@ impl<T: DeviceScalar> SharedTile<T> {
             sim.counters.instructions += 1;
             sim.counters.s_load += 1;
             sim.counters.s_bytes += T::BYTES;
-            self.check_init(sim, ctx.block_idx, i, 1);
+            self.check_init(sim.session, ctx.block_idx, i, 1);
         }
         T::from_raw(self.data[i])
     }
@@ -429,9 +517,8 @@ impl<T: DeviceScalar> SharedTile<T> {
     ) {
         if let Some(sim) = &mut ctx.sim {
             let n = len as u64;
-            sim.counters.instructions += 2 * n;
-            sim.counters.g_load_coalesced += n;
-            sim.counters.g_load_bytes_co += n * T::BYTES;
+            sim.tally_co::<T>(n, AccessKind::Read);
+            sim.counters.instructions += n;
             sim.counters.s_store += n;
             sim.counters.s_bytes += n * T::BYTES;
             sim.san_global(ctx.block_idx, buf, src, len, AccessKind::Read);
@@ -463,12 +550,11 @@ impl<T: DeviceScalar> SharedTile<T> {
     ) {
         if let Some(sim) = &mut ctx.sim {
             let n = len as u64;
-            sim.counters.instructions += 2 * n;
+            sim.tally_co::<T>(n, AccessKind::Write);
+            sim.counters.instructions += n;
             sim.counters.s_load += n;
             sim.counters.s_bytes += n * T::BYTES;
-            sim.counters.g_store_coalesced += n;
-            sim.counters.g_store_bytes_co += n * T::BYTES;
-            self.check_init(sim, ctx.block_idx, src, len);
+            self.check_init(sim.session, ctx.block_idx, src, len);
             sim.san_global(ctx.block_idx, buf, dst, len, AccessKind::Write);
             for (lane, cell) in self.data[src..src + len]
                 .iter()
@@ -497,54 +583,39 @@ impl<T: DeviceScalar> SharedTile<T> {
 }
 
 impl SharedTile<u32> {
-    /// Counted bitonic compare-exchange: load both lanes, swap if out of
-    /// order. Counter-identical to two [`SharedTile::read`]s plus — when the
-    /// swap fires — two [`SharedTile::write`]s via the scalar API. Raw lanes
-    /// compare correctly because every counted write stores normalized
-    /// (zero-extended) `u32` bits.
-    #[inline]
-    pub fn compare_exchange(&mut self, ctx: &mut KernelCtx<'_>, lo: usize, hi: usize) {
-        const BYTES: u64 = <u32 as DeviceScalar>::BYTES;
-        let swap = self.data[lo] > self.data[hi];
-        if let Some(sim) = &mut ctx.sim {
-            let accesses = if swap { 4 } else { 2 };
-            sim.counters.instructions += accesses;
-            sim.counters.s_load += 2;
-            sim.counters.s_store += accesses - 2;
-            sim.counters.s_bytes += accesses * BYTES;
-            self.check_init(sim, ctx.block_idx, lo, 1);
-            self.check_init(sim, ctx.block_idx, hi, 1);
-        }
-        if swap {
-            self.data.swap(lo, hi);
-        }
-    }
-
     /// Replay a caller-supplied compare-exchange *sorting network* over
     /// `self[0..m]`.
     ///
-    /// `network` must enumerate the pair sequence of a sorting network for
-    /// `m` elements (e.g. the bitonic network): applying compare-exchange
-    /// at every enumerated pair must leave `self[0..m]` sorted ascending.
-    /// The simulator replays the network pair by pair — one instruction
-    /// plus one fused compare-exchange per pair, exactly as if the kernel
-    /// body issued them itself — so Table III counters are unchanged. The
-    /// host executor instead sorts the raw lanes directly: for `u32`
-    /// keys every comparison sort yields the same bytes as the network,
-    /// and skipping the O(n·log²n) pair replay is most of the native
-    /// batch-sort win.
-    pub fn sort_network<F>(&mut self, ctx: &mut KernelCtx<'_>, m: usize, network: F)
+    /// `network` must be the pairs of a sorting network for `m` elements
+    /// (e.g. the bitonic network), each `(lo, hi)` a compare-exchange that
+    /// leaves the smaller key at `lo`. The simulator replays the pairs on
+    /// the raw lanes (every counted write stores normalized `u32` bits) and
+    /// tallies once per array what a kernel issuing each exchange would:
+    /// per pair one instruction and two [`SharedTile::read`]s (initcheck
+    /// sees those), plus two [`SharedTile::write`]s where it swaps. The host
+    /// executor sorts the lanes: for `u32` keys any sort gives those bytes.
+    pub fn sort_network<I>(&mut self, ctx: &mut KernelCtx<'_>, m: usize, network: I)
     where
-        F: Fn(&mut dyn FnMut(usize, usize)),
+        I: IntoIterator<Item = (usize, usize)>,
     {
-        if ctx.sim.is_some() {
-            network(&mut |lo, hi| {
-                ctx.add_inst(1);
-                self.compare_exchange(ctx, lo, hi);
-            });
-        } else {
+        const BYTES: u64 = <u32 as DeviceScalar>::BYTES;
+        let Some(sim) = &mut ctx.sim else {
             self.data[..m].sort_unstable();
+            return;
+        };
+        let (mut pairs, mut swaps) = (0u64, 0u64);
+        for (lo, hi) in network {
+            self.check_init(sim.session, ctx.block_idx, lo, 1);
+            self.check_init(sim.session, ctx.block_idx, hi, 1);
+            let (a, b) = (self.data[lo], self.data[hi]);
+            (self.data[lo], self.data[hi]) = (a.min(b), a.max(b));
+            pairs += 1;
+            swaps += u64::from(a > b);
         }
+        sim.counters.instructions += 3 * pairs + 2 * swaps;
+        sim.counters.s_load += 2 * pairs;
+        sim.counters.s_store += 2 * swaps;
+        sim.counters.s_bytes += 2 * (pairs + swaps) * BYTES;
     }
 }
 
@@ -561,7 +632,7 @@ impl SharedTile<f64> {
             sim.counters.s_load += n;
             sim.counters.s_store += n;
             sim.counters.s_bytes += 2 * n * <f64 as DeviceScalar>::BYTES;
-            self.check_init(sim, ctx.block_idx, start, terms.len());
+            self.check_init(sim.session, ctx.block_idx, start, terms.len());
         }
         for (lane, &t) in self.data[start..start + terms.len()].iter_mut().zip(terms) {
             *lane = (f64::from_bits(*lane) + t).to_bits();
@@ -714,11 +785,7 @@ mod tests {
     }
 
     /// A sorting network for four lanes (bubble order).
-    fn net4(cmpx: &mut dyn FnMut(usize, usize)) {
-        for (lo, hi) in [(0, 1), (1, 2), (2, 3), (0, 1), (1, 2), (0, 1)] {
-            cmpx(lo, hi);
-        }
-    }
+    const NET4: [(usize, usize); 6] = [(0, 1), (1, 2), (2, 3), (0, 1), (1, 2), (0, 1)];
 
     #[test]
     fn every_op_is_counter_exact_on_the_simulator_and_silent_on_the_host() {
@@ -726,13 +793,36 @@ mod tests {
         const NONE: (u64, u64, u64) = (0, 0, 0);
         // (name, the op, the scalar sequence a batched op's comment says it
         // is counter-identical to, the simulator's exact tally)
-        let table: [(&str, Op, Option<Op>, HwCounters); 18] = [
+        let table: [(&str, Op, Option<Op>, HwCounters); 20] = [
             ("add_inst", |c, _| c.add_inst(5), None, hw(5, [Z; 4], NONE)),
             (
                 "ld_co",
                 |c, w| w.seen.push(c.ld_co(&w.words, 1).into()),
                 None,
                 hw(1, [(1, 4), Z, Z, Z], NONE),
+            ),
+            (
+                "ld_co_span",
+                |c, w| {
+                    let mut out = [0u32; 3];
+                    c.ld_co_span(&w.words, 1, &mut out);
+                    w.seen.extend(out.map(u64::from));
+                },
+                Some(|c, w| {
+                    let loads = (1..4).map(|i| u64::from(c.ld_co(&w.words, i)));
+                    w.seen.extend(loads);
+                }),
+                hw(3, [(3, 12), Z, Z, Z], NONE),
+            ),
+            (
+                "reread_co",
+                |c, w| c.reread_co(&w.words, 0, 3),
+                Some(|c, w| {
+                    for i in 0..3 {
+                        let _ = c.ld_co(&w.words, i);
+                    }
+                }),
+                hw(3, [(3, 12), Z, Z, Z], NONE),
             ),
             (
                 "ld_rand",
@@ -769,6 +859,15 @@ mod tests {
                 |c, w| c.st_co(&w.words, 2, 5),
                 None,
                 hw(1, [Z, Z, (1, 4), Z], NONE),
+            ),
+            (
+                "st_co_span",
+                |c, w| c.st_co_span(&w.reals, 1, &[0.5, -2.0]),
+                Some(|c, w| {
+                    c.st_co(&w.reals, 1, 0.5);
+                    c.st_co(&w.reals, 2, -2.0);
+                }),
+                hw(2, [Z, Z, (2, 16), Z], NONE),
             ),
             (
                 "st_rand",
@@ -841,24 +940,6 @@ mod tests {
                 hw(2, [Z; 4], (0, 2, 8)),
             ),
             (
-                // The first pair is out of order, the second is not.
-                "compare_exchange",
-                |c, w| {
-                    w.keys.compare_exchange(c, 0, 1);
-                    w.keys.compare_exchange(c, 2, 3);
-                },
-                Some(|c, w| {
-                    for (lo, hi) in [(0, 1), (2, 3)] {
-                        let (a, b) = (w.keys.read(c, lo), w.keys.read(c, hi));
-                        if a > b {
-                            w.keys.write(c, lo, b);
-                            w.keys.write(c, hi, a);
-                        }
-                    }
-                }),
-                hw(6, [Z; 4], (4, 2, 24)),
-            ),
-            (
                 "add_span",
                 |c, w| w.sums.add_span(c, 1, &[0.5, 0.25]),
                 Some(|c, w| {
@@ -872,12 +953,16 @@ mod tests {
             (
                 // Three of the six exchanges fire on 5 2 3 4.
                 "sort_network",
-                |c, w| w.keys.sort_network(c, 4, net4),
+                |c, w| w.keys.sort_network(c, 4, NET4),
                 Some(|c, w| {
-                    net4(&mut |lo, hi| {
+                    for (lo, hi) in NET4 {
                         c.add_inst(1);
-                        w.keys.compare_exchange(c, lo, hi);
-                    });
+                        let (a, b) = (w.keys.read(c, lo), w.keys.read(c, hi));
+                        if a > b {
+                            w.keys.write(c, lo, b);
+                            w.keys.write(c, hi, a);
+                        }
+                    }
                 }),
                 hw(24, [Z; 4], (12, 6, 72)),
             ),

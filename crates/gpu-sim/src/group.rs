@@ -175,7 +175,7 @@ impl GroupLedger {
         for led in &self.per_device {
             acc.launches += led.launches;
             acc.transfers += led.transfers;
-            acc.sim_time += led.sim_time;
+            acc.add_sim_ticks(led.sim_ticks);
             acc.wall_time += led.wall_time;
             acc.counters += led.counters;
             acc.pool.hits += led.pool.hits;

@@ -62,8 +62,11 @@ pub struct DeviceLedger {
     pub launches: u64,
     /// Explicit host↔device transfer charges recorded.
     pub transfers: u64,
-    /// Total modelled device time, seconds.
+    /// Total modelled device time, seconds: `sim_ticks` in seconds.
     pub sim_time: f64,
+    /// The same total in ticks of 2⁻⁶⁴ s. Concurrent stages retire launches
+    /// in varying order; an integer sum does not depend on it.
+    pub(crate) sim_ticks: u128,
     /// Total host wall-clock spent executing kernel bodies, seconds.
     pub wall_time: f64,
     /// Aggregated hardware counters.
@@ -107,7 +110,15 @@ pub struct KernelTally {
     pub wall_hist: Histogram,
 }
 
+/// Ticks per modelled second (2⁶⁴).
+const TICKS_PER_S: f64 = 18_446_744_073_709_551_616.0;
+
 impl DeviceLedger {
+    pub(crate) fn add_sim_ticks(&mut self, ticks: u128) {
+        self.sim_ticks += ticks;
+        self.sim_time = self.sim_ticks as f64 / TICKS_PER_S;
+    }
+
     fn record(&mut self, stats: &LaunchStats, is_launch: bool) {
         if is_launch {
             self.launches += 1;
@@ -117,7 +128,7 @@ impl DeviceLedger {
         } else {
             self.transfers += 1;
         }
-        self.sim_time += stats.sim_time;
+        self.add_sim_ticks((stats.sim_time * TICKS_PER_S) as u128);
         self.wall_time += stats.wall_time;
         self.counters += stats.counters;
     }

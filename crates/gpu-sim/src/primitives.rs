@@ -17,12 +17,35 @@ use crate::backend::ComputeBackend;
 use crate::buffer::GlobalBuffer;
 use crate::contract::{AccessContract, BlockInterval, Footprint};
 use crate::counters::LaunchStats;
+use crate::ctx::KernelCtx;
 
 /// Elements processed per block by the primitives.
 pub const BLOCK: usize = 256;
 
 fn grid_for(n: usize) -> usize {
     n.div_ceil(BLOCK)
+}
+
+/// Exclusive scan of `src[start..start + len]` (`len ≤ BLOCK`) into the
+/// same span of `dst`, starting from `acc`; returns the running total.
+/// Counts one load, one store and one add per element.
+fn scan_tile(
+    ctx: &mut KernelCtx<'_>,
+    src: &GlobalBuffer<u32>,
+    dst: &GlobalBuffer<u32>,
+    start: usize,
+    len: usize,
+    mut acc: u32,
+) -> u32 {
+    let mut tile = [0u32; BLOCK];
+    let tile = &mut tile[..len];
+    ctx.ld_co_span(src, start, tile);
+    for v in tile.iter_mut() {
+        acc = acc.wrapping_add(std::mem::replace(v, acc));
+    }
+    ctx.add_inst(len as u64);
+    ctx.st_co_span(dst, start, tile);
+    acc
 }
 
 /// Exclusive prefix sum of a `u32` buffer. Returns the scanned buffer and
@@ -51,14 +74,7 @@ pub fn exclusive_scan<B: ComputeBackend>(
         },
         |ctx| {
             let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            let mut acc = 0u32;
-            for i in base..end {
-                let v = ctx.ld_co(input, i);
-                ctx.st_co(&output, i, acc);
-                acc = acc.wrapping_add(v);
-                ctx.add_inst(1);
-            }
+            let acc = scan_tile(ctx, input, &output, base, BLOCK.min(n - base), 0);
             ctx.st_co(&block_totals, ctx.block_idx(), acc);
         },
     );
@@ -69,11 +85,9 @@ pub fn exclusive_scan<B: ComputeBackend>(
         1,
         || AccessContract::default().read_write(&block_totals, Footprint::span(0, grid)),
         |ctx| {
-            for b in 0..grid {
-                let v = ctx.ld_co(&block_totals, b);
-                ctx.st_co(&block_totals, b, total);
-                total = total.wrapping_add(v);
-                ctx.add_inst(1);
+            for b in (0..grid).step_by(BLOCK) {
+                let len = BLOCK.min(grid - b);
+                total = scan_tile(ctx, &block_totals, &block_totals, b, len, total);
             }
         },
     );
@@ -89,11 +103,13 @@ pub fn exclusive_scan<B: ComputeBackend>(
         |ctx| {
             let offset = ctx.ld_co(&block_totals, ctx.block_idx());
             let base = ctx.block_idx() * BLOCK;
-            let end = (base + BLOCK).min(n);
-            for i in base..end {
-                let v = ctx.ld_co(&output, i);
-                ctx.st_co(&output, i, v.wrapping_add(offset));
+            let mut tile = [0u32; BLOCK];
+            let tile = &mut tile[..BLOCK.min(n - base)];
+            ctx.ld_co_span(&output, base, tile);
+            for v in tile.iter_mut() {
+                *v = v.wrapping_add(offset);
             }
+            ctx.st_co_span(&output, base, tile);
         },
     );
 

@@ -531,6 +531,7 @@ fn comp_gpu_impl<B: ComputeBackend>(
     let stats = dev.launch_contracted(name, grid, contract, |ctx| {
         let first = ctx.block_idx() * SITES_PER_BLOCK;
         let last = (first + SITES_PER_BLOCK).min(num_sites);
+        let mut site_words = SITE_WORDS.take();
         for site in first..last {
             let (off, len) = spans[site];
             let dep0 = site * 2 * read_len;
@@ -553,12 +554,16 @@ fn comp_gpu_impl<B: ComputeBackend>(
                 None
             };
 
+            // The site's words, loaded once; the dep_count resets re-read
+            // them from this copy.
+            site_words.clear();
+            site_words.resize(len, 0);
+            ctx.ld_co_span(words, off, &mut site_words);
             let mut last_base = 0u8;
             // Track which dep_count slots this base segment dirtied so the
             // reset touches only live entries (sparse recycle, §IV-B).
-            let mut touched_from = off;
-            for i in off..off + len {
-                let w = ctx.ld_co(words, i);
+            let mut touched_from = 0;
+            for (i, &w) in site_words.iter().enumerate() {
                 let (base, score, coord, strand, uniq) = baseword::unpack(w);
                 ctx.add_inst(12); // field extraction + loop bookkeeping
 
@@ -576,11 +581,12 @@ fn comp_gpu_impl<B: ComputeBackend>(
                 }
 
                 if base > last_base {
-                    for j in touched_from..i {
-                        let (_, _, tc, ts, _) = baseword::unpack(ctx.ld_co(words, j));
+                    for &w in &site_words[touched_from..i] {
+                        let (_, _, tc, ts, _) = baseword::unpack(w);
                         let slot = dep0 + usize::from(ts) * read_len + usize::from(tc);
                         ctx.st_rand(dep_count, slot, 0u16);
                     }
+                    ctx.reread_co(words, off + touched_from, i - touched_from);
                     touched_from = i;
                     last_base = base;
                 }
@@ -588,15 +594,10 @@ fn comp_gpu_impl<B: ComputeBackend>(
                 let slot = dep0 + usize::from(strand) * read_len + usize::from(coord);
                 let dc = ctx.ld_rand(dep_count, slot) + 1;
                 ctx.st_rand(dep_count, slot, dc);
-                let q_adj = {
-                    // adjust(): one constant-memory log read + arithmetic.
-                    let k = dc.clamp(1, 64);
-                    let penalty =
-                        (10.0 * ctx.ld_const(&tables.log_table, k as usize)).round() as i32;
-                    ctx.add_inst(8);
-                    (i32::from(score) - penalty).max(0) as u8
-                };
-                debug_assert_eq!(q_adj, adjust(score, dc, lt));
+                // adjust(): one constant-memory log read + arithmetic, its
+                // penalty rounded once on the host.
+                ctx.add_inst(1 + 8);
+                let q_adj = adjust(score, dc, lt);
 
                 if variant.uses_new_table() {
                     let cell = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
@@ -630,32 +631,29 @@ fn comp_gpu_impl<B: ComputeBackend>(
             }
 
             // Reset the final base segment's dep_count slots.
-            for j in touched_from..off + len {
-                let (_, _, tc, ts, _) = baseword::unpack(ctx.ld_co(words, j));
+            for &w in &site_words[touched_from..] {
+                let (_, _, tc, ts, _) = baseword::unpack(w);
                 let slot = dep0 + usize::from(ts) * read_len + usize::from(tc);
                 ctx.st_rand(dep_count, slot, 0u16);
             }
+            ctx.reread_co(words, off + touched_from, len - touched_from);
 
             // Shared accumulators flush to global through coalesced writes.
             if let Some(tile) = shared_tl.take() {
-                for n in 0..NUM_GENOTYPES {
-                    let v = tile.read(ctx, n);
-                    ctx.st_co(type_likely, tl0 + n, v);
-                }
+                tile.flush_co(ctx, type_likely, 0, tl0, NUM_GENOTYPES);
                 ctx.shared_free(tile);
             }
 
             // Fused path: flush the site's summary words, coalesced.
             if let Some(sbuf) = summary_buf {
-                let s0 = site * SUMMARY_WORDS;
-                for b in 0..4 {
-                    ctx.st_co(sbuf, s0 + b, s_all[b]);
-                    ctx.st_co(sbuf, s0 + 4 + b, s_uniq[b]);
-                    ctx.st_co(sbuf, s0 + 8 + b, s_qual[b]);
-                }
-                ctx.st_co(sbuf, s0 + 12, s_depth);
+                let mut sw = [s_depth; SUMMARY_WORDS];
+                sw[..4].copy_from_slice(&s_all);
+                sw[4..8].copy_from_slice(&s_uniq);
+                sw[8..12].copy_from_slice(&s_qual);
+                ctx.st_co_span(sbuf, site * SUMMARY_WORDS, &sw);
             }
         }
+        SITE_WORDS.set(site_words);
     });
 
     // Zero-copy readback: straight from the device cells into the
@@ -683,6 +681,12 @@ fn comp_gpu_impl<B: ComputeBackend>(
         }));
     }
     stats
+}
+
+thread_local! {
+    /// The fused kernel's copy of one site's words, kept per thread so that
+    /// no launch allocates once it has grown to the deepest site.
+    static SITE_WORDS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 #[inline(always)]
@@ -914,11 +918,9 @@ pub fn likelihood_dense_gpu<B: ComputeBackend>(
                             let slot =
                                 usize::from(strand) * crate::tables::COORD_DIM + usize::from(coord);
                             dep_count[slot] += 1;
-                            let k = dep_count[slot].clamp(1, 64);
-                            let penalty =
-                                (10.0 * ctx.ld_const(&tables.log_table, k as usize)).round() as i32;
-                            ctx.add_inst(3);
-                            let q_adj = (i32::from(score) - penalty).max(0) as u8;
+                            // adjust(): one constant-memory log read + arithmetic.
+                            ctx.add_inst(1 + 3);
+                            let q_adj = adjust(score, dep_count[slot], &tables.host_log);
                             let cell10 = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
                             for n in 0..NUM_GENOTYPES {
                                 let term = ctx.ld_rand(new_p, cell10 + n);

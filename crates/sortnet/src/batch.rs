@@ -9,10 +9,10 @@
 //! cold for GSNP's workloads).
 
 use gpu_sim::{
-    AccessContract, BlockInterval, ComputeBackend, Footprint, GlobalBuffer, LaunchStats,
+    AccessContract, BlockInterval, ComputeBackend, Footprint, GlobalBuffer, KernelCtx, LaunchStats,
 };
 
-use crate::bitonic::{for_each_pair, pad_to_pow2};
+use crate::bitonic::{pad_to_pow2, pairs};
 use crate::Span;
 
 /// The per-block footprint of a batch sort: block `b` reads and writes
@@ -34,6 +34,24 @@ fn group_footprint(spans: &[Span], apb: usize) -> Footprint {
         }
     }
     Footprint::per_block(intervals)
+}
+
+/// An array too large for shared memory: the span descriptor fetch, then
+/// the network's compare-exchanges directly in global memory.
+fn sort_in_global(ctx: &mut KernelCtx<'_>, data: &GlobalBuffer<u32>, off: usize, len: usize) {
+    ctx.add_inst(2);
+    for (lo, hi) in pairs(pad_to_pow2(len)) {
+        ctx.add_inst(1);
+        if lo >= len || hi >= len {
+            continue; // virtual MAX padding: no exchange needed
+        }
+        let a = ctx.ld_rand(data, off + lo);
+        let b = ctx.ld_rand(data, off + hi);
+        if a > b {
+            ctx.st_rand(data, off + lo, b);
+            ctx.st_rand(data, off + hi, a);
+        }
+    }
 }
 
 /// Sort every span of `data` in place on the device.
@@ -87,7 +105,7 @@ pub fn batch_sort<B: ComputeBackend>(
                     // read/read(/write/write) sequences. Handing the whole
                     // network to the tile lets the native backend sort the
                     // lanes directly instead of replaying every pair.
-                    tile.sort_network(ctx, m, |cx| for_each_pair(m, cx));
+                    tile.sort_network(ctx, m, pairs(m));
                     // Write back the real prefix.
                     tile.flush_co(ctx, data, 0, off, len);
                 }
@@ -104,20 +122,7 @@ pub fn batch_sort<B: ComputeBackend>(
                 let first = ctx.block_idx() * apb;
                 let last = (first + apb).min(spans.len());
                 for &(off, len) in &spans[first..last] {
-                    ctx.add_inst(2);
-                    let mp = pad_to_pow2(len);
-                    for_each_pair(mp, |lo, hi| {
-                        ctx.add_inst(1);
-                        if lo >= len || hi >= len {
-                            return; // virtual MAX padding: no exchange needed
-                        }
-                        let a = ctx.ld_rand(data, off + lo);
-                        let b = ctx.ld_rand(data, off + hi);
-                        if a > b {
-                            ctx.st_rand(data, off + lo, b);
-                            ctx.st_rand(data, off + hi, a);
-                        }
-                    });
+                    sort_in_global(ctx, data, off, len);
                 }
             },
         )
@@ -178,26 +183,13 @@ pub fn batch_sort_blockmax<B: ComputeBackend>(
                     ctx.add_inst(2);
                     tile.stage_co(ctx, data, off, 0, len);
                     tile.fill_span(ctx, len, m, u32::MAX);
-                    tile.sort_network(ctx, m, |cx| for_each_pair(m, cx));
+                    tile.sort_network(ctx, m, pairs(m));
                     tile.flush_co(ctx, data, 0, off, len);
                 }
                 ctx.shared_free(tile);
             } else {
                 for &(off, len) in group {
-                    ctx.add_inst(2);
-                    let mp = pad_to_pow2(len);
-                    for_each_pair(mp, |lo, hi| {
-                        ctx.add_inst(1);
-                        if lo >= len || hi >= len {
-                            return;
-                        }
-                        let a = ctx.ld_rand(data, off + lo);
-                        let b = ctx.ld_rand(data, off + hi);
-                        if a > b {
-                            ctx.st_rand(data, off + lo, b);
-                            ctx.st_rand(data, off + hi, a);
-                        }
-                    });
+                    sort_in_global(ctx, data, off, len);
                 }
             }
         },

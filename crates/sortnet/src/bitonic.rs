@@ -13,33 +13,32 @@ pub fn pad_to_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// Enumerate the network's compare-exchange pairs for `m` elements
-/// (`m` must be a power of two): yields `(i, j)` meaning "ascending
-/// compare-exchange positions i < j".
+/// The network's compare-exchange pairs for `m` elements (`m` must be a
+/// power of two), in order: `(i, j)` means "compare-exchange so that
+/// position i holds the smaller key".
 ///
 /// Exposed for the kernels, which replay exactly these pairs against
 /// shared memory.
-pub fn for_each_pair(m: usize, mut cx: impl FnMut(usize, usize)) {
+pub fn pairs(m: usize) -> impl Iterator<Item = (usize, usize)> {
     debug_assert!(m.is_power_of_two());
-    let mut k = 2;
-    while k <= m {
-        let mut j = k / 2;
-        while j > 0 {
-            for i in 0..m {
-                let l = i ^ j;
-                if l > i {
-                    // Direction: ascending when bit k of i is clear.
-                    if i & k == 0 {
-                        cx(i, l);
-                    } else {
-                        cx(l, i);
-                    }
-                }
+    // Stage k = 2, 4, …, m; step j = k/2, …, 1; the t-th of the m/2
+    // indices i with bit j clear.
+    let (mut k, mut j, mut t) = (2, 1, 0);
+    std::iter::from_fn(move || {
+        if t == m / 2 {
+            (t, j) = (0, j / 2);
+            if j == 0 {
+                (k, j) = (2 * k, k);
             }
-            j /= 2;
         }
-        k *= 2;
-    }
+        if k > m {
+            return None;
+        }
+        let i = (t & !(j - 1)) << 1 | (t & (j - 1));
+        t += 1;
+        // Direction: ascending when bit k of i is clear.
+        Some(if i & k == 0 { (i, i + j) } else { (i + j, i) })
+    })
 }
 
 /// Number of compare-exchange operations the network performs for `m`
@@ -62,11 +61,11 @@ pub fn sort_u32(data: &mut [u32]) {
     let m = pad_to_pow2(n);
     let mut padded = vec![u32::MAX; m];
     padded[..n].copy_from_slice(data);
-    for_each_pair(m, |lo, hi| {
+    for (lo, hi) in pairs(m) {
         if padded[lo] > padded[hi] {
             padded.swap(lo, hi);
         }
-    });
+    }
     data.copy_from_slice(&padded[..n]);
 }
 
@@ -93,9 +92,27 @@ mod tests {
         assert_eq!(network_ops(8), 24);
         // Cross-check against the enumerated pairs.
         for m in [2usize, 4, 8, 16, 64, 256] {
-            let mut count = 0u64;
-            for_each_pair(m, |_, _| count += 1);
-            assert_eq!(count, network_ops(m), "m = {m}");
+            assert_eq!(pairs(m).count() as u64, network_ops(m), "m = {m}");
+        }
+    }
+
+    /// The pairs in the bitonic network's stage order, as nested loops.
+    #[test]
+    fn pairs_come_in_stage_order() {
+        for m in [1usize, 2, 4, 8, 16, 64, 1024] {
+            let mut want = Vec::new();
+            let mut k = 2;
+            while k <= m {
+                let mut j = k / 2;
+                while j > 0 {
+                    for i in (0..m).filter(|i| i ^ j > *i) {
+                        want.push(if i & k == 0 { (i, i ^ j) } else { (i ^ j, i) });
+                    }
+                    j /= 2;
+                }
+                k *= 2;
+            }
+            assert_eq!(pairs(m).collect::<Vec<_>>(), want, "m = {m}");
         }
     }
 
