@@ -36,13 +36,15 @@ pub fn encode(data: &[u8], w: &mut BitWriter) {
 }
 
 /// Unpack a column of base codes.
-pub fn decode(r: &mut BitReader<'_>) -> Result<Vec<u8>, CodecError> {
+pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u8>, CodecError> {
     let count = r.read_u32()? as usize;
     let n_exc = r.read_u32()? as usize;
     if n_exc > count {
         return Err(CodecError::corrupt("more N exceptions than rows"));
     }
-    if count > crate::error::MAX_ELEMENTS || n_exc * 4 + count / 4 > r.remaining_bytes() + 4 {
+    if count > max.min(crate::error::MAX_ELEMENTS)
+        || n_exc * 4 + count / 4 > r.remaining_bytes() + 4
+    {
         return Err(CodecError::corrupt("implausible base-column header"));
     }
     let mut exceptions = Vec::with_capacity(n_exc);
@@ -73,7 +75,7 @@ mod tests {
         encode(data, &mut w);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        decode(&mut r).unwrap()
+        decode(&mut r, data.len()).unwrap()
     }
 
     #[test]
@@ -84,7 +86,7 @@ mod tests {
         let bytes = w.finish();
         assert_eq!(bytes.len(), 8 + 1000);
         let mut r = BitReader::new(&bytes);
-        assert_eq!(decode(&mut r).unwrap(), data);
+        assert_eq!(decode(&mut r, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -114,7 +116,7 @@ mod tests {
         w.write_bits(0, 4);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert!(decode(&mut r).is_err());
+        assert!(decode(&mut r, crate::MAX_ELEMENTS).is_err());
     }
 
     proptest! {

@@ -236,15 +236,23 @@ pub fn decompress_table(bytes: &[u8]) -> Result<SnpTable, CodecError> {
     let start_pos = r.read_u64()?;
     let n = r.read_u32()? as usize;
 
-    let ref_col = basepack::decode(&mut r)?;
-
-    let quality = rledict::decode(&mut r)?;
-    let avg_qual_best = rledict::decode(&mut r)?;
-    let count_uniq_best = rledict::decode(&mut r)?;
-    let count_all_best = rledict::decode(&mut r)?;
-    let depth = rledict::decode(&mut r)?;
-    let rank_sum = rledict::decode(&mut r)?;
-    let copy_num = rledict::decode(&mut r)?;
+    // Two bits a row back the base column, so a row count it matches is
+    // one the stream can hold; every later column is refused past it
+    // before it allocates.
+    let ref_col = basepack::decode(&mut r, n)?;
+    if ref_col.len() != n {
+        return Err(CodecError::corrupt(
+            "column lengths disagree with row count",
+        ));
+    }
+    let mut rledict_col = || rledict::decode(&mut r, n);
+    let quality = rledict_col()?;
+    let avg_qual_best = rledict_col()?;
+    let count_uniq_best = rledict_col()?;
+    let count_all_best = rledict_col()?;
+    let depth = rledict_col()?;
+    let rank_sum = rledict_col()?;
+    let copy_num = rledict_col()?;
 
     if depth.len() != ref_col.len() {
         return Err(CodecError::corrupt("depth column length mismatch"));
@@ -266,11 +274,12 @@ pub fn decompress_table(bytes: &[u8]) -> Result<SnpTable, CodecError> {
         return Err(CodecError::corrupt("invalid best-base code"));
     }
 
-    let second_base = sparse::decode(&mut r)?;
-    let avg_qual_second = sparse::decode(&mut r)?;
-    let count_uniq_second = sparse::decode(&mut r)?;
-    let count_all_second = sparse::decode(&mut r)?;
-    let is_known = sparse::decode(&mut r)?;
+    let mut sparse_col = || sparse::decode(&mut r, n);
+    let second_base = sparse_col()?;
+    let avg_qual_second = sparse_col()?;
+    let count_uniq_second = sparse_col()?;
+    let count_all_second = sparse_col()?;
+    let is_known = sparse_col()?;
 
     let cols = [
         ref_col.len(),

@@ -129,8 +129,8 @@ pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'
         .map_err(|_| CodecError::corrupt("chromosome name not UTF-8"))?;
     let n = r.read_u32()? as usize;
 
-    let lens = rledict::decode(&mut r)?;
-    let deltas = rledict::decode(&mut r)?;
+    let lens = rledict::decode(&mut r, n)?;
+    let deltas = rledict::decode(&mut r, n)?;
     if lens.len() != n || deltas.len() != n {
         return Err(CodecError::corrupt("length/position arrays disagree"));
     }
@@ -141,7 +141,7 @@ pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'
     }
     let strands = r.read_bytes(n.div_ceil(8))?;
 
-    let extra_hits = sparse::decode(&mut r)?;
+    let extra_hits = sparse::decode(&mut r, n)?;
     if extra_hits.len() != n {
         return Err(CodecError::corrupt("nhits array disagrees"));
     }
@@ -154,7 +154,7 @@ pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'
     }
     let packed_bases = r.read_bytes(total_bases.div_ceil(4))?;
 
-    let (values, run_lengths) = rledict::decode_runs(&mut r)?;
+    let (values, run_lengths) = rledict::decode_runs(&mut r, total_bases)?;
     if run_lengths.iter().map(|&l| l as usize).sum::<usize>() != total_bases {
         return Err(CodecError::corrupt("quality stream length disagrees"));
     }

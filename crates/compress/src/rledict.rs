@@ -24,17 +24,18 @@ pub fn encode_to_vec(data: &[u32]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decompress one column.
-pub fn decode(r: &mut BitReader<'_>) -> Result<Vec<u32>, CodecError> {
-    let (values, lengths) = decode_runs(r)?;
+/// Decompress one column of at most `max` values.
+pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
+    let (values, lengths) = decode_runs(r, max)?;
     Ok(rle::decode(&values, &lengths))
 }
 
-/// Decode one column as far as its runs — `(values, lengths)`, equally
-/// long — for a caller that expands them itself.
-pub fn decode_runs(r: &mut BitReader<'_>) -> Result<(Vec<u32>, Vec<u32>), CodecError> {
-    let values = dict::decode(r)?;
-    let lengths = dict::decode(r)?;
+/// Decode one column of at most `max` values as far as its runs —
+/// `(values, lengths)`, equally long — for a caller that expands them
+/// itself.
+pub fn decode_runs(r: &mut BitReader<'_>, max: usize) -> Result<(Vec<u32>, Vec<u32>), CodecError> {
+    let values = dict::decode(r, max)?;
+    let lengths = dict::decode(r, max)?;
     if values.len() != lengths.len() {
         return Err(CodecError::corrupt(
             "RLE value/length arrays differ in size",
@@ -42,7 +43,7 @@ pub fn decode_runs(r: &mut BitReader<'_>) -> Result<(Vec<u32>, Vec<u32>), CodecE
     }
     // A corrupted run length must not expand into a multi-GiB column.
     let total: u64 = lengths.iter().map(|&l| u64::from(l)).sum();
-    if total > crate::error::MAX_ELEMENTS as u64 {
+    if total > max.min(crate::error::MAX_ELEMENTS) as u64 {
         return Err(CodecError::corrupt("implausible run-length expansion"));
     }
     Ok((values, lengths))
@@ -51,7 +52,7 @@ pub fn decode_runs(r: &mut BitReader<'_>) -> Result<(Vec<u32>, Vec<u32>), CodecE
 /// Decompress from a byte slice.
 pub fn decode_from_slice(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
     let mut r = BitReader::new(bytes);
-    decode(&mut r)
+    decode(&mut r, crate::error::MAX_ELEMENTS)
 }
 
 #[cfg(test)]

@@ -25,13 +25,13 @@ pub fn encode(data: &[u32], w: &mut BitWriter) {
 }
 
 /// Decode a sparse column back to dense form.
-pub fn decode(r: &mut BitReader<'_>) -> Result<Vec<u32>, CodecError> {
+pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
     let count = r.read_u32()? as usize;
     let nnz = r.read_u32()? as usize;
     if nnz > count {
         return Err(CodecError::corrupt("more non-zeros than rows"));
     }
-    if count > crate::error::MAX_ELEMENTS || nnz * 8 > r.remaining_bytes() {
+    if count > max.min(crate::error::MAX_ELEMENTS) || nnz * 8 > r.remaining_bytes() {
         return Err(CodecError::corrupt("implausible sparse column header"));
     }
     let mut out = vec![0u32; count];
@@ -61,7 +61,7 @@ mod tests {
         encode(data, &mut w);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        decode(&mut r).unwrap()
+        decode(&mut r, data.len()).unwrap()
     }
 
     #[test]
@@ -101,7 +101,7 @@ mod tests {
         w.write_u32(1);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert!(decode(&mut r).is_err());
+        assert!(decode(&mut r, crate::MAX_ELEMENTS).is_err());
     }
 
     proptest! {

@@ -20,6 +20,12 @@
 //! writing its reads as text holds at most 64 B a read and 4 B a site, and
 //! grows in proportion — where building every read before writing any, as
 //! [`Dataset::generate`] does, holds several hundred bytes a read.
+//!
+//! A result window is refused within a few MiB when its columns declare
+//! more values than its header has rows — where decoding every column
+//! before comparing lengths held GiBs for a 200-byte window.
+
+mod common;
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -262,6 +268,22 @@ fn new_p_matrix_is_built_in_place() {
     let peak = testalloc::peak_live_bytes() - before;
     let size = np.size_bytes() as u64;
     assert!(peak < size + size / 10, "{peak} B for a {size} B table");
+}
+
+#[test]
+fn a_window_declaring_more_values_than_rows_is_refused_before_it_allocates() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let window = common::hostile_window();
+    assert_eq!(window.len(), 200);
+    let before = testalloc::live_bytes();
+    testalloc::reset_peak();
+    let refused = gsnp::compress::column::decompress_table(&window);
+    let peak = testalloc::peak_live_bytes() - before;
+    assert!(
+        matches!(refused, Err(gsnp::compress::CodecError::Corrupt(_))),
+        "{refused:?}"
+    );
+    assert!(peak < 4 << 20, "{peak} B live to refuse a 200 B window");
 }
 
 /// A `gsnp synth`-shaped data set of `sites` sites, its reads written as

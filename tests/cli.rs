@@ -21,10 +21,13 @@
 //! window is computed, not after the last. `gsnp synth` refuses zero sites,
 //! a depth that is not a positive number and a shared rate outside [0, 1]
 //! before it makes its directory, and writes the bytes digests recorded
-//! from its collect-then-write form pin.
+//! from its collect-then-write form pin. A result window whose columns
+//! declare more values than it has rows is refused, naming the file.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+mod common;
 
 fn gsnp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gsnp"))
@@ -137,6 +140,26 @@ fn a_result_file_cut_inside_a_length_prefix_is_an_error_naming_file_and_window()
             "gsnp {sub} does not name the file and the window: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_window_declaring_more_values_than_rows_is_refused_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_hostile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let window = common::hostile_window();
+    let mut file = (window.len() as u32).to_le_bytes().to_vec();
+    file.extend(window);
+    let path = dir.join("hostile.gsnp").display().to_string();
+    std::fs::write(&path, file).unwrap();
+    let out = gsnp(&["decode", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("{path}: window 1: ")),
+        "does not name the file and the window: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "wrote {} B", out.stdout.len());
     std::fs::remove_dir_all(&dir).ok();
 }
 

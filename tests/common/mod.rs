@@ -1,7 +1,8 @@
 //! Shared by the suites: the sweep that drives the RLE-DICT chain directly,
-//! and `run_collected`, a run with a [`Collect`] sink attached that hands
+//! `run_collected`, a run with a [`Collect`] sink attached that hands
 //! back what the run reported next to the tables and bytes the sink
-//! received — what the parity suites compare.
+//! received — what the parity suites compare — and a crafted result
+//! window that declares far more values than it has rows.
 
 #![allow(dead_code)] // each suite uses its own part
 
@@ -32,6 +33,29 @@ fn hostile_segments() -> Vec<Vec<u32>> {
         long_run,
         (0..2_000u32).map(|i| 65_536 + (i / 7) * 100_003).collect(),
     ]
+}
+
+/// A 200-byte result window of eight rows whose seven RLE-DICT columns
+/// each declare `MAX_ELEMENTS` values in as many runs of one, every array
+/// from a one-entry dictionary, which packs no index — so no byte of the
+/// stream backs the counts.
+pub fn hostile_window() -> Vec<u8> {
+    use gsnp::compress::bitio::BitWriter;
+    let mut w = BitWriter::new();
+    w.write_bytes(b"GSPW");
+    w.write_u32(2);
+    w.write_bytes(b"c1");
+    w.write_u64(0);
+    w.write_u32(8);
+    gsnp::compress::basepack::encode(&[0; 8], &mut w);
+    for _column in 0..7 {
+        for value in [30, 1] {
+            w.write_u32(gsnp::compress::MAX_ELEMENTS as u32);
+            w.write_u32(1);
+            w.write_u32(value);
+        }
+    }
+    w.finish()
 }
 
 /// The chain production runs, on `dev`: every hostile column as a batch
