@@ -66,19 +66,6 @@ impl DeviceGroup {
         merged
     }
 
-    /// Attach one shared live launch-wall histogram to every member
-    /// device (see [`Device::with_launch_hist`]); all lanes fold into
-    /// the single [`crate::hist::SharedHistogram`].
-    pub fn with_launch_hist(self, hist: &Arc<crate::hist::SharedHistogram>) -> Self {
-        DeviceGroup {
-            devices: self
-                .devices
-                .into_iter()
-                .map(|d| d.with_launch_hist(Arc::clone(hist)))
-                .collect(),
-        }
-    }
-
     /// Attach one shared [`TraceRecorder`] to every member device. Each
     /// member records under its own `device{i}` process (own simulated
     /// clock, own kernel/transfer/pool tracks) into the common ring, so a

@@ -14,8 +14,6 @@
 //! and device-local histograms fold together associatively and
 //! commutatively — the property the merge proptests pin.
 
-use parking_lot::Mutex;
-
 /// Number of log₂ buckets. Bucket `i` counts observations in
 /// `(BASE_SECONDS * 2^(i-1), BASE_SECONDS * 2^i]`; bucket 0 also absorbs
 /// everything at or below the base. Observations above the last bound
@@ -205,37 +203,6 @@ pub struct HistogramDigest {
     pub sum: f64,
 }
 
-/// A [`Histogram`] behind a lock, shared between recording threads (the
-/// per-launch tally path, the live `/metrics` endpoint) and snapshot
-/// readers. Locking is per *batch* or per *launch* on the paths that use
-/// it — never per element — so contention stays negligible.
-#[derive(Debug, Default)]
-pub struct SharedHistogram {
-    inner: Mutex<Histogram>,
-}
-
-impl SharedHistogram {
-    /// An empty shared histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation (seconds).
-    pub fn record(&self, v: f64) {
-        self.inner.lock().record(v);
-    }
-
-    /// Fold a thread-local histogram in.
-    pub fn merge(&self, other: &Histogram) {
-        self.inner.lock().merge(other);
-    }
-
-    /// Copy out the current state.
-    pub fn snapshot(&self) -> Histogram {
-        self.inner.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,17 +270,5 @@ mod tests {
         flipped.merge(&a);
         assert_eq!(flipped.buckets, merged.buckets, "merge must commute");
         assert_eq!(flipped.sum(), merged.sum());
-    }
-
-    #[test]
-    fn shared_histogram_roundtrips() {
-        let s = SharedHistogram::new();
-        s.record(0.25);
-        let mut local = Histogram::new();
-        local.record(0.5);
-        s.merge(&local);
-        let snap = s.snapshot();
-        assert_eq!(snap.count(), 2);
-        assert_eq!(snap.max(), 0.5);
     }
 }

@@ -23,7 +23,7 @@ use crate::contract::{verify_contract, AccessContract, ContractLedger, ContractR
 use crate::cost::CostModel;
 use crate::counters::{AtomicCounters, HwCounters, LaunchStats};
 use crate::ctx::KernelCtx;
-use crate::hist::{Histogram, SharedHistogram};
+use crate::hist::Histogram;
 use crate::pool::{BufferPool, PoolStats, PooledBuffer};
 use crate::sanitizer::{
     permuted_order, splitmix64, LaunchSession, Sanitizer, SanitizerConfig, SanitizerCounts,
@@ -298,10 +298,6 @@ pub struct Device {
     /// interned on first launch; steady-state updates are a linear scan
     /// over a handful of entries and never allocate.
     kernel_tallies: Mutex<Vec<KernelTally>>,
-    /// Optional live launch-wall sink (all kernels folded into one
-    /// histogram) read by the heartbeat `/metrics` endpoint while a run
-    /// is in flight. Shared across the devices of a group.
-    launch_hist: Option<Arc<SharedHistogram>>,
 }
 
 impl Device {
@@ -319,7 +315,6 @@ impl Device {
             schedule: Mutex::new(BlockSchedule::Parallel),
             schedule_stream: std::sync::atomic::AtomicU64::new(0),
             kernel_tallies: Mutex::new(Vec::new()),
-            launch_hist: None,
         }
     }
 
@@ -387,15 +382,6 @@ impl Device {
     /// Whether a trace recorder is attached.
     pub fn trace_enabled(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Attach a shared live launch-wall histogram: every subsequent
-    /// launch (simulated or native) also records its wall time there, so
-    /// a heartbeat endpoint can expose kernel latency quantiles while
-    /// the run executes. Per-kernel tallies are unaffected.
-    pub fn with_launch_hist(mut self, hist: Arc<SharedHistogram>) -> Self {
-        self.launch_hist = Some(hist);
-        self
     }
 
     /// The accumulated sanitizer findings (`None` without a sanitizer).
@@ -476,10 +462,6 @@ impl Device {
         t.native_launches += u64::from(native);
         t.wall_seconds += wall;
         t.wall_hist.record(wall);
-        drop(tallies);
-        if let Some(h) = &self.launch_hist {
-            h.record(wall);
-        }
     }
 
     /// Record one native-backend launch: it counts on the ledger and the

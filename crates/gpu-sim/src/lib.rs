@@ -75,7 +75,7 @@ pub use cost::CostModel;
 pub use counters::{HwCounters, LaunchStats};
 pub use ctx::{KernelCtx, SharedTile};
 pub use group::{DeviceGroup, GroupLedger};
-pub use hist::{Histogram, HistogramDigest, SharedHistogram};
+pub use hist::{Histogram, HistogramDigest};
 pub use launch::{BlockSchedule, Device, DeviceLedger, KernelTally};
 pub use pool::{BufferPool, PoolStats, PooledBuffer};
 pub use sanitizer::{

@@ -944,22 +944,6 @@ impl MetricsSnapshot {
         });
     }
 
-    /// Fold another snapshot in: families with the same name merge their
-    /// samples under this snapshot's header (HELP/TYPE stay emitted once
-    /// per family), new families append in `other`'s order. This is how
-    /// the live `/metrics` endpoint composes progress gauges with core
-    /// and cohort series without duplicating headers.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for m in &other.metrics {
-            if let Some(mine) = self.metrics.iter_mut().find(|x| x.name == m.name) {
-                mine.samples.extend(m.samples.iter().cloned());
-                mine.hists.extend(m.hists.iter().cloned());
-            } else {
-                self.metrics.push(m.clone());
-            }
-        }
-    }
-
     /// Number of distinct metric names.
     pub fn len(&self) -> usize {
         self.metrics.len()

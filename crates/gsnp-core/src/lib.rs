@@ -31,7 +31,6 @@ pub mod metrics;
 pub mod model;
 pub mod pipeline;
 pub mod progress;
-pub mod serve;
 pub mod sink;
 pub mod stream;
 pub mod tables;
@@ -52,7 +51,6 @@ pub use pipeline::{
     AlignmentError, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline, RunError,
 };
 pub use progress::{LaneProgress, LatencyHists, ProgressSnapshot, ProgressTracker};
-pub use serve::StatsServer;
 pub use sink::{Collect, FileSink, ResultSink};
 pub use stream::{
     verify_overlap_consistency, Observers, OrderedReassembler, OverlapStats, PipelineTrace,

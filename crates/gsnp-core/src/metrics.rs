@@ -12,7 +12,6 @@ use gpu_sim::{MetricKind, MetricsSnapshot};
 
 use crate::cohort::CohortOutput;
 use crate::pipeline::{ComponentTimes, GsnpOutput, PipelineStats};
-use crate::progress::{HELP_LANE_STEALS, HELP_LANE_WINDOWS};
 use crate::stream::StageStats;
 
 /// Build the canonical metrics snapshot for one finished run.
@@ -71,6 +70,22 @@ pub fn cohort_metrics(out: &CohortOutput) -> MetricsSnapshot {
     m
 }
 
+/// Push the `gsnp_build_info` gauge (value 1, version/profile labels).
+pub(crate) fn push_build_info(m: &mut MetricsSnapshot) {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    m.push(
+        "gsnp_build_info",
+        "Build metadata (constant 1)",
+        MetricKind::Gauge,
+        &[("version", env!("CARGO_PKG_VERSION")), ("profile", profile)],
+        1.0,
+    );
+}
+
 fn run_metrics(
     stats: &PipelineStats,
     times: &ComponentTimes,
@@ -79,7 +94,7 @@ fn run_metrics(
 ) -> MetricsSnapshot {
     use MetricKind::{Counter, Gauge};
     let mut m = MetricsSnapshot::new();
-    crate::progress::push_build_info(&mut m);
+    push_build_info(&mut m);
 
     // ---- run totals ----
     m.push(
@@ -198,14 +213,14 @@ fn run_metrics(
         push_stage(&mut m, &[("stage", "lane"), ("device", &dev)], &lane.stage);
         m.push(
             "gsnp_lane_windows_total",
-            HELP_LANE_WINDOWS,
+            "Windows scored by each device lane",
             Counter,
             &[("device", &dev)],
             lane.windows as f64,
         );
         m.push(
             "gsnp_lane_steals_total",
-            HELP_LANE_STEALS,
+            "Windows a lane pulled off its home-device residue class",
             Counter,
             &[("device", &dev)],
             lane.steals as f64,
@@ -288,8 +303,6 @@ fn run_metrics(
     }
 
     // ---- latency histograms (window / stage / queue / kernel) ----
-    // The same families the live `--stats-addr` endpoint exposes
-    // mid-run, here with the run's final contents.
     stats.hists.push_metrics(&mut m);
 
     // ---- backends (group sum) ----
@@ -659,25 +672,6 @@ mod tests {
             names.sort_unstable();
             names.dedup();
             assert_eq!(total, names.len(), "duplicate {marker} header");
-        }
-        // A family the live endpoint also emits says the same thing there.
-        let helps = |text: &str| -> std::collections::BTreeMap<String, String> {
-            text.lines()
-                .filter_map(|l| l.strip_prefix("# HELP "))
-                .filter_map(|l| l.split_once(' '))
-                .map(|(name, help)| (name.to_string(), help.to_string()))
-                .collect()
-        };
-        let tracker = crate::ProgressTracker::new();
-        tracker.on(&crate::stream::RunEvent::batch(1, 2, 2000, 0.01, true));
-        let live = helps(&tracker.metrics().render_text());
-        let end = helps(&text);
-        let shared: Vec<&String> = live.keys().filter(|k| end.contains_key(*k)).collect();
-        for family in ["gsnp_lane_steals_total", "gsnp_lane_windows_total"] {
-            assert!(shared.iter().any(|k| *k == family), "{family} not shared");
-        }
-        for family in shared {
-            assert_eq!(live[family], end[family], "HELP of {family} differs");
         }
     }
 

@@ -178,11 +178,12 @@ pub struct PipelineStats {
     /// refutation diagnostics); empty unless [`GsnpConfig::contracts`].
     pub contracts: gpu_sim::ContractReport,
     /// Latency histograms accumulated by the run's
-    /// [`crate::progress::ProgressTracker`]: per-window wall time,
-    /// per-stage busy/stall, per-kernel launch wall, and device queue
-    /// wait. Always populated (the pipeline creates a private tracker
-    /// when [`Observers::progress`] is `None`); rendered by
-    /// `gsnp profile` and the Prometheus expositions.
+    /// [`crate::progress::ProgressTracker`] — per-window wall time,
+    /// per-stage busy/stall and device queue wait — plus per-kernel launch
+    /// wall, the merge of `kernel_launches`' `wall_hist`s. Always populated
+    /// (the pipeline creates a private tracker when
+    /// [`Observers::progress`] is `None`); rendered by `gsnp profile` and
+    /// the Prometheus expositions.
     pub hists: LatencyHists,
 }
 
@@ -901,8 +902,7 @@ pub(crate) fn run_window_loop(
         progress: Some(Arc::clone(&tracker)),
         ..observers.clone()
     };
-    let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices)
-        .with_launch_hist(&tracker.kernel_hist());
+    let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices);
     if cfg.sanitize {
         group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
     }
@@ -915,7 +915,6 @@ pub(crate) fn run_window_loop(
     group.set_pool_enabled(cfg.pooled);
     let group = &group;
     let ref_len = reference.len() as u64;
-    tracker.set_samples(num_samples as u64);
     tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
     tracker.begin_lanes(group.len());
     // One per-device dispatcher routes every kernel launch to the
@@ -1161,6 +1160,9 @@ pub(crate) fn run_window_loop(
     stats.kernel_launches = group.kernel_launches();
     stats.contracts = group.contract_report();
     stats.hists = tracker.latency();
+    for tally in &stats.kernel_launches {
+        stats.hists.kernel_wall.merge(&tally.wall_hist);
+    }
     if let Some(j) = &observers.journal {
         journal_run_stats(j, &stats);
     }

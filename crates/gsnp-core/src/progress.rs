@@ -4,10 +4,13 @@
 //! batch, stage, and queue wait to assemble its end-of-run
 //! [`crate::stream::PipelineTrace`]. This module records those same
 //! durations into fixed-size log-bucketed [`Histogram`]s and a set of
-//! atomic progress counters, so a long run can be observed *while it
-//! executes*: a `--progress` stderr heartbeat, the `/metrics`,
-//! `/health`, and `/progress` HTTP endpoints (see [`crate::serve`]), and
-//! the post-run quantile table in `gsnp profile`.
+//! atomic progress counters: the `--progress` stderr heartbeat reads the
+//! counters while the run executes, and the histograms end in
+//! [`crate::pipeline::PipelineStats::hists`] — the `--metrics` latency
+//! families, the journal's `run_end` digests and `gsnp profile`'s quantile
+//! table. Kernel launch wall times are not recorded here: each launch
+//! records into its [`gpu_sim::KernelTally`], and the window loop folds
+//! those into [`LatencyHists::kernel_wall`] once, at the end of the run.
 //!
 //! One [`ProgressTracker`] exists per run — the pipeline creates its own
 //! when the caller did not hand one in via
@@ -18,11 +21,10 @@
 //! allocation-free.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::trace::MetricsSnapshot;
-use gpu_sim::{Histogram, HistogramDigest, SharedHistogram};
+use gpu_sim::{Histogram, HistogramDigest};
 use parking_lot::Mutex;
 
 use crate::stream::{Phase, RunEvent, Stage};
@@ -40,11 +42,6 @@ pub const STAGE_POSTERIOR: usize = 2;
 /// Stage index: reassembly + compressed output.
 pub const STAGE_OUTPUT: usize = 3;
 
-/// HELP text of `gsnp_lane_windows_total`, emitted live and at end of run.
-pub(crate) const HELP_LANE_WINDOWS: &str = "Windows scored by each device lane";
-/// HELP text of `gsnp_lane_steals_total`, emitted live and at end of run.
-pub(crate) const HELP_LANE_STEALS: &str = "Windows a lane pulled off its home-device residue class";
-
 /// The full set of latency histograms one run accumulates.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyHists {
@@ -58,8 +55,9 @@ pub struct LatencyHists {
     pub stage_stall: [Histogram; 4],
     /// Time each dispatched batch waited in the device input queue.
     pub queue_wait: Histogram,
-    /// Per-kernel-launch wall time, merged across kernels and devices
-    /// (the per-kernel split lives in [`gpu_sim::KernelTally`]).
+    /// Per-kernel-launch wall time: the merge of every
+    /// [`gpu_sim::KernelTally::wall_hist`] of the run, across kernels and
+    /// devices, set when the window loop ends.
     pub kernel_wall: Histogram,
 }
 
@@ -136,8 +134,7 @@ struct LaneCounters {
 }
 
 /// State behind the tracker's single mutex: per-lane counters and the
-/// latency histograms (minus kernel wall, which lives in the shared
-/// histogram handed to the device group).
+/// latency histograms (minus kernel wall, which the launch tallies hold).
 #[derive(Debug, Default)]
 struct Live {
     lanes: Vec<LaneCounters>,
@@ -147,18 +144,16 @@ struct Live {
 /// Atomic heartbeat + latency accumulator for one pipeline run.
 ///
 /// Cheap to sample from any thread: [`ProgressTracker::progress`] reads
-/// the atomics and takes the lane lock briefly, so the `/progress`
-/// endpoint and the stderr heartbeat never stall the workers.
+/// the atomics and takes the lane lock briefly, so the stderr heartbeat
+/// never stalls the workers.
 #[derive(Debug)]
 pub struct ProgressTracker {
     start: Instant,
     windows_total: AtomicU64,
     windows_done: AtomicU64,
     sites_done: AtomicU64,
-    samples: AtomicU64,
     done: AtomicBool,
     live: Mutex<Live>,
-    kernel_wall: Arc<SharedHistogram>,
 }
 
 impl Default for ProgressTracker {
@@ -175,28 +170,15 @@ impl ProgressTracker {
             windows_total: AtomicU64::new(0),
             windows_done: AtomicU64::new(0),
             sites_done: AtomicU64::new(0),
-            samples: AtomicU64::new(1),
             done: AtomicBool::new(false),
             live: Mutex::new(Live::default()),
-            kernel_wall: Arc::new(SharedHistogram::new()),
         }
-    }
-
-    /// The shared per-launch wall histogram to attach to the device
-    /// group via [`gpu_sim::DeviceGroup::with_launch_hist`].
-    pub fn kernel_hist(&self) -> Arc<SharedHistogram> {
-        Arc::clone(&self.kernel_wall)
     }
 
     /// Declare the expected total window count (ETA denominator).
     /// Cohort runs multiply by the sample count.
     pub fn set_total_windows(&self, n: u64) {
         self.windows_total.store(n, Ordering::Relaxed);
-    }
-
-    /// Declare the number of samples being called (1 for single-sample).
-    pub fn set_samples(&self, n: u64) {
-        self.samples.store(n.max(1), Ordering::Relaxed);
     }
 
     /// Size the per-lane counter table (one lane per device worker).
@@ -266,15 +248,10 @@ impl ProgressTracker {
         }
     }
 
-    /// Mark the run finished (flips `/health` and the heartbeat line to
-    /// their terminal state).
+    /// Mark the run finished (flips the heartbeat line to its terminal
+    /// state).
     pub fn finish(&self) {
         self.done.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`ProgressTracker::finish`] has been called.
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Relaxed)
     }
 
     /// Seconds since the tracker was created.
@@ -282,12 +259,10 @@ impl ProgressTracker {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Snapshot the full latency histogram set (lane-local hists merged
-    /// with the shared kernel-wall histogram).
+    /// Snapshot the latency histograms recorded so far (`kernel_wall`
+    /// stays empty: the launch tallies hold it).
     pub fn latency(&self) -> LatencyHists {
-        let mut h = self.live.lock().hists.clone();
-        h.kernel_wall.merge(&self.kernel_wall.snapshot());
-        h
+        self.live.lock().hists.clone()
     }
 
     /// Sample the heartbeat counters.
@@ -326,114 +301,12 @@ impl ProgressTracker {
             windows_done,
             windows_total,
             sites_done,
-            samples: self.samples.load(Ordering::Relaxed),
             sites_per_sec,
             eta_seconds,
-            done: self.is_done(),
+            done: self.done.load(Ordering::Relaxed),
             lanes,
         }
     }
-
-    /// Build the live Prometheus exposition: progress gauges, per-lane
-    /// series, latency histograms, and the build-info gauge.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let snap = self.progress();
-        let mut m = MetricsSnapshot::default();
-        push_build_info(&mut m);
-        m.push(
-            "gsnp_run_active",
-            "1 while the window loop is executing, 0 once finished",
-            gpu_sim::MetricKind::Gauge,
-            &[],
-            if snap.done { 0.0 } else { 1.0 },
-        );
-        m.push(
-            "gsnp_progress_windows_total",
-            "Expected window count for this run",
-            gpu_sim::MetricKind::Gauge,
-            &[],
-            snap.windows_total as f64,
-        );
-        m.push(
-            "gsnp_progress_windows_done_total",
-            "Windows completed so far",
-            gpu_sim::MetricKind::Counter,
-            &[],
-            snap.windows_done as f64,
-        );
-        m.push(
-            "gsnp_progress_sites_total",
-            "Sites processed so far",
-            gpu_sim::MetricKind::Counter,
-            &[],
-            snap.sites_done as f64,
-        );
-        m.push(
-            "gsnp_progress_sites_per_second",
-            "Throughput since run start",
-            gpu_sim::MetricKind::Gauge,
-            &[],
-            snap.sites_per_sec,
-        );
-        m.push(
-            "gsnp_progress_eta_seconds",
-            "Estimated seconds to completion (0 when unknown or done)",
-            gpu_sim::MetricKind::Gauge,
-            &[],
-            snap.eta_seconds,
-        );
-        m.push(
-            "gsnp_progress_elapsed_seconds",
-            "Seconds since run start",
-            gpu_sim::MetricKind::Gauge,
-            &[],
-            snap.elapsed_seconds,
-        );
-        for (i, lane) in snap.lanes.iter().enumerate() {
-            let dev = i.to_string();
-            m.push(
-                "gsnp_lane_windows_total",
-                HELP_LANE_WINDOWS,
-                gpu_sim::MetricKind::Counter,
-                &[("device", dev.as_str())],
-                lane.windows as f64,
-            );
-            m.push(
-                "gsnp_lane_steals_total",
-                HELP_LANE_STEALS,
-                gpu_sim::MetricKind::Counter,
-                &[("device", dev.as_str())],
-                lane.steals as f64,
-            );
-            m.push(
-                "gsnp_lane_utilization",
-                "Fraction of wall time the lane spent busy",
-                gpu_sim::MetricKind::Gauge,
-                &[("device", dev.as_str())],
-                lane.utilization,
-            );
-        }
-        self.latency().push_metrics(&mut m);
-        m
-    }
-}
-
-/// Push the `gsnp_build_info` gauge (value 1, version/profile labels) —
-/// shared by the live endpoint and the end-of-run exposition so the
-/// family appears exactly once in merged output.
-pub fn push_build_info(m: &mut MetricsSnapshot) {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    m.push(
-        "gsnp_build_info",
-        "Build metadata (constant 1)",
-        gpu_sim::MetricKind::Gauge,
-        &[("version", env!("CARGO_PKG_VERSION")), ("profile", profile)],
-        1.0,
-    );
 }
 
 /// One lane's share of the heartbeat.
@@ -458,8 +331,6 @@ pub struct ProgressSnapshot {
     pub windows_total: u64,
     /// Sites processed.
     pub sites_done: u64,
-    /// Samples being called (1 for single-sample runs).
-    pub samples: u64,
     /// Throughput since run start.
     pub sites_per_sec: f64,
     /// Estimated seconds to completion (0 when unknown or done).
@@ -509,35 +380,6 @@ impl ProgressSnapshot {
         }
         line
     }
-
-    /// JSON object rendering for the `/progress` endpoint.
-    pub fn to_json(&self) -> String {
-        let lanes: Vec<String> = self
-            .lanes
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                format!(
-                    "{{\"device\":{i},\"windows\":{},\"steals\":{},\"utilization\":{:.4}}}",
-                    l.windows, l.steals, l.utilization
-                )
-            })
-            .collect();
-        format!(
-            "{{\"elapsed_seconds\":{:.3},\"windows_done\":{},\"windows_total\":{},\
-             \"sites_done\":{},\"samples\":{},\"sites_per_sec\":{:.1},\
-             \"eta_seconds\":{:.3},\"done\":{},\"lanes\":[{}]}}",
-            self.elapsed_seconds,
-            self.windows_done,
-            self.windows_total,
-            self.sites_done,
-            self.samples,
-            self.sites_per_sec,
-            self.eta_seconds,
-            self.done,
-            lanes.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -584,28 +426,18 @@ mod tests {
     }
 
     #[test]
-    fn kernel_hist_folds_into_latency() {
-        let t = ProgressTracker::new();
-        t.kernel_hist().record(0.002);
-        t.kernel_hist().record(0.004);
-        let h = t.latency();
-        assert_eq!(h.kernel_wall.count(), 2);
-        assert!((h.kernel_wall.max() - 0.004).abs() < 1e-12);
-    }
-
-    #[test]
     fn metrics_exposes_histogram_families_and_build_info() {
         let t = ProgressTracker::new();
         t.set_total_windows(8);
         t.on(&RunEvent::batch(0, 8, 8000, 0.1, false));
-        t.finish();
-        let text = t.metrics().render_text();
+        let mut m = MetricsSnapshot::default();
+        crate::metrics::push_build_info(&mut m);
+        t.latency().push_metrics(&mut m);
+        let text = m.render_text();
         assert!(text.contains("# TYPE gsnp_window_seconds histogram"));
-        assert!(text.contains("gsnp_window_seconds_bucket"));
+        assert!(text.contains("gsnp_window_seconds_count 8"));
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("gsnp_build_info{"));
-        assert!(text.contains("gsnp_run_active 0"));
-        assert!(text.contains("gsnp_progress_windows_done_total 8"));
         // HELP/TYPE exactly once per family.
         let type_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE")).collect();
         let mut names: Vec<&str> = type_lines
@@ -619,21 +451,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_line_and_json() {
+    fn snapshot_renders_the_heartbeat_line() {
         let t = ProgressTracker::new();
         t.set_total_windows(4);
         t.on(&RunEvent::batch(0, 2, 2000, 0.05, false));
-        let p = t.progress();
-        let line = p.render_line();
+        let line = t.progress().render_line();
         assert!(line.starts_with("progress: 2/4 windows (50.0%)"), "{line}");
-        let json = p.to_json();
-        assert!(json.contains("\"windows_done\":2"));
-        assert!(json.contains("\"lanes\":[{\"device\":0"));
-        // The JSON must parse with the in-tree parser.
-        let v = gpu_sim::parse_json(&json).expect("progress json parses");
-        assert_eq!(
-            v.get("windows_total").and_then(gpu_sim::Json::as_num),
-            Some(4.0)
-        );
+        assert!(line.contains(", lanes [d0 2w/0st "), "{line}");
+        assert!(!line.contains("done"), "{line}");
+        t.finish();
+        let line = t.progress().render_line();
+        assert!(line.contains(", done, lanes ["), "{line}");
     }
 }

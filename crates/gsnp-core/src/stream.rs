@@ -424,10 +424,11 @@ pub struct Observers {
     /// Export with [`TraceRecorder::snapshot`] after the run. Ignored by
     /// `GsnpCpuPipeline`, which has no device or stage structure to trace.
     pub trace: Option<Arc<TraceRecorder>>,
-    /// Heartbeat and latency histograms, readable while the run executes
-    /// (`--progress`, `--stats-addr`). `None` makes the run create a
-    /// private tracker — there is one recording path either way — whose
-    /// histograms still land in `PipelineStats::hists`.
+    /// Heartbeat counters, readable while the run executes (`--progress`
+    /// samples [`ProgressTracker::progress`]), and the latency histograms.
+    /// `None` makes the run create a private tracker — there is one
+    /// recording path either way — whose histograms still land in
+    /// `PipelineStats::hists`.
     pub progress: Option<Arc<ProgressTracker>>,
     /// The run appends `batch`, `stage`, `lane`, `device` (and, for a
     /// cohort, `sample` and `gates`) events; the CLI brackets them with the

@@ -9,7 +9,6 @@
 //!              [--contracts] [--text <out.txt>] [--trace <out.json>]
 //!              [--metrics <out.prom>]
 //!              [--progress] [--quiet|-q] [--journal <run.jsonl>]
-//!              [--stats-addr HOST:PORT] [--stats-hold MS]
 //! gsnp call    --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir>
 //!              [--min-quality Q] [--min-depth D] [--bad-sites <file>]
 //!              [--bad-site-threshold N] [...call flags]
@@ -33,9 +32,9 @@
 //!
 //! Live introspection for long `call` runs: `--progress` prints a
 //! heartbeat line to stderr every half second (windows done/total,
-//! Msites/s, ETA, per-lane utilization); `--stats-addr` serves the same
-//! snapshot over HTTP (`/health`, `/progress`, `/metrics` in Prometheus
-//! text format) while the run executes; `--journal` appends a structured
+//! Msites/s, ETA, per-lane utilization) and one `done` line at the end;
+//! `--metrics` writes the Prometheus text exposition once the run is
+//! over; `--journal` appends a structured
 //! JSONL run journal — manifest, per-batch lifecycle, device and gate
 //! tallies, end-of-run latency digests — that `gsnp report` validates
 //! and renders after the fact. Diagnostics go to stderr (suppressed by
@@ -52,7 +51,7 @@ use std::fs;
 use std::io::{stdout, BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,7 +62,7 @@ use gsnp::core::pipeline::{ComponentTimes, PipelineStats};
 use gsnp::core::{
     call_metrics, BadSiteList, CohortCallConfig, CohortPipeline, Collect, FileSink, GsnpConfig,
     GsnpCpuPipeline, GsnpPipeline, Journal, Observers, ProgressTracker, QualityGates, RunError,
-    SampleReads, SampleText, StatsServer,
+    SampleReads, SampleText,
 };
 use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot};
 use gsnp::seqio::fasta::Reference;
@@ -117,7 +116,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: gsnp <synth|call|profile|analyze|decode|stats|report|validate-trace> ...\n\
                  synth  <out_dir> [--sites N] [--depth X] [--seed S] [--samples N] [--shared-rate X]\n\
-                 call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native|auto] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl] [--stats-addr HOST:PORT] [--stats-hold MS]\n\
+                 call   <alignments.soap> <reference.fa> <priors.txt> <out.gsnp> [--window N] [--devices N] [--batch N] [--backend sim|native|auto] [--cpu] [--contracts] [--text out.txt] [--trace out.json] [--metrics out.prom] [--progress] [--quiet|-q] [--journal run.jsonl]\n\
                  call   --cohort <cohort.tsv> <reference.fa> <priors.txt> <out_dir> [--min-quality Q] [--min-depth D] [--bad-sites file] [--bad-site-threshold N] [...call flags]\n\
                  profile [--sites N] [--depth X] [--window N] [--devices N] [--pipeline-depth N] [--batch N] [--seed S] [--samples N] [--trace out.json]\n\
                  analyze [--sites N] [--window N] [--seed S]\n\
@@ -251,8 +250,6 @@ const CALL_FLAGS: &Flags = &[
     ("--quiet", false),
     ("-q", false),
     ("--journal", true),
-    ("--stats-addr", true),
-    ("--stats-hold", true),
 ];
 /// The [`CALL_FLAGS`] that configure or observe the device pipeline.
 /// `--cpu` runs the sequential oracle, which none of them reaches, so it
@@ -264,8 +261,6 @@ const DEVICE_ONLY_FLAGS: &[&str] = &[
     "--backend",
     "--contracts",
     "--progress",
-    "--stats-addr",
-    "--stats-hold",
 ];
 /// `call --cohort` takes these on top of [`CALL_FLAGS`].
 const COHORT_FLAGS: &Flags = &[
@@ -321,16 +316,13 @@ fn positional<'a>(
 /// Live-introspection plumbing shared by `call` and `call --cohort`:
 /// the run's [`Observers`] — the progress tracker is always created (it
 /// feeds `PipelineStats::hists` and the end-of-run journal digest); the
-/// trace, the journal, the heartbeat thread and the HTTP endpoint are each
-/// opt-in flags.
+/// trace, the journal and the heartbeat thread are each opt-in flags.
 struct Introspection {
     obs: Observers,
     tracker: Arc<ProgressTracker>,
-    server: Option<StatsServer>,
-    heartbeat: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
-    /// `--stats-hold`: keep the endpoint answering this long after the
-    /// run finishes, so a scraper can catch the final counters.
-    hold: Duration,
+    /// `--progress`: the heartbeat thread, and the sender whose drop
+    /// wakes it to stop.
+    heartbeat: Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
     quiet: bool,
 }
 
@@ -347,31 +339,19 @@ impl Introspection {
             )),
             None => None,
         };
-        let server = match flag_value(args, "--stats-addr") {
-            Some(addr) => {
-                let s = StatsServer::start(addr, Arc::clone(&tracker))
-                    .map_err(|e| format!("--stats-addr {addr}: {e}"))?;
-                if !quiet {
-                    eprintln!(
-                        "gsnp: stats endpoint on http://{}/ (routes: /health /progress /metrics)",
-                        s.addr()
-                    );
-                }
-                Some(s)
-            }
-            None => None,
-        };
-        let hold = Duration::from_millis(parse_flag(args, "--stats-hold")?.unwrap_or(0));
         let heartbeat = match has_flag(args, "--progress") {
             false => None,
             true => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let (t, s) = (Arc::clone(&tracker), Arc::clone(&stop));
+                // Nothing is ever sent: `finish` drops the sender, which
+                // ends the wait at once.
+                let (stop, stopped) = mpsc::channel::<()>();
+                let t = Arc::clone(&tracker);
                 let handle = std::thread::Builder::new()
                     .name("gsnp-progress".into())
                     .spawn(move || {
-                        while !s.load(Ordering::Relaxed) {
-                            std::thread::sleep(Duration::from_millis(500));
+                        while let Err(RecvTimeoutError::Timeout) =
+                            stopped.recv_timeout(Duration::from_millis(500))
+                        {
                             eprintln!("{}", t.progress().render_line());
                         }
                     })?;
@@ -385,9 +365,7 @@ impl Introspection {
                 journal,
             },
             tracker,
-            server,
             heartbeat,
-            hold,
             quiet,
         })
     }
@@ -454,17 +432,18 @@ impl Introspection {
         Ok(())
     }
 
-    /// End of run: flip the tracker to done, stop the heartbeat (its
-    /// final line reports 100%), write the journal `run_end` summary
-    /// with the latency digests, hold the endpoint for late scrapers,
-    /// then tear it down.
+    /// End of run: stop the heartbeat and print its one terminal line (it
+    /// reports 100%), then write the journal `run_end` summary with the
+    /// latency digests.
     fn finish(self, stats: &PipelineStats) -> CliResult {
-        self.tracker.finish();
         if let Some((stop, handle)) = self.heartbeat {
-            stop.store(true, Ordering::Relaxed);
+            // The thread wakes and exits at once. It is joined before the
+            // tracker reads done, so it never prints a `done` line itself.
+            drop(stop);
             handle
                 .join()
                 .map_err(|_| "progress heartbeat thread panicked")?;
+            self.tracker.finish();
             eprintln!("{}", self.tracker.progress().render_line());
         }
         let wall = self.tracker.elapsed_seconds();
@@ -493,18 +472,6 @@ impl Introspection {
             if j.take_error() {
                 return Err("journal write failed (disk full or file removed?)".into());
             }
-        }
-        if let Some(server) = self.server {
-            if !self.hold.is_zero() {
-                if !self.quiet {
-                    eprintln!(
-                        "gsnp: holding stats endpoint {:.1}s (--stats-hold)",
-                        self.hold.as_secs_f64()
-                    );
-                }
-                std::thread::sleep(self.hold);
-            }
-            server.shutdown();
         }
         Ok(())
     }
@@ -1323,7 +1290,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
     }
     if flag_value(args, "--format") == Some("prom") {
         // Decode-side snapshot sharing the call-side `gsnp_` naming
-        // scheme, so a decoded file and a live run scrape identically.
+        // scheme, so a decoded file and a `call --metrics` file read alike.
         use MetricKind::{Counter, Gauge};
         let mut m = MetricsSnapshot::new();
         let l = &[("chr", chr.as_str())];

@@ -15,7 +15,9 @@
 //! an unpinned one does. A flag outside the subcommand's usage text, a
 //! value flag without a value, a number that does not parse, a zero-site
 //! window and zero devices are errors naming the flag, and so is every
-//! device-pipeline flag next to `--cpu`, which would not reach it. A closed
+//! device-pipeline flag next to `--cpu`, which would not reach it; so are
+//! the retired `--stats-addr` and `--stats-hold`. `--progress` ends with
+//! exactly one `done` line. A closed
 //! stdout ends a command quietly; any other stdout error is an error, not
 //! a panic. A destination that cannot be written is found before the first
 //! window is computed, not after the last. `gsnp synth` refuses zero sites,
@@ -551,6 +553,17 @@ fn flags_are_checked_against_the_subcommands_usage() {
             "--backend sim",
             "unknown flag --backend for 'gsnp profile' ",
         ),
+        // The HTTP stats endpoint is gone; its flags went with it.
+        (
+            &call,
+            "--stats-addr 127.0.0.1:0",
+            "unknown flag --stats-addr for 'gsnp call' ",
+        ),
+        (
+            &call,
+            "--stats-hold 0",
+            "unknown flag --stats-hold for 'gsnp call' ",
+        ),
         // The first panicked in the generator, leaving an empty directory;
         // the others wrote a set of eight hotspot reads, or of no site.
         (
@@ -583,7 +596,7 @@ fn flags_are_checked_against_the_subcommands_usage() {
         format!(
             "{call} --window 1500 --devices 2 --batch 2 --backend auto \
              --contracts --text {txt} --trace {json} --metrics {prom} --journal {jsonl} \
-             --progress --quiet -q --stats-addr 127.0.0.1:0 --stats-hold 0"
+             --progress --quiet -q"
         ),
         format!("{call} --cpu"),
         format!(
@@ -626,8 +639,6 @@ fn cpu_refuses_the_device_pipeline_flags() {
         "--backend native",
         "--contracts",
         "--progress",
-        "--stats-addr 127.0.0.1:0",
-        "--stats-hold 0",
     ] {
         let refused = run(&format!("{call} {flag}"));
         let stderr = String::from_utf8_lossy(&refused.stderr);
@@ -652,6 +663,40 @@ fn cpu_refuses_the_device_pipeline_flags() {
             "--cpu wrote a different {device}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The heartbeat thread used to sleep half a second before it looked at
+/// its stop flag, and the run waited for it: `--progress` delayed the exit
+/// by up to 0.5 s, and the thread's wake-up printed a `done` line on top of
+/// the one the end of the run prints.
+#[test]
+fn progress_prints_one_terminal_line() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_progress_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&["synth", &d(""), "--sites", "3000", "--depth", "3"]);
+    let out = ok(&[
+        "call",
+        &d("reads.soap"),
+        &d("reference.fa"),
+        &d("priors.txt"),
+        &d("out.gsnp"),
+        "--window",
+        "1000",
+        "--progress",
+        "-q",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let done: Vec<&str> = stderr.lines().filter(|l| l.contains(", done")).collect();
+    assert_eq!(done.len(), 1, "{stderr}");
+    assert!(
+        done[0].starts_with("progress: 3/3 windows (100.0%)"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.trim_end().ends_with(done[0]),
+        "a line after done: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

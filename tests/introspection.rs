@@ -10,12 +10,11 @@
 //!    lifecycle events … `run_end` digests) passes [`journal::validate`]
 //!    and `gsnp report`'s renderer reproduces samples, devices, and
 //!    latency digests from the file alone.
-//! 3. **The stats endpoint is live.** `/health`, `/progress`, and
-//!    `/metrics` answer over real TCP while the window loop executes,
-//!    and the terminal snapshot agrees with the pipeline's own stats.
+//! 3. **The tracker is live.** [`ProgressTracker::progress`] answers from
+//!    another thread while the window loop executes, its terminal
+//!    snapshot agrees with the pipeline's own stats, and the run's kernel
+//!    wall histogram is the merge of its per-kernel launch histograms.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,8 +24,8 @@ use gsnp::core::cohort::{CohortCallConfig, CohortPipeline, SampleReads};
 use gsnp::core::journal::{self, Journal};
 use gsnp::core::model::NUM_GENOTYPES;
 use gsnp::core::tables::{NewPMatrix, PMatrix};
-use gsnp::core::{Collect, GsnpConfig, GsnpPipeline, Observers, ProgressTracker, StatsServer};
-use gsnp::gpu_sim::{parse_json, Histogram, Json};
+use gsnp::core::{call_metrics, Collect, GsnpConfig, GsnpPipeline, Observers, ProgressTracker};
+use gsnp::gpu_sim::{Histogram, Json};
 use gsnp::seqio::synth::{Cohort, CohortConfig, Dataset, SynthConfig};
 
 /// Everything merge order may legitimately NOT change: the populated
@@ -361,41 +360,27 @@ fn the_memory_ledger_is_in_the_metrics_and_in_the_journal() {
     );
 }
 
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect stats endpoint");
-    write!(s, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send request");
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read response");
-    out
+/// The value of the Prometheus sample line `series` in `text`.
+fn sample(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {series} in:\n{text}"))
+        .parse()
+        .expect("an integer count")
 }
 
-fn body_of(response: &str) -> &str {
-    response
-        .split("\r\n\r\n")
-        .nth(1)
-        .expect("response has a body")
-        .trim()
-}
-
-/// `/health`, `/progress`, and `/metrics` answer over real TCP while the
-/// window loop executes, and the terminal snapshot matches the
-/// pipeline's own stats.
+/// [`ProgressTracker::progress`] answers from another thread while the
+/// window loop executes, and the terminal snapshot matches the pipeline's
+/// own stats. The run-wide kernel wall histogram is the merge of the
+/// per-kernel ones, so their counts agree in the exposition.
 #[test]
-fn live_endpoints_answer_while_a_run_executes() {
+fn the_tracker_answers_while_a_run_executes() {
     let mut sc = SynthConfig::tiny(20_260_811);
     sc.num_sites = 6_000;
     sc.depth = 3.0;
     let d = Dataset::generate(sc);
 
     let tracker = Arc::new(ProgressTracker::new());
-    let server = StatsServer::start("127.0.0.1:0", Arc::clone(&tracker)).expect("bind port 0");
-    let addr = server.addr();
-
-    // Liveness before the first window.
-    let health = http_get(addr, "/health");
-    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
-    assert!(health.contains("\"status\":\"ok\""), "{health}");
-
     let cfg = GsnpConfig {
         window_size: 300,
         num_devices: 2,
@@ -415,13 +400,15 @@ fn live_endpoints_answer_while_a_run_executes() {
         )
     });
 
-    // Poll /progress until the run completes; every response — mid-run
-    // or terminal — must be a 200 carrying parseable JSON.
-    let mut polls = 0u32;
+    // Sample until the run completes: counters only ever grow, and no
+    // mid-run snapshot says done.
+    let (mut polls, mut last) = (0u32, 0u64);
     while !run.is_finished() {
-        let resp = http_get(addr, "/progress");
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
-        parse_json(body_of(&resp)).expect("mid-run progress is valid JSON");
+        let p = tracker.progress();
+        assert!(p.windows_done >= last, "windows went back");
+        assert!(p.windows_done <= p.windows_total, "{p:?}");
+        assert!(!p.done && !p.render_line().contains("done"), "{p:?}");
+        last = p.windows_done;
         polls += 1;
         assert!(polls < 60_000, "pipeline never finished");
         std::thread::sleep(Duration::from_millis(1));
@@ -429,33 +416,38 @@ fn live_endpoints_answer_while_a_run_executes() {
     let out = run.join().expect("pipeline run");
     tracker.finish();
 
-    let progress = http_get(addr, "/progress");
-    let v = parse_json(body_of(&progress)).expect("terminal progress parses");
-    assert_eq!(
-        v.get("windows_done").and_then(Json::as_num),
-        Some(out.stats.windows as f64),
-        "{progress}"
-    );
-    assert!(body_of(&progress).contains("\"done\":true"), "{progress}");
+    let p = tracker.progress();
+    assert_eq!(p.windows_done, out.stats.windows);
+    assert_eq!(p.windows_total, out.stats.windows);
+    assert_eq!(p.sites_done, out.stats.num_sites);
+    let lanes: Vec<(u64, u64)> = p.lanes.iter().map(|l| (l.windows, l.steals)).collect();
+    let expected: Vec<(u64, u64)> = out
+        .stats
+        .overlap
+        .devices
+        .iter()
+        .map(|l| (l.windows, l.steals))
+        .collect();
+    assert_eq!(lanes, expected);
+    assert_eq!(lanes.len(), 2);
+    let line = p.render_line();
+    assert!(line.contains(", done"), "{line}");
 
-    let metrics = http_get(addr, "/metrics");
-    assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
-    for needle in [
-        "# TYPE gsnp_window_seconds histogram",
-        "gsnp_window_seconds_bucket",
-        "le=\"+Inf\"",
-        "gsnp_progress_windows_done_total",
-        "gsnp_lane_windows_total{device=\"0\"}",
-        "gsnp_build_info{",
-        "gsnp_run_active 0",
-    ] {
-        assert!(
-            metrics.contains(needle),
-            "missing {needle:?} in:\n{metrics}"
-        );
-    }
-
-    let health = http_get(addr, "/health");
-    assert!(health.contains("\"done\":true"), "{health}");
-    server.shutdown();
+    let text = call_metrics(&out).render_text();
+    let per_kernel: u64 = out
+        .stats
+        .kernel_launches
+        .iter()
+        .map(|t| {
+            sample(
+                &text,
+                &format!(
+                    "gsnp_kernel_launch_wall_seconds_count{{kernel=\"{}\"}}",
+                    t.name
+                ),
+            )
+        })
+        .sum();
+    assert!(per_kernel > 0);
+    assert_eq!(sample(&text, "gsnp_kernel_wall_seconds_count"), per_kernel);
 }
