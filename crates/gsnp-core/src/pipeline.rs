@@ -1160,9 +1160,7 @@ pub(crate) fn run_window_loop(
     stats.kernel_launches = group.kernel_launches();
     stats.contracts = group.contract_report();
     stats.hists = tracker.latency();
-    for tally in &stats.kernel_launches {
-        stats.hists.kernel_wall.merge(&tally.wall_hist);
-    }
+    stats.hists.fold_kernel_wall(&stats.kernel_launches);
     if let Some(j) = &observers.journal {
         journal_run_stats(j, &stats);
     }

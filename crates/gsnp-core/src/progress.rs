@@ -55,9 +55,8 @@ pub struct LatencyHists {
     pub stage_stall: [Histogram; 4],
     /// Time each dispatched batch waited in the device input queue.
     pub queue_wait: Histogram,
-    /// Per-kernel-launch wall time: the merge of every
-    /// [`gpu_sim::KernelTally::wall_hist`] of the run, across kernels and
-    /// devices, set when the window loop ends.
+    /// Per-kernel-launch wall time across kernels and devices, set by
+    /// [`LatencyHists::fold_kernel_wall`] once the window loop ends.
     pub kernel_wall: Histogram,
 }
 
@@ -85,6 +84,14 @@ impl LatencyHists {
             rows.push(("kernel".to_string(), self.kernel_wall.digest()));
         }
         rows
+    }
+
+    /// Set `kernel_wall` to the merge of the launch tallies' `wall_hist`s.
+    pub fn fold_kernel_wall(&mut self, tallies: &[gpu_sim::KernelTally]) {
+        self.kernel_wall = Histogram::default();
+        for tally in tallies {
+            self.kernel_wall.merge(&tally.wall_hist);
+        }
     }
 
     /// Push every histogram into a [`MetricsSnapshot`] as classic
@@ -423,6 +430,31 @@ mod tests {
         assert!((h.window.sum() - 0.4).abs() < 1e-12);
         assert_eq!(h.stage_busy[STAGE_DEVICE].count(), 1);
         assert_eq!(h.queue_wait.count(), 0);
+    }
+
+    #[test]
+    fn kernel_hist_folds_into_latency() {
+        let tally = |name: &str, walls: &[f64]| {
+            let mut t = gpu_sim::KernelTally {
+                name: name.to_string(),
+                ..Default::default()
+            };
+            for &w in walls {
+                t.wall_hist.record(w);
+            }
+            t
+        };
+        let t = ProgressTracker::new();
+        t.on(&RunEvent::batch(0, 2, 2000, 0.05, false));
+        let mut h = t.latency();
+        assert!(h.kernel_wall.is_empty(), "the tracker records no launches");
+        h.kernel_wall.record(9.0);
+        h.fold_kernel_wall(&[tally("a", &[0.002]), tally("b", &[0.004, 0.001])]);
+        assert_eq!(h.kernel_wall.count(), 3);
+        assert!((h.kernel_wall.max() - 0.004).abs() < 1e-12);
+        assert!((h.kernel_wall.sum() - 0.007).abs() < 1e-12);
+        assert_eq!(h.window.count(), 2, "the other histograms are untouched");
+        assert!(h.digest_rows().iter().any(|(name, _)| name == "kernel"));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    lifecycle events … `run_end` digests) passes [`journal::validate`]
 //!    and `gsnp report`'s renderer reproduces samples, devices, and
 //!    latency digests from the file alone.
-//! 3. **The tracker is live.** [`ProgressTracker::progress`] answers from
-//!    another thread while the window loop executes, its terminal
+//! 3. **The live read-outs answer.** [`ProgressTracker::progress`] and
+//!    its heartbeat line answer from another thread while the window loop
+//!    executes, their terminal
 //!    snapshot agrees with the pipeline's own stats, and the run's kernel
 //!    wall histogram is the merge of its per-kernel launch histograms.
 
@@ -369,12 +370,12 @@ fn sample(text: &str, series: &str) -> u64 {
         .expect("an integer count")
 }
 
-/// [`ProgressTracker::progress`] answers from another thread while the
-/// window loop executes, and the terminal snapshot matches the pipeline's
-/// own stats. The run-wide kernel wall histogram is the merge of the
+/// The live read-outs — [`ProgressTracker::progress`] and its heartbeat
+/// line — answer from another thread while the window loop executes, and
+/// the terminal snapshot matches the pipeline's own stats. The run-wide kernel wall histogram is the merge of the
 /// per-kernel ones, so their counts agree in the exposition.
 #[test]
-fn the_tracker_answers_while_a_run_executes() {
+fn live_endpoints_answer_while_a_run_executes() {
     let mut sc = SynthConfig::tiny(20_260_811);
     sc.num_sites = 6_000;
     sc.depth = 3.0;
