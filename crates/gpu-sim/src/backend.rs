@@ -73,6 +73,19 @@ impl BackendChoice {
             BackendChoice::Auto => "auto",
         }
     }
+
+    /// The one statement of the rule "native refuses a trace": backends
+    /// check it at construction, a pipeline before it reads any input.
+    /// (A *sanitized* device is admitted: see [`NativeBackend`].)
+    ///
+    /// # Errors
+    /// [`BackendError::TraceRequiresSim`] for `Native` when `traced`.
+    pub fn check(self, traced: bool) -> Result<(), BackendError> {
+        if self == BackendChoice::Native && traced {
+            return Err(BackendError::TraceRequiresSim);
+        }
+        Ok(())
+    }
 }
 
 /// Why a backend refused a device configuration.
@@ -100,17 +113,9 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// Refuse sim-only device features for native execution. (A *sanitized*
-/// device is admitted: see [`NativeBackend`].)
-fn validate_native(dev: &Device) -> Result<(), BackendError> {
-    if dev.trace_enabled() {
-        return Err(BackendError::TraceRequiresSim);
-    }
-    Ok(())
-}
-
-/// Per-backend launch tallies, kept on the [`crate::DeviceLedger`].
-/// `sim + native` always equals the ledger's `launches`.
+/// Per-backend launch counts on the [`crate::DeviceLedger`], summed from
+/// the per-kernel tallies. `sim + native` always equals the ledger's
+/// `launches`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BackendTallies {
     /// Launches executed by the instrumented simulator.
@@ -378,9 +383,10 @@ where
     Some(built)
 }
 
-/// After the last block of a host launch: wall-clock only on the ledger —
-/// counters and modelled time are sim-only observables and stay zero — and
-/// the proved contract's write spans into the sanitizer's shadow state.
+/// After the last block of a host launch: the launch and its wall-clock
+/// retire on the device ([`Device::retire`]; counters and modelled time
+/// are sim-only observables and stay zero), and the proved contract's
+/// write spans go into the sanitizer's shadow state.
 fn native_retire(
     dev: &Device,
     name: &str,
@@ -393,7 +399,7 @@ fn native_retire(
         grid_dim,
         ..Default::default()
     };
-    dev.record_native_launch(name, &stats);
+    dev.retire(name, &stats, 0.0, true);
     if let Some(contract) = proved {
         contract.define_writes(grid_dim);
     }
@@ -498,7 +504,7 @@ impl<'d> NativeBackend<'d> {
     /// carry counters only the simulator's instrumented access paths can
     /// produce.
     pub fn new(dev: &'d Device) -> Result<Self, BackendError> {
-        validate_native(dev)?;
+        BackendChoice::Native.check(dev.trace_enabled())?;
         Ok(NativeBackend { dev })
     }
 }
@@ -530,9 +536,7 @@ impl<'d> BackendDispatcher<'d> {
     /// Refuses [`BackendChoice::Native`] on a traced device (see
     /// [`NativeBackend::new`]); `Sim` and `Auto` accept any device.
     pub fn new(dev: &'d Device, choice: BackendChoice) -> Result<Self, BackendError> {
-        if choice == BackendChoice::Native {
-            validate_native(dev)?;
-        }
+        choice.check(dev.trace_enabled())?;
         Ok(BackendDispatcher { dev, choice })
     }
 }

@@ -131,7 +131,6 @@ impl DeviceGroup {
                     m.launches += t.launches;
                     m.overhead_seconds += t.overhead_seconds;
                     m.native_launches += t.native_launches;
-                    m.wall_seconds += t.wall_seconds;
                     m.wall_hist.merge(&t.wall_hist);
                 } else {
                     merged.push(t);
@@ -163,7 +162,6 @@ impl GroupLedger {
             acc.launches += led.launches;
             acc.transfers += led.transfers;
             acc.add_sim_ticks(led.sim_ticks);
-            acc.wall_time += led.wall_time;
             acc.counters += led.counters;
             acc.pool.hits += led.pool.hits;
             acc.pool.misses += led.pool.misses;

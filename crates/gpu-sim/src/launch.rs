@@ -53,9 +53,12 @@ pub enum BlockSchedule {
 /// Running totals across every launch and transfer on one [`Device`].
 ///
 /// Unlike the per-call [`LaunchStats`] return values (which each stage
-/// aggregates privately), the ledger is shared device state: it is updated
-/// under a lock so launches issued from concurrent host threads interleave
-/// without dropping counts.
+/// aggregates privately), the ledger is shared device state: it sits under
+/// the device's one accounting lock, beside the per-kernel
+/// [`KernelTally`]s, so launches issued from concurrent host threads
+/// interleave without dropping counts. A launch is counted once, on its
+/// kernel's tally: `launches` and `backend` are summed from the tallies
+/// when [`Device::ledger`] is read.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DeviceLedger {
     /// Kernel launches issued (sequential launches included).
@@ -67,8 +70,6 @@ pub struct DeviceLedger {
     /// The same total in ticks of 2⁻⁶⁴ s. Concurrent stages retire launches
     /// in varying order; an integer sum does not depend on it.
     pub(crate) sim_ticks: u128,
-    /// Total host wall-clock spent executing kernel bodies, seconds.
-    pub wall_time: f64,
     /// Aggregated hardware counters.
     pub counters: HwCounters,
     /// Buffer-pool traffic (hits/misses/high-water); snapshotted from the
@@ -83,9 +84,11 @@ pub struct DeviceLedger {
 }
 
 /// Per-kernel launch attribution: how many times a kernel name was
-/// launched on a device and how much fixed launch overhead it paid. The
-/// batching work optimizes exactly this quantity, so it is first-class
-/// observable state rather than something re-derived from traces.
+/// launched on a device, on which engine, how much fixed launch overhead it
+/// paid and how long each launch took. The batching work optimizes exactly
+/// this quantity, so it is first-class observable state rather than
+/// something re-derived from traces. The tallies are where a launch is
+/// counted: the ledger's `launches` and `backend` are their sums.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct KernelTally {
     /// Kernel name as passed to [`crate::ComputeBackend::launch`] and kin.
@@ -100,13 +103,12 @@ pub struct KernelTally {
     /// How many of `launches` ran on the native backend (the rest ran on
     /// the instrumented simulator).
     pub native_launches: u64,
-    /// Total host wall-clock spent executing this kernel's launches,
-    /// seconds. Unlike the modelled `overhead_seconds`, this is measured
-    /// time and is comparable across backends.
-    pub wall_seconds: f64,
-    /// Log-bucketed distribution of per-launch wall times (the p50/p95/
-    /// p99 latency surface of `gsnp profile` and the `gsnp_kernel_wall_
-    /// seconds` exposition). Fixed-size; recording never allocates.
+    /// Log-bucketed distribution of per-launch host wall times (the
+    /// p50/p95/p99 latency surface of `gsnp profile` and the
+    /// `gsnp_kernel_wall_seconds` exposition); `wall_hist.sum()` is the
+    /// kernel's total wall. Unlike the modelled `overhead_seconds`, this is
+    /// measured time and is comparable across backends. Fixed-size;
+    /// recording never allocates.
     pub wall_hist: Histogram,
 }
 
@@ -119,19 +121,20 @@ impl DeviceLedger {
         self.sim_time = self.sim_ticks as f64 / TICKS_PER_S;
     }
 
-    fn record(&mut self, stats: &LaunchStats, is_launch: bool) {
-        if is_launch {
-            self.launches += 1;
-            // Only the simulator records through this path; native
-            // launches go through `Device::record_native_launch`.
-            self.backend.sim += 1;
-        } else {
-            self.transfers += 1;
-        }
+    /// Add a launch's or transfer's modelled time and counters.
+    fn charge(&mut self, stats: &LaunchStats) {
         self.add_sim_ticks((stats.sim_time * TICKS_PER_S) as u128);
-        self.wall_time += stats.wall_time;
         self.counters += stats.counters;
     }
+}
+
+/// What a [`Device`] keeps under its one accounting lock: the ledger and
+/// the per-kernel tallies, which a launch updates together in
+/// [`Device::retire`].
+#[derive(Debug, Default)]
+struct Books {
+    ledger: DeviceLedger,
+    tallies: Vec<KernelTally>,
 }
 
 /// Per-device trace state: the shared recorder plus this device's tracks,
@@ -286,7 +289,10 @@ impl DeviceTrace {
 pub struct Device {
     cfg: DeviceConfig,
     cost: CostModel,
-    ledger: Mutex<DeviceLedger>,
+    /// Ledger and per-kernel tallies. Kernel names are interned on first
+    /// launch; steady-state updates are a linear scan over a handful of
+    /// tallies and never allocate.
+    books: Mutex<Books>,
     pool: Arc<BufferPool>,
     sanitizer: Option<Arc<Sanitizer>>,
     contracts: Option<ContractLedger>,
@@ -294,10 +300,6 @@ pub struct Device {
     schedule: Mutex<BlockSchedule>,
     /// Per-launch counter driving the permuted schedule's seed stream.
     schedule_stream: std::sync::atomic::AtomicU64,
-    /// Per-kernel-name launch counts and overhead charges. Names are
-    /// interned on first launch; steady-state updates are a linear scan
-    /// over a handful of entries and never allocate.
-    kernel_tallies: Mutex<Vec<KernelTally>>,
 }
 
 impl Device {
@@ -307,14 +309,13 @@ impl Device {
         Device {
             cfg,
             cost,
-            ledger: Mutex::new(DeviceLedger::default()),
+            books: Mutex::new(Books::default()),
             pool: Arc::new(BufferPool::default()),
             sanitizer: None,
             contracts: None,
             trace: None,
             schedule: Mutex::new(BlockSchedule::Parallel),
             schedule_stream: std::sync::atomic::AtomicU64::new(0),
-            kernel_tallies: Mutex::new(Vec::new()),
         }
     }
 
@@ -414,9 +415,17 @@ impl Device {
     }
 
     /// Snapshot of the running launch/transfer totals, including buffer
-    /// pool hit/miss/high-water counters.
+    /// pool hit/miss/high-water counters; launches are summed from the
+    /// per-kernel tallies.
     pub fn ledger(&self) -> DeviceLedger {
-        let mut led = *self.ledger.lock();
+        let books = self.books.lock();
+        let mut led = books.ledger;
+        for t in &books.tallies {
+            led.launches += t.launches;
+            led.backend.native += t.native_launches;
+            led.backend.sim += t.launches - t.native_launches;
+        }
+        drop(books);
         led.pool = self.pool.stats();
         led.sanitizer = self
             .sanitizer
@@ -430,51 +439,46 @@ impl Device {
     /// traffic counters reset too; parked buffers stay warm. Per-kernel
     /// tallies reset with the ledger they attribute.
     pub fn reset_ledger(&self) {
-        *self.ledger.lock() = DeviceLedger::default();
+        *self.books.lock() = Books::default();
         self.pool.reset_stats();
-        self.kernel_tallies.lock().clear();
     }
 
     /// Snapshot of the per-kernel launch attribution, sorted by name so
     /// output is stable regardless of which pipeline thread launched first.
     pub fn kernel_launches(&self) -> Vec<KernelTally> {
-        let mut t = self.kernel_tallies.lock().clone();
+        let mut t = self.books.lock().tallies.clone();
         t.sort_by(|a, b| a.name.cmp(&b.name));
         t
     }
 
-    /// Record one launch of `name` that paid `overhead` seconds of fixed
-    /// launch cost. `native` marks launches executed by the native
-    /// backend rather than the simulator.
-    fn tally_launch(&self, name: &str, overhead: f64, wall: f64, native: bool) {
-        let mut tallies = self.kernel_tallies.lock();
-        let known = tallies.iter().position(|t| t.name == name);
-        let at = known.unwrap_or_else(|| {
-            tallies.push(KernelTally {
-                name: name.to_string(),
-                ..Default::default()
-            });
-            tallies.len() - 1
-        });
-        let t = &mut tallies[at];
-        t.launches += 1;
-        t.overhead_seconds += overhead;
-        t.native_launches += u64::from(native);
-        t.wall_seconds += wall;
-        t.wall_hist.record(wall);
-    }
-
-    /// Record one native-backend launch: it counts on the ledger and the
-    /// per-kernel tallies (wall-clock only — no modelled time, no
-    /// counters, no trace span; those are simulator observables).
-    pub(crate) fn record_native_launch(&self, name: &str, stats: &LaunchStats) {
+    /// After the last block of a launch of `name` on either engine: one
+    /// lock takes its modelled time and counters onto the ledger and the
+    /// launch onto its kernel's tally (`overhead` is the fixed launch cost
+    /// it paid; `native` marks the host executor); then a simulator
+    /// launch's trace span. A native launch carries no modelled time,
+    /// counters or span — those are simulator observables.
+    pub(crate) fn retire(&self, name: &str, stats: &LaunchStats, overhead: f64, native: bool) {
         {
-            let mut led = self.ledger.lock();
-            led.launches += 1;
-            led.backend.native += 1;
-            led.wall_time += stats.wall_time;
+            let mut books = self.books.lock();
+            books.ledger.charge(stats);
+            let tallies = &mut books.tallies;
+            let at = tallies.iter().position(|t| t.name == name);
+            let at = at.unwrap_or_else(|| {
+                tallies.push(KernelTally {
+                    name: name.to_string(),
+                    ..Default::default()
+                });
+                tallies.len() - 1
+            });
+            let t = &mut tallies[at];
+            t.launches += 1;
+            t.overhead_seconds += overhead;
+            t.native_launches += u64::from(native);
+            t.wall_hist.record(stats.wall_time);
         }
-        self.tally_launch(name, 0.0, stats.wall_time, true);
+        if !native {
+            self.trace_launch(name, stats);
+        }
     }
 
     /// The device's buffer pool (enable/disable recycling, read stats).
@@ -643,15 +647,6 @@ impl Device {
         Some(built)
     }
 
-    /// After the last block of a simulator launch retires: ledger,
-    /// per-kernel tally (`overhead` is the fixed launch cost it paid),
-    /// trace span.
-    fn retire(&self, name: &str, stats: &LaunchStats, overhead: f64) {
-        self.ledger.lock().record(stats, true);
-        self.tally_launch(name, overhead, stats.wall_time, false);
-        self.trace_launch(name, stats);
-    }
-
     /// The simulator's parallel launch of `grid_dim ≥ 1` blocks, contracted
     /// or not.
     pub(crate) fn run_launch<C, F>(
@@ -715,7 +710,7 @@ impl Device {
             wall_time: wall,
             grid_dim,
         };
-        self.retire(name, &stats, self.cfg.launch_overhead);
+        self.retire(name, &stats, self.cfg.launch_overhead, false);
         stats
     }
 
@@ -752,7 +747,7 @@ impl Device {
             wall_time: wall,
             grid_dim,
         };
-        self.retire(name, &stats, 0.0);
+        self.retire(name, &stats, 0.0, false);
         stats
     }
 
@@ -790,7 +785,11 @@ impl Device {
         }
         stats.counters += charge.counters;
         stats.sim_time += dt;
-        self.ledger.lock().record(&charge, false);
+        {
+            let led = &mut self.books.lock().ledger;
+            led.transfers += 1;
+            led.charge(&charge);
+        }
         if let Some(trace) = &self.trace {
             trace.record_xfer(h2d, bytes, dt);
         }

@@ -300,8 +300,8 @@ impl CohortPipeline {
     /// `i`'s results go to `sink` as sample `i`.
     ///
     /// # Panics
-    /// Panics if a sample's reads are not sorted by position, or if `sink`
-    /// refuses a batch.
+    /// Panics if a sample's reads are not sorted by position, if `sink`
+    /// refuses a batch, or on a [`RunError::Backend`].
     pub fn run(
         &self,
         samples: &[SampleReads<'_>],
@@ -345,6 +345,8 @@ impl CohortPipeline {
         let cfg = &self.config.base;
         let num_samples = names.len();
         assert!(num_samples >= 1, "cohort needs at least one sample");
+        let traced = self.observers.trace.is_some();
+        cfg.backend.check(traced).map_err(RunError::Backend)?;
         let first = first_pass(cfg, samples, reference).map_err(RunError::Alignments)?;
         let out = run_window_loop(
             cfg,

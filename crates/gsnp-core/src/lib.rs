@@ -50,7 +50,7 @@ pub use model::{ModelParams, SiteSummary};
 pub use pipeline::{
     AlignmentError, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline, RunError,
 };
-pub use progress::{LaneProgress, LatencyHists, ProgressSnapshot, ProgressTracker};
+pub use progress::{LatencyHists, ProgressSnapshot, ProgressTracker};
 pub use sink::{Collect, FileSink, ResultSink};
 pub use stream::{
     verify_overlap_consistency, Observers, OrderedReassembler, OverlapStats, PipelineTrace,

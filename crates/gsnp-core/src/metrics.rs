@@ -500,7 +500,6 @@ mod tests {
                     launches: 3,
                     overhead_seconds: 1.5e-5,
                     native_launches: 1,
-                    wall_seconds: 0.25,
                     wall_hist: Default::default(),
                 }],
                 ..Default::default()

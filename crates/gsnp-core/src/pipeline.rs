@@ -127,8 +127,8 @@ pub struct PipelineStats {
     pub peak_device_bytes: u64,
     /// Peak host memory attributable to the pipeline's buffers, bytes.
     pub peak_host_bytes: u64,
-    /// Per-stage busy/stall accounting for the window loop, including the
-    /// per-device-worker breakdown ([`OverlapStats::devices`]).
+    /// Per-stage and per-device-worker busy/stall accounting of the window
+    /// loop: its tracker's end-of-run view ([`crate::ProgressTracker::overlap`]).
     pub overlap: OverlapStats,
     /// Host arena recycling counters for the window loop, with the arena
     /// row of the memory ledger ([`ArenaPoolStats::high_water_bytes`]).
@@ -351,6 +351,9 @@ pub enum RunError {
     /// The [`ResultSink`] refused a batch; its error says what could not
     /// be written.
     Sink(std::io::Error),
+    /// The configured backend cannot run with the attached observers
+    /// (`Native` under a trace); refused before any input is read.
+    Backend(gpu_sim::BackendError),
 }
 
 impl std::fmt::Display for RunError {
@@ -358,6 +361,7 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::Alignments(e) => e.fmt(f),
             RunError::Sink(e) => e.fmt(f),
+            RunError::Backend(e) => e.fmt(f),
         }
     }
 }
@@ -396,8 +400,8 @@ impl GsnpPipeline {
     ///
     /// # Panics
     /// Panics if `reads` are not sorted by position, or hold a record the
-    /// text parser would reject ([`AlignmentError`] names its index), or if
-    /// `sink` refuses a batch.
+    /// text parser would reject ([`AlignmentError`] names its index), if
+    /// `sink` refuses a batch, or on a [`RunError::Backend`].
     pub fn run(
         &self,
         reads: &[AlignedRead],
@@ -431,10 +435,11 @@ impl GsnpPipeline {
         priors: &PriorMap,
         sink: &mut dyn ResultSink,
     ) -> Result<GsnpOutput, RunError> {
-        let first =
-            first_pass(&self.config, vec![sample], reference).map_err(RunError::Alignments)?;
+        let (cfg, traced) = (&self.config, self.observers.trace.is_some());
+        cfg.backend.check(traced).map_err(RunError::Backend)?;
+        let first = first_pass(cfg, vec![sample], reference).map_err(RunError::Alignments)?;
         let out = run_window_loop(
-            &self.config,
+            cfg,
             &self.observers,
             first,
             reference,
@@ -916,15 +921,14 @@ pub(crate) fn run_window_loop(
     let group = &group;
     let ref_len = reference.len() as u64;
     tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
-    tracker.begin_lanes(group.len());
     // One per-device dispatcher routes every kernel launch to the
-    // configured backend. Construction refuses `Native` on a traced run;
-    // `Auto` keeps the launches a trace or sanitizer needs on the
-    // simulator instead.
+    // configured backend. `Auto` keeps the launches a trace or sanitizer
+    // needs on the simulator; `Native` on a traced run was refused before
+    // the first pass ([`BackendChoice::check`]).
     let dispatchers: Vec<BackendDispatcher<'_>> = group
         .devices()
         .iter()
-        .map(|d| BackendDispatcher::new(d, cfg.backend).unwrap_or_else(|e| panic!("gsnp: {e}")))
+        .map(|d| BackendDispatcher::new(d, cfg.backend).expect("backend checked before the run"))
         .collect();
     let mut times = ComponentTimes::default();
     let mut wall = ComponentTimes::default();
@@ -1041,7 +1045,7 @@ pub(crate) fn run_window_loop(
 
     // ---- posterior: demux per sample, call, apply the site policies ----
     let mut tallies = PostTallies::new(num_samples);
-    let (mut post_wall, mut post_model) = (0.0f64, 0.0f64);
+    let mut post_model = 0.0f64;
     let posterior = |scored: Scored| {
         let Scored {
             arenas,
@@ -1081,7 +1085,6 @@ pub(crate) fn run_window_loop(
             })
             .collect();
         let dt = t0.elapsed().as_secs_f64();
-        post_wall += dt;
         // Device model for posterior: the per-site arithmetic is cheap;
         // the cost is dominated by moving type_likely down and result
         // columns back (the paper attributes its modest posterior speedup
@@ -1100,9 +1103,8 @@ pub(crate) fn run_window_loop(
     let mut output_bytes = vec![0u64; num_samples];
     let mut frames: Vec<u8> = Vec::new();
     let mut sink_error = None;
-    let (mut out_wall, mut out_model) = (0.0f64, 0.0f64);
+    let mut out_sim = 0.0f64;
     let output = |Called { per_sample, dev }| {
-        let t0 = Instant::now();
         for (sample, batch_tables) in per_sample.into_iter().enumerate() {
             // The RLE-DICT chain runs on the device that scored the batch.
             // Compressed bytes are grouping-invariant
@@ -1111,18 +1113,13 @@ pub(crate) fn run_window_loop(
             frames.clear();
             let out_stats =
                 column::write_windows_gpu_batch(&dispatchers[dev], &mut frames, &batch_tables);
-            out_model += out_stats.sim_time;
+            out_sim += out_stats.sim_time;
             output_bytes[sample] += frames.len() as u64;
             if let Err(e) = sink.write_batch(sample, batch_tables, &frames) {
                 sink_error = Some(e);
                 return ControlFlow::Break(());
             }
         }
-        let dt = t0.elapsed().as_secs_f64();
-        out_wall += dt;
-        // Device columns overlap host columns; charge the slower plus the
-        // (dominant) host write of the compressed bytes.
-        out_model += dt * 0.25;
         ControlFlow::Continue(())
     };
 
@@ -1144,12 +1141,15 @@ pub(crate) fn run_window_loop(
         add_times(&mut wall, &rep.wall);
         merge_stats(&mut stats, &rep.stats);
     }
-    wall.read_site = stats.overlap.read.busy;
-    times.read_site = stats.overlap.read.busy;
-    wall.posterior = post_wall;
+    let ov = &stats.overlap;
+    wall.read_site = ov.read.busy;
+    times.read_site = ov.read.busy;
+    wall.posterior = ov.posterior.busy;
     times.posterior = post_model;
-    wall.output = out_wall;
-    times.output = out_model;
+    wall.output = ov.output.busy;
+    // Device columns overlap host columns; charge the slower plus the
+    // (dominant) host write of the compressed bytes.
+    times.output = out_sim + ov.output.busy * 0.25;
     stats.snp_count = tallies.snp.iter().sum();
     stats.arena = arena_pool.stats();
     let ledger = group.ledger();
@@ -1976,6 +1976,26 @@ mod tests {
                 "every device ledger must include its own table upload"
             );
         }
+
+        // More devices than batches: the lanes that score nothing still
+        // report, with zero windows.
+        let devices = out.stats.windows as usize + 2;
+        let out = run(
+            GsnpConfig {
+                num_devices: devices,
+                ..tiny_cfg()
+            },
+            &d,
+        );
+        let o = &out.stats.overlap;
+        assert_eq!(o.devices.len(), devices, "one entry per lane");
+        let idle: Vec<_> = o.devices.iter().filter(|l| l.windows == 0).collect();
+        assert!(idle.len() >= 2, "{o:?}");
+        assert!(idle.iter().all(|l| l.stage.busy == 0.0), "{o:?}");
+        assert_eq!(
+            o.devices.iter().map(|l| l.windows).sum::<u64>(),
+            out.stats.windows
+        );
     }
 
     #[test]
@@ -2608,5 +2628,53 @@ mod tests {
             .expect("the window loop hung on a corrupt chunk")
             .expect("a corrupt chunk must not go unnoticed");
         assert!(message.contains(TEMP_INPUT_DECODES), "{message}");
+    }
+
+    /// `Native` under a trace is refused as an error before the first pass
+    /// reads a byte — single-sample and cohort — and the sink sees nothing.
+    #[test]
+    fn native_under_a_trace_is_an_error_not_a_panic() {
+        use crate::cohort::{CohortCallConfig, CohortPipeline, SampleText};
+        use gpu_sim::{trace::TraceRecorder, BackendError};
+        let d = Dataset::generate(SynthConfig::tiny(91));
+        let text = soap_text(&d.reads);
+        let cfg = GsnpConfig {
+            backend: BackendChoice::Native,
+            ..tiny_cfg()
+        };
+        let traced = Observers {
+            trace: Some(Arc::new(TraceRecorder::new(1 << 10))),
+            ..Default::default()
+        };
+        let refused = |run: Result<(), RunError>, sink: &Collect| {
+            let err = run.expect_err("native under a trace must be refused");
+            assert!(
+                matches!(err, RunError::Backend(BackendError::TraceRequiresSim)),
+                "{err:?}"
+            );
+            assert!(sink.tables.is_empty() && sink.compressed.is_empty());
+        };
+        let mut sink = Collect::default();
+        let run = GsnpPipeline::new(cfg.clone())
+            .observed(traced.clone())
+            .run_text(&text[..], &d.reference, &d.priors, &mut sink);
+        refused(run.map(drop), &sink);
+
+        let mut sink = Collect::default();
+        let samples = vec![SampleText {
+            name: "s0".to_string(),
+            text: &text[..],
+        }];
+        let cohort = CohortCallConfig {
+            base: cfg,
+            ..Default::default()
+        };
+        let run = CohortPipeline::new(cohort).observed(traced).run_text(
+            samples,
+            &d.reference,
+            &d.priors,
+            &mut sink,
+        );
+        refused(run.map(drop), &sink);
     }
 }

@@ -1,11 +1,11 @@
-//! Live run introspection: latency histograms and the heartbeat tracker.
+//! Live run introspection: the window loop's one accumulator.
 //!
-//! The streaming pipeline (see [`crate::pipeline`]) already times every
-//! batch, stage, and queue wait to assemble its end-of-run
-//! [`crate::stream::PipelineTrace`]. This module records those same
-//! durations into fixed-size log-bucketed [`Histogram`]s and a set of
-//! atomic progress counters: the `--progress` stderr heartbeat reads the
-//! counters while the run executes, and the histograms end in
+//! Every stage boundary of the window loop is one `RunEvent`, and
+//! `ProgressTracker::on` is where it is added up: per-stage and per-lane busy / stall seconds, lane windows and
+//! steals, a set of atomic progress counters and fixed-size log-bucketed
+//! [`Histogram`]s. The `--progress` stderr heartbeat reads the counters
+//! while the run executes; at the end, [`ProgressTracker::overlap`] is the
+//! run's [`OverlapStats`] and the histograms end in
 //! [`crate::pipeline::PipelineStats::hists`] — the `--metrics` latency
 //! families, the journal's `run_end` digests and `gsnp profile`'s quantile
 //! table. Kernel launch wall times are not recorded here: each launch
@@ -16,9 +16,10 @@
 //! when the caller did not hand one in via
 //! [`crate::Observers::progress`] — so there is a single recording path
 //! whether or not anything is watching. Recording is a few atomic adds
-//! plus one short mutex-protected fold per *batch* (never per site), and
+//! plus one short mutex-protected fold per *event* (never per site), and
 //! the histograms themselves are fixed arrays, so the steady state stays
-//! allocation-free.
+//! allocation-free. Each stage's and each lane's events come from one
+//! thread, so the tracker adds its `f64`s in the order they happened.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -27,7 +28,7 @@ use gpu_sim::trace::MetricsSnapshot;
 use gpu_sim::{Histogram, HistogramDigest};
 use parking_lot::Mutex;
 
-use crate::stream::{Phase, RunEvent, Stage};
+use crate::stream::{DeviceLaneStats, OverlapStats, Phase, RunEvent, Stage, StageStats};
 
 /// Window-loop stage names, in pipeline order. Indexes into the
 /// `stage_busy` / `stage_stall` arrays of [`LatencyHists`].
@@ -132,23 +133,28 @@ impl LatencyHists {
     }
 }
 
-/// Per-device-lane live counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct LaneCounters {
-    windows: u64,
-    steals: u64,
-    busy_seconds: f64,
-}
-
-/// State behind the tracker's single mutex: per-lane counters and the
-/// latency histograms (minus kernel wall, which the launch tallies hold).
+/// State behind the tracker's single mutex: stage and lane totals, and the
+/// latency histograms (minus kernel wall: the launch tallies hold it).
 #[derive(Debug, Default)]
 struct Live {
-    lanes: Vec<LaneCounters>,
+    /// Totals of the read, posterior and output stages, indexed by
+    /// `STAGE_*`; the device slot stays empty (the lanes hold it).
+    stages: [StageStats; 4],
+    lanes: Vec<DeviceLaneStats>,
     hists: LatencyHists,
 }
 
-/// Atomic heartbeat + latency accumulator for one pipeline run.
+impl Live {
+    /// Lane `i`'s totals, growing the table to reach it.
+    fn lane(&mut self, i: usize) -> &mut DeviceLaneStats {
+        if i >= self.lanes.len() {
+            self.lanes.resize(i + 1, DeviceLaneStats::default());
+        }
+        &mut self.lanes[i]
+    }
+}
+
+/// Atomic heartbeat, stage totals and latency accumulator for one run.
 ///
 /// Cheap to sample from any thread: [`ProgressTracker::progress`] reads
 /// the atomics and takes the lane lock briefly, so the stderr heartbeat
@@ -188,19 +194,21 @@ impl ProgressTracker {
         self.windows_total.store(n, Ordering::Relaxed);
     }
 
-    /// Size the per-lane counter table (one lane per device worker).
+    /// Size the per-lane table (one lane per device worker), so a lane
+    /// that scores nothing still has its entry.
     pub fn begin_lanes(&self, n: usize) {
         let mut live = self.live.lock();
         if live.lanes.len() < n {
-            live.lanes.resize(n, LaneCounters::default());
+            live.lanes.resize(n, DeviceLaneStats::default());
         }
     }
 
     /// Record one stage boundary. A batch advances the heartbeat and its
-    /// lane's counters; the per-window histogram gets one observation per
-    /// window of the evenly-sliced busy time, matching how the trace layer
-    /// emits per-window spans. An interval lands in its stage's busy or
-    /// stall histogram; a lane's wait on the device input queue is also the
+    /// lane's busy time, windows and steals; the per-window histogram gets
+    /// one observation per window of the evenly-sliced busy time, matching
+    /// how the trace layer emits per-window spans. An interval adds to its
+    /// stage's (or lane's) totals and lands in its stage's busy or stall
+    /// histogram; a lane's wait on the device input queue is also the
     /// queue-wait series.
     pub(crate) fn on(&self, ev: &RunEvent) {
         match *ev {
@@ -215,14 +223,11 @@ impl ProgressTracker {
                 self.windows_done.fetch_add(windows, Ordering::Relaxed);
                 self.sites_done.fetch_add(sites, Ordering::Relaxed);
                 let mut live = self.live.lock();
-                if lane >= live.lanes.len() {
-                    live.lanes.resize(lane + 1, LaneCounters::default());
-                }
-                let counters = &mut live.lanes[lane];
-                counters.windows += windows;
-                counters.busy_seconds += dt;
+                let totals = live.lane(lane);
+                totals.windows += windows;
+                totals.stage.busy += dt;
                 if stolen {
-                    counters.steals += windows;
+                    totals.steals += windows;
                 }
                 if windows > 0 {
                     live.hists.window.record_n(dt / windows as f64, windows);
@@ -232,17 +237,23 @@ impl ProgressTracker {
             RunEvent::Interval {
                 stage, phase, dt, ..
             } => {
-                let at = match stage {
-                    Stage::Read => STAGE_READ,
-                    Stage::Lane(_) => STAGE_DEVICE,
-                    Stage::Posterior => STAGE_POSTERIOR,
-                    Stage::Output => STAGE_OUTPUT,
+                let mut live = self.live.lock();
+                let (at, totals) = match stage {
+                    Stage::Read => (STAGE_READ, &mut live.stages[STAGE_READ]),
+                    Stage::Lane(i) => (STAGE_DEVICE, &mut live.lane(i).stage),
+                    Stage::Posterior => (STAGE_POSTERIOR, &mut live.stages[STAGE_POSTERIOR]),
+                    Stage::Output => (STAGE_OUTPUT, &mut live.stages[STAGE_OUTPUT]),
                 };
-                let hists = &mut self.live.lock().hists;
+                match phase {
+                    Phase::StallIn => totals.stall_in += dt,
+                    Phase::Busy => totals.busy += dt,
+                    Phase::StallOut => totals.stall_out += dt,
+                }
+                let hists = &mut live.hists;
                 match phase {
                     Phase::Busy => hists.stage_busy[at].record(dt),
-                    // Hand-off waits downstream of the device are traced,
-                    // not histogrammed.
+                    // Hand-off waits downstream of the device are totalled
+                    // and traced, not histogrammed.
                     Phase::StallOut if at != STAGE_READ => {}
                     Phase::StallIn | Phase::StallOut => {
                         hists.stage_stall[at].record(dt);
@@ -272,6 +283,30 @@ impl ProgressTracker {
         self.live.lock().hists.clone()
     }
 
+    /// The totals so far as the window loop's [`OverlapStats`] at channel
+    /// depth `depth` over `wall` seconds: one [`DeviceLaneStats`] per lane,
+    /// idle lanes included; the device stage is the lanes' sum in lane order.
+    pub fn overlap(&self, depth: usize, wall: f64) -> OverlapStats {
+        let live = self.live.lock();
+        let mut device = StageStats::default();
+        for lane in &live.lanes {
+            device.busy += lane.stage.busy;
+            device.stall_in += lane.stage.stall_in;
+            device.stall_out += lane.stage.stall_out;
+        }
+        let [read, _, posterior, output] = live.stages;
+        let devices = live.lanes.clone();
+        OverlapStats {
+            depth,
+            read,
+            device,
+            devices,
+            posterior,
+            output,
+            wall,
+        }
+    }
+
     /// Sample the heartbeat counters.
     pub fn progress(&self) -> ProgressSnapshot {
         let elapsed = self.elapsed_seconds();
@@ -288,21 +323,7 @@ impl ProgressTracker {
         } else {
             0.0
         };
-        let lanes = {
-            let live = self.live.lock();
-            live.lanes
-                .iter()
-                .map(|l| LaneProgress {
-                    windows: l.windows,
-                    steals: l.steals,
-                    utilization: if elapsed > 0.0 {
-                        (l.busy_seconds / elapsed).min(1.0)
-                    } else {
-                        0.0
-                    },
-                })
-                .collect()
-        };
+        let lanes = self.live.lock().lanes.clone();
         ProgressSnapshot {
             elapsed_seconds: elapsed,
             windows_done,
@@ -314,17 +335,6 @@ impl ProgressTracker {
             lanes,
         }
     }
-}
-
-/// One lane's share of the heartbeat.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneProgress {
-    /// Windows this lane completed.
-    pub windows: u64,
-    /// Windows this lane scored off their round-robin home lane.
-    pub steals: u64,
-    /// Fraction of run wall time the lane spent busy, clamped to 1.
-    pub utilization: f64,
 }
 
 /// A point-in-time sample of the run's heartbeat counters.
@@ -344,8 +354,9 @@ pub struct ProgressSnapshot {
     pub eta_seconds: f64,
     /// True once the run finished.
     pub done: bool,
-    /// Per-device-lane counters.
-    pub lanes: Vec<LaneProgress>,
+    /// Per-device-lane totals so far; the heartbeat shows a lane's busy
+    /// seconds as a share of `elapsed_seconds`, clamped to 1.
+    pub lanes: Vec<DeviceLaneStats>,
 }
 
 impl ProgressSnapshot {
@@ -375,12 +386,11 @@ impl ProgressSnapshot {
                 .iter()
                 .enumerate()
                 .map(|(i, l)| {
-                    format!(
-                        "d{i} {}w/{}st {:.0}%",
-                        l.windows,
-                        l.steals,
-                        l.utilization * 100.0
-                    )
+                    let busy = match self.elapsed_seconds {
+                        e if e > 0.0 => (l.stage.busy / e).min(1.0),
+                        _ => 0.0,
+                    };
+                    format!("d{i} {}w/{}st {:.0}%", l.windows, l.steals, busy * 100.0)
                 })
                 .collect();
             line.push_str(&format!(", lanes [{}]", lanes.join(" ")));

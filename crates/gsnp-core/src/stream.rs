@@ -14,7 +14,9 @@
 //! from one shared queue, ordered reassembly in front of the output body,
 //! every busy/stall clock, and the two sites (`StageClock::record`,
 //! `Lane::score`) where a stage boundary becomes one `RunEvent`, handed to
-//! one `emit` that feeds every attached [`Observers`] sink.
+//! one `emit` that feeds every attached [`Observers`] sink. The clocks keep
+//! no totals: the run's [`ProgressTracker`] adds up every event, and its
+//! [`ProgressTracker::overlap`] is what `run_stages` returns.
 //! Single-sample, sharded and cohort calling all run through it
 //! (`crate::pipeline::run_window_loop` supplies the bodies); depth 1 on one
 //! device runs the same bodies in order on the calling thread.
@@ -25,15 +27,16 @@
 //!   side, which is what keeps the compressed result file byte-identical
 //!   to a serial run (§IV-G).
 //! * [`StageStats`] / [`OverlapStats`] — per-stage busy and stall time,
-//!   from which the achieved pipeline depth is derived.
+//!   from which the achieved pipeline depth is derived: the tracker's
+//!   end-of-run view.
 //! * [`Observers`] — who is watching a run: trace recorder, progress
 //!   tracker, journal. Attached with `GsnpPipeline::observed`.
 //! * [`PipelineTrace`] — the host-side tracks of the tracing subsystem
 //!   ([`Observers::trace`]): one span track per pipeline stage and per
 //!   device lane under a `"pipeline"` process, recording the *same*
-//!   busy/stall durations that land in [`StageStats`], plus steal
-//!   instants. [`verify_overlap_consistency`] cross-checks the two
-//!   accounting systems against each other.
+//!   busy/stall durations the tracker adds into its [`StageStats`], plus
+//!   steal instants. [`verify_overlap_consistency`] cross-checks the trace
+//!   against the tracker's totals.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -192,7 +195,8 @@ pub struct DeviceLaneStats {
     pub steals: u64,
 }
 
-/// Pipeline-overlap accounting for one run of the window loop.
+/// Pipeline-overlap accounting for one run of the window loop: the end-of-
+/// run view of its [`ProgressTracker`] ([`ProgressTracker::overlap`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverlapStats {
     /// Configured channel depth (1 = serial execution).
@@ -237,9 +241,9 @@ impl OverlapStats {
 /// all under a `"pipeline"` process stamped with host wall clock (the
 /// device processes run on their simulated clocks — see
 /// `gpu_sim::trace`). Every span records the **identical** `f64` duration
-/// the stage adds to its [`StageStats`], which is what lets
-/// [`verify_overlap_consistency`] reconcile the two systems to
-/// floating-point regrouping error.
+/// the tracker adds to the stage's [`StageStats`], which is what lets
+/// [`verify_overlap_consistency`] reconcile the two to floating-point
+/// regrouping error.
 ///
 /// Tracks and names are registered at construction; recording is
 /// allocation-free.
@@ -348,7 +352,7 @@ impl PipelineTrace {
 }
 
 /// Absolute tolerance for busy/stall reconciliation. Spans carry the
-/// identical `f64` values the stage accumulators add, so per-track sums in
+/// identical `f64` values the tracker adds, so per-track sums in
 /// record order reproduce the accumulator bit-for-bit; a device lane's
 /// busy interval is sliced into one span per window, and re-summing the
 /// slices is what this bound covers, with orders of magnitude to spare.
@@ -356,9 +360,9 @@ const CONSISTENCY_TOL: f64 = 1e-9;
 
 /// Verify that `OverlapStats` busy/stall totals equal the summed durations
 /// of the corresponding pipeline-trace spans — per stage and per device
-/// lane — and that steal/window counts match. Catches accounting drift
-/// between the two systems (the satellite invariant of the tracing
-/// subsystem). Returns `Ok` vacuously when the ring dropped events, since
+/// lane — and that steal/window counts match. Catches drift between the
+/// trace layer and the tracker's totals (the satellite invariant of the
+/// tracing subsystem). Returns `Ok` vacuously when the ring dropped events, since
 /// span sums are then incomplete by construction.
 pub fn verify_overlap_consistency(
     snap: &TraceSnapshot,
@@ -462,8 +466,8 @@ pub(crate) enum Phase {
 
 /// One stage boundary of the window loop, as every observer receives it.
 /// `ts` is the interval's start on the trace epoch (0 when untraced — only
-/// the trace reads it), `dt` its seconds: the identical `f64` the stage
-/// adds to its [`StageStats`].
+/// the trace reads it), `dt` its seconds: the identical `f64` the tracker
+/// adds to the stage's [`StageStats`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RunEvent {
     /// A stall, or a busy interval of a stage other than a device lane.
@@ -526,16 +530,11 @@ impl Attached<'_> {
 struct StageClock<'a> {
     obs: &'a Attached<'a>,
     stage: Stage,
-    stats: StageStats,
 }
 
 impl<'a> StageClock<'a> {
     fn new(obs: &'a Attached<'a>, stage: Stage) -> Self {
-        StageClock {
-            obs,
-            stage,
-            stats: StageStats::default(),
-        }
+        StageClock { obs, stage }
     }
 
     /// Run `f`; returns its result, the interval's start on the trace
@@ -548,7 +547,7 @@ impl<'a> StageClock<'a> {
     }
 
     /// Time `f` as one `phase` interval of this stage and report it.
-    fn run<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+    fn run<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         let (r, ts, dt) = self.time(f);
         self.record(phase, ts, dt);
         r
@@ -556,22 +555,16 @@ impl<'a> StageClock<'a> {
 
     /// Block on the upstream channel, reporting the wait as a stall — or
     /// `None`, unreported, once upstream has disconnected and drained.
-    fn recv<M>(&mut self, rx: &Receiver<M>) -> Option<M> {
+    fn recv<M>(&self, rx: &Receiver<M>) -> Option<M> {
         let (msg, ts, dt) = self.time(|| rx.recv());
         let msg = msg.ok()?;
         self.record(Phase::StallIn, ts, dt);
         Some(msg)
     }
 
-    /// Where an interval reaches this stage's [`StageStats`] and, as one
-    /// event, the observers. (A lane's busy interval also needs the batch
-    /// it covered: [`Lane::score`].)
-    fn record(&mut self, phase: Phase, ts: f64, dt: f64) {
-        match phase {
-            Phase::StallIn => self.stats.stall_in += dt,
-            Phase::Busy => self.stats.busy += dt,
-            Phase::StallOut => self.stats.stall_out += dt,
-        }
+    /// Where an interval reaches the observers, as one event. (A lane's
+    /// busy interval also needs the batch it covered: [`Lane::score`].)
+    fn record(&self, phase: Phase, ts: f64, dt: f64) {
         self.obs.emit(&RunEvent::Interval {
             stage: self.stage,
             phase,
@@ -591,34 +584,27 @@ struct Ticket<T> {
     batch: Vec<T>,
 }
 
-/// One device worker's clock and counters.
+/// One device worker's clock.
 struct Lane<'a> {
     clk: StageClock<'a>,
     id: usize,
     num_lanes: usize,
-    windows: u64,
-    steals: u64,
 }
 
 impl Lane<'_> {
-    /// Run the device body on one batch and report the busy interval, to
-    /// the lane's own counters and as one event.
+    /// Run the device body on one batch and report the busy interval as
+    /// one event.
     fn score<T, S>(
-        &mut self,
+        &self,
         ticket: Ticket<T>,
         body: &mut impl FnMut(Vec<T>) -> (S, u64),
     ) -> (usize, S) {
         let Ticket { idx, first, batch } = ticket;
         let windows = batch.len() as u64;
         let ((scored, sites), ts, dt) = self.clk.time(|| body(batch));
-        self.clk.stats.busy += dt;
-        self.windows += windows;
         // Batch `idx` is homed on lane `idx % N`; the shared queue hands it
         // to whichever worker frees up first.
         let stolen = idx % self.num_lanes != self.id;
-        if stolen {
-            self.steals += windows;
-        }
         self.clk.obs.emit(&RunEvent::Batch {
             lane: self.id,
             idx,
@@ -630,14 +616,6 @@ impl Lane<'_> {
             dt,
         });
         (idx, scored)
-    }
-
-    fn finish(self) -> DeviceLaneStats {
-        DeviceLaneStats {
-            stage: self.clk.stats,
-            windows: self.windows,
-            steals: self.steals,
-        }
     }
 }
 
@@ -670,7 +648,7 @@ fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
 /// `depth`. At `depth ≤ 1` with one device the same four bodies run in
 /// order on the calling thread: the non-overlapped baseline, every stall
 /// exactly 0. A panic in any body surfaces as a panic from this call —
-/// never a hang.
+/// never a hang. Returns the run tracker's [`ProgressTracker::overlap`].
 pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     depth: usize,
     observers: &Observers,
@@ -683,6 +661,7 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     let num_lanes = device.len();
     assert!(num_lanes >= 1, "window loop needs at least one device");
     let tracker = observers.tracker();
+    tracker.begin_lanes(num_lanes);
     // Track registration and name interning happen here, before the first
     // window.
     let obs = &Attached {
@@ -695,9 +674,9 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     };
     let loop_start = Instant::now();
 
-    let mut read = StageClock::new(obs, Stage::Read);
-    let mut post = StageClock::new(obs, Stage::Posterior);
-    let mut out = StageClock::new(obs, Stage::Output);
+    let read = StageClock::new(obs, Stage::Read);
+    let post = StageClock::new(obs, Stage::Posterior);
+    let out = StageClock::new(obs, Stage::Output);
     let mut lanes: Vec<_> = device
         .into_iter()
         .enumerate()
@@ -706,14 +685,12 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
                 clk: StageClock::new(obs, Stage::Lane(id)),
                 id,
                 num_lanes,
-                windows: 0,
-                steals: 0,
             };
             (lane, body)
         })
         .collect();
     let (mut idx, mut first) = (0usize, 0u64);
-    let mut next_ticket = move |read: &mut StageClock<'_>| {
+    let mut next_ticket = move |read: &StageClock<'_>| {
         let batch = read.run(Phase::Busy, &mut produce)?;
         debug_assert!(!batch.is_empty(), "producer sent an empty batch");
         let ticket = Ticket { idx, first, batch };
@@ -722,17 +699,15 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
         Some(ticket)
     };
 
-    let (read, lanes, post, out) = if depth == 1 && num_lanes == 1 {
+    if depth == 1 && num_lanes == 1 {
         let (lane, body) = &mut lanes[0];
-        while let Some(ticket) = next_ticket(&mut read) {
+        while let Some(ticket) = next_ticket(&read) {
             let (_, scored) = lane.score(ticket, body);
             let called = post.run(Phase::Busy, || posterior(scored));
             if out.run(Phase::Busy, || output(called)).is_break() {
                 break;
             }
         }
-        let lanes: Vec<Lane<'_>> = lanes.into_iter().map(|(lane, _)| lane).collect();
-        (read, lanes, post, out)
     } else {
         std::thread::scope(|s| {
             // The channels are locals of this closure and every receiver
@@ -745,16 +720,15 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
             let (call_tx, call_rx) = bounded::<(usize, C)>(depth);
 
             let producer = s.spawn(move || {
-                while let Some(ticket) = next_ticket(&mut read) {
+                while let Some(ticket) = next_ticket(&read) {
                     if read.run(Phase::StallOut, || win_tx.send(ticket)).is_err() {
                         break; // downstream died; its panic surfaces at join
                     }
                 }
-                read
             });
             let workers: Vec<_> = lanes
                 .into_iter()
-                .map(|(mut lane, mut body)| {
+                .map(|(lane, mut body)| {
                     let (win_rx, score_tx) = (win_rx.clone(), score_tx.clone());
                     s.spawn(move || {
                         while let Some(ticket) = lane.clk.recv(&win_rx) {
@@ -764,7 +738,6 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
                                 break;
                             }
                         }
-                        lane
                     })
                 })
                 .collect();
@@ -778,7 +751,6 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
                         break;
                     }
                 }
-                post
             });
 
             // Output stage, on this thread. In-order arrivals (the common
@@ -806,32 +778,17 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
             drop(call_rx);
             // Join before checking for gaps: a stage that panicked left one,
             // and its own panic is the one to surface.
-            let lanes: Vec<Lane<'_>> = workers.into_iter().map(join_stage).collect();
-            let (read, post) = (join_stage(producer), join_stage(posterior_stage));
+            workers.into_iter().for_each(join_stage);
+            join_stage(producer);
+            join_stage(posterior_stage);
             assert!(
                 flow.is_break() || reasm.is_drained(),
                 "window loop lost a batch"
             );
-            (read, lanes, post, out)
-        })
-    };
-
-    let lanes: Vec<DeviceLaneStats> = lanes.into_iter().map(Lane::finish).collect();
-    let mut device_stage = StageStats::default();
-    for lane in &lanes {
-        device_stage.busy += lane.stage.busy;
-        device_stage.stall_in += lane.stage.stall_in;
-        device_stage.stall_out += lane.stage.stall_out;
+        });
     }
-    let overlap = OverlapStats {
-        depth,
-        read: read.stats,
-        device: device_stage,
-        devices: lanes,
-        posterior: post.stats,
-        output: out.stats,
-        wall: loop_start.elapsed().as_secs_f64(),
-    };
+
+    let overlap = tracker.overlap(depth, loop_start.elapsed().as_secs_f64());
     // Debug builds of a traced run re-derive every busy/stall total from
     // the recorded spans and panic on divergence.
     #[cfg(debug_assertions)]
@@ -989,6 +946,12 @@ mod tests {
     fn consistency_verifier_accepts_matching_accounting() {
         let rec = Arc::new(TraceRecorder::new(256));
         let pt = PipelineTrace::new(&rec, 2);
+        // The run's one accumulator receives every event the trace does.
+        let tracker = ProgressTracker::new();
+        let feed = |ev: RunEvent| {
+            tracker.on(&ev);
+            pt.on(&ev);
+        };
         use Phase::{Busy, StallIn, StallOut};
         use Stage::{Output, Posterior, Read};
         for (stage, phase, ts, dt) in [
@@ -1001,11 +964,11 @@ mod tests {
             (Output, Busy, 3.0, 0.5),
             (Output, StallIn, 0.0, 3.0),
         ] {
-            pt.on(&interval(stage, phase, ts, dt));
+            feed(interval(stage, phase, ts, dt));
         }
         // One window each; lane 1 scored window 1 off its home lane.
         for (lane, stolen, ts, dt) in [(0, false, 0.1, 2.0), (1, true, 0.0, 1.0)] {
-            pt.on(&RunEvent::Batch {
+            feed(RunEvent::Batch {
                 lane,
                 idx: lane,
                 first: lane as u64,
@@ -1060,7 +1023,10 @@ mod tests {
             },
             wall: 3.5,
         };
-        pt.verify(&overlap)
+        // The tracker's view is exactly these totals, and the trace
+        // reconciles with it.
+        assert_eq!(tracker.overlap(2, 3.5), overlap);
+        pt.verify(&tracker.overlap(2, 3.5))
             .expect("matching accounting must verify");
 
         // Drift in any lane total must be caught.

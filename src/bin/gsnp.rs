@@ -589,20 +589,15 @@ fn trace_recorder(
     if flag_value(args, "--trace").is_none() {
         return Ok(None);
     }
-    match backend {
-        BackendChoice::Native => {
-            return Err(
-                "--backend native cannot trace (kernel counters are sim-only); \
-                 use --backend sim or auto"
-                    .into(),
-            )
-        }
-        BackendChoice::Auto if !quiet_flag(args) => eprintln!(
+    backend
+        .check(true)
+        .map_err(|e| format!("--backend {}: {e}", backend.name()))?;
+    if backend == BackendChoice::Auto && !quiet_flag(args) {
+        eprintln!(
             "gsnp: --trace with --backend auto routes every launch to the simulator, \
              the output stage's RLE-DICT chain included (kernel trace spans carry \
              sim-only counters); expect --backend sim wall time"
-        ),
-        _ => {}
+        );
     }
     Ok(Some(Arc::new(TraceRecorder::new(
         gsnp::gpu_sim::trace::DEFAULT_CAPACITY,
@@ -649,6 +644,7 @@ fn cmd_call(args: &[String]) -> CliResult {
             .map_err(|e| match e {
                 RunError::Alignments(e) => format!("{aln}: {}", e.error),
                 RunError::Sink(e) => e.to_string(),
+                RunError::Backend(e) => e.to_string(),
             })?
     };
     sink.commit()?;
@@ -772,6 +768,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
                 format!("{}: {}", entries[e.sample].1.display(), e.error)
             }
             RunError::Sink(e) => e.to_string(),
+            RunError::Backend(e) => e.to_string(),
         })?;
         sink.commit()?;
         Ok(result)
@@ -1036,7 +1033,7 @@ fn print_profile(
         for tally in &stats.kernel_launches {
             launches += tally.launches;
             overhead += tally.overhead_seconds;
-            wall += tally.wall_seconds;
+            wall += tally.wall_hist.sum();
             writeln!(
                 out,
                 "  {:<24} {:>8} {:>14.6} {:>14.6} {:>10.4}",
@@ -1044,7 +1041,7 @@ fn print_profile(
                 tally.launches,
                 tally.launches as f64 / sites,
                 tally.overhead_seconds,
-                tally.wall_seconds
+                tally.wall_hist.sum()
             )?;
         }
         writeln!(
