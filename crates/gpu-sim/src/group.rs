@@ -100,13 +100,6 @@ impl DeviceGroup {
         &self.devices
     }
 
-    /// Enable or disable buffer-pool recycling on every member.
-    pub fn set_pool_enabled(&self, enabled: bool) {
-        for d in &self.devices {
-            d.pool().set_enabled(enabled);
-        }
-    }
-
     /// Reset every member's ledger (pool traffic counters included).
     pub fn reset_ledgers(&self) {
         for d in &self.devices {

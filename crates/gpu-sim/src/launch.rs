@@ -481,11 +481,6 @@ impl Device {
         }
     }
 
-    /// The device's buffer pool (enable/disable recycling, read stats).
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
     /// Emit a pool hit/miss instant plus an occupancy counter sample when
     /// a trace is attached (free otherwise: two atomic loads at most).
     fn trace_pool_event(&self, hit: bool) {
@@ -505,7 +500,7 @@ impl Device {
     /// identical to [`Device::alloc`]; steady state reuses parked cells
     /// instead of touching the host allocator.
     pub fn alloc_pooled<T: DeviceScalar>(&self, len: usize) -> PooledBuffer<T> {
-        let (mut buf, hit) = self.pool.acquire_observed(len, true);
+        let (mut buf, hit) = self.pool.acquire(len, true);
         self.trace_pool_event(hit);
         self.attach_shadow(buf.global_mut(), false);
         buf
@@ -518,7 +513,7 @@ impl Device {
     /// recycled — so any read-before-write is reported, not just the ones a
     /// dirty previous tenant happens to expose.
     pub fn alloc_pooled_dirty<T: DeviceScalar>(&self, len: usize) -> PooledBuffer<T> {
-        let (mut buf, hit) = self.pool.acquire_observed(len, false);
+        let (mut buf, hit) = self.pool.acquire(len, false);
         self.trace_pool_event(hit);
         self.attach_shadow(buf.global_mut(), true);
         buf
@@ -536,7 +531,7 @@ impl Device {
     /// [`Device::upload`]); every element is overwritten so no zeroing
     /// sweep is needed.
     pub fn upload_pooled<T: DeviceScalar>(&self, data: &[T]) -> PooledBuffer<T> {
-        let (mut buf, hit) = self.pool.acquire_observed::<T>(data.len(), false);
+        let (mut buf, hit) = self.pool.acquire::<T>(data.len(), false);
         self.trace_pool_event(hit);
         // Attach poisoned, then let the upload define every word — the
         // same path a kernel write takes, keeping the shadow truthful.

@@ -12,14 +12,9 @@
 //! them at its own scalar's width, so a `u32` word buffer from window *k*
 //! can serve as an `f64` likelihood buffer of half the elements in window
 //! *k*+1.
-//!
-//! The pool can be disabled, in which case every acquire allocates fresh
-//! and every release drops — the "fresh path" that the recycling path must
-//! stay byte-identical to (and the baseline the pool's hit/miss counters
-//! are measured against).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -43,6 +38,7 @@ pub struct PoolStats {
 }
 
 /// Size-classed free lists of recycled device buffers.
+#[derive(Default)]
 pub struct BufferPool {
     /// Parked buffers with arbitrary previous-tenant contents.
     classes: Mutex<HashMap<usize, Vec<RawCells>>>,
@@ -51,48 +47,13 @@ pub struct BufferPool {
     /// e.g. `likelihood_comp`'s dep_count reset, §IV-B). Serving a zeroed
     /// acquire from this list skips the zeroing sweep entirely.
     zero_classes: Mutex<HashMap<usize, Vec<RawCells>>>,
-    enabled: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
     outstanding: AtomicU64,
     high_water: AtomicU64,
 }
 
-impl Default for BufferPool {
-    fn default() -> Self {
-        Self::new(true)
-    }
-}
-
 impl BufferPool {
-    /// Create a pool; `enabled = false` gives the fresh-allocation baseline.
-    pub fn new(enabled: bool) -> Self {
-        BufferPool {
-            classes: Mutex::new(HashMap::new()),
-            zero_classes: Mutex::new(HashMap::new()),
-            enabled: AtomicBool::new(enabled),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            outstanding: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-        }
-    }
-
-    /// Turn recycling on or off. Disabling also drains parked buffers so a
-    /// subsequent "fresh" measurement is not served stale capacity.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            self.classes.lock().clear();
-            self.zero_classes.lock().clear();
-        }
-    }
-
-    /// Whether recycling is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Size class (in backing words) for `len` elements of `T`.
     fn class_of<T: DeviceScalar>(len: usize) -> usize {
         words_for::<T>(len).max(1).next_power_of_two()
@@ -106,14 +67,11 @@ impl BufferPool {
     /// kernels that store before loading — pass `false` and skip the sweep.
     /// Freshly allocated cells are always zeroed either way, so the two
     /// paths are indistinguishable to a correct kernel.
-    pub fn acquire<T: DeviceScalar>(self: &Arc<Self>, len: usize, zero: bool) -> PooledBuffer<T> {
-        self.acquire_observed(len, zero).0
-    }
-
-    /// [`BufferPool::acquire`], additionally reporting whether the request
-    /// was a recycling hit (`true`) or allocated fresh cells (`false`).
-    /// [`crate::Device`] uses this to emit pool hit/miss trace events.
-    pub fn acquire_observed<T: DeviceScalar>(
+    ///
+    /// The returned flag is `true` for a recycling hit and `false` when the
+    /// request allocated fresh cells; [`crate::Device`] turns it into pool
+    /// hit/miss trace events.
+    pub fn acquire<T: DeviceScalar>(
         self: &Arc<Self>,
         len: usize,
         zero: bool,
@@ -122,23 +80,19 @@ impl BufferPool {
         // A zeroed request prefers the known-zero list (no sweep); a dirty
         // request prefers the dirty list, falling back to zeroed cells
         // (which are also fine to overwrite).
-        let recycled = if self.enabled() {
-            let (first, second) = if zero {
-                (&self.zero_classes, &self.classes)
-            } else {
-                (&self.classes, &self.zero_classes)
-            };
-            let first_hit = first.lock().get_mut(&class).and_then(Vec::pop);
-            match first_hit {
-                Some(cells) => Some((cells, zero)),
-                None => second
-                    .lock()
-                    .get_mut(&class)
-                    .and_then(Vec::pop)
-                    .map(|cells| (cells, !zero)),
-            }
+        let (first, second) = if zero {
+            (&self.zero_classes, &self.classes)
         } else {
-            None
+            (&self.classes, &self.zero_classes)
+        };
+        let first_hit = first.lock().get_mut(&class).and_then(Vec::pop);
+        let recycled = match first_hit {
+            Some(cells) => Some((cells, zero)),
+            None => second
+                .lock()
+                .get_mut(&class)
+                .and_then(Vec::pop)
+                .map(|cells| (cells, !zero)),
         };
         let recycled_hit = recycled.is_some();
         // Whether every cell of the backing capacity is zero right now —
@@ -184,9 +138,6 @@ impl BufferPool {
     fn release(&self, cells: RawCells, zeroed: bool) {
         let bytes = (cells.len() * 8) as u64;
         self.outstanding.fetch_sub(bytes, Ordering::Relaxed);
-        if !self.enabled() {
-            return;
-        }
         let class = cells.len();
         let mut classes = if zeroed {
             self.zero_classes.lock()
@@ -276,28 +227,28 @@ impl<T: DeviceScalar> Drop for PooledBuffer<T> {
 mod tests {
     use super::*;
 
-    fn pool(enabled: bool) -> Arc<BufferPool> {
-        Arc::new(BufferPool::new(enabled))
+    fn pool() -> Arc<BufferPool> {
+        Arc::default()
     }
 
     #[test]
     fn acquire_is_zeroed_like_alloc() {
-        let p = pool(true);
+        let p = pool();
         {
-            let b = p.acquire::<u32>(10, true);
+            let b = p.acquire::<u32>(10, true).0;
             for i in 0..10 {
                 b.set(i, 7);
             }
         }
-        let b = p.acquire::<u32>(10, true);
+        let b = p.acquire::<u32>(10, true).0;
         assert_eq!(b.to_vec(), vec![0; 10], "recycled buffer must be clean");
     }
 
     #[test]
     fn recycle_hits_after_release() {
-        let p = pool(true);
-        drop(p.acquire::<u32>(200, true));
-        drop(p.acquire::<f64>(100, true)); // same bytes, different scalar
+        let p = pool();
+        drop(p.acquire::<u32>(200, true).0);
+        drop(p.acquire::<f64>(100, true).0); // same bytes, different scalar
         let s = p.stats();
         assert_eq!(s.hits, 1, "second acquire must reuse the first's cells");
         assert_eq!(s.misses, 1);
@@ -306,49 +257,39 @@ mod tests {
 
     #[test]
     fn classes_count_bytes_not_elements() {
-        let p = pool(true);
+        let p = pool();
         // 128 `f64`s and 200 `u32`s (100 words) share the 128-word class.
-        drop(p.acquire::<f64>(128, false));
-        let w = p.acquire::<u32>(200, false);
+        drop(p.acquire::<f64>(128, false).0);
+        let w = p.acquire::<u32>(200, false).0;
         assert_eq!((p.stats().hits, w.capacity()), (1, 256));
         drop(w);
         // 256 `f64`s are 256 words: another class.
-        drop(p.acquire::<f64>(256, false));
+        drop(p.acquire::<f64>(256, false).0);
         assert_eq!((p.stats().hits, p.stats().misses), (1, 2));
     }
 
     #[test]
     fn zeroed_acquire_of_a_dirty_buffer_of_another_width_reads_zero() {
-        let p = pool(true);
+        let p = pool();
         {
-            let b = p.acquire::<u8>(1024, false);
+            let b = p.acquire::<u8>(1024, false).0;
             (0..1024).for_each(|i| b.set(i, 0xFF));
         }
-        let wide = p.acquire::<f64>(128, true);
+        let wide = p.acquire::<f64>(128, true).0;
         assert_eq!(p.stats().hits, 1);
         assert!(wide.to_vec().iter().all(|v| v.to_bits() == 0));
         (0..128).for_each(|i| wide.set(i, f64::NAN));
         drop(wide);
-        let narrow = p.acquire::<u16>(512, true);
+        let narrow = p.acquire::<u16>(512, true).0;
         assert_eq!(p.stats().hits, 2);
         assert_eq!(narrow.to_vec(), vec![0; 512]);
     }
 
     #[test]
-    fn disabled_pool_always_misses() {
-        let p = pool(false);
-        drop(p.acquire::<u32>(64, true));
-        drop(p.acquire::<u32>(64, true));
-        let s = p.stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 2);
-    }
-
-    #[test]
     fn size_classes_round_up_to_pow2() {
-        let p = pool(true);
-        drop(p.acquire::<u32>(100, true)); // class 128
-        let b = p.acquire::<u32>(120, true); // also class 128 -> hit
+        let p = pool();
+        drop(p.acquire::<u32>(100, true).0); // class 128
+        let b = p.acquire::<u32>(120, true).0; // also class 128 -> hit
         assert_eq!(b.capacity(), 128);
         assert_eq!(b.len(), 120);
         assert_eq!(p.stats().hits, 1);
@@ -356,9 +297,9 @@ mod tests {
 
     #[test]
     fn high_water_tracks_peak_outstanding() {
-        let p = pool(true);
-        let a = p.acquire::<u64>(128, true); // 1 KiB raw
-        let b = p.acquire::<u64>(128, true);
+        let p = pool();
+        let a = p.acquire::<u64>(128, true).0; // 1 KiB raw
+        let b = p.acquire::<u64>(128, true).0;
         drop(a);
         drop(b);
         let s = p.stats();
@@ -368,17 +309,8 @@ mod tests {
 
     #[test]
     fn dirty_acquire_skips_zeroing_but_fresh_is_zero() {
-        let p = pool(true);
-        let b = p.acquire::<u32>(8, false);
+        let p = pool();
+        let b = p.acquire::<u32>(8, false).0;
         assert_eq!(b.to_vec(), vec![0; 8], "fresh cells are zero regardless");
-    }
-
-    #[test]
-    fn disabling_drains_parked_buffers() {
-        let p = pool(true);
-        drop(p.acquire::<u32>(32, true));
-        p.set_enabled(false);
-        drop(p.acquire::<u32>(32, true));
-        assert_eq!(p.stats().hits, 0);
     }
 }

@@ -14,7 +14,7 @@
 //! window — its rows (pinned by `tests/alloc_steady_state.rs`). The pool
 //! also keeps the books: what its arenas hold, and the high-water mark.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use seqio::result::SnpRow;
@@ -90,13 +90,10 @@ pub struct ArenaPoolStats {
 
 /// A free list of [`WindowArena`]s shared between pipeline stages: the
 /// producer checks arenas out, the posterior stage checks them back in
-/// once `rows` have been extracted. Disabled, every checkout is a fresh
-/// allocation and every check-in a drop — the baseline the pooled path
-/// is proven byte-identical against.
+/// once `rows` have been extracted.
 #[derive(Debug)]
 pub struct ArenaPool {
     parked: Mutex<Vec<WindowArena>>,
-    enabled: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Bytes on the books: what every live arena held when last seen.
@@ -105,11 +102,10 @@ pub struct ArenaPool {
 }
 
 impl ArenaPool {
-    /// A new pool, pooling iff `enabled`.
-    pub fn new(enabled: bool) -> Arc<ArenaPool> {
+    /// A new, empty pool.
+    pub fn new() -> Arc<ArenaPool> {
         Arc::new(ArenaPool {
             parked: Mutex::new(Vec::new()),
-            enabled: AtomicBool::new(enabled),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             held: AtomicU64::new(0),
@@ -128,23 +124,20 @@ impl ArenaPool {
         }
     }
 
-    /// Return an arena for reuse (dropped when the pool is disabled or
-    /// already holds `MAX_PARKED`), booking what it grew by since it was
-    /// last seen.
+    /// Return an arena for reuse (dropped when the pool already holds
+    /// `MAX_PARKED`), booking what it grew by since it was last seen.
     pub fn checkin(&self, mut arena: WindowArena) {
         let bytes = arena.capacity_bytes();
         let grown = bytes.saturating_sub(arena.booked);
         arena.booked = bytes;
         let held = self.held.fetch_add(grown, Ordering::Relaxed) + grown;
         self.high_water.fetch_max(held, Ordering::Relaxed);
-        if self.enabled.load(Ordering::Relaxed) {
-            let mut parked = self.parked.lock().expect("arena pool poisoned");
-            if parked.len() < MAX_PARKED {
-                parked.push(arena);
-                return;
-            }
+        let mut parked = self.parked.lock().expect("arena pool poisoned");
+        if parked.len() < MAX_PARKED {
+            parked.push(arena);
+        } else {
+            self.held.fetch_sub(bytes, Ordering::Relaxed);
         }
-        self.held.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Checkout hit/miss counts so far.
@@ -163,7 +156,7 @@ mod tests {
 
     #[test]
     fn checkout_recycles_after_checkin() {
-        let pool = ArenaPool::new(true);
+        let pool = ArenaPool::new();
         let mut a = pool.checkout();
         a.sw.words.reserve(100);
         let cap = a.sw.words.capacity();
@@ -176,23 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_always_allocates_fresh() {
-        let pool = ArenaPool::new(false);
-        let mut a = pool.checkout();
-        a.type_likely.reserve(50);
-        pool.checkin(a);
-        let b = pool.checkout();
-        assert_eq!(b.type_likely.capacity(), 0);
-        let stats = pool.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 2));
-        // Seen once, while it was alive, then dropped from the books.
-        assert!(stats.high_water_bytes >= 50 * 80, "{stats:?}");
-        assert_eq!(pool.held.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn parked_arenas_are_capped() {
-        let pool = ArenaPool::new(true);
+        let pool = ArenaPool::new();
         let arenas: Vec<WindowArena> = (0..MAX_PARKED + 4).map(|_| pool.checkout()).collect();
         for a in arenas {
             pool.checkin(a);
@@ -206,7 +184,7 @@ mod tests {
 
     #[test]
     fn the_books_follow_every_arena_s_growth_and_keep_the_high_water() {
-        let pool = ArenaPool::new(true);
+        let pool = ArenaPool::new();
         let (mut a, mut b) = (pool.checkout(), pool.checkout());
         a.type_likely.reserve_exact(10);
         b.sw.words.reserve_exact(100);

@@ -193,8 +193,6 @@ pub struct PipelineStats {
 pub struct GsnpConfig {
     /// Sites per window (the paper's default: 256,000).
     pub window_size: usize,
-    /// Simulated device.
-    pub device: DeviceConfig,
     /// Bayesian model parameters.
     pub params: ModelParams,
     /// Which `likelihood_comp` kernel to run (GSNP uses `Optimized`).
@@ -222,12 +220,6 @@ pub struct GsnpConfig {
     /// byte-identical at every `(pipeline_depth, num_devices)`
     /// (`tests/shard_parity.rs`).
     pub num_devices: usize,
-    /// Recycle window buffers: device allocations come from the
-    /// [`gpu_sim::BufferPool`] and host buffers from an [`ArenaPool`], so
-    /// the steady-state window loop allocates nothing. Disabling reverts
-    /// to fresh allocations every window (the baseline pooled runs are
-    /// proven byte-identical against).
-    pub pooled: bool,
     /// Run the device under the full dynamic-checker suite
     /// ([`gpu_sim::SanitizerConfig::all`]): racecheck, initcheck,
     /// boundscheck and leakcheck on every kernel. Slower; results and
@@ -262,13 +254,11 @@ impl Default for GsnpConfig {
     fn default() -> Self {
         GsnpConfig {
             window_size: 256_000,
-            device: DeviceConfig::tesla_m2050(),
             params: ModelParams::default(),
             variant: KernelVariant::Optimized,
             pipeline_depth: 2,
             launch_batch: 0,
             num_devices: 1,
-            pooled: true,
             sanitize: false,
             contracts: false,
             backend: BackendChoice::Sim,
@@ -289,20 +279,19 @@ impl GsnpConfig {
     }
 
     /// The `config` object of a journal's `run_start` event: every field
-    /// of this struct (a device and a model by name, pre-calibrated tables
-    /// by presence) plus the effective launch batch — what a reader needs
-    /// to run the same computation again. Destructures `self`, so a new
-    /// field does not compile until it is listed.
+    /// of this struct (the model by its parameters, pre-calibrated tables
+    /// by presence) plus the effective launch batch and the simulated
+    /// device's name — what a reader needs to run the same computation
+    /// again. Destructures `self`, so a new field does not compile until
+    /// it is listed.
     pub fn manifest_json(&self) -> String {
         let GsnpConfig {
             window_size,
-            device,
             params,
             variant,
             pipeline_depth,
             launch_batch,
             num_devices,
-            pooled,
             sanitize,
             contracts,
             backend,
@@ -313,13 +302,13 @@ impl GsnpConfig {
              \"launch_batch\":{launch_batch},\"launch_batch_effective\":{},\
              \"pipeline_depth\":{pipeline_depth},\"backend\":\"{}\",\
              \"contracts\":{contracts},\"sanitize\":{sanitize},\
-             \"variant\":\"{}\",\"pooled\":{pooled},\
+             \"variant\":\"{}\",\
              \"device\":\"{}\",\"het_rate\":{},\"hom_rate\":{},\"titv_ratio\":{},\
              \"pseudocount\":{},\"expected_depth\":{},\"shared_tables\":{}}}",
             self.launch_batch_size(),
             backend.name(),
             variant.label(),
-            crate::journal::json_escape(device.name),
+            crate::journal::json_escape(DeviceConfig::default().name),
             params.het_rate,
             params.hom_rate,
             params.titv_ratio,
@@ -907,7 +896,7 @@ pub(crate) fn run_window_loop(
         progress: Some(Arc::clone(&tracker)),
         ..observers.clone()
     };
-    let mut group = DeviceGroup::new(cfg.device.clone(), cfg.num_devices);
+    let mut group = DeviceGroup::new(DeviceConfig::default(), cfg.num_devices);
     if cfg.sanitize {
         group = group.with_sanitizer(gpu_sim::SanitizerConfig::all());
     }
@@ -917,7 +906,6 @@ pub(crate) fn run_window_loop(
     if let Some(rec) = &observers.trace {
         group = group.with_trace(rec);
     }
-    group.set_pool_enabled(cfg.pooled);
     let group = &group;
     let ref_len = reference.len() as u64;
     tracker.set_total_windows(ref_len.div_ceil(cfg.window_size.max(1) as u64) * num_samples as u64);
@@ -949,7 +937,7 @@ pub(crate) fn run_window_loop(
     // Each device's copy travels its own PCIe link, so the group pays
     // one upload of modelled latency regardless of its size.
     stats.table_bytes = tables[0].upload_bytes();
-    times.cal_p = wall.cal_p + stats.table_bytes as f64 / cfg.device.pcie_bw;
+    times.cal_p = wall.cal_p + stats.table_bytes as f64 / group.device(0).config().pcie_bw;
     stats.temp_input_bytes = first.inputs.iter().map(TempInput::packed_bytes).sum();
     stats.peak_host_bytes += stats.temp_input_bytes;
     // The tables' high water is here: the calibrated image and the device
@@ -964,7 +952,7 @@ pub(crate) fn run_window_loop(
     stats.first_pass_slab_bytes = first.slab_bytes;
 
     let batch_size = cfg.launch_batch_size();
-    let arena_pool = ArenaPool::new(cfg.pooled);
+    let arena_pool = ArenaPool::new();
     let arena_pool: &ArenaPool = &arena_pool;
 
     // ---- read_site: N lockstep readers over the shared window grid ----
@@ -1026,7 +1014,6 @@ pub(crate) fn run_window_loop(
                     calls,
                     cfg.variant,
                     device_table_bytes,
-                    cfg.device.coalesced_bw,
                     &mut arenas,
                     &mut scratch,
                     &mut rep.times,
@@ -1283,7 +1270,6 @@ fn run_device_batch<B: ComputeBackend>(
     calls: &SiteCaller<'_>,
     variant: KernelVariant,
     device_table_bytes: u64,
-    coalesced_bw: f64,
     batch: &mut [WindowArena],
     scratch: &mut BatchScratch,
     times: &mut ComponentTimes,
@@ -1392,7 +1378,7 @@ fn run_device_batch<B: ComputeBackend>(
     let word_bytes = scratch.words.len() as u64 * 4;
     drop(words); // device words park in the buffer pool
     wall.recycle += t0.elapsed().as_secs_f64();
-    times.recycle += word_bytes as f64 / coalesced_bw;
+    times.recycle += word_bytes as f64 / dev.config().coalesced_bw;
 
     tl_bytes
 }
@@ -1475,8 +1461,8 @@ pub struct GsnpCpuPipeline {
 }
 
 impl GsnpCpuPipeline {
-    /// Create a CPU pipeline (the `device` and `variant` fields of the
-    /// config are ignored).
+    /// Create a CPU pipeline. It reads the config's `window_size`,
+    /// `params` and `shared_tables` only.
     pub fn new(config: GsnpConfig) -> Self {
         GsnpCpuPipeline { config }
     }

@@ -286,13 +286,16 @@ const STATS_FLAGS: &Flags = &[("--format", true)];
 /// `decode`, `report`, `validate-trace`.
 const NO_FLAGS: &Flags = &[];
 
-/// The positional arguments of `gsnp <cmd>`. Run first by every
-/// subcommand, because it is also the check that every `--word` is one of
-/// the subcommand's `flags` and that a value flag is followed by a value:
-/// a misspelt flag must not run the default computation under its name.
+/// The positional arguments of `gsnp <cmd>`, at most `max` of them. Run
+/// first by every subcommand, because it is also the check that every
+/// `--word` is one of the subcommand's `flags`, that a value flag is
+/// followed by a value and that no stray word is left over: neither a
+/// misspelt flag nor an argument the subcommand does not take may run the
+/// default computation under its name.
 fn positional<'a>(
     cmd: &str,
     flags: &Flags,
+    max: usize,
     args: &'a [String],
 ) -> Result<Vec<&'a String>, Box<dyn std::error::Error>> {
     let mut out = Vec::new();
@@ -310,7 +313,10 @@ fn positional<'a>(
             return Err(format!("{a} needs a value").into());
         }
     }
-    Ok(out)
+    match out.get(max) {
+        Some(extra) => Err(format!("unexpected argument {extra} for 'gsnp {cmd}'").into()),
+        None => Ok(out),
+    }
 }
 
 /// Live-introspection plumbing shared by `call` and `call --cohort`:
@@ -479,7 +485,7 @@ impl Introspection {
 
 fn cmd_synth(args: &[String]) -> CliResult {
     let mut out = Results::stdout();
-    let pos = positional("synth", SYNTH_FLAGS, args)?;
+    let pos = positional("synth", SYNTH_FLAGS, 1, args)?;
     let dir = Path::new(pos.first().ok_or("synth requires an output directory")?);
     let mut cfg = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     cfg.chr_name = "chrS".into();
@@ -608,7 +614,7 @@ fn cmd_call(args: &[String]) -> CliResult {
     if has_flag(args, "--cohort") {
         return cmd_call_cohort(args);
     }
-    let pos = positional("call", CALL_FLAGS, args)?;
+    let pos = positional("call", CALL_FLAGS, 4, args)?;
     let [aln, fa, prior, out] = pos.as_slice() else {
         return Err("call requires <alignments> <reference> <priors> <out.gsnp>".into());
     };
@@ -680,7 +686,8 @@ fn cmd_call(args: &[String]) -> CliResult {
 /// identical to what per-sample single runs sharing the cohort's pooled
 /// calibration would write.
 fn cmd_call_cohort(args: &[String]) -> CliResult {
-    let pos = positional("call --cohort", &[COHORT_FLAGS, CALL_FLAGS].concat(), args)?;
+    let flags = [COHORT_FLAGS, CALL_FLAGS].concat();
+    let pos = positional("call --cohort", &flags, 3, args)?;
     let manifest_path = flag_value(args, "--cohort").expect("checked with its value");
     if has_flag(args, "--cpu") {
         return Err("--cohort uses the device pipeline (drop --cpu)".into());
@@ -867,7 +874,7 @@ fn write_trace(rec: &Arc<TraceRecorder>, path: &str, quiet: bool) -> CliResult {
 /// stdout (it IS the data); an invalid journal exits nonzero.
 fn cmd_report(args: &[String]) -> CliResult {
     let mut out = Results::stdout();
-    let pos = positional("report", NO_FLAGS, args)?;
+    let pos = positional("report", NO_FLAGS, 1, args)?;
     let input = pos.first().ok_or("report requires a journal file")?;
     let text = fs::read_to_string(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let report =
@@ -882,7 +889,7 @@ fn cmd_report(args: &[String]) -> CliResult {
 /// timers).
 fn cmd_profile(args: &[String]) -> CliResult {
     let mut out = Results::stdout();
-    positional("profile", PROFILE_FLAGS, args)?;
+    positional("profile", PROFILE_FLAGS, 0, args)?;
     let mut synth = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     synth.chr_name = "chrS".into();
     synth.num_sites = parse_flag(args, "--sites")?.unwrap_or(50_000);
@@ -1145,7 +1152,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     use gsnp::gpu_sim::{ContractReport, Device};
     use gsnp::seqio::window::WindowReader;
 
-    positional("analyze", ANALYZE_FLAGS, args)?;
+    positional("analyze", ANALYZE_FLAGS, 0, args)?;
     let mut out = Results::stdout();
     let mut synth = SynthConfig::tiny(parse_flag(args, "--seed")?.unwrap_or(1));
     synth.chr_name = "chrS".into();
@@ -1237,7 +1244,7 @@ fn decode_windows<'a>(
 }
 
 fn cmd_decode(args: &[String]) -> CliResult {
-    let pos = positional("decode", NO_FLAGS, args)?;
+    let pos = positional("decode", NO_FLAGS, 2, args)?;
     let input = pos.first().ok_or("decode requires an input file")?;
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let sink: Box<dyn Write> = match pos.get(1) {
@@ -1267,8 +1274,13 @@ fn cmd_decode(args: &[String]) -> CliResult {
 
 fn cmd_stats(args: &[String]) -> CliResult {
     let mut out = Results::stdout();
-    let pos = positional("stats", STATS_FLAGS, args)?;
+    let pos = positional("stats", STATS_FLAGS, 1, args)?;
     let input = pos.first().ok_or("stats requires an input file")?;
+    let prom = match flag_value(args, "--format") {
+        None => false,
+        Some("prom") => true,
+        Some(other) => return Err(format!("--format must be prom, not {other}").into()),
+    };
     let bytes = fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
     let mut sites = 0u64;
     let mut variants = 0u64;
@@ -1285,7 +1297,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
             variants += u64::from(r.is_variant());
         }
     }
-    if flag_value(args, "--format") == Some("prom") {
+    if prom {
         // Decode-side snapshot sharing the call-side `gsnp_` naming
         // scheme, so a decoded file and a `call --metrics` file read alike.
         use MetricKind::{Counter, Gauge};
@@ -1347,9 +1359,9 @@ fn cmd_stats(args: &[String]) -> CliResult {
 
 fn cmd_validate_trace(args: &[String]) -> CliResult {
     let mut out = Results::stdout();
-    let pos = positional("validate-trace", NO_FLAGS, args)?;
+    let pos = positional("validate-trace", NO_FLAGS, 1, args)?;
     let input = pos.first().ok_or("validate-trace requires a trace file")?;
-    let text = fs::read_to_string(input)?;
+    let text = fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
     match gsnp::gpu_sim::validate_chrome_json(&text) {
         Ok(n) => {
             writeln!(out, "{input}: valid Chrome trace, {n} events")?;
@@ -1392,6 +1404,7 @@ mod tests {
 
     #[test]
     fn missing_trace_file_is_an_error() {
-        assert!(cmd_validate_trace(&["/nonexistent/trace.json".to_string()]).is_err());
+        let err = cmd_validate_trace(&["/nonexistent/trace.json".to_string()]).unwrap_err();
+        assert!(err.to_string().contains("/nonexistent/trace.json"), "{err}");
     }
 }

@@ -24,7 +24,7 @@ use gsnp::core::likelihood::{likelihood_comp_gpu_into, DeviceTables, KernelVaria
 use gsnp::core::model::{posterior, SiteCaller};
 use gsnp::core::pipeline::GsnpConfig;
 use gsnp::core::tables::{LogTable, NewPMatrix, PMatrix};
-use gsnp::gpu_sim::Device;
+use gsnp::gpu_sim::{Device, DeviceConfig};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::result::SnpRow;
 use gsnp::seqio::soap::{AlignedRead, ReadChunk};
@@ -193,7 +193,7 @@ fn steady_state_window_loop_is_allocation_free() {
         ..Default::default()
     };
 
-    let dev = Device::new(cfg.device.clone());
+    let dev = Device::new(DeviceConfig::default());
     let p_matrix = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
     let new_p = NewPMatrix::precompute(&p_matrix);
     let log_table = LogTable::new();
@@ -363,7 +363,7 @@ fn steady_state_batched_loop_is_allocation_free() {
     };
     let batch = 4;
 
-    let dev = Device::new(cfg.device.clone());
+    let dev = Device::new(DeviceConfig::default());
     let p_matrix = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
     let new_p = NewPMatrix::precompute(&p_matrix);
     let log_table = LogTable::new();
@@ -456,7 +456,7 @@ fn steady_state_arm_batches_do_not_allocate_more_for_larger_windows() {
             window_size,
             ..Default::default()
         };
-        let dev = Device::new(cfg.device.clone());
+        let dev = Device::new(DeviceConfig::default());
         let native = gsnp::gpu_sim::NativeBackend::new(&dev).expect("no trace attached");
         let p_matrix = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
         let new_p = NewPMatrix::precompute(&p_matrix);
@@ -581,7 +581,7 @@ fn steady_state_recording_is_allocation_free() {
     // Ring sized for both passes up front; registration and interning of
     // the fixed track/event names happens here, not per window.
     let rec = std::sync::Arc::new(gsnp::gpu_sim::TraceRecorder::new(1 << 16));
-    let dev = Device::new(cfg.device.clone()).with_trace(&rec, 0);
+    let dev = Device::new(DeviceConfig::default()).with_trace(&rec, 0);
     let p_matrix = PMatrix::calibrate(&d.reads, &d.reference, &cfg.params);
     let new_p = NewPMatrix::precompute(&p_matrix);
     let log_table = LogTable::new();

@@ -16,7 +16,9 @@
 //! value flag without a value, a number that does not parse, a zero-site
 //! window and zero devices are errors naming the flag, and so is every
 //! device-pipeline flag next to `--cpu`, which would not reach it; so are
-//! the retired `--stats-addr` and `--stats-hold`. `--progress` ends with
+//! the retired `--stats-addr` and `--stats-hold`, a `--format` other than
+//! `prom` and a positional argument the subcommand does not take; a
+//! missing trace file is an error naming it. `--progress` ends with
 //! exactly one `done` line. A closed
 //! stdout ends a command quietly; any other stdout error is an error, not
 //! a panic. A destination that cannot be written is found before the first
@@ -498,7 +500,11 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
 /// A misspelt flag and a value flag with no value used to be swallowed and
 /// the default computation run under their name, and `--window 0` used to
 /// panic in the window reader: each is an error naming the flag, before
-/// anything is written. Every flag of the usage text is still taken.
+/// anything is written. So is a positional word the subcommand does not
+/// take (it used to be ignored: `profile 50000` ran the default size) and
+/// a `stats --format` other than `prom` (it printed the text report), and
+/// a missing trace file is an error naming it. Every flag of the usage
+/// text is still taken.
 #[test]
 fn flags_are_checked_against_the_subcommands_usage() {
     let dir = called("flags");
@@ -514,6 +520,12 @@ fn flags_are_checked_against_the_subcommands_usage() {
     let profile = format!("profile --sites 2000 --trace {refused_trace}");
     let never = d("never");
     let synth = format!("synth {never}");
+    let stats = format!("stats {}", d("out.gsnp"));
+    let decode = format!("decode {} {never}", d("out.gsnp"));
+    let report = format!("report {}", d("run.jsonl"));
+    let (analyze, validate) = ("analyze".to_string(), "validate-trace".to_string());
+    let missing = d("missing.json");
+    let missing_named = format!("{missing}: ");
     for (cmd, flags, message) in [
         (
             &call,
@@ -578,6 +590,39 @@ fn flags_are_checked_against_the_subcommands_usage() {
         ),
         (&synth, "--depth NaN", "--depth must be a finite number"),
         (&synth, "--sites 0", "--sites must be at least 1"),
+        (
+            &stats,
+            "extra",
+            "unexpected argument extra for 'gsnp stats'",
+        ),
+        (
+            &decode,
+            "extra",
+            "unexpected argument extra for 'gsnp decode'",
+        ),
+        (
+            &report,
+            "extra",
+            "unexpected argument extra for 'gsnp report'",
+        ),
+        (
+            &profile,
+            "50000",
+            "unexpected argument 50000 for 'gsnp profile'",
+        ),
+        (
+            &analyze,
+            "extra",
+            "unexpected argument extra for 'gsnp analyze'",
+        ),
+        (
+            &synth,
+            "extra",
+            "unexpected argument extra for 'gsnp synth'",
+        ),
+        (&stats, "--format json", "--format must be prom, not json"),
+        (&stats, "--format PROM", "--format must be prom, not PROM"),
+        (&validate, &missing, &missing_named),
     ] {
         let refused = run(&format!("{cmd} {flags}"));
         let stderr = String::from_utf8_lossy(&refused.stderr);

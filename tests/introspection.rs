@@ -230,8 +230,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
         ("contracts", Json::Bool(base.contracts)),
         ("sanitize", Json::Bool(base.sanitize)),
         ("variant", Json::Str(base.variant.label().into())),
-        ("pooled", Json::Bool(base.pooled)),
-        ("device", Json::Str(base.device.name.into())),
+        ("device", Json::Str("Tesla M2050 (simulated)".into())),
         ("het_rate", Json::Num(p.het_rate)),
         ("hom_rate", Json::Num(p.hom_rate)),
         ("titv_ratio", Json::Num(p.titv_ratio)),

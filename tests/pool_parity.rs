@@ -1,15 +1,15 @@
 //! The recycle path must be invisible in the output: a run with pooled
-//! device buffers and recycled host arenas (`pooled: true`, the default)
-//! produces byte-identical result tables and compressed bytes to a run
-//! that allocates everything fresh (`pooled: false`), at every pipeline
-//! depth (1 = serial executor, 2..=4 = streamed).
+//! device buffers and recycled host arenas produces byte-identical result
+//! tables and compressed bytes to a run that allocates every window fresh
+//! (GSNP_CPU, [`GsnpCpuPipeline`]), at every pipeline depth (1 = serial
+//! executor, 2..=4 = streamed).
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::RunCollected;
-use gsnp::core::pipeline::{GsnpConfig, GsnpPipeline};
+use gsnp::core::pipeline::{GsnpConfig, GsnpCpuPipeline, GsnpPipeline};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
 proptest! {
@@ -30,14 +30,13 @@ proptest! {
         sc.snp_rate = f64::from(snp_per_mille) / 1_000.0;
         let d = Dataset::generate(sc);
 
-        let cfg = |pooled| GsnpConfig {
+        let cfg = GsnpConfig {
             window_size,
             pipeline_depth,
-            pooled,
             ..Default::default()
         };
-        let fresh = GsnpPipeline::new(cfg(false)).run_collected(&d.reads, &d.reference, &d.priors);
-        let pooled = GsnpPipeline::new(cfg(true)).run_collected(&d.reads, &d.reference, &d.priors);
+        let fresh = GsnpCpuPipeline::new(cfg.clone()).run_collected(&d.reads, &d.reference, &d.priors);
+        let pooled = GsnpPipeline::new(cfg).run_collected(&d.reads, &d.reference, &d.priors);
 
         prop_assert_eq!(&pooled.tables, &fresh.tables);
         prop_assert_eq!(&pooled.compressed, &fresh.compressed);
@@ -47,14 +46,12 @@ proptest! {
         // The pooled run must actually recycle once the window count
         // exceeds the number of arenas the streaming pipeline can hold in
         // flight (producer + device + posterior stages plus two bounded
-        // channels of `pipeline_depth` each), and the fresh run must never
-        // park anything.
+        // channels of `pipeline_depth` each).
         let windows = pooled.stats.windows;
         let in_flight = 2 * pipeline_depth + 3;
         if windows as usize > in_flight {
             prop_assert!(pooled.stats.arena.hits > 0, "no arena reuse over {windows} windows");
         }
-        prop_assert_eq!(fresh.stats.arena.hits, 0);
     }
 }
 
@@ -116,4 +113,8 @@ fn steady_state_recycles_arenas_and_device_buffers() {
     let a = out.stats.arena;
     assert_eq!(a.hits + a.misses, 21, "arena stats {a:?}");
     assert!(a.hits >= 2, "arena hits {a:?}");
+    // Device buffers recycle too, and every one comes back by the end.
+    let p = out.stats.pool;
+    assert!(p.hits > 0, "device pool {p:?}");
+    assert_eq!(p.outstanding_bytes, 0, "device pool {p:?}");
 }
