@@ -11,7 +11,10 @@
 //! same class — the backing words are type-erased and each tenancy views
 //! them at its own scalar's width, so a `u32` word buffer from window *k*
 //! can serve as an `f64` likelihood buffer of half the elements in window
-//! *k*+1.
+//! *k*+1. A request whose class has nothing parked takes a buffer from
+//! exactly one class up before it allocates, so a run's shorter last batch
+//! reuses the full-size buffers instead of faulting in a second set; the
+//! books count every buffer at its real capacity.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,21 +82,19 @@ impl BufferPool {
         let class = Self::class_of::<T>(len);
         // A zeroed request prefers the known-zero list (no sweep); a dirty
         // request prefers the dirty list, falling back to zeroed cells
-        // (which are also fine to overwrite).
-        let (first, second) = if zero {
-            (&self.zero_classes, &self.classes)
-        } else {
-            (&self.classes, &self.zero_classes)
-        };
-        let first_hit = first.lock().get_mut(&class).and_then(Vec::pop);
-        let recycled = match first_hit {
-            Some(cells) => Some((cells, zero)),
-            None => second
-                .lock()
-                .get_mut(&class)
-                .and_then(Vec::pop)
-                .map(|cells| (cells, !zero)),
-        };
+        // (which are also fine to overwrite). A request whose class has
+        // nothing parked — a run's last, shorter batch — takes a buffer
+        // from the class above before it allocates.
+        let mut lists = [(&self.zero_classes, true), (&self.classes, false)];
+        if !zero {
+            lists.reverse();
+        }
+        let recycled = [class, class * 2].into_iter().find_map(|c| {
+            lists.iter().find_map(|&(list, from_zero_list)| {
+                let cells = list.lock().get_mut(&c).and_then(Vec::pop)?;
+                Some((cells, from_zero_list))
+            })
+        });
         let recycled_hit = recycled.is_some();
         // Whether every cell of the backing capacity is zero right now —
         // the precondition for this buffer to re-enter the zeroed list if
@@ -121,7 +122,7 @@ impl BufferPool {
                 raw_zeroed(class)
             }
         };
-        let bytes = (class * 8) as u64;
+        let bytes = (cells.len() * 8) as u64;
         let now = self.outstanding.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.high_water.fetch_max(now, Ordering::Relaxed);
         (
@@ -305,6 +306,74 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.high_water_bytes, 2 * 128 * 8);
         assert_eq!(s.outstanding_bytes, 0);
+    }
+
+    #[test]
+    fn an_exact_class_is_preferred_to_the_one_above() {
+        let p = pool();
+        let (exact, above) = (
+            p.acquire::<u64>(128, false).0,
+            p.acquire::<u64>(256, false).0,
+        );
+        drop((exact, above));
+        let b = p.acquire::<u64>(100, false).0;
+        assert_eq!((b.capacity(), p.stats().hits), (128, 1));
+    }
+
+    #[test]
+    fn an_empty_class_is_served_one_class_up_as_a_hit() {
+        let p = pool();
+        drop(p.acquire::<u64>(256, false).0);
+        let b = p.acquire::<u64>(100, false).0; // class 128: nothing parked
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses, b.capacity(), b.len()), (1, 1, 256, 100));
+        // Booked at its real capacity, and parked back in its own class.
+        assert_eq!(s.outstanding_bytes, 256 * 8);
+        drop(b);
+        drop(p.acquire::<u64>(256, false).0);
+        assert_eq!((p.stats().hits, p.stats().misses), (2, 1));
+    }
+
+    #[test]
+    fn nothing_is_served_two_classes_up() {
+        let p = pool();
+        drop(p.acquire::<u64>(512, false).0);
+        let b = p.acquire::<u64>(100, false).0; // class 128; 512 is two up
+        assert_eq!(
+            (p.stats().hits, p.stats().misses, b.capacity()),
+            (0, 2, 128)
+        );
+    }
+
+    #[test]
+    fn a_zeroed_request_served_from_the_dirty_list_sweeps_the_whole_capacity() {
+        let p = pool();
+        {
+            let b = p.acquire::<u64>(256, false).0;
+            (0..256).for_each(|i| b.set(i, u64::MAX));
+        }
+        let mut b = p.acquire::<u64>(100, true).0;
+        assert_eq!(p.stats().hits, 1);
+        assert_eq!(b.to_vec(), vec![0; 100]);
+        // The cells past `len` were swept too: the buffer may park as
+        // zeroed (checked cell by cell in debug builds) and serve the
+        // next zeroed request of its full class without a sweep.
+        b.park_zeroed_on_drop();
+        drop(b);
+        let full = p.acquire::<u64>(256, true).0;
+        assert_eq!(full.to_vec(), vec![0; 256]);
+        assert_eq!(p.stats().hits, 2);
+    }
+
+    #[test]
+    fn outstanding_bytes_return_to_zero_after_release() {
+        let p = pool();
+        drop(p.acquire::<u64>(256, false).0);
+        let (a, b) = (p.acquire::<u32>(200, true).0, p.acquire::<u8>(8, false).0);
+        assert_eq!(p.stats().outstanding_bytes, (256 + 1) * 8);
+        drop((a, b));
+        let s = p.stats();
+        assert_eq!((s.outstanding_bytes, s.high_water_bytes), (0, 256 * 8 + 8));
     }
 
     #[test]

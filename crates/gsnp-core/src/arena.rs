@@ -1,27 +1,23 @@
 //! Per-window host arenas — the host half of the `recycle` component.
 //!
-//! Each window flowing through the pipeline needs the same set of host
-//! buffers: the loaded window — its flat `base_word` array — and, on the
-//! simulator chain only, the chain's copy of that array and the per-site
-//! `type_likely` it reads back (the chain's staging and sort scratch are
-//! per device lane, in the loop's `BatchScratch`).
+//! Each window flowing through the pipeline needs the same host buffers:
+//! the loaded window — its flat `base_word` array — and, once the device
+//! stage has scored it, its result rows (the device stage's staging and
+//! sort scratch are per device lane, in the loop's `BatchScratch`).
 //! Allocating them fresh every window puts the allocator on the hot path;
 //! §IV-B's point is that the sparse design makes recycling these buffers
 //! trivial (clear and refill). A [`WindowArena`] owns one window's worth
 //! of buffers, and an [`ArenaPool`] circulates arenas between the pipeline
-//! stages so the steady-state window loop allocates nothing per window on
-//! the simulator chain, and on the native arm only what leaves with the
-//! window — its rows (pinned by `tests/alloc_steady_state.rs`). The pool
-//! also keeps the books: what its arenas hold, and the high-water mark.
+//! stages so the steady-state window loop allocates nothing per window but
+//! what leaves with it — its rows (pinned by `tests/alloc_steady_state.rs`).
+//! The pool also keeps the books: what its arenas hold, and the high-water
+//! mark.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use seqio::result::SnpRow;
 use seqio::window::Window;
-
-use crate::counting::SparseWindow;
-use crate::model::NUM_GENOTYPES;
 
 /// Arenas parked per pool beyond which check-ins free instead of parking.
 /// The streamed pipeline keeps at most `2·depth + num_devices + stages`
@@ -36,26 +32,19 @@ const MAX_PARKED: usize = 32;
 /// One window's worth of reusable host buffers, every one flat and indexed
 /// by site. Every field is fully overwritten by its producing stage, so a
 /// recycled arena never needs clearing before reuse: `window` by
-/// `next_window_into` in `read_site`; then the device stage's native arm
-/// sorts and scores the window's own word array where it lies and leaves
-/// `rows` — `sw` and `type_likely` are never sized, the arena is `4·depth +
-/// 30` bytes a site — or the simulator chain copies the words into `sw`
-/// (`count_words_into`) and scatters the fused kernel's outputs into
-/// `sw.summaries` and `type_likely`.
+/// `next_window_into` in `read_site`; then the device stage leaves `rows`
+/// on either arm — the native arm sorts and scores the window's own word
+/// array where it lies, the simulator chain stages the words into its
+/// lane's scratch and calls the rows from what the fused kernel reads
+/// back. The arena is `4·depth + 30` bytes a site: the window's words and
+/// site ends, and one row.
 #[derive(Debug, Default)]
 pub struct WindowArena {
     /// The loaded window (`read_site` output): the sparse `base_word`
     /// array, site-sorted in place after the native arm.
     pub window: Window,
-    /// The simulator chain's copy of the word array (unsorted: the sort
-    /// runs on the device) with the summaries it reads back.
-    pub sw: SparseWindow,
-    /// Per-site genotype likelihoods read back from the simulator chain
-    /// (`likelihood_comp` output).
-    pub type_likely: Vec<[f64; NUM_GENOTYPES]>,
-    /// The window's result rows where the native arm produced them; the
-    /// posterior stage takes them (they become the window's table) and
-    /// calls only an arena that arrives without.
+    /// The window's result rows, left by the device stage; the posterior
+    /// stage takes them (they become the window's table).
     pub rows: Option<Vec<SnpRow>>,
     /// Bytes this arena's vectors held at its last check-in: its share of
     /// the pool's books.
@@ -65,13 +54,7 @@ pub struct WindowArena {
 impl WindowArena {
     /// Heap bytes the arena's recycled vectors hold, used or not.
     fn capacity_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let sw = &self.sw;
-        (self.window.capacity_bytes()
-            + sw.words.capacity() * 4
-            + sw.spans.capacity() * size_of::<(usize, usize)>()
-            + sw.summaries.capacity() * size_of::<crate::model::SiteSummary>()
-            + self.type_likely.capacity() * size_of::<[f64; NUM_GENOTYPES]>()) as u64
+        self.window.capacity_bytes() as u64
     }
 }
 
@@ -153,19 +136,26 @@ impl ArenaPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio::window::SiteObs;
+
+    /// A window of `sites` sites, `depth` observations each.
+    fn window(sites: usize, depth: usize) -> Window {
+        Window::from_sites(0, vec![vec![SiteObs::default(); depth]; sites])
+    }
 
     #[test]
     fn checkout_recycles_after_checkin() {
         let pool = ArenaPool::new();
         let mut a = pool.checkout();
-        a.sw.words.reserve(100);
-        let cap = a.sw.words.capacity();
+        a.window = window(25, 4);
+        let cap = a.window.capacity_bytes();
+        assert!(cap >= 25 * (4 * 4 + 8));
         pool.checkin(a);
         let b = pool.checkout();
-        assert!(b.sw.words.capacity() >= cap, "capacity lost on recycle");
+        assert!(b.window.capacity_bytes() >= cap, "capacity lost on recycle");
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.high_water_bytes, cap as u64 * 4);
+        assert_eq!(stats.high_water_bytes, cap as u64);
     }
 
     #[test]
@@ -186,19 +176,21 @@ mod tests {
     fn the_books_follow_every_arena_s_growth_and_keep_the_high_water() {
         let pool = ArenaPool::new();
         let (mut a, mut b) = (pool.checkout(), pool.checkout());
-        a.type_likely.reserve_exact(10);
-        b.sw.words.reserve_exact(100);
+        a.window = window(10, 2);
+        b.window = window(100, 1);
+        let both = a.capacity_bytes() + b.capacity_bytes();
         pool.checkin(a);
         pool.checkin(b);
-        assert_eq!(pool.stats().high_water_bytes, 10 * 80 + 100 * 4);
+        assert_eq!(pool.stats().high_water_bytes, both);
         // A recycled arena is booked once, for what it has grown by.
         let mut again = pool.checkout();
         let before = again.capacity_bytes();
-        again.sw.spans.reserve_exact(7);
+        again.window = window(200, 3);
         let grown = again.capacity_bytes() - before;
+        assert!(grown > 0);
         pool.checkin(again);
-        assert_eq!(pool.stats().high_water_bytes, 10 * 80 + 100 * 4 + grown);
+        assert_eq!(pool.stats().high_water_bytes, both + grown);
         pool.checkin(pool.checkout());
-        assert_eq!(pool.stats().high_water_bytes, 10 * 80 + 100 * 4 + grown);
+        assert_eq!(pool.stats().high_water_bytes, both + grown);
     }
 }

@@ -811,8 +811,8 @@ fn scan_sorted_site(
 /// contracted launch on the host executor, ending at the result row.
 ///
 /// The chain — concatenate, upload, one sort launch per size class, the
-/// fused kernel over pooled device buffers, read back, scatter, then the
-/// posterior over what was read back — is what a device needs; on the host
+/// fused kernel over pooled device buffers, read back, then the posterior
+/// over what was read back — is what a device needs; on the host
 /// every step but the arithmetic is a copy. Here a block takes a range of at
 /// most [`SITES_PER_BLOCK`] sites of one arena and, site by site, sorts the
 /// site's words where they lie in the window's own array (a window *is* its
@@ -1494,10 +1494,8 @@ mod tests {
         let mut site0 = 0;
         for (arena, sw) in batch.iter().zip(&host) {
             let start = arena.window.start;
-            // Sorted where they lay; nothing else in the arena was sized.
+            // Sorted where they lay.
             assert_eq!(arena.window.words(), sw.words, "window at {start}");
-            assert_eq!(arena.sw, SparseWindow::default());
-            assert_eq!(arena.type_likely.capacity(), 0);
             let host_tl: Vec<_> = (0..sw.num_sites())
                 .map(|s| likelihood_sparse_site(sw.site_words(s), MAX_READ_LEN, &f.np, &f.lt))
                 .collect();

@@ -840,15 +840,16 @@ pub(crate) struct WindowLoopOutput {
 }
 
 /// Scored batch handed from a device worker to `posterior` (each arena
-/// owns its `rows` from the native arm, or its `summaries` and
-/// `type_likely` from the simulator chain; `posterior` returns it to the
-/// pool once the rows are out). `dev` is the group
-/// index of the device that scored the batch — downstream transfer and
-/// output-column charges go to that device's ledger. `tl_bytes` is the
-/// batch's total `type_likely` readback size.
+/// owns its `rows`; `posterior` returns it to the pool once they are
+/// out). `dev` is the group index of the device that scored the batch —
+/// downstream transfer and output-column charges go to that device's
+/// ledger. `tl_bytes` is the batch's total `type_likely` readback size and
+/// `rows_seconds` the host seconds the simulator chain's [`posterior_rows`]
+/// took: the posterior stage charges both to the posterior component.
 struct Scored {
     arenas: Vec<WindowArena>,
     tl_bytes: u64,
+    rows_seconds: f64,
     dev: usize,
 }
 
@@ -1008,7 +1009,7 @@ pub(crate) fn run_window_loop(
             let mut scratch = BatchScratch::default();
             move |mut arenas: Vec<WindowArena>| {
                 let sites_before = rep.stats.num_sites;
-                let tl_bytes = run_device_batch(
+                let (tl_bytes, rows_seconds) = run_device_batch(
                     disp,
                     dev_tables,
                     calls,
@@ -1023,6 +1024,7 @@ pub(crate) fn run_window_loop(
                 let scored = Scored {
                     arenas,
                     tl_bytes,
+                    rows_seconds,
                     dev,
                 };
                 (scored, rep.stats.num_sites - sites_before)
@@ -1037,6 +1039,7 @@ pub(crate) fn run_window_loop(
         let Scored {
             arenas,
             tl_bytes,
+            rows_seconds,
             dev,
         } = scored;
         let t0 = Instant::now();
@@ -1049,11 +1052,7 @@ pub(crate) fn run_window_loop(
                     .into_iter()
                     .map(|mut arena| {
                         let start = arena.window.start;
-                        // The native arm's launch ended at the row; the
-                        // simulator chain's at `type_likely`.
-                        let mut rows = arena.rows.take().unwrap_or_else(|| {
-                            posterior_rows(calls, start, &arena.type_likely, &arena.sw.summaries)
-                        });
+                        let mut rows = arena.rows.take().expect("the device stage leaves rows");
                         arena_pool.checkin(arena);
                         apply_site_policies(
                             &mut rows,
@@ -1071,7 +1070,8 @@ pub(crate) fn run_window_loop(
                     .collect()
             })
             .collect();
-        let dt = t0.elapsed().as_secs_f64();
+        let dt = t0.elapsed().as_secs_f64() + rows_seconds;
+        wall.posterior += rows_seconds;
         // Device model for posterior: the per-site arithmetic is cheap;
         // the cost is dominated by moving type_likely down and result
         // columns back (the paper attributes its modest posterior speedup
@@ -1131,7 +1131,7 @@ pub(crate) fn run_window_loop(
     let ov = &stats.overlap;
     wall.read_site = ov.read.busy;
     times.read_site = ov.read.busy;
-    wall.posterior = ov.posterior.busy;
+    wall.posterior += ov.posterior.busy;
     times.posterior = post_model;
     wall.output = ov.output.busy;
     // Device columns overlap host columns; charge the slower plus the
@@ -1247,22 +1247,21 @@ struct BatchScratch {
     sort_scratch: sortnet::MultipassScratch,
 }
 
-/// One batch's device-stage work — counting (with a single coalesced
-/// upload), ONE multipass sort launch group, ONE fused counting+
-/// likelihood launch spanning every batched site, recycle — run by every
-/// device worker of the window loop. Scatters `type_likely` and `summaries` back
-/// into each window's arena. Returns the batch's total `type_likely`
-/// byte count the posterior stage charges for reading back.
+/// One batch's device-stage work — counting (the windows' words staged
+/// into one coalesced upload), ONE multipass sort launch group, ONE fused
+/// counting+likelihood launch spanning every batched site, each window's
+/// rows called from its stretch of the readback ([`posterior_rows`]),
+/// recycle — run by every device worker of the window loop. Returns the
+/// batch's `type_likely` readback bytes and the seconds its rows took.
 ///
 /// Where that chain would execute on the host (asked once per batch,
 /// [`native_scoring_arm`]) the stage is its native arm instead:
 /// ONE launch that sorts, scores and calls the batch in place in its
 /// windows' own word arrays and leaves each arena its rows
-/// ([`likelihood_host_sites`]). Nothing is staged, copied, uploaded,
-/// pooled, read back or scattered — no `sw` or `type_likely` vector is
-/// sized — so the modelled device holds its tables and nothing else (the
-/// simulated one not even those: [`DeviceTables::upload_group`] asked the
-/// same question) and the posterior stage has nothing to fetch or call.
+/// ([`likelihood_host_sites`]). Nothing is staged, uploaded, pooled or
+/// read back, so the modelled device holds its tables and nothing else
+/// (the simulated one not even those: [`DeviceTables::upload_group`]
+/// asked the same question).
 #[allow(clippy::too_many_arguments)]
 fn run_device_batch<B: ComputeBackend>(
     dev: &B,
@@ -1275,7 +1274,7 @@ fn run_device_batch<B: ComputeBackend>(
     times: &mut ComponentTimes,
     wall: &mut ComponentTimes,
     stats: &mut PipelineStats,
-) -> u64 {
+) -> (u64, f64) {
     let total_sites: usize = batch.iter().map(|arena| arena.window.len()).sum();
     if let Some(native) = native_scoring_arm(dev, variant) {
         let t0 = Instant::now();
@@ -1294,25 +1293,24 @@ fn run_device_batch<B: ComputeBackend>(
         stats.peak_device_bytes = stats.peak_device_bytes.max(device_table_bytes);
         stats.num_sites += total_sites as u64;
         stats.windows += batch.len() as u64;
-        return 0;
+        return (0, 0.0);
     }
 
-    // counting: per-window sparse arrays, concatenated into one payload
+    // counting: the windows' word arrays, concatenated into one payload
     let t0 = Instant::now();
     scratch.words.clear();
     scratch.spans.clear();
     scratch.site_off.clear();
-    let mut host_peak = 0u64;
-    for arena in batch.iter_mut() {
-        arena.sw.count_words_into(&arena.window);
+    for arena in batch.iter() {
         let base = scratch.words.len();
         scratch.site_off.push(scratch.spans.len());
-        scratch.words.extend_from_slice(&arena.sw.words);
-        scratch
-            .spans
-            .extend(arena.sw.spans.iter().map(|&(off, len)| (base + off, len)));
-        host_peak =
-            host_peak.max(arena.sw.size_bytes() as u64 + arena.window.total_obs() as u64 * 8);
+        scratch.words.extend_from_slice(arena.window.words());
+        let mut lo = 0;
+        scratch.spans.extend(arena.window.ends().iter().map(|&hi| {
+            let span = (base + lo, hi - lo);
+            lo = hi;
+            span
+        }));
     }
     scratch.site_off.push(scratch.spans.len());
     let num_sites = scratch.spans.len();
@@ -1328,7 +1326,6 @@ fn run_device_batch<B: ComputeBackend>(
     stats.peak_device_bytes = stats
         .peak_device_bytes
         .max(device_table_bytes + scratch.words.len() as u64 * 4 + dep_bytes + tl_bytes);
-    stats.peak_host_bytes = stats.peak_host_bytes.max(host_peak);
 
     // likelihood: one sort launch group + one fused counting+comp launch
     let t0 = Instant::now();
@@ -1356,21 +1353,28 @@ fn run_device_batch<B: ComputeBackend>(
     wall.likelihood_comp += t0.elapsed().as_secs_f64();
     times.likelihood_comp += comp_stats.sim_time;
 
-    // scatter the fused outputs back into each window's arena
+    // The host memory this batch pins: its staging and the readback.
+    use std::mem::size_of_val;
+    let staged = size_of_val(&scratch.words[..])
+        + size_of_val(&scratch.spans[..])
+        + size_of_val(&scratch.type_likely[..])
+        + size_of_val(&scratch.summaries[..]);
+    stats.peak_host_bytes = stats.peak_host_bytes.max(staged as u64);
+
+    // posterior: each window's rows from its stretch of the readback
+    let t0 = Instant::now();
     for (j, arena) in batch.iter_mut().enumerate() {
-        let (s0, s1) = (scratch.site_off[j], scratch.site_off[j + 1]);
-        arena.type_likely.clear();
-        arena
-            .type_likely
-            .extend_from_slice(&scratch.type_likely[s0..s1]);
-        arena.sw.summaries.clear();
-        arena
-            .sw
-            .summaries
-            .extend_from_slice(&scratch.summaries[s0..s1]);
-        stats.num_sites += arena.sw.num_sites() as u64;
-        stats.num_obs += arena.sw.words.len() as u64;
+        let sites = scratch.site_off[j]..scratch.site_off[j + 1];
+        arena.rows = Some(posterior_rows(
+            calls,
+            arena.window.start,
+            &scratch.type_likely[sites.clone()],
+            &scratch.summaries[sites],
+        ));
+        stats.num_obs += arena.window.total_obs() as u64;
     }
+    let rows_seconds = t0.elapsed().as_secs_f64();
+    stats.num_sites += total_sites as u64;
     stats.windows += batch.len() as u64;
 
     // recycle
@@ -1380,7 +1384,7 @@ fn run_device_batch<B: ComputeBackend>(
     wall.recycle += t0.elapsed().as_secs_f64();
     times.recycle += word_bytes as f64 / dev.config().coalesced_bw;
 
-    tl_bytes
+    (tl_bytes, rows_seconds)
 }
 
 /// One device lane's partial accumulators, merged into the run totals

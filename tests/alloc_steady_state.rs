@@ -20,6 +20,7 @@ use std::process::Command;
 
 use gsnp::compress::input_codec::{compress_reads, TempChunks, TempInput};
 use gsnp::core::arena::WindowArena;
+use gsnp::core::counting::SparseWindow;
 use gsnp::core::likelihood::{likelihood_comp_gpu_into, DeviceTables, KernelVariant};
 use gsnp::core::model::{posterior, SiteCaller};
 use gsnp::core::pipeline::GsnpConfig;
@@ -103,11 +104,14 @@ fn two_passes(d: &Dataset, window_size: usize) -> (WindowReader<Replay<'_>>, Ref
     )
 }
 
-/// What [`run_pass`] reuses besides the rows: the window's arena and the
-/// multipass sort's scratch (per device lane in the real loop).
+/// What [`run_pass`] reuses besides the rows: the window's arena, and the
+/// counted copy, likelihood readback and multipass sort scratch a device
+/// lane keeps.
 #[derive(Default)]
 struct PassScratch {
     arena: WindowArena,
+    sw: SparseWindow,
+    type_likely: Vec<[f64; gsnp::core::model::NUM_GENOTYPES]>,
     sort: MultipassScratch,
 }
 
@@ -125,7 +129,12 @@ fn run_pass(
     scratch: &mut PassScratch,
     rows: &mut Vec<SnpRow>,
 ) -> Vec<u64> {
-    let PassScratch { arena, sort } = scratch;
+    let PassScratch {
+        arena,
+        sw,
+        type_likely,
+        sort,
+    } = scratch;
     // Preallocated so the bookkeeping `push` below never reallocates inside
     // a measured region (the harness must not count its own heap use).
     let mut deltas = Vec::with_capacity(64);
@@ -134,27 +143,22 @@ fn run_pass(
         assert!(reader
             .next_window_into(&mut arena.window)
             .expect("synthetic reads are valid"));
-        arena.sw.count_into(&arena.window);
-        let words = dev.upload_pooled(&arena.sw.words);
-        multipass_sort_into(dev, &words, &arena.sw.spans, sort);
-        let read_len = max_read_len(&arena.sw.words);
+        sw.count_into(&arena.window);
+        let words = dev.upload_pooled(arena.window.words());
+        multipass_sort_into(dev, &words, &sw.spans, sort);
+        let read_len = max_read_len(arena.window.words());
         likelihood_comp_gpu_into(
             dev,
             cfg.variant,
             &words,
-            &arena.sw.spans,
+            &sw.spans,
             read_len,
             tables,
-            &mut arena.type_likely,
+            type_likely,
         );
         drop(words);
         rows.clear();
-        for (site, (tl, summary)) in arena
-            .type_likely
-            .iter()
-            .zip(&arena.sw.summaries)
-            .enumerate()
-        {
+        for (site, (tl, summary)) in type_likely.iter().zip(&sw.summaries).enumerate() {
             let pos = arena.window.start + site as u64;
             rows.push(posterior(
                 tl,
@@ -241,9 +245,10 @@ fn steady_state_window_loop_is_allocation_free() {
 }
 
 /// One batched pass over the dataset: windows accumulate into `arenas`
-/// (up to `batch` at a time), their sparse arrays concatenate into the
-/// reused scratch vectors, and ONE upload + ONE sort launch group + ONE
-/// fused counting+likelihood launch covers the whole batch — the
+/// (up to `batch` at a time), their word arrays concatenate into the
+/// reused scratch vectors, ONE upload + ONE sort launch group + ONE fused
+/// counting+likelihood launch covers the whole batch, and each window's
+/// rows are called from its stretch of the scratch readback — the
 /// mega-batched hot path of `pipeline.rs`, hand-rolled so the counting
 /// allocator can watch it. Returns per-batch allocation deltas.
 #[allow(clippy::too_many_arguments)]
@@ -272,14 +277,16 @@ fn run_batched_pass(
         scratch.words.clear();
         scratch.spans.clear();
         scratch.site_off.clear();
-        for arena in arenas.iter_mut() {
-            arena.sw.count_words_into(&arena.window);
+        for arena in arenas.iter() {
             let base = scratch.words.len();
             scratch.site_off.push(scratch.spans.len());
-            scratch.words.extend_from_slice(&arena.sw.words);
-            scratch
-                .spans
-                .extend(arena.sw.spans.iter().map(|&(off, len)| (base + off, len)));
+            scratch.words.extend_from_slice(arena.window.words());
+            let mut lo = 0;
+            scratch.spans.extend(arena.window.ends().iter().map(|&hi| {
+                let span = (base + lo, hi - lo);
+                lo = hi;
+                span
+            }));
         }
         scratch.site_off.push(scratch.spans.len());
 
@@ -299,23 +306,10 @@ fn run_batched_pass(
         drop(words);
 
         rows.clear();
-        for (j, arena) in arenas.iter_mut().enumerate() {
-            let (s0, s1) = (scratch.site_off[j], scratch.site_off[j + 1]);
-            arena.type_likely.clear();
-            arena
-                .type_likely
-                .extend_from_slice(&scratch.type_likely[s0..s1]);
-            arena.sw.summaries.clear();
-            arena
-                .sw
-                .summaries
-                .extend_from_slice(&scratch.summaries[s0..s1]);
-            for (site, (tl, summary)) in arena
-                .type_likely
-                .iter()
-                .zip(&arena.sw.summaries)
-                .enumerate()
-            {
+        for (j, arena) in arenas.iter().enumerate() {
+            let sites = scratch.site_off[j]..scratch.site_off[j + 1];
+            let readback = scratch.type_likely[sites.clone()].iter();
+            for (site, (tl, summary)) in readback.zip(&scratch.summaries[sites]).enumerate() {
                 let pos = arena.window.start + site as u64;
                 rows.push(posterior(
                     tl,
@@ -424,12 +418,9 @@ fn run_arm_pass(
         }
         gsnp::core::likelihood::likelihood_host_sites(native, tables, calls, arenas);
         let allocated = allocs() - before;
-        // The rows leave with the window's table; nothing else was sized.
+        // The rows leave with the window's table.
         for arena in arenas.iter_mut() {
             assert_eq!(arena.rows.take().map(|r| r.len()), Some(arena.window.len()));
-            let sw = &arena.sw;
-            let sized = sw.words.capacity() + sw.spans.capacity() + sw.summaries.capacity();
-            assert_eq!(sized + arena.type_likely.capacity(), 0);
         }
         deltas.push(allocated);
     }
@@ -437,8 +428,7 @@ fn run_arm_pass(
 }
 
 /// The device stage's native arm scores a batch in place in its windows'
-/// own word arrays: no staging vectors, no `sw` / `type_likely`, no pooled
-/// device buffers. What it allocates per batch is its table of blocks —
+/// own word arrays: no staging vectors, no pooled device buffers. What it allocates per batch is its table of blocks —
 /// once, however many blocks — and each window's rows, so two consecutive
 /// warmed batches cost the same three allocations at 250 sites a window as
 /// at 2 000 (one block each, then eight).

@@ -67,6 +67,21 @@ fn routes(tallies: &[KernelTally]) -> Vec<(String, u64, u64)> {
     routes.collect()
 }
 
+/// Both device-stage arms end at the row, so an arena is a window and, in
+/// passing, its rows on either. At depth 1 with one device the loop is
+/// serial and recycles the same arenas in the same order on both, so a
+/// simulator run and a native run book the same arena high water.
+#[test]
+fn sim_and_native_book_the_same_arena_high_water() {
+    let d = dataset(0xA4E7A, 8_000);
+    for batch in [1, 4] {
+        let [sim, native] = [BackendChoice::Sim, BackendChoice::Native]
+            .map(|backend| run(&d, &d.reads, cfg(backend, batch, 1, 1)).stats.arena);
+        assert!(native.high_water_bytes > 0, "batch {batch}: {native:?}");
+        assert_eq!(sim, native, "batch {batch}");
+    }
+}
+
 /// Native and Auto × batch {1, 8} × depth {1, 4} × devices {1, 4}: every
 /// combination is byte-identical to the serial simulator reference, every
 /// launch of every native run executed on the native backend, and every
