@@ -20,13 +20,13 @@ use seqio::result::SnpRow;
 use seqio::window::Window;
 
 /// Arenas parked per pool beyond which check-ins free instead of parking.
-/// The streamed pipeline keeps at most `2·depth + num_devices + stages`
-/// arenas in flight (two bounded channels of `depth`, one window resident
-/// per device worker, one in the posterior stage), so with depths and
-/// device counts ≤ 8 this only bounds pathological callers. One pool is
-/// shared by all device workers: arenas travel producer → worker →
-/// posterior, so a per-worker free list would drain to wherever posterior
-/// checks in and defeat recycling.
+/// The streamed pipeline keeps at most `depth + num_devices + 1` batches
+/// of arenas in flight (one bounded channel of `depth`, one batch resident
+/// per device worker, one in the producer), so with small depths, device
+/// counts and batches this only bounds pathological callers. One pool is shared by
+/// all device workers: arenas travel producer → worker and are checked in
+/// by whichever worker scored them, so a per-worker free list would drain
+/// to the workers and leave the producer building fresh arenas.
 const MAX_PARKED: usize = 32;
 
 /// One window's worth of reusable host buffers, every one flat and indexed
@@ -43,8 +43,9 @@ pub struct WindowArena {
     /// The loaded window (`read_site` output): the sparse `base_word`
     /// array, site-sorted in place after the native arm.
     pub window: Window,
-    /// The window's result rows, left by the device stage; the posterior
-    /// stage takes them (they become the window's table).
+    /// The window's result rows, left by the device stage; the device lane
+    /// takes them before checking the arena in (they become the window's
+    /// table).
     pub rows: Option<Vec<SnpRow>>,
     /// Bytes this arena's vectors held at its last check-in: its share of
     /// the pool's books.
@@ -72,8 +73,8 @@ pub struct ArenaPoolStats {
 }
 
 /// A free list of [`WindowArena`]s shared between pipeline stages: the
-/// producer checks arenas out, the posterior stage checks them back in
-/// once `rows` have been extracted.
+/// producer checks arenas out, the device lane that scored them checks them
+/// back in once `rows` have been extracted.
 #[derive(Debug)]
 pub struct ArenaPool {
     parked: Mutex<Vec<WindowArena>>,

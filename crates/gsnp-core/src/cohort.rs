@@ -245,7 +245,8 @@ impl CohortOutput {
     }
 }
 
-/// Per-sample tallies the window loop's posterior stage accumulates.
+/// Per-sample tallies the window loop's output stage accumulates as it
+/// applies the site policies.
 #[derive(Default)]
 pub(crate) struct PostTallies {
     pub(crate) snp: Vec<u64>,

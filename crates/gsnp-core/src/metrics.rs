@@ -199,10 +199,9 @@ fn run_metrics(
         &[],
         ov.wall,
     );
-    let stages: [(&str, &StageStats); 4] = [
+    let stages: [(&str, &StageStats); 3] = [
         ("read", &ov.read),
         ("device", &ov.device),
-        ("posterior", &ov.posterior),
         ("output", &ov.output),
     ];
     for (stage, st) in stages {

@@ -15,15 +15,15 @@
 //! a time (`READ_BLOCK`), so the pass holds a chunk per worker and a carry
 //! of it, never the file.
 //!
-//! There is one window loop, `run_window_loop`: the four stage bodies —
-//! producer (`read_site`), device (`counting` + likelihood + `recycle`),
-//! `posterior`, output — written once over a sample-major batch of
-//! `windows × samples` arenas and handed to the staged executor in
-//! [`crate::stream`], which owns the threads, bounded channels
-//! (`pipeline_depth`), `num_devices` device workers, ordered reassembly
-//! and all busy/stall accounting ([`PipelineStats::overlap`]). The output
-//! body hands every (sample, batch) to the run's [`ResultSink`] and keeps
-//! nothing: what a run holds is set by the batch, not by the chromosome.
+//! There is one window loop, `run_window_loop`: the three stage bodies —
+//! producer (`read_site`), device (`counting` + likelihood, to the rows),
+//! output (`posterior` site policies, compression) — written once over a
+//! sample-major batch of `windows × samples` arenas and handed to the staged
+//! executor in [`crate::stream`], which owns the threads, bounded channels
+//! (`pipeline_depth`), `num_devices` device workers, ordered reassembly and
+//! all busy/stall accounting ([`PipelineStats::overlap`]). The output body
+//! hands every (sample, batch) to the run's [`ResultSink`] and keeps nothing:
+//! what a run holds is set by the batch, not by the chromosome.
 //! [`GsnpPipeline`] is that loop over one sample with its own calibration;
 //! [`crate::cohort::CohortPipeline`] is the same loop over N samples with a
 //! pooled one. Results and the compressed file are byte-identical at every
@@ -125,7 +125,10 @@ pub struct PipelineStats {
     /// Peak simulated-device memory, bytes (per device — each member of a
     /// sharded group holds its own tables and in-flight window).
     pub peak_device_bytes: u64,
-    /// Peak host memory attributable to the pipeline's buffers, bytes.
+    /// Peak host memory attributable to the pipeline's buffers, bytes: on
+    /// the device pipeline, the temporary input (resident for the whole
+    /// loop) plus each device lane's largest batch staging, summed over
+    /// lanes since they hold theirs at the same time.
     pub peak_host_bytes: u64,
     /// Per-stage and per-device-worker busy/stall accounting of the window
     /// loop: its tracker's end-of-run view ([`crate::ProgressTracker::overlap`]).
@@ -839,24 +842,18 @@ pub(crate) struct WindowLoopOutput {
     pub(crate) tallies: PostTallies,
 }
 
-/// Scored batch handed from a device worker to `posterior` (each arena
-/// owns its `rows`; `posterior` returns it to the pool once they are
-/// out). `dev` is the group index of the device that scored the batch —
-/// downstream transfer and output-column charges go to that device's
-/// ledger. `tl_bytes` is the batch's total `type_likely` readback size and
+/// Scored batch handed from a device worker to the output stage: each
+/// window's start and rows, sample-major — the lane has already checked
+/// the window's arena back in, so no window words travel past it. `dev` is
+/// the group index of the device that scored the batch — downstream
+/// transfer and output-column charges go to that device's ledger.
+/// `tl_bytes` is the batch's total `type_likely` readback size and
 /// `rows_seconds` the host seconds the simulator chain's [`posterior_rows`]
-/// took: the posterior stage charges both to the posterior component.
+/// took: the output stage charges both to the posterior component.
 struct Scored {
-    arenas: Vec<WindowArena>,
+    windows: Vec<(u64, Vec<SnpRow>)>,
     tl_bytes: u64,
     rows_seconds: f64,
-    dev: usize,
-}
-
-/// Called batch handed from `posterior` to the output stage:
-/// `per_sample[s]` holds this batch's windows for sample `s`.
-struct Called {
-    per_sample: Vec<Vec<SnpTable>>,
     dev: usize,
 }
 
@@ -864,12 +861,12 @@ struct Called {
 /// samples over one reference: set up the device group and observers,
 /// `load_table` once, then the window loop on [`run_stages`].
 ///
-/// This function holds the four stage bodies, each written once over a
+/// This function holds the three stage bodies, each written once over a
 /// **sample-major batch**: the same `wins ≤ launch_batch` windows of every
 /// sample, arenas ordered `[s0:w0..][s1:w0..]…`. Every sample reads the
 /// same window grid (windows tile the reference — a structural property
 /// of [`WindowReader`]), so one device launch group scores all samples'
-/// copies of those windows and the posterior stage demuxes them back per
+/// copies of those windows and the output stage demuxes them back per
 /// sample. A plain single-sample call is the `samples.len() == 1` case.
 /// Everything between the bodies — threads, channels, reassembly, clocks,
 /// observer reports — belongs to [`run_stages`].
@@ -1021,8 +1018,20 @@ pub(crate) fn run_window_loop(
                     &mut rep.wall,
                     &mut rep.stats,
                 );
+                // The rows leave the arenas here and the arenas go back to
+                // the pool, so a batch waiting in the reassembler holds
+                // rows only.
+                let windows = arenas
+                    .into_iter()
+                    .map(|mut arena| {
+                        let rows = arena.rows.take().expect("the device stage leaves rows");
+                        let start = arena.window.start;
+                        arena_pool.checkin(arena);
+                        (start, rows)
+                    })
+                    .collect();
                 let scored = Scored {
-                    arenas,
+                    windows,
                     tl_bytes,
                     rows_seconds,
                     dev,
@@ -1032,28 +1041,31 @@ pub(crate) fn run_window_loop(
         })
         .collect();
 
-    // ---- posterior: demux per sample, call, apply the site policies ----
+    // ---- output: demux per sample, apply the site policies (posterior),
+    // then one compression group per (sample, batch), to the sink ----
     let mut tallies = PostTallies::new(num_samples);
     let mut post_model = 0.0f64;
-    let posterior = |scored: Scored| {
+    let mut post_host = 0.0f64;
+    let mut output_bytes = vec![0u64; num_samples];
+    let mut frames: Vec<u8> = Vec::new();
+    let mut sink_error = None;
+    let mut out_sim = 0.0f64;
+    let output = |scored: Scored| {
         let Scored {
-            arenas,
+            windows,
             tl_bytes,
             rows_seconds,
             dev,
         } = scored;
         let t0 = Instant::now();
         let mut row_count = 0u64;
-        let per_sample: Vec<Vec<SnpTable>> = demux_sample_major(arenas, num_samples)
+        let per_sample: Vec<Vec<SnpTable>> = demux_sample_major(windows, num_samples)
             .into_iter()
             .enumerate()
-            .map(|(sample, arenas)| {
-                arenas
+            .map(|(sample, windows)| {
+                windows
                     .into_iter()
-                    .map(|mut arena| {
-                        let start = arena.window.start;
-                        let mut rows = arena.rows.take().expect("the device stage leaves rows");
-                        arena_pool.checkin(arena);
+                    .map(|(start, mut rows)| {
                         apply_site_policies(
                             &mut rows,
                             start,
@@ -1070,8 +1082,10 @@ pub(crate) fn run_window_loop(
                     .collect()
             })
             .collect();
-        let dt = t0.elapsed().as_secs_f64() + rows_seconds;
-        wall.posterior += rows_seconds;
+        let host = t0.elapsed().as_secs_f64();
+        post_host += host;
+        let dt = host + rows_seconds;
+        wall.posterior += dt;
         // Device model for posterior: the per-site arithmetic is cheap;
         // the cost is dominated by moving type_likely down and result
         // columns back (the paper attributes its modest posterior speedup
@@ -1083,15 +1097,7 @@ pub(crate) fn run_window_loop(
             .device(dev)
             .charge_d2h(&mut post_stats, tl_bytes + row_count * 32);
         post_model += dt.min(post_stats.sim_time * 4.0) + post_stats.sim_time;
-        Called { per_sample, dev }
-    };
 
-    // ---- output: one compression group per (sample, batch), to the sink ----
-    let mut output_bytes = vec![0u64; num_samples];
-    let mut frames: Vec<u8> = Vec::new();
-    let mut sink_error = None;
-    let mut out_sim = 0.0f64;
-    let output = |Called { per_sample, dev }| {
         for (sample, batch_tables) in per_sample.into_iter().enumerate() {
             // The RLE-DICT chain runs on the device that scored the batch.
             // Compressed bytes are grouping-invariant
@@ -1110,14 +1116,7 @@ pub(crate) fn run_window_loop(
         ControlFlow::Continue(())
     };
 
-    stats.overlap = run_stages(
-        cfg.pipeline_depth,
-        observers,
-        produce,
-        device,
-        posterior,
-        output,
-    );
+    stats.overlap = run_stages(cfg.pipeline_depth, observers, produce, device, output);
     if let Some(e) = sink_error {
         return Err(e);
     }
@@ -1131,12 +1130,12 @@ pub(crate) fn run_window_loop(
     let ov = &stats.overlap;
     wall.read_site = ov.read.busy;
     times.read_site = ov.read.busy;
-    wall.posterior += ov.posterior.busy;
     times.posterior = post_model;
-    wall.output = ov.output.busy;
+    // The output stage's busy time less its posterior part.
+    wall.output = (ov.output.busy - post_host).max(0.0);
     // Device columns overlap host columns; charge the slower plus the
     // (dominant) host write of the compressed bytes.
-    times.output = out_sim + ov.output.busy * 0.25;
+    times.output = out_sim + wall.output * 0.25;
     stats.snp_count = tallies.snp.iter().sum();
     stats.arena = arena_pool.stats();
     let ledger = group.ledger();
@@ -1172,7 +1171,6 @@ fn journal_run_stats(j: &Journal, stats: &PipelineStats) {
     for (name, st) in [
         ("read", &ov.read),
         ("device", &ov.device),
-        ("posterior", &ov.posterior),
         ("output", &ov.output),
     ] {
         j.event(
@@ -1413,7 +1411,8 @@ fn merge_stats(a: &mut PipelineStats, b: &PipelineStats) {
     a.windows += b.windows;
     a.snp_count += b.snp_count;
     a.peak_device_bytes = a.peak_device_bytes.max(b.peak_device_bytes);
-    a.peak_host_bytes = a.peak_host_bytes.max(b.peak_host_bytes);
+    // Every lane holds its staging at once: their highs add up.
+    a.peak_host_bytes += b.peak_host_bytes;
     merge_sort_classes(&mut a.sort_classes, &b.sort_classes);
 }
 
@@ -2010,6 +2009,67 @@ mod tests {
         );
         assert_eq!(sharded.compressed, serial.compressed);
         assert_eq!(sharded.stats.overlap.devices.len(), 4);
+    }
+
+    #[test]
+    fn peak_host_bytes_is_the_temp_input_plus_every_lane_s_staging_high() {
+        use std::mem::size_of;
+        let d = Dataset::generate(SynthConfig::tiny(77));
+        let cfg = GsnpConfig {
+            num_devices: 2,
+            launch_batch: 2,
+            ..tiny_cfg()
+        };
+        // Each batch's staging on the simulator chain, from the windows the
+        // loop reads: the words, and per site a span, a likelihood row and a
+        // summary.
+        let first = first_pass(&cfg, vec![Alignments::Reads(&d.reads)], &d.reference).unwrap();
+        let temp_input_bytes = first.inputs[0].packed_bytes();
+        let input = first.inputs.into_iter().next().unwrap();
+        let mut reader = temp_windows(input, d.reference.len() as u64, cfg.window_size);
+        let per_site = size_of::<(usize, usize)>()
+            + size_of::<[f64; NUM_GENOTYPES]>()
+            + size_of::<SiteSummary>();
+        let mut window = seqio::window::Window::default();
+        let mut staged: Vec<u64> = Vec::new();
+        for w in 0.. {
+            if !reader.next_window_into(&mut window).unwrap() {
+                break;
+            }
+            let bytes = (4 * window.total_obs() + per_site * window.len()) as u64;
+            match w % cfg.launch_batch {
+                0 => staged.push(bytes),
+                _ => *staged.last_mut().unwrap() += bytes,
+            }
+        }
+        assert_eq!(staged.len(), 3, "5 windows at batch 2");
+
+        // Which lane scored which batch: the journal's `batch` events.
+        let path = std::env::temp_dir().join(format!("gsnp_peakhost_{}.jsonl", std::process::id()));
+        let journal = Arc::new(Journal::create(&path).unwrap());
+        let mut sink = Collect::default();
+        let out = GsnpPipeline::new(cfg)
+            .observed(Observers {
+                journal: Some(Arc::clone(&journal)),
+                ..Observers::default()
+            })
+            .run(&d.reads, &d.reference, &d.priors, &mut sink);
+        journal.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut lane_high = [0u64; 2];
+        for line in text.lines().filter(|l| l.contains("\"event\":\"batch\"")) {
+            let ev = gpu_sim::parse_json(line).unwrap();
+            let field = |key| ev.get(key).and_then(gpu_sim::Json::as_num).unwrap() as usize;
+            let (lane, idx) = (field("lane"), field("idx"));
+            lane_high[lane] = lane_high[lane].max(staged[idx]);
+        }
+        assert_eq!(out.stats.temp_input_bytes, temp_input_bytes);
+        assert_eq!(
+            out.stats.peak_host_bytes,
+            temp_input_bytes + lane_high.iter().sum::<u64>(),
+            "batch staging {staged:?}, lane highs {lane_high:?}"
+        );
     }
 
     // ---- the first pass ----

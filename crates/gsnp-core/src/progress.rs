@@ -32,16 +32,14 @@ use crate::stream::{DeviceLaneStats, OverlapStats, Phase, RunEvent, Stage, Stage
 
 /// Window-loop stage names, in pipeline order. Indexes into the
 /// `stage_busy` / `stage_stall` arrays of [`LatencyHists`].
-pub const STAGE_NAMES: [&str; 4] = ["read", "device", "posterior", "output"];
+pub const STAGE_NAMES: [&str; 3] = ["read", "device", "output"];
 
 /// Stage index: reference/read ingestion (producer).
 pub const STAGE_READ: usize = 0;
 /// Stage index: device workers (count + likelihood kernels).
 pub const STAGE_DEVICE: usize = 1;
-/// Stage index: posterior genotyping.
-pub const STAGE_POSTERIOR: usize = 2;
-/// Stage index: reassembly + compressed output.
-pub const STAGE_OUTPUT: usize = 3;
+/// Stage index: reassembly, per-sample site policies + compressed output.
+pub const STAGE_OUTPUT: usize = 2;
 
 /// The full set of latency histograms one run accumulates.
 #[derive(Debug, Clone, Default)]
@@ -50,10 +48,10 @@ pub struct LatencyHists {
     /// across its windows, matching the trace's per-window spans).
     pub window: Histogram,
     /// Per-stage busy interval durations, indexed by `STAGE_*`.
-    pub stage_busy: [Histogram; 4],
+    pub stage_busy: [Histogram; 3],
     /// Per-stage stall (blocked on channel) durations, indexed by
     /// `STAGE_*`. For the device stage this is the queue wait.
-    pub stage_stall: [Histogram; 4],
+    pub stage_stall: [Histogram; 3],
     /// Time each dispatched batch waited in the device input queue.
     pub queue_wait: Histogram,
     /// Per-kernel-launch wall time across kernels and devices, set by
@@ -137,9 +135,9 @@ impl LatencyHists {
 /// latency histograms (minus kernel wall: the launch tallies hold it).
 #[derive(Debug, Default)]
 struct Live {
-    /// Totals of the read, posterior and output stages, indexed by
-    /// `STAGE_*`; the device slot stays empty (the lanes hold it).
-    stages: [StageStats; 4],
+    /// Totals of the read and output stages, indexed by `STAGE_*`; the
+    /// device slot stays empty (the lanes hold it).
+    stages: [StageStats; 3],
     lanes: Vec<DeviceLaneStats>,
     hists: LatencyHists,
 }
@@ -241,7 +239,6 @@ impl ProgressTracker {
                 let (at, totals) = match stage {
                     Stage::Read => (STAGE_READ, &mut live.stages[STAGE_READ]),
                     Stage::Lane(i) => (STAGE_DEVICE, &mut live.lane(i).stage),
-                    Stage::Posterior => (STAGE_POSTERIOR, &mut live.stages[STAGE_POSTERIOR]),
                     Stage::Output => (STAGE_OUTPUT, &mut live.stages[STAGE_OUTPUT]),
                 };
                 match phase {
@@ -294,14 +291,13 @@ impl ProgressTracker {
             device.stall_in += lane.stage.stall_in;
             device.stall_out += lane.stage.stall_out;
         }
-        let [read, _, posterior, output] = live.stages;
+        let [read, _, output] = live.stages;
         let devices = live.lanes.clone();
         OverlapStats {
             depth,
             read,
             device,
             devices,
-            posterior,
             output,
             wall,
         }

@@ -1,14 +1,14 @@
 //! The window loop's one staged executor (§IV overlap, DESIGN.md §4).
 //!
-//! The GSNP window loop decomposes into four stages with no data
+//! The GSNP window loop decomposes into three stages with no data
 //! dependencies *across* windows:
 //!
 //! ```text
-//! producer (read_site) ─► device (counting+likelihood) ─► posterior ─► output
+//! producer (read_site) ─► device (counting + likelihood → rows) ─► output (posterior + compression)
 //! ```
 //!
 //! `run_stages` is the only place that topology is spelled out. It takes
-//! the four stage bodies as closures over opaque batch payloads and owns
+//! the three stage bodies as closures over opaque batch payloads and owns
 //! everything *between* them: the bounded channels
 //! (`GsnpConfig::pipeline_depth`), the `num_devices` device workers pulling
 //! from one shared queue, ordered reassembly in front of the output body,
@@ -120,16 +120,6 @@ impl<T> OrderedReassembler<T> {
         Some(item)
     }
 
-    /// Items buffered out of order, awaiting a predecessor.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Next index the sink is waiting for.
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
     /// True once everything offered has also been emitted.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
@@ -140,8 +130,8 @@ impl<T> OrderedReassembler<T> {
 ///
 /// The window loop's producer concatenates the same `k` windows of every
 /// sample into one device batch, ordered `[s0:w0..wk-1][s1:w0..wk-1]…` —
-/// one launch scores all samples, and the posterior stage uses this
-/// inverse to recover each sample's contiguous slice. `items.len()`
+/// one launch scores all samples, and the output stage uses this inverse
+/// to recover each sample's contiguous slice. `items.len()`
 /// must be an exact multiple of `num_samples` (every sample reads the same
 /// window grid, a structural property of [`seqio::window::WindowReader`]'s
 /// reference-tiling).
@@ -209,9 +199,8 @@ pub struct OverlapStats {
     /// Per-device-worker breakdown of the device stage, in device order.
     /// One entry even when `num_devices = 1`; empty for the CPU pipeline.
     pub devices: Vec<DeviceLaneStats>,
-    /// Posterior stage.
-    pub posterior: StageStats,
-    /// Output stage (column compression + serialization).
+    /// Output stage (per-sample demux, site policies, column compression
+    /// + serialization).
     pub output: StageStats,
     /// Wall-clock of the window loop, start of first window to last byte
     /// written.
@@ -221,7 +210,7 @@ pub struct OverlapStats {
 impl OverlapStats {
     /// Total busy time across all stages.
     pub fn busy_total(&self) -> f64 {
-        self.read.busy + self.device.busy + self.posterior.busy + self.output.busy
+        self.read.busy + self.device.busy + self.output.busy
     }
 
     /// Achieved pipeline depth: how many stages were busy at once, on
@@ -237,7 +226,7 @@ impl OverlapStats {
 }
 
 /// Host-side pipeline tracks of the tracing subsystem: one span track per
-/// stage (`read_site`, `posterior`, `output`) plus one per device lane,
+/// stage (`read_site`, `output`) plus one per device lane,
 /// all under a `"pipeline"` process stamped with host wall clock (the
 /// device processes run on their simulated clocks — see
 /// `gpu_sim::trace`). Every span records the **identical** `f64` duration
@@ -251,14 +240,12 @@ pub struct PipelineTrace {
     rec: Arc<TraceRecorder>,
     read: TrackId,
     lanes: Vec<TrackId>,
-    posterior: TrackId,
     output: TrackId,
     n_read: NameId,
     n_stall_in: NameId,
     n_stall_out: NameId,
     n_window: NameId,
     n_steal: NameId,
-    n_posterior: NameId,
     n_output: NameId,
 }
 
@@ -276,14 +263,12 @@ impl PipelineTrace {
             lanes: (0..num_devices.max(1))
                 .map(|i| rec.register_track("pipeline", &lane_thread(i), TrackKind::Spans))
                 .collect(),
-            posterior: rec.register_track("pipeline", "posterior", TrackKind::Spans),
             output: rec.register_track("pipeline", "output", TrackKind::Spans),
             n_read: rec.intern("read_site"),
             n_stall_in: rec.intern("stall_in"),
             n_stall_out: rec.intern("stall_out"),
             n_window: rec.intern("window"),
             n_steal: rec.intern("steal"),
-            n_posterior: rec.intern("posterior"),
             n_output: rec.intern("output"),
             rec: Arc::clone(rec),
         }
@@ -311,7 +296,6 @@ impl PipelineTrace {
                 let (track, busy) = match stage {
                     Stage::Read => (self.read, self.n_read),
                     Stage::Lane(i) => (self.lanes[i], self.n_window),
-                    Stage::Posterior => (self.posterior, self.n_posterior),
                     Stage::Output => (self.output, self.n_output),
                 };
                 let name = match phase {
@@ -397,7 +381,6 @@ pub fn verify_overlap_consistency(
         Ok(t)
     };
     check("read", "read_site", "read_site", &overlap.read)?;
-    check("posterior", "posterior", "posterior", &overlap.posterior)?;
     check("output", "output", "output", &overlap.output)?;
     for (i, lane) in overlap.devices.iter().enumerate() {
         let t = check(&format!("lane {i}"), &lane_thread(i), "window", &lane.stage)?;
@@ -452,7 +435,6 @@ impl Observers {
 pub(crate) enum Stage {
     Read,
     Lane(usize),
-    Posterior,
     Output,
 }
 
@@ -576,8 +558,7 @@ impl<'a> StageClock<'a> {
 
 /// A produced batch on its way to a device lane: `idx` is its production
 /// order (what the output side reassembles by, and what travels on with the
-/// scored and called payloads), `first` the number of windows produced
-/// before it.
+/// scored payload), `first` the number of windows produced before it.
 struct Ticket<T> {
     idx: usize,
     first: u64,
@@ -625,7 +606,7 @@ fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
 }
 
 /// Run the window loop: `produce` → `device.len()` workers over one shared
-/// queue → `posterior` → `output` in production order.
+/// queue → `output` in production order.
 ///
 /// * `produce` returns the next batch — a non-empty `Vec` with one slot per
 ///   window — or `None` at end of input.
@@ -636,26 +617,25 @@ fn join_stage<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
 ///   without the idle devices a static `idx % N` round-robin produces on
 ///   skewed windows. A batch scored off its round-robin home counts as
 ///   stolen ([`DeviceLaneStats::steals`]).
-/// * `posterior` turns a scored batch into a called one; `output` consumes
-///   called batches strictly in production order (an
+/// * `output` consumes scored batches strictly in production order (an
 ///   [`OrderedReassembler`] sits in front of it), so what it writes is
 ///   byte-identical at every `(depth, device.len())`. When it breaks — its
 ///   sink is gone — the loop ends there: the stages upstream find their
 ///   channels closed and stop, and the stats cover what ran.
 ///
-/// With `depth ≥ 2` or several devices each stage runs on its own thread
-/// (`output` on the caller's), connected by bounded channels of capacity
-/// `depth`. At `depth ≤ 1` with one device the same four bodies run in
-/// order on the calling thread: the non-overlapped baseline, every stall
-/// exactly 0. A panic in any body surfaces as a panic from this call —
-/// never a hang. Returns the run tracker's [`ProgressTracker::overlap`].
-pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
+/// With `depth ≥ 2` or several devices the producer and each device body
+/// run on their own threads (`output` on the caller's), connected by
+/// bounded channels of capacity `depth`. At `depth ≤ 1` with one device the
+/// same three bodies run in order on the calling thread: the non-overlapped
+/// baseline, every stall exactly 0. A panic in any body surfaces as a panic
+/// from this call — never a hang. Returns the run tracker's
+/// [`ProgressTracker::overlap`].
+pub(crate) fn run_stages<T: Send, S: Send>(
     depth: usize,
     observers: &Observers,
     mut produce: impl FnMut() -> Option<Vec<T>> + Send,
     device: Vec<impl FnMut(Vec<T>) -> (S, u64) + Send>,
-    mut posterior: impl FnMut(S) -> C + Send,
-    mut output: impl FnMut(C) -> ControlFlow<()>,
+    mut output: impl FnMut(S) -> ControlFlow<()>,
 ) -> OverlapStats {
     let depth = depth.max(1);
     let num_lanes = device.len();
@@ -675,7 +655,6 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
     let loop_start = Instant::now();
 
     let read = StageClock::new(obs, Stage::Read);
-    let post = StageClock::new(obs, Stage::Posterior);
     let out = StageClock::new(obs, Stage::Output);
     let mut lanes: Vec<_> = device
         .into_iter()
@@ -703,8 +682,7 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
         let (lane, body) = &mut lanes[0];
         while let Some(ticket) = next_ticket(&read) {
             let (_, scored) = lane.score(ticket, body);
-            let called = post.run(Phase::Busy, || posterior(scored));
-            if out.run(Phase::Busy, || output(called)).is_break() {
+            if out.run(Phase::Busy, || output(scored)).is_break() {
                 break;
             }
         }
@@ -717,7 +695,6 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
             // then exit instead of blocking forever on a full queue.
             let (win_tx, win_rx) = bounded::<Ticket<T>>(depth);
             let (score_tx, score_rx) = bounded::<(usize, S)>(depth);
-            let (call_tx, call_rx) = bounded::<(usize, C)>(depth);
 
             let producer = s.spawn(move || {
                 while let Some(ticket) = next_ticket(&read) {
@@ -742,16 +719,8 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
                 })
                 .collect();
             // The workers hold clones; dropping the originals lets the
-            // posterior stage's `recv` disconnect once every worker exits.
+            // output stage's `recv` disconnect once every worker exits.
             drop((win_rx, score_tx));
-            let posterior_stage = s.spawn(move || {
-                while let Some((idx, scored)) = post.recv(&score_rx) {
-                    let called = (idx, post.run(Phase::Busy, || posterior(scored)));
-                    if post.run(Phase::StallOut, || call_tx.send(called)).is_err() {
-                        break;
-                    }
-                }
-            });
 
             // Output stage, on this thread. In-order arrivals (the common
             // case at one device: every stage is one thread over FIFO
@@ -760,9 +729,9 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
             // drain via `pop_ready`.
             let mut reasm = OrderedReassembler::new();
             let mut flow = ControlFlow::Continue(());
-            while let Some((idx, called)) = out.recv(&call_rx) {
+            while let Some((idx, scored)) = out.recv(&score_rx) {
                 flow = out.run(Phase::Busy, || {
-                    let mut next = reasm.offer(idx, called);
+                    let mut next = reasm.offer(idx, scored);
                     while let Some(ready) = next {
                         output(ready)?;
                         next = reasm.pop_ready();
@@ -773,14 +742,13 @@ pub(crate) fn run_stages<T: Send, S: Send, C: Send>(
                     break;
                 }
             }
-            // Closed before the joins, so a stage blocked on a full queue
+            // Closed before the joins, so a lane blocked on a full queue
             // behind an output body that broke off wakes up and exits.
-            drop(call_rx);
+            drop(score_rx);
             // Join before checking for gaps: a stage that panicked left one,
             // and its own panic is the one to surface.
             workers.into_iter().for_each(join_stage);
             join_stage(producer);
-            join_stage(posterior_stage);
             assert!(
                 flow.is_break() || reasm.is_drained(),
                 "window loop lost a batch"
@@ -852,7 +820,8 @@ mod tests {
             assert_eq!(ready, vec![i * 10]);
         }
         assert!(r.is_drained());
-        assert_eq!(r.next_index(), 5);
+        // Index 5 is next: it passes straight through.
+        assert_eq!(r.offer(5, 50), Some(50));
     }
 
     #[test]
@@ -860,7 +829,7 @@ mod tests {
         let mut r = OrderedReassembler::new();
         assert!(r.push(2, "c").is_empty());
         assert!(r.push(1, "b").is_empty());
-        assert_eq!(r.pending(), 2);
+        assert!(!r.is_drained(), "two items wait for index 0");
         assert_eq!(r.push(0, "a"), vec!["a", "b", "c"]);
         assert!(r.is_drained());
         assert_eq!(r.push(4, "e"), Vec::<&str>::new());
@@ -898,7 +867,8 @@ mod tests {
         assert_eq!(r.pop_ready(), Some("d"));
         assert_eq!(r.pop_ready(), None);
         assert!(r.is_drained());
-        assert_eq!(r.next_index(), 4);
+        // Index 4 is next: it passes straight through.
+        assert_eq!(r.offer(4, "e"), Some("e"));
     }
 
     /// A bounded channel between a fast producer and a reordering consumer
@@ -953,14 +923,12 @@ mod tests {
             pt.on(&ev);
         };
         use Phase::{Busy, StallIn, StallOut};
-        use Stage::{Output, Posterior, Read};
+        use Stage::{Output, Read};
         for (stage, phase, ts, dt) in [
             (Read, Busy, 0.0, 1.5),
             (Read, StallOut, 1.5, 0.25),
             (Stage::Lane(0), StallIn, 0.0, 0.1),
             (Stage::Lane(1), StallOut, 1.0, 0.5),
-            (Posterior, Busy, 2.0, 0.75),
-            (Posterior, StallIn, 0.0, 2.0),
             (Output, Busy, 3.0, 0.5),
             (Output, StallIn, 0.0, 3.0),
         ] {
@@ -1011,11 +979,6 @@ mod tests {
                     steals: 1,
                 },
             ],
-            posterior: StageStats {
-                busy: 0.75,
-                stall_in: 2.0,
-                ..Default::default()
-            },
             output: StageStats {
                 busy: 0.5,
                 stall_in: 3.0,
@@ -1071,12 +1034,8 @@ mod tests {
                 stall_in: 0.5,
                 stall_out: 0.25,
             },
-            posterior: StageStats {
-                busy: 0.5,
-                ..Default::default()
-            },
             output: StageStats {
-                busy: 0.5,
+                busy: 1.0,
                 ..Default::default()
             },
             wall: 2.5,
@@ -1089,8 +1048,8 @@ mod tests {
     }
 
     /// Drive [`run_stages`] with toy bodies over `batches` two-window
-    /// batches; `panic_at` names a stage (0 producer, 1 device, 2
-    /// posterior, 3 output) whose body panics on batch 2. Returns the
+    /// batches; `panic_at` names a stage (0 producer, 1 device, 2 output)
+    /// whose body panics on batch 2. Returns the
     /// indices the output body saw, or `Err(())` if the executor panicked;
     /// fails the test if neither happens within the watchdog's timeout.
     fn drive(
@@ -1129,10 +1088,6 @@ mod tests {
                         .collect(),
                     |i| {
                         boom(2, i);
-                        i
-                    },
-                    |i| {
-                        boom(3, i);
                         seen.push(i);
                         ControlFlow::Continue(())
                     },
@@ -1175,17 +1130,11 @@ mod tests {
                 (left >= 0).then(|| vec![(); 3])
             },
             vec![|batch: Vec<()>| (batch.len(), 0)],
-            |k| k,
             |_| ControlFlow::Continue(()),
         );
         assert_eq!(overlap.depth, 1);
         assert_eq!(overlap.devices[0].windows, 15);
-        for stage in [
-            overlap.read,
-            overlap.device,
-            overlap.posterior,
-            overlap.output,
-        ] {
+        for stage in [overlap.read, overlap.device, overlap.output] {
             assert_eq!((stage.stall_in, stage.stall_out), (0.0, 0.0));
         }
         assert!(overlap.achieved_depth() <= 1.0 + 1e-9);
@@ -1200,7 +1149,7 @@ mod tests {
     #[test]
     fn a_panicking_stage_surfaces_as_a_panic_never_a_hang() {
         for (depth, lanes) in [(1, 1), (2, 2)] {
-            for stage in 0..4u8 {
+            for stage in 0..3u8 {
                 assert_eq!(
                     drive(depth, lanes, 40, Some(stage)),
                     Err(()),

@@ -1002,7 +1002,6 @@ fn print_profile(
     for (name, st) in [
         ("read", &ov.read),
         ("device", &ov.device),
-        ("posterior", &ov.posterior),
         ("output", &ov.output),
     ] {
         writeln!(

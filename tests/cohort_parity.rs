@@ -42,6 +42,16 @@ fn cohort_data(num_samples: usize, seed: u64, num_sites: u64) -> Cohort {
 }
 
 fn run_cohort(c: &Cohort, base: GsnpConfig) -> CohortRan {
+    run_cohort_under(
+        c,
+        CohortCallConfig {
+            base,
+            ..Default::default()
+        },
+    )
+}
+
+fn run_cohort_under(c: &Cohort, cfg: CohortCallConfig) -> CohortRan {
     let inputs: Vec<SampleReads<'_>> = c
         .samples
         .iter()
@@ -50,11 +60,7 @@ fn run_cohort(c: &Cohort, base: GsnpConfig) -> CohortRan {
             reads: &s.reads,
         })
         .collect();
-    CohortPipeline::new(CohortCallConfig {
-        base,
-        ..Default::default()
-    })
-    .run_collected(&inputs, &c.reference, &c.priors)
+    CohortPipeline::new(cfg).run_collected(&inputs, &c.reference, &c.priors)
 }
 
 /// The cohort's pooled calibration, as a single-sample run would inject it.
@@ -181,9 +187,68 @@ fn cohort_grid_is_byte_identical_to_single_runs() {
     }
 }
 
+/// A cohort run under `gates` and `bad_sites` at `num_devices` and
+/// `pipeline_depth` (batch 2).
+fn run_policies(
+    c: &Cohort,
+    gates: QualityGates,
+    bad_sites: &BadSiteList,
+    num_devices: usize,
+    pipeline_depth: usize,
+) -> CohortRan {
+    run_cohort_under(
+        c,
+        CohortCallConfig {
+            base: GsnpConfig {
+                pipeline_depth,
+                ..base_cfg(2, num_devices)
+            },
+            gates,
+            bad_sites: bad_sites.clone(),
+        },
+    )
+}
+
+/// What the site policies decide in a run: every sample's rows, gated and
+/// forced NoCall counts, and the noisy-site census.
+type PolicyCensus = (Vec<(Vec<gsnp::seqio::SnpRow>, u64, u64)>, Vec<u64>);
+
+fn census(run: &CohortRan) -> PolicyCensus {
+    let lanes = run.samples.iter();
+    let lanes = lanes.map(|l| (l.all_rows(), l.gated_nocalls, l.forced_nocalls));
+    (lanes.collect(), run.noisy_sites.clone())
+}
+
+/// The run under `gates` and `bad_sites` at devices 1 / depth 1, after
+/// checking that every devices {1, 2, 3} × `pipeline_depth` {1, 2, 4}
+/// shape decides exactly the same: the output stage applies the policies
+/// in window order whichever lane scored a batch and however deep the
+/// channels are.
+fn policies_everywhere(c: &Cohort, gates: QualityGates, bad_sites: &BadSiteList) -> CohortRan {
+    let serial = run_policies(c, gates, bad_sites, 1, 1);
+    let want = census(&serial);
+    for num_devices in [1, 2, 3] {
+        for pipeline_depth in [1, 2, 4] {
+            let got = census(&run_policies(
+                c,
+                gates,
+                bad_sites,
+                num_devices,
+                pipeline_depth,
+            ));
+            assert!(
+                got == want,
+                "devices {num_devices} depth {pipeline_depth}: site policies diverged"
+            );
+        }
+    }
+    serial
+}
+
 /// A cohort with gates off and an empty bad-site list is the identity
 /// configuration; with a planted bad site, exactly that site is NoCalled
-/// in every sample and everything else is untouched.
+/// in every sample and everything else is untouched — at every device
+/// count and channel depth.
 #[test]
 fn bad_site_forcing_nocalls_one_site_everywhere() {
     let c = cohort_data(3, 0xBA_D051, 4_000);
@@ -196,23 +261,10 @@ fn bad_site_forcing_nocalls_one_site_everywhere() {
         .position(gsnp::seqio::SnpRow::is_variant)
         .expect("expected at least one variant") as u64;
 
-    let inputs: Vec<SampleReads<'_>> = c
-        .samples
-        .iter()
-        .map(|s| SampleReads {
-            name: &s.name,
-            reads: &s.reads,
-        })
-        .collect();
     let mut bad_sites = BadSiteList::new();
     bad_sites.threshold = 1;
     bad_sites.absorb(&[target]);
-    let forced = CohortPipeline::new(CohortCallConfig {
-        base: base_cfg(2, 1),
-        gates: QualityGates::default(),
-        bad_sites,
-    })
-    .run_collected(&inputs, &c.reference, &c.priors);
+    let forced = policies_everywhere(&c, QualityGates::default(), &bad_sites);
 
     for (sample, lane) in forced.samples.iter().enumerate() {
         let rows = lane.all_rows();
@@ -228,27 +280,16 @@ fn bad_site_forcing_nocalls_one_site_everywhere() {
 }
 
 /// Quality gates replace failing calls with NoCalls that preserve depth,
-/// and gated rows are never variants.
+/// and gated rows are never variants — at every device count and channel
+/// depth.
 #[test]
 fn quality_gates_emit_nocalls() {
     let c = cohort_data(2, 0x6A7E5, 4_000);
-    let inputs: Vec<SampleReads<'_>> = c
-        .samples
-        .iter()
-        .map(|s| SampleReads {
-            name: &s.name,
-            reads: &s.reads,
-        })
-        .collect();
-    let gated = CohortPipeline::new(CohortCallConfig {
-        base: base_cfg(2, 1),
-        gates: QualityGates {
-            min_quality: 20,
-            min_depth: 4,
-        },
-        bad_sites: BadSiteList::new(),
-    })
-    .run_collected(&inputs, &c.reference, &c.priors);
+    let gates = QualityGates {
+        min_quality: 20,
+        min_depth: 4,
+    };
+    let gated = policies_everywhere(&c, gates, &BadSiteList::new());
     let clean = run_cohort(&c, base_cfg(2, 1));
 
     let total_gated: u64 = gated.samples.iter().map(|s| s.gated_nocalls).sum();

@@ -204,7 +204,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     let s = journal::validate(&text).expect("journal invariants hold");
     let kinds = |k: &str| s.events.iter().filter(|e| event_kind(e) == Some(k)).count();
     assert!(kinds("batch") >= 1, "no batch events journaled");
-    assert_eq!(kinds("stage"), 4, "one stage event per pipeline stage");
+    assert_eq!(kinds("stage"), 3, "one stage event per pipeline stage");
     assert_eq!(kinds("lane"), 4, "one lane event per device");
     assert_eq!(kinds("device"), 4, "one device event per ledger");
     assert_eq!(kinds("sample"), 3, "one sample event per cohort sample");

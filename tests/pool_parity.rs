@@ -45,8 +45,8 @@ proptest! {
 
         // The pooled run must actually recycle once the window count
         // exceeds the number of arenas the streaming pipeline can hold in
-        // flight (producer + device + posterior stages plus two bounded
-        // channels of `pipeline_depth` each).
+        // flight (the producer, the device lane and the bounded channel of
+        // `pipeline_depth` between them hold fewer than this bound).
         let windows = pooled.stats.windows;
         let in_flight = 2 * pipeline_depth + 3;
         if windows as usize > in_flight {

@@ -119,8 +119,9 @@ fn device_track_spans_are_monotonic_and_non_overlapping() {
         // The per-device clock cursor hands every kernel and transfer an
         // exclusive interval of the simulated timeline, so sorted by
         // start time a device track's spans never overlap. (Record order
-        // is not timestamp order: the posterior stage charges readbacks
-        // on a device concurrently with its lane worker's launches.)
+        // is not timestamp order: the output stage charges readbacks and
+        // runs the RLE-DICT chain on a device concurrently with its lane
+        // worker's launches.)
         let mut spans = track_spans(&snap, i as u32);
         if tr.thread == "kernels" {
             assert!(
@@ -166,11 +167,11 @@ fn pipeline_tracks_cover_every_stage_and_lane() {
         "device lane 1",
         "device lane 2",
         "device lane 3",
-        "posterior",
         "output",
     ] {
         assert!(threads.contains(&expected), "missing track {expected:?}");
     }
+    assert_eq!(threads.len(), 6, "three stages, four lanes: {threads:?}");
     // Host-clock tracks are monotonic by start time per track (spans on
     // one stage thread are recorded in execution order).
     for (i, tr) in snap.tracks.iter().enumerate() {
@@ -256,7 +257,7 @@ fn traced_cohort_run_reconciles_and_changes_no_sample() {
 
     let lane_windows: u64 = traced.stats.overlap.devices.iter().map(|l| l.windows).sum();
     assert_eq!(lane_windows, 3 * 4, "3 samples × (6000 sites / 1500)");
-    for thread in ["read_site", "posterior", "output"] {
+    for thread in ["read_site", "output"] {
         let track = snap
             .tracks
             .iter()
