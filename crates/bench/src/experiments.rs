@@ -275,6 +275,8 @@ pub fn table4(scale: f64) -> String {
     }
     format!(
         "Table IV — GSNP time breakdown and speedup vs SOAPsnp (scale {scale})\n{}\n\
+         GSNP post. is the modelled readback of type_likely and the result rows (d2h) alone,\n\
+         with no host-wall term, so it repeats exactly run to run.\n\
          Paper (Ch.1): cal_p 297  read 20(5x)  count 87(4x)  likeli 60(204x)  post 16(7x)  output 44(13x)  recycle 3(2738x)  total 527(42x)\n\
          Shape target: recycle has the largest speedup, then likelihood; total ≥ one order of magnitude.\n",
         table(

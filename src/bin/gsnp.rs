@@ -203,6 +203,10 @@ fn compute_config(
     if num_devices == 0 {
         return Err("--devices must be at least 1".into());
     }
+    let launch_batch = parse_flag(args, "--batch")?.unwrap_or(defaults.launch_batch);
+    if launch_batch == 0 {
+        return Err("--batch must be at least 1".into());
+    }
     Ok(GsnpConfig {
         window_size: match window_flag(args)? {
             Some(n) => n,
@@ -214,7 +218,7 @@ fn compute_config(
             true => parse_flag(args, "--pipeline-depth")?.unwrap_or(defaults.pipeline_depth),
             false => defaults.pipeline_depth,
         },
-        launch_batch: parse_flag(args, "--batch")?.unwrap_or(0),
+        launch_batch,
         contracts: !profile && has_flag(args, "--contracts"),
         backend: backend_flag(args)?,
         ..defaults

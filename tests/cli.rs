@@ -14,12 +14,14 @@
 //! call pinned to one CPU (the worker pool's serial path) writes the bytes
 //! an unpinned one does. A flag outside the subcommand's usage text, a
 //! value flag without a value, a number that does not parse, a zero-site
-//! window and zero devices are errors naming the flag, and so is every
+//! window, zero devices and a zero batch are errors naming the flag, and so
+//! is every
 //! device-pipeline flag next to `--cpu`, which would not reach it; so are
 //! the retired `--stats-addr` and `--stats-hold`, a `--format` other than
 //! `prom` and a positional argument the subcommand does not take; a
 //! missing trace file is an error naming it. `--progress` ends with
-//! exactly one `done` line. A closed
+//! exactly one `done` line. Two identical simulator runs report the same
+//! modelled posterior seconds. A closed
 //! stdout ends a command quietly; any other stdout error is an error, not
 //! a panic. A destination that cannot be written is found before the first
 //! window is computed, not after the last. `gsnp synth` refuses zero sites,
@@ -220,13 +222,13 @@ fn native_runs_name_the_host_jobs_kernel_and_report_without_the_chain() {
                 == std::fs::read(dir.join("out.gsnp")).unwrap()
         );
         let prom = std::fs::read_to_string(dir.join("arm.prom")).unwrap();
-        // 6 000 sites in 1 500-site windows, two per batch.
+        // 6 000 sites in 1 500-site windows, one per batch.
         assert!(
-            prom.contains("gsnp_launches_total{kernel=\"rledict_host_jobs\"} 2"),
+            prom.contains("gsnp_launches_total{kernel=\"rledict_host_jobs\"} 4"),
             "{backend}"
         );
         assert!(
-            prom.contains("gsnp_kernel_launch_wall_seconds_count{kernel=\"rledict_host_jobs\"} 2")
+            prom.contains("gsnp_kernel_launch_wall_seconds_count{kernel=\"rledict_host_jobs\"} 4")
         );
         for chain in ["rle_flags", "scan_blocks", "rle_scatter", "binary_search"] {
             assert!(!prom.contains(chain), "{backend}: {chain} has a series");
@@ -234,6 +236,32 @@ fn native_runs_name_the_host_jobs_kernel_and_report_without_the_chain() {
         let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
         assert!(report.contains("journal invariants: ok"), "{report}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The modelled posterior is the modelled readback alone — per site a
+/// `type_likely` row (80 B) and a result row (32 B) over PCIe — with no
+/// share of the host's wall, so two identical simulator runs report it to
+/// the bit.
+#[test]
+fn the_modelled_posterior_repeats_exactly() {
+    let dir = called("post");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
+    let series = "gsnp_component_seconds{component=\"posterior\",clock=\"device\"} ";
+    let posterior = |run: &str| {
+        let (out, prom) = (d(&format!("{run}.gsnp")), d(&format!("{run}.prom")));
+        let args = ["call", &reads, &fa, &priors, &out, "--window", "1500", "-q"];
+        ok(&[&args[..], &["--backend", "sim", "--metrics", &prom]].concat());
+        let prom = std::fs::read_to_string(&prom).unwrap();
+        let line = prom.lines().find_map(|l| l.strip_prefix(series));
+        line.expect("a posterior series").to_string()
+    };
+    let first = posterior("a");
+    let d2h = 6_000.0 * (80.0 + 32.0) / gsnp::gpu_sim::DeviceConfig::default().pcie_bw;
+    let seconds: f64 = first.parse().unwrap();
+    assert!((seconds - d2h).abs() < 1e-12, "{seconds} vs {d2h}");
+    assert_eq!(first, posterior("b"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -482,18 +510,17 @@ fn the_three_running_subcommands_build_the_same_compute_config() {
         "\"window_size\":1000,",
         "\"num_devices\":2,",
         "\"launch_batch\":3,",
-        "\"launch_batch_effective\":3,",
         "\"backend\":\"sim\",",
     ] {
         assert!(single.contains(key), "{key} not in {single}");
     }
-    for retired in ["auto_threshold", "gpu_output"] {
+    for retired in ["auto_threshold", "gpu_output", "launch_batch_effective"] {
         assert!(!single.contains(retired), "{retired} in {single}");
     }
     // `gsnp report` shows the manifest it was given.
     let report = String::from_utf8(ok(&["report", &journal]).stdout).unwrap();
     assert!(report.contains("backend=sim"), "{report}");
-    assert!(report.contains("launch_batch_effective=3"), "{report}");
+    assert!(report.contains("launch_batch=3"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -543,6 +570,8 @@ fn flags_are_checked_against_the_subcommands_usage() {
             "--window: \"-5\" is not a valid number",
         ),
         (&call, "--devices 0", "--devices must be at least 1"),
+        (&call, "--batch 0", "--batch must be at least 1"),
+        (&profile, "--batch 0", "--batch must be at least 1"),
         (
             &call,
             "--min-depth 2",

@@ -133,7 +133,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     let tracker = Arc::new(ProgressTracker::new());
 
     // What the CLI would build from `--window 1500 --devices 4`, with
-    // `--batch` left to follow the pipeline depth.
+    // `--batch` left at its default of one window per launch.
     let base = GsnpConfig {
         window_size: 1_500,
         num_devices: 4,
@@ -220,11 +220,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
     let want = [
         ("window_size", Json::Num(1_500.0)),
         ("num_devices", Json::Num(4.0)),
-        ("launch_batch", Json::Num(0.0)),
-        (
-            "launch_batch_effective",
-            Json::Num(base.launch_batch_size() as f64),
-        ),
+        ("launch_batch", Json::Num(1.0)),
         ("pipeline_depth", Json::Num(2.0)),
         ("backend", Json::Str(base.backend.name().into())),
         ("contracts", Json::Bool(base.contracts)),
@@ -238,7 +234,10 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
         ("expected_depth", Json::Num(p.expected_depth)),
         ("shared_tables", Json::Bool(base.shared_tables.is_some())),
     ];
-    assert_eq!(base.launch_batch_size(), 2, "batch follows the depth");
+    assert_eq!(
+        base.launch_batch, 1,
+        "the batch is one window, not the depth"
+    );
     let keys: Vec<&str> = manifest.iter().map(|(k, _)| k.as_str()).collect();
     let wanted: Vec<&str> = want.iter().map(|(k, _)| *k).collect();
     assert_eq!(keys, wanted, "manifest keys");
@@ -248,11 +247,7 @@ fn journal_round_trips_through_report_on_a_four_device_cohort() {
 
     // The report reconstructs the run from the journal alone.
     let report = journal::render_report(&text).expect("report renders");
-    for shown in [
-        "window_size=1500",
-        "launch_batch_effective=2",
-        "backend=sim",
-    ] {
+    for shown in ["window_size=1500", "launch_batch=1", "backend=sim"] {
         assert!(report.contains(shown), "{shown} missing:\n{report}");
     }
     for smp in &c.samples {
