@@ -275,8 +275,9 @@ pub fn table4(scale: f64) -> String {
     }
     format!(
         "Table IV — GSNP time breakdown and speedup vs SOAPsnp (scale {scale})\n{}\n\
-         GSNP post. is the modelled readback of type_likely and the result rows (d2h) alone,\n\
-         with no host-wall term, so it repeats exactly run to run.\n\
+         GSNP post. is the modelled readback of type_likely and the result rows (d2h) alone, and\n\
+         GSNP output the RLE-DICT chain plus the compressed bytes' readback: no host-wall\n\
+         term, so both repeat exactly run to run.\n\
          Paper (Ch.1): cal_p 297  read 20(5x)  count 87(4x)  likeli 60(204x)  post 16(7x)  output 44(13x)  recycle 3(2738x)  total 527(42x)\n\
          Shape target: recycle has the largest speedup, then likelihood; total ≥ one order of magnitude.\n",
         table(

@@ -91,14 +91,11 @@ pub fn compress_chunk(chr: &str, chunk: &ReadChunk) -> Vec<u8> {
     sparse::encode(&extra_hits, &mut w);
 
     // Sequences: 2-bit codes, concatenated, four to a byte.
-    w.align();
-    for four in chunk.bases().chunks(4) {
-        w.write_u8(four.iter().rev().fold(0, |byte, &b| byte << 2 | b));
-    }
+    w.write_bytes(&pack_bases(chunk.bases()));
 
     // Qualities: the concatenated stream through RLE-DICT (long runs
     // within a read by construction of the quality model).
-    let (values, lengths) = rle::encode(chunk.quals().iter().map(|&q| u32::from(q)));
+    let (values, lengths) = rle::encode_bytes(chunk.quals());
     dict::encode(&values, &mut w);
     dict::encode(&lengths, &mut w);
 
@@ -173,10 +170,13 @@ pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'
         (pos, strand, extra_hits[i].wrapping_add(1))
     });
     let unpack = |seq: &mut [u8], qual: &mut [u8]| {
-        for (four, &byte) in seq.chunks_mut(4).zip(packed_bases) {
-            for (k, code) in four.iter_mut().enumerate() {
-                *code = byte >> (2 * k) & 3;
-            }
+        let mut fours = seq.chunks_exact_mut(4);
+        for (four, &byte) in fours.by_ref().zip(packed_bases) {
+            four.copy_from_slice(&UNPACK[usize::from(byte)]);
+        }
+        let last = fours.into_remainder();
+        if let Some(&byte) = packed_bases.get(total_bases / 4) {
+            last.copy_from_slice(&UNPACK[usize::from(byte)][..last.len()]);
         }
         let mut at = 0;
         for (&q, &len) in values.iter().zip(&run_lengths) {
@@ -189,6 +189,34 @@ pub fn decompress_chunk<'a>(bytes: &'a [u8], chunk: &mut ReadChunk) -> Result<&'
         .map_err(CodecError::corrupt)?;
     Ok(chr)
 }
+
+/// 2-bit codes, four to a byte from the low bits up: eight codes a word,
+/// each pair folded into a nibble and each pair of nibbles into a byte.
+fn pack_bases(codes: &[u8]) -> Vec<u8> {
+    let mut packed = Vec::with_capacity(codes.len().div_ceil(4));
+    let mut eights = codes.chunks_exact(8);
+    for eight in eights.by_ref() {
+        let x = u64::from_le_bytes(eight.try_into().expect("eight codes"));
+        let x = (x | x >> 6) & 0x000F_000F_000F_000F;
+        let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
+        packed.extend_from_slice(&[x as u8, (x >> 32) as u8]);
+    }
+    for four in eights.remainder().chunks(4) {
+        packed.push(four.iter().rev().fold(0, |byte, &b| byte << 2 | b));
+    }
+    packed
+}
+
+/// A packed byte → its four 2-bit codes, low bits first.
+static UNPACK: [[u8; 4]; 256] = {
+    let mut t = [[0; 4]; 256];
+    let mut i = 0;
+    while i < 1024 {
+        t[i / 4][i % 4] = ((i / 4) >> (2 * (i % 4)) & 3) as u8;
+        i += 1;
+    }
+    t
+};
 
 /// One sample's temporary input: its position-sorted reads as consecutive
 /// chunks, in order, each a [`compress_chunk`] blob.
@@ -399,6 +427,147 @@ mod tests {
                 "{} reads",
                 reads.len()
             );
+        }
+    }
+
+    /// FNV-1a, 64-bit: a blob's fingerprint.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Read sets whose blobs are pinned: synthetic reads of lengths 50, 33
+    /// (≡ 1 mod 4), 7 (≡ 3) and 256 (the longest), and a set of mixed
+    /// lengths on both strands with repeated hits, each cut into chunks.
+    fn pinned_chunks() -> Vec<(String, Vec<AlignedRead>)> {
+        let shaped = |seed, read_len, depth, num_sites| {
+            let d = Dataset::generate(SynthConfig {
+                read_len,
+                depth,
+                num_sites,
+                ..SynthConfig::tiny(seed)
+            });
+            (d.config.chr_name, d.reads)
+        };
+        let mut sets = vec![
+            shaped(41, 50, 8.0, 5_000),
+            shaped(42, 33, 20.0, 2_000),
+            shaped(43, 7, 3.0, 4_000),
+            shaped(44, 256, 10.0, 3_000),
+        ];
+        let (chr, mut mixed) = shaped(45, 30, 12.0, 1_500);
+        for (i, r) in mixed.iter_mut().enumerate() {
+            let len = 1 + i % 30;
+            r.seq.truncate(len);
+            r.qual.truncate(len);
+            r.nhits = 1 + (i % 5 == 0) as u32 * (i % 7) as u32;
+        }
+        sets.push((chr, mixed));
+        sets.into_iter()
+            .flat_map(|(chr, reads)| {
+                let cut = reads.len().div_ceil(3);
+                let chunks: Vec<Vec<AlignedRead>> = reads.chunks(cut).map(<[_]>::to_vec).collect();
+                chunks.into_iter().map(move |c| (chr.clone(), c))
+            })
+            .collect()
+    }
+
+    /// Every blob of [`pinned_chunks`], as the codec wrote it before the
+    /// bulk packers: the temporary input's bytes do not move.
+    const PINNED_BLOBS: [u64; 15] = [
+        0x6e1bfeae4e2394fd,
+        0xc4b18788d0aceb12,
+        0x7841338795c8503d,
+        0x8404994143890381,
+        0x581da10d5dbfcb92,
+        0x867aec59e3c885e7,
+        0x3c98642eb6a9aaec,
+        0x348f7c0ac540101f,
+        0xf3abe7629d469004,
+        0xb6a278dbb9ae998c,
+        0xc31b2d955c67cf55,
+        0x048524d14c6f0e00,
+        0xab378f21a25301c1,
+        0x219282b6a13b822f,
+        0xdd7c0ad102921832,
+    ];
+
+    #[test]
+    fn the_temporary_input_s_bytes_are_pinned() {
+        let got: Vec<u64> = pinned_chunks()
+            .iter()
+            .map(|(chr, reads)| fnv64(&compress_reads(chr, reads)))
+            .collect();
+        assert_eq!(got, PINNED_BLOBS);
+    }
+
+    /// Reads of the given `(length, reverse, nhits, quality shape)`, one
+    /// to three sites apart. Shapes: one quality for the whole read,
+    /// alternating qualities, runs of seven that cross every word boundary.
+    fn shaped_reads(specs: &[(usize, bool, u32, u8)]) -> Vec<AlignedRead> {
+        let mut pos = 0;
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(len, reverse, nhits, shape))| {
+                pos += (i % 3) as u64;
+                let qual = (0..len).map(|k| match shape {
+                    0 => 30,
+                    1 => [20, 40][k % 2],
+                    _ => [10, 63, 0][k / 7 % 3],
+                });
+                AlignedRead {
+                    id: format!("r{i}"),
+                    seq: (0..len).map(|k| ((i * 7 + k * k) % 4) as u8).collect(),
+                    qual: qual.collect(),
+                    nhits,
+                    strand: [Strand::Forward, Strand::Reverse][usize::from(reverse)],
+                    chr: "c".into(),
+                    pos,
+                }
+            })
+            .collect()
+    }
+
+    /// The bulk packers write the record encoder's bytes and read back
+    /// what they were given.
+    fn assert_same_bytes_and_roundtrip(reads: &[AlignedRead]) {
+        let blob = compress_reads("c", reads);
+        assert!(
+            blob == reference_compress_reads("c", reads),
+            "{} reads",
+            reads.len()
+        );
+        assert_eq!(decompress_reads(&blob).unwrap(), strip_ids(reads.to_vec()));
+    }
+
+    #[test]
+    fn every_read_length_packs_as_the_record_encoder_packs() {
+        use seqio::soap::MAX_READ_LEN;
+        // Alone (each length mod 4 ends the payload), together (each one
+        // starts a read mid-byte), and the empty chunk.
+        for len in 1..=MAX_READ_LEN {
+            for shape in 0..3 {
+                assert_same_bytes_and_roundtrip(&shaped_reads(&[(len, len % 2 == 0, 1, shape)]));
+            }
+        }
+        let every: Vec<_> = (1..=MAX_READ_LEN)
+            .map(|len| (len, len % 3 == 0, 1, (len % 3) as u8))
+            .collect();
+        assert_same_bytes_and_roundtrip(&shaped_reads(&every));
+        assert_same_bytes_and_roundtrip(&[]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_read_set_packs_as_the_record_encoder_packs(
+            specs in proptest::collection::vec(
+                (1usize..=seqio::soap::MAX_READ_LEN, proptest::any::<bool>(), 1u32..4, 0u8..3),
+                0..12,
+            )
+        ) {
+            assert_same_bytes_and_roundtrip(&shaped_reads(&specs));
         }
     }
 

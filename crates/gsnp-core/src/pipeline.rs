@@ -569,8 +569,9 @@ struct Carry {
 }
 
 impl Carry {
-    /// The length of the next chunk of `lines` lines, reading `reader` a
-    /// block at a time while the carry holds fewer; 0 at the end of the text.
+    /// The length of the next chunk of `lines` lines, reading `reader`
+    /// while the carry holds fewer, each time up to the carry's next whole
+    /// block; 0 at the end of the text.
     fn next_chunk(
         &mut self,
         reader: &mut dyn Read,
@@ -585,17 +586,21 @@ impl Carry {
             if self.eof {
                 return Ok(self.text.len());
             }
-            reserve_blocks(&mut self.text, block, block);
-            self.eof = reader.take(block as u64).read_to_end(&mut self.text)? < block;
+            let want = (self.text.len() + 1).next_multiple_of(block) - self.text.len();
+            reserve_blocks(&mut self.text, want, block);
+            self.eof = reader.take(want as u64).read_to_end(&mut self.text)? < want;
         }
     }
 
-    /// Move the chunk of `len` bytes into `text`, grown in whole blocks.
+    /// Hand the chunk of `len` bytes over as `text`: the carry's buffer
+    /// becomes the chunk, and the carry takes `text`'s old buffer, grown
+    /// in whole blocks, with the bytes past the chunk moved into it once.
     fn cut_into(&mut self, len: usize, text: &mut Vec<u8>, block: usize) {
-        text.clear();
-        reserve_blocks(text, len, block);
-        text.extend_from_slice(&self.text[..len]);
-        self.text.drain(..len);
+        std::mem::swap(&mut self.text, text);
+        self.text.clear();
+        reserve_blocks(&mut self.text, text.len() - len, block);
+        self.text.extend_from_slice(&text[len..]);
+        text.truncate(len);
         (self.scanned, self.seen) = (0, 0);
     }
 }
@@ -611,7 +616,7 @@ struct ChunkSource<'a> {
 }
 
 impl<'a> ChunkSource<'a> {
-    /// The next chunk in file order, its lines (if text) copied into `text`;
+    /// The next chunk in file order, its lines (if text) handed over as `text`;
     /// `None` once every sample is cut or the source has stopped.
     fn next(&mut self, text: &mut Vec<u8>) -> Option<ChunkJob<'a>> {
         let (chunk_reads, read_block) = (self.stream.chunk_reads, self.stream.read_block);
@@ -1095,7 +1100,10 @@ pub(crate) fn run_window_loop(
             frames.clear();
             let out_stats =
                 column::write_windows_gpu_batch(&dispatchers[dev], &mut frames, &batch_tables);
-            out_sim += out_stats.sim_time;
+            // The compressed bytes come back over the scoring device's
+            // PCIe link: modelled here, charged to no ledger.
+            let pcie_bw = group.device(dev).config().pcie_bw;
+            out_sim += out_stats.sim_time + frames.len() as f64 / pcie_bw;
             output_bytes[sample] += frames.len() as u64;
             if let Err(e) = sink.write_batch(sample, batch_tables, &frames) {
                 sink_error = Some(e);
@@ -1122,9 +1130,9 @@ pub(crate) fn run_window_loop(
     times.posterior = post_model;
     // The output stage's busy time less its posterior part.
     wall.output = (ov.output.busy - post_host).max(0.0);
-    // Device columns overlap host columns; charge the slower plus the
-    // (dominant) host write of the compressed bytes.
-    times.output = out_sim + wall.output * 0.25;
+    // The chain's modelled time plus the compressed bytes' readback: no
+    // host clock, so it repeats exactly run to run.
+    times.output = out_sim;
     stats.snp_count = tallies.snp.iter().sum();
     stats.arena = arena_pool.stats();
     let ledger = group.ledger();

@@ -78,6 +78,21 @@ impl Base {
     }
 }
 
+/// The parsers' ASCII lookup table: A/C/G/T in either case → their 2-bit
+/// codes ([`Base::from_ascii`]), `N`/`n` → `n`, every other byte → `other`.
+pub(crate) const fn ascii_codes(n: u8, other: u8) -> [u8; 256] {
+    let mut t = [other; 256];
+    let mut code = 0;
+    while code < 4 {
+        t[b"ACGT"[code] as usize] = code as u8;
+        t[b"acgt"[code] as usize] = code as u8;
+        code += 1;
+    }
+    t[b'N' as usize] = n;
+    t[b'n' as usize] = n;
+    t
+}
+
 /// IUPAC ambiguity code for an unordered genotype (pair of alleles).
 /// Homozygous genotypes map to the plain base letter.
 pub fn iupac(a: Base, b: Base) -> u8 {

@@ -4,10 +4,17 @@
 //! in memory as `u8` codes (`0..=3` for A/C/G/T, [`crate::base::N_CODE`]
 //! for N) so the hot paths never touch ASCII.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
-use crate::base::{Base, N_CODE};
+use crate::base::{ascii_codes, Base, N_CODE};
 use crate::error::SeqIoError;
+
+/// Marks a byte that is no reference base in [`REF_CODE`].
+const INVALID: u8 = 0xFF;
+
+/// ASCII → reference code: [`Base::from_ascii`] and `N`/`n` →
+/// [`N_CODE`], tabulated.
+static REF_CODE: [u8; 256] = ascii_codes(N_CODE, INVALID);
 
 /// An in-memory reference sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,42 +58,52 @@ impl Reference {
         (c < 4).then(|| Base::from_code(c))
     }
 
-    /// Parse the first record of a FASTA stream.
-    pub fn read_fasta<R: BufRead>(reader: R) -> Result<Reference, SeqIoError> {
-        let mut name = None;
-        let mut seq = Vec::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line?;
-            let lineno = i as u64 + 1;
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
+    /// Parse the first record of a FASTA stream, a line at a time in one
+    /// reused buffer: a sequence line's bytes go through one 256-entry
+    /// code table and are checked where their codes land. Only a line with
+    /// a non-ASCII byte is read as text, to trim or refuse it as `str` does.
+    pub fn read_fasta<R: BufRead>(mut reader: R) -> Result<Reference, SeqIoError> {
+        let (mut name, mut seq, mut line) = (None, Vec::new(), Vec::new());
+        let mut lineno = 0u64;
+        while reader.read_until(b'\n', &mut line)? > 0 {
+            lineno += 1;
+            let mut text = line.strip_suffix(b"\n").unwrap_or(&line);
+            if !text.is_ascii() {
+                let utf8 = std::str::from_utf8(text).map_err(|_| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    )
+                })?;
+                text = utf8.trim_end().as_bytes();
             }
-            if let Some(hdr) = line.strip_prefix('>') {
+            // `str::trim_end` on ASCII: tab to carriage return, and space.
+            while let [rest @ .., b'\t'..=b'\r' | b' '] = text {
+                text = rest;
+            }
+            if let Some(hdr) = text.strip_prefix(b">") {
                 if name.is_some() {
                     break; // Only the first record.
                 }
+                let hdr = String::from_utf8_lossy(hdr);
                 name = Some(hdr.split_whitespace().next().unwrap_or("").to_string());
+            } else if name.is_none() && !text.is_empty() {
+                return Err(SeqIoError::parse(
+                    lineno,
+                    "sequence data before FASTA header",
+                ));
             } else {
-                if name.is_none() {
+                let at = seq.len();
+                seq.extend(text.iter().map(|&c| REF_CODE[usize::from(c)]));
+                if let Some(bad) = seq[at..].iter().position(|&code| code == INVALID) {
+                    let c = text[bad] as char;
                     return Err(SeqIoError::parse(
                         lineno,
-                        "sequence data before FASTA header",
+                        format!("invalid base character {c:?}"),
                     ));
                 }
-                for &c in line.as_bytes() {
-                    match Base::from_ascii(c) {
-                        Some(b) => seq.push(b.code()),
-                        None if c == b'N' || c == b'n' => seq.push(N_CODE),
-                        None => {
-                            return Err(SeqIoError::parse(
-                                lineno,
-                                format!("invalid base character {:?}", c as char),
-                            ))
-                        }
-                    }
-                }
             }
+            line.clear();
         }
         let name = name.ok_or_else(|| SeqIoError::parse(0, "no FASTA header found"))?;
         Ok(Reference { name, seq })
@@ -161,6 +178,35 @@ mod tests {
     fn header_takes_first_token() {
         let r = Reference::read_fasta(Cursor::new(">chr1 homo sapiens\nAC\n")).unwrap();
         assert_eq!(r.name, "chr1");
+    }
+
+    #[test]
+    fn the_code_table_agrees_with_the_scalar_definitions() {
+        for c in 0..=255u8 {
+            let want = match Base::from_ascii(c) {
+                Some(b) => b.code(),
+                None if c == b'N' || c == b'n' => N_CODE,
+                None => INVALID,
+            };
+            assert_eq!(REF_CODE[usize::from(c)], want, "{c}");
+        }
+    }
+
+    #[test]
+    fn crlf_lowercase_blank_lines_and_a_second_record_parse_as_lines() {
+        let text = ">chr9 a b\r\nacgN\r\n\r\nTTn \r\n\n>next\nGGGG\n";
+        let r = Reference::read_fasta(Cursor::new(text)).unwrap();
+        assert_eq!(r, Reference::new("chr9", vec![0, 1, 2, 4, 3, 3, 4]));
+        let err = Reference::read_fasta(Cursor::new(">x\nAC\nA!\n")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 3: invalid base character '!'"
+        );
+        let err = Reference::read_fasta(Cursor::new(&b">x\nA\xff\n"[..])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "I/O error: stream did not contain valid UTF-8"
+        );
     }
 
     #[test]

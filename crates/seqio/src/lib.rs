@@ -12,6 +12,8 @@
 //! * [`prior`] — known-SNP prior probabilities (dbSNP-like input).
 //! * [`result`] — the 17-column SNP result table produced by SOAPsnp and
 //!   GSNP, with its plain-text serialization.
+//! * [`swar`] — the byte tests the parsers and the input codec run eight
+//!   bytes at a time.
 //! * [`synth`] — reproducible synthetic genome + short-read simulator with
 //!   planted SNPs, quality decay, and configurable depth/coverage.
 //! * [`window`] — the `read_site` component: streams alignments into
@@ -24,6 +26,7 @@ pub mod fasta;
 pub mod prior;
 pub mod result;
 pub mod soap;
+pub mod swar;
 pub mod synth;
 pub mod window;
 

@@ -21,8 +21,9 @@
 
 use std::io::{BufRead, Write};
 
-use crate::base::{Base, Strand};
+use crate::base::{ascii_codes, Base, Strand};
 use crate::error::SeqIoError;
+use crate::swar;
 
 /// Maximum representable quality score (6 bits in the `base_word` packing).
 pub const MAX_QUAL: u8 = 63;
@@ -38,19 +39,14 @@ const NO_HITS: &str = "nhits must be at least 1";
 const TOO_LONG: &str = "read longer than 256 bases";
 const _: () = assert!(MAX_READ_LEN == 256, "TOO_LONG names the limit");
 const BAD_QUALITY: &str = "quality out of range";
+const _: () = assert!(
+    (MAX_QUAL + 1).is_power_of_two(),
+    "push_reads or-folds qualities"
+);
 const LENGTHS_DIFFER: &str = "seq/qual length mismatch";
 
 /// ASCII → 2-bit base code ([`Base::from_ascii`], tabulated).
-static BASE_CODE: [u8; 256] = {
-    let mut t = [INVALID; 256];
-    let mut code = 0;
-    while code < 4 {
-        t[b"ACGT"[code] as usize] = code as u8;
-        t[b"acgt"[code] as usize] = code as u8;
-        code += 1;
-    }
-    t
-};
+static BASE_CODE: [u8; 256] = ascii_codes(INVALID, INVALID);
 
 /// ASCII → Phred quality (`c − 33`, at most [`MAX_QUAL`]).
 static QUAL_CODE: [u8; 256] = {
@@ -192,7 +188,7 @@ impl Record<'_> {
 /// and append its base codes to `seq` and its qualities to `qual`, which
 /// are left as they were on error. Only `id` and `chr` are checked as
 /// UTF-8; the 100-byte `seq`/`qual` fields go through the two 256-entry
-/// tables instead.
+/// tables instead, and the tabs are found eight bytes at a time.
 fn parse_record<'a>(
     line: &'a [u8],
     lineno: u64,
@@ -200,7 +196,7 @@ fn parse_record<'a>(
     qual: &mut Vec<u8>,
 ) -> Result<Record<'a>, SeqIoError> {
     let err = |msg: &str| SeqIoError::parse(lineno, msg);
-    let mut f = line.trim_ascii_end().split(|&c| c == b'\t');
+    let mut f = swar::split(line.trim_ascii_end(), b'\t');
     let mut next = |what: &str| {
         f.next()
             .ok_or_else(|| SeqIoError::parse(lineno, format!("missing field: {what}")))
@@ -399,10 +395,13 @@ impl ReadChunk {
         self.seq.resize(bytes + total, 0);
         self.qual.resize(bytes + total, 0);
         fill(&mut self.seq[bytes..], &mut self.qual[bytes..]);
+        // Every byte or-ed into one: a code above 3 (a quality above 63)
+        // is one with a bit above the low two (six) set.
+        let any_above = |bytes: &[u8], max: u8| bytes.iter().fold(0, |acc, &b| acc | b) > max;
         let mut broken = None;
-        if self.seq[bytes..].iter().any(|&b| b > 3) {
+        if any_above(&self.seq[bytes..], 3) {
             broken = Some("base code out of range");
-        } else if self.qual[bytes..].iter().any(|&q| q > MAX_QUAL) {
+        } else if any_above(&self.qual[bytes..], MAX_QUAL) {
             broken = Some(BAD_QUALITY);
         }
         for (&len, (pos, strand, nhits)) in lens.iter().zip(fields) {
@@ -499,20 +498,16 @@ pub fn write_alignments<W: Write>(reads: &[AlignedRead], mut w: W) -> Result<(),
 /// what lets pieces be parsed independently ([`AlignmentReader::at_line`])
 /// and still report global line numbers.
 ///
-/// Eight bytes at a time: a byte-exact zero test of `word ^ b'\n'…`, whose
-/// masks cannot carry from one byte into the next.
+/// Eight bytes at a time ([`swar::bytes_equal`]).
 ///
 /// # Panics
 /// Panics if `n` is zero.
 pub fn nth_line_end(text: &[u8], n: usize) -> Result<usize, usize> {
-    const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
-    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
     assert!(n > 0, "a piece holds at least one line");
     let mut seen = 0;
     // The end of the `n`-th line, if `word` (bytes `8·w..`) holds it.
     let mut find = |w: usize, word: [u8; 8]| {
-        let x = u64::from_le_bytes(word) ^ NEWLINES;
-        let mut hits = !(((x & LOW7) + LOW7) | x | LOW7);
+        let mut hits = swar::bytes_equal(u64::from_le_bytes(word), b'\n');
         while hits != 0 {
             seen += 1;
             if seen == n {

@@ -265,6 +265,32 @@ fn the_modelled_posterior_repeats_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The modelled output is the compression chain's modelled time plus the
+/// compressed bytes' readback over PCIe, with no share of the host's wall,
+/// so two identical simulator runs report it to the bit.
+#[test]
+fn the_modelled_output_repeats_exactly() {
+    let dir = called("out");
+    let d = |name: &str| dir.join(name).display().to_string();
+    let (reads, fa, priors) = (d("reads.soap"), d("reference.fa"), d("priors.txt"));
+    let series = "gsnp_component_seconds{component=\"output\",clock=\"device\"} ";
+    let output = |run: &str| {
+        let (out, prom) = (d(&format!("{run}.gsnp")), d(&format!("{run}.prom")));
+        let args = ["call", &reads, &fa, &priors, &out, "--window", "1500", "-q"];
+        ok(&[&args[..], &["--backend", "sim", "--metrics", &prom]].concat());
+        let prom = std::fs::read_to_string(&prom).unwrap();
+        let line = prom.lines().find_map(|l| l.strip_prefix(series));
+        let bytes = std::fs::metadata(&out).unwrap().len();
+        (line.expect("an output series").to_string(), bytes)
+    };
+    let (first, bytes) = output("a");
+    let readback = bytes as f64 / gsnp::gpu_sim::DeviceConfig::default().pcie_bw;
+    let seconds: f64 = first.parse().unwrap();
+    assert!(seconds > readback, "{seconds} vs {readback}");
+    assert_eq!(first, output("b").0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `call` used to read, score and compress every window and only then find
 /// that `<out>`, the `--text` file or the cohort's `<out_dir>` could not be
 /// written. The sinks are opened first: the error names the path and the

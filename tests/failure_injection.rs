@@ -3,10 +3,11 @@
 //! Hostile alignment files are also fed to the `gsnp` binary itself: the
 //! error must name the file and the line, and no output may be written.
 
-use std::io::Cursor;
+use std::io::{BufRead, Cursor};
 
 use gsnp::compress::column::{compress_table, decompress_table, write_window, WindowStream};
 use gsnp::compress::{input_codec, lz, CodecError};
+use gsnp::seqio::base::{Base, N_CODE};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::result::{SnpRow, SnpTable};
@@ -191,6 +192,90 @@ fn fasta_and_prior_parsers_reject_malformed_input() {
     assert!(PriorMap::read(Cursor::new("chr\tnot-enough")).is_err());
     assert!(PriorMap::read(Cursor::new("c\t1\tA\t0.9\t0.9\t0.0\t0.0\n")).is_err()); // sum > 1
     assert!(PriorMap::read(Cursor::new("c\t0\tA\t1.0\t0\t0\t0\n")).is_err()); // 0-based pos
+}
+
+/// `Reference::read_fasta` as it was before its table-driven rewrite,
+/// line by line through `BufRead::lines`: the oracle for every prefix and
+/// every damaged byte below.
+fn read_fasta_by_lines(reader: impl BufRead) -> Result<Reference, SeqIoError> {
+    let mut name = None;
+    let mut seq = Vec::new();
+    for (i, line) in reader.lines().enumerate() {
+        let line = line?;
+        let lineno = i as u64 + 1;
+        let line = line.trim_end();
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(hdr) = line.strip_prefix('>') {
+            if name.is_some() {
+                break; // Only the first record.
+            }
+            name = Some(hdr.split_whitespace().next().unwrap_or("").to_string());
+        } else {
+            if name.is_none() {
+                return Err(SeqIoError::parse(
+                    lineno,
+                    "sequence data before FASTA header",
+                ));
+            }
+            for &c in line.as_bytes() {
+                match Base::from_ascii(c) {
+                    Some(b) => seq.push(b.code()),
+                    None if c == b'N' || c == b'n' => seq.push(N_CODE),
+                    None => {
+                        return Err(SeqIoError::parse(
+                            lineno,
+                            format!("invalid base character {:?}", c as char),
+                        ))
+                    }
+                }
+            }
+        }
+    }
+    let name = name.ok_or_else(|| SeqIoError::parse(0, "no FASTA header found"))?;
+    Ok(Reference { name, seq })
+}
+
+/// The table-driven reader returns what the line reader returned — the
+/// same reference or the same error text — on every prefix of a small
+/// FASTA (a header with spaces, lowercase, `N`, CRLF, blank lines, a line
+/// ending in a non-ASCII space, a second record) and with each of its
+/// bytes damaged once in each of several ways.
+#[test]
+fn the_table_driven_fasta_reader_reads_what_the_line_reader_read() {
+    let fasta =
+        ">chr7 Homo sapiens\r\nACGTNacgtn\r\nGGttAA \r\n\r\n\nNNNNacg\u{a0}\n>chr8 two\nTTTT\nAC";
+    let fasta = fasta.as_bytes();
+    let same = |bytes: &[u8], what: &dyn Fn() -> String| {
+        let table = Reference::read_fasta(Cursor::new(bytes)).map_err(|e| e.to_string());
+        let lines = read_fasta_by_lines(Cursor::new(bytes)).map_err(|e| e.to_string());
+        assert_eq!(table, lines, "{}", what());
+    };
+    for cut in 0..=fasta.len() {
+        same(&fasta[..cut], &|| format!("the first {cut} bytes"));
+    }
+    let damage: [&dyn Fn(u8) -> u8; 10] = [
+        &|b| b ^ 0x01,
+        &|b| b ^ 0x20,
+        &|b| b ^ 0x80,
+        &|b| b ^ 0xFF,
+        &|_| b'!',
+        &|_| b'\n',
+        &|_| b'\r',
+        &|_| b'>',
+        &|_| 0x0B,
+        &|_| 0xC2,
+    ];
+    for at in 0..fasta.len() {
+        for (how, damage) in damage.iter().enumerate() {
+            let mut bad = fasta.to_vec();
+            bad[at] = damage(bad[at]);
+            same(&bad, &|| {
+                format!("byte {at} damaged by rule {how}: {bad:?}")
+            });
+        }
+    }
 }
 
 #[test]
