@@ -9,7 +9,7 @@ use std::time::Instant;
 
 /// Measure sequential read bandwidth (bytes/sec) by summing a buffer that
 /// far exceeds the last-level cache.
-pub fn sequential_read_bandwidth() -> f64 {
+pub(crate) fn sequential_read_bandwidth() -> f64 {
     const BYTES: usize = 256 << 20;
     let buf = vec![1u8; BYTES];
     // Warm-up pass so page faults don't pollute the measurement.
@@ -29,7 +29,7 @@ pub fn sequential_read_bandwidth() -> f64 {
 
 /// Measure sequential write bandwidth (bytes/sec) via `fill` — the cost
 /// profile of SOAPsnp's `recycle`.
-pub fn sequential_write_bandwidth() -> f64 {
+pub(crate) fn sequential_write_bandwidth() -> f64 {
     const BYTES: usize = 256 << 20;
     let mut buf = vec![0u8; BYTES];
     buf.fill(1); // commit pages

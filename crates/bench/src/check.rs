@@ -42,7 +42,7 @@ pub fn bench_path(name: &str) -> String {
 /// `metrics` are `(name, value)`; `tolerances` are `(name, rel, dir)`
 /// and must reference metric names; `rows` are pre-rendered JSON
 /// objects, one per line.
-pub fn bench_json(
+pub(crate) fn bench_json(
     experiment: &str,
     scale: f64,
     primary_metric: &str,

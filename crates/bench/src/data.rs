@@ -3,18 +3,18 @@
 use seqio::synth::{Dataset, SynthConfig};
 
 /// Chromosome-1 scale model at the given scale (× the 1/100 `mini`).
-pub fn ch1(scale: f64) -> Dataset {
+pub(crate) fn ch1(scale: f64) -> Dataset {
     Dataset::generate(SynthConfig::ch1_mini(scale))
 }
 
 /// Chromosome-21 scale model at the given scale.
-pub fn ch21(scale: f64) -> Dataset {
+pub(crate) fn ch21(scale: f64) -> Dataset {
     Dataset::generate(SynthConfig::ch21_mini(scale))
 }
 
 /// Window sizes used throughout, scaled from the paper's defaults so that
 /// a scaled dataset still spans several windows.
-pub fn scaled_window(paper_window: usize, scale: f64) -> usize {
+pub(crate) fn scaled_window(paper_window: usize, scale: f64) -> usize {
     ((paper_window as f64 * scale) as usize).max(256)
 }
 

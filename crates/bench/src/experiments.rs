@@ -107,7 +107,7 @@ fn kernel_setup(d: &Dataset) -> GsnpKernelSetup {
 // ---------------------------------------------------------------------
 
 /// Table I: time breakdown by component in SOAPsnp.
-pub fn table1(scale: f64) -> String {
+pub(crate) fn table1(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         let out = run_soapsnp(&d);
@@ -140,7 +140,7 @@ pub fn table1(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Table II: characteristics of the Ch.1 / Ch.21 scale models.
-pub fn table2(scale: f64) -> String {
+pub(crate) fn table2(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         // Output size measured from the (cheap) sparse CPU pipeline.
@@ -197,7 +197,7 @@ fn accumulate_counters(d: &Dataset, scale: f64) -> Vec<(KernelVariant, HwCounter
 }
 
 /// Table III: `likelihood_comp` hardware counters for the four variants.
-pub fn table3(scale: f64) -> String {
+pub(crate) fn table3(scale: f64) -> String {
     let d = ch1(scale);
     let counters = accumulate_counters(&d, scale);
     let warp = DeviceConfig::tesla_m2050().warp_size;
@@ -255,7 +255,7 @@ pub fn table3(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Table IV: GSNP time breakdown with per-component speedup vs SOAPsnp.
-pub fn table4(scale: f64) -> String {
+pub(crate) fn table4(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         let soap = run_soapsnp(&d).times;
@@ -293,7 +293,7 @@ pub fn table4(scale: f64) -> String {
 
 /// Fig. 4(a): estimated `base_occ` streaming time vs measured
 /// likelihood/recycle time in SOAPsnp.
-pub fn fig4a(scale: f64) -> String {
+pub(crate) fn fig4a(scale: f64) -> String {
     let bw_read = bandwidth::sequential_read_bandwidth();
     let bw_write = bandwidth::sequential_write_bandwidth();
     let mut rows = Vec::new();
@@ -334,7 +334,7 @@ pub fn fig4a(scale: f64) -> String {
 }
 
 /// Fig. 4(b): sparsity of `base_occ` — % of sites per non-zero bucket.
-pub fn fig4b(scale: f64) -> String {
+pub(crate) fn fig4b(scale: f64) -> String {
     let d = ch1(scale);
     let mut reader = WindowReader::new(
         d.reads.iter().cloned().map(Ok),
@@ -367,7 +367,7 @@ pub fn fig4b(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 5: likelihood time under dense/sparse × CPU/GPU.
-pub fn fig5(scale: f64) -> String {
+pub(crate) fn fig5(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         let soap = run_soapsnp(&d).times.likelihood();
@@ -419,7 +419,7 @@ pub fn fig5(scale: f64) -> String {
 }
 
 /// Fig. 6: the likelihood_sort / likelihood_comp split on GPU and CPU.
-pub fn fig6(scale: f64) -> String {
+pub(crate) fn fig6(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         let cpu = run_gsnp_cpu(&d, scale).times;
@@ -450,7 +450,7 @@ pub fn fig6(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 7(a): batch-sort throughput vs array size for the three sorters.
-pub fn fig7a(_scale: f64) -> String {
+pub(crate) fn fig7a(_scale: f64) -> String {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let dev = Device::m2050();
@@ -503,7 +503,7 @@ pub fn fig7a(_scale: f64) -> String {
 
 /// Fig. 7(b): multipass vs single-pass vs non-equal bitonic on the real
 /// base_word size distribution.
-pub fn fig7b(scale: f64) -> String {
+pub(crate) fn fig7b(scale: f64) -> String {
     let d = ch1(scale);
     let dev = Device::m2050();
     // One whole-chromosome batch: the paper's window (256,000 sites) is
@@ -622,7 +622,7 @@ fn class_label(upper: usize) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 8: `likelihood_comp` time for the four kernel variants.
-pub fn fig8(scale: f64) -> String {
+pub(crate) fn fig8(scale: f64) -> String {
     let mut rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
         let setup = kernel_setup(&d);
@@ -672,7 +672,7 @@ pub fn fig8(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 9: output size and output speed for SOAPsnp / SOAPsnp+gz / GSNP.
-pub fn fig9(scale: f64) -> String {
+pub(crate) fn fig9(scale: f64) -> String {
     let mut size_rows = Vec::new();
     let mut speed_rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
@@ -757,7 +757,7 @@ pub fn fig9(scale: f64) -> String {
 }
 
 /// Fig. 10: decompression speed and compressed temporary-input size.
-pub fn fig10(scale: f64) -> String {
+pub(crate) fn fig10(scale: f64) -> String {
     let mut dec_rows = Vec::new();
     let mut in_rows = Vec::new();
     for d in [ch1(scale), ch21(scale)] {
@@ -847,7 +847,7 @@ pub fn fig10(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 11: GSNP end-to-end time and memory vs window size.
-pub fn fig11(scale: f64) -> String {
+pub(crate) fn fig11(scale: f64) -> String {
     let d = ch1(scale);
     let mut rows = Vec::new();
     for paper_window in [
@@ -889,7 +889,7 @@ pub fn fig11(scale: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 12: SOAPsnp vs GSNP_CPU vs GSNP across all 24 chromosomes.
-pub fn fig12(scale: f64) -> String {
+pub(crate) fn fig12(scale: f64) -> String {
     let chr_scale = scale * 0.3; // 24 chromosomes: keep the sweep tractable
     let mut rows = Vec::new();
     let (mut tot_soap, mut tot_cpu, mut tot_gsnp) = (0.0f64, 0.0, 0.0);
@@ -935,7 +935,7 @@ pub fn fig12(scale: f64) -> String {
 /// `[0,1],(1,8],(8,16],(16,32],(32,64],(64,…]`; this sweep shows the
 /// trade-off between padding waste (few classes) and per-pass launch
 /// overhead (many classes).
-pub fn ablation_sort_classes(scale: f64) -> String {
+pub(crate) fn ablation_sort_classes(scale: f64) -> String {
     use sortnet::multipass_sort_with_bounds;
     let d = ch1(scale);
     let dev = Device::m2050();
@@ -982,7 +982,7 @@ pub fn ablation_sort_classes(scale: f64) -> String {
 
 /// Ablation: the two levels of RLE-DICT, separately and together, on the
 /// pipeline's real quality-related columns.
-pub fn ablation_rledict(scale: f64) -> String {
+pub(crate) fn ablation_rledict(scale: f64) -> String {
     use compress::bitio::BitWriter;
     let d = ch1(scale);
     let rows_all: Vec<seqio::result::SnpRow> = run_gsnp_cpu_collect(&d, scale).1.rows(0);
@@ -1036,7 +1036,7 @@ pub fn ablation_rledict(scale: f64) -> String {
 
 /// Extension: calling accuracy against the synthetic ground truth —
 /// the sanity check the paper delegates to the SOAPsnp literature.
-pub fn accuracy(scale: f64) -> String {
+pub(crate) fn accuracy(scale: f64) -> String {
     use gsnp_core::accuracy::{quality_sweep, titv_ratio};
     let d = ch1(scale);
     let rows = run_gsnp_cpu_collect(&d, scale).1.rows(0);
@@ -1090,7 +1090,7 @@ pub fn accuracy(scale: f64) -> String {
 /// device seconds, asserts byte-identity at every width, asserts the
 /// 5x-or-better launches/site reduction the batching exists for, and emits
 /// `BENCH_launch_batching.json` so the perf trajectory is recorded.
-pub fn launch_batching(scale: f64) -> String {
+pub(crate) fn launch_batching(scale: f64) -> String {
     let d = ch1(scale);
     let cfg = |launch_batch: usize| GsnpConfig {
         // Quarter-size windows: the sweep needs several batches of 8 in
@@ -1195,7 +1195,7 @@ shape applied to GSNP's window loop.
 }
 
 /// One registered experiment: `(name, description, runner)`.
-pub type Experiment = (&'static str, &'static str, fn(f64) -> String);
+pub(crate) type Experiment = (&'static str, &'static str, fn(f64) -> String);
 
 /// Every experiment in paper order.
 pub fn all_experiments() -> Vec<Experiment> {

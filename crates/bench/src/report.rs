@@ -1,7 +1,7 @@
 //! Plain-text table formatting for the reproduction reports.
 
 /// Render a fixed-width table with a header row.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -31,7 +31,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format seconds with adaptive precision.
-pub fn secs(t: f64) -> String {
+pub(crate) fn secs(t: f64) -> String {
     if t >= 100.0 {
         format!("{t:.0}")
     } else if t >= 1.0 {
@@ -44,12 +44,12 @@ pub fn secs(t: f64) -> String {
 }
 
 /// Format a ratio as `12.3x`.
-pub fn ratio(r: f64) -> String {
+pub(crate) fn ratio(r: f64) -> String {
     format!("{r:.1}x")
 }
 
 /// Format a byte count.
-pub fn bytes(b: u64) -> String {
+pub(crate) fn bytes(b: u64) -> String {
     const K: f64 = 1024.0;
     let b = b as f64;
     if b >= K * K * K {

@@ -8,7 +8,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::error::CodecError;
 
 /// Code for an N base in the unpacked column.
-pub const N: u8 = 4;
+pub(crate) const N: u8 = 4;
 
 /// Pack a column of base codes (0..=4).
 ///
@@ -36,7 +36,7 @@ pub fn encode(data: &[u8], w: &mut BitWriter) {
 }
 
 /// Unpack a column of base codes.
-pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u8>, CodecError> {
+pub(crate) fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u8>, CodecError> {
     let count = r.read_u32()? as usize;
     let n_exc = r.read_u32()? as usize;
     if n_exc > count {

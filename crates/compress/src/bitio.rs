@@ -22,7 +22,7 @@ impl BitWriter {
 
     /// Writer that appends to `buf`'s existing bytes — lets callers encode
     /// straight into an output file without an intermediate copy.
-    pub fn with_buf(buf: Vec<u8>) -> Self {
+    pub(crate) fn with_buf(buf: Vec<u8>) -> Self {
         BitWriter {
             buf,
             ..Self::default()
@@ -31,7 +31,7 @@ impl BitWriter {
 
     /// Append the low `n` bits of `v` (LSB-first). `n` may be 0..=57.
     #[inline]
-    pub fn write_bits(&mut self, v: u64, n: u32) {
+    pub(crate) fn write_bits(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 57, "write_bits supports up to 57 bits at once");
         debug_assert!(n == 64 || v < (1u64 << n), "value wider than bit count");
         self.acc |= v << self.nbits;
@@ -44,7 +44,7 @@ impl BitWriter {
     }
 
     /// Byte-align and append a whole byte.
-    pub fn write_u8(&mut self, v: u8) {
+    pub(crate) fn write_u8(&mut self, v: u8) {
         self.align();
         self.buf.push(v);
     }
@@ -68,7 +68,7 @@ impl BitWriter {
     }
 
     /// Pad with zero bits to the next byte boundary.
-    pub fn align(&mut self) {
+    pub(crate) fn align(&mut self) {
         if self.nbits > 0 {
             self.buf.push((self.acc & 0xFF) as u8);
             self.acc = 0;
@@ -81,21 +81,11 @@ impl BitWriter {
         self.align();
         self.buf
     }
-
-    /// Bytes written so far (including any partial byte).
-    pub fn len(&self) -> usize {
-        self.buf.len() + usize::from(self.nbits > 0)
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty() && self.nbits == 0
-    }
 }
 
 /// Bit reader over a byte slice.
 #[derive(Debug)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     buf: &'a [u8],
     pos: usize,
     acc: u64,
@@ -104,7 +94,7 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// Read from `buf` starting at its first byte.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         BitReader {
             buf,
             pos: 0,
@@ -115,7 +105,7 @@ impl<'a> BitReader<'a> {
 
     /// Read `n` bits (LSB-first), `n ≤ 57`.
     #[inline]
-    pub fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
+    pub(crate) fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
         debug_assert!(n <= 57);
         while self.nbits < n {
             let byte = *self
@@ -137,7 +127,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Discard partial-byte state and read a whole byte.
-    pub fn read_u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn read_u8(&mut self) -> Result<u8, CodecError> {
         self.align();
         let v = *self.buf.get(self.pos).ok_or(CodecError::Truncated("u8"))?;
         self.pos += 1;
@@ -145,7 +135,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Byte-aligned little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn read_u32(&mut self) -> Result<u32, CodecError> {
         self.align();
         let end = self.pos + 4;
         let bytes = self
@@ -157,7 +147,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Byte-aligned little-endian `u64`.
-    pub fn read_u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn read_u64(&mut self) -> Result<u64, CodecError> {
         self.align();
         let end = self.pos + 8;
         let bytes = self
@@ -169,7 +159,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Byte-aligned raw bytes.
-    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         self.align();
         let end = self
             .pos
@@ -184,27 +174,17 @@ impl<'a> BitReader<'a> {
     }
 
     /// Drop buffered bits so the next read starts at a byte boundary.
-    pub fn align(&mut self) {
+    pub(crate) fn align(&mut self) {
         // Any partially-consumed byte has already advanced `pos`; discard
         // the remaining bits of it.
         self.acc = 0;
         self.nbits = 0;
     }
 
-    /// Byte offset of the next aligned read.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left in the underlying buffer (used by decoders to reject
     /// corrupted length fields before allocating for them).
-    pub fn remaining_bytes(&self) -> usize {
+    pub(crate) fn remaining_bytes(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
-    }
-
-    /// Whether all bytes have been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.buf.len() && self.nbits == 0
     }
 }
 
@@ -243,7 +223,7 @@ mod tests {
         assert_eq!(r.read_bits(5).unwrap(), 0x1F);
         assert_eq!(r.read_u64().unwrap(), 42);
         assert_eq!(r.read_bytes(3).unwrap(), b"xyz");
-        assert!(r.is_exhausted());
+        assert_eq!(r.remaining_bytes(), 0);
     }
 
     #[test]
@@ -258,7 +238,6 @@ mod tests {
     #[test]
     fn empty_writer() {
         let w = BitWriter::new();
-        assert!(w.is_empty());
         assert_eq!(w.finish(), Vec::<u8>::new());
     }
 

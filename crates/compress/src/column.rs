@@ -180,8 +180,7 @@ fn encode_sparse_group(rows: &[SnpRow]) -> Vec<u8> {
 /// starts and ends byte-aligned (each `encode` begins with a `u32` field,
 /// and `BitWriter::finish` pads to a byte), so the groups are encoded into
 /// independent buffers concurrently (rayon) and concatenated — the bytes
-/// are identical to the one-writer reference, [`compress_table_serial`]
-/// (tested).
+/// are identical to a one-writer reference (tested).
 pub fn compress_table(table: &SnpTable) -> Vec<u8> {
     let mut out = Vec::new();
     compress_table_into(table, &mut out);
@@ -190,7 +189,7 @@ pub fn compress_table(table: &SnpTable) -> Vec<u8> {
 
 /// [`compress_table`], appending to an existing buffer (the window
 /// loop's output file) instead of returning a fresh allocation.
-pub fn compress_table_into(table: &SnpTable, out: &mut Vec<u8>) {
+pub(crate) fn compress_table_into(table: &SnpTable, out: &mut Vec<u8>) {
     let rows = &table.rows;
     write_header(table, out);
     let (base, (rle, (exc, sparse))) = rayon::join(
@@ -206,19 +205,6 @@ pub fn compress_table_into(table: &SnpTable, out: &mut Vec<u8>) {
     out.extend_from_slice(&rle);
     out.extend_from_slice(&exc);
     out.extend_from_slice(&sparse);
-}
-
-/// Single-writer reference implementation of [`compress_table`]; the
-/// parallel version must produce these exact bytes.
-pub fn compress_table_serial(table: &SnpTable) -> Vec<u8> {
-    let rows = &table.rows;
-    let mut out = Vec::new();
-    write_header(table, &mut out);
-    out.extend_from_slice(&encode_base_group(rows));
-    out.extend_from_slice(&encode_rledict_group(rows));
-    out.extend_from_slice(&encode_except_group(rows));
-    out.extend_from_slice(&encode_sparse_group(rows));
-    out
 }
 
 /// Decompress one result window.
@@ -489,6 +475,19 @@ impl Iterator for WindowStream<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Single-writer reference implementation of [`compress_table`]; the
+    /// parallel version must produce these exact bytes.
+    fn compress_table_serial(table: &SnpTable) -> Vec<u8> {
+        let rows = &table.rows;
+        let mut out = Vec::new();
+        write_header(table, &mut out);
+        out.extend_from_slice(&encode_base_group(rows));
+        out.extend_from_slice(&encode_rledict_group(rows));
+        out.extend_from_slice(&encode_except_group(rows));
+        out.extend_from_slice(&encode_sparse_group(rows));
+        out
+    }
 
     fn realistic_row(i: usize) -> SnpRow {
         // Mostly homozygous-reference, quality runs, few second alleles.

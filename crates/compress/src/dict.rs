@@ -10,7 +10,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::error::CodecError;
 
 /// Bits needed to index a dictionary of `n` entries (0 for n ≤ 1).
-pub fn index_bits(n: usize) -> u32 {
+pub(crate) fn index_bits(n: usize) -> u32 {
     if n <= 1 {
         0
     } else {
@@ -19,7 +19,7 @@ pub fn index_bits(n: usize) -> u32 {
 }
 
 /// Build the sorted deduplicated dictionary of a column.
-pub fn build_dict(data: &[u32]) -> Vec<u32> {
+pub(crate) fn build_dict(data: &[u32]) -> Vec<u32> {
     let mut dict: Vec<u32> = data.to_vec();
     dict.sort_unstable();
     dict.dedup();
@@ -32,7 +32,7 @@ pub fn build_dict(data: &[u32]) -> Vec<u32> {
 ///
 /// # Panics
 /// Panics if a value is absent from the dictionary.
-pub fn encode_with_dict(data: &[u32], dict: &[u32], w: &mut BitWriter) {
+pub(crate) fn encode_with_dict(data: &[u32], dict: &[u32], w: &mut BitWriter) {
     let index = |v| {
         dict.binary_search(v)
             .expect("value missing from dictionary") as u32
@@ -47,7 +47,7 @@ const TABLE_SPAN: usize = 4;
 /// Encode a column, building its dictionary first: from a table indexed
 /// by value — each value marked, then numbered in ascending order — where
 /// the column's values are small next to its length, with no sort or
-/// search, and by [`build_dict`] + [`encode_with_dict`] otherwise. Both
+/// search, and by `build_dict` + `encode_with_dict` otherwise. Both
 /// write the same bytes.
 pub fn encode(data: &[u32], w: &mut BitWriter) {
     let max = data.iter().max().map_or(usize::MAX, |&m| m as usize);
@@ -70,7 +70,7 @@ pub fn encode(data: &[u32], w: &mut BitWriter) {
 
 /// Encode from precomputed dictionary indices (the GPU path computes the
 /// indices with a binary-search kernel and hands them here for packing).
-pub fn encode_indices(indices: &[u32], dict: &[u32], w: &mut BitWriter) {
+pub(crate) fn encode_indices(indices: &[u32], dict: &[u32], w: &mut BitWriter) {
     write_column(indices.len(), dict, indices.iter().copied(), w);
 }
 
@@ -93,7 +93,7 @@ fn write_column(count: usize, dict: &[u32], indices: impl Iterator<Item = u32>, 
 }
 
 /// Decode a dictionary-encoded column of at most `max` values.
-pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
+pub(crate) fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
     let count = r.read_u32()? as usize;
     let dict_len = r.read_u32()? as usize;
     if dict_len == 0 && count > 0 {

@@ -19,7 +19,7 @@ pub enum CodecError {
 
 impl CodecError {
     /// Convenience constructor for corrupt-stream errors.
-    pub fn corrupt(msg: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(msg: impl Into<String>) -> Self {
         CodecError::Corrupt(msg.into())
     }
 }

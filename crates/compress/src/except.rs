@@ -15,7 +15,7 @@ use crate::error::CodecError;
 ///
 /// # Panics
 /// Panics if the two columns differ in length.
-pub fn encode(data: &[u8], predicted: &[u8], w: &mut BitWriter) {
+pub(crate) fn encode(data: &[u8], predicted: &[u8], w: &mut BitWriter) {
     assert_eq!(data.len(), predicted.len(), "prediction length mismatch");
     let diffs: Vec<(u32, u8)> = data
         .iter()
@@ -33,7 +33,7 @@ pub fn encode(data: &[u8], predicted: &[u8], w: &mut BitWriter) {
 }
 
 /// Decode against the same `predicted` column used for encoding.
-pub fn decode(predicted: &[u8], r: &mut BitReader<'_>) -> Result<Vec<u8>, CodecError> {
+pub(crate) fn decode(predicted: &[u8], r: &mut BitReader<'_>) -> Result<Vec<u8>, CodecError> {
     let count = r.read_u32()? as usize;
     if count != predicted.len() {
         return Err(CodecError::corrupt(format!(

@@ -19,7 +19,7 @@ use crate::bitio::BitWriter;
 use crate::{dict, rledict};
 
 /// Kernel name of the batched chain's native arm (see `encode_host_jobs`).
-pub const HOST_JOBS_KERNEL: &str = "rledict_host_jobs";
+pub(crate) const HOST_JOBS_KERNEL: &str = "rledict_host_jobs";
 
 /// The batched chain's native arm: `jobs` independent host encoders as the
 /// blocks of ONE contracted launch, block `b` filling slot `b`.
@@ -424,7 +424,10 @@ mod tests {
     fn gpu_rledict_bytes_identical_to_cpu() {
         let data: Vec<u32> = (0..4000).map(|i| 30 + ((i / 23) % 9)).collect();
         let cpu_bytes = rledict::encode_to_vec(&data);
-        assert_eq!(rledict::decode_from_slice(&cpu_bytes).unwrap(), data);
+        assert_eq!(
+            rledict::decode(&mut crate::bitio::BitReader::new(&cpu_bytes), data.len()).unwrap(),
+            data
+        );
 
         // On the simulator a single column is the whole 18-launch chain...
         let dev = Device::m2050();

@@ -16,7 +16,7 @@ pub fn encode(data: &[u32]) -> (Vec<u32>, Vec<u32>) {
 
 /// [`encode`] of a byte column, its values widened: a run ends at a byte
 /// unlike the one before it, found eight bytes at a time.
-pub fn encode_bytes(data: &[u8]) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn encode_bytes(data: &[u8]) -> (Vec<u32>, Vec<u32>) {
     let (mut values, mut lengths) = (Vec::new(), Vec::new());
     let mut start = 0;
     let mut run_to = |end: usize| {
@@ -46,7 +46,7 @@ pub fn encode_bytes(data: &[u8]) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Invert [`encode`].
-pub fn decode(values: &[u32], lengths: &[u32]) -> Vec<u32> {
+pub(crate) fn decode(values: &[u32], lengths: &[u32]) -> Vec<u32> {
     debug_assert_eq!(values.len(), lengths.len());
     let total: usize = lengths.iter().map(|&l| l as usize).sum();
     let mut out = Vec::with_capacity(total);

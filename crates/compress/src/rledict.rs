@@ -11,7 +11,7 @@ use crate::error::CodecError;
 use crate::rle;
 
 /// Compress one column.
-pub fn encode(data: &[u32], w: &mut BitWriter) {
+pub(crate) fn encode(data: &[u32], w: &mut BitWriter) {
     let (values, lengths) = rle::encode(data);
     dict::encode(&values, w);
     dict::encode(&lengths, w);
@@ -25,7 +25,7 @@ pub fn encode_to_vec(data: &[u32]) -> Vec<u8> {
 }
 
 /// Decompress one column of at most `max` values.
-pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
+pub(crate) fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
     let (values, lengths) = decode_runs(r, max)?;
     Ok(rle::decode(&values, &lengths))
 }
@@ -33,7 +33,10 @@ pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError>
 /// Decode one column of at most `max` values as far as its runs —
 /// `(values, lengths)`, equally long — for a caller that expands them
 /// itself.
-pub fn decode_runs(r: &mut BitReader<'_>, max: usize) -> Result<(Vec<u32>, Vec<u32>), CodecError> {
+pub(crate) fn decode_runs(
+    r: &mut BitReader<'_>,
+    max: usize,
+) -> Result<(Vec<u32>, Vec<u32>), CodecError> {
     let values = dict::decode(r, max)?;
     let lengths = dict::decode(r, max)?;
     if values.len() != lengths.len() {
@@ -49,16 +52,14 @@ pub fn decode_runs(r: &mut BitReader<'_>, max: usize) -> Result<(Vec<u32>, Vec<u
     Ok((values, lengths))
 }
 
-/// Decompress from a byte slice.
-pub fn decode_from_slice(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let mut r = BitReader::new(bytes);
-    decode(&mut r, crate::error::MAX_ELEMENTS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn decode_from_slice(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
+        decode(&mut BitReader::new(bytes), crate::error::MAX_ELEMENTS)
+    }
 
     #[test]
     fn quality_like_column_compresses_hard() {

@@ -10,7 +10,7 @@ use crate::error::CodecError;
 /// Encode a mostly-zero `u32` column as `(delta-index, value)` pairs.
 ///
 /// Layout: `[count u32][nnz u32][(delta u32, value u32)…]`.
-pub fn encode(data: &[u32], w: &mut BitWriter) {
+pub(crate) fn encode(data: &[u32], w: &mut BitWriter) {
     let nnz = data.iter().filter(|&&v| v != 0).count();
     w.write_u32(data.len() as u32);
     w.write_u32(nnz as u32);
@@ -25,7 +25,7 @@ pub fn encode(data: &[u32], w: &mut BitWriter) {
 }
 
 /// Decode a sparse column back to dense form.
-pub fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
+pub(crate) fn decode(r: &mut BitReader<'_>, max: usize) -> Result<Vec<u32>, CodecError> {
     let count = r.read_u32()? as usize;
     let nnz = r.read_u32()? as usize;
     if nnz > count {

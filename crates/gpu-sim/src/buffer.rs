@@ -11,7 +11,7 @@
 //! an `f64` in an `AtomicU64` (see [`DeviceScalar::Cell`]), so a buffer
 //! costs the host what it models on the device. The backing allocation
 //! itself is type-erased 8-byte words, which keeps one untyped free-list
-//! per byte class in the [`crate::BufferPool`]: recycling a `u32` word
+//! per byte class in the `BufferPool`: recycling a `u32` word
 //! buffer as an `f64` likelihood buffer of the same byte size needs no
 //! re-allocation. Logical length is tracked separately from capacity for
 //! the same reason.
@@ -227,13 +227,13 @@ fn next_uid() -> u64 {
 
 impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Allocate `len` zero-initialized elements.
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         Self::from_raw_cells(raw_zeroed(words_for::<T>(len)), len)
     }
 
     /// Allocate from host data (an "upload"; byte accounting happens on the
     /// [`crate::Device`] methods).
-    pub fn from_slice(data: &[T]) -> Self {
+    pub(crate) fn from_slice(data: &[T]) -> Self {
         let buf = Self::zeroed(data.len());
         for (cell, &v) in buf.cells().iter().zip(data) {
             T::store(cell, v);
@@ -307,20 +307,9 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
         self.len
     }
 
-    /// Backing capacity in elements (≥ `len()` for pooled buffers).
-    pub fn capacity(&self) -> usize {
-        self.cells().len()
-    }
-
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Size in bytes of the modelled allocation (logical length × scalar
-    /// width, matching what a real device allocation would occupy).
-    pub fn size_bytes(&self) -> u64 {
-        self.len as u64 * T::BYTES
     }
 
     /// Uncounted host-side read (bounds-checked).
@@ -368,7 +357,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// is cleared first; after the call it holds exactly `len()` elements.
     /// This is the zero-allocation readback path: once the vector has grown
     /// to the steady-state window size no heap traffic occurs.
-    pub fn read_into(&self, out: &mut Vec<T>) {
+    pub(crate) fn read_into(&self, out: &mut Vec<T>) {
         out.clear();
         if let Some(sh) = &self.shadow {
             sh.host_read(0, self.len);
@@ -380,23 +369,13 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     ///
     /// # Panics
     /// Panics if lengths differ.
-    pub fn write_from(&self, data: &[T]) {
+    pub(crate) fn write_from(&self, data: &[T]) {
         assert_eq!(data.len(), self.len, "host/device length mismatch");
         if let Some(sh) = &self.shadow {
             sh.host_write(0, self.len);
         }
         for (cell, &v) in self.cells_span(0, self.len).iter().zip(data) {
             T::store(cell, v);
-        }
-    }
-
-    /// Reset every element to the default value (the GSNP `recycle` step).
-    pub fn clear(&self) {
-        if let Some(sh) = &self.shadow {
-            sh.host_write(0, self.len);
-        }
-        for cell in self.cells_span(0, self.len) {
-            cell.store_raw(0);
         }
     }
 
@@ -514,7 +493,7 @@ impl GlobalBuffer<f64> {
     /// per-element addition sequence is identical to a `get`/`set` pair,
     /// so results are bit-exact with the scalar path.
     #[inline]
-    pub fn add_assign_span(&self, start: usize, terms: &[f64]) {
+    pub(crate) fn add_assign_span(&self, start: usize, terms: &[f64]) {
         let cells = self.cells_span(start, terms.len());
         if let Some(sh) = &self.shadow {
             sh.host_read(start, terms.len());
@@ -569,7 +548,7 @@ pub struct ConstBuffer<T: Copy> {
 impl<T: Copy + Send + Sync + 'static> ConstBuffer<T> {
     /// Build from host data. Capacity against the device configuration is
     /// validated by [`crate::Device::upload_const`].
-    pub fn from_slice(data: &[T]) -> Self {
+    pub(crate) fn from_slice(data: &[T]) -> Self {
         ConstBuffer { data: data.into() }
     }
 
@@ -582,17 +561,13 @@ impl<T: Copy + Send + Sync + 'static> ConstBuffer<T> {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+}
 
-    /// Bounds-checked read. Constant memory is cached on-chip, so reads are
-    /// counted as instructions only, not as global transactions.
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> T {
-        self.data[i]
-    }
-
-    /// Raw view of the contents.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
+#[cfg(test)]
+impl<T: DeviceScalar> GlobalBuffer<T> {
+    /// Backing capacity in elements (≥ `len()` for pooled buffers).
+    pub(crate) fn capacity(&self) -> usize {
+        self.cells().len()
     }
 }
 
@@ -623,19 +598,6 @@ mod tests {
     fn nan_survives_bitcast() {
         let b = GlobalBuffer::from_slice(&[f64::NAN]);
         assert!(b.get(0).is_nan());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let b = GlobalBuffer::from_slice(&[7u8, 8, 9]);
-        b.clear();
-        assert_eq!(b.to_vec(), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn size_bytes_accounts_element_width() {
-        let b: GlobalBuffer<f64> = GlobalBuffer::zeroed(10);
-        assert_eq!(b.size_bytes(), 80);
     }
 
     #[test]
@@ -721,7 +683,6 @@ mod tests {
         let b: GlobalBuffer<u32> = GlobalBuffer::from_raw_cells(raw_zeroed(4), 5);
         assert_eq!(b.len(), 5);
         assert_eq!(b.capacity(), 8);
-        assert_eq!(b.size_bytes(), 20);
         assert_eq!(b.to_vec().len(), 5);
     }
 
@@ -735,7 +696,6 @@ mod tests {
     #[test]
     fn const_buffer_reads() {
         let c = ConstBuffer::from_slice(&[0.5f64, 0.25]);
-        assert_eq!(c.get(1), 0.25);
         assert_eq!(c.len(), 2);
     }
 }

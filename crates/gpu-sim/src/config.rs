@@ -10,25 +10,25 @@ pub struct DeviceConfig {
     /// Human-readable device name.
     pub name: &'static str,
     /// Number of streaming multiprocessors.
-    pub num_sms: usize,
+    pub(crate) num_sms: usize,
     /// Scalar cores per SM.
-    pub cores_per_sm: usize,
+    pub(crate) cores_per_sm: usize,
     /// Threads per warp (SIMD width of the execution model).
     pub warp_size: usize,
     /// Shared memory available to one block, in bytes.
     pub shared_mem_per_block: usize,
     /// Cached constant memory, in bytes.
-    pub constant_mem: usize,
+    pub(crate) constant_mem: usize,
     /// Global device memory, in bytes.
-    pub global_mem: usize,
+    pub(crate) global_mem: usize,
     /// Sustained global-memory bandwidth for coalesced access, bytes/sec.
     pub coalesced_bw: f64,
     /// Sustained global-memory bandwidth for random access, bytes/sec.
-    pub random_bw: f64,
+    pub(crate) random_bw: f64,
     /// Aggregate shared-memory bandwidth, bytes/sec.
-    pub shared_bw: f64,
+    pub(crate) shared_bw: f64,
     /// Peak scalar instruction throughput, instructions/sec.
-    pub inst_throughput: f64,
+    pub(crate) inst_throughput: f64,
     /// Host↔device transfer bandwidth (PCIe), bytes/sec.
     pub pcie_bw: f64,
     /// Fixed overhead charged per kernel launch, seconds.
@@ -57,32 +57,6 @@ impl DeviceConfig {
             launch_overhead: 5.0e-6,
         }
     }
-
-    /// The host CPU of the paper's testbed (Intel Xeon E5630): used when the
-    /// cost model estimates CPU-side memory-access time (Formula 1 uses the
-    /// measured 4.2 GB/s sequential main-memory bandwidth).
-    pub fn xeon_e5630() -> Self {
-        DeviceConfig {
-            name: "Xeon E5630 (host model)",
-            num_sms: 1,
-            cores_per_sm: 8,
-            warp_size: 1,
-            shared_mem_per_block: usize::MAX,
-            constant_mem: usize::MAX,
-            global_mem: 64 * 1024 * 1024 * 1024,
-            coalesced_bw: 4.2e9,
-            random_bw: 0.8e9,
-            shared_bw: 4.2e9,
-            inst_throughput: 2.53e9 * 2.0,
-            pcie_bw: f64::INFINITY,
-            launch_overhead: 0.0,
-        }
-    }
-
-    /// Total scalar cores on the device.
-    pub fn total_cores(&self) -> usize {
-        self.num_sms * self.cores_per_sm
-    }
 }
 
 impl Default for DeviceConfig {
@@ -98,16 +72,10 @@ mod tests {
     #[test]
     fn m2050_matches_paper_figures() {
         let cfg = DeviceConfig::tesla_m2050();
-        assert_eq!(cfg.total_cores(), 448);
+        assert_eq!(cfg.num_sms * cfg.cores_per_sm, 448);
         assert_eq!(cfg.shared_mem_per_block, 48 * 1024);
         assert!((cfg.coalesced_bw - 82.0e9).abs() < 1.0);
         assert!((cfg.random_bw - 3.2e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn host_model_uses_measured_sequential_bandwidth() {
-        let cfg = DeviceConfig::xeon_e5630();
-        assert!((cfg.coalesced_bw - 4.2e9).abs() < 1.0);
     }
 
     #[test]

@@ -35,19 +35,19 @@ const MAX_VIOLATIONS: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffineExpr {
     /// Constant term.
-    pub base: i64,
+    pub(crate) base: i64,
     /// Coefficient of the block index.
-    pub per_block: i64,
+    pub(crate) per_block: i64,
 }
 
 impl AffineExpr {
     /// A new affine expression `base + per_block * block_idx`.
-    pub const fn new(base: i64, per_block: i64) -> Self {
+    pub(crate) const fn new(base: i64, per_block: i64) -> Self {
         AffineExpr { base, per_block }
     }
 
     /// Evaluate at a concrete block index.
-    pub fn eval(&self, block: usize) -> i64 {
+    pub(crate) fn eval(&self, block: usize) -> i64 {
         self.base + self.per_block * block as i64
     }
 }
@@ -137,7 +137,7 @@ impl Footprint {
     }
 
     /// One element per block: block `b` touches `[b, b+1)`.
-    pub fn elem_per_block() -> Self {
+    pub(crate) fn elem_per_block() -> Self {
         Footprint::Affine {
             lo: AffineExpr::new(0, 1),
             hi: AffineExpr::new(1, 1),
@@ -147,7 +147,7 @@ impl Footprint {
 
     /// The same fixed span for every block (single-block or sequential
     /// launches).
-    pub fn span(lo: usize, hi: usize) -> Self {
+    pub(crate) fn span(lo: usize, hi: usize) -> Self {
         Footprint::Affine {
             lo: AffineExpr::new(lo as i64, 0),
             hi: AffineExpr::new(hi as i64, 0),
@@ -243,16 +243,13 @@ impl fmt::Display for Footprint {
 
 /// How the kernel accesses a declared buffer footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessMode {
+pub(crate) enum AccessMode {
     /// Loads only.
     Read,
     /// Stores only.
     Write,
     /// Loads and stores.
     ReadWrite,
-    /// Atomic read-modify-write (commutes; atomics never race with each
-    /// other).
-    Atomic,
 }
 
 impl AccessMode {
@@ -261,7 +258,6 @@ impl AccessMode {
             AccessMode::Read => "read",
             AccessMode::Write => "write",
             AccessMode::ReadWrite => "read-write",
-            AccessMode::Atomic => "atomic",
         }
     }
 
@@ -271,24 +267,24 @@ impl AccessMode {
         match kind {
             AccessKind::Read => matches!(self, AccessMode::Read | AccessMode::ReadWrite),
             AccessKind::Write => matches!(self, AccessMode::Write | AccessMode::ReadWrite),
-            AccessKind::Atomic => matches!(self, AccessMode::Atomic),
+            AccessKind::Atomic => false,
         }
     }
 }
 
 /// One buffer's declared footprint within an [`AccessContract`].
 #[derive(Clone)]
-pub struct BufferContract {
+pub(crate) struct BufferContract {
     pub(crate) uid: u64,
     /// Human-readable buffer label (shadow label under the sanitizer,
     /// else a synthesized `buf#id[len]`).
-    pub label: String,
+    pub(crate) label: String,
     /// Buffer length in elements at declaration time.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Declared access mode.
-    pub mode: AccessMode,
+    pub(crate) mode: AccessMode,
     /// Declared footprint.
-    pub footprint: Footprint,
+    pub(crate) footprint: Footprint,
     pub(crate) shadow: Option<Arc<BufferShadow>>,
 }
 
@@ -307,11 +303,11 @@ impl fmt::Debug for BufferContract {
 /// `bytes` of shared memory per block and (unless seeded with a defect)
 /// frees it before the block retires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedDecl {
+pub(crate) struct SharedDecl {
     /// Worst-case live bytes per block.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Whether the kernel frees the allocation before block retirement.
-    pub freed: bool,
+    pub(crate) freed: bool,
 }
 
 /// A kernel's complete declared access pattern, registered alongside the
@@ -320,9 +316,9 @@ pub struct SharedDecl {
 pub struct AccessContract {
     /// Per-buffer declarations (a buffer may appear more than once, e.g.
     /// a coalesced-read footprint plus a scatter-write footprint).
-    pub buffers: Vec<BufferContract>,
+    pub(crate) buffers: Vec<BufferContract>,
     /// Shared-memory obligations (worst case over blocks).
-    pub shared: Vec<SharedDecl>,
+    pub(crate) shared: Vec<SharedDecl>,
 }
 
 impl AccessContract {
@@ -365,11 +361,6 @@ impl AccessContract {
     /// Declare a read-write footprint.
     pub fn read_write<T: DeviceScalar>(self, buf: &GlobalBuffer<T>, fp: Footprint) -> Self {
         self.access(buf, AccessMode::ReadWrite, fp)
-    }
-
-    /// Declare an atomic footprint.
-    pub fn atomic<T: DeviceScalar>(self, buf: &GlobalBuffer<T>, fp: Footprint) -> Self {
-        self.access(buf, AccessMode::Atomic, fp)
     }
 
     /// Declare a shared-memory allocation of `elems` elements of `T` per
@@ -441,10 +432,7 @@ impl AccessContract {
     /// precision on the slots the contract did not license.
     pub(crate) fn define_writes(&self, grid: usize) {
         for bc in &self.buffers {
-            if !matches!(
-                bc.mode,
-                AccessMode::Write | AccessMode::ReadWrite | AccessMode::Atomic
-            ) {
+            if !matches!(bc.mode, AccessMode::Write | AccessMode::ReadWrite) {
                 continue;
             }
             let Some(shadow) = &bc.shadow else { continue };
@@ -489,16 +477,16 @@ pub struct ContractViolation {
     /// Kernel name as passed to the launch.
     pub kernel: String,
     /// Buffer label (empty for shared-memory violations).
-    pub buffer: String,
+    pub(crate) buffer: String,
     /// Violation class.
     pub kind: ViolationKind,
     /// The declared index expression that fails.
-    pub index_expr: String,
+    pub(crate) index_expr: String,
     /// Witness block pair for overlaps; `(block, block)` for per-block
     /// bounds violations.
     pub witness: Option<(usize, usize)>,
     /// Human-readable specifics.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for ContractViolation {
@@ -522,7 +510,7 @@ impl fmt::Display for ContractViolation {
 
 /// The static analyzer's judgement on one contracted launch.
 #[derive(Debug, Clone)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Every footprint in bounds and inter-block race-free.
     Verified,
     /// At least one violation; the launch must not execute.
@@ -534,12 +522,11 @@ pub enum Verdict {
 enum Class {
     R,
     W,
-    A,
 }
 
 fn classes_conflict(a: Class, b: Class) -> bool {
-    // Reads never race with reads; atomics commute with atomics.
-    !((a == Class::R && b == Class::R) || (a == Class::A && b == Class::A))
+    // Reads never race with reads.
+    !(a == Class::R && b == Class::R)
 }
 
 /// Top-2 max-`hi` interval holders from *distinct* blocks for one access
@@ -609,7 +596,7 @@ struct Rec {
 /// Statically verify `contract` for a launch of `grid_dim` blocks on a
 /// device with `shared_limit` bytes of shared memory per block. Pure
 /// interval arithmetic over the declarations — no lane executes.
-pub fn verify_contract(
+pub(crate) fn verify_contract(
     kernel: &str,
     contract: &AccessContract,
     grid_dim: usize,
@@ -667,13 +654,6 @@ pub fn verify_contract(
                         hi,
                         entry,
                     }),
-                    AccessMode::Atomic => recs.push(Rec {
-                        class: Class::A,
-                        block,
-                        lo,
-                        hi,
-                        entry,
-                    }),
                     AccessMode::ReadWrite => {
                         recs.push(Rec {
                             class: Class::R,
@@ -715,10 +695,10 @@ pub fn verify_contract(
     // of a conflicting class from a different block.
     for (_uid, mut recs) in by_uid {
         recs.sort_by_key(|r| r.lo);
-        let mut tops = [Top2::default(); 3];
+        let mut tops = [Top2::default(); 2];
         let mut found = false;
         for r in &recs {
-            for (ci, c2) in [Class::R, Class::W, Class::A].into_iter().enumerate() {
+            for (ci, c2) in [Class::R, Class::W].into_iter().enumerate() {
                 if !classes_conflict(r.class, c2) {
                     continue;
                 }
@@ -745,7 +725,6 @@ pub fn verify_contract(
             let ci = match r.class {
                 Class::R => 0,
                 Class::W => 1,
-                Class::A => 2,
             };
             tops[ci].push(r.hi, r.block);
         }
@@ -772,7 +751,7 @@ pub struct ContractTally {
 
 impl ContractTally {
     /// Element-wise sum.
-    pub fn add(&mut self, other: &ContractTally) {
+    pub(crate) fn add(&mut self, other: &ContractTally) {
         self.verified += other.verified;
         self.refuted += other.refuted;
         self.assumed += other.assumed;
@@ -940,20 +919,6 @@ mod tests {
             panic!("must refute")
         };
         assert_eq!(v[0].kind, ViolationKind::InterBlockOverlap);
-    }
-
-    #[test]
-    fn disjoint_reads_and_atomics_do_not_conflict() {
-        let d = dev();
-        let table: GlobalBuffer<f64> = d.alloc(64);
-        let acc: GlobalBuffer<f64> = d.alloc(64);
-        let c = AccessContract::new()
-            .read(&table, Footprint::All)
-            .atomic(&acc, Footprint::All);
-        assert!(matches!(
-            verify_contract("k", &c, 8, 48 * 1024),
-            Verdict::Verified
-        ));
     }
 
     #[test]

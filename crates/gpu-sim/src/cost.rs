@@ -22,28 +22,23 @@ use crate::counters::HwCounters;
 
 /// Cost model bound to a device configuration.
 #[derive(Debug, Clone)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     cfg: DeviceConfig,
 }
 
 impl CostModel {
     /// Build a model for a device.
-    pub fn new(cfg: DeviceConfig) -> Self {
+    pub(crate) fn new(cfg: DeviceConfig) -> Self {
         CostModel { cfg }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
     /// Time spent on arithmetic, seconds.
-    pub fn compute_time(&self, c: &HwCounters) -> f64 {
+    pub(crate) fn compute_time(&self, c: &HwCounters) -> f64 {
         c.instructions as f64 / self.cfg.inst_throughput
     }
 
     /// Time spent on memory traffic, seconds.
-    pub fn memory_time(&self, c: &HwCounters) -> f64 {
+    pub(crate) fn memory_time(&self, c: &HwCounters) -> f64 {
         let co = (c.g_load_bytes_co + c.g_store_bytes_co) as f64 / self.cfg.coalesced_bw;
         let rand = (c.g_load_bytes_rand + c.g_store_bytes_rand) as f64 / self.cfg.random_bw;
         let shared = c.s_bytes as f64 / self.cfg.shared_bw;
@@ -51,23 +46,16 @@ impl CostModel {
     }
 
     /// Host↔device transfer time, seconds.
-    pub fn transfer_time(&self, c: &HwCounters) -> f64 {
+    pub(crate) fn transfer_time(&self, c: &HwCounters) -> f64 {
         (c.h2d_bytes + c.d2h_bytes) as f64 / self.cfg.pcie_bw
     }
 
     /// Estimated kernel time: launch overhead plus the slower of the two
     /// overlapped pipelines, plus (non-overlapped) PCIe transfers.
-    pub fn kernel_time(&self, c: &HwCounters) -> f64 {
+    pub(crate) fn kernel_time(&self, c: &HwCounters) -> f64 {
         self.cfg.launch_overhead
             + self.compute_time(c).max(self.memory_time(c))
             + self.transfer_time(c)
-    }
-
-    /// The paper's Formula (1): time to stream `total_bytes` sequentially
-    /// at the device's sequential bandwidth. Used to estimate the
-    /// dense-representation access time on the CPU (Fig. 4a).
-    pub fn sequential_stream_time(&self, total_bytes: u64) -> f64 {
-        total_bytes as f64 / self.cfg.coalesced_bw
     }
 }
 
@@ -100,15 +88,7 @@ mod tests {
         let counters = c(u64::MAX / 2, 8, 0);
         // Compute-bound: kernel time tracks instructions, not the 8 bytes.
         let t = m.kernel_time(&counters);
-        assert!((t - m.config().launch_overhead - m.compute_time(&counters)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn formula_1_sequential_stream() {
-        let m = CostModel::new(DeviceConfig::xeon_e5630());
-        // 4.2 GB at 4.2 GB/s = 1 second.
-        let t = m.sequential_stream_time(4_200_000_000);
-        assert!((t - 1.0).abs() < 1e-9);
+        assert!((t - m.cfg.launch_overhead - m.compute_time(&counters)).abs() < 1e-12);
     }
 
     #[test]

@@ -88,20 +88,20 @@ impl AddAssign for HwCounters {
 /// per block.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicCounters {
-    pub instructions: AtomicU64,
-    pub g_load_coalesced: AtomicU64,
-    pub g_load_random: AtomicU64,
-    pub g_store_coalesced: AtomicU64,
-    pub g_store_random: AtomicU64,
-    pub s_load: AtomicU64,
-    pub s_store: AtomicU64,
-    pub g_load_bytes_co: AtomicU64,
-    pub g_load_bytes_rand: AtomicU64,
-    pub g_store_bytes_co: AtomicU64,
-    pub g_store_bytes_rand: AtomicU64,
-    pub s_bytes: AtomicU64,
-    pub h2d_bytes: AtomicU64,
-    pub d2h_bytes: AtomicU64,
+    pub(crate) instructions: AtomicU64,
+    pub(crate) g_load_coalesced: AtomicU64,
+    pub(crate) g_load_random: AtomicU64,
+    pub(crate) g_store_coalesced: AtomicU64,
+    pub(crate) g_store_random: AtomicU64,
+    pub(crate) s_load: AtomicU64,
+    pub(crate) s_store: AtomicU64,
+    pub(crate) g_load_bytes_co: AtomicU64,
+    pub(crate) g_load_bytes_rand: AtomicU64,
+    pub(crate) g_store_bytes_co: AtomicU64,
+    pub(crate) g_store_bytes_rand: AtomicU64,
+    pub(crate) s_bytes: AtomicU64,
+    pub(crate) h2d_bytes: AtomicU64,
+    pub(crate) d2h_bytes: AtomicU64,
 }
 
 impl AtomicCounters {
@@ -160,7 +160,7 @@ pub struct LaunchStats {
     /// Aggregated hardware counters for the launch.
     pub counters: HwCounters,
     /// Host wall-clock seconds spent executing the kernel bodies.
-    pub wall_time: f64,
+    pub(crate) wall_time: f64,
     /// Device time predicted by the analytic cost model, seconds.
     pub sim_time: f64,
     /// Number of blocks launched.

@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 use std::marker::PhantomData;
 
-use crate::buffer::{ConstBuffer, DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
+use crate::buffer::{DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
 use crate::config::DeviceConfig;
 use crate::contract::AccessContract;
 use crate::counters::HwCounters;
@@ -133,11 +133,6 @@ impl<'a> KernelCtx<'a> {
     #[inline(always)]
     pub fn grid_dim(&self) -> usize {
         self.grid_dim
-    }
-
-    /// Device configuration this block runs under.
-    pub fn config(&self) -> &DeviceConfig {
-        self.cfg
     }
 
     /// Record `n` scalar arithmetic/control instructions. Memory accesses
@@ -336,17 +331,6 @@ impl<'a> KernelCtx<'a> {
         T::fetch_add(buf.cell(i), v)
     }
 
-    /// Constant-memory read: cached on-chip, counted as an instruction only.
-    #[inline(always)]
-    pub fn ld_const<T: Copy + Send + Sync + 'static>(
-        &mut self,
-        buf: &ConstBuffer<T>,
-        i: usize,
-    ) -> T {
-        self.add_inst(1);
-        buf.get(i)
-    }
-
     /// Allocate `len` elements of per-block shared memory.
     ///
     /// Backing storage comes from a thread-local scratch pool: on-chip
@@ -458,16 +442,6 @@ impl<T: DeviceScalar> SharedTile<T> {
                 bits[i >> 6] &= !(1 << (i & 63));
             }
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the allocation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Counted shared-memory load.
@@ -674,7 +648,7 @@ mod tests {
         let mut c = ctx(&cfg);
         // 48 KB of f64 = 6144 elements exactly fits.
         let m: SharedTile<f64> = c.shared_alloc(6144);
-        assert_eq!(m.len(), 6144);
+        assert_eq!(m.data.len(), 6144);
         c.shared_free(m);
         let _again: SharedTile<f64> = c.shared_alloc(6144);
     }
@@ -711,17 +685,6 @@ mod tests {
         let counters = c.retire();
         assert_eq!(counters.g_load_random, 2);
         assert_eq!(counters.g_store_random, 2);
-    }
-
-    #[test]
-    fn const_reads_count_inst_only() {
-        let cfg = DeviceConfig::tesla_m2050();
-        let mut c = ctx(&cfg);
-        let cb = ConstBuffer::from_slice(&[1.0f64]);
-        let _ = c.ld_const(&cb, 0);
-        let counters = c.retire();
-        assert_eq!(counters.instructions, 1);
-        assert_eq!(counters.g_load(), 0);
     }
 
     /// Everything an op can read or change, the same at the start of every
@@ -793,7 +756,7 @@ mod tests {
         const NONE: (u64, u64, u64) = (0, 0, 0);
         // (name, the op, the scalar sequence a batched op's comment says it
         // is counter-identical to, the simulator's exact tally)
-        let table: [(&str, Op, Option<Op>, HwCounters); 20] = [
+        let table: [(&str, Op, Option<Op>, HwCounters); 19] = [
             ("add_inst", |c, _| c.add_inst(5), None, hw(5, [Z; 4], NONE)),
             (
                 "ld_co",
@@ -880,15 +843,6 @@ mod tests {
                 |c, w| w.seen.push(c.atomic_add(&w.words, 0, 3).into()),
                 None,
                 hw(1, [Z, (1, 4), Z, (1, 4)], NONE),
-            ),
-            (
-                "ld_const",
-                |c, w| {
-                    let table = ConstBuffer::from_slice(&[9u64]);
-                    w.seen.push(c.ld_const(&table, 0));
-                },
-                None,
-                hw(1, [Z; 4], NONE),
             ),
             (
                 "shared_alloc",

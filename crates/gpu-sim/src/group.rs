@@ -1,7 +1,7 @@
 //! Multi-device groups.
 //!
 //! A [`DeviceGroup`] is `N` independent [`Device`] instances behind one
-//! handle: each member owns its own [`crate::BufferPool`], ledger,
+//! handle: each member owns its own `BufferPool`, ledger,
 //! optional sanitizer, and modelled device clock, exactly as if it had been
 //! constructed standalone. The group adds nothing to the launch path —
 //! callers launch on `group.device(i)` directly — it only centralizes
@@ -100,13 +100,6 @@ impl DeviceGroup {
         &self.devices
     }
 
-    /// Reset every member's ledger (pool traffic counters included).
-    pub fn reset_ledgers(&self) {
-        for d in &self.devices {
-            d.reset_ledger();
-        }
-    }
-
     /// Snapshot all member ledgers plus derived totals.
     pub fn ledger(&self) -> GroupLedger {
         GroupLedger {
@@ -164,11 +157,6 @@ impl GroupLedger {
             acc.backend.sum(&led.backend);
         }
         acc
-    }
-
-    /// Summed sanitizer findings (convenience over `total().sanitizer`).
-    pub fn sanitizer_total(&self) -> SanitizerCounts {
-        self.total().sanitizer
     }
 }
 
@@ -237,7 +225,7 @@ mod tests {
         for i in 0..2 {
             assert!(g.device(i).sanitizer_enabled());
         }
-        assert!(g.ledger().sanitizer_total().is_clean());
+        assert!(g.ledger().total().sanitizer.is_clean());
     }
 
     #[test]
@@ -264,15 +252,5 @@ mod tests {
             .collect();
         assert_eq!(kernel_pids.len(), 2);
         assert_ne!(kernel_pids[0], kernel_pids[1]);
-    }
-
-    #[test]
-    fn reset_clears_every_ledger() {
-        let g = DeviceGroup::new(DeviceConfig::tesla_m2050(), 2);
-        let mut st = LaunchStats::default();
-        g.device(0).charge_d2h(&mut st, 64);
-        g.device(1).charge_d2h(&mut st, 64);
-        g.reset_ledgers();
-        assert_eq!(g.ledger().total().transfers, 0);
     }
 }

@@ -19,14 +19,14 @@
 /// everything at or below the base. Observations above the last bound
 /// land only in the implicit `+Inf` bucket (count/sum/max still track
 /// them).
-pub const NUM_BUCKETS: usize = 40;
+pub(crate) const NUM_BUCKETS: usize = 40;
 
 /// Upper bound of bucket 0, seconds (1 ns).
-pub const BASE_SECONDS: f64 = 1e-9;
+pub(crate) const BASE_SECONDS: f64 = 1e-9;
 
 /// Upper bound of bucket `i`, seconds.
 #[inline]
-pub fn bucket_upper(i: usize) -> f64 {
+pub(crate) fn bucket_upper(i: usize) -> f64 {
     BASE_SECONDS * (1u64 << i) as f64
 }
 
@@ -51,11 +51,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Bucket index for a finite observation `v > 0`.
     #[inline]
     fn index(v: f64) -> usize {
@@ -121,15 +116,6 @@ impl Histogram {
     /// Largest observation, seconds (0 when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Mean observation, seconds (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// True when nothing has been recorded.
@@ -209,7 +195,7 @@ mod tests {
 
     #[test]
     fn boundaries_are_exact() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         // Exactly on a bucket bound lands in that bucket, one ulp above
         // lands in the next.
         h.record(bucket_upper(10));
@@ -223,7 +209,7 @@ mod tests {
 
     #[test]
     fn overflow_and_garbage_observations() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record(1e6); // beyond the last bucket: +Inf region only
         assert_eq!(h.buckets.iter().sum::<u64>(), 0);
         assert_eq!(h.count(), 1);
@@ -237,7 +223,7 @@ mod tests {
 
     #[test]
     fn quantiles_bound_the_true_value() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         let values: Vec<f64> = (1..=1000).map(|i| i as f64 * 1e-4).collect();
         for &v in &values {
             h.record(v);
@@ -253,7 +239,11 @@ mod tests {
 
     #[test]
     fn merge_equals_sequential_recording() {
-        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        let (mut a, mut b, mut all) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
         for i in 0..500u64 {
             let v = (i as f64 + 1.0) * 3.7e-6;
             if i % 2 == 0 { &mut a } else { &mut b }.record(v);

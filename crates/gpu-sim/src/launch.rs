@@ -73,7 +73,7 @@ pub struct DeviceLedger {
     /// Aggregated hardware counters.
     pub counters: HwCounters,
     /// Buffer-pool traffic (hits/misses/high-water); snapshotted from the
-    /// device's [`BufferPool`] when the ledger is read.
+    /// device's `BufferPool` when the ledger is read.
     pub pool: PoolStats,
     /// Sanitizer finding totals; all-zero unless the device was built with
     /// [`Device::with_sanitizer`] (snapshotted when the ledger is read).
@@ -357,7 +357,7 @@ impl Device {
     }
 
     /// Whether static contract checking is enabled.
-    pub fn contracts_enabled(&self) -> bool {
+    pub(crate) fn contracts_enabled(&self) -> bool {
         self.contracts.is_some()
     }
 
@@ -381,7 +381,7 @@ impl Device {
     }
 
     /// Whether a trace recorder is attached.
-    pub fn trace_enabled(&self) -> bool {
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.trace.is_some()
     }
 
@@ -410,7 +410,7 @@ impl Device {
     }
 
     /// Device configuration.
-    pub fn config(&self) -> &DeviceConfig {
+    pub(crate) fn config(&self) -> &DeviceConfig {
         &self.cfg
     }
 
@@ -490,7 +490,7 @@ impl Device {
     }
 
     /// Allocate a zeroed global buffer.
-    pub fn alloc<T: DeviceScalar>(&self, len: usize) -> GlobalBuffer<T> {
+    pub(crate) fn alloc<T: DeviceScalar>(&self, len: usize) -> GlobalBuffer<T> {
         let mut buf = GlobalBuffer::zeroed(len);
         self.attach_shadow(&mut buf, false);
         buf
@@ -499,7 +499,7 @@ impl Device {
     /// Allocate a zeroed buffer through the recycling pool. Semantically
     /// identical to [`Device::alloc`]; steady state reuses parked cells
     /// instead of touching the host allocator.
-    pub fn alloc_pooled<T: DeviceScalar>(&self, len: usize) -> PooledBuffer<T> {
+    pub(crate) fn alloc_pooled<T: DeviceScalar>(&self, len: usize) -> PooledBuffer<T> {
         let (mut buf, hit) = self.pool.acquire(len, true);
         self.trace_pool_event(hit);
         self.attach_shadow(buf.global_mut(), false);
@@ -512,7 +512,7 @@ impl Device {
     /// Under initcheck the buffer starts fully poisoned — fresh *or*
     /// recycled — so any read-before-write is reported, not just the ones a
     /// dirty previous tenant happens to expose.
-    pub fn alloc_pooled_dirty<T: DeviceScalar>(&self, len: usize) -> PooledBuffer<T> {
+    pub(crate) fn alloc_pooled_dirty<T: DeviceScalar>(&self, len: usize) -> PooledBuffer<T> {
         let (mut buf, hit) = self.pool.acquire(len, false);
         self.trace_pool_event(hit);
         self.attach_shadow(buf.global_mut(), true);
@@ -520,7 +520,7 @@ impl Device {
     }
 
     /// Upload host data into a new global buffer (uncounted, for setup
-    /// data; account the H2D bytes with [`Device::charge_h2d`]).
+    /// data; account the H2D bytes with `Device::charge_h2d`).
     pub fn upload<T: DeviceScalar>(&self, data: &[T]) -> GlobalBuffer<T> {
         let mut buf = GlobalBuffer::from_slice(data);
         self.attach_shadow(&mut buf, false);
@@ -549,7 +549,10 @@ impl Device {
     ///
     /// # Panics
     /// Panics if the data exceeds the configured constant-memory size.
-    pub fn upload_const<T: Copy + Send + Sync + 'static>(&self, data: &[T]) -> ConstBuffer<T> {
+    pub(crate) fn upload_const<T: Copy + Send + Sync + 'static>(
+        &self,
+        data: &[T],
+    ) -> ConstBuffer<T> {
         let bytes = std::mem::size_of_val(data);
         assert!(
             bytes <= self.cfg.constant_mem,
@@ -758,12 +761,12 @@ impl Device {
     }
 
     /// Account an explicit host→device transfer into a stats record.
-    pub fn charge_h2d(&self, stats: &mut LaunchStats, bytes: u64) {
+    pub(crate) fn charge_h2d(&self, stats: &mut LaunchStats, bytes: u64) {
         self.charge(stats, bytes, true);
     }
 
     /// Account an explicit device→host transfer into a stats record.
-    pub fn charge_d2h(&self, stats: &mut LaunchStats, bytes: u64) {
+    pub(crate) fn charge_d2h(&self, stats: &mut LaunchStats, bytes: u64) {
         self.charge(stats, bytes, false);
     }
 
@@ -788,11 +791,6 @@ impl Device {
         if let Some(trace) = &self.trace {
             trace.record_xfer(h2d, bytes, dt);
         }
-    }
-
-    /// Estimate time for a counter snapshot without launching.
-    pub fn estimate(&self, c: &HwCounters) -> f64 {
-        self.cost.kernel_time(c)
     }
 }
 
@@ -936,10 +934,10 @@ mod tests {
     fn pooled_alloc_recycles_and_ledger_reports_it() {
         let dev = Device::m2050();
         {
-            let a: crate::PooledBuffer<u32> = dev.alloc_pooled(1000);
+            let a: crate::pool::PooledBuffer<u32> = dev.alloc_pooled(1000);
             a.set(5, 99);
         }
-        let b: crate::PooledBuffer<u32> = dev.alloc_pooled(1000);
+        let b: crate::pool::PooledBuffer<u32> = dev.alloc_pooled(1000);
         assert_eq!(b.get(5), 0, "recycled alloc must be zeroed");
         let led = dev.ledger();
         assert_eq!(led.pool.hits, 1);
@@ -963,7 +961,7 @@ mod tests {
     fn pooled_buffers_work_as_launch_operands() {
         let dev = Device::m2050();
         let input = dev.upload_pooled(&(0..256u32).collect::<Vec<_>>());
-        let output: crate::PooledBuffer<u32> = dev.alloc_pooled(256);
+        let output: crate::pool::PooledBuffer<u32> = dev.alloc_pooled(256);
         dev.launch("double", 1, |ctx| {
             for i in 0..256 {
                 let v = ctx.ld_co(&input, i);
@@ -979,7 +977,7 @@ mod tests {
         let rec = Arc::new(TraceRecorder::new(256));
         let dev = Device::m2050().with_trace(&rec, 0);
         assert!(dev.trace_enabled());
-        let buf: crate::PooledBuffer<u32> = dev.alloc_pooled(64);
+        let buf: crate::pool::PooledBuffer<u32> = dev.alloc_pooled(64);
         let stats = dev.launch("mark", 2, |ctx| {
             ctx.st_co(&buf, ctx.block_idx(), 1);
         });

@@ -16,7 +16,7 @@
 //!   Visual Profiler counters of the paper's Table III from first
 //!   principles. A [`ComputeBackend`] may instead run the same kernel on
 //!   the host executor, whose blocks carry no counters.
-//! * **An analytic cost model.** [`CostModel`] converts a counter set into
+//! * **An analytic cost model.** `CostModel` converts a counter set into
 //!   an estimated kernel time for a configured device (the M2050 preset uses
 //!   the bandwidth figures measured in the paper: 82 GB/s coalesced,
 //!   3.2 GB/s random).
@@ -63,26 +63,19 @@ pub mod trace;
 
 pub use backend::{
     BackendChoice, BackendDispatcher, BackendError, BackendTallies, ComputeBackend, NativeBackend,
-    Route, SimBackend,
+    SimBackend,
 };
-pub use buffer::{ConstBuffer, DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
+pub use buffer::{ConstBuffer, GlobalBuffer};
 pub use config::DeviceConfig;
-pub use contract::{
-    verify_contract, AccessContract, AccessMode, AffineExpr, BlockInterval, ContractReport,
-    ContractTally, ContractViolation, Footprint, SharedDecl, Verdict, ViolationKind,
-};
-pub use cost::CostModel;
+pub use contract::{AccessContract, BlockInterval, ContractReport, Footprint, ViolationKind};
 pub use counters::{HwCounters, LaunchStats};
 pub use ctx::{KernelCtx, SharedTile};
-pub use group::{DeviceGroup, GroupLedger};
+pub use group::DeviceGroup;
 pub use hist::{Histogram, HistogramDigest};
 pub use launch::{BlockSchedule, Device, DeviceLedger, KernelTally};
-pub use pool::{BufferPool, PoolStats, PooledBuffer};
-pub use sanitizer::{
-    check_block_order_invariance, CheckKind, DeterminismReport, Diagnostic, SanitizerConfig,
-    SanitizerCounts, SanitizerReport,
-};
+pub use pool::PoolStats;
+pub use sanitizer::{check_block_order_invariance, SanitizerConfig, SanitizerCounts};
 pub use trace::{
-    parse_json, validate_chrome_json, EventKind, Json, KernelProfile, MetricKind, MetricsSnapshot,
-    NameId, SpanArgs, TraceEvent, TraceRecorder, TraceSnapshot, TrackId, TrackKind,
+    parse_json, validate_chrome_json, EventKind, Json, MetricKind, MetricsSnapshot, SpanArgs,
+    TraceRecorder, TraceSnapshot, TrackKind,
 };

@@ -4,7 +4,7 @@
 //! reusable: every window needs the same handful of buffers (packed words,
 //! genotype likelihoods, depth counters), so instead of a `cudaMalloc`/
 //! `cudaFree` pair per window the production system keeps the allocations
-//! alive and re-binds them. [`BufferPool`] models that: freed
+//! alive and re-binds them. `BufferPool` models that: freed
 //! [`GlobalBuffer`]s park on free lists classed by backing bytes (whole
 //! 8-byte words, rounded up to a power of two) and are handed back out on
 //! the next request of any scalar type whose `len · BYTES` falls in the
@@ -42,7 +42,7 @@ pub struct PoolStats {
 
 /// Size-classed free lists of recycled device buffers.
 #[derive(Default)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     /// Parked buffers with arbitrary previous-tenant contents.
     classes: Mutex<HashMap<usize, Vec<RawCells>>>,
     /// Parked buffers whose *entire capacity* is known to be zero (parked
@@ -74,7 +74,7 @@ impl BufferPool {
     /// The returned flag is `true` for a recycling hit and `false` when the
     /// request allocated fresh cells; [`crate::Device`] turns it into pool
     /// hit/miss trace events.
-    pub fn acquire<T: DeviceScalar>(
+    pub(crate) fn acquire<T: DeviceScalar>(
         self: &Arc<Self>,
         len: usize,
         zero: bool,
@@ -152,7 +152,7 @@ impl BufferPool {
     }
 
     /// Snapshot of traffic counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -162,7 +162,7 @@ impl BufferPool {
     }
 
     /// Reset traffic counters (parked buffers are kept).
-    pub fn reset_stats(&self) {
+    pub(crate) fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.high_water

@@ -12,7 +12,7 @@
 //!   non-atomic access. (Same-block conflicts are fine: threads within a
 //!   block are stepped by the kernel body itself, i.e. program order.)
 //! * **initcheck** — a read of a word that was never written since
-//!   allocation. Buffers from [`crate::Device::alloc_pooled_dirty`] start
+//!   allocation. Buffers from `Device::alloc_pooled_dirty` start
 //!   fully poisoned — their whole correctness contract is "every element is
 //!   written before it is read", and this checker turns that convention into
 //!   a machine-checked property. Fresh shared-memory tiles are poisoned too
@@ -50,18 +50,18 @@ use crate::launch::{BlockSchedule, Device};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SanitizerConfig {
     /// Detect inter-block conflicting accesses to the same global word.
-    pub racecheck: bool,
+    pub(crate) racecheck: bool,
     /// Detect reads of never-written words.
-    pub initcheck: bool,
+    pub(crate) initcheck: bool,
     /// Report precise kernel/block/index/len on out-of-range accesses.
-    pub boundscheck: bool,
+    pub(crate) boundscheck: bool,
     /// Detect shared-memory allocations leaked past block retirement.
-    pub leakcheck: bool,
+    pub(crate) leakcheck: bool,
     /// Contract-conformance mode: flag observed accesses escaping the
     /// kernel's declared [`AccessContract`] footprint, and declarations
     /// grossly wider than anything observed. Keeps static contracts from
     /// rotting; off by default and **not** part of [`SanitizerConfig::all`].
-    pub conformance: bool,
+    pub(crate) conformance: bool,
 }
 
 impl Default for SanitizerConfig {
@@ -91,7 +91,7 @@ impl SanitizerConfig {
 
 /// Which checker produced a [`Diagnostic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckKind {
+pub(crate) enum CheckKind {
     /// Inter-block data race on a global word.
     Racecheck,
     /// Read of a never-written word.
@@ -108,13 +108,13 @@ pub enum CheckKind {
 
 /// Block id standing in for "the host" (or "not applicable") in a
 /// [`Diagnostic`]'s block pair.
-pub const HOST: usize = usize::MAX;
+pub(crate) const HOST: usize = usize::MAX;
 
 /// One finding, with enough context to locate the offending access.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// The checker that fired.
-    pub kind: CheckKind,
+    pub(crate) kind: CheckKind,
     /// Kernel launch the access happened in (`"host"` for host-side reads).
     pub kernel: String,
     /// Label of the buffer involved (scalar type, logical length, id).
@@ -123,7 +123,7 @@ pub struct Diagnostic {
     pub index: usize,
     /// Logical length of the buffer (or allocation size for leaks).
     pub len: usize,
-    /// The one or two blocks involved; [`HOST`] where not applicable.
+    /// The one or two blocks involved; `HOST` where not applicable.
     pub blocks: (usize, usize),
     /// Human-readable description.
     pub detail: String,
@@ -172,7 +172,7 @@ pub struct SanitizerReport {
     pub counts: SanitizerCounts,
     /// Per-kernel totals (host-side reads land under `"host"`).
     pub per_kernel: BTreeMap<String, SanitizerCounts>,
-    /// First [`MAX_DIAGNOSTICS`] findings, in discovery order.
+    /// First `MAX_DIAGNOSTICS` findings, in discovery order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -192,7 +192,7 @@ impl SanitizerReport {
 }
 
 /// Cap on retained [`Diagnostic`]s; counts keep accumulating past it.
-pub const MAX_DIAGNOSTICS: usize = 64;
+pub(crate) const MAX_DIAGNOSTICS: usize = 64;
 
 /// Shared sanitizer state for one device: configuration, the launch-epoch
 /// counter that scopes racecheck to a single launch, and the accumulated
@@ -705,18 +705,18 @@ impl<'k> LaunchSession<'k> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeterminismDivergence {
     /// Which permutation diverged (0-based).
-    pub permutation: usize,
+    pub(crate) permutation: usize,
     /// Index of the diverging snapshot in the observation vector.
     pub snapshot: usize,
     /// Word index within that snapshot (`usize::MAX` for a length mismatch).
-    pub word: usize,
+    pub(crate) word: usize,
 }
 
 /// Outcome of [`check_block_order_invariance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeterminismReport {
     /// Seeded permutations compared against the parallel baseline.
-    pub permutations: usize,
+    pub(crate) permutations: usize,
     /// First divergence found, if any.
     pub divergence: Option<DeterminismDivergence>,
 }

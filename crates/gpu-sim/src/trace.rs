@@ -19,7 +19,7 @@
 //!
 //! Device tracks are stamped with the **simulated device clock**: each
 //! device keeps a monotonic cursor that every launch/transfer advances by
-//! its modelled [`crate::CostModel`] time, so the device timeline shows
+//! its modelled `CostModel` time, so the device timeline shows
 //! what the *modelled hardware* did, one kernel at a time. Host tracks
 //! (pipeline stages) use **wall clock** relative to the recorder's epoch.
 //! Nothing converts one into the other: the device timeline runs ahead
@@ -72,9 +72,9 @@ pub struct TrackInfo {
     /// Thread label within the process.
     pub thread: String,
     /// Chrome `pid` (assigned per distinct process label).
-    pub pid: u32,
+    pub(crate) pid: u32,
     /// Chrome `tid` (assigned per track).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Row rendering kind.
     pub kind: TrackKind,
 }
@@ -136,14 +136,12 @@ pub struct TraceEvent {
     /// The track this event belongs to.
     pub track: TrackId,
     /// Interned event name.
-    pub name: NameId,
+    pub(crate) name: NameId,
     /// Start time in seconds — wall clock since the recorder's epoch for
     /// host tracks, simulated device clock for device tracks.
     pub ts: f64,
     /// Payload.
     pub kind: EventKind,
-    /// Global record sequence number (monotonic across all tracks).
-    pub seq: u64,
 }
 
 struct Inner {
@@ -155,7 +153,6 @@ struct Inner {
     capacity: usize,
     head: usize,
     dropped: u64,
-    seq: u64,
 }
 
 /// Shared, thread-safe span/instant/counter recorder.
@@ -201,7 +198,6 @@ impl TraceRecorder {
                 capacity,
                 head: 0,
                 dropped: 0,
-                seq: 0,
             }),
             epoch: Instant::now(),
         }
@@ -246,11 +242,6 @@ impl TraceRecorder {
 
     fn record(&self, ev: TraceEvent) {
         let mut inner = self.inner.lock();
-        let ev = TraceEvent {
-            seq: inner.seq,
-            ..ev
-        };
-        inner.seq += 1;
         if inner.ring.len() < inner.capacity {
             inner.ring.push(ev);
         } else {
@@ -268,7 +259,6 @@ impl TraceRecorder {
             name,
             ts,
             kind: EventKind::Span { dur, args },
-            seq: 0,
         });
     }
 
@@ -279,7 +269,6 @@ impl TraceRecorder {
             name,
             ts,
             kind: EventKind::Instant,
-            seq: 0,
         });
     }
 
@@ -290,7 +279,6 @@ impl TraceRecorder {
             name,
             ts,
             kind: EventKind::Counter { value },
-            seq: 0,
         });
     }
 
@@ -321,7 +309,7 @@ pub struct TraceSnapshot {
     /// Events in record order (oldest first).
     pub events: Vec<TraceEvent>,
     /// Interned name table (indexed by [`NameId`]).
-    pub names: Vec<String>,
+    pub(crate) names: Vec<String>,
     /// Registered tracks (indexed by [`TrackId`]).
     pub tracks: Vec<TrackInfo>,
     /// Events lost to ring overwrite before this snapshot.
@@ -330,7 +318,7 @@ pub struct TraceSnapshot {
 
 impl TraceSnapshot {
     /// Resolve an interned name.
-    pub fn name(&self, id: NameId) -> &str {
+    pub(crate) fn name(&self, id: NameId) -> &str {
         &self.names[id.0 as usize]
     }
 
@@ -481,7 +469,7 @@ pub struct KernelProfile {
     /// Launches aggregated.
     pub launches: u64,
     /// Total blocks across launches.
-    pub grid_blocks: u64,
+    pub(crate) grid_blocks: u64,
     /// Total modelled device time, seconds.
     pub sim_time: f64,
     /// Modelled arithmetic time, seconds.
@@ -944,16 +932,6 @@ impl MetricsSnapshot {
         });
     }
 
-    /// Number of distinct metric names.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when no metric has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// The value of `name` with exactly the given labels, if present.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         let m = self.metrics.iter().find(|m| m.name == name)?;
@@ -1109,7 +1087,6 @@ mod tests {
         // Oldest-first order: the survivors are events 6..10.
         let ts: Vec<f64> = snap.events.iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![6.0, 7.0, 8.0, 9.0]);
-        assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]
@@ -1226,7 +1203,7 @@ mod tests {
             Some(2.5)
         );
         assert_eq!(m.get("gsnp_stage_busy_seconds", &[]), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.metrics.len(), 2);
     }
 
     #[test]

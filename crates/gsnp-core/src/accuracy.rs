@@ -23,7 +23,7 @@ pub struct Confusion {
     /// Planted site with adequate coverage but no variant call.
     pub false_negatives: u64,
     /// True positives whose genotype also matches the planted alleles.
-    pub genotype_exact: u64,
+    pub(crate) genotype_exact: u64,
 }
 
 impl Confusion {
@@ -70,12 +70,12 @@ impl Confusion {
 
 /// Evaluation options.
 #[derive(Debug, Clone, Copy)]
-pub struct EvalConfig {
+pub(crate) struct EvalConfig {
     /// Minimum consensus quality for a call to count.
-    pub min_quality: u8,
+    pub(crate) min_quality: u8,
     /// Minimum depth for a planted site to be assessable (uncovered truth
     /// is excluded from recall, as in real benchmarking practice).
-    pub min_truth_depth: u16,
+    pub(crate) min_truth_depth: u16,
 }
 
 impl Default for EvalConfig {
@@ -88,7 +88,7 @@ impl Default for EvalConfig {
 }
 
 /// Evaluate `rows` (covering sites `0..rows.len()`) against the truth.
-pub fn evaluate(rows: &[SnpRow], truth: &[PlantedSnp], cfg: &EvalConfig) -> Confusion {
+pub(crate) fn evaluate(rows: &[SnpRow], truth: &[PlantedSnp], cfg: &EvalConfig) -> Confusion {
     let mut c = Confusion::default();
     let mut truth_at = vec![None; rows.len()];
     for t in truth {
@@ -144,94 +144,6 @@ pub fn titv_ratio(rows: &[SnpRow], min_quality: u8) -> f64 {
     } else {
         ti as f64 / tv as f64
     }
-}
-
-/// Trio Mendelian-concordance counts: for each site the child calls a
-/// variant, is the child's genotype composable from one allele of the
-/// mother's called genotype and one of the father's? (With reference
-/// alleles assumed available from a parent whose site is not called
-/// variant.) This is the standard family-consistency check cohort
-/// pipelines run — on the synthetic trio (child haplotypes inherited
-/// whole from the parents, no de novo mutation) violations can come only
-/// from calling errors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrioConcordance {
-    /// Child variant calls assessed (quality-passing, in range).
-    pub assessed: u64,
-    /// Assessed calls consistent with Mendelian inheritance.
-    pub consistent: u64,
-}
-
-impl TrioConcordance {
-    /// Fraction of assessed child calls that are Mendelian-consistent.
-    pub fn rate(&self) -> f64 {
-        if self.assessed == 0 {
-            1.0
-        } else {
-            self.consistent as f64 / self.assessed as f64
-        }
-    }
-}
-
-/// Possible alleles at one site given a parent's called row: the called
-/// genotype's alleles when the parent confidently calls a variant, the
-/// reference base when it confidently calls reference, and *no* alleles
-/// (site unassessable) when the parent's call is below `min_quality` —
-/// a missed parental heterozygote must not masquerade as hom-ref and
-/// charge the child with a false Mendelian violation.
-fn parent_alleles(row: &SnpRow, min_quality: u8) -> Vec<Base> {
-    if row.ref_base >= 4 || row.quality < min_quality {
-        return Vec::new();
-    }
-    let r = Base::from_code(row.ref_base);
-    if !row.is_variant() {
-        return vec![r];
-    }
-    let mut alleles = Vec::new();
-    for a in Base::ALL {
-        for b in Base::ALL {
-            if a <= b && row.genotype == iupac(a, b) {
-                alleles.push(a);
-                alleles.push(b);
-            }
-        }
-    }
-    alleles
-}
-
-/// Check each child variant call (at `min_quality`) for Mendelian
-/// consistency against the parents' calls at the same site. The three row
-/// slices must cover the same site range (`rows[i]` = site `i`), which
-/// cohort outputs guarantee by construction.
-pub fn trio_concordance(
-    mother: &[SnpRow],
-    father: &[SnpRow],
-    child: &[SnpRow],
-    min_quality: u8,
-) -> TrioConcordance {
-    assert_eq!(mother.len(), child.len(), "trio row ranges must align");
-    assert_eq!(father.len(), child.len(), "trio row ranges must align");
-    let mut t = TrioConcordance::default();
-    for (site, row) in child.iter().enumerate() {
-        if !row.is_variant() || row.quality < min_quality || row.ref_base >= 4 {
-            continue;
-        }
-        let from_mother = parent_alleles(&mother[site], min_quality);
-        let from_father = parent_alleles(&father[site], min_quality);
-        if from_mother.is_empty() || from_father.is_empty() {
-            continue;
-        }
-        t.assessed += 1;
-        let consistent = from_mother.iter().any(|&m| {
-            from_father
-                .iter()
-                .any(|&f| row.genotype == iupac(m.min(f), m.max(f)))
-        });
-        if consistent {
-            t.consistent += 1;
-        }
-    }
-    t
 }
 
 /// Precision/recall sweep over quality thresholds (an ROC-style curve).
@@ -341,6 +253,94 @@ mod tests {
         }
         // Everything called at a high threshold is also called at zero.
         assert!(sweep[0].1.true_positives >= sweep[2].1.true_positives);
+    }
+
+    /// Trio Mendelian-concordance counts: for each site the child calls a
+    /// variant, is the child's genotype composable from one allele of the
+    /// mother's called genotype and one of the father's? (With reference
+    /// alleles assumed available from a parent whose site is not called
+    /// variant.) This is the standard family-consistency check cohort
+    /// pipelines run — on the synthetic trio (child haplotypes inherited
+    /// whole from the parents, no de novo mutation) violations can come only
+    /// from calling errors.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct TrioConcordance {
+        /// Child variant calls assessed (quality-passing, in range).
+        assessed: u64,
+        /// Assessed calls consistent with Mendelian inheritance.
+        consistent: u64,
+    }
+
+    impl TrioConcordance {
+        /// Fraction of assessed child calls that are Mendelian-consistent.
+        fn rate(&self) -> f64 {
+            if self.assessed == 0 {
+                1.0
+            } else {
+                self.consistent as f64 / self.assessed as f64
+            }
+        }
+    }
+
+    /// Possible alleles at one site given a parent's called row: the called
+    /// genotype's alleles when the parent confidently calls a variant, the
+    /// reference base when it confidently calls reference, and *no* alleles
+    /// (site unassessable) when the parent's call is below `min_quality` —
+    /// a missed parental heterozygote must not masquerade as hom-ref and
+    /// charge the child with a false Mendelian violation.
+    fn parent_alleles(row: &SnpRow, min_quality: u8) -> Vec<Base> {
+        if row.ref_base >= 4 || row.quality < min_quality {
+            return Vec::new();
+        }
+        let r = Base::from_code(row.ref_base);
+        if !row.is_variant() {
+            return vec![r];
+        }
+        let mut alleles = Vec::new();
+        for a in Base::ALL {
+            for b in Base::ALL {
+                if a <= b && row.genotype == iupac(a, b) {
+                    alleles.push(a);
+                    alleles.push(b);
+                }
+            }
+        }
+        alleles
+    }
+
+    /// Check each child variant call (at `min_quality`) for Mendelian
+    /// consistency against the parents' calls at the same site. The three row
+    /// slices must cover the same site range (`rows[i]` = site `i`), which
+    /// cohort outputs guarantee by construction.
+    fn trio_concordance(
+        mother: &[SnpRow],
+        father: &[SnpRow],
+        child: &[SnpRow],
+        min_quality: u8,
+    ) -> TrioConcordance {
+        assert_eq!(mother.len(), child.len(), "trio row ranges must align");
+        assert_eq!(father.len(), child.len(), "trio row ranges must align");
+        let mut t = TrioConcordance::default();
+        for (site, row) in child.iter().enumerate() {
+            if !row.is_variant() || row.quality < min_quality || row.ref_base >= 4 {
+                continue;
+            }
+            let from_mother = parent_alleles(&mother[site], min_quality);
+            let from_father = parent_alleles(&father[site], min_quality);
+            if from_mother.is_empty() || from_father.is_empty() {
+                continue;
+            }
+            t.assessed += 1;
+            let consistent = from_mother.iter().any(|&m| {
+                from_father
+                    .iter()
+                    .any(|&f| row.genotype == iupac(m.min(f), m.max(f)))
+            });
+            if consistent {
+                t.consistent += 1;
+            }
+        }
+        t
     }
 
     #[test]

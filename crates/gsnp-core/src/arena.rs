@@ -7,7 +7,7 @@
 //! Allocating them fresh every window puts the allocator on the hot path;
 //! §IV-B's point is that the sparse design makes recycling these buffers
 //! trivial (clear and refill). A [`WindowArena`] owns one window's worth
-//! of buffers, and an [`ArenaPool`] circulates arenas between the pipeline
+//! of buffers, and an `ArenaPool` circulates arenas between the pipeline
 //! stages so the steady-state window loop allocates nothing per window but
 //! what leaves with it — its rows (pinned by `tests/alloc_steady_state.rs`).
 //! The pool also keeps the books: what its arenas hold, and the high-water
@@ -76,7 +76,7 @@ pub struct ArenaPoolStats {
 /// producer checks arenas out, the device lane that scored them checks them
 /// back in once `rows` have been extracted.
 #[derive(Debug)]
-pub struct ArenaPool {
+pub(crate) struct ArenaPool {
     parked: Mutex<Vec<WindowArena>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -87,7 +87,7 @@ pub struct ArenaPool {
 
 impl ArenaPool {
     /// A new, empty pool.
-    pub fn new() -> Arc<ArenaPool> {
+    pub(crate) fn new() -> Arc<ArenaPool> {
         Arc::new(ArenaPool {
             parked: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
@@ -98,7 +98,7 @@ impl ArenaPool {
     }
 
     /// Take an arena — recycled if one is parked, fresh otherwise.
-    pub fn checkout(&self) -> WindowArena {
+    pub(crate) fn checkout(&self) -> WindowArena {
         if let Some(arena) = self.parked.lock().expect("arena pool poisoned").pop() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             arena
@@ -110,7 +110,7 @@ impl ArenaPool {
 
     /// Return an arena for reuse (dropped when the pool already holds
     /// `MAX_PARKED`), booking what it grew by since it was last seen.
-    pub fn checkin(&self, mut arena: WindowArena) {
+    pub(crate) fn checkin(&self, mut arena: WindowArena) {
         let bytes = arena.capacity_bytes();
         let grown = bytes.saturating_sub(arena.booked);
         arena.booked = bytes;
@@ -125,7 +125,7 @@ impl ArenaPool {
     }
 
     /// Checkout hit/miss counts so far.
-    pub fn stats(&self) -> ArenaPoolStats {
+    pub(crate) fn stats(&self) -> ArenaPoolStats {
         ArenaPoolStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -68,12 +68,12 @@ pub struct QualityGates {
 
 impl QualityGates {
     /// Whether any gate is configured.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.min_quality > 0 || self.min_depth > 0
     }
 
     /// Whether a called row passes both gates.
-    pub fn passes(&self, row: &SnpRow) -> bool {
+    pub(crate) fn passes(&self, row: &SnpRow) -> bool {
         row.quality >= self.min_quality && row.depth >= self.min_depth
     }
 }
@@ -110,12 +110,12 @@ impl BadSiteList {
     }
 
     /// Current strikes against `pos`.
-    pub fn strikes(&self, pos: u64) -> u32 {
+    pub(crate) fn strikes(&self, pos: u64) -> u32 {
         self.strikes.get(&pos).copied().unwrap_or(0)
     }
 
     /// Whether `pos` has accumulated enough strikes to be force-NoCalled.
-    pub fn is_bad(&self, pos: u64) -> bool {
+    pub(crate) fn is_bad(&self, pos: u64) -> bool {
         self.strikes(pos) >= self.threshold
     }
 
@@ -238,13 +238,6 @@ pub struct CohortOutput {
     pub noisy_sites: Vec<u64>,
 }
 
-impl CohortOutput {
-    /// The output of the sample named `name`, if present.
-    pub fn sample(&self, name: &str) -> Option<&SampleOutput> {
-        self.samples.iter().find(|s| s.name == name)
-    }
-}
-
 /// Per-sample tallies the window loop's output stage accumulates as it
 /// applies the site policies.
 #[derive(Default)]
@@ -287,11 +280,6 @@ impl CohortPipeline {
     pub fn observed(mut self, observers: Observers) -> Self {
         self.observers = observers;
         self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CohortCallConfig {
-        &self.config
     }
 
     /// Call every sample over the shared reference in one run: one pooled

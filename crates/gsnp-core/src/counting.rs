@@ -89,7 +89,7 @@ impl SparseWindow {
     }
 
     /// Bytes held by the sparse representation.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.words.len() * 4 + self.spans.len() * 16
     }
 
@@ -160,13 +160,6 @@ impl DenseWindow {
     /// Mutable access to one site's matrix.
     pub fn site_mut(&mut self, site: usize) -> &mut [u8] {
         &mut self.occ[site * SITE_CELLS..(site + 1) * SITE_CELLS]
-    }
-
-    /// The `recycle` component: reinitialize every cell. Deliberately a
-    /// full-buffer write — this is the cost the sparse representation
-    /// eliminates (Table I vs Table IV, `recycle` column).
-    pub fn recycle(&mut self) {
-        self.occ.fill(0);
     }
 
     /// Recycle only the first `n` sites' matrices (the final window of a
@@ -290,7 +283,7 @@ mod tests {
         let w = window();
         let mut d = DenseWindow::alloc(3);
         d.count(&w);
-        d.recycle();
+        d.recycle_sites(3);
         assert!(d.site(0).iter().all(|&c| c == 0));
     }
 

@@ -144,7 +144,7 @@ pub struct JournalSummary {
     /// The `run_start` manifest (always the first event).
     pub run_start: Json,
     /// The `run_end` summary (always the last event).
-    pub run_end: Json,
+    pub(crate) run_end: Json,
 }
 
 fn field_str<'a>(ev: &'a Json, key: &str) -> Option<&'a str> {

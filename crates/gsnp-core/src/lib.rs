@@ -39,21 +39,16 @@ pub mod tables;
 /// window that is made of it.
 pub use seqio::baseword;
 
-pub use arena::{ArenaPool, ArenaPoolStats, WindowArena};
 pub use cohort::{
-    BadSiteList, CohortCallConfig, CohortOutput, CohortPipeline, QualityGates, SampleOutput,
-    SampleReads, SampleText,
+    BadSiteList, CohortCallConfig, CohortOutput, CohortPipeline, QualityGates, SampleReads,
+    SampleText,
 };
 pub use journal::Journal;
 pub use metrics::call_metrics;
-pub use model::{ModelParams, SiteSummary};
+pub use model::ModelParams;
 pub use pipeline::{
-    AlignmentError, ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline, RunError,
+    ComponentTimes, GsnpConfig, GsnpCpuPipeline, GsnpOutput, GsnpPipeline, RunError,
 };
-pub use progress::{LatencyHists, ProgressSnapshot, ProgressTracker};
+pub use progress::ProgressTracker;
 pub use sink::{Collect, FileSink, ResultSink};
-pub use stream::{
-    verify_overlap_consistency, Observers, OrderedReassembler, OverlapStats, PipelineTrace,
-    StageStats,
-};
-pub use tables::{LogTable, NewPMatrix, PMatrix, SharedTables};
+pub use stream::{verify_overlap_consistency, Observers, OverlapStats};

@@ -39,7 +39,7 @@ use crate::tables::{
 };
 
 /// Sites processed per thread block by the likelihood kernels.
-pub const SITES_PER_BLOCK: usize = 256;
+pub(crate) const SITES_PER_BLOCK: usize = 256;
 
 // ---------------------------------------------------------------------
 // Host reference implementations
@@ -185,7 +185,7 @@ pub fn sort_sparse_cpu(sw: &mut SparseWindow) {
 ///
 /// Every device is charged the modelled upload (the paper's `load_table`),
 /// but holds `p_matrix` / `new_p_matrix` only where a launch can read them
-/// ([`DeviceTables::upload_group`]); the accessors panic, naming the
+/// (`DeviceTables::upload_group`); the accessors panic, naming the
 /// table, if a launch ever reaches a device without them.
 pub struct DeviceTables {
     /// `p_matrix` in global memory (8 MB-class: too big for shared or
@@ -194,7 +194,7 @@ pub struct DeviceTables {
     /// `new_p_matrix` in global memory.
     new_p: Option<GlobalBuffer<f64>>,
     /// `log_table` in constant memory (65 doubles, trivially fits).
-    pub log_table: ConstBuffer<f64>,
+    pub(crate) log_table: ConstBuffer<f64>,
     host_log: Arc<LogTable>,
     /// The `new_p_matrix` image's own rows ([`NewPMatrix::shared`]): the
     /// native arm ([`likelihood_host_sites`]) reads them as plain `f64`
@@ -228,7 +228,7 @@ fn held<'a>(copy: &'a Option<GlobalBuffer<f64>>, table: &str) -> &'a GlobalBuffe
 
 impl DeviceTables {
     /// Upload the three tables. Convenience wrapper over
-    /// [`DeviceTables::upload_shared`] that clones the log table once into
+    /// `DeviceTables::upload_shared` that clones the log table once into
     /// an [`Arc`].
     pub fn upload(dev: &Device, p: &PMatrix, np: &NewPMatrix, lt: &LogTable) -> DeviceTables {
         Self::upload_shared(dev, p, np, &Arc::new(lt.clone()))
@@ -238,7 +238,7 @@ impl DeviceTables {
     /// `new_p_matrix` storage by reference count — repeated uploads
     /// (benchmark repetitions, per-run pipelines) duplicate nothing
     /// host-side.
-    pub fn upload_shared(
+    pub(crate) fn upload_shared(
         dev: &Device,
         p: &PMatrix,
         np: &NewPMatrix,
@@ -267,25 +267,25 @@ impl DeviceTables {
 
     /// `p_matrix` in global memory; panics on a device without a copy.
     #[track_caller]
-    pub fn p_matrix(&self) -> &GlobalBuffer<f64> {
+    pub(crate) fn p_matrix(&self) -> &GlobalBuffer<f64> {
         held(&self.p_matrix, "p_matrix")
     }
 
     /// `new_p_matrix` in global memory; panics on a device without a copy.
     #[track_caller]
-    pub fn new_p(&self) -> &GlobalBuffer<f64> {
+    pub(crate) fn new_p(&self) -> &GlobalBuffer<f64> {
         held(&self.new_p, "new_p_matrix")
     }
 
     /// H2D bytes the upload represents (charged to `cal_p_matrix` time),
     /// whether or not the matrices are held.
-    pub fn upload_bytes(&self) -> u64 {
+    pub(crate) fn upload_bytes(&self) -> u64 {
         self.upload_bytes
     }
 
     /// Bytes of device copies actually allocated: the whole upload where
     /// the matrices are held, the constant log table alone where not.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         let copies = self.p_matrix.iter().chain(&self.new_p);
         (copies.map(GlobalBuffer::len).sum::<usize>() + self.log_table.len()) as u64 * 8
     }
@@ -298,7 +298,7 @@ impl DeviceTables {
     /// chain over it — the test the window loop's device stage picks its
     /// arm by — as the native arm reads the shared host storage instead.
     /// Returns one `DeviceTables` per backend, in order.
-    pub fn upload_group<B: ComputeBackend>(
+    pub(crate) fn upload_group<B: ComputeBackend>(
         backends: &[B],
         variant: KernelVariant,
         image: &SharedTables,
@@ -363,7 +363,7 @@ impl KernelVariant {
 }
 
 /// `likelihood_comp` on the device: one logical thread per site, blocks of
-/// [`SITES_PER_BLOCK`]. Returns the per-site `type_likely` vectors and the
+/// `SITES_PER_BLOCK`. Returns the per-site `type_likely` vectors and the
 /// launch statistics.
 ///
 /// The computation is bit-identical across variants and identical to the
@@ -711,7 +711,7 @@ fn accumulate(
 }
 
 /// Kernel name of the device stage's native arm ([`likelihood_host_sites`]).
-pub const HOST_SITES_KERNEL: &str = "likelihood_host_sites";
+pub(crate) const HOST_SITES_KERNEL: &str = "likelihood_host_sites";
 
 /// One block of the native arm: a range of at most [`SITES_PER_BLOCK`]
 /// sites of one arena's window — their stretch of its word array, their
@@ -814,7 +814,7 @@ fn scan_sorted_site(
 /// fused kernel over pooled device buffers, read back, then the posterior
 /// over what was read back — is what a device needs; on the host
 /// every step but the arithmetic is a copy. Here a block takes a range of at
-/// most [`SITES_PER_BLOCK`] sites of one arena and, site by site, sorts the
+/// most `SITES_PER_BLOCK` sites of one arena and, site by site, sorts the
 /// site's words where they lie in the window's own array (a window *is* its
 /// `base_word` array), scores and summarises them in one pass and, with the
 /// likelihoods still on the stack, calls the site: the [`SnpRow`] goes into

@@ -9,7 +9,7 @@
 //! likelihood of each of the ten unordered diploid genotypes is accumulated
 //! from every aligned base, with the per-base error probability taken from
 //! a recalibrated quality matrix ([`crate::tables::PMatrix`]) and a
-//! dependency adjustment ([`adjust`]) that discounts stacked observations
+//! dependency adjustment (`adjust`) that discounts stacked observations
 //! at the same read coordinate and strand (PCR duplicates). Posteriors
 //! combine the likelihoods with a genotype prior built from the reference
 //! base, the transition/transversion bias, and known-SNP allele
@@ -29,7 +29,7 @@ pub const NUM_GENOTYPES: usize = 10;
 /// The ten genotypes as `(allele1, allele2)` with `allele1 ≤ allele2`,
 /// enumerated exactly as the paper's double loop (Algorithm 1 lines
 /// 11–12) visits them.
-pub const GENOTYPES: [(u8, u8); NUM_GENOTYPES] = [
+pub(crate) const GENOTYPES: [(u8, u8); NUM_GENOTYPES] = [
     (0, 0),
     (0, 1),
     (0, 2),
@@ -41,15 +41,6 @@ pub const GENOTYPES: [(u8, u8); NUM_GENOTYPES] = [
     (2, 3),
     (3, 3),
 ];
-
-/// Dense index of genotype `(a1, a2)` (requires `a1 ≤ a2`).
-#[inline]
-pub fn genotype_index(a1: u8, a2: u8) -> usize {
-    debug_assert!(a1 <= a2 && a2 < 4);
-    // Row offsets of the upper-triangular enumeration: 0, 4, 7, 9.
-    const ROW: [usize; 4] = [0, 4, 7, 9];
-    ROW[a1 as usize] + (a2 - a1) as usize
-}
 
 /// Tunable model parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +85,7 @@ impl Default for ModelParams {
 /// The first observation (`dep_count = 1`) passes through unchanged; the
 /// k-th stacked duplicate is discounted by ~`10·log10 k` Phred units.
 #[inline(always)]
-pub fn adjust(score: u8, dep_count: u16, log_table: &LogTable) -> u8 {
+pub(crate) fn adjust(score: u8, dep_count: u16, log_table: &LogTable) -> u8 {
     let k = dep_count.clamp(1, 64);
     score.saturating_sub(log_table.penalty(k as usize))
 }
@@ -103,19 +94,19 @@ pub fn adjust(score: u8, dep_count: u16, log_table: &LogTable) -> u8 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SiteSummary {
     /// Observation count per base.
-    pub count_all: [u16; 4],
+    pub(crate) count_all: [u16; 4],
     /// Unique-read observation count per base.
-    pub count_uniq: [u16; 4],
+    pub(crate) count_uniq: [u16; 4],
     /// Sum of quality scores per base.
-    pub qual_sum: [u32; 4],
+    pub(crate) qual_sum: [u32; 4],
     /// Total depth.
-    pub depth: u16,
+    pub(crate) depth: u16,
 }
 
 impl SiteSummary {
     /// Accumulate a summary from a site's `base_word`s, in any order:
     /// every reduction is a saturating count or a plain sum.
-    pub fn from_words(words: &[u32]) -> SiteSummary {
+    pub(crate) fn from_words(words: &[u32]) -> SiteSummary {
         let mut s = SiteSummary::default();
         for &w in words {
             let (base, qual, _, _, uniq) = baseword::unpack(w);
@@ -134,7 +125,7 @@ impl SiteSummary {
     /// quality sum, then by lower base code — and the runner-up among the
     /// other bases with at least one observation, from one ranking. `None`
     /// at zero depth.
-    pub fn best_two(&self) -> Option<(u8, Option<u8>)> {
+    pub(crate) fn best_two(&self) -> Option<(u8, Option<u8>)> {
         if self.depth == 0 {
             return None;
         }
@@ -151,7 +142,7 @@ impl SiteSummary {
     }
 
     /// Rounded average quality of a base's observations (0 when absent).
-    pub fn avg_qual(&self, base: u8) -> u8 {
+    pub(crate) fn avg_qual(&self, base: u8) -> u8 {
         let n = self.count_all[base as usize];
         if n == 0 {
             0
@@ -163,7 +154,7 @@ impl SiteSummary {
 
 /// log10-prior of genotype `g` given the reference base and any known-SNP
 /// allele frequencies.
-pub fn genotype_log_prior(
+pub(crate) fn genotype_log_prior(
     g: usize,
     ref_base: u8,
     known: Option<&KnownSnp>,
@@ -211,7 +202,7 @@ pub fn genotype_log_prior(
     p.log10()
 }
 
-/// Precomputed [`genotype_log_prior`] rows for sites without a known-SNP
+/// Precomputed `genotype_log_prior` rows for sites without a known-SNP
 /// entry: one row per reference bucket (A, C, G, T, unknown). The prior
 /// of such a site depends only on `(ref_base, genotype)`, so the 50
 /// `log10` evaluations happen once per table instead of ten per site.
@@ -235,14 +226,14 @@ impl PriorTable {
     /// The log-prior row for `ref_base` (codes ≥ 4 share the unknown-
     /// reference row, exactly as [`genotype_log_prior`] treats them).
     #[inline]
-    pub fn row(&self, ref_base: u8) -> &[f64; NUM_GENOTYPES] {
+    pub(crate) fn row(&self, ref_base: u8) -> &[f64; NUM_GENOTYPES] {
         &self.rows[usize::from(ref_base.min(4))]
     }
 }
 
 /// Exact two-sided binomial test of `k` successes in `n` trials at
 /// `p = 1/2` (the allele-balance check backing result column 15).
-pub fn binomial_two_sided_p(k: u32, n: u32) -> f64 {
+pub(crate) fn binomial_two_sided_p(k: u32, n: u32) -> f64 {
     if n == 0 {
         return 1.0;
     }
@@ -300,7 +291,7 @@ pub fn posterior(
 
 /// [`posterior`] with the no-known-SNP priors served from a precomputed
 /// [`PriorTable`] — identical results (the table holds the exact values
-/// [`genotype_log_prior`] produces), built for tight per-site loops.
+/// `genotype_log_prior` produces), built for tight per-site loops.
 pub fn posterior_cached(
     type_likely: &[f64; NUM_GENOTYPES],
     summary: &SiteSummary,
@@ -344,7 +335,7 @@ impl<'a> SiteCaller<'a> {
     /// order, supplies the likelihoods and summary of site `first + k`.
     /// The known SNPs of the range are walked once beside the sites
     /// instead of being looked up at every one.
-    pub fn call_sites(
+    pub(crate) fn call_sites(
         &self,
         first: u64,
         rows: &mut [SnpRow],
@@ -446,6 +437,14 @@ fn posterior_impl(
 mod tests {
     use super::*;
     use seqio::window::SiteObs;
+
+    /// Dense index of genotype `(a1, a2)` (requires `a1 ≤ a2`).
+    fn genotype_index(a1: u8, a2: u8) -> usize {
+        debug_assert!(a1 <= a2 && a2 < 4);
+        // Row offsets of the upper-triangular enumeration: 0, 4, 7, 9.
+        const ROW: [usize; 4] = [0, 4, 7, 9];
+        ROW[a1 as usize] + (a2 - a1) as usize
+    }
 
     /// The summary of a site holding `obs`.
     fn summary(obs: &[SiteObs]) -> SiteSummary {

@@ -131,7 +131,7 @@ pub struct PipelineStats {
     /// lanes since they hold theirs at the same time.
     pub peak_host_bytes: u64,
     /// Per-stage and per-device-worker busy/stall accounting of the window
-    /// loop: its tracker's end-of-run view ([`crate::ProgressTracker::overlap`]).
+    /// loop: its tracker's end-of-run view (`ProgressTracker::overlap`).
     pub overlap: OverlapStats,
     /// Host arena recycling counters for the window loop, with the arena
     /// row of the memory ledger ([`ArenaPoolStats::high_water_bytes`]).
@@ -142,7 +142,7 @@ pub struct PipelineStats {
     pub temp_input_bytes: u64,
     /// Memory ledger: the score tables' high water, at `load_table` — the
     /// calibrated host image plus the device copies actually held
-    /// ([`DeviceTables::resident_bytes`]). The loop itself holds the
+    /// (`DeviceTables::resident_bytes`). The loop itself holds the
     /// copies and, where the native arm scores, the image's
     /// `new_p_matrix`.
     pub score_table_bytes: u64,
@@ -369,11 +369,6 @@ impl GsnpPipeline {
     pub fn observed(mut self, observers: Observers) -> Self {
         self.observers = observers;
         self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GsnpConfig {
-        &self.config
     }
 
     /// Run over in-memory inputs: calibrate this sample's own tables, then

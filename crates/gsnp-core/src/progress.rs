@@ -4,13 +4,13 @@
 //! `ProgressTracker::on` is where it is added up: per-stage and per-lane busy / stall seconds, lane windows and
 //! steals, a set of atomic progress counters and fixed-size log-bucketed
 //! [`Histogram`]s. The `--progress` stderr heartbeat reads the counters
-//! while the run executes; at the end, [`ProgressTracker::overlap`] is the
+//! while the run executes; at the end, `ProgressTracker::overlap` is the
 //! run's [`OverlapStats`] and the histograms end in
 //! [`crate::pipeline::PipelineStats::hists`] — the `--metrics` latency
 //! families, the journal's `run_end` digests and `gsnp profile`'s quantile
 //! table. Kernel launch wall times are not recorded here: each launch
 //! records into its [`gpu_sim::KernelTally`], and the window loop folds
-//! those into [`LatencyHists::kernel_wall`] once, at the end of the run.
+//! those into `LatencyHists::kernel_wall` once, at the end of the run.
 //!
 //! One [`ProgressTracker`] exists per run — the pipeline creates its own
 //! when the caller did not hand one in via
@@ -32,14 +32,14 @@ use crate::stream::{DeviceLaneStats, OverlapStats, Phase, RunEvent, Stage, Stage
 
 /// Window-loop stage names, in pipeline order. Indexes into the
 /// `stage_busy` / `stage_stall` arrays of [`LatencyHists`].
-pub const STAGE_NAMES: [&str; 3] = ["read", "device", "output"];
+pub(crate) const STAGE_NAMES: [&str; 3] = ["read", "device", "output"];
 
 /// Stage index: reference/read ingestion (producer).
-pub const STAGE_READ: usize = 0;
+pub(crate) const STAGE_READ: usize = 0;
 /// Stage index: device workers (count + likelihood kernels).
-pub const STAGE_DEVICE: usize = 1;
+pub(crate) const STAGE_DEVICE: usize = 1;
 /// Stage index: reassembly, per-sample site policies + compressed output.
-pub const STAGE_OUTPUT: usize = 2;
+pub(crate) const STAGE_OUTPUT: usize = 2;
 
 /// The full set of latency histograms one run accumulates.
 #[derive(Debug, Clone, Default)]
@@ -48,15 +48,15 @@ pub struct LatencyHists {
     /// across its windows, matching the trace's per-window spans).
     pub window: Histogram,
     /// Per-stage busy interval durations, indexed by `STAGE_*`.
-    pub stage_busy: [Histogram; 3],
+    pub(crate) stage_busy: [Histogram; 3],
     /// Per-stage stall (blocked on channel) durations, indexed by
     /// `STAGE_*`. For the device stage this is the queue wait.
-    pub stage_stall: [Histogram; 3],
+    pub(crate) stage_stall: [Histogram; 3],
     /// Time each dispatched batch waited in the device input queue.
-    pub queue_wait: Histogram,
+    pub(crate) queue_wait: Histogram,
     /// Per-kernel-launch wall time across kernels and devices, set by
     /// [`LatencyHists::fold_kernel_wall`] once the window loop ends.
-    pub kernel_wall: Histogram,
+    pub(crate) kernel_wall: Histogram,
 }
 
 impl LatencyHists {
@@ -86,7 +86,7 @@ impl LatencyHists {
     }
 
     /// Set `kernel_wall` to the merge of the launch tallies' `wall_hist`s.
-    pub fn fold_kernel_wall(&mut self, tallies: &[gpu_sim::KernelTally]) {
+    pub(crate) fn fold_kernel_wall(&mut self, tallies: &[gpu_sim::KernelTally]) {
         self.kernel_wall = Histogram::default();
         for tally in tallies {
             self.kernel_wall.merge(&tally.wall_hist);
@@ -95,7 +95,7 @@ impl LatencyHists {
 
     /// Push every histogram into a [`MetricsSnapshot`] as classic
     /// Prometheus histogram families (`gsnp_*_seconds_bucket/_sum/_count`).
-    pub fn push_metrics(&self, m: &mut MetricsSnapshot) {
+    pub(crate) fn push_metrics(&self, m: &mut MetricsSnapshot) {
         m.push_histogram(
             "gsnp_window_seconds",
             "Per-window wall time",
@@ -188,13 +188,13 @@ impl ProgressTracker {
 
     /// Declare the expected total window count (ETA denominator).
     /// Cohort runs multiply by the sample count.
-    pub fn set_total_windows(&self, n: u64) {
+    pub(crate) fn set_total_windows(&self, n: u64) {
         self.windows_total.store(n, Ordering::Relaxed);
     }
 
     /// Size the per-lane table (one lane per device worker), so a lane
     /// that scores nothing still has its entry.
-    pub fn begin_lanes(&self, n: usize) {
+    pub(crate) fn begin_lanes(&self, n: usize) {
         let mut live = self.live.lock();
         if live.lanes.len() < n {
             live.lanes.resize(n, DeviceLaneStats::default());
@@ -283,7 +283,7 @@ impl ProgressTracker {
     /// The totals so far as the window loop's [`OverlapStats`] at channel
     /// depth `depth` over `wall` seconds: one [`DeviceLaneStats`] per lane,
     /// idle lanes included; the device stage is the lanes' sum in lane order.
-    pub fn overlap(&self, depth: usize, wall: f64) -> OverlapStats {
+    pub(crate) fn overlap(&self, depth: usize, wall: f64) -> OverlapStats {
         let live = self.live.lock();
         let mut device = StageStats::default();
         for lane in &live.lanes {
@@ -337,7 +337,7 @@ impl ProgressTracker {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressSnapshot {
     /// Seconds since run start.
-    pub elapsed_seconds: f64,
+    pub(crate) elapsed_seconds: f64,
     /// Windows completed.
     pub windows_done: u64,
     /// Expected total windows (0 when unknown).
@@ -345,9 +345,9 @@ pub struct ProgressSnapshot {
     /// Sites processed.
     pub sites_done: u64,
     /// Throughput since run start.
-    pub sites_per_sec: f64,
+    pub(crate) sites_per_sec: f64,
     /// Estimated seconds to completion (0 when unknown or done).
-    pub eta_seconds: f64,
+    pub(crate) eta_seconds: f64,
     /// True once the run finished.
     pub done: bool,
     /// Per-device-lane totals so far; the heartbeat shows a lane's busy

@@ -16,14 +16,14 @@
 //! `Lane::score`) where a stage boundary becomes one `RunEvent`, handed to
 //! one `emit` that feeds every attached [`Observers`] sink. The clocks keep
 //! no totals: the run's [`ProgressTracker`] adds up every event, and its
-//! [`ProgressTracker::overlap`] is what `run_stages` returns.
+//! `ProgressTracker::overlap` is what `run_stages` returns.
 //! Single-sample, sharded and cohort calling all run through it
 //! (`crate::pipeline::run_window_loop` supplies the bodies); depth 1 on one
 //! device runs the same bodies in order on the calling thread.
 //!
 //! Also here, shared with the parallel SOAPsnp serializer:
 //!
-//! * [`OrderedReassembler`] — restores batch-index order on the output
+//! * `OrderedReassembler` — restores batch-index order on the output
 //!   side, which is what keeps the compressed result file byte-identical
 //!   to a serial run (§IV-G).
 //! * [`StageStats`] / [`OverlapStats`] — per-stage busy and stall time,
@@ -31,7 +31,7 @@
 //!   end-of-run view.
 //! * [`Observers`] — who is watching a run: trace recorder, progress
 //!   tracker, journal. Attached with `GsnpPipeline::observed`.
-//! * [`PipelineTrace`] — the host-side tracks of the tracing subsystem
+//! * `PipelineTrace` — the host-side tracks of the tracing subsystem
 //!   ([`Observers::trace`]): one span track per pipeline stage and per
 //!   device lane under a `"pipeline"` process, recording the *same*
 //!   busy/stall durations the tracker adds into its [`StageStats`], plus
@@ -56,7 +56,7 @@ use crate::progress::ProgressTracker;
 /// and receives back every item that is now ready to be emitted, strictly
 /// in index order starting at 0.
 #[derive(Debug)]
-pub struct OrderedReassembler<T> {
+pub(crate) struct OrderedReassembler<T> {
     next: usize,
     pending: BTreeMap<usize, T>,
 }
@@ -69,25 +69,11 @@ impl<T> Default for OrderedReassembler<T> {
 
 impl<T> OrderedReassembler<T> {
     /// An empty reassembler expecting index 0 first.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OrderedReassembler {
             next: 0,
             pending: BTreeMap::new(),
         }
-    }
-
-    /// Offer item `idx`; returns all items that became emittable, in
-    /// index order.
-    ///
-    /// # Panics
-    /// Panics if an index is offered twice.
-    pub fn push(&mut self, idx: usize, item: T) -> Vec<T> {
-        let mut ready = Vec::new();
-        ready.extend(self.offer(idx, item));
-        while let Some(item) = self.pop_ready() {
-            ready.push(item);
-        }
-        ready
     }
 
     /// Offer item `idx`; hands it straight back when it is the next
@@ -97,7 +83,7 @@ impl<T> OrderedReassembler<T> {
     ///
     /// # Panics
     /// Panics if an index is offered twice.
-    pub fn offer(&mut self, idx: usize, item: T) -> Option<T> {
+    pub(crate) fn offer(&mut self, idx: usize, item: T) -> Option<T> {
         if idx == self.next {
             self.next += 1;
             return Some(item);
@@ -114,14 +100,14 @@ impl<T> OrderedReassembler<T> {
 
     /// Pop the next in-order item if a previous out-of-order offer
     /// buffered it, else `None`.
-    pub fn pop_ready(&mut self) -> Option<T> {
+    pub(crate) fn pop_ready(&mut self) -> Option<T> {
         let item = self.pending.remove(&self.next)?;
         self.next += 1;
         Some(item)
     }
 
     /// True once everything offered has also been emitted.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.pending.is_empty()
     }
 }
@@ -135,7 +121,7 @@ impl<T> OrderedReassembler<T> {
 /// must be an exact multiple of `num_samples` (every sample reads the same
 /// window grid, a structural property of [`seqio::window::WindowReader`]'s
 /// reference-tiling).
-pub fn demux_sample_major<T>(items: Vec<T>, num_samples: usize) -> Vec<Vec<T>> {
+pub(crate) fn demux_sample_major<T>(items: Vec<T>, num_samples: usize) -> Vec<Vec<T>> {
     assert!(num_samples > 0, "cohort batch needs at least one sample");
     assert_eq!(
         items.len() % num_samples,
@@ -162,13 +148,6 @@ pub struct StageStats {
     pub stall_out: f64,
 }
 
-impl StageStats {
-    /// Busy plus both stall components.
-    pub fn total(&self) -> f64 {
-        self.busy + self.stall_in + self.stall_out
-    }
-}
-
 /// Busy/stall/steal accounting for one device worker of the sharded
 /// device stage (`GsnpConfig::num_devices`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -186,7 +165,7 @@ pub struct DeviceLaneStats {
 }
 
 /// Pipeline-overlap accounting for one run of the window loop: the end-of-
-/// run view of its [`ProgressTracker`] ([`ProgressTracker::overlap`]).
+/// run view of its [`ProgressTracker`] (`ProgressTracker::overlap`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverlapStats {
     /// Configured channel depth (1 = serial execution).
@@ -207,24 +186,6 @@ pub struct OverlapStats {
     pub wall: f64,
 }
 
-impl OverlapStats {
-    /// Total busy time across all stages.
-    pub fn busy_total(&self) -> f64 {
-        self.read.busy + self.device.busy + self.output.busy
-    }
-
-    /// Achieved pipeline depth: how many stages were busy at once, on
-    /// average. 1.0 means no overlap (serial); the upper bound is the
-    /// number of stages plus any extra device workers.
-    pub fn achieved_depth(&self) -> f64 {
-        if self.wall > 0.0 {
-            self.busy_total() / self.wall
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Host-side pipeline tracks of the tracing subsystem: one span track per
 /// stage (`read_site`, `output`) plus one per device lane,
 /// all under a `"pipeline"` process stamped with host wall clock (the
@@ -236,7 +197,7 @@ impl OverlapStats {
 ///
 /// Tracks and names are registered at construction; recording is
 /// allocation-free.
-pub struct PipelineTrace {
+pub(crate) struct PipelineTrace {
     rec: Arc<TraceRecorder>,
     read: TrackId,
     lanes: Vec<TrackId>,
@@ -257,7 +218,7 @@ fn lane_thread(i: usize) -> String {
 impl PipelineTrace {
     /// Register the pipeline-process tracks on `rec` for a run with
     /// `num_devices` device lanes.
-    pub fn new(rec: &Arc<TraceRecorder>, num_devices: usize) -> Self {
+    pub(crate) fn new(rec: &Arc<TraceRecorder>, num_devices: usize) -> Self {
         PipelineTrace {
             read: rec.register_track("pipeline", "read_site", TrackKind::Spans),
             lanes: (0..num_devices.max(1))
@@ -276,7 +237,7 @@ impl PipelineTrace {
 
     /// Host wall-clock seconds since the recorder's epoch (span `ts`
     /// values for every pipeline track).
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.rec.now()
     }
 
@@ -330,7 +291,8 @@ impl PipelineTrace {
 
     /// Cross-check this trace against the run's [`OverlapStats`] (see
     /// [`verify_overlap_consistency`]).
-    pub fn verify(&self, overlap: &OverlapStats) -> Result<(), String> {
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn verify(&self, overlap: &OverlapStats) -> Result<(), String> {
         verify_overlap_consistency(&self.rec.snapshot(), overlap)
     }
 }
@@ -407,7 +369,7 @@ pub fn verify_overlap_consistency(
 pub struct Observers {
     /// Every device records kernel/transfer/pool events under its own
     /// `device{i}` process (simulated device clock) and the window loop one
-    /// host-clock track per stage and device lane ([`PipelineTrace`]).
+    /// host-clock track per stage and device lane (`PipelineTrace`).
     /// Export with [`TraceRecorder::snapshot`] after the run. Ignored by
     /// `GsnpCpuPipeline`, which has no device or stage structure to trace.
     pub trace: Option<Arc<TraceRecorder>>,
@@ -766,6 +728,50 @@ pub(crate) fn run_stages<T: Send, S: Send>(
         }
     }
     overlap
+}
+
+#[cfg(test)]
+impl<T> OrderedReassembler<T> {
+    /// Offer item `idx`; returns all items that became emittable, in
+    /// index order.
+    ///
+    /// # Panics
+    /// Panics if an index is offered twice.
+    pub(crate) fn push(&mut self, idx: usize, item: T) -> Vec<T> {
+        let mut ready = Vec::new();
+        ready.extend(self.offer(idx, item));
+        while let Some(item) = self.pop_ready() {
+            ready.push(item);
+        }
+        ready
+    }
+}
+
+#[cfg(test)]
+impl StageStats {
+    /// Busy plus both stall components.
+    pub(crate) fn total(&self) -> f64 {
+        self.busy + self.stall_in + self.stall_out
+    }
+}
+
+#[cfg(test)]
+impl OverlapStats {
+    /// Total busy time across all stages.
+    pub(crate) fn busy_total(&self) -> f64 {
+        self.read.busy + self.device.busy + self.output.busy
+    }
+
+    /// Achieved pipeline depth: how many stages were busy at once, on
+    /// average. 1.0 means no overlap (serial); the upper bound is the
+    /// number of stages plus any extra device workers.
+    pub(crate) fn achieved_depth(&self) -> f64 {
+        if self.wall > 0.0 {
+            self.busy_total() / self.wall
+        } else {
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]

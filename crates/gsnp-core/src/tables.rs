@@ -22,9 +22,9 @@ use seqio::soap::{AlignedRead, ReadChunk};
 use crate::model::{ModelParams, GENOTYPES, NUM_GENOTYPES};
 
 /// Quality-score dimension (6 bits).
-pub const Q_DIM: usize = 64;
+pub(crate) const Q_DIM: usize = 64;
 /// Read-coordinate dimension (8 bits).
-pub const COORD_DIM: usize = 256;
+pub(crate) const COORD_DIM: usize = 256;
 
 /// Base-10 logarithms of small integers, host-computed once (§IV-G).
 #[derive(Debug, Clone, PartialEq)]
@@ -48,20 +48,14 @@ impl LogTable {
         LogTable { values, penalties }
     }
 
-    /// `log10(k)` for integer `k ≤ 64`.
-    #[inline(always)]
-    pub fn log10_int(&self, k: usize) -> f64 {
-        self.values[k]
-    }
-
     /// `round(10·log10 k)` for integer `k ≤ 64`, in Phred units.
     #[inline(always)]
-    pub fn penalty(&self, k: usize) -> u8 {
+    pub(crate) fn penalty(&self, k: usize) -> u8 {
         self.penalties[k]
     }
 
     /// Raw table contents (uploaded to constant memory by the kernels).
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.values
     }
 }
@@ -83,7 +77,7 @@ pub struct PMatrix {
 
 /// Flat index into [`PMatrix`].
 #[inline(always)]
-pub fn p_index(q: u8, coord: u8, allele: u8, base: u8) -> usize {
+pub(crate) fn p_index(q: u8, coord: u8, allele: u8, base: u8) -> usize {
     (usize::from(q) << 12)
         | (usize::from(coord) << 4)
         | (usize::from(allele) << 2)
@@ -96,13 +90,13 @@ pub fn p_index(q: u8, coord: u8, allele: u8, base: u8) -> usize {
 /// pieces and adding the pieces up in any order gives the same counts —
 /// and therefore the same [`PMatrix`], bit for bit — as one pass over it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CalCounts {
+pub(crate) struct CalCounts {
     counts: Vec<u64>,
 }
 
 impl CalCounts {
     /// All-zero counts.
-    pub fn new() -> CalCounts {
+    pub(crate) fn new() -> CalCounts {
         CalCounts {
             counts: vec![0; PMatrix::LEN],
         }
@@ -114,7 +108,7 @@ impl CalCounts {
     /// # Panics
     /// Panics on a record that breaks a record invariant
     /// ([`ReadChunk::push_read`]): it would be counted in another cell.
-    pub fn add_reads<'a>(
+    pub(crate) fn add_reads<'a>(
         &mut self,
         reads: impl IntoIterator<Item = &'a AlignedRead>,
         reference: &Reference,
@@ -129,7 +123,7 @@ impl CalCounts {
     }
 
     /// [`CalCounts::add_reads`] over a packed read table.
-    pub fn add_chunk(&mut self, chunk: &ReadChunk, reference: &Reference) {
+    pub(crate) fn add_chunk(&mut self, chunk: &ReadChunk, reference: &Reference) {
         for i in 0..chunk.len() {
             let (seq, qual) = (chunk.seq(i), chunk.qual(i));
             let start = (chunk.pos(i) as usize).min(reference.len());
@@ -138,8 +132,7 @@ impl CalCounts {
                 if r >= 4 {
                     continue; // unknown reference: no truth label
                 }
-                // The quality matrix is indexed by sequencing cycle
-                // ([`AlignedRead::obs_at`]).
+                // The quality matrix is indexed by sequencing cycle.
                 let cycle = match chunk.strand(i) {
                     Strand::Forward => offset,
                     Strand::Reverse => seq.len() - 1 - offset,
@@ -150,7 +143,7 @@ impl CalCounts {
     }
 
     /// Add `other`'s counts to these.
-    pub fn merge(&mut self, other: &CalCounts) {
+    pub(crate) fn merge(&mut self, other: &CalCounts) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -172,7 +165,7 @@ impl PMatrix {
     /// "on error, the observation is uniform over all four bases":
     /// `1 − 3e/4` on a match, `e/4` otherwise. This keeps every entry
     /// strictly positive even at `q = 0`.
-    pub fn prior_prob(q: u8, allele: u8, base: u8) -> f64 {
+    pub(crate) fn prior_prob(q: u8, allele: u8, base: u8) -> f64 {
         let e = 10f64.powf(-f64::from(q) / 10.0);
         if allele == base {
             1.0 - e * (3.0 / 4.0)
@@ -183,8 +176,8 @@ impl PMatrix {
 
     /// Calibrate from the full input (the `cal_p_matrix` component): count
     /// `(quality, coord, reference allele, observed base)` co-occurrences
-    /// over every aligned base ([`CalCounts`]), then blend
-    /// ([`PMatrix::from_counts`]).
+    /// over every aligned base (`CalCounts`), then blend
+    /// (`PMatrix::from_counts`).
     pub fn calibrate<'a>(
         reads: impl IntoIterator<Item = &'a AlignedRead>,
         reference: &Reference,
@@ -198,7 +191,7 @@ impl PMatrix {
     /// Blend the observed co-occurrence counts with the quality-model
     /// prior using `params.pseudocount` pseudo-observations, one quality
     /// row per pool task.
-    pub fn from_counts(counts: &CalCounts, params: &ModelParams) -> PMatrix {
+    pub(crate) fn from_counts(counts: &CalCounts, params: &ModelParams) -> PMatrix {
         let counts = &counts.counts;
         let mut values = vec![0f64; Self::LEN];
         let rows: Vec<_> = values.chunks_mut(Self::LEN / Q_DIM).enumerate().collect();
@@ -243,20 +236,14 @@ impl PMatrix {
         PMatrix { values }
     }
 
-    /// Probability lookup.
-    #[inline(always)]
-    pub fn get(&self, q: u8, coord: u8, allele: u8, base: u8) -> f64 {
-        self.values[p_index(q, coord, allele, base)]
-    }
-
     /// Flat lookup by precomputed index.
     #[inline(always)]
-    pub fn get_flat(&self, idx: usize) -> f64 {
+    pub(crate) fn get_flat(&self, idx: usize) -> f64 {
         self.values[idx]
     }
 
     /// Raw values (uploaded to device global memory by the kernels).
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.values
     }
 
@@ -271,7 +258,14 @@ impl PMatrix {
 /// `p_matrix` lookups and one `log10`. The reference implementation the
 /// precomputed table must match bit for bit.
 #[inline(always)]
-pub fn likely_update(p: &PMatrix, q_adjusted: u8, coord: u8, base: u8, a1: u8, a2: u8) -> f64 {
+pub(crate) fn likely_update(
+    p: &PMatrix,
+    q_adjusted: u8,
+    coord: u8,
+    base: u8,
+    a1: u8,
+    a2: u8,
+) -> f64 {
     let p1 = p.get_flat(p_index(q_adjusted, coord, a1, base));
     let p2 = p.get_flat(p_index(q_adjusted, coord, a2, base));
     (0.5 * p1 + 0.5 * p2).log10()
@@ -282,7 +276,7 @@ pub fn likely_update(p: &PMatrix, q_adjusted: u8, coord: u8, base: u8, a1: u8, a
 /// Indexed as Algorithm 3: `idx = (q << 10 | coord << 2 | base) * 10 + n`
 /// where `n` is the genotype index.
 ///
-/// The rows are ref-counted ([`NewPMatrix::shared`]): the native arm's
+/// The rows are ref-counted (`NewPMatrix::shared`): the native arm's
 /// host copy is this storage, not a second image of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NewPMatrix {
@@ -291,7 +285,7 @@ pub struct NewPMatrix {
 
 /// Flat cell index (before the ×10 genotype expansion).
 #[inline(always)]
-pub fn new_p_cell(q: u8, coord: u8, base: u8) -> usize {
+pub(crate) fn new_p_cell(q: u8, coord: u8, base: u8) -> usize {
     (usize::from(q) << 10) | (usize::from(coord) << 2) | usize::from(base)
 }
 
@@ -300,7 +294,7 @@ impl NewPMatrix {
     pub const CELLS: usize = Q_DIM * COORD_DIM * 4;
 
     /// Precompute from a calibrated [`PMatrix`]. Every entry is produced
-    /// by the *same* floating-point expression [`likely_update`] evaluates,
+    /// by the *same* floating-point expression `likely_update` evaluates,
     /// so replacing the on-the-fly computation with the table lookup is a
     /// bit-exact transformation.
     ///
@@ -327,18 +321,18 @@ impl NewPMatrix {
 
     /// Algorithm 3: one lookup replaces two reads and a `log10`.
     #[inline(always)]
-    pub fn get(&self, q_adjusted: u8, coord: u8, base: u8, n: usize) -> f64 {
+    pub(crate) fn get(&self, q_adjusted: u8, coord: u8, base: u8, n: usize) -> f64 {
         self.rows[new_p_cell(q_adjusted, coord, base)][n]
     }
 
     /// Raw values (uploaded to device global memory).
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         self.rows.as_flattened()
     }
 
     /// The rows' shared storage, one per [`new_p_cell`]: a new reference
     /// to it, not a copy.
-    pub fn shared(&self) -> Arc<[[f64; NUM_GENOTYPES]]> {
+    pub(crate) fn shared(&self) -> Arc<[[f64; NUM_GENOTYPES]]> {
         Arc::clone(&self.rows)
     }
 
@@ -364,11 +358,11 @@ impl NewPMatrix {
 #[derive(Debug, Clone)]
 pub struct SharedTables {
     /// Calibrated recalibration matrix.
-    pub p_matrix: PMatrix,
+    pub(crate) p_matrix: PMatrix,
     /// Its 10×-expanded precomputed score table.
-    pub new_p: NewPMatrix,
+    pub(crate) new_p: NewPMatrix,
     /// Host log table (ref-counted into every device upload).
-    pub log_table: Arc<LogTable>,
+    pub(crate) log_table: Arc<LogTable>,
 }
 
 impl SharedTables {
@@ -398,7 +392,7 @@ impl SharedTables {
     }
 
     /// The table set for the given calibration counts.
-    pub fn from_counts(counts: &CalCounts, params: &ModelParams) -> SharedTables {
+    pub(crate) fn from_counts(counts: &CalCounts, params: &ModelParams) -> SharedTables {
         let p_matrix = PMatrix::from_counts(counts, params);
         let new_p = NewPMatrix::precompute(&p_matrix);
         SharedTables {
@@ -410,6 +404,14 @@ impl SharedTables {
 }
 
 #[cfg(test)]
+impl PMatrix {
+    /// Probability lookup.
+    fn get(&self, q: u8, coord: u8, allele: u8, base: u8) -> f64 {
+        self.values[p_index(q, coord, allele, base)]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use seqio::synth::{Dataset, SynthConfig};
@@ -417,14 +419,13 @@ mod tests {
     #[test]
     fn log_table_values() {
         let lt = LogTable::new();
-        assert_eq!(lt.log10_int(1), 0.0);
-        assert!((lt.log10_int(10) - 1.0).abs() < 1e-12);
-        assert!((lt.log10_int(2) - 2f64.log10()).abs() < 1e-15);
+        assert_eq!(lt.values[1], 0.0);
+        assert!((lt.values[10] - 1.0).abs() < 1e-12);
+        assert!((lt.values[2] - 2f64.log10()).abs() < 1e-15);
         assert_eq!(lt.as_slice().len(), 65);
-        // The kernels' simulator arm still rounds per observation from
-        // constant memory; the precomputed penalties must agree with it.
+        // The precomputed penalties are the rounded Phred values.
         for k in 0..=64 {
-            let rounded = (10.0 * lt.log10_int(k)).round();
+            let rounded = (10.0 * lt.values[k]).round();
             assert_eq!(f64::from(lt.penalty(k)), rounded, "k={k}");
         }
     }

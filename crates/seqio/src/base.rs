@@ -60,13 +60,6 @@ impl Base {
         b"ACGT"[self as usize]
     }
 
-    /// Watson–Crick complement (A↔T, C↔G). On the 2-bit encoding this is
-    /// the bitwise NOT of the code: `3 - code`.
-    #[inline]
-    pub fn complement(self) -> Base {
-        Base::from_code(3 - self.code())
-    }
-
     /// Whether `self → other` is a *transition* (purine↔purine A↔G or
     /// pyrimidine↔pyrimidine C↔T). Transitions are ~2× more frequent than
     /// transversions and weighted accordingly in the SNP prior.
@@ -143,7 +136,7 @@ impl Strand {
     }
 
     /// ASCII `+` / `-`.
-    pub fn to_ascii(self) -> u8 {
+    pub(crate) fn to_ascii(self) -> u8 {
         match self {
             Strand::Forward => b'+',
             Strand::Reverse => b'-',
@@ -151,7 +144,7 @@ impl Strand {
     }
 
     /// Parse ASCII `+` / `-`.
-    pub fn from_ascii(c: u8) -> Option<Strand> {
+    pub(crate) fn from_ascii(c: u8) -> Option<Strand> {
         match c {
             b'+' => Some(Strand::Forward),
             b'-' => Some(Strand::Reverse),
@@ -177,21 +170,6 @@ mod tests {
     fn n_is_not_a_base() {
         assert_eq!(Base::from_ascii(b'N'), None);
         assert_eq!(Base::from_ascii(b'x'), None);
-    }
-
-    #[test]
-    fn complement_pairs() {
-        assert_eq!(Base::A.complement(), Base::T);
-        assert_eq!(Base::C.complement(), Base::G);
-        assert_eq!(Base::G.complement(), Base::C);
-        assert_eq!(Base::T.complement(), Base::A);
-    }
-
-    #[test]
-    fn complement_is_involution() {
-        for b in Base::ALL {
-            assert_eq!(b.complement().complement(), b);
-        }
     }
 
     #[test]

@@ -28,8 +28,6 @@
 
 /// Maximum quality score representable in the 6-bit field.
 pub const QUAL_MAX: u8 = 63;
-/// Maximum coordinate (read length) representable in the 8-bit field.
-pub const COORD_MAX: u8 = 255;
 
 /// Pack one occurrence. All arguments are range-checked in debug builds.
 #[inline(always)]

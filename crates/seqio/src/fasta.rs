@@ -51,13 +51,6 @@ impl Reference {
         self.seq.is_empty()
     }
 
-    /// The base at `pos`, or `None` if it is an N.
-    #[inline]
-    pub fn base_at(&self, pos: usize) -> Option<Base> {
-        let c = self.seq[pos];
-        (c < 4).then(|| Base::from_code(c))
-    }
-
     /// Parse the first record of a FASTA stream, a line at a time in one
     /// reused buffer: a sequence line's bytes go through one 256-entry
     /// code table and are checked where their codes land. Only a line with
@@ -153,13 +146,6 @@ mod tests {
         assert_eq!(text.lines().count(), 1 + 3); // header + ceil(200/70)
         let back = Reference::read_fasta(Cursor::new(text)).unwrap();
         assert_eq!(back.len(), 200);
-    }
-
-    #[test]
-    fn base_at_handles_n() {
-        let r = Reference::new("x", vec![2, 4]);
-        assert_eq!(r.base_at(0), Some(Base::G));
-        assert_eq!(r.base_at(1), None);
     }
 
     #[test]

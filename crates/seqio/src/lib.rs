@@ -30,11 +30,6 @@ pub mod swar;
 pub mod synth;
 pub mod window;
 
-pub use base::{Base, Strand};
 pub use error::SeqIoError;
-pub use fasta::Reference;
-pub use prior::KnownSnp;
 pub use result::SnpRow;
-pub use soap::{AlignedRead, ReadChunk};
-pub use synth::{Cohort, CohortConfig, CohortSample, Dataset, SynthConfig};
-pub use window::{ReadSource, SiteObs, Window, WindowReader};
+pub use soap::AlignedRead;

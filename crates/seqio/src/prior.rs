@@ -28,7 +28,7 @@ pub struct KnownSnp {
 
 impl KnownSnp {
     /// Validate that frequencies are non-negative and sum to ≈ 1.
-    pub fn validate(&self) -> Result<(), SeqIoError> {
+    pub(crate) fn validate(&self) -> Result<(), SeqIoError> {
         let sum: f64 = self.freqs.iter().sum();
         if self.freqs.iter().any(|&f| !(0.0..=1.0).contains(&f)) || (sum - 1.0).abs() > 1e-3 {
             return Err(SeqIoError::Invariant(format!(

@@ -16,8 +16,9 @@
 //! * `pos` — 1-based leftmost match position on the reference.
 //!
 //! Quality coordinates matter: the Bayesian model indexes its recalibration
-//! matrix by *sequencing cycle*, so [`AlignedRead::obs_at`] maps an offset
-//! on the reference back to the cycle it was sequenced in.
+//! matrix by *sequencing cycle*, so an offset on the reference maps back to
+//! the cycle it was sequenced in (a reverse read's offset 0 is its last
+//! cycle).
 
 use std::io::{BufRead, Write};
 
@@ -89,27 +90,6 @@ impl AlignedRead {
         self.seq.is_empty()
     }
 
-    /// Observation for the base covering reference position `pos + offset`:
-    /// `(base, quality, cycle)` where `cycle` is the 0-based position within
-    /// the read *in sequencing order*.
-    ///
-    /// For a forward read the cycle equals the offset; for a reverse read
-    /// the first sequenced base aligns at the rightmost reference position,
-    /// so `cycle = len - 1 - offset`.
-    #[inline]
-    pub fn obs_at(&self, offset: usize) -> (Base, u8, u8) {
-        debug_assert!(offset < self.seq.len());
-        let cycle = match self.strand {
-            Strand::Forward => offset,
-            Strand::Reverse => self.seq.len() - 1 - offset,
-        };
-        (
-            Base::from_code(self.seq[offset]),
-            self.qual[cycle],
-            cycle as u8,
-        )
-    }
-
     /// Serialize one record as a tab-separated line.
     pub fn write_line<W: Write>(&self, w: &mut W) -> Result<(), SeqIoError> {
         let mut line = Vec::new();
@@ -132,7 +112,7 @@ impl AlignedRead {
 
     /// [`AlignedRead::parse_line`] on raw bytes: one record through the
     /// parser [`AlignmentReader::read_into`] fills a [`ReadChunk`] with.
-    pub fn parse_bytes(line: &[u8], lineno: u64) -> Result<AlignedRead, SeqIoError> {
+    pub(crate) fn parse_bytes(line: &[u8], lineno: u64) -> Result<AlignedRead, SeqIoError> {
         let (mut seq, mut qual) = (Vec::new(), Vec::new());
         Ok(parse_record(line, lineno, &mut seq, &mut qual)?.into_read(seq, qual))
     }
@@ -223,7 +203,7 @@ fn parse_record<'a>(
         return Err(err(NO_HITS));
     }
     // The sequencing cycle is an 8-bit coordinate everywhere downstream
-    // (`obs_at`, `base_word`, the `p_matrix` index).
+    // (`base_word`, the `p_matrix` index).
     if seq_s.len() > MAX_READ_LEN {
         return Err(err(TOO_LONG));
     }
@@ -441,7 +421,7 @@ impl ReadChunk {
     }
 
     /// Drop the first `n` reads, keeping every vector's capacity.
-    pub fn drop_front(&mut self, n: usize) {
+    pub(crate) fn drop_front(&mut self, n: usize) {
         let bytes = self.off[n];
         self.pos.drain(..n);
         self.off.drain(..n);
@@ -498,7 +478,7 @@ pub fn write_alignments<W: Write>(reads: &[AlignedRead], mut w: W) -> Result<(),
 /// what lets pieces be parsed independently ([`AlignmentReader::at_line`])
 /// and still report global line numbers.
 ///
-/// Eight bytes at a time ([`swar::bytes_equal`]).
+/// Eight bytes at a time (`swar::bytes_equal`).
 ///
 /// # Panics
 /// Panics if `n` is zero.
@@ -631,6 +611,29 @@ impl<R: BufRead> Iterator for AlignmentReader<R> {
     type Item = Result<AlignedRead, SeqIoError>;
     fn next(&mut self) -> Option<Self::Item> {
         self.next_read().transpose()
+    }
+}
+
+#[cfg(test)]
+impl AlignedRead {
+    /// Observation for the base covering reference position `pos + offset`:
+    /// `(base, quality, cycle)` where `cycle` is the 0-based position within
+    /// the read *in sequencing order*.
+    ///
+    /// For a forward read the cycle equals the offset; for a reverse read
+    /// the first sequenced base aligns at the rightmost reference position,
+    /// so `cycle = len - 1 - offset`.
+    pub(crate) fn obs_at(&self, offset: usize) -> (Base, u8, u8) {
+        debug_assert!(offset < self.seq.len());
+        let cycle = match self.strand {
+            Strand::Forward => offset,
+            Strand::Reverse => self.seq.len() - 1 - offset,
+        };
+        (
+            Base::from_code(self.seq[offset]),
+            self.qual[cycle],
+            cycle as u8,
+        )
     }
 }
 

@@ -17,7 +17,7 @@ pub fn zero_bytes(word: u64) -> u64 {
 
 /// The top bit of each byte of `word` that equals `byte`.
 #[inline]
-pub fn bytes_equal(word: u64, byte: u8) -> u64 {
+pub(crate) fn bytes_equal(word: u64, byte: u8) -> u64 {
     zero_bytes(word ^ u64::from_le_bytes([byte; 8]))
 }
 
@@ -29,7 +29,7 @@ pub fn word_at(bytes: &[u8], at: usize) -> u64 {
 
 /// Index of the first `byte` in `hay`.
 #[inline]
-pub fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
+pub(crate) fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
     let mut at = 0;
     while at + 8 <= hay.len() {
         match bytes_equal(word_at(hay, at), byte) {
@@ -42,7 +42,7 @@ pub fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
 
 /// The pieces `hay.split(|&c| c == byte)` yields, each separator found by
 /// [`find_byte`].
-pub fn split(hay: &[u8], byte: u8) -> impl Iterator<Item = &[u8]> {
+pub(crate) fn split(hay: &[u8], byte: u8) -> impl Iterator<Item = &[u8]> {
     let mut rest = Some(hay);
     std::iter::from_fn(move || {
         let piece = rest?;

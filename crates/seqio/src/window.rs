@@ -29,18 +29,6 @@ pub struct SiteObs {
 }
 
 impl SiteObs {
-    /// The observation a `base_word` packs.
-    pub fn from_word(word: u32) -> SiteObs {
-        let (base, qual, coord, strand, uniq) = baseword::unpack(word);
-        SiteObs {
-            base,
-            qual,
-            coord,
-            strand,
-            uniq,
-        }
-    }
-
     /// This observation as its `base_word`.
     pub fn word(&self) -> u32 {
         baseword::pack(self.base, self.qual, self.coord, self.strand, self.uniq)
@@ -86,20 +74,6 @@ impl Window {
     /// Total observations (aligned bases) across all sites.
     pub fn total_obs(&self) -> usize {
         self.words.len()
-    }
-
-    /// Offset of site `i`'s first word in the array; `i` may be
-    /// [`Window::len`], the array's end.
-    pub fn offset(&self, i: usize) -> usize {
-        match i {
-            0 => 0,
-            _ => self.ends[i - 1],
-        }
-    }
-
-    /// The words at site `start + i`.
-    pub fn site(&self, i: usize) -> &[u32] {
-        &self.words[self.offset(i)..self.ends[i]]
     }
 
     /// Every site's words, in site order.
@@ -301,6 +275,30 @@ impl<S: ReadSource> WindowReader<S> {
         }
         self.next_start = w_end;
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+impl SiteObs {
+    /// The observation a `base_word` packs.
+    fn from_word(word: u32) -> SiteObs {
+        let (base, qual, coord, strand, uniq) = baseword::unpack(word);
+        SiteObs {
+            base,
+            qual,
+            coord,
+            strand,
+            uniq,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Window {
+    /// The words at site `start + i`.
+    fn site(&self, i: usize) -> &[u32] {
+        let from = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.words[from..self.ends[i]]
     }
 }
 

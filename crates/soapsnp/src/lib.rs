@@ -14,7 +14,4 @@
 
 pub mod pipeline;
 
-pub use pipeline::{
-    dense_access_time_estimate, SoapSnpConfig, SoapSnpOutput, SoapSnpParallelPipeline,
-    SoapSnpPipeline,
-};
+pub use pipeline::{dense_access_time_estimate, SoapSnpConfig, SoapSnpOutput, SoapSnpPipeline};

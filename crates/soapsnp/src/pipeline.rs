@@ -50,7 +50,7 @@ impl Default for SoapSnpConfig {
 #[derive(Debug)]
 pub struct SoapSnpOutput {
     /// Per-window result tables.
-    pub tables: Vec<SnpTable>,
+    pub(crate) tables: Vec<SnpTable>,
     /// The plain-text 17-column output file.
     pub text: Vec<u8>,
     /// Per-component wall-clock times (Table I).
@@ -86,11 +86,6 @@ impl SoapSnpPipeline {
     /// Create a pipeline with the given configuration.
     pub fn new(config: SoapSnpConfig) -> Self {
         SoapSnpPipeline { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SoapSnpConfig {
-        &self.config
     }
 
     /// Run over in-memory inputs.
@@ -189,148 +184,6 @@ impl SoapSnpPipeline {
     }
 }
 
-/// Multi-threaded SOAPsnp (§VI-A): the paper reports that a 16-thread
-/// port of SOAPsnp gains only 3–4x because the algorithm is bound by
-/// memory bandwidth, which justifies the move to the GPU. This variant
-/// parallelizes the per-site likelihood scans (sites are independent)
-/// and moves text serialization to a writer thread fed through a bounded
-/// channel with ordered reassembly, while keeping the dense
-/// representation; results stay bit-identical.
-pub struct SoapSnpParallelPipeline {
-    config: SoapSnpConfig,
-}
-
-impl SoapSnpParallelPipeline {
-    /// Create a parallel pipeline (uses the global rayon pool).
-    pub fn new(config: SoapSnpConfig) -> Self {
-        SoapSnpParallelPipeline { config }
-    }
-
-    /// Run over in-memory inputs; same output as [`SoapSnpPipeline`].
-    pub fn run(
-        &self,
-        reads: &[AlignedRead],
-        reference: &Reference,
-        priors: &PriorMap,
-    ) -> SoapSnpOutput {
-        use crossbeam::channel::bounded;
-        use gsnp_core::stream::OrderedReassembler;
-        use rayon::prelude::*;
-        let cfg = &self.config;
-        let mut times = ComponentTimes::default();
-        let mut stats = PipelineStats::default();
-
-        let t0 = Instant::now();
-        let p_matrix = PMatrix::calibrate(reads, reference, &cfg.params);
-        let log_table = LogTable::new();
-        times.cal_p = t0.elapsed().as_secs_f64();
-
-        let mut dense = DenseWindow::alloc(cfg.window_size);
-        stats.peak_host_bytes = dense.size_bytes() as u64 + p_matrix.size_bytes() as u64;
-
-        let mut reader = WindowReader::new(
-            reads.iter().cloned().map(Ok),
-            reference.len() as u64,
-            cfg.window_size,
-        );
-
-        // Writer thread: serializes completed windows to text while the
-        // main loop scans the next window. The reassembler guarantees the
-        // emitted file is in window order — byte-identical to the
-        // sequential pipeline's output (tested).
-        let (table_tx, table_rx) = bounded::<(usize, SnpTable)>(2);
-        let (tables, text, output_time) = std::thread::scope(|s| {
-            let writer = s.spawn(move || {
-                let mut reasm = OrderedReassembler::new();
-                let mut tables = Vec::new();
-                let mut text = Vec::new();
-                let mut output_time = 0.0f64;
-                for (idx, table) in table_rx.iter() {
-                    // In-order arrival takes the allocation-free fast path.
-                    let mut next = reasm.offer(idx, table);
-                    while let Some(table) = next {
-                        let t0 = Instant::now();
-                        table.write_text(&mut text).expect("in-memory write");
-                        output_time += t0.elapsed().as_secs_f64();
-                        tables.push(table);
-                        next = reasm.pop_ready();
-                    }
-                }
-                assert!(reasm.is_drained(), "parallel SOAPsnp writer lost a window");
-                (tables, text, output_time)
-            });
-
-            let mut idx = 0usize;
-            loop {
-                let t0 = Instant::now();
-                let window = match reader.next_window().expect("in-memory reads are valid") {
-                    Some(w) => w,
-                    None => break,
-                };
-                times.read_site += t0.elapsed().as_secs_f64();
-
-                let t0 = Instant::now();
-                let summaries = dense.count(&window);
-                times.counting += t0.elapsed().as_secs_f64();
-
-                // Parallel per-site dense scans: sites are independent, so
-                // the parallel result is bit-identical to the sequential
-                // one.
-                let t0 = Instant::now();
-                let type_likely: Vec<_> = (0..window.len())
-                    .into_par_iter()
-                    .map(|site| likelihood_dense_site(dense.site(site), &p_matrix, &log_table))
-                    .collect();
-                times.likelihood_comp += t0.elapsed().as_secs_f64();
-
-                let t0 = Instant::now();
-                let mut rows = Vec::with_capacity(window.len());
-                for site in 0..window.len() {
-                    let pos = window.start + site as u64;
-                    let row = posterior(
-                        &type_likely[site],
-                        &summaries[site],
-                        reference.seq[pos as usize],
-                        priors.get(pos),
-                        &cfg.params,
-                    );
-                    if row.is_variant() {
-                        stats.snp_count += 1;
-                    }
-                    rows.push(row);
-                }
-                times.posterior += t0.elapsed().as_secs_f64();
-
-                let table = SnpTable::new(reference.name.clone(), window.start, rows);
-                if table_tx.send((idx, table)).is_err() {
-                    break; // writer died; its panic surfaces at join
-                }
-                idx += 1;
-
-                let t0 = Instant::now();
-                dense.recycle_sites(window.len());
-                times.recycle += t0.elapsed().as_secs_f64();
-
-                stats.num_sites += window.len() as u64;
-                stats.num_obs += window.total_obs() as u64;
-                stats.windows += 1;
-            }
-            drop(table_tx);
-            writer
-                .join()
-                .unwrap_or_else(|e| std::panic::resume_unwind(e))
-        });
-        times.output = output_time;
-
-        SoapSnpOutput {
-            tables,
-            text,
-            times,
-            stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,19 +262,6 @@ mod tests {
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(x, y, "row {i} diverged");
         }
-    }
-
-    #[test]
-    fn parallel_soapsnp_is_bit_identical_to_sequential() {
-        let d = small_dataset(86);
-        let seq = soapsnp(500, d.config.read_len).run(&d.reads, &d.reference, &d.priors);
-        let par = SoapSnpParallelPipeline::new(SoapSnpConfig {
-            window_size: 500,
-            ..Default::default()
-        })
-        .run(&d.reads, &d.reference, &d.priors);
-        assert_eq!(seq.all_rows(), par.all_rows());
-        assert_eq!(seq.text, par.text);
     }
 
     #[test]

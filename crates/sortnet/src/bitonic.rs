@@ -9,7 +9,7 @@
 
 /// Smallest power of two ≥ `n` (and ≥ 1).
 #[inline]
-pub fn pad_to_pow2(n: usize) -> usize {
+pub(crate) fn pad_to_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
@@ -19,7 +19,7 @@ pub fn pad_to_pow2(n: usize) -> usize {
 ///
 /// Exposed for the kernels, which replay exactly these pairs against
 /// shared memory.
-pub fn pairs(m: usize) -> impl Iterator<Item = (usize, usize)> {
+pub(crate) fn pairs(m: usize) -> impl Iterator<Item = (usize, usize)> {
     debug_assert!(m.is_power_of_two());
     // Stage k = 2, 4, …, m; step j = k/2, …, 1; the t-th of the m/2
     // indices i with bit j clear.
@@ -41,38 +41,38 @@ pub fn pairs(m: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// Number of compare-exchange operations the network performs for `m`
-/// (power-of-two) elements: `m/2 · log m · (log m + 1) / 2`.
-pub fn network_ops(m: usize) -> u64 {
-    if m <= 1 {
-        return 0;
-    }
-    let lg = m.trailing_zeros() as u64;
-    (m as u64 / 2) * lg * (lg + 1) / 2
-}
-
-/// Sort a small slice in place via the bitonic network (host-side; the
-/// device kernels in [`crate::batch`] replay the same pair sequence).
-pub fn sort_u32(data: &mut [u32]) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let m = pad_to_pow2(n);
-    let mut padded = vec![u32::MAX; m];
-    padded[..n].copy_from_slice(data);
-    for (lo, hi) in pairs(m) {
-        if padded[lo] > padded[hi] {
-            padded.swap(lo, hi);
-        }
-    }
-    data.copy_from_slice(&padded[..n]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Number of compare-exchange operations the network performs for `m`
+    /// (power-of-two) elements: `m/2 · log m · (log m + 1) / 2`.
+    fn network_ops(m: usize) -> u64 {
+        if m <= 1 {
+            return 0;
+        }
+        let lg = m.trailing_zeros() as u64;
+        (m as u64 / 2) * lg * (lg + 1) / 2
+    }
+
+    /// Sort a small slice in place via the bitonic network (host-side; the
+    /// device kernels in `crate::batch` replay the same pair sequence).
+    fn sort_u32(data: &mut [u32]) {
+        let n = data.len();
+        if n <= 1 {
+            return;
+        }
+        let m = pad_to_pow2(n);
+        let mut padded = vec![u32::MAX; m];
+        padded[..n].copy_from_slice(data);
+        for (lo, hi) in pairs(m) {
+            if padded[lo] > padded[hi] {
+                padded.swap(lo, hi);
+            }
+        }
+        data.copy_from_slice(&padded[..n]);
+    }
 
     #[test]
     fn pad_rounds_up() {

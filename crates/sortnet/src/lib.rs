@@ -25,9 +25,8 @@ pub mod multipass;
 
 pub use batch::batch_sort;
 pub use multipass::{
-    class_tallies, multipass_sort, multipass_sort_into, multipass_sort_with_bounds,
-    multipass_sort_with_bounds_into, noneq_sort, single_pass_sort, ClassTally, MultipassReport,
-    MultipassScratch, PASS_BOUNDS,
+    class_tallies, multipass_sort, multipass_sort_into, multipass_sort_with_bounds, noneq_sort,
+    single_pass_sort, ClassTally, MultipassScratch, PASS_BOUNDS,
 };
 
 /// A sub-array to sort: `(offset, len)` into a shared backing buffer.

@@ -73,7 +73,7 @@ impl ClassTally {
 #[derive(Debug, Clone, Default)]
 pub struct MultipassReport {
     /// Stats per executed pass, in class order.
-    pub passes: Vec<LaunchStats>,
+    pub(crate) passes: Vec<LaunchStats>,
     /// Per-size-class element histogram: one entry per class (the trivial
     /// `[0,1]` class first, then every configured bound, *including*
     /// classes that stayed empty), so bucket skew and the `>64` fallback
@@ -96,14 +96,6 @@ impl MultipassReport {
             acc += p;
         }
         acc
-    }
-
-    /// Padding overhead factor: padded elements / real elements.
-    pub fn padding_factor(&self) -> f64 {
-        if self.elements_real == 0 {
-            return 1.0;
-        }
-        self.elements_sorted as f64 / self.elements_real as f64
     }
 }
 
@@ -165,7 +157,7 @@ pub fn multipass_sort_into<B: ComputeBackend>(
 }
 
 /// [`multipass_sort_with_bounds`] writing into caller-owned scratch.
-pub fn multipass_sort_with_bounds_into<B: ComputeBackend>(
+pub(crate) fn multipass_sort_with_bounds_into<B: ComputeBackend>(
     dev: &B,
     data: &GlobalBuffer<u32>,
     spans: &[Span],
@@ -434,7 +426,8 @@ mod tests {
             sp.elements_sorted
         );
         // The paper: single pass sorts ~4x more elements.
-        assert!(sp.padding_factor() / mp.padding_factor() > 1.5);
+        assert_eq!(sp.elements_real, mp.elements_real);
+        assert!(sp.elements_sorted as f64 / mp.elements_sorted as f64 > 1.5);
         // Fewer padded elements → cheaper simulated time.
         assert!(mp.total().sim_time < sp.total().sim_time);
     }
@@ -462,11 +455,6 @@ mod tests {
         let report = multipass_sort(&dev, &buf, &spans);
         assert!(report.passes.is_empty());
         assert_eq!(dev.download(&buf), host);
-    }
-
-    #[test]
-    fn padding_factor_of_empty_workload_is_one() {
-        assert_eq!(MultipassReport::default().padding_factor(), 1.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// Guard for [`Mutex`].
-pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
+pub(crate) type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Wrap a value.

@@ -31,7 +31,7 @@ impl TestRng {
     }
 
     /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -40,7 +40,7 @@ impl TestRng {
     }
 
     /// Uniform draw from `[0, bound)`; `bound` must be non-zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
 }
@@ -72,7 +72,7 @@ pub trait Strategy {
 }
 
 /// A heap-allocated, type-erased strategy.
-pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
+pub(crate) type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
 
 impl<S: Strategy + ?Sized> Strategy for Box<S> {
     type Value = S::Value;

@@ -212,9 +212,6 @@ pub mod rngs {
             result
         }
     }
-
-    /// Alias — the shim does not distinguish a small generator.
-    pub type SmallRng = StdRng;
 }
 
 #[cfg(test)]

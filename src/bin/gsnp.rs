@@ -622,8 +622,7 @@ fn cmd_call(args: &[String]) -> CliResult {
     let [aln, fa, prior, out] = pos.as_slice() else {
         return Err("call requires <alignments> <reference> <priors> <out.gsnp>".into());
     };
-    let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
-    let priors = PriorMap::read(BufReader::new(open(prior)?))?;
+    let (reference, priors) = read_reference_and_priors(fa, prior)?;
 
     let cpu = has_flag(args, "--cpu");
     if cpu {
@@ -731,8 +730,7 @@ fn cmd_call_cohort(args: &[String]) -> CliResult {
     if entries.is_empty() {
         return Err("cohort manifest lists no samples".into());
     }
-    let reference = Reference::read_fasta(BufReader::new(open(fa)?))?;
-    let priors = PriorMap::read(BufReader::new(open(prior)?))?;
+    let (reference, priors) = read_reference_and_priors(fa, prior)?;
     let mut samples = Vec::new();
     for (name, path) in &entries {
         samples.push(SampleText {
@@ -843,6 +841,16 @@ fn read_bad_sites(path: Option<&str>) -> Result<BadSiteList, String> {
         }
         _ => Ok(BadSiteList::new()),
     }
+}
+
+/// Read the reference and the priors, naming the file in any error as
+/// the alignment readers do.
+fn read_reference_and_priors(fa: &str, prior: &str) -> Result<(Reference, PriorMap), String> {
+    let reference =
+        Reference::read_fasta(BufReader::new(open(fa)?)).map_err(|e| format!("{fa}: {e}"))?;
+    let priors =
+        PriorMap::read(BufReader::new(open(prior)?)).map_err(|e| format!("{prior}: {e}"))?;
+    Ok((reference, priors))
 }
 
 /// Open a file for reading with the path baked into any error (bare

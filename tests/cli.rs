@@ -7,7 +7,9 @@
 //! a dropped `BufWriter` would swallow it. A result file cut inside a
 //! window's length prefix is an error naming the file and the window, not
 //! a shorter result. Diagnostics: `--backend auto
-//! --trace` says on stderr that it runs all-sim, unless `-q`. Cohort
+//! --trace` says on stderr that it runs all-sim, unless `-q`. A
+//! malformed reference or priors file is an error naming the file and the
+//! line, single or cohort. Cohort
 //! calls name the path in every I/O error and refuse a manifest whose
 //! sample names would collide or leave the output directory, the three
 //! subcommands that run the pipeline read the compute flags alike, and a
@@ -387,6 +389,68 @@ fn cohort_io_errors_name_the_path() {
         !dir.join("out2").exists(),
         "ran despite the unreadable list"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A malformed reference or priors file ends a call, single or cohort,
+/// with exit 1 and an error naming the file and the line, as a malformed
+/// alignment file does, and leaves no output.
+#[test]
+fn a_bad_reference_or_priors_file_is_an_error_naming_file_and_line() {
+    let dir = std::env::temp_dir().join(format!("gsnp_cli_inputs_{}", std::process::id()));
+    let d = |name: &str| dir.join(name).display().to_string();
+    ok(&[
+        "synth",
+        &d(""),
+        "--sites",
+        "3000",
+        "--depth",
+        "4",
+        "--samples",
+        "2",
+    ]);
+    let fa = std::fs::read_to_string(dir.join("reference.fa")).unwrap();
+    let mut lines: Vec<String> = fa.lines().map(String::from).collect();
+    lines[4].replace_range(0..1, "!");
+    std::fs::write(dir.join("bang.fa"), lines.join("\n") + "\n").unwrap();
+    std::fs::write(
+        dir.join("bad_priors.txt"),
+        "# chr pos ref A C G T\n\nchrS\t0\tA\t0.5\t0.5\t0\t0\n",
+    )
+    .unwrap();
+    let cases = [
+        (
+            d("bang.fa"),
+            d("priors.txt"),
+            "bang.fa: parse error at line 5: invalid base character '!'",
+        ),
+        (
+            d("reference.fa"),
+            d("bad_priors.txt"),
+            "bad_priors.txt: parse error at line 3: ",
+        ),
+    ];
+    for (fa, priors, want) in &cases {
+        let out = d("out.gsnp");
+        let single = gsnp(&["call", &d("s0.soap"), fa, priors, &out, "-q"]);
+        let out_dir = d("out");
+        let cohort = gsnp(&[
+            "call",
+            "--cohort",
+            &d("cohort.tsv"),
+            fa,
+            priors,
+            &out_dir,
+            "-q",
+        ]);
+        for run in [&single, &cohort] {
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{stderr}");
+            assert!(stderr.contains(want), "want {want:?} in: {stderr}");
+        }
+        assert!(!Path::new(&out).exists() && !Path::new(&format!("{out}.tmp")).exists());
+        assert!(!Path::new(&out_dir).exists());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
