@@ -9,7 +9,9 @@
 # as the line ratchet counts them). An item fails when its name appears as
 # a word in no `.rs` file outside its crate's src/ — another crate, the
 # root package, tests/, examples/, perf/, or the crate's own src/bin, which
-# are other targets — unless .github/pub-allow lists it for that crate, one
+# are other targets; of a file under crates/*/src or shims/*/src only the
+# non-test part counts, since another crate's unit tests are no user of
+# the API — unless .github/pub-allow lists it for that crate, one
 # `crate-dir name reason…` line per deliberate API (crate-dir is crates/X or
 # shims/X). An allow line without a reason, or one that no failing item of
 # its crate needs, fails too. A name used only inside its
@@ -29,7 +31,8 @@ for src in crates/*/src shims/*/src; do
     | { grep -oE '^[[:space:]]*pub ((const|unsafe|async) )*(fn|struct|enum|union|trait|const|static|type) [A-Za-z_][A-Za-z0-9_]*' || true; } \
     | awk '{print $NF}' | sort -u)
   find . -name '*.rs' -not -path '*/target/*' \( -not -path "./$src/*" -o -path "./$src/bin/*" \) -print0 \
-    | { xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' || true; } | sort -u > "$words"
+    | xargs -0 awk 'FNR==1{skip=0} FILENAME~/^\.\/(crates|shims)\/[^/]+\/src\// && /^#\[cfg\(test\)\]/{skip=1} !skip' \
+    | { grep -ohE '[A-Za-z_][A-Za-z0-9_]*' || true; } | sort -u > "$words"
   for name in $(comm -23 <(echo "$names") "$words"); do
     flagged="$flagged $src:$name"
     if ! grep -qE "^${src%/src}[[:space:]]+$name[[:space:]]" "$allow"; then

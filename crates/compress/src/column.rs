@@ -610,7 +610,7 @@ mod tests {
         }
         assert_eq!(dev.ledger().launches, 2 * 18);
 
-        dev.reset_ledger();
+        let dev = gpu_sim::Device::m2050();
         let mut batched = Vec::new();
         write_windows_gpu_batch(&dev, &mut batched, &tables);
         assert_eq!(batched, seq, "batched frames must be byte-identical");

@@ -527,7 +527,7 @@ mod tests {
         let solo = dev.ledger().launches;
         assert_eq!(solo, 18);
 
-        dev.reset_ledger();
+        let dev = Device::m2050();
         let segs: Vec<Vec<u32>> = (0u32..12)
             .map(|s| (0..700 + s * 31).map(|i| (i / 7) % (s + 2)).collect())
             .collect();

@@ -336,10 +336,17 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// starting at `start` (bounds-checked once for the whole span).
     #[inline]
     pub fn read_span(&self, start: usize, out: &mut [T]) {
-        let cells = self.cells_span(start, out.len());
+        self.load_span(start, out);
         if let Some(sh) = &self.shadow {
             sh.host_read(start, out.len());
         }
+    }
+
+    /// [`GlobalBuffer::read_span`] without the sanitizer's host hook: a
+    /// kernel's read, which its block's access log checks.
+    #[inline]
+    pub(crate) fn load_span(&self, start: usize, out: &mut [T]) {
+        let cells = self.cells_span(start, out.len());
         for (o, c) in out.iter_mut().zip(cells) {
             *o = T::load(c);
         }
@@ -488,17 +495,14 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
 }
 
 impl GlobalBuffer<f64> {
-    /// Uncounted host-side read-add-write of a consecutive span:
-    /// `self[start + n] += terms[n]` for each `n`, in index order. The
-    /// per-element addition sequence is identical to a `get`/`set` pair,
-    /// so results are bit-exact with the scalar path.
+    /// Read-add-write of a consecutive span on the atomic cells (a
+    /// kernel's, which its block's access log checks): `self[start + n] +=
+    /// terms[n]` for each `n`, in index order. The per-element addition
+    /// sequence is identical to a load/store pair, so results are bit-exact
+    /// with the scalar path.
     #[inline]
     pub(crate) fn add_assign_span(&self, start: usize, terms: &[f64]) {
         let cells = self.cells_span(start, terms.len());
-        if let Some(sh) = &self.shadow {
-            sh.host_read(start, terms.len());
-            sh.host_write(start, terms.len());
-        }
         for (c, &t) in cells.iter().zip(terms) {
             f64::store(c, f64::load(c) + t);
         }

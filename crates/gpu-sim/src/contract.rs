@@ -5,11 +5,12 @@
 //! per-buffer read/write footprints as affine ranges over the block index
 //! plus shared-memory obligations — and the launch layer evaluates the
 //! contract *symbolically* at launch time: interval arithmetic proves
-//! every footprint within buffer bounds, and a pairwise inter-block
-//! overlap sweep proves write/write and write/read race-freedom. This is
-//! the GPUVerify-style static leg of the correctness story; the dynamic
-//! sanitizer's conformance mode (observed ⊆ declared) keeps the
-//! declarations honest so the proof cannot rot.
+//! every footprint within buffer bounds, and an inter-block overlap sweep
+//! (`overlap_sweep`, the same routine the sanitizer's racecheck runs
+//! over the intervals its blocks logged) proves write/write and
+//! write/read race-freedom. This is the GPUVerify-style static leg of the
+//! correctness story; the dynamic sanitizer's conformance mode (observed ⊆
+//! declared) keeps the declarations honest so the proof cannot rot.
 //!
 //! A verified contract is what lets the uninstrumented
 //! [`crate::NativeBackend`] run on analysis configurations: instead of
@@ -517,20 +518,14 @@ pub(crate) enum Verdict {
     Refuted(Vec<ContractViolation>),
 }
 
-/// Access class used by the overlap sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    R,
-    W,
-}
-
-fn classes_conflict(a: Class, b: Class) -> bool {
-    // Reads never race with reads.
-    !(a == Class::R && b == Class::R)
+/// Whether accesses of kinds `a` and `b` from two blocks race: reads never
+/// race with reads, nor atomics with atomics.
+fn kinds_conflict(a: AccessKind, b: AccessKind) -> bool {
+    a != b || a == AccessKind::Write
 }
 
 /// Top-2 max-`hi` interval holders from *distinct* blocks for one access
-/// class — enough to answer "does any earlier interval of this class from
+/// kind — enough to answer "does any earlier interval of this kind from
 /// another block overlap `lo`?" exactly during the sweep.
 #[derive(Default, Clone, Copy)]
 struct Top2 {
@@ -540,57 +535,83 @@ struct Top2 {
 
 impl Top2 {
     fn push(&mut self, hi: usize, block: usize) {
+        let new = Some((hi, block));
         match self.best {
-            None => self.best = Some((hi, block)),
             Some((bh, bb)) if bb == block => {
                 if hi > bh {
-                    self.best = Some((hi, block));
+                    self.best = new;
                 }
             }
-            Some((bh, _)) if hi > bh => {
-                self.second = self.best;
-                self.best = Some((hi, block));
+            Some((bh, _)) if hi <= bh => {
+                if self.second.is_none_or(|(sh, _)| hi > sh) {
+                    self.second = new;
+                }
             }
-            Some(_) => match self.second {
-                None => self.second = Some((hi, block)),
-                Some((sh, sb)) if sb == block => {
-                    if hi > sh {
-                        self.second = Some((hi, block));
-                    }
-                }
-                Some((sh, _)) => {
-                    if hi > sh {
-                        self.second = Some((hi, block));
-                    }
-                }
-            },
+            _ => (self.second, self.best) = (self.best, new),
         }
     }
 
     /// A previously-swept interval from a block other than `block` whose
     /// end exceeds `lo`, if one exists: `(other_block, other_hi)`.
     fn overlapping_other(&self, lo: usize, block: usize) -> Option<(usize, usize)> {
-        if let Some((bh, bb)) = self.best {
-            if bb != block && bh > lo {
-                return Some((bb, bh));
-            }
-        }
-        if let Some((sh, sb)) = self.second {
-            if sb != block && sh > lo {
-                return Some((sb, sh));
-            }
-        }
-        None
+        let mut held = [self.best, self.second].into_iter().flatten();
+        held.find(|&(h, b)| b != block && h > lo)
+            .map(|(h, b)| (b, h))
     }
 }
 
-/// One materialized access record for the sweep.
-struct Rec {
-    class: Class,
-    block: usize,
-    lo: usize,
-    hi: usize,
-    entry: usize,
+/// One interval of one buffer for the overlap sweep: block `block` touches
+/// `[lo, hi)` with accesses of kind `kind`; `entry` is the caller's tag.
+pub(crate) struct Rec {
+    pub(crate) kind: AccessKind,
+    pub(crate) block: usize,
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+    pub(crate) entry: usize,
+}
+
+/// A raced stretch found by [`overlap_sweep`]: `[recs[rec].lo, hi)` is also
+/// touched, with a conflicting kind, by block `other`, whose interval ends
+/// at `other_hi`.
+pub(crate) struct Race {
+    pub(crate) rec: usize,
+    pub(crate) hi: usize,
+    pub(crate) other: usize,
+    pub(crate) other_hi: usize,
+}
+
+/// The interval engine of both race checkers — the static prover over
+/// declared footprints and the sanitizer over the intervals its blocks
+/// logged. Sorts one buffer's records by start (stably, so equal starts
+/// keep the caller's order) and sweeps them, tracking the top-2 max-end
+/// holders per kind from distinct blocks. Each record's stretch that an
+/// earlier record of a conflicting kind from another block overlaps is a
+/// [`Race`], returned in sweep order (so by ascending start); their union
+/// is exactly the set of raced elements.
+pub(crate) fn overlap_sweep(recs: &mut [Rec]) -> Vec<Race> {
+    recs.sort_by_key(|r| r.lo);
+    let mut tops = [Top2::default(); 3];
+    let mut races = Vec::new();
+    for (rec, r) in recs.iter().enumerate() {
+        for kind in [AccessKind::Read, AccessKind::Write, AccessKind::Atomic] {
+            if !kinds_conflict(r.kind, kind) {
+                continue;
+            }
+            if let Some((other, other_hi)) = tops[kind as usize].overlapping_other(r.lo, r.block) {
+                let hi = r.hi.min(other_hi);
+                if hi > r.lo {
+                    races.push(Race {
+                        rec,
+                        hi,
+                        other,
+                        other_hi,
+                    });
+                }
+            }
+        }
+        tops[r.kind as usize].push(r.hi, r.block);
+    }
+    races
 }
 
 /// Statically verify `contract` for a launch of `grid_dim` blocks on a
@@ -633,43 +654,25 @@ pub(crate) fn verify_contract(
     let mut by_uid: BTreeMap<u64, Vec<Rec>> = BTreeMap::new();
     for (entry, bc) in contract.buffers.iter().enumerate() {
         let mut oob: Option<(usize, usize)> = None; // (block, hi)
+        let kinds: &[AccessKind] = match bc.mode {
+            AccessMode::Read => &[AccessKind::Read],
+            AccessMode::Write => &[AccessKind::Write],
+            AccessMode::ReadWrite => &[AccessKind::Read, AccessKind::Write],
+        };
         for block in 0..grid_dim {
             bc.footprint.for_each_interval(block, bc.len, |lo, hi| {
                 if hi > bc.len && oob.is_none() {
                     oob = Some((block, hi));
                 }
                 let recs = by_uid.entry(bc.uid).or_default();
-                match bc.mode {
-                    AccessMode::Read => recs.push(Rec {
-                        class: Class::R,
+                for &kind in kinds {
+                    recs.push(Rec {
+                        kind,
                         block,
                         lo,
                         hi,
                         entry,
-                    }),
-                    AccessMode::Write => recs.push(Rec {
-                        class: Class::W,
-                        block,
-                        lo,
-                        hi,
-                        entry,
-                    }),
-                    AccessMode::ReadWrite => {
-                        recs.push(Rec {
-                            class: Class::R,
-                            block,
-                            lo,
-                            hi,
-                            entry,
-                        });
-                        recs.push(Rec {
-                            class: Class::W,
-                            block,
-                            lo,
-                            hi,
-                            entry,
-                        });
-                    }
+                    });
                 }
             });
         }
@@ -689,45 +692,25 @@ pub(crate) fn verify_contract(
         }
     }
 
-    // Race-freedom: sort each buffer's records by interval start and
-    // sweep, tracking the top-2 max-end holders per class from distinct
-    // blocks. A conflict exists iff a record overlaps an earlier record
-    // of a conflicting class from a different block.
+    // Race-freedom: a conflict exists iff the sweep finds a raced stretch;
+    // the first one is the buffer's witness.
     for (_uid, mut recs) in by_uid {
-        recs.sort_by_key(|r| r.lo);
-        let mut tops = [Top2::default(); 2];
-        let mut found = false;
-        for r in &recs {
-            for (ci, c2) in [Class::R, Class::W].into_iter().enumerate() {
-                if !classes_conflict(r.class, c2) {
-                    continue;
-                }
-                if let Some((other, other_hi)) = tops[ci].overlapping_other(r.lo, r.block) {
-                    let bc = &contract.buffers[r.entry];
-                    violations.push(ContractViolation {
-                        kernel: kernel.to_string(),
-                        buffer: bc.label.clone(),
-                        kind: ViolationKind::InterBlockOverlap,
-                        index_expr: bc.footprint.to_string(),
-                        witness: Some((other.min(r.block), other.max(r.block))),
-                        detail: format!(
-                            "block {} [{}, {}) overlaps block {} (ends {})",
-                            r.block, r.lo, r.hi, other, other_hi
-                        ),
-                    });
-                    found = true;
-                    break;
-                }
-            }
-            if found {
-                break; // one witness per buffer is enough
-            }
-            let ci = match r.class {
-                Class::R => 0,
-                Class::W => 1,
-            };
-            tops[ci].push(r.hi, r.block);
-        }
+        let Some(race) = overlap_sweep(&mut recs).into_iter().next() else {
+            continue;
+        };
+        let r = &recs[race.rec];
+        let bc = &contract.buffers[r.entry];
+        violations.push(ContractViolation {
+            kernel: kernel.to_string(),
+            buffer: bc.label.clone(),
+            kind: ViolationKind::InterBlockOverlap,
+            index_expr: bc.footprint.to_string(),
+            witness: Some((race.other.min(r.block), race.other.max(r.block))),
+            detail: format!(
+                "block {} [{}, {}) overlaps block {} (ends {})",
+                r.block, r.lo, r.hi, race.other, race.other_hi
+            ),
+        });
     }
 
     if violations.is_empty() {

@@ -6,7 +6,7 @@
 //! carries a simulator part: every access is tallied into block-local
 //! hardware counters — plain integers, so the hot path is a register
 //! increment, flushed into the launch-wide atomic totals when the block
-//! retires — and shown to the launch's sanitizer session, if there is one.
+//! retires — and logged for the launch's sanitizer session, if there is one.
 //! On the **host executor** that part is absent and an operation is the raw
 //! access alone. Every operation is written once: tally and sanitize if the
 //! simulator part is there, then the access.
@@ -18,7 +18,7 @@ use crate::buffer::{DeviceCell, DeviceInt, DeviceScalar, GlobalBuffer};
 use crate::config::DeviceConfig;
 use crate::contract::AccessContract;
 use crate::counters::HwCounters;
-use crate::sanitizer::{AccessKind, LaunchSession};
+use crate::sanitizer::{AccessKind, BlockLog, LaunchSession};
 
 /// Execution context handed to the kernel closure, one per block: the grid
 /// coordinates, the device configuration, the shared-memory budget
@@ -38,12 +38,12 @@ pub struct KernelCtx<'a> {
 /// What only a simulator block carries.
 struct SimPart<'a> {
     counters: HwCounters,
-    /// Sanitizer context for this launch; `None` unless the device has a
-    /// sanitizer attached.
-    session: Option<&'a LaunchSession<'a>>,
+    /// The block's access log for the launch's sanitizer session; `None`
+    /// unless the device has a sanitizer attached.
+    log: Option<BlockLog<'a>>,
 }
 
-impl SimPart<'_> {
+impl<'a> SimPart<'a> {
     /// Tally `n` coalesced accesses of `T` (loads or stores, by `kind`).
     #[inline(always)]
     fn tally_co<T: DeviceScalar>(&mut self, n: u64, kind: AccessKind) {
@@ -58,29 +58,25 @@ impl SimPart<'_> {
         }
     }
 
-    /// Sanitizer hook for one global-buffer access: precise bounds check
-    /// first, then per-buffer shadow state. Never touches the hardware
-    /// counters, so counter traces are identical with or without it.
+    /// Sanitizer hook for one global-buffer access: checked and logged.
+    /// Never touches the hardware counters, so counter traces are
+    /// identical with or without it.
     #[inline(always)]
     fn san_global<T: DeviceScalar>(
-        &self,
-        block_idx: usize,
+        &mut self,
         buf: &GlobalBuffer<T>,
         start: usize,
         n: usize,
         kind: AccessKind,
     ) {
-        if let Some(sess) = self.session {
-            sess.global_access(
-                block_idx,
-                buf.uid(),
-                buf.shadow(),
-                buf.len(),
-                start,
-                n,
-                kind,
-            );
+        if let Some(log) = &mut self.log {
+            log.access(buf.uid(), buf.shadow(), buf.len(), start, n, kind);
         }
+    }
+
+    /// The launch's sanitizer session, if there is one.
+    fn session(&self) -> Option<&'a LaunchSession<'a>> {
+        self.log.as_ref().map(|log| log.sess)
     }
 }
 
@@ -93,8 +89,9 @@ impl<'a> KernelCtx<'a> {
         session: Option<&'a LaunchSession<'a>>,
     ) -> Self {
         let counters = HwCounters::default();
+        let log = session.map(|sess| BlockLog::new(sess, block_idx));
         KernelCtx {
-            sim: Some(SimPart { counters, session }),
+            sim: Some(SimPart { counters, log }),
             ..Self::on_host(block_idx, grid_dim, cfg)
         }
     }
@@ -111,13 +108,14 @@ impl<'a> KernelCtx<'a> {
         }
     }
 
-    /// Retire the block: leakcheck sees what it left allocated, and the
-    /// launch gets its counters (all zero from a host block).
+    /// Retire the block: leakcheck sees what it left allocated, the block
+    /// log goes to the session as it drops, and the launch gets the
+    /// counters (all zero from a host block).
     pub(crate) fn retire(self) -> HwCounters {
         let Some(sim) = self.sim else {
             return HwCounters::default();
         };
-        if let Some(sess) = sim.session {
+        if let Some(sess) = sim.session() {
             sess.block_retire(self.block_idx, self.shared_used, self.shared_high);
         }
         sim.counters
@@ -150,9 +148,9 @@ impl<'a> KernelCtx<'a> {
     pub fn ld_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize) -> T {
         if let Some(sim) = &mut self.sim {
             sim.tally_co::<T>(1, AccessKind::Read);
-            sim.san_global(self.block_idx, buf, i, 1, AccessKind::Read);
+            sim.san_global(buf, i, 1, AccessKind::Read);
         }
-        buf.get(i)
+        T::load(buf.cell(i))
     }
 
     /// The simulator's part of a coalesced span access: `Some(true)` once
@@ -169,12 +167,12 @@ impl<'a> KernelCtx<'a> {
         kind: AccessKind,
     ) -> Option<bool> {
         let sim = self.sim.as_mut()?;
-        let contract = sim.session.and_then(|sess| sess.contract);
+        let contract = sim.session().and_then(|sess| sess.contract);
         let covered = |c: &AccessContract| c.covers(buf.uid(), self.block_idx, start, n, kind);
         let one = n > 0 && start + n <= buf.len() && contract.is_none_or(covered);
         if one {
             sim.tally_co::<T>(n as u64, kind);
-            sim.san_global(self.block_idx, buf, start, n, kind);
+            sim.san_global(buf, start, n, kind);
         }
         Some(one)
     }
@@ -191,7 +189,7 @@ impl<'a> KernelCtx<'a> {
     ) {
         match self.co_span(buf, start, out.len(), AccessKind::Read) {
             None => buf.read_span_plain(start, out),
-            Some(true) => buf.read_span(start, out),
+            Some(true) => buf.load_span(start, out),
             Some(false) => {
                 for (k, o) in out.iter_mut().enumerate() {
                     *o = self.ld_co(buf, start + k);
@@ -221,9 +219,9 @@ impl<'a> KernelCtx<'a> {
             sim.counters.instructions += 1;
             sim.counters.g_load_random += 1;
             sim.counters.g_load_bytes_rand += T::BYTES;
-            sim.san_global(self.block_idx, buf, i, 1, AccessKind::Read);
+            sim.san_global(buf, i, 1, AccessKind::Read);
         }
-        buf.get(i)
+        T::load(buf.cell(i))
     }
 
     /// Batched random global load of `out.len()` consecutive elements.
@@ -245,8 +243,8 @@ impl<'a> KernelCtx<'a> {
             sim.counters.instructions += n;
             sim.counters.g_load_random += n;
             sim.counters.g_load_bytes_rand += n * T::BYTES;
-            sim.san_global(self.block_idx, buf, start, out.len(), AccessKind::Read);
-            buf.read_span(start, out);
+            sim.san_global(buf, start, out.len(), AccessKind::Read);
+            buf.load_span(start, out);
         } else {
             buf.read_span_plain(start, out);
         }
@@ -266,8 +264,8 @@ impl<'a> KernelCtx<'a> {
             sim.counters.g_load_bytes_rand += n * <f64 as DeviceScalar>::BYTES;
             sim.counters.g_store_random += n;
             sim.counters.g_store_bytes_rand += n * <f64 as DeviceScalar>::BYTES;
-            sim.san_global(self.block_idx, buf, start, terms.len(), AccessKind::Read);
-            sim.san_global(self.block_idx, buf, start, terms.len(), AccessKind::Write);
+            sim.san_global(buf, start, terms.len(), AccessKind::Read);
+            sim.san_global(buf, start, terms.len(), AccessKind::Write);
             buf.add_assign_span(start, terms);
         } else {
             buf.add_assign_span_plain(start, terms);
@@ -279,9 +277,9 @@ impl<'a> KernelCtx<'a> {
     pub fn st_co<T: DeviceScalar>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) {
         if let Some(sim) = &mut self.sim {
             sim.tally_co::<T>(1, AccessKind::Write);
-            sim.san_global(self.block_idx, buf, i, 1, AccessKind::Write);
+            sim.san_global(buf, i, 1, AccessKind::Write);
         }
-        buf.set(i, v);
+        T::store(buf.cell(i), v);
     }
 
     /// Coalesced store of `vals` to consecutive elements from `start`: the
@@ -310,9 +308,9 @@ impl<'a> KernelCtx<'a> {
             sim.counters.instructions += 1;
             sim.counters.g_store_random += 1;
             sim.counters.g_store_bytes_rand += T::BYTES;
-            sim.san_global(self.block_idx, buf, i, 1, AccessKind::Write);
+            sim.san_global(buf, i, 1, AccessKind::Write);
         }
-        buf.set(i, v);
+        T::store(buf.cell(i), v);
     }
 
     /// Atomic add on global memory; returns the previous value. Counts as
@@ -326,7 +324,7 @@ impl<'a> KernelCtx<'a> {
             sim.counters.g_load_bytes_rand += T::BYTES;
             sim.counters.g_store_random += 1;
             sim.counters.g_store_bytes_rand += T::BYTES;
-            sim.san_global(self.block_idx, buf, i, 1, AccessKind::Atomic);
+            sim.san_global(buf, i, 1, AccessKind::Atomic);
         }
         T::fetch_add(buf.cell(i), v)
     }
@@ -362,7 +360,7 @@ impl<'a> KernelCtx<'a> {
         // Under initcheck, a fresh tile starts fully poisoned: CUDA
         // `__shared__` storage is uninitialized even though the simulator
         // happens to zero its backing lanes.
-        let session = self.sim.as_ref().and_then(|sim| sim.session);
+        let session = self.sim.as_ref().and_then(SimPart::session);
         let poison = session
             .is_some_and(|sess| sess.san.cfg.initcheck)
             .then(|| RefCell::new(vec![!0u64; len.div_ceil(64)]));
@@ -451,7 +449,7 @@ impl<T: DeviceScalar> SharedTile<T> {
             sim.counters.instructions += 1;
             sim.counters.s_load += 1;
             sim.counters.s_bytes += T::BYTES;
-            self.check_init(sim.session, ctx.block_idx, i, 1);
+            self.check_init(sim.session(), ctx.block_idx, i, 1);
         }
         T::from_raw(self.data[i])
     }
@@ -495,7 +493,7 @@ impl<T: DeviceScalar> SharedTile<T> {
             sim.counters.instructions += n;
             sim.counters.s_store += n;
             sim.counters.s_bytes += n * T::BYTES;
-            sim.san_global(ctx.block_idx, buf, src, len, AccessKind::Read);
+            sim.san_global(buf, src, len, AccessKind::Read);
             self.define_init(dst, len);
             for (lane, cell) in self.data[dst..dst + len]
                 .iter_mut()
@@ -528,8 +526,8 @@ impl<T: DeviceScalar> SharedTile<T> {
             sim.counters.instructions += n;
             sim.counters.s_load += n;
             sim.counters.s_bytes += n * T::BYTES;
-            self.check_init(sim.session, ctx.block_idx, src, len);
-            sim.san_global(ctx.block_idx, buf, dst, len, AccessKind::Write);
+            self.check_init(sim.session(), ctx.block_idx, src, len);
+            sim.san_global(buf, dst, len, AccessKind::Write);
             for (lane, cell) in self.data[src..src + len]
                 .iter()
                 .zip(buf.cells_span(dst, len))
@@ -579,8 +577,8 @@ impl SharedTile<u32> {
         };
         let (mut pairs, mut swaps) = (0u64, 0u64);
         for (lo, hi) in network {
-            self.check_init(sim.session, ctx.block_idx, lo, 1);
-            self.check_init(sim.session, ctx.block_idx, hi, 1);
+            self.check_init(sim.session(), ctx.block_idx, lo, 1);
+            self.check_init(sim.session(), ctx.block_idx, hi, 1);
             let (a, b) = (self.data[lo], self.data[hi]);
             (self.data[lo], self.data[hi]) = (a.min(b), a.max(b));
             pairs += 1;
@@ -606,7 +604,7 @@ impl SharedTile<f64> {
             sim.counters.s_load += n;
             sim.counters.s_store += n;
             sim.counters.s_bytes += 2 * n * <f64 as DeviceScalar>::BYTES;
-            self.check_init(sim.session, ctx.block_idx, start, terms.len());
+            self.check_init(sim.session(), ctx.block_idx, start, terms.len());
         }
         for (lane, &t) in self.data[start..start + terms.len()].iter_mut().zip(terms) {
             *lane = (f64::from_bits(*lane) + t).to_bits();

@@ -435,14 +435,6 @@ impl Device {
         led
     }
 
-    /// Reset the launch ledger (e.g. between benchmark repetitions). Pool
-    /// traffic counters reset too; parked buffers stay warm. Per-kernel
-    /// tallies reset with the ledger they attribute.
-    pub fn reset_ledger(&self) {
-        *self.books.lock() = Books::default();
-        self.pool.reset_stats();
-    }
-
     /// Snapshot of the per-kernel launch attribution, sorted by name so
     /// output is stable regardless of which pipeline thread launched first.
     pub fn kernel_launches(&self) -> Vec<KernelTally> {
@@ -564,17 +556,19 @@ impl Device {
         ConstBuffer::from_slice(data)
     }
 
-    /// Open a sanitizer session for one launch (a fresh racecheck epoch
-    /// plus the kernel name for diagnostics, and — under conformance — the
-    /// launch's declared contract). `None` without a sanitizer.
+    /// Open a sanitizer session for one launch of `grid_dim` blocks (the
+    /// kernel name for diagnostics and — under conformance — the launch's
+    /// declared contract); dropping it runs the launch-end checks. `None`
+    /// without a sanitizer.
     fn launch_session<'k>(
         &'k self,
         name: &'k str,
         contract: Option<&'k AccessContract>,
+        grid_dim: usize,
     ) -> Option<LaunchSession<'k>> {
         self.sanitizer
             .as_deref()
-            .map(|san| LaunchSession::new(san, name, contract))
+            .map(|san| LaunchSession::new(san, name, contract, grid_dim))
     }
 
     /// Whether a contracted launch should build its declaration at all:
@@ -659,7 +653,7 @@ impl Device {
         F: Fn(&mut KernelCtx<'_>) + Sync,
     {
         let contract = self.admit(name, grid_dim, contract);
-        let session = self.launch_session(name, contract.as_ref());
+        let session = self.launch_session(name, contract.as_ref(), grid_dim);
         let totals = AtomicCounters::default();
         // Critical path: a block runs on one SM, so the launch can never
         // finish before its heaviest block does. Tracked as f64 bits.
@@ -691,9 +685,7 @@ impl Device {
                 }
             }
         }
-        if let Some(sess) = &session {
-            sess.finish_conformance(grid_dim);
-        }
+        drop(session);
         let wall = start.elapsed().as_secs_f64();
         let counters = totals.snapshot();
         let balanced = self.cost.kernel_time(&counters);
@@ -726,7 +718,7 @@ impl Device {
         F: FnMut(&mut KernelCtx<'_>),
     {
         let contract = self.admit(name, grid_dim, contract);
-        let session = self.launch_session(name, contract.as_ref());
+        let session = self.launch_session(name, contract.as_ref(), grid_dim);
         let totals = AtomicCounters::default();
         let start = Instant::now();
         for b in 0..grid_dim {
@@ -734,9 +726,7 @@ impl Device {
             kernel(&mut ctx);
             totals.flush(&ctx.retire());
         }
-        if let Some(sess) = &session {
-            sess.finish_conformance(grid_dim);
-        }
+        drop(session);
         let wall = start.elapsed().as_secs_f64();
         let counters = totals.snapshot();
         let stats = LaunchStats {
@@ -863,8 +853,6 @@ mod tests {
         assert_eq!(tallies[1].name, "b");
         assert_eq!(tallies[1].launches, 1);
         assert_eq!(tallies[1].overhead_seconds, 0.0);
-        dev.reset_ledger();
-        assert!(dev.kernel_launches().is_empty());
     }
 
     #[test]
@@ -899,8 +887,6 @@ mod tests {
         assert_eq!(led.transfers, 1);
         assert_eq!(led.counters.h2d_bytes, 1000);
         assert!(led.sim_time > 0.0);
-        dev.reset_ledger();
-        assert_eq!(dev.ledger().launches, 0);
     }
 
     #[test]

@@ -160,14 +160,6 @@ impl BufferPool {
             high_water_bytes: self.high_water.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset traffic counters (parked buffers are kept).
-    pub(crate) fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.high_water
-            .store(self.outstanding.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// RAII guard over a pooled [`GlobalBuffer`]: dereferences to the buffer

@@ -23,6 +23,17 @@
 //! * **leakcheck** — [`crate::SharedTile`] allocations still live when their
 //!   block retires, plus the per-launch shared-memory high-water mark.
 //!
+//! Global accesses are checked as intervals, not words. Each block appends
+//! `(buffer, kind, [lo, hi))` to its own `BlockLog` (an access extending
+//! the buffer's latest entry merges into it), taking no lock. Boundscheck and
+//! contract conformance judge each access as it is made. When the block
+//! retires, its log is replayed once per buffer, in program order, against
+//! the buffer's poison bitset (initcheck, a word mask at a time), then
+//! handed to the launch's `LaunchSession` — on unwind too. When the launch
+//! ends, racecheck runs the contract prover's interval engine,
+//! `contract::overlap_sweep`, over each buffer's logged intervals,
+//! and conformance compares the logged hull with the declared one.
+//!
 //! The checkers are attached with [`crate::Device::with_sanitizer`] and cost
 //! nothing when absent: every hook is behind an `Option` that release
 //! benchmarks never populate, and the hooks never touch the hardware
@@ -41,7 +52,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::contract::AccessContract;
+use crate::contract::{overlap_sweep, AccessContract, Rec};
 use crate::launch::{BlockSchedule, Device};
 
 /// Which checkers to enable. The four classic checkers default to on;
@@ -194,31 +205,33 @@ impl SanitizerReport {
 /// Cap on retained [`Diagnostic`]s; counts keep accumulating past it.
 pub(crate) const MAX_DIAGNOSTICS: usize = 64;
 
-/// Shared sanitizer state for one device: configuration, the launch-epoch
-/// counter that scopes racecheck to a single launch, and the accumulated
-/// report.
+/// Shared sanitizer state for one device: configuration, the buffer label
+/// counter and the accumulated report.
 pub(crate) struct Sanitizer {
     pub(crate) cfg: SanitizerConfig,
-    epoch: AtomicU64,
     next_buffer_id: AtomicU64,
     report: Mutex<SanitizerReport>,
+}
+
+/// The count a finding of `kind` adds to.
+fn count_of(c: &mut SanitizerCounts, kind: CheckKind) -> &mut u64 {
+    match kind {
+        CheckKind::Racecheck => &mut c.races,
+        CheckKind::Initcheck => &mut c.uninit_reads,
+        CheckKind::Boundscheck => &mut c.oob_accesses,
+        CheckKind::Leakcheck => &mut c.shared_leaks,
+        CheckKind::Conformance => &mut c.conformance_escapes,
+        CheckKind::Overwide => &mut c.overwide_declarations,
+    }
 }
 
 impl Sanitizer {
     pub(crate) fn new(cfg: SanitizerConfig) -> Self {
         Sanitizer {
             cfg,
-            // Epoch 0 means "no launch yet" in per-word shadow state.
-            epoch: AtomicU64::new(0),
             next_buffer_id: AtomicU64::new(0),
             report: Mutex::new(SanitizerReport::default()),
         }
-    }
-
-    /// Start a new launch epoch (racecheck state from prior launches is
-    /// implicitly invalidated by the epoch bump).
-    pub(crate) fn next_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Allocate shadow state for a device buffer of `len` words.
@@ -234,48 +247,21 @@ impl Sanitizer {
         } else {
             Vec::new()
         };
-        let race = if self.cfg.racecheck {
-            vec![WordRace::default(); len]
-        } else {
-            Vec::new()
-        };
         Arc::new(BufferShadow {
             san: Arc::clone(self),
             label: format!("{scalar}[{len}]#{id}"),
             len,
-            state: Mutex::new(ShadowState { poison, race }),
+            poison: Mutex::new(poison),
         })
     }
 
-    pub(crate) fn record(&self, diag: Diagnostic) {
+    /// Record one diagnostic standing for `n` findings of its kind.
+    pub(crate) fn record(&self, diag: Diagnostic, n: u64) {
         let mut rep = self.report.lock();
+        let rep = &mut *rep;
         let per = rep.per_kernel.entry(diag.kernel.clone()).or_default();
-        match diag.kind {
-            CheckKind::Racecheck => {
-                per.races += 1;
-                rep.counts.races += 1;
-            }
-            CheckKind::Initcheck => {
-                per.uninit_reads += 1;
-                rep.counts.uninit_reads += 1;
-            }
-            CheckKind::Boundscheck => {
-                per.oob_accesses += 1;
-                rep.counts.oob_accesses += 1;
-            }
-            CheckKind::Leakcheck => {
-                per.shared_leaks += 1;
-                rep.counts.shared_leaks += 1;
-            }
-            CheckKind::Conformance => {
-                per.conformance_escapes += 1;
-                rep.counts.conformance_escapes += 1;
-            }
-            CheckKind::Overwide => {
-                per.overwide_declarations += 1;
-                rep.counts.overwide_declarations += 1;
-            }
-        }
+        *count_of(per, diag.kind) += n;
+        *count_of(&mut rep.counts, diag.kind) += n;
         if rep.diagnostics.len() < MAX_DIAGNOSTICS {
             rep.diagnostics.push(diag);
         }
@@ -300,73 +286,45 @@ impl Sanitizer {
     }
 }
 
-/// How a kernel touched memory, as seen by the checkers.
+/// How a kernel touched memory, as seen by the checkers. The discriminants
+/// index the overlap sweep's per-kind state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AccessKind {
     Read,
     Write,
-    /// Atomic read-modify-write: counts as a write for initcheck, but only
+    /// Atomic read-modify-write: a read for initcheck, but it only
     /// conflicts with *non-atomic* accesses for racecheck.
     Atomic,
 }
 
-/// Per-word racecheck state. Blocks are recorded as `id + 1` (0 = none);
-/// [`MULTI`] means "more than one distinct block".
-#[derive(Debug, Clone, Copy, Default)]
-struct WordRace {
-    epoch: u64,
-    reader: u64,
-    writer: u64,
-    atomic: u64,
-    raced: bool,
-}
-
-const MULTI: u64 = u64::MAX;
-
-/// Record `block` into a participant slot.
-fn note(slot: &mut u64, block: u64) {
-    if *slot == 0 {
-        *slot = block + 1;
-    } else if *slot != block + 1 {
-        *slot = MULTI;
+/// Clear bits `[lo, hi)` of `bits` a word at a time, calling `found` with
+/// the index of each bit that was set, in ascending order. An empty bitset
+/// (initcheck off) holds nothing to clear.
+fn clear_range(bits: &mut [u64], lo: usize, hi: usize, mut found: impl FnMut(usize)) {
+    let mut i = lo;
+    while i < hi && !bits.is_empty() {
+        let w = i >> 6;
+        let end = hi.min((w + 1) << 6);
+        let mask = (!0u64 >> (64 - (end - i))) << (i & 63);
+        let mut hit = bits[w] & mask;
+        bits[w] &= !mask;
+        while hit != 0 {
+            found((w << 6) + hit.trailing_zeros() as usize);
+            hit &= hit - 1;
+        }
+        i = end;
     }
 }
 
-/// If `slot` holds a block other than `block`, return it (decoded; [`HOST`]
-/// when several blocks are folded together).
-fn other(slot: u64, block: u64) -> Option<usize> {
-    if slot == 0 || slot == block + 1 {
-        None
-    } else if slot == MULTI {
-        Some(HOST)
-    } else {
-        Some((slot - 1) as usize)
-    }
-}
-
-fn bit_test(bits: &[u64], i: usize) -> bool {
-    bits[i >> 6] >> (i & 63) & 1 == 1
-}
-
-fn bit_clear(bits: &mut [u64], i: usize) {
-    bits[i >> 6] &= !(1 << (i & 63));
-}
-
-struct ShadowState {
-    /// Initcheck bitset: bit set ⇒ word never written since allocation.
-    /// Empty when initcheck is off.
-    poison: Vec<u64>,
-    /// Racecheck per-word participants. Empty when racecheck is off.
-    race: Vec<WordRace>,
-}
-
-/// Shadow state attached to one device buffer. Every access — kernel or
-/// host — funnels through here when the owning device has a sanitizer.
+/// Shadow state attached to one device buffer: its initcheck bitset (bit
+/// set ⇒ word never written since allocation; empty when initcheck is
+/// off). Host accesses update it at once, a kernel block's accesses when
+/// the block retires.
 pub(crate) struct BufferShadow {
     san: Arc<Sanitizer>,
     label: String,
     len: usize,
-    state: Mutex<ShadowState>,
+    poison: Mutex<Vec<u64>>,
 }
 
 impl BufferShadow {
@@ -374,23 +332,18 @@ impl BufferShadow {
         &self.label
     }
 
-    /// A kernel access from `block` under launch `epoch`.
-    pub(crate) fn kernel_access(
-        &self,
-        kernel: &str,
-        block: usize,
-        epoch: u64,
-        start: usize,
-        n: usize,
-        kind: AccessKind,
-    ) {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let b = block as u64;
-        for i in start..start + n {
-            if !st.poison.is_empty() {
-                if kind != AccessKind::Write && bit_test(&st.poison, i) {
-                    self.san.record(Diagnostic {
+    /// Initcheck of one retired block's intervals on this buffer, in
+    /// program order: a read of a poisoned word is a finding (once per
+    /// word: any touch defines the word).
+    fn replay(&self, kernel: &str, block: usize, run: &[Access]) {
+        let mut poison = self.poison.lock();
+        for a in run {
+            clear_range(&mut poison, a.lo, a.hi, |i| {
+                if a.kind == AccessKind::Write {
+                    return;
+                }
+                self.san.record(
+                    Diagnostic {
                         kind: CheckKind::Initcheck,
                         kernel: kernel.to_string(),
                         buffer: self.label.clone(),
@@ -401,70 +354,53 @@ impl BufferShadow {
                             "kernel `{kernel}` block {block} read {}[{i}] before any write",
                             self.label
                         ),
-                    });
-                }
-                // Any touch defines the word: writes by construction, reads
-                // because the finding is reported once per word.
-                bit_clear(&mut st.poison, i);
+                    },
+                    1,
+                );
+            });
+        }
+    }
+
+    /// Racecheck of one launch's logged intervals on this buffer: one
+    /// diagnostic per raced region, naming its lowest word and the block
+    /// pair (lower, higher) of the region's first race, and counting every
+    /// raced word.
+    fn report_races(&self, kernel: &str, mut recs: Vec<Rec>) {
+        let mut regions: Vec<(usize, usize, (usize, usize))> = Vec::new();
+        for race in overlap_sweep(&mut recs) {
+            let r = &recs[race.rec];
+            let pair = (r.block.min(race.other), r.block.max(race.other));
+            match regions.last_mut() {
+                Some(last) if r.lo <= last.1 => last.1 = last.1.max(race.hi),
+                _ => regions.push((r.lo, race.hi, pair)),
             }
-            if !st.race.is_empty() {
-                let w = &mut st.race[i];
-                if w.epoch != epoch {
-                    *w = WordRace {
-                        epoch,
-                        ..WordRace::default()
-                    };
-                }
-                if !w.raced {
-                    let conflict = match kind {
-                        // A plain read races with any other-block write.
-                        AccessKind::Read => other(w.writer, b).or_else(|| other(w.atomic, b)),
-                        // A plain write races with any other-block access.
-                        AccessKind::Write => other(w.reader, b)
-                            .or_else(|| other(w.writer, b))
-                            .or_else(|| other(w.atomic, b)),
-                        // Atomics only race with non-atomic accesses.
-                        AccessKind::Atomic => other(w.reader, b).or_else(|| other(w.writer, b)),
-                    };
-                    if let Some(peer) = conflict {
-                        w.raced = true;
-                        self.san.record(Diagnostic {
-                            kind: CheckKind::Racecheck,
-                            kernel: kernel.to_string(),
-                            buffer: self.label.clone(),
-                            index: i,
-                            len: self.len,
-                            blocks: (block, peer),
-                            detail: format!(
-                                "kernel `{kernel}`: blocks {block} and {peer} access \
-                                 {}[{i}] with a conflicting {kind:?} in one launch",
-                                self.label
-                            ),
-                        });
-                    }
-                }
-                match kind {
-                    AccessKind::Read => note(&mut w.reader, b),
-                    AccessKind::Write => note(&mut w.writer, b),
-                    AccessKind::Atomic => note(&mut w.atomic, b),
-                }
-            }
+        }
+        for (lo, hi, (a, b)) in regions {
+            self.san.record(
+                Diagnostic {
+                    kind: CheckKind::Racecheck,
+                    kernel: kernel.to_string(),
+                    buffer: self.label.clone(),
+                    index: lo,
+                    len: self.len,
+                    blocks: (a, b),
+                    detail: format!(
+                        "kernel `{kernel}`: blocks {a} and {b} make conflicting accesses to \
+                         {}[{lo}..{hi}) in one launch",
+                        self.label
+                    ),
+                },
+                (hi - lo) as u64,
+            );
         }
     }
 
     /// A host-side read (download, `get`, span read). Initcheck only — the
     /// host cannot race with a launch in this model.
     pub(crate) fn host_read(&self, start: usize, n: usize) {
-        if !self.san.cfg.initcheck {
-            return;
-        }
-        let mut st = self.state.lock();
-        if st.poison.is_empty() {
-            return;
-        }
-        for i in start..start + n {
-            if bit_test(&st.poison, i) {
-                self.san.record(Diagnostic {
+        clear_range(&mut self.poison.lock(), start, start + n, |i| {
+            self.san.record(
+                Diagnostic {
                     kind: CheckKind::Initcheck,
                     kernel: "host".to_string(),
                     buffer: self.label.clone(),
@@ -472,58 +408,48 @@ impl BufferShadow {
                     len: self.len,
                     blocks: (HOST, HOST),
                     detail: format!("host read {}[{i}] before any write", self.label),
-                });
-                bit_clear(&mut st.poison, i);
-            }
-        }
+                },
+                1,
+            );
+        });
     }
 
-    /// A host-side write (upload, `set`, `clear`): defines the words.
+    /// A host-side write (upload, `set`): defines the words.
     pub(crate) fn host_write(&self, start: usize, n: usize) {
-        if !self.san.cfg.initcheck {
-            return;
-        }
-        let mut st = self.state.lock();
-        if st.poison.is_empty() {
-            return;
-        }
-        for i in start..start + n {
-            bit_clear(&mut st.poison, i);
-        }
+        clear_range(&mut self.poison.lock(), start, start + n, |_| {});
     }
 
     /// Define a span without recording any access — used after a
     /// *contract-verified* native launch, whose plain lanes bypass
     /// per-access instrumentation: the declared write footprints are known
-    /// written, but crediting them as host writes would pollute racecheck
-    /// participant state.
+    /// written.
     pub(crate) fn define_span(&self, start: usize, n: usize) {
-        if !self.san.cfg.initcheck {
-            return;
-        }
-        let mut st = self.state.lock();
-        if st.poison.is_empty() {
-            return;
-        }
-        for i in start..(start + n).min(self.len) {
-            bit_clear(&mut st.poison, i);
-        }
+        self.host_write(start, n.min(self.len.saturating_sub(start)));
     }
 }
 
+/// One entry of a [`BlockLog`]: the block's accesses of one kind to
+/// `[lo, hi)` of one buffer.
+struct Access {
+    uid: u64,
+    shadow: Option<Arc<BufferShadow>>,
+    kind: AccessKind,
+    lo: usize,
+    hi: usize,
+}
+
 /// Per-launch sanitizer context threaded into every simulator block's
-/// [`crate::KernelCtx`].
+/// [`crate::KernelCtx`]. Dropping it — when the launch ends, or unwinds —
+/// runs the launch-end checks over the logs its blocks handed in.
 pub(crate) struct LaunchSession<'k> {
     pub(crate) san: &'k Sanitizer,
-    pub(crate) epoch: u64,
     pub(crate) kernel: &'k str,
     /// The launch's declared access contract, when one was registered and
     /// conformance checking is on.
     pub(crate) contract: Option<&'k AccessContract>,
-    /// Observed per-buffer access hulls (`uid → [lo, hi)`), for the
-    /// end-of-launch over-wide declaration check. Empty maps do not
-    /// allocate, so uncontracted launches pay nothing.
-    pub(crate) observed: Mutex<BTreeMap<u64, (usize, usize)>>,
+    grid: usize,
+    /// The retired blocks' logs, by block.
+    logs: Mutex<Vec<(usize, Vec<Access>)>>,
 }
 
 impl<'k> LaunchSession<'k> {
@@ -531,139 +457,36 @@ impl<'k> LaunchSession<'k> {
         san: &'k Sanitizer,
         kernel: &'k str,
         contract: Option<&'k AccessContract>,
+        grid: usize,
     ) -> Self {
         LaunchSession {
             san,
-            epoch: san.next_epoch(),
             kernel,
             // Conformance is per-config: without it, carry no contract so
             // the per-access fast path stays a single `None` check.
             contract: contract.filter(|_| san.cfg.conformance),
-            observed: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Check one global-buffer access: precise bounds first, then contract
-    /// conformance, then shadow state (if the buffer has any).
-    #[allow(clippy::too_many_arguments)] // the hot access path stays flat
-    pub(crate) fn global_access(
-        &self,
-        block: usize,
-        uid: u64,
-        shadow: Option<&Arc<BufferShadow>>,
-        len: usize,
-        start: usize,
-        n: usize,
-        kind: AccessKind,
-    ) {
-        if self.san.cfg.boundscheck && start + n > len {
-            let buffer = shadow.map_or_else(|| "buffer".to_string(), |s| s.label().to_string());
-            let detail = format!(
-                "boundscheck: kernel `{}` block {block} {kind:?} at {buffer}[{start}..{}] \
-                 out of bounds (len {len})",
-                self.kernel,
-                start + n,
-            );
-            self.san.record(Diagnostic {
-                kind: CheckKind::Boundscheck,
-                kernel: self.kernel.to_string(),
-                buffer,
-                index: start,
-                len,
-                blocks: (block, HOST),
-                detail: detail.clone(),
-            });
-            panic!("{detail}");
-        }
-        if let Some(contract) = self.contract {
-            self.observed
-                .lock()
-                .entry(uid)
-                .and_modify(|h| {
-                    h.0 = h.0.min(start);
-                    h.1 = h.1.max(start + n);
-                })
-                .or_insert((start, start + n));
-            if !contract.covers(uid, block, start, n, kind) {
-                let buffer = shadow.map_or_else(
-                    || {
-                        contract
-                            .label_of(uid)
-                            .map_or_else(|| format!("buf#{uid}[{len}]"), str::to_string)
-                    },
-                    |s| s.label().to_string(),
-                );
-                self.san.record(Diagnostic {
-                    kind: CheckKind::Conformance,
-                    kernel: self.kernel.to_string(),
-                    buffer: buffer.clone(),
-                    index: start,
-                    len,
-                    blocks: (block, HOST),
-                    detail: format!(
-                        "conformance: kernel `{}` block {block} {kind:?} at \
-                         {buffer}[{start}..{}] escapes the declared footprint",
-                        self.kernel,
-                        start + n,
-                    ),
-                });
-            }
-        }
-        if let Some(sh) = shadow {
-            sh.kernel_access(self.kernel, block, self.epoch, start, n, kind);
-        }
-    }
-
-    /// End-of-launch conformance pass: flag declarations whose hull is
-    /// grossly wider than the observed hull (8× plus slack), so contracts
-    /// stay tight instead of devolving into blanket `All` claims.
-    /// [`crate::contract::Footprint::All`] declarations are exempt — they
-    /// *mean* "whole buffer" (read-only tables).
-    pub(crate) fn finish_conformance(&self, grid: usize) {
-        let Some(contract) = self.contract else {
-            return;
-        };
-        for (&uid, &(olo, ohi)) in self.observed.lock().iter() {
-            let Some((dlo, dhi)) = contract.declared_hull(uid, grid) else {
-                continue;
-            };
-            let declared = dhi.saturating_sub(dlo);
-            let observed = ohi.saturating_sub(olo);
-            if declared > 8 * observed + 1024 {
-                let buffer = contract
-                    .label_of(uid)
-                    .map_or_else(|| format!("buf#{uid}"), str::to_string);
-                self.san.record(Diagnostic {
-                    kind: CheckKind::Overwide,
-                    kernel: self.kernel.to_string(),
-                    buffer: buffer.clone(),
-                    index: dlo,
-                    len: declared,
-                    blocks: (HOST, HOST),
-                    detail: format!(
-                        "conformance: kernel `{}` declares [{dlo}, {dhi}) on {buffer} \
-                         but only [{olo}, {ohi}) was observed — tighten the footprint",
-                        self.kernel
-                    ),
-                });
-            }
+            grid,
+            logs: Mutex::new(Vec::new()),
         }
     }
 
     /// Report one uninitialized shared-memory read.
     pub(crate) fn shared_uninit(&self, block: usize, index: usize, len: usize) {
-        self.san.record(Diagnostic {
-            kind: CheckKind::Initcheck,
-            kernel: self.kernel.to_string(),
-            buffer: format!("shared[{len}]"),
-            index,
-            len,
-            blocks: (block, HOST),
-            detail: format!(
-                "kernel `{}` block {block} read shared[{index}] before any write",
-                self.kernel
-            ),
-        });
+        self.san.record(
+            Diagnostic {
+                kind: CheckKind::Initcheck,
+                kernel: self.kernel.to_string(),
+                buffer: format!("shared[{len}]"),
+                index,
+                len,
+                blocks: (block, HOST),
+                detail: format!(
+                    "kernel `{}` block {block} read shared[{index}] before any write",
+                    self.kernel
+                ),
+            },
+            1,
+        );
     }
 
     /// Block retirement: record the shared high-water mark and flag leaked
@@ -683,17 +506,192 @@ impl<'k> LaunchSession<'k> {
                  of shared memory still allocated (shared_free missing)",
                 self.kernel
             );
-            self.san.record(Diagnostic {
-                kind: CheckKind::Leakcheck,
-                kernel: self.kernel.to_string(),
-                buffer: "shared".to_string(),
-                index: 0,
-                len: shared_used,
-                blocks: (block, HOST),
-                detail: detail.clone(),
-            });
+            self.san.record(
+                Diagnostic {
+                    kind: CheckKind::Leakcheck,
+                    kernel: self.kernel.to_string(),
+                    buffer: "shared".to_string(),
+                    index: 0,
+                    len: shared_used,
+                    blocks: (block, HOST),
+                    detail: detail.clone(),
+                },
+                1,
+            );
             panic!("{detail}");
         }
+    }
+}
+
+impl Drop for LaunchSession<'_> {
+    /// Launch end: racecheck sweeps each buffer's logged intervals (taken
+    /// in block order, so the report does not depend on the schedule), and
+    /// conformance flags declarations whose hull is grossly wider than the
+    /// logged hull (8× plus slack), so contracts stay tight instead of
+    /// devolving into blanket `All` claims.
+    /// [`crate::contract::Footprint::All`] declarations are exempt — they
+    /// *mean* "whole buffer" (read-only tables).
+    fn drop(&mut self) {
+        let mut logs = std::mem::take(&mut *self.logs.lock());
+        logs.sort_unstable_by_key(|(block, _)| *block);
+        // Per buffer: its first logged access (for the shadow) and records.
+        let mut by_uid: BTreeMap<u64, (&Access, Vec<Rec>)> = BTreeMap::new();
+        for (block, log) in &logs {
+            for a in log {
+                by_uid.entry(a.uid).or_insert((a, Vec::new())).1.push(Rec {
+                    kind: a.kind,
+                    block: *block,
+                    lo: a.lo,
+                    hi: a.hi,
+                    entry: 0,
+                });
+            }
+        }
+        for (uid, (first, recs)) in by_uid {
+            let hull = |(lo, hi): (usize, usize), r: &Rec| (lo.min(r.lo), hi.max(r.hi));
+            let (olo, ohi) = recs.iter().fold((usize::MAX, 0), hull);
+            if let Some(sh) = first.shadow.as_ref().filter(|_| self.san.cfg.racecheck) {
+                sh.report_races(self.kernel, recs);
+            }
+            let Some(c) = self.contract else { continue };
+            let (Some((dlo, dhi)), Some(buffer)) =
+                (c.declared_hull(uid, self.grid), c.label_of(uid))
+            else {
+                continue;
+            };
+            let declared = dhi.saturating_sub(dlo);
+            if declared > 8 * (ohi - olo) + 1024 {
+                self.san.record(
+                    Diagnostic {
+                        kind: CheckKind::Overwide,
+                        kernel: self.kernel.to_string(),
+                        buffer: buffer.to_string(),
+                        index: dlo,
+                        len: declared,
+                        blocks: (HOST, HOST),
+                        detail: format!(
+                            "conformance: kernel `{}` declares [{dlo}, {dhi}) on {buffer} \
+                             but only [{olo}, {ohi}) was observed — tighten the footprint",
+                            self.kernel
+                        ),
+                    },
+                    1,
+                );
+            }
+        }
+    }
+}
+
+/// A simulator block's access log under a sanitizer session. Dropping it —
+/// when the block retires, or unwinds — replays it for initcheck and hands
+/// it to the session.
+pub(crate) struct BlockLog<'a> {
+    pub(crate) sess: &'a LaunchSession<'a>,
+    block: usize,
+    log: Vec<Access>,
+}
+
+impl<'a> BlockLog<'a> {
+    pub(crate) fn new(sess: &'a LaunchSession<'a>, block: usize) -> Self {
+        BlockLog {
+            sess,
+            block,
+            log: Vec::new(),
+        }
+    }
+
+    /// Check one global-buffer access — precise bounds first, then
+    /// contract conformance — and log it.
+    ///
+    /// # Panics
+    /// Panics (after recording the finding) when boundscheck is on and the
+    /// access leaves the buffer.
+    pub(crate) fn access(
+        &mut self,
+        uid: u64,
+        shadow: Option<&Arc<BufferShadow>>,
+        len: usize,
+        start: usize,
+        n: usize,
+        kind: AccessKind,
+    ) {
+        let (sess, block) = (self.sess, self.block);
+        let label = || shadow.map(|s| s.label().to_string());
+        if start + n > len {
+            if !sess.san.cfg.boundscheck {
+                return; // unlogged: the access itself faults
+            }
+            let buffer = label().unwrap_or_else(|| "buffer".to_string());
+            let detail = format!(
+                "boundscheck: kernel `{}` block {block} {kind:?} at {buffer}[{start}..{}] \
+                 out of bounds (len {len})",
+                sess.kernel,
+                start + n,
+            );
+            let diag = Diagnostic {
+                kind: CheckKind::Boundscheck,
+                kernel: sess.kernel.to_string(),
+                buffer,
+                index: start,
+                len,
+                blocks: (block, HOST),
+                detail: detail.clone(),
+            };
+            sess.san.record(diag, 1);
+            panic!("{detail}");
+        }
+        if let Some(contract) = sess
+            .contract
+            .filter(|c| !c.covers(uid, block, start, n, kind))
+        {
+            let declared = contract.label_of(uid).map(str::to_string);
+            let buffer = label()
+                .or(declared)
+                .unwrap_or_else(|| format!("buf#{uid}[{len}]"));
+            let detail = format!(
+                "conformance: kernel `{}` block {block} {kind:?} at {buffer}[{start}..{}] \
+                 escapes the declared footprint",
+                sess.kernel,
+                start + n,
+            );
+            let diag = Diagnostic {
+                kind: CheckKind::Conformance,
+                kernel: sess.kernel.to_string(),
+                buffer,
+                index: start,
+                len,
+                blocks: (block, HOST),
+                detail,
+            };
+            sess.san.record(diag, 1);
+        }
+        // The buffer's latest entry, if one of the last few: merging into
+        // it keeps each buffer's entries in program order.
+        let end = start + n;
+        match self.log.iter_mut().rev().take(4).find(|a| a.uid == uid) {
+            Some(a) if a.kind == kind && (a.lo..=a.hi).contains(&start) => a.hi = a.hi.max(end),
+            _ => self.log.push(Access {
+                uid,
+                shadow: shadow.cloned(),
+                kind,
+                lo: start,
+                hi: end,
+            }),
+        }
+    }
+}
+
+impl Drop for BlockLog<'_> {
+    fn drop(&mut self) {
+        let mut log = std::mem::take(&mut self.log);
+        // Stable: each buffer's intervals stay in program order.
+        log.sort_by_key(|a| a.uid);
+        for run in log.chunk_by(|a, b| a.uid == b.uid) {
+            if let Some(sh) = &run[0].shadow {
+                sh.replay(self.sess.kernel, self.block, run);
+            }
+        }
+        self.sess.logs.lock().push((self.block, log));
     }
 }
 
@@ -855,23 +853,57 @@ mod tests {
 
     #[test]
     fn bitset_ops() {
-        let mut bits = vec![!0u64; 2];
-        assert!(bit_test(&bits, 0) && bit_test(&bits, 127));
-        bit_clear(&mut bits, 64);
-        assert!(!bit_test(&bits, 64));
-        assert!(bit_test(&bits, 63) && bit_test(&bits, 65));
+        let mut bits = vec![!0u64; 3];
+        let mut found = Vec::new();
+        clear_range(&mut bits, 62, 130, |i| found.push(i));
+        assert_eq!(
+            found,
+            (62..130).collect::<Vec<_>>(),
+            "every set bit, ascending"
+        );
+        assert_eq!(bits, [!0 >> 2, 0, !0 << 2]);
+        found.clear();
+        clear_range(&mut bits, 0, 192, |i| found.push(i));
+        assert_eq!(
+            found,
+            [(0..62).collect::<Vec<_>>(), (130..192).collect()].concat()
+        );
+        assert_eq!(bits, [0; 3]);
+        clear_range(&mut bits, 5, 5, |_| panic!("an empty range finds nothing"));
     }
 
     #[test]
-    fn participant_slots_fold_multiple_blocks() {
-        let mut slot = 0u64;
-        assert_eq!(other(slot, 3), None);
-        note(&mut slot, 3);
-        assert_eq!(other(slot, 3), None, "same block is not a peer");
-        assert_eq!(other(slot, 4), Some(3));
-        note(&mut slot, 5);
-        assert_eq!(slot, MULTI);
-        assert_eq!(other(slot, 3), Some(HOST), "folded peers decode as HOST");
+    fn raced_regions_merge_and_name_their_lowest_word_and_pair() {
+        let san = Arc::new(Sanitizer::new(SanitizerConfig::all()));
+        let shadow = san.new_shadow("u32", 100, false);
+        let rec = |kind, block, lo, hi| Rec {
+            kind,
+            block,
+            lo,
+            hi,
+            entry: 0,
+        };
+        // Block 2 writes [10, 20) that blocks 0 and 1 read in part; block 3
+        // reads [30, 40) that block 1 writes at [35, 36); two atomics on
+        // [50, 60) do not race with each other.
+        let recs = vec![
+            rec(AccessKind::Read, 0, 12, 15),
+            rec(AccessKind::Read, 1, 14, 18),
+            rec(AccessKind::Write, 1, 35, 36),
+            rec(AccessKind::Write, 2, 10, 20),
+            rec(AccessKind::Read, 3, 30, 40),
+            rec(AccessKind::Atomic, 4, 50, 60),
+            rec(AccessKind::Atomic, 5, 50, 60),
+        ];
+        shadow.report_races("k", recs);
+        let rep = san.report();
+        assert_eq!(rep.counts.races, (18 - 12) + 1);
+        let found: Vec<_> = rep
+            .diagnostics
+            .iter()
+            .map(|d| (d.index, d.blocks))
+            .collect();
+        assert_eq!(found, [(12, (0, 2)), (35, (1, 3))]);
     }
 
     #[test]

@@ -874,7 +874,8 @@ pub fn likelihood_host_sites(
 
 /// The Fig. 5 "GPU dense" strawman: one thread per site scanning the full
 /// dense matrix. The matrix is laid out `[cell][site]` so warp lanes read
-/// consecutive addresses (coalesced) — the representation is still 14–17×
+/// consecutive addresses (coalesced): a block loads each cell row of its
+/// sites with one coalesced span. The representation is still 14–17×
 /// slower than sparse because it must *move* three orders of magnitude
 /// more bytes.
 pub fn likelihood_dense_gpu<B: ComputeBackend>(
@@ -904,51 +905,50 @@ pub fn likelihood_dense_gpu<B: ComputeBackend>(
                 &type_likely,
                 Footprint::tiled(SITES_PER_BLOCK * NUM_GENOTYPES, num_sites * NUM_GENOTYPES),
             )
-            .shared::<f64>(NUM_GENOTYPES)
+            .shared::<f64>(SITES_PER_BLOCK * NUM_GENOTYPES)
     };
     let stats = dev.launch_contracted("likelihood_dense", grid, contract, |ctx| {
         let first = ctx.block_idx() * SITES_PER_BLOCK;
-        let last = (first + SITES_PER_BLOCK).min(num_sites);
-        for site in first..last {
-            let mut tl = ctx.shared_alloc::<f64>(NUM_GENOTYPES);
-            tl.fill_default(ctx);
-            let mut dep_count = [0u16; ROW];
-            for base in 0..4u8 {
-                dep_count.fill(0);
-                for score in (0..=baseword::QUAL_MAX).rev() {
-                    let row0 = base_occ_index(base, score, 0, 0);
-                    for j in 0..ROW {
-                        // Transposed layout: [cell][site].
-                        let count = ctx.ld_co(occ, (row0 + j) * num_sites + site);
-                        if count == 0 {
-                            continue;
-                        }
-                        let coord = (j >> 1) as u8;
-                        let strand = (j & 1) as u8;
+        let sites = (first + SITES_PER_BLOCK).min(num_sites) - first;
+        // One `tl` slot and one `dep_count` row per site: each site keeps
+        // its own order of additions (base → score → j → k → genotype).
+        let mut tl = ctx.shared_alloc::<f64>(sites * NUM_GENOTYPES);
+        tl.fill_default(ctx);
+        let mut dep_count = vec![[0u16; ROW]; sites];
+        let mut counts = vec![0u8; sites];
+        for base in 0..4u8 {
+            dep_count.iter_mut().for_each(|row| row.fill(0));
+            for score in (0..=baseword::QUAL_MAX).rev() {
+                let row0 = base_occ_index(base, score, 0, 0);
+                for j in 0..ROW {
+                    // Transposed layout: [cell][site].
+                    ctx.ld_co_span(occ, (row0 + j) * num_sites + first, &mut counts);
+                    let coord = (j >> 1) as u8;
+                    let strand = (j & 1) as u8;
+                    let slot = usize::from(strand) * crate::tables::COORD_DIM + usize::from(coord);
+                    for (s, &count) in counts.iter().enumerate() {
                         for _k in 0..count {
-                            let slot =
-                                usize::from(strand) * crate::tables::COORD_DIM + usize::from(coord);
-                            dep_count[slot] += 1;
+                            dep_count[s][slot] += 1;
                             // adjust(): one constant-memory log read + arithmetic.
                             ctx.add_inst(1 + 3);
-                            let q_adj = adjust(score, dep_count[slot], &tables.host_log);
+                            let q_adj = adjust(score, dep_count[s][slot], &tables.host_log);
                             let cell10 = new_p_cell(q_adj, coord, base) * NUM_GENOTYPES;
                             for n in 0..NUM_GENOTYPES {
                                 let term = ctx.ld_rand(new_p, cell10 + n);
-                                let cur = tl.read(ctx, n);
-                                tl.write(ctx, n, cur + term);
+                                let cur = tl.read(ctx, s * NUM_GENOTYPES + n);
+                                tl.write(ctx, s * NUM_GENOTYPES + n, cur + term);
                             }
                         }
                     }
                 }
             }
-            let tl0 = site * NUM_GENOTYPES;
-            for n in 0..NUM_GENOTYPES {
-                let v = tl.read(ctx, n);
-                ctx.st_co(&type_likely, tl0 + n, v);
-            }
-            ctx.shared_free(tl);
         }
+        let tl0 = first * NUM_GENOTYPES;
+        for n in 0..sites * NUM_GENOTYPES {
+            let v = tl.read(ctx, n);
+            ctx.st_co(&type_likely, tl0 + n, v);
+        }
+        ctx.shared_free(tl);
     });
 
     let flat = type_likely.to_vec();

@@ -2211,14 +2211,10 @@ mod tests {
     #[test]
     fn chunked_parse_stops_where_the_serial_reader_stops() {
         let d = Dataset::generate(SynthConfig::tiny(78));
-        let records: Vec<String> = d.reads[100..123]
-            .iter()
-            .map(|r| {
-                let mut line = Vec::new();
-                r.write_line(&mut line).unwrap();
-                String::from_utf8(line).unwrap().trim_end().to_string()
-            })
-            .collect();
+        let mut text = Vec::new();
+        seqio::soap::write_alignments(&d.reads[100..123], &mut text).unwrap();
+        let text = String::from_utf8(text).unwrap();
+        let records: Vec<String> = text.lines().map(|l| l.trim_end().to_string()).collect();
         // Injected tables: no counting, so the 2 000 passes below stay cheap.
         let cfg = GsnpConfig {
             shared_tables: Some(Arc::new(SharedTables::calibrate(

@@ -91,7 +91,7 @@ impl AlignedRead {
     }
 
     /// Serialize one record as a tab-separated line.
-    pub fn write_line<W: Write>(&self, w: &mut W) -> Result<(), SeqIoError> {
+    pub(crate) fn write_line<W: Write>(&self, w: &mut W) -> Result<(), SeqIoError> {
         let mut line = Vec::new();
         let record = Record {
             id: &self.id,

@@ -265,6 +265,100 @@ fn racecheck_accepts_atomic_contention() {
         .assert_clean("atomic contention");
 }
 
+/// Every racecheck diagnostic of a device: its index, its block pair and
+/// the whole of it (kind, kernel, buffer and detail too) rendered.
+fn race_diagnostics(dev: &Device) -> Vec<(usize, (usize, usize), String)> {
+    let report = dev.sanitizer_report().unwrap();
+    let races = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.detail.contains("conflicting"));
+    races
+        .map(|d| (d.index, d.blocks, format!("{d:?}")))
+        .collect()
+}
+
+#[test]
+fn race_reports_do_not_depend_on_the_block_schedule() {
+    // Each of eight blocks writes its own four words and then reads eight
+    // from its own start: every block but the last reads its successor's
+    // first four words, and every block writes word 0 too.
+    let run = |schedule: BlockSchedule| {
+        let dev = sanitized();
+        dev.set_block_schedule(schedule);
+        let buf = dev.alloc::<u32>(40);
+        dev.launch("overlapping_tiles", 8, |ctx| {
+            let b = ctx.block_idx();
+            ctx.st_co(&buf, 0, b as u32);
+            ctx.st_co_span(&buf, 4 + 4 * b, &[b as u32; 4]);
+            let mut out = [0u32; 8];
+            ctx.ld_co_span(&buf, 4 + 4 * b, &mut out);
+        });
+        (dev.ledger().sanitizer.races, race_diagnostics(&dev))
+    };
+    let (races, parallel) = run(BlockSchedule::Parallel);
+    assert_eq!(races, 1 + 7 * 4, "word 0 and four words of blocks 1..8");
+    let first: Vec<_> = parallel.iter().map(|d| (d.0, d.1)).collect();
+    assert_eq!(first, [(0, (0, 1)), (8, (0, 1))]);
+    for seed in [1, 2, 3, 4] {
+        let permuted = run(BlockSchedule::Permuted { seed });
+        assert_eq!(permuted, (races, parallel.clone()), "seed {seed}");
+    }
+}
+
+#[test]
+fn racecheck_reports_each_raced_region_once_by_its_lowest_word() {
+    let dev = sanitized();
+    let buf = dev.alloc::<u32>(200);
+    dev.launch("write_then_read", 2, |ctx| {
+        if ctx.block_idx() == 0 {
+            ctx.st_co_span(&buf, 0, &[7u32; 100]);
+        } else {
+            let mut out = [0u32; 110];
+            ctx.ld_co_span(&buf, 90, &mut out);
+        }
+    });
+    assert_eq!(dev.ledger().sanitizer.races, 10);
+    let found: Vec<_> = race_diagnostics(&dev).iter().map(|d| (d.0, d.1)).collect();
+    assert_eq!(found, [(90, (0, 1))]);
+
+    // An atomic races with a plain read from another block; two atomics
+    // do not race with each other.
+    for (plain_read, races) in [(true, 1), (false, 0)] {
+        let dev = sanitized();
+        let buf = dev.alloc::<u32>(8);
+        dev.launch("atomic_vs", 2, |ctx| {
+            if ctx.block_idx() == 1 && plain_read {
+                let _ = ctx.ld_co(&buf, 0);
+            } else {
+                ctx.atomic_add(&buf, 0, 1u32);
+            }
+        });
+        assert_eq!(
+            dev.ledger().sanitizer.races,
+            races,
+            "plain read: {plain_read}"
+        );
+    }
+}
+
+#[test]
+fn findings_logged_before_a_panic_are_reported() {
+    let dev = sanitized();
+    let buf = dev.alloc::<u32>(8);
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        dev.launch("race_then_oob", 2, |ctx| {
+            ctx.st_co(&buf, 0, ctx.block_idx() as u32);
+            if ctx.block_idx() == 1 {
+                let _ = ctx.ld_co(&buf, 8);
+            }
+        });
+    }));
+    assert!(err.is_err(), "the out-of-bounds read must panic");
+    let counts = dev.ledger().sanitizer;
+    assert_eq!((counts.races, counts.oob_accesses), (1, 1));
+}
+
 #[test]
 fn initcheck_catches_read_of_dirty_pooled_buffer() {
     let read_first = |dev: &Device, buf: &GlobalBuffer<u32>| {
