@@ -357,13 +357,11 @@ impl<'a> KernelCtx<'a> {
         let mut data = SHARED_SCRATCH.with(|p| p.borrow_mut().pop().unwrap_or_default());
         data.clear();
         data.resize(len, 0);
-        // Under initcheck, a fresh tile starts fully poisoned: CUDA
+        // Under a sanitizer, a fresh tile starts fully poisoned: CUDA
         // `__shared__` storage is uninitialized even though the simulator
         // happens to zero its backing lanes.
         let session = self.sim.as_ref().and_then(SimPart::session);
-        let poison = session
-            .is_some_and(|sess| sess.san.cfg.initcheck)
-            .then(|| RefCell::new(vec![!0u64; len.div_ceil(64)]));
+        let poison = session.map(|_| RefCell::new(vec![!0u64; len.div_ceil(64)]));
         SharedTile {
             data,
             poison,

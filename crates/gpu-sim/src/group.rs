@@ -114,10 +114,7 @@ impl DeviceGroup {
         for dev in &self.devices {
             for t in dev.kernel_launches() {
                 if let Some(m) = merged.iter_mut().find(|m| m.name == t.name) {
-                    m.launches += t.launches;
-                    m.overhead_seconds += t.overhead_seconds;
-                    m.native_launches += t.native_launches;
-                    m.wall_hist.merge(&t.wall_hist);
+                    m.merge(&t);
                 } else {
                     merged.push(t);
                 }

@@ -110,10 +110,51 @@ pub struct KernelTally {
     /// measured time and is comparable across backends. Fixed-size;
     /// recording never allocates.
     pub wall_hist: Histogram,
+    /// Summed hardware counters of the simulator launches.
+    pub counters: HwCounters,
+    /// Summed modelled time in ticks of 2⁻⁶⁴ s, like
+    /// the ledger's, so it does not depend on retire order.
+    pub sim_ticks: u128,
 }
 
 /// Ticks per modelled second (2⁶⁴).
 const TICKS_PER_S: f64 = 18_446_744_073_709_551_616.0;
+
+/// A modelled time in ticks of 2⁻⁶⁴ s.
+fn ticks(seconds: f64) -> u128 {
+    (seconds * TICKS_PER_S) as u128
+}
+
+impl KernelTally {
+    /// Total modelled device time, seconds.
+    pub fn sim_time(&self) -> f64 {
+        self.sim_ticks as f64 / TICKS_PER_S
+    }
+
+    /// The modelled `(compute, memory, transfer)` seconds of the summed
+    /// counters on `cfg`. The cost model is linear in the counters, so
+    /// this is the sum of the per-launch figures.
+    pub fn model_split(&self, cfg: &DeviceConfig) -> (f64, f64, f64) {
+        let cost = CostModel::new(cfg.clone());
+        let c = &self.counters;
+        (
+            cost.compute_time(c),
+            cost.memory_time(c),
+            cost.transfer_time(c),
+        )
+    }
+
+    /// Fold another tally into this one: another device's of the same
+    /// kernel, or any kernel's into a total.
+    pub fn merge(&mut self, o: &KernelTally) {
+        self.launches += o.launches;
+        self.overhead_seconds += o.overhead_seconds;
+        self.native_launches += o.native_launches;
+        self.wall_hist.merge(&o.wall_hist);
+        self.counters += o.counters;
+        self.sim_ticks += o.sim_ticks;
+    }
+}
 
 impl DeviceLedger {
     pub(crate) fn add_sim_ticks(&mut self, ticks: u128) {
@@ -123,7 +164,7 @@ impl DeviceLedger {
 
     /// Add a launch's or transfer's modelled time and counters.
     fn charge(&mut self, stats: &LaunchStats) {
-        self.add_sim_ticks((stats.sim_time * TICKS_PER_S) as u128);
+        self.add_sim_ticks(ticks(stats.sim_time));
         self.counters += stats.counters;
     }
 }
@@ -467,6 +508,8 @@ impl Device {
             t.overhead_seconds += overhead;
             t.native_launches += u64::from(native);
             t.wall_hist.record(stats.wall_time);
+            t.counters += stats.counters;
+            t.sim_ticks += ticks(stats.sim_time);
         }
         if !native {
             self.trace_launch(name, stats);

@@ -76,6 +76,6 @@ pub use launch::{BlockSchedule, Device, DeviceLedger, KernelTally};
 pub use pool::PoolStats;
 pub use sanitizer::{check_block_order_invariance, SanitizerConfig, SanitizerCounts};
 pub use trace::{
-    parse_json, validate_chrome_json, EventKind, Json, MetricKind, MetricsSnapshot, SpanArgs,
-    TraceRecorder, TraceSnapshot, TrackKind,
+    json_escape, parse_json, validate_chrome_json, EventKind, Json, MetricKind, MetricsSnapshot,
+    SpanArgs, TraceRecorder, TraceSnapshot, TrackKind,
 };

@@ -55,19 +55,11 @@ use parking_lot::Mutex;
 use crate::contract::{overlap_sweep, AccessContract, Rec};
 use crate::launch::{BlockSchedule, Device};
 
-/// Which checkers to enable. The four classic checkers default to on;
+/// Which checkers to enable. The four classic checkers are always on;
 /// contract conformance is opt-in (it requires contracted launches to be
 /// meaningful).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SanitizerConfig {
-    /// Detect inter-block conflicting accesses to the same global word.
-    pub(crate) racecheck: bool,
-    /// Detect reads of never-written words.
-    pub(crate) initcheck: bool,
-    /// Report precise kernel/block/index/len on out-of-range accesses.
-    pub(crate) boundscheck: bool,
-    /// Detect shared-memory allocations leaked past block retirement.
-    pub(crate) leakcheck: bool,
     /// Contract-conformance mode: flag observed accesses escaping the
     /// kernel's declared [`AccessContract`] footprint, and declarations
     /// grossly wider than anything observed. Keeps static contracts from
@@ -84,13 +76,7 @@ impl Default for SanitizerConfig {
 impl SanitizerConfig {
     /// Every classic checker enabled (conformance stays opt-in).
     pub fn all() -> Self {
-        SanitizerConfig {
-            racecheck: true,
-            initcheck: true,
-            boundscheck: true,
-            leakcheck: true,
-            conformance: false,
-        }
+        SanitizerConfig { conformance: false }
     }
 
     /// Enable contract-conformance checking on top of this configuration.
@@ -242,11 +228,7 @@ impl Sanitizer {
         poisoned: bool,
     ) -> Arc<BufferShadow> {
         let id = self.next_buffer_id.fetch_add(1, Ordering::Relaxed);
-        let poison = if self.cfg.initcheck {
-            vec![if poisoned { !0u64 } else { 0 }; len.div_ceil(64)]
-        } else {
-            Vec::new()
-        };
+        let poison = vec![if poisoned { !0u64 } else { 0 }; len.div_ceil(64)];
         Arc::new(BufferShadow {
             san: Arc::clone(self),
             label: format!("{scalar}[{len}]#{id}"),
@@ -298,11 +280,10 @@ pub(crate) enum AccessKind {
 }
 
 /// Clear bits `[lo, hi)` of `bits` a word at a time, calling `found` with
-/// the index of each bit that was set, in ascending order. An empty bitset
-/// (initcheck off) holds nothing to clear.
+/// the index of each bit that was set, in ascending order.
 fn clear_range(bits: &mut [u64], lo: usize, hi: usize, mut found: impl FnMut(usize)) {
     let mut i = lo;
-    while i < hi && !bits.is_empty() {
+    while i < hi {
         let w = i >> 6;
         let end = hi.min((w + 1) << 6);
         let mask = (!0u64 >> (64 - (end - i))) << (i & 63);
@@ -317,8 +298,7 @@ fn clear_range(bits: &mut [u64], lo: usize, hi: usize, mut found: impl FnMut(usi
 }
 
 /// Shadow state attached to one device buffer: its initcheck bitset (bit
-/// set ⇒ word never written since allocation; empty when initcheck is
-/// off). Host accesses update it at once, a kernel block's accesses when
+/// set ⇒ word never written since allocation). Host accesses update it at once, a kernel block's accesses when
 /// the block retires.
 pub(crate) struct BufferShadow {
     san: Arc<Sanitizer>,
@@ -493,12 +473,9 @@ impl<'k> LaunchSession<'k> {
     /// shared allocations.
     ///
     /// # Panics
-    /// Panics (after recording the finding) when leakcheck is on and the
-    /// block retires with live shared allocations.
+    /// Panics (after recording the finding) when the block retires with
+    /// live shared allocations.
     pub(crate) fn block_retire(&self, block: usize, shared_used: usize, shared_high: usize) {
-        if !self.san.cfg.leakcheck {
-            return;
-        }
         self.san.note_shared_high(self.kernel, shared_high as u64);
         if shared_used != 0 {
             let detail = format!(
@@ -550,7 +527,7 @@ impl Drop for LaunchSession<'_> {
         for (uid, (first, recs)) in by_uid {
             let hull = |(lo, hi): (usize, usize), r: &Rec| (lo.min(r.lo), hi.max(r.hi));
             let (olo, ohi) = recs.iter().fold((usize::MAX, 0), hull);
-            if let Some(sh) = first.shadow.as_ref().filter(|_| self.san.cfg.racecheck) {
+            if let Some(sh) = &first.shadow {
                 sh.report_races(self.kernel, recs);
             }
             let Some(c) = self.contract else { continue };
@@ -604,8 +581,8 @@ impl<'a> BlockLog<'a> {
     /// contract conformance — and log it.
     ///
     /// # Panics
-    /// Panics (after recording the finding) when boundscheck is on and the
-    /// access leaves the buffer.
+    /// Panics (after recording the finding) when the access leaves the
+    /// buffer.
     pub(crate) fn access(
         &mut self,
         uid: u64,
@@ -618,9 +595,6 @@ impl<'a> BlockLog<'a> {
         let (sess, block) = (self.sess, self.block);
         let label = || shadow.map(|s| s.label().to_string());
         if start + n > len {
-            if !sess.san.cfg.boundscheck {
-                return; // unlogged: the access itself faults
-            }
             let buffer = label().unwrap_or_else(|| "buffer".to_string());
             let detail = format!(
                 "boundscheck: kernel `{}` block {block} {kind:?} at {buffer}[{start}..{}] \

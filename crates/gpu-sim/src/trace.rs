@@ -342,42 +342,6 @@ impl TraceSnapshot {
             .count()
     }
 
-    /// Aggregate every kernel span (those carrying [`SpanArgs::Kernel`])
-    /// by name, heaviest modelled time first — the per-kernel attribution
-    /// table of `gsnp profile` (the Table III/IV analogue).
-    pub fn kernel_profiles(&self) -> Vec<KernelProfile> {
-        let mut by_name: HashMap<NameId, KernelProfile> = HashMap::new();
-        for e in &self.events {
-            let EventKind::Span { dur, args } = e.kind else {
-                continue;
-            };
-            let SpanArgs::Kernel {
-                grid,
-                compute,
-                memory,
-                transfer,
-                counters,
-            } = args
-            else {
-                continue;
-            };
-            let p = by_name.entry(e.name).or_insert_with(|| KernelProfile {
-                name: self.name(e.name).to_string(),
-                ..Default::default()
-            });
-            p.launches += 1;
-            p.grid_blocks += grid;
-            p.sim_time += dur;
-            p.compute += compute;
-            p.memory += memory;
-            p.transfer += transfer;
-            p.counters += counters;
-        }
-        let mut out: Vec<KernelProfile> = by_name.into_values().collect();
-        out.sort_by(|a, b| b.sim_time.total_cmp(&a.sim_time).then(a.name.cmp(&b.name)));
-        out
-    }
-
     /// Serialize as Chrome trace-event JSON (the `{"traceEvents": [...]}`
     /// object form), with process/thread metadata so Perfetto labels one
     /// process per device plus the pipeline process.
@@ -399,30 +363,30 @@ impl TraceSnapshot {
                 sep(&mut out);
                 let _ = write!(
                     out,
-                    "{{\"ph\":\"M\",\"pid\":{},\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
+                    "{{\"ph\":\"M\",\"pid\":{},\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
                     t.pid,
-                    json_string(&t.process)
+                    json_escape(&t.process)
                 );
             }
             sep(&mut out);
             let _ = write!(
                 out,
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
+                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
                 t.pid,
                 t.tid,
-                json_string(&t.thread)
+                json_escape(&t.thread)
             );
         }
         for e in &self.events {
             let t = &self.tracks[e.track.0 as usize];
-            let name = json_string(self.name(e.name));
+            let name = json_escape(self.name(e.name));
             let ts_us = e.ts * 1e6;
             sep(&mut out);
             match e.kind {
                 EventKind::Span { dur, args } => {
                     let _ = write!(
                         out,
-                        "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{}",
+                        "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\"",
                         t.pid,
                         t.tid,
                         json_f64(ts_us),
@@ -435,7 +399,7 @@ impl TraceSnapshot {
                 EventKind::Instant => {
                     let _ = write!(
                         out,
-                        "{{\"ph\":\"i\",\"pid\":{},\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":{}}}",
+                        "{{\"ph\":\"i\",\"pid\":{},\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":\"{}\"}}",
                         t.pid,
                         t.tid,
                         json_f64(ts_us),
@@ -445,7 +409,7 @@ impl TraceSnapshot {
                 EventKind::Counter { value } => {
                     let _ = write!(
                         out,
-                        "{{\"ph\":\"C\",\"pid\":{},\"tid\":{},\"ts\":{},\"name\":{},\"args\":{{\"value\":{}}}}}",
+                        "{{\"ph\":\"C\",\"pid\":{},\"tid\":{},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
                         t.pid,
                         t.tid,
                         json_f64(ts_us),
@@ -458,28 +422,6 @@ impl TraceSnapshot {
         out.push_str("\n]}");
         out
     }
-}
-
-/// Aggregated per-kernel attribution (see
-/// [`TraceSnapshot::kernel_profiles`]).
-#[derive(Debug, Clone, Default)]
-pub struct KernelProfile {
-    /// Kernel name as passed to [`crate::ComputeBackend::launch`].
-    pub name: String,
-    /// Launches aggregated.
-    pub launches: u64,
-    /// Total blocks across launches.
-    pub(crate) grid_blocks: u64,
-    /// Total modelled device time, seconds.
-    pub sim_time: f64,
-    /// Modelled arithmetic time, seconds.
-    pub compute: f64,
-    /// Modelled memory-traffic time, seconds.
-    pub memory: f64,
-    /// Modelled PCIe transfer time, seconds.
-    pub transfer: f64,
-    /// Summed hardware counters.
-    pub counters: HwCounters,
 }
 
 fn write_span_args(out: &mut String, args: &SpanArgs) {
@@ -538,10 +480,10 @@ fn json_f64(v: f64) -> String {
     s
 }
 
-/// JSON-escape a string, quotes included.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escape a string for embedding in a JSON string literal (quotes not
+/// included) — the inverse of what [`parse_json`] reads.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -555,7 +497,6 @@ fn json_string(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 
@@ -1067,10 +1008,14 @@ mod tests {
         assert_eq!(snap.dropped, 0);
         assert!((snap.sum_span_durations(spans, "likelihood_comp") - 0.5).abs() < 1e-12);
         assert_eq!(snap.count_events(spans, "steal"), 1);
-        let profiles = snap.kernel_profiles();
-        assert_eq!(profiles.len(), 1);
-        assert_eq!(profiles[0].launches, 1);
-        assert_eq!(profiles[0].counters.instructions, 100);
+        let EventKind::Span {
+            args: SpanArgs::Kernel { counters, .. },
+            ..
+        } = snap.events[0].kind
+        else {
+            panic!("the first event is the kernel span");
+        };
+        assert_eq!(counters.instructions, 100);
     }
 
     #[test]
@@ -1087,6 +1032,12 @@ mod tests {
         // Oldest-first order: the survivors are events 6..10.
         let ts: Vec<f64> = snap.events.iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn escape_covers_control_chars() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   [`crate::tables::SharedTables::calibrate_pooled`] computes over the
 //!   chained reads. The loop then makes **one `DeviceTables`
 //!   upload per device** — ledger-counted table H2D bytes scale
-//!   O(devices), not O(N·devices) (`tests/cohort_parity.rs`).
+//!   O(devices), not O(N·devices)
+//!   (`tests/parity.rs::cohort_cells_match_single_runs`).
 //! * **Sample-major mega-batching** is the loop's native batch shape:
 //!   every sample reads the *same* window grid (windows tile the
 //!   reference — a structural property of
@@ -26,7 +27,7 @@
 //!   batching genome-scale CUDA callers use.
 //! * **Per-sample outputs stay byte-identical** to single-sample runs
 //!   given the same tables: compressed bytes are grouping-invariant
-//!   (`tests/batch_parity.rs`), so demuxing a batch back into per-sample
+//!   (`tests/parity.rs::sim_cells_match_the_reference`), so demuxing a batch back into per-sample
 //!   compression groups reproduces each sample's single-run stream
 //!   bit-for-bit at any (samples, devices, batch, depth) shape. Sample
 //!   `i`'s stream is what the run's [`ResultSink`] receives as sample `i`.
@@ -377,7 +378,7 @@ impl CohortPipeline {
                     &format!(
                         "\"name\":\"{}\",\"snp_calls\":{},\"gated_nocalls\":{},\
                          \"forced_nocalls\":{},\"output_bytes\":{}",
-                        crate::journal::json_escape(&s.name),
+                        gpu_sim::json_escape(&s.name),
                         s.snp_count,
                         s.gated_nocalls,
                         s.forced_nocalls,

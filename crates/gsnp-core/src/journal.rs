@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use gpu_sim::{parse_json, HistogramDigest, Json};
+use gpu_sim::{json_escape, parse_json, HistogramDigest, Json};
 use parking_lot::Mutex;
 
 /// Journal schema version stamped into every `run_start` event.
@@ -83,23 +83,6 @@ impl Journal {
         self.flush();
         self.write_failed.load(Ordering::Relaxed)
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// FNV-1a 64-bit checksum — the input-manifest fingerprint written into
@@ -505,11 +488,5 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
-    }
-
-    #[test]
-    fn escape_covers_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

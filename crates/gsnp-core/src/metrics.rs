@@ -499,7 +499,7 @@ mod tests {
                     launches: 3,
                     overhead_seconds: 1.5e-5,
                     native_launches: 1,
-                    wall_hist: Default::default(),
+                    ..Default::default()
                 }],
                 ..Default::default()
             },

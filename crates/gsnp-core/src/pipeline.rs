@@ -214,7 +214,7 @@ pub struct GsnpConfig {
     /// of a batch is held at each in-flight slot of the loop, so the
     /// default is `1`, the paper's one window at a time; `0` is read as 1.
     /// Results are byte-identical at every batch size
-    /// (`tests/batch_parity.rs`).
+    /// (`tests/parity.rs::sim_cells_match_the_reference`).
     pub launch_batch: usize,
     /// Devices sharding the window loop. `1` (the default) is the
     /// single-device pipeline; `N ≥ 2` runs the device stage as `N`
@@ -223,7 +223,7 @@ pub struct GsnpConfig {
     /// (greedy dispatch, so a skewed window never idles a sibling device),
     /// with the output stage reassembling window order. Results are
     /// byte-identical at every `(pipeline_depth, num_devices)`
-    /// (`tests/shard_parity.rs`).
+    /// (`tests/parity.rs::batch_two_device_cells_match_the_reference`).
     pub num_devices: usize,
     /// Run the device under the full dynamic-checker suite
     /// ([`gpu_sim::SanitizerConfig::all`]): racecheck, initcheck,
@@ -301,7 +301,7 @@ impl GsnpConfig {
              \"pseudocount\":{},\"expected_depth\":{},\"shared_tables\":{}}}",
             backend.name(),
             variant.label(),
-            crate::journal::json_escape(DeviceConfig::default().name),
+            gpu_sim::json_escape(DeviceConfig::default().name),
             params.het_rate,
             params.hom_rate,
             params.titv_ratio,
@@ -1090,8 +1090,9 @@ pub(crate) fn run_window_loop(
         for (sample, batch_tables) in per_sample.into_iter().enumerate() {
             // The RLE-DICT chain runs on the device that scored the batch.
             // Compressed bytes are grouping-invariant
-            // (`tests/batch_parity.rs`), so each sample's stream is
-            // byte-identical at any (samples, batch, depth, devices).
+            // (`tests/parity.rs::sim_cells_match_the_reference`), so each
+            // sample's stream is byte-identical at any (samples, batch,
+            // depth, devices).
             frames.clear();
             let out_stats =
                 column::write_windows_gpu_batch(&dispatchers[dev], &mut frames, &batch_tables);

@@ -64,7 +64,9 @@ use gsnp::core::{
     GsnpCpuPipeline, GsnpPipeline, Journal, Observers, ProgressTracker, QualityGates, RunError,
     SampleReads, SampleText,
 };
-use gsnp::gpu_sim::{BackendChoice, MetricKind, MetricsSnapshot, TraceRecorder, TraceSnapshot};
+use gsnp::gpu_sim::{
+    BackendChoice, DeviceConfig, KernelTally, MetricKind, MetricsSnapshot, TraceRecorder,
+};
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::result::SnpTable;
@@ -407,7 +409,7 @@ impl Introspection {
             }
             manifest.push_str(&format!(
                 "{{\"path\":\"{}\",\"bytes\":{bytes},\"fnv64\":\"{hash:016x}\"}}",
-                journal::json_escape(path),
+                gsnp::gpu_sim::json_escape(path),
             ));
         }
         j.event(
@@ -949,10 +951,30 @@ fn cmd_profile(args: &[String]) -> CliResult {
         );
         (result.stats, result.times, result.wall)
     };
-    print_profile(&mut out, &stats, &times, &wall, &recorder.snapshot())?;
+    print_profile(&mut out, &stats, &times, &wall)?;
     if let Some(path) = flag_value(args, "--trace") {
         write_trace(&recorder, path, false)?;
     }
+    Ok(())
+}
+
+/// One row of the per-kernel attribution table.
+fn kernel_row(out: &mut Results, t: &KernelTally, sites: f64) -> CliResult {
+    let (compute, memory, transfer) = t.model_split(&DeviceConfig::default());
+    writeln!(
+        out,
+        "  {:<24} {:>8} {:>14.6} {:>14.6} {:>10.4} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>12}",
+        t.name,
+        t.launches,
+        t.launches as f64 / sites,
+        t.overhead_seconds,
+        t.wall_hist.sum(),
+        t.sim_time(),
+        compute,
+        memory,
+        transfer,
+        t.counters.g_load() + t.counters.g_store()
+    )?;
     Ok(())
 }
 
@@ -961,7 +983,6 @@ fn print_profile(
     stats: &PipelineStats,
     times: &ComponentTimes,
     wall: &ComponentTimes,
-    snap: &TraceSnapshot,
 ) -> CliResult {
     writeln!(
         out,
@@ -1035,42 +1056,38 @@ fn print_profile(
         )?;
     }
 
-    // Launch-batching figure of merit: launches per site and the fixed
-    // overhead the mega-batch amortizes, straight from the group ledger.
+    // Table IV analogue and the launch-batching figure of merit, from the
+    // group's launch tallies: launches per site, the fixed overhead the
+    // mega-batch amortizes, measured wall, and the modelled time split.
     if !stats.kernel_launches.is_empty() {
         let sites = stats.num_sites.max(1) as f64;
-        writeln!(out, "\nper-kernel launch tallies (group sum)")?;
         writeln!(
             out,
-            "  {:<24} {:>8} {:>14} {:>14} {:>10}",
-            "kernel", "launches", "launches/site", "overhead-sec", "wall-sec"
+            "\nper-kernel attribution (group sum; seconds, wall-sec measured, the rest modelled)"
         )?;
-        let mut launches = 0u64;
-        let mut overhead = 0.0;
-        let mut wall = 0.0;
-        for tally in &stats.kernel_launches {
-            launches += tally.launches;
-            overhead += tally.overhead_seconds;
-            wall += tally.wall_hist.sum();
-            writeln!(
-                out,
-                "  {:<24} {:>8} {:>14.6} {:>14.6} {:>10.4}",
-                tally.name,
-                tally.launches,
-                tally.launches as f64 / sites,
-                tally.overhead_seconds,
-                tally.wall_hist.sum()
-            )?;
+        writeln!(
+            out,
+            "  {:<24} {:>8} {:>14} {:>14} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
+            "kernel",
+            "launches",
+            "launches/site",
+            "overhead-sec",
+            "wall-sec",
+            "sim",
+            "compute",
+            "memory",
+            "transfer",
+            "g_accesses"
+        )?;
+        let mut total = KernelTally {
+            name: "total".into(),
+            ..Default::default()
+        };
+        for t in &stats.kernel_launches {
+            kernel_row(out, t, sites)?;
+            total.merge(t);
         }
-        writeln!(
-            out,
-            "  {:<24} {:>8} {:>14.6} {:>14.6} {:>10.4}",
-            "total",
-            launches,
-            launches as f64 / sites,
-            overhead,
-            wall
-        )?;
+        kernel_row(out, &total, sites)?;
         let mut backend = gsnp::gpu_sim::BackendTallies::default();
         for led in &stats.ledgers {
             backend.sum(&led.backend);
@@ -1108,39 +1125,6 @@ fn print_profile(
         }
     }
 
-    // Table IV analogue: per-kernel breakdown from the trace.
-    let profiles = snap.kernel_profiles();
-    if !profiles.is_empty() {
-        writeln!(
-            out,
-            "\nper-kernel attribution (from trace; modelled seconds)"
-        )?;
-        writeln!(
-            out,
-            "  {:<24} {:>8} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            "kernel", "launches", "sim", "compute", "memory", "transfer", "g_accesses"
-        )?;
-        for p in &profiles {
-            writeln!(
-                out,
-                "  {:<24} {:>8} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>12}",
-                p.name,
-                p.launches,
-                p.sim_time,
-                p.compute,
-                p.memory,
-                p.transfer,
-                p.counters.g_load() + p.counters.g_store()
-            )?;
-        }
-    }
-    if snap.dropped > 0 {
-        writeln!(
-            out,
-            "\n(note: ring overflowed — {} oldest events not in the tables above)",
-            snap.dropped
-        )?;
-    }
     Ok(())
 }
 

@@ -1037,3 +1037,73 @@ fn one_cpu_and_all_cpus_write_the_same_bytes() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `gsnp profile`'s per-kernel table is the launch tallies, not the trace
+/// ring: on a shape whose 2¹⁶-event ring overflows, every row still equals
+/// the tally of the same run made in process.
+#[test]
+fn profile_table_is_the_launch_tallies_when_the_ring_overflows() {
+    use std::sync::Arc;
+
+    use gsnp::core::{Collect, GsnpConfig, GsnpPipeline, Observers};
+    use gsnp::gpu_sim::{trace::DEFAULT_CAPACITY, TraceRecorder};
+    use gsnp::seqio::synth::{Dataset, SynthConfig};
+
+    let out = ok(&[
+        "profile", "--sites", "30000", "--depth", "3", "--window", "30",
+    ]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+
+    let mut synth = SynthConfig::tiny(1);
+    synth.chr_name = "chrS".into();
+    synth.num_sites = 30_000;
+    synth.depth = 3.0;
+    synth.read_len = 100;
+    let d = Dataset::generate(synth);
+    let cfg = GsnpConfig {
+        window_size: 30,
+        ..Default::default()
+    };
+    let config = format!("config: {}", cfg.manifest_json());
+    assert!(stdout.lines().any(|l| l == config), "{config}\n{stdout}");
+    let rec = Arc::new(TraceRecorder::new(DEFAULT_CAPACITY));
+    let observers = Observers {
+        trace: Some(Arc::clone(&rec)),
+        ..Default::default()
+    };
+    let run = GsnpPipeline::new(cfg).observed(observers).run(
+        &d.reads,
+        &d.reference,
+        &d.priors,
+        &mut Collect::default(),
+    );
+    assert!(
+        rec.snapshot().dropped > 0,
+        "the shape must overflow the ring"
+    );
+
+    // name, launches, modelled seconds and global accesses of each row.
+    let table = stdout.split("per-kernel attribution").nth(1).unwrap();
+    let rows: Vec<(String, String, String, String)> = table
+        .lines()
+        .skip(2)
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .take_while(|f| f.len() == 10)
+        .map(|f| (f[0].into(), f[1].into(), f[5].into(), f[9].into()))
+        .collect();
+    let tallies = &run.stats.kernel_launches;
+    assert_eq!(rows.len(), tallies.len() + 1, "{table}");
+    for (row, t) in rows.iter().zip(tallies) {
+        let c = &t.counters;
+        let want = (
+            t.name.clone(),
+            t.launches.to_string(),
+            format!("{:.6}", t.sim_time()),
+            (c.g_load() + c.g_store()).to_string(),
+        );
+        assert_eq!(row, &want);
+    }
+    let launches: u64 = tallies.iter().map(|t| t.launches).sum();
+    assert_eq!(rows[tallies.len()].0, "total");
+    assert_eq!(rows[tallies.len()].1, launches.to_string());
+}

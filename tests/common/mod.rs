@@ -1,10 +1,13 @@
 //! Shared by the suites: the sweep that drives the RLE-DICT chain directly,
 //! `run_collected`, a run with a [`Collect`] sink attached that hands
 //! back what the run reported next to the tables and bytes the sink
-//! received — what the parity suites compare — and a crafted result
-//! window that declares far more values than it has rows.
+//! received — what the parity matrix compares — a dataset's inputs
+//! through their text formats, and a crafted result window that declares
+//! far more values than it has rows.
 
 #![allow(dead_code)] // each suite uses its own part
+
+use std::io::Cursor;
 
 use gsnp::compress::gpu::rledict_gpu_batch;
 use gsnp::compress::rledict;
@@ -16,7 +19,8 @@ use gsnp::gpu_sim::Device;
 use gsnp::seqio::fasta::Reference;
 use gsnp::seqio::prior::PriorMap;
 use gsnp::seqio::result::{SnpRow, SnpTable};
-use gsnp::seqio::soap::AlignedRead;
+use gsnp::seqio::soap::{write_alignments, AlignedRead, AlignmentReader};
+use gsnp::seqio::synth::Dataset;
 
 /// Columns built to break a codec arm — the shapes `compress::gpu`'s unit
 /// tests pin the arms on: one element, one long run, an empty segment
@@ -74,6 +78,24 @@ pub fn sweep_rledict_chain(dev: &Device) {
     }
     let refs: Vec<&[u32]> = segs.iter().map(Vec::as_slice).collect();
     assert_eq!(rledict_gpu_batch(dev, &refs).0, host, "one batch");
+}
+
+/// Serialize a dataset's three inputs to their text formats and parse
+/// them back.
+pub fn roundtrip_inputs(d: &Dataset) -> (Vec<AlignedRead>, Reference, PriorMap) {
+    let mut aln = Vec::new();
+    write_alignments(&d.reads, &mut aln).unwrap();
+    let mut fasta = Vec::new();
+    d.reference.write_fasta(&mut fasta).unwrap();
+    let mut prior = Vec::new();
+    d.priors.write(&d.config.chr_name, &mut prior).unwrap();
+
+    let reads: Vec<_> = AlignmentReader::new(Cursor::new(aln))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let reference = Reference::read_fasta(Cursor::new(fasta)).unwrap();
+    let priors = PriorMap::read(Cursor::new(prior)).unwrap();
+    (reads, reference, priors)
 }
 
 fn rows_of(tables: &[SnpTable]) -> Vec<SnpRow> {

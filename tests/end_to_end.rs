@@ -6,12 +6,8 @@ mod common;
 use std::io::Cursor;
 
 use common::RunCollected;
-use gsnp::baseline::{SoapSnpConfig, SoapSnpPipeline};
 use gsnp::compress::column::WindowStream;
 use gsnp::core::{GsnpConfig, GsnpCpuPipeline, GsnpPipeline};
-use gsnp::seqio::fasta::Reference;
-use gsnp::seqio::prior::PriorMap;
-use gsnp::seqio::soap::{write_alignments, AlignmentReader};
 use gsnp::seqio::synth::{Dataset, SynthConfig};
 
 fn small(seed: u64) -> Dataset {
@@ -21,57 +17,13 @@ fn small(seed: u64) -> Dataset {
     Dataset::generate(cfg)
 }
 
-/// Serialize all three inputs to their text formats and parse them back.
-fn roundtrip_inputs(d: &Dataset) -> (Vec<gsnp::seqio::AlignedRead>, Reference, PriorMap) {
-    let mut aln = Vec::new();
-    write_alignments(&d.reads, &mut aln).unwrap();
-    let mut fasta = Vec::new();
-    d.reference.write_fasta(&mut fasta).unwrap();
-    let mut prior = Vec::new();
-    d.priors.write(&d.config.chr_name, &mut prior).unwrap();
-
-    let reads: Vec<_> = AlignmentReader::new(Cursor::new(aln))
-        .collect::<Result<_, _>>()
-        .unwrap();
-    let reference = Reference::read_fasta(Cursor::new(fasta)).unwrap();
-    let priors = PriorMap::read(Cursor::new(prior)).unwrap();
-    (reads, reference, priors)
-}
-
 #[test]
 fn file_roundtrip_preserves_inputs() {
     let d = small(1);
-    let (reads, reference, priors) = roundtrip_inputs(&d);
+    let (reads, reference, priors) = common::roundtrip_inputs(&d);
     assert_eq!(reads, d.reads);
     assert_eq!(reference, d.reference);
     assert_eq!(priors.len(), d.priors.len());
-}
-
-#[test]
-fn pipelines_agree_bitwise_through_file_formats() {
-    // The §IV-G property, exercised through the *parsed* inputs so format
-    // serialization is part of the loop.
-    let d = small(2);
-    let (reads, reference, priors) = roundtrip_inputs(&d);
-
-    let soap = SoapSnpPipeline::new(SoapSnpConfig {
-        window_size: 600,
-        ..Default::default()
-    })
-    .run(&reads, &reference, &priors);
-    let gsnp = GsnpPipeline::new(GsnpConfig {
-        window_size: 450,
-        ..Default::default()
-    })
-    .run_collected(&reads, &reference, &priors);
-    let cpu = GsnpCpuPipeline::new(GsnpConfig {
-        window_size: 999,
-        ..Default::default()
-    })
-    .run_collected(&reads, &reference, &priors);
-
-    assert_eq!(soap.all_rows(), gsnp.all_rows());
-    assert_eq!(soap.all_rows(), cpu.all_rows());
 }
 
 #[test]
